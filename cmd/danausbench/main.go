@@ -37,8 +37,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -51,40 +53,12 @@ import (
 	"repro/internal/fuzz"
 	"repro/internal/obs"
 	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
-var experimentsByName = map[string]func(experiments.Scale){
-	"fig1":          runFig1,
-	"fig6a":         runFig6a,
-	"fig6b":         runFig6b,
-	"fig6c":         runFig6c,
-	"fig7a":         func(s experiments.Scale) { runKVScaleout(experiments.PhasePut, s) },
-	"fig7b":         func(s experiments.Scale) { runKVScaleout(experiments.PhaseGet, s) },
-	"fig7c":         func(s experiments.Scale) { runKVScaleup(experiments.PhasePut, s) },
-	"fig7d":         func(s experiments.Scale) { runKVScaleup(experiments.PhaseGet, s) },
-	"fig8":          runFig8,
-	"fig9w":         func(s experiments.Scale) { runSeqIO(true, s) },
-	"fig9r":         func(s experiments.Scale) { runSeqIO(false, s) },
-	"fig10":         runFig10,
-	"fig11a":        func(s experiments.Scale) { runFileIO(true, s) },
-	"fig11b":        func(s experiments.Scale) { runFileIO(false, s) },
-	"table1":        runTable1,
-	"table2":        runTable2,
-	"ablations":     runAblations,
-	"faultsweep":    runFaultSweep,
-	"blamesweep":    runBlameSweep,
-	"fuzzsweep":     runFuzzSweep,
-	"overloadsweep": runOverloadSweep,
-	"crashsweep":    runCrashSweep,
-	"tracesweep":    runTraceSweep,
-	"monitorsweep":  runMonitorSweep,
-}
-
-// invariantFailures counts invariant violations observed by experiment
-// runs (overloadsweep admission accounting, faultsweep data loss).
-// Outside -fuzz mode they turn the exit status nonzero so CI catches a
-// run whose rows printed fine but broke a correctness property.
+// invariantFailures counts the invariant violations experiment rows
+// report (Row.Violations). Outside -fuzz mode they turn the exit status
+// nonzero so CI catches a run whose rows printed fine but broke a
+// correctness property.
 var invariantFailures int
 
 // noteViolations reports invariant violations and accumulates them
@@ -112,9 +86,9 @@ var (
 // recordTracePath (-record) receives the recorded op trace: the
 // tracesweep baseline when -exp tracesweep, otherwise one trace per
 // observed run. diffCSVPath (-diffcsv) receives trace-diff rows.
-// sweepArtifacts routes the two into runTraceSweep when the sweep was
-// selected directly (under -exp all the generic capture path owns
-// them instead). opCaptures holds the generic per-run capture
+// sweepArtifacts routes the two into writeSweepArtifacts when the
+// sweep was selected directly (under -exp all the generic capture path
+// owns them instead). opCaptures holds the generic per-run capture
 // recorders, parallel to obsRuns.
 var (
 	recordTracePath string
@@ -148,6 +122,30 @@ func enableObservability() {
 	}
 }
 
+// scales maps -scale names onto experiment sizings.
+var scales = map[string]experiments.Scale{
+	"quick":   experiments.QuickScale,
+	"default": experiments.DefaultScale,
+	"paper":   experiments.PaperScale,
+}
+
+// checkFlags rejects flag values and combinations the harness cannot
+// run, naming the offending flag.
+func checkFlags(exp, scale string, fuzzN int, whatIf, replay string) error {
+	if _, ok := scales[scale]; !ok {
+		return fmt.Errorf("-scale: unknown scale %q (want quick, default or paper)", scale)
+	}
+	switch {
+	case fuzzN < 0:
+		return fmt.Errorf("-fuzz wants a scenario count >= 0, got %d", fuzzN)
+	case whatIf != "" && exp != "blamesweep" && exp != "all":
+		return errors.New("-whatif requires -exp blamesweep (or all)")
+	case replay != "" && exp != "":
+		return fmt.Errorf("-replay conflicts with -exp %s", exp)
+	}
+	return nil
+}
+
 func main() {
 	exp := flag.String("exp", "", "experiment id (see -list) or 'all'")
 	scaleName := flag.String("scale", "quick", "experiment scale: quick, default or paper")
@@ -160,8 +158,6 @@ func main() {
 	fuzzSeed := flag.Int64("seed", 1, "scenario generator seed for -fuzz")
 	fuzzDir := flag.String("fuzzdir", "fuzz-repros", "directory for shrunk reproducer specs of failing fuzz scenarios ('' disables)")
 	fuzzSpec := flag.String("fuzzspec", "", "replay one fuzz reproducer spec file and check its invariants")
-	overload := flag.Bool("overload", false, "shorthand for -exp overloadsweep")
-	crash := flag.Bool("crash", false, "shorthand for -exp crashsweep")
 	flag.StringVar(&crashCSVPath, "crashcsv", "", "write crashsweep rows (recovery time, blast radius) as CSV to this file")
 	flag.StringVar(&monitorBasePath, "monitor", "", "write monitorsweep telemetry artifacts (windowed CSV + alert ledger per case) using this base path")
 	flag.StringVar(&recordTracePath, "record", "", "write the recorded op trace to this file (see TRACES.md)")
@@ -172,20 +168,11 @@ func main() {
 	traceDiff := flag.String("tracediff", "", "compare two recorded op traces given as a.trace,b.trace and exit")
 	flag.Parse()
 
-	if *overload {
-		if *exp != "" && *exp != "overloadsweep" {
-			fmt.Fprintln(os.Stderr, "-overload conflicts with -exp "+*exp)
-			os.Exit(2)
-		}
-		*exp = "overloadsweep"
+	if err := checkFlags(*exp, *scaleName, *fuzzN, *whatIfSpec, *replayPath); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	if *crash {
-		if *exp != "" && *exp != "crashsweep" {
-			fmt.Fprintln(os.Stderr, "-crash conflicts with -exp "+*exp)
-			os.Exit(2)
-		}
-		*exp = "crashsweep"
-	}
+	scale := scales[*scaleName]
 
 	if *traceDiff != "" {
 		runTraceDiff(*traceDiff, diffCSVPath)
@@ -230,46 +217,33 @@ func main() {
 			os.Exit(2)
 		}
 		whatIf = &w
-		if *exp != "blamesweep" && *exp != "all" {
-			fmt.Fprintln(os.Stderr, "-whatif requires -exp blamesweep (or all)")
-			os.Exit(2)
-		}
 	}
 
+	table := append(experiments.Table(), fuzzSweep(scale))
+	sort.Slice(table, func(i, j int) bool { return table[i].Name < table[j].Name })
 	if *list || (*exp == "" && *replayPath == "") {
 		fmt.Println("experiments:")
-		names := make([]string, 0, len(experimentsByName))
-		for name := range experimentsByName {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Println("  " + name)
+		for _, e := range table {
+			fmt.Println("  " + e.Name)
 		}
 		return
-	}
-
-	var scale experiments.Scale
-	switch *scaleName {
-	case "quick":
-		scale = experiments.QuickScale
-	case "default":
-		scale = experiments.DefaultScale
-	case "paper":
-		scale = experiments.PaperScale
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleName)
-		os.Exit(2)
 	}
 
 	if *replayPath != "" {
-		if *exp != "" {
-			fmt.Fprintln(os.Stderr, "-replay conflicts with -exp "+*exp)
-			os.Exit(2)
-		}
 		runReplayFile(*replayPath, *configName, *admission, scale)
 		exitOnViolations()
 		return
+	}
+
+	var selected []experiments.Experiment
+	for _, e := range table {
+		if *exp == "all" || e.Name == *exp {
+			selected = append(selected, e)
+		}
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", *exp)
+		os.Exit(2)
 	}
 
 	// tracesweep writes its own -record/-diffcsv artifacts when selected
@@ -280,27 +254,9 @@ func main() {
 	if *tracePath != "" || *metricsPath != "" || *blamePath != "" || captureOps {
 		enableObservability()
 	}
-
-	if *exp == "all" {
-		names := make([]string, 0, len(experimentsByName))
-		for name := range experimentsByName {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			runOne(name, scale)
-		}
-		exportObs(*tracePath, *metricsPath)
-		exportBlame(*blamePath)
-		exportTraces(recordTracePath)
-		exitOnViolations()
-		return
+	for _, e := range selected {
+		runOne(e, scale)
 	}
-	if _, ok := experimentsByName[*exp]; !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", *exp)
-		os.Exit(2)
-	}
-	runOne(*exp, scale)
 	exportObs(*tracePath, *metricsPath)
 	exportBlame(*blamePath)
 	exportTraces(recordTracePath)
@@ -311,7 +267,7 @@ func main() {
 // the Observer hook: to the given path directly for a single run, or
 // to <base>-runN<ext> each when several testbeds recorded.
 func exportTraces(path string) {
-	if path == "" || len(opCaptures) == 0 {
+	if path == "" {
 		return
 	}
 	ext := filepath.Ext(path)
@@ -320,12 +276,7 @@ func exportTraces(path string) {
 		if len(opCaptures) > 1 {
 			out = strings.TrimSuffix(path, ext) + fmt.Sprintf("-run%d", i) + ext
 		}
-		tr := capRec.Snapshot()
-		if err := tr.WriteFile(out); err != nil {
-			fmt.Fprintf(os.Stderr, "trace record: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("record: %d op(s) -> %s\n", len(tr.Ops), out)
+		writeTrace(out, capRec.Snapshot())
 	}
 }
 
@@ -360,18 +311,14 @@ func runReplayFile(path, configName string, admission bool, scale experiments.Sc
 		c.Label += "+adm"
 	}
 	fmt.Printf("Replay %s (label %q, %d ops) under %s\n", path, tr.Label, len(tr.Ops), c.Label)
-	replayed, row := experiments.ReplayTraceUnder(tr, c, scale)
+	row := experiments.ReplayTraceUnder(tr, c, scale)
 	fmt.Println("  " + row.String())
-	noteViolations(experiments.TraceRowViolations(row))
+	noteViolations(row.Violations())
 	if recordTracePath != "" {
-		if err := replayed.WriteFile(recordTracePath); err != nil {
-			fmt.Fprintf(os.Stderr, "trace record: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("record: %d op(s) -> %s\n", len(replayed.Ops), recordTracePath)
+		writeTrace(recordTracePath, row.Trace)
 	}
 	if diffCSVPath != "" {
-		writeDiffCSV(diffCSVPath, trace.Compare(tr, replayed))
+		writeDiffCSV(diffCSVPath, trace.Compare(tr, row.Trace))
 	}
 }
 
@@ -401,19 +348,7 @@ func runTraceDiff(spec, csvPath string) {
 
 // writeDiffCSV writes one diff's rows to a CSV file.
 func writeDiffCSV(path string, d *trace.Diff) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "diff csv: %v\n", err)
-		os.Exit(1)
-	}
-	err = d.WriteCSV(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "diff csv: %v\n", err)
-		os.Exit(1)
-	}
+	writeFile(path, "diff csv", d.WriteCSV)
 	fmt.Printf("diff: %d row(s) -> %s\n", len(d.Rows), path)
 }
 
@@ -438,44 +373,24 @@ func exportBlame(path string) {
 	for _, run := range obsRuns {
 		reports = append(reports, blame.Analyze(run.Label, run.Rec))
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "blame export: %v\n", err)
-		os.Exit(1)
-	}
-	if strings.EqualFold(filepath.Ext(path), ".csv") {
-		err = blame.WriteCSV(f, reports)
-	} else {
-		err = blame.WriteJSON(f, reports)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "blame export: %v\n", err)
-		os.Exit(1)
-	}
+	writeFile(path, "blame export", func(w io.Writer) error {
+		if strings.EqualFold(filepath.Ext(path), ".csv") {
+			return blame.WriteCSV(w, reports)
+		}
+		return blame.WriteJSON(w, reports)
+	})
 	fmt.Printf("blame: %d run(s) -> %s\n", len(reports), path)
 
 	if len(whatIfReports) > 0 {
 		wiPath := strings.TrimSuffix(path, filepath.Ext(path)) + "-whatif.json"
-		wf, err := os.Create(wiPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "what-if export: %v\n", err)
-			os.Exit(1)
-		}
-		for _, rep := range whatIfReports {
-			if err == nil {
-				err = blame.WriteWhatIfJSON(wf, rep)
+		writeFile(wiPath, "what-if export", func(w io.Writer) error {
+			for _, rep := range whatIfReports {
+				if err := blame.WriteWhatIfJSON(w, rep); err != nil {
+					return err
+				}
 			}
-		}
-		if cerr := wf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "what-if export: %v\n", err)
-			os.Exit(1)
-		}
+			return nil
+		})
 		fmt.Printf("what-if: %d comparison(s) -> %s\n", len(whatIfReports), wiPath)
 	}
 }
@@ -499,204 +414,107 @@ func exportObs(tracePath, metricsPath string) {
 	}
 }
 
-func runOne(name string, scale experiments.Scale) {
-	fmt.Printf("=== %s (factor %.2f, window %v) ===\n", name, scale.Factor, scale.Duration)
+// runOne runs one experiment of the table, checking every row and
+// collecting what the artifact flags export.
+func runOne(e experiments.Experiment, scale experiments.Scale) {
+	fmt.Printf("=== %s (factor %.2f, window %v) ===\n", e.Name, scale.Factor, scale.Duration)
 	start := time.Now()
-	experimentsByName[name](scale)
-	fmt.Printf("--- %s done in %v\n\n", name, time.Since(start).Round(time.Millisecond))
+	e.Render(os.Stdout, scale, func(r experiments.Row) { collect(r, scale) })
+	writeSweepArtifacts()
+	fmt.Printf("--- %s done in %v\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 }
 
-func runFig1(scale experiments.Scale) {
-	fmt.Println("Fig 1: Fileserver under kernel I/O contention (kernel client only)")
-	for _, c := range experiments.Fig1Cases() {
-		row := experiments.RunInterference(c, scale)
-		printInterference(row)
-	}
-}
+// crashRows and traceRows hold the rows of the running crashsweep and
+// tracesweep until writeSweepArtifacts exports them.
+var (
+	crashRows []experiments.CrashSweepRow
+	traceRows []experiments.TraceRow
+)
 
-func runFig6a(scale experiments.Scale) {
-	fmt.Println("Fig 6a: Fileserver vs RandomIO interference (K vs D)")
-	for _, c := range experiments.Fig6aCases() {
-		printInterference(experiments.RunInterference(c, scale))
-	}
-}
-
-func runFig6b(scale experiments.Scale) {
-	fmt.Println("Fig 6b: Fileserver vs Webserver interference (K vs D)")
-	for _, c := range experiments.Fig6bCases() {
-		printInterference(experiments.RunInterference(c, scale))
-	}
-}
-
-func printInterference(row experiments.InterferenceRow) {
-	fmt.Printf("  %-14s %9.1f MB/s   neighbor-cores %6.1f%%   lock wait/req %-12v hold/req %v\n",
-		row.Label, row.FLSThroughputMBps, row.NeighborCoreUtilPct, row.LockWaitPerReq, row.LockHoldPerReq)
-}
-
-func runFig6c(scale experiments.Scale) {
-	fmt.Println("Fig 6c: Sysbench and Fileserver latency under colocation")
-	for _, c := range experiments.Fig6cCases() {
-		row := experiments.RunSysbench(c, scale)
-		fmt.Printf("  %-14s ssb-p99 %-12v fls-avg %-12v ssb-cores %6.1f%%\n",
-			row.Label, row.SSBLatencyP99, row.FLSLatencyAvg, row.SSBCoreUtilPct)
-	}
-}
-
-func runKVScaleout(phase experiments.KVPhase, scale experiments.Scale) {
-	label := map[experiments.KVPhase]string{experiments.PhasePut: "put", experiments.PhaseGet: "get (out-of-core)"}
-	fmt.Printf("Fig 7 scaleout: KV %s latency, private client per pool\n", label[phase])
-	for _, cfg := range experiments.Fig7aConfigs() {
-		for _, n := range experiments.Fig7ScaleoutCounts() {
-			fmt.Println("  " + experiments.RunKVScaleout(cfg, n, phase, scale).String())
-		}
-	}
-}
-
-func runKVScaleup(phase experiments.KVPhase, scale experiments.Scale) {
-	label := map[experiments.KVPhase]string{experiments.PhasePut: "put", experiments.PhaseGet: "get"}
-	fmt.Printf("Fig 7 scaleup: KV %s latency, cloned containers over shared client\n", label[phase])
-	for _, cfg := range experiments.Fig7cConfigs() {
-		for _, n := range experiments.Fig7ScaleupCounts() {
-			fmt.Println("  " + experiments.RunKVScaleup(cfg, n, phase, scale).String())
-		}
-	}
-}
-
-func runFig8(scale experiments.Scale) {
-	fmt.Println("Fig 8: webserver container startup scaleup (real time, context switches)")
-	for _, cfg := range experiments.Fig8Configs() {
-		for _, n := range experiments.Fig8Counts() {
-			fmt.Println("  " + experiments.RunStartupScaleup(cfg, n, scale).String())
-		}
-	}
-}
-
-func runSeqIO(write bool, scale experiments.Scale) {
-	kind := "Seqread"
-	if write {
-		kind = "Seqwrite"
-	}
-	fmt.Printf("Fig 9: %s scaleout\n", kind)
-	for _, cfg := range []core.Configuration{core.ConfigD, core.ConfigF, core.ConfigK} {
-		for _, n := range experiments.Fig9PoolCounts() {
-			fmt.Println("  " + experiments.RunSeqIOScaleout(cfg, n, write, scale).String())
-		}
-	}
-}
-
-func runFig10(scale experiments.Scale) {
-	fmt.Println("Fig 10: Fileserver scaleout")
-	for _, cfg := range []core.Configuration{core.ConfigD, core.ConfigF, core.ConfigK} {
-		for _, n := range experiments.Fig10PoolCounts() {
-			fmt.Println("  " + experiments.RunFileserverScaleout(cfg, n, scale).String())
-		}
-	}
-}
-
-func runFileIO(append bool, scale experiments.Scale) {
-	kind := "Fileread"
-	if append {
-		kind = "Fileappend"
-	}
-	fmt.Printf("Fig 11: %s scaleup (timespan, max memory)\n", kind)
-	for _, cfg := range experiments.Fig11Configs() {
-		for _, n := range experiments.Fig11Counts() {
-			fmt.Println("  " + experiments.RunFileIOScaleup(cfg, n, append, scale).String())
-		}
-	}
-}
-
-func runAblations(scale experiments.Scale) {
-	fmt.Println("Design-choice ablations (DESIGN.md / paper §3, §6.3.2)")
-	for _, row := range experiments.AllAblations(scale) {
-		fmt.Println("  " + row.String())
-	}
-}
-
-func runBlameSweep(scale experiments.Scale) {
-	fmt.Println("Blame sweep: critical-path decomposition and per-tenant interference")
-	for _, c := range experiments.BlameSweepCases() {
-		rep, _ := experiments.RunBlameSweep(c, scale, nil)
-		blameReports = append(blameReports, rep)
-		blame.Render(os.Stdout, rep)
+// collect checks one printed row for invariant violations and gathers
+// what the artifact flags export. Under -whatif a blame row is followed
+// by its what-if comparison.
+func collect(r experiments.Row, scale experiments.Scale) {
+	noteViolations(r.Violations())
+	switch r := r.(type) {
+	case experiments.BlameRow:
+		blameReports = append(blameReports, r.Report)
 		if whatIf != nil {
-			measured, _ := experiments.RunBlameSweep(c, scale, whatIf)
-			cmp := blame.CompareWhatIf(*whatIf, rep, measured)
+			measured, _ := experiments.RunBlameSweep(r.Case, scale, whatIf)
+			cmp := blame.CompareWhatIf(*whatIf, r.Report, measured)
 			whatIfReports = append(whatIfReports, cmp)
-			fmt.Println()
 			blame.RenderWhatIf(os.Stdout, cmp)
+			fmt.Println()
 		}
-		fmt.Println()
+	case experiments.CrashSweepRow:
+		crashRows = append(crashRows, r)
+	case experiments.TraceRow:
+		traceRows = append(traceRows, r)
+	case experiments.MonitorRow:
+		exportMonitorCase(r)
 	}
 }
 
-func runFuzzSweep(scale experiments.Scale) {
-	// The experiment-family entry point runs a fixed-seed sweep sized
-	// by scale; heavier audits use `danausbench -fuzz N -seed S`.
-	n := 10
-	switch {
-	case scale.Factor >= 1:
-		n = 200
-	case scale.Factor >= 0.1:
-		n = 50
+// writeSweepArtifacts exports what the experiment just run left in
+// crashRows and traceRows: the -crashcsv file and, for a directly
+// selected tracesweep, the -record baseline and the -diffcsv file.
+func writeSweepArtifacts() {
+	if crashCSVPath != "" && len(crashRows) > 0 {
+		writeFile(crashCSVPath, "crashsweep csv", func(w io.Writer) error {
+			fmt.Fprintln(w, "label,config,replication,victim_mbps,victim_errors,bystander_mbps,bystander_errors,affected_tenants,queue_shed,recovery_ns,victim_repair_ns,durability_loss_bytes")
+			for _, r := range crashRows {
+				fmt.Fprintf(w, "%s,%s,%d,%.2f,%d,%.2f,%d,%d,%d,%d,%d,%d\n",
+					r.Label, r.Config, r.Replication,
+					r.VictimWriteMBps, r.VictimErrors,
+					r.BystanderMBps, r.BystanderErrors,
+					r.AffectedTenants, r.QueueShed,
+					r.RecoveryTime.Nanoseconds(), r.VictimRepair.Nanoseconds(),
+					r.DurabilityViolation)
+			}
+			return nil
+		})
+		fmt.Printf("crashsweep: %d row(s) -> %s\n", len(crashRows), crashCSVPath)
 	}
-	fmt.Printf("Fuzz sweep: %d seeded scenarios through the invariant registry\n", n)
-	sum, err := fuzz.Sweep(fuzz.Options{N: n, Seed: 1, Out: os.Stdout})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if sweepArtifacts && len(traceRows) > 0 {
+		if recordTracePath != "" {
+			writeTrace(recordTracePath, traceRows[0].Trace)
+		}
+		if diffCSVPath != "" {
+			writeSweepDiffCSV(diffCSVPath, traceRows)
+		}
 	}
-	if sum.Violations > 0 {
-		os.Exit(1)
-	}
+	crashRows, traceRows = nil, nil
 }
 
-func runFaultSweep(scale experiments.Scale) {
-	fmt.Println("Fault sweep: recovery and isolation under deterministic fault schedules")
-	for _, c := range experiments.FaultSweepCases(scale) {
-		row := experiments.RunFaultSweep(c, scale)
-		fmt.Println("  " + row.String())
-		noteViolations(experiments.FaultRowViolations(row))
-	}
+// writeSweepDiffCSV folds every replay's diff against the baseline (the
+// first row) into one CSV, with a leading column naming the replay case.
+func writeSweepDiffCSV(path string, rows []experiments.TraceRow) {
+	n := 0
+	us := func(v time.Duration) float64 { return float64(v) / float64(time.Microsecond) }
+	writeFile(path, "diff csv", func(w io.Writer) error {
+		fmt.Fprintln(w, "replay,tenant,op,count_a,count_b,p50_a_us,p99_a_us,p999_a_us,p50_b_us,p99_b_us,p999_b_us,ratio_p99,ratio_p999")
+		for _, row := range rows[1:] {
+			for _, r := range trace.Compare(rows[0].Trace, row.Trace).Rows {
+				kind := r.Kind
+				if kind == "" {
+					kind = "*"
+				}
+				fmt.Fprintf(w, "%s,%s,%s,%d,%d,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.3f,%.3f\n",
+					row.Trace.Label, r.Tenant, kind, r.A.Count, r.B.Count,
+					us(r.A.P50), us(r.A.P99), us(r.A.P999),
+					us(r.B.P50), us(r.B.P99), us(r.B.P999),
+					r.RatioP99(), r.RatioP999())
+				n++
+			}
+		}
+		return nil
+	})
+	fmt.Printf("diff: %d row(s) -> %s\n", n, path)
 }
 
 // crashCSVPath, when set via -crashcsv, receives the crashsweep rows
 // as CSV (one line per case) for CI artifact collection.
 var crashCSVPath string
-
-func runCrashSweep(scale experiments.Scale) {
-	fmt.Println("Crash sweep: recovery time and blast radius of client-side crashes (D vs F vs K)")
-	var rows []experiments.CrashSweepRow
-	for _, c := range experiments.CrashSweepCases() {
-		row := experiments.RunCrashSweep(c, scale)
-		fmt.Println("  " + row.String())
-		noteViolations(experiments.CrashRowViolations(row))
-		rows = append(rows, row)
-	}
-	if crashCSVPath == "" {
-		return
-	}
-	f, err := os.Create(crashCSVPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "crashsweep csv: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintln(f, "label,config,replication,victim_mbps,victim_errors,bystander_mbps,bystander_errors,affected_tenants,queue_shed,recovery_ns,victim_repair_ns,durability_loss_bytes")
-	for _, r := range rows {
-		fmt.Fprintf(f, "%s,%s,%d,%.2f,%d,%.2f,%d,%d,%d,%d,%d,%d\n",
-			r.Label, r.Config, r.Replication,
-			r.VictimWriteMBps, r.VictimErrors,
-			r.BystanderMBps, r.BystanderErrors,
-			r.AffectedTenants, r.QueueShed,
-			r.RecoveryTime.Nanoseconds(), r.VictimRepair.Nanoseconds(),
-			r.DurabilityViolation)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "crashsweep csv: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("crashsweep: %d row(s) -> %s\n", len(rows), crashCSVPath)
-}
 
 // monitorBasePath, when set via -monitor, receives the live-telemetry
 // artifacts of each monitorsweep case: <base>-<case>-windows.csv (the
@@ -705,144 +523,96 @@ func runCrashSweep(scale experiments.Scale) {
 // same scale produce byte-identical files.
 var monitorBasePath string
 
-func runMonitorSweep(scale experiments.Scale) {
-	fmt.Println("Monitor sweep: live SLO burn-rate alert timelines under overload and crash (D+adm vs K)")
-	for _, c := range experiments.MonitorCases() {
-		row := experiments.RunMonitorCase(c, scale)
-		fmt.Println("  " + row.String())
-		for _, e := range row.Alerts {
-			mark := "  "
-			if e.T > row.MeasureEnd {
-				mark = " *" // post-measurement drain event
-			}
-			fmt.Println("   " + mark + " " + e.String())
-		}
-		noteViolations(experiments.MonitorRowViolations(row))
-		exportMonitorCase(row)
-	}
-}
-
 // exportMonitorCase writes one monitorsweep case's windows CSV and
 // alert ledger under monitorBasePath.
 func exportMonitorCase(row experiments.MonitorRow) {
 	if monitorBasePath == "" {
 		return
 	}
-	slug := strings.ToLower(row.Label + "-" + row.Fault)
-	slug = strings.Map(func(r rune) rune {
+	slug := strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '-':
 			return r
 		}
 		return '_'
-	}, slug)
-	ext := filepath.Ext(monitorBasePath)
-	base := strings.TrimSuffix(monitorBasePath, ext)
-	write := func(kind string, emit func(w *os.File) error) {
+	}, strings.ToLower(row.Label+"-"+row.Fault))
+	base := strings.TrimSuffix(monitorBasePath, filepath.Ext(monitorBasePath))
+	for _, kind := range []string{"windows", "alerts"} {
 		path := fmt.Sprintf("%s-%s-%s.csv", base, slug, kind)
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "monitorsweep %s: %v\n", kind, err)
-			os.Exit(1)
+		emit := row.Monitor.WriteWindowsCSV
+		if kind == "alerts" {
+			emit = row.Monitor.WriteAlertsCSV
 		}
+		writeFile(path, "monitorsweep "+kind, emit)
+		fmt.Printf("monitorsweep: %s\n", path)
+	}
+}
+
+// writeTrace writes one recorded op trace and reports where it landed.
+func writeTrace(path string, tr *trace.Trace) {
+	if err := tr.WriteFile(path); err != nil {
+		fmt.Fprintf(os.Stderr, "trace record: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Printf("record: %d op(s) -> %s\n", len(tr.Ops), path)
+}
+
+// writeFile creates path and fills it with emit, exiting 1 with a
+// message naming what failed on any error.
+func writeFile(path, what string, emit func(w io.Writer) error) {
+	f, err := os.Create(path)
+	if err == nil {
 		err = emit(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "monitorsweep %s: %v\n", kind, err)
-			os.Exit(1)
-		}
-		fmt.Printf("monitorsweep: %s\n", path)
 	}
-	write("windows", func(f *os.File) error { return row.Monitor.WriteWindowsCSV(f) })
-	write("alerts", func(f *os.File) error { return row.Monitor.WriteAlertsCSV(f) })
-}
-
-func runTraceSweep(scale experiments.Scale) {
-	fmt.Println("Trace sweep: record a production-shaped run under D, replay it byte-identically under other configs")
-	res := experiments.RunTraceSweep(scale)
-	for _, row := range res.Rows {
-		fmt.Println("  " + row.String())
-		noteViolations(experiments.TraceRowViolations(row))
-	}
-	if !sweepArtifacts {
-		return
-	}
-	if recordTracePath != "" {
-		if err := res.Baseline.WriteFile(recordTracePath); err != nil {
-			fmt.Fprintf(os.Stderr, "trace record: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("record: %d op(s) -> %s\n", len(res.Baseline.Ops), recordTracePath)
-	}
-	if diffCSVPath != "" {
-		writeSweepDiffCSV(diffCSVPath, res)
-	}
-}
-
-// writeSweepDiffCSV folds every replay's diff against the baseline
-// into one CSV, with a leading column naming the replay case.
-func writeSweepDiffCSV(path string, res *experiments.TraceSweepResult) {
-	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "diff csv: %v\n", err)
+		fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
 		os.Exit(1)
 	}
-	fmt.Fprintln(f, "replay,tenant,op,count_a,count_b,p50_a_us,p99_a_us,p999_a_us,p50_b_us,p99_b_us,p999_b_us,ratio_p99,ratio_p999")
-	us := func(v time.Duration) float64 { return float64(v) / float64(time.Microsecond) }
-	rows := 0
-	for _, rt := range res.Replays {
-		d := trace.Compare(res.Baseline, rt)
-		for _, r := range d.Rows {
-			kind := r.Kind
-			if kind == "" {
-				kind = "*"
-			}
-			fmt.Fprintf(f, "%s,%s,%s,%d,%d,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.3f,%.3f\n",
-				rt.Label, r.Tenant, kind, r.A.Count, r.B.Count,
-				us(r.A.P50), us(r.A.P99), us(r.A.P999),
-				us(r.B.P50), us(r.B.P99), us(r.B.P999),
-				r.RatioP99(), r.RatioP999())
-			rows++
-		}
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "diff csv: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("diff: %d row(s) -> %s\n", rows, path)
 }
 
-func runOverloadSweep(scale experiments.Scale) {
-	fmt.Println("Overload sweep: victim tail latency and load shedding under open-loop overload")
-	for _, row := range experiments.RunOverloadSweep(scale) {
-		fmt.Println("  " + row.String())
-		noteViolations(experiments.OverloadRowViolations(row))
+// fuzzSweep is the harness entry for a fixed-seed fuzz sweep sized by
+// scale (heavier audits use -fuzz N -seed S). It is added here because
+// internal/fuzz itself builds on internal/experiments.
+func fuzzSweep(scale experiments.Scale) experiments.Experiment {
+	n := 10
+	switch {
+	case scale.Factor >= 1:
+		n = 200
+	case scale.Factor >= 0.1:
+		n = 50
+	}
+	return experiments.Experiment{
+		Name:  "fuzzsweep",
+		Title: fmt.Sprintf("Fuzz sweep: %d seeded scenarios through the invariant registry", n),
+		Raw:   true,
+		Run: func(_ experiments.Scale, emit func(experiments.Row)) {
+			var out strings.Builder
+			sum, err := fuzz.Sweep(fuzz.Options{N: n, Seed: 1, Out: &out})
+			emit(fuzzRow{text: strings.TrimSuffix(out.String(), "\n"), violations: sum.Violations, err: err})
+		},
 	}
 }
 
-func runTable2(experiments.Scale) {
-	fmt.Println("Table 2: contention workload symbols")
-	for _, row := range workloads.Table2() {
-		fmt.Printf("  %-8s %s\n", row[0], row[1])
-	}
+// fuzzRow is a fuzz sweep's progress output; checker violations and a
+// sweep error fail the run.
+type fuzzRow struct {
+	text       string
+	violations int
+	err        error
 }
 
-func runTable1(experiments.Scale) {
-	fmt.Println("Table 1: client system components")
-	fmt.Println("  Symbol  Union           UnionCache  Backend     ClientCache")
-	rows := [][5]string{
-		{"D", "Danaus (opt.)", "-", "Danaus", "UlcC"},
-		{"K", "-", "-", "CephFS", "PagC"},
-		{"F", "-", "-", "ceph-fuse", "UlcC"},
-		{"FP", "-", "-", "ceph-fuse", "UlcC+PagC"},
-		{"K/K", "AUFS", "PagC", "CephFS", "PagC"},
-		{"F/K", "unionfs-fuse", "-", "CephFS", "PagC"},
-		{"F/F", "unionfs-fuse", "-", "ceph-fuse", "UlcC"},
-		{"FP/FP", "unionfs-fuse", "PagC", "ceph-fuse", "UlcC+PagC"},
+func (r fuzzRow) String() string { return r.text }
+
+func (r fuzzRow) Violations() []string {
+	var v []string
+	if r.err != nil {
+		v = append(v, "fuzzsweep: "+r.err.Error())
 	}
-	for _, r := range rows {
-		fmt.Printf("  %-7s %-15s %-11s %-11s %s\n", r[0], r[1], r[2], r[3], r[4])
+	if r.violations > 0 {
+		v = append(v, fmt.Sprintf("fuzzsweep: %d checker violation(s)", r.violations))
 	}
+	return v
 }

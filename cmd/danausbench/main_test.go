@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -28,7 +29,7 @@ func TestNoteViolationsAccumulates(t *testing.T) {
 			MaxQueued: 9,
 		},
 	}
-	vs := experiments.OverloadRowViolations(bad)
+	vs := bad.Violations()
 	if len(vs) != 2 {
 		t.Fatalf("want 2 violations, got %d: %v", len(vs), vs)
 	}
@@ -40,12 +41,42 @@ func TestNoteViolationsAccumulates(t *testing.T) {
 	// A faultsweep row that lost acknowledged bytes despite a surviving
 	// replica is a violation; one with replication 1 is not.
 	loss := experiments.FaultSweepRow{Replication: 2, DataLossBytes: 4096}
-	if vs := experiments.FaultRowViolations(loss); len(vs) != 1 {
+	if vs := loss.Violations(); len(vs) != 1 {
 		t.Fatalf("want 1 data-loss violation, got %v", vs)
 	}
 	loss.Replication = 1
-	if vs := experiments.FaultRowViolations(loss); len(vs) != 0 {
+	if vs := loss.Violations(); len(vs) != 0 {
 		t.Fatalf("replication-1 loss is not a violation, got %v", vs)
+	}
+}
+
+// TestCheckFlags: flag values and combinations the harness cannot run
+// are rejected with a message naming the flag, instead of falling
+// through to the experiment list.
+func TestCheckFlags(t *testing.T) {
+	cases := []struct {
+		exp, scale     string
+		fuzz           int
+		whatIf, replay string
+		want           string // "" = accepted
+	}{
+		{"fig6a", "quick", 0, "", "", ""},
+		{"", "quick", 50, "", "", ""},
+		{"all", "paper", 0, "nic=2x", "", ""},
+		{"", "default", 0, "", "b.trace", ""},
+		{"", "quick", -3, "", "", "-fuzz"},
+		{"fig6a", "huge", 0, "", "", "-scale"},
+		{"fig6a", "quick", 0, "nic=2x", "", "-whatif"},
+		{"fig6a", "quick", 0, "", "b.trace", "-replay"},
+	}
+	for _, c := range cases {
+		err := checkFlags(c.exp, c.scale, c.fuzz, c.whatIf, c.replay)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%+v: rejected: %v", c, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%+v: error %v does not name %s", c, err, c.want)
+		}
 	}
 }
 
@@ -58,7 +89,7 @@ func TestCleanOverloadRowPasses(t *testing.T) {
 			Offered: 100, Admitted: 90, Shed: 10, MaxQueued: 32,
 		},
 	}
-	if vs := experiments.OverloadRowViolations(ok); len(vs) != 0 {
+	if vs := ok.Violations(); len(vs) != 0 {
 		t.Fatalf("clean row flagged: %v", vs)
 	}
 }

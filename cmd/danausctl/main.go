@@ -43,6 +43,10 @@ func main() {
 	factor := flag.Float64("factor", 0.02, "dataset scale factor (1.0 = paper)")
 	flag.Parse()
 
+	if err := checkFlags(*pools, *duration, *factor); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	config, ok := parseConfig(*configName)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown configuration %q\n", *configName)
@@ -65,6 +69,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
 		os.Exit(2)
 	}
+}
+
+// checkFlags rejects scenario sizes the testbed cannot run, naming the
+// offending flag.
+func checkFlags(pools int, duration time.Duration, factor float64) error {
+	switch {
+	case pools < 1:
+		return fmt.Errorf("-pools wants at least 1 pool, got %d", pools)
+	case duration <= 0:
+		return fmt.Errorf("-duration wants a positive window, got %v", duration)
+	case !(factor > 0):
+		return fmt.Errorf("-factor wants a positive scale factor, got %v", factor)
+	}
+	return nil
 }
 
 func parseConfig(name string) (core.Configuration, bool) {

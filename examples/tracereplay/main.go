@@ -18,18 +18,19 @@ func main() {
 	fmt.Println("Op-trace record/replay (quick scale)")
 	fmt.Println()
 
-	res := danaus.RunTraceSweep(danaus.QuickScale)
-	for _, row := range res.Rows {
+	rows := danaus.RunTraceSweep(danaus.QuickScale)
+	for _, row := range rows {
 		fmt.Println(row)
 	}
 
-	if err := res.Baseline.WriteFile("baseline.trace"); err != nil {
+	base := rows[0].Trace
+	if err := base.WriteFile("baseline.trace"); err != nil {
 		fmt.Println("write baseline.trace:", err)
 		return
 	}
 	fmt.Println()
 	fmt.Printf("recorded %d ops -> baseline.trace (schedule hash %s)\n",
-		len(res.Baseline.Ops), res.Baseline.ScheduleHash()[:12])
+		len(base.Ops), base.ScheduleHash()[:12])
 
 	fmt.Println()
 	fmt.Println("Reading the rows:")

@@ -43,10 +43,9 @@ const (
 type (
 	// TraceCase selects one replay target of the trace sweep.
 	TraceCase = experiments.TraceCase
-	// TraceRow is the outcome of a recording or replay run.
+	// TraceRow is the outcome of a recording or replay run, with its
+	// op trace.
 	TraceRow = experiments.TraceRow
-	// TraceSweepResult bundles the sweep rows with the traces behind them.
-	TraceSweepResult = experiments.TraceSweepResult
 )
 
 var (
@@ -54,7 +53,8 @@ var (
 	RecordTraceBaseline = experiments.RecordTraceBaseline
 	// ReplayTraceUnder replays a recorded trace against one configuration.
 	ReplayTraceUnder = experiments.ReplayTraceUnder
-	// RunTraceSweep records a baseline and replays it under every TraceCase.
+	// RunTraceSweep records a baseline and replays it under every
+	// TraceCase; the baseline row comes first.
 	RunTraceSweep = experiments.RunTraceSweep
 	// TraceCases returns the default replay targets (D identity, K, D+adm).
 	TraceCases = experiments.TraceCases

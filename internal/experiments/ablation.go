@@ -43,12 +43,7 @@ func RunAblationClientLock(scale Scale) AblationRow {
 		}
 		w.Defaults(scale.Factor)
 		r.runMaster(func(p *sim.Proc) {
-			prepare(p, r.tb.Eng, func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: cont.NewThread()}
-				if err := w.Prepare(ctx); err != nil {
-					panic(err)
-				}
-			})
+			prepare(p, r.tb.Eng, prepFor(cont.NewThread, w))
 			clock := clockFor(r.tb.Eng, scale)
 			g := workloads.NewGroup(r.tb.Eng)
 			w.Run(g, clock)
@@ -128,12 +123,7 @@ func RunAblationThreadPinning(scale Scale) AblationRow {
 		w := &workloads.SeqIO{FS: fs, Dir: "/seq", Threads: 8, NewThread: cont.NewThread}
 		w.Defaults(scale.Factor)
 		r.runMaster(func(p *sim.Proc) {
-			prepare(p, r.tb.Eng, func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: cont.NewThread()}
-				if err := w.Prepare(ctx); err != nil {
-					panic(err)
-				}
-			})
+			prepare(p, r.tb.Eng, prepFor(cont.NewThread, w))
 			clock := clockFor(r.tb.Eng, scale)
 			g := workloads.NewGroup(r.tb.Eng)
 			w.Run(g, clock)

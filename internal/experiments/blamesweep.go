@@ -8,8 +8,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/vfsapi"
-	"repro/internal/workloads"
 )
 
 // BlameSweepCase selects one scenario of the blame sweep: Fileserver
@@ -72,63 +70,14 @@ func RunBlameSweep(c BlameSweepCase, scale Scale, w *blame.WhatIf) (blame.Report
 		label += " [" + w.Spec + "]"
 	}
 
-	type flsInst struct {
-		c *core.Container
-		w *workloads.Fileserver
-	}
-	insts := make([]flsInst, c.FLSCount)
-	for i := range insts {
-		_, cont, err := r.flsContainer(i, c.Config, scale)
-		if err != nil {
-			panic(err)
-		}
-		insts[i] = flsInst{c: cont, w: newFileserver(cont, scale, int64(i)+1)}
-	}
-
-	nbrMask := cpu.MaskRange(2*c.FLSCount, 2*c.FLSCount+2)
-	nbrPool := r.tb.NewPool("neighbor", nbrMask, scale.PoolMem())
-	var rnd *workloads.RandomIO
+	neighbor := ""
 	if c.Neighbor {
-		rnd = &workloads.RandomIO{
-			FS:         kernelLocalFS(r.tb),
-			Path:       "/rndfile",
-			NewThread:  func() *cpu.Thread { return r.tb.CPU.NewThread(nbrPool.Acct, nbrPool.Mask) },
-			Seed:       99,
-			LockStress: r.tb.Kernel.SmallOpLockStress,
-		}
-		rnd.Defaults(scale.Factor)
+		neighbor = "RND"
 	}
-
+	f := newFleet(r, c.Config, c.FLSCount, neighbor, scale)
 	r.runMaster(func(p *sim.Proc) {
-		preps := make([]func(pp *sim.Proc), 0, len(insts)+1)
-		for _, in := range insts {
-			in := in
-			preps = append(preps, func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: in.c.NewThread()}
-				if err := in.w.Prepare(ctx); err != nil {
-					panic(err)
-				}
-			})
-		}
-		if rnd != nil {
-			preps = append(preps, func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: r.tb.CPU.NewThread(nbrPool.Acct, nbrPool.Mask)}
-				if err := rnd.Prepare(ctx); err != nil {
-					panic(err)
-				}
-			})
-		}
-		prepare(p, r.tb.Eng, preps...)
-
-		clock := clockFor(r.tb.Eng, scale)
-		g := workloads.NewGroup(r.tb.Eng)
-		for _, in := range insts {
-			in.w.Run(g, clock)
-		}
-		if rnd != nil {
-			rnd.Run(g, clock)
-		}
-		g.Wait(p)
+		prepare(p, r.tb.Eng, f.preps()...)
+		f.run(p, r.tb.Eng, clockFor(r.tb.Eng, scale))
 	})
 
 	return blame.Analyze(label, rec), rec

@@ -76,21 +76,19 @@ func CrashSweepCases() []CrashSweepCase {
 	}
 }
 
-// crashWindow places the outage inside the measurement window.
-func crashWindow(c CrashSweepCase, scale Scale) faults.Window {
-	return faults.Window{
-		Kind:   c.Kind,
-		Tenant: crashTenant(c.Kind),
-		Start:  time.Duration(float64(scale.Duration) * 0.3),
-		End:    time.Duration(float64(scale.Duration) * 0.5),
+// crashWindow places an outage of kind over the [start, end] fractions
+// of the measurement window; tenant-scoped kinds crash the victim pool.
+func crashWindow(k faults.Kind, scale Scale, start, end float64) faults.Window {
+	w := faults.Window{
+		Kind:   k,
+		Tenant: "fls0",
+		Start:  time.Duration(float64(scale.Duration) * start),
+		End:    time.Duration(float64(scale.Duration) * end),
 	}
-}
-
-func crashTenant(k faults.Kind) string {
 	if k == faults.HostCrash {
-		return ""
+		w.Tenant = ""
 	}
-	return "fls0"
+	return w
 }
 
 // RunCrashSweep executes one crash-sweep case: victim pool 0 runs a
@@ -111,142 +109,55 @@ func RunCrashSweep(c CrashSweepCase, scale Scale) CrashSweepRow {
 		panic(err)
 	}
 
-	const walOp = 64 << 10
 	const warmSize = 16 << 20
+	wal := &workloads.WALWriter{
+		FS: victim.Mount.Default, Path: "/wal",
+		NewThread: victim.NewThread, Reopen: true,
+	}
+	warm := &workloads.SeqReader{
+		Name: "bystander", FS: byst.Mount.Default, Path: "/warm",
+		Size: warmSize, Chunk: 128 << 10, NewThread: byst.NewThread,
+		Reopen: true, Stats: workloads.NewStats(),
+	}
 
 	r.runMaster(func(p *sim.Proc) {
 		prepare(p, r.tb.Eng,
-			func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-				h, err := victim.Mount.Default.Open(ctx, "/wal", vfsapi.CREATE|vfsapi.WRONLY)
-				if err != nil {
-					panic(err)
-				}
-				if err := h.Close(ctx); err != nil {
-					panic(err)
-				}
-			},
+			func(pp *sim.Proc) { wal.Create(vfsapi.Ctx{P: pp, T: victim.NewThread()}) },
 			func(pp *sim.Proc) {
 				ctx := vfsapi.Ctx{P: pp, T: byst.NewThread()}
-				h, err := byst.Mount.Default.Open(ctx, "/warm", vfsapi.CREATE|vfsapi.WRONLY)
-				if err != nil {
-					panic(err)
-				}
-				if _, err := h.Append(ctx, warmSize); err != nil {
-					panic(err)
-				}
-				if err := h.Fsync(ctx); err != nil {
-					panic(err)
-				}
-				if err := h.Close(ctx); err != nil {
-					panic(err)
-				}
+				workloads.WriteFile(ctx, byst.Mount.Default, "/warm", warmSize, 0, false)
 			},
 		)
 
 		clock := clockFor(r.tb.Eng, scale)
-		w := crashWindow(c, scale)
+		w := crashWindow(c.Kind, scale, 0.3, 0.5)
 		plan := faults.Plan{Windows: []faults.Window{w}}
 		if _, err := faults.InstallWithTargets(r.tb.Eng, r.tb.Cluster, r.tb, plan, clock.From); err != nil {
 			panic(err)
 		}
 		crashAbs := clock.From + w.Start
-
-		writer := workloads.NewStats()
-		warm := workloads.NewStats()
-		var acked, walSize int64
-		var victimRepaired time.Duration
+		noteRepair := func(t time.Duration) {
+			if row.VictimRepair == 0 && t >= crashAbs {
+				row.VictimRepair = t - crashAbs
+			}
+		}
+		wal.Watch = func() func(time.Duration) { return noteRepair }
 
 		g := workloads.NewGroup(r.tb.Eng)
-		g.Go("wal-writer", func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-			h, err := victim.Mount.Default.Open(ctx, "/wal", vfsapi.WRONLY)
-			if err != nil {
-				panic(err)
-			}
-			defer func() { h.Close(ctx) }()
-			for !clock.Done() {
-				start := pp.Now()
-				_, werr := h.Append(ctx, walOp)
-				if werr == nil {
-					walSize += walOp
-					werr = h.Fsync(ctx)
-				}
-				now := pp.Now()
-				if werr != nil {
-					if clock.Measuring() {
-						writer.Errors++
-					}
-					pp.Sleep(time.Millisecond)
-					// The crash invalidated the handle generation; a fresh
-					// open succeeds once the client is back. The reopened
-					// size discounts whatever appends the crash discarded.
-					if nh, oerr := victim.Mount.Default.Open(ctx, "/wal", vfsapi.WRONLY); oerr == nil {
-						h.Close(ctx)
-						h = nh
-						walSize = nh.Size()
-					}
-					continue
-				}
-				acked = walSize
-				if victimRepaired == 0 && now >= crashAbs {
-					victimRepaired = now - crashAbs
-				}
-				if clock.Measuring() {
-					writer.Record(walOp, now-start)
-				}
-			}
-		})
-		g.Go("bystander", func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: byst.NewThread()}
-			h, err := byst.Mount.Default.Open(ctx, "/warm", vfsapi.RDONLY)
-			if err != nil {
-				panic(err)
-			}
-			defer func() { h.Close(ctx) }()
-			var off int64
-			for !clock.Done() {
-				start := pp.Now()
-				n, rerr := h.Read(ctx, off, 128<<10)
-				now := pp.Now()
-				if rerr != nil {
-					if clock.Measuring() {
-						warm.Errors++
-					}
-					pp.Sleep(time.Millisecond)
-					if nh, oerr := byst.Mount.Default.Open(ctx, "/warm", vfsapi.RDONLY); oerr == nil {
-						h.Close(ctx)
-						h = nh
-					}
-				} else if clock.Measuring() {
-					warm.Record(n, now-start)
-				}
-				off += 128 << 10
-				if off >= warmSize {
-					off = 0
-				}
-			}
-		})
+		wal.Run(g, clock)
+		warm.Run(g, clock)
 		g.Wait(p)
 
 		// Durability audit through a fresh post-recovery handle: the
 		// remounted WAL must cover every fsync-acknowledged byte.
-		ctx := vfsapi.Ctx{P: p, T: victim.NewThread()}
-		var remount int64
-		if h, oerr := victim.Mount.Default.Open(ctx, "/wal", vfsapi.RDONLY); oerr == nil {
-			remount = h.Size()
-			h.Close(ctx)
-		}
-		if loss := acked - remount; loss > 0 {
-			row.DurabilityViolation = loss
-		}
+		remount := wal.Remount(vfsapi.Ctx{P: p, T: victim.NewThread()})
+		row.DurabilityViolation = workloads.AckedLoss(wal.Acked, remount)
 
 		window := clock.Window()
-		row.VictimWriteMBps = writer.ThroughputMBps(window)
-		row.VictimErrors = writer.Errors
-		row.BystanderMBps = warm.ThroughputMBps(window)
-		row.BystanderErrors = warm.Errors
-		row.VictimRepair = victimRepaired
+		row.VictimWriteMBps = wal.Stats.ThroughputMBps(window)
+		row.VictimErrors = wal.Stats.Errors
+		row.BystanderMBps = warm.Stats.ThroughputMBps(window)
+		row.BystanderErrors = warm.Stats.Errors
 		for _, ev := range r.tb.CrashLog() {
 			row.AffectedTenants += len(ev.Affected)
 			row.QueueShed += ev.QueueShed
@@ -258,14 +169,14 @@ func RunCrashSweep(c CrashSweepCase, scale Scale) CrashSweepRow {
 	return row
 }
 
-// CrashRowViolations checks the crash-sweep invariants on one row:
+// Violations checks the crash-sweep invariants on the row:
 // the durability contract (no fsync-acknowledged byte lost), recovery
 // completion (the scheduled restart brought the service back), and the
 // paper's blast-radius claim — a Danaus libservice or FUSE daemon
 // crash is one tenant's problem while a kernel-client crash interrupts
 // every pool on the host. It returns human-readable violation
 // descriptions (empty = clean).
-func CrashRowViolations(r CrashSweepRow) []string {
+func (r CrashSweepRow) Violations() []string {
 	var v []string
 	if r.DurabilityViolation > 0 {
 		v = append(v, fmt.Sprintf("crashsweep %s %s: durability violated: %d fsync-acked bytes missing after remount",

@@ -15,7 +15,7 @@ import (
 func TestCrashSweepContainment(t *testing.T) {
 	for _, c := range CrashSweepCases() {
 		row := RunCrashSweep(c, QuickScale)
-		for _, v := range CrashRowViolations(row) {
+		for _, v := range row.Violations() {
 			t.Error(v)
 		}
 		if row.VictimRepair <= 0 {

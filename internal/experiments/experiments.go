@@ -85,10 +85,6 @@ type rig struct {
 	tb *core.Testbed
 }
 
-func newRig(cores int) *rig {
-	return newScaledRig(cores, Scale{Factor: 1})
-}
-
 func newScaledRig(cores int, scale Scale) *rig {
 	tb := core.NewTestbed(core.TestbedConfig{Cores: cores, Params: scale.Params()})
 	if Observer != nil {
@@ -136,6 +132,23 @@ func newFileserver(c *core.Container, scale Scale, seed int64) *workloads.Filese
 	return w
 }
 
+// preparer is a workload that lays out its dataset before the
+// measured run.
+type preparer interface {
+	Prepare(ctx vfsapi.Ctx) error
+	Run(g *workloads.Group, clock workloads.Clock)
+}
+
+// prepFor returns the preparation step of w: Prepare on a fresh thread
+// from newThread.
+func prepFor(newThread func() *cpu.Thread, w preparer) func(pp *sim.Proc) {
+	return func(pp *sim.Proc) {
+		if err := w.Prepare(vfsapi.Ctx{P: pp, T: newThread()}); err != nil {
+			panic(err)
+		}
+	}
+}
+
 // prepare runs the given preparation functions concurrently (each on
 // its own process) and waits for all of them.
 func prepare(p *sim.Proc, eng *sim.Engine, fns ...func(pp *sim.Proc)) {
@@ -147,9 +160,9 @@ func prepare(p *sim.Proc, eng *sim.Engine, fns ...func(pp *sim.Proc)) {
 	g.Wait(p)
 }
 
-// newSyscallLocal wraps the host's local ext4 mount with syscall entry
+// kernelLocalFS wraps the host's local ext4 mount with syscall entry
 // costs (the path RND and WBS take to their local datasets).
-func newSyscallLocal(tb *core.Testbed) vfsapi.FileSystem {
+func kernelLocalFS(tb *core.Testbed) vfsapi.FileSystem {
 	return kern.NewSyscalls(tb.Kernel, tb.LocalFS)
 }
 

@@ -120,51 +120,32 @@ func RunFaultSweep(c FaultSweepCase, scale Scale) FaultSweepRow {
 	// the backend; the bystander file fits comfortably.
 	coldSize := scale.PoolMem() + scale.PoolMem()/2
 	const warmSize = 16 << 20
-	const walOp = 64 << 10
-	const readChunk = 256 << 10
+
+	wal := &workloads.WALWriter{
+		FS: victim.Mount.Default, Path: "/wal",
+		NewThread: victim.NewThread,
+	}
+	reader := &workloads.SeqReader{
+		Name: "cold-reader", FS: victim.Mount.Default, Path: "/cold",
+		Size: coldSize, Chunk: 256 << 10, NewThread: victim.NewThread,
+		Stats: workloads.NewStats(),
+	}
+	warm := &workloads.SeqReader{
+		Name: "bystander", FS: byst.Mount.Default, Path: "/warm",
+		Size: warmSize, Chunk: 128 << 10, NewThread: byst.NewThread,
+		Stats: workloads.NewStats(),
+	}
 
 	r.runMaster(func(p *sim.Proc) {
 		prepare(p, r.tb.Eng,
 			func(pp *sim.Proc) {
 				ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-				h, err := victim.Mount.Default.Open(ctx, "/wal", vfsapi.CREATE|vfsapi.WRONLY)
-				if err != nil {
-					panic(err)
-				}
-				if err := h.Close(ctx); err != nil {
-					panic(err)
-				}
-				cold, err := victim.Mount.Default.Open(ctx, "/cold", vfsapi.CREATE|vfsapi.WRONLY)
-				if err != nil {
-					panic(err)
-				}
-				for written := int64(0); written < coldSize; written += 1 << 20 {
-					if _, err := cold.Append(ctx, 1<<20); err != nil {
-						panic(err)
-					}
-				}
-				if err := cold.Fsync(ctx); err != nil {
-					panic(err)
-				}
-				if err := cold.Close(ctx); err != nil {
-					panic(err)
-				}
+				wal.Create(ctx)
+				workloads.WriteFile(ctx, victim.Mount.Default, "/cold", coldSize, 1<<20, false)
 			},
 			func(pp *sim.Proc) {
 				ctx := vfsapi.Ctx{P: pp, T: byst.NewThread()}
-				h, err := byst.Mount.Default.Open(ctx, "/warm", vfsapi.CREATE|vfsapi.WRONLY)
-				if err != nil {
-					panic(err)
-				}
-				if _, err := h.Append(ctx, warmSize); err != nil {
-					panic(err)
-				}
-				if err := h.Fsync(ctx); err != nil {
-					panic(err)
-				}
-				if err := h.Close(ctx); err != nil {
-					panic(err)
-				}
+				workloads.WriteFile(ctx, byst.Mount.Default, "/warm", warmSize, 0, false)
 			},
 		)
 
@@ -189,131 +170,53 @@ func RunFaultSweep(c FaultSweepCase, scale Scale) FaultSweepRow {
 			faultAbs = clock.From + plan.Windows[0].Start
 		}
 
-		writer := workloads.NewStats()
-		reader := workloads.NewStats()
-		warm := workloads.NewStats()
-		var acked, walSize int64
+		// survival watches one victim op: it records the first op whose
+		// success coincided with retry/failover activity after the fault
+		// armed.
 		var firstSurvived time.Duration
-
-		// noteSurvival records the first victim op whose success
-		// coincided with retry/failover activity after the fault armed.
-		noteSurvival := func(before metrics.FaultCounters, t time.Duration) {
-			if faultAbs == 0 || t < faultAbs || firstSurvived != 0 {
-				return
-			}
-			after := mountFaultStats(victim.Mount)
-			if after.Retries > before.Retries || after.Failovers > before.Failovers {
-				firstSurvived = t
+		survival := func() func(time.Duration) {
+			before := mountFaultStats(victim.Mount)
+			return func(t time.Duration) {
+				if faultAbs == 0 || t < faultAbs || firstSurvived != 0 {
+					return
+				}
+				after := mountFaultStats(victim.Mount)
+				if after.Retries > before.Retries || after.Failovers > before.Failovers {
+					firstSurvived = t
+				}
 			}
 		}
+		wal.Watch, reader.Watch = survival, survival
 
 		g := workloads.NewGroup(r.tb.Eng)
-		g.Go("wal-writer", func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-			h, err := victim.Mount.Default.Open(ctx, "/wal", vfsapi.WRONLY)
-			if err != nil {
-				panic(err)
-			}
-			defer h.Close(ctx)
-			for !clock.Done() {
-				before := mountFaultStats(victim.Mount)
-				start := pp.Now()
-				_, werr := h.Append(ctx, walOp)
-				if werr == nil {
-					walSize += walOp
-					werr = h.Fsync(ctx)
-				}
-				now := pp.Now()
-				if werr != nil {
-					if clock.Measuring() {
-						writer.Errors++
-					}
-					pp.Sleep(time.Millisecond)
-					continue
-				}
-				// A successful fsync drained every dirty extent of the
-				// WAL, so everything appended so far is acknowledged.
-				acked = walSize
-				noteSurvival(before, now)
-				if clock.Measuring() {
-					writer.Record(walOp, now-start)
-				}
-			}
-		})
-		g.Go("cold-reader", func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-			h, err := victim.Mount.Default.Open(ctx, "/cold", vfsapi.RDONLY)
-			if err != nil {
-				panic(err)
-			}
-			defer h.Close(ctx)
-			var off int64
-			for !clock.Done() {
-				before := mountFaultStats(victim.Mount)
-				start := pp.Now()
-				n, rerr := h.Read(ctx, off, readChunk)
-				now := pp.Now()
-				if rerr != nil {
-					if clock.Measuring() {
-						reader.Errors++
-					}
-					pp.Sleep(time.Millisecond)
-					off += readChunk
-				} else {
-					noteSurvival(before, now)
-					if clock.Measuring() {
-						reader.Record(n, now-start)
-					}
-					off += readChunk
-				}
-				if off >= coldSize {
-					off = 0
-				}
-			}
-		})
-		g.Go("bystander", func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: byst.NewThread()}
-			h, err := byst.Mount.Default.Open(ctx, "/warm", vfsapi.RDONLY)
-			if err != nil {
-				panic(err)
-			}
-			defer h.Close(ctx)
-			var off int64
-			for !clock.Done() {
-				start := pp.Now()
-				n, rerr := h.Read(ctx, off, 128<<10)
-				now := pp.Now()
-				if rerr != nil {
-					if clock.Measuring() {
-						warm.Errors++
-					}
-					pp.Sleep(time.Millisecond)
-				} else if clock.Measuring() {
-					warm.Record(n, now-start)
-				}
-				off += 128 << 10
-				if off >= warmSize {
-					off = 0
-				}
-			}
-		})
+		wal.Run(g, clock)
+		reader.Run(g, clock)
+		warm.Run(g, clock)
 		g.Wait(p)
 
 		window := clock.Window()
-		row.VictimWriteMBps = writer.ThroughputMBps(window)
-		row.VictimReadMBps = reader.ThroughputMBps(window)
-		row.BystanderMBps = warm.ThroughputMBps(window)
-		row.VictimOps = writer.Ops.Ops + reader.Ops.Ops
-		row.VictimErrors = writer.Errors + reader.Errors
+		row.VictimWriteMBps = wal.Stats.ThroughputMBps(window)
+		row.VictimReadMBps = reader.Stats.ThroughputMBps(window)
+		row.BystanderMBps = warm.Stats.ThroughputMBps(window)
+		row.VictimOps = wal.Stats.Ops.Ops + reader.Stats.Ops.Ops
+		row.VictimErrors = wal.Stats.Errors + reader.Stats.Errors
 		if firstSurvived > 0 {
 			row.RecoveryTime = firstSurvived - faultAbs
 		}
 		row.Faults = mountFaultStats(victim.Mount)
-		if loss := acked - r.tb.Cluster.StoredSize(walIno); loss > 0 {
-			row.DataLossBytes = loss
-		}
+		row.DataLossBytes = workloads.AckedLoss(wal.Acked, r.tb.Cluster.StoredSize(walIno))
 	})
 	return row
+}
+
+// Violations checks the standing faultsweep invariant: no acknowledged
+// data may be lost while the cluster holds a surviving replica.
+func (r FaultSweepRow) Violations() []string {
+	if r.Replication >= 2 && r.DataLossBytes > 0 {
+		return []string{fmt.Sprintf("faultsweep %s %s r=%d: zero-data-loss violated: %d acked bytes unrecoverable",
+			r.Config, r.Label, r.Replication, r.DataLossBytes)}
+	}
+	return nil
 }
 
 // String renders a row for the harness.

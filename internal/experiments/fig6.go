@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/sim"
-	"repro/internal/vfsapi"
 	"repro/internal/workloads"
 )
 
@@ -58,105 +57,28 @@ func RunInterference(c InterferenceCase, scale Scale) InterferenceRow {
 	r := newScaledRig(cores, scale)
 	row := InterferenceRow{Label: c.Label()}
 
-	// Fileserver pools and containers on the cluster.
-	type flsInst struct {
-		c *core.Container
-		w *workloads.Fileserver
-	}
-	insts := make([]flsInst, c.FLSCount)
-	for i := range insts {
-		_, cont, err := r.flsContainer(i, c.Config, scale)
-		if err != nil {
-			panic(err)
-		}
-		insts[i] = flsInst{c: cont, w: newFileserver(cont, scale, int64(i)+1)}
-	}
-
-	// The neighbour pool occupies the last two cores.
-	nbrMask := cpu.MaskRange(2*c.FLSCount, 2*c.FLSCount+2)
-	nbrPool := r.tb.NewPool("neighbor", nbrMask, scale.PoolMem())
-
-	var rnd *workloads.RandomIO
-	var wbs *workloads.Webserver
-	localFS := kernelLocalFS(r.tb)
-	switch c.Neighbor {
-	case "RND":
-		rnd = &workloads.RandomIO{
-			FS:         localFS,
-			Path:       "/rndfile",
-			NewThread:  func() *cpu.Thread { return r.tb.CPU.NewThread(nbrPool.Acct, nbrPool.Mask) },
-			Seed:       99,
-			LockStress: r.tb.Kernel.SmallOpLockStress,
-		}
-		rnd.Defaults(scale.Factor)
-	case "WBS":
-		wbs = &workloads.Webserver{
-			FS:        localFS,
-			Dir:       "/web",
-			NewThread: func() *cpu.Thread { return r.tb.CPU.NewThread(nbrPool.Acct, nbrPool.Mask) },
-			Seed:      77,
-		}
-		wbs.Defaults(scale.Factor)
-	}
+	f := newFleet(r, c.Config, c.FLSCount, c.Neighbor, scale)
 
 	r.runMaster(func(p *sim.Proc) {
-		// Preparation: FLS filesets in parallel, neighbour dataset too.
-		preps := make([]func(pp *sim.Proc), 0, len(insts)+1)
-		for _, in := range insts {
-			in := in
-			preps = append(preps, func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: in.c.NewThread()}
-				if err := in.w.Prepare(ctx); err != nil {
-					panic(err)
-				}
-			})
-		}
-		if rnd != nil {
-			preps = append(preps, func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: r.tb.CPU.NewThread(nbrPool.Acct, nbrPool.Mask)}
-				if err := rnd.Prepare(ctx); err != nil {
-					panic(err)
-				}
-			})
-		}
-		if wbs != nil {
-			preps = append(preps, func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: r.tb.CPU.NewThread(nbrPool.Acct, nbrPool.Mask)}
-				if err := wbs.Prepare(ctx); err != nil {
-					panic(err)
-				}
-			})
-		}
-		prepare(p, r.tb.Eng, preps...)
+		prepare(p, r.tb.Eng, f.preps()...)
 
 		clock := clockFor(r.tb.Eng, scale)
-		utilWindow(r.tb, clock, nbrMask, &row.NeighborCoreUtilPct)
+		utilWindow(r.tb, clock, f.nbrMask, &row.NeighborCoreUtilPct)
 		utilWindow(r.tb, clock, cpu.MaskRange(0, 2*c.FLSCount), &row.FLSCoreUtilPct)
 		lockWindow(r.tb, clock, &row.LockWaitPerReq, &row.LockHoldPerReq)
 		var iowaitStart time.Duration
 		r.tb.Eng.After(clock.From-r.tb.Eng.Now(), func() {
-			for _, in := range insts {
-				iowaitStart += in.c.Pool.Acct.IOWait()
+			for _, cont := range f.conts {
+				iowaitStart += cont.Pool.Acct.IOWait()
 			}
 		})
-		defer func() {}()
 
-		g := workloads.NewGroup(r.tb.Eng)
-		for _, in := range insts {
-			in.w.Run(g, clock)
-		}
-		if rnd != nil {
-			rnd.Run(g, clock)
-		}
-		if wbs != nil {
-			wbs.Run(g, clock)
-		}
-		g.Wait(p)
+		f.run(p, r.tb.Eng, clock)
 
 		var mbps float64
-		for _, in := range insts {
-			mbps += in.w.Stats.ThroughputMBps(clock.Window())
-			row.FLSIOWait += in.c.Pool.Acct.IOWait()
+		for i, cont := range f.conts {
+			mbps += f.fls[i].Stats.ThroughputMBps(clock.Window())
+			row.FLSIOWait += cont.Pool.Acct.IOWait()
 		}
 		row.FLSIOWait -= iowaitStart
 		row.FLSThroughputMBps = mbps
@@ -164,10 +86,71 @@ func RunInterference(c InterferenceCase, scale Scale) InterferenceRow {
 	return row
 }
 
-// kernelLocalFS returns the syscall-wrapped local ext4 filesystem of
-// the host (where RND and WBS keep their data).
-func kernelLocalFS(tb *core.Testbed) vfsapi.FileSystem {
-	return newSyscallLocal(tb)
+// fleet is the Fig 1 deployment: n Fileserver containers in pools
+// 0..n-1 and the neighbour pool on the next two cores, running the RND
+// or WBS neighbour workload when one is named.
+type fleet struct {
+	conts   []*core.Container
+	fls     []*workloads.Fileserver
+	nbrMask cpu.Mask
+	nbr     preparer // nil when the neighbour pool idles
+	nbrNew  func() *cpu.Thread
+}
+
+func newFleet(r *rig, config core.Configuration, n int, neighbor string, scale Scale) *fleet {
+	f := &fleet{nbrMask: cpu.MaskRange(2*n, 2*n+2)}
+	for i := 0; i < n; i++ {
+		_, cont, err := r.flsContainer(i, config, scale)
+		if err != nil {
+			panic(err)
+		}
+		f.conts = append(f.conts, cont)
+		f.fls = append(f.fls, newFileserver(cont, scale, int64(i)+1))
+	}
+	nbrPool := r.tb.NewPool("neighbor", f.nbrMask, scale.PoolMem())
+	f.nbrNew = func() *cpu.Thread { return r.tb.CPU.NewThread(nbrPool.Acct, nbrPool.Mask) }
+	switch neighbor {
+	case "RND":
+		w := &workloads.RandomIO{
+			FS:         kernelLocalFS(r.tb),
+			Path:       "/rndfile",
+			NewThread:  f.nbrNew,
+			Seed:       99,
+			LockStress: r.tb.Kernel.SmallOpLockStress,
+		}
+		w.Defaults(scale.Factor)
+		f.nbr = w
+	case "WBS":
+		w := &workloads.Webserver{FS: kernelLocalFS(r.tb), Dir: "/web", NewThread: f.nbrNew, Seed: 77}
+		w.Defaults(scale.Factor)
+		f.nbr = w
+	}
+	return f
+}
+
+// preps returns the dataset preparation of every workload, Fileservers
+// first.
+func (f *fleet) preps() []func(pp *sim.Proc) {
+	var preps []func(pp *sim.Proc)
+	for i, cont := range f.conts {
+		preps = append(preps, prepFor(cont.NewThread, f.fls[i]))
+	}
+	if f.nbr != nil {
+		preps = append(preps, prepFor(f.nbrNew, f.nbr))
+	}
+	return preps
+}
+
+// run runs every workload over clock and waits for all of them.
+func (f *fleet) run(p *sim.Proc, eng *sim.Engine, clock workloads.Clock) {
+	g := workloads.NewGroup(eng)
+	for _, w := range f.fls {
+		w.Run(g, clock)
+	}
+	if f.nbr != nil {
+		f.nbr.Run(g, clock)
+	}
+	g.Wait(p)
 }
 
 // Fig1Cases returns the §2.1 motivation cases (kernel client only).
@@ -263,12 +246,7 @@ func RunSysbench(c SysbenchCase, scale Scale) SysbenchRow {
 	ssb.Defaults()
 
 	r.runMaster(func(p *sim.Proc) {
-		prepare(p, r.tb.Eng, func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: cont.NewThread()}
-			if err := fls.Prepare(ctx); err != nil {
-				panic(err)
-			}
-		})
+		prepare(p, r.tb.Eng, prepFor(cont.NewThread, fls))
 		clock := clockFor(r.tb.Eng, scale)
 		utilWindow(r.tb, clock, ssbMask, &row.SSBCoreUtilPct)
 		g := workloads.NewGroup(r.tb.Eng)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/vfsapi"
 	"repro/internal/workloads"
 )
 
@@ -29,89 +28,40 @@ type ScaleoutRow struct {
 // each with a private client of the given configuration, running
 // Seqwrite (write=true) or cached Seqread (write=false).
 func RunSeqIOScaleout(config core.Configuration, pools int, write bool, scale Scale) ScaleoutRow {
-	r := newScaledRig(2*pools, scale)
-	row := ScaleoutRow{Config: config, Pools: pools}
-
-	type inst struct {
-		pool *core.Pool
-		c    *core.Container
-		w    *workloads.SeqIO
-	}
-	insts := make([]inst, pools)
-	for i := range insts {
-		pool, cont, err := r.flsContainer(i, config, scale)
-		if err != nil {
-			panic(err)
-		}
+	return runScaleout(config, pools, scale, func(_ int, c *core.Container) (preparer, *workloads.Stats) {
 		w := &workloads.SeqIO{
-			FS:        cont.Mount.Default,
+			FS:        c.Mount.Default,
 			Dir:       "/seq",
 			Write:     write,
-			NewThread: cont.NewThread,
+			NewThread: c.NewThread,
 		}
 		w.Defaults(scale.Factor)
-		insts[i] = inst{pool: pool, c: cont, w: w}
-	}
-
-	r.runMaster(func(p *sim.Proc) {
-		preps := make([]func(pp *sim.Proc), len(insts))
-		for i, in := range insts {
-			in := in
-			preps[i] = func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: in.c.NewThread()}
-				if err := in.w.Prepare(ctx); err != nil {
-					panic(err)
-				}
-			}
-		}
-		prepare(p, r.tb.Eng, preps...)
-
-		clock := clockFor(r.tb.Eng, scale)
-		var userStart, kernStart, iowaitStart time.Duration
-		r.tb.Eng.After(clock.From-r.tb.Eng.Now(), func() {
-			for _, in := range insts {
-				s := in.pool.Acct.Snapshot()
-				userStart += s.UserTime
-				kernStart += s.KernelTime
-				iowaitStart += s.IOWait
-			}
-		})
-
-		g := workloads.NewGroup(r.tb.Eng)
-		for _, in := range insts {
-			in.w.Run(g, clock)
-		}
-		g.Wait(p)
-
-		var user, kern, iowait time.Duration
-		for _, in := range insts {
-			s := in.pool.Acct.Snapshot()
-			user += s.UserTime
-			kern += s.KernelTime
-			iowait += s.IOWait
-		}
-		window := clock.Window()
-		totalCores := float64(2 * pools)
-		row.UserPct = float64(user-userStart) / float64(window) / totalCores * 100
-		row.KernelPct = float64(kern-kernStart) / float64(window) / totalCores * 100
-		row.IOWait = iowait - iowaitStart
-		for _, in := range insts {
-			row.ThroughputMBps += in.w.Stats.ThroughputMBps(window)
-		}
+		return w, w.Stats
 	})
-	return row
 }
 
 // RunFileserverScaleout executes one Fig 10 point: `pools` pools each
 // running a Fileserver instance over a private client.
 func RunFileserverScaleout(config core.Configuration, pools int, scale Scale) ScaleoutRow {
+	return runScaleout(config, pools, scale, func(i int, c *core.Container) (preparer, *workloads.Stats) {
+		w := newFileserver(c, scale, int64(i)+1)
+		return w, w.Stats
+	})
+}
+
+// runScaleout runs one scaleout point: `pools` pools, each with a
+// private client of the given configuration running the workload
+// newWorkload builds for its container, and reports aggregate
+// throughput plus the pools' core utilization and iowait.
+func runScaleout(config core.Configuration, pools int, scale Scale, newWorkload func(i int, c *core.Container) (preparer, *workloads.Stats)) ScaleoutRow {
 	r := newScaledRig(2*pools, scale)
 	row := ScaleoutRow{Config: config, Pools: pools}
 
 	type inst struct {
-		pool *core.Pool
-		c    *core.Container
-		w    *workloads.Fileserver
+		pool  *core.Pool
+		c     *core.Container
+		w     preparer
+		stats *workloads.Stats
 	}
 	insts := make([]inst, pools)
 	for i := range insts {
@@ -119,19 +69,14 @@ func RunFileserverScaleout(config core.Configuration, pools int, scale Scale) Sc
 		if err != nil {
 			panic(err)
 		}
-		insts[i] = inst{pool: pool, c: cont, w: newFileserver(cont, scale, int64(i)+1)}
+		w, stats := newWorkload(i, cont)
+		insts[i] = inst{pool: pool, c: cont, w: w, stats: stats}
 	}
 
 	r.runMaster(func(p *sim.Proc) {
 		preps := make([]func(pp *sim.Proc), len(insts))
 		for i, in := range insts {
-			in := in
-			preps[i] = func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: in.c.NewThread()}
-				if err := in.w.Prepare(ctx); err != nil {
-					panic(err)
-				}
-			}
+			preps[i] = prepFor(in.c.NewThread, in.w)
 		}
 		prepare(p, r.tb.Eng, preps...)
 
@@ -165,7 +110,7 @@ func RunFileserverScaleout(config core.Configuration, pools int, scale Scale) Sc
 		row.KernelPct = float64(kern-kernStart) / float64(window) / totalCores * 100
 		row.IOWait = iowait - iowaitStart
 		for _, in := range insts {
-			row.ThroughputMBps += in.w.Stats.ThroughputMBps(window)
+			row.ThroughputMBps += in.stats.ThroughputMBps(window)
 		}
 	})
 	return row

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -107,16 +108,6 @@ func MonitorCases() []MonitorCase {
 	}
 }
 
-// RunMonitorSweep executes every case.
-func RunMonitorSweep(scale Scale) []MonitorRow {
-	cases := MonitorCases()
-	rows := make([]MonitorRow, 0, len(cases))
-	for _, c := range cases {
-		rows = append(rows, RunMonitorCase(c, scale))
-	}
-	return rows
-}
-
 // monitorConfig derives the monitor windows from the scale.
 func monitorConfig(scale Scale, slos []telemetry.SLO) telemetry.Config {
 	fast := scale.Duration / monFastFrac
@@ -143,7 +134,7 @@ func monitorConfig(scale Scale, slos []telemetry.SLO) telemetry.Config {
 func calibrateVictim(c MonitorCase, scale Scale) (time.Duration, uint64) {
 	tb, victim, _ := monitorTestbed(c, scale, nil)
 	stats := workloads.NewStats()
-	runMonitorLoad(tb, victim, nil, nil, scale, stats, nil)
+	runMonitorLoad(tb, victim, monitorLoad{}, nil, scale, stats)
 	return stats.Latency.Quantile(0.99), stats.Ops.Ops / monFastFrac
 }
 
@@ -174,133 +165,92 @@ func monitorTestbed(c MonitorCase, scale Scale, mon *telemetry.Monitor) (*core.T
 	return tb, victim, agg
 }
 
-// monitorBurst describes the open-loop disturbance of an overload
-// case; From/Stop are resolved against the measurement window once
-// preparation has finished.
-type monitorBurst struct {
-	Rate       float64
-	From, Stop time.Duration // absolute virtual times
-	Agg        *core.Container
+// monitorLoad is the disturbance of one monitored run: a crash plan
+// installed at measurement start with a bystander reading a warm file
+// in the other pool, or an open-loop burst from the aggressor pool
+// inside [monFaultStart, monFaultEnd] of the measurement window. The
+// zero value is the undisturbed calibration run.
+type monitorLoad struct {
+	crash *faults.Plan
+	byst  *core.Container
+	agg   *core.Container
 }
 
 // runMonitorLoad drives one monitored run: the victim reads a cold
-// dataset closed-loop for the whole measurement; byst, when non-nil,
-// runs a warm reader in the other pool (the bystander whose alerts
-// measure blast radius); crashPlan, when non-nil, is installed at
-// measurement start. SLO counting on mon is armed at measurement start
-// so cache-cold warmup latencies stay out of the ledger. The victim's
-// measured latencies land in vicStats; the return value is the
-// absolute virtual time the measurement ended.
-func runMonitorLoad(tb *core.Testbed, victim, byst *core.Container, mon *telemetry.Monitor, scale Scale, vicStats *workloads.Stats, crashPlan *faults.Plan) time.Duration {
+// dataset closed-loop for the whole measurement while ld disturbs it.
+// SLO counting on mon is armed at measurement start so cache-cold
+// warmup latencies stay out of the ledger. The victim's measured
+// latencies land in vicStats; the return value is the absolute virtual
+// time the measurement ended.
+func runMonitorLoad(tb *core.Testbed, victim *core.Container, ld monitorLoad, mon *telemetry.Monitor, scale Scale, vicStats *workloads.Stats) time.Duration {
 	r := &rig{tb: tb}
 	coldSize := scale.PoolMem() + scale.PoolMem()/2
 	const readChunk = 128 << 10
 	const warmSize = 16 << 20
 	var measureEnd time.Duration
+	prep := func(cont *core.Container, path string, size int64) func(pp *sim.Proc) {
+		return func(pp *sim.Proc) {
+			workloads.WriteFile(vfsapi.Ctx{P: pp, T: cont.NewThread()}, cont.Mount.Default, path, size, 1<<20, false)
+		}
+	}
 
 	r.runMaster(func(p *sim.Proc) {
-		preps := []func(pp *sim.Proc){func(pp *sim.Proc) {
-			prepColdFile(pp, victim, "/cold", coldSize)
-		}}
-		if byst != nil {
-			preps = append(preps, func(pp *sim.Proc) {
-				// Written through the same path as the cold file; at
-				// 16MB it stays resident in the bystander's cache.
-				prepColdFile(pp, byst, "/warm", warmSize)
-			})
+		preps := []func(pp *sim.Proc){prep(victim, "/cold", coldSize)}
+		if ld.byst != nil {
+			// Written through the same path as the cold file; at 16MB it
+			// stays resident in the bystander's cache.
+			preps = append(preps, prep(ld.byst, "/warm", warmSize))
+		}
+		if ld.agg != nil {
+			preps = append(preps, prep(ld.agg, "/cold", coldSize))
 		}
 		prepare(p, r.tb.Eng, preps...)
 
 		clock := clockFor(r.tb.Eng, scale)
 		measureEnd = clock.Stop
 		mon.ArmSLOs(clock.From, clock.Stop)
-		if crashPlan != nil {
-			if _, err := faults.InstallWithTargets(r.tb.Eng, r.tb.Cluster, r.tb, *crashPlan, clock.From); err != nil {
+		if ld.crash != nil {
+			if _, err := faults.InstallWithTargets(r.tb.Eng, r.tb.Cluster, r.tb, *ld.crash, clock.From); err != nil {
 				panic(err)
 			}
 		}
 
 		g := workloads.NewGroup(r.tb.Eng)
-		g.Go("victim-reader", func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-			h, err := victim.Mount.Default.Open(ctx, "/cold", vfsapi.RDONLY)
-			if err != nil {
-				panic(err)
-			}
-			defer func() { h.Close(ctx) }()
-			var off int64
-			for !clock.Done() {
-				start := pp.Now()
-				n, rerr := h.Read(ctx, off, readChunk)
-				now := pp.Now()
-				if rerr != nil {
-					if clock.Measuring() {
-						vicStats.Errors++
-					}
-					pp.Sleep(time.Millisecond)
-					// A crash invalidates the handle; reopen once the
-					// client is back.
-					if nh, oerr := victim.Mount.Default.Open(ctx, "/cold", vfsapi.RDONLY); oerr == nil {
-						h.Close(ctx)
-						h = nh
-					}
-				} else if clock.Measuring() {
-					vicStats.Record(n, now-start)
+		(&workloads.SeqReader{
+			Name: "victim-reader", FS: victim.Mount.Default, Path: "/cold",
+			Size: coldSize, Chunk: readChunk, NewThread: victim.NewThread,
+			// A crash invalidates the handle; reopen once the client is
+			// back. The burst run never crashes and never reopens.
+			Reopen: ld.agg == nil, Stats: vicStats,
+		}).Run(g, clock)
+		if ld.byst != nil {
+			(&workloads.SeqReader{
+				Name: "bystander-reader", FS: ld.byst.Mount.Default, Path: "/warm",
+				Size: warmSize, Chunk: readChunk, NewThread: ld.byst.NewThread, Reopen: true,
+			}).Run(g, clock)
+		}
+		if ld.agg != nil {
+			from := clock.From + time.Duration(float64(scale.Duration)*monFaultStart)
+			stop := clock.From + time.Duration(float64(scale.Duration)*monFaultEnd)
+			g.Go("burst-starter", func(pp *sim.Proc) {
+				if wait := from - pp.Now(); wait > 0 {
+					pp.Sleep(wait)
 				}
-				off += readChunk
-				if off >= coldSize {
-					off = 0
+				ol := &workloads.OpenLoop{
+					FS:        ld.agg.Mount.Default,
+					Path:      "/cold",
+					FileSize:  coldSize,
+					OpSize:    overloadOpSize,
+					Rate:      overloadBaseRate * monBurstMult,
+					Seed:      42,
+					NewThread: ld.agg.NewThread,
 				}
-			}
-		})
-		if byst != nil {
-			g.Go("bystander-reader", func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: byst.NewThread()}
-				h, err := byst.Mount.Default.Open(ctx, "/warm", vfsapi.RDONLY)
-				if err != nil {
-					panic(err)
-				}
-				defer func() { h.Close(ctx) }()
-				var off int64
-				for !clock.Done() {
-					_, rerr := h.Read(ctx, off, readChunk)
-					if rerr != nil {
-						pp.Sleep(time.Millisecond)
-						if nh, oerr := byst.Mount.Default.Open(ctx, "/warm", vfsapi.RDONLY); oerr == nil {
-							h.Close(ctx)
-							h = nh
-						}
-					}
-					off += readChunk
-					if off >= warmSize {
-						off = 0
-					}
-				}
+				ol.Run(g, workloads.Clock{Eng: r.tb.Eng, From: from, Stop: stop})
 			})
 		}
 		g.Wait(p)
 	})
 	return measureEnd
-}
-
-// prepColdFile writes and fsyncs a cache-overflowing dataset.
-func prepColdFile(pp *sim.Proc, cont *core.Container, path string, size int64) {
-	ctx := vfsapi.Ctx{P: pp, T: cont.NewThread()}
-	h, err := cont.Mount.Default.Open(ctx, path, vfsapi.CREATE|vfsapi.WRONLY)
-	if err != nil {
-		panic(err)
-	}
-	for written := int64(0); written < size; written += 1 << 20 {
-		if _, err := h.Append(ctx, 1<<20); err != nil {
-			panic(err)
-		}
-	}
-	if err := h.Fsync(ctx); err != nil {
-		panic(err)
-	}
-	if err := h.Close(ctx); err != nil {
-		panic(err)
-	}
 }
 
 // RunMonitorCase runs one monitored point. Overload cases first run an
@@ -345,21 +295,17 @@ func RunMonitorCase(c MonitorCase, scale Scale) MonitorRow {
 	tb, victim, agg := monitorTestbed(c, scale, mon)
 
 	vicStats := workloads.NewStats()
+	var ld monitorLoad
 	switch c.Fault {
 	case "overload":
-		b := &monitorBurst{Rate: overloadBaseRate * monBurstMult, Agg: agg}
-		row.MeasureEnd = runMonitorLoadWithBurstWindow(tb, victim, b, mon, scale, vicStats)
+		ld.agg = agg
 	case "crash":
-		plan := faults.Plan{Windows: []faults.Window{{
-			Kind:   c.Kind,
-			Tenant: monCrashTenant(c.Kind),
-			Start:  time.Duration(float64(scale.Duration) * monFaultStart),
-			End:    time.Duration(float64(scale.Duration) * monFaultEnd),
-		}}}
-		row.MeasureEnd = runMonitorLoad(tb, victim, agg, mon, scale, vicStats, &plan)
+		w := crashWindow(c.Kind, scale, monFaultStart, monFaultEnd)
+		ld.crash, ld.byst = &faults.Plan{Windows: []faults.Window{w}}, agg
 	default:
 		panic("monitorsweep: unknown fault " + c.Fault)
 	}
+	row.MeasureEnd = runMonitorLoad(tb, victim, ld, mon, scale, vicStats)
 
 	tb.Obs.Finalize()
 	row.Monitor = mon
@@ -367,82 +313,6 @@ func RunMonitorCase(c MonitorCase, scale Scale) MonitorRow {
 	row.Windows = len(mon.Windows())
 	summarizeAlerts(&row)
 	return row
-}
-
-// runMonitorLoadWithBurstWindow is runMonitorLoad plus the open-loop
-// burst: the aggressor offers b.Rate inside [monFaultStart,
-// monFaultEnd] of the measurement window, resolved after preparation.
-// Returns the absolute virtual time the measurement ended.
-func runMonitorLoadWithBurstWindow(tb *core.Testbed, victim *core.Container, b *monitorBurst, mon *telemetry.Monitor, scale Scale, vicStats *workloads.Stats) time.Duration {
-	r := &rig{tb: tb}
-	coldSize := scale.PoolMem() + scale.PoolMem()/2
-	const readChunk = 128 << 10
-	var measureEnd time.Duration
-
-	r.runMaster(func(p *sim.Proc) {
-		prepare(p, r.tb.Eng,
-			func(pp *sim.Proc) { prepColdFile(pp, victim, "/cold", coldSize) },
-			func(pp *sim.Proc) { prepColdFile(pp, b.Agg, "/cold", coldSize) },
-		)
-
-		clock := clockFor(r.tb.Eng, scale)
-		measureEnd = clock.Stop
-		mon.ArmSLOs(clock.From, clock.Stop)
-		b.From = clock.From + time.Duration(float64(scale.Duration)*monFaultStart)
-		b.Stop = clock.From + time.Duration(float64(scale.Duration)*monFaultEnd)
-
-		g := workloads.NewGroup(r.tb.Eng)
-		g.Go("victim-reader", func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-			h, err := victim.Mount.Default.Open(ctx, "/cold", vfsapi.RDONLY)
-			if err != nil {
-				panic(err)
-			}
-			defer func() { h.Close(ctx) }()
-			var off int64
-			for !clock.Done() {
-				start := pp.Now()
-				n, rerr := h.Read(ctx, off, readChunk)
-				now := pp.Now()
-				if rerr != nil {
-					if clock.Measuring() {
-						vicStats.Errors++
-					}
-					pp.Sleep(time.Millisecond)
-				} else if clock.Measuring() {
-					vicStats.Record(n, now-start)
-				}
-				off += readChunk
-				if off >= coldSize {
-					off = 0
-				}
-			}
-		})
-		g.Go("burst-starter", func(pp *sim.Proc) {
-			if wait := b.From - pp.Now(); wait > 0 {
-				pp.Sleep(wait)
-			}
-			ol := &workloads.OpenLoop{
-				FS:        b.Agg.Mount.Default,
-				Path:      "/cold",
-				FileSize:  coldSize,
-				OpSize:    overloadOpSize,
-				Rate:      b.Rate,
-				Seed:      42,
-				NewThread: b.Agg.NewThread,
-			}
-			ol.Run(g, workloads.Clock{Eng: r.tb.Eng, From: b.From, Stop: b.Stop})
-		})
-		g.Wait(p)
-	})
-	return measureEnd
-}
-
-func monCrashTenant(k faults.Kind) string {
-	if k == faults.HostCrash {
-		return ""
-	}
-	return "fls0"
 }
 
 // summarizeAlerts folds the ledger into the row's victim/bystander
@@ -481,7 +351,7 @@ func summarizeAlerts(row *MonitorRow) {
 	row.VictimActiveEnd = active["fls0/"+monVictimSLO]
 }
 
-// MonitorRowViolations checks the alerting invariants on one row —
+// Violations checks the alerting invariants on the row —
 // the acceptance assertions of the sweep. Overload: the protected
 // Danaus client must fire the victim's burn-rate alert during the
 // burst AND clear it before the run ends, while the unprotected kernel
@@ -490,7 +360,7 @@ func summarizeAlerts(row *MonitorRow) {
 // fire and clear on the tenant-scoped Danaus crash with the bystander
 // untouched; the host crash must alert both tenants. Returns
 // human-readable violations (empty = clean).
-func MonitorRowViolations(r MonitorRow) []string {
+func (r MonitorRow) Violations() []string {
 	var v []string
 	tag := fmt.Sprintf("monitorsweep %s %s", r.Label, r.Fault)
 	if r.VictimFired == 0 {
@@ -528,7 +398,8 @@ func MonitorRowViolations(r MonitorRow) []string {
 	return v
 }
 
-// String renders a row for the harness.
+// String renders a row for the harness, followed by its alert ledger
+// (drain events after MeasureEnd marked with *).
 func (r MonitorRow) String() string {
 	prot := "off"
 	if r.Protected {
@@ -538,8 +409,17 @@ func (r MonitorRow) String() string {
 	if r.VictimActiveEnd {
 		end = "FIRING"
 	}
-	return fmt.Sprintf("%-5s %-4s prot=%-3s %-8s target=%-12v fired=%d cleared=%d end=%-6s first=%-12v lastclear=%-12v byst=%d windows=%d",
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-5s %-4s prot=%-3s %-8s target=%-12v fired=%d cleared=%d end=%-6s first=%-12v lastclear=%-12v byst=%d windows=%d",
 		r.Label, r.Config, prot, r.Fault, r.SLOTarget,
 		r.VictimFired, r.VictimCleared, end, r.FirstFire, r.LastClear,
 		r.BystanderFired, r.Windows)
+	for _, e := range r.Alerts {
+		mark := "  "
+		if e.T > r.MeasureEnd {
+			mark = " *"
+		}
+		b.WriteString("\n   " + mark + " " + e.String())
+	}
+	return b.String()
 }

@@ -58,9 +58,12 @@ func TestMonitorSweepAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	rows := RunMonitorSweep(QuickScale)
+	var rows []MonitorRow
+	for _, c := range MonitorCases() {
+		rows = append(rows, RunMonitorCase(c, QuickScale))
+	}
 	for _, r := range rows {
-		for _, v := range MonitorRowViolations(r) {
+		for _, v := range r.Violations() {
 			t.Errorf("%s/%s: %s", r.Label, r.Fault, v)
 		}
 	}

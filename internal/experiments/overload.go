@@ -135,62 +135,24 @@ func RunOverloadCase(c OverloadCase, scale Scale) OverloadRow {
 	// Both datasets overflow their pool's cache so reads keep hitting
 	// the shared backend — the resource the aggressor overloads.
 	coldSize := scale.PoolMem() + scale.PoolMem()/2
-	const readChunk = 128 << 10
+	vic := &workloads.SeqReader{
+		Name: "victim-reader", FS: victim.Mount.Default, Path: "/cold",
+		Size: coldSize, Chunk: 128 << 10, NewThread: victim.NewThread,
+		Stats: workloads.NewStats(),
+	}
 
 	r.runMaster(func(p *sim.Proc) {
 		prepCold := func(cont *core.Container) func(pp *sim.Proc) {
 			return func(pp *sim.Proc) {
 				ctx := vfsapi.Ctx{P: pp, T: cont.NewThread()}
-				h, err := cont.Mount.Default.Open(ctx, "/cold", vfsapi.CREATE|vfsapi.WRONLY)
-				if err != nil {
-					panic(err)
-				}
-				for written := int64(0); written < coldSize; written += 1 << 20 {
-					if _, err := h.Append(ctx, 1<<20); err != nil {
-						panic(err)
-					}
-				}
-				if err := h.Fsync(ctx); err != nil {
-					panic(err)
-				}
-				if err := h.Close(ctx); err != nil {
-					panic(err)
-				}
+				workloads.WriteFile(ctx, cont.Mount.Default, "/cold", coldSize, 1<<20, false)
 			}
 		}
 		prepare(p, r.tb.Eng, prepCold(victim), prepCold(agg))
 
 		clock := clockFor(r.tb.Eng, scale)
-		vicStats := workloads.NewStats()
-		aggStats := workloads.NewStats()
-
 		g := workloads.NewGroup(r.tb.Eng)
-		g.Go("victim-reader", func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-			h, err := victim.Mount.Default.Open(ctx, "/cold", vfsapi.RDONLY)
-			if err != nil {
-				panic(err)
-			}
-			defer h.Close(ctx)
-			var off int64
-			for !clock.Done() {
-				start := pp.Now()
-				n, rerr := h.Read(ctx, off, readChunk)
-				now := pp.Now()
-				if rerr != nil {
-					if clock.Measuring() {
-						vicStats.Errors++
-					}
-					pp.Sleep(time.Millisecond)
-				} else if clock.Measuring() {
-					vicStats.Record(n, now-start)
-				}
-				off += readChunk
-				if off >= coldSize {
-					off = 0
-				}
-			}
-		})
+		vic.Run(g, clock)
 
 		var ol *workloads.OpenLoop
 		if c.Multiplier > 0 {
@@ -202,15 +164,15 @@ func RunOverloadCase(c OverloadCase, scale Scale) OverloadRow {
 				Rate:      row.OfferedRate,
 				Seed:      42,
 				NewThread: agg.NewThread,
-				Stats:     aggStats,
+				Stats:     workloads.NewStats(),
 			}
 			ol.Run(g, clock)
 		}
 		g.Wait(p)
 
 		window := clock.Window()
-		row.VictimP99 = vicStats.Latency.Quantile(0.99)
-		row.VictimMBps = vicStats.ThroughputMBps(window)
+		row.VictimP99 = vic.Stats.Latency.Quantile(0.99)
+		row.VictimMBps = vic.Stats.ThroughputMBps(window)
 		if ol != nil {
 			row.Offered = ol.Offered
 			row.Completed = ol.Completed
@@ -234,33 +196,18 @@ func RunOverloadCase(c OverloadCase, scale Scale) OverloadRow {
 	return row
 }
 
-// OverloadRowViolations checks the overload invariants on one row:
-// the admission queue never exceeded its configured cap, and every
-// offered operation is accounted admitted, shed, or still in flight.
-// It returns human-readable violation descriptions (empty = clean).
-func OverloadRowViolations(r OverloadRow) []string {
+// Violations checks the overload invariants on the row: the admission
+// queue never exceeded its configured cap, and every offered operation
+// is accounted admitted, shed, or still in flight.
+func (r OverloadRow) Violations() []string {
 	var v []string
-	if r.QueueCap > 0 && r.Admission.MaxQueued > r.QueueCap {
-		v = append(v, fmt.Sprintf("overloadsweep %s %dx: bounded-queue violated: max queued %d > cap %d",
-			r.Label, r.Multiplier, r.Admission.MaxQueued, r.QueueCap))
+	if err := r.Admission.CheckBound(r.QueueCap); err != nil {
+		v = append(v, fmt.Sprintf("overloadsweep %s %dx: bounded-queue violated: %v", r.Label, r.Multiplier, err))
 	}
-	a := r.Admission
-	if a.Offered != a.Admitted+a.Shed+uint64(a.InFlight) {
-		v = append(v, fmt.Sprintf("overloadsweep %s %dx: admission accounting violated: offered %d != admitted %d + shed %d + in-flight %d",
-			r.Label, r.Multiplier, a.Offered, a.Admitted, a.Shed, a.InFlight))
+	if err := r.Admission.CheckLedger(); err != nil {
+		v = append(v, fmt.Sprintf("overloadsweep %s %dx: admission accounting violated: %v", r.Label, r.Multiplier, err))
 	}
 	return v
-}
-
-// FaultRowViolations checks the standing faultsweep invariant on one
-// row: no acknowledged data may be lost while the cluster holds a
-// surviving replica.
-func FaultRowViolations(r FaultSweepRow) []string {
-	if r.Replication >= 2 && r.DataLossBytes > 0 {
-		return []string{fmt.Sprintf("faultsweep %s %s r=%d: zero-data-loss violated: %d acked bytes unrecoverable",
-			r.Config, r.Label, r.Replication, r.DataLossBytes)}
-	}
-	return nil
 }
 
 // String renders a row for the harness.

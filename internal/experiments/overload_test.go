@@ -40,7 +40,7 @@ func TestOverloadSweepQuick(t *testing.T) {
 	}
 	for _, r := range rows {
 		t.Logf("%s", r)
-		for _, v := range OverloadRowViolations(r) {
+		for _, v := range r.Violations() {
 			t.Errorf("invariant: %s", v)
 		}
 		if r.Multiplier > 0 && r.Offered == 0 {

@@ -101,22 +101,16 @@ type TraceRow struct {
 	Tenants []TraceTenantRow
 	Classes []TraceClassRow // baseline run only
 
+	// Trace is the run's op trace: the recording on the baseline row,
+	// the re-recorded replay otherwise.
+	Trace *trace.Trace
+
 	// Buckets is the blame decomposition per request (host-wide);
 	// ShiftBucket/ShiftPerReq name the bucket that moved most against
 	// the baseline and by how much per request.
 	Buckets     []blame.Bucket
 	ShiftBucket string
 	ShiftPerReq time.Duration
-}
-
-// TraceSweepResult bundles the sweep's rows with the traces behind
-// them, so the harness can export the recording and per-case diffs.
-type TraceSweepResult struct {
-	Baseline *trace.Trace
-	Rows     []TraceRow
-	// Replays holds the re-recorded trace of each replay case, parallel
-	// to Rows[1:].
-	Replays []*trace.Trace
 }
 
 // ensureObs attaches a plain recorder (no sampling) when the harness
@@ -139,35 +133,17 @@ func prepTraceFiles(cont *core.Container, size int64) func(pp *sim.Proc) {
 			panic(err)
 		}
 		for i := 0; i < traceFiles; i++ {
-			h, err := fs.Open(ctx, fmt.Sprintf("/prod/f%05d", i), vfsapi.CREATE|vfsapi.WRONLY)
-			if err != nil {
-				panic(err)
-			}
-			for written := int64(0); written < size; written += 1 << 20 {
-				chunk := size - written
-				if chunk > 1<<20 {
-					chunk = 1 << 20
-				}
-				if _, err := h.Append(ctx, chunk); err != nil {
-					panic(err)
-				}
-			}
-			if err := h.Fsync(ctx); err != nil {
-				panic(err)
-			}
-			if err := h.Close(ctx); err != nil {
-				panic(err)
-			}
+			workloads.WriteFile(ctx, fs, fmt.Sprintf("/prod/f%05d", i), size, 1<<20, true)
 		}
 	}
 }
 
 // RecordTraceBaseline runs the production-shaped workload — Zipf user
 // popularity, diurnal arrivals, SLO classes — on two Danaus pools and
-// captures the op stream. Capture starts after fileset preparation, so
-// the trace holds exactly the workload's ops with issue times relative
-// to capture start.
-func RecordTraceBaseline(scale Scale) (*trace.Trace, TraceRow) {
+// captures the op stream into the row's Trace. Capture starts after
+// fileset preparation, so the trace holds exactly the workload's ops
+// with issue times relative to capture start.
+func RecordTraceBaseline(scale Scale) TraceRow {
 	tb := core.NewTestbed(core.TestbedConfig{Cores: 4, Params: scale.Params()})
 	if Observer != nil {
 		Observer(tb)
@@ -189,7 +165,6 @@ func RecordTraceBaseline(scale Scale) (*trace.Trace, TraceRow) {
 	}
 
 	capRec := trace.NewRecorder("D", 0)
-	var captured *trace.Trace
 	r.runMaster(func(p *sim.Proc) {
 		preps := make([]func(*sim.Proc), len(conts))
 		for i, c := range conts {
@@ -216,8 +191,7 @@ func RecordTraceBaseline(scale Scale) (*trace.Trace, TraceRow) {
 			w.Run(g, clock)
 		}
 		g.Wait(p)
-		rec.SetOpSink(nil)
-		captured = capRec.Snapshot()
+		row.Trace = capRec.Snapshot()
 
 		for i, w := range prods {
 			tenant := fmt.Sprintf("fls%d", i)
@@ -230,26 +204,27 @@ func RecordTraceBaseline(scale Scale) (*trace.Trace, TraceRow) {
 		}
 	})
 
-	row.Ops = len(captured.Ops)
-	for i := range captured.Ops {
-		if captured.Ops[i].Err {
+	row.Ops = len(row.Trace.Ops)
+	for i := range row.Trace.Ops {
+		if row.Trace.Ops[i].Err {
 			row.Errors++
 		}
 	}
-	tails := captured.TenantTails()
-	for _, tenant := range captured.Tenants() {
+	tails := row.Trace.TenantTails()
+	for _, tenant := range row.Trace.Tenants() {
 		row.Tenants = append(row.Tenants, TraceTenantRow{
 			Tenant: tenant, Tail: tails[tenant], RatioP99: 1, RatioP999: 1,
 		})
 	}
 	row.Buckets = perRequestBuckets(blame.Analyze("rec", rec))
-	return captured, row
+	return row
 }
 
 // ReplayTraceUnder replays a recorded trace against the case's
 // configuration on a fresh testbed with an identically prepared
-// fileset, and reports tail latency and blame against the recording.
-func ReplayTraceUnder(t *trace.Trace, c TraceCase, scale Scale) (*trace.Trace, TraceRow) {
+// fileset, and reports tail latency and blame against the recording;
+// the row's Trace is the replay's re-recorded trace.
+func ReplayTraceUnder(t *trace.Trace, c TraceCase, scale Scale) TraceRow {
 	var pol *core.OverloadPolicy
 	if c.Admission {
 		pol = &core.OverloadPolicy{RetrySeed: 1}
@@ -275,7 +250,6 @@ func ReplayTraceUnder(t *trace.Trace, c TraceCase, scale Scale) (*trace.Trace, T
 		}
 	}
 
-	var replayed *trace.Trace
 	var stats *trace.ReplayStats
 	r.runMaster(func(p *sim.Proc) {
 		preps := make([]func(*sim.Proc), len(conts))
@@ -283,7 +257,7 @@ func ReplayTraceUnder(t *trace.Trace, c TraceCase, scale Scale) (*trace.Trace, T
 			preps[i] = prepTraceFiles(cont, traceFileSize(scale))
 		}
 		prepare(p, tb.Eng, preps...)
-		replayed, stats = trace.Replay(p, tb.Eng, t, c.Label,
+		row.Trace, stats = trace.Replay(p, tb.Eng, t, c.Label,
 			func(tenant string) (trace.Binding, bool) {
 				b, ok := bindings[tenant]
 				return b, ok
@@ -291,7 +265,7 @@ func ReplayTraceUnder(t *trace.Trace, c TraceCase, scale Scale) (*trace.Trace, T
 	})
 
 	row.Ops, row.Errors, row.Skipped = stats.Ops, stats.Errors, stats.Skipped
-	d := trace.Compare(t, replayed)
+	d := trace.Compare(t, row.Trace)
 	row.ScheduleMatch = d.ScheduleEqual
 	row.SequenceMatch = d.SequenceEqual
 	for _, tr := range d.TenantRows() {
@@ -301,22 +275,21 @@ func ReplayTraceUnder(t *trace.Trace, c TraceCase, scale Scale) (*trace.Trace, T
 		})
 	}
 	row.Buckets = perRequestBuckets(blame.Analyze(c.Label, rec))
-	return replayed, row
+	return row
 }
 
 // RunTraceSweep records the baseline and replays it under every case,
 // filling per-tenant tail ratios and the dominant blame-bucket shift
-// against the recording.
-func RunTraceSweep(scale Scale) *TraceSweepResult {
-	base, baseRow := RecordTraceBaseline(scale)
-	res := &TraceSweepResult{Baseline: base, Rows: []TraceRow{baseRow}}
+// against the recording. The baseline row comes first.
+func RunTraceSweep(scale Scale) []TraceRow {
+	base := RecordTraceBaseline(scale)
+	rows := []TraceRow{base}
 	for _, c := range TraceCases() {
-		rt, row := ReplayTraceUnder(base, c, scale)
-		row.ShiftBucket, row.ShiftPerReq = bucketShift(baseRow.Buckets, row.Buckets)
-		res.Replays = append(res.Replays, rt)
-		res.Rows = append(res.Rows, row)
+		row := ReplayTraceUnder(base.Trace, c, scale)
+		row.ShiftBucket, row.ShiftPerReq = bucketShift(base.Buckets, row.Buckets)
+		rows = append(rows, row)
 	}
-	return res
+	return rows
 }
 
 // perRequestBuckets folds a blame report into host-wide per-request
@@ -375,11 +348,11 @@ func bucketShift(base, replay []blame.Bucket) (string, time.Duration) {
 	return topName, topDelta
 }
 
-// TraceRowViolations checks the replay invariants on one row: no
-// recorded tenant may be unbound, every replay must preserve the
-// per-stream op sequence, and the identity replay must reproduce the
-// recorded schedule byte-identically.
-func TraceRowViolations(r TraceRow) []string {
+// Violations checks the replay invariants on the row: no recorded
+// tenant may be unbound, every replay must preserve the per-stream op
+// sequence, and the identity replay must reproduce the recorded
+// schedule byte-identically.
+func (r TraceRow) Violations() []string {
 	if r.Baseline {
 		return nil
 	}

@@ -14,36 +14,37 @@ var traceTestScale = Scale{Factor: 0.02, Duration: 800 * time.Millisecond, Warmu
 // configuration reproduces a byte-identical op schedule, and no sweep
 // row violates the replay invariants.
 func TestTraceSweepIdentityReplay(t *testing.T) {
-	res := RunTraceSweep(traceTestScale)
-	if len(res.Rows) != len(TraceCases())+1 {
-		t.Fatalf("expected %d rows, got %d", len(TraceCases())+1, len(res.Rows))
+	rows := RunTraceSweep(traceTestScale)
+	if len(rows) != len(TraceCases())+1 {
+		t.Fatalf("expected %d rows, got %d", len(TraceCases())+1, len(rows))
 	}
-	if res.Rows[0].Ops == 0 {
+	base := rows[0]
+	if base.Ops == 0 {
 		t.Fatal("baseline recorded no ops")
 	}
-	if len(res.Rows[0].Classes) == 0 {
+	if len(base.Classes) == 0 {
 		t.Fatal("baseline row carries no SLO class reports")
 	}
-	for _, row := range res.Rows {
-		for _, v := range TraceRowViolations(row) {
+	for _, row := range rows {
+		for _, v := range row.Violations() {
 			t.Error(v)
 		}
 	}
-	for i, row := range res.Rows[1:] {
-		if row.Ops != res.Rows[0].Ops {
-			t.Errorf("%s: replayed %d ops, recorded %d", row.Label, row.Ops, res.Rows[0].Ops)
+	for _, row := range rows[1:] {
+		if row.Ops != base.Ops {
+			t.Errorf("%s: replayed %d ops, recorded %d", row.Label, row.Ops, base.Ops)
 		}
-		if res.Replays[i].OpSequence() != res.Baseline.OpSequence() {
+		if row.Trace.OpSequence() != base.Trace.OpSequence() {
 			t.Errorf("%s: op sequence diverged from recording", row.Label)
 		}
 	}
-	identity := res.Rows[1]
+	identity := rows[1]
 	if !identity.Identity {
 		t.Fatalf("first case is not the identity replay: %+v", identity.Label)
 	}
-	if got, want := res.Replays[0].Schedule(), res.Baseline.Schedule(); got != want {
+	if got, want := identity.Trace.Schedule(), base.Trace.Schedule(); got != want {
 		t.Errorf("identity replay schedule differs from recording (hash %s vs %s)",
-			res.Replays[0].ScheduleHash()[:12], res.Baseline.ScheduleHash()[:12])
+			identity.Trace.ScheduleHash()[:12], base.Trace.ScheduleHash()[:12])
 	}
 }
 
@@ -51,10 +52,10 @@ func TestTraceSweepIdentityReplay(t *testing.T) {
 // the same configuration and requires byte-identical results —
 // latencies included, not just the schedule.
 func TestTraceReplayDeterminism(t *testing.T) {
-	base, _ := RecordTraceBaseline(traceTestScale)
+	base := RecordTraceBaseline(traceTestScale).Trace
 	c := TraceCases()[0]
-	a, _ := ReplayTraceUnder(base, c, traceTestScale)
-	b, _ := ReplayTraceUnder(base, c, traceTestScale)
+	a := ReplayTraceUnder(base, c, traceTestScale).Trace
+	b := ReplayTraceUnder(base, c, traceTestScale).Trace
 	if a.Schedule() != b.Schedule() {
 		t.Error("two identical replays produced different schedules")
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/blame"
 	"repro/internal/metrics"
+	"repro/internal/workloads"
 )
 
 // Outcome bundles the runs of one scenario for the checkers: the run
@@ -179,9 +180,9 @@ func checkCrashConsistency(o *Outcome) []string {
 		if r.CrashAffected == 0 {
 			out = append(out, fmt.Sprintf("%s: crash event with empty blast radius", label))
 		}
-		if r.RemountSize < r.AckedBytes {
+		if lost := workloads.AckedLoss(r.AckedBytes, r.RemountSize); lost > 0 {
 			out = append(out, fmt.Sprintf("%s: remounted WAL is %d bytes but fsync acknowledged %d (lost %d acked bytes)",
-				label, r.RemountSize, r.AckedBytes, r.AckedBytes-r.RemountSize))
+				label, r.RemountSize, r.AckedBytes, lost))
 		}
 	}
 	return out
@@ -194,9 +195,8 @@ func checkBoundedQueue(o *Outcome) []string {
 	var out []string
 	for _, lr := range o.runs() {
 		for _, a := range lr.res.Admission {
-			if a.Stats.MaxQueued > a.QueueCap {
-				out = append(out, fmt.Sprintf("%s: pool %s max queued %d exceeds cap %d",
-					lr.label, a.Tenant, a.Stats.MaxQueued, a.QueueCap))
+			if err := a.Stats.CheckBound(a.QueueCap); err != nil {
+				out = append(out, fmt.Sprintf("%s: pool %s %v", lr.label, a.Tenant, err))
 			}
 		}
 	}
@@ -211,9 +211,8 @@ func checkAdmissionAccounting(o *Outcome) []string {
 	var out []string
 	for _, lr := range o.runs() {
 		for _, a := range lr.res.Admission {
-			if a.Stats.Offered != a.Stats.Admitted+a.Stats.Shed+uint64(a.Stats.InFlight) {
-				out = append(out, fmt.Sprintf("%s: pool %s offered %d != admitted %d + shed %d + in-flight %d",
-					lr.label, a.Tenant, a.Stats.Offered, a.Stats.Admitted, a.Stats.Shed, a.Stats.InFlight))
+			if err := a.Stats.CheckLedger(); err != nil {
+				out = append(out, fmt.Sprintf("%s: pool %s %v", lr.label, a.Tenant, err))
 			}
 			if a.Stats.InFlight != 0 || a.Stats.Queued != 0 {
 				out = append(out, fmt.Sprintf("%s: pool %s drained with %d in flight, %d queued",
@@ -243,9 +242,9 @@ func checkDataLoss(o *Outcome) []string {
 	var out []string
 	for _, lr := range o.runs() {
 		label, r := lr.label, lr.res
-		if r.AckedBytes > r.StoredBytes {
+		if lost := workloads.AckedLoss(r.AckedBytes, r.StoredBytes); lost > 0 {
 			out = append(out, fmt.Sprintf("%s: acked %d bytes but cluster stores %d (lost %d)",
-				label, r.AckedBytes, r.StoredBytes, r.AckedBytes-r.StoredBytes))
+				label, r.AckedBytes, r.StoredBytes, lost))
 		}
 	}
 	return out

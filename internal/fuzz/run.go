@@ -168,108 +168,130 @@ func victimFaultStats(pool *core.Pool) metrics.FaultCounters {
 	return total
 }
 
-// RunScenario executes one scenario on a fresh testbed and collects
-// the checker inputs. With solo set, the co-tenant workloads (and
-// their pools) are omitted while the host stays identically sized —
-// the isolation baseline the victim is compared against.
-func RunScenario(sc Scenario, solo bool) *Result {
+// host is one scenario's testbed: the victim container (plus, with
+// SharedMount, a scaleup clone sharing its client) in pool "victim",
+// and one container per co-tenant in pools "t0", "t1", ...
+type host struct {
+	tb         *core.Testbed
+	victimPool *core.Pool
+	victim     *core.Container
+	tenants    []*core.Container
+}
+
+// newHost builds the testbed every run of the scenario shares: cores,
+// cost model, admission policy, replication, cache sizing and pools.
+// observe runs on the bare testbed, before any pool exists — where an
+// observer must attach. With solo set the co-tenant pools are omitted
+// while the host stays identically sized.
+func (sc Scenario) newHost(solo bool, observe func(tb *core.Testbed)) *host {
 	scale := sc.scale()
-	cores := 2 * (1 + len(sc.Tenants))
 	var pol *core.OverloadPolicy
 	if sc.AdmitQueue > 0 {
 		pol = &core.OverloadPolicy{QueueCap: sc.AdmitQueue, RetrySeed: uint64(sc.Seed)}
 	}
-	tb := core.NewTestbed(core.TestbedConfig{Cores: cores, Params: scale.Params(), Overload: pol})
-	rec := obs.New(obs.Config{Clock: tb.Eng.Now})
-	tb.AttachObserver(rec)
+	tb := core.NewTestbed(core.TestbedConfig{Cores: 2 * (1 + len(sc.Tenants)), Params: scale.Params(), Overload: pol})
+	if observe != nil {
+		observe(tb)
+	}
 	tb.Cluster.SetReplication(sc.Replication)
 
-	var mon *telemetry.Monitor
-	if sc.Telemetry {
-		// Fast windows at 1/8 of the measurement window give every run a
-		// handful of closed windows to fold; the error-rate SLO gives the
-		// alert ledger coverage whenever a fault schedule pushes errors.
-		// SampleInterval stays zero so the monitor adds no engine events
-		// and the schedule is event-for-event the unmonitored one.
-		mon = telemetry.New(telemetry.Config{
-			FastWindow: sc.Duration / 8,
-			SlowWindow: sc.Duration / 2,
-			SLOs: []telemetry.SLO{
-				{Name: "err-burn", Budget: 0.02, FireBurn: 2, ClearBurn: 1, MinOps: 1},
-			},
-		})
-		tb.AttachMonitor(mon)
-	}
-
-	var capRec *trace.Recorder
-	if sc.TraceReplay {
-		capRec = trace.NewRecorder(sc.Config.String(), 0)
-		capRec.Attach(rec)
-	}
-
-	res := &Result{}
 	poolMem := scale.PoolMem()
 	var cacheBytes int64
 	if sc.CacheFrac > 0 {
 		cacheBytes = poolMem / int64(sc.CacheFrac)
 	}
-
+	h := &host{tb: tb}
 	if err := tb.Cluster.ProvisionDir("/containers/victim"); err != nil {
 		panic(err)
 	}
-	victimPool := tb.NewPool("victim", cpu.MaskRange(0, 2), poolMem)
-	victim, err := victimPool.NewContainer("victim", core.MountSpec{
+	h.victimPool = tb.NewPool("victim", cpu.MaskRange(0, 2), poolMem)
+	victim, err := h.victimPool.NewContainer("victim", core.MountSpec{
 		Config: sc.Config, UpperDir: "/containers/victim", CacheBytes: cacheBytes,
 	})
 	if err != nil {
 		panic(err)
 	}
+	h.victim = victim
 	if sc.SharedMount {
 		// A scaleup clone: same image, same client/kernel mount. It
 		// runs no workload of its own; its presence exercises the
 		// shared-mount accounting paths.
-		if _, err := victimPool.NewContainer("victim-clone", core.MountSpec{
+		if _, err := h.victimPool.NewContainer("victim-clone", core.MountSpec{
 			Config: sc.Config, UpperDir: "/containers/victim", CacheBytes: cacheBytes,
 			SharedClient: victim.Mount.Client, SharedKernelMount: victim.Mount.KernelMount,
 		}); err != nil {
 			panic(err)
 		}
 	}
-
-	type tenantInst struct {
-		spec Tenant
-		cont *core.Container
-		fs   vfsapi.FileSystem
+	if solo {
+		return h
 	}
-	var tenants []tenantInst
-	if !solo {
-		for i, t := range sc.Tenants {
-			dir := fmt.Sprintf("/containers/t%d", i)
-			if err := tb.Cluster.ProvisionDir(dir); err != nil {
-				panic(err)
-			}
-			pool := tb.NewPool(fmt.Sprintf("t%d", i), cpu.MaskRange(2+2*i, 4+2*i), poolMem)
-			cont, err := pool.NewContainer(fmt.Sprintf("t%d", i), core.MountSpec{
-				Config: sc.Config, UpperDir: dir, CacheBytes: cacheBytes,
-			})
-			if err != nil {
-				panic(err)
-			}
-			inst := tenantInst{spec: t, cont: cont, fs: cont.Mount.Default}
-			if t.Workload == "randio" {
-				// The paper's noisy neighbour runs on the local ext4
-				// array through the shared kernel.
-				inst.fs = kern.NewSyscalls(tb.Kernel, tb.LocalFS)
-			}
-			tenants = append(tenants, inst)
+	for i := range sc.Tenants {
+		dir := fmt.Sprintf("/containers/t%d", i)
+		if err := tb.Cluster.ProvisionDir(dir); err != nil {
+			panic(err)
 		}
+		pool := tb.NewPool(fmt.Sprintf("t%d", i), cpu.MaskRange(2+2*i, 4+2*i), poolMem)
+		cont, err := pool.NewContainer(fmt.Sprintf("t%d", i), core.MountSpec{
+			Config: sc.Config, UpperDir: dir, CacheBytes: cacheBytes,
+		})
+		if err != nil {
+			panic(err)
+		}
+		h.tenants = append(h.tenants, cont)
 	}
+	return h
+}
+
+// RunScenario executes one scenario on a fresh testbed and collects
+// the checker inputs. With solo set, the co-tenant workloads (and
+// their pools) are omitted while the host stays identically sized —
+// the isolation baseline the victim is compared against.
+func RunScenario(sc Scenario, solo bool) *Result {
+	scale := sc.scale()
+	var rec *obs.Recorder
+	var mon *telemetry.Monitor
+	var capRec *trace.Recorder
+	h := sc.newHost(solo, func(tb *core.Testbed) {
+		rec = obs.New(obs.Config{Clock: tb.Eng.Now})
+		tb.AttachObserver(rec)
+		if sc.Telemetry {
+			// Fast windows at 1/8 of the measurement window give every run
+			// a handful of closed windows to fold; the error-rate SLO gives
+			// the alert ledger coverage whenever a fault schedule pushes
+			// errors. SampleInterval stays zero so the monitor adds no
+			// engine events and the schedule is event-for-event the
+			// unmonitored one.
+			mon = telemetry.New(telemetry.Config{
+				FastWindow: sc.Duration / 8,
+				SlowWindow: sc.Duration / 2,
+				SLOs: []telemetry.SLO{
+					{Name: "err-burn", Budget: 0.02, FireBurn: 2, ClearBurn: 1, MinOps: 1},
+				},
+			})
+			tb.AttachMonitor(mon)
+		}
+		if sc.TraceReplay {
+			capRec = trace.NewRecorder(sc.Config.String(), 0)
+			capRec.Attach(rec)
+		}
+	})
+	tb, victim := h.tb, h.victim
+	res := &Result{}
 
 	// The cold file overflows every cache tier so victim reads keep
 	// hitting the backend through any fault window.
-	coldSize := poolMem + poolMem/2
-	const walOp = 64 << 10
+	coldSize := scale.PoolMem() + scale.PoolMem()/2
 	const readChunk = 256 << 10
+	wal := &workloads.WALWriter{
+		FS: victim.Mount.Default, Path: "/wal",
+		NewThread: victim.NewThread, Reopen: sc.Crash != "",
+	}
+	reader := &workloads.SeqReader{
+		Name: "cold-reader", FS: victim.Mount.Default, Path: "/cold",
+		Size: coldSize, Chunk: readChunk, NewThread: victim.NewThread,
+		Reopen: sc.Crash != "", Stats: workloads.NewStats(),
+	}
 
 	tb.Eng.Go("master", func(p *sim.Proc) {
 		defer tb.Stop()
@@ -277,46 +299,31 @@ func RunScenario(sc Scenario, solo bool) *Result {
 		g := workloads.NewGroup(tb.Eng)
 		g.Go("prep-victim", func(pp *sim.Proc) {
 			ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-			h, err := victim.Mount.Default.Open(ctx, "/wal", vfsapi.CREATE|vfsapi.WRONLY)
-			if err != nil {
-				panic(err)
-			}
-			if err := h.Close(ctx); err != nil {
-				panic(err)
-			}
-			cold, err := victim.Mount.Default.Open(ctx, "/cold", vfsapi.CREATE|vfsapi.WRONLY)
-			if err != nil {
-				panic(err)
-			}
-			for written := int64(0); written < coldSize; written += 1 << 20 {
-				if _, err := cold.Append(ctx, 1<<20); err != nil {
-					panic(err)
-				}
-			}
-			if err := cold.Fsync(ctx); err != nil {
-				panic(err)
-			}
-			if err := cold.Close(ctx); err != nil {
-				panic(err)
-			}
+			wal.Create(ctx)
+			workloads.WriteFile(ctx, victim.Mount.Default, "/cold", coldSize, 1<<20, false)
 		})
 
 		type runner interface {
 			Run(g *workloads.Group, clock workloads.Clock)
 		}
-		runners := make([]runner, len(tenants))
-		dbs := make([]*kvstore.DB, len(tenants))
-		for i := range tenants {
-			i := i
-			in := tenants[i]
-			seed := workloads.StreamSeed(sc.Seed, in.spec.Workload, i)
+		runners := make([]runner, len(h.tenants))
+		dbs := make([]*kvstore.DB, len(h.tenants))
+		for i, cont := range h.tenants {
+			i, cont, spec := i, cont, sc.Tenants[i]
+			fs := cont.Mount.Default
+			if spec.Workload == "randio" {
+				// The paper's noisy neighbour runs on the local ext4
+				// array through the shared kernel.
+				fs = kern.NewSyscalls(tb.Kernel, tb.LocalFS)
+			}
+			seed := workloads.StreamSeed(sc.Seed, spec.Workload, i)
 			g.Go(fmt.Sprintf("prep-t%d", i), func(pp *sim.Proc) {
-				ctx := vfsapi.Ctx{P: pp, T: in.cont.NewThread()}
-				switch in.spec.Workload {
+				ctx := vfsapi.Ctx{P: pp, T: cont.NewThread()}
+				switch spec.Workload {
 				case "fileserver":
 					w := &workloads.Fileserver{
-						FS: in.fs, Dir: "/flsdata", NewThread: in.cont.NewThread,
-						Seed: seed, Threads: in.spec.Threads,
+						FS: fs, Dir: "/flsdata", NewThread: cont.NewThread,
+						Seed: seed, Threads: spec.Threads,
 						Files: 12, MeanFileSize: 256 << 10,
 					}
 					w.Defaults(scale.Factor)
@@ -326,8 +333,8 @@ func RunScenario(sc Scenario, solo bool) *Result {
 					runners[i] = w
 				case "webserver":
 					w := &workloads.Webserver{
-						FS: in.fs, Dir: "/webdata", NewThread: in.cont.NewThread,
-						Seed: seed, Threads: in.spec.Threads, Files: 100,
+						FS: fs, Dir: "/webdata", NewThread: cont.NewThread,
+						Seed: seed, Threads: spec.Threads, Files: 100,
 					}
 					w.Defaults(scale.Factor)
 					if err := w.Prepare(ctx); err != nil {
@@ -336,8 +343,8 @@ func RunScenario(sc Scenario, solo bool) *Result {
 					runners[i] = w
 				case "kvput":
 					db, err := kvstore.Open(ctx, kvstore.Config{
-						FS: in.fs, Dir: "/kv", MemtableBytes: 4 << 20,
-						Eng: tb.Eng, Params: tb.Params, NewThread: in.cont.NewThread,
+						FS: fs, Dir: "/kv", MemtableBytes: 4 << 20,
+						Eng: tb.Eng, Params: tb.Params, NewThread: cont.NewThread,
 					})
 					if err != nil {
 						panic(err)
@@ -345,13 +352,13 @@ func RunScenario(sc Scenario, solo bool) *Result {
 					dbs[i] = db
 					runners[i] = &workloads.KVPut{
 						DB: db, TotalBytes: 4 << 20, ValueSize: 64 << 10,
-						Threads: in.spec.Threads, Seed: seed, NewThread: in.cont.NewThread,
+						Threads: spec.Threads, Seed: seed, NewThread: cont.NewThread,
 						Stats: workloads.NewStats(),
 					}
 				case "randio":
 					w := &workloads.RandomIO{
-						FS: in.fs, Path: fmt.Sprintf("/rnd%d", i), NewThread: in.cont.NewThread,
-						Seed: seed, Threads: in.spec.Threads, FileSize: 8 << 20,
+						FS: fs, Path: fmt.Sprintf("/rnd%d", i), NewThread: cont.NewThread,
+						Seed: seed, Threads: spec.Threads, FileSize: 8 << 20,
 					}
 					w.Defaults(scale.Factor)
 					if err := w.Prepare(ctx); err != nil {
@@ -359,7 +366,7 @@ func RunScenario(sc Scenario, solo bool) *Result {
 					}
 					runners[i] = w
 				default:
-					panic("fuzz: unknown tenant workload " + in.spec.Workload)
+					panic("fuzz: unknown tenant workload " + spec.Workload)
 				}
 			})
 		}
@@ -390,82 +397,9 @@ func RunScenario(sc Scenario, solo bool) *Result {
 			panic(err)
 		}
 
-		writer := workloads.NewStats()
-		reader := workloads.NewStats()
-		var acked, walSize int64
-
 		run := workloads.NewGroup(tb.Eng)
-		run.Go("wal-writer", func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-			h, err := victim.Mount.Default.Open(ctx, "/wal", vfsapi.WRONLY)
-			if err != nil {
-				panic(err)
-			}
-			defer func() { h.Close(ctx) }()
-			for !clock.Done() {
-				start := pp.Now()
-				_, werr := h.Append(ctx, walOp)
-				if werr == nil {
-					walSize += walOp
-					werr = h.Fsync(ctx)
-				}
-				if werr != nil {
-					if clock.Measuring() {
-						writer.Errors++
-					}
-					pp.Sleep(time.Millisecond)
-					// A crashed client invalidates its handles forever
-					// (replayable remount); recovery means reopening. The
-					// reopened size discounts appends the crash discarded,
-					// so the acked frontier never counts lost bytes.
-					if sc.Crash != "" {
-						if nh, oerr := victim.Mount.Default.Open(ctx, "/wal", vfsapi.WRONLY); oerr == nil {
-							h.Close(ctx)
-							h = nh
-							walSize = nh.Size()
-						}
-					}
-					continue
-				}
-				// A successful fsync drained every dirty WAL extent, so
-				// everything appended so far is acknowledged durable.
-				acked = walSize
-				if clock.Measuring() {
-					writer.Record(walOp, pp.Now()-start)
-				}
-			}
-		})
-		run.Go("cold-reader", func(pp *sim.Proc) {
-			ctx := vfsapi.Ctx{P: pp, T: victim.NewThread()}
-			h, err := victim.Mount.Default.Open(ctx, "/cold", vfsapi.RDONLY)
-			if err != nil {
-				panic(err)
-			}
-			defer func() { h.Close(ctx) }()
-			var off int64
-			for !clock.Done() {
-				start := pp.Now()
-				n, rerr := h.Read(ctx, off, readChunk)
-				if rerr != nil {
-					if clock.Measuring() {
-						reader.Errors++
-					}
-					pp.Sleep(time.Millisecond)
-					if sc.Crash != "" {
-						if nh, oerr := victim.Mount.Default.Open(ctx, "/cold", vfsapi.RDONLY); oerr == nil {
-							h.Close(ctx)
-							h = nh
-						}
-					}
-				} else if clock.Measuring() {
-					reader.Record(n, pp.Now()-start)
-				}
-				off += readChunk
-				if off >= coldSize {
-					off = 0
-				}
-			}
-		})
+		wal.Run(run, clock)
+		reader.Run(run, clock)
 		var ol *workloads.OpenLoop
 		if sc.OfferedLoad > 0 {
 			ol = &workloads.OpenLoop{
@@ -489,7 +423,7 @@ func RunScenario(sc Scenario, solo bool) *Result {
 		// never drain.
 		for i, db := range dbs {
 			if db != nil {
-				db.Close(vfsapi.Ctx{P: p, T: tenants[i].cont.NewThread()})
+				db.Close(vfsapi.Ctx{P: p, T: h.tenants[i].NewThread()})
 			}
 		}
 
@@ -510,21 +444,17 @@ func RunScenario(sc Scenario, solo bool) *Result {
 		// every crash window has restarted shows the durable frontier an
 		// application would see on reopen.
 		if sc.Crash != "" {
-			ctx := vfsapi.Ctx{P: p, T: victim.NewThread()}
-			if h, oerr := victim.Mount.Default.Open(ctx, "/wal", vfsapi.RDONLY); oerr == nil {
-				res.RemountSize = h.Size()
-				h.Close(ctx)
-			}
+			res.RemountSize = wal.Remount(vfsapi.Ctx{P: p, T: victim.NewThread()})
 		}
 
-		res.WriteOps = writer.Ops.Ops
-		res.ReadOps = reader.Ops.Ops
-		res.Errors = writer.Errors + reader.Errors
-		res.WriteMean = writer.Latency.Mean()
-		res.ReadMean = reader.Latency.Mean()
-		res.AckedBytes = acked
+		res.WriteOps = wal.Stats.Ops.Ops
+		res.ReadOps = reader.Stats.Ops.Ops
+		res.Errors = wal.Stats.Errors + reader.Stats.Errors
+		res.WriteMean = wal.Stats.Latency.Mean()
+		res.ReadMean = reader.Stats.Latency.Mean()
+		res.AckedBytes = wal.Acked
 		res.StoredBytes = tb.Cluster.StoredSize(walIno)
-		res.Faults = victimFaultStats(victimPool)
+		res.Faults = victimFaultStats(h.victimPool)
 		if ol != nil {
 			res.OLOffered = ol.Offered
 			res.OLCompleted = ol.Completed
@@ -592,58 +522,24 @@ type TraceReplayRun struct {
 // self-contained: recorded creates rebuild the fileset the later ops
 // touch.
 func replayTrace(sc Scenario, tr *trace.Trace) TraceReplayRun {
-	scale := sc.scale()
-	cores := 2 * (1 + len(sc.Tenants))
-	var pol *core.OverloadPolicy
-	if sc.AdmitQueue > 0 {
-		pol = &core.OverloadPolicy{QueueCap: sc.AdmitQueue, RetrySeed: uint64(sc.Seed)}
+	h := sc.newHost(false, nil)
+	bindings := map[string]trace.Binding{
+		"victim": {FS: h.victim.Mount.Default, NewThread: h.victim.NewThread},
 	}
-	tb := core.NewTestbed(core.TestbedConfig{Cores: cores, Params: scale.Params(), Overload: pol})
-	tb.Cluster.SetReplication(sc.Replication)
-
-	poolMem := scale.PoolMem()
-	var cacheBytes int64
-	if sc.CacheFrac > 0 {
-		cacheBytes = poolMem / int64(sc.CacheFrac)
-	}
-
-	bindings := map[string]trace.Binding{}
-	if err := tb.Cluster.ProvisionDir("/containers/victim"); err != nil {
-		panic(err)
-	}
-	victimPool := tb.NewPool("victim", cpu.MaskRange(0, 2), poolMem)
-	victim, err := victimPool.NewContainer("victim", core.MountSpec{
-		Config: sc.Config, UpperDir: "/containers/victim", CacheBytes: cacheBytes,
-	})
-	if err != nil {
-		panic(err)
-	}
-	bindings["victim"] = trace.Binding{FS: victim.Mount.Default, NewThread: victim.NewThread}
-	for i := range sc.Tenants {
-		dir := fmt.Sprintf("/containers/t%d", i)
-		if err := tb.Cluster.ProvisionDir(dir); err != nil {
-			panic(err)
-		}
-		pool := tb.NewPool(fmt.Sprintf("t%d", i), cpu.MaskRange(2+2*i, 4+2*i), poolMem)
-		cont, err := pool.NewContainer(fmt.Sprintf("t%d", i), core.MountSpec{
-			Config: sc.Config, UpperDir: dir, CacheBytes: cacheBytes,
-		})
-		if err != nil {
-			panic(err)
-		}
+	for i, cont := range h.tenants {
 		bindings[fmt.Sprintf("t%d", i)] = trace.Binding{FS: cont.Mount.Default, NewThread: cont.NewThread}
 	}
 
 	var replayed *trace.Trace
 	var stats *trace.ReplayStats
-	tb.Eng.Go("trace-replay-master", func(p *sim.Proc) {
-		defer tb.Stop()
-		replayed, stats = trace.Replay(p, tb.Eng, tr, "replay", func(tenant string) (trace.Binding, bool) {
+	h.tb.Eng.Go("trace-replay-master", func(p *sim.Proc) {
+		defer h.tb.Stop()
+		replayed, stats = trace.Replay(p, h.tb.Eng, tr, "replay", func(tenant string) (trace.Binding, bool) {
 			b, ok := bindings[tenant]
 			return b, ok
 		})
 	})
-	tb.Eng.Run()
+	h.tb.Eng.Run()
 
 	return TraceReplayRun{
 		Hash:       replayed.ScheduleHash(),

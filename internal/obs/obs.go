@@ -127,18 +127,15 @@ type Recorder struct {
 	finalizers []func(*Registry)
 	finalized  bool
 
-	// opSink, when set, receives one OpEvent per completed root request
-	// span (see OpDone). It is the feed of the trace recorder
-	// (internal/trace); nil means no per-op capture.
-	opSink func(OpEvent)
-
-	// telOp/telWait, when set, feed the live telemetry monitor
-	// (internal/telemetry via core.AttachMonitor). They coexist with
-	// opSink — trace capture and live monitoring can run in the same
-	// run — and share its contract: pure observations, no engine
-	// events, no extra clock reads beyond what OpDone already does.
-	telOp   func(OpEvent)
-	telWait func(victim, aggressor string, start, dur time.Duration)
+	// opSubs receive one OpEvent per completed root request span (see
+	// OpDone), in subscription order: the trace recorder
+	// (internal/trace) and the live telemetry monitor (internal/telemetry
+	// via core.AttachMonitor) each add one. waitHook, when set, receives
+	// the monitor's cross-tenant wait attributions. Both are pure
+	// observations: no engine events, no clock reads beyond what OpDone
+	// and Wait already do.
+	opSubs   []func(OpEvent)
+	waitHook func(victim, aggressor string, start, dur time.Duration)
 }
 
 // Sym is an interned string id, resolvable with Recorder.Str. Ids are
@@ -214,39 +211,35 @@ type OpEvent struct {
 	Err     bool
 }
 
-// SetOpSink installs (or, with nil, removes) the per-op event sink.
-// The sink fires once per root request span as it completes, in engine
-// order. With no sink installed the capture path costs a single nil
-// check per op and reads no clock, preserving the
-// zero-overhead-when-disabled contract. Nil-safe.
-func (r *Recorder) SetOpSink(fn func(OpEvent)) {
+// SubscribeOps adds fn to the op stream: it fires once per root
+// request span as it completes, in engine order. With no subscriber
+// the capture path costs a single length check per op and reads no
+// clock, preserving the zero-overhead-when-disabled contract. Nil-safe.
+func (r *Recorder) SubscribeOps(fn func(OpEvent)) {
 	if r == nil {
 		return
 	}
-	r.opSink = fn
+	r.opSubs = append(r.opSubs, fn)
 }
 
-// SetTelemetrySinks installs (or, with nil, removes) the live
-// telemetry feeds: op receives the same OpEvent stream as the op sink,
-// wait receives cross-tenant wait attributions (victim charged,
-// aggressor blamed) as they are observed. Both coexist with SetOpSink.
-// Nil-safe.
-func (r *Recorder) SetTelemetrySinks(op func(OpEvent), wait func(victim, aggressor string, start, dur time.Duration)) {
+// SetWaitHook installs the live telemetry wait feed: fn receives
+// cross-tenant wait attributions (victim charged, aggressor blamed) as
+// they are observed. Nil-safe.
+func (r *Recorder) SetWaitHook(fn func(victim, aggressor string, start, dur time.Duration)) {
 	if r == nil {
 		return
 	}
-	r.telOp = op
-	r.telWait = wait
+	r.waitHook = fn
 }
 
-// OpDone feeds one completed operation to the op sink and the
-// telemetry sink. The traced facade calls it alongside Span.End with
-// the reissue parameters the span itself does not carry (path, flags,
-// offset, length) plus the bytes actually served. No-op when the
-// recorder, every sink, or the span is nil — nested facade crossings
-// pass a nil span, so only the root of a request is captured.
+// OpDone feeds one completed operation to every op subscriber. The
+// traced facade calls it alongside Span.End with the reissue parameters
+// the span itself does not carry (path, flags, offset, length) plus the
+// bytes actually served. No-op when the recorder or the span is nil or
+// nothing subscribed — nested facade crossings pass a nil span, so only
+// the root of a request is captured.
 func (r *Recorder) OpDone(sp *Span, path, path2 string, flags int, off, n, served int64, err error) {
-	if r == nil || sp == nil || (r.opSink == nil && r.telOp == nil) {
+	if r == nil || sp == nil || len(r.opSubs) == 0 {
 		return
 	}
 	e := OpEvent{
@@ -254,11 +247,8 @@ func (r *Recorder) OpDone(sp *Span, path, path2 string, flags int, off, n, serve
 		Path: path, Path2: path2, Flags: flags, Offset: off, Len: n, Bytes: served,
 		Issue: sp.start, Latency: r.cfg.Clock() - sp.start, Err: err != nil,
 	}
-	if r.opSink != nil {
-		r.opSink(e)
-	}
-	if r.telOp != nil {
-		r.telOp(e)
+	for _, fn := range r.opSubs {
+		fn(e)
 	}
 }
 
@@ -415,8 +405,8 @@ func (r *Recorder) Wait(proc int, kind, resource, holder string, holderID int, s
 	}
 	// Telemetry sees every attributed wait, even once the bounded event
 	// buffer is full — the monitor aggregates online and stores O(1).
-	if r.telWait != nil {
-		r.telWait(s.tenant, holderTenant, start, dur)
+	if r.waitHook != nil {
+		r.waitHook(s.tenant, holderTenant, start, dur)
 	}
 	if !r.room() {
 		return

@@ -40,11 +40,11 @@ func NewRecorder(label string, maxOps int) *Recorder {
 // re-anchors either kind at its own epoch.
 func (r *Recorder) SetBase(t time.Duration) { r.base = t }
 
-// Attach installs the recorder as rec's op sink. Call before the
-// workload starts so the capture is complete; detach with
-// rec.SetOpSink(nil) to stop capturing (e.g. before teardown traffic).
+// Attach subscribes the recorder to rec's op stream. Call before the
+// workload starts so the capture is complete; Snapshot taken at any
+// point holds the ops captured so far.
 func (r *Recorder) Attach(rec *obs.Recorder) {
-	rec.SetOpSink(r.add)
+	rec.SubscribeOps(r.add)
 }
 
 func (r *Recorder) add(e obs.OpEvent) {

@@ -1,6 +1,7 @@
 package vfsapi
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/sim"
@@ -205,6 +206,25 @@ func (a *Admission) Stats() AdmissionStats {
 
 // QueueCap returns the configured queue bound (for invariant checks).
 func (a *Admission) QueueCap() int { return a.cfg.QueueCap }
+
+// CheckBound reports a bounded-queue breach: more than queueCap waiters
+// parked at once. The overload sweep and the fuzzer both check it.
+func (s AdmissionStats) CheckBound(queueCap int) error {
+	if s.MaxQueued > queueCap {
+		return fmt.Errorf("max queued %d exceeds cap %d", s.MaxQueued, queueCap)
+	}
+	return nil
+}
+
+// CheckLedger reports an admission-accounting breach: an offered
+// operation that is neither admitted, shed, nor still in flight.
+func (s AdmissionStats) CheckLedger() error {
+	if s.Offered != s.Admitted+s.Shed+uint64(s.InFlight) {
+		return fmt.Errorf("offered %d != admitted %d + shed %d + in-flight %d",
+			s.Offered, s.Admitted, s.Shed, s.InFlight)
+	}
+	return nil
+}
 
 // Admitted wraps fs so every operation first claims a slot from ctl
 // and releases it when the operation returns. Operations shed by the

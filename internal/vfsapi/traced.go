@@ -9,7 +9,7 @@ import "repro/internal/obs"
 // mounted filesystem with it. A nil recorder returns fs unchanged, so
 // the disabled path has zero wrapping overhead.
 //
-// When the recorder has an op sink installed (obs.SetOpSink), each
+// When the recorder's op stream has subscribers (obs.SubscribeOps), each
 // completing root operation is additionally reported with its reissue
 // parameters — path, flags, offset, length — which is how
 // internal/trace records a run's op stream for replay.
