@@ -24,7 +24,7 @@ type CPU struct {
 	eng     *sim.Engine
 	params  *model.Params
 	cores   []coreState
-	waiters []*waiter
+	waiters sim.Queue[*waiter] // FIFO runqueue
 	all     Mask
 	groupSz int
 	scanRR  int // rotating scan start spreads load across idle cores
@@ -268,7 +268,7 @@ func (r *execRun) fire() {
 			r.aggr = c.runqAggressor(r.t)
 		}
 		r.w = waiter{p: r.p, th: r.t, assigned: -1}
-		c.waiters = append(c.waiters, &r.w)
+		c.waiters.Push(&r.w)
 		return
 	}
 	r.core = core
@@ -332,7 +332,7 @@ func (c *CPU) acquire(p *sim.Proc, t *Thread) int {
 		aggr = c.runqAggressor(t)
 	}
 	w := &waiter{p: p, th: t, assigned: -1}
-	c.waiters = append(c.waiters, w)
+	c.waiters.Push(w)
 	p.Park()
 	p.ReportWait("runq", "cpu", aggr, 0, c.eng.Now()-since)
 	return w.assigned
@@ -398,15 +398,19 @@ func (c *CPU) tryAcquire(t *Thread) (int, bool) {
 	return -1, false
 }
 
+// release frees core, or hands it directly to the oldest waiter whose
+// mask allows it.
 func (c *CPU) release(core int) {
-	for i, w := range c.waiters {
-		if w.th.mask.Has(core) {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			w.assigned = core // core stays busy: direct handoff
-			c.cores[core].occupant = w.th.acct
-			c.eng.ScheduleWake(w.p)
-			return
+	for i := 0; i < c.waiters.Len(); i++ {
+		w := c.waiters.At(i)
+		if !w.th.mask.Has(core) {
+			continue
 		}
+		c.waiters.Remove(i)
+		w.assigned = core // core stays busy: direct handoff
+		c.cores[core].occupant = w.th.acct
+		c.eng.ScheduleWake(w.p)
+		return
 	}
 	c.cores[core].busy = false
 	c.cores[core].occupant = nil

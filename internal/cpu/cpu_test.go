@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -328,5 +329,51 @@ func TestWorkConservation(t *testing.T) {
 	}
 	if acct.CPUTime() != demand {
 		t.Fatalf("account %v != demand %v", acct.CPUTime(), demand)
+	}
+}
+
+// TestRunqueueRingMatchesSliceRemoval drives the runqueue through random
+// enqueues and releases of random cores, across the ring's lazy
+// compaction threshold, and requires every release to hand the core to
+// the same waiter, and leave the same queue, as removal from a plain
+// slice.
+func TestRunqueueRingMatchesSliceRemoval(t *testing.T) {
+	e, c := newTestCPU(t, 4)
+	acct := NewAccount("a")
+	rng := rand.New(rand.NewSource(1))
+	var ref []*waiter
+	for step := 0; step < 20000; step++ {
+		if len(ref) < 300 && rng.Intn(2) == 0 {
+			mask := MaskOf(rng.Intn(4))
+			if rng.Intn(4) == 0 {
+				mask = 0 // anywhere
+			}
+			// Never started: release only schedules its wake.
+			p := e.Go("w", func(*sim.Proc) {})
+			w := &waiter{p: p, th: c.NewThread(acct, mask), assigned: -1}
+			c.waiters.Push(w)
+			ref = append(ref, w)
+			continue
+		}
+		core := rng.Intn(4)
+		c.cores[core].busy = true
+		c.release(core)
+		for i, w := range ref {
+			if w.th.mask.Has(core) {
+				if w.assigned != core {
+					t.Fatalf("step %d: core %d not handed to the oldest eligible waiter", step, core)
+				}
+				ref = append(ref[:i], ref[i+1:]...)
+				break
+			}
+		}
+		if c.waiters.Len() != len(ref) {
+			t.Fatalf("step %d: ring holds %d waiters, slice %d", step, c.waiters.Len(), len(ref))
+		}
+		for i := range ref {
+			if c.waiters.At(i) != ref[i] {
+				t.Fatalf("step %d: ring order differs from slice at %d", step, i)
+			}
+		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // twice and requires the full engine event trace, the kernel lock
 // statistics and the per-core utilization to be identical. This guards
 // the hot-path optimizations (quantum coalescing, inline event
-// execution, direct proc handoff) at the strongest granularity: not
+// execution, coroutine proc switches) at the strongest granularity: not
 // just equal results, but an identical event-for-event schedule.
 func TestGoldenTraceDeterminism(t *testing.T) {
 	scale := Scale{Factor: 0.02}

@@ -1,17 +1,24 @@
+//go:build go1.23
+
+// The module declares go 1.22; the constraint above raises the language
+// version of this file alone to the one that added package iter.
+
 // Package sim implements a deterministic discrete-event simulation engine.
 //
 // The engine advances a virtual clock over a heap of pending events.
-// Simulated processes (Proc) are goroutines that cooperatively hand
-// control back to the engine whenever they block on a simulated
-// primitive (Sleep, Mutex, WaitQueue, Resource). Exactly one goroutine
-// — either the engine loop or a single resumed process — runs at any
-// instant, so simulations are fully deterministic: two runs with the
-// same seeds produce identical event orders and identical virtual
-// timestamps.
+// Simulated processes (Proc) are coroutines (iter.Pull) that the engine
+// loop resumes and that yield back to it whenever they block on a
+// simulated primitive (Sleep, Mutex, WaitQueue, Resource). Every switch
+// between two processes goes through the loop: the parking process
+// yields, and the loop pops the next event and resumes its process.
+// Exactly one of the loop and the processes runs at any instant, so
+// simulations are fully deterministic: two runs with the same seeds
+// produce identical event orders and identical virtual timestamps.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"time"
 )
 
@@ -28,12 +35,7 @@ type Engine struct {
 	// execution never runs past the engine loop's own stopping point.
 	deadline time.Duration
 
-	// parked receives a token whenever the currently running process
-	// blocks or terminates, returning control to the engine loop.
-	parked chan struct{}
-
-	running    *Proc // process currently executing, nil inside the loop
-	liveProcs  int   // processes started and not yet finished
+	liveProcs  int // processes started and not yet finished
 	nextProcID int
 
 	tracer  func(TraceEvent) // optional observer, see SetTracer
@@ -64,7 +66,6 @@ func (e *Engine) HasWaitObserver() bool { return e.waitObs != nil }
 // NewEngine returns an empty engine at virtual time zero.
 func NewEngine() *Engine {
 	return &Engine{
-		parked:   make(chan struct{}),
 		deadline: -1,
 		// Pre-size the heap so steady-state event churn never grows it.
 		events: make(eventHeap, 0, 256),
@@ -91,32 +92,29 @@ func (e *Engine) After(d time.Duration, fn func()) {
 // executing at the current virtual time, after the caller next yields
 // to the engine. Go may be called before Run, from engine callbacks, or
 // from inside another process.
+//
+// fn runs as a coroutine of the goroutine that calls Run or RunUntil. A
+// panic inside fn finishes the process (LiveProcs drops and a
+// TraceFinish event is emitted) and is re-raised by Run, where the
+// caller may recover it. A runtime.Goexit inside fn (e.g. a t.Fatal in
+// a simulated process) likewise finishes the process and then ends the
+// goroutine that called Run, instead of leaving the engine waiting for a
+// process that will never yield.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	e.nextProcID++
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		id:     e.nextProcID,
-		resume: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name, id: e.nextProcID}
 	e.liveProcs++
-	go func() {
-		// The deferred handoff also covers runtime.Goexit (e.g. a
-		// t.Fatal inside a simulated process): the engine regains
-		// control instead of deadlocking on a lost park token. The
-		// finish trace is emitted here rather than by the engine loop
-		// because a process may have been resumed by a direct handoff
-		// from a sibling process, not by the loop.
+	// No stop: a process still parked when the heap drains stays parked
+	// (see Run).
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			p.done = true
 			e.liveProcs--
 			e.trace(TraceEvent{At: e.now, Kind: TraceFinish, Proc: p.name, ProcID: p.id})
-			e.running = nil
-			e.parked <- struct{}{}
 		}()
-		<-p.resume
 		fn(p)
-	}()
+	})
 	e.push(event{at: e.now, p: p})
 	return p
 }
@@ -159,9 +157,7 @@ func (e *Engine) resumeProc(p *Proc) {
 		panic(fmt.Sprintf("sim: resuming finished proc %s", p.name))
 	}
 	p.pendingWake = false
-	e.running = p
-	p.resume <- struct{}{}
-	<-e.parked
+	p.next()
 }
 
 // ScheduleWake arranges for p to resume at the current virtual time.

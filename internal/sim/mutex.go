@@ -36,13 +36,8 @@ type Mutex struct {
 	name     string
 	owner    *Proc
 	lockedAt time.Duration
-	// waiters is a FIFO ring: live entries are waiters[whead:]. Unlock
-	// advances whead instead of shifting the slice, so a release is O(1)
-	// even under the multi-hundred-waiter i_mutex queues of Fig 1b; the
-	// dead prefix is compacted lazily.
-	waiters []*Proc
-	whead   int
-	stats   LockStats
+	waiters  Queue[*Proc]
+	stats    LockStats
 }
 
 // NewMutex creates a named simulated mutex on e.
@@ -74,7 +69,7 @@ func (m *Mutex) Lock(p *Proc) {
 	// held the lock when we queued, not whoever hands it to us — under
 	// FIFO handoff the final owner may be an innocent waiter ahead of us.
 	holder := m.owner
-	m.waiters = append(m.waiters, p)
+	m.waiters.Push(p)
 	p.park()
 	// Ownership was handed off in Unlock; record the wait we endured.
 	wait := m.eng.now - since
@@ -93,30 +88,11 @@ func (m *Mutex) Unlock(p *Proc) {
 		panic("sim: Mutex.Unlock by non-owner on " + m.name)
 	}
 	m.stats.TotalHold += m.eng.now - m.lockedAt
-	if m.whead == len(m.waiters) {
+	if m.waiters.Len() == 0 {
 		m.owner = nil
 		return
 	}
-	next := m.waiters[m.whead]
-	m.waiters[m.whead] = nil // release the reference
-	m.whead++
-	switch {
-	case m.whead == len(m.waiters):
-		// Queue drained: reuse the backing array from the start.
-		m.waiters = m.waiters[:0]
-		m.whead = 0
-	case m.whead >= 64 && m.whead*2 >= len(m.waiters):
-		// The dead prefix dominates a large backlog: compact once.
-		// Amortized O(1) per release since the prefix must regrow past
-		// the live tail before the next compaction.
-		n := copy(m.waiters, m.waiters[m.whead:])
-		clearTail := m.waiters[n:]
-		for i := range clearTail {
-			clearTail[i] = nil
-		}
-		m.waiters = m.waiters[:n]
-		m.whead = 0
-	}
+	next := m.waiters.Remove(0)
 	m.owner = next
 	m.lockedAt = m.eng.now
 	m.eng.scheduleWake(next, m.eng.now)
@@ -126,4 +102,4 @@ func (m *Mutex) Unlock(p *Proc) {
 func (m *Mutex) Locked() bool { return m.owner != nil }
 
 // Waiters returns the number of processes queued on the mutex.
-func (m *Mutex) Waiters() int { return len(m.waiters) - m.whead }
+func (m *Mutex) Waiters() int { return m.waiters.Len() }

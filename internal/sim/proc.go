@@ -1,19 +1,21 @@
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
-// Proc is a simulated process: a goroutine that runs only when resumed
-// by the engine and parks whenever it blocks on a simulated primitive.
-// All Proc methods must be called from the process's own goroutine.
+// Proc is a simulated process: a coroutine that runs only when the
+// engine loop resumes it and yields back to the loop whenever it blocks
+// on a simulated primitive. All Proc methods must be called from the
+// process itself.
 type Proc struct {
-	eng    *Engine
-	name   string
-	id     int
-	resume chan struct{}
-	done   bool
+	eng  *Engine
+	name string
+	id   int
+	// next resumes the process's coroutine until it yields or returns;
+	// only the engine loop calls it. yield, called only by the process,
+	// hands control back to the loop.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	done  bool
 	// pendingWake guards the one-pending-wake invariant of the engine.
 	pendingWake bool
 
@@ -49,21 +51,24 @@ func (p *Proc) Park() { p.park() }
 
 // park hands control back to the engine and blocks until resumed.
 //
-// Fast path: before paying the two channel handoffs of a goroutine
-// round trip, the parking process executes elidable pending events
-// inline — engine callbacks, and its own wake. These are exactly the
-// events the engine loop would process next, popped in identical heap
-// order with identical clock, trace, and seq effects, so the inline
-// path is indistinguishable from the parked one except in wall-clock
-// cost. An event that resumes a different process is never elidable
-// (it must run on that process's goroutine), and inline execution
-// respects the engine's RunUntil deadline.
+// Fast path: before yielding to the engine loop, the parking process
+// executes elidable pending events inline — engine callbacks, and its
+// own wake. These are exactly the events the loop would process next,
+// popped in identical heap order with identical clock, trace, and seq
+// effects, so the inline path is indistinguishable from the parked one
+// except in wall-clock cost. An event that resumes a different process
+// is never elidable: the process yields, and the loop pops that event
+// and resumes the other process, so every switch between processes
+// takes the one path through the loop. Inline execution also stops at
+// the engine's RunUntil deadline, and when the heap drains.
 func (p *Proc) park() wakeReason {
 	e := p.eng
-	handedOff := false
-	for !handedOff && len(e.events) > 0 {
+	for len(e.events) > 0 {
 		top := &e.events[0]
 		if e.deadline >= 0 && top.at > e.deadline {
+			break
+		}
+		if top.fn == nil && top.p != p {
 			break
 		}
 		ev := e.pop()
@@ -75,34 +80,17 @@ func (p *Proc) park() wakeReason {
 			ev.fn()
 			continue
 		}
-		if ev.p == p {
-			// Own wake reached: resume inline, never having parked.
-			p.pendingWake = false
-			e.trace(TraceEvent{At: e.now, Kind: TraceResume, Proc: p.name, ProcID: p.id})
-			r := p.wakeReason
-			p.wakeReason = wakeNormal
-			return r
-		}
-		// The next event resumes another process: switch to it
-		// directly — one goroutine handoff instead of two via the
-		// engine loop.
-		q := ev.p
-		if q.done {
-			panic(fmt.Sprintf("sim: resuming finished proc %s", q.name))
-		}
-		q.pendingWake = false
-		e.trace(TraceEvent{At: e.now, Kind: TraceResume, Proc: q.name, ProcID: q.id})
-		e.running = q
-		q.resume <- struct{}{}
-		handedOff = true
+		// Own wake reached: resume inline, never having parked.
+		p.pendingWake = false
+		e.trace(TraceEvent{At: e.now, Kind: TraceResume, Proc: p.name, ProcID: p.id})
+		return p.takeWakeReason()
 	}
-	if !handedOff {
-		// Heap drained (or deadline reached): return control to the
-		// engine loop.
-		e.running = nil
-		e.parked <- struct{}{}
-	}
-	<-p.resume
+	p.yield(struct{}{})
+	return p.takeWakeReason()
+}
+
+// takeWakeReason returns why the process was woken and resets it.
+func (p *Proc) takeWakeReason() wakeReason {
 	r := p.wakeReason
 	p.wakeReason = wakeNormal
 	return r

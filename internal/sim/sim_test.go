@@ -373,8 +373,8 @@ func BenchmarkEngineSleepWake(b *testing.B) {
 }
 
 // BenchmarkEngineYield measures the self-wake fast path: a Yield with
-// no competing work at the same timestamp must elide the park/resume
-// goroutine round trip entirely.
+// no competing work at the same timestamp must elide the yield to the
+// engine loop entirely.
 func BenchmarkEngineYield(b *testing.B) {
 	e := NewEngine()
 	e.Go("bench", func(p *Proc) {
@@ -382,6 +382,27 @@ func BenchmarkEngineYield(b *testing.B) {
 			p.Yield()
 		}
 	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkEngineProcSwitch measures a real switch between processes:
+// the procs sleep in staggered lockstep, so every wake resumes a proc
+// other than the one that just parked and none takes park's inline
+// fast path.
+func BenchmarkEngineProcSwitch(b *testing.B) {
+	e := NewEngine()
+	const procs = 2
+	per := b.N/procs + 1
+	for i := 0; i < procs; i++ {
+		e.Go("bench", func(p *Proc) {
+			p.Sleep(time.Duration(i) * time.Microsecond)
+			for j := 0; j < per; j++ {
+				p.Sleep(procs * time.Microsecond)
+			}
+		})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
@@ -441,25 +462,67 @@ func BenchmarkMutexContendedHandoff(b *testing.B) {
 	e.Run()
 }
 
-func TestGoexitInsideProcDoesNotDeadlockEngine(t *testing.T) {
-	// A test failure inside a simulated process calls runtime.Goexit;
-	// the engine must regain control instead of waiting forever.
+func TestPanicInsideProcIsRecoverableFromRun(t *testing.T) {
+	// A panic inside a simulated process surfaces from Run on the
+	// caller's goroutine, after the process has been accounted finished.
 	e := NewEngine()
-	survived := false
+	var finished []string
+	e.SetTracer(func(ev TraceEvent) {
+		if ev.Kind == TraceFinish {
+			finished = append(finished, ev.Proc)
+		}
+	})
+	e.Go("dying", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		panic("boom")
+	})
+	e.Go("other", func(p *Proc) {
+		p.Sleep(5 * time.Millisecond)
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run()
+	}()
+	if got != "boom" {
+		t.Fatalf("recovered %v from Run, want the proc's panic", got)
+	}
+	if len(finished) != 1 || finished[0] != "dying" {
+		t.Fatalf("finish events = %v, want [dying]", finished)
+	}
+	if e.LiveProcs() != 1 {
+		t.Fatalf("LiveProcs = %d, want 1 (other still parked)", e.LiveProcs())
+	}
+}
+
+func TestGoexitInsideProcEndsRunCaller(t *testing.T) {
+	// A test failure inside a simulated process calls runtime.Goexit.
+	// It must end the goroutine that called Run, not hang the engine.
+	e := NewEngine()
 	e.Go("dying", func(p *Proc) {
 		p.Sleep(time.Millisecond)
 		runtime.Goexit()
 	})
 	e.Go("other", func(p *Proc) {
 		p.Sleep(5 * time.Millisecond)
-		survived = true
 	})
-	e.Run()
-	if !survived {
-		t.Fatal("engine stalled after a Goexit in another proc")
+	ended := make(chan bool)
+	go func() {
+		returned := false
+		defer func() { ended <- returned }()
+		e.Run()
+		returned = true
+	}()
+	select {
+	case returned := <-ended:
+		if returned {
+			t.Fatal("Run returned normally after a Goexit in a proc")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("engine hung after a Goexit in a proc")
 	}
-	if e.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs = %d", e.LiveProcs())
+	if e.LiveProcs() != 1 {
+		t.Fatalf("LiveProcs = %d, want 1 (other still parked)", e.LiveProcs())
 	}
 }
 
@@ -666,5 +729,57 @@ func TestMutexManyWaitersFIFOOrder(t *testing.T) {
 	}
 	if m.Waiters() != 0 || m.Locked() {
 		t.Fatalf("mutex not drained: locked=%v waiters=%d", m.Locked(), m.Waiters())
+	}
+}
+
+// TestQueueMatchesSliceRemoval drives a Queue through random pushes and
+// removals, mostly at the head so the dead prefix crosses the lazy
+// compaction threshold, and requires the same contents as a plain slice
+// after every step, with no reference kept in a dead slot.
+func TestQueueMatchesSliceRemoval(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var q Queue[*int]
+	var ref []*int
+	compactions := 0
+	for step := 0; step < 20000; step++ {
+		if len(ref) < 300 && rng.Intn(2) == 0 {
+			v := new(int)
+			*v = step
+			q.Push(v)
+			ref = append(ref, v)
+			continue
+		}
+		if len(ref) == 0 {
+			continue
+		}
+		i := 0
+		if rng.Intn(4) == 0 {
+			i = rng.Intn(len(ref))
+		}
+		head := q.head
+		if got := q.Remove(i); got != ref[i] {
+			t.Fatalf("step %d: Remove(%d) = %d, want %d", step, i, *got, *ref[i])
+		}
+		ref = append(ref[:i], ref[i+1:]...)
+		if q.head < head && q.Len() > 0 {
+			compactions++
+		}
+		if q.Len() != len(ref) {
+			t.Fatalf("step %d: queue holds %d, slice %d", step, q.Len(), len(ref))
+		}
+		for j := range ref {
+			if q.At(j) != ref[j] {
+				t.Fatalf("step %d: queue order differs from slice at %d", step, j)
+			}
+		}
+		dead := append(q.buf[:q.head:q.head], q.buf[len(q.buf):cap(q.buf)]...)
+		for j, v := range dead {
+			if v != nil {
+				t.Fatalf("step %d: dead slot %d still holds a reference", step, j)
+			}
+		}
+	}
+	if compactions == 0 {
+		t.Fatal("the dead prefix was never compacted")
 	}
 }
