@@ -42,8 +42,19 @@ func BenchmarkExecSubQuantum(b *testing.B) {
 }
 
 // BenchmarkExecContended time-shares one core between four threads, so
-// every quantum boundary goes through the FIFO waiter queue.
+// every quantum boundary goes through the FIFO runqueue.
 func BenchmarkExecContended(b *testing.B) {
+	benchContended(b, 2*time.Millisecond)
+}
+
+// BenchmarkExecContendedSubQuantum time-shares one core between four
+// threads issuing 1µs Execs, so every Exec queues for the core: the
+// pattern of 16 service threads on a pool's 2 cores in Seqread.
+func BenchmarkExecContendedSubQuantum(b *testing.B) {
+	benchContended(b, time.Microsecond)
+}
+
+func benchContended(b *testing.B, d time.Duration) {
 	eng := sim.NewEngine()
 	c := New(eng, model.Default(), 1)
 	acct := NewAccount("bench")
@@ -53,7 +64,7 @@ func BenchmarkExecContended(b *testing.B) {
 		th := c.NewThread(acct, MaskOf(0))
 		eng.Go("bench", func(p *sim.Proc) {
 			for j := 0; j < per; j++ {
-				th.Exec(p, User, 2*time.Millisecond)
+				th.Exec(p, User, d)
 			}
 		})
 	}

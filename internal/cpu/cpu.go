@@ -24,15 +24,15 @@ type CPU struct {
 	eng     *sim.Engine
 	params  *model.Params
 	cores   []coreState
-	waiters sim.Queue[*waiter] // FIFO runqueue
+	runq    sim.Queue[*execRun] // FIFO runqueue
 	all     Mask
 	groupSz int
 	scanRR  int // rotating scan start spreads load across idle cores
 
-	// runPool recycles execRun states (and their step closures) across
-	// coalesced Exec calls, keeping the scheduler hot path free of
-	// per-call allocations. Safe without locking: exactly one goroutine
-	// runs at any instant in the simulation.
+	// runPool recycles execRun states (and their callbacks) across Exec
+	// calls, keeping the scheduler hot path free of per-call
+	// allocations. Safe without locking: exactly one goroutine runs at
+	// any instant in the simulation.
 	runPool []*execRun
 
 	rec *obs.Recorder
@@ -68,12 +68,6 @@ type coreState struct {
 	busy     bool
 	busyTime time.Duration
 	occupant *Account // account running on the core while busy
-}
-
-type waiter struct {
-	p        *sim.Proc
-	th       *Thread
-	assigned int
 }
 
 // New creates a processor with n cores grouped in pairs sharing cache
@@ -152,23 +146,40 @@ func (t *Thread) Account() *Account { return t.acct }
 // affinity mask, waiting FIFO for a core when all are busy and yielding
 // the core every scheduler quantum.
 //
-// Multi-quantum runs are coalesced: the process parks once and the
-// per-quantum bookkeeping (charging, release, re-acquire) runs as
-// engine-loop callbacks, so an uncontended 10ms Exec costs one
-// park/resume round trip instead of one per quantum. The callbacks
-// mirror the slice-per-quantum loop event for event — see the execRun
-// invariants — so virtual-time results are bit-identical.
+// The process parks at most once: only the wake that ends the last
+// slice resumes it. Waiting for a core, every quantum boundary (charge,
+// release, re-acquire) and every core grant run as engine callbacks of a
+// pooled execRun, so a contended or multi-quantum Exec costs one
+// park/resume round trip. The callbacks mirror the historical
+// per-quantum loop event for event — see the execRun invariants — so
+// virtual-time results are bit-identical.
 func (t *Thread) Exec(p *sim.Proc, k TimeKind, d time.Duration) {
 	if d <= 0 {
 		return
 	}
 	c := t.cpu
-	core := c.acquire(p, t)
-	if d > c.params.Quantum {
-		c.runCoalesced(p, t, k, core, d)
+	core, ok := c.tryAcquire(t)
+	if ok && d <= c.params.Quantum {
+		p.Sleep(d)
+		c.endSlice(p, t, k, core, d)
 		return
 	}
-	p.Sleep(d)
+	r := c.getRun()
+	r.p, r.t, r.kind, r.d = p, t, k, d
+	if ok {
+		r.core = core
+		r.startSlice()
+	} else {
+		c.enqueue(r)
+	}
+	p.Park()
+	c.endSlice(p, t, k, r.core, r.slice)
+	c.putRun(r)
+}
+
+// endSlice charges the slice of length d that t ran on core, ending now,
+// and releases the core.
+func (c *CPU) endSlice(p *sim.Proc, t *Thread, k TimeKind, core int, d time.Duration) {
 	c.cores[core].busyTime += d
 	t.acct.addTime(k, d)
 	t.lastCore = core
@@ -177,16 +188,21 @@ func (t *Thread) Exec(p *sim.Proc, k TimeKind, d time.Duration) {
 	c.release(core)
 }
 
-// execRun drives one coalesced multi-quantum Exec. The owning process
-// parks once; per-quantum bookkeeping fires as engine callbacks via
-// step. The chain is constructed to be event-for-event identical to the
-// historical acquire/Sleep(quantum)/release loop: at every point where
-// that loop pushed exactly one engine event (the next Sleep wake, or a
-// waiter handoff inside release), the chain pushes exactly one event of
-// the same timestamp at the same position in engine seq order. Because
-// the event heap breaks timestamp ties by seq, this preserves the
-// simulation's event interleaving — and therefore its virtual-time
-// results — bit for bit.
+// execRun drives one Exec that waits for a core or spans several
+// quanta. The owning process parks once; everything before the last
+// slice's wake fires as engine callbacks: grant when a release hands the
+// run a core, step at each quantum boundary. The chain is constructed to
+// be event-for-event identical to the historical per-Exec loop (acquire,
+// parking until a release wakes the waiter; then Sleep(min(quantum,
+// rest)) and release, once per quantum): at every point where that loop
+// pushed exactly one engine event — a Sleep wake, or the waiter's wake
+// inside release — the chain pushes exactly one event of the same
+// timestamp at the same position in engine seq order. Because the event
+// heap breaks timestamp ties by seq, and wait reports are passive, this
+// preserves the simulation's event interleaving — and therefore its
+// virtual-time results — bit for bit. Only the kind of one event
+// changed: the waiter's resume is now the grant callback.
+// TestExecMatchesHistoricalLoop checks this against that loop.
 type execRun struct {
 	c     *CPU
 	p     *sim.Proc
@@ -195,93 +211,50 @@ type execRun struct {
 	core  int
 	d     time.Duration // remaining work, including the in-flight slice
 	slice time.Duration // length of the in-flight slice
-	final bool          // in-flight slice is the last: its wake resumes p
-	lost  bool          // core lost at a boundary: p queued in c.waiters
-	w     waiter        // reusable waiter record for the lost case
-	step  func()        // reusable boundary callback (captures this run)
+	step  func()        // reusable quantum-boundary callback (fire)
+	grant func()        // reusable core-grant callback (granted)
 
-	// Wait-observer bookkeeping for the lost-core path: when it began
+	// Wait-observer bookkeeping for a queued run: when the wait began
 	// and which account is to blame, captured at enqueue time.
-	lostAt time.Duration
-	aggr   string
+	since time.Duration
+	aggr  string
 }
 
-// runCoalesced executes the remaining d (> one quantum) of work for t
-// on the already-acquired core, parking p until the work is consumed.
-func (c *CPU) runCoalesced(p *sim.Proc, t *Thread, k TimeKind, core int, d time.Duration) {
-	r := c.getRun()
-	r.p, r.t, r.kind, r.core, r.d = p, t, k, core, d
-	r.final, r.lost = false, false
-	r.slice = c.params.Quantum
-	c.eng.After(r.slice, r.step) // same push the old loop's first Sleep made
-	for {
-		p.Park()
-		if r.lost {
-			// A boundary callback lost the core; a release just handed
-			// us a new one. Mirror the old loop's post-acquire path.
-			r.lost = false
-			r.core = r.w.assigned
-			p.ReportWait("runq", "cpu", r.aggr, 0, c.eng.Now()-r.lostAt)
-			if r.d > c.params.Quantum {
-				r.slice = c.params.Quantum
-				c.eng.After(r.slice, r.step)
-				continue
-			}
-			r.final = true
-			r.slice = r.d
-			c.eng.ScheduleWakeAfter(p, r.slice)
-			continue
-		}
-		// Final wake: charge the last slice and release, exactly as the
-		// old loop's last iteration did after its Sleep returned.
-		c.cores[r.core].busyTime += r.slice
-		t.acct.addTime(k, r.slice)
-		t.lastCore = r.core
-		c.recordSlice(r.core, r.slice, t.acct, k)
-		p.ReportWait("run", "cpu", "", 0, r.slice)
-		c.release(r.core)
-		break
-	}
-	c.putRun(r)
-}
-
-// fire is the per-quantum boundary callback of a coalesced run: charge
-// the completed slice, then replay release + re-acquire. It performs
-// the same state mutations and event pushes, in the same order, as one
-// iteration of the historical Exec loop.
-func (r *execRun) fire() {
+// startSlice runs the next slice on r.core: a full quantum ending in the
+// boundary callback, or the last slice, whose wake resumes the parked
+// process with the same proc-resume event the historical loop's final Sleep
+// pushed.
+func (r *execRun) startSlice() {
 	c := r.c
-	c.cores[r.core].busyTime += r.slice
-	r.t.acct.addTime(r.kind, r.slice)
-	r.t.lastCore = r.core
-	c.recordSlice(r.core, r.slice, r.t.acct, r.kind)
-	r.p.ReportWait("run", "cpu", "", 0, r.slice)
-	r.d -= r.slice
-	c.release(r.core)
-	core, ok := c.tryAcquire(r.t)
-	if !ok {
-		// Preempted: queue FIFO exactly where the old loop's acquire
-		// would have parked. A later release wakes p with the core.
-		r.lost = true
-		r.lostAt = c.eng.Now()
-		if c.eng.HasWaitObserver() {
-			r.aggr = c.runqAggressor(r.t)
-		}
-		r.w = waiter{p: r.p, th: r.t, assigned: -1}
-		c.waiters.Push(&r.w)
-		return
-	}
-	r.core = core
 	if r.d > c.params.Quantum {
 		r.slice = c.params.Quantum
 		c.eng.After(r.slice, r.step)
 		return
 	}
-	// Last slice: hand its wake to the parked process so the run ends
-	// with the same proc-resume event the old loop's final Sleep pushed.
-	r.final = true
 	r.slice = r.d
 	c.eng.ScheduleWakeAfter(r.p, r.slice)
+}
+
+// fire is the quantum-boundary callback: charge the completed slice,
+// release the core, then re-acquire one at once or queue for it, exactly
+// as one iteration of the historical loop did.
+func (r *execRun) fire() {
+	c := r.c
+	c.endSlice(r.p, r.t, r.kind, r.core, r.slice)
+	r.d -= r.slice
+	if core, ok := c.tryAcquire(r.t); ok {
+		r.core = core
+		r.startSlice()
+		return
+	}
+	c.enqueue(r)
+}
+
+// granted is the callback a release schedules after handing r.core to
+// the queued run: it ends the runqueue wait and starts the next slice.
+func (r *execRun) granted() {
+	r.p.ReportWait("runq", "cpu", r.aggr, 0, r.c.eng.Now()-r.since)
+	r.startSlice()
 }
 
 func (c *CPU) getRun() *execRun {
@@ -291,13 +264,12 @@ func (c *CPU) getRun() *execRun {
 		return r
 	}
 	r := &execRun{c: c}
-	r.step = r.fire
+	r.step, r.grant = r.fire, r.granted
 	return r
 }
 
 func (c *CPU) putRun(r *execRun) {
 	r.p, r.t = nil, nil
-	r.w = waiter{}
 	c.runPool = append(c.runPool, r)
 }
 
@@ -319,23 +291,16 @@ func (t *Thread) ContextSwitch(p *sim.Proc) {
 	t.Exec(p, Kernel, t.cpu.params.ContextSwitchCost)
 }
 
-// acquire obtains an idle core in the thread's mask, parking FIFO when
-// none is available. Released cores are handed directly to the oldest
-// compatible waiter, so admission order is preserved.
-func (c *CPU) acquire(p *sim.Proc, t *Thread) int {
-	if core, ok := c.tryAcquire(t); ok {
-		return core
-	}
-	since := c.eng.Now()
-	aggr := ""
+// enqueue queues r FIFO for a core in its thread's mask, for a run that
+// found none idle. Released cores are handed directly to the oldest
+// compatible run, so admission order is preserved.
+func (c *CPU) enqueue(r *execRun) {
+	r.since = c.eng.Now()
+	r.aggr = ""
 	if c.eng.HasWaitObserver() {
-		aggr = c.runqAggressor(t)
+		r.aggr = c.runqAggressor(r.t)
 	}
-	w := &waiter{p: p, th: t, assigned: -1}
-	c.waiters.Push(w)
-	p.Park()
-	p.ReportWait("runq", "cpu", aggr, 0, c.eng.Now()-since)
-	return w.assigned
+	c.runq.Push(r)
 }
 
 // runqAggressor names the account to blame for a core-acquisition wait
@@ -398,18 +363,19 @@ func (c *CPU) tryAcquire(t *Thread) (int, bool) {
 	return -1, false
 }
 
-// release frees core, or hands it directly to the oldest waiter whose
-// mask allows it.
+// release frees core, or hands it directly to the oldest queued run
+// whose mask allows it. The grant is a callback at the current time,
+// pushed where the historical loop pushed the waiter's wake.
 func (c *CPU) release(core int) {
-	for i := 0; i < c.waiters.Len(); i++ {
-		w := c.waiters.At(i)
-		if !w.th.mask.Has(core) {
+	for i := 0; i < c.runq.Len(); i++ {
+		r := c.runq.At(i)
+		if !r.t.mask.Has(core) {
 			continue
 		}
-		c.waiters.Remove(i)
-		w.assigned = core // core stays busy: direct handoff
-		c.cores[core].occupant = w.th.acct
-		c.eng.ScheduleWake(w.p)
+		c.runq.Remove(i)
+		r.core = core // core stays busy: direct handoff
+		c.cores[core].occupant = r.t.acct
+		c.eng.After(0, r.grant)
 		return
 	}
 	c.cores[core].busy = false

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -335,45 +336,296 @@ func TestWorkConservation(t *testing.T) {
 // TestRunqueueRingMatchesSliceRemoval drives the runqueue through random
 // enqueues and releases of random cores, across the ring's lazy
 // compaction threshold, and requires every release to hand the core to
-// the same waiter, and leave the same queue, as removal from a plain
+// the same run, and leave the same queue, as removal from a plain
 // slice.
 func TestRunqueueRingMatchesSliceRemoval(t *testing.T) {
-	e, c := newTestCPU(t, 4)
+	_, c := newTestCPU(t, 4)
 	acct := NewAccount("a")
 	rng := rand.New(rand.NewSource(1))
-	var ref []*waiter
+	var ref []*execRun
 	for step := 0; step < 20000; step++ {
 		if len(ref) < 300 && rng.Intn(2) == 0 {
 			mask := MaskOf(rng.Intn(4))
 			if rng.Intn(4) == 0 {
 				mask = 0 // anywhere
 			}
-			// Never started: release only schedules its wake.
-			p := e.Go("w", func(*sim.Proc) {})
-			w := &waiter{p: p, th: c.NewThread(acct, mask), assigned: -1}
-			c.waiters.Push(w)
-			ref = append(ref, w)
+			// The engine never runs: release only schedules the grant.
+			r := c.getRun()
+			r.t, r.core = c.NewThread(acct, mask), -1
+			c.enqueue(r)
+			ref = append(ref, r)
 			continue
 		}
 		core := rng.Intn(4)
 		c.cores[core].busy = true
 		c.release(core)
-		for i, w := range ref {
-			if w.th.mask.Has(core) {
-				if w.assigned != core {
-					t.Fatalf("step %d: core %d not handed to the oldest eligible waiter", step, core)
+		for i, r := range ref {
+			if r.t.mask.Has(core) {
+				if r.core != core {
+					t.Fatalf("step %d: core %d not handed to the oldest eligible run", step, core)
 				}
 				ref = append(ref[:i], ref[i+1:]...)
 				break
 			}
 		}
-		if c.waiters.Len() != len(ref) {
-			t.Fatalf("step %d: ring holds %d waiters, slice %d", step, c.waiters.Len(), len(ref))
+		if c.runq.Len() != len(ref) {
+			t.Fatalf("step %d: ring holds %d runs, slice %d", step, c.runq.Len(), len(ref))
 		}
 		for i := range ref {
-			if c.waiters.At(i) != ref[i] {
+			if c.runq.At(i) != ref[i] {
 				t.Fatalf("step %d: ring order differs from slice at %d", step, i)
 			}
 		}
+	}
+}
+
+// historicalCPU is the oracle for TestExecMatchesHistoricalLoop: the
+// per-Exec loop that Exec's run chain replaced. Each quantum it acquires
+// a core, parking on a plain waiter until a release wakes it when none
+// is idle, then sleeps min(quantum, rest), charges the slice and
+// releases. It shares the real CPU's core state, tryAcquire and
+// runqAggressor, which both schedulers use unchanged.
+type historicalCPU struct {
+	*CPU
+	waiters sim.Queue[*histWaiter]
+}
+
+type histWaiter struct {
+	p        *sim.Proc
+	th       *Thread
+	assigned int
+}
+
+func (h *historicalCPU) exec(p *sim.Proc, t *Thread, k TimeKind, d time.Duration) {
+	for d > 0 {
+		core := h.acquire(p, t)
+		s := min(d, h.params.Quantum)
+		p.Sleep(s)
+		h.cores[core].busyTime += s
+		t.acct.addTime(k, s)
+		t.lastCore = core
+		p.ReportWait("run", "cpu", "", 0, s)
+		h.release(core)
+		d -= s
+	}
+}
+
+func (h *historicalCPU) acquire(p *sim.Proc, t *Thread) int {
+	if core, ok := h.tryAcquire(t); ok {
+		return core
+	}
+	since := h.eng.Now()
+	aggr := ""
+	if h.eng.HasWaitObserver() {
+		aggr = h.runqAggressor(t)
+	}
+	w := &histWaiter{p: p, th: t, assigned: -1}
+	h.waiters.Push(w)
+	p.Park()
+	p.ReportWait("runq", "cpu", aggr, 0, h.eng.Now()-since)
+	return w.assigned
+}
+
+func (h *historicalCPU) release(core int) {
+	for i := 0; i < h.waiters.Len(); i++ {
+		w := h.waiters.At(i)
+		if !w.th.mask.Has(core) {
+			continue
+		}
+		h.waiters.Remove(i)
+		w.assigned = core
+		h.cores[core].occupant = w.th.acct
+		h.eng.ScheduleWakeAfter(w.p, 0)
+		return
+	}
+	h.cores[core].busy = false
+	h.cores[core].occupant = nil
+}
+
+// execScenario is a random schedule of Exec calls: one proc per thread,
+// each sleeping gaps[i] then executing durs[i] of kinds[i].
+type execScenario struct {
+	cores, accounts int
+	threads         []execThreadSpec
+}
+
+type execThreadSpec struct {
+	acct  int
+	mask  Mask
+	gaps  []time.Duration
+	durs  []time.Duration
+	kinds []TimeKind
+}
+
+type waitReport struct {
+	kind, holder string
+	proc         int
+	start, dur   time.Duration
+}
+
+// execOutcome is everything TestExecMatchesHistoricalLoop requires the
+// two schedulers to agree on.
+type execOutcome struct {
+	ends   [][]time.Duration // per proc, the return time of each Exec
+	busy   []time.Duration   // per core
+	cpu    []time.Duration   // per account
+	waits  []waitReport
+	events int
+}
+
+func randomExecScenario(rng *rand.Rand) execScenario {
+	q := model.Default().Quantum
+	sc := execScenario{cores: 1 + rng.Intn(4), accounts: 1 + rng.Intn(3)}
+	for i, n := 0, 1+rng.Intn(8); i < n; i++ {
+		var mask Mask // zero: anywhere
+		if rng.Intn(3) > 0 {
+			for mask == 0 {
+				mask = Mask(rng.Intn(1 << sc.cores))
+			}
+		}
+		th := execThreadSpec{acct: rng.Intn(sc.accounts), mask: mask}
+		for j, m := 0, 1+rng.Intn(6); j < m; j++ {
+			var gap, d time.Duration
+			if rng.Intn(2) == 0 {
+				gap = time.Duration(rng.Intn(3000)) * time.Microsecond
+			}
+			switch rng.Intn(4) {
+			case 0: // IPC/syscall-sized
+				d = time.Duration(1+rng.Intn(20)) * time.Microsecond
+			case 1: // sub-quantum up to exactly one quantum
+				d = time.Duration(1 + rng.Int63n(int64(q)))
+			default: // multi-quantum, half of them a whole number of quanta
+				d = time.Duration(1+rng.Intn(5))*q + time.Duration(rng.Int63n(int64(q)))*time.Duration(rng.Intn(2))
+			}
+			th.gaps = append(th.gaps, gap)
+			th.durs = append(th.durs, d)
+			th.kinds = append(th.kinds, TimeKind(rng.Intn(2)))
+		}
+		sc.threads = append(sc.threads, th)
+	}
+	return sc
+}
+
+// runExecScenario runs sc on a fresh engine through the real Exec, or
+// through the historical loop when historical is set.
+func runExecScenario(sc execScenario, historical bool) execOutcome {
+	e := sim.NewEngine()
+	c := New(e, model.Default(), sc.cores)
+	h := &historicalCPU{CPU: c}
+	var out execOutcome
+	e.SetTracer(func(ev sim.TraceEvent) {
+		if ev.Kind != sim.TraceFinish {
+			out.events++
+		}
+	})
+	e.SetWaitObserver(func(p *sim.Proc, kind, _, holder string, _ int, start, dur time.Duration) {
+		out.waits = append(out.waits, waitReport{kind, holder, p.ID(), start, dur})
+	})
+	accts := make([]*Account, sc.accounts)
+	for i := range accts {
+		accts[i] = NewAccount(string(rune('a' + i)))
+	}
+	out.ends = make([][]time.Duration, len(sc.threads))
+	for i, spec := range sc.threads {
+		th := c.NewThread(accts[spec.acct], spec.mask)
+		e.Go("w", func(p *sim.Proc) {
+			for j, d := range spec.durs {
+				p.Sleep(spec.gaps[j])
+				if historical {
+					h.exec(p, th, spec.kinds[j], d)
+				} else {
+					th.Exec(p, spec.kinds[j], d)
+				}
+				out.ends[i] = append(out.ends[i], p.Now())
+			}
+		})
+	}
+	e.Run()
+	out.busy = c.UtilSnapshot()
+	for _, a := range accts {
+		out.cpu = append(out.cpu, a.CPUTime())
+	}
+	return out
+}
+
+// TestExecMatchesHistoricalLoop is a differential test of Exec against
+// the per-quantum acquire/Sleep/release loop it replaced: over random
+// core counts, masks, thread counts and durations from a few
+// microseconds to several quanta, both must return every Exec at the
+// same time, charge every core and account the same, report the same
+// waits in the same order, and process the same number of events.
+func TestExecMatchesHistoricalLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 400; n++ {
+		sc := randomExecScenario(rng)
+		got, want := runExecScenario(sc, false), runExecScenario(sc, true)
+		for i := range want.ends {
+			if !slices.Equal(got.ends[i], want.ends[i]) {
+				t.Fatalf("scenario %d proc %d: Exec returns %v, historical loop %v", n, i+1, got.ends[i], want.ends[i])
+			}
+		}
+		if !slices.Equal(got.busy, want.busy) {
+			t.Fatalf("scenario %d: core busy %v, historical loop %v", n, got.busy, want.busy)
+		}
+		if !slices.Equal(got.cpu, want.cpu) {
+			t.Fatalf("scenario %d: account CPU %v, historical loop %v", n, got.cpu, want.cpu)
+		}
+		if !slices.Equal(got.waits, want.waits) {
+			t.Fatalf("scenario %d: wait reports differ:\n got %v\nwant %v", n, got.waits, want.waits)
+		}
+		if got.events != want.events {
+			t.Fatalf("scenario %d: %d engine events, historical loop %d", n, got.events, want.events)
+		}
+	}
+}
+
+// TestContendedExecParksOnce pins what the run chain buys: a
+// multi-quantum Exec that loses its core at every quantum boundary
+// resumes its process exactly once, and a contended sub-quantum Exec
+// allocates nothing once the run pool is warm.
+func TestContendedExecParksOnce(t *testing.T) {
+	e, c := newTestCPU(t, 1)
+	acct := NewAccount("a")
+	resumes := map[int]int{}
+	e.SetTracer(func(ev sim.TraceEvent) {
+		if ev.Kind == sim.TraceResume {
+			resumes[ev.ProcID]++
+		}
+	})
+	q := model.Default().Quantum
+	ends := make([]time.Duration, 2)
+	for i := range ends {
+		th := c.NewThread(acct, MaskOf(0))
+		e.Go("w", func(p *sim.Proc) {
+			before := resumes[p.ID()]
+			th.Exec(p, User, 5*q)
+			ends[i] = p.Now()
+			if n := resumes[p.ID()] - before; n != 1 {
+				t.Errorf("proc %d resumed %d times during one Exec, want 1", p.ID(), n)
+			}
+		})
+	}
+	e.Run()
+	// Alternating quanta: the first thread's last slice is the 9th.
+	if ends[0] != 9*q || ends[1] != 10*q {
+		t.Fatalf("Execs ended at %v, want [%v %v] (core lost at each boundary)", ends, 9*q, 10*q)
+	}
+
+	e, c = newTestCPU(t, 1)
+	stop := false
+	for i := 0; i < 4; i++ {
+		th := c.NewThread(acct, MaskOf(0))
+		e.Go("w", func(p *sim.Proc) {
+			for !stop {
+				th.Exec(p, User, time.Microsecond)
+			}
+		})
+	}
+	e.RunUntil(time.Millisecond) // warm the run pool, runqueue ring and event heap
+	allocs := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 100*time.Microsecond) })
+	stop = true
+	e.Run()
+	if allocs != 0 {
+		t.Fatalf("contended sub-quantum Exec: %v allocs per 100 Execs, want 0", allocs)
 	}
 }

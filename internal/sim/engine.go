@@ -160,17 +160,12 @@ func (e *Engine) resumeProc(p *Proc) {
 	p.next()
 }
 
-// ScheduleWake arranges for p to resume at the current virtual time.
-// It is the wake half of the Park/ScheduleWake pair used by packages
-// that build their own blocking primitives on top of the engine.
-func (e *Engine) ScheduleWake(p *Proc) {
-	e.scheduleWake(p, e.now)
-}
-
-// ScheduleWakeAfter arranges for p to resume at now+d. It lets engine
-// callbacks hand a timed wake to a parked process (the CPU scheduler's
-// coalesced quantum chain ends this way) without the process burning a
-// park/resume round trip on an intermediate Sleep.
+// ScheduleWakeAfter arranges for p to resume at now+d. It is the wake
+// half of the Park/ScheduleWakeAfter pair used by packages that build
+// their own blocking primitives on top of the engine, and it lets engine
+// callbacks hand a timed wake to a parked process (every CPU Exec ends
+// this way) without the process burning a park/resume round trip on an
+// intermediate Sleep.
 func (e *Engine) ScheduleWakeAfter(p *Proc, d time.Duration) {
 	if d < 0 {
 		d = 0

@@ -43,10 +43,11 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.eng.now }
 
-// Park hands control back to the engine and blocks until another
-// component calls Engine.ScheduleWake(p). It is the block half of the
-// Park/ScheduleWake pair for building custom primitives; the caller is
-// responsible for ensuring someone will wake the process.
+// Park hands control back to the engine and blocks until the wake that
+// another component arranged with Engine.ScheduleWakeAfter(p, d) fires.
+// It is the block half of the Park/ScheduleWakeAfter pair for building
+// custom primitives; the caller is responsible for ensuring someone
+// will wake the process.
 func (p *Proc) Park() { p.park() }
 
 // park hands control back to the engine and blocks until resumed.

@@ -50,7 +50,9 @@ func (r *Resource) Release(n int64) {
 	if r.inUse < 0 {
 		panic("sim: Resource.Release underflow on " + r.name)
 	}
-	if r.inUse == 0 && len(r.waiters) == 0 {
+	if r.inUse == 0 {
+		// The busy period ends here even if a waiter claims the
+		// resource at once: claim then opens a new one.
 		r.busyTime += r.eng.now - r.busySince
 	}
 	for len(r.waiters) > 0 {

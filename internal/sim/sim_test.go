@@ -319,6 +319,25 @@ func TestResourceCapacityAndFIFO(t *testing.T) {
 	}
 }
 
+// TestResourceBusyTimeAcrossHandoff: a release that empties the resource
+// while a waiter is queued ends one busy period, and the waiter's claim
+// starts the next; both count.
+func TestResourceBusyTimeAcrossHandoff(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "disk", 1)
+	for i := 0; i < 2; i++ {
+		e.Go("u", func(p *Proc) {
+			r.Acquire(p, 1)
+			p.Sleep(time.Millisecond)
+			r.Release(1)
+		})
+	}
+	e.Run()
+	if r.BusyTime() != 2*time.Millisecond {
+		t.Fatalf("BusyTime = %v, want 2ms for two back-to-back 1ms holds", r.BusyTime())
+	}
+}
+
 func TestResourceLargeRequestNotStarved(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "link", 4)
@@ -540,7 +559,7 @@ func TestDoubleWakePanics(t *testing.T) {
 			}
 		}()
 		p.Sleep(time.Millisecond)
-		e.ScheduleWake(target) // second pending wake: must be rejected
+		e.ScheduleWakeAfter(target, 0) // second pending wake: must be rejected
 	})
 	e.RunUntil(time.Second)
 	if !panicked {
