@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"sort"
 	"time"
+	"unsafe"
 )
 
 // Layer names one level of the client I/O stack crossed by a span.
@@ -98,16 +99,17 @@ type Config struct {
 type Recorder struct {
 	cfg      Config
 	nextSpan uint64
-	slices   []SliceEvent
-	cores    []CoreEvent
-	waits    []WaitEvent
+	slices   eventLog[SliceEvent]
+	cores    eventLog[CoreEvent]
+	waits    eventLog[WaitEvent]
 	dropped  uint64
 
 	// procSpan binds each simulated process to the span it is currently
-	// serving, so passively observed waits (engine wait observer) can be
-	// attributed to a request. Exactly one goroutine runs at any instant
-	// in the simulation, so plain map access is safe.
-	procSpan map[int32]*Span
+	// serving, indexed by process id (engine ids are small and dense), so
+	// passively observed waits (engine wait observer) can be attributed
+	// to a request. Exactly one goroutine runs at any instant in the
+	// simulation, so plain access is safe.
+	procSpan []*Span
 	// unattributed counts waits observed on processes with no bound
 	// span (warmup traffic, background threads outside their lazy
 	// writeback spans).
@@ -122,6 +124,8 @@ type Recorder struct {
 	// recording overhead flat as they grow.
 	syms   []string
 	symIdx map[string]Sym
+	// symCache answers repeated names in front of symIdx (see intern).
+	symCache [symCacheLen]symSlot
 
 	reg        *Registry
 	finalizers []func(*Registry)
@@ -262,19 +266,63 @@ func New(cfg Config) *Recorder {
 	}
 	return &Recorder{
 		cfg: cfg, reg: NewRegistry(), symIdx: map[string]Sym{},
-		procSpan: map[int32]*Span{}, open: map[uint64]*Span{},
+		open: map[uint64]*Span{},
 	}
 }
 
+// Recorder.symCache has symCacheLen slots. The per-event names of a
+// testbed run number under a hundred.
+const (
+	symCacheBits = 8
+	symCacheLen  = 1 << symCacheBits
+)
+
+// symSlot is one entry of the intern cache. ok tells a filled slot
+// from an empty one, whose zero s would otherwise answer for "".
+type symSlot struct {
+	s  string
+	id Sym
+	ok bool
+}
+
+// symSlotOf picks s's cache slot from the address of its bytes. The
+// names on the per-event path (wait kinds, resources, holders,
+// accounts, layers) are constants or fields set once, so each arrives
+// at the same address every time.
+func symSlotOf(s string) int {
+	p := uint64(uintptr(unsafe.Pointer(unsafe.StringData(s))))
+	return int((p * 0x9e3779b97f4a7c15) >> (64 - symCacheBits))
+}
+
 // intern maps a string to its stable id, assigning one on first use.
+// A direct-mapped cache in front of symIdx answers a name passed again
+// at the same address by comparing address and length, without hashing
+// or reading its bytes; the slot keeps the string alive, so no other
+// string can reuse the address meanwhile. Anything else (a first use,
+// an equal name at another address, a slot taken by another name)
+// falls through to the map and refills the slot, so ids are the map's
+// and stay in first-use order.
 func (r *Recorder) intern(s string) Sym {
-	if id, ok := r.symIdx[s]; ok {
-		return id
+	slot := &r.symCache[symSlotOf(s)]
+	if slot.ok && unsafe.StringData(slot.s) == unsafe.StringData(s) && len(slot.s) == len(s) {
+		return slot.id
 	}
-	id := Sym(len(r.syms))
-	r.syms = append(r.syms, s)
-	r.symIdx[s] = id
+	id, ok := r.symIdx[s]
+	if !ok {
+		id = Sym(len(r.syms))
+		r.syms = append(r.syms, s)
+		r.symIdx[s] = id
+	}
+	*slot = symSlot{s: s, id: id, ok: true}
 	return id
+}
+
+// spanOf returns the span bound to proc, or nil.
+func (r *Recorder) spanOf(proc int) *Span {
+	if uint(proc) < uint(len(r.procSpan)) {
+		return r.procSpan[proc]
+	}
+	return nil
 }
 
 // Str resolves an interned id back to its string. Nil-safe.
@@ -288,8 +336,13 @@ func (r *Recorder) Str(id Sym) string {
 // Enabled reports whether the recorder collects anything (non-nil).
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Now reads the recorder's virtual clock.
-func (r *Recorder) Now() time.Duration { return r.cfg.Clock() }
+// Now reads the recorder's virtual clock (zero when disabled).
+func (r *Recorder) Now() time.Duration {
+	if r == nil {
+		return 0
+	}
+	return r.cfg.Clock()
+}
 
 // SampleInterval returns the configured sampler period.
 func (r *Recorder) SampleInterval() time.Duration {
@@ -307,18 +360,32 @@ func (r *Recorder) Dropped() uint64 {
 	return r.dropped
 }
 
-// Slices returns the recorded span slices (exporter access).
-func (r *Recorder) Slices() []SliceEvent { return r.slices }
+// Slices returns the recorded span slices in recording order
+// (exporter access). The slice is shared by every call until the next
+// recorded event; callers must not modify it.
+func (r *Recorder) Slices() []SliceEvent {
+	if r == nil {
+		return nil
+	}
+	return r.slices.all()
+}
 
-// CoreEvents returns the recorded per-core slices (exporter access).
-func (r *Recorder) CoreEvents() []CoreEvent { return r.cores }
+// CoreEvents returns the recorded per-core slices in recording order
+// (exporter access; shared like Slices).
+func (r *Recorder) CoreEvents() []CoreEvent {
+	if r == nil {
+		return nil
+	}
+	return r.cores.all()
+}
 
-// Waits returns the recorded wait events (blame-engine access).
+// Waits returns the recorded wait events in recording order
+// (blame-engine access; shared like Slices).
 func (r *Recorder) Waits() []WaitEvent {
 	if r == nil {
 		return nil
 	}
-	return r.waits
+	return r.waits.all()
 }
 
 // UnattributedWaits returns how many observed waits had no bound span.
@@ -338,7 +405,7 @@ func (r *Recorder) Registry() *Registry {
 }
 
 func (r *Recorder) room() bool {
-	if len(r.slices)+len(r.cores)+len(r.waits) >= r.cfg.MaxEvents {
+	if r.slices.n+r.cores.n+r.waits.n >= r.cfg.MaxEvents {
 		r.dropped++
 		return false
 	}
@@ -346,8 +413,8 @@ func (r *Recorder) room() bool {
 }
 
 // StartSpan opens a request-scoped span for tenant performing op on
-// simulated process proc. Returns nil (a no-op span) when the
-// recorder is disabled.
+// simulated process proc, an engine process id (0 for none; never
+// negative). Returns nil (a no-op span) when the recorder is disabled.
 func (r *Recorder) StartSpan(proc int, tenant, op string) *Span {
 	if r == nil {
 		return nil
@@ -359,7 +426,10 @@ func (r *Recorder) StartSpan(proc int, tenant, op string) *Span {
 		tenantSym: r.intern(tenant), opSym: r.intern(op),
 		start: r.cfg.Clock(),
 	}
-	r.procSpan[s.proc] = s
+	if proc >= len(r.procSpan) {
+		r.procSpan = append(r.procSpan, make([]*Span, proc+1-len(r.procSpan))...)
+	}
+	r.procSpan[proc] = s
 	r.open[s.id] = s
 	return s
 }
@@ -375,7 +445,7 @@ func (r *Recorder) Mark(tenant, name string) {
 	}
 	r.nextSpan++
 	now := r.cfg.Clock()
-	r.slices = append(r.slices, SliceEvent{
+	r.slices.push(SliceEvent{
 		Span: r.nextSpan, Tenant: r.intern(tenant), Op: r.intern(name),
 		Layer: r.intern(string(LayerEvent)), Start: now,
 	})
@@ -392,31 +462,40 @@ func (r *Recorder) Wait(proc int, kind, resource, holder string, holderID int, s
 	if r == nil {
 		return
 	}
-	s, ok := r.procSpan[int32(proc)]
-	if !ok {
+	s := r.spanOf(proc)
+	if s == nil {
 		r.unattributed++
 		return
 	}
-	holderTenant := ""
+	var hs *Span
 	if holderID != 0 {
-		if hs, ok := r.procSpan[int32(holderID)]; ok {
-			holderTenant = hs.tenant
-		}
+		hs = r.spanOf(holderID)
 	}
 	// Telemetry sees every attributed wait, even once the bounded event
 	// buffer is full — the monitor aggregates online and stores O(1).
 	if r.waitHook != nil {
+		holderTenant := ""
+		if hs != nil {
+			holderTenant = hs.tenant
+		}
 		r.waitHook(s.tenant, holderTenant, start, dur)
 	}
 	if !r.room() {
 		return
 	}
-	r.waits = append(r.waits, WaitEvent{
+	e := WaitEvent{
 		Span: s.id, Proc: s.proc, Tenant: s.tenantSym, Op: s.opSym,
-		Kind: r.intern(kind), Resource: r.intern(resource),
-		Holder: r.intern(holder), HolderTenant: r.intern(holderTenant),
+		Kind: r.intern(kind), Resource: r.intern(resource), Holder: r.intern(holder),
 		Start: start, Dur: dur,
-	})
+	}
+	// The holder span's tenant was interned when the span started; ""
+	// is interned here, after the names above, to keep first-use order.
+	if hs != nil {
+		e.HolderTenant = hs.tenantSym
+	} else {
+		e.HolderTenant = r.intern("")
+	}
+	r.waits.push(e)
 }
 
 // LeakedSpans describes every span opened but never ended, sorted by
@@ -446,7 +525,7 @@ func (r *Recorder) Core(core int, start, dur time.Duration, account, kind string
 	if r == nil || !r.room() {
 		return
 	}
-	r.cores = append(r.cores, CoreEvent{
+	r.cores.push(CoreEvent{
 		Core: int32(core), Start: start, Dur: dur,
 		Account: r.intern(account), Kind: r.intern(kind),
 	})
@@ -524,14 +603,14 @@ func (s *Span) End(bytes int64, err error) {
 	}
 	now := s.rec.cfg.Clock()
 	if s.rec.room() {
-		s.rec.slices = append(s.rec.slices, SliceEvent{
+		s.rec.slices.push(SliceEvent{
 			Span: s.id, Proc: s.proc, Tenant: s.tenantSym, Op: s.opSym,
 			Layer: s.rec.intern(string(LayerRequest)),
 			Start: s.start, Dur: now - s.start, Err: err != nil,
 		})
 	}
-	if s.rec.procSpan[s.proc] == s {
-		delete(s.rec.procSpan, s.proc)
+	if s.rec.spanOf(int(s.proc)) == s {
+		s.rec.procSpan[s.proc] = nil
 	}
 	delete(s.rec.open, s.id)
 	s.rec.reg.Tenant(s.tenant).Op(s.op).record(now-s.start, bytes, err)
@@ -565,7 +644,7 @@ func (sc Scope) Exit() {
 		return
 	}
 	now := s.rec.cfg.Clock()
-	s.rec.slices = append(s.rec.slices, SliceEvent{
+	s.rec.slices.push(SliceEvent{
 		Span: s.id, Proc: s.proc, Tenant: s.tenantSym, Op: s.opSym,
 		Layer: s.rec.intern(string(sc.layer)), Start: sc.start, Dur: now - sc.start,
 	})

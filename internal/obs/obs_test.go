@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -17,34 +19,43 @@ func newTestRecorder() (*Recorder, *time.Duration) {
 	return rec, clock
 }
 
+// TestNilSafety calls every exported method of a nil *Recorder, a nil
+// *Span and a zero Scope with zero arguments: none may panic, and every
+// result must be the zero value (a disabled recorder reports nothing).
 func TestNilSafety(t *testing.T) {
+	for _, v := range []any{(*Recorder)(nil), (*Span)(nil), Scope{}} {
+		rv := reflect.ValueOf(v)
+		for i := 0; i < rv.NumMethod(); i++ {
+			name := fmt.Sprintf("%T.%s", v, rv.Type().Method(i).Name)
+			m := rv.Method(i)
+			args := make([]reflect.Value, m.Type().NumIn())
+			for j := range args {
+				args[j] = reflect.Zero(m.Type().In(j))
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s panicked: %v", name, p)
+					}
+				}()
+				for k, out := range m.Call(args) {
+					if !out.IsZero() {
+						t.Errorf("%s result %d = %v, want zero", name, k, out)
+					}
+				}
+			}()
+		}
+	}
 	var rec *Recorder
-	if rec.Enabled() {
-		t.Fatal("nil recorder reports enabled")
-	}
-	if rec.SampleInterval() != 0 || rec.Dropped() != 0 || rec.Registry() != nil {
-		t.Fatal("nil recorder accessors not zero")
-	}
-	rec.Core(0, 0, time.Millisecond, "a", "user")
-	rec.Sample("t", "s", 0, 1)
 	rec.OnFinalize(func(*Registry) { t.Fatal("finalizer on nil recorder ran") })
 	rec.Finalize()
-	if rec.Str(0) != "" {
-		t.Fatal("nil recorder Str not empty")
-	}
-
+	rec.SubscribeOps(func(OpEvent) { t.Fatal("op subscriber on nil recorder ran") })
+	rec.OpDone(nil, "/f", "", 0, 0, 1, 1, nil)
+	rec.SetWaitHook(func(string, string, time.Duration, time.Duration) { t.Fatal("wait hook on nil recorder ran") })
+	rec.Wait(1, "lock", "m", "h", 2, 0, time.Millisecond)
 	sp := rec.StartSpan(1, "tenant", "read")
-	if sp != nil {
-		t.Fatal("nil recorder returned non-nil span")
-	}
-	if sp.Tenant() != "" {
-		t.Fatal("nil span tenant not empty")
-	}
-	sc := sp.Enter(LayerClient)
-	sc.Exit()
+	sp.Enter(LayerClient).Exit()
 	sp.End(10, nil)
-	sp.LockWait("lock", time.Millisecond)
-	Scope{}.Exit()
 }
 
 func TestSpanRecording(t *testing.T) {
@@ -122,6 +133,22 @@ func TestInternDeterminism(t *testing.T) {
 	b.End(0, nil)
 	if rec.Str(rec.Slices()[0].Tenant) != "t0" || rec.Str(rec.Slices()[1].Tenant) != "t1" {
 		t.Fatal("interned tenants resolve wrong")
+	}
+	// Ids are assigned in first-use order, whichever path (cache or
+	// map) answers the repeats.
+	rec.Core(0, 0, 1, "pool0", "user")
+	rec.Wait(0, "lock", "i_mutex", "", 0, 0, 1) // proc 0 is unbound: not interned
+	rec.Core(1, 0, 1, "kernel", "kernel")
+	rec.Core(0, 0, 1, strings.Clone("pool0"), "user")
+	rec.Mark("", "brownout")
+	want := []string{"t0", "read", "t1", "request", "pool0", "user", "kernel", "", "brownout", "event"}
+	for i, s := range want {
+		if got := rec.Str(Sym(i)); got != s {
+			t.Fatalf("sym %d = %q, want %q (first-use order %q)", i, got, s, want)
+		}
+	}
+	if rec.Str(Sym(len(want))) != "" || len(rec.symIdx) != len(want) {
+		t.Fatalf("%d syms interned, want %d", len(rec.symIdx), len(want))
 	}
 }
 
