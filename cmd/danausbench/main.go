@@ -37,7 +37,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -122,6 +121,53 @@ func enableObservability() {
 	}
 }
 
+// options is the parsed command line. The artifact paths the export
+// code reads (-crashcsv, -monitor, -record, -diffcsv) live in package
+// variables instead.
+type options struct {
+	exp, scale                string
+	list                      bool
+	trace, metrics, blame     string
+	whatIf                    string
+	fuzzN                     int
+	fuzzSeed                  int64
+	fuzzDir, fuzzSpec         string
+	replay, config, traceDiff string
+	admission                 bool
+	set                       map[string]bool // flags given explicitly
+}
+
+// parseFlags defines the harness flags on fs, parses args and checks
+// the result.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	fs.StringVar(&o.exp, "exp", "", "experiment id (see -list) or 'all'")
+	fs.StringVar(&o.scale, "scale", "quick", "experiment scale: quick, default or paper")
+	fs.BoolVar(&o.list, "list", false, "list experiments")
+	fs.StringVar(&o.trace, "trace", "", "write a Perfetto trace-event JSON of all runs to this file")
+	fs.StringVar(&o.metrics, "metrics", "", "write per-tenant metrics of all runs to this file (.json or .csv)")
+	fs.StringVar(&o.blame, "blame", "", "write the latency blame analysis of all runs to this file (.json or .csv)")
+	fs.StringVar(&o.whatIf, "whatif", "", "blamesweep what-if spec, e.g. nic=2x,osd=2x,lockcs=0.5,flusher=pinned")
+	fs.IntVar(&o.fuzzN, "fuzz", 0, "run a deterministic fuzz sweep of N scenarios and exit (see FUZZING in EXPERIMENTS.md)")
+	fs.Int64Var(&o.fuzzSeed, "seed", 1, "scenario generator seed for -fuzz")
+	fs.StringVar(&o.fuzzDir, "fuzzdir", "fuzz-repros", "directory for shrunk reproducer specs of failing fuzz scenarios ('' disables)")
+	fs.StringVar(&o.fuzzSpec, "fuzzspec", "", "replay one fuzz reproducer spec file and check its invariants")
+	fs.StringVar(&crashCSVPath, "crashcsv", "", "write crashsweep rows (recovery time, blast radius) as CSV to this file")
+	fs.StringVar(&monitorBasePath, "monitor", "", "write monitorsweep telemetry artifacts (windowed CSV + alert ledger per case) using this base path")
+	fs.StringVar(&recordTracePath, "record", "", "write the recorded op trace to this file (see TRACES.md)")
+	fs.StringVar(&diffCSVPath, "diffcsv", "", "write trace-diff rows as CSV (with -exp tracesweep, -replay or -tracediff)")
+	fs.StringVar(&o.replay, "replay", "", "replay a recorded op trace against -config and exit")
+	fs.StringVar(&o.config, "config", "D", "client configuration for -replay: D, F or K")
+	fs.BoolVar(&o.admission, "admission", false, "enable the overload-admission policy for -replay")
+	fs.StringVar(&o.traceDiff, "tracediff", "", "compare two recorded op traces given as a.trace,b.trace and exit")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	o.set = map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
+	return o, checkFlags(o)
+}
+
 // scales maps -scale names onto experiment sizings.
 var scales = map[string]experiments.Scale{
 	"quick":   experiments.QuickScale,
@@ -130,57 +176,72 @@ var scales = map[string]experiments.Scale{
 }
 
 // checkFlags rejects flag values and combinations the harness cannot
-// run, naming the offending flag.
-func checkFlags(exp, scale string, fuzzN int, whatIf, replay string) error {
-	if _, ok := scales[scale]; !ok {
-		return fmt.Errorf("-scale: unknown scale %q (want quick, default or paper)", scale)
+// run, naming the offending flag: among them every flag given
+// explicitly whose mode or experiment was not selected, which would
+// otherwise be silently ignored.
+func checkFlags(o *options) error {
+	if _, ok := scales[o.scale]; !ok {
+		return fmt.Errorf("-scale: unknown scale %q (want quick, default or paper)", o.scale)
 	}
 	switch {
-	case fuzzN < 0:
-		return fmt.Errorf("-fuzz wants a scenario count >= 0, got %d", fuzzN)
-	case whatIf != "" && exp != "blamesweep" && exp != "all":
-		return errors.New("-whatif requires -exp blamesweep (or all)")
-	case replay != "" && exp != "":
-		return fmt.Errorf("-replay conflicts with -exp %s", exp)
+	case o.fuzzN < 0:
+		return fmt.Errorf("-fuzz wants a scenario count >= 0, got %d", o.fuzzN)
+	case o.replay != "" && o.exp != "":
+		return fmt.Errorf("-replay conflicts with -exp %s", o.exp)
+	}
+	runs := func(name string) bool { return o.exp == name || o.exp == "all" }
+	for _, r := range []struct {
+		flag  string
+		valid bool
+		needs string
+	}{
+		{"whatif", runs("blamesweep"), "-exp blamesweep (or all)"},
+		{"crashcsv", runs("crashsweep"), "-exp crashsweep (or all)"},
+		{"monitor", runs("monitorsweep"), "-exp monitorsweep (or all)"},
+		{"config", o.replay != "", "-replay"},
+		{"admission", o.replay != "", "-replay"},
+		{"seed", o.fuzzN > 0, "-fuzz N"},
+		{"fuzzdir", o.fuzzN > 0, "-fuzz N"},
+		{"diffcsv", o.exp == "tracesweep" || o.replay != "" || o.traceDiff != "", "-exp tracesweep, -replay or -tracediff"},
+	} {
+		if o.set[r.flag] && !r.valid {
+			return fmt.Errorf("-%s requires %s", r.flag, r.needs)
+		}
 	}
 	return nil
 }
 
-func main() {
-	exp := flag.String("exp", "", "experiment id (see -list) or 'all'")
-	scaleName := flag.String("scale", "quick", "experiment scale: quick, default or paper")
-	list := flag.Bool("list", false, "list experiments")
-	tracePath := flag.String("trace", "", "write a Perfetto trace-event JSON of all runs to this file")
-	metricsPath := flag.String("metrics", "", "write per-tenant metrics of all runs to this file (.json or .csv)")
-	blamePath := flag.String("blame", "", "write the latency blame analysis of all runs to this file (.json or .csv)")
-	whatIfSpec := flag.String("whatif", "", "blamesweep what-if spec, e.g. nic=2x,osd=2x,lockcs=0.5,flusher=pinned")
-	fuzzN := flag.Int("fuzz", 0, "run a deterministic fuzz sweep of N scenarios and exit (see FUZZING in EXPERIMENTS.md)")
-	fuzzSeed := flag.Int64("seed", 1, "scenario generator seed for -fuzz")
-	fuzzDir := flag.String("fuzzdir", "fuzz-repros", "directory for shrunk reproducer specs of failing fuzz scenarios ('' disables)")
-	fuzzSpec := flag.String("fuzzspec", "", "replay one fuzz reproducer spec file and check its invariants")
-	flag.StringVar(&crashCSVPath, "crashcsv", "", "write crashsweep rows (recovery time, blast radius) as CSV to this file")
-	flag.StringVar(&monitorBasePath, "monitor", "", "write monitorsweep telemetry artifacts (windowed CSV + alert ledger per case) using this base path")
-	flag.StringVar(&recordTracePath, "record", "", "write the recorded op trace to this file (see TRACES.md)")
-	flag.StringVar(&diffCSVPath, "diffcsv", "", "write trace-diff rows as CSV (with -exp tracesweep, -replay or -tracediff)")
-	replayPath := flag.String("replay", "", "replay a recorded op trace against -config and exit")
-	configName := flag.String("config", "D", "client configuration for -replay: D, F or K")
-	admission := flag.Bool("admission", false, "enable the overload-admission policy for -replay")
-	traceDiff := flag.String("tracediff", "", "compare two recorded op traces given as a.trace,b.trace and exit")
-	flag.Parse()
+// sortedTable returns the harness table in name order, the order of
+// -list and -exp all.
+func sortedTable() []experiments.Experiment {
+	table := experiments.Table()
+	sort.Slice(table, func(i, j int) bool { return table[i].Name < table[j].Name })
+	return table
+}
 
-	if err := checkFlags(*exp, *scaleName, *fuzzN, *whatIfSpec, *replayPath); err != nil {
+// writeList prints the -list output.
+func writeList(w io.Writer, table []experiments.Experiment) {
+	fmt.Fprintln(w, "experiments:")
+	for _, e := range table {
+		fmt.Fprintln(w, "  "+e.Name)
+	}
+}
+
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	scale := scales[*scaleName]
+	scale := scales[o.scale]
 
-	if *traceDiff != "" {
-		runTraceDiff(*traceDiff, diffCSVPath)
+	if o.traceDiff != "" {
+		runTraceDiff(o.traceDiff, diffCSVPath)
 		return
 	}
 
-	if *fuzzSpec != "" {
-		f, err := os.Open(*fuzzSpec)
+	if o.fuzzSpec != "" {
+		f, err := os.Open(o.fuzzSpec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -196,9 +257,9 @@ func main() {
 		}
 		return
 	}
-	if *fuzzN > 0 {
+	if o.fuzzN > 0 {
 		sum, err := fuzz.Sweep(fuzz.Options{
-			N: *fuzzN, Seed: *fuzzSeed, Out: os.Stdout, ReproDir: *fuzzDir,
+			N: o.fuzzN, Seed: o.fuzzSeed, Out: os.Stdout, ReproDir: o.fuzzDir,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -210,8 +271,8 @@ func main() {
 		return
 	}
 
-	if *whatIfSpec != "" {
-		w, err := blame.ParseWhatIf(*whatIfSpec)
+	if o.whatIf != "" {
+		w, err := blame.ParseWhatIf(o.whatIf)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -219,46 +280,42 @@ func main() {
 		whatIf = &w
 	}
 
-	table := append(experiments.Table(), fuzzSweep(scale))
-	sort.Slice(table, func(i, j int) bool { return table[i].Name < table[j].Name })
-	if *list || (*exp == "" && *replayPath == "") {
-		fmt.Println("experiments:")
-		for _, e := range table {
-			fmt.Println("  " + e.Name)
-		}
+	table := sortedTable()
+	if o.list || (o.exp == "" && o.replay == "") {
+		writeList(os.Stdout, table)
 		return
 	}
 
-	if *replayPath != "" {
-		runReplayFile(*replayPath, *configName, *admission, scale)
+	if o.replay != "" {
+		runReplayFile(o.replay, o.config, o.admission, scale)
 		exitOnViolations()
 		return
 	}
 
 	var selected []experiments.Experiment
 	for _, e := range table {
-		if *exp == "all" || e.Name == *exp {
+		if o.exp == "all" || e.Name == o.exp {
 			selected = append(selected, e)
 		}
 	}
 	if len(selected) == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", *exp)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", o.exp)
 		os.Exit(2)
 	}
 
 	// tracesweep writes its own -record/-diffcsv artifacts when selected
 	// directly; any other experiment gets a generic per-run op capture.
-	sweepArtifacts = *exp == "tracesweep"
+	sweepArtifacts = o.exp == "tracesweep"
 	captureOps = recordTracePath != "" && !sweepArtifacts
 
-	if *tracePath != "" || *metricsPath != "" || *blamePath != "" || captureOps {
+	if o.trace != "" || o.metrics != "" || o.blame != "" || captureOps {
 		enableObservability()
 	}
 	for _, e := range selected {
 		runOne(e, scale)
 	}
-	exportObs(*tracePath, *metricsPath)
-	exportBlame(*blamePath)
+	exportObs(o.trace, o.metrics)
+	exportBlame(o.blame)
 	exportTraces(recordTracePath)
 	exitOnViolations()
 }
@@ -571,48 +628,4 @@ func writeFile(path, what string, emit func(w io.Writer) error) {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
 		os.Exit(1)
 	}
-}
-
-// fuzzSweep is the harness entry for a fixed-seed fuzz sweep sized by
-// scale (heavier audits use -fuzz N -seed S). It is added here because
-// internal/fuzz itself builds on internal/experiments.
-func fuzzSweep(scale experiments.Scale) experiments.Experiment {
-	n := 10
-	switch {
-	case scale.Factor >= 1:
-		n = 200
-	case scale.Factor >= 0.1:
-		n = 50
-	}
-	return experiments.Experiment{
-		Name:  "fuzzsweep",
-		Title: fmt.Sprintf("Fuzz sweep: %d seeded scenarios through the invariant registry", n),
-		Raw:   true,
-		Run: func(_ experiments.Scale, emit func(experiments.Row)) {
-			var out strings.Builder
-			sum, err := fuzz.Sweep(fuzz.Options{N: n, Seed: 1, Out: &out})
-			emit(fuzzRow{text: strings.TrimSuffix(out.String(), "\n"), violations: sum.Violations, err: err})
-		},
-	}
-}
-
-// fuzzRow is a fuzz sweep's progress output; checker violations and a
-// sweep error fail the run.
-type fuzzRow struct {
-	text       string
-	violations int
-	err        error
-}
-
-func (r fuzzRow) String() string { return r.text }
-
-func (r fuzzRow) Violations() []string {
-	var v []string
-	if r.err != nil {
-		v = append(v, "fuzzsweep: "+r.err.Error())
-	}
-	if r.violations > 0 {
-		v = append(v, fmt.Sprintf("fuzzsweep: %d checker violation(s)", r.violations))
-	}
-	return v
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/faults"
@@ -90,6 +92,24 @@ func (tb *Testbed) CrashTarget(kind faults.Kind, tenant string) (faults.CrashTar
 	default:
 		return nil, fmt.Errorf("core: %v is not a client-crash kind", kind)
 	}
+}
+
+// InstallFaults installs a faults.Parse schedule with window times
+// relative to offset, the testbed resolving its crash targets. Every
+// "@wal" token is first replaced by the OSD index holding the first
+// object of walIno, so an OSD fault always lands on data the victim
+// owns. It returns the installed plan; an empty schedule installs
+// nothing, and a bad entry fails with an error naming it.
+func (tb *Testbed) InstallFaults(schedule string, walIno uint64, offset time.Duration) (faults.Plan, error) {
+	schedule = strings.ReplaceAll(schedule, "@wal", strconv.Itoa(tb.Cluster.PlacementOf(walIno, 0)))
+	plan, err := faults.Parse(schedule)
+	if err != nil {
+		return faults.Plan{}, err
+	}
+	if _, err := faults.Install(tb.Eng, tb.Cluster, tb, plan, offset); err != nil {
+		return faults.Plan{}, err
+	}
+	return plan, nil
 }
 
 // crashDomain is one scheduled crash window's resolved blast radius.

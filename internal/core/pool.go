@@ -9,6 +9,7 @@ import (
 	"repro/internal/ipc"
 	"repro/internal/kern"
 	"repro/internal/memacct"
+	"repro/internal/metrics"
 	"repro/internal/unionfs"
 	"repro/internal/vfsapi"
 )
@@ -70,6 +71,28 @@ func (p *Pool) Stop() {
 
 // Containers returns the pool's containers.
 func (p *Pool) Containers() []*Container { return p.containers }
+
+// FaultStats sums the fault counters of every distinct user-level
+// client and kernel Ceph mount behind the pool's containers. Scaleup
+// clones share their client or kernel mount (MountSpec.SharedClient,
+// SharedKernelMount), which is counted once.
+func (p *Pool) FaultStats() metrics.FaultCounters {
+	var total metrics.FaultCounters
+	seen := map[any]bool{}
+	for _, cont := range p.containers {
+		if c := cont.Mount.Client; c != nil && !seen[c] {
+			seen[c] = true
+			total.Add(c.FaultStats())
+		}
+		if m := cont.Mount.KernelMount; m != nil && !seen[m] {
+			seen[m] = true
+			if cs, ok := m.Store().(*kern.CephStore); ok {
+				total.Add(cs.FaultStats())
+			}
+		}
+	}
+	return total
+}
 
 // MountSpec describes one container filesystem: the Table 1
 // configuration plus the union branch directories on the shared

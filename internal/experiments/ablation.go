@@ -33,18 +33,15 @@ func RunAblationClientLock(scale Scale) AblationRow {
 	run := func(lockFraction float64) float64 {
 		params := scale.Params()
 		params.ClientLockCopyFraction = lockFraction
-		r := &rig{tb: core.NewTestbed(core.TestbedConfig{Cores: 2, Params: params})}
-		_, cont, err := r.flsContainer(0, core.ConfigD, scale)
-		if err != nil {
-			panic(err)
-		}
+		r := newRig(2, params, false, nil)
+		cont := r.flsContainer(0, core.ConfigD, scale)
 		w := &workloads.SeqIO{
 			FS: cont.Mount.Default, Dir: "/seq", NewThread: cont.NewThread,
 		}
 		w.Defaults(scale.Factor)
 		r.runMaster(func(p *sim.Proc) {
 			prepare(p, r.tb.Eng, prepFor(cont.NewThread, w))
-			clock := clockFor(r.tb.Eng, scale)
+			clock := scale.Clock(r.tb.Eng)
 			g := workloads.NewGroup(r.tb.Eng)
 			w.Run(g, clock)
 			g.Wait(p)
@@ -69,11 +66,8 @@ func RunAblationWakeupElision(scale Scale) AblationRow {
 		if disablePolling {
 			params.IPCPollWindow = 0
 		}
-		r := &rig{tb: core.NewTestbed(core.TestbedConfig{Cores: 2, Params: params})}
-		_, cont, err := r.flsContainer(0, core.ConfigD, scale)
-		if err != nil {
-			panic(err)
-		}
+		r := newRig(2, params, false, nil)
+		cont := r.flsContainer(0, core.ConfigD, scale)
 		var switches float64
 		r.runMaster(func(p *sim.Proc) {
 			ctx := vfsapi.Ctx{P: p, T: cont.NewThread()}
@@ -103,7 +97,7 @@ func RunAblationWakeupElision(scale Scale) AblationRow {
 func RunAblationThreadPinning(scale Scale) AblationRow {
 	run := func(noPinning bool) float64 {
 		params := scale.Params()
-		r := &rig{tb: core.NewTestbed(core.TestbedConfig{Cores: 8, Params: params})}
+		r := newRig(8, params, false, nil)
 		if err := r.tb.Cluster.ProvisionDir("/containers/abl"); err != nil {
 			panic(err)
 		}
@@ -124,7 +118,7 @@ func RunAblationThreadPinning(scale Scale) AblationRow {
 		w.Defaults(scale.Factor)
 		r.runMaster(func(p *sim.Proc) {
 			prepare(p, r.tb.Eng, prepFor(cont.NewThread, w))
-			clock := clockFor(r.tb.Eng, scale)
+			clock := scale.Clock(r.tb.Eng)
 			g := workloads.NewGroup(r.tb.Eng)
 			w.Run(g, clock)
 			g.Wait(p)
@@ -179,7 +173,7 @@ func RunAblationImagePull(scale Scale) AblationRow {
 	// Classic flow: transfer the image bytes from the registry (the
 	// cluster stands in) to the local disks and expand, once per
 	// container, before the same startup runs from the local copy.
-	r := newScaledRig(4, scale)
+	r := newRig(4, scale.Params(), false, Observer)
 	params := r.tb.Params
 	imageBytes := params.ExecBinaryBytes + params.MmapLibraryBytes +
 		params.StartupAppFileBytes + int64(params.StartupOpCount)*(2<<10)

@@ -55,15 +55,11 @@ func RunBlameSweep(c BlameSweepCase, scale Scale, w *blame.WhatIf) (blame.Report
 	if w != nil {
 		w.Apply(params)
 	}
-	tb := core.NewTestbed(core.TestbedConfig{Cores: cores, Params: params})
-	// SampleInterval stays zero: the recorder adds no engine events, so
-	// the schedule is event-for-event the unobserved one.
-	rec := obs.New(obs.Config{Clock: tb.Eng.Now})
-	tb.AttachObserver(rec)
+	r := newRig(cores, params, false, attachRecorder)
+	rec := r.tb.Obs
 	if w != nil && w.FlusherPinned {
-		tb.Kernel.SetFlusherMask(cpu.MaskRange(0, 2*c.FLSCount))
+		r.tb.Kernel.SetFlusherMask(cpu.MaskRange(0, 2*c.FLSCount))
 	}
-	r := &rig{tb: tb}
 
 	label := c.Label()
 	if w != nil && w.Spec != "" {
@@ -77,7 +73,7 @@ func RunBlameSweep(c BlameSweepCase, scale Scale, w *blame.WhatIf) (blame.Report
 	f := newFleet(r, c.Config, c.FLSCount, neighbor, scale)
 	r.runMaster(func(p *sim.Proc) {
 		prepare(p, r.tb.Eng, f.preps()...)
-		f.run(p, r.tb.Eng, clockFor(r.tb.Eng, scale))
+		f.run(p, r.tb.Eng, scale.Clock(r.tb.Eng))
 	})
 
 	return blame.Analyze(label, rec), rec

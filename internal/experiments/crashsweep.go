@@ -30,10 +30,7 @@ type CrashSweepCase struct {
 
 // CrashSweepRow is the outcome of one crash-sweep case.
 type CrashSweepRow struct {
-	Label       string
-	Config      core.Configuration
-	Replication int
-	Kind        faults.Kind
+	CrashSweepCase
 
 	// Victim probes: a fsync-per-append WAL writer plus a sequential
 	// reader in the crashed pool.
@@ -96,18 +93,10 @@ func crashWindow(k faults.Kind, scale Scale, start, end float64) faults.Window {
 // bystander pool 1 reads a warm file, and the crash window is
 // installed relative to the measurement window.
 func RunCrashSweep(c CrashSweepCase, scale Scale) CrashSweepRow {
-	r := newScaledRig(4, scale)
+	r := newRig(4, scale.Params(), false, Observer)
 	r.tb.Cluster.SetReplication(c.Replication)
-	row := CrashSweepRow{Label: c.Label, Config: c.Config, Replication: c.Replication, Kind: c.Kind}
-
-	_, victim, err := r.flsContainer(0, c.Config, scale)
-	if err != nil {
-		panic(err)
-	}
-	_, byst, err := r.flsContainer(1, c.Config, scale)
-	if err != nil {
-		panic(err)
-	}
+	row := CrashSweepRow{CrashSweepCase: c}
+	victim, byst := r.containment(c.Config, scale)
 
 	const warmSize = 16 << 20
 	wal := &workloads.WALWriter{
@@ -129,10 +118,10 @@ func RunCrashSweep(c CrashSweepCase, scale Scale) CrashSweepRow {
 			},
 		)
 
-		clock := clockFor(r.tb.Eng, scale)
+		clock := scale.Clock(r.tb.Eng)
 		w := crashWindow(c.Kind, scale, 0.3, 0.5)
 		plan := faults.Plan{Windows: []faults.Window{w}}
-		if _, err := faults.InstallWithTargets(r.tb.Eng, r.tb.Cluster, r.tb, plan, clock.From); err != nil {
+		if _, err := faults.Install(r.tb.Eng, r.tb.Cluster, r.tb, plan, clock.From); err != nil {
 			panic(err)
 		}
 		crashAbs := clock.From + w.Start

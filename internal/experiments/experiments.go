@@ -13,71 +13,33 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/kern"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/vfsapi"
 	"repro/internal/workloads"
 )
 
-// Scale selects experiment sizing. The discrete-event model preserves
-// contention shape under scaling, so the default test scale runs in
-// seconds of wall time while PaperScale matches the published
-// parameters.
-type Scale struct {
-	// Factor scales dataset sizes (files, bytes).
-	Factor float64
-	// Duration is the measured window of timed workloads.
-	Duration time.Duration
-	// Warmup precedes measurement.
-	Warmup time.Duration
-}
+// Scale selects experiment sizing (see workloads.Scale, which the
+// scenario fuzzer shares).
+type Scale = workloads.Scale
 
 // Predefined scales.
 var (
 	// QuickScale is for unit tests and -short benchmarks.
-	QuickScale = Scale{Factor: 0.02, Duration: 2 * time.Second, Warmup: 500 * time.Millisecond}
+	QuickScale = workloads.QuickScale
 	// DefaultScale balances fidelity and wall time for the harness.
-	DefaultScale = Scale{Factor: 0.1, Duration: 8 * time.Second, Warmup: time.Second}
+	DefaultScale = workloads.DefaultScale
 	// PaperScale matches the paper's parameters (120 s runs).
-	PaperScale = Scale{Factor: 1.0, Duration: 120 * time.Second, Warmup: 5 * time.Second}
+	PaperScale = workloads.PaperScale
 )
 
-// PoolMem returns the pool memory reservation at the given scale. The
-// paper reserves 8 GB per pool; scaling it with the datasets keeps the
-// dirty-threshold and cache-pressure dynamics inside short windows.
-func (s Scale) PoolMem() int64 {
-	m := int64(float64(8<<30) * s.Factor)
-	if m < 128<<20 {
-		m = 128 << 20
-	}
-	return m
-}
-
-// Params derives a cost model whose writeback time constants are
-// scaled with the experiment: preserving the ratio of file lifetime to
-// the flusher intervals keeps the dirty-data dynamics of the paper's
-// 120 s runs inside short windows.
-func (s Scale) Params() *model.Params {
-	p := model.Default()
-	if s.Factor < 1 {
-		// File lifetime in the Fileserver fileset scales with Factor,
-		// so the writeback constants scale with it to preserve the
-		// fraction of dirty data that lives long enough to be flushed.
-		iv := time.Duration(float64(p.WritebackInterval) * s.Factor)
-		if iv < 5*time.Millisecond {
-			iv = 5 * time.Millisecond
-		}
-		if iv < p.WritebackInterval {
-			p.WritebackInterval = iv
-			p.DirtyExpire = 5 * iv
-		}
-	}
-	return p
-}
-
-// Observer, when non-nil, is invoked on every freshly built testbed
-// before any pool exists — the hook through which danausbench attaches
-// an observability recorder (core.Testbed.AttachObserver) to the runs
-// of an experiment. Nil keeps experiments observation-free.
+// Observer, when non-nil, is invoked on a freshly built testbed before
+// any pool exists — the hook through which danausbench attaches an
+// observability recorder (core.Testbed.AttachObserver) to the runs of
+// an experiment. The figures and the fault, crash, overload and trace
+// sweeps pass it to newRig; blamesweep and monitorsweep attach their
+// own recorder and the cost-model ablations attach none. Nil keeps
+// experiments observation-free.
 var Observer func(tb *core.Testbed)
 
 // rig bundles a testbed under experiment control.
@@ -85,12 +47,28 @@ type rig struct {
 	tb *core.Testbed
 }
 
-func newScaledRig(cores int, scale Scale) *rig {
-	tb := core.NewTestbed(core.TestbedConfig{Cores: cores, Params: scale.Params()})
-	if Observer != nil {
-		Observer(tb)
+// newRig builds every experiment testbed: cores, cost model and, when
+// protect is set, the overload-protection policy (admission, breaker,
+// brownout). attach runs on the bare testbed before any pool exists,
+// where an observer must attach: Observer for the harness-observed
+// runs, a sweep's own recorder, or nil to observe nothing.
+func newRig(cores int, params *model.Params, protect bool, attach func(tb *core.Testbed)) *rig {
+	var pol *core.OverloadPolicy
+	if protect {
+		pol = &core.OverloadPolicy{RetrySeed: 1}
+	}
+	tb := core.NewTestbed(core.TestbedConfig{Cores: cores, Params: params, Overload: pol})
+	if attach != nil {
+		attach(tb)
 	}
 	return &rig{tb: tb}
+}
+
+// attachRecorder attaches a plain recorder to a bare testbed. Its
+// SampleInterval is zero, so it adds no engine events and the schedule
+// is event-for-event the unobserved one.
+func attachRecorder(tb *core.Testbed) {
+	tb.AttachObserver(obs.New(obs.Config{Clock: tb.Eng.Now}))
 }
 
 // runMaster executes fn as the orchestration process and drains the
@@ -105,19 +83,51 @@ func (r *rig) runMaster(fn func(p *sim.Proc)) {
 
 // flsContainer provisions directories and creates one Fileserver
 // container of the given configuration in its own 2-core pool at index
-// i (cores 2i, 2i+1).
-func (r *rig) flsContainer(i int, config core.Configuration, scale Scale) (*core.Pool, *core.Container, error) {
+// i (cores 2i, 2i+1), named fls<i>.
+func (r *rig) flsContainer(i int, config core.Configuration, scale Scale) *core.Container {
 	name := fmt.Sprintf("fls%d", i)
 	upper := "/containers/" + name
 	if err := r.tb.Cluster.ProvisionDir(upper); err != nil {
-		return nil, nil, err
+		panic(err)
 	}
 	pool := r.tb.NewPool(name, cpu.MaskRange(2*i, 2*i+2), scale.PoolMem())
 	c, err := pool.NewContainer(name, core.MountSpec{Config: config, UpperDir: upper})
 	if err != nil {
-		return nil, nil, err
+		panic(err)
 	}
-	return pool, c, nil
+	return c
+}
+
+// containment builds the two-pool layout of the containment sweeps:
+// the victim in pool 0 (fls0) and the bystander or aggressor in pool 1
+// (fls1), both mounting config.
+func (r *rig) containment(config core.Configuration, scale Scale) (victim, other *core.Container) {
+	return r.flsContainer(0, config, scale), r.flsContainer(1, config, scale)
+}
+
+// clones creates n scaleup clones <prefix>000, <prefix>001, ... in
+// pool: private upper directories over the shared lower image, every
+// clone after the first sharing its client and kernel mount.
+func (r *rig) clones(pool *core.Pool, config core.Configuration, prefix, lower string, n int) []*core.Container {
+	conts := make([]*core.Container, n)
+	for i := range conts {
+		name := fmt.Sprintf("%s%03d", prefix, i)
+		upper := "/containers/" + name
+		if err := r.tb.Cluster.ProvisionDir(upper); err != nil {
+			panic(err)
+		}
+		spec := core.MountSpec{Config: config, UpperDir: upper, LowerDir: lower}
+		if i > 0 {
+			spec.SharedClient = conts[0].Mount.Client
+			spec.SharedKernelMount = conts[0].Mount.KernelMount
+		}
+		c, err := pool.NewContainer(name, spec)
+		if err != nil {
+			panic(err)
+		}
+		conts[i] = c
+	}
+	return conts
 }
 
 // newFileserver builds a Fileserver workload bound to a container.
@@ -164,16 +174,6 @@ func prepare(p *sim.Proc, eng *sim.Engine, fns ...func(pp *sim.Proc)) {
 // costs (the path RND and WBS take to their local datasets).
 func kernelLocalFS(tb *core.Testbed) vfsapi.FileSystem {
 	return kern.NewSyscalls(tb.Kernel, tb.LocalFS)
-}
-
-// clockFor starts a measurement window at now+warmup.
-func clockFor(eng *sim.Engine, scale Scale) workloads.Clock {
-	now := eng.Now()
-	return workloads.Clock{
-		Eng:  eng,
-		From: now + scale.Warmup,
-		Stop: now + scale.Warmup + scale.Duration,
-	}
 }
 
 // utilWindow samples the utilization of mask between the clock's

@@ -2,13 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faults"
-	"repro/internal/kern"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/vfsapi"
@@ -32,9 +28,7 @@ type FaultSweepCase struct {
 
 // FaultSweepRow is the outcome of one fault-sweep case.
 type FaultSweepRow struct {
-	Label       string
-	Config      core.Configuration
-	Replication int
+	FaultSweepCase
 
 	// Victim probes: a fsync-per-append WAL writer and a cold
 	// sequential reader forced to the backend by cache pressure.
@@ -84,41 +78,18 @@ func FaultSweepCases(scale Scale) []FaultSweepCase {
 	}
 }
 
-// mountFaultStats sums the fault counters of whichever Ceph clients
-// back the mount.
-func mountFaultStats(m *core.MountResult) metrics.FaultCounters {
-	var total metrics.FaultCounters
-	if m.Client != nil {
-		total.Add(m.Client.FaultStats())
-	}
-	if m.KernelMount != nil {
-		if cs, ok := m.KernelMount.Store().(*kern.CephStore); ok {
-			total.Add(cs.FaultStats())
-		}
-	}
-	return total
-}
-
 // RunFaultSweep executes one fault-sweep case: victim pool 0 runs the
 // WAL writer and the cold reader, bystander pool 1 a cached reader,
 // and the schedule is installed relative to the measurement window.
 func RunFaultSweep(c FaultSweepCase, scale Scale) FaultSweepRow {
-	r := newScaledRig(4, scale)
+	r := newRig(4, scale.Params(), false, Observer)
 	r.tb.Cluster.SetReplication(c.Replication)
-	row := FaultSweepRow{Label: c.Label, Config: c.Config, Replication: c.Replication}
-
-	_, victim, err := r.flsContainer(0, c.Config, scale)
-	if err != nil {
-		panic(err)
-	}
-	_, byst, err := r.flsContainer(1, c.Config, scale)
-	if err != nil {
-		panic(err)
-	}
+	row := FaultSweepRow{FaultSweepCase: c}
+	victim, byst := r.containment(c.Config, scale)
 
 	// The cold file overflows the victim's cache so reads keep hitting
 	// the backend; the bystander file fits comfortably.
-	coldSize := scale.PoolMem() + scale.PoolMem()/2
+	coldSize := scale.ColdSize()
 	const warmSize = 16 << 20
 
 	wal := &workloads.WALWriter{
@@ -149,20 +120,15 @@ func RunFaultSweep(c FaultSweepCase, scale Scale) FaultSweepRow {
 			},
 		)
 
-		clock := clockFor(r.tb.Eng, scale)
+		clock := scale.Clock(r.tb.Eng)
 
 		walNode, err := r.tb.Cluster.Tree().Lookup("/containers/fls0/wal")
 		if err != nil {
 			panic(err)
 		}
 		walIno := walNode.Ino
-		sched := strings.ReplaceAll(c.Schedule, "@wal",
-			strconv.Itoa(r.tb.Cluster.PlacementOf(walIno, 0)))
-		plan, err := faults.Parse(sched)
+		plan, err := r.tb.InstallFaults(c.Schedule, walIno, clock.From)
 		if err != nil {
-			panic(err)
-		}
-		if _, err := faults.Install(r.tb.Eng, r.tb.Cluster, plan, clock.From); err != nil {
 			panic(err)
 		}
 		var faultAbs time.Duration
@@ -175,12 +141,12 @@ func RunFaultSweep(c FaultSweepCase, scale Scale) FaultSweepRow {
 		// armed.
 		var firstSurvived time.Duration
 		survival := func() func(time.Duration) {
-			before := mountFaultStats(victim.Mount)
+			before := victim.Pool.FaultStats()
 			return func(t time.Duration) {
 				if faultAbs == 0 || t < faultAbs || firstSurvived != 0 {
 					return
 				}
-				after := mountFaultStats(victim.Mount)
+				after := victim.Pool.FaultStats()
 				if after.Retries > before.Retries || after.Failovers > before.Failovers {
 					firstSurvived = t
 				}
@@ -203,7 +169,7 @@ func RunFaultSweep(c FaultSweepCase, scale Scale) FaultSweepRow {
 		if firstSurvived > 0 {
 			row.RecoveryTime = firstSurvived - faultAbs
 		}
-		row.Faults = mountFaultStats(victim.Mount)
+		row.Faults = victim.Pool.FaultStats()
 		row.DataLossBytes = workloads.AckedLoss(wal.Acked, r.tb.Cluster.StoredSize(walIno))
 	})
 	return row

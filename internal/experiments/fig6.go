@@ -54,7 +54,7 @@ func RunInterference(c InterferenceCase, scale Scale) InterferenceRow {
 	// Enabled cores: two per instance including the neighbour pool,
 	// matching the paper's "twice the number of running instances".
 	cores := 2 * (c.FLSCount + 1)
-	r := newScaledRig(cores, scale)
+	r := newRig(cores, scale.Params(), false, Observer)
 	row := InterferenceRow{Label: c.Label()}
 
 	f := newFleet(r, c.Config, c.FLSCount, c.Neighbor, scale)
@@ -62,7 +62,7 @@ func RunInterference(c InterferenceCase, scale Scale) InterferenceRow {
 	r.runMaster(func(p *sim.Proc) {
 		prepare(p, r.tb.Eng, f.preps()...)
 
-		clock := clockFor(r.tb.Eng, scale)
+		clock := scale.Clock(r.tb.Eng)
 		utilWindow(r.tb, clock, f.nbrMask, &row.NeighborCoreUtilPct)
 		utilWindow(r.tb, clock, cpu.MaskRange(0, 2*c.FLSCount), &row.FLSCoreUtilPct)
 		lockWindow(r.tb, clock, &row.LockWaitPerReq, &row.LockHoldPerReq)
@@ -100,10 +100,7 @@ type fleet struct {
 func newFleet(r *rig, config core.Configuration, n int, neighbor string, scale Scale) *fleet {
 	f := &fleet{nbrMask: cpu.MaskRange(2*n, 2*n+2)}
 	for i := 0; i < n; i++ {
-		_, cont, err := r.flsContainer(i, config, scale)
-		if err != nil {
-			panic(err)
-		}
+		cont := r.flsContainer(i, config, scale)
 		f.conts = append(f.conts, cont)
 		f.fls = append(f.fls, newFileserver(cont, scale, int64(i)+1))
 	}
@@ -230,12 +227,9 @@ func Fig6cCases() []SysbenchCase {
 // RunSysbench executes one Fig 6c case: 1 FLS instance next to an
 // optional Sysbench CPU instance.
 func RunSysbench(c SysbenchCase, scale Scale) SysbenchRow {
-	r := newScaledRig(4, scale)
+	r := newRig(4, scale.Params(), false, Observer)
 	row := SysbenchRow{Label: c.Label()}
-	_, cont, err := r.flsContainer(0, c.Config, scale)
-	if err != nil {
-		panic(err)
-	}
+	cont := r.flsContainer(0, c.Config, scale)
 	fls := newFileserver(cont, scale, 1)
 
 	ssbMask := cpu.MaskRange(2, 4)
@@ -247,7 +241,7 @@ func RunSysbench(c SysbenchCase, scale Scale) SysbenchRow {
 
 	r.runMaster(func(p *sim.Proc) {
 		prepare(p, r.tb.Eng, prepFor(cont.NewThread, fls))
-		clock := clockFor(r.tb.Eng, scale)
+		clock := scale.Clock(r.tb.Eng)
 		utilWindow(r.tb, clock, ssbMask, &row.SSBCoreUtilPct)
 		g := workloads.NewGroup(r.tb.Eng)
 		fls.Run(g, clock)

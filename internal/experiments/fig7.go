@@ -66,15 +66,11 @@ func openKV(ctx vfsapi.Ctx, r *rig, cont *core.Container, scale Scale) (*kvstore
 // RunKVScaleout executes one Fig 7a/7b point: `pools` independent
 // container pools, each with a private client and a private store.
 func RunKVScaleout(config core.Configuration, pools int, phase KVPhase, scale Scale) KVRow {
-	r := newScaledRig(2*pools, scale)
+	r := newRig(2*pools, scale.Params(), false, Observer)
 	row := KVRow{Config: config, Count: pools}
 	insts := make([]*kvInstance, pools)
 	for i := range insts {
-		_, cont, err := r.flsContainer(i, config, scale)
-		if err != nil {
-			panic(err)
-		}
-		insts[i] = &kvInstance{cont: cont}
+		insts[i] = &kvInstance{cont: r.flsContainer(i, config, scale)}
 	}
 	runKV(r, insts, phase, scale, &row)
 	return row
@@ -90,7 +86,7 @@ func RunKVScaleup(config core.Configuration, clones int, phase KVPhase, scale Sc
 	if cores > 64 {
 		cores = 64
 	}
-	r := newScaledRig(cores, scale)
+	r := newRig(cores, scale.Params(), false, Observer)
 	row := KVRow{Config: config, Count: clones}
 
 	if err := r.tb.Cluster.ProvisionDir("/images/base/etc"); err != nil {
@@ -99,25 +95,9 @@ func RunKVScaleup(config core.Configuration, clones int, phase KVPhase, scale Sc
 	r.tb.Cluster.Provision("/images/base/etc/os-release", 4<<10)
 	pool := r.tb.NewPool("scaleup", r.tb.CPU.AllMask(), scale.PoolMem()*int64(clones))
 
+	conts := r.clones(pool, config, "clone", "/images/base", clones)
 	insts := make([]*kvInstance, clones)
-	var first *core.Container
-	for i := range insts {
-		upper := fmt.Sprintf("/containers/clone%03d", i)
-		if err := r.tb.Cluster.ProvisionDir(upper); err != nil {
-			panic(err)
-		}
-		spec := core.MountSpec{Config: config, UpperDir: upper, LowerDir: "/images/base"}
-		if first != nil {
-			spec.SharedClient = first.Mount.Client
-			spec.SharedKernelMount = first.Mount.KernelMount
-		}
-		cont, err := pool.NewContainer(fmt.Sprintf("clone%03d", i), spec)
-		if err != nil {
-			panic(err)
-		}
-		if first == nil {
-			first = cont
-		}
+	for i, cont := range conts {
 		insts[i] = &kvInstance{cont: cont}
 	}
 	runKV(r, insts, phase, scale, &row)

@@ -43,7 +43,7 @@ func RunStartupScaleup(config core.Configuration, clones int, scale Scale) Start
 	if cores < 4 {
 		cores = 4
 	}
-	r := newScaledRig(cores, scale)
+	r := newRig(cores, scale.Params(), false, Observer)
 	row := StartupRow{Config: config, Containers: clones}
 
 	// Shared webserver image on the cluster.
@@ -52,27 +52,7 @@ func RunStartupScaleup(config core.Configuration, clones int, scale Scale) Start
 	}
 	pool := r.tb.NewPool("web", r.tb.CPU.AllMask(), scale.PoolMem()*8)
 
-	containers := make([]*core.Container, clones)
-	var first *core.Container
-	for i := range containers {
-		upper := fmt.Sprintf("/containers/web%03d", i)
-		if err := r.tb.Cluster.ProvisionDir(upper); err != nil {
-			panic(err)
-		}
-		spec := core.MountSpec{Config: config, UpperDir: upper, LowerDir: "/images/lighttpd"}
-		if first != nil {
-			spec.SharedClient = first.Mount.Client
-			spec.SharedKernelMount = first.Mount.KernelMount
-		}
-		cont, err := pool.NewContainer(fmt.Sprintf("web%03d", i), spec)
-		if err != nil {
-			panic(err)
-		}
-		if first == nil {
-			first = cont
-		}
-		containers[i] = cont
-	}
+	containers := r.clones(pool, config, "web", "/images/lighttpd", clones)
 
 	r.runMaster(func(p *sim.Proc) {
 		start := r.tb.Eng.Now()
@@ -129,7 +109,7 @@ func RunFileIOScaleup(config core.Configuration, clones int, append bool, scale 
 	if cores > 64 {
 		cores = 64
 	}
-	r := newScaledRig(cores, scale)
+	r := newRig(cores, scale.Params(), false, Observer)
 	row := FileIORow{Config: config, Containers: clones}
 
 	// The shared lower branch holds the 2 GB target file (scaled).
@@ -145,27 +125,7 @@ func RunFileIOScaleup(config core.Configuration, clones int, append bool, scale 
 	// A single pool holding every clone (the paper: 64 cores, 200 GB).
 	pool := r.tb.NewPool("big", r.tb.CPU.AllMask(), scale.PoolMem()*int64(clones)*2)
 
-	containers := make([]*core.Container, clones)
-	var first *core.Container
-	for i := range containers {
-		upper := fmt.Sprintf("/containers/fio%03d", i)
-		if err := r.tb.Cluster.ProvisionDir(upper); err != nil {
-			panic(err)
-		}
-		spec := core.MountSpec{Config: config, UpperDir: upper, LowerDir: "/images/data"}
-		if first != nil {
-			spec.SharedClient = first.Mount.Client
-			spec.SharedKernelMount = first.Mount.KernelMount
-		}
-		cont, err := pool.NewContainer(fmt.Sprintf("fio%03d", i), spec)
-		if err != nil {
-			panic(err)
-		}
-		if first == nil {
-			first = cont
-		}
-		containers[i] = cont
-	}
+	containers := r.clones(pool, config, "fio", "/images/data", clones)
 
 	r.runMaster(func(p *sim.Proc) {
 		start := r.tb.Eng.Now()

@@ -54,23 +54,19 @@ func RunFileserverScaleout(config core.Configuration, pools int, scale Scale) Sc
 // newWorkload builds for its container, and reports aggregate
 // throughput plus the pools' core utilization and iowait.
 func runScaleout(config core.Configuration, pools int, scale Scale, newWorkload func(i int, c *core.Container) (preparer, *workloads.Stats)) ScaleoutRow {
-	r := newScaledRig(2*pools, scale)
+	r := newRig(2*pools, scale.Params(), false, Observer)
 	row := ScaleoutRow{Config: config, Pools: pools}
 
 	type inst struct {
-		pool  *core.Pool
 		c     *core.Container
 		w     preparer
 		stats *workloads.Stats
 	}
 	insts := make([]inst, pools)
 	for i := range insts {
-		pool, cont, err := r.flsContainer(i, config, scale)
-		if err != nil {
-			panic(err)
-		}
+		cont := r.flsContainer(i, config, scale)
 		w, stats := newWorkload(i, cont)
-		insts[i] = inst{pool: pool, c: cont, w: w, stats: stats}
+		insts[i] = inst{c: cont, w: w, stats: stats}
 	}
 
 	r.runMaster(func(p *sim.Proc) {
@@ -80,11 +76,11 @@ func runScaleout(config core.Configuration, pools int, scale Scale, newWorkload 
 		}
 		prepare(p, r.tb.Eng, preps...)
 
-		clock := clockFor(r.tb.Eng, scale)
+		clock := scale.Clock(r.tb.Eng)
 		var userStart, kernStart, iowaitStart time.Duration
 		r.tb.Eng.After(clock.From-r.tb.Eng.Now(), func() {
 			for _, in := range insts {
-				s := in.pool.Acct.Snapshot()
+				s := in.c.Pool.Acct.Snapshot()
 				userStart += s.UserTime
 				kernStart += s.KernelTime
 				iowaitStart += s.IOWait
@@ -99,7 +95,7 @@ func runScaleout(config core.Configuration, pools int, scale Scale, newWorkload 
 
 		var user, kern, iowait time.Duration
 		for _, in := range insts {
-			s := in.pool.Acct.Snapshot()
+			s := in.c.Pool.Acct.Snapshot()
 			user += s.UserTime
 			kern += s.KernelTime
 			iowait += s.IOWait

@@ -28,13 +28,10 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 		end   time.Duration
 	}
 	run := func() outcome {
-		r := newScaledRig(4, scale)
+		r := newRig(4, scale.Params(), false, Observer)
 		var o outcome
 		r.tb.Eng.SetTracer(func(ev sim.TraceEvent) { o.trace = append(o.trace, ev) })
-		_, cont, err := r.flsContainer(0, core.ConfigD, scale)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cont := r.flsContainer(0, core.ConfigD, scale)
 		fls := newFileserver(cont, scale, 7)
 		nbrPool := r.tb.NewPool("nbr", cpu.MaskRange(2, 4), scale.PoolMem())
 		rnd := &workloads.RandomIO{
@@ -59,7 +56,7 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 						panic(err)
 					}
 				})
-			clock := clockFor(r.tb.Eng, scale)
+			clock := scale.Clock(r.tb.Eng)
 			g := workloads.NewGroup(r.tb.Eng)
 			fls.Run(g, clock)
 			rnd.Run(g, clock)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/vfsapi"
@@ -36,10 +35,7 @@ type MonitorCase struct {
 
 // MonitorRow is the outcome of one monitor case.
 type MonitorRow struct {
-	Label     string
-	Config    core.Configuration
-	Protected bool
-	Fault     string
+	MonitorCase
 
 	// SLOTarget is the calibrated latency target (overload cases): a
 	// multiple of the same configuration's unloaded victim p99.
@@ -132,37 +128,11 @@ func monitorConfig(scale Scale, slos []telemetry.SLO) telemetry.Config {
 // production burn-rate SLO would be: a latency target and a throughput
 // floor derived from the service's own baseline.
 func calibrateVictim(c MonitorCase, scale Scale) (time.Duration, uint64) {
-	tb, victim, _ := monitorTestbed(c, scale, nil)
+	r := newRig(4, scale.Params(), c.Protected, nil)
+	victim, _ := r.containment(c.Config, scale)
 	stats := workloads.NewStats()
-	runMonitorLoad(tb, victim, monitorLoad{}, nil, scale, stats)
+	runMonitorLoad(r, victim, monitorLoad{}, nil, scale, stats)
 	return stats.Latency.Quantile(0.99), stats.Ops.Ops / monFastFrac
-}
-
-// monitorTestbed builds the two-pool testbed for a case: victim pool
-// 0, aggressor/bystander pool 1, overload protection per the case.
-// When mon is non-nil, an observability recorder and the monitor are
-// attached BEFORE the pools are created, so every mount gets the
-// traced facade that feeds the monitor.
-func monitorTestbed(c MonitorCase, scale Scale, mon *telemetry.Monitor) (*core.Testbed, *core.Container, *core.Container) {
-	var pol *core.OverloadPolicy
-	if c.Protected {
-		pol = &core.OverloadPolicy{RetrySeed: 1}
-	}
-	tb := core.NewTestbed(core.TestbedConfig{Cores: 4, Params: scale.Params(), Overload: pol})
-	if mon != nil {
-		tb.AttachObserver(obs.New(obs.Config{Clock: tb.Eng.Now}))
-		tb.AttachMonitor(mon)
-	}
-	r := &rig{tb: tb}
-	_, victim, err := r.flsContainer(0, c.Config, scale)
-	if err != nil {
-		panic(err)
-	}
-	_, agg, err := r.flsContainer(1, c.Config, scale)
-	if err != nil {
-		panic(err)
-	}
-	return tb, victim, agg
 }
 
 // monitorLoad is the disturbance of one monitored run: a crash plan
@@ -182,9 +152,8 @@ type monitorLoad struct {
 // warmup latencies stay out of the ledger. The victim's measured
 // latencies land in vicStats; the return value is the absolute virtual
 // time the measurement ended.
-func runMonitorLoad(tb *core.Testbed, victim *core.Container, ld monitorLoad, mon *telemetry.Monitor, scale Scale, vicStats *workloads.Stats) time.Duration {
-	r := &rig{tb: tb}
-	coldSize := scale.PoolMem() + scale.PoolMem()/2
+func runMonitorLoad(r *rig, victim *core.Container, ld monitorLoad, mon *telemetry.Monitor, scale Scale, vicStats *workloads.Stats) time.Duration {
+	coldSize := scale.ColdSize()
 	const readChunk = 128 << 10
 	const warmSize = 16 << 20
 	var measureEnd time.Duration
@@ -206,11 +175,11 @@ func runMonitorLoad(tb *core.Testbed, victim *core.Container, ld monitorLoad, mo
 		}
 		prepare(p, r.tb.Eng, preps...)
 
-		clock := clockFor(r.tb.Eng, scale)
+		clock := scale.Clock(r.tb.Eng)
 		measureEnd = clock.Stop
 		mon.ArmSLOs(clock.From, clock.Stop)
 		if ld.crash != nil {
-			if _, err := faults.InstallWithTargets(r.tb.Eng, r.tb.Cluster, r.tb, *ld.crash, clock.From); err != nil {
+			if _, err := faults.Install(r.tb.Eng, r.tb.Cluster, r.tb, *ld.crash, clock.From); err != nil {
 				panic(err)
 			}
 		}
@@ -236,16 +205,8 @@ func runMonitorLoad(tb *core.Testbed, victim *core.Container, ld monitorLoad, mo
 				if wait := from - pp.Now(); wait > 0 {
 					pp.Sleep(wait)
 				}
-				ol := &workloads.OpenLoop{
-					FS:        ld.agg.Mount.Default,
-					Path:      "/cold",
-					FileSize:  coldSize,
-					OpSize:    overloadOpSize,
-					Rate:      overloadBaseRate * monBurstMult,
-					Seed:      42,
-					NewThread: ld.agg.NewThread,
-				}
-				ol.Run(g, workloads.Clock{Eng: r.tb.Eng, From: from, Stop: stop})
+				aggressor(ld.agg, scale, overloadBaseRate*monBurstMult).
+					Run(g, workloads.Clock{Eng: r.tb.Eng, From: from, Stop: stop})
 			})
 		}
 		g.Wait(p)
@@ -261,7 +222,7 @@ func runMonitorLoad(tb *core.Testbed, victim *core.Container, ld monitorLoad, mo
 // about the monitor, so it is always attached regardless of the
 // harness's -obs flags.
 func RunMonitorCase(c MonitorCase, scale Scale) MonitorRow {
-	row := MonitorRow{Label: c.Label, Config: c.Config, Protected: c.Protected, Fault: c.Fault}
+	row := MonitorRow{MonitorCase: c}
 
 	var slos []telemetry.SLO
 	if c.Fault == "overload" {
@@ -292,7 +253,13 @@ func RunMonitorCase(c MonitorCase, scale Scale) MonitorRow {
 	// interval and arms it: without this, preparation windows with no
 	// reads would trip the throughput floor before the workload exists.
 	mon.ArmSLOs(time.Duration(1<<62), 0)
-	tb, victim, agg := monitorTestbed(c, scale, mon)
+	// The recorder and the monitor attach before the pools exist, so
+	// every mount gets the traced facade that feeds the monitor.
+	r := newRig(4, scale.Params(), c.Protected, func(tb *core.Testbed) {
+		attachRecorder(tb)
+		tb.AttachMonitor(mon)
+	})
+	victim, agg := r.containment(c.Config, scale)
 
 	vicStats := workloads.NewStats()
 	var ld monitorLoad
@@ -305,9 +272,9 @@ func RunMonitorCase(c MonitorCase, scale Scale) MonitorRow {
 	default:
 		panic("monitorsweep: unknown fault " + c.Fault)
 	}
-	row.MeasureEnd = runMonitorLoad(tb, victim, ld, mon, scale, vicStats)
+	row.MeasureEnd = runMonitorLoad(r, victim, ld, mon, scale, vicStats)
 
-	tb.Obs.Finalize()
+	r.tb.Obs.Finalize()
 	row.Monitor = mon
 	row.Alerts = mon.Alerts()
 	row.Windows = len(mon.Windows())

@@ -23,10 +23,7 @@ type OverloadCase struct {
 
 // OverloadRow is the outcome of one overload case.
 type OverloadRow struct {
-	Label      string
-	Config     core.Configuration
-	Protected  bool
-	Multiplier int
+	OverloadCase
 
 	// OfferedRate is the aggressor's configured arrival rate (req/s).
 	OfferedRate float64
@@ -107,34 +104,13 @@ func RunOverloadSweep(scale Scale) []OverloadRow {
 // load. Both pools mount the case's configuration; the protection
 // policy applies testbed-wide when the case is protected.
 func RunOverloadCase(c OverloadCase, scale Scale) OverloadRow {
-	var pol *core.OverloadPolicy
-	if c.Protected {
-		pol = &core.OverloadPolicy{RetrySeed: 1}
-	}
-	tb := core.NewTestbed(core.TestbedConfig{Cores: 4, Params: scale.Params(), Overload: pol})
-	if Observer != nil {
-		Observer(tb)
-	}
-	r := &rig{tb: tb}
-
-	row := OverloadRow{
-		Label: c.Label, Config: c.Config, Protected: c.Protected,
-		Multiplier:  c.Multiplier,
-		OfferedRate: overloadBaseRate * float64(c.Multiplier),
-	}
-
-	_, victim, err := r.flsContainer(0, c.Config, scale)
-	if err != nil {
-		panic(err)
-	}
-	aggPool, agg, err := r.flsContainer(1, c.Config, scale)
-	if err != nil {
-		panic(err)
-	}
+	r := newRig(4, scale.Params(), c.Protected, Observer)
+	row := OverloadRow{OverloadCase: c, OfferedRate: overloadBaseRate * float64(c.Multiplier)}
+	victim, agg := r.containment(c.Config, scale)
 
 	// Both datasets overflow their pool's cache so reads keep hitting
 	// the shared backend — the resource the aggressor overloads.
-	coldSize := scale.PoolMem() + scale.PoolMem()/2
+	coldSize := scale.ColdSize()
 	vic := &workloads.SeqReader{
 		Name: "victim-reader", FS: victim.Mount.Default, Path: "/cold",
 		Size: coldSize, Chunk: 128 << 10, NewThread: victim.NewThread,
@@ -150,22 +126,13 @@ func RunOverloadCase(c OverloadCase, scale Scale) OverloadRow {
 		}
 		prepare(p, r.tb.Eng, prepCold(victim), prepCold(agg))
 
-		clock := clockFor(r.tb.Eng, scale)
+		clock := scale.Clock(r.tb.Eng)
 		g := workloads.NewGroup(r.tb.Eng)
 		vic.Run(g, clock)
 
 		var ol *workloads.OpenLoop
 		if c.Multiplier > 0 {
-			ol = &workloads.OpenLoop{
-				FS:        agg.Mount.Default,
-				Path:      "/cold",
-				FileSize:  coldSize,
-				OpSize:    overloadOpSize,
-				Rate:      row.OfferedRate,
-				Seed:      42,
-				NewThread: agg.NewThread,
-				Stats:     workloads.NewStats(),
-			}
+			ol = aggressor(agg, scale, row.OfferedRate)
 			ol.Run(g, clock)
 		}
 		g.Wait(p)
@@ -182,7 +149,7 @@ func RunOverloadCase(c OverloadCase, scale Scale) OverloadRow {
 				row.ShedRate = float64(ol.Shed) / float64(ol.Offered)
 			}
 		}
-		if a := aggPool.Admission; a != nil {
+		if a := agg.Pool.Admission; a != nil {
 			row.Admission = a.Stats()
 			row.QueueCap = a.QueueCap()
 		}
@@ -194,6 +161,16 @@ func RunOverloadCase(c OverloadCase, scale Scale) OverloadRow {
 		row.BrownoutFlips = r.tb.Kernel.BrownoutFlips()
 	})
 	return row
+}
+
+// aggressor is the open-loop load of the overload and monitor sweeps:
+// Poisson arrivals at rate (req/s), each reading overloadOpSize bytes
+// of the aggressor pool's cold file.
+func aggressor(agg *core.Container, scale Scale, rate float64) *workloads.OpenLoop {
+	return &workloads.OpenLoop{
+		FS: agg.Mount.Default, Path: "/cold", FileSize: scale.ColdSize(),
+		OpSize: overloadOpSize, Rate: rate, Seed: 42, NewThread: agg.NewThread,
+	}
 }
 
 // Violations checks the overload invariants on the row: the admission

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/blame"
 	"repro/internal/core"
+	"repro/internal/fuzz"
 	"repro/internal/workloads"
 )
 
@@ -23,7 +24,10 @@ type Row interface {
 // Experiment is one entry of the harness table: `danausbench -exp
 // Name` prints Title, then every row Run emits.
 type Experiment struct {
-	Name  string
+	Name string
+	// Title heads the printed section. An experiment whose heading
+	// depends on the scale leaves it empty and emits the heading as its
+	// first row.
 	Title string
 	// Raw rows are free-form reports, printed without the row indent.
 	Raw bool
@@ -34,7 +38,9 @@ type Experiment struct {
 // w, handing each row to onRow (when non-nil) right after it is
 // written.
 func (e Experiment) Render(w io.Writer, scale Scale, onRow func(Row)) {
-	fmt.Fprintln(w, e.Title)
+	if e.Title != "" {
+		fmt.Fprintln(w, e.Title)
+	}
 	indent := "  "
 	if e.Raw {
 		indent = ""
@@ -48,7 +54,8 @@ func (e Experiment) Render(w io.Writer, scale Scale, onRow func(Row)) {
 }
 
 // Table returns the harness experiments: every figure and table of the
-// paper's evaluation, the ablations, and the sweep families.
+// paper's evaluation, the ablations, and the sweep families including
+// the fuzz sweep. It is the only list of harness entries.
 func Table() []Experiment {
 	dfk := []core.Configuration{core.ConfigD, core.ConfigF, core.ConfigK}
 	return []Experiment{
@@ -119,7 +126,46 @@ func Table() []Experiment {
 			Run: all(RunTraceSweep)},
 		{Name: "monitorsweep", Title: "Monitor sweep: live SLO burn-rate alert timelines under overload and crash (D+adm vs K)",
 			Run: each(MonitorCases(), RunMonitorCase)},
+		{Name: "fuzzsweep", Raw: true, Run: fuzzSweep},
 	}
+}
+
+// fuzzSweep runs a fixed-seed fuzz sweep sized by scale (heavier audits
+// use danausbench -fuzz N -seed S): its heading, then the sweep's
+// progress output as one row.
+func fuzzSweep(scale Scale, emit func(Row)) {
+	n := 10
+	switch {
+	case scale.Factor >= 1:
+		n = 200
+	case scale.Factor >= 0.1:
+		n = 50
+	}
+	emit(Line(fmt.Sprintf("Fuzz sweep: %d seeded scenarios through the invariant registry", n)))
+	var out strings.Builder
+	sum, err := fuzz.Sweep(fuzz.Options{N: n, Seed: 1, Out: &out})
+	emit(fuzzRow{text: strings.TrimSuffix(out.String(), "\n"), violations: sum.Violations, err: err})
+}
+
+// fuzzRow is a fuzz sweep's progress output; checker violations and a
+// sweep error fail the run.
+type fuzzRow struct {
+	text       string
+	violations int
+	err        error
+}
+
+func (r fuzzRow) String() string { return r.text }
+
+func (r fuzzRow) Violations() []string {
+	var v []string
+	if r.err != nil {
+		v = append(v, "fuzzsweep: "+r.err.Error())
+	}
+	if r.violations > 0 {
+		v = append(v, fmt.Sprintf("fuzzsweep: %d checker violation(s)", r.violations))
+	}
+	return v
 }
 
 // each emits one row per case.

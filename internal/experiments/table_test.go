@@ -21,7 +21,7 @@ func TestHarnessQuickSections(t *testing.T) {
 	for _, e := range Table() {
 		table[e.Name] = e
 	}
-	for _, name := range []string{"crashsweep", "faultsweep", "overloadsweep", "tracesweep", "table1", "table2"} {
+	for _, name := range []string{"crashsweep", "faultsweep", "fuzzsweep", "overloadsweep", "tracesweep", "table1", "table2"} {
 		want := harnessSection(t, string(golden), name)
 		var got strings.Builder
 		table[name].Render(&got, QuickScale, func(r Row) {

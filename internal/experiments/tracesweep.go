@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/blame"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vfsapi"
@@ -82,11 +81,8 @@ type TraceTenantRow struct {
 // TraceRow is the outcome of one trace-sweep run (the recording, or
 // one replay).
 type TraceRow struct {
-	Label     string
-	Config    core.Configuration
-	Admission bool
-	Baseline  bool // the recording run itself
-	Identity  bool
+	TraceCase
+	Baseline bool // the recording run itself
 
 	Ops     int
 	Errors  int
@@ -113,29 +109,47 @@ type TraceRow struct {
 	ShiftPerReq time.Duration
 }
 
-// ensureObs attaches a plain recorder (no sampling) when the harness
-// has not installed one: trace capture and blame analysis both need
-// the span layer live.
-func ensureObs(tb *core.Testbed) *obs.Recorder {
-	if tb.Obs == nil {
-		tb.AttachObserver(obs.New(obs.Config{Clock: tb.Eng.Now}))
+// observeTraced is the attach step of the trace-sweep testbeds: the
+// harness Observer, then a plain recorder when the Observer installed
+// none — trace capture and blame analysis both need the span layer
+// live.
+func observeTraced(tb *core.Testbed) {
+	if Observer != nil {
+		Observer(tb)
 	}
-	return tb.Obs
+	if tb.Obs == nil {
+		attachRecorder(tb)
+	}
 }
 
-// prepTraceFiles creates the production fileset in one container:
-// traceFiles files of traceFileSize bytes each, fsynced.
-func prepTraceFiles(cont *core.Container, size int64) func(pp *sim.Proc) {
-	return func(pp *sim.Proc) {
-		ctx := vfsapi.Ctx{P: pp, T: cont.NewThread()}
-		fs := cont.Mount.Default
-		if err := fs.Mkdir(ctx, "/prod"); err != nil {
-			panic(err)
-		}
-		for i := 0; i < traceFiles; i++ {
-			workloads.WriteFile(ctx, fs, fmt.Sprintf("/prod/f%05d", i), size, 1<<20, true)
+// newTraceRig builds a trace-sweep testbed: one pool per tenant
+// mounting the case's configuration, observed through observeTraced.
+func newTraceRig(c TraceCase, scale Scale) (*rig, []*core.Container) {
+	r := newRig(4, scale.Params(), c.Admission, observeTraced)
+	conts := make([]*core.Container, traceTenants)
+	for i := range conts {
+		conts[i] = r.flsContainer(i, c.Config, scale)
+	}
+	return r, conts
+}
+
+// prepTraceFiles creates the production fileset in every container
+// concurrently: traceFiles files of traceFileSize bytes each, fsynced.
+func prepTraceFiles(p *sim.Proc, r *rig, conts []*core.Container, scale Scale) {
+	preps := make([]func(*sim.Proc), len(conts))
+	for i, cont := range conts {
+		preps[i] = func(pp *sim.Proc) {
+			ctx := vfsapi.Ctx{P: pp, T: cont.NewThread()}
+			fs := cont.Mount.Default
+			if err := fs.Mkdir(ctx, "/prod"); err != nil {
+				panic(err)
+			}
+			for i := 0; i < traceFiles; i++ {
+				workloads.WriteFile(ctx, fs, fmt.Sprintf("/prod/f%05d", i), traceFileSize(scale), 1<<20, true)
+			}
 		}
 	}
+	prepare(p, r.tb.Eng, preps...)
 }
 
 // RecordTraceBaseline runs the production-shaped workload — Zipf user
@@ -144,35 +158,18 @@ func prepTraceFiles(cont *core.Container, size int64) func(pp *sim.Proc) {
 // fileset preparation, so the trace holds exactly the workload's ops
 // with issue times relative to capture start.
 func RecordTraceBaseline(scale Scale) TraceRow {
-	tb := core.NewTestbed(core.TestbedConfig{Cores: 4, Params: scale.Params()})
-	if Observer != nil {
-		Observer(tb)
-	}
-	rec := ensureObs(tb)
-	r := &rig{tb: tb}
 	row := TraceRow{
-		Label: "rec", Config: core.ConfigD, Baseline: true,
+		TraceCase: TraceCase{Label: "rec", Config: core.ConfigD}, Baseline: true,
 		ScheduleMatch: true, SequenceMatch: true,
 	}
-
-	conts := make([]*core.Container, traceTenants)
-	for i := range conts {
-		_, c, err := r.flsContainer(i, core.ConfigD, scale)
-		if err != nil {
-			panic(err)
-		}
-		conts[i] = c
-	}
+	r, conts := newTraceRig(row.TraceCase, scale)
+	tb, rec := r.tb, r.tb.Obs
 
 	capRec := trace.NewRecorder("D", 0)
 	r.runMaster(func(p *sim.Proc) {
-		preps := make([]func(*sim.Proc), len(conts))
-		for i, c := range conts {
-			preps[i] = prepTraceFiles(c, traceFileSize(scale))
-		}
-		prepare(p, tb.Eng, preps...)
+		prepTraceFiles(p, r, conts, scale)
 
-		clock := clockFor(tb.Eng, scale)
+		clock := scale.Clock(tb.Eng)
 		capRec.SetBase(tb.Eng.Now())
 		capRec.Attach(rec)
 
@@ -225,26 +222,12 @@ func RecordTraceBaseline(scale Scale) TraceRow {
 // fileset, and reports tail latency and blame against the recording;
 // the row's Trace is the replay's re-recorded trace.
 func ReplayTraceUnder(t *trace.Trace, c TraceCase, scale Scale) TraceRow {
-	var pol *core.OverloadPolicy
-	if c.Admission {
-		pol = &core.OverloadPolicy{RetrySeed: 1}
-	}
-	tb := core.NewTestbed(core.TestbedConfig{Cores: 4, Params: scale.Params(), Overload: pol})
-	if Observer != nil {
-		Observer(tb)
-	}
-	rec := ensureObs(tb)
-	r := &rig{tb: tb}
-	row := TraceRow{Label: c.Label, Config: c.Config, Admission: c.Admission, Identity: c.Identity}
+	r, conts := newTraceRig(c, scale)
+	tb, rec := r.tb, r.tb.Obs
+	row := TraceRow{TraceCase: c}
 
 	bindings := map[string]trace.Binding{}
-	conts := make([]*core.Container, traceTenants)
-	for i := range conts {
-		_, cont, err := r.flsContainer(i, c.Config, scale)
-		if err != nil {
-			panic(err)
-		}
-		conts[i] = cont
+	for i, cont := range conts {
 		bindings[fmt.Sprintf("fls%d", i)] = trace.Binding{
 			FS: cont.Mount.Default, NewThread: cont.NewThread,
 		}
@@ -252,11 +235,7 @@ func ReplayTraceUnder(t *trace.Trace, c TraceCase, scale Scale) TraceRow {
 
 	var stats *trace.ReplayStats
 	r.runMaster(func(p *sim.Proc) {
-		preps := make([]func(*sim.Proc), len(conts))
-		for i, cont := range conts {
-			preps[i] = prepTraceFiles(cont, traceFileSize(scale))
-		}
-		prepare(p, tb.Eng, preps...)
+		prepTraceFiles(p, r, conts, scale)
 		row.Trace, stats = trace.Replay(p, tb.Eng, t, c.Label,
 			func(tenant string) (trace.Binding, bool) {
 				b, ok := bindings[tenant]

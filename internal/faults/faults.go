@@ -22,7 +22,7 @@
 // and restart it at End: danaus-crash a single tenant's user-level
 // library service, fuse-crash a FUSE daemon (taking down every tenant
 // mounted through it), host-crash the shared kernel client (every
-// tenant on the host). They require crash targets (InstallWithTargets)
+// tenant on the host). They require a CrashTargets resolver in Install
 // because the affected components live above the cluster.
 // Packet loss and partitions target OSD links only: the metadata path
 // may stall but never loses messages, which keeps non-idempotent
@@ -243,17 +243,11 @@ type Injector struct {
 // window times interpreted relative to offset (an absolute virtual
 // time, typically the start of an experiment's measurement window).
 // The plan is validated first; an empty plan installs nothing and
-// perturbs nothing. Plans containing client crash windows need
-// InstallWithTargets.
-func Install(eng *sim.Engine, clus *cluster.Cluster, plan Plan, offset time.Duration) (*Injector, error) {
-	return InstallWithTargets(eng, clus, nil, plan, offset)
-}
-
-// InstallWithTargets is Install plus a crash-target resolver for the
-// client crash kinds. Targets are resolved at install time, so a
-// schedule naming an unknown tenant fails immediately rather than
-// mid-run. A nil resolver rejects plans containing crash windows.
-func InstallWithTargets(eng *sim.Engine, clus *cluster.Cluster, targets CrashTargets, plan Plan, offset time.Duration) (*Injector, error) {
+// perturbs nothing. targets resolves the client crash kinds; they are
+// resolved at install time, so a schedule naming an unknown tenant
+// fails immediately rather than mid-run. A nil resolver rejects plans
+// containing crash windows.
+func Install(eng *sim.Engine, clus *cluster.Cluster, targets CrashTargets, plan Plan, offset time.Duration) (*Injector, error) {
 	if err := plan.Validate(len(clus.OSDs())); err != nil {
 		return nil, err
 	}
@@ -263,7 +257,7 @@ func InstallWithTargets(eng *sim.Engine, clus *cluster.Cluster, targets CrashTar
 		w := w
 		if w.Kind.ClientCrash() {
 			if targets == nil {
-				return nil, fmt.Errorf("faults: window %d (%v): client crash needs InstallWithTargets", i, w)
+				return nil, fmt.Errorf("faults: window %d (%v): client crash needs crash targets", i, w)
 			}
 			tgt, err := targets.CrashTarget(w.Kind, w.Tenant)
 			if err != nil {

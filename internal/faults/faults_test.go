@@ -145,7 +145,7 @@ func TestInjectorArmsAndDisarms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := Install(e, c, plan, 0)
+	inj, err := Install(e, c, nil, plan, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestInjectorDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inj, err := Install(e, c, plan, 2*time.Millisecond)
+		inj, err := Install(e, c, nil, plan, 2*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestInjectorDeterminism(t *testing.T) {
 func TestInstallRejectsBadPlan(t *testing.T) {
 	e, c := testCluster()
 	plan := Plan{Windows: []Window{{Kind: OSDCrash, OSD: 99, End: time.Second}}}
-	if _, err := Install(e, c, plan, 0); err == nil || !strings.Contains(err.Error(), "no such osd") {
+	if _, err := Install(e, c, nil, plan, 0); err == nil || !strings.Contains(err.Error(), "no such osd") {
 		t.Fatalf("Install accepted a bad plan (err=%v)", err)
 	}
 }

@@ -5,15 +5,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/blame"
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/experiments"
-	"repro/internal/faults"
 	"repro/internal/kern"
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
@@ -142,40 +138,18 @@ func Evaluate(sc Scenario) *Outcome {
 	return o
 }
 
-// scale converts the scenario sizing into the experiments form.
-func (sc Scenario) scale() experiments.Scale {
-	return experiments.Scale{Factor: sc.Factor, Duration: sc.Duration, Warmup: sc.Warmup}
-}
-
-// victimFaultStats sums fault counters over every distinct client and
-// kernel Ceph store mounted in the pool. Shared clients and shared
-// kernel mounts (scaleup clones) are counted once.
-func victimFaultStats(pool *core.Pool) metrics.FaultCounters {
-	var total metrics.FaultCounters
-	seen := map[interface{}]bool{}
-	for _, cont := range pool.Containers() {
-		if c := cont.Mount.Client; c != nil && !seen[c] {
-			seen[c] = true
-			total.Add(c.FaultStats())
-		}
-		if m := cont.Mount.KernelMount; m != nil && !seen[m] {
-			seen[m] = true
-			if cs, ok := m.Store().(*kern.CephStore); ok {
-				total.Add(cs.FaultStats())
-			}
-		}
-	}
-	return total
+// scale converts the scenario sizing into the shared experiment form.
+func (sc Scenario) scale() workloads.Scale {
+	return workloads.Scale{Factor: sc.Factor, Duration: sc.Duration, Warmup: sc.Warmup}
 }
 
 // host is one scenario's testbed: the victim container (plus, with
 // SharedMount, a scaleup clone sharing its client) in pool "victim",
 // and one container per co-tenant in pools "t0", "t1", ...
 type host struct {
-	tb         *core.Testbed
-	victimPool *core.Pool
-	victim     *core.Container
-	tenants    []*core.Container
+	tb      *core.Testbed
+	victim  *core.Container
+	tenants []*core.Container
 }
 
 // newHost builds the testbed every run of the scenario shares: cores,
@@ -201,44 +175,39 @@ func (sc Scenario) newHost(solo bool, observe func(tb *core.Testbed)) *host {
 		cacheBytes = poolMem / int64(sc.CacheFrac)
 	}
 	h := &host{tb: tb}
-	if err := tb.Cluster.ProvisionDir("/containers/victim"); err != nil {
-		panic(err)
+	// mount creates container name in pool over /containers/<dir>,
+	// sharing share's client and kernel mount when share is non-nil.
+	mount := func(pool *core.Pool, name, dir string, share *core.Container) *core.Container {
+		spec := core.MountSpec{Config: sc.Config, UpperDir: "/containers/" + dir, CacheBytes: cacheBytes}
+		if share != nil {
+			spec.SharedClient, spec.SharedKernelMount = share.Mount.Client, share.Mount.KernelMount
+		}
+		c, err := pool.NewContainer(name, spec)
+		if err != nil {
+			panic(err)
+		}
+		return c
 	}
-	h.victimPool = tb.NewPool("victim", cpu.MaskRange(0, 2), poolMem)
-	victim, err := h.victimPool.NewContainer("victim", core.MountSpec{
-		Config: sc.Config, UpperDir: "/containers/victim", CacheBytes: cacheBytes,
-	})
-	if err != nil {
-		panic(err)
+	// tenant provisions and mounts container name in its own pool on
+	// cores 2i and 2i+1.
+	tenant := func(i int, name string) *core.Container {
+		if err := tb.Cluster.ProvisionDir("/containers/" + name); err != nil {
+			panic(err)
+		}
+		return mount(tb.NewPool(name, cpu.MaskRange(2*i, 2*i+2), poolMem), name, name, nil)
 	}
-	h.victim = victim
+	h.victim = tenant(0, "victim")
 	if sc.SharedMount {
 		// A scaleup clone: same image, same client/kernel mount. It
 		// runs no workload of its own; its presence exercises the
 		// shared-mount accounting paths.
-		if _, err := h.victimPool.NewContainer("victim-clone", core.MountSpec{
-			Config: sc.Config, UpperDir: "/containers/victim", CacheBytes: cacheBytes,
-			SharedClient: victim.Mount.Client, SharedKernelMount: victim.Mount.KernelMount,
-		}); err != nil {
-			panic(err)
-		}
+		mount(h.victim.Pool, "victim-clone", "victim", h.victim)
 	}
 	if solo {
 		return h
 	}
 	for i := range sc.Tenants {
-		dir := fmt.Sprintf("/containers/t%d", i)
-		if err := tb.Cluster.ProvisionDir(dir); err != nil {
-			panic(err)
-		}
-		pool := tb.NewPool(fmt.Sprintf("t%d", i), cpu.MaskRange(2+2*i, 4+2*i), poolMem)
-		cont, err := pool.NewContainer(fmt.Sprintf("t%d", i), core.MountSpec{
-			Config: sc.Config, UpperDir: dir, CacheBytes: cacheBytes,
-		})
-		if err != nil {
-			panic(err)
-		}
-		h.tenants = append(h.tenants, cont)
+		h.tenants = append(h.tenants, tenant(i+1, fmt.Sprintf("t%d", i)))
 	}
 	return h
 }
@@ -281,7 +250,7 @@ func RunScenario(sc Scenario, solo bool) *Result {
 
 	// The cold file overflows every cache tier so victim reads keep
 	// hitting the backend through any fault window.
-	coldSize := scale.PoolMem() + scale.PoolMem()/2
+	coldSize := scale.ColdSize()
 	const readChunk = 256 << 10
 	wal := &workloads.WALWriter{
 		FS: victim.Mount.Default, Path: "/wal",
@@ -372,8 +341,7 @@ func RunScenario(sc Scenario, solo bool) *Result {
 		}
 		g.Wait(p)
 
-		now := tb.Eng.Now()
-		clock := workloads.Clock{Eng: tb.Eng, From: now + sc.Warmup, Stop: now + sc.Warmup + sc.Duration}
+		clock := scale.Clock(tb.Eng)
 
 		walNode, err := tb.Cluster.Tree().Lookup("/containers/victim/wal")
 		if err != nil {
@@ -387,13 +355,8 @@ func RunScenario(sc Scenario, solo bool) *Result {
 			}
 			sched += sc.Crash
 		}
-		sched = strings.ReplaceAll(sched, "@wal",
-			strconv.Itoa(tb.Cluster.PlacementOf(walIno, 0)))
-		plan, err := faults.Parse(sched)
+		plan, err := tb.InstallFaults(sched, walIno, clock.From)
 		if err != nil {
-			panic(err)
-		}
-		if _, err := faults.InstallWithTargets(tb.Eng, tb.Cluster, tb, plan, clock.From); err != nil {
 			panic(err)
 		}
 
@@ -454,7 +417,7 @@ func RunScenario(sc Scenario, solo bool) *Result {
 		res.ReadMean = reader.Stats.Latency.Mean()
 		res.AckedBytes = wal.Acked
 		res.StoredBytes = tb.Cluster.StoredSize(walIno)
-		res.Faults = victimFaultStats(h.victimPool)
+		res.Faults = victim.Pool.FaultStats()
 		if ol != nil {
 			res.OLOffered = ol.Offered
 			res.OLCompleted = ol.Completed
