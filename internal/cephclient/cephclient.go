@@ -522,11 +522,11 @@ func (c *Client) lockedMeta(ctx vfsapi.Ctx, fn func()) {
 // socket syscalls (kernel mode on the caller's cores), protocol CPU,
 // and the user-level message checksum.
 func (c *Client) wire(ctx vfsapi.Ctx, n int64) {
-	ctx.T.ModeSwitch(ctx.P)
-	ctx.T.Exec(ctx.P, cpu.Kernel, c.params.NetOpCost)
-	ctx.T.ExecBytes(ctx.P, cpu.Kernel, n, c.params.NetCPUBytesPerSec)
-	ctx.T.ModeSwitch(ctx.P)
-	ctx.T.ExecBytes(ctx.P, cpu.User, n, c.params.ChecksumBytesPerSec)
+	ctx.T.Chain(ctx.P, ctx.T.ModeSwitchStep(),
+		cpu.Charge(cpu.Kernel, c.params.NetOpCost),
+		cpu.Charge(cpu.Kernel, model.RateTime(n, c.params.NetCPUBytesPerSec)),
+		ctx.T.ModeSwitchStep(),
+		cpu.Charge(cpu.User, model.RateTime(n, c.params.ChecksumBytesPerSec)))
 }
 
 // copyData charges a data copy of n bytes, a fraction of it while

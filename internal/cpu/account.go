@@ -52,6 +52,16 @@ func (a *Account) ModeSwitches() uint64 { return a.modeSwitches }
 // ContextSwitches returns the number of thread switches charged.
 func (a *Account) ContextSwitches() uint64 { return a.contextSwitches }
 
+// count bumps the counter c names.
+func (a *Account) count(c Counter) {
+	switch c {
+	case CountModeSwitch:
+		a.modeSwitches++
+	case CountContextSwitch:
+		a.contextSwitches++
+	}
+}
+
 func (a *Account) addTime(k TimeKind, d time.Duration) {
 	if a == nil {
 		return

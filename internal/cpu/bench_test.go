@@ -54,6 +54,29 @@ func BenchmarkExecContendedSubQuantum(b *testing.B) {
 	benchContended(b, time.Microsecond)
 }
 
+// BenchmarkExecChainContended time-shares one core between four
+// threads, each issuing the app-entry charges of a FUSE request as one
+// Chain (mode switch, 1µs of kernel work, context switch), so every
+// step queues for the core. One op is one chain.
+func BenchmarkExecChainContended(b *testing.B) {
+	eng := sim.NewEngine()
+	c := New(eng, model.Default(), 1)
+	acct := NewAccount("bench")
+	const threads = 4
+	per := b.N/threads + 1
+	for i := 0; i < threads; i++ {
+		th := c.NewThread(acct, MaskOf(0))
+		eng.Go("bench", func(p *sim.Proc) {
+			for j := 0; j < per; j++ {
+				th.Chain(p, th.ModeSwitchStep(), Charge(Kernel, time.Microsecond), th.ContextSwitchStep())
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
+}
+
 func benchContended(b *testing.B, d time.Duration) {
 	eng := sim.NewEngine()
 	c := New(eng, model.Default(), 1)

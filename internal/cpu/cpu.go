@@ -144,28 +144,97 @@ func (t *Thread) Account() *Account { return t.acct }
 
 // Exec consumes d of CPU time of kind k on a core within the thread's
 // affinity mask, waiting FIFO for a core when all are busy and yielding
-// the core every scheduler quantum.
+// the core every scheduler quantum. It is a one-step Chain.
+func (t *Thread) Exec(p *sim.Proc, k TimeKind, d time.Duration) {
+	if d > 0 {
+		t.run(p, k, d, nil)
+	}
+}
+
+// Counter names the account counter a Step bumps before it runs.
+type Counter uint8
+
+// Step counters.
+const (
+	NoCount            Counter = iota // a plain CPU charge
+	CountModeSwitch                   // bumps Account.ModeSwitches
+	CountContextSwitch                // bumps Account.ContextSwitches
+)
+
+// Step is one charge of a Chain: bump the Count counter, then consume D
+// of CPU time of Kind. A step with D <= 0 only bumps its counter.
+type Step struct {
+	Kind  TimeKind
+	D     time.Duration
+	Count Counter
+}
+
+// Charge returns the step Exec(k, d) runs.
+func Charge(k TimeKind, d time.Duration) Step { return Step{Kind: k, D: d} }
+
+// ModeSwitchStep returns the step ModeSwitch runs.
+func (t *Thread) ModeSwitchStep() Step {
+	return Step{Kind: Kernel, D: t.cpu.params.ModeSwitchCost, Count: CountModeSwitch}
+}
+
+// ContextSwitchStep returns the step ContextSwitch runs.
+func (t *Thread) ContextSwitchStep() Step {
+	return Step{Kind: Kernel, D: t.cpu.params.ContextSwitchCost, Count: CountContextSwitch}
+}
+
+// Chain runs steps back to back on the thread. It is equivalent, event
+// for event, to issuing the same steps as consecutive Exec, ModeSwitch
+// and ContextSwitch calls, so it fits any run of charges between which
+// the process does nothing else.
 //
 // The process parks at most once: only the wake that ends the last
-// slice resumes it. Waiting for a core, every quantum boundary (charge,
-// release, re-acquire) and every core grant run as engine callbacks of a
-// pooled execRun, so a contended or multi-quantum Exec costs one
-// park/resume round trip. The callbacks mirror the historical
-// per-quantum loop event for event — see the execRun invariants — so
-// virtual-time results are bit-identical.
-func (t *Thread) Exec(p *sim.Proc, k TimeKind, d time.Duration) {
-	if d <= 0 {
-		return
+// slice of the last step resumes it. Waiting for a core, every quantum
+// boundary and step boundary (charge, release, bump the next step's
+// counter, re-acquire) and every core grant run as engine callbacks of a
+// pooled execRun, so a contended, multi-quantum or multi-step chain
+// costs one park/resume round trip; a single slice on an idle core is a
+// plain Sleep. The callbacks mirror the historical per-quantum loop
+// event for event — see the execRun invariants — so virtual-time
+// results are bit-identical.
+func (t *Thread) Chain(p *sim.Proc, steps ...Step) {
+	first, last := -1, -1
+	for i := range steps {
+		if steps[i].D > 0 {
+			if first < 0 {
+				first = i
+			}
+			last = i
+		}
 	}
+	for _, s := range steps[:first+1] {
+		t.acct.count(s.Count)
+	}
+	if first >= 0 {
+		t.run(p, steps[first].Kind, steps[first].D, steps[first+1:last+1])
+	}
+	// Trailing zero-length steps (all steps, when none has work) count
+	// at the event that ended the last slice, as consecutive calls would.
+	for _, s := range steps[last+1:] {
+		t.acct.count(s.Count)
+	}
+}
+
+// run executes d of kind k, the work of a step whose counter is already
+// bumped, and then rest, whose last step has work, parking the process
+// once.
+func (t *Thread) run(p *sim.Proc, k TimeKind, d time.Duration, rest []Step) {
 	c := t.cpu
 	core, ok := c.tryAcquire(t)
-	if ok && d <= c.params.Quantum {
+	if ok && len(rest) == 0 && d <= c.params.Quantum {
+		// One slice on an idle core: a plain Sleep needs no run state.
 		p.Sleep(d)
 		c.endSlice(p, t, k, core, d)
 		return
 	}
 	r := c.getRun()
 	r.p, r.t, r.kind, r.d = p, t, k, d
+	r.rest = append(r.rest[:0], rest...)
+	r.i = 0
 	if ok {
 		r.core = core
 		r.startSlice()
@@ -173,7 +242,7 @@ func (t *Thread) Exec(p *sim.Proc, k TimeKind, d time.Duration) {
 		c.enqueue(r)
 	}
 	p.Park()
-	c.endSlice(p, t, k, r.core, r.slice)
+	c.endSlice(p, t, r.kind, r.core, r.slice)
 	c.putRun(r)
 }
 
@@ -188,30 +257,34 @@ func (c *CPU) endSlice(p *sim.Proc, t *Thread, k TimeKind, core int, d time.Dura
 	c.release(core)
 }
 
-// execRun drives one Exec that waits for a core or spans several
-// quanta. The owning process parks once; everything before the last
-// slice's wake fires as engine callbacks: grant when a release hands the
-// run a core, step at each quantum boundary. The chain is constructed to
-// be event-for-event identical to the historical per-Exec loop (acquire,
-// parking until a release wakes the waiter; then Sleep(min(quantum,
-// rest)) and release, once per quantum): at every point where that loop
-// pushed exactly one engine event — a Sleep wake, or the waiter's wake
-// inside release — the chain pushes exactly one event of the same
-// timestamp at the same position in engine seq order. Because the event
-// heap breaks timestamp ties by seq, and wait reports are passive, this
-// preserves the simulation's event interleaving — and therefore its
-// virtual-time results — bit for bit. Only the kind of one event
-// changed: the waiter's resume is now the grant callback.
-// TestExecMatchesHistoricalLoop checks this against that loop.
+// execRun drives one Chain. The owning process parks once; everything
+// before the last slice's wake fires as engine callbacks: grant when a
+// release hands the run a core, step at each quantum or step boundary.
+// The chain is constructed to be event-for-event identical to the
+// historical loop, which ran each step as its own call (bump the
+// counter; then, once per quantum, acquire, parking until a release
+// wakes the waiter, Sleep(min(quantum, rest)) and release): at every
+// point where that loop pushed exactly one engine event — a Sleep wake,
+// or the waiter's wake inside release — the chain pushes exactly one
+// event of the same timestamp at the same position in engine seq order.
+// Because the event queue breaks timestamp ties by seq, and wait
+// reports are passive, this preserves the simulation's event
+// interleaving — and therefore its virtual-time results — bit for bit.
+// Only the kind of some events changed: the waiter's resume is now the
+// grant callback, and the wake that ended a step other than the last is
+// now the step callback. TestExecMatchesHistoricalLoop checks this
+// against that loop.
 type execRun struct {
 	c     *CPU
 	p     *sim.Proc
 	t     *Thread
+	rest  []Step // the steps after the first with work, through the last with work
+	i     int    // index in rest of the next step to enter
 	kind  TimeKind
 	core  int
-	d     time.Duration // remaining work, including the in-flight slice
+	d     time.Duration // remaining work of the current step, including the in-flight slice
 	slice time.Duration // length of the in-flight slice
-	step  func()        // reusable quantum-boundary callback (fire)
+	step  func()        // reusable quantum- and step-boundary callback (fire)
 	grant func()        // reusable core-grant callback (granted)
 
 	// Wait-observer bookkeeping for a queued run: when the wait began
@@ -220,28 +293,46 @@ type execRun struct {
 	aggr  string
 }
 
-// startSlice runs the next slice on r.core: a full quantum ending in the
-// boundary callback, or the last slice, whose wake resumes the parked
-// process with the same proc-resume event the historical loop's final Sleep
-// pushed.
-func (r *execRun) startSlice() {
-	c := r.c
-	if r.d > c.params.Quantum {
-		r.slice = c.params.Quantum
-		c.eng.After(r.slice, r.step)
-		return
+// next enters the next step with work, bumping the counter of every
+// step it enters on the way. The last entry of rest has work, so a
+// step is always found.
+func (r *execRun) next() {
+	for {
+		s := r.rest[r.i]
+		r.i++
+		r.t.acct.count(s.Count)
+		if s.D > 0 {
+			r.kind, r.d = s.Kind, s.D
+			return
+		}
 	}
-	r.slice = r.d
-	c.eng.ScheduleWakeAfter(r.p, r.slice)
 }
 
-// fire is the quantum-boundary callback: charge the completed slice,
-// release the core, then re-acquire one at once or queue for it, exactly
-// as one iteration of the historical loop did.
+// startSlice runs the next slice on r.core: a full quantum, or the rest
+// of the step, ending in the boundary callback — except the last slice
+// of the last step, whose wake resumes the parked process with the same
+// proc-resume event the historical loop's final Sleep pushed.
+func (r *execRun) startSlice() {
+	c := r.c
+	r.slice = min(r.d, c.params.Quantum)
+	if r.slice == r.d && r.i == len(r.rest) {
+		c.eng.ScheduleWakeAfter(r.p, r.slice)
+		return
+	}
+	c.eng.After(r.slice, r.step)
+}
+
+// fire is the boundary callback: charge the completed slice, release the
+// core, move to the next step when this one is done, then re-acquire a
+// core at once or queue for it, exactly as the historical loop did
+// between two slices.
 func (r *execRun) fire() {
 	c := r.c
 	c.endSlice(r.p, r.t, r.kind, r.core, r.slice)
 	r.d -= r.slice
+	if r.d == 0 {
+		r.next() // not the last step with work: that one ends in a wake
+	}
 	if core, ok := c.tryAcquire(r.t); ok {
 		r.core = core
 		r.startSlice()
@@ -280,16 +371,10 @@ func (t *Thread) ExecBytes(p *sim.Proc, k TimeKind, n, bytesPerSec int64) {
 }
 
 // ModeSwitch charges one user/kernel crossing to the thread.
-func (t *Thread) ModeSwitch(p *sim.Proc) {
-	t.acct.modeSwitches++
-	t.Exec(p, Kernel, t.cpu.params.ModeSwitchCost)
-}
+func (t *Thread) ModeSwitch(p *sim.Proc) { t.Chain(p, t.ModeSwitchStep()) }
 
 // ContextSwitch charges one thread switch to the thread's account.
-func (t *Thread) ContextSwitch(p *sim.Proc) {
-	t.acct.contextSwitches++
-	t.Exec(p, Kernel, t.cpu.params.ContextSwitchCost)
-}
+func (t *Thread) ContextSwitch(p *sim.Proc) { t.Chain(p, t.ContextSwitchStep()) }
 
 // enqueue queues r FIFO for a core in its thread's mask, for a run that
 // found none idle. Released cores are handed directly to the oldest

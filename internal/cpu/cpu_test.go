@@ -442,20 +442,29 @@ func (h *historicalCPU) release(core int) {
 	h.cores[core].occupant = nil
 }
 
-// execScenario is a random schedule of Exec calls: one proc per thread,
-// each sleeping gaps[i] then executing durs[i] of kinds[i].
+// execScenario is a random schedule of CPU charges: one proc per
+// thread, each sleeping gaps[i] then running the steps of chains[i].
 type execScenario struct {
 	cores, accounts int
+	freeModeSwitch  bool // a zero ModeSwitchCost: counter-only steps
 	threads         []execThreadSpec
 }
 
 type execThreadSpec struct {
-	acct  int
-	mask  Mask
-	gaps  []time.Duration
-	durs  []time.Duration
-	kinds []TimeKind
+	acct   int
+	mask   Mask
+	gaps   []time.Duration
+	chains [][]Step
 }
+
+// execMode names how runExecScenario issues a chain's steps.
+type execMode int
+
+const (
+	viaHistoricalLoop execMode = iota // bump the counter, then historicalCPU.exec, per step
+	viaCalls                          // one Exec, ModeSwitch or ContextSwitch per step
+	viaChain                          // one Chain per chain
+)
 
 type waitReport struct {
 	kind, holder string
@@ -464,18 +473,28 @@ type waitReport struct {
 }
 
 // execOutcome is everything TestExecMatchesHistoricalLoop requires the
-// two schedulers to agree on.
+// schedulers to agree on.
 type execOutcome struct {
-	ends   [][]time.Duration // per proc, the return time of each Exec
+	ends   [][]time.Duration // per proc, the return time of each chain
 	busy   []time.Duration   // per core
 	cpu    []time.Duration   // per account
+	counts []uint64          // per window tick, each account's mode and context switches
 	waits  []waitReport
 	events int
 }
 
+func scenarioParams(sc execScenario) *model.Params {
+	params := model.Default()
+	if sc.freeModeSwitch {
+		params.ModeSwitchCost = 0
+	}
+	return params
+}
+
 func randomExecScenario(rng *rand.Rand) execScenario {
-	q := model.Default().Quantum
-	sc := execScenario{cores: 1 + rng.Intn(4), accounts: 1 + rng.Intn(3)}
+	sc := execScenario{cores: 1 + rng.Intn(4), accounts: 1 + rng.Intn(3), freeModeSwitch: rng.Intn(4) == 0}
+	params := scenarioParams(sc)
+	q := params.Quantum
 	for i, n := 0, 1+rng.Intn(8); i < n; i++ {
 		var mask Mask // zero: anywhere
 		if rng.Intn(3) > 0 {
@@ -485,32 +504,47 @@ func randomExecScenario(rng *rand.Rand) execScenario {
 		}
 		th := execThreadSpec{acct: rng.Intn(sc.accounts), mask: mask}
 		for j, m := 0, 1+rng.Intn(6); j < m; j++ {
-			var gap, d time.Duration
+			var gap time.Duration
 			if rng.Intn(2) == 0 {
 				gap = time.Duration(rng.Intn(3000)) * time.Microsecond
 			}
-			switch rng.Intn(4) {
-			case 0: // IPC/syscall-sized
-				d = time.Duration(1+rng.Intn(20)) * time.Microsecond
-			case 1: // sub-quantum up to exactly one quantum
-				d = time.Duration(1 + rng.Int63n(int64(q)))
-			default: // multi-quantum, half of them a whole number of quanta
-				d = time.Duration(1+rng.Intn(5))*q + time.Duration(rng.Int63n(int64(q)))*time.Duration(rng.Intn(2))
+			var chain []Step
+			for k, l := 0, 1+rng.Intn(4); k < l; k++ {
+				switch rng.Intn(4) {
+				case 0:
+					chain = append(chain, Step{Kind: Kernel, D: params.ModeSwitchCost, Count: CountModeSwitch})
+					continue
+				case 1:
+					chain = append(chain, Step{Kind: Kernel, D: params.ContextSwitchCost, Count: CountContextSwitch})
+					continue
+				}
+				var d time.Duration
+				switch rng.Intn(5) {
+				case 0: // IPC/syscall-sized
+					d = time.Duration(1+rng.Intn(20)) * time.Microsecond
+				case 1: // sub-quantum up to exactly one quantum
+					d = time.Duration(1 + rng.Int63n(int64(q)))
+				case 2: // zero-length: a no-op
+				default: // multi-quantum, half of them a whole number of quanta
+					d = time.Duration(1+rng.Intn(5))*q + time.Duration(rng.Int63n(int64(q)))*time.Duration(rng.Intn(2))
+				}
+				chain = append(chain, Charge(TimeKind(rng.Intn(2)), d))
 			}
 			th.gaps = append(th.gaps, gap)
-			th.durs = append(th.durs, d)
-			th.kinds = append(th.kinds, TimeKind(rng.Intn(2)))
+			th.chains = append(th.chains, chain)
 		}
 		sc.threads = append(sc.threads, th)
 	}
 	return sc
 }
 
-// runExecScenario runs sc on a fresh engine through the real Exec, or
-// through the historical loop when historical is set.
-func runExecScenario(sc execScenario, historical bool) execOutcome {
+// runExecScenario runs sc on a fresh engine, issuing each chain as mode
+// says. A callback ticks at a fixed period while any proc is live and
+// reads every account's switch counters, as a measurement window
+// boundary would.
+func runExecScenario(sc execScenario, mode execMode, tick time.Duration) execOutcome {
 	e := sim.NewEngine()
-	c := New(e, model.Default(), sc.cores)
+	c := New(e, scenarioParams(sc), sc.cores)
 	h := &historicalCPU{CPU: c}
 	var out execOutcome
 	e.SetTracer(func(ev sim.TraceEvent) {
@@ -529,17 +563,47 @@ func runExecScenario(sc execScenario, historical bool) execOutcome {
 	for i, spec := range sc.threads {
 		th := c.NewThread(accts[spec.acct], spec.mask)
 		e.Go("w", func(p *sim.Proc) {
-			for j, d := range spec.durs {
+			for j, chain := range spec.chains {
 				p.Sleep(spec.gaps[j])
-				if historical {
-					h.exec(p, th, spec.kinds[j], d)
-				} else {
-					th.Exec(p, spec.kinds[j], d)
+				switch mode {
+				case viaHistoricalLoop:
+					for _, s := range chain {
+						switch s.Count {
+						case CountModeSwitch:
+							th.acct.modeSwitches++
+						case CountContextSwitch:
+							th.acct.contextSwitches++
+						}
+						h.exec(p, th, s.Kind, s.D)
+					}
+				case viaCalls:
+					for _, s := range chain {
+						switch s.Count {
+						case CountModeSwitch:
+							th.ModeSwitch(p)
+						case CountContextSwitch:
+							th.ContextSwitch(p)
+						default:
+							th.Exec(p, s.Kind, s.D)
+						}
+					}
+				case viaChain:
+					th.Chain(p, chain...)
 				}
 				out.ends[i] = append(out.ends[i], p.Now())
 			}
 		})
 	}
+	var window func()
+	window = func() {
+		for _, a := range accts {
+			out.counts = append(out.counts, a.ModeSwitches(), a.ContextSwitches())
+		}
+		if e.LiveProcs() > 0 {
+			e.After(tick, window)
+		}
+	}
+	e.After(tick, window)
 	e.Run()
 	out.busy = c.UtilSnapshot()
 	for _, a := range accts {
@@ -548,41 +612,53 @@ func runExecScenario(sc execScenario, historical bool) execOutcome {
 	return out
 }
 
-// TestExecMatchesHistoricalLoop is a differential test of Exec against
-// the per-quantum acquire/Sleep/release loop it replaced: over random
-// core counts, masks, thread counts and durations from a few
-// microseconds to several quanta, both must return every Exec at the
-// same time, charge every core and account the same, report the same
-// waits in the same order, and process the same number of events.
+// TestExecMatchesHistoricalLoop is a differential test of Exec and
+// Chain against the per-quantum acquire/Sleep/release loop they
+// replaced: over random core counts, masks, thread counts and chains of
+// zero-length, few-microsecond, sub-quantum and multi-quantum charges
+// and mode and context switches, each chain issued as consecutive
+// Exec/ModeSwitch/ContextSwitch calls and as one Chain must return at
+// the same time as under the loop, charge every core and account the
+// same, show the same switch counters at every window boundary, report
+// the same runqueue and run waits in the same order, and process the
+// same number of events.
 func TestExecMatchesHistoricalLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for n := 0; n < 400; n++ {
 		sc := randomExecScenario(rng)
-		got, want := runExecScenario(sc, false), runExecScenario(sc, true)
-		for i := range want.ends {
-			if !slices.Equal(got.ends[i], want.ends[i]) {
-				t.Fatalf("scenario %d proc %d: Exec returns %v, historical loop %v", n, i+1, got.ends[i], want.ends[i])
+		tick := time.Duration(20+rng.Intn(300)) * time.Microsecond
+		want := runExecScenario(sc, viaHistoricalLoop, tick)
+		for _, mode := range []execMode{viaCalls, viaChain} {
+			got := runExecScenario(sc, mode, tick)
+			for i := range want.ends {
+				if !slices.Equal(got.ends[i], want.ends[i]) {
+					t.Fatalf("scenario %d mode %d proc %d: chains return %v, historical loop %v", n, mode, i+1, got.ends[i], want.ends[i])
+				}
 			}
-		}
-		if !slices.Equal(got.busy, want.busy) {
-			t.Fatalf("scenario %d: core busy %v, historical loop %v", n, got.busy, want.busy)
-		}
-		if !slices.Equal(got.cpu, want.cpu) {
-			t.Fatalf("scenario %d: account CPU %v, historical loop %v", n, got.cpu, want.cpu)
-		}
-		if !slices.Equal(got.waits, want.waits) {
-			t.Fatalf("scenario %d: wait reports differ:\n got %v\nwant %v", n, got.waits, want.waits)
-		}
-		if got.events != want.events {
-			t.Fatalf("scenario %d: %d engine events, historical loop %d", n, got.events, want.events)
+			if !slices.Equal(got.busy, want.busy) {
+				t.Fatalf("scenario %d mode %d: core busy %v, historical loop %v", n, mode, got.busy, want.busy)
+			}
+			if !slices.Equal(got.cpu, want.cpu) {
+				t.Fatalf("scenario %d mode %d: account CPU %v, historical loop %v", n, mode, got.cpu, want.cpu)
+			}
+			if !slices.Equal(got.counts, want.counts) {
+				t.Fatalf("scenario %d mode %d: window switch counts differ:\n got %v\nwant %v", n, mode, got.counts, want.counts)
+			}
+			if !slices.Equal(got.waits, want.waits) {
+				t.Fatalf("scenario %d mode %d: wait reports differ:\n got %v\nwant %v", n, mode, got.waits, want.waits)
+			}
+			if got.events != want.events {
+				t.Fatalf("scenario %d mode %d: %d engine events, historical loop %d", n, mode, got.events, want.events)
+			}
 		}
 	}
 }
 
 // TestContendedExecParksOnce pins what the run chain buys: a
-// multi-quantum Exec that loses its core at every quantum boundary
-// resumes its process exactly once, and a contended sub-quantum Exec
-// allocates nothing once the run pool is warm.
+// multi-quantum Exec that loses its core at every quantum boundary, and
+// a multi-step Chain that loses it at every quantum and step boundary,
+// resume their process exactly once, and a contended sub-quantum Exec
+// or Chain allocates nothing once the run pool is warm.
 func TestContendedExecParksOnce(t *testing.T) {
 	e, c := newTestCPU(t, 1)
 	acct := NewAccount("a")
@@ -611,6 +687,33 @@ func TestContendedExecParksOnce(t *testing.T) {
 		t.Fatalf("Execs ended at %v, want [%v %v] (core lost at each boundary)", ends, 9*q, 10*q)
 	}
 
+	// A chain of steps, each losing the core to the other thread's
+	// chain, still parks once.
+	e, c = newTestCPU(t, 1)
+	resumes = map[int]int{}
+	e.SetTracer(func(ev sim.TraceEvent) {
+		if ev.Kind == sim.TraceResume {
+			resumes[ev.ProcID]++
+		}
+	})
+	for range 2 {
+		th := c.NewThread(acct, MaskOf(0))
+		e.Go("w", func(p *sim.Proc) {
+			for range 3 {
+				before := resumes[p.ID()]
+				th.Chain(p, th.ModeSwitchStep(), Charge(User, 2*q), th.ContextSwitchStep(),
+					Charge(Kernel, 0), Charge(Kernel, q+time.Microsecond), th.ModeSwitchStep())
+				if n := resumes[p.ID()] - before; n != 1 {
+					t.Errorf("proc %d resumed %d times during one Chain, want 1", p.ID(), n)
+				}
+			}
+		})
+	}
+	e.Run()
+	if got, want := acct.ModeSwitches(), uint64(2*3*2); got != want {
+		t.Fatalf("chains charged %d mode switches, want %d", got, want)
+	}
+
 	e, c = newTestCPU(t, 1)
 	stop := false
 	for i := 0; i < 4; i++ {
@@ -618,6 +721,7 @@ func TestContendedExecParksOnce(t *testing.T) {
 		e.Go("w", func(p *sim.Proc) {
 			for !stop {
 				th.Exec(p, User, time.Microsecond)
+				th.Chain(p, th.ModeSwitchStep(), Charge(User, time.Microsecond), th.ContextSwitchStep())
 			}
 		})
 	}
@@ -626,6 +730,6 @@ func TestContendedExecParksOnce(t *testing.T) {
 	stop = true
 	e.Run()
 	if allocs != 0 {
-		t.Fatalf("contended sub-quantum Exec: %v allocs per 100 Execs, want 0", allocs)
+		t.Fatalf("contended sub-quantum Exec and Chain: %v allocs per 100µs, want 0", allocs)
 	}
 }

@@ -102,18 +102,15 @@ func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn fun
 		// syscall boundary (ENOTCONN in real life) — no daemon round
 		// trip, but the aborted syscall still costs its kernel entry,
 		// which keeps erroring loops moving in simulated time.
-		ctx.T.ModeSwitch(ctx.P)
-		ctx.T.Exec(ctx.P, cpu.Kernel, p.FUSERequestOverhead)
-		ctx.T.ModeSwitch(ctx.P)
+		ctx.T.Chain(ctx.P, ctx.T.ModeSwitchStep(), cpu.Charge(cpu.Kernel, p.FUSERequestOverhead), ctx.T.ModeSwitchStep())
 		return vfsapi.ErrCrashed
 	}
-	// Application enters the kernel and hands the request to FUSE.
-	ctx.T.ModeSwitch(ctx.P)
-	ctx.T.Exec(ctx.P, cpu.Kernel, p.FUSERequestOverhead)
-	if payloadIn > 0 {
-		ctx.T.Exec(ctx.P, cpu.Kernel, p.CopyTime(payloadIn))
-	}
-	ctx.T.ContextSwitch(ctx.P)
+	// Application enters the kernel and hands the request to FUSE. Each
+	// run of charges is one Chain: a zero-length copy step only skips.
+	ctx.T.Chain(ctx.P, ctx.T.ModeSwitchStep(),
+		cpu.Charge(cpu.Kernel, p.FUSERequestOverhead),
+		cpu.Charge(cpu.Kernel, p.CopyTime(payloadIn)),
+		ctx.T.ContextSwitchStep())
 
 	// Daemon side: wait for a free daemon thread (the request sits in
 	// the FUSE queue while all are busy), read the request, pay the
@@ -127,22 +124,17 @@ func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn fun
 	dth := t.daemonThreads[t.next%len(t.daemonThreads)]
 	t.next++
 	dctx := vfsapi.Ctx{P: ctx.P, T: dth, Span: ctx.Span}
-	dth.ModeSwitch(ctx.P) // daemon returns from read(2) on /dev/fuse
-	if payloadIn > 0 {
-		dth.Exec(ctx.P, cpu.Kernel, p.CopyTime(payloadIn))
-	}
+	// The daemon returns from read(2) on /dev/fuse and copies the
+	// request in.
+	dth.Chain(ctx.P, dth.ModeSwitchStep(), cpu.Charge(cpu.Kernel, p.CopyTime(payloadIn)))
 	err := fn(dctx)
-	if payloadOut > 0 {
-		dth.Exec(ctx.P, cpu.Kernel, p.CopyTime(payloadOut))
-	}
-	dth.ModeSwitch(ctx.P) // daemon writes the reply
+	// It copies the reply out and writes it.
+	dth.Chain(ctx.P, cpu.Charge(cpu.Kernel, p.CopyTime(payloadOut)), dth.ModeSwitchStep())
 
 	// Back to the application.
-	ctx.T.ContextSwitch(ctx.P)
-	if payloadOut > 0 {
-		ctx.T.Exec(ctx.P, cpu.Kernel, p.CopyTime(payloadOut))
-	}
-	ctx.T.ModeSwitch(ctx.P)
+	ctx.T.Chain(ctx.P, ctx.T.ContextSwitchStep(),
+		cpu.Charge(cpu.Kernel, p.CopyTime(payloadOut)),
+		ctx.T.ModeSwitchStep())
 	return err
 }
 

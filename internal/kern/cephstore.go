@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/cpu"
 	"repro/internal/metrics"
+	"repro/internal/model"
 	"repro/internal/netsim"
 	"repro/internal/vfsapi"
 )
@@ -88,9 +89,9 @@ func (s *CephStore) opCPU(ctx vfsapi.Ctx) {
 // wireCPU charges protocol + checksum processing for n wire bytes.
 func (s *CephStore) wireCPU(ctx vfsapi.Ctx, n int64) {
 	p := s.kern.params
-	ctx.T.Exec(ctx.P, cpu.Kernel, p.NetOpCost)
-	ctx.T.ExecBytes(ctx.P, cpu.Kernel, n, p.NetCPUBytesPerSec)
-	ctx.T.ExecBytes(ctx.P, cpu.Kernel, n, p.ChecksumBytesPerSec)
+	ctx.T.Chain(ctx.P, cpu.Charge(cpu.Kernel, p.NetOpCost),
+		cpu.Charge(cpu.Kernel, model.RateTime(n, p.NetCPUBytesPerSec)),
+		cpu.Charge(cpu.Kernel, model.RateTime(n, p.ChecksumBytesPerSec)))
 }
 
 // Lookup resolves a path, serving repeated lookups from the attribute

@@ -280,8 +280,7 @@ func (h *pagedHandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	}
 
 	h.f.imutex.Lock(ctx.P)
-	ctx.T.Exec(ctx.P, cpu.Kernel, params.IMutexHold)
-	ctx.T.Exec(ctx.P, cpu.Kernel, params.CopyTime(n))
+	ctx.T.Chain(ctx.P, cpu.Charge(cpu.Kernel, params.IMutexHold), cpu.Charge(cpu.Kernel, params.CopyTime(n)))
 	m.cacheInsert(ctx, h.f, off, n)
 	if end := off + n; end > h.f.size {
 		h.f.size = end

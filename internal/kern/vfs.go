@@ -27,8 +27,7 @@ func (s *Syscalls) Inner() vfsapi.FileSystem { return s.inner }
 
 func (s *Syscalls) enter(ctx vfsapi.Ctx) obs.Scope {
 	sc := ctx.Span.Enter(obs.LayerSyscall)
-	ctx.T.ModeSwitch(ctx.P)
-	ctx.T.Exec(ctx.P, cpu.Kernel, s.kern.params.VFSOpCost)
+	ctx.T.Chain(ctx.P, ctx.T.ModeSwitchStep(), cpu.Charge(cpu.Kernel, s.kern.params.VFSOpCost))
 	return sc
 }
 

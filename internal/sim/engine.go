@@ -5,7 +5,7 @@
 
 // Package sim implements a deterministic discrete-event simulation engine.
 //
-// The engine advances a virtual clock over a heap of pending events.
+// The engine advances a virtual clock over a queue of pending events.
 // Simulated processes (Proc) are coroutines (iter.Pull) that the engine
 // loop resumes and that yield back to it whenever they block on a
 // simulated primitive (Sleep, Mutex, WaitQueue, Resource). Every switch
@@ -27,10 +27,10 @@ import (
 type Engine struct {
 	now    time.Duration
 	seq    uint64
-	events eventHeap
+	events eventQueue
 
 	// deadline is the bound of the RunUntil call currently draining the
-	// heap (negative: run to exhaustion). Processes consult it when
+	// queue (negative: run to exhaustion). Processes consult it when
 	// executing elidable events inline — see Proc.park — so inline
 	// execution never runs past the engine loop's own stopping point.
 	deadline time.Duration
@@ -65,11 +65,10 @@ func (e *Engine) HasWaitObserver() bool { return e.waitObs != nil }
 
 // NewEngine returns an empty engine at virtual time zero.
 func NewEngine() *Engine {
-	return &Engine{
-		deadline: -1,
-		// Pre-size the heap so steady-state event churn never grows it.
-		events: make(eventHeap, 0, 256),
-	}
+	e := &Engine{deadline: -1}
+	// Pre-size the heap so steady-state event churn never grows it.
+	e.events.heap = make([]event, 0, 256)
+	return e
 }
 
 // Now returns the current virtual time since the start of the simulation.
@@ -104,7 +103,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	e.nextProcID++
 	p := &Proc{eng: e, name: name, id: e.nextProcID}
 	e.liveProcs++
-	// No stop: a process still parked when the heap drains stays parked
+	// No stop: a process still parked when the queue drains stays parked
 	// (see Run).
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
@@ -119,8 +118,8 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// Run processes events until the event heap is empty. Processes that
-// remain blocked on simulated primitives when the heap drains are left
+// Run processes events until the event queue is empty. Processes that
+// remain blocked on simulated primitives when the queue drains are left
 // parked; LiveProcs reports them.
 func (e *Engine) Run() {
 	e.RunUntil(-1)
@@ -130,11 +129,12 @@ func (e *Engine) Run() {
 // clock to deadline. A negative deadline means run to exhaustion.
 func (e *Engine) RunUntil(deadline time.Duration) {
 	e.deadline = deadline
-	for len(e.events) > 0 {
-		if deadline >= 0 && e.events[0].at > deadline {
+	for {
+		top, lane := e.events.peek()
+		if top == nil || deadline >= 0 && top.at > deadline {
 			break
 		}
-		ev := e.pop()
+		ev := e.events.pop(lane)
 		if ev.at > e.now {
 			e.now = ev.at
 		}
@@ -190,7 +190,5 @@ func (e *Engine) scheduleWake(p *Proc, at time.Duration) {
 func (e *Engine) push(ev event) {
 	e.seq++
 	ev.seq = e.seq
-	e.events.push(ev)
+	e.events.push(ev, e.now)
 }
-
-func (e *Engine) pop() event { return e.events.pop() }

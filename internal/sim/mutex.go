@@ -92,7 +92,7 @@ func (m *Mutex) Unlock(p *Proc) {
 		m.owner = nil
 		return
 	}
-	next := m.waiters.Remove(0)
+	next := m.waiters.Pop()
 	m.owner = next
 	m.lockedAt = m.eng.now
 	m.eng.scheduleWake(next, m.eng.now)

@@ -55,24 +55,24 @@ func (p *Proc) Park() { p.park() }
 // Fast path: before yielding to the engine loop, the parking process
 // executes elidable pending events inline — engine callbacks, and its
 // own wake. These are exactly the events the loop would process next,
-// popped in identical heap order with identical clock, trace, and seq
+// popped in identical queue order with identical clock, trace, and seq
 // effects, so the inline path is indistinguishable from the parked one
 // except in wall-clock cost. An event that resumes a different process
 // is never elidable: the process yields, and the loop pops that event
 // and resumes the other process, so every switch between processes
 // takes the one path through the loop. Inline execution also stops at
-// the engine's RunUntil deadline, and when the heap drains.
+// the engine's RunUntil deadline, and when the queue drains.
 func (p *Proc) park() wakeReason {
 	e := p.eng
-	for len(e.events) > 0 {
-		top := &e.events[0]
-		if e.deadline >= 0 && top.at > e.deadline {
+	for {
+		top, lane := e.events.peek()
+		if top == nil || e.deadline >= 0 && top.at > e.deadline {
 			break
 		}
 		if top.fn == nil && top.p != p {
 			break
 		}
-		ev := e.pop()
+		ev := e.events.pop(lane)
 		if ev.at > e.now {
 			e.now = ev.at
 		}

@@ -1,10 +1,11 @@
 package sim
 
-// Queue is a FIFO ring for the wait queues of simulated primitives. Live
-// entries are buf[head:]: removing the head advances head instead of
-// shifting the slice, so a release is O(1) even under the
-// multi-hundred-waiter i_mutex queues of Fig 1b, and the dead prefix is
-// compacted lazily. The zero value is an empty queue.
+// Queue is a FIFO ring for the wait queues of simulated primitives and
+// the engine's same-instant event lane. Live entries are buf[head:]:
+// removing the head advances head instead of shifting the slice, so a
+// release is O(1) even under the multi-hundred-waiter i_mutex queues of
+// Fig 1b, and the dead prefix is compacted lazily. The zero value is an
+// empty queue.
 type Queue[T any] struct {
 	buf  []T
 	head int
@@ -27,6 +28,19 @@ func (q *Queue[T]) Remove(i int) T {
 	i += q.head
 	v := q.buf[i]
 	copy(q.buf[q.head+1:i+1], q.buf[q.head:i])
+	q.dropHead()
+	return v
+}
+
+// Pop removes and returns the head entry.
+func (q *Queue[T]) Pop() T {
+	v := q.buf[q.head]
+	q.dropHead()
+	return v
+}
+
+// dropHead advances past the head slot, whose entry has been taken out.
+func (q *Queue[T]) dropHead() {
 	var zero T
 	q.buf[q.head] = zero // release the reference
 	q.head++
@@ -44,5 +58,4 @@ func (q *Queue[T]) Remove(i int) T {
 		q.buf = q.buf[:n]
 		q.head = 0
 	}
-	return v
 }

@@ -10,7 +10,7 @@ type Resource struct {
 	name     string
 	capacity int64
 	inUse    int64
-	waiters  []*resWaiter
+	waiters  Queue[resWaiter]
 
 	busySince time.Duration
 	busyTime  time.Duration
@@ -35,11 +35,11 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	if n > r.capacity {
 		panic("sim: Resource.Acquire exceeds capacity on " + r.name)
 	}
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
+	if r.waiters.Len() == 0 && r.inUse+n <= r.capacity {
 		r.claim(n)
 		return
 	}
-	r.waiters = append(r.waiters, &resWaiter{p: p, n: n})
+	r.waiters.Push(resWaiter{p: p, n: n})
 	p.park()
 }
 
@@ -55,12 +55,12 @@ func (r *Resource) Release(n int64) {
 		// resource at once: claim then opens a new one.
 		r.busyTime += r.eng.now - r.busySince
 	}
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
+	for r.waiters.Len() > 0 {
+		w := r.waiters.At(0)
 		if r.inUse+w.n > r.capacity {
 			break
 		}
-		r.waiters = r.waiters[1:]
+		r.waiters.Pop()
 		r.claim(w.n)
 		r.eng.scheduleWake(w.p, r.eng.now)
 	}
@@ -80,7 +80,7 @@ func (r *Resource) InUse() int64 { return r.inUse }
 func (r *Resource) Capacity() int64 { return r.capacity }
 
 // Waiters returns the number of queued acquisition requests.
-func (r *Resource) Waiters() int { return len(r.waiters) }
+func (r *Resource) Waiters() int { return r.waiters.Len() }
 
 // BusyTime returns total virtual time during which the resource had at
 // least one unit claimed.

@@ -445,6 +445,35 @@ func BenchmarkEngineEventChurn(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkEngineEventChurnDeep measures the event queue at the depth
+// of an 8-pool run: 256 timers keep 256 events pending, and each fire
+// first hands off through a callback due at the current instant (a core
+// grant or lock handoff) before re-arming, so half of all pushes are due
+// now. One op is one event.
+func BenchmarkEngineEventChurnDeep(b *testing.B) {
+	e := NewEngine()
+	const timers = 256
+	n := 0
+	for i := range timers {
+		d := time.Duration(1+i%16) * time.Microsecond // shared timestamps
+		var fire, rearm func()
+		rearm = func() {
+			n++
+			if n < b.N {
+				e.After(d, fire)
+			}
+		}
+		fire = func() {
+			n++
+			e.After(0, rearm)
+		}
+		e.After(d, fire)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
 func BenchmarkMutexUncontended(b *testing.B) {
 	e := NewEngine()
 	m := NewMutex(e, "b")
