@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/vfsapi"
 )
@@ -151,23 +152,23 @@ func TestBreakerJitterDeterministic(t *testing.T) {
 func TestBreakerHalfOpenDeterministicUnderConcurrentProbes(t *testing.T) {
 	trace := func(seed uint64) string {
 		var sb strings.Builder
-		r := newRig(t, Config{
-			RetrySeed: seed,
-			Breaker: &BreakerConfig{
-				FailureThreshold: 2,
-				OpenBase:         2 * time.Millisecond,
-				OpenCap:          16 * time.Millisecond,
-				RecoveryTarget:   2,
-			},
-		})
-		r.client.brk.cfg.OnChange = func(from, to BreakerState) {
-			fmt.Fprintf(&sb, "%v:%v->%v;", r.eng.Now(), from, to)
-		}
+		params := model.Default()
+		params.BreakerFailureThreshold = 2
+		params.BreakerOpenBase = 2 * time.Millisecond
+		params.BreakerOpenCap = 16 * time.Millisecond
+		params.BreakerRecoveryTarget = 2
 		// A tight retry budget makes each failed read give up quickly, so
 		// probes keep re-entering the breaker while the backend is down
 		// (the default 64-attempt budget would park every proc inside its
 		// first read until the restart).
-		r.client.params.ClientMaxRetries = 2
+		params.ClientMaxRetries = 2
+		var r *rig
+		r = newRigWith(t, params, Config{
+			RetrySeed: seed,
+			Breaker: func(from, to BreakerState) {
+				fmt.Fprintf(&sb, "%v:%v->%v;", r.eng.Now(), from, to)
+			},
+		})
 		r.run(t, func(ctx vfsapi.Ctx) {
 			h, err := r.client.Open(ctx, "/f", vfsapi.CREATE|vfsapi.WRONLY)
 			if err != nil {

@@ -53,10 +53,12 @@ type Config struct {
 	// Obs, when non-nil, records flusher writeback spans and
 	// per-tenant client_lock wait attribution.
 	Obs *obs.Recorder
-	// Breaker, when non-nil, enables the per-backend circuit breaker:
-	// reads fail fast while it is open, writeback holds off until the
-	// next probe time. Nil (the default) keeps the plain retry loop.
-	Breaker *BreakerConfig
+	// Breaker, when non-nil, enables the per-backend circuit breaker
+	// and observes each of its state transitions: reads fail fast while
+	// it is open, writeback holds off until the next probe time. Its
+	// thresholds come from model.Params. Nil (the default) keeps the
+	// plain retry loop.
+	Breaker func(from, to BreakerState)
 	// RetrySeed seeds the client's deterministic jitter stream (retry
 	// backoff and breaker open intervals). Zero picks a fixed default,
 	// so identical configurations replay identically.
@@ -170,28 +172,14 @@ func New(eng *sim.Engine, cpus *cpu.CPU, params *model.Params, clus *cluster.Clu
 	if c.jitterState == 0 {
 		c.jitterState = 0x6a09e667f3bcc909 // fixed default: replayable without configuration
 	}
-	if bc := cfg.Breaker; bc != nil {
-		if bc.FailureThreshold <= 0 {
-			if bc.FailureThreshold = params.BreakerFailureThreshold; bc.FailureThreshold <= 0 {
-				bc.FailureThreshold = 5
-			}
-		}
-		if bc.OpenBase <= 0 {
-			if bc.OpenBase = params.BreakerOpenBase; bc.OpenBase <= 0 {
-				bc.OpenBase = 5 * time.Millisecond
-			}
-		}
-		if bc.OpenCap < bc.OpenBase {
-			if bc.OpenCap = params.BreakerOpenCap; bc.OpenCap < bc.OpenBase {
-				bc.OpenCap = bc.OpenBase * 32
-			}
-		}
-		if bc.RecoveryTarget <= 0 {
-			if bc.RecoveryTarget = params.BreakerRecoveryTarget; bc.RecoveryTarget <= 0 {
-				bc.RecoveryTarget = 4
-			}
-		}
-		c.brk = newBreaker(*bc, &c.jitterState)
+	if cfg.Breaker != nil {
+		c.brk = newBreaker(BreakerConfig{
+			FailureThreshold: params.BreakerFailureThreshold,
+			OpenBase:         params.BreakerOpenBase,
+			OpenCap:          params.BreakerOpenCap,
+			RecoveryTarget:   params.BreakerRecoveryTarget,
+			OnChange:         cfg.Breaker,
+		}, &c.jitterState)
 	}
 	c.sessionEpoch = clus.OpenSession(cfg.Name, c)
 	for i := 0; i < cfg.Flushers; i++ {

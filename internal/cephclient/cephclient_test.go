@@ -22,8 +22,13 @@ type rig struct {
 
 func newRig(t *testing.T, cfg Config) *rig {
 	t.Helper()
+	return newRigWith(t, model.Default(), cfg)
+}
+
+// newRigWith is newRig over caller-tuned params.
+func newRigWith(t *testing.T, params *model.Params, cfg Config) *rig {
+	t.Helper()
 	eng := sim.NewEngine()
-	params := model.Default()
 	cpus := cpu.New(eng, params, 4)
 	clus := cluster.New(eng, params, 6)
 	if cfg.Name == "" {

@@ -82,7 +82,3 @@ func (c *Cluster) ReleaseCaps(ino uint64, holder CapHolder) {
 	}
 	c.caps[ino] = kept
 }
-
-// CapHolders returns how many clients hold capabilities on ino
-// (diagnostics).
-func (c *Cluster) CapHolders(ino uint64) int { return len(c.caps[ino]) }

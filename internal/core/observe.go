@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/cephclient"
 	"repro/internal/cpu"
-	"repro/internal/kern"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -173,7 +171,6 @@ func (tb *Testbed) harvest(reg *obs.Registry) {
 			t.AddCounter("cache_miss_bytes", cs.MissBytes)
 			t.AddCounter("cache_write_bytes", cs.WriteBytes)
 			t.AddCounter("cache_flushed_bytes", cs.FlushedBytes)
-			t.AddFaults(c.FaultStats())
 			if bs := c.BreakerStats(); bs != (cephclient.BreakerStats{}) {
 				t.AddCounter("breaker_opens", int64(bs.Opens))
 				t.AddCounter("breaker_short_circuits", int64(bs.ShortCircuits))
@@ -185,11 +182,7 @@ func (tb *Testbed) harvest(reg *obs.Registry) {
 			// flusher-side holds) is kept under a separate key.
 			merge(t.Lock("client_lock_total"), lockAgg(c.ClientLock().Stats()))
 		}
-		// Scaleup clones share their kernel mount (MountSpec.
-		// SharedKernelMount), so fault counters are summed per distinct
-		// mount, not per container — a shared mount counted once per
-		// clone would double every retry and failover.
-		seenMounts := map[*kern.Mount]bool{}
+		t.AddFaults(p.FaultStats())
 		for _, cont := range p.containers {
 			if u := cont.Mount.Union; u != nil {
 				t.AddCounter("copy_ups", int64(u.CopyUps()))
@@ -199,14 +192,6 @@ func (tb *Testbed) harvest(reg *obs.Registry) {
 				t.AddCounter("ipc_calls", int64(tr.Calls()))
 				t.AddCounter("ipc_wakeups", int64(tr.Wakeups()))
 				t.AddCounter("ipc_scale_events", int64(tr.ScaleEvents()))
-			}
-			if m := cont.Mount.KernelMount; m != nil && !seenMounts[m] {
-				seenMounts[m] = true
-				if fs, ok := m.Store().(interface {
-					FaultStats() metrics.FaultCounters
-				}); ok {
-					t.AddFaults(fs.FaultStats())
-				}
 			}
 		}
 	}

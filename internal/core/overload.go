@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/cephclient"
 	"repro/internal/vfsapi"
 )
@@ -15,18 +13,9 @@ import (
 // keeps the historical unprotected behaviour, so existing experiments
 // and goldens are unperturbed.
 type OverloadPolicy struct {
-	// MaxInFlight is the per-pool concurrent-operation budget
-	// (default 4 — two reserved cores' worth of I/O concurrency).
-	MaxInFlight int
 	// QueueCap bounds the per-pool admission queue; arrivals beyond it
 	// are shed with vfsapi.ErrOverload (default 32).
 	QueueCap int
-	// BreakerFailureThreshold..BreakerRecoveryTarget tune the per-client
-	// circuit breaker; zero values take the model.Params defaults.
-	BreakerFailureThreshold int
-	BreakerOpenBase         time.Duration
-	BreakerOpenCap          time.Duration
-	BreakerRecoveryTarget   int
 	// RetrySeed is the base of each client's deterministic jitter
 	// stream (per-client streams are derived from it and the client
 	// name, so pools do not share a sequence).
@@ -41,8 +30,7 @@ func (tb *Testbed) admissionFor(name string) *vfsapi.Admission {
 		return nil
 	}
 	return vfsapi.NewAdmission(tb.Eng, name, vfsapi.AdmissionConfig{
-		MaxInFlight: pol.MaxInFlight,
-		QueueCap:    pol.QueueCap,
+		QueueCap: pol.QueueCap,
 		OnPressure: func(high bool) {
 			if high {
 				tb.Obs.Mark(name, "admission:highwater")
@@ -55,35 +43,29 @@ func (tb *Testbed) admissionFor(name string) *vfsapi.Admission {
 	})
 }
 
-// breakerFor builds one client's breaker configuration: a derived
-// jitter seed plus a state-change hook that marks transitions in the
-// trace and holds the kernel in brownout while the breaker is open or
-// probing (it releases only on a full close).
-func (tb *Testbed) breakerFor(tenant, clientName string) (*cephclient.BreakerConfig, uint64) {
+// breakerFor builds one client's breaker hook and jitter seed. The
+// hook marks transitions in the trace and holds the kernel in brownout
+// while the breaker is open or probing (it releases only on a full
+// close); the thresholds come from model.Params.
+func (tb *Testbed) breakerFor(tenant, clientName string) (func(from, to cephclient.BreakerState), uint64) {
 	pol := tb.Overload
 	if pol == nil {
 		return nil, 0
 	}
 	contributing := false
 	k := tb.Kernel
-	cfg := &cephclient.BreakerConfig{
-		FailureThreshold: pol.BreakerFailureThreshold,
-		OpenBase:         pol.BreakerOpenBase,
-		OpenCap:          pol.BreakerOpenCap,
-		RecoveryTarget:   pol.BreakerRecoveryTarget,
-		OnChange: func(from, to cephclient.BreakerState) {
-			tb.Obs.Mark(tenant, "breaker:"+to.String())
-			switch {
-			case to == cephclient.BreakerOpen && !contributing:
-				contributing = true
-				k.BrownoutEnter()
-			case to == cephclient.BreakerClosed && contributing:
-				contributing = false
-				k.BrownoutExit()
-			}
-		},
+	onChange := func(from, to cephclient.BreakerState) {
+		tb.Obs.Mark(tenant, "breaker:"+to.String())
+		switch {
+		case to == cephclient.BreakerOpen && !contributing:
+			contributing = true
+			k.BrownoutEnter()
+		case to == cephclient.BreakerClosed && contributing:
+			contributing = false
+			k.BrownoutExit()
+		}
 	}
-	return cfg, seedFor(pol.RetrySeed, clientName)
+	return onChange, seedFor(pol.RetrySeed, clientName)
 }
 
 // seedFor derives a per-client jitter seed from the policy base and

@@ -61,42 +61,39 @@ type TestbedConfig struct {
 	// Cores activated on the client host (the paper activates twice
 	// the number of running instances, 4-64).
 	Cores int
-	// OSDs in the storage cluster (paper: 6).
-	OSDs int
 	// Params overrides the cost model (nil = calibrated defaults).
 	Params *model.Params
-	// LocalMemBytes bounds the page cache of the local ext4 filesystem.
-	LocalMemBytes int64
 	// Overload enables client-side overload protection for every pool
 	// (nil keeps the unprotected behaviour).
 	Overload *OverloadPolicy
 }
+
+const (
+	// clusterOSDs is the storage cluster size (paper: 6).
+	clusterOSDs = 6
+	// localMemBytes bounds the page cache of the local ext4 filesystem.
+	localMemBytes = 8 << 30
+)
 
 // NewTestbed builds the environment of Fig 5.
 func NewTestbed(cfg TestbedConfig) *Testbed {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 4
 	}
-	if cfg.OSDs <= 0 {
-		cfg.OSDs = 6
-	}
 	params := cfg.Params
 	if params == nil {
 		params = model.Default()
 	}
-	if cfg.LocalMemBytes <= 0 {
-		cfg.LocalMemBytes = 8 << 30
-	}
 	eng := sim.NewEngine()
 	cpus := cpu.New(eng, params, cfg.Cores)
 	k := kern.New(eng, cpus, params)
-	clus := cluster.New(eng, params, cfg.OSDs)
+	clus := cluster.New(eng, params, clusterOSDs)
 	arr := disk.NewArray(eng, "local-raid0", 4, params.DiskSeqBytesPerSec, params.DiskSeekTime, params.DiskStripeUnit)
 	ls := kern.NewLocalStore(eng, arr)
 	localMount := k.Mount(ls, kern.MountConfig{
 		Name:     "ext4",
-		MemLimit: cfg.LocalMemBytes,
-		MaxDirty: cfg.LocalMemBytes / 2,
+		MemLimit: localMemBytes,
+		MaxDirty: localMemBytes / 2,
 	})
 	return &Testbed{
 		Eng:        eng,

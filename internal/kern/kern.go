@@ -232,9 +232,6 @@ func (k *Kernel) BrownoutExit() {
 	}
 }
 
-// Brownout reports whether any overload source is active.
-func (k *Kernel) Brownout() bool { return k.brownout > 0 }
-
 // BrownoutFlips returns how many times brownout engaged.
 func (k *Kernel) BrownoutFlips() uint64 { return k.brownoutFlips }
 

@@ -29,10 +29,6 @@ type Config struct {
 	// L0CompactTrigger is the number of L0 runs that triggers
 	// compaction (RocksDB default 4).
 	L0CompactTrigger int
-	// CompactionThreads is the background compaction pool (paper: 2).
-	CompactionThreads int
-	// TargetTableBytes splits merged L1 runs (default 256 MB).
-	TargetTableBytes int64
 	// Eng, Params, NewThread wire the store into the simulation.
 	Eng       *sim.Engine
 	Params    *model.Params
@@ -79,7 +75,11 @@ type sstable struct {
 	offs  []int64
 }
 
-const entryOverhead = 32 // key + length + CRC per record
+const (
+	entryOverhead     = 32        // key + length + CRC per record
+	compactionThreads = 2         // background compaction pool (paper: 2)
+	targetTableBytes  = 256 << 20 // merged L1 runs split at this size
+)
 
 // Open creates a DB in cfg.Dir and starts the compaction threads.
 func Open(ctx vfsapi.Ctx, cfg Config) (*DB, error) {
@@ -88,12 +88,6 @@ func Open(ctx vfsapi.Ctx, cfg Config) (*DB, error) {
 	}
 	if cfg.L0CompactTrigger <= 0 {
 		cfg.L0CompactTrigger = 4
-	}
-	if cfg.CompactionThreads <= 0 {
-		cfg.CompactionThreads = 2
-	}
-	if cfg.TargetTableBytes <= 0 {
-		cfg.TargetTableBytes = 256 << 20
 	}
 	if cfg.Params == nil {
 		cfg.Params = model.Default()
@@ -113,7 +107,7 @@ func Open(ctx vfsapi.Ctx, cfg Config) (*DB, error) {
 		compactQ: sim.NewWaitQueue(cfg.Eng, cfg.Dir+".compact"),
 		closeQ:   sim.NewWaitQueue(cfg.Eng, cfg.Dir+".close"),
 	}
-	for i := 0; i < cfg.CompactionThreads; i++ {
+	for i := 0; i < compactionThreads; i++ {
 		db.liveComp++
 		cfg.Eng.Go("compaction", func(p *sim.Proc) { db.compactionLoop(p) })
 	}
@@ -488,7 +482,7 @@ func (db *DB) compactOnce(ctx vfsapi.Ctx) {
 	for start := 0; start < len(keys); {
 		var bytes int64
 		end := start
-		for end < len(keys) && bytes < db.cfg.TargetTableBytes {
+		for end < len(keys) && bytes < targetTableBytes {
 			bytes += merged[keys[end]] + entryOverhead
 			end++
 		}

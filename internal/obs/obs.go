@@ -333,9 +333,6 @@ func (r *Recorder) Str(id Sym) string {
 	return r.syms[id]
 }
 
-// Enabled reports whether the recorder collects anything (non-nil).
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Now reads the recorder's virtual clock (zero when disabled).
 func (r *Recorder) Now() time.Duration {
 	if r == nil {

@@ -103,9 +103,6 @@ func (t *TenantMetrics) Locks() map[string]*LockAgg { return t.locks }
 // Counters returns the counter map (exporter access).
 func (t *TenantMetrics) Counters() map[string]int64 { return t.counters }
 
-// SeriesMap returns the series map (exporter access).
-func (t *TenantMetrics) SeriesMap() map[string]*Series { return t.series }
-
 // OpStats aggregates one operation type of one tenant.
 type OpStats struct {
 	Hist   *metrics.Histogram

@@ -76,9 +76,6 @@ func (r *Resource) claim(n int64) {
 // InUse returns the number of units currently claimed.
 func (r *Resource) InUse() int64 { return r.inUse }
 
-// Capacity returns the configured capacity.
-func (r *Resource) Capacity() int64 { return r.capacity }
-
 // Waiters returns the number of queued acquisition requests.
 func (r *Resource) Waiters() int { return r.waiters.Len() }
 

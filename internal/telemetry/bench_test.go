@@ -7,7 +7,7 @@ import (
 
 // BenchmarkTelemetryWindow measures the live-aggregation hot path: ops
 // streaming through tumbling windows with an SLO monitor attached,
-// including the window-close work (sketch quantiles, totals fold, SLO
+// including the window-close work (histogram quantiles and reset, totals fold, SLO
 // evaluation). One iteration = one recorded op; windows close every
 // 1000 ops. Gated by benchguard via ci/bench-baseline.txt.
 func BenchmarkTelemetryWindow(b *testing.B) {

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+
+	"repro/internal/obs"
 )
 
 // WriteWindowsCSV writes the retained window rows as deterministic
@@ -17,11 +19,11 @@ func (m *Monitor) WriteWindowsCSV(w io.Writer) error {
 	}
 	for _, r := range m.Windows() {
 		if _, err := fmt.Fprintf(bw, "%d,%d,%d,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%d\n",
-			r.Index, r.Start.Microseconds(), r.End.Microseconds(), csvField(r.Tenant),
+			r.Index, r.Start.Microseconds(), r.End.Microseconds(), obs.CSVField(r.Tenant),
 			r.Ops, r.Errors, r.Bytes,
 			r.P50.Microseconds(), r.P99.Microseconds(), r.P999.Microseconds(), r.Mean.Microseconds(),
 			r.Queued, r.Shed,
-			csvField(r.TopAggressor), r.TopAggressorWait.Microseconds()); err != nil {
+			obs.CSVField(r.TopAggressor), r.TopAggressorWait.Microseconds()); err != nil {
 			return err
 		}
 	}
@@ -37,7 +39,7 @@ func (m *Monitor) WriteAlertsCSV(w io.Writer) error {
 	}
 	for _, e := range m.Alerts() {
 		if _, err := fmt.Fprintf(bw, "%d,%s,%s,%s,%.4f,%.4f\n",
-			e.T.Microseconds(), csvField(e.Tenant), csvField(e.SLO), e.State,
+			e.T.Microseconds(), obs.CSVField(e.Tenant), obs.CSVField(e.SLO), e.State,
 			e.FastBurn, e.SlowBurn); err != nil {
 			return err
 		}
@@ -55,35 +57,9 @@ func (m *Monitor) WriteTotalsCSV(w io.Writer) error {
 	}
 	for _, t := range m.Totals() {
 		if _, err := fmt.Fprintf(bw, "%s,%s,%d,%d,%d,%d\n",
-			csvField(t.Tenant), csvField(t.Op), t.Ops, t.Errors, t.Bytes, t.LatSum.Microseconds()); err != nil {
+			obs.CSVField(t.Tenant), obs.CSVField(t.Op), t.Ops, t.Errors, t.Bytes, t.LatSum.Microseconds()); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
-}
-
-// csvField quotes a field only when it contains a comma, quote, or
-// newline, matching the quoting used by the other exporters.
-func csvField(s string) string {
-	needs := false
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case ',', '"', '\n', '\r':
-			needs = true
-		}
-	}
-	if !needs {
-		return s
-	}
-	out := make([]byte, 0, len(s)+2)
-	out = append(out, '"')
-	for i := 0; i < len(s); i++ {
-		if s[i] == '"' {
-			out = append(out, '"', '"')
-		} else {
-			out = append(out, s[i])
-		}
-	}
-	out = append(out, '"')
-	return string(out)
 }

@@ -93,7 +93,7 @@ func (e AlertEvent) String() string {
 
 // sloCounts is the exact bad/total tally for one fast window. Bad ops
 // are counted at ingestion against the SLO target, never re-derived
-// from the latency sketch, so burn rates are exact.
+// from the window histogram, so burn rates are exact.
 type sloCounts struct {
 	total uint64
 	bad   uint64

@@ -1,17 +1,17 @@
 // Package telemetry is a deterministic, virtual-time streaming
 // telemetry layer. It consumes the obs span/op stream (fed by
 // core.AttachMonitor through obs telemetry sinks) and maintains, online,
-// per-tenant windowed aggregates — op/byte/error rates, log-linear
-// latency sketches with p50/p99/p999, admission queue depths and sheds,
-// and a victim×aggressor interference snapshot — plus per-tenant SLO
-// monitors with multi-window burn-rate alerting and a Snapshot() health
-// API, the sensor interface for a future adaptive controller.
+// per-tenant windowed aggregates — op/byte/error rates, p50/p99/p999
+// from a metrics.Histogram (the same one every harness row uses),
+// admission queue depths and sheds, and a victim×aggressor interference
+// snapshot — plus per-tenant SLO monitors with multi-window burn-rate
+// alerting.
 //
 // Determinism contract: the Monitor never reads a wall clock or any
 // clock at all — every method takes the current virtual time, and
 // ingestion uses event-carried completion times. All iteration that
-// produces output is over sorted keys, so windows CSV, alert ledger,
-// and Snapshot are byte-identical across runs of the same scenario and
+// produces output is over sorted keys, so the windows CSV and alert
+// ledger are byte-identical across runs of the same scenario and
 // seed. A nil *Monitor is a no-op on every method, matching the obs
 // zero-overhead-when-disabled contract.
 package telemetry
@@ -19,13 +19,15 @@ package telemetry
 import (
 	"sort"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Config parameterises a Monitor. Zero values pick defaults.
 type Config struct {
 	// FastWindow is the tumbling aggregation window (default 1s of
-	// virtual time). All rates, sketches, and the fast SLO burn window
-	// use it.
+	// virtual time). All rates, latency quantiles, and the fast SLO
+	// burn window use it.
 	FastWindow time.Duration
 	// SlowWindow is the rolling confirmation window for burn-rate
 	// alerting (default 60s). It is rounded up to a whole number of
@@ -106,7 +108,7 @@ type tenantWindow struct {
 	ops    uint64
 	errors uint64
 	bytes  int64
-	sketch Sketch
+	lat    *metrics.Histogram
 	byOp   map[string]*opAgg
 
 	queued   int // max of probe samples this window
@@ -139,8 +141,6 @@ type Monitor struct {
 	rows    []WindowRow
 	evicted int // rows dropped from the front of the ring
 
-	lastRow map[string]WindowRow // most recent closed row per tenant
-
 	probe func() []AdmissionSample
 
 	alerts    []AlertEvent
@@ -170,7 +170,6 @@ func New(cfg Config) *Monitor {
 		tenants: make(map[string]*tenantWindow),
 		slos:    make(map[sloKey]*sloState),
 		totals:  make(map[totKey]*Total),
-		lastRow: make(map[string]WindowRow),
 	}
 	for i := range m.cfg.SLOs {
 		spec := m.cfg.SLOs[i].withDefaults()
@@ -227,7 +226,11 @@ func (m *Monitor) SetAdmissionProbe(probe func() []AdmissionSample) {
 func (m *Monitor) window(tenant string) *tenantWindow {
 	w := m.tenants[tenant]
 	if w == nil {
-		w = &tenantWindow{byOp: make(map[string]*opAgg), waitBy: make(map[string]time.Duration)}
+		w = &tenantWindow{
+			lat:    metrics.NewHistogram(),
+			byOp:   make(map[string]*opAgg),
+			waitBy: make(map[string]time.Duration),
+		}
 		m.tenants[tenant] = w
 		// Lazily instantiate per-tenant SLO monitors.
 		for _, spec := range m.cfg.SLOs {
@@ -272,7 +275,7 @@ func (m *Monitor) RecordOp(now time.Duration, tenant, op string, latency time.Du
 	if err {
 		w.errors++
 	}
-	w.sketch.Record(latency)
+	w.lat.Record(latency)
 	a := w.byOp[op]
 	if a == nil {
 		a = &opAgg{}
@@ -371,10 +374,10 @@ func (m *Monitor) closeWindow(endUnits int64) {
 			Ops:    w.ops,
 			Errors: w.errors,
 			Bytes:  w.bytes,
-			P50:    w.sketch.Quantile(0.50),
-			P99:    w.sketch.Quantile(0.99),
-			P999:   w.sketch.Quantile(0.999),
-			Mean:   w.sketch.Mean(),
+			P50:    w.lat.Quantile(0.50),
+			P99:    w.lat.Quantile(0.99),
+			P999:   w.lat.Quantile(0.999),
+			Mean:   w.lat.Mean(),
 			Queued: w.queued,
 			Shed:   w.shed,
 		}
@@ -398,11 +401,10 @@ func (m *Monitor) closeWindow(endUnits int64) {
 			t.LatSum += a.latSum
 		}
 		m.rows = append(m.rows, row)
-		m.lastRow[name] = row
 
 		// Reset in place: keep maps to avoid per-window allocation.
 		w.ops, w.errors, w.bytes = 0, 0, 0
-		w.sketch.Reset()
+		w.lat.Reset()
 		for op := range w.byOp {
 			delete(w.byOp, op)
 		}
@@ -494,58 +496,4 @@ func (m *Monitor) Totals() []Total {
 		out = append(out, *m.totals[k])
 	}
 	return out
-}
-
-// TenantHealth is one tenant's state in a health snapshot.
-type TenantHealth struct {
-	Tenant string
-	Last   WindowRow // most recent closed window
-	Firing []string  // SLO names currently firing for this tenant
-}
-
-// Health is the live view returned by Snapshot — the sensor interface
-// for the adaptive controller (ROADMAP item 4).
-type Health struct {
-	T            time.Duration // virtual time of the snapshot
-	WindowsOpen  int64         // index of the open fast window
-	Tenants      []TenantHealth
-	ActiveAlerts int
-}
-
-// Snapshot advances the window grid to now and reports the most recent
-// closed window per tenant plus currently-firing alerts. Deterministic
-// given a deterministic now. Safe on nil (returns zero Health).
-func (m *Monitor) Snapshot(now time.Duration) Health {
-	if m == nil {
-		return Health{}
-	}
-	if !m.finalized {
-		m.advance(now)
-	}
-	h := Health{T: now, WindowsOpen: m.cur}
-	firing := make(map[string][]string)
-	for _, k := range sortedSLOKeys(m.slos) {
-		if m.slos[k].state == AlertFiring {
-			firing[k.tenant] = append(firing[k.tenant], k.slo)
-			h.ActiveAlerts++
-		}
-	}
-	names := make([]string, 0, len(m.lastRow))
-	for name := range m.lastRow {
-		names = append(names, name)
-	}
-	for name := range firing {
-		if _, ok := m.lastRow[name]; !ok {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h.Tenants = append(h.Tenants, TenantHealth{
-			Tenant: name,
-			Last:   m.lastRow[name],
-			Firing: firing[name],
-		})
-	}
-	return h
 }

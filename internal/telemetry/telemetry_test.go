@@ -2,79 +2,41 @@ package telemetry
 
 import (
 	"bytes"
-	"math"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
-func TestSketchQuantiles(t *testing.T) {
-	var s Sketch
-	for i := 1; i <= 1000; i++ {
-		s.Record(time.Duration(i) * time.Microsecond)
-	}
-	if s.Count() != 1000 {
-		t.Fatalf("count = %d", s.Count())
-	}
-	checks := []struct {
-		q    float64
-		want time.Duration
-	}{
-		{0.50, 500 * time.Microsecond},
-		{0.99, 990 * time.Microsecond},
-		{0.999, 999 * time.Microsecond},
-	}
-	for _, c := range checks {
-		got := s.Quantile(c.q)
-		rel := math.Abs(float64(got-c.want)) / float64(c.want)
-		if rel > 0.15 {
-			t.Errorf("q%.3f = %v, want ~%v (rel err %.3f)", c.q, got, c.want, rel)
+// TestWindowQuantilesMatchHistogram pins the live windows to the same
+// latency histogram the harness rows use: a window's p50/p99/p999 and
+// mean equal those of a metrics.Histogram fed the same samples, in the
+// first window and again after the per-window reset.
+func TestWindowQuantilesMatchHistogram(t *testing.T) {
+	m := New(Config{FastWindow: time.Second})
+	var want [2]*metrics.Histogram
+	for w := range want {
+		want[w] = metrics.NewHistogram()
+		base := time.Duration(w) * time.Second
+		for i := 1; i <= 1000; i++ {
+			lat := time.Duration(i*(w+1)) * 1013 * time.Nanosecond
+			m.RecordOp(base+time.Duration(i)*time.Microsecond, "A", "read", lat, 0, false)
+			want[w].Record(lat)
 		}
 	}
-	if s.Quantile(1.0) != time.Millisecond {
-		t.Errorf("q1.0 = %v, want clamp to max %v", s.Quantile(1.0), time.Millisecond)
+	m.Finalize(2 * time.Second)
+	rows := m.Windows()
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(rows))
 	}
-}
-
-func TestSketchSingleValueExact(t *testing.T) {
-	var s Sketch
-	for i := 0; i < 10; i++ {
-		s.Record(123456 * time.Nanosecond)
-	}
-	for _, q := range []float64{0.5, 0.99, 0.999} {
-		if got := s.Quantile(q); got != 123456*time.Nanosecond {
-			t.Errorf("q%v = %v, want exact 123456ns (min==max clamp)", q, got)
+	for w, r := range rows {
+		h := want[w]
+		if r.P50 != h.Quantile(0.50) || r.P99 != h.Quantile(0.99) ||
+			r.P999 != h.Quantile(0.999) || r.Mean != h.Mean() {
+			t.Errorf("window %d: p50/p99/p999/mean = %v/%v/%v/%v, histogram %v/%v/%v/%v", w,
+				r.P50, r.P99, r.P999, r.Mean,
+				h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999), h.Mean())
 		}
-	}
-}
-
-func TestSketchReset(t *testing.T) {
-	var s Sketch
-	s.Record(time.Millisecond)
-	s.Record(time.Second)
-	s.Reset()
-	if s.Count() != 0 || s.Sum() != 0 || s.Quantile(0.5) != 0 {
-		t.Fatalf("reset left state: count=%d sum=%v", s.Count(), s.Sum())
-	}
-	s.Record(2 * time.Microsecond)
-	if s.Count() != 1 || s.Quantile(0.5) != 2*time.Microsecond {
-		t.Fatalf("post-reset record broken: %v", s.Quantile(0.5))
-	}
-}
-
-func TestSketchIndexMonotone(t *testing.T) {
-	prev := -1
-	for v := int64(0); v < 1<<20; v = v*5/4 + 1 {
-		idx := sketchIndex(v)
-		if idx < prev {
-			t.Fatalf("index not monotone at %d: %d < %d", v, idx, prev)
-		}
-		if lo := sketchValue(idx); lo > v {
-			t.Fatalf("bucket lower bound %d > value %d", lo, v)
-		}
-		prev = idx
-	}
-	if sketchIndex(math.MaxInt64) >= sketchBuckets {
-		t.Fatal("max value overflows bucket array")
 	}
 }
 
@@ -359,27 +321,6 @@ func TestArmSLOsStraddlingWindowNoPenalty(t *testing.T) {
 	}
 }
 
-func TestSnapshot(t *testing.T) {
-	m := New(Config{FastWindow: time.Second, SlowWindow: 2 * time.Second, SLOs: []SLO{alertSLO()}})
-	for i := 0; i < 10; i++ {
-		m.RecordOp(time.Duration(i+1)*50*time.Millisecond, "A", "read", 50*time.Millisecond, 64, false)
-	}
-	// Mid-window snapshot: nothing closed yet.
-	h := m.Snapshot(900 * time.Millisecond)
-	if len(h.Tenants) != 0 || h.ActiveAlerts != 0 {
-		t.Fatalf("early snapshot = %+v", h)
-	}
-	// Snapshot after the window boundary closes it and fires the alert.
-	h = m.Snapshot(1100 * time.Millisecond)
-	if h.ActiveAlerts != 1 || len(h.Tenants) != 1 {
-		t.Fatalf("snapshot = %+v", h)
-	}
-	th := h.Tenants[0]
-	if th.Tenant != "A" || th.Last.Ops != 10 || len(th.Firing) != 1 || th.Firing[0] != "p99" {
-		t.Errorf("tenant health = %+v", th)
-	}
-}
-
 func TestNilMonitorSafe(t *testing.T) {
 	var m *Monitor
 	m.RecordOp(0, "A", "read", 0, 0, false)
@@ -389,9 +330,6 @@ func TestNilMonitorSafe(t *testing.T) {
 	m.SetAdmissionProbe(nil)
 	if m.Windows() != nil || m.Alerts() != nil || m.Totals() != nil {
 		t.Error("nil monitor returned data")
-	}
-	if h := m.Snapshot(time.Second); h.ActiveAlerts != 0 || len(h.Tenants) != 0 {
-		t.Error("nil snapshot not zero")
 	}
 	var buf bytes.Buffer
 	if err := m.WriteWindowsCSV(&buf); err != nil {
@@ -459,19 +397,5 @@ func TestWindowRingEviction(t *testing.T) {
 	tot := m.Totals()
 	if len(tot) != 1 || tot[0].Ops != 10 {
 		t.Fatalf("totals after eviction = %+v", tot)
-	}
-}
-
-func TestCSVFieldQuoting(t *testing.T) {
-	cases := map[string]string{
-		"plain":    "plain",
-		"a,b":      `"a,b"`,
-		`q"uote`:   `"q""uote"`,
-		"nl\nhere": "\"nl\nhere\"",
-	}
-	for in, want := range cases {
-		if got := csvField(in); got != want {
-			t.Errorf("csvField(%q) = %q, want %q", in, got, want)
-		}
 	}
 }

@@ -74,9 +74,6 @@ func (g *Group) Wait(p *sim.Proc) {
 	}
 }
 
-// Pending returns the number of unfinished threads.
-func (g *Group) Pending() int { return g.pending }
-
 // Clock abstracts the measurement window: operations recorded before
 // From are warmup and discarded.
 type Clock struct {
