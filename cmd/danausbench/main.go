@@ -157,7 +157,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&recordTracePath, "record", "", "write the recorded op trace to this file (see TRACES.md)")
 	fs.StringVar(&diffCSVPath, "diffcsv", "", "write trace-diff rows as CSV (with -exp tracesweep, -replay or -tracediff)")
 	fs.StringVar(&o.replay, "replay", "", "replay a recorded op trace against -config and exit")
-	fs.StringVar(&o.config, "config", "D", "client configuration for -replay: D, F or K")
+	fs.StringVar(&o.config, "config", "D", "client configuration for -replay: D K F FP K/K F/K F/F FP/FP")
 	fs.BoolVar(&o.admission, "admission", false, "enable the overload-admission policy for -replay")
 	fs.StringVar(&o.traceDiff, "tracediff", "", "compare two recorded op traces given as a.trace,b.trace and exit")
 	if err := fs.Parse(args); err != nil {
@@ -188,6 +188,11 @@ func checkFlags(o *options) error {
 		return fmt.Errorf("-fuzz wants a scenario count >= 0, got %d", o.fuzzN)
 	case o.replay != "" && o.exp != "":
 		return fmt.Errorf("-replay conflicts with -exp %s", o.exp)
+	}
+	if o.replay != "" {
+		if _, err := core.ParseConfiguration(o.config); err != nil {
+			return fmt.Errorf("-config: %v", err)
+		}
 	}
 	runs := func(name string) bool { return o.exp == name || o.exp == "all" }
 	for _, r := range []struct {
@@ -287,7 +292,8 @@ func main() {
 	}
 
 	if o.replay != "" {
-		runReplayFile(o.replay, o.config, o.admission, scale)
+		cfg, _ := core.ParseConfiguration(o.config) // checked by checkFlags
+		runReplayFile(o.replay, cfg, o.admission, scale)
 		exitOnViolations()
 		return
 	}
@@ -337,33 +343,15 @@ func exportTraces(path string) {
 	}
 }
 
-// parseConfig maps a -config letter onto the client configuration.
-func parseConfig(name string) (core.Configuration, error) {
-	switch strings.ToUpper(name) {
-	case "D":
-		return core.ConfigD, nil
-	case "F":
-		return core.ConfigF, nil
-	case "K":
-		return core.ConfigK, nil
-	}
-	return core.ConfigD, fmt.Errorf("unknown configuration %q (want D, F or K)", name)
-}
-
 // runReplayFile replays a recorded trace file against one client
 // configuration and diffs the result against the recording.
-func runReplayFile(path, configName string, admission bool, scale experiments.Scale) {
+func runReplayFile(path string, cfg core.Configuration, admission bool, scale experiments.Scale) {
 	tr, err := trace.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	cfg, err := parseConfig(configName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	c := experiments.TraceCase{Label: strings.ToUpper(configName), Config: cfg, Admission: admission}
+	c := experiments.TraceCase{Label: cfg.String(), Config: cfg, Admission: admission}
 	if admission {
 		c.Label += "+adm"
 	}

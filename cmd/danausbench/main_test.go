@@ -82,6 +82,9 @@ func TestCheckFlags(t *testing.T) {
 		{"-exp table1 -monitor m.csv", "-monitor"},
 		{"-exp crashsweep -monitor m.csv", "-monitor"},
 		{"-replay b.trace -config K -admission", ""},
+		{"-replay b.trace -config k", ""},
+		{"-replay b.trace -config F/K", ""},
+		{"-replay b.trace -config Z", "-config"},
 		{"-exp table1 -config bogus", "-config"},
 		{"-exp table1 -config D", "-config"},
 		{"-exp table1 -admission", "-admission"},

@@ -43,13 +43,9 @@ func main() {
 	factor := flag.Float64("factor", 0.02, "dataset scale factor (1.0 = paper)")
 	flag.Parse()
 
-	if err := checkFlags(*pools, *duration, *factor); err != nil {
+	config, err := checkFlags(*configName, *pools, *duration, *factor)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	config, ok := parseConfig(*configName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown configuration %q\n", *configName)
 		os.Exit(2)
 	}
 	scale := experiments.Scale{Factor: *factor, Duration: *duration, Warmup: *duration / 4}
@@ -71,27 +67,22 @@ func main() {
 	}
 }
 
-// checkFlags rejects scenario sizes the testbed cannot run, naming the
-// offending flag.
-func checkFlags(pools int, duration time.Duration, factor float64) error {
+// checkFlags resolves the configuration and rejects scenario sizes the
+// testbed cannot run, naming the offending flag.
+func checkFlags(config string, pools int, duration time.Duration, factor float64) (core.Configuration, error) {
 	switch {
 	case pools < 1:
-		return fmt.Errorf("-pools wants at least 1 pool, got %d", pools)
+		return 0, fmt.Errorf("-pools wants at least 1 pool, got %d", pools)
 	case duration <= 0:
-		return fmt.Errorf("-duration wants a positive window, got %v", duration)
+		return 0, fmt.Errorf("-duration wants a positive window, got %v", duration)
 	case !(factor > 0):
-		return fmt.Errorf("-factor wants a positive scale factor, got %v", factor)
+		return 0, fmt.Errorf("-factor wants a positive scale factor, got %v", factor)
 	}
-	return nil
-}
-
-func parseConfig(name string) (core.Configuration, bool) {
-	for _, c := range core.AllConfigurations() {
-		if c.String() == name {
-			return c, true
-		}
+	c, err := core.ParseConfiguration(config)
+	if err != nil {
+		return 0, fmt.Errorf("-config: %v", err)
 	}
-	return 0, false
+	return c, nil
 }
 
 func runInterferenceScenario(config core.Configuration, pools int, neighbor bool, scale experiments.Scale) {

@@ -129,6 +129,7 @@ type cfile struct {
 	inDirty    bool
 	dirtySince time.Duration
 	unlinked   bool
+	revoked    bool // dropped by RevokeCaps; a writer must recap
 }
 
 // New creates a client and starts its flusher threads.
@@ -226,7 +227,6 @@ func (c *Client) Crash() {
 	c.lru.Init()
 	c.dirtyBytes = 0
 	c.dirtyList = nil
-	c.clus.MarkSessionStale(c.cfg.Name)
 	c.Stop()
 }
 
@@ -599,9 +599,16 @@ func (c *Client) evict(ctx vfsapi.Ctx) {
 	})
 }
 
-func (c *Client) markDirty(ctx vfsapi.Ctx, f *cfile, off, n int64) {
+// markDirty records a buffered write and throttles the writer above
+// the dirty limit. It reports false, recording nothing, when RevokeCaps
+// dropped f first: the writer must recap and retry on a current cfile.
+func (c *Client) markDirty(ctx vfsapi.Ctx, f *cfile, off, n int64) bool {
 	var newly int64
+	revoked := false
 	c.lockedMeta(ctx, func() {
+		if revoked = f.revoked; revoked {
+			return
+		}
 		if f.gen != c.gen {
 			return // stale cfile from before a crash: not accounted
 		}
@@ -618,6 +625,9 @@ func (c *Client) markDirty(ctx vfsapi.Ctx, f *cfile, off, n int64) {
 			c.dirtyBytes += newly
 		}
 	})
+	if revoked {
+		return false
+	}
 	if c.dirtyBytes >= c.cfg.MaxDirty/2 {
 		c.flushQ.Broadcast()
 	}
@@ -629,6 +639,7 @@ func (c *Client) markDirty(ctx vfsapi.Ctx, f *cfile, off, n int64) {
 		c.throttleQ.WaitTimeout(ctx.P, c.params.DirtyThrottleCheck)
 		ctx.T.Account().AddIOWait(c.eng.Now() - start)
 	}
+	return true
 }
 
 // flusherLoop is a user-level writeback thread pinned to the pool's
@@ -773,7 +784,10 @@ func (c *Client) RevokeCaps(ctx vfsapi.Ctx, ino uint64) {
 	c.removeDirty(f)
 	c.pushSize(ctx, f)
 	c.throttleQ.Broadcast()
-	c.lockedMeta(ctx, func() { c.dropCache(f) })
+	c.lockedMeta(ctx, func() {
+		c.dropCache(f)
+		f.revoked = true
+	})
 	if path, ok := c.paths[ino]; ok {
 		delete(c.attrs, path)
 	}
@@ -830,10 +844,18 @@ func (c *Client) dropCache(f *cfile) {
 
 // DirtyAudit recomputes dirty accounting from first principles for
 // invariant checks in tests: the sum of per-file dirty bytes, the
-// number of files in the dirty list, and the tracked counter.
+// number of files in the dirty list, and the tracked counter. A file
+// unlinked while open leaves the file table, but writes through its
+// handle stay dirty until the flusher discards them, so the sum also
+// covers unlinked files on the dirty list.
 func (c *Client) DirtyAudit() (fileSum int64, listed int, counter int64) {
 	for _, f := range c.files {
 		fileSum += f.dirty.Len()
+	}
+	for _, f := range c.dirtyList {
+		if f.unlinked {
+			fileSum += f.dirty.Len()
+		}
 	}
 	return fileSum, len(c.dirtyList), c.dirtyBytes
 }

@@ -468,3 +468,214 @@ func TestClientRepin(t *testing.T) {
 	})
 	r.eng.Run()
 }
+
+// TestDirtyAuditAcrossLifecycle recomputes the dirty accounting after
+// every kind of step that moves it: the per-file dirty sum must equal
+// the counter, and the dirty list must be empty exactly when the
+// counter is zero.
+// auditDirty checks c's dirty accounting after step: the per-file sum
+// equals the counter, the dirty list is empty exactly when the counter
+// is zero, and the counter reads want.
+func auditDirty(t *testing.T, c *Client, step string, want int64) {
+	t.Helper()
+	sum, listed, counter := c.DirtyAudit()
+	if sum != counter || (listed == 0) != (counter == 0) || counter != want {
+		t.Errorf("%s: per-file dirty sum %d, %d files listed, counter %d (want %d)", step, sum, listed, counter, want)
+	}
+}
+
+func TestDirtyAuditAcrossLifecycle(t *testing.T) {
+	r := newRig(t, Config{})
+	other := New(r.eng, r.cpus, model.Default(), r.clus, Config{Name: "other"})
+	audit := func(step string, want int64) { t.Helper(); auditDirty(t, r.client, step, want) }
+	r.run(t, func(ctx vfsapi.Ctx) {
+		defer other.Stop()
+		open := func(path string, flags vfsapi.OpenFlag) vfsapi.Handle {
+			h, err := r.client.Open(ctx, path, flags)
+			if err != nil {
+				t.Fatalf("open %s: %v", path, err)
+			}
+			return h
+		}
+		rw := vfsapi.CREATE | vfsapi.WRONLY
+		a := open("/a", rw)
+		a.Write(ctx, 0, 4<<20)
+		audit("write", 4<<20)
+		a.Write(ctx, 1<<20, 2<<20)
+		a.Write(ctx, 3<<20, 2<<20)
+		audit("overwrite", 5<<20)
+
+		b := open("/b", rw)
+		b.Write(ctx, 0, 2<<20)
+		b.Close(ctx)
+		open("/b", vfsapi.WRONLY|vfsapi.TRUNC).Close(ctx)
+		audit("truncate", 5<<20)
+
+		c := open("/c", rw)
+		c.Write(ctx, 0, 1<<20)
+		c.Close(ctx)
+		if err := r.client.Unlink(ctx, "/c"); err != nil {
+			t.Fatal(err)
+		}
+		audit("unlink", 5<<20)
+		g := open("/g", rw)
+		if err := r.client.Unlink(ctx, "/g"); err != nil {
+			t.Fatal(err)
+		}
+		g.Write(ctx, 0, 1<<20)
+		audit("write after unlink", 6<<20)
+
+		if err := a.Fsync(ctx); err != nil {
+			t.Fatal(err)
+		}
+		audit("fsync", 1<<20)
+
+		a.Write(ctx, 0, 1<<20)
+		d := open("/d", rw)
+		d.Write(ctx, 0, 3<<20)
+		audit("rewrite", 5<<20)
+		ctx.P.Sleep(r.client.params.DirtyExpire + 2*r.client.params.WritebackInterval)
+		audit("flusher", 0)
+
+		e := open("/e", rw)
+		e.Write(ctx, 0, 2<<20)
+		d.Write(ctx, 0, 1<<20)
+		audit("before revoke", 3<<20)
+		h, err := other.Open(ctx, "/e", vfsapi.RDONLY)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Close(ctx)
+		audit("revoke", 1<<20)
+		e.Write(ctx, 0, 1<<20)
+		audit("write after revoke", 2<<20)
+
+		r.client.Crash()
+		audit("crash", 0)
+		if err := r.client.Restart(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Write(ctx, 0, 1<<20); err == nil {
+			t.Fatal("pre-crash handle accepted a write")
+		}
+		f := open("/f", rw)
+		f.Write(ctx, 0, 1<<20)
+		audit("restart", 1<<20)
+		f.Close(ctx)
+	})
+}
+
+// TestWriteAfterRevocationRecaps: a write through a handle whose file
+// another client's open revoked re-acquires caps and lands on a current
+// cfile — also when the revocation arrives while the write is parked,
+// and when the path was unlinked or renamed since — and an append
+// starts at the other client's end of file.
+func TestWriteAfterRevocationRecaps(t *testing.T) {
+	r := newRig(t, Config{})
+	other := New(r.eng, r.cpus, model.Default(), r.clus, Config{Name: "other"})
+	audit := func(step string, want int64) { t.Helper(); auditDirty(t, r.client, step, want) }
+	r.run(t, func(ctx vfsapi.Ctx) {
+		defer other.Stop()
+		open := func(c *Client, path string, flags vfsapi.OpenFlag) vfsapi.Handle {
+			h, err := c.Open(ctx, path, flags)
+			if err != nil {
+				t.Fatalf("%s open %s: %v", c.cfg.Name, path, err)
+			}
+			return h
+		}
+		revoke := func(path string) { open(other, path, vfsapi.RDONLY).Close(ctx) }
+		rw := vfsapi.CREATE | vfsapi.WRONLY
+
+		spawn := func(name string, fn func(ctx vfsapi.Ctx)) {
+			r.eng.Go(name, func(p *sim.Proc) { fn(vfsapi.Ctx{P: p, T: r.cpus.NewThread(r.acct, 0)}) })
+		}
+		revokeIn := func(path string, at *time.Duration) {
+			spawn("revoker", func(ctx vfsapi.Ctx) {
+				h, err := other.Open(ctx, path, vfsapi.RDONLY)
+				if err != nil {
+					t.Errorf("other open %s: %v", path, err)
+					return
+				}
+				h.Close(ctx)
+				*at = r.eng.Now()
+			})
+		}
+
+		// The 64 MiB copy runs on CPU after the writer drops
+		// client_lock; the other client's open revokes the file then.
+		p := open(r.client, "/p", rw)
+		var revokedAt time.Duration
+		revokeIn("/p", &revokedAt)
+		start := r.eng.Now()
+		if _, err := p.Write(ctx, 0, 64<<20); err != nil {
+			t.Fatal(err)
+		}
+		if revokedAt <= start || revokedAt >= r.eng.Now() {
+			t.Fatalf("revocation at %v did not land inside the write [%v, %v]", revokedAt, start, r.eng.Now())
+		}
+		audit("revoke during copy", 64<<20)
+
+		// Here the revocation takes client_lock first, while the
+		// finished copy waits on it to record the write.
+		q := open(r.client, "/q", rw)
+		var wrote time.Duration
+		spawn("writer", func(ctx vfsapi.Ctx) {
+			if _, err := q.Write(ctx, 0, 64<<20); err != nil {
+				t.Errorf("write /q: %v", err)
+			}
+			wrote = r.eng.Now()
+		})
+		ctx.P.Sleep(time.Millisecond)
+		lock := r.client.ClientLock()
+		lock.Lock(ctx.P)
+		revokeIn("/q", &revokedAt)
+		ctx.P.Sleep(20 * time.Millisecond)
+		if lock.Waiters() != 2 {
+			t.Fatalf("%d waiters on client_lock, want the revoker and the writer", lock.Waiters())
+		}
+		lock.Unlock(ctx.P)
+		for wrote == 0 {
+			ctx.P.Sleep(time.Millisecond)
+		}
+		audit("revoke while the write waits on client_lock", 128<<20)
+		for _, h := range []vfsapi.Handle{p, q} {
+			if err := h.Fsync(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		audit("fsync after recap", 0)
+
+		u := open(r.client, "/u", rw)
+		u.Write(ctx, 0, 1<<20)
+		revoke("/u")
+		if err := other.Unlink(ctx, "/u"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := u.Write(ctx, 1<<20, 1<<20); err != nil {
+			t.Fatalf("write to an open file unlinked elsewhere: %v", err)
+		}
+		audit("write after revoke and unlink", 1<<20)
+
+		v := open(r.client, "/v", rw)
+		v.Write(ctx, 0, 1<<20)
+		revoke("/v")
+		if err := other.Rename(ctx, "/v", "/w"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := v.Write(ctx, 1<<20, 1<<20); err != nil {
+			t.Fatalf("write to an open file renamed elsewhere: %v", err)
+		}
+		audit("write after revoke and rename", 2<<20)
+
+		a := open(r.client, "/ap", rw)
+		a.Write(ctx, 0, 1<<20)
+		o := open(other, "/ap", vfsapi.WRONLY)
+		o.Write(ctx, 1<<20, 1<<20)
+		o.Close(ctx)
+		off, err := a.Append(ctx, 1<<20)
+		if err != nil || off != 2<<20 {
+			t.Fatalf("append after the other client extended the file: off %d, %v; want %d", off, err, 2<<20)
+		}
+		audit("append after revoke", 3<<20)
+	})
+}

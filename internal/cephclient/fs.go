@@ -232,6 +232,29 @@ func (h *chandle) failIfStale(ctx vfsapi.Ctx) error {
 	return nil
 }
 
+// recap re-acquires write caps while the handle's cfile was revoked
+// by another client's conflicting open (RevokeCaps flushed and dropped
+// it). A client must hold caps for every buffered write, so it asks the
+// MDS again, which revokes the other holder in turn, and continues on a
+// current cfile for the same inode; otherwise the write would dirty a
+// cfile the client no longer tracks. The refetched attribute only
+// refreshes the size: the path may have been unlinked or renamed since,
+// and an open file stays writable either way.
+func (h *chandle) recap(ctx vfsapi.Ctx) {
+	c := h.c
+	for h.f.revoked && !c.crashed && h.gen == c.gen {
+		ino, size := h.f.ino, h.f.size
+		c.clus.AcquireCaps(ctx, ino, cluster.CapWrite, c)
+		c.lockedMeta(ctx, func() { delete(c.attrs, h.path) })
+		if info, got, err := c.lookupAttr(ctx, h.path); err == nil && got == ino {
+			size = info.Size
+		} else if c.paths[ino] == h.path {
+			delete(c.paths, ino) // gone from the namespace: push no size by path
+		}
+		h.f = c.file(ino, size)
+	}
+}
+
 // Read serves from the object cache, fetching misses from the OSDs.
 func (h *chandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	defer ctx.Span.Enter(obs.LayerClient).Exit()
@@ -348,26 +371,33 @@ func (h *chandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	}
 	c := h.c
 	c.opCPU(ctx)
+	h.recap(ctx)
 	h.wrote = true
 	c.stats.WriteBytes += n
 	c.copyData(ctx, n, true)
-	// copyData waits on client_lock; the writer may resume on the far
-	// side of a crash and must fail rather than dirty the restarted
-	// incarnation's cache through a dead cfile.
-	if err := h.failIfStale(ctx); err != nil {
-		return 0, err
+	for {
+		// copyData, recap and cacheInsert wait on client_lock; the
+		// writer may resume on the far side of a crash and must fail
+		// rather than dirty the restarted incarnation's cache through a
+		// dead cfile, or after a revocation, which it recaps for.
+		if err := h.failIfStale(ctx); err != nil {
+			return 0, err
+		}
+		h.recap(ctx)
+		c.cacheInsert(ctx, h.f, off, n)
+		if end := off + n; end > h.f.size {
+			h.f.size = end
+		}
+		if c.markDirty(ctx, h.f, off, n) {
+			return n, nil
+		}
 	}
-	c.cacheInsert(ctx, h.f, off, n)
-	if end := off + n; end > h.f.size {
-		h.f.size = end
-	}
-	c.markDirty(ctx, h.f, off, n)
-	return n, nil
 }
 
 // Append writes at the end of file.
 func (h *chandle) Append(ctx vfsapi.Ctx, n int64) (int64, error) {
 	defer ctx.Span.Enter(obs.LayerClient).Exit()
+	h.recap(ctx) // the end of file is the current holder's view
 	off := h.f.size
 	_, err := h.Write(ctx, off, n)
 	return off, err

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/vfsapi"
@@ -9,21 +8,16 @@ import (
 
 // MDS session registry (a simplified form of the CephFS/CFS client
 // session protocol): every client-side filesystem service registers a
-// named session when it mounts. A client crash marks its session stale;
-// the restarted client must reclaim it before serving traffic. Reclaim
-// fences the stale incarnation — the MDS drops every capability the
-// dead client still held, so a zombie cannot block cap acquisition or
-// resurrect pre-crash dirty state — and issues a new session epoch.
-// Operations presenting a fenced epoch fail with ErrStaleSession.
-
-// ErrStaleSession is returned when a client presents a session epoch
-// that the MDS has fenced (the session was reclaimed by a newer
-// incarnation, or marked stale by a crash and not yet reclaimed).
-var ErrStaleSession = errors.New("cluster: stale mds session")
+// named session when it mounts, and a restarted client must reclaim its
+// session before serving traffic. Reclaim is the fencing: the MDS drops
+// every capability the dead incarnation still held, so a zombie cannot
+// block cap acquisition or resurrect pre-crash dirty state, and issues
+// a new session epoch. The MDS does not check epochs on operations;
+// a crashed client issues none, since every operation on it fails until
+// it restarts (cephclient's TestCrashedClientRejectsOps).
 
 type mdsSession struct {
 	epoch  uint64
-	stale  bool
 	holder CapHolder
 }
 
@@ -45,17 +39,6 @@ func (c *Cluster) OpenSession(name string, holder CapHolder) uint64 {
 	return s.epoch
 }
 
-// MarkSessionStale records that the session's client died. The epoch
-// stops validating immediately; capabilities stay until the reclaim
-// fences them (the MDS cannot know the client is gone until either a
-// reclaim or a timeout, and the deterministic testbed models the
-// reclaim path).
-func (c *Cluster) MarkSessionStale(name string) {
-	if s := c.sessions[name]; s != nil {
-		s.stale = true
-	}
-}
-
 // ReclaimSession is the recovery-protocol step a restarted client runs
 // before serving traffic: one metadata round trip that fences the stale
 // incarnation (dropping every capability its holder still had) and
@@ -73,20 +56,9 @@ func (c *Cluster) ReclaimSession(ctx vfsapi.Ctx, name string) (uint64, error) {
 	if s.holder != nil {
 		c.fenceHolder(s.holder)
 	}
-	s.stale = false
 	s.epoch++
 	c.mds.sessionsReclaimed++
 	return s.epoch, nil
-}
-
-// ValidateSession checks a (name, epoch) pair against the registry:
-// stale sessions and superseded epochs fail with ErrStaleSession.
-func (c *Cluster) ValidateSession(name string, epoch uint64) error {
-	s := c.sessions[name]
-	if s == nil || s.stale || s.epoch != epoch {
-		return ErrStaleSession
-	}
-	return nil
 }
 
 // SessionsReclaimed counts completed session reclaims (recovery

@@ -1,5 +1,10 @@
 package core
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Configuration names the client system compositions of Table 1.
 type Configuration int
 
@@ -74,4 +79,17 @@ func (c Configuration) HasUnion() bool {
 // AllConfigurations lists Table 1 in presentation order.
 func AllConfigurations() []Configuration {
 	return []Configuration{ConfigD, ConfigK, ConfigF, ConfigFP, ConfigKK, ConfigFK, ConfigFF, ConfigFPFP}
+}
+
+// ParseConfiguration resolves a Table 1 symbol ("D", "K", "F/K", ...),
+// ignoring case. The error lists the symbols.
+func ParseConfiguration(s string) (Configuration, error) {
+	names := make([]string, 0, 8)
+	for _, c := range AllConfigurations() {
+		if strings.EqualFold(c.String(), s) {
+			return c, nil
+		}
+		names = append(names, c.String())
+	}
+	return 0, fmt.Errorf("unknown configuration %q (want one of %s)", s, strings.Join(names, " "))
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/allocgate"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -12,86 +13,78 @@ import (
 // host: the quantum chain must coalesce the whole 10ms run into one
 // park/resume round trip and stay allocation-free via the run pool.
 func BenchmarkExecCoalescedUncontended(b *testing.B) {
-	eng := sim.NewEngine()
-	c := New(eng, model.Default(), 4)
-	th := c.NewThread(NewAccount("bench"), 0)
-	eng.Go("bench", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			th.Exec(p, User, 10*time.Millisecond)
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	eng.Run()
+	allocgate.Bench(b, execCoalescedUncontended)
 }
+
+func execCoalescedUncontended(n int) func() { return execIdle(n, 10*time.Millisecond) }
 
 // BenchmarkExecSubQuantum measures the short-Exec fast path (the IPC
 // and syscall cost charges, far below one quantum).
-func BenchmarkExecSubQuantum(b *testing.B) {
+func BenchmarkExecSubQuantum(b *testing.B) { allocgate.Bench(b, execSubQuantum) }
+
+func execSubQuantum(n int) func() { return execIdle(n, time.Microsecond) }
+
+// execIdle issues n Execs of d from one thread on an idle 4-core host.
+func execIdle(n int, d time.Duration) func() {
 	eng := sim.NewEngine()
 	c := New(eng, model.Default(), 4)
 	th := c.NewThread(NewAccount("bench"), 0)
 	eng.Go("bench", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			th.Exec(p, User, time.Microsecond)
+		for i := 0; i < n; i++ {
+			th.Exec(p, User, d)
 		}
 	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	eng.Run()
+	return eng.Run
 }
 
 // BenchmarkExecContended time-shares one core between four threads, so
 // every quantum boundary goes through the FIFO runqueue.
-func BenchmarkExecContended(b *testing.B) {
-	benchContended(b, 2*time.Millisecond)
-}
+func BenchmarkExecContended(b *testing.B) { allocgate.Bench(b, execContended) }
+
+func execContended(n int) func() { return contended(n, 2*time.Millisecond) }
 
 // BenchmarkExecContendedSubQuantum time-shares one core between four
 // threads issuing 1µs Execs, so every Exec queues for the core: the
 // pattern of 16 service threads on a pool's 2 cores in Seqread.
 func BenchmarkExecContendedSubQuantum(b *testing.B) {
-	benchContended(b, time.Microsecond)
+	allocgate.Bench(b, execContendedSubQuantum)
 }
+
+func execContendedSubQuantum(n int) func() { return contended(n, time.Microsecond) }
 
 // BenchmarkExecChainContended time-shares one core between four
 // threads, each issuing the app-entry charges of a FUSE request as one
 // Chain (mode switch, 1µs of kernel work, context switch), so every
 // step queues for the core. One op is one chain.
-func BenchmarkExecChainContended(b *testing.B) {
-	eng := sim.NewEngine()
-	c := New(eng, model.Default(), 1)
-	acct := NewAccount("bench")
-	const threads = 4
-	per := b.N/threads + 1
-	for i := 0; i < threads; i++ {
-		th := c.NewThread(acct, MaskOf(0))
-		eng.Go("bench", func(p *sim.Proc) {
-			for j := 0; j < per; j++ {
-				th.Chain(p, th.ModeSwitchStep(), Charge(Kernel, time.Microsecond), th.ContextSwitchStep())
-			}
-		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	eng.Run()
+func BenchmarkExecChainContended(b *testing.B) { allocgate.Bench(b, execChainContended) }
+
+func execChainContended(n int) func() {
+	return onOneCore(n, func(th *Thread, p *sim.Proc) {
+		th.Chain(p, th.ModeSwitchStep(), Charge(Kernel, time.Microsecond), th.ContextSwitchStep())
+	})
 }
 
-func benchContended(b *testing.B, d time.Duration) {
+// contended time-shares one core between four threads issuing Execs
+// of d, n in all.
+func contended(n int, d time.Duration) func() {
+	return onOneCore(n, func(th *Thread, p *sim.Proc) { th.Exec(p, User, d) })
+}
+
+// onOneCore runs op n times in all, split across four threads pinned
+// to a single core.
+func onOneCore(n int, op func(*Thread, *sim.Proc)) func() {
 	eng := sim.NewEngine()
 	c := New(eng, model.Default(), 1)
 	acct := NewAccount("bench")
 	const threads = 4
-	per := b.N/threads + 1
 	for i := 0; i < threads; i++ {
+		per := allocgate.Share(n, threads, i)
 		th := c.NewThread(acct, MaskOf(0))
 		eng.Go("bench", func(p *sim.Proc) {
 			for j := 0; j < per; j++ {
-				th.Exec(p, User, d)
+				op(th, p)
 			}
 		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	eng.Run()
+	return eng.Run
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/allocgate"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -657,8 +658,8 @@ func TestExecMatchesHistoricalLoop(t *testing.T) {
 // TestContendedExecParksOnce pins what the run chain buys: a
 // multi-quantum Exec that loses its core at every quantum boundary, and
 // a multi-step Chain that loses it at every quantum and step boundary,
-// resume their process exactly once, and a contended sub-quantum Exec
-// or Chain allocates nothing once the run pool is warm.
+// resume their process exactly once, and every Exec and Chain
+// benchmark body allocates nothing once the run pool is warm.
 func TestContendedExecParksOnce(t *testing.T) {
 	e, c := newTestCPU(t, 1)
 	acct := NewAccount("a")
@@ -714,22 +715,11 @@ func TestContendedExecParksOnce(t *testing.T) {
 		t.Fatalf("chains charged %d mode switches, want %d", got, want)
 	}
 
-	e, c = newTestCPU(t, 1)
-	stop := false
-	for i := 0; i < 4; i++ {
-		th := c.NewThread(acct, MaskOf(0))
-		e.Go("w", func(p *sim.Proc) {
-			for !stop {
-				th.Exec(p, User, time.Microsecond)
-				th.Chain(p, th.ModeSwitchStep(), Charge(User, time.Microsecond), th.ContextSwitchStep())
-			}
-		})
-	}
-	e.RunUntil(time.Millisecond) // warm the run pool, runqueue ring and event heap
-	allocs := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 100*time.Microsecond) })
-	stop = true
-	e.Run()
-	if allocs != 0 {
-		t.Fatalf("contended sub-quantum Exec and Chain: %v allocs per 100µs, want 0", allocs)
-	}
+	allocgate.Check(t, []allocgate.Case{
+		{Name: "ExecCoalescedUncontended", Body: execCoalescedUncontended, N: 1000},
+		{Name: "ExecSubQuantum", Body: execSubQuantum, N: 10000},
+		{Name: "ExecContended", Body: execContended, N: 1000},
+		{Name: "ExecContendedSubQuantum", Body: execContendedSubQuantum, N: 10000},
+		{Name: "ExecChainContended", Body: execChainContended, N: 10000},
+	})
 }

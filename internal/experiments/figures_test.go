@@ -93,6 +93,17 @@ func TestFig8StartupScaleup(t *testing.T) {
 	}
 }
 
+// TestTable1ConfigurationsStartContainers: every Table 1 composition
+// assembles and starts a container, whose startup reads through the
+// configuration's legacy interface, in nonzero time.
+func TestTable1ConfigurationsStartContainers(t *testing.T) {
+	for _, cfg := range core.AllConfigurations() {
+		if row := RunStartupScaleup(cfg, 1, QuickScale); row.RealTime <= 0 {
+			t.Errorf("configuration %v produced no startup time", cfg)
+		}
+	}
+}
+
 func TestFig9Seqwrite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")

@@ -4,14 +4,28 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/allocgate"
 	"repro/internal/core"
 )
 
-// BenchmarkFuzzScenarioRun anchors the cost of one fuzz pipeline run
-// (testbed build, victim probe, invariant evidence collection) for the
-// CI bench-guard: a sweep is N of these, so a hot-path regression here
-// multiplies directly into fuzz-smoke wall time.
-func BenchmarkFuzzScenarioRun(b *testing.B) {
+// TestScenarioRunAllocs bounds one fuzz pipeline run's allocations. The
+// count is not exact: BenchmarkFuzzScenarioRun read 6021 to 6030
+// allocs/op before this gate existed, and the gate reads 6014 to 6059
+// (-race included), so a run is held under a ceiling of 6300 rather
+// than at a value.
+func TestScenarioRunAllocs(t *testing.T) {
+	allocgate.Check(t, []allocgate.Case{
+		{Name: "FuzzScenarioRun", Body: fuzzScenarioRun, N: 2, Max: 6300},
+	})
+}
+
+// BenchmarkFuzzScenarioRun measures one fuzz pipeline run (testbed
+// build, victim probe, invariant evidence collection): a sweep is N of
+// these, so a hot-path regression here multiplies directly into
+// fuzz-smoke wall time.
+func BenchmarkFuzzScenarioRun(b *testing.B) { allocgate.Bench(b, fuzzScenarioRun) }
+
+func fuzzScenarioRun(n int) func() {
 	sc := Scenario{
 		Seed:        1,
 		Config:      core.ConfigK,
@@ -21,8 +35,9 @@ func BenchmarkFuzzScenarioRun(b *testing.B) {
 		Warmup:      10 * time.Millisecond,
 		Duration:    30 * time.Millisecond,
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		RunScenario(sc, false)
+	return func() {
+		for i := 0; i < n; i++ {
+			RunScenario(sc, false)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -235,29 +234,6 @@ func (sc Scenario) String() string {
 		sc.Warmup, sc.Duration, strings.Join(tenants, " "), len(sc.ScheduleWindows()), overload, crash, tr, tel)
 }
 
-// configNames maps Table 1 symbols to configurations for spec parsing.
-var configNames = func() map[string]core.Configuration {
-	m := map[string]core.Configuration{}
-	for _, c := range core.AllConfigurations() {
-		m[c.String()] = c
-	}
-	return m
-}()
-
-// ParseConfiguration resolves a Table 1 symbol ("D", "K", "F/K", ...).
-func ParseConfiguration(s string) (core.Configuration, error) {
-	c, ok := configNames[s]
-	if !ok {
-		names := make([]string, 0, len(configNames))
-		for n := range configNames {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return 0, fmt.Errorf("fuzz: unknown configuration %q (want one of %s)", s, strings.Join(names, " "))
-	}
-	return c, nil
-}
-
 // WriteSpec serializes the scenario as a replayable spec file. Comment
 // lines describing the violation may be passed through as header.
 func WriteSpec(w io.Writer, sc Scenario, header ...string) error {
@@ -318,7 +294,7 @@ func ParseSpec(r io.Reader) (Scenario, error) {
 		case "seed":
 			sc.Seed, err = strconv.ParseInt(val, 10, 64)
 		case "config":
-			sc.Config, err = ParseConfiguration(val)
+			sc.Config, err = core.ParseConfiguration(val)
 		case "replication":
 			sc.Replication, err = strconv.Atoi(val)
 		case "sharedmount":

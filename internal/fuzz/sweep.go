@@ -22,12 +22,15 @@ type Options struct {
 	// ReproDir, when set, receives one shrunk reproducer spec file per
 	// failing scenario (created on demand).
 	ReproDir string
-	// ShrinkBudget caps oracle evaluations per shrink (<= 0: 60).
-	ShrinkBudget int
-	// MaxShrinks caps how many failing scenarios are shrunk (the rest
-	// are only reported); <= 0 means 5.
-	MaxShrinks int
 }
+
+const (
+	// shrinkBudget caps oracle evaluations per shrink.
+	shrinkBudget = 60
+	// maxShrinks caps how many failing scenarios a sweep shrinks; the
+	// rest are only reported.
+	maxShrinks = 5
+)
 
 // Summary is the outcome of a sweep.
 type Summary struct {
@@ -50,12 +53,6 @@ func Sweep(o Options) (Summary, error) {
 	if o.Out == nil {
 		o.Out = io.Discard
 	}
-	if o.ShrinkBudget <= 0 {
-		o.ShrinkBudget = 60
-	}
-	if o.MaxShrinks <= 0 {
-		o.MaxShrinks = 5
-	}
 	sum := Summary{Scenarios: o.N, ByChecker: map[string]int{}}
 	agg := sha256.New()
 	shrunk := 0
@@ -77,11 +74,11 @@ func Sweep(o Options) (Summary, error) {
 			fmt.Fprintf(agg, "%04d VIOLATION %s\n", i, v)
 		}
 
-		if shrunk >= o.MaxShrinks {
+		if shrunk >= maxShrinks {
 			continue
 		}
 		shrunk++
-		min := Shrink(sc, vs[0].Checker, DefaultOracle, o.ShrinkBudget)
+		min := Shrink(sc, vs[0].Checker, DefaultOracle, shrinkBudget)
 		fmt.Fprintf(o.Out, "fuzz %04d shrunk to: %s\n", i, min)
 		if o.ReproDir != "" {
 			if err := os.MkdirAll(o.ReproDir, 0o755); err != nil {

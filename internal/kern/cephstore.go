@@ -56,13 +56,12 @@ func NewCephStore(k *Kernel, clus *cluster.Cluster) *CephStore {
 }
 
 // CrashStore kills the kernel client's cluster-facing state: the
-// attribute cache goes cold, the MDS session is marked stale, and every
-// operation fails with vfsapi.ErrCrashed until RestartStore.
+// attribute cache goes cold and every operation fails with
+// vfsapi.ErrCrashed until RestartStore reclaims the MDS session.
 func (s *CephStore) CrashStore() {
 	s.crashed = true
 	s.attrs = map[string]attrEntry{}
 	s.paths = map[uint64]string{}
-	s.clus.MarkSessionStale(s.session)
 }
 
 // RestartStore runs the recovery protocol of a restarted kernel client:

@@ -379,137 +379,6 @@ func TestGoFromWithinProc(t *testing.T) {
 	}
 }
 
-func BenchmarkEngineSleepWake(b *testing.B) {
-	e := NewEngine()
-	e.Go("bench", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(time.Microsecond)
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Run()
-}
-
-// BenchmarkEngineYield measures the self-wake fast path: a Yield with
-// no competing work at the same timestamp must elide the yield to the
-// engine loop entirely.
-func BenchmarkEngineYield(b *testing.B) {
-	e := NewEngine()
-	e.Go("bench", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Yield()
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Run()
-}
-
-// BenchmarkEngineProcSwitch measures a real switch between processes:
-// the procs sleep in staggered lockstep, so every wake resumes a proc
-// other than the one that just parked and none takes park's inline
-// fast path.
-func BenchmarkEngineProcSwitch(b *testing.B) {
-	e := NewEngine()
-	const procs = 2
-	per := b.N/procs + 1
-	for i := 0; i < procs; i++ {
-		e.Go("bench", func(p *Proc) {
-			p.Sleep(time.Duration(i) * time.Microsecond)
-			for j := 0; j < per; j++ {
-				p.Sleep(procs * time.Microsecond)
-			}
-		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Run()
-}
-
-// BenchmarkEngineEventChurn measures raw callback scheduling: each
-// iteration pushes and drains one timer event through the heap.
-func BenchmarkEngineEventChurn(b *testing.B) {
-	e := NewEngine()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			e.After(time.Microsecond, tick)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.After(time.Microsecond, tick)
-	e.Run()
-}
-
-// BenchmarkEngineEventChurnDeep measures the event queue at the depth
-// of an 8-pool run: 256 timers keep 256 events pending, and each fire
-// first hands off through a callback due at the current instant (a core
-// grant or lock handoff) before re-arming, so half of all pushes are due
-// now. One op is one event.
-func BenchmarkEngineEventChurnDeep(b *testing.B) {
-	e := NewEngine()
-	const timers = 256
-	n := 0
-	for i := range timers {
-		d := time.Duration(1+i%16) * time.Microsecond // shared timestamps
-		var fire, rearm func()
-		rearm = func() {
-			n++
-			if n < b.N {
-				e.After(d, fire)
-			}
-		}
-		fire = func() {
-			n++
-			e.After(0, rearm)
-		}
-		e.After(d, fire)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Run()
-}
-
-func BenchmarkMutexUncontended(b *testing.B) {
-	e := NewEngine()
-	m := NewMutex(e, "b")
-	e.Go("bench", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			m.Lock(p)
-			m.Unlock(p)
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Run()
-}
-
-// BenchmarkMutexContendedHandoff measures the Unlock-to-waiter handoff
-// with a standing queue of 64 workers, the hot path of the Fig 1b
-// i_mutex convoys. The waiter ring must keep this allocation-free.
-func BenchmarkMutexContendedHandoff(b *testing.B) {
-	e := NewEngine()
-	m := NewMutex(e, "b")
-	const workers = 64
-	per := b.N/workers + 1
-	for w := 0; w < workers; w++ {
-		e.Go("bench", func(p *Proc) {
-			for i := 0; i < per; i++ {
-				m.Lock(p)
-				p.Sleep(time.Microsecond)
-				m.Unlock(p)
-			}
-		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Run()
-}
-
 func TestPanicInsideProcIsRecoverableFromRun(t *testing.T) {
 	// A panic inside a simulated process surfaces from Run on the
 	// caller's goroutine, after the process has been accounted finished.
