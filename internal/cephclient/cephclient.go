@@ -486,22 +486,11 @@ func (c *Client) opCPU(ctx vfsapi.Ctx) {
 	ctx.T.Exec(ctx.P, cpu.User, c.params.ClientOpCost)
 }
 
-// lockClient acquires client_lock, attributing any wait to the tenant
-// of the traced request in flight (no-op attribution otherwise).
-func (c *Client) lockClient(ctx vfsapi.Ctx) {
-	if ctx.Span == nil {
-		c.clientLock.Lock(ctx.P)
-		return
-	}
-	start := c.eng.Now()
-	c.clientLock.Lock(ctx.P)
-	ctx.Span.LockWait("client_lock", c.eng.Now()-start)
-}
-
-// lockedMeta runs fn holding client_lock with the standard hold charge.
+// lockedMeta runs fn holding client_lock with the standard hold charge,
+// attributing any lock wait to the tenant of the traced request in
+// flight (no-op attribution otherwise).
 func (c *Client) lockedMeta(ctx vfsapi.Ctx, fn func()) {
-	c.lockClient(ctx)
-	ctx.T.Exec(ctx.P, cpu.User, c.params.ClientLockHold)
+	ctx.T.LockedChain(ctx.P, c.clientLock, ctx.Span, "client_lock", cpu.Charge(cpu.User, c.params.ClientLockHold))
 	fn()
 	c.clientLock.Unlock(ctx.P)
 }
@@ -528,10 +517,9 @@ func (c *Client) copyData(ctx vfsapi.Ctx, n int64, write bool) {
 		fraction *= 0.25
 	}
 	under := time.Duration(float64(total) * fraction)
-	c.lockClient(ctx)
-	ctx.T.Exec(ctx.P, cpu.User, c.params.ClientLockHold+under)
-	c.clientLock.Unlock(ctx.P)
-	ctx.T.Exec(ctx.P, cpu.User, total-under)
+	ctx.T.LockedChain(ctx.P, c.clientLock, ctx.Span, "client_lock",
+		cpu.Charge(cpu.User, c.params.ClientLockHold+under),
+		cpu.Step{Kind: cpu.User, D: total - under, Unlock: c.clientLock})
 }
 
 func (c *Client) file(ino uint64, size int64) *cfile {

@@ -59,21 +59,37 @@ func execContendedSubQuantum(n int) func() { return contended(n, time.Microsecon
 func BenchmarkExecChainContended(b *testing.B) { allocgate.Bench(b, execChainContended) }
 
 func execChainContended(n int) func() {
-	return onOneCore(n, func(th *Thread, p *sim.Proc) {
+	return onOneCore(sim.NewEngine(), n, func(th *Thread, p *sim.Proc) {
 		th.Chain(p, th.ModeSwitchStep(), Charge(Kernel, time.Microsecond), th.ContextSwitchStep())
+	})
+}
+
+// BenchmarkExecLockedChainContended has four threads on one core take
+// one mutex, each as a LockedChain that charges 1µs under the lock and
+// 1µs after releasing it (the shape of a client_lock'd copy), so every
+// chain queues for the lock, the core or both. One op is one chain.
+func BenchmarkExecLockedChainContended(b *testing.B) {
+	allocgate.Bench(b, execLockedChainContended)
+}
+
+func execLockedChainContended(n int) func() {
+	eng := sim.NewEngine()
+	m := sim.NewMutex(eng, "bench")
+	return onOneCore(eng, n, func(th *Thread, p *sim.Proc) {
+		th.LockedChain(p, m, nil, "", Charge(User, time.Microsecond),
+			Step{Kind: User, D: time.Microsecond, Unlock: m})
 	})
 }
 
 // contended time-shares one core between four threads issuing Execs
 // of d, n in all.
 func contended(n int, d time.Duration) func() {
-	return onOneCore(n, func(th *Thread, p *sim.Proc) { th.Exec(p, User, d) })
+	return onOneCore(sim.NewEngine(), n, func(th *Thread, p *sim.Proc) { th.Exec(p, User, d) })
 }
 
-// onOneCore runs op n times in all, split across four threads pinned
-// to a single core.
-func onOneCore(n int, op func(*Thread, *sim.Proc)) func() {
-	eng := sim.NewEngine()
+// onOneCore runs op n times in all on eng, split across four threads
+// pinned to a single core.
+func onOneCore(eng *sim.Engine, n int, op func(*Thread, *sim.Proc)) func() {
 	c := New(eng, model.Default(), 1)
 	acct := NewAccount("bench")
 	const threads = 4

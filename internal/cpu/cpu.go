@@ -147,7 +147,7 @@ func (t *Thread) Account() *Account { return t.acct }
 // the core every scheduler quantum. It is a one-step Chain.
 func (t *Thread) Exec(p *sim.Proc, k TimeKind, d time.Duration) {
 	if d > 0 {
-		t.run(p, k, d, nil)
+		t.run(p, t, k, d, nil)
 	}
 }
 
@@ -161,42 +161,61 @@ const (
 	CountContextSwitch                // bumps Account.ContextSwitches
 )
 
-// Step is one charge of a Chain: bump the Count counter, then consume D
-// of CPU time of Kind. A step with D <= 0 only bumps its counter.
+// Step is one charge of a Chain: release Unlock if set, bump the Count
+// counter of Thread's account, then consume D of CPU time of Kind on a
+// core in Thread's mask. A step with D <= 0 does all but the charge. A
+// nil Thread is the thread the chain runs on; another one must belong
+// to the same CPU.
 type Step struct {
-	Kind  TimeKind
-	D     time.Duration
-	Count Counter
+	Kind   TimeKind
+	Count  Counter
+	D      time.Duration
+	Thread *Thread
+	Unlock *sim.Mutex
 }
 
 // Charge returns the step Exec(k, d) runs.
 func Charge(k TimeKind, d time.Duration) Step { return Step{Kind: k, D: d} }
 
-// ModeSwitchStep returns the step ModeSwitch runs.
+// ModeSwitchStep returns the step ModeSwitch runs on t.
 func (t *Thread) ModeSwitchStep() Step {
-	return Step{Kind: Kernel, D: t.cpu.params.ModeSwitchCost, Count: CountModeSwitch}
+	return Step{Kind: Kernel, D: t.cpu.params.ModeSwitchCost, Count: CountModeSwitch, Thread: t}
 }
 
-// ContextSwitchStep returns the step ContextSwitch runs.
+// ContextSwitchStep returns the step ContextSwitch runs on t.
 func (t *Thread) ContextSwitchStep() Step {
-	return Step{Kind: Kernel, D: t.cpu.params.ContextSwitchCost, Count: CountContextSwitch}
+	return Step{Kind: Kernel, D: t.cpu.params.ContextSwitchCost, Count: CountContextSwitch, Thread: t}
 }
 
-// Chain runs steps back to back on the thread. It is equivalent, event
-// for event, to issuing the same steps as consecutive Exec, ModeSwitch
-// and ContextSwitch calls, so it fits any run of charges between which
-// the process does nothing else.
+// Chain runs steps back to back, each on its own thread. It is
+// equivalent, event for event, to issuing the same steps as consecutive
+// Exec, ModeSwitch and ContextSwitch calls on their threads, with each
+// step's Unlock called just before it, so it fits any run of charges and
+// lock releases between which the process does nothing else — a FUSE
+// daemon thread's reply charges and the application thread's return
+// charges that follow them, say.
 //
 // The process parks at most once: only the wake that ends the last
 // slice of the last step resumes it. Waiting for a core, every quantum
-// boundary and step boundary (charge, release, bump the next step's
-// counter, re-acquire) and every core grant run as engine callbacks of a
-// pooled execRun, so a contended, multi-quantum or multi-step chain
-// costs one park/resume round trip; a single slice on an idle core is a
-// plain Sleep. The callbacks mirror the historical per-quantum loop
-// event for event — see the execRun invariants — so virtual-time
-// results are bit-identical.
+// boundary and step boundary (charge, release the core, enter the next
+// step: release its lock, bump its counter; re-acquire) and every core
+// grant run as engine callbacks of a pooled execRun, so a contended,
+// multi-quantum or multi-step chain costs one park/resume round trip; a
+// single slice on an idle core is a plain Sleep. The callbacks mirror
+// the historical per-quantum loop event for event — see the execRun
+// invariants — so virtual-time results are bit-identical.
 func (t *Thread) Chain(p *sim.Proc, steps ...Step) {
+	t.LockedChain(p, nil, nil, "", steps...)
+}
+
+// LockedChain acquires m, then runs steps as Chain does; a step's Unlock
+// (or the caller, after the chain) releases m. It is equivalent, event
+// for event, to m.Lock followed by the chain, with the lock wait —
+// zero when m was free — passed to span.LockWait under the name lock at
+// the instant m is granted. When m is held and the chain has work, m is
+// queued for through a callback waiter, so the process still parks once
+// for lock wait and chain together. A nil m runs Chain.
+func (t *Thread) LockedChain(p *sim.Proc, m *sim.Mutex, span *obs.Span, lock string, steps ...Step) {
 	first, last := -1, -1
 	for i := range steps {
 		if steps[i].D > 0 {
@@ -206,43 +225,82 @@ func (t *Thread) Chain(p *sim.Proc, steps ...Step) {
 			last = i
 		}
 	}
-	for _, s := range steps[:first+1] {
-		t.acct.count(s.Count)
+	if m != nil && first >= 0 && m.Locked() {
+		r := t.cpu.getRun(p, t)
+		r.rest = append(r.rest[:0], steps[:last+1]...)
+		r.since, r.span, r.lock = t.cpu.eng.Now(), span, lock
+		m.LockOrQueue(p, r.locked) // m is held: this queues
+		t.cpu.park(r)
+	} else {
+		if m != nil {
+			// m is free, or no step has work to chain the wait to.
+			start := t.cpu.eng.Now()
+			m.Lock(p)
+			span.LockWait(lock, t.cpu.eng.Now()-start)
+		}
+		if first >= 0 {
+			th := t.enter(p, steps[:first+1])
+			t.run(p, th, steps[first].Kind, steps[first].D, steps[first+1:last+1])
+		}
 	}
-	if first >= 0 {
-		t.run(p, steps[first].Kind, steps[first].D, steps[first+1:last+1])
-	}
-	// Trailing zero-length steps (all steps, when none has work) count
-	// at the event that ended the last slice, as consecutive calls would.
-	for _, s := range steps[last+1:] {
-		t.acct.count(s.Count)
-	}
+	// Trailing zero-length steps (all steps, when none has work) are
+	// entered at the event that ended the last slice, as consecutive
+	// calls would.
+	t.enter(p, steps[last+1:])
 }
 
-// run executes d of kind k, the work of a step whose counter is already
-// bumped, and then rest, whose last step has work, parking the process
+// enter enters steps in order, for a chain running on t, and returns
+// the thread of the last one.
+func (t *Thread) enter(p *sim.Proc, steps []Step) *Thread {
+	th := t
+	for i := range steps {
+		th = t.enterStep(p, &steps[i])
+	}
+	return th
+}
+
+// enterStep does what precedes s's charge — release its lock, bump its
+// counter — and returns the thread it runs on.
+func (t *Thread) enterStep(p *sim.Proc, s *Step) *Thread {
+	if s.Thread != nil {
+		t = s.Thread
+	}
+	if s.Unlock != nil {
+		s.Unlock.Unlock(p)
+	}
+	t.acct.count(s.Count)
+	return t
+}
+
+// run executes d of kind k on th, the work of an entered step, and then
+// rest, whose last step has work, as a chain on t, parking the process
 // once.
-func (t *Thread) run(p *sim.Proc, k TimeKind, d time.Duration, rest []Step) {
+func (t *Thread) run(p *sim.Proc, th *Thread, k TimeKind, d time.Duration, rest []Step) {
 	c := t.cpu
-	core, ok := c.tryAcquire(t)
+	core, ok := c.tryAcquire(th)
 	if ok && len(rest) == 0 && d <= c.params.Quantum {
 		// One slice on an idle core: a plain Sleep needs no run state.
 		p.Sleep(d)
-		c.endSlice(p, t, k, core, d)
+		c.endSlice(p, th, k, core, d)
 		return
 	}
-	r := c.getRun()
-	r.p, r.t, r.kind, r.d = p, t, k, d
+	r := c.getRun(p, t)
+	r.t, r.kind, r.d = th, k, d
 	r.rest = append(r.rest[:0], rest...)
-	r.i = 0
 	if ok {
 		r.core = core
 		r.startSlice()
 	} else {
 		c.enqueue(r)
 	}
-	p.Park()
-	c.endSlice(p, t, r.kind, r.core, r.slice)
+	c.park(r)
+}
+
+// park blocks r's process until the wake that ends r's last slice, then
+// charges that slice and recycles r.
+func (c *CPU) park(r *execRun) {
+	r.p.Park()
+	c.endSlice(r.p, r.t, r.kind, r.core, r.slice)
 	c.putRun(r)
 }
 
@@ -259,50 +317,57 @@ func (c *CPU) endSlice(p *sim.Proc, t *Thread, k TimeKind, core int, d time.Dura
 
 // execRun drives one Chain. The owning process parks once; everything
 // before the last slice's wake fires as engine callbacks: grant when a
-// release hands the run a core, step at each quantum or step boundary.
-// The chain is constructed to be event-for-event identical to the
-// historical loop, which ran each step as its own call (bump the
+// release hands the run a core, step at each quantum or step boundary,
+// and, for a LockedChain that queued for its mutex, locked when the
+// mutex is handed over. The chain is constructed to be event-for-event
+// identical to the historical loop, which took the lock with Lock and
+// then ran each step as its own call (release the step's lock, bump the
 // counter; then, once per quantum, acquire, parking until a release
 // wakes the waiter, Sleep(min(quantum, rest)) and release): at every
 // point where that loop pushed exactly one engine event — a Sleep wake,
-// or the waiter's wake inside release — the chain pushes exactly one
-// event of the same timestamp at the same position in engine seq order.
-// Because the event queue breaks timestamp ties by seq, and wait
-// reports are passive, this preserves the simulation's event
-// interleaving — and therefore its virtual-time results — bit for bit.
-// Only the kind of some events changed: the waiter's resume is now the
-// grant callback, and the wake that ended a step other than the last is
-// now the step callback. TestExecMatchesHistoricalLoop checks this
-// against that loop.
+// the waiter's wake inside release, or the mutex handoff's wake — the
+// chain pushes exactly one event of the same timestamp at the same
+// position in engine seq order. Because the event queue breaks
+// timestamp ties by seq, and wait reports are passive, this preserves
+// the simulation's event interleaving — and therefore its virtual-time
+// results — bit for bit. Only the kind of some events changed: the
+// waiter's resume is now the grant or locked callback, and the wake that
+// ended a step other than the last is now the step callback.
+// TestExecMatchesHistoricalLoop checks this against that loop.
 type execRun struct {
-	c     *CPU
-	p     *sim.Proc
-	t     *Thread
-	rest  []Step // the steps after the first with work, through the last with work
-	i     int    // index in rest of the next step to enter
-	kind  TimeKind
-	core  int
-	d     time.Duration // remaining work of the current step, including the in-flight slice
-	slice time.Duration // length of the in-flight slice
-	step  func()        // reusable quantum- and step-boundary callback (fire)
-	grant func()        // reusable core-grant callback (granted)
+	c      *CPU
+	p      *sim.Proc
+	chainT *Thread // the thread the chain runs on: that of steps without one
+	t      *Thread // the thread of the current step
+	rest   []Step  // the steps after the current one, through the last with work
+	i      int     // index in rest of the next step to enter
+	kind   TimeKind
+	core   int
+	d      time.Duration // remaining work of the current step, including the in-flight slice
+	slice  time.Duration // length of the in-flight slice
+	step   func()        // reusable quantum- and step-boundary callback (fire)
+	grant  func()        // reusable core-grant callback (granted)
+	locked func()        // reusable mutex-grant callback (lockGranted)
 
 	// Wait-observer bookkeeping for a queued run: when the wait began
-	// and which account is to blame, captured at enqueue time.
+	// (the core wait, or the lock wait of a LockedChain) and which
+	// account is to blame, captured at enqueue time.
 	since time.Duration
 	aggr  string
+	// A LockedChain's lock wait is passed to span under the name lock.
+	span *obs.Span
+	lock string
 }
 
-// next enters the next step with work, bumping the counter of every
-// step it enters on the way. The last entry of rest has work, so a
-// step is always found.
+// next enters the next step with work, entering every step on its way.
+// The last entry of rest has work, so a step is always found.
 func (r *execRun) next() {
 	for {
-		s := r.rest[r.i]
+		s := &r.rest[r.i]
 		r.i++
-		r.t.acct.count(s.Count)
+		th := r.chainT.enterStep(r.p, s)
 		if s.D > 0 {
-			r.kind, r.d = s.Kind, s.D
+			r.t, r.kind, r.d = th, s.Kind, s.D
 			return
 		}
 	}
@@ -322,23 +387,28 @@ func (r *execRun) startSlice() {
 	c.eng.After(r.slice, r.step)
 }
 
+// acquire takes a core for the current step at once and starts its
+// slice, or queues for one.
+func (r *execRun) acquire() {
+	if core, ok := r.c.tryAcquire(r.t); ok {
+		r.core = core
+		r.startSlice()
+		return
+	}
+	r.c.enqueue(r)
+}
+
 // fire is the boundary callback: charge the completed slice, release the
 // core, move to the next step when this one is done, then re-acquire a
 // core at once or queue for it, exactly as the historical loop did
 // between two slices.
 func (r *execRun) fire() {
-	c := r.c
-	c.endSlice(r.p, r.t, r.kind, r.core, r.slice)
+	r.c.endSlice(r.p, r.t, r.kind, r.core, r.slice)
 	r.d -= r.slice
 	if r.d == 0 {
 		r.next() // not the last step with work: that one ends in a wake
 	}
-	if core, ok := c.tryAcquire(r.t); ok {
-		r.core = core
-		r.startSlice()
-		return
-	}
-	c.enqueue(r)
+	r.acquire()
 }
 
 // granted is the callback a release schedules after handing r.core to
@@ -348,19 +418,30 @@ func (r *execRun) granted() {
 	r.startSlice()
 }
 
-func (c *CPU) getRun() *execRun {
+// lockGranted is the callback a LockedChain's mutex runs when it is
+// handed over: it ends the lock wait, as the process resuming from Lock
+// did, and enters the chain's first step with work.
+func (r *execRun) lockGranted() {
+	r.span.LockWait(r.lock, r.c.eng.Now()-r.since)
+	r.next()
+	r.acquire()
+}
+
+func (c *CPU) getRun(p *sim.Proc, t *Thread) *execRun {
+	var r *execRun
 	if n := len(c.runPool); n > 0 {
-		r := c.runPool[n-1]
+		r = c.runPool[n-1]
 		c.runPool = c.runPool[:n-1]
-		return r
+	} else {
+		r = &execRun{c: c}
+		r.step, r.grant, r.locked = r.fire, r.granted, r.lockGranted
 	}
-	r := &execRun{c: c}
-	r.step, r.grant = r.fire, r.granted
+	r.p, r.chainT, r.t, r.i = p, t, t, 0
 	return r
 }
 
 func (c *CPU) putRun(r *execRun) {
-	r.p, r.t = nil, nil
+	r.p, r.chainT, r.t, r.span = nil, nil, nil, nil
 	c.runPool = append(c.runPool, r)
 }
 

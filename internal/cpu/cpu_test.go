@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/allocgate"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -351,8 +353,8 @@ func TestRunqueueRingMatchesSliceRemoval(t *testing.T) {
 				mask = 0 // anywhere
 			}
 			// The engine never runs: release only schedules the grant.
-			r := c.getRun()
-			r.t, r.core = c.NewThread(acct, mask), -1
+			r := c.getRun(nil, c.NewThread(acct, mask))
+			r.core = -1
 			c.enqueue(r)
 			ref = append(ref, r)
 			continue
@@ -444,27 +446,47 @@ func (h *historicalCPU) release(core int) {
 }
 
 // execScenario is a random schedule of CPU charges: one proc per
-// thread, each sleeping gaps[i] then running the steps of chains[i].
+// thread, each sleeping gaps[i] then running chains[i].
 type execScenario struct {
 	cores, accounts int
 	freeModeSwitch  bool // a zero ModeSwitchCost: counter-only steps
+	locks           int  // mutexes a chain may start by taking
+	helpers         []execHelper
 	threads         []execThreadSpec
+}
+
+// execHelper is a thread no proc owns, which chain steps may run on
+// (as a FUSE reply runs on a daemon thread).
+type execHelper struct {
+	acct int
+	mask Mask
 }
 
 type execThreadSpec struct {
 	acct   int
 	mask   Mask
 	gaps   []time.Duration
-	chains [][]Step
+	chains []chainSpec
+}
+
+// chainSpec is one chain: steps, step k on helper on[k] (-1: on the
+// proc's own thread), after taking mutex lock (-1: none), which the
+// entry of step unlockAt releases (len(steps): the caller, after the
+// chain).
+type chainSpec struct {
+	steps    []Step
+	on       []int
+	lock     int
+	unlockAt int
 }
 
 // execMode names how runExecScenario issues a chain's steps.
 type execMode int
 
 const (
-	viaHistoricalLoop execMode = iota // bump the counter, then historicalCPU.exec, per step
-	viaCalls                          // one Exec, ModeSwitch or ContextSwitch per step
-	viaChain                          // one Chain per chain
+	viaHistoricalLoop execMode = iota // Lock; per step: Unlock, bump the counter, historicalCPU.exec
+	viaCalls                          // Lock; per step: Unlock, one Exec, ModeSwitch or ContextSwitch
+	viaChain                          // one LockedChain (a Chain without a lock) per chain
 )
 
 type waitReport struct {
@@ -480,6 +502,7 @@ type execOutcome struct {
 	busy   []time.Duration   // per core
 	cpu    []time.Duration   // per account
 	counts []uint64          // per window tick, each account's mode and context switches
+	spans  []obs.LockAgg     // per window tick, each proc's span lock waits
 	waits  []waitReport
 	events int
 }
@@ -492,31 +515,38 @@ func scenarioParams(sc execScenario) *model.Params {
 	return params
 }
 
+func randomMask(rng *rand.Rand, cores int) Mask {
+	var mask Mask // zero: anywhere
+	if rng.Intn(3) > 0 {
+		for mask == 0 {
+			mask = Mask(rng.Intn(1 << cores))
+		}
+	}
+	return mask
+}
+
 func randomExecScenario(rng *rand.Rand) execScenario {
-	sc := execScenario{cores: 1 + rng.Intn(4), accounts: 1 + rng.Intn(3), freeModeSwitch: rng.Intn(4) == 0}
+	sc := execScenario{cores: 1 + rng.Intn(4), accounts: 1 + rng.Intn(3), freeModeSwitch: rng.Intn(4) == 0, locks: rng.Intn(3)}
+	for i, n := 0, rng.Intn(3); i < n; i++ {
+		sc.helpers = append(sc.helpers, execHelper{acct: rng.Intn(sc.accounts), mask: randomMask(rng, sc.cores)})
+	}
 	params := scenarioParams(sc)
 	q := params.Quantum
 	for i, n := 0, 1+rng.Intn(8); i < n; i++ {
-		var mask Mask // zero: anywhere
-		if rng.Intn(3) > 0 {
-			for mask == 0 {
-				mask = Mask(rng.Intn(1 << sc.cores))
-			}
-		}
-		th := execThreadSpec{acct: rng.Intn(sc.accounts), mask: mask}
+		th := execThreadSpec{acct: rng.Intn(sc.accounts), mask: randomMask(rng, sc.cores)}
 		for j, m := 0, 1+rng.Intn(6); j < m; j++ {
 			var gap time.Duration
 			if rng.Intn(2) == 0 {
 				gap = time.Duration(rng.Intn(3000)) * time.Microsecond
 			}
-			var chain []Step
+			var ch chainSpec
 			for k, l := 0, 1+rng.Intn(4); k < l; k++ {
 				switch rng.Intn(4) {
 				case 0:
-					chain = append(chain, Step{Kind: Kernel, D: params.ModeSwitchCost, Count: CountModeSwitch})
+					ch.steps = append(ch.steps, Step{Kind: Kernel, D: params.ModeSwitchCost, Count: CountModeSwitch})
 					continue
 				case 1:
-					chain = append(chain, Step{Kind: Kernel, D: params.ContextSwitchCost, Count: CountContextSwitch})
+					ch.steps = append(ch.steps, Step{Kind: Kernel, D: params.ContextSwitchCost, Count: CountContextSwitch})
 					continue
 				}
 				var d time.Duration
@@ -529,10 +559,28 @@ func randomExecScenario(rng *rand.Rand) execScenario {
 				default: // multi-quantum, half of them a whole number of quanta
 					d = time.Duration(1+rng.Intn(5))*q + time.Duration(rng.Int63n(int64(q)))*time.Duration(rng.Intn(2))
 				}
-				chain = append(chain, Charge(TimeKind(rng.Intn(2)), d))
+				ch.steps = append(ch.steps, Charge(TimeKind(rng.Intn(2)), d))
+			}
+			ch.lock, ch.unlockAt = -1, len(ch.steps)
+			if sc.locks > 0 && rng.Intn(2) == 0 {
+				ch.lock = rng.Intn(sc.locks)
+				ch.unlockAt = rng.Intn(len(ch.steps) + 1)
+				if rng.Intn(2) == 0 {
+					// Zero-length steps on both sides of the unlock.
+					zero := Charge(User, 0)
+					ch.steps = slices.Insert(ch.steps, ch.unlockAt, zero, zero)
+					ch.unlockAt++
+				}
+			}
+			for range ch.steps {
+				on := -1
+				if len(sc.helpers) > 0 && rng.Intn(3) == 0 {
+					on = rng.Intn(len(sc.helpers))
+				}
+				ch.on = append(ch.on, on)
 			}
 			th.gaps = append(th.gaps, gap)
-			th.chains = append(th.chains, chain)
+			th.chains = append(th.chains, ch)
 		}
 		sc.threads = append(sc.threads, th)
 	}
@@ -541,12 +589,13 @@ func randomExecScenario(rng *rand.Rand) execScenario {
 
 // runExecScenario runs sc on a fresh engine, issuing each chain as mode
 // says. A callback ticks at a fixed period while any proc is live and
-// reads every account's switch counters, as a measurement window
-// boundary would.
+// reads every account's switch counters and every proc span's lock
+// waits, as a measurement window boundary would.
 func runExecScenario(sc execScenario, mode execMode, tick time.Duration) execOutcome {
 	e := sim.NewEngine()
 	c := New(e, scenarioParams(sc), sc.cores)
 	h := &historicalCPU{CPU: c}
+	rec := obs.New(obs.Config{Clock: e.Now})
 	var out execOutcome
 	e.SetTracer(func(ev sim.TraceEvent) {
 		if ev.Kind != sim.TraceFinish {
@@ -560,36 +609,67 @@ func runExecScenario(sc execScenario, mode execMode, tick time.Duration) execOut
 	for i := range accts {
 		accts[i] = NewAccount(string(rune('a' + i)))
 	}
+	locks := make([]*sim.Mutex, sc.locks)
+	for i := range locks {
+		locks[i] = sim.NewMutex(e, "l")
+	}
+	helpers := make([]*Thread, len(sc.helpers))
+	for i, hs := range sc.helpers {
+		helpers[i] = c.NewThread(accts[hs.acct], hs.mask)
+	}
 	out.ends = make([][]time.Duration, len(sc.threads))
 	for i, spec := range sc.threads {
 		th := c.NewThread(accts[spec.acct], spec.mask)
-		e.Go("w", func(p *sim.Proc) {
-			for j, chain := range spec.chains {
+		tenant := fmt.Sprint("w", i)
+		e.Go(tenant, func(p *sim.Proc) {
+			span := rec.StartSpan(p.ID(), tenant, "op")
+			for j, ch := range spec.chains {
 				p.Sleep(spec.gaps[j])
-				switch mode {
-				case viaHistoricalLoop:
-					for _, s := range chain {
-						switch s.Count {
-						case CountModeSwitch:
-							th.acct.modeSwitches++
-						case CountContextSwitch:
-							th.acct.contextSwitches++
-						}
-						h.exec(p, th, s.Kind, s.D)
+				var m *sim.Mutex
+				if ch.lock >= 0 {
+					m = locks[ch.lock]
+				}
+				on := func(k int) *Thread {
+					if ch.on[k] < 0 {
+						return th
 					}
-				case viaCalls:
-					for _, s := range chain {
-						switch s.Count {
-						case CountModeSwitch:
-							th.ModeSwitch(p)
-						case CountContextSwitch:
-							th.ContextSwitch(p)
+					return helpers[ch.on[k]]
+				}
+				if mode == viaChain {
+					steps := slices.Clone(ch.steps)
+					for k := range steps {
+						steps[k].Thread = on(k)
+						if k == ch.unlockAt {
+							steps[k].Unlock = m
+						}
+					}
+					th.LockedChain(p, m, span, "l", steps...)
+				} else {
+					if m != nil {
+						start := p.Now()
+						m.Lock(p)
+						span.LockWait("l", p.Now()-start)
+					}
+					for k, s := range ch.steps {
+						if m != nil && k == ch.unlockAt {
+							m.Unlock(p)
+						}
+						sth := on(k)
+						switch {
+						case mode == viaHistoricalLoop:
+							sth.acct.count(s.Count)
+							h.exec(p, sth, s.Kind, s.D)
+						case s.Count == CountModeSwitch:
+							sth.ModeSwitch(p)
+						case s.Count == CountContextSwitch:
+							sth.ContextSwitch(p)
 						default:
-							th.Exec(p, s.Kind, s.D)
+							sth.Exec(p, s.Kind, s.D)
 						}
 					}
-				case viaChain:
-					th.Chain(p, chain...)
+				}
+				if m != nil && ch.unlockAt == len(ch.steps) {
+					m.Unlock(p)
 				}
 				out.ends[i] = append(out.ends[i], p.Now())
 			}
@@ -599,6 +679,9 @@ func runExecScenario(sc execScenario, mode execMode, tick time.Duration) execOut
 	window = func() {
 		for _, a := range accts {
 			out.counts = append(out.counts, a.ModeSwitches(), a.ContextSwitches())
+		}
+		for i := range sc.threads {
+			out.spans = append(out.spans, *rec.Registry().Tenant(fmt.Sprint("w", i)).Lock("l"))
 		}
 		if e.LiveProcs() > 0 {
 			e.After(tick, window)
@@ -613,16 +696,19 @@ func runExecScenario(sc execScenario, mode execMode, tick time.Duration) execOut
 	return out
 }
 
-// TestExecMatchesHistoricalLoop is a differential test of Exec and
-// Chain against the per-quantum acquire/Sleep/release loop they
-// replaced: over random core counts, masks, thread counts and chains of
-// zero-length, few-microsecond, sub-quantum and multi-quantum charges
-// and mode and context switches, each chain issued as consecutive
-// Exec/ModeSwitch/ContextSwitch calls and as one Chain must return at
-// the same time as under the loop, charge every core and account the
-// same, show the same switch counters at every window boundary, report
-// the same runqueue and run waits in the same order, and process the
-// same number of events.
+// TestExecMatchesHistoricalLoop is a differential test of Exec, Chain
+// and LockedChain against the per-quantum acquire/Sleep/release loop
+// they replaced: over random core counts, masks, thread counts and
+// chains of zero-length, few-microsecond, sub-quantum and multi-quantum
+// charges and mode and context switches, with steps on other threads
+// and chains that start by taking a mutex and release it as a step is
+// entered (zero-length steps on either side) or after the chain, each
+// chain issued as Lock plus consecutive Unlock/Exec/ModeSwitch/
+// ContextSwitch calls and as one LockedChain must return at the same
+// time as under the loop, charge every core and account the same, show
+// the same switch counters and span lock waits at every window
+// boundary, report the same runqueue, run and lock waits in the same
+// order, and process the same number of events.
 func TestExecMatchesHistoricalLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for n := 0; n < 400; n++ {
@@ -642,6 +728,9 @@ func TestExecMatchesHistoricalLoop(t *testing.T) {
 			if !slices.Equal(got.cpu, want.cpu) {
 				t.Fatalf("scenario %d mode %d: account CPU %v, historical loop %v", n, mode, got.cpu, want.cpu)
 			}
+			if !slices.Equal(got.spans, want.spans) {
+				t.Fatalf("scenario %d mode %d: window span lock waits differ:\n got %v\nwant %v", n, mode, got.spans, want.spans)
+			}
 			if !slices.Equal(got.counts, want.counts) {
 				t.Fatalf("scenario %d mode %d: window switch counts differ:\n got %v\nwant %v", n, mode, got.counts, want.counts)
 			}
@@ -656,10 +745,12 @@ func TestExecMatchesHistoricalLoop(t *testing.T) {
 }
 
 // TestContendedExecParksOnce pins what the run chain buys: a
-// multi-quantum Exec that loses its core at every quantum boundary, and
-// a multi-step Chain that loses it at every quantum and step boundary,
+// multi-quantum Exec that loses its core at every quantum boundary, a
+// multi-step Chain that loses it at every quantum and step boundary,
+// and a LockedChain that waits for its mutex and switches thread,
 // resume their process exactly once, and every Exec and Chain
-// benchmark body allocates nothing once the run pool is warm.
+// benchmark body, a contended LockedChain's included, allocates nothing
+// once the run pool is warm.
 func TestContendedExecParksOnce(t *testing.T) {
 	e, c := newTestCPU(t, 1)
 	acct := NewAccount("a")
@@ -715,11 +806,39 @@ func TestContendedExecParksOnce(t *testing.T) {
 		t.Fatalf("chains charged %d mode switches, want %d", got, want)
 	}
 
+	// A locked chain that queues for its mutex, and a chain that hands
+	// over to another thread, still park once.
+	e, c = newTestCPU(t, 1)
+	resumes = map[int]int{}
+	e.SetTracer(func(ev sim.TraceEvent) {
+		if ev.Kind == sim.TraceResume {
+			resumes[ev.ProcID]++
+		}
+	})
+	m := sim.NewMutex(e, "m")
+	other := c.NewThread(acct, MaskOf(0))
+	for range 3 {
+		th := c.NewThread(acct, MaskOf(0))
+		e.Go("w", func(p *sim.Proc) {
+			before := resumes[p.ID()]
+			th.LockedChain(p, m, nil, "", Charge(User, q), th.ContextSwitchStep(),
+				Step{Kind: Kernel, D: q, Thread: other, Unlock: m}, th.ModeSwitchStep())
+			if n := resumes[p.ID()] - before; n != 1 {
+				t.Errorf("proc %d resumed %d times during one LockedChain, want 1", p.ID(), n)
+			}
+		})
+	}
+	e.Run()
+	if m.Locked() || m.Stats().Contended != 2 {
+		t.Fatalf("mutex locked %v after %d contended acquisitions, want unlocked after 2", m.Locked(), m.Stats().Contended)
+	}
+
 	allocgate.Check(t, []allocgate.Case{
 		{Name: "ExecCoalescedUncontended", Body: execCoalescedUncontended, N: 1000},
 		{Name: "ExecSubQuantum", Body: execSubQuantum, N: 10000},
 		{Name: "ExecContended", Body: execContended, N: 1000},
 		{Name: "ExecContendedSubQuantum", Body: execContendedSubQuantum, N: 10000},
 		{Name: "ExecChainContended", Body: execChainContended, N: 10000},
+		{Name: "ExecLockedChainContended", Body: execLockedChainContended, N: 10000},
 	})
 }

@@ -128,12 +128,12 @@ func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn fun
 	// request in.
 	dth.Chain(ctx.P, dth.ModeSwitchStep(), cpu.Charge(cpu.Kernel, p.CopyTime(payloadIn)))
 	err := fn(dctx)
-	// It copies the reply out and writes it.
-	dth.Chain(ctx.P, cpu.Charge(cpu.Kernel, p.CopyTime(payloadOut)), dth.ModeSwitchStep())
-
-	// Back to the application.
-	ctx.T.Chain(ctx.P, ctx.T.ContextSwitchStep(),
-		cpu.Charge(cpu.Kernel, p.CopyTime(payloadOut)),
+	// It copies the reply out and writes it, and the application
+	// switches back in, copies the reply and returns: one chain across
+	// both threads.
+	dth.Chain(ctx.P, cpu.Charge(cpu.Kernel, p.CopyTime(payloadOut)), dth.ModeSwitchStep(),
+		ctx.T.ContextSwitchStep(),
+		cpu.Step{Kind: cpu.Kernel, D: p.CopyTime(payloadOut), Thread: ctx.T},
 		ctx.T.ModeSwitchStep())
 	return err
 }

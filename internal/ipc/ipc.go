@@ -156,8 +156,7 @@ func (t *Transport) call(ctx vfsapi.Ctx, fn func(dctx vfsapi.Ctx) error) error {
 	now := t.eng.Now()
 	if !q.everServed || now-q.lastServed > t.params.IPCPollWindow {
 		t.wakeups++
-		ctx.T.ContextSwitch(ctx.P)
-		ctx.T.Exec(ctx.P, cpu.User, p.IPCWakeupCost)
+		ctx.T.Chain(ctx.P, ctx.T.ContextSwitchStep(), cpu.Charge(cpu.User, p.IPCWakeupCost))
 	}
 
 	// Back driver: pick a service thread, growing the pool when the
@@ -172,9 +171,8 @@ func (t *Transport) call(ctx vfsapi.Ctx, fn func(dctx vfsapi.Ctx) error) error {
 	q.next++
 
 	dctx := vfsapi.Ctx{P: ctx.P, T: svc, Span: ctx.Span}
-	q.dispatch.Lock(ctx.P)
-	svc.Exec(ctx.P, cpu.User, p.IPCEnqueueCost)
-	q.dispatch.Unlock(ctx.P)
+	svc.LockedChain(ctx.P, q.dispatch, nil, "",
+		cpu.Charge(cpu.User, p.IPCEnqueueCost), cpu.Step{Unlock: q.dispatch})
 	err := fn(dctx)
 	q.inflight--
 	q.lastServed = t.eng.Now()

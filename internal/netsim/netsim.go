@@ -43,6 +43,8 @@ type Link struct {
 	dropEvery    uint64 // drop every Nth message while armed (0 = off)
 	dropCount    uint64
 	partitioned  bool
+
+	pool []*transfer // recycled Transfer states
 }
 
 // NewLink creates a unidirectional link.
@@ -67,15 +69,15 @@ func NewLink(eng *sim.Engine, name string, bytesPerSec int64, latency time.Durat
 // error is non-nil only under armed fault windows: a partitioned link
 // times out without delivering, and a drop window loses every Nth
 // message after its full transmission cost.
+//
+// The caller parks once: the chunks and the propagation delay run as
+// callbacks of a pooled transfer (see transfer), and only the wake
+// that ends the propagation delay resumes it.
 func (l *Link) Transfer(p *sim.Proc, n int64) error {
 	if l.partitioned {
 		// The sender blocks for a timeout instead of a transmission; no
-		// bytes are delivered. Capture the delay before sleeping: a
-		// latency-spike window arming or disarming mid-sleep would make
-		// a re-evaluated report disagree with the time actually blocked.
-		d := l.latency + l.extraLatency
-		p.Sleep(d)
-		p.ReportWait("net", l.name, "", 0, d)
+		// bytes are delivered.
+		l.propagate(p)
 		return ErrPartitioned
 	}
 	if n < 0 {
@@ -83,24 +85,19 @@ func (l *Link) Transfer(p *sim.Proc, n int64) error {
 	}
 	l.msgs++
 	l.bytes += uint64(n)
-	for n > 0 {
-		chunk := l.mtu
-		if n < chunk {
-			chunk = n
+	if n == 0 {
+		l.propagate(p)
+	} else {
+		x := l.getTransfer()
+		x.p, x.n = p, n
+		if l.xmit.LockOrQueue(p, x.send) {
+			x.sendChunk()
 		}
-		l.xmit.Lock(p)
-		tx := model.RateTime(chunk, l.bps)
-		p.Sleep(tx)
-		l.xmit.Unlock(p)
-		p.ReportWait("net", l.name, "", 0, tx)
-		n -= chunk
+		p.Park()
+		d := x.d
+		l.putTransfer(x)
+		p.ReportWait("net", l.name, "", 0, d)
 	}
-	// Same capture-before-sleep rule as above: the propagation delay
-	// reported must be the delay actually slept, not one re-read after
-	// a fault window toggled extraLatency.
-	d := l.latency + l.extraLatency
-	p.Sleep(d)
-	p.ReportWait("net", l.name, "", 0, d)
 	if l.dropEvery > 0 {
 		l.dropCount++
 		if l.dropCount%l.dropEvery == 0 {
@@ -108,6 +105,83 @@ func (l *Link) Transfer(p *sim.Proc, n int64) error {
 		}
 	}
 	return nil
+}
+
+// propagate blocks p for the link's one-way latency. The delay is
+// captured before sleeping: a latency-spike window arming or disarming
+// mid-sleep would make a re-evaluated report disagree with the time
+// actually blocked.
+func (l *Link) propagate(p *sim.Proc) {
+	d := l.latency + l.extraLatency
+	p.Sleep(d)
+	p.ReportWait("net", l.name, "", 0, d)
+}
+
+// transfer drives the chunks of one Transfer while its process stays
+// parked. It is event-for-event identical to the historical loop, which
+// per chunk took the xmit lock (parking until a handoff while it was
+// held), slept the chunk's transmission time, released the lock and
+// reported the net wait, and after the last chunk slept the propagation
+// delay: where that loop pushed one engine event — the handoff wake, a
+// chunk's sleep wake, the final sleep's wake — the transfer pushes one
+// event of the same timestamp at the same position in engine seq order.
+// Only the first two became callbacks (send, sent), so the interleaving
+// of simultaneous events and every virtual-time result stay bit for bit
+// the same. TestTransferMatchesHistoricalLoop checks this against that
+// loop.
+type transfer struct {
+	l  *Link
+	p  *sim.Proc
+	n  int64         // bytes not yet on the wire
+	tx time.Duration // transmission time of the chunk on the wire
+	d  time.Duration // propagation delay after the last chunk
+
+	send func() // reusable xmit-grant callback (sendChunk)
+	sent func() // reusable chunk-end callback (chunkSent)
+}
+
+// sendChunk puts the next chunk on the wire; x holds the xmit lock.
+func (x *transfer) sendChunk() {
+	l := x.l
+	chunk := min(x.n, l.mtu)
+	x.n -= chunk
+	x.tx = model.RateTime(chunk, l.bps)
+	l.eng.After(x.tx, x.sent)
+}
+
+// chunkSent ends the chunk on the wire: release the lock, then take it
+// for the next chunk at once or queue for it, or after the last chunk
+// read the propagation delay and schedule the wake that ends it.
+func (x *transfer) chunkSent() {
+	l := x.l
+	l.xmit.Unlock(x.p)
+	x.p.ReportWait("net", l.name, "", 0, x.tx)
+	if x.n > 0 {
+		if l.xmit.LockOrQueue(x.p, x.send) {
+			x.sendChunk()
+		}
+		return
+	}
+	x.d = l.latency + l.extraLatency
+	l.eng.ScheduleWakeAfter(x.p, x.d)
+}
+
+// getTransfer takes a transfer from the link's pool. Safe without
+// locking: exactly one goroutine runs at any instant in the simulation.
+func (l *Link) getTransfer() *transfer {
+	if n := len(l.pool); n > 0 {
+		x := l.pool[n-1]
+		l.pool = l.pool[:n-1]
+		return x
+	}
+	x := &transfer{l: l}
+	x.send, x.sent = x.sendChunk, x.chunkSent
+	return x
+}
+
+func (l *Link) putTransfer(x *transfer) {
+	x.p = nil
+	l.pool = append(l.pool, x)
 }
 
 // Bytes returns total bytes transferred.

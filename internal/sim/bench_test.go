@@ -20,6 +20,7 @@ func TestHotPathAllocs(t *testing.T) {
 		{Name: "EngineEventChurnDeep", Body: engineEventChurnDeep, N: 10000},
 		{Name: "MutexUncontended", Body: mutexUncontended, N: 10000},
 		{Name: "MutexContendedHandoff", Body: mutexContendedHandoff, N: 10000},
+		{Name: "MutexCallbackHandoff", Body: mutexCallbackHandoff, N: 10000},
 	})
 }
 
@@ -150,6 +151,36 @@ func mutexContendedHandoff(n int) func() {
 				m.Lock(p)
 				p.Sleep(time.Microsecond)
 				m.Unlock(p)
+			}
+		})
+	}
+	return e.Run
+}
+
+// BenchmarkMutexCallbackHandoff is MutexContendedHandoff with callback
+// waiters: each worker queues a callback (LockOrQueue) that holds the
+// lock for 1µs from a timer, releases it and wakes the worker, so every
+// handoff runs a grant callback instead of resuming a process.
+func BenchmarkMutexCallbackHandoff(b *testing.B) { allocgate.Bench(b, mutexCallbackHandoff) }
+
+func mutexCallbackHandoff(n int) func() {
+	e := NewEngine()
+	m := NewMutex(e, "b")
+	const workers = 64
+	for w := 0; w < workers; w++ {
+		per := allocgate.Share(n, workers, w)
+		var p *Proc
+		release := func() {
+			m.Unlock(p)
+			e.ScheduleWakeAfter(p, 0)
+		}
+		granted := func() { e.After(time.Microsecond, release) }
+		p = e.Go("bench", func(p *Proc) {
+			for i := 0; i < per; i++ {
+				if m.LockOrQueue(p, granted) {
+					granted()
+				}
+				p.Park()
 			}
 		})
 	}

@@ -22,6 +22,9 @@ type Proc struct {
 	// wakeReason carries out-of-band information from whoever woke the
 	// process (e.g. whether a timed wait expired).
 	wakeReason wakeReason
+
+	// lock is the process's request while it waits for a Mutex.
+	lock lockRequest
 }
 
 type wakeReason int
