@@ -54,87 +54,104 @@ import (
 	"repro/internal/trace"
 )
 
-// invariantFailures counts the invariant violations experiment rows
-// report (Row.Violations). Outside -fuzz mode they turn the exit status
-// nonzero so CI catches a run whose rows printed fine but broke a
-// correctness property.
-var invariantFailures int
-
-// noteViolations reports invariant violations and accumulates them
-// into the process exit status.
-func noteViolations(vs []string) {
-	for _, v := range vs {
-		fmt.Fprintln(os.Stderr, "INVARIANT VIOLATION: "+v)
-	}
-	invariantFailures += len(vs)
-}
-
-// obsRuns collects one recorder per testbed built while -trace or
-// -metrics is set, in construction order, for export at exit.
-var obsRuns []obs.Run
-
-// blameReports and whatIfReports accumulate the blame analyses of
-// blamesweep runs (which manage their own recorders) for export via
-// -blame; whatIf is the parsed -whatif spec, nil when unset.
-var (
-	blameReports  []blame.Report
-	whatIfReports []blame.WhatIfReport
-	whatIf        *blame.WhatIf
-)
-
-// recordTracePath (-record) receives the recorded op trace: the
-// tracesweep baseline when -exp tracesweep, otherwise one trace per
-// observed run. diffCSVPath (-diffcsv) receives trace-diff rows.
-// sweepArtifacts routes the two into writeSweepArtifacts when the
-// sweep was selected directly (under -exp all the generic capture path
-// owns them instead). opCaptures holds the generic per-run capture
-// recorders, parallel to obsRuns.
-var (
-	recordTracePath string
-	diffCSVPath     string
-	sweepArtifacts  bool
-	captureOps      bool
-	opCaptures      []*trace.Recorder
-)
-
-// enableObservability points experiments.Observer at a recorder
-// factory: each testbed gets its own recorder (runs stay separable in
-// the exported artifacts) sampling utilization every 10 ms of virtual
-// time. With -record, each recorder additionally feeds a per-run op
-// capture.
-func enableObservability() {
-	experiments.Observer = func(tb *core.Testbed) {
-		rec := obs.New(obs.Config{
-			Clock:          tb.Eng.Now,
-			SampleInterval: 10 * time.Millisecond,
-		})
-		tb.AttachObserver(rec)
-		if captureOps {
-			capRec := trace.NewRecorder(fmt.Sprintf("run%d", len(obsRuns)), 0)
-			capRec.Attach(rec)
-			opCaptures = append(opCaptures, capRec)
-		}
-		obsRuns = append(obsRuns, obs.Run{
-			Label: fmt.Sprintf("run%d", len(obsRuns)),
-			Rec:   rec,
-		})
-	}
-}
-
-// options is the parsed command line. The artifact paths the export
-// code reads (-crashcsv, -monitor, -record, -diffcsv) live in package
-// variables instead.
+// options is the parsed command line.
 type options struct {
 	exp, scale                string
 	list                      bool
 	trace, metrics, blame     string
 	whatIf                    string
+	crashCSV, monitor         string
+	record, diffCSV           string
 	fuzzN                     int
 	fuzzSeed                  int64
 	fuzzDir, fuzzSpec         string
 	replay, config, traceDiff string
 	admission                 bool
 	set                       map[string]bool // flags given explicitly
+}
+
+// harness is one invocation's state: the options and run it executes
+// under, and what its rows and observed testbeds leave for export at
+// exit.
+type harness struct {
+	*options
+	run experiments.Run
+	// parsedWhatIf is the parsed -whatif, nil when unset.
+	parsedWhatIf *blame.WhatIf
+	// sweepArtifacts routes -record and -diffcsv into
+	// writeSweepArtifacts when tracesweep was selected directly (under
+	// -exp all the generic capture path owns -record instead);
+	// captureOps turns that generic per-run op capture on.
+	sweepArtifacts, captureOps bool
+
+	// failures counts the invariant violations experiment rows report
+	// (Row.Violations). Outside -fuzz mode they turn the exit status
+	// nonzero so CI catches a run whose rows printed fine but broke a
+	// correctness property.
+	failures int
+	// obsRuns holds one recorder per observed testbed, in construction
+	// order; opCaptures the per-run op captures, parallel to obsRuns.
+	obsRuns    []obs.Run
+	opCaptures []*trace.Recorder
+	// blameReports and whatIfReports accumulate the blame analyses of
+	// blamesweep runs (which manage their own recorders) for -blame.
+	blameReports  []blame.Report
+	whatIfReports []blame.WhatIfReport
+	// crashRows and traceRows hold the rows of the running crashsweep
+	// and tracesweep until writeSweepArtifacts exports them.
+	crashRows []experiments.CrashSweepRow
+	traceRows []experiments.TraceRow
+}
+
+// newHarness builds the state of an experiment or replay invocation.
+// Experiments are observed through h.attach when -trace, -metrics,
+// -blame or the generic -record capture asks for recorders.
+func newHarness(o *options) (*harness, error) {
+	h := &harness{options: o, run: experiments.Run{Scale: scales[o.scale]}}
+	if o.whatIf != "" {
+		w, err := blame.ParseWhatIf(o.whatIf)
+		if err != nil {
+			return nil, err
+		}
+		h.parsedWhatIf = &w
+	}
+	// tracesweep writes its own -record/-diffcsv artifacts when selected
+	// directly; any other experiment gets a generic per-run op capture.
+	h.sweepArtifacts = o.exp == "tracesweep"
+	h.captureOps = o.exp != "" && o.record != "" && !h.sweepArtifacts
+	if o.exp != "" && (o.trace != "" || o.metrics != "" || o.blame != "" || h.captureOps) {
+		h.run.Attach = h.attach
+	}
+	return h, nil
+}
+
+// noteViolations reports invariant violations and accumulates them
+// into the process exit status.
+func (h *harness) noteViolations(vs []string) {
+	for _, v := range vs {
+		fmt.Fprintln(os.Stderr, "INVARIANT VIOLATION: "+v)
+	}
+	h.failures += len(vs)
+}
+
+// attach is the Run.Attach hook of observed experiments: each testbed
+// gets its own recorder (runs stay separable in the exported
+// artifacts) sampling utilization every 10 ms of virtual time. With
+// the generic -record capture, each recorder additionally feeds a
+// per-run op capture.
+func (h *harness) attach(tb *core.Testbed) {
+	rec := obs.New(obs.Config{
+		Clock:          tb.Eng.Now,
+		SampleInterval: 10 * time.Millisecond,
+	})
+	tb.AttachObserver(rec)
+	label := fmt.Sprintf("run%d", len(h.obsRuns))
+	if h.captureOps {
+		capRec := trace.NewRecorder(label, 0)
+		capRec.Attach(rec)
+		h.opCaptures = append(h.opCaptures, capRec)
+	}
+	h.obsRuns = append(h.obsRuns, obs.Run{Label: label, Rec: rec})
 }
 
 // parseFlags defines the harness flags on fs, parses args and checks
@@ -152,10 +169,10 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.Int64Var(&o.fuzzSeed, "seed", 1, "scenario generator seed for -fuzz")
 	fs.StringVar(&o.fuzzDir, "fuzzdir", "fuzz-repros", "directory for shrunk reproducer specs of failing fuzz scenarios ('' disables)")
 	fs.StringVar(&o.fuzzSpec, "fuzzspec", "", "replay one fuzz reproducer spec file and check its invariants")
-	fs.StringVar(&crashCSVPath, "crashcsv", "", "write crashsweep rows (recovery time, blast radius) as CSV to this file")
-	fs.StringVar(&monitorBasePath, "monitor", "", "write monitorsweep telemetry artifacts (windowed CSV + alert ledger per case) using this base path")
-	fs.StringVar(&recordTracePath, "record", "", "write the recorded op trace to this file (see TRACES.md)")
-	fs.StringVar(&diffCSVPath, "diffcsv", "", "write trace-diff rows as CSV (with -exp tracesweep, -replay or -tracediff)")
+	fs.StringVar(&o.crashCSV, "crashcsv", "", "write crashsweep rows (recovery time, blast radius) as CSV to this file")
+	fs.StringVar(&o.monitor, "monitor", "", "write monitorsweep telemetry artifacts (windowed CSV + alert ledger per case) using this base path")
+	fs.StringVar(&o.record, "record", "", "write the recorded op trace to this file (see TRACES.md)")
+	fs.StringVar(&o.diffCSV, "diffcsv", "", "write trace-diff rows as CSV (with -exp tracesweep, -replay or -tracediff)")
 	fs.StringVar(&o.replay, "replay", "", "replay a recorded op trace against -config and exit")
 	fs.StringVar(&o.config, "config", "D", "client configuration for -replay: D K F FP K/K F/K F/F FP/FP")
 	fs.BoolVar(&o.admission, "admission", false, "enable the overload-admission policy for -replay")
@@ -238,10 +255,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	scale := scales[o.scale]
 
 	if o.traceDiff != "" {
-		runTraceDiff(o.traceDiff, diffCSVPath)
+		runTraceDiff(o.traceDiff, o.diffCSV)
 		return
 	}
 
@@ -276,13 +292,10 @@ func main() {
 		return
 	}
 
-	if o.whatIf != "" {
-		w, err := blame.ParseWhatIf(o.whatIf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		whatIf = &w
+	h, err := newHarness(o)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	table := sortedTable()
@@ -293,8 +306,8 @@ func main() {
 
 	if o.replay != "" {
 		cfg, _ := core.ParseConfiguration(o.config) // checked by checkFlags
-		runReplayFile(o.replay, cfg, o.admission, scale)
-		exitOnViolations()
+		h.replayFile(cfg)
+		h.exitOnViolations()
 		return
 	}
 
@@ -308,62 +321,50 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", o.exp)
 		os.Exit(2)
 	}
-
-	// tracesweep writes its own -record/-diffcsv artifacts when selected
-	// directly; any other experiment gets a generic per-run op capture.
-	sweepArtifacts = o.exp == "tracesweep"
-	captureOps = recordTracePath != "" && !sweepArtifacts
-
-	if o.trace != "" || o.metrics != "" || o.blame != "" || captureOps {
-		enableObservability()
-	}
 	for _, e := range selected {
-		runOne(e, scale)
+		h.runOne(e)
 	}
-	exportObs(o.trace, o.metrics)
-	exportBlame(o.blame)
-	exportTraces(recordTracePath)
-	exitOnViolations()
+	h.exportObs()
+	h.exportBlame()
+	h.exportTraces()
+	h.exitOnViolations()
 }
 
-// exportTraces writes the generic per-run op captures collected via
-// the Observer hook: to the given path directly for a single run, or
-// to <base>-runN<ext> each when several testbeds recorded.
-func exportTraces(path string) {
-	if path == "" {
-		return
-	}
-	ext := filepath.Ext(path)
-	for i, capRec := range opCaptures {
-		out := path
-		if len(opCaptures) > 1 {
-			out = strings.TrimSuffix(path, ext) + fmt.Sprintf("-run%d", i) + ext
+// exportTraces writes the generic per-run op captures collected by
+// h.attach to -record: to that path directly for a single run, or to
+// <base>-runN<ext> each when several testbeds recorded.
+func (h *harness) exportTraces() {
+	ext := filepath.Ext(h.record)
+	for i, capRec := range h.opCaptures {
+		out := h.record
+		if len(h.opCaptures) > 1 {
+			out = strings.TrimSuffix(h.record, ext) + fmt.Sprintf("-run%d", i) + ext
 		}
 		writeTrace(out, capRec.Snapshot())
 	}
 }
 
-// runReplayFile replays a recorded trace file against one client
+// replayFile replays the -replay trace file against one client
 // configuration and diffs the result against the recording.
-func runReplayFile(path string, cfg core.Configuration, admission bool, scale experiments.Scale) {
-	tr, err := trace.ReadFile(path)
+func (h *harness) replayFile(cfg core.Configuration) {
+	tr, err := trace.ReadFile(h.replay)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	c := experiments.TraceCase{Label: cfg.String(), Config: cfg, Admission: admission}
-	if admission {
+	c := experiments.TraceCase{Label: cfg.String(), Config: cfg, Admission: h.admission}
+	if h.admission {
 		c.Label += "+adm"
 	}
-	fmt.Printf("Replay %s (label %q, %d ops) under %s\n", path, tr.Label, len(tr.Ops), c.Label)
-	row := experiments.ReplayTraceUnder(tr, c, scale)
+	fmt.Printf("Replay %s (label %q, %d ops) under %s\n", h.replay, tr.Label, len(tr.Ops), c.Label)
+	row := experiments.ReplayTraceUnder(tr, c, h.run)
 	fmt.Println("  " + row.String())
-	noteViolations(row.Violations())
-	if recordTracePath != "" {
-		writeTrace(recordTracePath, row.Trace)
+	h.noteViolations(row.Violations())
+	if h.record != "" {
+		writeTrace(h.record, row.Trace)
 	}
-	if diffCSVPath != "" {
-		writeDiffCSV(diffCSVPath, trace.Compare(tr, row.Trace))
+	if h.diffCSV != "" {
+		writeDiffCSV(h.diffCSV, trace.Compare(tr, row.Trace))
 	}
 }
 
@@ -399,23 +400,24 @@ func writeDiffCSV(path string, d *trace.Diff) {
 
 // exitOnViolations terminates with a nonzero status if any experiment
 // reported an invariant violation.
-func exitOnViolations() {
-	if invariantFailures > 0 {
-		fmt.Fprintf(os.Stderr, "%d invariant violation(s)\n", invariantFailures)
+func (h *harness) exitOnViolations() {
+	if h.failures > 0 {
+		fmt.Fprintf(os.Stderr, "%d invariant violation(s)\n", h.failures)
 		os.Exit(1)
 	}
 }
 
 // exportBlame writes the blame reports of all runs — the blamesweep's
-// own plus an analysis of every recorder the -trace/-metrics hook
-// collected — to the requested file, and any what-if comparisons next
-// to it as <base>-whatif.json.
-func exportBlame(path string) {
+// own plus an analysis of every recorder h.attach collected — to the
+// -blame file, and any what-if comparisons next to it as
+// <base>-whatif.json.
+func (h *harness) exportBlame() {
+	path := h.blame
 	if path == "" {
 		return
 	}
-	reports := append([]blame.Report{}, blameReports...)
-	for _, run := range obsRuns {
+	reports := append([]blame.Report{}, h.blameReports...)
+	for _, run := range h.obsRuns {
 		reports = append(reports, blame.Analyze(run.Label, run.Rec))
 	}
 	writeFile(path, "blame export", func(w io.Writer) error {
@@ -426,88 +428,81 @@ func exportBlame(path string) {
 	})
 	fmt.Printf("blame: %d run(s) -> %s\n", len(reports), path)
 
-	if len(whatIfReports) > 0 {
+	if len(h.whatIfReports) > 0 {
 		wiPath := strings.TrimSuffix(path, filepath.Ext(path)) + "-whatif.json"
 		writeFile(wiPath, "what-if export", func(w io.Writer) error {
-			for _, rep := range whatIfReports {
+			for _, rep := range h.whatIfReports {
 				if err := blame.WriteWhatIfJSON(w, rep); err != nil {
 					return err
 				}
 			}
 			return nil
 		})
-		fmt.Printf("what-if: %d comparison(s) -> %s\n", len(whatIfReports), wiPath)
+		fmt.Printf("what-if: %d comparison(s) -> %s\n", len(h.whatIfReports), wiPath)
 	}
 }
 
-// exportObs writes the collected recorders to the requested artifact
+// exportObs writes the collected recorders to the -trace and -metrics
 // files and reports where they landed.
-func exportObs(tracePath, metricsPath string) {
-	if tracePath != "" {
-		if err := obs.WriteTraceFile(tracePath, obsRuns); err != nil {
+func (h *harness) exportObs() {
+	if h.trace != "" {
+		if err := obs.WriteTraceFile(h.trace, h.obsRuns); err != nil {
 			fmt.Fprintf(os.Stderr, "trace export: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("trace: %d run(s) -> %s\n", len(obsRuns), tracePath)
+		fmt.Printf("trace: %d run(s) -> %s\n", len(h.obsRuns), h.trace)
 	}
-	if metricsPath != "" {
-		if err := obs.WriteMetricsFile(metricsPath, obsRuns); err != nil {
+	if h.metrics != "" {
+		if err := obs.WriteMetricsFile(h.metrics, h.obsRuns); err != nil {
 			fmt.Fprintf(os.Stderr, "metrics export: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("metrics: %d run(s) -> %s\n", len(obsRuns), metricsPath)
+		fmt.Printf("metrics: %d run(s) -> %s\n", len(h.obsRuns), h.metrics)
 	}
 }
 
 // runOne runs one experiment of the table, checking every row and
 // collecting what the artifact flags export.
-func runOne(e experiments.Experiment, scale experiments.Scale) {
-	fmt.Printf("=== %s (factor %.2f, window %v) ===\n", e.Name, scale.Factor, scale.Duration)
+func (h *harness) runOne(e experiments.Experiment) {
+	fmt.Printf("=== %s (factor %.2f, window %v) ===\n", e.Name, h.run.Factor, h.run.Duration)
 	start := time.Now()
-	e.Render(os.Stdout, scale, func(r experiments.Row) { collect(r, scale) })
-	writeSweepArtifacts()
+	e.Render(os.Stdout, h.run, h.collect)
+	h.writeSweepArtifacts()
 	fmt.Printf("--- %s done in %v\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 }
-
-// crashRows and traceRows hold the rows of the running crashsweep and
-// tracesweep until writeSweepArtifacts exports them.
-var (
-	crashRows []experiments.CrashSweepRow
-	traceRows []experiments.TraceRow
-)
 
 // collect checks one printed row for invariant violations and gathers
 // what the artifact flags export. Under -whatif a blame row is followed
 // by its what-if comparison.
-func collect(r experiments.Row, scale experiments.Scale) {
-	noteViolations(r.Violations())
+func (h *harness) collect(r experiments.Row) {
+	h.noteViolations(r.Violations())
 	switch r := r.(type) {
 	case experiments.BlameRow:
-		blameReports = append(blameReports, r.Report)
-		if whatIf != nil {
-			measured, _ := experiments.RunBlameSweep(r.Case, scale, whatIf)
-			cmp := blame.CompareWhatIf(*whatIf, r.Report, measured)
-			whatIfReports = append(whatIfReports, cmp)
+		h.blameReports = append(h.blameReports, r.Report)
+		if h.parsedWhatIf != nil {
+			measured, _ := experiments.RunBlameSweep(r.Case, h.run.Scale, h.parsedWhatIf)
+			cmp := blame.CompareWhatIf(*h.parsedWhatIf, r.Report, measured)
+			h.whatIfReports = append(h.whatIfReports, cmp)
 			blame.RenderWhatIf(os.Stdout, cmp)
 			fmt.Println()
 		}
 	case experiments.CrashSweepRow:
-		crashRows = append(crashRows, r)
+		h.crashRows = append(h.crashRows, r)
 	case experiments.TraceRow:
-		traceRows = append(traceRows, r)
+		h.traceRows = append(h.traceRows, r)
 	case experiments.MonitorRow:
-		exportMonitorCase(r)
+		h.exportMonitorCase(r)
 	}
 }
 
 // writeSweepArtifacts exports what the experiment just run left in
 // crashRows and traceRows: the -crashcsv file and, for a directly
 // selected tracesweep, the -record baseline and the -diffcsv file.
-func writeSweepArtifacts() {
-	if crashCSVPath != "" && len(crashRows) > 0 {
-		writeFile(crashCSVPath, "crashsweep csv", func(w io.Writer) error {
+func (h *harness) writeSweepArtifacts() {
+	if h.crashCSV != "" && len(h.crashRows) > 0 {
+		writeFile(h.crashCSV, "crashsweep csv", func(w io.Writer) error {
 			fmt.Fprintln(w, "label,config,replication,victim_mbps,victim_errors,bystander_mbps,bystander_errors,affected_tenants,queue_shed,recovery_ns,victim_repair_ns,durability_loss_bytes")
-			for _, r := range crashRows {
+			for _, r := range h.crashRows {
 				fmt.Fprintf(w, "%s,%s,%d,%.2f,%d,%.2f,%d,%d,%d,%d,%d,%d\n",
 					r.Label, r.Config, r.Replication,
 					r.VictimWriteMBps, r.VictimErrors,
@@ -518,17 +513,17 @@ func writeSweepArtifacts() {
 			}
 			return nil
 		})
-		fmt.Printf("crashsweep: %d row(s) -> %s\n", len(crashRows), crashCSVPath)
+		fmt.Printf("crashsweep: %d row(s) -> %s\n", len(h.crashRows), h.crashCSV)
 	}
-	if sweepArtifacts && len(traceRows) > 0 {
-		if recordTracePath != "" {
-			writeTrace(recordTracePath, traceRows[0].Trace)
+	if h.sweepArtifacts && len(h.traceRows) > 0 {
+		if h.record != "" {
+			writeTrace(h.record, h.traceRows[0].Trace)
 		}
-		if diffCSVPath != "" {
-			writeSweepDiffCSV(diffCSVPath, traceRows)
+		if h.diffCSV != "" {
+			writeSweepDiffCSV(h.diffCSV, h.traceRows)
 		}
 	}
-	crashRows, traceRows = nil, nil
+	h.crashRows, h.traceRows = nil, nil
 }
 
 // writeSweepDiffCSV folds every replay's diff against the baseline (the
@@ -557,21 +552,13 @@ func writeSweepDiffCSV(path string, rows []experiments.TraceRow) {
 	fmt.Printf("diff: %d row(s) -> %s\n", n, path)
 }
 
-// crashCSVPath, when set via -crashcsv, receives the crashsweep rows
-// as CSV (one line per case) for CI artifact collection.
-var crashCSVPath string
-
-// monitorBasePath, when set via -monitor, receives the live-telemetry
-// artifacts of each monitorsweep case: <base>-<case>-windows.csv (the
-// windowed per-tenant aggregates) and <base>-<case>-alerts.csv (the SLO
-// burn-rate alert ledger). Both are deterministic: repeated runs of the
-// same scale produce byte-identical files.
-var monitorBasePath string
-
-// exportMonitorCase writes one monitorsweep case's windows CSV and
-// alert ledger under monitorBasePath.
-func exportMonitorCase(row experiments.MonitorRow) {
-	if monitorBasePath == "" {
+// exportMonitorCase writes one monitorsweep case's live-telemetry
+// artifacts under the -monitor base path: <base>-<case>-windows.csv
+// (the windowed per-tenant aggregates) and <base>-<case>-alerts.csv
+// (the SLO burn-rate alert ledger). Both are deterministic: repeated
+// runs of the same scale produce byte-identical files.
+func (h *harness) exportMonitorCase(row experiments.MonitorRow) {
+	if h.monitor == "" {
 		return
 	}
 	slug := strings.Map(func(r rune) rune {
@@ -581,7 +568,7 @@ func exportMonitorCase(row experiments.MonitorRow) {
 		}
 		return '_'
 	}, strings.ToLower(row.Label+"-"+row.Fault))
-	base := strings.TrimSuffix(monitorBasePath, filepath.Ext(monitorBasePath))
+	base := strings.TrimSuffix(h.monitor, filepath.Ext(h.monitor))
 	for _, kind := range []string{"windows", "alerts"} {
 		path := fmt.Sprintf("%s-%s-%s.csv", base, slug, kind)
 		emit := row.Monitor.WriteWindowsCSV

@@ -15,12 +15,10 @@ import (
 // violations reported by experiment rows land in the accumulator that
 // turns the exit status nonzero.
 func TestNoteViolationsAccumulates(t *testing.T) {
-	invariantFailures = 0
-	defer func() { invariantFailures = 0 }()
-
-	noteViolations(nil)
-	if invariantFailures != 0 {
-		t.Fatalf("clean rows counted as failures: %d", invariantFailures)
+	h := &harness{}
+	h.noteViolations(nil)
+	if h.failures != 0 {
+		t.Fatalf("clean rows counted as failures: %d", h.failures)
 	}
 
 	// A row whose admission queue overran its cap and whose accounting
@@ -37,9 +35,9 @@ func TestNoteViolationsAccumulates(t *testing.T) {
 	if len(vs) != 2 {
 		t.Fatalf("want 2 violations, got %d: %v", len(vs), vs)
 	}
-	noteViolations(vs)
-	if invariantFailures != 2 {
-		t.Fatalf("accumulator = %d, want 2", invariantFailures)
+	h.noteViolations(vs)
+	if h.failures != 2 {
+		t.Fatalf("accumulator = %d, want 2", h.failures)
 	}
 
 	// A faultsweep row that lost acknowledged bytes despite a surviving

@@ -49,15 +49,16 @@ func main() {
 		os.Exit(2)
 	}
 	scale := experiments.Scale{Factor: *factor, Duration: *duration, Warmup: *duration / 4}
+	run := experiments.Run{Scale: scale}
 
 	switch *workload {
 	case "fileserver":
-		runInterferenceScenario(config, *pools, *neighbor, scale)
+		runInterferenceScenario(config, *pools, *neighbor, run)
 	case "seqwrite":
-		row := experiments.RunSeqIOScaleout(config, *pools, true, scale)
+		row := experiments.RunSeqIOScaleout(config, *pools, true, run)
 		fmt.Println(row)
 	case "seqread":
-		row := experiments.RunSeqIOScaleout(config, *pools, false, scale)
+		row := experiments.RunSeqIOScaleout(config, *pools, false, run)
 		fmt.Println(row)
 	case "kvput":
 		runKVScenario(config, *pools, scale)
@@ -85,12 +86,12 @@ func checkFlags(config string, pools int, duration time.Duration, factor float64
 	return c, nil
 }
 
-func runInterferenceScenario(config core.Configuration, pools int, neighbor bool, scale experiments.Scale) {
+func runInterferenceScenario(config core.Configuration, pools int, neighbor bool, run experiments.Run) {
 	c := experiments.InterferenceCase{Config: config, FLSCount: pools}
 	if neighbor {
 		c.Neighbor = "RND"
 	}
-	row := experiments.RunInterference(c, scale)
+	row := experiments.RunInterference(c, run)
 	fmt.Printf("%s\n", row.Label)
 	fmt.Printf("  fileserver throughput : %.1f MB/s\n", row.FLSThroughputMBps)
 	fmt.Printf("  fileserver pool cores : %.1f%%\n", row.FLSCoreUtilPct)

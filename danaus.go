@@ -141,6 +141,10 @@ func AllConfigurations() []Configuration { return core.AllConfigurations() }
 // Experiment scales.
 type Scale = experiments.Scale
 
+// Run is one run of an experiment runner: a scale plus an optional hook
+// that sees every testbed the runner builds before any pool exists.
+type Run = experiments.Run
+
 // Predefined experiment scales.
 var (
 	// QuickScale runs each experiment in well under a second.

@@ -22,7 +22,7 @@ func main() {
 		{Config: danaus.D, FLSCount: 1},
 		{Config: danaus.D, FLSCount: 1, Neighbor: "RND"},
 	} {
-		row := danaus.RunInterference(c, danaus.QuickScale)
+		row := danaus.RunInterference(c, danaus.Run{Scale: danaus.QuickScale})
 		fmt.Printf("%-16s %12.1f %17.1f%% %14v\n",
 			row.Label, row.FLSThroughputMBps, row.NeighborCoreUtilPct, row.LockWaitPerReq)
 	}

@@ -18,7 +18,7 @@ func main() {
 	fmt.Println("Op-trace record/replay (quick scale)")
 	fmt.Println()
 
-	rows := danaus.RunTraceSweep(danaus.QuickScale)
+	rows := danaus.RunTraceSweep(danaus.Run{Scale: danaus.QuickScale})
 	for _, row := range rows {
 		fmt.Println(row)
 	}

@@ -22,7 +22,7 @@ func main() {
 	fmt.Printf("%-6s %10s %16s %16s\n", "config", "clones", "real time", "context switches")
 	for _, cfg := range []danaus.Configuration{danaus.KK, danaus.D, danaus.FF} {
 		for _, n := range []int{1, 8, 32} {
-			row := danaus.RunStartupScaleup(cfg, n, danaus.QuickScale)
+			row := danaus.RunStartupScaleup(cfg, n, danaus.Run{Scale: danaus.QuickScale})
 			fmt.Printf("%-6s %10d %16v %16d\n", row.Config, row.Containers, row.RealTime, row.ContextSwitches)
 		}
 		fmt.Println()

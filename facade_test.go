@@ -14,7 +14,7 @@ func TestFacadeSurface(t *testing.T) {
 		t.Skip("slow")
 	}
 	// Experiment runner through the facade.
-	row := danaus.RunSysbench(danaus.SysbenchCase{Config: danaus.D, WithSSB: true}, danaus.QuickScale)
+	row := danaus.RunSysbench(danaus.SysbenchCase{Config: danaus.D, WithSSB: true}, danaus.Run{Scale: danaus.QuickScale})
 	if row.SSBLatencyP99 <= 0 {
 		t.Fatalf("no SSB latency through facade: %+v", row)
 	}

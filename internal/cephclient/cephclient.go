@@ -106,11 +106,9 @@ type Client struct {
 	threads     []*cpu.Thread // the client's own threads, for repinning
 
 	// gen counts crash incarnations: handles carry the generation they
-	// were opened under and go stale when it moves on. sessionEpoch is
-	// the client's current MDS session epoch (see cluster sessions).
-	gen          uint64
-	sessionEpoch uint64
-	crashes      uint64
+	// were opened under and go stale when it moves on.
+	gen     uint64
+	crashes uint64
 }
 
 type attrEntry struct {
@@ -182,7 +180,7 @@ func New(eng *sim.Engine, cpus *cpu.CPU, params *model.Params, clus *cluster.Clu
 			OnChange:         cfg.Breaker,
 		}, &c.jitterState)
 	}
-	c.sessionEpoch = clus.OpenSession(cfg.Name, c)
+	clus.OpenSession(cfg.Name, c)
 	for i := 0; i < cfg.Flushers; i++ {
 		eng.Go(cfg.Name+".flusher", func(p *sim.Proc) { c.flusherLoop(p) })
 	}
@@ -240,11 +238,9 @@ func (c *Client) Restart(ctx vfsapi.Ctx) error {
 	if !c.crashed {
 		return nil
 	}
-	epoch, err := c.clus.ReclaimSession(ctx, c.cfg.Name)
-	if err != nil {
+	if _, err := c.clus.ReclaimSession(ctx, c.cfg.Name); err != nil {
 		return err
 	}
-	c.sessionEpoch = epoch
 	c.crashed = false
 	c.stopped = false
 	for i := 0; i < c.cfg.Flushers; i++ {
@@ -258,9 +254,6 @@ func (c *Client) Crashed() bool { return c.crashed }
 
 // Crashes counts crash events since the client was built.
 func (c *Client) Crashes() uint64 { return c.crashes }
-
-// SessionEpoch returns the client's current MDS session epoch.
-func (c *Client) SessionEpoch() uint64 { return c.sessionEpoch }
 
 // failIfCrashed is checked on the entry of every operation.
 func (c *Client) failIfCrashed(ctx vfsapi.Ctx) error {

@@ -134,15 +134,6 @@ func (l *Library) PReadFD(ctx vfsapi.Ctx, fd int, off, n int64) (int64, error) {
 	return of.handle.Read(ctx, off, n)
 }
 
-// PWriteFD writes at an explicit offset without moving the position.
-func (l *Library) PWriteFD(ctx vfsapi.Ctx, fd int, off, n int64) (int64, error) {
-	of, err := l.file(fd)
-	if err != nil {
-		return 0, err
-	}
-	return of.handle.Write(ctx, off, n)
-}
-
 // SeekFD sets the file position.
 func (l *Library) SeekFD(fd int, pos int64) error {
 	of, err := l.file(fd)

@@ -137,9 +137,9 @@ func RunAblationThreadPinning(scale Scale) AblationRow {
 // integration principle: the Danaus union invoking the client through
 // function calls versus crossing a FUSE transport between the two
 // libservices (what F/F does).
-func RunAblationUnionIntegration(scale Scale) AblationRow {
+func RunAblationUnionIntegration(run Run) AblationRow {
 	startup := func(cfg core.Configuration) float64 {
-		row := RunStartupScaleup(cfg, 8, scale)
+		row := RunStartupScaleup(cfg, 8, run)
 		return row.RealTime.Seconds() * 1000
 	}
 	return AblationRow{
@@ -151,13 +151,13 @@ func RunAblationUnionIntegration(scale Scale) AblationRow {
 }
 
 // AllAblations runs the design-choice ablations DESIGN.md calls out.
-func AllAblations(scale Scale) []AblationRow {
+func AllAblations(run Run) []AblationRow {
 	return []AblationRow{
-		RunAblationClientLock(scale),
-		RunAblationWakeupElision(scale),
-		RunAblationThreadPinning(scale),
-		RunAblationUnionIntegration(scale),
-		RunAblationImagePull(scale),
+		RunAblationClientLock(run.Scale),
+		RunAblationWakeupElision(run.Scale),
+		RunAblationThreadPinning(run.Scale),
+		RunAblationUnionIntegration(run),
+		RunAblationImagePull(run),
 	}
 }
 
@@ -166,20 +166,20 @@ func AllAblations(scale Scale) []AblationRow {
 // with Danaus serving root images directly from the shared filesystem
 // with on-demand file transfers — the §8 "images and data on shared
 // filesystem" lesson.
-func RunAblationImagePull(scale Scale) AblationRow {
+func RunAblationImagePull(run Run) AblationRow {
 	// Shared-filesystem start: the Fig 8 startup over D at 8 clones.
-	direct := RunStartupScaleup(core.ConfigD, 8, scale)
+	direct := RunStartupScaleup(core.ConfigD, 8, run)
 
 	// Classic flow: transfer the image bytes from the registry (the
 	// cluster stands in) to the local disks and expand, once per
 	// container, before the same startup runs from the local copy.
-	r := newRig(4, scale.Params(), false, Observer)
+	r := newRig(4, run.Params(), false, run.Attach)
 	params := r.tb.Params
 	imageBytes := params.ExecBinaryBytes + params.MmapLibraryBytes +
 		params.StartupAppFileBytes + int64(params.StartupOpCount)*(2<<10)
 	var pullTime float64
 	r.runMaster(func(p *sim.Proc) {
-		pool := r.tb.NewPool("pull", r.tb.CPU.AllMask(), scale.PoolMem())
+		pool := r.tb.NewPool("pull", r.tb.CPU.AllMask(), run.PoolMem())
 		th := r.tb.CPU.NewThread(pool.Acct, pool.Mask)
 		ctx := vfsapi.Ctx{P: p, T: th}
 		start := r.tb.Eng.Now()

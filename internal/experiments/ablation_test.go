@@ -41,7 +41,7 @@ func TestAblationUnionIntegration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	row := RunAblationUnionIntegration(QuickScale)
+	row := RunAblationUnionIntegration(Run{Scale: QuickScale})
 	t.Log(row)
 	// The FUSE crossing between union and client must cost startup time.
 	if row.Ablated <= row.Baseline {
@@ -53,7 +53,7 @@ func TestAblationImagePull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	row := RunAblationImagePull(QuickScale)
+	row := RunAblationImagePull(Run{Scale: QuickScale})
 	t.Log(row)
 	// The pull+expand alone should cost meaningful time compared to
 	// starting directly from the shared filesystem.
@@ -66,7 +66,7 @@ func TestAllAblationsComplete(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	rows := AllAblations(QuickScale)
+	rows := AllAblations(Run{Scale: QuickScale})
 	if len(rows) != 5 {
 		t.Fatalf("ablation count = %d", len(rows))
 	}

@@ -136,7 +136,7 @@ func TestBlameWhatIf(t *testing.T) {
 func runFaultObserved(t *testing.T) (FaultSweepRow, *obs.Recorder) {
 	t.Helper()
 	var rec *obs.Recorder
-	Observer = func(tb *core.Testbed) {
+	attach := func(tb *core.Testbed) {
 		rec = obs.New(obs.Config{
 			Clock:          tb.Eng.Now,
 			SampleInterval: 10 * time.Millisecond,
@@ -144,7 +144,6 @@ func runFaultObserved(t *testing.T) (FaultSweepRow, *obs.Recorder) {
 		})
 		tb.AttachObserver(rec)
 	}
-	defer func() { Observer = nil }()
 	cases := FaultSweepCases(QuickScale)
 	var fc *FaultSweepCase
 	for i := range cases {
@@ -156,7 +155,7 @@ func runFaultObserved(t *testing.T) (FaultSweepRow, *obs.Recorder) {
 	if fc == nil {
 		t.Fatal("no fault-sweep case with a schedule")
 	}
-	row := RunFaultSweep(*fc, QuickScale)
+	row := RunFaultSweep(*fc, Run{Scale: QuickScale, Attach: attach})
 	return row, rec
 }
 

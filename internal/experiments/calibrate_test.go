@@ -23,7 +23,7 @@ func TestCalibrateFig6a(t *testing.T) {
 		{Config: core.ConfigD, FLSCount: 7},
 		{Config: core.ConfigD, FLSCount: 7, Neighbor: "RND"},
 	} {
-		row := RunInterference(c, QuickScale)
+		row := RunInterference(c, Run{Scale: QuickScale})
 		t.Logf("%-14s  %8.1f MB/s  nbr %6.1f%%  fls %6.1f%%  iowait %10v  wait %10v hold %10v",
 			row.Label, row.FLSThroughputMBps, row.NeighborCoreUtilPct, row.FLSCoreUtilPct, row.FLSIOWait, row.LockWaitPerReq, row.LockHoldPerReq)
 	}

@@ -92,11 +92,11 @@ func crashWindow(k faults.Kind, scale Scale, start, end float64) faults.Window {
 // WAL writer and reopens its handle after the crash invalidates it,
 // bystander pool 1 reads a warm file, and the crash window is
 // installed relative to the measurement window.
-func RunCrashSweep(c CrashSweepCase, scale Scale) CrashSweepRow {
-	r := newRig(4, scale.Params(), false, Observer)
+func RunCrashSweep(c CrashSweepCase, run Run) CrashSweepRow {
+	r := newRig(4, run.Params(), false, run.Attach)
 	r.tb.Cluster.SetReplication(c.Replication)
 	row := CrashSweepRow{CrashSweepCase: c}
-	victim, byst := r.containment(c.Config, scale)
+	victim, byst := r.containment(c.Config, run.Scale)
 
 	const warmSize = 16 << 20
 	wal := &workloads.WALWriter{
@@ -118,8 +118,8 @@ func RunCrashSweep(c CrashSweepCase, scale Scale) CrashSweepRow {
 			},
 		)
 
-		clock := scale.Clock(r.tb.Eng)
-		w := crashWindow(c.Kind, scale, 0.3, 0.5)
+		clock := run.Clock(r.tb.Eng)
+		w := crashWindow(c.Kind, run.Scale, 0.3, 0.5)
 		plan := faults.Plan{Windows: []faults.Window{w}}
 		if _, err := faults.Install(r.tb.Eng, r.tb.Cluster, r.tb, plan, clock.From); err != nil {
 			panic(err)

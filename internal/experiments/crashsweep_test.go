@@ -14,7 +14,7 @@ import (
 // fsync-acknowledged byte is lost.
 func TestCrashSweepContainment(t *testing.T) {
 	for _, c := range CrashSweepCases() {
-		row := RunCrashSweep(c, QuickScale)
+		row := RunCrashSweep(c, Run{Scale: QuickScale})
 		for _, v := range row.Violations() {
 			t.Error(v)
 		}
@@ -33,8 +33,8 @@ func TestCrashSweepContainment(t *testing.T) {
 // deterministic engine.
 func TestCrashSweepDeterminism(t *testing.T) {
 	for _, c := range CrashSweepCases() {
-		a := RunCrashSweep(c, QuickScale).String()
-		b := RunCrashSweep(c, QuickScale).String()
+		a := RunCrashSweep(c, Run{Scale: QuickScale}).String()
+		b := RunCrashSweep(c, Run{Scale: QuickScale}).String()
 		if a != b {
 			t.Errorf("%s: same-seed runs diverge:\n  %s\n  %s", c.Label, a, b)
 		}

@@ -13,21 +13,21 @@ func TestExperimentsAreDeterministic(t *testing.T) {
 		t.Skip("slow")
 	}
 	c := InterferenceCase{Config: core.ConfigD, FLSCount: 1, Neighbor: "RND"}
-	first := RunInterference(c, QuickScale)
+	first := RunInterference(c, Run{Scale: QuickScale})
 	for i := 0; i < 2; i++ {
-		again := RunInterference(c, QuickScale)
+		again := RunInterference(c, Run{Scale: QuickScale})
 		if again != first {
 			t.Fatalf("run %d diverged:\n  %+v\nvs\n  %+v", i+2, again, first)
 		}
 	}
 
-	kv := RunKVScaleup(core.ConfigD, 2, PhasePut, QuickScale)
-	if again := RunKVScaleup(core.ConfigD, 2, PhasePut, QuickScale); again != kv {
+	kv := RunKVScaleup(core.ConfigD, 2, PhasePut, Run{Scale: QuickScale})
+	if again := RunKVScaleup(core.ConfigD, 2, PhasePut, Run{Scale: QuickScale}); again != kv {
 		t.Fatalf("KV scaleup diverged:\n  %+v\nvs\n  %+v", again, kv)
 	}
 
-	st := RunStartupScaleup(core.ConfigFF, 4, QuickScale)
-	if again := RunStartupScaleup(core.ConfigFF, 4, QuickScale); again != st {
+	st := RunStartupScaleup(core.ConfigFF, 4, Run{Scale: QuickScale})
+	if again := RunStartupScaleup(core.ConfigFF, 4, Run{Scale: QuickScale}); again != st {
 		t.Fatalf("startup diverged:\n  %+v\nvs\n  %+v", again, st)
 	}
 }

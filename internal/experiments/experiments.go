@@ -33,14 +33,20 @@ var (
 	PaperScale = workloads.PaperScale
 )
 
-// Observer, when non-nil, is invoked on a freshly built testbed before
-// any pool exists — the hook through which danausbench attaches an
-// observability recorder (core.Testbed.AttachObserver) to the runs of
-// an experiment. The figures and the fault, crash, overload and trace
-// sweeps pass it to newRig; blamesweep and monitorsweep attach their
-// own recorder and the cost-model ablations attach none. Nil keeps
-// experiments observation-free.
-var Observer func(tb *core.Testbed)
+// Run is what an experiment runner runs under: the sizing plus the
+// hook through which the caller observes the testbeds. Attach, when
+// non-nil, is invoked on every freshly built testbed before any pool
+// exists; danausbench attaches an observability recorder
+// (core.Testbed.AttachObserver) there. The figures and the fault,
+// crash, overload and trace sweeps pass it to newRig; blamesweep and
+// monitorsweep attach their own recorder and the cost-model ablations
+// attach none. A nil Attach keeps experiments observation-free. Runs
+// share no state, so runners may execute concurrently, each under its
+// own Run.
+type Run struct {
+	Scale
+	Attach func(tb *core.Testbed)
+}
 
 // rig bundles a testbed under experiment control.
 type rig struct {
@@ -50,8 +56,9 @@ type rig struct {
 // newRig builds every experiment testbed: cores, cost model and, when
 // protect is set, the overload-protection policy (admission, breaker,
 // brownout). attach runs on the bare testbed before any pool exists,
-// where an observer must attach: Observer for the harness-observed
-// runs, a sweep's own recorder, or nil to observe nothing.
+// where an observer must attach: the Run's Attach for the
+// harness-observed runs, a sweep's own recorder, or nil to observe
+// nothing.
 func newRig(cores int, params *model.Params, protect bool, attach func(tb *core.Testbed)) *rig {
 	var pol *core.OverloadPolicy
 	if protect {

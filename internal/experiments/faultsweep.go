@@ -81,15 +81,15 @@ func FaultSweepCases(scale Scale) []FaultSweepCase {
 // RunFaultSweep executes one fault-sweep case: victim pool 0 runs the
 // WAL writer and the cold reader, bystander pool 1 a cached reader,
 // and the schedule is installed relative to the measurement window.
-func RunFaultSweep(c FaultSweepCase, scale Scale) FaultSweepRow {
-	r := newRig(4, scale.Params(), false, Observer)
+func RunFaultSweep(c FaultSweepCase, run Run) FaultSweepRow {
+	r := newRig(4, run.Params(), false, run.Attach)
 	r.tb.Cluster.SetReplication(c.Replication)
 	row := FaultSweepRow{FaultSweepCase: c}
-	victim, byst := r.containment(c.Config, scale)
+	victim, byst := r.containment(c.Config, run.Scale)
 
 	// The cold file overflows the victim's cache so reads keep hitting
 	// the backend; the bystander file fits comfortably.
-	coldSize := scale.ColdSize()
+	coldSize := run.ColdSize()
 	const warmSize = 16 << 20
 
 	wal := &workloads.WALWriter{
@@ -120,7 +120,7 @@ func RunFaultSweep(c FaultSweepCase, scale Scale) FaultSweepRow {
 			},
 		)
 
-		clock := scale.Clock(r.tb.Eng)
+		clock := run.Clock(r.tb.Eng)
 
 		walNode, err := r.tb.Cluster.Tree().Lookup("/containers/fls0/wal")
 		if err != nil {

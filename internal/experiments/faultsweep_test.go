@@ -13,7 +13,7 @@ import (
 // the window, and no acknowledged byte is lost.
 func TestFaultSweepRecovery(t *testing.T) {
 	cases := FaultSweepCases(QuickScale)
-	row := RunFaultSweep(cases[1], QuickScale)
+	row := RunFaultSweep(cases[1], Run{Scale: QuickScale})
 	if row.Config != core.ConfigD || row.Replication != 2 {
 		t.Fatalf("unexpected case under test: %+v", row)
 	}
@@ -49,7 +49,7 @@ func TestFaultSweepRecovery(t *testing.T) {
 // the unbounded write path recovers once the OSD restarts.
 func TestFaultSweepUnreplicatedLongCrash(t *testing.T) {
 	cases := FaultSweepCases(QuickScale)
-	row := RunFaultSweep(cases[3], QuickScale)
+	row := RunFaultSweep(cases[3], Run{Scale: QuickScale})
 	if row.Replication != 1 {
 		t.Fatalf("unexpected case under test: %+v", row)
 	}
@@ -68,13 +68,13 @@ func TestFaultSweepUnreplicatedLongCrash(t *testing.T) {
 // byte-identical rows: the injector schedules on virtual time only.
 func TestFaultSweepDeterminism(t *testing.T) {
 	cases := FaultSweepCases(QuickScale)
-	a := RunFaultSweep(cases[1], QuickScale)
-	b := RunFaultSweep(cases[1], QuickScale)
+	a := RunFaultSweep(cases[1], Run{Scale: QuickScale})
+	b := RunFaultSweep(cases[1], Run{Scale: QuickScale})
 	if a != b {
 		t.Fatalf("fault sweep not deterministic:\n  run 1: %v\n  run 2: %v", a, b)
 	}
-	base1 := RunFaultSweep(cases[0], QuickScale)
-	base2 := RunFaultSweep(cases[0], QuickScale)
+	base1 := RunFaultSweep(cases[0], Run{Scale: QuickScale})
+	base2 := RunFaultSweep(cases[0], Run{Scale: QuickScale})
 	if base1 != base2 {
 		t.Fatalf("baseline not deterministic:\n  run 1: %v\n  run 2: %v", base1, base2)
 	}
@@ -83,7 +83,7 @@ func TestFaultSweepDeterminism(t *testing.T) {
 // TestFaultSweepBaselineClean asserts the empty schedule perturbs
 // nothing: no retries, no failovers, no errors, no loss.
 func TestFaultSweepBaselineClean(t *testing.T) {
-	row := RunFaultSweep(FaultSweepCases(QuickScale)[0], QuickScale)
+	row := RunFaultSweep(FaultSweepCases(QuickScale)[0], Run{Scale: QuickScale})
 	if row.Faults != (FaultSweepRow{}.Faults) {
 		t.Fatalf("baseline recorded fault activity: %+v", row.Faults)
 	}

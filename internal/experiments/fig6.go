@@ -50,19 +50,19 @@ func (c InterferenceCase) Label() string {
 // RunInterference executes one Fig 1/6a/6b case: FLSCount Fileserver
 // instances over the given client configuration, with the neighbour
 // pool always reserved (2 cores) and optionally running RND or WBS.
-func RunInterference(c InterferenceCase, scale Scale) InterferenceRow {
+func RunInterference(c InterferenceCase, run Run) InterferenceRow {
 	// Enabled cores: two per instance including the neighbour pool,
 	// matching the paper's "twice the number of running instances".
 	cores := 2 * (c.FLSCount + 1)
-	r := newRig(cores, scale.Params(), false, Observer)
+	r := newRig(cores, run.Params(), false, run.Attach)
 	row := InterferenceRow{Label: c.Label()}
 
-	f := newFleet(r, c.Config, c.FLSCount, c.Neighbor, scale)
+	f := newFleet(r, c.Config, c.FLSCount, c.Neighbor, run.Scale)
 
 	r.runMaster(func(p *sim.Proc) {
 		prepare(p, r.tb.Eng, f.preps()...)
 
-		clock := scale.Clock(r.tb.Eng)
+		clock := run.Clock(r.tb.Eng)
 		utilWindow(r.tb, clock, f.nbrMask, &row.NeighborCoreUtilPct)
 		utilWindow(r.tb, clock, cpu.MaskRange(0, 2*c.FLSCount), &row.FLSCoreUtilPct)
 		lockWindow(r.tb, clock, &row.LockWaitPerReq, &row.LockHoldPerReq)
@@ -226,14 +226,14 @@ func Fig6cCases() []SysbenchCase {
 
 // RunSysbench executes one Fig 6c case: 1 FLS instance next to an
 // optional Sysbench CPU instance.
-func RunSysbench(c SysbenchCase, scale Scale) SysbenchRow {
-	r := newRig(4, scale.Params(), false, Observer)
+func RunSysbench(c SysbenchCase, run Run) SysbenchRow {
+	r := newRig(4, run.Params(), false, run.Attach)
 	row := SysbenchRow{Label: c.Label()}
-	cont := r.flsContainer(0, c.Config, scale)
-	fls := newFileserver(cont, scale, 1)
+	cont := r.flsContainer(0, c.Config, run.Scale)
+	fls := newFileserver(cont, run.Scale, 1)
 
 	ssbMask := cpu.MaskRange(2, 4)
-	ssbPool := r.tb.NewPool("ssb", ssbMask, scale.PoolMem())
+	ssbPool := r.tb.NewPool("ssb", ssbMask, run.PoolMem())
 	ssb := &workloads.Sysbench{
 		NewThread: func() *cpu.Thread { return r.tb.CPU.NewThread(ssbPool.Acct, ssbPool.Mask) },
 	}
@@ -241,7 +241,7 @@ func RunSysbench(c SysbenchCase, scale Scale) SysbenchRow {
 
 	r.runMaster(func(p *sim.Proc) {
 		prepare(p, r.tb.Eng, prepFor(cont.NewThread, fls))
-		clock := scale.Clock(r.tb.Eng)
+		clock := run.Clock(r.tb.Eng)
 		utilWindow(r.tb, clock, ssbMask, &row.SSBCoreUtilPct)
 		g := workloads.NewGroup(r.tb.Eng)
 		fls.Run(g, clock)

@@ -65,20 +65,20 @@ func openKV(ctx vfsapi.Ctx, r *rig, cont *core.Container, scale Scale) (*kvstore
 
 // RunKVScaleout executes one Fig 7a/7b point: `pools` independent
 // container pools, each with a private client and a private store.
-func RunKVScaleout(config core.Configuration, pools int, phase KVPhase, scale Scale) KVRow {
-	r := newRig(2*pools, scale.Params(), false, Observer)
+func RunKVScaleout(config core.Configuration, pools int, phase KVPhase, run Run) KVRow {
+	r := newRig(2*pools, run.Params(), false, run.Attach)
 	row := KVRow{Config: config, Count: pools}
 	insts := make([]*kvInstance, pools)
 	for i := range insts {
-		insts[i] = &kvInstance{cont: r.flsContainer(i, config, scale)}
+		insts[i] = &kvInstance{cont: r.flsContainer(i, config, run.Scale)}
 	}
-	runKV(r, insts, phase, scale, &row)
+	runKV(r, insts, phase, run.Scale, &row)
 	return row
 }
 
 // RunKVScaleup executes one Fig 7c/7d point: `clones` cloned containers
 // in a single pool, sharing one backend client under private unions.
-func RunKVScaleup(config core.Configuration, clones int, phase KVPhase, scale Scale) KVRow {
+func RunKVScaleup(config core.Configuration, clones int, phase KVPhase, run Run) KVRow {
 	cores := 2 * clones
 	if cores < 4 {
 		cores = 4
@@ -86,21 +86,21 @@ func RunKVScaleup(config core.Configuration, clones int, phase KVPhase, scale Sc
 	if cores > 64 {
 		cores = 64
 	}
-	r := newRig(cores, scale.Params(), false, Observer)
+	r := newRig(cores, run.Params(), false, run.Attach)
 	row := KVRow{Config: config, Count: clones}
 
 	if err := r.tb.Cluster.ProvisionDir("/images/base/etc"); err != nil {
 		panic(err)
 	}
 	r.tb.Cluster.Provision("/images/base/etc/os-release", 4<<10)
-	pool := r.tb.NewPool("scaleup", r.tb.CPU.AllMask(), scale.PoolMem()*int64(clones))
+	pool := r.tb.NewPool("scaleup", r.tb.CPU.AllMask(), run.PoolMem()*int64(clones))
 
 	conts := r.clones(pool, config, "clone", "/images/base", clones)
 	insts := make([]*kvInstance, clones)
 	for i, cont := range conts {
 		insts[i] = &kvInstance{cont: cont}
 	}
-	runKV(r, insts, phase, scale, &row)
+	runKV(r, insts, phase, run.Scale, &row)
 	return row
 }
 

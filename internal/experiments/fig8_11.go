@@ -35,7 +35,7 @@ func Fig8Configs() []core.Configuration {
 // RunStartupScaleup executes one Fig 8 point: start `clones` cloned
 // Lighttpd containers over a shared client in one pool and measure the
 // time until every webserver is ready.
-func RunStartupScaleup(config core.Configuration, clones int, scale Scale) StartupRow {
+func RunStartupScaleup(config core.Configuration, clones int, run Run) StartupRow {
 	cores := 16
 	if cores > 2*clones {
 		cores = 2 * clones
@@ -43,14 +43,14 @@ func RunStartupScaleup(config core.Configuration, clones int, scale Scale) Start
 	if cores < 4 {
 		cores = 4
 	}
-	r := newRig(cores, scale.Params(), false, Observer)
+	r := newRig(cores, run.Params(), false, run.Attach)
 	row := StartupRow{Config: config, Containers: clones}
 
 	// Shared webserver image on the cluster.
 	if err := workloads.ProvisionImage(r.tb.Params, "/images/lighttpd", r.tb.Cluster.Provision); err != nil {
 		panic(err)
 	}
-	pool := r.tb.NewPool("web", r.tb.CPU.AllMask(), scale.PoolMem()*8)
+	pool := r.tb.NewPool("web", r.tb.CPU.AllMask(), run.PoolMem()*8)
 
 	containers := r.clones(pool, config, "web", "/images/lighttpd", clones)
 
@@ -101,7 +101,7 @@ func Fig11Configs() []core.Configuration {
 // RunFileIOScaleup executes one Fig 11 point: `clones` cloned
 // containers over a shared client, each appending to (append=true) or
 // reading (append=false) a large file from the shared lower branch.
-func RunFileIOScaleup(config core.Configuration, clones int, append bool, scale Scale) FileIORow {
+func RunFileIOScaleup(config core.Configuration, clones int, append bool, run Run) FileIORow {
 	cores := 2 * clones
 	if cores < 4 {
 		cores = 4
@@ -109,11 +109,11 @@ func RunFileIOScaleup(config core.Configuration, clones int, append bool, scale 
 	if cores > 64 {
 		cores = 64
 	}
-	r := newRig(cores, scale.Params(), false, Observer)
+	r := newRig(cores, run.Params(), false, run.Attach)
 	row := FileIORow{Config: config, Containers: clones}
 
 	// The shared lower branch holds the 2 GB target file (scaled).
-	fileSize := int64(float64(2<<30) * scale.Factor)
+	fileSize := int64(float64(2<<30) * run.Factor)
 	if fileSize < 16<<20 {
 		fileSize = 16 << 20
 	}
@@ -123,7 +123,7 @@ func RunFileIOScaleup(config core.Configuration, clones int, append bool, scale 
 	r.tb.Cluster.Provision("/images/data/blob", fileSize)
 
 	// A single pool holding every clone (the paper: 64 cores, 200 GB).
-	pool := r.tb.NewPool("big", r.tb.CPU.AllMask(), scale.PoolMem()*int64(clones)*2)
+	pool := r.tb.NewPool("big", r.tb.CPU.AllMask(), run.PoolMem()*int64(clones)*2)
 
 	containers := r.clones(pool, config, "fio", "/images/data", clones)
 

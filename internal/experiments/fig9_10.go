@@ -27,24 +27,24 @@ type ScaleoutRow struct {
 // RunSeqIOScaleout executes one Fig 9 point: `pools` container pools,
 // each with a private client of the given configuration, running
 // Seqwrite (write=true) or cached Seqread (write=false).
-func RunSeqIOScaleout(config core.Configuration, pools int, write bool, scale Scale) ScaleoutRow {
-	return runScaleout(config, pools, scale, func(_ int, c *core.Container) (preparer, *workloads.Stats) {
+func RunSeqIOScaleout(config core.Configuration, pools int, write bool, run Run) ScaleoutRow {
+	return runScaleout(config, pools, run, func(_ int, c *core.Container) (preparer, *workloads.Stats) {
 		w := &workloads.SeqIO{
 			FS:        c.Mount.Default,
 			Dir:       "/seq",
 			Write:     write,
 			NewThread: c.NewThread,
 		}
-		w.Defaults(scale.Factor)
+		w.Defaults(run.Factor)
 		return w, w.Stats
 	})
 }
 
 // RunFileserverScaleout executes one Fig 10 point: `pools` pools each
 // running a Fileserver instance over a private client.
-func RunFileserverScaleout(config core.Configuration, pools int, scale Scale) ScaleoutRow {
-	return runScaleout(config, pools, scale, func(i int, c *core.Container) (preparer, *workloads.Stats) {
-		w := newFileserver(c, scale, int64(i)+1)
+func RunFileserverScaleout(config core.Configuration, pools int, run Run) ScaleoutRow {
+	return runScaleout(config, pools, run, func(i int, c *core.Container) (preparer, *workloads.Stats) {
+		w := newFileserver(c, run.Scale, int64(i)+1)
 		return w, w.Stats
 	})
 }
@@ -53,8 +53,8 @@ func RunFileserverScaleout(config core.Configuration, pools int, scale Scale) Sc
 // private client of the given configuration running the workload
 // newWorkload builds for its container, and reports aggregate
 // throughput plus the pools' core utilization and iowait.
-func runScaleout(config core.Configuration, pools int, scale Scale, newWorkload func(i int, c *core.Container) (preparer, *workloads.Stats)) ScaleoutRow {
-	r := newRig(2*pools, scale.Params(), false, Observer)
+func runScaleout(config core.Configuration, pools int, run Run, newWorkload func(i int, c *core.Container) (preparer, *workloads.Stats)) ScaleoutRow {
+	r := newRig(2*pools, run.Params(), false, run.Attach)
 	row := ScaleoutRow{Config: config, Pools: pools}
 
 	type inst struct {
@@ -64,7 +64,7 @@ func runScaleout(config core.Configuration, pools int, scale Scale, newWorkload 
 	}
 	insts := make([]inst, pools)
 	for i := range insts {
-		cont := r.flsContainer(i, config, scale)
+		cont := r.flsContainer(i, config, run.Scale)
 		w, stats := newWorkload(i, cont)
 		insts[i] = inst{c: cont, w: w, stats: stats}
 	}
@@ -76,7 +76,7 @@ func runScaleout(config core.Configuration, pools int, scale Scale, newWorkload 
 		}
 		prepare(p, r.tb.Eng, preps...)
 
-		clock := scale.Clock(r.tb.Eng)
+		clock := run.Clock(r.tb.Eng)
 		var userStart, kernStart, iowaitStart time.Duration
 		r.tb.Eng.After(clock.From-r.tb.Eng.Now(), func() {
 			for _, in := range insts {

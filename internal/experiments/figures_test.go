@@ -13,10 +13,10 @@ func TestFig6cSysbenchIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	kAlone := RunSysbench(SysbenchCase{Config: core.ConfigK, WithSSB: false}, QuickScale)
-	kBoth := RunSysbench(SysbenchCase{Config: core.ConfigK, WithSSB: true}, QuickScale)
-	dAlone := RunSysbench(SysbenchCase{Config: core.ConfigD, WithSSB: false}, QuickScale)
-	dBoth := RunSysbench(SysbenchCase{Config: core.ConfigD, WithSSB: true}, QuickScale)
+	kAlone := RunSysbench(SysbenchCase{Config: core.ConfigK, WithSSB: false}, Run{Scale: QuickScale})
+	kBoth := RunSysbench(SysbenchCase{Config: core.ConfigK, WithSSB: true}, Run{Scale: QuickScale})
+	dAlone := RunSysbench(SysbenchCase{Config: core.ConfigD, WithSSB: false}, Run{Scale: QuickScale})
+	dBoth := RunSysbench(SysbenchCase{Config: core.ConfigD, WithSSB: true}, Run{Scale: QuickScale})
 	t.Logf("K: fls alone %v both %v ssb-p99 %v (ssb cores alone %.1f%%)", kAlone.FLSLatencyAvg, kBoth.FLSLatencyAvg, kBoth.SSBLatencyP99, kAlone.SSBCoreUtilPct)
 	t.Logf("D: fls alone %v both %v ssb-p99 %v (ssb cores alone %.1f%%)", dAlone.FLSLatencyAvg, dBoth.FLSLatencyAvg, dBoth.SSBLatencyP99, dAlone.SSBCoreUtilPct)
 
@@ -40,9 +40,9 @@ func TestFig7aKVPutScaleout(t *testing.T) {
 		t.Skip("slow")
 	}
 	pools := 8
-	d := RunKVScaleout(core.ConfigD, pools, PhasePut, QuickScale)
-	f := RunKVScaleout(core.ConfigF, pools, PhasePut, QuickScale)
-	k := RunKVScaleout(core.ConfigK, pools, PhasePut, QuickScale)
+	d := RunKVScaleout(core.ConfigD, pools, PhasePut, Run{Scale: QuickScale})
+	f := RunKVScaleout(core.ConfigF, pools, PhasePut, Run{Scale: QuickScale})
+	k := RunKVScaleout(core.ConfigK, pools, PhasePut, Run{Scale: QuickScale})
 	t.Logf("put scaleout n=%d: D=%v F=%v K=%v", pools, d.PutLatency, f.PutLatency, k.PutLatency)
 	if d.PutLatency <= 0 || f.PutLatency <= 0 || k.PutLatency <= 0 {
 		t.Fatal("missing latencies")
@@ -61,8 +61,8 @@ func TestFig7cKVPutScaleup(t *testing.T) {
 		t.Skip("slow")
 	}
 	clones := 4
-	d := RunKVScaleup(core.ConfigD, clones, PhasePut, QuickScale)
-	ff := RunKVScaleup(core.ConfigFF, clones, PhasePut, QuickScale)
+	d := RunKVScaleup(core.ConfigD, clones, PhasePut, Run{Scale: QuickScale})
+	ff := RunKVScaleup(core.ConfigFF, clones, PhasePut, Run{Scale: QuickScale})
 	t.Logf("put scaleup n=%d: D=%v F/F=%v", clones, d.PutLatency, ff.PutLatency)
 	// Paper Fig 7c: D clearly beats F/F in put scaleup.
 	if d.PutLatency >= ff.PutLatency {
@@ -75,9 +75,9 @@ func TestFig8StartupScaleup(t *testing.T) {
 		t.Skip("slow")
 	}
 	n := 8
-	d := RunStartupScaleup(core.ConfigD, n, QuickScale)
-	kk := RunStartupScaleup(core.ConfigKK, n, QuickScale)
-	ff := RunStartupScaleup(core.ConfigFF, n, QuickScale)
+	d := RunStartupScaleup(core.ConfigD, n, Run{Scale: QuickScale})
+	kk := RunStartupScaleup(core.ConfigKK, n, Run{Scale: QuickScale})
+	ff := RunStartupScaleup(core.ConfigFF, n, Run{Scale: QuickScale})
 	t.Logf("startup n=%d: D=%v(%d sw) K/K=%v(%d sw) F/F=%v(%d sw)",
 		n, d.RealTime, d.ContextSwitches, kk.RealTime, kk.ContextSwitches, ff.RealTime, ff.ContextSwitches)
 	// Paper Fig 8: the kernel path starts containers fastest; D beats
@@ -98,7 +98,7 @@ func TestFig8StartupScaleup(t *testing.T) {
 // configuration's legacy interface, in nonzero time.
 func TestTable1ConfigurationsStartContainers(t *testing.T) {
 	for _, cfg := range core.AllConfigurations() {
-		if row := RunStartupScaleup(cfg, 1, QuickScale); row.RealTime <= 0 {
+		if row := RunStartupScaleup(cfg, 1, Run{Scale: QuickScale}); row.RealTime <= 0 {
 			t.Errorf("configuration %v produced no startup time", cfg)
 		}
 	}
@@ -109,8 +109,8 @@ func TestFig9Seqwrite(t *testing.T) {
 		t.Skip("slow")
 	}
 	pools := 4
-	d := RunSeqIOScaleout(core.ConfigD, pools, true, QuickScale)
-	k := RunSeqIOScaleout(core.ConfigK, pools, true, QuickScale)
+	d := RunSeqIOScaleout(core.ConfigD, pools, true, Run{Scale: QuickScale})
+	k := RunSeqIOScaleout(core.ConfigK, pools, true, Run{Scale: QuickScale})
 	t.Logf("seqwrite n=%d: %s | %s", pools, d, k)
 	// Paper Fig 9 top: D beats K in sequential writes; K accumulates
 	// far more I/O wait.
@@ -123,9 +123,9 @@ func TestFig9Seqread(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	d := RunSeqIOScaleout(core.ConfigD, 1, false, QuickScale)
-	f := RunSeqIOScaleout(core.ConfigF, 1, false, QuickScale)
-	k := RunSeqIOScaleout(core.ConfigK, 1, false, QuickScale)
+	d := RunSeqIOScaleout(core.ConfigD, 1, false, Run{Scale: QuickScale})
+	f := RunSeqIOScaleout(core.ConfigF, 1, false, Run{Scale: QuickScale})
+	k := RunSeqIOScaleout(core.ConfigK, 1, false, Run{Scale: QuickScale})
 	t.Logf("seqread n=1: D=%.1f F=%.1f K=%.1f MB/s", d.ThroughputMBps, f.ThroughputMBps, k.ThroughputMBps)
 	// Paper Fig 9 bottom: cached sequential read — K beats D
 	// (client_lock serialization), D beats F (no FUSE crossings).
@@ -142,8 +142,8 @@ func TestFig10FileserverScaleout(t *testing.T) {
 		t.Skip("slow")
 	}
 	pools := 8
-	d := RunFileserverScaleout(core.ConfigD, pools, QuickScale)
-	k := RunFileserverScaleout(core.ConfigK, pools, QuickScale)
+	d := RunFileserverScaleout(core.ConfigD, pools, Run{Scale: QuickScale})
+	k := RunFileserverScaleout(core.ConfigK, pools, Run{Scale: QuickScale})
 	t.Logf("fileserver n=%d: %s | %s", pools, d, k)
 	// Paper Fig 10: D overtakes K by 8 pools.
 	if d.ThroughputMBps <= k.ThroughputMBps {
@@ -156,9 +156,9 @@ func TestFig11aFileappend(t *testing.T) {
 		t.Skip("slow")
 	}
 	n := 16
-	d := RunFileIOScaleup(core.ConfigD, n, true, QuickScale)
-	kk := RunFileIOScaleup(core.ConfigKK, n, true, QuickScale)
-	ff := RunFileIOScaleup(core.ConfigFF, n, true, QuickScale)
+	d := RunFileIOScaleup(core.ConfigD, n, true, Run{Scale: QuickScale})
+	kk := RunFileIOScaleup(core.ConfigKK, n, true, Run{Scale: QuickScale})
+	ff := RunFileIOScaleup(core.ConfigFF, n, true, Run{Scale: QuickScale})
 	t.Logf("fileappend n=%d: %s | %s | %s", n, d, kk, ff)
 	// Paper Fig 11a: D tends to the shortest timespan (up to 46% under
 	// K/K at 32 containers). Our model keeps D competitive with K/K
@@ -180,9 +180,9 @@ func TestFig11bFilereadMemory(t *testing.T) {
 		t.Skip("slow")
 	}
 	n := 16
-	d := RunFileIOScaleup(core.ConfigD, n, false, QuickScale)
-	fpfp := RunFileIOScaleup(core.ConfigFPFP, n, false, QuickScale)
-	kk := RunFileIOScaleup(core.ConfigKK, n, false, QuickScale)
+	d := RunFileIOScaleup(core.ConfigD, n, false, Run{Scale: QuickScale})
+	fpfp := RunFileIOScaleup(core.ConfigFPFP, n, false, Run{Scale: QuickScale})
+	kk := RunFileIOScaleup(core.ConfigKK, n, false, Run{Scale: QuickScale})
 	t.Logf("fileread n=%d: %s | %s | %s", n, d, fpfp, kk)
 	// Paper Fig 11b: FP/FP uses multiples of D's memory (double
 	// caching); K/K finishes faster than D.

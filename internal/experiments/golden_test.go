@@ -28,7 +28,7 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 		end   time.Duration
 	}
 	run := func() outcome {
-		r := newRig(4, scale.Params(), false, Observer)
+		r := newRig(4, scale.Params(), false, nil)
 		var o outcome
 		r.tb.Eng.SetTracer(func(ev sim.TraceEvent) { o.trace = append(o.trace, ev) })
 		cont := r.flsContainer(0, core.ConfigD, scale)

@@ -19,7 +19,7 @@ import (
 func runObserved(sample time.Duration) (FaultSweepRow, *obs.Recorder, int) {
 	var rec *obs.Recorder
 	events := 0
-	Observer = func(tb *core.Testbed) {
+	attach := func(tb *core.Testbed) {
 		tb.Eng.SetTracer(func(sim.TraceEvent) { events++ })
 		if sample >= 0 {
 			rec = obs.New(obs.Config{
@@ -30,8 +30,7 @@ func runObserved(sample time.Duration) (FaultSweepRow, *obs.Recorder, int) {
 			tb.AttachObserver(rec)
 		}
 	}
-	defer func() { Observer = nil }()
-	row := RunFaultSweep(FaultSweepCases(QuickScale)[0], QuickScale)
+	row := RunFaultSweep(FaultSweepCases(QuickScale)[0], Run{Scale: QuickScale, Attach: attach})
 	return row, rec, events
 }
 
@@ -116,7 +115,7 @@ func TestObservabilityZeroOverhead(t *testing.T) {
 func runMonitored() (FaultSweepRow, *telemetry.Monitor, int) {
 	var mon *telemetry.Monitor
 	events := 0
-	Observer = func(tb *core.Testbed) {
+	attach := func(tb *core.Testbed) {
 		tb.Eng.SetTracer(func(sim.TraceEvent) { events++ })
 		rec := obs.New(obs.Config{
 			Clock:          tb.Eng.Now,
@@ -132,8 +131,7 @@ func runMonitored() (FaultSweepRow, *telemetry.Monitor, int) {
 		})
 		tb.AttachMonitor(mon)
 	}
-	defer func() { Observer = nil }()
-	row := RunFaultSweep(FaultSweepCases(QuickScale)[0], QuickScale)
+	row := RunFaultSweep(FaultSweepCases(QuickScale)[0], Run{Scale: QuickScale, Attach: attach})
 	return row, mon, events
 }
 

@@ -81,12 +81,12 @@ func OverloadCases() []OverloadCase {
 
 // RunOverloadSweep executes every case and fills VictimP99Ratio
 // against each configuration's own unloaded baseline.
-func RunOverloadSweep(scale Scale) []OverloadRow {
+func RunOverloadSweep(run Run) []OverloadRow {
 	cases := OverloadCases()
 	rows := make([]OverloadRow, 0, len(cases))
 	baseline := map[string]time.Duration{}
 	for _, c := range cases {
-		row := RunOverloadCase(c, scale)
+		row := RunOverloadCase(c, run)
 		if c.Multiplier == 0 {
 			baseline[c.Label] = row.VictimP99
 		}
@@ -103,14 +103,14 @@ func RunOverloadSweep(scale Scale) []OverloadRow {
 // driven by the open-loop Poisson generator at the case's offered
 // load. Both pools mount the case's configuration; the protection
 // policy applies testbed-wide when the case is protected.
-func RunOverloadCase(c OverloadCase, scale Scale) OverloadRow {
-	r := newRig(4, scale.Params(), c.Protected, Observer)
+func RunOverloadCase(c OverloadCase, run Run) OverloadRow {
+	r := newRig(4, run.Params(), c.Protected, run.Attach)
 	row := OverloadRow{OverloadCase: c, OfferedRate: overloadBaseRate * float64(c.Multiplier)}
-	victim, agg := r.containment(c.Config, scale)
+	victim, agg := r.containment(c.Config, run.Scale)
 
 	// Both datasets overflow their pool's cache so reads keep hitting
 	// the shared backend — the resource the aggressor overloads.
-	coldSize := scale.ColdSize()
+	coldSize := run.ColdSize()
 	vic := &workloads.SeqReader{
 		Name: "victim-reader", FS: victim.Mount.Default, Path: "/cold",
 		Size: coldSize, Chunk: 128 << 10, NewThread: victim.NewThread,
@@ -126,13 +126,13 @@ func RunOverloadCase(c OverloadCase, scale Scale) OverloadRow {
 		}
 		prepare(p, r.tb.Eng, prepCold(victim), prepCold(agg))
 
-		clock := scale.Clock(r.tb.Eng)
+		clock := run.Clock(r.tb.Eng)
 		g := workloads.NewGroup(r.tb.Eng)
 		vic.Run(g, clock)
 
 		var ol *workloads.OpenLoop
 		if c.Multiplier > 0 {
-			ol = aggressor(agg, scale, row.OfferedRate)
+			ol = aggressor(agg, run.Scale, row.OfferedRate)
 			ol.Run(g, clock)
 		}
 		g.Wait(p)

@@ -12,8 +12,8 @@ import (
 // load-shedding decisions.
 func TestOverloadCaseDeterminism(t *testing.T) {
 	c := OverloadCase{Label: "D+adm", Config: core.ConfigD, Protected: true, Multiplier: 4}
-	a := RunOverloadCase(c, QuickScale)
-	b := RunOverloadCase(c, QuickScale)
+	a := RunOverloadCase(c, Run{Scale: QuickScale})
+	b := RunOverloadCase(c, Run{Scale: QuickScale})
 	if a != b {
 		t.Fatalf("same-seed overload runs diverged:\n  %v\n  %v", a, b)
 	}
@@ -34,7 +34,7 @@ func TestOverloadSweepQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload sweep is slow")
 	}
-	rows := RunOverloadSweep(QuickScale)
+	rows := RunOverloadSweep(Run{Scale: QuickScale})
 	if len(rows) != 8 {
 		t.Fatalf("want 8 rows, got %d", len(rows))
 	}

@@ -10,13 +10,13 @@ func TestInterferenceSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	alone := RunInterference(InterferenceCase{Config: core.ConfigK, FLSCount: 1}, QuickScale)
+	alone := RunInterference(InterferenceCase{Config: core.ConfigK, FLSCount: 1}, Run{Scale: QuickScale})
 	t.Logf("%s: %.1f MB/s, nbr util %.1f%%, lock wait %v hold %v",
 		alone.Label, alone.FLSThroughputMBps, alone.NeighborCoreUtilPct, alone.LockWaitPerReq, alone.LockHoldPerReq)
 	if alone.FLSThroughputMBps <= 0 {
 		t.Fatal("no FLS throughput")
 	}
-	withRND := RunInterference(InterferenceCase{Config: core.ConfigK, FLSCount: 1, Neighbor: "RND"}, QuickScale)
+	withRND := RunInterference(InterferenceCase{Config: core.ConfigK, FLSCount: 1, Neighbor: "RND"}, Run{Scale: QuickScale})
 	t.Logf("%s: %.1f MB/s, nbr util %.1f%%", withRND.Label, withRND.FLSThroughputMBps, withRND.NeighborCoreUtilPct)
 	if withRND.FLSThroughputMBps >= alone.FLSThroughputMBps {
 		t.Fatalf("RND colocation did not hurt the kernel client: %.1f vs %.1f",

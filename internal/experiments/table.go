@@ -31,13 +31,13 @@ type Experiment struct {
 	Title string
 	// Raw rows are free-form reports, printed without the row indent.
 	Raw bool
-	Run func(scale Scale, emit func(Row))
+	Run func(run Run, emit func(Row))
 }
 
-// Render runs the experiment at scale and writes its title and rows to
-// w, handing each row to onRow (when non-nil) right after it is
+// Render runs the experiment under run and writes its title and rows
+// to w, handing each row to onRow (when non-nil) right after it is
 // written.
-func (e Experiment) Render(w io.Writer, scale Scale, onRow func(Row)) {
+func (e Experiment) Render(w io.Writer, run Run, onRow func(Row)) {
 	if e.Title != "" {
 		fmt.Fprintln(w, e.Title)
 	}
@@ -45,7 +45,7 @@ func (e Experiment) Render(w io.Writer, scale Scale, onRow func(Row)) {
 	if e.Raw {
 		indent = ""
 	}
-	e.Run(scale, func(r Row) {
+	e.Run(run, func(r Row) {
 		fmt.Fprintln(w, indent+r.String())
 		if onRow != nil {
 			onRow(r)
@@ -68,43 +68,43 @@ func Table() []Experiment {
 		{Name: "fig6c", Title: "Fig 6c: Sysbench and Fileserver latency under colocation",
 			Run: each(Fig6cCases(), RunSysbench)},
 		{Name: "fig7a", Title: "Fig 7 scaleout: KV put latency, private client per pool",
-			Run: grid(Fig7aConfigs(), Fig7ScaleoutCounts(), func(c core.Configuration, n int, s Scale) KVRow {
-				return RunKVScaleout(c, n, PhasePut, s)
+			Run: grid(Fig7aConfigs(), Fig7ScaleoutCounts(), func(c core.Configuration, n int, run Run) KVRow {
+				return RunKVScaleout(c, n, PhasePut, run)
 			})},
 		{Name: "fig7b", Title: "Fig 7 scaleout: KV get (out-of-core) latency, private client per pool",
-			Run: grid(Fig7aConfigs(), Fig7ScaleoutCounts(), func(c core.Configuration, n int, s Scale) KVRow {
-				return RunKVScaleout(c, n, PhaseGet, s)
+			Run: grid(Fig7aConfigs(), Fig7ScaleoutCounts(), func(c core.Configuration, n int, run Run) KVRow {
+				return RunKVScaleout(c, n, PhaseGet, run)
 			})},
 		{Name: "fig7c", Title: "Fig 7 scaleup: KV put latency, cloned containers over shared client",
-			Run: grid(Fig7cConfigs(), Fig7ScaleupCounts(), func(c core.Configuration, n int, s Scale) KVRow {
-				return RunKVScaleup(c, n, PhasePut, s)
+			Run: grid(Fig7cConfigs(), Fig7ScaleupCounts(), func(c core.Configuration, n int, run Run) KVRow {
+				return RunKVScaleup(c, n, PhasePut, run)
 			})},
 		{Name: "fig7d", Title: "Fig 7 scaleup: KV get latency, cloned containers over shared client",
-			Run: grid(Fig7cConfigs(), Fig7ScaleupCounts(), func(c core.Configuration, n int, s Scale) KVRow {
-				return RunKVScaleup(c, n, PhaseGet, s)
+			Run: grid(Fig7cConfigs(), Fig7ScaleupCounts(), func(c core.Configuration, n int, run Run) KVRow {
+				return RunKVScaleup(c, n, PhaseGet, run)
 			})},
 		{Name: "fig8", Title: "Fig 8: webserver container startup scaleup (real time, context switches)",
 			Run: grid(Fig8Configs(), Fig8Counts(), RunStartupScaleup)},
 		{Name: "fig9w", Title: "Fig 9: Seqwrite scaleout",
-			Run: grid(dfk, Fig9PoolCounts(), func(c core.Configuration, n int, s Scale) ScaleoutRow {
-				return RunSeqIOScaleout(c, n, true, s)
+			Run: grid(dfk, Fig9PoolCounts(), func(c core.Configuration, n int, run Run) ScaleoutRow {
+				return RunSeqIOScaleout(c, n, true, run)
 			})},
 		{Name: "fig9r", Title: "Fig 9: Seqread scaleout",
-			Run: grid(dfk, Fig9PoolCounts(), func(c core.Configuration, n int, s Scale) ScaleoutRow {
-				return RunSeqIOScaleout(c, n, false, s)
+			Run: grid(dfk, Fig9PoolCounts(), func(c core.Configuration, n int, run Run) ScaleoutRow {
+				return RunSeqIOScaleout(c, n, false, run)
 			})},
 		{Name: "fig10", Title: "Fig 10: Fileserver scaleout",
 			Run: grid(dfk, Fig10PoolCounts(), RunFileserverScaleout)},
 		{Name: "fig11a", Title: "Fig 11: Fileappend scaleup (timespan, max memory)",
-			Run: grid(Fig11Configs(), Fig11Counts(), func(c core.Configuration, n int, s Scale) FileIORow {
-				return RunFileIOScaleup(c, n, true, s)
+			Run: grid(Fig11Configs(), Fig11Counts(), func(c core.Configuration, n int, run Run) FileIORow {
+				return RunFileIOScaleup(c, n, true, run)
 			})},
 		{Name: "fig11b", Title: "Fig 11: Fileread scaleup (timespan, max memory)",
-			Run: grid(Fig11Configs(), Fig11Counts(), func(c core.Configuration, n int, s Scale) FileIORow {
-				return RunFileIOScaleup(c, n, false, s)
+			Run: grid(Fig11Configs(), Fig11Counts(), func(c core.Configuration, n int, run Run) FileIORow {
+				return RunFileIOScaleup(c, n, false, run)
 			})},
 		{Name: "table1", Title: "Table 1: client system components", Run: table1},
-		{Name: "table2", Title: "Table 2: contention workload symbols", Run: func(_ Scale, emit func(Row)) {
+		{Name: "table2", Title: "Table 2: contention workload symbols", Run: func(_ Run, emit func(Row)) {
 			for _, r := range workloads.Table2() {
 				emit(Line(fmt.Sprintf("%-8s %s", r[0], r[1])))
 			}
@@ -112,10 +112,10 @@ func Table() []Experiment {
 		{Name: "ablations", Title: "Design-choice ablations (DESIGN.md / paper §3, §6.3.2)",
 			Run: all(AllAblations)},
 		{Name: "faultsweep", Title: "Fault sweep: recovery and isolation under deterministic fault schedules",
-			Run: func(s Scale, emit func(Row)) { each(FaultSweepCases(s), RunFaultSweep)(s, emit) }},
+			Run: func(run Run, emit func(Row)) { each(FaultSweepCases(run.Scale), RunFaultSweep)(run, emit) }},
 		{Name: "blamesweep", Title: "Blame sweep: critical-path decomposition and per-tenant interference", Raw: true,
-			Run: each(BlameSweepCases(), func(c BlameSweepCase, s Scale) BlameRow {
-				rep, _ := RunBlameSweep(c, s, nil)
+			Run: each(BlameSweepCases(), func(c BlameSweepCase, run Run) BlameRow {
+				rep, _ := RunBlameSweep(c, run.Scale, nil)
 				return BlameRow{Case: c, Report: rep}
 			})},
 		{Name: "overloadsweep", Title: "Overload sweep: victim tail latency and load shedding under open-loop overload",
@@ -125,20 +125,22 @@ func Table() []Experiment {
 		{Name: "tracesweep", Title: "Trace sweep: record a production-shaped run under D, replay it byte-identically under other configs",
 			Run: all(RunTraceSweep)},
 		{Name: "monitorsweep", Title: "Monitor sweep: live SLO burn-rate alert timelines under overload and crash (D+adm vs K)",
-			Run: each(MonitorCases(), RunMonitorCase)},
+			Run: each(MonitorCases(), func(c MonitorCase, run Run) MonitorRow {
+				return RunMonitorCase(c, run.Scale)
+			})},
 		{Name: "fuzzsweep", Raw: true, Run: fuzzSweep},
 	}
 }
 
-// fuzzSweep runs a fixed-seed fuzz sweep sized by scale (heavier audits
-// use danausbench -fuzz N -seed S): its heading, then the sweep's
-// progress output as one row.
-func fuzzSweep(scale Scale, emit func(Row)) {
+// fuzzSweep runs a fixed-seed fuzz sweep sized by the run's scale
+// (heavier audits use danausbench -fuzz N -seed S): its heading, then
+// the sweep's progress output as one row.
+func fuzzSweep(run Run, emit func(Row)) {
 	n := 10
 	switch {
-	case scale.Factor >= 1:
+	case run.Factor >= 1:
 		n = 200
-	case scale.Factor >= 0.1:
+	case run.Factor >= 0.1:
 		n = 50
 	}
 	emit(Line(fmt.Sprintf("Fuzz sweep: %d seeded scenarios through the invariant registry", n)))
@@ -169,37 +171,37 @@ func (r fuzzRow) Violations() []string {
 }
 
 // each emits one row per case.
-func each[C any, R Row](cases []C, run func(C, Scale) R) func(Scale, func(Row)) {
-	return func(s Scale, emit func(Row)) {
+func each[C any, R Row](cases []C, runCase func(C, Run) R) func(Run, func(Row)) {
+	return func(run Run, emit func(Row)) {
 		for _, c := range cases {
-			emit(run(c, s))
+			emit(runCase(c, run))
 		}
 	}
 }
 
 // grid emits one row per configuration and count, configurations
 // outermost.
-func grid[R Row](cfgs []core.Configuration, counts []int, run func(core.Configuration, int, Scale) R) func(Scale, func(Row)) {
-	return func(s Scale, emit func(Row)) {
+func grid[R Row](cfgs []core.Configuration, counts []int, runPoint func(core.Configuration, int, Run) R) func(Run, func(Row)) {
+	return func(run Run, emit func(Row)) {
 		for _, cfg := range cfgs {
 			for _, n := range counts {
-				emit(run(cfg, n, s))
+				emit(runPoint(cfg, n, run))
 			}
 		}
 	}
 }
 
 // all emits the rows of a sweep that runs as a whole.
-func all[R Row](run func(Scale) []R) func(Scale, func(Row)) {
-	return func(s Scale, emit func(Row)) {
-		for _, r := range run(s) {
+func all[R Row](runSweep func(Run) []R) func(Run, func(Row)) {
+	return func(run Run, emit func(Row)) {
+		for _, r := range runSweep(run) {
 			emit(r)
 		}
 	}
 }
 
 // table1 emits the paper's Table 1 configuration inventory.
-func table1(_ Scale, emit func(Row)) {
+func table1(_ Run, emit func(Row)) {
 	emit(Line("Symbol  Union           UnionCache  Backend     ClientCache"))
 	for _, r := range [][5]string{
 		{"D", "Danaus (opt.)", "-", "Danaus", "UlcC"},

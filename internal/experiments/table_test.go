@@ -3,7 +3,12 @@ package experiments
 import (
 	"os"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // TestHarnessQuickSections renders the fast harness experiments through
@@ -24,7 +29,7 @@ func TestHarnessQuickSections(t *testing.T) {
 	for _, name := range []string{"crashsweep", "faultsweep", "fuzzsweep", "overloadsweep", "tracesweep", "table1", "table2"} {
 		want := harnessSection(t, string(golden), name)
 		var got strings.Builder
-		table[name].Render(&got, QuickScale, func(r Row) {
+		table[name].Render(&got, Run{Scale: QuickScale}, func(r Row) {
 			for _, v := range r.Violations() {
 				t.Errorf("%s: %s", name, v)
 			}
@@ -33,6 +38,51 @@ func TestHarnessQuickSections(t *testing.T) {
 			t.Errorf("%s: rendered section differs from harness_quick.txt\n--- got\n%s--- want\n%s", name, got.String(), want)
 		}
 	}
+}
+
+// TestConcurrentObservedSections renders nine harness sections at
+// once, one goroutine each, every section under its own Run.Attach:
+// a recorder sampling every 10 ms, as danausbench -trace attaches, plus
+// a testbed count. Each section must print its harness_quick.txt bytes
+// and its hook must see every testbed the section builds (the run
+// counts danausbench -trace reports), so a runner that drops the hook
+// fails here, and under -race the test checks that concurrent runs
+// share no state.
+func TestConcurrentObservedSections(t *testing.T) {
+	golden, err := os.ReadFile("../../harness_quick.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := map[string]Experiment{}
+	for _, e := range Table() {
+		table[e.Name] = e
+	}
+	wantRuns := map[string]int{
+		"fig1": 4, "fig6c": 4, "fig11a": 24, "fig11b": 24, "ablations": 4,
+		"crashsweep": 3, "faultsweep": 4, "overloadsweep": 8, "tracesweep": 4,
+	}
+	var wg sync.WaitGroup
+	for name, wantN := range wantRuns {
+		want := harnessSection(t, string(golden), name)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs := 0
+			attach := func(tb *core.Testbed) {
+				tb.AttachObserver(obs.New(obs.Config{Clock: tb.Eng.Now, SampleInterval: 10 * time.Millisecond}))
+				runs++
+			}
+			var got strings.Builder
+			table[name].Render(&got, Run{Scale: QuickScale, Attach: attach}, nil)
+			if got.String() != want {
+				t.Errorf("%s: observed section differs from harness_quick.txt\n--- got\n%s--- want\n%s", name, got.String(), want)
+			}
+			if runs != wantN {
+				t.Errorf("%s: Attach saw %d testbeds, want %d", name, runs, wantN)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // harnessSection returns the lines between an experiment's header and

@@ -110,12 +110,11 @@ type TraceRow struct {
 }
 
 // observeTraced is the attach step of the trace-sweep testbeds: the
-// harness Observer, then a plain recorder when the Observer installed
-// none — trace capture and blame analysis both need the span layer
-// live.
-func observeTraced(tb *core.Testbed) {
-	if Observer != nil {
-		Observer(tb)
+// run's Attach, then a plain recorder when it installed none — trace
+// capture and blame analysis both need the span layer live.
+func (run Run) observeTraced(tb *core.Testbed) {
+	if run.Attach != nil {
+		run.Attach(tb)
 	}
 	if tb.Obs == nil {
 		attachRecorder(tb)
@@ -124,11 +123,11 @@ func observeTraced(tb *core.Testbed) {
 
 // newTraceRig builds a trace-sweep testbed: one pool per tenant
 // mounting the case's configuration, observed through observeTraced.
-func newTraceRig(c TraceCase, scale Scale) (*rig, []*core.Container) {
-	r := newRig(4, scale.Params(), c.Admission, observeTraced)
+func newTraceRig(c TraceCase, run Run) (*rig, []*core.Container) {
+	r := newRig(4, run.Params(), c.Admission, run.observeTraced)
 	conts := make([]*core.Container, traceTenants)
 	for i := range conts {
-		conts[i] = r.flsContainer(i, c.Config, scale)
+		conts[i] = r.flsContainer(i, c.Config, run.Scale)
 	}
 	return r, conts
 }
@@ -157,19 +156,19 @@ func prepTraceFiles(p *sim.Proc, r *rig, conts []*core.Container, scale Scale) {
 // captures the op stream into the row's Trace. Capture starts after
 // fileset preparation, so the trace holds exactly the workload's ops
 // with issue times relative to capture start.
-func RecordTraceBaseline(scale Scale) TraceRow {
+func RecordTraceBaseline(run Run) TraceRow {
 	row := TraceRow{
 		TraceCase: TraceCase{Label: "rec", Config: core.ConfigD}, Baseline: true,
 		ScheduleMatch: true, SequenceMatch: true,
 	}
-	r, conts := newTraceRig(row.TraceCase, scale)
+	r, conts := newTraceRig(row.TraceCase, run)
 	tb, rec := r.tb, r.tb.Obs
 
 	capRec := trace.NewRecorder("D", 0)
 	r.runMaster(func(p *sim.Proc) {
-		prepTraceFiles(p, r, conts, scale)
+		prepTraceFiles(p, r, conts, run.Scale)
 
-		clock := scale.Clock(tb.Eng)
+		clock := run.Clock(tb.Eng)
 		capRec.SetBase(tb.Eng.Now())
 		capRec.Attach(rec)
 
@@ -178,9 +177,9 @@ func RecordTraceBaseline(scale Scale) TraceRow {
 		for i, c := range conts {
 			w := &workloads.Production{
 				FS: c.Mount.Default, Dir: "/prod",
-				Files: traceFiles, FileSize: traceFileSize(scale), OpSize: traceOpSize,
+				Files: traceFiles, FileSize: traceFileSize(run.Scale), OpSize: traceOpSize,
 				Users: traceUsers, PeakRate: tracePeakRate,
-				Diurnal:   workloads.Diurnal{Period: scale.Duration, Trough: 0.3},
+				Diurnal:   workloads.Diurnal{Period: run.Duration, Trough: 0.3},
 				Seed:      int64(1000 + i),
 				NewThread: c.NewThread,
 			}
@@ -221,8 +220,8 @@ func RecordTraceBaseline(scale Scale) TraceRow {
 // configuration on a fresh testbed with an identically prepared
 // fileset, and reports tail latency and blame against the recording;
 // the row's Trace is the replay's re-recorded trace.
-func ReplayTraceUnder(t *trace.Trace, c TraceCase, scale Scale) TraceRow {
-	r, conts := newTraceRig(c, scale)
+func ReplayTraceUnder(t *trace.Trace, c TraceCase, run Run) TraceRow {
+	r, conts := newTraceRig(c, run)
 	tb, rec := r.tb, r.tb.Obs
 	row := TraceRow{TraceCase: c}
 
@@ -235,7 +234,7 @@ func ReplayTraceUnder(t *trace.Trace, c TraceCase, scale Scale) TraceRow {
 
 	var stats *trace.ReplayStats
 	r.runMaster(func(p *sim.Proc) {
-		prepTraceFiles(p, r, conts, scale)
+		prepTraceFiles(p, r, conts, run.Scale)
 		row.Trace, stats = trace.Replay(p, tb.Eng, t, c.Label,
 			func(tenant string) (trace.Binding, bool) {
 				b, ok := bindings[tenant]
@@ -260,11 +259,11 @@ func ReplayTraceUnder(t *trace.Trace, c TraceCase, scale Scale) TraceRow {
 // RunTraceSweep records the baseline and replays it under every case,
 // filling per-tenant tail ratios and the dominant blame-bucket shift
 // against the recording. The baseline row comes first.
-func RunTraceSweep(scale Scale) []TraceRow {
-	base := RecordTraceBaseline(scale)
+func RunTraceSweep(run Run) []TraceRow {
+	base := RecordTraceBaseline(run)
 	rows := []TraceRow{base}
 	for _, c := range TraceCases() {
-		row := ReplayTraceUnder(base.Trace, c, scale)
+		row := ReplayTraceUnder(base.Trace, c, run)
 		row.ShiftBucket, row.ShiftPerReq = bucketShift(base.Buckets, row.Buckets)
 		rows = append(rows, row)
 	}

@@ -5,16 +5,16 @@ import (
 	"time"
 )
 
-// traceTestScale keeps the trace-sweep unit test fast: a short window
+// traceTestRun keeps the trace-sweep unit test fast: a short window
 // still yields a few hundred recorded ops.
-var traceTestScale = Scale{Factor: 0.02, Duration: 800 * time.Millisecond, Warmup: 200 * time.Millisecond}
+var traceTestRun = Run{Scale: Scale{Factor: 0.02, Duration: 800 * time.Millisecond, Warmup: 200 * time.Millisecond}}
 
 // TestTraceSweepIdentityReplay is the acceptance check of the trace
 // layer: recording a run and replaying it under the recorded
 // configuration reproduces a byte-identical op schedule, and no sweep
 // row violates the replay invariants.
 func TestTraceSweepIdentityReplay(t *testing.T) {
-	rows := RunTraceSweep(traceTestScale)
+	rows := RunTraceSweep(traceTestRun)
 	if len(rows) != len(TraceCases())+1 {
 		t.Fatalf("expected %d rows, got %d", len(TraceCases())+1, len(rows))
 	}
@@ -52,10 +52,10 @@ func TestTraceSweepIdentityReplay(t *testing.T) {
 // the same configuration and requires byte-identical results —
 // latencies included, not just the schedule.
 func TestTraceReplayDeterminism(t *testing.T) {
-	base := RecordTraceBaseline(traceTestScale).Trace
+	base := RecordTraceBaseline(traceTestRun).Trace
 	c := TraceCases()[0]
-	a := ReplayTraceUnder(base, c, traceTestScale).Trace
-	b := ReplayTraceUnder(base, c, traceTestScale).Trace
+	a := ReplayTraceUnder(base, c, traceTestRun).Trace
+	b := ReplayTraceUnder(base, c, traceTestRun).Trace
 	if a.Schedule() != b.Schedule() {
 		t.Error("two identical replays produced different schedules")
 	}

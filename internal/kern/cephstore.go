@@ -28,11 +28,10 @@ type CephStore struct {
 	// faults counts retry/failover activity against a faulted backend.
 	faults metrics.FaultCounters
 
-	// session identifies this client instance at the MDS; epoch is its
-	// current incarnation. crashed fails every operation with
-	// vfsapi.ErrCrashed until RestartStore reclaims the session.
+	// session identifies this client instance at the MDS. crashed fails
+	// every operation with vfsapi.ErrCrashed until RestartStore reclaims
+	// the session.
 	session string
-	epoch   uint64
 	crashed bool
 }
 
@@ -51,7 +50,7 @@ func NewCephStore(k *Kernel, clus *cluster.Cluster) *CephStore {
 		paths: map[uint64]string{},
 	}
 	s.session = fmt.Sprintf("kclient%d", clus.SessionCount())
-	s.epoch = clus.OpenSession(s.session, nil)
+	clus.OpenSession(s.session, nil)
 	return s
 }
 
@@ -69,17 +68,12 @@ func (s *CephStore) CrashStore() {
 // and issuing a fresh epoch, after which the store serves traffic with
 // cold caches.
 func (s *CephStore) RestartStore(ctx vfsapi.Ctx) error {
-	epoch, err := s.clus.ReclaimSession(ctx, s.session)
-	if err != nil {
+	if _, err := s.clus.ReclaimSession(ctx, s.session); err != nil {
 		return err
 	}
-	s.epoch = epoch
 	s.crashed = false
 	return nil
 }
-
-// SessionEpoch returns the store's current MDS session incarnation.
-func (s *CephStore) SessionEpoch() uint64 { return s.epoch }
 
 func (s *CephStore) opCPU(ctx vfsapi.Ctx) {
 	ctx.T.Exec(ctx.P, cpu.Kernel, s.kern.params.KernelClientOpCost)

@@ -7,18 +7,19 @@ import (
 	"repro/internal/sim"
 )
 
+// AdmissionSlots is the number of a tenant's operations that execute
+// at once under admission control.
+const AdmissionSlots = 4
+
 // AdmissionConfig bounds the concurrency a tenant may push into the
-// client stack. MaxInFlight operations execute at once; up to QueueCap
-// more park on a FIFO queue waiting for a slot; anything beyond that is
-// shed immediately with ErrOverload. HighWater/LowWater are queue
-// depths at which OnPressure fires (true on the way up, false on the
-// way down) — the testbed uses it to flip the kernel into brownout.
+// client stack. AdmissionSlots operations execute at once; up to
+// QueueCap more park on a FIFO queue waiting for a slot; anything
+// beyond that is shed immediately with ErrOverload. OnPressure fires
+// true when the queue reaches 3/4 of QueueCap and false when it drains
+// empty — the testbed uses it to flip the kernel into brownout.
 type AdmissionConfig struct {
-	MaxInFlight int
-	QueueCap    int
-	HighWater   int // queue depth that raises pressure (default 3/4 cap)
-	LowWater    int // queue depth that clears pressure (default 1/4 cap)
-	OnPressure  func(bool)
+	QueueCap   int
+	OnPressure func(bool)
 }
 
 // AdmissionStats is a point-in-time snapshot of a controller.
@@ -48,6 +49,7 @@ type Admission struct {
 	inFlight  int
 	queued    int
 	pressured bool
+	highWater int // queue depth that raises pressure
 
 	// crashEpoch increments on every ShedQueued flush; a parked waiter
 	// that wakes into a newer epoch was evicted by a crash, not handed a
@@ -65,29 +67,16 @@ type Admission struct {
 	queuedTime time.Duration
 }
 
-// NewAdmission creates a controller on e. Non-positive MaxInFlight or
-// QueueCap are clamped to defaults (4 slots, 32 queued); water marks
-// default to 3/4 and 1/4 of the queue cap.
+// NewAdmission creates a controller on e. A non-positive QueueCap is
+// clamped to 32; the high water mark is 3/4 of it, at least 1.
 func NewAdmission(e *sim.Engine, name string, cfg AdmissionConfig) *Admission {
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 4
-	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 32
 	}
-	if cfg.HighWater <= 0 || cfg.HighWater > cfg.QueueCap {
-		cfg.HighWater = cfg.QueueCap * 3 / 4
-		if cfg.HighWater < 1 {
-			cfg.HighWater = 1
-		}
+	return &Admission{
+		eng: e, cfg: cfg, q: sim.NewWaitQueue(e, "admission:"+name),
+		highWater: max(cfg.QueueCap*3/4, 1),
 	}
-	if cfg.LowWater < 0 || cfg.LowWater >= cfg.HighWater {
-		cfg.LowWater = cfg.QueueCap / 4
-		if cfg.LowWater >= cfg.HighWater {
-			cfg.LowWater = cfg.HighWater - 1
-		}
-	}
-	return &Admission{eng: e, cfg: cfg, q: sim.NewWaitQueue(e, "admission:"+name)}
 }
 
 // Admit claims an execution slot for the operation, parking on the
@@ -97,7 +86,7 @@ func NewAdmission(e *sim.Engine, name string, cfg AdmissionConfig) *Admission {
 // request span (via the engine's wait observer).
 func (a *Admission) Admit(ctx Ctx) error {
 	a.offered++
-	if a.inFlight < a.cfg.MaxInFlight {
+	if a.inFlight < AdmissionSlots {
 		a.inFlight++
 		a.admitted++
 		return nil
@@ -110,7 +99,7 @@ func (a *Admission) Admit(ctx Ctx) error {
 	if a.queued > a.maxQueued {
 		a.maxQueued = a.queued
 	}
-	if !a.pressured && a.queued >= a.cfg.HighWater {
+	if !a.pressured && a.queued >= a.highWater {
 		a.pressured = true
 		if a.cfg.OnPressure != nil {
 			a.cfg.OnPressure(true)
@@ -180,7 +169,7 @@ func (a *Admission) Release() {
 	if a.queued > 0 && a.q.Signal() {
 		a.queued--
 		a.grants++
-		if a.pressured && a.queued <= a.cfg.LowWater {
+		if a.pressured && a.queued == 0 {
 			a.pressured = false
 			if a.cfg.OnPressure != nil {
 				a.cfg.OnPressure(false)

@@ -2,6 +2,8 @@ package vfsapi_test
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -31,6 +33,26 @@ func (r *admRig) ctx(p *sim.Proc) vfsapi.Ctx {
 	return vfsapi.Ctx{P: p, T: r.cpus.NewThread(r.acct, 0)}
 }
 
+// holdSlots occupies all AdmissionSlots execution slots of a at time
+// zero: one holder per slot admits, sleeps for hold, then runs
+// release(i) (a.Release when nil).
+func (r *admRig) holdSlots(t *testing.T, a *vfsapi.Admission, hold time.Duration, release func(i int)) {
+	for i := 0; i < vfsapi.AdmissionSlots; i++ {
+		r.eng.Go("holder", func(p *sim.Proc) {
+			if err := a.Admit(r.ctx(p)); err != nil {
+				t.Errorf("holder %d shed: %v", i, err)
+				return
+			}
+			p.Sleep(hold)
+			if release != nil {
+				release(i)
+			} else {
+				a.Release()
+			}
+		})
+	}
+}
+
 func TestAdmissionDefaults(t *testing.T) {
 	r := newAdmRig()
 	a := vfsapi.NewAdmission(r.eng, "p", vfsapi.AdmissionConfig{})
@@ -39,22 +61,15 @@ func TestAdmissionDefaults(t *testing.T) {
 	}
 }
 
-// One slot, one queue seat: the first op holds the slot, the second
-// queues, the third is shed; releasing the slot hands it to the queued
-// op. The ledger must balance at every step.
+// Every slot held, one queue seat: the next op queues, the one after
+// is shed; releasing a slot hands it to the queued op. The ledger must
+// balance at every step.
 func TestAdmissionShedsBeyondQueue(t *testing.T) {
 	r := newAdmRig()
-	a := vfsapi.NewAdmission(r.eng, "p", vfsapi.AdmissionConfig{MaxInFlight: 1, QueueCap: 1})
+	a := vfsapi.NewAdmission(r.eng, "p", vfsapi.AdmissionConfig{QueueCap: 1})
 	var shedErr error
 	var queuedRan bool
-	r.eng.Go("holder", func(p *sim.Proc) {
-		if err := a.Admit(r.ctx(p)); err != nil {
-			t.Errorf("holder shed: %v", err)
-			return
-		}
-		p.Sleep(10 * time.Millisecond)
-		a.Release()
-	})
+	r.holdSlots(t, a, 10*time.Millisecond, nil)
 	r.eng.Go("queued", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
 		if err := a.Admit(r.ctx(p)); err != nil {
@@ -71,14 +86,14 @@ func TestAdmissionShedsBeyondQueue(t *testing.T) {
 	r.eng.Run()
 
 	if !errors.Is(shedErr, vfsapi.ErrOverload) {
-		t.Fatalf("third op got %v, want ErrOverload", shedErr)
+		t.Fatalf("op beyond the queue got %v, want ErrOverload", shedErr)
 	}
 	if !queuedRan {
 		t.Fatal("queued op never admitted after release")
 	}
 	s := a.Stats()
-	if s.Offered != 3 || s.Admitted != 2 || s.Shed != 1 {
-		t.Fatalf("ledger offered/admitted/shed = %d/%d/%d, want 3/2/1", s.Offered, s.Admitted, s.Shed)
+	if s.Offered != 6 || s.Admitted != 5 || s.Shed != 1 {
+		t.Fatalf("ledger offered/admitted/shed = %d/%d/%d, want 6/5/1", s.Offered, s.Admitted, s.Shed)
 	}
 	if s.Offered != s.Admitted+s.Shed+uint64(s.InFlight) {
 		t.Fatalf("accounting identity broken: %+v", s)
@@ -91,33 +106,24 @@ func TestAdmissionShedsBeyondQueue(t *testing.T) {
 	}
 }
 
-// The pressure callback must fire once on the high-water crossing and
-// once when the queue drains past low water — not on every admit.
+// The pressure callback must fire once when the queue reaches its
+// high water mark (3 of 4 seats) and once when it drains empty — not
+// on every admit or handoff.
 func TestAdmissionPressureHysteresis(t *testing.T) {
 	r := newAdmRig()
-	var highs, lows int
+	var edges []string
 	a := vfsapi.NewAdmission(r.eng, "p", vfsapi.AdmissionConfig{
-		MaxInFlight: 1, QueueCap: 4, HighWater: 2, LowWater: 1,
+		QueueCap: 4,
 		OnPressure: func(high bool) {
-			if high {
-				highs++
-			} else {
-				lows++
-			}
+			edges = append(edges, fmt.Sprintf("%v@%v", high, r.eng.Now()))
 		},
 	})
-	r.eng.Go("holder", func(p *sim.Proc) {
-		if err := a.Admit(r.ctx(p)); err != nil {
-			t.Errorf("holder shed: %v", err)
-			return
-		}
-		p.Sleep(10 * time.Millisecond)
-		for i := 0; i < 4; i++ {
-			a.Release()
-		}
+	// Holders release one by one at 10..13 ms, each handing its slot
+	// to the oldest of the four waiters queued at 1..4 ms.
+	r.holdSlots(t, a, 10*time.Millisecond, func(i int) {
+		r.eng.After(time.Duration(i)*time.Millisecond, a.Release)
 	})
-	for i := 0; i < 3; i++ {
-		i := i
+	for i := 0; i < 4; i++ {
 		r.eng.Go("waiter", func(p *sim.Proc) {
 			p.Sleep(time.Duration(i+1) * time.Millisecond)
 			if err := a.Admit(r.ctx(p)); err != nil {
@@ -126,8 +132,8 @@ func TestAdmissionPressureHysteresis(t *testing.T) {
 		})
 	}
 	r.eng.Run()
-	if highs != 1 || lows != 1 {
-		t.Fatalf("pressure callbacks high/low = %d/%d, want 1/1", highs, lows)
+	if got, want := strings.Join(edges, " "), "true@3ms false@13ms"; got != want {
+		t.Fatalf("pressure edges = %q, want %q", got, want)
 	}
 }
 
@@ -136,21 +142,16 @@ func TestAdmissionPressureHysteresis(t *testing.T) {
 // ledger accounts them as shed, and nothing stays queued.
 func TestAdmissionCrashShedsQueued(t *testing.T) {
 	r := newAdmRig()
-	a := vfsapi.NewAdmission(r.eng, "p", vfsapi.AdmissionConfig{MaxInFlight: 1, QueueCap: 4})
+	a := vfsapi.NewAdmission(r.eng, "p", vfsapi.AdmissionConfig{QueueCap: 4})
 	errs := make([]error, 2)
 	var shedN int
-	r.eng.Go("holder", func(p *sim.Proc) {
-		if err := a.Admit(r.ctx(p)); err != nil {
-			t.Errorf("holder shed: %v", err)
-			return
+	r.holdSlots(t, a, 5*time.Millisecond, func(i int) {
+		if i == 0 {
+			shedN = a.ShedQueued(vfsapi.ErrCrashed)
 		}
-		p.Sleep(5 * time.Millisecond)
-		shedN = a.ShedQueued(vfsapi.ErrCrashed)
-		p.Sleep(time.Millisecond)
-		a.Release()
+		r.eng.After(time.Millisecond, a.Release)
 	})
 	for i := 0; i < 2; i++ {
-		i := i
 		r.eng.Go("waiter", func(p *sim.Proc) {
 			p.Sleep(time.Duration(i+1) * time.Millisecond)
 			errs[i] = a.Admit(r.ctx(p))
@@ -167,8 +168,8 @@ func TestAdmissionCrashShedsQueued(t *testing.T) {
 		}
 	}
 	s := a.Stats()
-	if s.Offered != 3 || s.Admitted != 1 || s.Shed != 2 {
-		t.Fatalf("ledger offered/admitted/shed = %d/%d/%d, want 3/1/2", s.Offered, s.Admitted, s.Shed)
+	if s.Offered != 6 || s.Admitted != 4 || s.Shed != 2 {
+		t.Fatalf("ledger offered/admitted/shed = %d/%d/%d, want 6/4/2", s.Offered, s.Admitted, s.Shed)
 	}
 	if s.InFlight != 0 || s.Queued != 0 {
 		t.Fatalf("crash leaked state: in-flight %d queued %d, want 0/0", s.InFlight, s.Queued)
@@ -182,22 +183,23 @@ func TestAdmissionCrashShedsQueued(t *testing.T) {
 // slot and the tenant's concurrency shrinks forever.
 func TestAdmissionCrashAfterHandoffLeaksNoSlot(t *testing.T) {
 	r := newAdmRig()
-	a := vfsapi.NewAdmission(r.eng, "p", vfsapi.AdmissionConfig{MaxInFlight: 1, QueueCap: 4})
+	a := vfsapi.NewAdmission(r.eng, "p", vfsapi.AdmissionConfig{QueueCap: 4})
 	errs := make([]error, 2)
 	var lateErr error
-	r.eng.Go("holder", func(p *sim.Proc) {
-		if err := a.Admit(r.ctx(p)); err != nil {
-			t.Errorf("holder shed: %v", err)
+	var lateAt time.Duration
+	r.holdSlots(t, a, 5*time.Millisecond, func(i int) {
+		if i > 0 {
+			// The other holders keep their slots past the late op, so
+			// only the handed-off slot can admit it.
+			r.eng.After(15*time.Millisecond, a.Release)
 			return
 		}
-		p.Sleep(5 * time.Millisecond)
 		// Hand the slot to the oldest waiter, then crash in the same
 		// virtual instant, before the grantee resumes.
 		a.Release()
 		a.ShedQueued(vfsapi.ErrCrashed)
 	})
 	for i := 0; i < 2; i++ {
-		i := i
 		r.eng.Go("waiter", func(p *sim.Proc) {
 			p.Sleep(time.Duration(i+1) * time.Millisecond)
 			errs[i] = a.Admit(r.ctx(p))
@@ -206,6 +208,7 @@ func TestAdmissionCrashAfterHandoffLeaksNoSlot(t *testing.T) {
 	r.eng.Go("late", func(p *sim.Proc) {
 		p.Sleep(10 * time.Millisecond)
 		lateErr = a.Admit(r.ctx(p))
+		lateAt = r.eng.Now()
 		if lateErr == nil {
 			a.Release()
 		}
@@ -217,8 +220,8 @@ func TestAdmissionCrashAfterHandoffLeaksNoSlot(t *testing.T) {
 			t.Fatalf("waiter %d got %v, want ErrCrashed (granted slots must not survive the crash)", i, err)
 		}
 	}
-	if lateErr != nil {
-		t.Fatalf("post-crash op shed with %v; the handed-off slot leaked", lateErr)
+	if lateErr != nil || lateAt != 10*time.Millisecond {
+		t.Fatalf("post-crash op admitted at %v with %v, want 10ms and nil; the handed-off slot leaked", lateAt, lateErr)
 	}
 	s := a.Stats()
 	if s.InFlight != 0 || s.Queued != 0 {
@@ -237,7 +240,7 @@ func TestAdmittedDecorator(t *testing.T) {
 		t.Fatal("nil controller should return the inner filesystem")
 	}
 	r := newAdmRig()
-	a := vfsapi.NewAdmission(r.eng, "p", vfsapi.AdmissionConfig{MaxInFlight: 2, QueueCap: 4})
+	a := vfsapi.NewAdmission(r.eng, "p", vfsapi.AdmissionConfig{QueueCap: 4})
 	wrapped := vfsapi.Admitted(fs, a)
 	r.eng.Go("ops", func(p *sim.Proc) {
 		ctx := r.ctx(p)
