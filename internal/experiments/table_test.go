@@ -16,27 +16,37 @@ import (
 // committed harness_quick.txt holds between each "=== <name>" header and
 // its "--- <name> done in" line. A probe or table change that shifts a
 // single simulated op fails here rather than only in a manual harness
-// diff.
+// diff. The rows' Violations are checked too. monitorsweep has its own
+// test, TestMonitorSweepAcceptance, which runs the same check.
 func TestHarnessQuickSections(t *testing.T) {
+	for _, name := range []string{"crashsweep", "faultsweep", "fuzzsweep", "overloadsweep", "tracesweep", "table1", "table2"} {
+		checkQuickSection(t, name)
+	}
+}
+
+// checkQuickSection renders one experiment at QuickScale, reports every
+// row's Violations and requires the section's harness_quick.txt bytes.
+func checkQuickSection(t *testing.T, name string) {
+	t.Helper()
 	golden, err := os.ReadFile("../../harness_quick.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := map[string]Experiment{}
+	var exp Experiment
 	for _, e := range Table() {
-		table[e.Name] = e
-	}
-	for _, name := range []string{"crashsweep", "faultsweep", "fuzzsweep", "overloadsweep", "tracesweep", "table1", "table2"} {
-		want := harnessSection(t, string(golden), name)
-		var got strings.Builder
-		table[name].Render(&got, Run{Scale: QuickScale}, func(r Row) {
-			for _, v := range r.Violations() {
-				t.Errorf("%s: %s", name, v)
-			}
-		})
-		if got.String() != want {
-			t.Errorf("%s: rendered section differs from harness_quick.txt\n--- got\n%s--- want\n%s", name, got.String(), want)
+		if e.Name == name {
+			exp = e
 		}
+	}
+	want := harnessSection(t, string(golden), name)
+	var got strings.Builder
+	exp.Render(&got, Run{Scale: QuickScale}, func(r Row) {
+		for _, v := range r.Violations() {
+			t.Errorf("%s: %s", name, v)
+		}
+	})
+	if got.String() != want {
+		t.Errorf("%s: rendered section differs from harness_quick.txt\n--- got\n%s--- want\n%s", name, got.String(), want)
 	}
 }
 

@@ -64,7 +64,7 @@ func New(eng *sim.Engine, cpus *cpu.CPU, params *model.Params, inner vfsapi.File
 	}
 	t := &Transport{
 		eng: eng, cpus: cpus, params: params, inner: inner,
-		slots: sim.NewResource(eng, cfg.Name+".daemon", int64(cfg.Threads)),
+		slots: sim.NewResource(eng, cfg.Name+".daemon", cfg.Threads),
 	}
 	for i := 0; i < cfg.Threads; i++ {
 		t.daemonThreads = append(t.daemonThreads, cpus.NewThread(cfg.Acct, cfg.Mask))
@@ -115,8 +115,8 @@ func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn fun
 	// Daemon side: wait for a free daemon thread (the request sits in
 	// the FUSE queue while all are busy), read the request, pay the
 	// copy out of the kernel, and serve it at user level.
-	t.slots.Acquire(ctx.P, 1)
-	defer t.slots.Release(1)
+	t.slots.Acquire(ctx.P)
+	defer t.slots.Release()
 	if t.crashed {
 		// The daemon died while the request sat in the FUSE queue.
 		return vfsapi.ErrCrashed

@@ -73,13 +73,6 @@ func parentPath(path string) string {
 	return out
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // journalWrite appends one journal record (sequential disk write).
 func (s *LocalStore) journalWrite(ctx vfsapi.Ctx) {
 	s.array.Access(ctx.P, s.journal, journalRecordBytes, true)

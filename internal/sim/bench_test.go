@@ -7,10 +7,11 @@ import (
 	"repro/internal/allocgate"
 )
 
-// TestHotPathAllocs holds the engine and mutex hot paths that the
-// paper's contention mechanisms (i_mutex convoys, wakeups, timer
-// churn) run through allocation-free once warm. EngineEventChurnDeep
-// counts 1 allocation (queue growth at 2n), the others 0.
+// TestHotPathAllocs holds the engine, mutex and wait queue hot paths
+// that the paper's contention mechanisms (i_mutex convoys, wakeups,
+// timer churn) run through allocation-free once warm. EngineEventChurnDeep
+// counts 1 allocation (queue growth at 2n) and WaitQueueSignalled about
+// 10 (the event heap growing to hold 2n dead timeouts), the others 0.
 func TestHotPathAllocs(t *testing.T) {
 	allocgate.Check(t, []allocgate.Case{
 		{Name: "EngineSleepWake", Body: engineSleepWake, N: 10000},
@@ -21,6 +22,8 @@ func TestHotPathAllocs(t *testing.T) {
 		{Name: "MutexUncontended", Body: mutexUncontended, N: 10000},
 		{Name: "MutexContendedHandoff", Body: mutexContendedHandoff, N: 10000},
 		{Name: "MutexCallbackHandoff", Body: mutexCallbackHandoff, N: 10000},
+		{Name: "WaitQueueSignalled", Body: waitQueueSignalled, N: 10000},
+		{Name: "WaitQueueTimedOut", Body: waitQueueTimedOut, N: 10000},
 	})
 }
 
@@ -184,5 +187,44 @@ func mutexCallbackHandoff(n int) func() {
 			}
 		})
 	}
+	return e.Run
+}
+
+// BenchmarkWaitQueueSignalled measures a timed wait ended by Signal,
+// the page-cache read-in and throttle waits of the kernel client: the
+// waiter parks with an hour's timeout, and the signaller wakes it from
+// another process. The dead timeouts fire as no-ops at the end.
+func BenchmarkWaitQueueSignalled(b *testing.B) { allocgate.Bench(b, waitQueueSignalled) }
+
+func waitQueueSignalled(n int) func() {
+	e := NewEngine()
+	q := NewWaitQueue(e, "b")
+	e.Go("waiter", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			q.WaitTimeout(p, time.Hour)
+		}
+	})
+	e.Go("signaller", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.Sleep(time.Microsecond)
+			q.Signal()
+		}
+	})
+	return e.Run
+}
+
+// BenchmarkWaitQueueTimedOut measures a timed wait that expires, the
+// periodic flusher and compaction waits: the timeout and the wake both
+// run inline in the waiter's park.
+func BenchmarkWaitQueueTimedOut(b *testing.B) { allocgate.Bench(b, waitQueueTimedOut) }
+
+func waitQueueTimedOut(n int) func() {
+	e := NewEngine()
+	q := NewWaitQueue(e, "b")
+	e.Go("waiter", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			q.WaitTimeout(p, time.Microsecond)
+		}
+	})
 	return e.Run
 }

@@ -28,6 +28,11 @@ type Engine struct {
 	now    time.Duration
 	seq    uint64
 	events eventQueue
+	// cur is the seq of the event being run, set wherever one is popped
+	// (RunUntil and Proc.park). A timeout callback compares it with the
+	// seq its wait armed, so a stale timeout of an earlier wait stays a
+	// no-op even when it falls due at the same instant as the current one.
+	cur uint64
 
 	// deadline is the bound of the RunUntil call currently draining the
 	// queue (negative: run to exhaustion). Processes consult it when
@@ -138,6 +143,7 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 		if ev.at > e.now {
 			e.now = ev.at
 		}
+		e.cur = ev.seq
 		switch {
 		case ev.fn != nil:
 			e.trace(TraceEvent{At: e.now, Kind: TraceCallback})

@@ -19,29 +19,17 @@ type Proc struct {
 	// pendingWake guards the one-pending-wake invariant of the engine.
 	pendingWake bool
 
-	// wakeReason carries out-of-band information from whoever woke the
-	// process (e.g. whether a timed wait expired).
-	wakeReason wakeReason
-
 	// lock is the process's request while it waits for a Mutex.
 	lock lockRequest
+	// wait is the process's request while it waits on a WaitQueue.
+	wait waitRequest
 }
-
-type wakeReason int
-
-const (
-	wakeNormal wakeReason = iota
-	wakeTimeout
-)
 
 // Name returns the debug name given to Go.
 func (p *Proc) Name() string { return p.name }
 
 // ID returns the unique process id assigned by the engine.
 func (p *Proc) ID() int { return p.id }
-
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.eng.now }
@@ -65,7 +53,7 @@ func (p *Proc) Park() { p.park() }
 // and resumes the other process, so every switch between processes
 // takes the one path through the loop. Inline execution also stops at
 // the engine's RunUntil deadline, and when the queue drains.
-func (p *Proc) park() wakeReason {
+func (p *Proc) park() {
 	e := p.eng
 	for {
 		top, lane := e.events.peek()
@@ -79,6 +67,7 @@ func (p *Proc) park() wakeReason {
 		if ev.at > e.now {
 			e.now = ev.at
 		}
+		e.cur = ev.seq
 		if ev.fn != nil {
 			e.trace(TraceEvent{At: e.now, Kind: TraceCallback})
 			ev.fn()
@@ -87,17 +76,9 @@ func (p *Proc) park() wakeReason {
 		// Own wake reached: resume inline, never having parked.
 		p.pendingWake = false
 		e.trace(TraceEvent{At: e.now, Kind: TraceResume, Proc: p.name, ProcID: p.id})
-		return p.takeWakeReason()
+		return
 	}
 	p.yield(struct{}{})
-	return p.takeWakeReason()
-}
-
-// takeWakeReason returns why the process was woken and resets it.
-func (p *Proc) takeWakeReason() wakeReason {
-	r := p.wakeReason
-	p.wakeReason = wakeNormal
-	return r
 }
 
 // ReportWait reports a wait interval that ended at the current virtual

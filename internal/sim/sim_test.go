@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -216,33 +217,29 @@ func TestWaitQueueSignalWakesOldest(t *testing.T) {
 func TestWaitQueueTimeout(t *testing.T) {
 	e := NewEngine()
 	q := NewWaitQueue(e, "q")
-	var timedOut, signalled bool
-	var when time.Duration
+	var timedOutAt, signalledAt time.Duration
 	e.Go("t", func(p *Proc) {
-		timedOut = q.WaitTimeout(p, 50*time.Millisecond)
-		when = p.Now()
+		q.WaitTimeout(p, 50*time.Millisecond)
+		timedOutAt = p.Now()
 	})
 	e.Go("s", func(p *Proc) {
 		p.Sleep(10 * time.Millisecond)
-		signalled = q.WaitTimeout(p, time.Hour)
-		_ = signalled
+		q.WaitTimeout(p, time.Hour)
+		signalledAt = p.Now()
 	})
 	e.Go("signaler", func(p *Proc) {
 		p.Sleep(100 * time.Millisecond)
 		q.Signal()
 	})
 	e.Run()
-	if !timedOut {
-		t.Fatal("first waiter should have timed out")
+	if timedOutAt != 50*time.Millisecond {
+		t.Fatalf("first waiter resumed at %v, want its 50ms timeout", timedOutAt)
 	}
-	if when != 50*time.Millisecond {
-		t.Fatalf("timeout fired at %v, want 50ms", when)
+	if signalledAt != 100*time.Millisecond {
+		t.Fatalf("second waiter resumed at %v, want the 100ms signal", signalledAt)
 	}
-	if signalled {
-		t.Fatal("second waiter should have been signalled, not timed out")
-	}
-	if q.Len() != 0 {
-		t.Fatalf("queue should be empty, len=%d", q.Len())
+	if q.waiters.Len() != 0 {
+		t.Fatalf("queue should be empty, len=%d", q.waiters.Len())
 	}
 }
 
@@ -290,76 +287,47 @@ func TestWaitQueueBroadcast(t *testing.T) {
 	}
 }
 
+// TestResourceCapacityAndFIFO: six users arrive 1µs apart at a
+// resource of capacity 2 and hold it for uneven times, so units free up
+// out of arrival order; admission must still follow arrival order and
+// never exceed the capacity.
 func TestResourceCapacityAndFIFO(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "disk", 2)
+	r := NewResource(e, "daemon", 2)
+	holds := []time.Duration{3, 1, 2, 1, 1, 1}
 	active, maxActive := 0, 0
-	for i := 0; i < 6; i++ {
+	var order []int
+	for i, hold := range holds {
 		e.Go("u", func(p *Proc) {
-			r.Acquire(p, 1)
+			p.Sleep(time.Duration(i) * time.Microsecond)
+			r.Acquire(p)
+			order = append(order, i)
 			active++
-			if active > maxActive {
-				maxActive = active
-			}
-			p.Sleep(time.Millisecond)
+			maxActive = max(maxActive, active)
+			p.Sleep(hold * time.Millisecond)
 			active--
-			r.Release(1)
+			r.Release()
 		})
 	}
 	e.Run()
+	for i, u := range order {
+		if u != i {
+			t.Fatalf("admission order = %v, want arrival order", order)
+		}
+	}
+	if len(order) != len(holds) {
+		t.Fatalf("admitted %d users, want %d", len(order), len(holds))
+	}
 	if maxActive != 2 {
 		t.Fatalf("max active = %d, want capacity 2", maxActive)
 	}
-	if r.InUse() != 0 {
-		t.Fatalf("InUse = %d at end, want 0", r.InUse())
+	// 0 holds [0, 3ms), 1 [1µs, 1ms+1µs), 2 [1ms+1µs, 3ms+1µs),
+	// 3 [3ms, 4ms), 4 [3ms+1µs, 4ms+1µs), 5 [4ms, 5ms).
+	if e.Now() != 5*time.Millisecond {
+		t.Fatalf("last release at %v, want 5ms", e.Now())
 	}
-	// 6 jobs of 1ms at capacity 2 => busy for 3ms total.
-	if r.BusyTime() != 3*time.Millisecond {
-		t.Fatalf("BusyTime = %v, want 3ms", r.BusyTime())
-	}
-}
-
-// TestResourceBusyTimeAcrossHandoff: a release that empties the resource
-// while a waiter is queued ends one busy period, and the waiter's claim
-// starts the next; both count.
-func TestResourceBusyTimeAcrossHandoff(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "disk", 1)
-	for i := 0; i < 2; i++ {
-		e.Go("u", func(p *Proc) {
-			r.Acquire(p, 1)
-			p.Sleep(time.Millisecond)
-			r.Release(1)
-		})
-	}
-	e.Run()
-	if r.BusyTime() != 2*time.Millisecond {
-		t.Fatalf("BusyTime = %v, want 2ms for two back-to-back 1ms holds", r.BusyTime())
-	}
-}
-
-func TestResourceLargeRequestNotStarved(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "link", 4)
-	var bigDone time.Duration
-	e.Go("small-stream", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			r.Acquire(p, 1)
-			p.Sleep(time.Millisecond)
-			r.Release(1)
-		}
-	})
-	e.Go("big", func(p *Proc) {
-		p.Sleep(time.Microsecond) // arrive just after first small claim
-		r.Acquire(p, 4)
-		bigDone = p.Now()
-		r.Release(4)
-	})
-	e.Run()
-	// FIFO admission: big must get in right after the first small
-	// release, not after all ten.
-	if bigDone == 0 || bigDone > 2*time.Millisecond {
-		t.Fatalf("big request starved: done at %v", bigDone)
+	if r.inUse != 0 || r.waiters.Len() != 0 {
+		t.Fatalf("at end inUse=%d waiters=%d, want both 0", r.inUse, r.waiters.Len())
 	}
 }
 
@@ -698,5 +666,242 @@ func TestQueueMatchesSliceRemoval(t *testing.T) {
 	}
 	if compactions == 0 {
 		t.Fatal("the dead prefix was never compacted")
+	}
+}
+
+// histWaitQueue is WaitQueue as it was before its waiters moved into
+// Proc: a slice of heap-allocated waiter records whose woken flags
+// guard against a double wake, and one timeout closure per timed wait.
+// It is the oracle of TestWaitQueueMatchesHistoricalQueue.
+type histWaitQueue struct {
+	eng     *Engine
+	name    string
+	waiters []*qWaiter
+}
+
+type qWaiter struct {
+	p        *Proc
+	woken    bool // set when signalled or timed out; guards double wake
+	timedOut bool
+}
+
+func (q *histWaitQueue) Wait(p *Proc) {
+	w := &qWaiter{p: p}
+	q.waiters = append(q.waiters, w)
+	since := q.eng.now
+	p.park()
+	p.ReportWait("waitq", q.name, "", 0, q.eng.now-since)
+}
+
+func (q *histWaitQueue) WaitTimeout(p *Proc, d time.Duration) (timedOut bool) {
+	w := &qWaiter{p: p}
+	q.waiters = append(q.waiters, w)
+	q.eng.After(d, func() {
+		if w.woken {
+			return
+		}
+		w.woken = true
+		q.remove(w)
+		w.timedOut = true
+		q.eng.scheduleWake(p, q.eng.now)
+	})
+	since := q.eng.now
+	p.park()
+	p.ReportWait("waitq", q.name, "", 0, q.eng.now-since)
+	return w.timedOut
+}
+
+func (q *histWaitQueue) Signal() bool {
+	for len(q.waiters) > 0 {
+		w := q.waiters[0]
+		q.waiters = q.waiters[1:]
+		if w.woken {
+			continue
+		}
+		w.woken = true
+		q.eng.scheduleWake(w.p, q.eng.now)
+		return true
+	}
+	return false
+}
+
+func (q *histWaitQueue) Broadcast() {
+	for _, w := range q.waiters {
+		if w.woken {
+			continue
+		}
+		w.woken = true
+		q.eng.scheduleWake(w.p, q.eng.now)
+	}
+	q.waiters = q.waiters[:0]
+}
+
+func (q *histWaitQueue) remove(target *qWaiter) {
+	for i, w := range q.waiters {
+		if w == target {
+			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
+			return
+		}
+	}
+}
+
+// waitScenario is a script of wait-queue operations: one op list per
+// process, and signals fired by engine callbacks.
+type waitScenario struct {
+	procs [][]waitOp
+	calls []waitOp // opSignal or opBroadcast, d after the start
+}
+
+type waitOp struct {
+	kind int
+	d    time.Duration
+}
+
+const (
+	opWait = iota
+	opWaitTimeout
+	opSleep
+	opSignal
+	opBroadcast
+	opSignalLater // arm an engine callback that signals d from now
+)
+
+// waitQueueUnderTest is the queue API a scenario drives.
+type waitQueueUnderTest struct {
+	wait        func(p *Proc)
+	waitTimeout func(p *Proc, d time.Duration)
+	signal      func() bool
+	broadcast   func()
+}
+
+// runWaitScenario plays sc on a fresh engine and returns one line per
+// observable: every traced event, every reported wait, every resume
+// from a wait and every Signal result, in the order they happened.
+func runWaitScenario(sc waitScenario, newQueue func(*Engine) waitQueueUnderTest) []string {
+	e := NewEngine()
+	q := newQueue(e)
+	var log []string
+	e.SetTracer(func(ev TraceEvent) {
+		log = append(log, fmt.Sprintf("trace %v %v %s#%d", ev.At, ev.Kind, ev.Proc, ev.ProcID))
+	})
+	e.SetWaitObserver(func(p *Proc, kind, resource, holder string, holderID int, start, dur time.Duration) {
+		log = append(log, fmt.Sprintf("report %s %s %s %v %v", p.Name(), kind, resource, start, dur))
+	})
+	signal := func(by string) {
+		log = append(log, fmt.Sprintf("signal by %s at %v: %v", by, e.Now(), q.signal()))
+	}
+	for _, c := range sc.calls {
+		e.After(c.d, func() {
+			if c.kind == opBroadcast {
+				log = append(log, fmt.Sprintf("broadcast by callback at %v", e.Now()))
+				q.broadcast()
+				return
+			}
+			signal("callback")
+		})
+	}
+	for i, ops := range sc.procs {
+		e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
+			for j, op := range ops {
+				switch op.kind {
+				case opWait:
+					q.wait(p)
+				case opWaitTimeout:
+					q.waitTimeout(p, op.d)
+				case opSleep:
+					p.Sleep(op.d)
+					continue
+				case opSignal:
+					signal(p.Name())
+					continue
+				case opBroadcast:
+					log = append(log, fmt.Sprintf("broadcast by %s at %v", p.Name(), e.Now()))
+					q.broadcast()
+					continue
+				case opSignalLater:
+					e.After(op.d, func() { signal("later") })
+					continue
+				}
+				log = append(log, fmt.Sprintf("resume %s op %d at %v", p.Name(), j, p.Now()))
+			}
+		})
+	}
+	e.Run()
+	return append(log, fmt.Sprintf("end at %v with %d live", e.Now(), e.LiveProcs()))
+}
+
+// randomWaitScenario draws 1-6 processes of 1-8 ops and up to 4
+// signalling callbacks. Durations come from a few equal values, so
+// timeouts, signals and re-waits often fall due at the same instant.
+func randomWaitScenario(rng *rand.Rand) waitScenario {
+	durs := []time.Duration{0, time.Microsecond, time.Millisecond, time.Millisecond, 2 * time.Millisecond}
+	dur := func() time.Duration { return durs[rng.Intn(len(durs))] }
+	var sc waitScenario
+	for range 1 + rng.Intn(6) {
+		var ops []waitOp
+		for range 1 + rng.Intn(8) {
+			op := waitOp{d: dur()}
+			switch r := rng.Intn(20); {
+			case r < 2:
+				op.kind = opWait
+			case r < 10:
+				op.kind = opWaitTimeout
+			case r < 13:
+				op.kind = opSleep
+			case r < 16:
+				op.kind = opSignal
+			case r < 17:
+				op.kind = opBroadcast
+			default:
+				op.kind = opSignalLater
+			}
+			ops = append(ops, op)
+		}
+		sc.procs = append(sc.procs, ops)
+	}
+	for range rng.Intn(5) {
+		kind := opSignal
+		if rng.Intn(4) == 0 {
+			kind = opBroadcast
+		}
+		sc.calls = append(sc.calls, waitOp{kind: kind, d: dur()})
+	}
+	return sc
+}
+
+// TestWaitQueueMatchesHistoricalQueue holds WaitQueue to the slice
+// queue it replaced, event for event: the same trace, the same wait
+// reports, the same resume times and the same Signal results. The
+// first scenario is the case a deadline check gets wrong: p0's wait is
+// signalled in the instant it began and p0 waits again with the same
+// timeout, so two of its timeouts fall due at 1ms, the stale one first;
+// a signal armed between them must still find p0 waiting.
+func TestWaitQueueMatchesHistoricalQueue(t *testing.T) {
+	current := func(e *Engine) waitQueueUnderTest {
+		q := NewWaitQueue(e, "q")
+		return waitQueueUnderTest{q.Wait, q.WaitTimeout, q.Signal, q.Broadcast}
+	}
+	historical := func(e *Engine) waitQueueUnderTest {
+		q := &histWaitQueue{eng: e, name: "q"}
+		return waitQueueUnderTest{q.Wait, func(p *Proc, d time.Duration) { q.WaitTimeout(p, d) }, q.Signal, q.Broadcast}
+	}
+	scenarios := []waitScenario{{procs: [][]waitOp{
+		{{kind: opWaitTimeout, d: time.Millisecond}, {kind: opWaitTimeout, d: time.Millisecond}},
+		{{kind: opSignalLater, d: time.Millisecond}, {kind: opSignal}},
+	}}}
+	rng := rand.New(rand.NewSource(1))
+	for range 400 {
+		scenarios = append(scenarios, randomWaitScenario(rng))
+	}
+	for i, sc := range scenarios {
+		want := runWaitScenario(sc, historical)
+		got := runWaitScenario(sc, current)
+		for j := 0; j < max(len(got), len(want)); j++ {
+			if j >= len(got) || j >= len(want) || got[j] != want[j] {
+				t.Fatalf("scenario %d %+v diverges at line %d:\n got: %s\nwant: %s",
+					i, sc, j, strings.Join(got[max(0, j-3):min(len(got), j+1)], "\n      "),
+					strings.Join(want[max(0, j-3):min(len(want), j+1)], "\n      "))
+			}
+		}
 	}
 }

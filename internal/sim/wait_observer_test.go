@@ -97,8 +97,9 @@ func TestWaitQueueReportsWaits(t *testing.T) {
 	q := NewWaitQueue(eng, "throttle")
 	eng.Go("sleeper", func(p *Proc) {
 		q.Wait(p)
-		if q.WaitTimeout(p, 3*time.Millisecond) != true {
-			t.Error("expected timeout")
+		q.WaitTimeout(p, 3*time.Millisecond)
+		if p.Now() != 8*time.Millisecond {
+			t.Errorf("timed wait ended at %v, want its timeout at 8ms", p.Now())
 		}
 	})
 	eng.Go("waker", func(p *Proc) {
@@ -106,6 +107,9 @@ func TestWaitQueueReportsWaits(t *testing.T) {
 		q.Signal()
 	})
 	eng.Run()
+	if q.waiters.Len() != 0 {
+		t.Fatalf("queue should be empty, len=%d", q.waiters.Len())
+	}
 	if len(waits) != 2 {
 		t.Fatalf("want 2 waitq waits, got %d: %+v", len(waits), waits)
 	}

@@ -8,12 +8,16 @@ import "time"
 type WaitQueue struct {
 	eng     *Engine
 	name    string
-	waiters []*qWaiter
+	waiters Queue[*Proc] // each with its request in Proc.wait
 }
 
-type qWaiter struct {
-	p     *Proc
-	woken bool // set when signalled or timed out; guards double wake
+// waitRequest is a process's pending wait on a queue. A process waits
+// on at most one queue at a time, so the request lives in the process
+// and the queue holds only the process.
+type waitRequest struct {
+	q       *WaitQueue // nil once signalled or timed out
+	timer   uint64     // seq of the timeout event of a timed wait, else 0
+	timeout func()     // reusable timeout event (Proc.waitTimedOut)
 }
 
 // NewWaitQueue creates a named wait queue on e.
@@ -22,78 +26,64 @@ func NewWaitQueue(e *Engine, name string) *WaitQueue {
 }
 
 // Wait parks p until Signal or Broadcast wakes it.
-func (q *WaitQueue) Wait(p *Proc) {
-	w := &qWaiter{p: p}
-	q.waiters = append(q.waiters, w)
+func (q *WaitQueue) Wait(p *Proc) { q.wait(p, false, 0) }
+
+// WaitTimeout parks p until signalled or until d elapses.
+func (q *WaitQueue) WaitTimeout(p *Proc, d time.Duration) { q.wait(p, true, d) }
+
+// wait queues p, arms its timeout if timed, parks it until it is
+// signalled or times out, and reports the wait.
+func (q *WaitQueue) wait(p *Proc, timed bool, d time.Duration) {
+	p.wait.q, p.wait.timer = q, 0
+	q.waiters.Push(p)
+	if timed {
+		if p.wait.timeout == nil {
+			p.wait.timeout = p.waitTimedOut
+		}
+		q.eng.After(d, p.wait.timeout)
+		p.wait.timer = q.eng.seq
+	}
 	since := q.eng.now
 	p.park()
 	p.ReportWait("waitq", q.name, "", 0, q.eng.now-since)
 }
 
-// WaitTimeout parks p until signalled or until d elapses. It reports
-// whether the wait timed out.
-func (q *WaitQueue) WaitTimeout(p *Proc, d time.Duration) (timedOut bool) {
-	w := &qWaiter{p: p}
-	q.waiters = append(q.waiters, w)
-	q.eng.After(d, func() {
-		if w.woken {
+// waitTimedOut is the timeout event of p's timed waits. It wakes p only
+// if p still waits and this event is the one its current wait armed: a
+// timeout left behind by an earlier, signalled wait is a no-op.
+func (p *Proc) waitTimedOut() {
+	q := p.wait.q
+	if q == nil || p.wait.timer != p.eng.cur {
+		return
+	}
+	for i := 0; ; i++ {
+		if q.waiters.At(i) == p {
+			q.wake(q.waiters.Remove(i))
 			return
 		}
-		w.woken = true
-		q.remove(w)
-		p.wakeReason = wakeTimeout
-		q.eng.scheduleWake(p, q.eng.now)
-	})
-	since := q.eng.now
-	timedOut = p.park() == wakeTimeout
-	p.ReportWait("waitq", q.name, "", 0, q.eng.now-since)
-	return timedOut
+	}
 }
 
 // Signal wakes the oldest waiter, if any. It reports whether a waiter
 // was woken.
 func (q *WaitQueue) Signal() bool {
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		if w.woken {
-			continue
-		}
-		w.woken = true
-		q.eng.scheduleWake(w.p, q.eng.now)
-		return true
+	if q.waiters.Len() == 0 {
+		return false
 	}
-	return false
+	q.wake(q.waiters.Pop())
+	return true
 }
 
-// Broadcast wakes every current waiter.
+// Broadcast wakes every current waiter, oldest first.
 func (q *WaitQueue) Broadcast() {
-	for _, w := range q.waiters {
-		if w.woken {
-			continue
-		}
-		w.woken = true
-		q.eng.scheduleWake(w.p, q.eng.now)
+	for q.waiters.Len() > 0 {
+		q.wake(q.waiters.Pop())
 	}
-	q.waiters = q.waiters[:0]
 }
 
-// Len returns the number of parked waiters.
-func (q *WaitQueue) Len() int {
-	n := 0
-	for _, w := range q.waiters {
-		if !w.woken {
-			n++
-		}
-	}
-	return n
-}
-
-func (q *WaitQueue) remove(target *qWaiter) {
-	for i, w := range q.waiters {
-		if w == target {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
-			return
-		}
-	}
+// wake ends the wait of p, just taken off the queue: a signal or its
+// timeout, whichever comes first.
+func (q *WaitQueue) wake(p *Proc) {
+	p.wait.q = nil
+	q.eng.scheduleWake(p, q.eng.now)
 }
