@@ -530,22 +530,16 @@ func (h *harness) writeSweepArtifacts() {
 // first row) into one CSV, with a leading column naming the replay case.
 func writeSweepDiffCSV(path string, rows []experiments.TraceRow) {
 	n := 0
-	us := func(v time.Duration) float64 { return float64(v) / float64(time.Microsecond) }
 	writeFile(path, "diff csv", func(w io.Writer) error {
-		fmt.Fprintln(w, "replay,tenant,op,count_a,count_b,p50_a_us,p99_a_us,p999_a_us,p50_b_us,p99_b_us,p999_b_us,ratio_p99,ratio_p999")
+		if _, err := fmt.Fprintln(w, "replay,"+trace.DiffCSVHeader); err != nil {
+			return err
+		}
 		for _, row := range rows[1:] {
-			for _, r := range trace.Compare(rows[0].Trace, row.Trace).Rows {
-				kind := r.Kind
-				if kind == "" {
-					kind = "*"
-				}
-				fmt.Fprintf(w, "%s,%s,%s,%d,%d,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.3f,%.3f\n",
-					row.Trace.Label, r.Tenant, kind, r.A.Count, r.B.Count,
-					us(r.A.P50), us(r.A.P99), us(r.A.P999),
-					us(r.B.P50), us(r.B.P99), us(r.B.P999),
-					r.RatioP99(), r.RatioP999())
-				n++
+			d := trace.Compare(rows[0].Trace, row.Trace)
+			if err := d.WriteCSVRows(w, row.Trace.Label); err != nil {
+				return err
 			}
+			n += len(d.Rows)
 		}
 		return nil
 	})

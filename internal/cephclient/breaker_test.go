@@ -179,7 +179,7 @@ func TestBreakerHalfOpenDeterministicUnderConcurrentProbes(t *testing.T) {
 				t.Fatalf("fsync: %v", err)
 			}
 			h.Close(ctx)
-			ino := h.(*chandle).f.ino
+			ino := h.(*chandle).f.Ino
 			dropColdCache(r, ctx, ino)
 
 			// Replication 1 with a dead primary: every probe fails until
@@ -250,7 +250,7 @@ func TestRetryBackoffSeededAndCapped(t *testing.T) {
 			}
 			h.Close(ctx)
 
-			ino := h.(*chandle).f.ino
+			ino := h.(*chandle).f.Ino
 			dropColdCache(r, ctx, ino)
 			// Replication 1 and a dead primary: every read attempt fails
 			// and backs off until the retry budget is spent.

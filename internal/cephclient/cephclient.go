@@ -11,10 +11,10 @@
 package cephclient
 
 import (
-	"container/list"
 	"errors"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/cpu"
 	"repro/internal/extent"
@@ -75,20 +75,15 @@ type Client struct {
 	params *model.Params
 	clus   *cluster.Cluster
 	cfg    Config
-	meter  *memacct.Meter
 
 	// clientLock is libcephfs's global lock: held for every cache and
 	// metadata manipulation and for part of each data copy.
 	clientLock *sim.Mutex
 
-	files map[uint64]*cfile
+	// cache is the object cache's ledger, guarded by clientLock.
+	cache *cache.Cache[revocation]
 	attrs map[string]attrEntry
 	paths map[uint64]string
-	lru   *list.List
-
-	dirtyBytes  int64
-	dirtyList   []*cfile
-	oldestDirty time.Duration
 
 	// CacheStats counts data-path cache behaviour.
 	stats CacheStats
@@ -105,9 +100,6 @@ type Client struct {
 	crashed     bool
 	threads     []*cpu.Thread // the client's own threads, for repinning
 
-	// gen counts crash incarnations: handles carry the generation they
-	// were opened under and go stale when it moves on.
-	gen     uint64
 	crashes uint64
 }
 
@@ -116,18 +108,12 @@ type attrEntry struct {
 	ino  uint64
 }
 
-type cfile struct {
-	ino        uint64
-	gen        uint64 // client crash generation at creation
-	size       int64
-	cached     extent.Set
-	dirty      extent.Set
-	fetching   extent.Set // ranges being fetched by another reader
-	lruElem    *list.Element
-	inDirty    bool
-	dirtySince time.Duration
-	unlinked   bool
-	revoked    bool // dropped by RevokeCaps; a writer must recap
+// cfile is a file's object-cache state.
+type cfile = cache.File[revocation]
+
+// revocation is a cfile's one client-specific mark.
+type revocation struct {
+	revoked bool // dropped by RevokeCaps; a writer must recap
 }
 
 // New creates a client and starts its flusher threads.
@@ -157,12 +143,10 @@ func New(eng *sim.Engine, cpus *cpu.CPU, params *model.Params, clus *cluster.Clu
 		params:     params,
 		clus:       clus,
 		cfg:        cfg,
-		meter:      meter,
 		clientLock: sim.NewMutex(eng, cfg.Name+".client_lock"),
-		files:      map[uint64]*cfile{},
+		cache:      cache.New[revocation](meter, cfg.CacheLimit),
 		attrs:      map[string]attrEntry{},
 		paths:      map[uint64]string{},
-		lru:        list.New(),
 		throttleQ:  sim.NewWaitQueue(eng, cfg.Name+".throttle"),
 		flushQ:     sim.NewWaitQueue(eng, cfg.Name+".flush"),
 		fetchQ:     sim.NewWaitQueue(eng, cfg.Name+".fetch"),
@@ -214,17 +198,10 @@ func (c *Client) Repin(mask cpu.Mask) {
 // writes are lost and applications must repeat unacknowledged requests.
 func (c *Client) Crash() {
 	c.crashed = true
-	c.gen++
 	c.crashes++
-	if n := c.meter.Current(); n > 0 {
-		c.meter.Free(n)
-	}
-	c.files = map[uint64]*cfile{}
+	c.cache.Crash(false)
 	c.attrs = map[string]attrEntry{}
 	c.paths = map[uint64]string{}
-	c.lru.Init()
-	c.dirtyBytes = 0
-	c.dirtyList = nil
 	c.Stop()
 }
 
@@ -268,7 +245,7 @@ func (c *Client) failIfCrashed(ctx vfsapi.Ctx) error {
 }
 
 // Meter returns the client cache memory meter.
-func (c *Client) Meter() *memacct.Meter { return c.meter }
+func (c *Client) Meter() *memacct.Meter { return c.cache.Meter }
 
 // Account returns the client's CPU account.
 func (c *Client) Account() *cpu.Account { return c.cfg.Acct }
@@ -277,7 +254,7 @@ func (c *Client) Account() *cpu.Account { return c.cfg.Acct }
 func (c *Client) ClientLock() *sim.Mutex { return c.clientLock }
 
 // DirtyBytes returns bytes awaiting writeback.
-func (c *Client) DirtyBytes() int64 { return c.dirtyBytes }
+func (c *Client) DirtyBytes() int64 { return c.cache.DirtyBytes }
 
 // CacheStats aggregates data-path cache behaviour of a client.
 type CacheStats struct {
@@ -515,107 +492,35 @@ func (c *Client) copyData(ctx vfsapi.Ctx, n int64, write bool) {
 		cpu.Step{Kind: cpu.User, D: total - under, Unlock: c.clientLock})
 }
 
-func (c *Client) file(ino uint64, size int64) *cfile {
-	f, ok := c.files[ino]
-	if !ok {
-		f = &cfile{ino: ino, gen: c.gen, size: size}
-		c.files[ino] = f
-	}
-	return f
-}
-
-func (c *Client) touch(f *cfile) {
-	// A crash discards every cfile of its generation; an operation that
-	// was blocked across it still holds a dead incarnation's cfile and
-	// must not push it into the new LRU (its residency is no longer in
-	// the meter, so a later eviction would underflow).
-	if f.gen != c.gen {
-		return
-	}
-	if f.lruElem == nil {
-		f.lruElem = c.lru.PushBack(f)
-		return
-	}
-	c.lru.MoveToBack(f.lruElem)
-}
-
 // cacheInsert adds residency and evicts cold clean data over the limit.
 // Caller must NOT hold client_lock.
 func (c *Client) cacheInsert(ctx vfsapi.Ctx, f *cfile, off, n int64) {
-	c.lockedMeta(ctx, func() {
-		if f.gen != c.gen {
-			return // stale cfile from before a crash: not accounted
-		}
-		added := f.cached.Insert(off, n)
-		c.meter.Alloc(added)
-		c.touch(f)
-	})
-	if c.meter.Current() > c.cfg.CacheLimit {
-		c.evict(ctx)
+	c.lockedMeta(ctx, func() { c.cache.Insert(f, off, n) })
+	if c.cache.Over() {
+		c.lockedMeta(ctx, func() { c.cache.Evict() })
 	}
-}
-
-func (c *Client) evict(ctx vfsapi.Ctx) {
-	watermark := c.cfg.CacheLimit - c.cfg.CacheLimit/16
-	c.lockedMeta(ctx, func() {
-		e := c.lru.Front()
-		for e != nil && c.meter.Current() > watermark {
-			next := e.Next()
-			f := e.Value.(*cfile)
-			before := f.cached.Len()
-			keep := f.dirty.Extents()
-			f.cached.Clear()
-			for _, d := range keep {
-				f.cached.Insert(d.Off, d.Len)
-			}
-			if freed := before - f.cached.Len(); freed > 0 {
-				c.meter.Free(freed)
-			}
-			if f.cached.Len() == 0 {
-				c.lru.Remove(e)
-				f.lruElem = nil
-			}
-			e = next
-		}
-	})
 }
 
 // markDirty records a buffered write and throttles the writer above
 // the dirty limit. It reports false, recording nothing, when RevokeCaps
 // dropped f first: the writer must recap and retry on a current cfile.
 func (c *Client) markDirty(ctx vfsapi.Ctx, f *cfile, off, n int64) bool {
-	var newly int64
 	revoked := false
 	c.lockedMeta(ctx, func() {
-		if revoked = f.revoked; revoked {
-			return
-		}
-		if f.gen != c.gen {
-			return // stale cfile from before a crash: not accounted
-		}
-		newly = f.dirty.Insert(off, n)
-		if newly > 0 {
-			if !f.inDirty {
-				f.inDirty = true
-				f.dirtySince = c.eng.Now()
-				c.dirtyList = append(c.dirtyList, f)
-				if len(c.dirtyList) == 1 {
-					c.oldestDirty = f.dirtySince
-				}
-			}
-			c.dirtyBytes += newly
+		if revoked = f.X.revoked; !revoked {
+			c.cache.MarkDirty(f, off, n, c.eng.Now())
 		}
 	})
 	if revoked {
 		return false
 	}
-	if c.dirtyBytes >= c.cfg.MaxDirty/2 {
+	if c.cache.DirtyBytes >= c.cfg.MaxDirty/2 {
 		c.flushQ.Broadcast()
 	}
 	// The stopped check makes teardown safe: once the client's flusher
 	// threads have been stopped nobody can lower the dirty level, so a
 	// straggling writer must not spin on the threshold.
-	for c.dirtyBytes >= c.cfg.MaxDirty && !c.stopped {
+	for c.cache.DirtyBytes >= c.cfg.MaxDirty && !c.stopped {
 		start := c.eng.Now()
 		c.throttleQ.WaitTimeout(ctx.P, c.params.DirtyThrottleCheck)
 		ctx.T.Account().AddIOWait(c.eng.Now() - start)
@@ -653,12 +558,12 @@ func (c *Client) flushPass(ctx vfsapi.Ctx) {
 	}()
 	for {
 		now := c.eng.Now()
-		needed := c.dirtyBytes >= c.cfg.MaxDirty/2 ||
-			(c.dirtyBytes > 0 && now-c.oldestDirty >= c.params.DirtyExpire)
+		needed := c.cache.DirtyBytes >= c.cfg.MaxDirty/2 ||
+			(c.cache.DirtyBytes > 0 && now-c.cache.OldestDirty >= c.params.DirtyExpire)
 		if !needed {
 			return
 		}
-		f := c.nextDirtyFile()
+		f := c.cache.NextDirty()
 		if f == nil {
 			return
 		}
@@ -668,13 +573,13 @@ func (c *Client) flushPass(ctx vfsapi.Ctx) {
 			ctx.Span = sp
 		}
 		var exts []extent.Extent
-		c.lockedMeta(ctx, func() { exts = f.dirty.PopFirst(batch) })
+		c.lockedMeta(ctx, func() { exts = f.Dirty.PopFirst(batch) })
 		var total int64
 		for _, e := range exts {
 			total += e.Len
-			if !f.unlinked {
+			if !f.Unlinked {
 				c.wire(ctx, e.Len)
-				c.writePersist(ctx, f.ino, e.Off, e.Len)
+				c.writePersist(ctx, f.Ino, e.Off, e.Len)
 				c.stats.FlushedBytes += e.Len
 			}
 		}
@@ -684,10 +589,10 @@ func (c *Client) flushPass(ctx vfsapi.Ctx) {
 			return
 		}
 		passTotal += total
-		c.dirtyBytes -= total
-		if f.dirty.Len() == 0 {
-			c.removeDirty(f)
-			if !f.unlinked {
+		c.cache.DirtyBytes -= total
+		if f.Dirty.Len() == 0 {
+			c.cache.Unlist(f)
+			if !f.Unlinked {
 				c.pushSize(ctx, f)
 			}
 		}
@@ -695,42 +600,17 @@ func (c *Client) flushPass(ctx vfsapi.Ctx) {
 	}
 }
 
-func (c *Client) nextDirtyFile() *cfile {
-	for len(c.dirtyList) > 0 {
-		f := c.dirtyList[0]
-		if f.dirty.Len() == 0 {
-			c.removeDirty(f)
-			continue
-		}
-		return f
-	}
-	return nil
-}
-
-func (c *Client) removeDirty(f *cfile) {
-	for i, g := range c.dirtyList {
-		if g == f {
-			c.dirtyList = append(c.dirtyList[:i], c.dirtyList[i+1:]...)
-			break
-		}
-	}
-	f.inDirty = false
-	if len(c.dirtyList) > 0 {
-		c.oldestDirty = c.dirtyList[0].dirtySince
-	}
-}
-
 // pushSize propagates the client's size view to the MDS.
 func (c *Client) pushSize(ctx vfsapi.Ctx, f *cfile) {
-	path, ok := c.paths[f.ino]
+	path, ok := c.paths[f.Ino]
 	if !ok {
 		return
 	}
 	c.wire(ctx, 256)
-	c.clus.MetaSetSize(ctx, path, f.size)
+	c.clus.MetaSetSize(ctx, path, f.Size)
 	if e, ok := c.attrs[path]; ok {
-		if f.size > e.info.Size {
-			e.info.Size = f.size
+		if f.Size > e.info.Size {
+			e.info.Size = f.Size
 			c.attrs[path] = e
 		}
 	}
@@ -741,38 +621,24 @@ func (c *Client) pushSize(ctx vfsapi.Ctx, f *cfile) {
 // data, pushes its size, and drops every cached byte and attribute for
 // it. The next access re-fetches fresh state from the backend.
 func (c *Client) RevokeCaps(ctx vfsapi.Ctx, ino uint64) {
-	f, ok := c.files[ino]
+	f, ok := c.cache.Lookup(ino)
 	if !ok {
 		if path, ok2 := c.paths[ino]; ok2 {
 			delete(c.attrs, path)
 		}
 		return
 	}
-	for f.dirty.Len() > 0 {
-		var exts []extent.Extent
-		c.lockedMeta(ctx, func() { exts = f.dirty.PopFirst(4 << 20) })
-		var total int64
-		for _, e := range exts {
-			c.wire(ctx, e.Len)
-			c.writePersist(ctx, f.ino, e.Off, e.Len)
-			total += e.Len
-		}
-		if c.crashed {
-			return
-		}
-		c.dirtyBytes -= total
+	if !c.drain(ctx, f) {
+		return
 	}
-	c.removeDirty(f)
-	c.pushSize(ctx, f)
-	c.throttleQ.Broadcast()
 	c.lockedMeta(ctx, func() {
 		c.dropCache(f)
-		f.revoked = true
+		f.X.revoked = true
 	})
 	if path, ok := c.paths[ino]; ok {
 		delete(c.attrs, path)
 	}
-	delete(c.files, ino)
+	c.cache.Forget(ino)
 	c.clus.ReleaseCaps(ino, c)
 }
 
@@ -781,62 +647,42 @@ func (c *Client) RevokeCaps(ctx vfsapi.Ctx, ino uint64) {
 // SyncAll the container state is fully visible through the shared
 // filesystem from any other client.
 func (c *Client) SyncAll(ctx vfsapi.Ctx) {
-	for {
-		f := c.nextDirtyFile()
-		if f == nil {
+	for f := c.cache.NextDirty(); f != nil; f = c.cache.NextDirty() {
+		if !c.drain(ctx, f) {
 			return
 		}
-		for f.dirty.Len() > 0 {
-			var exts []extent.Extent
-			c.lockedMeta(ctx, func() { exts = f.dirty.PopFirst(4 << 20) })
-			var total int64
-			for _, e := range exts {
-				c.wire(ctx, e.Len)
-				c.writePersist(ctx, f.ino, e.Off, e.Len)
-				total += e.Len
-			}
-			if c.crashed {
-				return
-			}
-			c.dirtyBytes -= total
-		}
-		c.removeDirty(f)
-		c.pushSize(ctx, f)
-		c.throttleQ.Broadcast()
 	}
 }
 
+// drain writes all of f's dirty data back, 4 MiB per client_lock hold,
+// then takes f off the dirty list, pushes its size and wakes throttled
+// writers. It reports false, stopping at once, if the client crashed
+// meanwhile: the crash already reset the dirty accounting.
+func (c *Client) drain(ctx vfsapi.Ctx, f *cfile) bool {
+	for f.Dirty.Len() > 0 {
+		var exts []extent.Extent
+		c.lockedMeta(ctx, func() { exts = f.Dirty.PopFirst(4 << 20) })
+		var total int64
+		for _, e := range exts {
+			c.wire(ctx, e.Len)
+			c.writePersist(ctx, f.Ino, e.Off, e.Len)
+			total += e.Len
+		}
+		if c.crashed {
+			return false
+		}
+		c.cache.DirtyBytes -= total
+	}
+	c.cache.Unlist(f)
+	c.pushSize(ctx, f)
+	c.throttleQ.Broadcast()
+	return true
+}
+
+// dropCache discards f's cached and dirty data. Caller holds
+// client_lock.
 func (c *Client) dropCache(f *cfile) {
-	if n := f.cached.Len(); n > 0 {
-		c.meter.Free(n)
-	}
-	f.cached.Clear()
-	if f.lruElem != nil {
-		c.lru.Remove(f.lruElem)
-		f.lruElem = nil
-	}
-	if d := f.dirty.Len(); d > 0 {
-		c.dirtyBytes -= d
-		f.dirty.Clear()
-		c.removeDirty(f)
+	if c.cache.Drop(f) > 0 {
 		c.throttleQ.Broadcast()
 	}
-}
-
-// DirtyAudit recomputes dirty accounting from first principles for
-// invariant checks in tests: the sum of per-file dirty bytes, the
-// number of files in the dirty list, and the tracked counter. A file
-// unlinked while open leaves the file table, but writes through its
-// handle stay dirty until the flusher discards them, so the sum also
-// covers unlinked files on the dirty list.
-func (c *Client) DirtyAudit() (fileSum int64, listed int, counter int64) {
-	for _, f := range c.files {
-		fileSum += f.dirty.Len()
-	}
-	for _, f := range c.dirtyList {
-		if f.unlinked {
-			fileSum += f.dirty.Len()
-		}
-	}
-	return fileSum, len(c.dirtyList), c.dirtyBytes
 }

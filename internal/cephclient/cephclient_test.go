@@ -478,7 +478,7 @@ func TestClientRepin(t *testing.T) {
 // is zero, and the counter reads want.
 func auditDirty(t *testing.T, c *Client, step string, want int64) {
 	t.Helper()
-	sum, listed, counter := c.DirtyAudit()
+	sum, listed, counter := c.cache.DirtyAudit()
 	if sum != counter || (listed == 0) != (counter == 0) || counter != want {
 		t.Errorf("%s: per-file dirty sum %d, %d files listed, counter %d (want %d)", step, sum, listed, counter, want)
 	}

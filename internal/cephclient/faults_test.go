@@ -37,7 +37,7 @@ func TestCrashTerminatesBackgroundProcs(t *testing.T) {
 // the backend.
 func dropColdCache(r *rig, ctx vfsapi.Ctx, ino uint64) {
 	r.client.lockedMeta(ctx, func() {
-		if f, ok := r.client.files[ino]; ok {
+		if f, ok := r.client.cache.Lookup(ino); ok {
 			r.client.dropCache(f)
 		}
 	})
@@ -60,7 +60,7 @@ func TestReadFailsOverToReplica(t *testing.T) {
 		}
 		h.Close(ctx)
 
-		ino := h.(*chandle).f.ino
+		ino := h.(*chandle).f.Ino
 		dropColdCache(r, ctx, ino)
 		r.clus.OSDs()[r.clus.PlacementOf(ino, 0)].Crash()
 
@@ -98,7 +98,7 @@ func TestUnreplicatedReadErrsAtDeadline(t *testing.T) {
 		}
 		h.Close(ctx)
 
-		ino := h.(*chandle).f.ino
+		ino := h.(*chandle).f.Ino
 		dropColdCache(r, ctx, ino)
 		r.clus.OSDs()[r.clus.PlacementOf(ino, 0)].Crash()
 
@@ -135,7 +135,7 @@ func TestWriteRetriesAcrossRestart(t *testing.T) {
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		ino := h.(*chandle).f.ino
+		ino := h.(*chandle).f.Ino
 		osd := r.clus.OSDs()[r.clus.PlacementOf(ino, 0)]
 		osd.Crash()
 		r.eng.After(300*time.Millisecond, func() { osd.Restart() })

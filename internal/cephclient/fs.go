@@ -1,7 +1,9 @@
 package cephclient
 
 import (
+	"repro/internal/cache"
 	"repro/internal/cluster"
+	"repro/internal/extent"
 	"repro/internal/obs"
 	"repro/internal/vfsapi"
 )
@@ -79,10 +81,10 @@ func (c *Client) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfsap
 			return nil, err
 		}
 	}
-	f := c.file(ino, info.Size)
+	f, _ := c.cache.File(ino, info.Size)
 	if flags.Has(vfsapi.TRUNC) && flags.Writable() {
 		c.lockedMeta(ctx, func() { c.dropCache(f) })
-		f.size = 0
+		f.Size = 0
 		c.wire(ctx, 256)
 		if err := c.clus.MetaSetSize(ctx, path, 0); err != nil {
 			return nil, err
@@ -95,7 +97,7 @@ func (c *Client) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfsap
 			}
 		})
 	}
-	return &chandle{c: c, f: f, path: path, flags: flags, gen: c.gen}, nil
+	return &chandle{c: c, f: f, path: path, flags: flags, gen: c.cache.Gen}, nil
 }
 
 // Stat returns metadata, preferring the client's newer size view.
@@ -109,8 +111,8 @@ func (c *Client) Stat(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, error) {
 	if err != nil {
 		return vfsapi.FileInfo{}, err
 	}
-	if f, ok := c.files[ino]; ok && !info.IsDir && f.size > info.Size {
-		info.Size = f.size
+	if f, ok := c.cache.Lookup(ino); ok && !info.IsDir && f.Size > info.Size {
+		info.Size = f.Size
 	}
 	return info, nil
 }
@@ -150,10 +152,10 @@ func (c *Client) Unlink(ctx vfsapi.Ctx, path string) error {
 	}
 	c.lockedMeta(ctx, func() {
 		if e, ok := c.attrs[path]; ok {
-			if f, ok := c.files[e.ino]; ok {
-				f.unlinked = true
+			if f, ok := c.cache.Lookup(e.ino); ok {
+				f.Unlinked = true
 				c.dropCache(f)
-				delete(c.files, e.ino)
+				c.cache.Forget(e.ino)
 			}
 			delete(c.paths, e.ino)
 			delete(c.attrs, path)
@@ -207,23 +209,24 @@ type chandle struct {
 	// handle from an older generation is stale after a crash.
 	gen uint64
 
-	// Sequential-read detection for the client's readahead.
-	raNext   int64
-	raWindow int64
+	// ra detects sequential reads for the client's readahead. Its Next
+	// starts at 0, so a first read at offset 0 already counts as
+	// sequential.
+	ra cache.Readahead
 }
 
 // Path returns the open path.
 func (h *chandle) Path() string { return h.path }
 
 // Size returns the client's size view.
-func (h *chandle) Size() int64 { return h.f.size }
+func (h *chandle) Size() int64 { return h.f.Size }
 
 // failIfStale rejects operations while the service is down and on
 // handles that predate a crash: the restarted service has no state for
 // them (its cfile map is cold), so they keep failing with ErrCrashed
 // until the application reopens — the replayable-remount contract.
 func (h *chandle) failIfStale(ctx vfsapi.Ctx) error {
-	if h.c.crashed || h.gen != h.c.gen {
+	if h.c.crashed || h.gen != h.c.cache.Gen {
 		// Failing is not free: charge one operation's CPU so loops
 		// erroring on a stale handle advance simulated time.
 		h.c.opCPU(ctx)
@@ -242,8 +245,8 @@ func (h *chandle) failIfStale(ctx vfsapi.Ctx) error {
 // and an open file stays writable either way.
 func (h *chandle) recap(ctx vfsapi.Ctx) {
 	c := h.c
-	for h.f.revoked && !c.crashed && h.gen == c.gen {
-		ino, size := h.f.ino, h.f.size
+	for h.f.X.revoked && !c.crashed && h.gen == c.cache.Gen {
+		ino, size := h.f.Ino, h.f.Size
 		c.clus.AcquireCaps(ctx, ino, cluster.CapWrite, c)
 		c.lockedMeta(ctx, func() { delete(c.attrs, h.path) })
 		if info, got, err := c.lookupAttr(ctx, h.path); err == nil && got == ino {
@@ -251,7 +254,7 @@ func (h *chandle) recap(ctx vfsapi.Ctx) {
 		} else if c.paths[ino] == h.path {
 			delete(c.paths, ino) // gone from the namespace: push no size by path
 		}
-		h.f = c.file(ino, size)
+		h.f, _ = c.cache.File(ino, size)
 	}
 }
 
@@ -266,36 +269,19 @@ func (h *chandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	}
 	c := h.c
 	c.opCPU(ctx)
-	if off >= h.f.size {
+	if off >= h.f.Size {
 		return 0, nil
 	}
-	if off+n > h.f.size {
-		n = h.f.size - off
+	if off+n > h.f.Size {
+		n = h.f.Size - off
 	}
 	if n <= 0 {
 		return 0, nil
 	}
-	c.lockedMeta(ctx, func() { c.touch(h.f) })
+	c.lockedMeta(ctx, func() { c.cache.Touch(h.f) })
 	// Readahead (libcephfs prefetches on sequential streams): grow the
 	// fetch window while the stream stays sequential.
-	fetchLen := n
-	const maxReadahead = 512 << 10
-	if off == h.raNext {
-		if h.raWindow == 0 {
-			h.raWindow = maxReadahead / 8
-		}
-		h.raWindow *= 2
-		if h.raWindow > maxReadahead {
-			h.raWindow = maxReadahead
-		}
-	} else {
-		h.raWindow = 0 // random access: no readahead
-	}
-	fetchLen += h.raWindow
-	if off+fetchLen > h.f.size {
-		fetchLen = h.f.size - off
-	}
-	h.raNext = off + n
+	fetchLen := h.ra.Extend(off, n, h.f.Size, cache.MaxReadahead)
 	// Fetch misses with single-fetcher semantics: a range already being
 	// fetched by another reader is awaited, not re-fetched (the page
 	// in-flight locking of a real client).
@@ -306,45 +292,33 @@ func (h *chandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 		if err := h.failIfStale(ctx); err != nil {
 			return 0, err
 		}
-		var gOff, gLen int64
+		var g extent.Extent
 		wait := false
-		c.lockedMeta(ctx, func() {
-			gaps := h.f.cached.Gaps(off, fetchLen)
-			if len(gaps) == 0 {
-				return
-			}
-			g := gaps[0]
-			if h.f.fetching.Covered(g.Off, g.Len) > 0 {
-				wait = true
-				return
-			}
-			gOff, gLen = g.Off, g.Len
-			h.f.fetching.Insert(gOff, gLen)
-		})
+		c.lockedMeta(ctx, func() { g, wait = h.f.Claim(off, fetchLen) })
 		if wait {
 			c.fetchQ.WaitTimeout(ctx.P, c.params.DirtyThrottleCheck)
 			continue
 		}
-		if gLen == 0 {
+		if g.Len == 0 {
 			break
 		}
-		c.wire(ctx, gLen)
-		rerr := c.readBackend(ctx, h.f.ino, gOff, gLen)
+		c.wire(ctx, g.Len)
+		rerr := c.readBackend(ctx, h.f.Ino, g.Off, g.Len)
 		if rerr != nil {
 			// Release the in-flight claim before failing, or readers
 			// waiting on this range would park forever.
-			c.lockedMeta(ctx, func() { h.f.fetching.Remove(gOff, gLen) })
+			c.lockedMeta(ctx, func() { h.f.Fetching.Remove(g.Off, g.Len) })
 			c.fetchQ.Broadcast()
 			return 0, rerr
 		}
 		if err := h.failIfStale(ctx); err != nil {
-			c.lockedMeta(ctx, func() { h.f.fetching.Remove(gOff, gLen) })
+			c.lockedMeta(ctx, func() { h.f.Fetching.Remove(g.Off, g.Len) })
 			c.fetchQ.Broadcast()
 			return 0, err
 		}
-		c.stats.MissBytes += gLen
-		c.cacheInsert(ctx, h.f, gOff, gLen)
-		c.lockedMeta(ctx, func() { h.f.fetching.Remove(gOff, gLen) })
+		c.stats.MissBytes += g.Len
+		c.cacheInsert(ctx, h.f, g.Off, g.Len)
+		c.lockedMeta(ctx, func() { h.f.Fetching.Remove(g.Off, g.Len) })
 		c.fetchQ.Broadcast()
 	}
 	// Copy out of the object cache (partially under client_lock).
@@ -385,8 +359,8 @@ func (h *chandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 		}
 		h.recap(ctx)
 		c.cacheInsert(ctx, h.f, off, n)
-		if end := off + n; end > h.f.size {
-			h.f.size = end
+		if end := off + n; end > h.f.Size {
+			h.f.Size = end
 		}
 		if c.markDirty(ctx, h.f, off, n) {
 			return n, nil
@@ -398,7 +372,7 @@ func (h *chandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 func (h *chandle) Append(ctx vfsapi.Ctx, n int64) (int64, error) {
 	defer ctx.Span.Enter(obs.LayerClient).Exit()
 	h.recap(ctx) // the end of file is the current holder's view
-	off := h.f.size
+	off := h.f.Size
 	_, err := h.Write(ctx, off, n)
 	return off, err
 }
@@ -413,21 +387,17 @@ func (h *chandle) Fsync(ctx vfsapi.Ctx) error {
 		return vfsapi.ErrClosed
 	}
 	c := h.c
-	for h.f.dirty.Len() > 0 {
-		var exts []int64
-		c.lockedMeta(ctx, func() {
-			for _, e := range h.f.dirty.PopFirst(4 << 20) {
-				exts = append(exts, e.Off, e.Len)
-			}
-		})
+	for h.f.Dirty.Len() > 0 {
+		var exts []extent.Extent
+		c.lockedMeta(ctx, func() { exts = h.f.Dirty.PopFirst(4 << 20) })
 		var popped int64
-		for i := 0; i < len(exts); i += 2 {
-			popped += exts[i+1]
+		for _, e := range exts {
+			popped += e.Len
 		}
 		var werr error
-		for i := 0; i < len(exts); i += 2 {
-			c.wire(ctx, exts[i+1])
-			if werr = c.writePersist(ctx, h.f.ino, exts[i], exts[i+1]); werr != nil {
+		for _, e := range exts {
+			c.wire(ctx, e.Len)
+			if werr = c.writePersist(ctx, h.f.Ino, e.Off, e.Len); werr != nil {
 				break
 			}
 		}
@@ -440,13 +410,13 @@ func (h *chandle) Fsync(ctx vfsapi.Ctx) error {
 		// The popped extents left the dirty set either way; keep the
 		// accounting consistent even on a failed persist (the client is
 		// stopped — the data is lost, as a crash loses it).
-		c.dirtyBytes -= popped
+		c.cache.DirtyBytes -= popped
 		c.throttleQ.Broadcast()
 		if werr != nil {
 			return werr
 		}
 	}
-	c.removeDirty(h.f)
+	c.cache.Unlist(h.f)
 	c.pushSize(ctx, h.f)
 	return nil
 }
@@ -465,7 +435,7 @@ func (h *chandle) Close(ctx vfsapi.Ctx) error {
 	}
 	h.closed = true
 	h.c.opCPU(ctx)
-	if h.wrote && !h.f.unlinked {
+	if h.wrote && !h.f.Unlinked {
 		h.c.pushSize(ctx, h.f)
 	}
 	return nil

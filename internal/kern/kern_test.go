@@ -534,3 +534,78 @@ func TestSyncAllDrainsEverything(t *testing.T) {
 		}
 	})
 }
+
+// TestDirtyAuditAcrossLifecycle recomputes the page cache's dirty
+// accounting after every kind of step that moves it: the per-file dirty
+// sum must equal the counter, the dirty list must be empty exactly when
+// the counter is zero, and the counter must read the bytes the steps
+// left dirty.
+func TestDirtyAuditAcrossLifecycle(t *testing.T) {
+	r := newRig(t, MountConfig{})
+	audit := func(step string, want int64) {
+		t.Helper()
+		sum, listed, counter := r.mount.cache.DirtyAudit()
+		if sum != counter || (listed == 0) != (counter == 0) || counter != want {
+			t.Errorf("%s: per-file dirty sum %d, %d files listed, counter %d (want %d)", step, sum, listed, counter, want)
+		}
+	}
+	r.run(t, func(ctx vfsapi.Ctx) {
+		open := func(path string, flags vfsapi.OpenFlag) vfsapi.Handle {
+			h, err := r.mount.Open(ctx, path, flags)
+			if err != nil {
+				t.Fatalf("open %s: %v", path, err)
+			}
+			return h
+		}
+		rw := vfsapi.CREATE | vfsapi.WRONLY
+		a := open("/a", rw)
+		a.Write(ctx, 0, 4<<20)
+		audit("write", 4<<20)
+		a.Write(ctx, 1<<20, 2<<20)
+		a.Write(ctx, 3<<20, 2<<20)
+		audit("overwrite", 5<<20)
+
+		b := open("/b", rw)
+		b.Write(ctx, 0, 2<<20)
+		b.Close(ctx)
+		open("/b", vfsapi.WRONLY|vfsapi.TRUNC).Close(ctx)
+		audit("truncate", 5<<20)
+
+		g := open("/g", rw)
+		g.Write(ctx, 0, 1<<20)
+		if err := r.mount.Unlink(ctx, "/g"); err != nil {
+			t.Fatal(err)
+		}
+		audit("unlink open dirty file", 5<<20)
+		g.Write(ctx, 0, 1<<20)
+		audit("write after unlink", 6<<20)
+
+		if err := a.Fsync(ctx); err != nil {
+			t.Fatal(err)
+		}
+		audit("fsync", 1<<20)
+
+		a.Write(ctx, 0, 1<<20)
+		d := open("/d", rw)
+		d.Write(ctx, 0, 3<<20)
+		audit("rewrite", 5<<20)
+		ctx.P.Sleep(r.kern.params.DirtyExpire + 2*r.kern.params.WritebackInterval)
+		audit("flusher", 0)
+
+		d.Write(ctx, 0, 2<<20)
+		audit("before crash", 2<<20)
+		r.mount.Crash()
+		audit("crash", 0)
+		if err := r.mount.Restart(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Write(ctx, 0, 1<<20); err == nil {
+			t.Fatal("pre-crash handle accepted a write")
+		}
+		audit("stale write", 0)
+		e := open("/e", rw)
+		e.Write(ctx, 0, 1<<20)
+		audit("write after restart", 1<<20)
+		e.Close(ctx)
+	})
+}

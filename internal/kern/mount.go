@@ -1,11 +1,10 @@
 package kern
 
 import (
-	"container/list"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/cpu"
-	"repro/internal/extent"
 	"repro/internal/memacct"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -52,17 +51,13 @@ type Mount struct {
 	kern  *Kernel
 	store Store
 	cfg   MountConfig
-	meter *memacct.Meter
+	// cache is the page cache's ledger: residency and LRU calls run
+	// under lru_lock, dirty marks and writeback pops under wb_lock.
+	cache *cache.Cache[*sim.Mutex]
 
-	files     map[uint64]*fileState
-	lru       *list.List // *fileState, front = coldest
-	dirtyList []*fileState
-
-	dirtyBytes  int64
-	oldestDirty time.Duration
-	bgThresh    int64
-	flushing    int // flusher threads currently working this mount
-	throttleQ   *sim.WaitQueue
+	bgThresh  int64
+	flushing  int // flusher threads currently working this mount
+	throttleQ *sim.WaitQueue
 
 	// Writeback pacing state (balance_dirty_pages): an EWMA of the
 	// recently achieved flush rate paces writers when dirty data sits
@@ -70,31 +65,18 @@ type Mount struct {
 	flushRate     float64 // bytes/sec
 	lastFlushDone time.Duration
 
-	readahead int64          // max readahead window; 0 disables
-	fetchQ    *sim.WaitQueue // readers waiting on in-flight page reads
+	fetchQ *sim.WaitQueue // readers waiting on in-flight page reads
 
 	// crashed marks a host/kernel-client crash: operations fail with
-	// vfsapi.ErrCrashed until Restart. gen invalidates handles opened
-	// before the crash — the remount is replayable, applications reopen.
+	// vfsapi.ErrCrashed until Restart. The ledger's generation
+	// invalidates handles opened before the crash — the remount is
+	// replayable, applications reopen.
 	crashed bool
-	gen     uint64
 	crashes uint64
 }
 
-type fileState struct {
-	ino        uint64
-	gen        uint64 // mount crash generation at creation
-	size       int64
-	cached     extent.Set
-	dirty      extent.Set
-	fetching   extent.Set // ranges being read in by another thread
-	imutex     *sim.Mutex
-	lruElem    *list.Element
-	inDirty    bool
-	dirtySince time.Duration
-	unlinked   bool
-	flushing   bool // a flusher is writing this file back
-}
+// fileState is a file's page-cache state; X is its inode mutex.
+type fileState = cache.File[*sim.Mutex]
 
 // Mount attaches a store to the kernel page cache and registers it for
 // writeback.
@@ -116,13 +98,10 @@ func (k *Kernel) Mount(store Store, cfg MountConfig) *Mount {
 		kern:      k,
 		store:     store,
 		cfg:       cfg,
-		meter:     meter,
-		files:     map[uint64]*fileState{},
-		lru:       list.New(),
+		cache:     cache.New[*sim.Mutex](meter, cfg.MemLimit),
 		bgThresh:  cfg.MaxDirty / 2,
 		throttleQ: sim.NewWaitQueue(k.eng, cfg.Name+".throttle"),
 		fetchQ:    sim.NewWaitQueue(k.eng, cfg.Name+".fetch"),
-		readahead: 512 << 10,
 	}
 	if m.bgThresh == 0 {
 		m.bgThresh = 1
@@ -163,52 +142,33 @@ func (m *Mount) raWindow() int64 {
 	if m.kern.brownout > 0 {
 		return 0
 	}
-	return m.readahead
+	return cache.MaxReadahead
 }
 
 // Meter returns the mount's page-cache memory meter.
-func (m *Mount) Meter() *memacct.Meter { return m.meter }
+func (m *Mount) Meter() *memacct.Meter { return m.cache.Meter }
 
 // DirtyBytes returns the bytes awaiting writeback.
-func (m *Mount) DirtyBytes() int64 { return m.dirtyBytes }
+func (m *Mount) DirtyBytes() int64 { return m.cache.DirtyBytes }
 
 // Store returns the backing store.
 func (m *Mount) Store() Store { return m.store }
 
+// file returns ino's page-cache state, giving a new entry its inode
+// mutex.
 func (m *Mount) file(ino uint64, size int64) *fileState {
-	f, ok := m.files[ino]
-	if !ok {
-		f = &fileState{ino: ino, gen: m.gen, size: size, imutex: m.kern.newInodeLock()}
-		m.files[ino] = f
+	f, created := m.cache.File(ino, size)
+	if created {
+		f.X = m.kern.newInodeLock()
 	}
 	return f
 }
 
-// touch moves f to the hot end of the LRU. Caller holds lru_lock.
-func (m *Mount) touch(f *fileState) {
-	// A crash discards every fileState of its generation; operations
-	// that were blocked across it still hold a dead incarnation's
-	// fileState and must not push it into the new LRU (its residency is
-	// no longer in the meter, so a later eviction would underflow).
-	if f.gen != m.gen {
-		return
-	}
-	if f.lruElem == nil {
-		f.lruElem = m.lru.PushBack(f)
-		return
-	}
-	m.lru.MoveToBack(f.lruElem)
-}
-
-// chargeLRU acquires the global lru lock and charges the per-page hold
-// for touching n bytes of page structures.
-func (m *Mount) chargeLRU(ctx vfsapi.Ctx, n int64, fn func()) {
+// withLRU runs fn under the global lru_lock. Flag and list updates
+// charge no per-page hold; page insertion and reclaim charge their own.
+func (m *Mount) withLRU(ctx vfsapi.Ctx, fn func()) {
 	k := m.kern
 	k.lockSpan(ctx, k.lruLock, "lru_lock")
-	hold := time.Duration(k.params.Pages(n)) * k.params.LRULockHoldPerPage
-	if hold > 0 {
-		ctx.T.Exec(ctx.P, cpu.Kernel, hold)
-	}
 	fn()
 	k.lruLock.Unlock(ctx.P)
 }
@@ -220,18 +180,16 @@ func (m *Mount) chargeLRU(ctx vfsapi.Ctx, n int64, fn func()) {
 func (m *Mount) cacheInsert(ctx vfsapi.Ctx, f *fileState, off, n int64) {
 	k := m.kern
 	k.lockSpan(ctx, k.lruLock, "lru_lock")
-	if f.gen != m.gen {
+	if m.cache.Stale(f) {
 		k.lruLock.Unlock(ctx.P)
 		return // stale fileState from before a crash: not accounted
 	}
-	added := f.cached.Insert(off, n)
-	m.meter.Alloc(added)
-	m.touch(f)
+	added := m.cache.Insert(f, off, n)
 	if hold := time.Duration(k.params.Pages(added)) * k.params.LRULockHoldPerPage; hold > 0 {
 		ctx.T.Exec(ctx.P, cpu.Kernel, hold)
 	}
 	k.lruLock.Unlock(ctx.P)
-	if m.meter.Current() > m.cfg.MemLimit {
+	if m.cache.Over() {
 		m.evict(ctx)
 	}
 }
@@ -239,42 +197,13 @@ func (m *Mount) cacheInsert(ctx vfsapi.Ctx, f *fileState, off, n int64) {
 // evict reclaims clean pages from the coldest files until the mount is
 // below its limit watermark.
 func (m *Mount) evict(ctx vfsapi.Ctx) {
-	watermark := m.cfg.MemLimit - m.cfg.MemLimit/16
-	var freedTotal int64
-	m.chargeLRU(ctx, 0, func() {
-		e := m.lru.Front()
-		for e != nil && m.meter.Current() > watermark {
-			next := e.Next()
-			f := e.Value.(*fileState)
-			freed := reclaimClean(f)
-			if freed > 0 {
-				m.meter.Free(freed)
-				freedTotal += freed
-			}
-			if f.cached.Len() == 0 {
-				m.lru.Remove(e)
-				f.lruElem = nil
-			}
-			e = next
-		}
-	})
-	if freedTotal > 0 {
+	var freed int64
+	m.withLRU(ctx, func() { freed = m.cache.Evict() })
+	if freed > 0 {
 		// Page-structure work for the reclaimed pages.
-		hold := time.Duration(m.kern.params.Pages(freedTotal)) * m.kern.params.LRULockHoldPerPage
+		hold := time.Duration(m.kern.params.Pages(freed)) * m.kern.params.LRULockHoldPerPage
 		ctx.T.Exec(ctx.P, cpu.Kernel, hold)
 	}
-}
-
-// reclaimClean drops all clean ranges of f, keeping dirty ones
-// resident. It returns the bytes freed.
-func reclaimClean(f *fileState) int64 {
-	before := f.cached.Len()
-	keep := f.dirty.Extents()
-	f.cached.Clear()
-	for _, e := range keep {
-		f.cached.Insert(e.Off, e.Len)
-	}
-	return before - f.cached.Len()
 }
 
 // markDirty records freshly written bytes and applies dirty throttling:
@@ -284,25 +213,14 @@ func (m *Mount) markDirty(ctx vfsapi.Ctx, f *fileState, off, n int64) {
 	k := m.kern
 	k.lockSpan(ctx, k.writebackLock, "wb_lock")
 	ctx.T.Exec(ctx.P, cpu.Kernel, k.params.WritebackLockHold)
-	if f.gen != m.gen {
+	if m.cache.Stale(f) {
 		k.writebackLock.Unlock(ctx.P)
 		return // stale fileState from before a crash: not accounted
 	}
-	newly := f.dirty.Insert(off, n)
-	if newly > 0 {
-		if !f.inDirty {
-			f.inDirty = true
-			f.dirtySince = k.eng.Now()
-			m.dirtyList = append(m.dirtyList, f)
-			if len(m.dirtyList) == 1 {
-				m.oldestDirty = f.dirtySince
-			}
-		}
-		m.dirtyBytes += newly
-	}
+	m.cache.MarkDirty(f, off, n, k.eng.Now())
 	k.writebackLock.Unlock(ctx.P)
 
-	if m.dirtyBytes >= m.bgThreshold() {
+	if m.cache.DirtyBytes >= m.bgThreshold() {
 		k.wakeFlushers()
 	}
 	// balance_dirty_pages: between the background and hard thresholds a
@@ -310,7 +228,7 @@ func (m *Mount) markDirty(ctx vfsapi.Ctx, f *fileState, off, n int64) {
 	// ramping up quadratically as dirty data approaches the limit. A
 	// collapsing flush rate (flushers starved of cores by a noisy
 	// neighbour) therefore translates directly into writer slowdown.
-	if over := m.dirtyBytes - m.bgThreshold(); over > 0 && m.flushRate > 0 {
+	if over := m.cache.DirtyBytes - m.bgThreshold(); over > 0 && m.flushRate > 0 {
 		span := m.maxDirty() - m.bgThreshold()
 		if span < 1 {
 			span = 1
@@ -331,7 +249,7 @@ func (m *Mount) markDirty(ctx vfsapi.Ctx, f *fileState, off, n int64) {
 	}
 	// Teardown safety: with the flushers stopped nobody can lower the
 	// dirty level, so writers must not spin on the threshold.
-	for m.dirtyBytes >= m.maxDirty() && !k.stopped && !m.crashed {
+	for m.cache.DirtyBytes >= m.maxDirty() && !k.stopped && !m.crashed {
 		start := k.eng.Now()
 		m.throttleQ.WaitTimeout(ctx.P, k.params.DirtyThrottleCheck)
 		ctx.T.Account().AddIOWait(k.eng.Now() - start)
@@ -355,12 +273,12 @@ func (m *Mount) flushPass(ctx vfsapi.Ctx) bool {
 	var passTotal int64
 	for {
 		now := k.eng.Now()
-		needed := m.dirtyBytes >= m.bgThreshold() ||
-			(m.dirtyBytes > 0 && now-m.oldestDirty >= k.params.DirtyExpire)
+		needed := m.cache.DirtyBytes >= m.bgThreshold() ||
+			(m.cache.DirtyBytes > 0 && now-m.cache.OldestDirty >= k.params.DirtyExpire)
 		if !needed {
 			break
 		}
-		f := m.nextDirtyFile()
+		f := m.cache.NextDirty()
 		if f == nil {
 			break
 		}
@@ -370,10 +288,10 @@ func (m *Mount) flushPass(ctx vfsapi.Ctx) bool {
 			ctx.Span = sp
 		}
 		progressed = true
-		f.flushing = true
+		f.Flushing = true
 		k.lockSpan(ctx, k.writebackLock, "wb_lock")
 		ctx.T.Exec(ctx.P, cpu.Kernel, k.params.WritebackLockHold)
-		exts := f.dirty.PopFirst(batch)
+		exts := f.Dirty.PopFirst(batch)
 		k.writebackLock.Unlock(ctx.P)
 
 		var total int64
@@ -385,15 +303,15 @@ func (m *Mount) flushPass(ctx vfsapi.Ctx) bool {
 		// application's writes to this file against flusher progress —
 		// the i_mutex delays the paper's kernel profiling identified.
 		// The store transfer itself proceeds under page locks only.
-		k.lockSpan(ctx, f.imutex, "i_mutex")
+		k.lockSpan(ctx, f.X, "i_mutex")
 		ctx.T.ExecBytes(ctx.P, cpu.Kernel, total, k.params.FlusherBytesPerSec)
-		f.imutex.Unlock(ctx.P)
+		f.X.Unlock(ctx.P)
 		for _, e := range exts {
-			if !f.unlinked {
-				m.store.WriteData(ctx, f.ino, e.Off, e.Len)
+			if !f.Unlinked {
+				m.store.WriteData(ctx, f.Ino, e.Off, e.Len)
 			}
 		}
-		f.flushing = false
+		f.Flushing = false
 		if m.crashed {
 			// The crash already zeroed the dirty accounting; subtracting
 			// this batch again would drive it negative.
@@ -401,11 +319,11 @@ func (m *Mount) flushPass(ctx vfsapi.Ctx) bool {
 		}
 		passTotal += total
 		m.updateFlushRate(total)
-		m.dirtyBytes -= total
-		if f.dirty.Len() == 0 {
-			m.removeDirty(f)
-			if !f.unlinked {
-				m.store.SetSize(ctx, f.ino, f.size)
+		m.cache.DirtyBytes -= total
+		if f.Dirty.Len() == 0 {
+			m.cache.Unlist(f)
+			if !f.Unlinked {
+				m.store.SetSize(ctx, f.Ino, f.Size)
 			}
 		}
 		m.throttleQ.Broadcast()
@@ -430,37 +348,6 @@ func (m *Mount) updateFlushRate(total int64) {
 	m.lastFlushDone = now
 }
 
-// nextDirtyFile returns the longest-dirty file not already being
-// flushed by another writeback thread.
-func (m *Mount) nextDirtyFile() *fileState {
-	i := 0
-	for i < len(m.dirtyList) {
-		f := m.dirtyList[i]
-		if f.dirty.Len() == 0 && !f.flushing {
-			m.removeDirty(f)
-			continue
-		}
-		if !f.flushing && f.dirty.Len() > 0 {
-			return f
-		}
-		i++
-	}
-	return nil
-}
-
-func (m *Mount) removeDirty(f *fileState) {
-	for i, g := range m.dirtyList {
-		if g == f {
-			m.dirtyList = append(m.dirtyList[:i], m.dirtyList[i+1:]...)
-			break
-		}
-	}
-	f.inDirty = false
-	if len(m.dirtyList) > 0 {
-		m.oldestDirty = m.dirtyList[0].dirtySince
-	}
-}
-
 // SyncAll synchronously flushes every dirty file to the store and
 // propagates sizes (used when quiescing a mount, e.g. for container
 // migration).
@@ -469,27 +356,27 @@ func (m *Mount) SyncAll(ctx vfsapi.Ctx) {
 		if m.crashed {
 			return
 		}
-		f := m.nextDirtyFile()
+		f := m.cache.NextDirty()
 		if f == nil {
 			return
 		}
-		for f.dirty.Len() > 0 {
-			exts := f.dirty.PopFirst(4 << 20)
+		for f.Dirty.Len() > 0 {
+			exts := f.Dirty.PopFirst(4 << 20)
 			var total int64
 			for _, e := range exts {
-				if !f.unlinked {
-					m.store.WriteData(ctx, f.ino, e.Off, e.Len)
+				if !f.Unlinked {
+					m.store.WriteData(ctx, f.Ino, e.Off, e.Len)
 				}
 				total += e.Len
 			}
 			if m.crashed {
 				return
 			}
-			m.dirtyBytes -= total
+			m.cache.DirtyBytes -= total
 		}
-		m.removeDirty(f)
-		if !f.unlinked {
-			m.store.SetSize(ctx, f.ino, f.size)
+		m.cache.Unlist(f)
+		if !f.Unlinked {
+			m.store.SetSize(ctx, f.Ino, f.Size)
 		}
 		m.throttleQ.Broadcast()
 	}
@@ -506,22 +393,8 @@ func (m *Mount) SyncAll(ctx vfsapi.Ctx) {
 // work performed by any thread.
 func (m *Mount) Crash() {
 	m.crashed = true
-	m.gen++
 	m.crashes++
-	for _, f := range m.files {
-		if n := f.cached.Len(); n > 0 {
-			m.meter.Free(n)
-		}
-		f.cached.Clear()
-		f.dirty.Clear()
-		f.fetching.Clear()
-		f.lruElem = nil
-		f.inDirty = false
-	}
-	m.files = map[uint64]*fileState{}
-	m.lru.Init()
-	m.dirtyList = nil
-	m.dirtyBytes = 0
+	m.cache.Crash(true)
 	m.flushRate = 0
 	if c, ok := m.store.(storeCrasher); ok {
 		c.CrashStore()
@@ -563,22 +436,11 @@ type storeCrasher interface {
 }
 
 // dropCache removes all residency and dirty state of f (unlink,
-// truncate).
+// truncate), waking throttled writers if it discarded dirty pages.
 func (m *Mount) dropCache(ctx vfsapi.Ctx, f *fileState) {
-	m.chargeLRU(ctx, 0, func() {
-		if n := f.cached.Len(); n > 0 {
-			m.meter.Free(n)
-		}
-		f.cached.Clear()
-		if f.lruElem != nil {
-			m.lru.Remove(f.lruElem)
-			f.lruElem = nil
-		}
-	})
-	if d := f.dirty.Len(); d > 0 {
-		m.dirtyBytes -= d
-		f.dirty.Clear()
-		m.removeDirty(f)
+	var dirty int64
+	m.withLRU(ctx, func() { dirty = m.cache.Drop(f) })
+	if dirty > 0 {
 		m.throttleQ.Broadcast()
 	}
 }

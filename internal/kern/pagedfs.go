@@ -1,6 +1,7 @@
 package kern
 
 import (
+	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/vfsapi"
 )
@@ -59,12 +60,12 @@ func (m *Mount) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfsapi
 	f := m.file(ino, info.Size)
 	if flags.Has(vfsapi.TRUNC) && flags.Writable() {
 		m.dropCache(ctx, f)
-		f.size = 0
+		f.Size = 0
 		if err := m.store.SetSize(ctx, ino, 0); err != nil {
 			return nil, err
 		}
 	}
-	return &pagedHandle{m: m, f: f, path: path, flags: flags, gen: m.gen, raNext: -1}, nil
+	return &pagedHandle{m: m, f: f, path: path, flags: flags, gen: m.cache.Gen, ra: cache.Readahead{Next: -1}}, nil
 }
 
 // Stat returns metadata, preferring the in-kernel (possibly dirty) size.
@@ -76,8 +77,8 @@ func (m *Mount) Stat(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, error) {
 	if err != nil {
 		return vfsapi.FileInfo{}, err
 	}
-	if f, ok := m.files[ino]; ok && !info.IsDir && f.size > info.Size {
-		info.Size = f.size
+	if f, ok := m.cache.Lookup(ino); ok && !info.IsDir && f.Size > info.Size {
+		info.Size = f.Size
 	}
 	return info, nil
 }
@@ -107,10 +108,10 @@ func (m *Mount) Unlink(ctx vfsapi.Ctx, path string) error {
 	if err != nil {
 		return err
 	}
-	if f, ok := m.files[ino]; ok {
-		f.unlinked = true
+	if f, ok := m.cache.Lookup(ino); ok {
+		f.Unlinked = true
 		m.dropCache(ctx, f)
-		delete(m.files, ino)
+		m.cache.Forget(ino)
 	}
 	return nil
 }
@@ -141,9 +142,7 @@ type pagedHandle struct {
 	closed bool
 	wrote  bool
 
-	// Sequential-read detection for readahead.
-	raNext   int64 // expected next offset; -1 = no stream yet
-	raWindow int64
+	ra cache.Readahead // Next is -1 until the first read
 }
 
 // failIfStale fails handle operations after the handle is closed or the
@@ -154,7 +153,7 @@ func (h *pagedHandle) failIfStale(ctx vfsapi.Ctx) error {
 	if h.closed {
 		return vfsapi.ErrClosed
 	}
-	if h.m.crashed || h.gen != h.m.gen {
+	if h.m.crashed || h.gen != h.m.cache.Gen {
 		ctx.T.Exec(ctx.P, cpu.Kernel, h.m.kern.params.VFSOpCost)
 		return vfsapi.ErrCrashed
 	}
@@ -165,7 +164,7 @@ func (h *pagedHandle) failIfStale(ctx vfsapi.Ctx) error {
 func (h *pagedHandle) Path() string { return h.path }
 
 // Size returns the kernel's view of the file size.
-func (h *pagedHandle) Size() int64 { return h.f.size }
+func (h *pagedHandle) Size() int64 { return h.f.Size }
 
 // Read serves [off,off+n) from the page cache, fetching misses from the
 // store with readahead on sequential streams.
@@ -173,11 +172,11 @@ func (h *pagedHandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	if err := h.failIfStale(ctx); err != nil {
 		return 0, err
 	}
-	if off >= h.f.size {
+	if off >= h.f.Size {
 		return 0, nil
 	}
-	if off+n > h.f.size {
-		n = h.f.size - off
+	if off+n > h.f.Size {
+		n = h.f.Size - off
 	}
 	if n <= 0 {
 		return 0, nil
@@ -186,7 +185,7 @@ func (h *pagedHandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	params := m.kern.params
 
 	if h.flags.Has(vfsapi.DIRECT) {
-		m.store.ReadData(ctx, h.f.ino, off, n)
+		m.store.ReadData(ctx, h.f.Ino, off, n)
 		ctx.T.Exec(ctx.P, cpu.Kernel, params.CopyTime(n))
 		return n, nil
 	}
@@ -194,25 +193,7 @@ func (h *pagedHandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	// Readahead: grow the window on sequential access, reset on seek.
 	// Brownout zeroes the effective window, deferring speculative
 	// fetches while the backend or admission queues are overloaded.
-	fetchLen := n
-	if ra := m.raWindow(); ra > 0 {
-		if off == h.raNext {
-			if h.raWindow == 0 {
-				h.raWindow = ra / 8
-			}
-			h.raWindow *= 2
-			if h.raWindow > ra {
-				h.raWindow = ra
-			}
-		} else {
-			h.raWindow = 0 // random access: no readahead
-		}
-		fetchLen += h.raWindow
-		if off+fetchLen > h.f.size {
-			fetchLen = h.f.size - off
-		}
-	}
-	h.raNext = off + n
+	fetchLen := h.ra.Extend(off, n, h.f.Size, m.raWindow())
 
 	// Fetch misses with page-lock semantics: ranges being read in by
 	// another thread are awaited rather than re-fetched.
@@ -223,32 +204,30 @@ func (h *pagedHandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 			// from the dead store.
 			return 0, err
 		}
-		gaps := h.f.cached.Gaps(off, fetchLen)
-		if len(gaps) == 0 {
-			break
-		}
-		g := gaps[0]
-		if h.f.fetching.Covered(g.Off, g.Len) > 0 {
+		g, wait := h.f.Claim(off, fetchLen)
+		if wait {
 			m.fetchQ.WaitTimeout(ctx.P, params.DirtyThrottleCheck)
 			continue
 		}
-		h.f.fetching.Insert(g.Off, g.Len)
-		m.store.ReadData(ctx, h.f.ino, g.Off, g.Len)
+		if g.Len == 0 {
+			break
+		}
+		m.store.ReadData(ctx, h.f.Ino, g.Off, g.Len)
 		if err := h.failIfStale(ctx); err != nil {
 			// Crashed during the store read: release the claim so other
 			// stale waiters cycle out, and fail instead of inserting
 			// into the restarted incarnation's cache.
-			h.f.fetching.Remove(g.Off, g.Len)
+			h.f.Fetching.Remove(g.Off, g.Len)
 			m.fetchQ.Broadcast()
 			return 0, err
 		}
 		m.cacheInsert(ctx, h.f, g.Off, g.Len)
-		h.f.fetching.Remove(g.Off, g.Len)
+		h.f.Fetching.Remove(g.Off, g.Len)
 		m.fetchQ.Broadcast()
 	}
 	// LRU touch for the access (page flags only — cached reads do not
 	// pay per-page lock holds) plus the user-visible copy out.
-	m.chargeLRU(ctx, 0, func() { m.touch(h.f) })
+	m.withLRU(ctx, func() { m.cache.Touch(h.f) })
 	ctx.T.Exec(ctx.P, cpu.Kernel, params.CopyTime(n))
 	return n, nil
 }
@@ -271,21 +250,21 @@ func (h *pagedHandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 
 	if h.flags.Has(vfsapi.DIRECT) {
 		ctx.T.Exec(ctx.P, cpu.Kernel, params.CopyTime(n))
-		m.store.WriteData(ctx, h.f.ino, off, n)
-		if end := off + n; end > h.f.size {
-			h.f.size = end
-			m.store.SetSize(ctx, h.f.ino, end)
+		m.store.WriteData(ctx, h.f.Ino, off, n)
+		if end := off + n; end > h.f.Size {
+			h.f.Size = end
+			m.store.SetSize(ctx, h.f.Ino, end)
 		}
 		return n, nil
 	}
 
-	h.f.imutex.Lock(ctx.P)
+	h.f.X.Lock(ctx.P)
 	ctx.T.Chain(ctx.P, cpu.Charge(cpu.Kernel, params.IMutexHold), cpu.Charge(cpu.Kernel, params.CopyTime(n)))
 	m.cacheInsert(ctx, h.f, off, n)
-	if end := off + n; end > h.f.size {
-		h.f.size = end
+	if end := off + n; end > h.f.Size {
+		h.f.Size = end
 	}
-	h.f.imutex.Unlock(ctx.P)
+	h.f.X.Unlock(ctx.P)
 	m.markDirty(ctx, h.f, off, n)
 	if err := h.failIfStale(ctx); err != nil {
 		// The client died while the writer was throttled: the pages it
@@ -297,7 +276,7 @@ func (h *pagedHandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 
 // Append writes at end of file under the inode mutex.
 func (h *pagedHandle) Append(ctx vfsapi.Ctx, n int64) (int64, error) {
-	off := h.f.size
+	off := h.f.Size
 	_, err := h.Write(ctx, off, n)
 	return off, err
 }
@@ -308,14 +287,14 @@ func (h *pagedHandle) Fsync(ctx vfsapi.Ctx) error {
 		return err
 	}
 	m := h.m
-	for h.f.dirty.Len() > 0 {
+	for h.f.Dirty.Len() > 0 {
 		m.kern.writebackLock.Lock(ctx.P)
 		ctx.T.Exec(ctx.P, cpu.Kernel, m.kern.params.WritebackLockHold)
-		exts := h.f.dirty.PopFirst(4 << 20)
+		exts := h.f.Dirty.PopFirst(4 << 20)
 		m.kern.writebackLock.Unlock(ctx.P)
 		var total int64
 		for _, e := range exts {
-			m.store.WriteData(ctx, h.f.ino, e.Off, e.Len)
+			m.store.WriteData(ctx, h.f.Ino, e.Off, e.Len)
 			total += e.Len
 		}
 		if err := h.failIfStale(ctx); err != nil {
@@ -323,11 +302,11 @@ func (h *pagedHandle) Fsync(ctx vfsapi.Ctx) error {
 			// and the un-acknowledged batch must not count as synced.
 			return err
 		}
-		m.dirtyBytes -= total
+		m.cache.DirtyBytes -= total
 		m.throttleQ.Broadcast()
 	}
-	m.removeDirty(h.f)
-	if err := m.store.SetSize(ctx, h.f.ino, h.f.size); err != nil {
+	m.cache.Unlist(h.f)
+	if err := m.store.SetSize(ctx, h.f.Ino, h.f.Size); err != nil {
 		return err
 	}
 	// Draining pages into the store is only durable when the store
@@ -337,7 +316,7 @@ func (h *pagedHandle) Fsync(ctx vfsapi.Ctx) error {
 	// cache — the fsync must propagate down or acknowledged data is
 	// still volatile in the user-level client.
 	if fs, ok := m.store.(storeFsyncer); ok {
-		return fs.Fsync(ctx, h.f.ino)
+		return fs.Fsync(ctx, h.f.Ino)
 	}
 	return nil
 }
@@ -360,8 +339,8 @@ func (h *pagedHandle) Close(ctx vfsapi.Ctx) error {
 		return err
 	}
 	h.closed = true
-	if h.wrote && !h.f.unlinked {
-		return h.m.store.SetSize(ctx, h.f.ino, h.f.size)
+	if h.wrote && !h.f.Unlinked {
+		return h.m.store.SetSize(ctx, h.f.Ino, h.f.Size)
 	}
 	return nil
 }

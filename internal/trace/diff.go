@@ -166,10 +166,23 @@ func (d *Diff) Render(w io.Writer) {
 	}
 }
 
+// DiffCSVHeader names the columns of the diff's CSV rows.
+const DiffCSVHeader = "tenant,op,count_a,count_b,p50_a_us,p99_a_us,p999_a_us,p50_b_us,p99_b_us,p999_b_us,ratio_p99,ratio_p999"
+
 // WriteCSV writes the diff as CSV (durations in microseconds).
 func (d *Diff) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "tenant,op,count_a,count_b,p50_a_us,p99_a_us,p999_a_us,p50_b_us,p99_b_us,p999_b_us,ratio_p99,ratio_p999"); err != nil {
+	if _, err := fmt.Fprintln(w, DiffCSVHeader); err != nil {
 		return err
+	}
+	return d.WriteCSVRows(w, "")
+}
+
+// WriteCSVRows writes the diff's rows as CSV lines without a header.
+// A non-empty lead is written as an extra first column of every line,
+// so several diffs can share one file.
+func (d *Diff) WriteCSVRows(w io.Writer, lead string) error {
+	if lead != "" {
+		lead += ","
 	}
 	us := func(v time.Duration) float64 { return float64(v) / float64(time.Microsecond) }
 	for _, r := range d.Rows {
@@ -177,8 +190,8 @@ func (d *Diff) WriteCSV(w io.Writer) error {
 		if kind == "" {
 			kind = "*"
 		}
-		if _, err := fmt.Fprintf(w, "%s,%s,%d,%d,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.3f,%.3f\n",
-			r.Tenant, kind, r.A.Count, r.B.Count,
+		if _, err := fmt.Fprintf(w, "%s%s,%s,%d,%d,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.3f,%.3f\n",
+			lead, r.Tenant, kind, r.A.Count, r.B.Count,
 			us(r.A.P50), us(r.A.P99), us(r.A.P999),
 			us(r.B.P50), us(r.B.P99), us(r.B.P999),
 			r.RatioP99(), r.RatioP999()); err != nil {

@@ -272,6 +272,14 @@ func TestCompareRatios(t *testing.T) {
 	if !strings.Contains(csv.String(), "t0,*") {
 		t.Errorf("CSV missing aggregate row:\n%s", csv.String())
 	}
+	var led bytes.Buffer
+	if err := d.WriteCSVRows(&led, "K"); err != nil {
+		t.Fatal(err)
+	}
+	body := strings.TrimPrefix(csv.String(), DiffCSVHeader+"\n")
+	if want := "K," + strings.ReplaceAll(strings.TrimSuffix(body, "\n"), "\n", "\nK,") + "\n"; led.String() != want {
+		t.Errorf("led rows:\n%s\nwant the CSV rows behind a K column:\n%s", led.String(), want)
+	}
 	var rendered bytes.Buffer
 	d.Render(&rendered)
 	if !strings.Contains(rendered.String(), "tracediff") {
