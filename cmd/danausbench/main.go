@@ -217,6 +217,10 @@ func checkFlags(o *options) error {
 		valid bool
 		needs string
 	}{
+		{"trace", o.exp != "", "-exp"},
+		{"metrics", o.exp != "", "-exp"},
+		{"blame", o.exp != "", "-exp"},
+		{"record", o.exp != "" || o.replay != "", "-exp or -replay"},
 		{"whatif", runs("blamesweep"), "-exp blamesweep (or all)"},
 		{"crashcsv", runs("crashsweep"), "-exp crashsweep (or all)"},
 		{"monitor", runs("monitorsweep"), "-exp monitorsweep (or all)"},

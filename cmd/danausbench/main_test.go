@@ -97,6 +97,22 @@ func TestCheckFlags(t *testing.T) {
 		{"-exp table1 -diffcsv d.csv", "-diffcsv"},
 		{"-exp all -diffcsv d.csv", "-diffcsv"},
 		{"-exp table1 -crashcsv c.csv -monitor m.csv -config bogus -admission -seed 7 -diffcsv d.csv", "-crashcsv"},
+		{"-exp faultsweep -trace t.json -metrics m.json -blame b.json -record r.trace", ""},
+		{"-replay b.trace -record k.trace", ""},
+		{"-fuzz 1 -trace t.json -metrics m.json -record r.trace", "-trace"},
+		{"-fuzz 1 -metrics m.json", "-metrics"},
+		{"-fuzz 1 -record r.trace", "-record"},
+		{"-replay b.trace -trace t.json", "-trace"},
+		{"-replay b.trace -metrics m.json", "-metrics"},
+		{"-replay b.trace -blame b.json", "-blame"},
+		{"-fuzzspec r.spec -blame b.json", "-blame"},
+		{"-fuzzspec r.spec -record r.trace", "-record"},
+		{"-tracediff a.trace,b.trace -trace t.json", "-trace"},
+		{"-tracediff a.trace,b.trace -record r.trace", "-record"},
+		{"-trace t.json", "-trace"},
+		{"-metrics m.json", "-metrics"},
+		{"-blame b.json", "-blame"},
+		{"-record r.trace", "-record"},
 	}
 	for _, c := range cases {
 		var args []string

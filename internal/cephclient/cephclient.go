@@ -11,7 +11,6 @@
 package cephclient
 
 import (
-	"errors"
 	"time"
 
 	"repro/internal/cache"
@@ -21,7 +20,6 @@ import (
 	"repro/internal/memacct"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/vfsapi"
@@ -58,14 +56,11 @@ type Config struct {
 	// it is open, writeback holds off until the next probe time. Its
 	// thresholds come from model.Params. Nil (the default) keeps the
 	// plain retry loop.
-	Breaker func(from, to BreakerState)
+	Breaker func(from, to cluster.BreakerState)
 	// RetrySeed seeds the client's deterministic jitter stream (retry
 	// backoff and breaker open intervals). Zero picks a fixed default,
 	// so identical configurations replay identically.
 	RetrySeed uint64
-	// RetryObserver, when non-nil, sees every retry backoff delay as it
-	// is slept — the hook the timing-determinism regression test uses.
-	RetryObserver func(time.Duration)
 }
 
 // Client is a user-level Ceph client. It implements vfsapi.FileSystem.
@@ -87,18 +82,15 @@ type Client struct {
 
 	// CacheStats counts data-path cache behaviour.
 	stats CacheStats
-	// faults counts retry/failover activity against a faulted backend.
-	faults metrics.FaultCounters
-	// jitterState is the SplitMix64 stream behind retry and breaker
-	// jitter; brk is nil unless Config.Breaker enables the breaker.
-	jitterState uint64
-	brk         *breaker
-	throttleQ   *sim.WaitQueue
-	flushQ      *sim.WaitQueue
-	fetchQ      *sim.WaitQueue // readers waiting on in-flight fetches
-	stopped     bool
-	crashed     bool
-	threads     []*cpu.Thread // the client's own threads, for repinning
+	// retry runs backend data operations through replica failover,
+	// jittered backoff and the optional breaker, counting faults.
+	retry     *cluster.Retrier
+	throttleQ *sim.WaitQueue
+	flushQ    *sim.WaitQueue
+	fetchQ    *sim.WaitQueue // readers waiting on in-flight fetches
+	stopped   bool
+	crashed   bool
+	threads   []*cpu.Thread // the client's own threads, for repinning
 
 	crashes uint64
 }
@@ -151,19 +143,11 @@ func New(eng *sim.Engine, cpus *cpu.CPU, params *model.Params, clus *cluster.Clu
 		flushQ:     sim.NewWaitQueue(eng, cfg.Name+".flush"),
 		fetchQ:     sim.NewWaitQueue(eng, cfg.Name+".fetch"),
 	}
-	c.jitterState = cfg.RetrySeed
-	if c.jitterState == 0 {
-		c.jitterState = 0x6a09e667f3bcc909 // fixed default: replayable without configuration
+	seed := cfg.RetrySeed
+	if seed == 0 {
+		seed = 0x6a09e667f3bcc909 // fixed default: replayable without configuration
 	}
-	if cfg.Breaker != nil {
-		c.brk = newBreaker(BreakerConfig{
-			FailureThreshold: params.BreakerFailureThreshold,
-			OpenBase:         params.BreakerOpenBase,
-			OpenCap:          params.BreakerOpenCap,
-			RecoveryTarget:   params.BreakerRecoveryTarget,
-			OnChange:         cfg.Breaker,
-		}, &c.jitterState)
-	}
+	c.retry = clus.NewRetrier(&c.crashed, &c.stopped, seed, cfg.Breaker)
 	clus.OpenSession(cfg.Name, c)
 	for i := 0; i < cfg.Flushers; i++ {
 		eng.Go(cfg.Name+".flusher", func(p *sim.Proc) { c.flusherLoop(p) })
@@ -281,174 +265,35 @@ func (c *Client) Stats() CacheStats { return c.stats }
 
 // FaultStats returns a snapshot of the client's fault-handling
 // counters.
-func (c *Client) FaultStats() metrics.FaultCounters { return c.faults }
+func (c *Client) FaultStats() metrics.FaultCounters { return c.retry.Faults }
 
 // BreakerStats returns the circuit-breaker counters (zero when the
 // breaker is disabled).
-func (c *Client) BreakerStats() BreakerStats {
-	if c.brk == nil {
-		return BreakerStats{}
-	}
-	return c.brk.stats
-}
-
-// BreakerState returns the current breaker state (closed when the
-// breaker is disabled).
-func (c *Client) BreakerState() BreakerState {
-	if c.brk == nil {
-		return BreakerClosed
-	}
-	return c.brk.state
-}
-
-// retryable reports whether err is a transient backend fault worth
-// retrying (as opposed to a semantic error like ErrNotExist).
-func retryable(err error) bool {
-	return errors.Is(err, cluster.ErrOSDDown) ||
-		errors.Is(err, netsim.ErrPartitioned) ||
-		errors.Is(err, netsim.ErrDropped)
-}
-
-// backoff sleeps the seeded capped-exponential retry delay, charging
-// it as I/O wait, and doubles d up to the cap. The slept delay is
-// jittered to [d/2, d] from the client's deterministic jitter stream,
-// so concurrent retriers desynchronize while two runs with the same
-// seed produce byte-identical delay sequences.
-func (c *Client) backoff(ctx vfsapi.Ctx, d *time.Duration) {
-	delay := *d
-	if half := delay / 2; half > 0 {
-		delay = half + time.Duration(splitmix(&c.jitterState)%uint64(half+1))
-	}
-	if c.cfg.RetryObserver != nil {
-		c.cfg.RetryObserver(delay)
-	}
-	start := c.eng.Now()
-	ctx.P.Sleep(delay)
-	wait := c.eng.Now() - start
-	ctx.T.Account().AddIOWait(wait)
-	c.faults.TimeDegraded += wait
-	if next := *d * 2; next <= c.params.ClientRetryCap {
-		*d = next
-	} else {
-		*d = c.params.ClientRetryCap
-	}
-}
+func (c *Client) BreakerStats() cluster.BreakerStats { return c.retry.BreakerStats() }
 
 // readBackend fetches [off, off+n) of ino with the client's bounded
 // retry policy: the first attempt follows the cluster's degraded-aware
-// routing; retries cycle through the replication group with capped
-// exponential backoff until the per-op deadline or the retry budget
-// runs out, at which point the op fails with vfsapi.ErrIO.
+// routing; retries cycle through the replication group until the
+// per-op deadline or the retry budget runs out, at which point the op
+// fails with vfsapi.ErrIO (see cluster.Retrier.Do).
 func (c *Client) readBackend(ctx vfsapi.Ctx, ino uint64, off, n int64) error {
-	if c.brk != nil && !c.brk.allow(c.eng.Now()) {
-		// Fail fast: the breaker learned the backend is down, so the op
-		// sheds immediately instead of burning its full retry budget.
-		return vfsapi.ErrIO
-	}
-	deadline := c.eng.Now() + c.params.ClientOpDeadline
-	backoff := c.params.ClientRetryBase
-	repl := c.clus.Replication()
-	for try := 0; ; try++ {
-		if c.crashed {
-			// A crash mid-backoff must not let the next attempt slip
-			// through: dead services issue no more requests.
-			return ErrCrashed
-		}
-		var err error
-		member := 0
+	return c.retry.Do(ctx, true, func(try, member int) error {
 		if try == 0 {
-			err = c.clus.Read(ctx, ino, off, n)
-		} else {
-			member = try % repl
-			err = c.clus.ReadReplica(ctx, ino, off, n, member)
+			return c.clus.Read(ctx, ino, off, n)
 		}
-		if err == nil {
-			if member != 0 {
-				c.faults.Failovers++
-			}
-			if c.brk != nil {
-				c.brk.onSuccess()
-			}
-			return nil
-		}
-		if c.crashed {
-			return ErrCrashed
-		}
-		if !retryable(err) || c.stopped {
-			return err
-		}
-		if c.brk != nil {
-			c.brk.onFailure(c.eng.Now())
-		}
-		if try+1 >= c.params.ClientMaxRetries || c.eng.Now()+backoff > deadline {
-			c.faults.DeadlineMisses++
-			return vfsapi.ErrIO
-		}
-		c.faults.Retries++
-		c.backoff(ctx, &backoff)
-	}
+		return c.clus.ReadReplica(ctx, ino, off, n, member)
+	})
 }
 
 // writePersist stores [off, off+n) of ino durably, retrying until it
 // lands: writeback must not drop data the application already handed
-// over, so unlike reads there is no retry bound — each attempt
-// advances the acting primary through the replication group, and a
-// pass of the op deadline is counted (once) as a deadline miss. The
-// loop aborts only when the client is stopped or crashed or the error
-// is not a transient fault.
+// over, so unlike reads it blocks — each attempt advances the acting
+// primary through the replication group. It aborts only when the
+// client is stopped or crashed or the error is not a transient fault.
 func (c *Client) writePersist(ctx vfsapi.Ctx, ino uint64, off, n int64) error {
-	deadline := c.eng.Now() + c.params.ClientOpDeadline
-	backoff := c.params.ClientRetryBase
-	repl := c.clus.Replication()
-	missed := false
-	for try := 0; ; try++ {
-		if c.crashed {
-			// The crash already discarded this incarnation's dirty state;
-			// persisting more of it from a dead service would be wrong.
-			return ErrCrashed
-		}
-		// An open breaker never sheds writeback (that would drop
-		// acknowledged data); it holds the write off until the open
-		// interval elapses, then lets it probe with everyone else.
-		if c.brk != nil {
-			if hold := c.brk.holdoff(c.eng.Now()); hold > 0 && !c.stopped && !c.crashed {
-				start := c.eng.Now()
-				ctx.P.Sleep(hold)
-				wait := c.eng.Now() - start
-				ctx.T.Account().AddIOWait(wait)
-				c.faults.TimeDegraded += wait
-			}
-		}
-		if c.crashed {
-			return ErrCrashed
-		}
-		acting := try % repl
-		err := c.clus.WriteReplica(ctx, ino, off, n, acting)
-		if err == nil {
-			if acting != 0 {
-				c.faults.Failovers++
-			}
-			if c.brk != nil {
-				c.brk.onSuccess()
-			}
-			return nil
-		}
-		if c.crashed {
-			return ErrCrashed
-		}
-		if !retryable(err) || c.stopped {
-			return err
-		}
-		if c.brk != nil {
-			c.brk.onFailure(c.eng.Now())
-		}
-		c.faults.Retries++
-		if !missed && c.eng.Now() > deadline {
-			missed = true
-			c.faults.DeadlineMisses++
-		}
-		c.backoff(ctx, &backoff)
-	}
+	return c.retry.Do(ctx, false, func(_, member int) error {
+		return c.clus.WriteReplica(ctx, ino, off, n, member)
+	})
 }
 
 // opCPU charges the fixed user-level cost of one client operation.

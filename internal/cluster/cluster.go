@@ -19,8 +19,7 @@ import (
 )
 
 // ErrOSDDown is returned by data operations that reach a crashed OSD.
-// Clients recover by retrying against another replica (see the
-// cephclient and kern retry paths).
+// Clients recover by retrying against another replica (see Retrier).
 var ErrOSDDown = errors.New("cluster: osd down")
 
 // Cluster is the storage backend: one MDS plus a set of OSDs.

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cephclient"
+	"repro/internal/cluster"
 	"repro/internal/cpu"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -171,7 +171,7 @@ func (tb *Testbed) harvest(reg *obs.Registry) {
 			t.AddCounter("cache_miss_bytes", cs.MissBytes)
 			t.AddCounter("cache_write_bytes", cs.WriteBytes)
 			t.AddCounter("cache_flushed_bytes", cs.FlushedBytes)
-			if bs := c.BreakerStats(); bs != (cephclient.BreakerStats{}) {
+			if bs := c.BreakerStats(); bs != (cluster.BreakerStats{}) {
 				t.AddCounter("breaker_opens", int64(bs.Opens))
 				t.AddCounter("breaker_short_circuits", int64(bs.ShortCircuits))
 				t.AddCounter("breaker_probes", int64(bs.Probes))

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"repro/internal/cephclient"
+	"repro/internal/cluster"
 	"repro/internal/vfsapi"
 )
 
@@ -47,20 +47,20 @@ func (tb *Testbed) admissionFor(name string) *vfsapi.Admission {
 // hook marks transitions in the trace and holds the kernel in brownout
 // while the breaker is open or probing (it releases only on a full
 // close); the thresholds come from model.Params.
-func (tb *Testbed) breakerFor(tenant, clientName string) (func(from, to cephclient.BreakerState), uint64) {
+func (tb *Testbed) breakerFor(tenant, clientName string) (func(from, to cluster.BreakerState), uint64) {
 	pol := tb.Overload
 	if pol == nil {
 		return nil, 0
 	}
 	contributing := false
 	k := tb.Kernel
-	onChange := func(from, to cephclient.BreakerState) {
+	onChange := func(from, to cluster.BreakerState) {
 		tb.Obs.Mark(tenant, "breaker:"+to.String())
 		switch {
-		case to == cephclient.BreakerOpen && !contributing:
+		case to == cluster.BreakerOpen && !contributing:
 			contributing = true
 			k.BrownoutEnter()
-		case to == cephclient.BreakerClosed && contributing:
+		case to == cluster.BreakerClosed && contributing:
 			contributing = false
 			k.BrownoutExit()
 		}

@@ -73,19 +73,14 @@ func CrashSweepCases() []CrashSweepCase {
 	}
 }
 
-// crashWindow places an outage of kind over the [start, end] fractions
-// of the measurement window; tenant-scoped kinds crash the victim pool.
-func crashWindow(k faults.Kind, scale Scale, start, end float64) faults.Window {
-	w := faults.Window{
-		Kind:   k,
-		Tenant: "fls0",
-		Start:  time.Duration(float64(scale.Duration) * start),
-		End:    time.Duration(float64(scale.Duration) * end),
-	}
+// crashSchedule is the fault schedule of one outage of kind over the
+// [a, b] fractions of the measurement window; tenant-scoped kinds crash
+// the victim pool.
+func crashSchedule(k faults.Kind, scale Scale, a, b float64) string {
 	if k == faults.HostCrash {
-		w.Tenant = ""
+		return fmt.Sprintf("%v:%s", k, span(scale, a, b))
 	}
-	return w
+	return fmt.Sprintf("%v:fls0:%s", k, span(scale, a, b))
 }
 
 // RunCrashSweep executes one crash-sweep case: victim pool 0 runs a
@@ -119,12 +114,11 @@ func RunCrashSweep(c CrashSweepCase, run Run) CrashSweepRow {
 		)
 
 		clock := run.Clock(r.tb.Eng)
-		w := crashWindow(c.Kind, run.Scale, 0.3, 0.5)
-		plan := faults.Plan{Windows: []faults.Window{w}}
-		if _, err := faults.Install(r.tb.Eng, r.tb.Cluster, r.tb, plan, clock.From); err != nil {
+		plan, err := r.tb.InstallFaults(crashSchedule(c.Kind, run.Scale, 0.3, 0.5), 0, clock.From)
+		if err != nil {
 			panic(err)
 		}
-		crashAbs := clock.From + w.Start
+		crashAbs := clock.From + plan.Windows[0].Start
 		noteRepair := func(t time.Duration) {
 			if row.VictimRepair == 0 && t >= crashAbs {
 				row.VictimRepair = t - crashAbs

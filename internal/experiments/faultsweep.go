@@ -56,20 +56,26 @@ type FaultSweepRow struct {
 	DataLossBytes int64
 }
 
+// frac is fraction f of the scale's measurement window.
+func frac(scale Scale, f float64) time.Duration {
+	return time.Duration(float64(scale.Duration) * f)
+}
+
+// span renders the [a, b] fractions of the measurement window as a
+// fault-schedule window "start-end". Duration.String round-trips
+// through faults.Parse exactly.
+func span(scale Scale, a, b float64) string {
+	return fmt.Sprintf("%v-%v", frac(scale, a), frac(scale, b))
+}
+
 // FaultSweepCases returns the harness sweep: a no-fault baseline, the
 // combined crash+spike+stall schedule against the user-level and the
 // kernel client at replication 2, and an unreplicated long crash that
 // exercises the bounded-retry error path.
 func FaultSweepCases(scale Scale) []FaultSweepCase {
-	frac := func(f float64) time.Duration {
-		return time.Duration(float64(scale.Duration) * f)
-	}
-	span := func(a, b float64) string {
-		return fmt.Sprintf("%v-%v", frac(a), frac(b))
-	}
 	combined := fmt.Sprintf("osd-crash:@wal:%s;net-spike:client:500us:%s;mds-stall:%s",
-		span(0.25, 0.6), span(0.4, 0.7), span(0.5, 0.55))
-	long := fmt.Sprintf("osd-crash:@wal:%s", span(0.25, 0.85))
+		span(scale, 0.25, 0.6), span(scale, 0.4, 0.7), span(scale, 0.5, 0.55))
+	long := fmt.Sprintf("osd-crash:@wal:%s", span(scale, 0.25, 0.85))
 	return []FaultSweepCase{
 		{Label: "baseline", Config: core.ConfigD, Replication: 2, Schedule: ""},
 		{Label: "crash+spike+stall", Config: core.ConfigD, Replication: 2, Schedule: combined},

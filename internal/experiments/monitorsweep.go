@@ -135,13 +135,13 @@ func calibrateVictim(c MonitorCase, scale Scale) (time.Duration, uint64) {
 	return stats.Latency.Quantile(0.99), stats.Ops.Ops / monFastFrac
 }
 
-// monitorLoad is the disturbance of one monitored run: a crash plan
+// monitorLoad is the disturbance of one monitored run: a crash schedule
 // installed at measurement start with a bystander reading a warm file
 // in the other pool, or an open-loop burst from the aggressor pool
 // inside [monFaultStart, monFaultEnd] of the measurement window. The
 // zero value is the undisturbed calibration run.
 type monitorLoad struct {
-	crash *faults.Plan
+	crash string // fault schedule
 	byst  *core.Container
 	agg   *core.Container
 }
@@ -178,8 +178,8 @@ func runMonitorLoad(r *rig, victim *core.Container, ld monitorLoad, mon *telemet
 		clock := scale.Clock(r.tb.Eng)
 		measureEnd = clock.Stop
 		mon.ArmSLOs(clock.From, clock.Stop)
-		if ld.crash != nil {
-			if _, err := faults.Install(r.tb.Eng, r.tb.Cluster, r.tb, *ld.crash, clock.From); err != nil {
+		if ld.crash != "" {
+			if _, err := r.tb.InstallFaults(ld.crash, 0, clock.From); err != nil {
 				panic(err)
 			}
 		}
@@ -199,8 +199,8 @@ func runMonitorLoad(r *rig, victim *core.Container, ld monitorLoad, mon *telemet
 			}).Run(g, clock)
 		}
 		if ld.agg != nil {
-			from := clock.From + time.Duration(float64(scale.Duration)*monFaultStart)
-			stop := clock.From + time.Duration(float64(scale.Duration)*monFaultEnd)
+			from := clock.From + frac(scale, monFaultStart)
+			stop := clock.From + frac(scale, monFaultEnd)
 			g.Go("burst-starter", func(pp *sim.Proc) {
 				if wait := from - pp.Now(); wait > 0 {
 					pp.Sleep(wait)
@@ -267,8 +267,7 @@ func RunMonitorCase(c MonitorCase, scale Scale) MonitorRow {
 	case "overload":
 		ld.agg = agg
 	case "crash":
-		w := crashWindow(c.Kind, scale, monFaultStart, monFaultEnd)
-		ld.crash, ld.byst = &faults.Plan{Windows: []faults.Window{w}}, agg
+		ld.crash, ld.byst = crashSchedule(c.Kind, scale, monFaultStart, monFaultEnd), agg
 	default:
 		panic("monitorsweep: unknown fault " + c.Fault)
 	}

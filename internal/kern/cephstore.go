@@ -1,14 +1,12 @@
 package kern
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/cluster"
 	"repro/internal/cpu"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/netsim"
 	"repro/internal/vfsapi"
 )
 
@@ -25,8 +23,9 @@ type CephStore struct {
 	attrs map[string]attrEntry // dentry/attribute cache
 	paths map[uint64]string    // ino -> authoritative path
 
-	// faults counts retry/failover activity against a faulted backend.
-	faults metrics.FaultCounters
+	// retry runs data operations through replica failover and
+	// unjittered backoff, counting faults.
+	retry *cluster.Retrier
 
 	// session identifies this client instance at the MDS. crashed fails
 	// every operation with vfsapi.ErrCrashed until RestartStore reclaims
@@ -49,6 +48,7 @@ func NewCephStore(k *Kernel, clus *cluster.Cluster) *CephStore {
 		attrs: map[string]attrEntry{},
 		paths: map[uint64]string{},
 	}
+	s.retry = clus.NewRetrier(&s.crashed, &k.stopped, 0, nil)
 	s.session = fmt.Sprintf("kclient%d", clus.SessionCount())
 	clus.OpenSession(s.session, nil)
 	return s
@@ -215,75 +215,21 @@ func (s *CephStore) SetSize(ctx vfsapi.Ctx, ino uint64, size int64) error {
 
 // FaultStats returns a snapshot of the store's fault-handling
 // counters.
-func (s *CephStore) FaultStats() metrics.FaultCounters { return s.faults }
-
-// kernRetryable mirrors the user-level client's transient-fault test.
-func kernRetryable(err error) bool {
-	return errors.Is(err, cluster.ErrOSDDown) ||
-		errors.Is(err, netsim.ErrPartitioned) ||
-		errors.Is(err, netsim.ErrDropped)
-}
-
-// retryData runs attempt against the replication group until it
-// succeeds. The kernel client blocks like the real CephFS mount: there
-// is no per-op deadline and no retry bound — the process hangs in D
-// state until the backend recovers (this is exactly the containment
-// contrast with the bounded user-level client). The deadline a bounded
-// client would have enforced is still counted, once per op, as a
-// deadline miss. Kernel shutdown aborts the loop so the engine drains.
-func (s *CephStore) retryData(ctx vfsapi.Ctx, attempt func(member int) error) {
-	p := s.kern.params
-	deadline := ctx.P.Now() + p.ClientOpDeadline
-	backoff := p.ClientRetryBase
-	repl := s.clus.Replication()
-	missed := false
-	for try := 0; ; try++ {
-		if s.crashed {
-			// A crash mid-retry aborts the loop: the in-kernel client is
-			// gone, there is nobody left to hang in D state.
-			return
-		}
-		member := 0
-		if try > 0 {
-			member = try % repl
-		}
-		err := attempt(member)
-		if err == nil {
-			if member != 0 {
-				s.faults.Failovers++
-			}
-			return
-		}
-		if !kernRetryable(err) || s.kern.stopped || s.crashed {
-			return
-		}
-		s.faults.Retries++
-		if !missed && ctx.P.Now() > deadline {
-			missed = true
-			s.faults.DeadlineMisses++
-		}
-		start := ctx.P.Now()
-		ctx.P.Sleep(backoff)
-		wait := ctx.P.Now() - start
-		ctx.T.Account().AddIOWait(wait)
-		s.faults.TimeDegraded += wait
-		if next := backoff * 2; next <= p.ClientRetryCap {
-			backoff = next
-		} else {
-			backoff = p.ClientRetryCap
-		}
-	}
-}
+func (s *CephStore) FaultStats() metrics.FaultCounters { return s.retry.Faults }
 
 // ReadData fetches object data from the OSDs, failing over to ring
-// replicas and retrying until the read completes.
+// replicas and retrying until the read completes. The kernel client
+// blocks like the real CephFS mount: there is no per-op deadline and no
+// retry bound — the process hangs in D state until the backend recovers
+// (the containment contrast with the bounded user-level client). Only a
+// crash or kernel shutdown ends the loop early.
 func (s *CephStore) ReadData(ctx vfsapi.Ctx, ino uint64, off, n int64) {
 	if s.crashed {
 		return
 	}
 	s.opCPU(ctx)
 	s.wireCPU(ctx, n)
-	s.retryData(ctx, func(member int) error {
+	s.retry.Do(ctx, false, func(_, member int) error {
 		if member == 0 {
 			return s.clus.Read(ctx, ino, off, n)
 		}
@@ -299,7 +245,7 @@ func (s *CephStore) WriteData(ctx vfsapi.Ctx, ino uint64, off, n int64) {
 	}
 	s.opCPU(ctx)
 	s.wireCPU(ctx, n)
-	s.retryData(ctx, func(member int) error {
+	s.retry.Do(ctx, false, func(_, member int) error {
 		return s.clus.WriteReplica(ctx, ino, off, n, member)
 	})
 }

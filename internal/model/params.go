@@ -172,9 +172,9 @@ type Params struct {
 	// ClientMaxRetries bounds retry attempts per operation in the
 	// user-level client.
 	ClientMaxRetries int
-	// BreakerFailureThreshold is the number of consecutive retryable
+	// BreakerFailureThreshold is the number of consecutive transient
 	// failures that trips the per-client circuit breaker from closed to
-	// open (when the breaker is enabled; see cephclient.BreakerConfig).
+	// open (when the breaker is enabled; see cluster.NewRetrier).
 	BreakerFailureThreshold int
 	// BreakerOpenBase is the first open interval after a trip;
 	// successive trips double it deterministically up to BreakerOpenCap.
