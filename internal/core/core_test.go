@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/cpu"
@@ -305,6 +306,24 @@ func TestPoolMasks(t *testing.T) {
 		}
 	}()
 	tb.PoolMasks(5)
+}
+
+// TestNewPoolRejectsCoresOffHost checks that a pool cannot reserve a
+// core the host lacks: on a 4-core host, cores 4 and 5 would leave the
+// pool's threads with no core to run on.
+func TestNewPoolRejectsCoresOffHost(t *testing.T) {
+	tb := newTB(t, 4)
+	tb.NewPool("ok", cpu.MaskOf(2, 3), 1<<30)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "{4,5}") || !strings.Contains(msg, "4-core host") {
+			t.Fatalf("panic %q, want one naming mask {4,5} and the 4-core host", msg)
+		}
+		if len(tb.Pools()) != 1 {
+			t.Fatalf("%d pools after a refused reservation, want 1", len(tb.Pools()))
+		}
+	}()
+	tb.NewPool("bad", cpu.MaskOf(4, 5), 1<<30)
 }
 
 func TestConfigurationStrings(t *testing.T) {

@@ -109,8 +109,12 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 }
 
 // NewPool reserves a container pool: a cpuset of cores and a memory
-// budget, with its own resource accounting.
+// budget, with its own resource accounting. A mask naming a core the
+// host lacks panics.
 func (tb *Testbed) NewPool(name string, mask cpu.Mask, memBytes int64) *Pool {
+	if extra := mask &^ tb.CPU.AllMask(); extra != 0 {
+		panic(fmt.Sprintf("core: pool %s mask %v names cores %v outside the %d-core host", name, mask, extra, tb.CPU.NumCores()))
+	}
 	p := &Pool{
 		tb:        tb,
 		Name:      name,

@@ -81,6 +81,73 @@ func execLockedChainContended(n int) func() {
 	})
 }
 
+// BenchmarkExecContendedManyMasks runs eight pools of three threads,
+// each pool pinned to its own two cores of a 16-core host, plus one
+// thread roaming all cores, all issuing 1µs Execs: the shape of an
+// 8-pool Seqwrite with a kernel flusher, where runs of many masks queue
+// at once.
+func BenchmarkExecContendedManyMasks(b *testing.B) {
+	allocgate.Bench(b, execContendedManyMasks)
+}
+
+func execContendedManyMasks(n int) func() {
+	const pools, perPool = 8, 3
+	eng := sim.NewEngine()
+	c := New(eng, model.Default(), 2*pools)
+	var threads []*Thread
+	for pool := 0; pool < pools; pool++ {
+		acct := NewAccount("pool")
+		for range perPool {
+			threads = append(threads, c.NewThread(acct, MaskRange(2*pool, 2*pool+2)))
+		}
+	}
+	threads = append(threads, c.NewThread(NewAccount("flusher"), 0))
+	for i, th := range threads {
+		per := allocgate.Share(n, len(threads), i)
+		eng.Go("bench", func(p *sim.Proc) {
+			for range per {
+				th.Exec(p, User, time.Microsecond)
+			}
+		})
+	}
+	return eng.Run
+}
+
+// BenchmarkExecRepinQueued has four threads issuing 1µs Execs on a
+// 2-core host while a callback repins one of them every 500ns between
+// core 0 and both cores, so most repins move queued runs between the
+// two masks' queues. Every mask holds core 0, so no run is stranded.
+func BenchmarkExecRepinQueued(b *testing.B) { allocgate.Bench(b, execRepinQueued) }
+
+func execRepinQueued(n int) func() {
+	eng := sim.NewEngine()
+	c := New(eng, model.Default(), 2)
+	acct := NewAccount("bench")
+	masks := [2]Mask{MaskOf(0), MaskOf(0, 1)}
+	threads := make([]*Thread, 4)
+	for i := range threads {
+		th := c.NewThread(acct, masks[0])
+		threads[i] = th
+		per := allocgate.Share(n, len(threads), i)
+		eng.Go("bench", func(p *sim.Proc) {
+			for range per {
+				th.Exec(p, User, time.Microsecond)
+			}
+		})
+	}
+	tick := 0
+	var repin func()
+	repin = func() {
+		tick++
+		threads[tick%len(threads)].SetAffinity(masks[tick/len(threads)%2])
+		if eng.LiveProcs() > 0 {
+			eng.After(500*time.Nanosecond, repin)
+		}
+	}
+	eng.After(0, repin)
+	return eng.Run
+}
+
 // contended time-shares one core between four threads issuing Execs
 // of d, n in all.
 func contended(n int, d time.Duration) func() {

@@ -9,8 +9,10 @@
 package cpu
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/model"
@@ -24,10 +26,22 @@ type CPU struct {
 	eng     *sim.Engine
 	params  *model.Params
 	cores   []coreState
-	runq    sim.Queue[*execRun] // FIFO runqueue
 	all     Mask
 	groupSz int
 	scanRR  int // rotating scan start spreads load across idle cores
+
+	// The runqueue is one FIFO per distinct affinity mask: a testbed
+	// has few (one per pool, the all-cores mask, the group masks).
+	// Each queued run carries its admission stamp, so the oldest run
+	// that may use a freed core is the head with the smallest stamp
+	// among the queues whose mask contains the core — the run a scan
+	// of one host-wide FIFO would find, without walking the runs of
+	// other pools. See release.
+	queues    []*maskQueue   // every mask that has queued a run
+	coreQueue [][]*maskQueue // per core, the queues whose mask contains it
+	queued    int            // runs queued across all queues
+	stamp     uint64         // admission counter: the last stamp given
+	refileBuf []*execRun     // reused by refile
 
 	// runPool recycles execRun states (and their callbacks) across Exec
 	// calls, keeping the scheduler hot path free of per-call
@@ -77,12 +91,20 @@ func New(eng *sim.Engine, params *model.Params, n int) *CPU {
 		panic(fmt.Sprintf("cpu: core count %d out of range", n))
 	}
 	return &CPU{
-		eng:     eng,
-		params:  params,
-		cores:   make([]coreState, n),
-		all:     MaskRange(0, n),
-		groupSz: 2,
+		eng:       eng,
+		params:    params,
+		cores:     make([]coreState, n),
+		coreQueue: make([][]*maskQueue, n),
+		all:       MaskRange(0, n),
+		groupSz:   2,
 	}
+}
+
+// maskQueue holds, in admission order, the queued runs whose thread's
+// affinity mask is mask.
+type maskQueue struct {
+	mask Mask
+	q    sim.Queue[*execRun]
 }
 
 // NumCores returns the number of cores.
@@ -114,22 +136,46 @@ type Thread struct {
 	acct     *Account
 	mask     Mask
 	lastCore int
+	q        *maskQueue // the queue of mask; nil until the thread queues
+	queued   int        // runs of this thread waiting in q
 }
 
 // NewThread creates a thread with the given affinity. A zero mask means
-// the thread may run anywhere on the host.
+// the thread may run anywhere on the host; the host's cores outside
+// mask are dropped, and a nonzero mask with no core on the host panics.
 func (c *CPU) NewThread(acct *Account, mask Mask) *Thread {
 	if mask == 0 {
 		mask = c.all
 	}
-	return &Thread{cpu: c, acct: acct, mask: mask & c.all, lastCore: -1}
+	return &Thread{cpu: c, acct: acct, mask: c.onHost(mask), lastCore: -1}
+}
+
+// onHost returns the cores of a nonzero mask that exist on the host. A
+// thread with none could never run, so that is a configuration error.
+func (c *CPU) onHost(mask Mask) Mask {
+	if mask&c.all == 0 {
+		panic(fmt.Sprintf("cpu: affinity mask %v has no core on a %d-core host", mask, len(c.cores)))
+	}
+	return mask & c.all
 }
 
 // SetAffinity repins the thread to mask (e.g. the front driver pinning
-// an application thread to the cores of its first request queue).
+// an application thread to the cores of its first request queue). A
+// zero mask is ignored; one with no core on the host panics. Runs of
+// the thread that are queued for a core move to the new mask's queue.
 func (t *Thread) SetAffinity(mask Mask) {
-	if mask != 0 {
-		t.mask = mask & t.cpu.all
+	if mask == 0 {
+		return
+	}
+	mask = t.cpu.onHost(mask)
+	if mask == t.mask {
+		return
+	}
+	t.mask = mask
+	if t.queued > 0 {
+		t.cpu.refile(t)
+	} else {
+		t.q = nil
 	}
 }
 
@@ -357,6 +403,8 @@ type execRun struct {
 	// A LockedChain's lock wait is passed to span under the name lock.
 	span *obs.Span
 	lock string
+
+	stamp uint64 // admission order while queued for a core
 }
 
 // next enters the next step with work, entering every step on its way.
@@ -457,16 +505,65 @@ func (t *Thread) ModeSwitch(p *sim.Proc) { t.Chain(p, t.ModeSwitchStep()) }
 // ContextSwitch charges one thread switch to the thread's account.
 func (t *Thread) ContextSwitch(p *sim.Proc) { t.Chain(p, t.ContextSwitchStep()) }
 
-// enqueue queues r FIFO for a core in its thread's mask, for a run that
-// found none idle. Released cores are handed directly to the oldest
-// compatible run, so admission order is preserved.
+// enqueue queues r for a core in its thread's mask, for a run that
+// found none idle: it stamps r with the next admission number and
+// appends it to the FIFO of the thread's mask. Released cores are
+// handed directly to the oldest compatible run, so admission order is
+// preserved.
 func (c *CPU) enqueue(r *execRun) {
 	r.since = c.eng.Now()
 	r.aggr = ""
 	if c.eng.HasWaitObserver() {
 		r.aggr = c.runqAggressor(r.t)
 	}
-	c.runq.Push(r)
+	t := r.t
+	if t.q == nil {
+		t.q = c.queueFor(t.mask)
+	}
+	c.stamp++
+	r.stamp = c.stamp
+	t.q.q.Push(r)
+	t.queued++
+	c.queued++
+}
+
+// queueFor returns the queue of mask, creating it, and listing it under
+// each of its cores, the first time a thread of that mask queues.
+func (c *CPU) queueFor(mask Mask) *maskQueue {
+	for _, mq := range c.queues {
+		if mq.mask == mask {
+			return mq
+		}
+	}
+	mq := &maskQueue{mask: mask}
+	c.queues = append(c.queues, mq)
+	for w := uint64(mask); w != 0; w &= w - 1 {
+		core := bits.TrailingZeros64(w)
+		c.coreQueue[core] = append(c.coreQueue[core], mq)
+	}
+	return mq
+}
+
+// refile moves the queued runs of t, whose mask has just changed, from
+// the queue of its old mask to that of the new one: it takes every run
+// out of both and puts each back, in stamp order, into the queue of its
+// thread's mask, so each queue again holds exactly the queued runs
+// whose thread has its mask now, in admission order.
+func (c *CPU) refile(t *Thread) {
+	from := t.q
+	t.q = c.queueFor(t.mask)
+	buf := c.refileBuf[:0]
+	for _, mq := range [2]*maskQueue{from, t.q} {
+		for mq.q.Len() > 0 {
+			buf = append(buf, mq.q.Pop())
+		}
+	}
+	slices.SortFunc(buf, func(a, b *execRun) int { return cmp.Compare(a.stamp, b.stamp) })
+	for _, r := range buf {
+		r.t.q.q.Push(r)
+	}
+	clear(buf)
+	c.refileBuf = buf[:0]
 }
 
 // runqAggressor names the account to blame for a core-acquisition wait
@@ -530,19 +627,31 @@ func (c *CPU) tryAcquire(t *Thread) (int, bool) {
 }
 
 // release frees core, or hands it directly to the oldest queued run
-// whose mask allows it. The grant is a callback at the current time,
-// pushed where the historical loop pushed the waiter's wake.
+// whose mask allows it: the head with the smallest stamp among the
+// queues whose mask contains core. Runs of masks without core are never
+// looked at. The grant is a callback at the current time, pushed where
+// the historical loop pushed the waiter's wake.
 func (c *CPU) release(core int) {
-	for i := 0; i < c.runq.Len(); i++ {
-		r := c.runq.At(i)
-		if !r.t.mask.Has(core) {
-			continue
+	if c.queued > 0 {
+		var best *maskQueue
+		var stamp uint64
+		for _, mq := range c.coreQueue[core] {
+			if mq.q.Len() == 0 {
+				continue
+			}
+			if s := mq.q.At(0).stamp; best == nil || s < stamp {
+				best, stamp = mq, s
+			}
 		}
-		c.runq.Remove(i)
-		r.core = core // core stays busy: direct handoff
-		c.cores[core].occupant = r.t.acct
-		c.eng.After(0, r.grant)
-		return
+		if best != nil {
+			r := best.q.Pop()
+			r.t.queued--
+			c.queued--
+			r.core = core // core stays busy: direct handoff
+			c.cores[core].occupant = r.t.acct
+			c.eng.After(0, r.grant)
+			return
+		}
 	}
 	c.cores[core].busy = false
 	c.cores[core].occupant = nil

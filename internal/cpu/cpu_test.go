@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -336,49 +337,135 @@ func TestWorkConservation(t *testing.T) {
 	}
 }
 
-// TestRunqueueRingMatchesSliceRemoval drives the runqueue through random
-// enqueues and releases of random cores, across the ring's lazy
-// compaction threshold, and requires every release to hand the core to
-// the same run, and leave the same queue, as removal from a plain
-// slice.
+// TestRunqueueRingMatchesSliceRemoval drives the per-mask runqueues
+// through random enqueues, repins of threads with queued runs and
+// releases of random cores, across the rings' lazy compaction
+// threshold, on a 16-core host with eight disjoint two-core pool masks,
+// the all-cores mask and a few overlapping ones. Every release must
+// hand the core to the run a linear scan of one host-wide FIFO picks —
+// the oldest queued run whose thread's mask allows the core, read at
+// release time — or free it when there is none, and the queues must
+// hold the same runs as that FIFO, each in its mask's queue in
+// admission order.
 func TestRunqueueRingMatchesSliceRemoval(t *testing.T) {
-	_, c := newTestCPU(t, 4)
+	const cores = 16
+	_, c := newTestCPU(t, cores)
 	acct := NewAccount("a")
 	rng := rand.New(rand.NewSource(1))
-	var ref []*execRun
+	masks := []Mask{0, MaskRange(0, cores), MaskOf(1, 2), MaskRange(4, 12)}
+	for i := 0; i < cores; i += 2 {
+		masks = append(masks, MaskRange(i, i+2))
+	}
+	threads := make([]*Thread, 40)
+	for i := range threads {
+		threads[i] = c.NewThread(acct, masks[rng.Intn(len(masks))])
+	}
+	var ref []*execRun // the host-wide FIFO, in admission order
+	repins := 0
 	for step := 0; step < 20000; step++ {
-		if len(ref) < 300 && rng.Intn(2) == 0 {
-			mask := MaskOf(rng.Intn(4))
-			if rng.Intn(4) == 0 {
-				mask = 0 // anywhere
-			}
+		switch k := rng.Intn(8); {
+		case k < 4 && len(ref) < 300:
 			// The engine never runs: release only schedules the grant.
-			r := c.getRun(nil, c.NewThread(acct, mask))
+			r := c.getRun(nil, threads[rng.Intn(len(threads))])
 			r.core = -1
 			c.enqueue(r)
 			ref = append(ref, r)
-			continue
-		}
-		core := rng.Intn(4)
-		c.cores[core].busy = true
-		c.release(core)
-		for i, r := range ref {
-			if r.t.mask.Has(core) {
-				if r.core != core {
-					t.Fatalf("step %d: core %d not handed to the oldest eligible run", step, core)
+		case k == 4 && len(ref) > 0:
+			ref[rng.Intn(len(ref))].t.SetAffinity(masks[rng.Intn(len(masks))])
+			repins++
+		default:
+			core := rng.Intn(cores)
+			c.cores[core].busy = true
+			c.release(core)
+			want := slices.IndexFunc(ref, func(r *execRun) bool { return r.t.mask.Has(core) })
+			if want < 0 && c.cores[core].busy {
+				t.Fatalf("step %d: core %d handed over with no eligible run queued", step, core)
+			}
+			for i, r := range ref {
+				if got := r.core == core; got != (i == want) {
+					t.Fatalf("step %d: core %d granted to run %d of the FIFO (granted: %v), want run %d", step, core, i, got, want)
 				}
-				ref = append(ref[:i], ref[i+1:]...)
-				break
+			}
+			if want >= 0 {
+				ref = slices.Delete(ref, want, want+1)
 			}
 		}
-		if c.runq.Len() != len(ref) {
-			t.Fatalf("step %d: ring holds %d runs, slice %d", step, c.runq.Len(), len(ref))
-		}
-		for i := range ref {
-			if c.runq.At(i) != ref[i] {
-				t.Fatalf("step %d: ring order differs from slice at %d", step, i)
+		checkRunqueues(t, step, c, ref)
+	}
+	if repins < 500 {
+		t.Fatalf("only %d repins of threads with queued runs", repins)
+	}
+}
+
+// checkRunqueues requires c's per-mask queues to hold exactly ref's
+// runs: each in the queue of its thread's mask, which every core of the
+// mask lists, in admission order, with matching per-thread and total
+// counts.
+func checkRunqueues(t *testing.T, step int, c *CPU, ref []*execRun) {
+	t.Helper()
+	if c.queued != len(ref) {
+		t.Fatalf("step %d: %d runs queued, FIFO holds %d", step, c.queued, len(ref))
+	}
+	perThread := map[*Thread]int{}
+	for _, r := range ref {
+		perThread[r.t]++
+	}
+	total := 0
+	for _, mq := range c.queues {
+		for core := range c.cores {
+			if listed := slices.Contains(c.coreQueue[core], mq); listed != mq.mask.Has(core) {
+				t.Fatalf("step %d: queue %v listed under core %d: %v", step, mq.mask, core, listed)
 			}
 		}
+		var want []*execRun
+		for _, r := range ref {
+			if r.t.mask == mq.mask {
+				want = append(want, r)
+			}
+		}
+		if mq.q.Len() != len(want) {
+			t.Fatalf("step %d: queue %v holds %d runs, FIFO has %d of its mask", step, mq.mask, mq.q.Len(), len(want))
+		}
+		for i, r := range want {
+			if mq.q.At(i) != r {
+				t.Fatalf("step %d: queue %v order differs from the FIFO at %d", step, mq.mask, i)
+			}
+			if r.t.q != mq || r.t.queued != perThread[r.t] {
+				t.Fatalf("step %d: thread of mask %v points at queue %v with %d queued, want %d", step, r.t.mask, r.t.q.mask, r.t.queued, perThread[r.t])
+			}
+		}
+		total += len(want)
+	}
+	if total != len(ref) {
+		t.Fatalf("step %d: queues hold %d runs, FIFO %d", step, total, len(ref))
+	}
+}
+
+// TestMaskWithoutHostCorePanics checks that a thread cannot be given an
+// affinity mask with no core on the host, at creation or by a repin,
+// where it would queue forever.
+func TestMaskWithoutHostCorePanics(t *testing.T) {
+	_, c := newTestCPU(t, 4)
+	acct := NewAccount("a")
+	wantPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "{5}") || !strings.Contains(msg, "4-core host") {
+				t.Fatalf("%s: panic %q, want one naming mask {5} and the 4-core host", what, msg)
+			}
+		}()
+		f()
+	}
+	wantPanic("NewThread", func() { c.NewThread(acct, MaskOf(5)) })
+	th := c.NewThread(acct, MaskOf(3, 5))
+	if th.Affinity() != MaskOf(3) {
+		t.Fatalf("affinity %v, want the host cores {3}", th.Affinity())
+	}
+	wantPanic("SetAffinity", func() { th.SetAffinity(MaskOf(5)) })
+	if th.Affinity() != MaskOf(3) {
+		t.Fatalf("affinity %v after a refused repin, want {3}", th.Affinity())
 	}
 }
 
@@ -530,61 +617,91 @@ func randomExecScenario(rng *rand.Rand) execScenario {
 	for i, n := 0, rng.Intn(3); i < n; i++ {
 		sc.helpers = append(sc.helpers, execHelper{acct: rng.Intn(sc.accounts), mask: randomMask(rng, sc.cores)})
 	}
-	params := scenarioParams(sc)
-	q := params.Quantum
 	for i, n := 0, 1+rng.Intn(8); i < n; i++ {
-		th := execThreadSpec{acct: rng.Intn(sc.accounts), mask: randomMask(rng, sc.cores)}
-		for j, m := 0, 1+rng.Intn(6); j < m; j++ {
-			var gap time.Duration
-			if rng.Intn(2) == 0 {
-				gap = time.Duration(rng.Intn(3000)) * time.Microsecond
-			}
-			var ch chainSpec
-			for k, l := 0, 1+rng.Intn(4); k < l; k++ {
-				switch rng.Intn(4) {
-				case 0:
-					ch.steps = append(ch.steps, Step{Kind: Kernel, D: params.ModeSwitchCost, Count: CountModeSwitch})
-					continue
-				case 1:
-					ch.steps = append(ch.steps, Step{Kind: Kernel, D: params.ContextSwitchCost, Count: CountContextSwitch})
-					continue
-				}
-				var d time.Duration
-				switch rng.Intn(5) {
-				case 0: // IPC/syscall-sized
-					d = time.Duration(1+rng.Intn(20)) * time.Microsecond
-				case 1: // sub-quantum up to exactly one quantum
-					d = time.Duration(1 + rng.Int63n(int64(q)))
-				case 2: // zero-length: a no-op
-				default: // multi-quantum, half of them a whole number of quanta
-					d = time.Duration(1+rng.Intn(5))*q + time.Duration(rng.Int63n(int64(q)))*time.Duration(rng.Intn(2))
-				}
-				ch.steps = append(ch.steps, Charge(TimeKind(rng.Intn(2)), d))
-			}
-			ch.lock, ch.unlockAt = -1, len(ch.steps)
-			if sc.locks > 0 && rng.Intn(2) == 0 {
-				ch.lock = rng.Intn(sc.locks)
-				ch.unlockAt = rng.Intn(len(ch.steps) + 1)
-				if rng.Intn(2) == 0 {
-					// Zero-length steps on both sides of the unlock.
-					zero := Charge(User, 0)
-					ch.steps = slices.Insert(ch.steps, ch.unlockAt, zero, zero)
-					ch.unlockAt++
-				}
-			}
-			for range ch.steps {
-				on := -1
-				if len(sc.helpers) > 0 && rng.Intn(3) == 0 {
-					on = rng.Intn(len(sc.helpers))
-				}
-				ch.on = append(ch.on, on)
-			}
-			th.gaps = append(th.gaps, gap)
-			th.chains = append(th.chains, ch)
-		}
-		sc.threads = append(sc.threads, th)
+		acct := rng.Intn(sc.accounts)
+		sc.threads = append(sc.threads, randomThread(rng, sc, acct, randomMask(rng, sc.cores)))
 	}
 	return sc
+}
+
+// randomPooledScenario is the shape of an 8-pool Danaus testbed: eight
+// accounts, each with three to five threads (and maybe a helper) pinned
+// to its own two cores of a 16-core host, plus one to three threads of
+// a ninth account roaming the host, as kernel flushers do. Most runs
+// that queue thus wait behind other pools' runs in a host-wide FIFO.
+func randomPooledScenario(rng *rand.Rand) execScenario {
+	const pools = 8
+	sc := execScenario{cores: 2 * pools, accounts: pools + 1, freeModeSwitch: rng.Intn(4) == 0, locks: rng.Intn(3)}
+	for pool := 0; pool < pools; pool++ {
+		mask := MaskRange(2*pool, 2*pool+2)
+		if rng.Intn(2) == 0 {
+			sc.helpers = append(sc.helpers, execHelper{acct: pool, mask: mask})
+		}
+		for i, n := 0, 3+rng.Intn(3); i < n; i++ {
+			sc.threads = append(sc.threads, randomThread(rng, sc, pool, mask))
+		}
+	}
+	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+		sc.threads = append(sc.threads, randomThread(rng, sc, pools, 0))
+	}
+	return sc
+}
+
+// randomThread returns a thread of acct and mask issuing one to six
+// random chains of sc's charges, after random gaps.
+func randomThread(rng *rand.Rand, sc execScenario, acct int, mask Mask) execThreadSpec {
+	params := scenarioParams(sc)
+	q := params.Quantum
+	th := execThreadSpec{acct: acct, mask: mask}
+	for j, m := 0, 1+rng.Intn(6); j < m; j++ {
+		var gap time.Duration
+		if rng.Intn(2) == 0 {
+			gap = time.Duration(rng.Intn(3000)) * time.Microsecond
+		}
+		var ch chainSpec
+		for k, l := 0, 1+rng.Intn(4); k < l; k++ {
+			switch rng.Intn(4) {
+			case 0:
+				ch.steps = append(ch.steps, Step{Kind: Kernel, D: params.ModeSwitchCost, Count: CountModeSwitch})
+				continue
+			case 1:
+				ch.steps = append(ch.steps, Step{Kind: Kernel, D: params.ContextSwitchCost, Count: CountContextSwitch})
+				continue
+			}
+			var d time.Duration
+			switch rng.Intn(5) {
+			case 0: // IPC/syscall-sized
+				d = time.Duration(1+rng.Intn(20)) * time.Microsecond
+			case 1: // sub-quantum up to exactly one quantum
+				d = time.Duration(1 + rng.Int63n(int64(q)))
+			case 2: // zero-length: a no-op
+			default: // multi-quantum, half of them a whole number of quanta
+				d = time.Duration(1+rng.Intn(5))*q + time.Duration(rng.Int63n(int64(q)))*time.Duration(rng.Intn(2))
+			}
+			ch.steps = append(ch.steps, Charge(TimeKind(rng.Intn(2)), d))
+		}
+		ch.lock, ch.unlockAt = -1, len(ch.steps)
+		if sc.locks > 0 && rng.Intn(2) == 0 {
+			ch.lock = rng.Intn(sc.locks)
+			ch.unlockAt = rng.Intn(len(ch.steps) + 1)
+			if rng.Intn(2) == 0 {
+				// Zero-length steps on both sides of the unlock.
+				zero := Charge(User, 0)
+				ch.steps = slices.Insert(ch.steps, ch.unlockAt, zero, zero)
+				ch.unlockAt++
+			}
+		}
+		for range ch.steps {
+			on := -1
+			if len(sc.helpers) > 0 && rng.Intn(3) == 0 {
+				on = rng.Intn(len(sc.helpers))
+			}
+			ch.on = append(ch.on, on)
+		}
+		th.gaps = append(th.gaps, gap)
+		th.chains = append(th.chains, ch)
+	}
+	return th
 }
 
 // runExecScenario runs sc on a fresh engine, issuing each chain as mode
@@ -708,11 +825,19 @@ func runExecScenario(sc execScenario, mode execMode, tick time.Duration) execOut
 // time as under the loop, charge every core and account the same, show
 // the same switch counters and span lock waits at every window
 // boundary, report the same runqueue, run and lock waits in the same
-// order, and process the same number of events.
+// order, and process the same number of events. The last scenarios
+// pin eight pools of threads to two cores each next to roaming
+// threads, so the per-mask runqueues are checked against the loop's
+// single FIFO where runs of many masks queue at once.
 func TestExecMatchesHistoricalLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for n := 0; n < 400; n++ {
-		sc := randomExecScenario(rng)
+	for n := 0; n < 450; n++ {
+		var sc execScenario
+		if n < 400 {
+			sc = randomExecScenario(rng)
+		} else {
+			sc = randomPooledScenario(rng)
+		}
 		tick := time.Duration(20+rng.Intn(300)) * time.Microsecond
 		want := runExecScenario(sc, viaHistoricalLoop, tick)
 		for _, mode := range []execMode{viaCalls, viaChain} {
@@ -840,5 +965,7 @@ func TestContendedExecParksOnce(t *testing.T) {
 		{Name: "ExecContendedSubQuantum", Body: execContendedSubQuantum, N: 10000},
 		{Name: "ExecChainContended", Body: execChainContended, N: 10000},
 		{Name: "ExecLockedChainContended", Body: execLockedChainContended, N: 10000},
+		{Name: "ExecContendedManyMasks", Body: execContendedManyMasks, N: 10000},
+		{Name: "ExecRepinQueued", Body: execRepinQueued, N: 10000},
 	})
 }
