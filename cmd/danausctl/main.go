@@ -43,7 +43,7 @@ func main() {
 	factor := flag.Float64("factor", 0.02, "dataset scale factor (1.0 = paper)")
 	flag.Parse()
 
-	config, err := checkFlags(*configName, *pools, *duration, *factor)
+	config, err := checkFlags(*configName, *workload, *pools, *duration, *factor)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -62,18 +62,31 @@ func main() {
 		fmt.Println(row)
 	case "kvput":
 		runKVScenario(config, *pools, scale)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
-		os.Exit(2)
 	}
 }
 
-// checkFlags resolves the configuration and rejects scenario sizes the
-// testbed cannot run, naming the offending flag.
-func checkFlags(config string, pools int, duration time.Duration, factor float64) (core.Configuration, error) {
+// maxPools is, per workload, the most pools the 64-core CPU model
+// holds: each pool takes two cores, and the fileserver scenario
+// (experiments.RunInterference) always reserves one more pool for the
+// neighbour.
+var maxPools = map[string]int{
+	"fileserver": cpu.MaxCores/2 - 1,
+	"seqwrite":   cpu.MaxCores / 2,
+	"seqread":    cpu.MaxCores / 2,
+	"kvput":      cpu.MaxCores / 2,
+}
+
+// checkFlags resolves the configuration and rejects unknown workloads
+// and scenario sizes the testbed cannot run, naming the offending flag.
+func checkFlags(config, workload string, pools int, duration time.Duration, factor float64) (core.Configuration, error) {
+	limit, ok := maxPools[workload]
 	switch {
+	case !ok:
+		return 0, fmt.Errorf("-workload: unknown workload %q (want fileserver, seqwrite, seqread or kvput)", workload)
 	case pools < 1:
 		return 0, fmt.Errorf("-pools wants at least 1 pool, got %d", pools)
+	case pools > limit:
+		return 0, fmt.Errorf("-pools: the %s workload fits at most %d pools on the %d-core host, got %d", workload, limit, cpu.MaxCores, pools)
 	case duration <= 0:
 		return 0, fmt.Errorf("-duration wants a positive window, got %v", duration)
 	case !(factor > 0):

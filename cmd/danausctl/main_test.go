@@ -7,37 +7,50 @@ import (
 	"time"
 )
 
-// TestCheckFlags: scenario sizes that would panic, hang or print zeros,
-// and unknown configurations, are rejected with a message naming the
-// flag.
+// TestCheckFlags: scenario sizes that would panic, hang or print zeros
+// — pool counts past what the 64-core CPU model holds among them — and
+// unknown configurations and workloads, are rejected with a message
+// naming the flag.
 func TestCheckFlags(t *testing.T) {
 	cases := []struct {
 		config   string
+		workload string
 		pools    int
 		duration time.Duration
 		factor   float64
 		want     string // "" = accepted
 	}{
-		{"D", 1, 2 * time.Second, 0.02, ""},
-		{"D", 4, time.Millisecond, 1, ""},
-		{"D", -1, 2 * time.Second, 0.02, "-pools"},
-		{"D", 0, 2 * time.Second, 0.02, "-pools"},
-		{"D", 1, -time.Second, 0.02, "-duration"},
-		{"D", 1, 0, 0.02, "-duration"},
-		{"D", 1, 2 * time.Second, 0, "-factor"},
-		{"D", 1, 2 * time.Second, -0.5, "-factor"},
-		{"D", 1, 2 * time.Second, math.NaN(), "-factor"},
-		{"F/K", 1, 2 * time.Second, 0.02, ""},
-		{"fp/fp", 1, 2 * time.Second, 0.02, ""},
-		{"Z", 1, 2 * time.Second, 0.02, "-config"},
+		{"D", "fileserver", 1, 2 * time.Second, 0.02, ""},
+		{"D", "fileserver", 4, time.Millisecond, 1, ""},
+		{"D", "fileserver", -1, 2 * time.Second, 0.02, "-pools"},
+		{"D", "fileserver", 0, 2 * time.Second, 0.02, "-pools"},
+		{"D", "fileserver", 1, -time.Second, 0.02, "-duration"},
+		{"D", "fileserver", 1, 0, 0.02, "-duration"},
+		{"D", "fileserver", 1, 2 * time.Second, 0, "-factor"},
+		{"D", "fileserver", 1, 2 * time.Second, -0.5, "-factor"},
+		{"D", "fileserver", 1, 2 * time.Second, math.NaN(), "-factor"},
+		{"F/K", "fileserver", 1, 2 * time.Second, 0.02, ""},
+		{"fp/fp", "fileserver", 1, 2 * time.Second, 0.02, ""},
+		{"Z", "fileserver", 1, 2 * time.Second, 0.02, "-config"},
+		// Each pool takes two of the 64 cores; the fileserver scenario
+		// reserves one more pool for its neighbour.
+		{"D", "fileserver", 31, 2 * time.Second, 0.02, ""},
+		{"D", "fileserver", 32, 2 * time.Second, 0.02, "-pools"},
+		{"D", "seqread", 32, 2 * time.Second, 0.02, ""},
+		{"D", "seqread", 33, 2 * time.Second, 0.02, "-pools"},
+		{"D", "seqwrite", 32, 2 * time.Second, 0.02, ""},
+		{"D", "seqwrite", 33, 2 * time.Second, 0.02, "-pools"},
+		{"D", "kvput", 32, 2 * time.Second, 0.02, ""},
+		{"D", "kvput", 33, 2 * time.Second, 0.02, "-pools"},
+		{"D", "bogus", 1, 2 * time.Second, 0.02, "-workload"},
 	}
 	for _, c := range cases {
-		_, err := checkFlags(c.config, c.pools, c.duration, c.factor)
+		_, err := checkFlags(c.config, c.workload, c.pools, c.duration, c.factor)
 		switch {
 		case c.want == "" && err != nil:
-			t.Errorf("config=%s pools=%d duration=%v factor=%v: rejected: %v", c.config, c.pools, c.duration, c.factor, err)
+			t.Errorf("config=%s workload=%s pools=%d duration=%v factor=%v: rejected: %v", c.config, c.workload, c.pools, c.duration, c.factor, err)
 		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
-			t.Errorf("config=%s pools=%d duration=%v factor=%v: error %v does not name %s", c.config, c.pools, c.duration, c.factor, err, c.want)
+			t.Errorf("config=%s workload=%s pools=%d duration=%v factor=%v: error %v does not name %s", c.config, c.workload, c.pools, c.duration, c.factor, err, c.want)
 		}
 	}
 }

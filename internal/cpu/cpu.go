@@ -84,10 +84,14 @@ type coreState struct {
 	occupant *Account // account running on the core while busy
 }
 
+// MaxCores is the most cores a processor may have: one bit each of a
+// Mask.
+const MaxCores = 64
+
 // New creates a processor with n cores grouped in pairs sharing cache
 // (matching the Opteron 6378 core-pair L2 organization).
 func New(eng *sim.Engine, params *model.Params, n int) *CPU {
-	if n <= 0 || n > 64 {
+	if n <= 0 || n > MaxCores {
 		panic(fmt.Sprintf("cpu: core count %d out of range", n))
 	}
 	return &CPU{
@@ -192,8 +196,8 @@ func (t *Thread) Account() *Account { return t.acct }
 // affinity mask, waiting FIFO for a core when all are busy and yielding
 // the core every scheduler quantum. It is a one-step Chain.
 func (t *Thread) Exec(p *sim.Proc, k TimeKind, d time.Duration) {
-	if d > 0 {
-		t.run(p, t, k, d, nil)
+	if d > 0 && !t.oneSlice(p, nil, nil, "", Charge(k, d)) {
+		t.Chain(p, Charge(k, d))
 	}
 }
 
@@ -247,9 +251,10 @@ func (t *Thread) ContextSwitchStep() Step {
 // step: release its lock, bump its counter; re-acquire) and every core
 // grant run as engine callbacks of a pooled execRun, so a contended,
 // multi-quantum or multi-step chain costs one park/resume round trip; a
-// single slice on an idle core is a plain Sleep. The callbacks mirror
-// the historical per-quantum loop event for event — see the execRun
-// invariants — so virtual-time results are bit-identical.
+// single slice on an idle core pushes only its wake, as a Sleep does.
+// The callbacks mirror the historical per-quantum loop event for event
+// — see the execRun invariants — so virtual-time results are
+// bit-identical.
 func (t *Thread) Chain(p *sim.Proc, steps ...Step) {
 	t.LockedChain(p, nil, nil, "", steps...)
 }
@@ -262,47 +267,92 @@ func (t *Thread) Chain(p *sim.Proc, steps ...Step) {
 // queued for through a callback waiter, so the process still parks once
 // for lock wait and chain together. A nil m runs Chain.
 func (t *Thread) LockedChain(p *sim.Proc, m *sim.Mutex, span *obs.Span, lock string, steps ...Step) {
-	first, last := -1, -1
-	for i := range steps {
-		if steps[i].D > 0 {
-			if first < 0 {
-				first = i
-			}
-			last = i
-		}
+	if len(steps) == 1 && t.oneSlice(p, m, span, lock, steps[0]) {
+		return
 	}
-	if m != nil && first >= 0 && m.Locked() {
-		r := t.cpu.getRun(p, t)
-		r.rest = append(r.rest[:0], steps[:last+1]...)
-		r.since, r.span, r.lock = t.cpu.eng.Now(), span, lock
-		m.LockOrQueue(p, r.locked) // m is held: this queues
-		t.cpu.park(r)
-	} else {
-		if m != nil {
-			// m is free, or no step has work to chain the wait to.
-			start := t.cpu.eng.Now()
-			m.Lock(p)
-			span.LockWait(lock, t.cpu.eng.Now()-start)
-		}
-		if first >= 0 {
-			th := t.enter(p, steps[:first+1])
-			t.run(p, th, steps[first].Kind, steps[first].D, steps[first+1:last+1])
-		}
+	if r := t.start(p, m, span, lock, nil, steps); r != nil {
+		p.Park()
+		// The wake that ended the last slice: charge it, enter the
+		// trailing zero-length steps and recycle the run, as the
+		// continuation form's callback does.
+		r.fire()
 	}
-	// Trailing zero-length steps (all steps, when none has work) are
-	// entered at the event that ended the last slice, as consecutive
-	// calls would.
-	t.enter(p, steps[last+1:])
 }
 
-// enter enters steps in order, for a chain running on t, and returns
-// the thread of the last one.
-func (t *Thread) enter(p *sim.Proc, steps []Step) *Thread {
-	th := t
-	for i := range steps {
-		th = t.enterStep(p, &steps[i])
+// oneSlice runs s, the only step of a blocking chain taking m, if m is
+// free (or nil) and s's work fits one slice, and reports whether it
+// did. On an idle core the slice is a plain Sleep, which needs no run
+// state; otherwise the run queues for a core, as start would have
+// queued it. tryAcquire is called once either way: its scan start
+// advances with each call.
+func (t *Thread) oneSlice(p *sim.Proc, m *sim.Mutex, span *obs.Span, lock string, s Step) bool {
+	c := t.cpu
+	if s.D <= 0 || s.D > c.params.Quantum || m != nil && m.Locked() {
+		return false
 	}
-	return th
+	if m != nil {
+		m.Lock(p) // free: taken at once
+		span.LockWait(lock, 0)
+	}
+	th := t.enterStep(p, &s)
+	core, ok := c.tryAcquire(th)
+	if ok {
+		p.Sleep(s.D)
+		c.endSlice(p, th, s.Kind, core, s.D)
+		return true
+	}
+	r := c.getRun(p, t)
+	r.rest, r.i, r.work = append(r.rest[:0], s), 1, 1
+	r.t, r.kind, r.d = th, s.Kind, s.D
+	c.enqueue(r)
+	p.Park()
+	r.fire()
+	return true
+}
+
+// LockedChainThen is the continuation form of LockedChain: it never
+// parks p, so an engine callback acting for a parked p may call it. The
+// event that would have woken p runs a callback instead, which charges
+// the last slice, enters the trailing zero-length steps, recycles the
+// run and calls then; a chain with no work and no lock wait calls then
+// before LockedChainThen returns. Event for event it is LockedChain, so
+// a process that parks once and lets then start its next step — or hand
+// control back with p.ResumeHere — keeps every simulated result.
+func (t *Thread) LockedChainThen(p *sim.Proc, m *sim.Mutex, span *obs.Span, lock string, then func(), steps ...Step) {
+	t.start(p, m, span, lock, then, steps)
+}
+
+// start begins a chain of steps on t for p, after taking m: it returns
+// the run, still going, or nil when it ended at once (no work, no lock
+// wait). With a nil then the run ends in a wake of p, which calls fire
+// to end it; otherwise in a callback that ends it and calls then.
+func (t *Thread) start(p *sim.Proc, m *sim.Mutex, span *obs.Span, lock string, then func(), steps []Step) *execRun {
+	c := t.cpu
+	r := c.getRun(p, t)
+	r.rest = append(r.rest[:0], steps...)
+	r.work = 0
+	for i := range steps {
+		if steps[i].D > 0 {
+			r.work = i + 1
+		}
+	}
+	r.then, r.span, r.lock = then, span, lock
+	if m != nil {
+		r.since = c.eng.Now()
+		switch {
+		case then == nil && r.work == 0:
+			// A blocking chain with no work to chain the wait to: its
+			// process waits for m itself, as m.Lock does.
+			m.Lock(p)
+		case !m.LockOrQueue(p, r.locked):
+			return r
+		}
+		span.LockWait(lock, c.eng.Now()-r.since)
+	}
+	if r.proceed() {
+		return r
+	}
+	return nil
 }
 
 // enterStep does what precedes s's charge — release its lock, bump its
@@ -316,38 +366,6 @@ func (t *Thread) enterStep(p *sim.Proc, s *Step) *Thread {
 	}
 	t.acct.count(s.Count)
 	return t
-}
-
-// run executes d of kind k on th, the work of an entered step, and then
-// rest, whose last step has work, as a chain on t, parking the process
-// once.
-func (t *Thread) run(p *sim.Proc, th *Thread, k TimeKind, d time.Duration, rest []Step) {
-	c := t.cpu
-	core, ok := c.tryAcquire(th)
-	if ok && len(rest) == 0 && d <= c.params.Quantum {
-		// One slice on an idle core: a plain Sleep needs no run state.
-		p.Sleep(d)
-		c.endSlice(p, th, k, core, d)
-		return
-	}
-	r := c.getRun(p, t)
-	r.t, r.kind, r.d = th, k, d
-	r.rest = append(r.rest[:0], rest...)
-	if ok {
-		r.core = core
-		r.startSlice()
-	} else {
-		c.enqueue(r)
-	}
-	c.park(r)
-}
-
-// park blocks r's process until the wake that ends r's last slice, then
-// charges that slice and recycles r.
-func (c *CPU) park(r *execRun) {
-	r.p.Park()
-	c.endSlice(r.p, r.t, r.kind, r.core, r.slice)
-	c.putRun(r)
 }
 
 // endSlice charges the slice of length d that t ran on core, ending now,
@@ -378,19 +396,22 @@ func (c *CPU) endSlice(p *sim.Proc, t *Thread, k TimeKind, core int, d time.Dura
 // the simulation's event interleaving — and therefore its virtual-time
 // results — bit for bit. Only the kind of some events changed: the
 // waiter's resume is now the grant or locked callback, and the wake that
-// ended a step other than the last is now the step callback.
+// ended a step other than the last is now the step callback, as is the
+// one that ended the last step of a continuation (LockedChainThen).
 // TestExecMatchesHistoricalLoop checks this against that loop.
 type execRun struct {
 	c      *CPU
 	p      *sim.Proc
 	chainT *Thread // the thread the chain runs on: that of steps without one
 	t      *Thread // the thread of the current step
-	rest   []Step  // the steps after the current one, through the last with work
+	rest   []Step  // the chain's steps
 	i      int     // index in rest of the next step to enter
+	work   int     // index in rest just past the last step with work
 	kind   TimeKind
 	core   int
 	d      time.Duration // remaining work of the current step, including the in-flight slice
 	slice  time.Duration // length of the in-flight slice
+	then   func()        // continuation after the chain; nil: the chain ends in p's wake
 	step   func()        // reusable quantum- and step-boundary callback (fire)
 	grant  func()        // reusable core-grant callback (granted)
 	locked func()        // reusable mutex-grant callback (lockGranted)
@@ -407,28 +428,30 @@ type execRun struct {
 	stamp uint64 // admission order while queued for a core
 }
 
-// next enters the next step with work, entering every step on its way.
-// The last entry of rest has work, so a step is always found.
-func (r *execRun) next() {
-	for {
+// next enters the next step with work, entering every step on its way,
+// and reports whether it found one; if not, every step has been
+// entered.
+func (r *execRun) next() bool {
+	for r.i < len(r.rest) {
 		s := &r.rest[r.i]
 		r.i++
 		th := r.chainT.enterStep(r.p, s)
 		if s.D > 0 {
 			r.t, r.kind, r.d = th, s.Kind, s.D
-			return
+			return true
 		}
 	}
+	return false
 }
 
 // startSlice runs the next slice on r.core: a full quantum, or the rest
 // of the step, ending in the boundary callback — except the last slice
-// of the last step, whose wake resumes the parked process with the same
-// proc-resume event the historical loop's final Sleep pushed.
+// of a blocking chain, whose wake resumes the parked process with the
+// same proc-resume event the historical loop's final Sleep pushed.
 func (r *execRun) startSlice() {
 	c := r.c
 	r.slice = min(r.d, c.params.Quantum)
-	if r.slice == r.d && r.i == len(r.rest) {
+	if r.then == nil && r.slice == r.d && r.i == r.work {
 		c.eng.ScheduleWakeAfter(r.p, r.slice)
 		return
 	}
@@ -446,17 +469,40 @@ func (r *execRun) acquire() {
 	r.c.enqueue(r)
 }
 
-// fire is the boundary callback: charge the completed slice, release the
-// core, move to the next step when this one is done, then re-acquire a
-// core at once or queue for it, exactly as the historical loop did
-// between two slices.
+// fire ends a slice, as the boundary callback or, for the last slice of
+// a blocking chain, in its process after the wake: charge the completed
+// slice and release the core, then re-acquire a core for the rest of
+// the step, or proceed to the next step, at once or by queueing for a
+// core, exactly as the historical loop did between two slices.
 func (r *execRun) fire() {
 	r.c.endSlice(r.p, r.t, r.kind, r.core, r.slice)
 	r.d -= r.slice
-	if r.d == 0 {
-		r.next() // not the last step with work: that one ends in a wake
+	if r.d > 0 {
+		r.acquire()
+		return
 	}
-	r.acquire()
+	r.proceed()
+}
+
+// proceed enters the steps up to the next one with work and acquires a
+// core for it, or, past the last one, finishes; it reports whether the
+// run goes on.
+func (r *execRun) proceed() bool {
+	if r.next() {
+		r.acquire()
+		return true
+	}
+	r.finish()
+	return false
+}
+
+// finish recycles the ended run and calls its continuation.
+func (r *execRun) finish() {
+	then := r.then
+	r.c.putRun(r)
+	if then != nil {
+		then()
+	}
 }
 
 // granted is the callback a release schedules after handing r.core to
@@ -468,11 +514,11 @@ func (r *execRun) granted() {
 
 // lockGranted is the callback a LockedChain's mutex runs when it is
 // handed over: it ends the lock wait, as the process resuming from Lock
-// did, and enters the chain's first step with work.
+// did, and enters the chain's first step with work, or, with none, all
+// steps and finishes.
 func (r *execRun) lockGranted() {
 	r.span.LockWait(r.lock, r.c.eng.Now()-r.since)
-	r.next()
-	r.acquire()
+	r.proceed()
 }
 
 func (c *CPU) getRun(p *sim.Proc, t *Thread) *execRun {
@@ -489,7 +535,7 @@ func (c *CPU) getRun(p *sim.Proc, t *Thread) *execRun {
 }
 
 func (c *CPU) putRun(r *execRun) {
-	r.p, r.chainT, r.t, r.span = nil, nil, nil, nil
+	r.p, r.chainT, r.t, r.span, r.then = nil, nil, nil, nil, nil
 	c.runPool = append(c.runPool, r)
 }
 

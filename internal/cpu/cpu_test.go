@@ -574,6 +574,7 @@ const (
 	viaHistoricalLoop execMode = iota // Lock; per step: Unlock, bump the counter, historicalCPU.exec
 	viaCalls                          // Lock; per step: Unlock, one Exec, ModeSwitch or ContextSwitch
 	viaChain                          // one LockedChain (a Chain without a lock) per chain
+	viaChainThen                      // one LockedChainThen per chain, whose continuation hands control back
 )
 
 type waitReport struct {
@@ -752,7 +753,7 @@ func runExecScenario(sc execScenario, mode execMode, tick time.Duration) execOut
 					}
 					return helpers[ch.on[k]]
 				}
-				if mode == viaChain {
+				if mode == viaChain || mode == viaChainThen {
 					steps := slices.Clone(ch.steps)
 					for k := range steps {
 						steps[k].Thread = on(k)
@@ -760,7 +761,12 @@ func runExecScenario(sc execScenario, mode execMode, tick time.Duration) execOut
 							steps[k].Unlock = m
 						}
 					}
-					th.LockedChain(p, m, span, "l", steps...)
+					if mode == viaChain {
+						th.LockedChain(p, m, span, "l", steps...)
+					} else {
+						th.LockedChainThen(p, m, span, "l", p.ResumeHere, steps...)
+						p.Park()
+					}
 				} else {
 					if m != nil {
 						start := p.Now()
@@ -825,7 +831,9 @@ func runExecScenario(sc execScenario, mode execMode, tick time.Duration) execOut
 // time as under the loop, charge every core and account the same, show
 // the same switch counters and span lock waits at every window
 // boundary, report the same runqueue, run and lock waits in the same
-// order, and process the same number of events. The last scenarios
+// order, and process the same number of events; and so must each chain
+// issued as a LockedChainThen whose continuation hands control back to
+// the parked process with ResumeHere. The last scenarios
 // pin eight pools of threads to two cores each next to roaming
 // threads, so the per-mask runqueues are checked against the loop's
 // single FIFO where runs of many masks queue at once.
@@ -840,7 +848,7 @@ func TestExecMatchesHistoricalLoop(t *testing.T) {
 		}
 		tick := time.Duration(20+rng.Intn(300)) * time.Microsecond
 		want := runExecScenario(sc, viaHistoricalLoop, tick)
-		for _, mode := range []execMode{viaCalls, viaChain} {
+		for _, mode := range []execMode{viaCalls, viaChain, viaChainThen} {
 			got := runExecScenario(sc, mode, tick)
 			for i := range want.ends {
 				if !slices.Equal(got.ends[i], want.ends[i]) {

@@ -40,6 +40,8 @@ type Transport struct {
 	// fail with vfsapi.ErrCrashed — the transport error every tenant
 	// mounted through this daemon sees — until Restart.
 	crashed bool
+
+	pool []*dispatch // recycled dispatch states
 }
 
 // Config configures the daemon side of a FUSE mount.
@@ -94,6 +96,12 @@ func (t *Transport) Crashed() bool { return t.crashed }
 // queueing, switch to the daemon, daemon-side execution of fn, switch
 // back, and syscall exit. payloadIn/payloadOut are the extra data
 // copies through the kernel in each direction.
+//
+// The process parks once from the syscall entry to the moment the
+// daemon has read the request: the entry chain, the wait for a daemon
+// thread and the daemon's read chain run as one continuation (see
+// dispatch), which hands control back when fn is to run or the daemon
+// is found dead.
 func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn func(dctx vfsapi.Ctx) error) error {
 	defer ctx.Span.Enter(obs.LayerFUSE).Exit()
 	p := t.params
@@ -105,37 +113,102 @@ func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn fun
 		ctx.T.Chain(ctx.P, ctx.T.ModeSwitchStep(), cpu.Charge(cpu.Kernel, p.FUSERequestOverhead), ctx.T.ModeSwitchStep())
 		return vfsapi.ErrCrashed
 	}
-	// Application enters the kernel and hands the request to FUSE. Each
-	// run of charges is one Chain: a zero-length copy step only skips.
-	ctx.T.Chain(ctx.P, ctx.T.ModeSwitchStep(),
+	// Application enters the kernel and hands the request to FUSE: a
+	// zero-length copy step only skips. The daemon side follows as
+	// continuations of the chain.
+	d := t.getDispatch(ctx.P, payloadIn)
+	ctx.T.LockedChainThen(ctx.P, nil, nil, "", d.entered,
+		ctx.T.ModeSwitchStep(),
 		cpu.Charge(cpu.Kernel, p.FUSERequestOverhead),
 		cpu.Charge(cpu.Kernel, p.CopyTime(payloadIn)),
 		ctx.T.ContextSwitchStep())
-
-	// Daemon side: wait for a free daemon thread (the request sits in
-	// the FUSE queue while all are busy), read the request, pay the
-	// copy out of the kernel, and serve it at user level.
-	t.slots.Acquire(ctx.P)
+	ctx.P.Park()
+	dth := d.dth
+	t.putDispatch(d)
 	defer t.slots.Release()
-	if t.crashed {
+	if dth == nil {
 		// The daemon died while the request sat in the FUSE queue.
 		return vfsapi.ErrCrashed
 	}
-	dth := t.daemonThreads[t.next%len(t.daemonThreads)]
-	t.next++
-	dctx := vfsapi.Ctx{P: ctx.P, T: dth, Span: ctx.Span}
-	// The daemon returns from read(2) on /dev/fuse and copies the
-	// request in.
-	dth.Chain(ctx.P, dth.ModeSwitchStep(), cpu.Charge(cpu.Kernel, p.CopyTime(payloadIn)))
-	err := fn(dctx)
-	// It copies the reply out and writes it, and the application
-	// switches back in, copies the reply and returns: one chain across
-	// both threads.
+	err := fn(vfsapi.Ctx{P: ctx.P, T: dth, Span: ctx.Span})
+	// The daemon copies the reply out and writes it, and the
+	// application switches back in, copies the reply and returns: one
+	// chain across both threads.
 	dth.Chain(ctx.P, cpu.Charge(cpu.Kernel, p.CopyTime(payloadOut)), dth.ModeSwitchStep(),
 		ctx.T.ContextSwitchStep(),
 		cpu.Step{Kind: cpu.Kernel, D: p.CopyTime(payloadOut), Thread: ctx.T},
 		ctx.T.ModeSwitchStep())
 	return err
+}
+
+// dispatch carries one request from the application's syscall entry to
+// the daemon while the application's process stays parked: entered
+// runs where the entry chain ends and queues for a daemon thread; grant
+// runs when one is free (at once, or at the event where a release hands
+// over its slot), checks the daemon is alive, picks its thread and
+// starts its read chain, whose end hands control back to the process.
+// Each step runs at the event where the process used to resume between
+// these steps, and pushes what the process pushed, so a crossing keeps
+// every simulated result. TestCrossingMatchesHistorical checks this
+// against the straight-line code.
+type dispatch struct {
+	t   *Transport
+	p   *sim.Proc
+	in  int64       // request payload copied into the daemon
+	dth *cpu.Thread // the daemon thread serving it; nil if the daemon died first
+
+	entered func() // reusable entry-chain continuation (enter)
+	granted func() // reusable slot-grant callback (grant)
+	read    func() // reusable read-chain continuation (resume)
+}
+
+// enter queues the request for a daemon thread, taking a free one at
+// once.
+func (d *dispatch) enter() {
+	if d.t.slots.AcquireOrQueue(d.p, d.granted) {
+		d.grant()
+	}
+}
+
+// grant hands the request to the daemon once it holds a slot: if the
+// daemon died while the request sat in the FUSE queue the process
+// resumes to fail it; otherwise the next daemon thread returns from
+// read(2) on /dev/fuse and copies the request in.
+func (d *dispatch) grant() {
+	t := d.t
+	if t.crashed {
+		d.p.ResumeHere()
+		return
+	}
+	dth := t.daemonThreads[t.next%len(t.daemonThreads)]
+	t.next++
+	d.dth = dth
+	dth.LockedChainThen(d.p, nil, nil, "", d.read, dth.ModeSwitchStep(), cpu.Charge(cpu.Kernel, t.params.CopyTime(d.in)))
+}
+
+// resume hands control back to the process: the daemon holds the
+// request.
+func (d *dispatch) resume() { d.p.ResumeHere() }
+
+// getDispatch takes a dispatch state from the transport's pool. Safe
+// without locking: exactly one goroutine runs at any instant in the
+// simulation.
+func (t *Transport) getDispatch(p *sim.Proc, in int64) *dispatch {
+	var d *dispatch
+	if n := len(t.pool); n > 0 {
+		d = t.pool[n-1]
+		t.pool = t.pool[:n-1]
+	} else {
+		d = &dispatch{t: t}
+		d.entered, d.granted, d.read = d.enter, d.grant, d.resume
+	}
+	d.p, d.in, d.dth = p, in, nil
+	return d
+}
+
+func (t *Transport) putDispatch(d *dispatch) {
+	d.p, d.dth = nil, nil
+	t.pool = append(t.pool, d)
 }
 
 // Open crosses to the daemon and wraps the returned handle.

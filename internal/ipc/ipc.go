@@ -55,6 +55,8 @@ type Transport struct {
 	calls       uint64
 	wakeups     uint64
 	scaleEvents int
+
+	pool []*callState // recycled call states
 }
 
 type queueState struct {
@@ -143,25 +145,68 @@ func (t *Transport) queueFor(th *cpu.Thread) *queueState {
 // call performs one request/response over the queue: descriptor
 // enqueue by the app thread, service-side dispatch and execution on the
 // pinned service thread, all at user level.
+//
+// The process parks once until the service thread has dispatched the
+// request: the enqueue, the wakeup of an idle service thread and the
+// dispatch run as one continuation (see callState), which hands control
+// back when fn is to run.
 func (t *Transport) call(ctx vfsapi.Ctx, fn func(dctx vfsapi.Ctx) error) error {
 	defer ctx.Span.Enter(obs.LayerIPC).Exit()
 	t.calls++
 	q := t.queueFor(ctx.T)
-	p := t.params
 
 	// Front driver: fill the request descriptor in shared memory.
-	ctx.T.Exec(ctx.P, cpu.User, p.IPCEnqueueCost)
+	c := t.getCall(ctx, q)
+	ctx.T.LockedChainThen(ctx.P, nil, nil, "", c.enqueued, cpu.Charge(cpu.User, t.params.IPCEnqueueCost))
+	ctx.P.Park()
+	svc := c.svc
+	t.putCall(c)
+	err := fn(vfsapi.Ctx{P: ctx.P, T: svc, Span: ctx.Span})
+	q.inflight--
+	q.lastServed = t.eng.Now()
+	q.everServed = true
+	return err
+}
 
-	// Wake the service thread if its poll window has lapsed.
-	now := t.eng.Now()
-	if !q.everServed || now-q.lastServed > t.params.IPCPollWindow {
+// callState carries one request from the front driver's enqueue to the
+// service thread's dispatch while the calling process stays parked:
+// enqueued runs where the enqueue charge ends and wakes the service
+// thread if its poll window has lapsed; wake then picks the service
+// thread and starts the dispatch under the queue lock, whose end hands
+// control back to the process. Each step runs at the event where the
+// process used to resume between these steps, and pushes what the
+// process pushed, so a call keeps every simulated result.
+// TestCallMatchesHistorical checks this against the straight-line code.
+type callState struct {
+	t   *Transport
+	p   *sim.Proc
+	th  *cpu.Thread // the calling thread
+	q   *queueState
+	svc *cpu.Thread // the service thread picked for the request
+
+	enqueued   func() // reusable enqueue-chain continuation (poll)
+	woken      func() // reusable wakeup-chain continuation (dispatch)
+	dispatched func() // reusable dispatch-chain continuation (resume)
+}
+
+// poll wakes the service thread if its poll window has lapsed, then
+// dispatches.
+func (c *callState) poll() {
+	t, q := c.t, c.q
+	if !q.everServed || t.eng.Now()-q.lastServed > t.params.IPCPollWindow {
 		t.wakeups++
-		ctx.T.Chain(ctx.P, ctx.T.ContextSwitchStep(), cpu.Charge(cpu.User, p.IPCWakeupCost))
+		c.th.LockedChainThen(c.p, nil, nil, "", c.woken, c.th.ContextSwitchStep(), cpu.Charge(cpu.User, t.params.IPCWakeupCost))
+		return
 	}
+	c.dispatch()
+}
 
-	// Back driver: pick a service thread, growing the pool when the
-	// queue backlog exceeds the scale threshold (§3.5: extra service
-	// threads are added when pending requests accumulate).
+// dispatch is the back driver: pick a service thread, growing the pool
+// when the queue backlog exceeds the scale threshold (§3.5: extra
+// service threads are added when pending requests accumulate), and
+// take the request off the queue under its dispatch lock.
+func (c *callState) dispatch() {
+	t, q, p := c.t, c.q, c.t.params
 	q.inflight++
 	if q.inflight > (len(q.svcThreads))*p.IPCScaleThreshold && len(q.svcThreads) < 8 {
 		q.svcThreads = append(q.svcThreads, t.cpus.NewThread(t.cfg.Acct, q.mask))
@@ -169,15 +214,33 @@ func (t *Transport) call(ctx vfsapi.Ctx, fn func(dctx vfsapi.Ctx) error) error {
 	}
 	svc := q.svcThreads[q.next%len(q.svcThreads)]
 	q.next++
-
-	dctx := vfsapi.Ctx{P: ctx.P, T: svc, Span: ctx.Span}
-	svc.LockedChain(ctx.P, q.dispatch, nil, "",
+	c.svc = svc
+	svc.LockedChainThen(c.p, q.dispatch, nil, "", c.dispatched,
 		cpu.Charge(cpu.User, p.IPCEnqueueCost), cpu.Step{Unlock: q.dispatch})
-	err := fn(dctx)
-	q.inflight--
-	q.lastServed = t.eng.Now()
-	q.everServed = true
-	return err
+}
+
+// resume hands control back to the process: the service thread holds
+// the request.
+func (c *callState) resume() { c.p.ResumeHere() }
+
+// getCall takes a call state from the transport's pool. Safe without
+// locking: exactly one goroutine runs at any instant in the simulation.
+func (t *Transport) getCall(ctx vfsapi.Ctx, q *queueState) *callState {
+	var c *callState
+	if n := len(t.pool); n > 0 {
+		c = t.pool[n-1]
+		t.pool = t.pool[:n-1]
+	} else {
+		c = &callState{t: t}
+		c.enqueued, c.woken, c.dispatched = c.poll, c.dispatch, c.resume
+	}
+	c.p, c.th, c.q = ctx.P, ctx.T, q
+	return c
+}
+
+func (t *Transport) putCall(c *callState) {
+	c.p, c.th, c.q, c.svc = nil, nil, nil, nil
+	t.pool = append(t.pool, c)
 }
 
 // ScaleEvents reports how many extra service threads were spawned in

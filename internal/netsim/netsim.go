@@ -74,47 +74,36 @@ func NewLink(eng *sim.Engine, name string, bytesPerSec int64, latency time.Durat
 // callbacks of a pooled transfer (see transfer), and only the wake
 // that ends the propagation delay resumes it.
 func (l *Link) Transfer(p *sim.Proc, n int64) error {
+	x := l.begin(p, n, nil)
+	p.Park()
+	return x.land()
+}
+
+// begin starts a transfer of n bytes for p, parked or about to park, and
+// returns its state. With a nil then the transfer ends in p's wake,
+// after which p calls land; otherwise in a callback that lands it and
+// passes the error to then, so a callback may send for a parked
+// process.
+func (l *Link) begin(p *sim.Proc, n int64, then func(error)) *transfer {
+	x := l.getTransfer()
+	x.p, x.then, x.err = p, then, nil
 	if l.partitioned {
 		// The sender blocks for a timeout instead of a transmission; no
 		// bytes are delivered.
-		l.propagate(p)
-		return ErrPartitioned
+		x.err = ErrPartitioned
+		x.propagate()
+		return x
 	}
-	if n < 0 {
-		n = 0
-	}
+	x.n = max(n, 0)
 	l.msgs++
-	l.bytes += uint64(n)
-	if n == 0 {
-		l.propagate(p)
-	} else {
-		x := l.getTransfer()
-		x.p, x.n = p, n
-		if l.xmit.LockOrQueue(p, x.send) {
-			x.sendChunk()
-		}
-		p.Park()
-		d := x.d
-		l.putTransfer(x)
-		p.ReportWait("net", l.name, "", 0, d)
+	l.bytes += uint64(x.n)
+	switch {
+	case x.n == 0:
+		x.propagate()
+	case l.xmit.LockOrQueue(p, x.send):
+		x.sendChunk()
 	}
-	if l.dropEvery > 0 {
-		l.dropCount++
-		if l.dropCount%l.dropEvery == 0 {
-			return ErrDropped
-		}
-	}
-	return nil
-}
-
-// propagate blocks p for the link's one-way latency. The delay is
-// captured before sleeping: a latency-spike window arming or disarming
-// mid-sleep would make a re-evaluated report disagree with the time
-// actually blocked.
-func (l *Link) propagate(p *sim.Proc) {
-	d := l.latency + l.extraLatency
-	p.Sleep(d)
-	p.ReportWait("net", l.name, "", 0, d)
+	return x
 }
 
 // transfer drives the chunks of one Transfer while its process stays
@@ -125,19 +114,23 @@ func (l *Link) propagate(p *sim.Proc) {
 // delay: where that loop pushed one engine event — the handoff wake, a
 // chunk's sleep wake, the final sleep's wake — the transfer pushes one
 // event of the same timestamp at the same position in engine seq order.
-// Only the first two became callbacks (send, sent), so the interleaving
-// of simultaneous events and every virtual-time result stay bit for bit
-// the same. TestTransferMatchesHistoricalLoop checks this against that
-// loop.
+// Only the first two became callbacks (send, sent), and the last, for a
+// transfer with a continuation, the landed callback; so the
+// interleaving of simultaneous events and every virtual-time result
+// stay bit for bit the same. TestTransferMatchesHistoricalLoop checks
+// this against that loop.
 type transfer struct {
-	l  *Link
-	p  *sim.Proc
-	n  int64         // bytes not yet on the wire
-	tx time.Duration // transmission time of the chunk on the wire
-	d  time.Duration // propagation delay after the last chunk
+	l    *Link
+	p    *sim.Proc
+	n    int64         // bytes not yet on the wire
+	tx   time.Duration // transmission time of the chunk on the wire
+	d    time.Duration // propagation delay after the last chunk
+	err  error         // ErrPartitioned for a timed-out send
+	then func(error)   // continuation once landed; nil: the process lands it
 
-	send func() // reusable xmit-grant callback (sendChunk)
-	sent func() // reusable chunk-end callback (chunkSent)
+	send   func() // reusable xmit-grant callback (sendChunk)
+	sent   func() // reusable chunk-end callback (chunkSent)
+	landed func() // reusable propagation-end callback of a continuation (arrive)
 }
 
 // sendChunk puts the next chunk on the wire; x holds the xmit lock.
@@ -151,7 +144,7 @@ func (x *transfer) sendChunk() {
 
 // chunkSent ends the chunk on the wire: release the lock, then take it
 // for the next chunk at once or queue for it, or after the last chunk
-// read the propagation delay and schedule the wake that ends it.
+// propagate.
 func (x *transfer) chunkSent() {
 	l := x.l
 	l.xmit.Unlock(x.p)
@@ -162,8 +155,44 @@ func (x *transfer) chunkSent() {
 		}
 		return
 	}
+	x.propagate()
+}
+
+// propagate reads the propagation delay and schedules the event that
+// ends it. The delay is captured now: a latency-spike window arming or
+// disarming mid-flight would make a re-evaluated report disagree with
+// the time actually blocked.
+func (x *transfer) propagate() {
+	l := x.l
 	x.d = l.latency + l.extraLatency
-	l.eng.ScheduleWakeAfter(x.p, x.d)
+	if x.then == nil {
+		l.eng.ScheduleWakeAfter(x.p, x.d)
+		return
+	}
+	l.eng.After(x.d, x.landed)
+}
+
+// land ends the transfer once the message has propagated: report the
+// wait, count a message of an armed drop window, recycle x and return
+// the transfer's error.
+func (x *transfer) land() error {
+	l, err := x.l, x.err
+	x.p.ReportWait("net", l.name, "", 0, x.d)
+	l.putTransfer(x)
+	if err == nil && l.dropEvery > 0 {
+		l.dropCount++
+		if l.dropCount%l.dropEvery == 0 {
+			return ErrDropped
+		}
+	}
+	return err
+}
+
+// arrive is the propagation-end callback of a transfer with a
+// continuation.
+func (x *transfer) arrive() {
+	then := x.then
+	then(x.land())
 }
 
 // getTransfer takes a transfer from the link's pool. Safe without
@@ -175,12 +204,12 @@ func (l *Link) getTransfer() *transfer {
 		return x
 	}
 	x := &transfer{l: l}
-	x.send, x.sent = x.sendChunk, x.chunkSent
+	x.send, x.sent, x.landed = x.sendChunk, x.chunkSent, x.arrive
 	return x
 }
 
 func (l *Link) putTransfer(x *transfer) {
-	x.p = nil
+	x.p, x.then = nil, nil
 	l.pool = append(l.pool, x)
 }
 
@@ -246,6 +275,8 @@ func (n *NIC) SetPartitioned(v bool) {
 type Fabric struct {
 	Client  *NIC
 	Servers []*NIC
+
+	pool []*route // recycled route states
 }
 
 // NewFabric builds the testbed network: one client NIC (bonded 20 Gbps
@@ -264,16 +295,66 @@ func NewFabric(eng *sim.Engine, params *model.Params, servers int) *Fabric {
 // direction). The first failing hop wins: a message lost on the client
 // NIC never reaches the server link.
 func (f *Fabric) Request(p *sim.Proc, s int, n int64) error {
-	if err := f.Client.TX.Transfer(p, n); err != nil {
-		return err
-	}
-	return f.Servers[s].RX.Transfer(p, n)
+	return f.twoHops(p, f.Client.TX, f.Servers[s].RX, n)
 }
 
 // Reply moves n bytes from server s back to the client.
 func (f *Fabric) Reply(p *sim.Proc, s int, n int64) error {
-	if err := f.Servers[s].TX.Transfer(p, n); err != nil {
-		return err
+	return f.twoHops(p, f.Servers[s].TX, f.Client.RX, n)
+}
+
+// twoHops moves n bytes across first and then second, parking p once:
+// the second hop starts in the callback where the first one's
+// propagation ends, and a drop or partition there resumes p with its
+// error at that event, as the process resuming between two Transfers
+// did.
+func (f *Fabric) twoHops(p *sim.Proc, first, second *Link, n int64) error {
+	r := f.getRoute()
+	r.p, r.second, r.n = p, second, n
+	first.begin(p, n, r.hop)
+	p.Park()
+	err := r.err
+	f.putRoute(r)
+	return err
+}
+
+// route carries one message across two links while its process stays
+// parked.
+type route struct {
+	p      *sim.Proc
+	second *Link // the link of the second hop; nil once on it
+	n      int64
+	err    error
+
+	hop func(error) // reusable hop-end continuation (landed)
+}
+
+// landed runs where a hop's message lands: after the first, send on the
+// second; after the second, or on the first's error, resume the process.
+func (r *route) landed(err error) {
+	if l := r.second; err == nil && l != nil {
+		r.second = nil
+		l.begin(r.p, r.n, r.hop)
+		return
 	}
-	return f.Client.RX.Transfer(p, n)
+	r.err = err
+	r.p.ResumeHere()
+}
+
+// getRoute takes a route from the fabric's pool. Safe without locking:
+// exactly one goroutine runs at any instant in the simulation.
+func (f *Fabric) getRoute() *route {
+	if n := len(f.pool); n > 0 {
+		r := f.pool[n-1]
+		f.pool = f.pool[:n-1]
+		return r
+	}
+	r := &route{}
+	r.hop = r.landed
+	return r
+}
+
+func (f *Fabric) putRoute(r *route) {
+	r.p, r.second, r.err = nil, nil, nil
+	f.pool = append(f.pool, r)
 }

@@ -10,7 +10,8 @@
 // loop resumes and that yield back to it whenever they block on a
 // simulated primitive (Sleep, Mutex, WaitQueue, Resource). Every switch
 // between two processes goes through the loop: the parking process
-// yields, and the loop pops the next event and resumes its process.
+// yields, and the loop pops the next event and resumes its process, or
+// the process a callback of that event handed control to (ResumeHere).
 // Exactly one of the loop and the processes runs at any instant, so
 // simulations are fully deterministic: two runs with the same seeds
 // produce identical event orders and identical virtual timestamps.
@@ -33,6 +34,10 @@ type Engine struct {
 	// seq its wait armed, so a stale timeout of an earlier wait stays a
 	// no-op even when it falls due at the same instant as the current one.
 	cur uint64
+	// handoff is the process a callback handed control back to with
+	// ResumeHere; it resumes within the event being run, once the
+	// callback returns (see RunUntil and Proc.park).
+	handoff *Proc
 
 	// deadline is the bound of the RunUntil call currently draining the
 	// queue (negative: run to exhaustion). Processes consult it when
@@ -151,6 +156,14 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 		case ev.p != nil:
 			e.trace(TraceEvent{At: e.now, Kind: TraceResume, Proc: ev.p.name, ProcID: ev.p.id})
 			e.resumeProc(ev.p)
+		}
+		// A callback, run here or inline by a process that then
+		// yielded, handed control to a process: resume it within this
+		// event.
+		for e.handoff != nil {
+			p := e.handoff
+			e.handoff = nil
+			e.resumeProc(p)
 		}
 	}
 	if deadline >= 0 && e.now < deadline {

@@ -23,6 +23,11 @@ type Proc struct {
 	lock lockRequest
 	// wait is the process's request while it waits on a WaitQueue.
 	wait waitRequest
+	// unit is the callback of a queued Resource claim (AcquireOrQueue),
+	// nil for a process that parks until the unit is handed over.
+	unit func()
+	// parks counts the process's parks, each ended by one resume.
+	parks int
 }
 
 // Name returns the debug name given to Go.
@@ -33,6 +38,11 @@ func (p *Proc) ID() int { return p.id }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.eng.now }
+
+// Parks returns how many times p has parked. Each park ends in exactly
+// one resume — by its wake event, inline, or through ResumeHere — so
+// tests read it to pin how often a primitive resumes its process.
+func (p *Proc) Parks() int { return p.parks }
 
 // Park hands control back to the engine and blocks until the wake that
 // another component arranged with Engine.ScheduleWakeAfter(p, d) fires.
@@ -53,9 +63,15 @@ func (p *Proc) Park() { p.park() }
 // and resumes the other process, so every switch between processes
 // takes the one path through the loop. Inline execution also stops at
 // the engine's RunUntil deadline, and when the queue drains.
+//
+// A callback may hand control to a process with ResumeHere. If it hands
+// it to p — or p handed it to itself before parking — park returns at
+// once; if to another process, p yields and the loop resumes that one
+// within the same event.
 func (p *Proc) park() {
 	e := p.eng
-	for {
+	p.parks++
+	for e.handoff == nil {
 		top, lane := e.events.peek()
 		if top == nil || e.deadline >= 0 && top.at > e.deadline {
 			break
@@ -78,7 +94,34 @@ func (p *Proc) park() {
 		e.trace(TraceEvent{At: e.now, Kind: TraceResume, Proc: p.name, ProcID: p.id})
 		return
 	}
+	if e.handoff == p {
+		e.handoff = nil
+		return
+	}
 	p.yield(struct{}{})
+}
+
+// ResumeHere resumes p, which is parked with no pending wake, within the
+// current event: once the running callback returns, control passes to p
+// before the engine runs any other event. It lets a callback that acts
+// for a parked process at the event where the process would have
+// resumed — the decision between two steps of a continuation run — hand
+// control back only when the process must act itself, without a wake
+// event. It pushes no event and emits no trace event. Called from p's
+// own context before p parks, it makes that park return at once.
+// ResumeHere panics if p has a pending wake, has finished, or another
+// hand-back is already set.
+func (p *Proc) ResumeHere() {
+	e := p.eng
+	switch {
+	case p.pendingWake:
+		panic("sim: ResumeHere on proc " + p.name + " with a pending wake")
+	case p.done:
+		panic("sim: ResumeHere on finished proc " + p.name)
+	case e.handoff != nil:
+		panic("sim: ResumeHere on proc " + p.name + " while " + e.handoff.name + " is being resumed")
+	}
+	e.handoff = p
 }
 
 // ReportWait reports a wait interval that ended at the current virtual

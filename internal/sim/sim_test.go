@@ -290,44 +290,64 @@ func TestWaitQueueBroadcast(t *testing.T) {
 // TestResourceCapacityAndFIFO: six users arrive 1µs apart at a
 // resource of capacity 2 and hold it for uneven times, so units free up
 // out of arrival order; admission must still follow arrival order and
-// never exceed the capacity.
+// never exceed the capacity. The run is repeated with every other user
+// a callback waiter (AcquireOrQueue, its callback handing control back
+// with ResumeHere) in the same FIFO: admission, times and the number of
+// engine events must not change, only the grants' kind.
 func TestResourceCapacityAndFIFO(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "daemon", 2)
-	holds := []time.Duration{3, 1, 2, 1, 1, 1}
-	active, maxActive := 0, 0
-	var order []int
-	for i, hold := range holds {
-		e.Go("u", func(p *Proc) {
-			p.Sleep(time.Duration(i) * time.Microsecond)
-			r.Acquire(p)
-			order = append(order, i)
-			active++
-			maxActive = max(maxActive, active)
-			p.Sleep(hold * time.Millisecond)
-			active--
-			r.Release()
+	var events [2]int
+	for mixed := range 2 {
+		e := NewEngine()
+		e.SetTracer(func(ev TraceEvent) {
+			if ev.Kind != TraceFinish {
+				events[mixed]++
+			}
 		})
-	}
-	e.Run()
-	for i, u := range order {
-		if u != i {
-			t.Fatalf("admission order = %v, want arrival order", order)
+		r := NewResource(e, "daemon", 2)
+		holds := []time.Duration{3, 1, 2, 1, 1, 1}
+		active, maxActive := 0, 0
+		var order []int
+		for i, hold := range holds {
+			e.Go("u", func(p *Proc) {
+				p.Sleep(time.Duration(i) * time.Microsecond)
+				if mixed == 1 && i%2 == 1 {
+					if !r.AcquireOrQueue(p, p.ResumeHere) {
+						p.Park()
+					}
+				} else {
+					r.Acquire(p)
+				}
+				order = append(order, i)
+				active++
+				maxActive = max(maxActive, active)
+				p.Sleep(hold * time.Millisecond)
+				active--
+				r.Release()
+			})
+		}
+		e.Run()
+		for i, u := range order {
+			if u != i {
+				t.Fatalf("mixed=%d: admission order = %v, want arrival order", mixed, order)
+			}
+		}
+		if len(order) != len(holds) {
+			t.Fatalf("mixed=%d: admitted %d users, want %d", mixed, len(order), len(holds))
+		}
+		if maxActive != 2 {
+			t.Fatalf("mixed=%d: max active = %d, want capacity 2", mixed, maxActive)
+		}
+		// 0 holds [0, 3ms), 1 [1µs, 1ms+1µs), 2 [1ms+1µs, 3ms+1µs),
+		// 3 [3ms, 4ms), 4 [3ms+1µs, 4ms+1µs), 5 [4ms, 5ms).
+		if e.Now() != 5*time.Millisecond {
+			t.Fatalf("mixed=%d: last release at %v, want 5ms", mixed, e.Now())
+		}
+		if r.inUse != 0 || r.waiters.Len() != 0 {
+			t.Fatalf("mixed=%d: at end inUse=%d waiters=%d, want both 0", mixed, r.inUse, r.waiters.Len())
 		}
 	}
-	if len(order) != len(holds) {
-		t.Fatalf("admitted %d users, want %d", len(order), len(holds))
-	}
-	if maxActive != 2 {
-		t.Fatalf("max active = %d, want capacity 2", maxActive)
-	}
-	// 0 holds [0, 3ms), 1 [1µs, 1ms+1µs), 2 [1ms+1µs, 3ms+1µs),
-	// 3 [3ms, 4ms), 4 [3ms+1µs, 4ms+1µs), 5 [4ms, 5ms).
-	if e.Now() != 5*time.Millisecond {
-		t.Fatalf("last release at %v, want 5ms", e.Now())
-	}
-	if r.inUse != 0 || r.waiters.Len() != 0 {
-		t.Fatalf("at end inUse=%d waiters=%d, want both 0", r.inUse, r.waiters.Len())
+	if events[0] != events[1] {
+		t.Fatalf("%d engine events with callback waiters, %d without", events[1], events[0])
 	}
 }
 
