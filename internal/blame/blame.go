@@ -139,9 +139,13 @@ type TenantBlame struct {
 // exported artifacts carry the tenant/op aggregates and the
 // interference matrix.
 type Report struct {
-	Label        string        `json:"label"`
-	Requests     int           `json:"requests"`
-	Unattributed uint64        `json:"unattributed_waits,omitempty"`
+	Label        string `json:"label"`
+	Requests     int    `json:"requests"`
+	Unattributed uint64 `json:"unattributed_waits,omitempty"`
+	// Dropped counts the events the recorder discarded at its
+	// MaxEvents cap: when nonzero, the report decomposes only the
+	// requests whose events came before the cap.
+	Dropped      uint64        `json:"dropped_events,omitempty"`
 	Tenants      []TenantBlame `json:"tenants"`
 	Interference []Cell        `json:"interference"`
 	PerRequest   []Request     `json:"-"`
@@ -182,6 +186,7 @@ func Decompose(label string, rec *obs.Recorder) Report {
 		return rep
 	}
 	rep.Unattributed = rec.UnattributedWaits()
+	rep.Dropped = rec.Dropped()
 	// Wait records grouped by owning span, preserving engine order.
 	type leaf struct {
 		bucket string

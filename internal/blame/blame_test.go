@@ -289,3 +289,38 @@ func TestWriteJSONDeterministic(t *testing.T) {
 		t.Errorf("JSON missing bucket: %s", a.String())
 	}
 }
+
+// TestReportCarriesDrops checks that a report over a recorder that hit
+// its cap says so, in JSON and in text, and that one with no drops
+// carries no trace of the field.
+func TestReportCarriesDrops(t *testing.T) {
+	render := func(rep Report) (string, string) {
+		var j, txt bytes.Buffer
+		if err := WriteJSON(&j, []Report{rep}); err != nil {
+			t.Fatal(err)
+		}
+		Render(&txt, rep)
+		return j.String(), txt.String()
+	}
+	now := new(time.Duration)
+	rec := obs.New(obs.Config{Clock: func() time.Duration { return *now }, MaxEvents: 2})
+	for i := 0; i < 3; i++ {
+		sp := rec.StartSpan(1, "fls0", "read")
+		rec.Wait(1, "run", "cpu", "", 0, *now, ms(1))
+		*now += ms(1)
+		sp.End(0, nil)
+	}
+	rep := Decompose("capped", rec)
+	if rep.Dropped != 4 || rep.Requests != 1 {
+		t.Fatalf("dropped %d requests %d, want 4 and 1", rep.Dropped, rep.Requests)
+	}
+	j, txt := render(rep)
+	if !strings.Contains(j, `"dropped_events": 4`) || !strings.Contains(txt, "4 events dropped") {
+		t.Errorf("capped report hides its drops:\n%s\n%s", j, txt)
+	}
+	rep.Dropped = 0
+	j, txt = render(rep)
+	if strings.Contains(j, "dropped") || strings.Contains(txt, "dropped") {
+		t.Errorf("report with no drops mentions them:\n%s\n%s", j, txt)
+	}
+}

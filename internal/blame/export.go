@@ -68,6 +68,9 @@ func Render(w io.Writer, rep Report) {
 	if rep.Unattributed > 0 {
 		fmt.Fprintf(w, "  (%d waits outside any span)\n", rep.Unattributed)
 	}
+	if rep.Dropped > 0 {
+		fmt.Fprintf(w, "  (%d events dropped at the recorder's cap: later requests are missing)\n", rep.Dropped)
+	}
 	for _, t := range rep.Tenants {
 		mean := time.Duration(0)
 		if t.Requests > 0 {

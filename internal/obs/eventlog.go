@@ -1,49 +1,53 @@
 package obs
 
-// chunkLen is the number of events one chunk of an eventLog holds.
+// chunkLen is the number of records one chunk of an eventLog holds.
 const chunkLen = 1 << 12
 
-// eventLog is an append-only sequence of events kept in fixed-size
-// chunks. A full chunk is never copied or grown, so appending N events
+// chunked is an append-only sequence of records kept in fixed-size
+// chunks. A full chunk is never copied or grown, so appending N records
 // costs ⌈N/chunkLen⌉ chunk allocations (plus the rare growth of the
-// chunk index), allocates only what it keeps, and the log never holds
-// more than one partly filled chunk.
-type eventLog[T any] struct {
-	chunks []*[chunkLen]T // event i is chunks[i/chunkLen][i%chunkLen]
+// chunk index), allocates only what it keeps, and the sequence never
+// holds more than one partly filled chunk.
+type chunked[R any] struct {
+	chunks []*[chunkLen]R // record i is chunks[i/chunkLen][i%chunkLen]
 	n      int
-	// flat is the memoized result of all. It is current while its
-	// length equals n: the log only grows, so equal lengths mean equal
-	// contents.
-	flat []T
 }
 
-func (l *eventLog[T]) push(e T) {
+func (l *chunked[R]) push(rec R) {
 	i := l.n % chunkLen
 	if i == 0 {
-		l.chunks = append(l.chunks, new([chunkLen]T))
+		l.chunks = append(l.chunks, new([chunkLen]R))
 	}
-	l.chunks[len(l.chunks)-1][i] = e
+	l.chunks[len(l.chunks)-1][i] = rec
 	l.n++
 }
 
-// all returns the events in append order as one slice, nil when the
-// log is empty. The slice is built on the first read after an append
-// and shared by later reads; a log of one chunk returns that chunk
-// without copying. Its capacity equals its length, so a caller's append
-// never writes into the log.
-func (l *eventLog[T]) all() []T {
-	if len(l.flat) == l.n {
-		return l.flat
+// at returns record i, which must be below n.
+func (l *chunked[R]) at(i int) *R {
+	return &l.chunks[i/chunkLen][i%chunkLen]
+}
+
+// eventLog is a chunked log of compact records R, read as wide events
+// E.
+type eventLog[R, E any] struct {
+	chunked[R]
+	// view holds the wide events built by all, one per record, in
+	// order. The log only grows and a record never changes, so the
+	// view is current up to its length and all extends it from there.
+	view []E
+}
+
+// all returns the events in append order, each built from its record
+// by wide, nil when the log is empty. The first read builds the view in
+// one exactly sized slice; a read after further appends builds only
+// the events appended since. Its capacity equals its length, so a
+// caller's append never writes into the view.
+func (l *eventLog[R, E]) all(wide func(*R) E) []E {
+	if l.view == nil && l.n > 0 {
+		l.view = make([]E, 0, l.n)
 	}
-	if len(l.chunks) == 1 {
-		l.flat = l.chunks[0][:l.n:l.n]
-		return l.flat
+	for i := len(l.view); i < l.n; i++ {
+		l.view = append(l.view, wide(l.at(i)))
 	}
-	l.flat = nil // drop the stale copy before building the next
-	flat := make([]T, 0, l.n)
-	for _, c := range l.chunks {
-		flat = append(flat, c[:min(chunkLen, l.n-len(flat))]...)
-	}
-	l.flat = flat
-	return flat
+	return l.view[:l.n:l.n]
 }

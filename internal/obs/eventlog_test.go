@@ -26,6 +26,9 @@ type refRecorder struct {
 	cores    []CoreEvent
 	dropped  uint64
 	unattrib uint64
+	// Waits kept with a holder serving a span, with a holder serving
+	// none, and with the empty holder name.
+	heldBySpan, heldByNone, emptyHolder int
 }
 
 type refSpan struct {
@@ -82,6 +85,7 @@ func logOps(t *testing.T, seed int64, maxEvents, ops int, weights [numOps]int) *
 		return strings.Clone(names[rng.Intn(len(names))])
 	}
 	open := map[int]*Span{}
+	sawCap, sawDrop := false, false
 	check := func(when string) {
 		t.Helper()
 		if !slices.Equal(rec.Slices(), ref.slices) || !slices.Equal(rec.Waits(), ref.waits) ||
@@ -165,8 +169,13 @@ func logOps(t *testing.T, seed int64, maxEvents, ops int, weights [numOps]int) *
 				Start: now - dur, Dur: dur}
 			if hs := ref.bound[holderID]; holderID != 0 && hs != nil {
 				e.HolderTenant = hs.tenant
+				ref.heldBySpan++
 			} else {
 				e.HolderTenant = ref.intern("")
+				ref.heldByNone++
+			}
+			if holder == "" {
+				ref.emptyHolder++
 			}
 			ref.waits = append(ref.waits, e)
 		case opCore:
@@ -178,8 +187,14 @@ func logOps(t *testing.T, seed int64, maxEvents, ops int, weights [numOps]int) *
 					Account: ref.intern(account), Kind: ref.intern(kind)})
 			}
 		}
-		if rng.Intn(1500) == 0 {
-			check(fmt.Sprintf("after op %d", i))
+		// Read at random points, and where the logs reach the cap and
+		// just after the first drop.
+		kept := len(ref.slices) + len(ref.waits) + len(ref.cores)
+		atCap := kept == maxEvents && !sawCap
+		firstDrop := ref.dropped > 0 && !sawDrop
+		sawCap, sawDrop = sawCap || atCap, sawDrop || firstDrop
+		if rng.Intn(1500) == 0 || atCap || firstDrop {
+			check(fmt.Sprintf("after op %d (%d kept, %d dropped)", i, kept, ref.dropped))
 		}
 	}
 	check("at the end")
@@ -191,10 +206,13 @@ func logOps(t *testing.T, seed int64, maxEvents, ops int, weights [numOps]int) *
 	return ref
 }
 
-// TestEventLogMatchesSliceOracle checks the chunked event log, and the
-// MaxEvents cap below, at and above a chunk multiple, against plain
-// appends. Each capped run skews the mix towards one log, so that this
-// log, not just the total, reaches the cap near its chunk boundary.
+// TestEventLogMatchesSliceOracle checks the views built from the
+// compact logs, and the MaxEvents cap below, at and above a chunk
+// multiple, against plain appends of the wide events. The views are
+// read at random points, when the logs reach the cap exactly and after
+// the first drop. Each capped run skews the mix towards one log, so
+// that this log, not just the total, reaches the cap near its chunk
+// boundary.
 func TestEventLogMatchesSliceOracle(t *testing.T) {
 	balanced := [numOps]int{opStart: 2, opEnd: 2, opCross: 3, opMark: 1, opWait: 6, opCore: 6}
 	seed := int64(0)
@@ -203,8 +221,13 @@ func TestEventLogMatchesSliceOracle(t *testing.T) {
 		weights[heavy] *= 40
 		for _, max := range []int{2*chunkLen - 1, 2 * chunkLen, 2*chunkLen + 1} {
 			seed++
-			if ref := logOps(t, seed, max, 6*chunkLen, weights); ref.dropped == 0 {
+			ref := logOps(t, seed, max, 6*chunkLen, weights)
+			if ref.dropped == 0 {
 				t.Fatalf("max %d: nothing dropped", max)
+			}
+			if ref.heldBySpan == 0 || ref.heldByNone == 0 || ref.emptyHolder == 0 {
+				t.Fatalf("max %d: waits held by a span %d, by none %d, by \"\" %d; want each",
+					max, ref.heldBySpan, ref.heldByNone, ref.emptyHolder)
 			}
 		}
 	}
@@ -212,13 +235,76 @@ func TestEventLogMatchesSliceOracle(t *testing.T) {
 		t.Fatalf("uncapped run: %d waits, %d dropped", len(ref.waits), ref.dropped)
 	}
 	// A read, then more appends, then another read shows the new
-	// events, within one chunk and across a chunk boundary.
-	rec, _ := newTestRecorder()
+	// events, within one chunk and across a chunk boundary, while the
+	// slice an earlier read returned keeps its contents.
+	rec, clock := newTestRecorder()
+	sp := rec.StartSpan(1, "a", "read")
+	var first []WaitEvent
 	for i := 0; i < chunkLen+2; i++ {
+		*clock = time.Duration(i)
 		rec.Core(i, 0, 1, "a", "user")
-		if got := rec.CoreEvents(); len(got) != i+1 || got[i].Core != int32(i) {
-			t.Fatalf("read after %d cores: %d events", i+1, len(got))
+		rec.Wait(1, "lock", "m", "", 0, *clock, 1)
+		sp.Enter(LayerClient).Exit()
+		cores, waits, slices := rec.CoreEvents(), rec.Waits(), rec.Slices()
+		if len(cores) != i+1 || cores[i].Core != int32(i) || len(waits) != i+1 ||
+			waits[i].Start != *clock || len(slices) != i+1 || slices[i].Start != *clock {
+			t.Fatalf("read after %d appends: %d/%d/%d cores/waits/slices", i+1, len(cores), len(waits), len(slices))
 		}
+		if i == 0 {
+			first = waits
+		}
+	}
+	if len(first) != 1 || first[0].Start != 0 || first[0].Span != 1 {
+		t.Fatalf("first read changed to %+v", first)
+	}
+}
+
+// TestCapBoundsTables checks what a recorder at its cap keeps: record
+// bytes within MaxEvents × 32 B plus one partly filled chunk per log,
+// and span and site tables within MaxEvents rows, which 10k more spans,
+// waits, crossings, marks and core slices over new names do not grow.
+func TestCapBoundsTables(t *testing.T) {
+	if s := [3]uintptr{unsafe.Sizeof(waitRec{}), unsafe.Sizeof(sliceRec{}), unsafe.Sizeof(coreRec{})}; s != [3]uintptr{32, 24, 24} {
+		t.Fatalf("wait, slice, core records take %v bytes, want 32, 24, 24", s)
+	}
+	const max = 3*chunkLen + 5
+	clock := new(time.Duration)
+	rec := New(Config{Clock: func() time.Duration { return *clock }, MaxEvents: max})
+	record := func(i int) {
+		*clock++
+		name := fmt.Sprint(i)
+		sp := rec.StartSpan(1+i%4, "t"+name, "op")
+		rec.Wait(1+i%4, "lock", "m"+name, "h"+name, 1+(i+1)%4, *clock, 1)
+		rec.Wait(1+i%4, "runq", "cpu", "", 0, *clock, 1)
+		sp.Enter(LayerClient).Exit()
+		rec.Core(i%8, *clock, 1, "a"+name, "user")
+		rec.Mark("t"+name, "brownout")
+		sp.End(0, nil)
+	}
+	i := 0
+	for ; rec.Dropped() == 0; i++ {
+		record(i)
+	}
+	spans, sites, accts := rec.spans.n, len(rec.sites.rows), len(rec.accts.rows)
+	if spans > max || sites > max || accts > max {
+		t.Fatalf("at the cap: %d span rows, %d sites, %d accounts; want each <= %d", spans, sites, accts, max)
+	}
+	for end := i + 10_000; i < end; i++ {
+		record(i)
+	}
+	if rec.spans.n != spans || len(rec.sites.rows) != sites || len(rec.accts.rows) != accts {
+		t.Fatalf("after the cap: %d/%d/%d span rows/sites/accounts, want %d/%d/%d",
+			rec.spans.n, len(rec.sites.rows), len(rec.accts.rows), spans, sites, accts)
+	}
+	if rec.kept != max || len(rec.Slices())+len(rec.Waits())+len(rec.CoreEvents()) != max {
+		t.Fatalf("kept %d records, want %d", rec.kept, max)
+	}
+	held := chunkLen * (len(rec.waits.chunks)*int(unsafe.Sizeof(waitRec{})) +
+		len(rec.slices.chunks)*int(unsafe.Sizeof(sliceRec{})) +
+		len(rec.cores.chunks)*int(unsafe.Sizeof(coreRec{})))
+	bound := max*32 + chunkLen*int(unsafe.Sizeof(waitRec{})+unsafe.Sizeof(sliceRec{})+unsafe.Sizeof(coreRec{}))
+	if held > bound {
+		t.Fatalf("record chunks hold %d bytes, want <= %d", held, bound)
 	}
 }
 
@@ -255,7 +341,7 @@ func TestInternCache(t *testing.T) {
 
 // TestRecordingAllocs pins the per-event path: recording waits, core
 // slices and layer crossings over names already seen allocates nothing
-// but log chunks, and no more bytes than the chunks hold.
+// but log chunks, and no more bytes than the compact records take.
 func TestRecordingAllocs(t *testing.T) {
 	const n = 4 * chunkLen
 	rec, clock := newTestRecorder()
@@ -280,29 +366,11 @@ func TestRecordingAllocs(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	record()
 	runtime.ReadMemStats(&after)
-	kept := n * int(unsafe.Sizeof(WaitEvent{})+unsafe.Sizeof(CoreEvent{})+unsafe.Sizeof(SliceEvent{}))
+	kept := n * int(unsafe.Sizeof(waitRec{})+unsafe.Sizeof(coreRec{})+unsafe.Sizeof(sliceRec{}))
 	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(kept+kept/8) {
 		t.Errorf("recording %d bytes of events allocated %d bytes", kept, got)
 	}
 	if rec.Waits()[len(rec.Waits())-1].HolderTenant != rec.intern("pool1") {
 		t.Error("holder tenant not resolved from the holder's span")
-	}
-}
-
-// BenchmarkRecordWait times the per-wait path of an observed run: a
-// bound span, a holder serving another span, names already interned.
-func BenchmarkRecordWait(b *testing.B) {
-	var clock time.Duration
-	rec := New(Config{Clock: func() time.Duration { return clock }, MaxEvents: 1 << 30})
-	rec.StartSpan(3, "pool0", "read")
-	rec.StartSpan(5, "pool1", "write")
-	kinds := []string{"lock", "runq", "net", "osd"}
-	res := []string{"i_mutex", "cpu", "link0", "osd.media"}
-	holders := []string{"kflushd", "", "pool1-t0", ""}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i & 3
-		rec.Wait(3, kinds[j], res[j], holders[j], 5*(j&1), clock, 1)
 	}
 }

@@ -87,8 +87,8 @@ type Config struct {
 	// schedules it). Zero or negative disables sampling — and with it
 	// the only engine events observability ever adds.
 	SampleInterval time.Duration
-	// MaxEvents caps the retained trace events (span slices plus core
-	// slices). Beyond the cap events are counted as dropped instead of
+	// MaxEvents caps the retained trace events (span slices, waits
+	// and core slices). Beyond the cap events are counted as dropped instead of
 	// retained, keeping memory bounded on long runs. Zero means the
 	// default of 4M events.
 	MaxEvents int
@@ -99,10 +99,19 @@ type Config struct {
 type Recorder struct {
 	cfg      Config
 	nextSpan uint64
-	slices   eventLog[SliceEvent]
-	cores    eventLog[CoreEvent]
-	waits    eventLog[WaitEvent]
-	dropped  uint64
+	// The three logs keep compact, pointer-free records and build the
+	// wide events only when read (Slices, Waits, CoreEvents). A record
+	// names its span by a row of spans and its names by a row of sites
+	// or accts; a row is made only when a kept record first needs it,
+	// so no table outgrows MaxEvents rows.
+	slices  eventLog[sliceRec, SliceEvent]
+	cores   eventLog[coreRec, CoreEvent]
+	waits   eventLog[waitRec, WaitEvent]
+	spans   chunked[spanRow]
+	sites   tupleTable // wait (kind, resource, holder)
+	accts   tupleTable // core slice (account, kind)
+	kept    int        // records in the three logs
+	dropped uint64
 
 	// procSpan binds each simulated process to the span it is currently
 	// serving, indexed by process id (engine ids are small and dense), so
@@ -126,6 +135,10 @@ type Recorder struct {
 	symIdx map[string]Sym
 	// symCache answers repeated names in front of symIdx (see intern).
 	symCache [symCacheLen]symSlot
+	// emptySym is the id of "", the holder tenant of a wait whose
+	// holder serves no span, once haveEmpty is set.
+	emptySym  Sym
+	haveEmpty bool
 
 	reg        *Registry
 	finalizers []func(*Registry)
@@ -266,8 +279,85 @@ func New(cfg Config) *Recorder {
 	}
 	return &Recorder{
 		cfg: cfg, reg: NewRegistry(), symIdx: map[string]Sym{},
-		open: map[uint64]*Span{},
+		open:  map[uint64]*Span{},
+		sites: tupleTable{width: 3, idx: map[[3]Sym]uint32{}},
+		accts: tupleTable{width: 2, idx: map[[3]Sym]uint32{}},
 	}
+}
+
+// spanRow is one row of the span table: what a record needs of the
+// span it belongs to.
+type spanRow struct {
+	id     uint64
+	proc   int32
+	tenant Sym
+	op     Sym
+}
+
+// errBit marks, in a slice record's layer, a request that failed.
+const errBit Sym = 1 << 31
+
+// sliceRec is the 24-byte record of a SliceEvent.
+type sliceRec struct {
+	span       uint32 // span-table row
+	layer      Sym    // with errBit set when Err
+	start, dur time.Duration
+}
+
+// waitRec is the 32-byte record of a WaitEvent.
+type waitRec struct {
+	span         uint32 // span-table row
+	site         uint32 // sites row: kind, resource, holder
+	holderTenant Sym
+	start, dur   time.Duration
+}
+
+// coreRec is the 24-byte record of a CoreEvent.
+type coreRec struct {
+	core       int32
+	acct       uint32 // accts row: account, kind
+	start, dur time.Duration
+}
+
+func (r *Recorder) sliceEvent(s *sliceRec) SliceEvent {
+	sp := r.spans.at(int(s.span))
+	return SliceEvent{
+		Span: sp.id, Proc: sp.proc, Tenant: sp.tenant, Op: sp.op,
+		Layer: s.layer &^ errBit, Start: s.start, Dur: s.dur, Err: s.layer&errBit != 0,
+	}
+}
+
+func (r *Recorder) waitEvent(w *waitRec) WaitEvent {
+	sp := r.spans.at(int(w.span))
+	site := &r.sites.rows[w.site]
+	return WaitEvent{
+		Span: sp.id, Proc: sp.proc, Tenant: sp.tenant, Op: sp.op,
+		Kind: site[0], Resource: site[1], Holder: site[2], HolderTenant: w.holderTenant,
+		Start: w.start, Dur: w.dur,
+	}
+}
+
+func (r *Recorder) coreEvent(c *coreRec) CoreEvent {
+	a := &r.accts.rows[c.acct]
+	return CoreEvent{Core: c.core, Start: c.start, Dur: c.dur, Account: a[0], Kind: a[1]}
+}
+
+// rowOf returns s's span-table row, making it on the first call.
+func (r *Recorder) rowOf(s *Span) uint32 {
+	if s.row < 0 {
+		s.row = int32(r.spans.n)
+		r.spans.push(spanRow{id: s.id, proc: s.proc, tenant: s.tenantSym, op: s.opSym})
+	}
+	return uint32(s.row)
+}
+
+// pushSlice keeps one slice record of row.
+func (r *Recorder) pushSlice(row uint32, l Layer, start, dur time.Duration, err bool) {
+	layer := r.intern(string(l))
+	if err {
+		layer |= errBit
+	}
+	r.slices.push(sliceRec{span: row, layer: layer, start: start, dur: dur})
 }
 
 // Recorder.symCache has symCacheLen slots. The per-event names of a
@@ -290,8 +380,66 @@ type symSlot struct {
 // accounts, layers) are constants or fields set once, so each arrives
 // at the same address every time.
 func symSlotOf(s string) int {
-	p := uint64(uintptr(unsafe.Pointer(unsafe.StringData(s))))
+	return slotOf(addr(s))
+}
+
+// slotOf spreads an address (or a sum of them) over symCacheLen slots.
+func slotOf(p uint64) int {
 	return int((p * 0x9e3779b97f4a7c15) >> (64 - symCacheBits))
+}
+
+// addr is the address of s's bytes.
+func addr(s string) uint64 {
+	return uint64(uintptr(unsafe.Pointer(unsafe.StringData(s))))
+}
+
+// sameStr reports whether a and b are the same bytes at the same
+// address.
+func sameStr(a, b string) bool {
+	return unsafe.StringData(a) == unsafe.StringData(b) && len(a) == len(b)
+}
+
+// tupleTable numbers tuples of width names, in first-use order: the
+// (kind, resource, holder) site of a wait, or the (account, kind) of a
+// core slice, whose unused third name is "".
+type tupleTable struct {
+	width int
+	rows  [][3]Sym
+	idx   map[[3]Sym]uint32
+	// cache answers a tuple passed again with each name at the same
+	// address, as symCache does for single names.
+	cache [symCacheLen]tupleSlot
+}
+
+type tupleSlot struct {
+	names [3]string
+	id    uint32
+	ok    bool
+}
+
+// tuple returns the row of names in t, interning each name and adding
+// the row on first use. A cache hit, keyed and checked like intern's
+// by the names' addresses, skips the width intern calls and the map;
+// a miss interns the names in order, so symbol and row ids stay in
+// first-use order.
+func (r *Recorder) tuple(t *tupleTable, names [3]string) uint32 {
+	slot := &t.cache[slotOf(addr(names[0])+3*addr(names[1])+5*addr(names[2]))]
+	if slot.ok && sameStr(slot.names[0], names[0]) && sameStr(slot.names[1], names[1]) &&
+		sameStr(slot.names[2], names[2]) {
+		return slot.id
+	}
+	var key [3]Sym
+	for i := 0; i < t.width; i++ {
+		key[i] = r.intern(names[i])
+	}
+	id, ok := t.idx[key]
+	if !ok {
+		id = uint32(len(t.rows))
+		t.rows = append(t.rows, key)
+		t.idx[key] = id
+	}
+	*slot = tupleSlot{names: names, id: id, ok: true}
+	return id
 }
 
 // intern maps a string to its stable id, assigning one on first use.
@@ -304,7 +452,7 @@ func symSlotOf(s string) int {
 // and stay in first-use order.
 func (r *Recorder) intern(s string) Sym {
 	slot := &r.symCache[symSlotOf(s)]
-	if slot.ok && unsafe.StringData(slot.s) == unsafe.StringData(s) && len(slot.s) == len(s) {
+	if slot.ok && sameStr(slot.s, s) {
 		return slot.id
 	}
 	id, ok := r.symIdx[s]
@@ -364,7 +512,7 @@ func (r *Recorder) Slices() []SliceEvent {
 	if r == nil {
 		return nil
 	}
-	return r.slices.all()
+	return r.slices.all(r.sliceEvent)
 }
 
 // CoreEvents returns the recorded per-core slices in recording order
@@ -373,7 +521,7 @@ func (r *Recorder) CoreEvents() []CoreEvent {
 	if r == nil {
 		return nil
 	}
-	return r.cores.all()
+	return r.cores.all(r.coreEvent)
 }
 
 // Waits returns the recorded wait events in recording order
@@ -382,7 +530,7 @@ func (r *Recorder) Waits() []WaitEvent {
 	if r == nil {
 		return nil
 	}
-	return r.waits.all()
+	return r.waits.all(r.waitEvent)
 }
 
 // UnattributedWaits returns how many observed waits had no bound span.
@@ -401,11 +549,14 @@ func (r *Recorder) Registry() *Registry {
 	return r.reg
 }
 
+// room reports whether one more record fits under MaxEvents, and
+// counts it kept if so (the caller then pushes it) or dropped if not.
 func (r *Recorder) room() bool {
-	if r.slices.n+r.cores.n+r.waits.n >= r.cfg.MaxEvents {
+	if r.kept >= r.cfg.MaxEvents {
 		r.dropped++
 		return false
 	}
+	r.kept++
 	return true
 }
 
@@ -421,7 +572,7 @@ func (r *Recorder) StartSpan(proc int, tenant, op string) *Span {
 		rec: r, id: r.nextSpan, proc: int32(proc),
 		tenant: tenant, op: op,
 		tenantSym: r.intern(tenant), opSym: r.intern(op),
-		start: r.cfg.Clock(),
+		start: r.cfg.Clock(), row: -1,
 	}
 	if proc >= len(r.procSpan) {
 		r.procSpan = append(r.procSpan, make([]*Span, proc+1-len(r.procSpan))...)
@@ -441,11 +592,9 @@ func (r *Recorder) Mark(tenant, name string) {
 		return
 	}
 	r.nextSpan++
-	now := r.cfg.Clock()
-	r.slices.push(SliceEvent{
-		Span: r.nextSpan, Tenant: r.intern(tenant), Op: r.intern(name),
-		Layer: r.intern(string(LayerEvent)), Start: now,
-	})
+	row := uint32(r.spans.n)
+	r.spans.push(spanRow{id: r.nextSpan, tenant: r.intern(tenant), op: r.intern(name)})
+	r.pushSlice(row, LayerEvent, r.cfg.Clock(), 0, false)
 }
 
 // Wait attributes one passively observed wait interval to the span
@@ -480,19 +629,21 @@ func (r *Recorder) Wait(proc int, kind, resource, holder string, holderID int, s
 	if !r.room() {
 		return
 	}
-	e := WaitEvent{
-		Span: s.id, Proc: s.proc, Tenant: s.tenantSym, Op: s.opSym,
-		Kind: r.intern(kind), Resource: r.intern(resource), Holder: r.intern(holder),
-		Start: start, Dur: dur,
+	w := waitRec{
+		span: r.rowOf(s), site: r.tuple(&r.sites, [3]string{kind, resource, holder}),
+		start: start, dur: dur,
 	}
 	// The holder span's tenant was interned when the span started; ""
 	// is interned here, after the names above, to keep first-use order.
 	if hs != nil {
-		e.HolderTenant = hs.tenantSym
+		w.holderTenant = hs.tenantSym
 	} else {
-		e.HolderTenant = r.intern("")
+		if !r.haveEmpty {
+			r.emptySym, r.haveEmpty = r.intern(""), true
+		}
+		w.holderTenant = r.emptySym
 	}
-	r.waits.push(e)
+	r.waits.push(w)
 }
 
 // LeakedSpans describes every span opened but never ended, sorted by
@@ -522,9 +673,9 @@ func (r *Recorder) Core(core int, start, dur time.Duration, account, kind string
 	if r == nil || !r.room() {
 		return
 	}
-	r.cores.push(CoreEvent{
-		Core: int32(core), Start: start, Dur: dur,
-		Account: r.intern(account), Kind: r.intern(kind),
+	r.cores.push(coreRec{
+		core: int32(core), acct: r.tuple(&r.accts, [3]string{account, kind}),
+		start: start, dur: dur,
 	})
 }
 
@@ -571,6 +722,9 @@ type Span struct {
 	tenantSym Sym
 	opSym     Sym
 	start     time.Duration
+	// row is the span's span-table row, -1 until a kept record first
+	// names the span.
+	row int32
 }
 
 // Tenant returns the originating tenant tag ("" on a nil span).
@@ -600,11 +754,7 @@ func (s *Span) End(bytes int64, err error) {
 	}
 	now := s.rec.cfg.Clock()
 	if s.rec.room() {
-		s.rec.slices.push(SliceEvent{
-			Span: s.id, Proc: s.proc, Tenant: s.tenantSym, Op: s.opSym,
-			Layer: s.rec.intern(string(LayerRequest)),
-			Start: s.start, Dur: now - s.start, Err: err != nil,
-		})
+		s.rec.pushSlice(s.rec.rowOf(s), LayerRequest, s.start, now-s.start, err != nil)
 	}
 	if s.rec.spanOf(int(s.proc)) == s {
 		s.rec.procSpan[s.proc] = nil
@@ -640,9 +790,5 @@ func (sc Scope) Exit() {
 	if !s.rec.room() {
 		return
 	}
-	now := s.rec.cfg.Clock()
-	s.rec.slices.push(SliceEvent{
-		Span: s.id, Proc: s.proc, Tenant: s.tenantSym, Op: s.opSym,
-		Layer: s.rec.intern(string(sc.layer)), Start: sc.start, Dur: now - sc.start,
-	})
+	s.rec.pushSlice(s.rec.rowOf(s), sc.layer, sc.start, s.rec.cfg.Clock()-sc.start, false)
 }
