@@ -9,9 +9,9 @@ import (
 
 // TestHotPathAllocs holds the engine, mutex and wait queue hot paths
 // that the paper's contention mechanisms (i_mutex convoys, wakeups,
-// timer churn) run through allocation-free once warm. EngineEventChurnDeep
-// counts 1 allocation (queue growth at 2n) and WaitQueueSignalled about
-// 10 (the event heap growing to hold 2n dead timeouts), the others 0.
+// timer churn) run through allocation-free once warm. WaitQueueSignalled
+// counts about 10 allocations (the event queue's slab growing to hold 2n
+// dead timeouts), the others 0.
 func TestHotPathAllocs(t *testing.T) {
 	allocgate.Check(t, []allocgate.Case{
 		{Name: "EngineSleepWake", Body: engineSleepWake, N: 10000},
@@ -19,6 +19,7 @@ func TestHotPathAllocs(t *testing.T) {
 		{Name: "EngineProcSwitch", Body: engineProcSwitch, N: 10000},
 		{Name: "EngineEventChurn", Body: engineEventChurn, N: 10000},
 		{Name: "EngineEventChurnDeep", Body: engineEventChurnDeep, N: 10000},
+		{Name: "EngineEventSpread", Body: engineEventSpread, N: 10000},
 		{Name: "MutexUncontended", Body: mutexUncontended, N: 10000},
 		{Name: "MutexContendedHandoff", Body: mutexContendedHandoff, N: 10000},
 		{Name: "MutexCallbackHandoff", Body: mutexCallbackHandoff, N: 10000},
@@ -76,7 +77,7 @@ func engineProcSwitch(n int) func() {
 }
 
 // BenchmarkEngineEventChurn measures raw callback scheduling: each
-// iteration pushes and drains one timer event through the heap.
+// iteration pushes and drains one timer event through the queue.
 func BenchmarkEngineEventChurn(b *testing.B) { allocgate.Bench(b, engineEventChurn) }
 
 func engineEventChurn(n int) func() {
@@ -120,6 +121,38 @@ func engineEventChurnDeep(n int) func() {
 			e.After(0, rearm)
 		}
 		e.After(d, fire)
+	}
+	return e.Run
+}
+
+// BenchmarkEngineEventSpread measures the event queue over the key spans
+// of the model's timers: 256 timers keep 256 events pending, and each
+// fire re-arms its timer with a delay drawn log-uniformly from 1 ns to
+// 2 s, so pending keys sit in buckets across the radix heap's range and
+// bucket moves cascade. One op is one event.
+func BenchmarkEngineEventSpread(b *testing.B) { allocgate.Bench(b, engineEventSpread) }
+
+func engineEventSpread(n int) func() {
+	e := NewEngine()
+	const timers = 256
+	fired := 0
+	x := uint64(0x9e3779b97f4a7c15)
+	delay := func() time.Duration {
+		x ^= x << 13 // xorshift64
+		x ^= x >> 7
+		x ^= x << 17
+		shift := x % 32 // up to 2^31 ns, clamped to 2 s
+		return min(2*time.Second, time.Duration(1+(x>>8)&(1<<shift-1)))
+	}
+	for range timers {
+		var fire func()
+		fire = func() {
+			fired++
+			if fired < n {
+				e.After(delay(), fire)
+			}
+		}
+		e.After(delay(), fire)
 	}
 	return e.Run
 }

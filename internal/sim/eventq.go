@@ -1,6 +1,10 @@
 package sim
 
-import "time"
+import (
+	"fmt"
+	"math/bits"
+	"time"
+)
 
 // event is a pending occurrence in virtual time: either an engine
 // callback (fn) or the resumption of a parked process (p).
@@ -11,111 +15,137 @@ type event struct {
 	p   *Proc
 }
 
-func (a *event) before(b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// node is one slot of the event queue's slab: a pending event and the
+// index of the next node in its bucket (or in the free list); 0 ends a
+// list, so slot 0 is never used.
+type node struct {
+	ev   event
+	next int32
 }
 
-// eventQueue holds the pending events in exact (at, seq) order: a FIFO
-// lane for events due at the current instant and a 4-ary min-heap for
-// the rest. A large share of pushes are due now (core grants, lock and
-// resource handoffs, Yield), and the lane takes them at O(1) instead of
-// a sift through a heap hundreds of events deep.
+// eventQueue holds the pending events in exact (at, seq) order as a
+// monotone radix heap keyed by at (Ahuja, Mehlhorn, Orlin and Tarjan,
+// 1990). It relies on the engine's clock never running backwards: every
+// pending event is due at or after last, the time of the latest event
+// peek brought to the front. Bucket 0 holds the events due at last, and
+// bucket i (1..63) those whose highest bit differing from last is i-1,
+// that is bits.Len64(at ^ last) == i. A push is a Len64 and an append;
+// the buckets' time ranges are disjoint and rise with i.
 //
-// The split keeps the order exact. A lane event was pushed at now, so
-// its seq is higher than that of every event queued before it, and the
-// clock cannot advance while the lane holds an event due now. The lane
-// is therefore sorted by (at, seq), and popping the smaller of the lane
-// head and the heap top yields the same sequence a single heap ordered
-// by (at, seq) would.
+// When bucket 0 runs empty, peek takes the lowest non-empty bucket,
+// finds its earliest time m, sets last = m and moves the bucket's events
+// in order into the buckets below it, all empty at that point: those due
+// at m land in bucket 0. Each event moves down at most 63 times in all.
+//
+// The order is exactly (at, seq) without a tie-break compare. A push
+// carries the highest seq so far and goes to a bucket's tail, and a move
+// walks one bucket in order into empty buckets, so every bucket stays in
+// seq order. Bucket 0 holds every event due at last, so its head is the
+// earliest pending event by (at, seq).
+//
+// The events live in one slab of nodes with a free list, and a bucket
+// is a head/tail list of slab indices, so a move relinks indices and
+// copies no event. The slab grows only when more events are pending
+// than ever before.
 type eventQueue struct {
-	lane Queue[event]
-	heap []event
+	last  time.Duration
+	mask  uint64 // bit i set: bucket i is non-empty
+	head  [64]int32
+	tail  [64]int32
+	nodes []node // slot 0 unused
+	free  int32  // head of the free list of slots
 }
 
-// push queues ev; now is the engine's clock.
-func (q *eventQueue) push(ev event, now time.Duration) {
-	if ev.at == now {
-		q.lane.Push(ev)
-		return
+// newEventQueue returns an empty queue whose slab holds n pending events
+// before it grows. The zero eventQueue is not usable.
+func newEventQueue(n int) eventQueue {
+	return eventQueue{nodes: make([]node, 1, n+1)}
+}
+
+// empty reports whether no event is pending.
+func (q *eventQueue) empty() bool { return q.mask == 0 }
+
+// push queues ev. Its time must not precede that of the last event
+// peek returned: the engine never schedules into its past.
+func (q *eventQueue) push(ev event) {
+	if ev.at < q.last {
+		panic(fmt.Sprintf("sim: event due at %v queued after the engine reached %v", ev.at, q.last))
 	}
-	q.heapPush(ev)
+	i := q.free
+	if i != 0 {
+		q.free = q.nodes[i].next
+		q.nodes[i] = node{ev: ev}
+	} else {
+		i = int32(len(q.nodes))
+		q.nodes = append(q.nodes, node{ev: ev})
+	}
+	q.link(bits.Len64(uint64(ev.at^q.last)), i)
 }
 
-// heapPush appends ev and sifts it up as a hole: parents move down into
-// the hole until ev fits.
-func (q *eventQueue) heapPush(ev event) {
-	h := append(q.heap, ev)
-	q.heap = h
-	last := len(h) - 1
-	i := last
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !ev.before(&h[parent]) {
-			break
+// link appends slot i to bucket b.
+func (q *eventQueue) link(b int, i int32) {
+	if q.mask&(1<<b) == 0 {
+		q.mask |= 1 << b
+		q.head[b] = i
+	} else {
+		q.nodes[q.tail[b]].next = i
+	}
+	q.tail[b] = i
+}
+
+// peek returns the earliest pending event, or nil when none is pending
+// or the earliest is due after limit (a negative limit bounds nothing).
+// An event past limit stays where it is, so last never passes the
+// engine's clock and pushes made before the clock reaches that event
+// stay valid. The pointer is valid until the next push or pop.
+func (q *eventQueue) peek(limit time.Duration) *event {
+	if q.mask&1 == 0 {
+		if q.mask == 0 {
+			return nil
 		}
-		h[i] = h[parent]
-		i = parent
-	}
-	if i != last {
-		h[i] = ev
-	}
-}
-
-// peek returns the earliest pending event, and whether it heads the lane,
-// or nil when none is pending. The pointer is valid until the next push
-// or pop.
-func (q *eventQueue) peek() (*event, bool) {
-	if q.lane.head < len(q.lane.buf) {
-		head := &q.lane.buf[q.lane.head]
-		if len(q.heap) == 0 || head.before(&q.heap[0]) {
-			return head, true
-		}
-	}
-	if len(q.heap) == 0 {
-		return nil, false
-	}
-	return &q.heap[0], false
-}
-
-// pop removes and returns the event peek just returned; fromLane is
-// peek's second result.
-func (q *eventQueue) pop(fromLane bool) event {
-	if fromLane {
-		return q.lane.Pop()
-	}
-	h := q.heap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{} // release references
-	h = h[:n]
-	q.heap = h
-	if n == 0 {
-		return top
-	}
-	// Hole sift-down from the root: pull the smallest child up into the
-	// hole until last fits.
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		m := c
-		for j := c + 1; j < c+4 && j < n; j++ {
-			if h[j].before(&h[m]) {
-				m = j
+		b := bits.TrailingZeros64(q.mask)
+		h, t := q.head[b], q.tail[b]
+		m := q.nodes[h].ev.at
+		if h != t {
+			for i := q.nodes[h].next; i != 0; i = q.nodes[i].next {
+				m = min(m, q.nodes[i].ev.at)
 			}
 		}
-		if !h[m].before(&last) {
-			break
+		if uint64(m) > uint64(limit) {
+			return nil
 		}
-		h[i] = h[m]
-		i = m
+		q.last = m
+		q.mask &^= 1 << b
+		if h == t {
+			// A lone event moves to bucket 0 as it is.
+			q.mask |= 1
+			q.head[0], q.tail[0] = h, h
+			return &q.nodes[h].ev
+		}
+		for i := h; i != 0; {
+			n := &q.nodes[i]
+			next := n.next
+			n.next = 0
+			q.link(bits.Len64(uint64(n.ev.at^m)), i)
+			i = next
+		}
+	} else if uint64(q.last) > uint64(limit) {
+		return nil
 	}
-	h[i] = last
-	return top
+	return &q.nodes[q.head[0]].ev
+}
+
+// pop removes and returns the event a non-nil peek just returned.
+func (q *eventQueue) pop() event {
+	i := q.head[0]
+	n := &q.nodes[i]
+	ev := n.ev
+	if i == q.tail[0] {
+		q.mask &^= 1
+	} else {
+		q.head[0] = n.next
+	}
+	*n = node{next: q.free} // release references
+	q.free = i
+	return ev
 }

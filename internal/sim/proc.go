@@ -72,14 +72,11 @@ func (p *Proc) park() {
 	e := p.eng
 	p.parks++
 	for e.handoff == nil {
-		top, lane := e.events.peek()
-		if top == nil || e.deadline >= 0 && top.at > e.deadline {
+		top := e.events.peek(e.deadline)
+		if top == nil || top.fn == nil && top.p != p {
 			break
 		}
-		if top.fn == nil && top.p != p {
-			break
-		}
-		ev := e.events.pop(lane)
+		ev := e.events.pop()
 		if ev.at > e.now {
 			e.now = ev.at
 		}

@@ -1,11 +1,10 @@
 package sim
 
-// Queue is a FIFO ring for the wait queues of simulated primitives and
-// the engine's same-instant event lane. Live entries are buf[head:]:
-// removing the head advances head instead of shifting the slice, so a
-// release is O(1) even under the multi-hundred-waiter i_mutex queues of
-// Fig 1b, and the dead prefix is compacted lazily. The zero value is an
-// empty queue.
+// Queue is a FIFO ring for the wait queues of simulated primitives.
+// Live entries are buf[head:]: removing the head advances head instead
+// of shifting the slice, so a release is O(1) even under the
+// multi-hundred-waiter i_mutex queues of Fig 1b, and the dead prefix is
+// compacted lazily. The zero value is an empty queue.
 type Queue[T any] struct {
 	buf  []T
 	head int
