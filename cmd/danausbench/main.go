@@ -195,7 +195,8 @@ var scales = map[string]experiments.Scale{
 // checkFlags rejects flag values and combinations the harness cannot
 // run, naming the offending flag: among them every flag given
 // explicitly whose mode or experiment was not selected, which would
-// otherwise be silently ignored.
+// otherwise be silently ignored, and every output path whose directory
+// does not exist.
 func checkFlags(o *options) error {
 	if _, ok := scales[o.scale]; !ok {
 		return fmt.Errorf("-scale: unknown scale %q (want quick, default or paper)", o.scale)
@@ -234,7 +235,31 @@ func checkFlags(o *options) error {
 			return fmt.Errorf("-%s requires %s", r.flag, r.needs)
 		}
 	}
+	// Output files are written after the runs: a missing directory must
+	// fail now, not once the experiment is done.
+	for _, out := range []struct{ flag, path string }{
+		{"trace", o.trace},
+		{"metrics", o.metrics},
+		{"blame", o.blame},
+		{"record", o.record},
+		{"crashcsv", o.crashCSV},
+		{"diffcsv", o.diffCSV},
+		{"monitor", o.monitor},
+	} {
+		if out.path == "" {
+			continue
+		}
+		if dir := filepath.Dir(out.path); !isDir(dir) {
+			return fmt.Errorf("-%s: output directory %s does not exist", out.flag, dir)
+		}
+	}
 	return nil
+}
+
+// isDir reports whether path names an existing directory.
+func isDir(path string) bool {
+	fi, err := os.Stat(path)
+	return err == nil && fi.IsDir()
 }
 
 // sortedTable returns the harness table in name order, the order of

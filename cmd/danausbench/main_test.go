@@ -3,6 +3,8 @@ package main
 import (
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -59,6 +61,12 @@ func TestNoteViolationsAccumulates(t *testing.T) {
 // are rejected with a message naming the flag, instead of falling
 // through to the experiment list or being silently ignored.
 func TestCheckFlags(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing")
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		args string
 		want string // "" = accepted
@@ -113,6 +121,20 @@ func TestCheckFlags(t *testing.T) {
 		{"-metrics m.json", "-metrics"},
 		{"-blame b.json", "-blame"},
 		{"-record r.trace", "-record"},
+
+		// Output paths whose directory does not exist, or is a file.
+		{"-exp fig9r -trace " + missing + "/x.json", "-trace"},
+		{"-exp fig9r -metrics " + missing + "/m.json", "-metrics"},
+		{"-exp fig9r -blame " + missing + "/b.json", "-blame"},
+		{"-exp fig9r -record " + missing + "/r.trace", "-record"},
+		{"-replay b.trace -record " + missing + "/k.trace", "-record"},
+		{"-exp crashsweep -crashcsv " + missing + "/c.csv", "-crashcsv"},
+		{"-exp tracesweep -diffcsv " + missing + "/d.csv", "-diffcsv"},
+		{"-tracediff a.trace,b.trace -diffcsv " + missing + "/d.csv", "-diffcsv"},
+		{"-exp monitorsweep -monitor " + missing + "/m", "-monitor"},
+		{"-exp fig9r -trace " + file + "/x.json", "-trace"},
+		{"-exp faultsweep -trace " + dir + "/t.json -metrics " + dir + "/m.csv -blame " + dir + "/b.json", ""},
+		{"-exp monitorsweep -monitor " + dir + "/m", ""},
 	}
 	for _, c := range cases {
 		var args []string

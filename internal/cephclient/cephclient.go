@@ -93,6 +93,9 @@ type Client struct {
 	threads   []*cpu.Thread // the client's own threads, for repinning
 
 	crashes uint64
+
+	// requests pools the run states of cache-hit Reads and Writes.
+	requests []*request
 }
 
 type attrEntry struct {
@@ -296,16 +299,39 @@ func (c *Client) writePersist(ctx vfsapi.Ctx, ino uint64, off, n int64) error {
 	})
 }
 
+// opStep is the fixed user-level charge of one client operation.
+func (c *Client) opStep() cpu.Step { return cpu.Charge(cpu.User, c.params.ClientOpCost) }
+
+// holdStep is the standard charge of one client_lock hold.
+func (c *Client) holdStep() cpu.Step { return cpu.Charge(cpu.User, c.params.ClientLockHold) }
+
+// copySteps returns the two charges of a data copy of n bytes taking
+// client_lock: a lock hold plus the part of the copy done under the
+// lock, then the rest of the copy, which releases it first. The read
+// path holds the lock for most of the copy (buffer-head lookup and
+// read completion run under it — the concurrency cap of §6.3.2), while
+// buffered writes release it early.
+func (c *Client) copySteps(n int64, write bool) (locked, unlocked cpu.Step) {
+	total := c.params.CopyTime(n)
+	fraction := c.params.ClientLockCopyFraction
+	if write {
+		fraction *= 0.25
+	}
+	under := time.Duration(float64(total) * fraction)
+	return cpu.Charge(cpu.User, c.params.ClientLockHold+under),
+		cpu.Step{Kind: cpu.User, D: total - under, Unlock: c.clientLock}
+}
+
 // opCPU charges the fixed user-level cost of one client operation.
 func (c *Client) opCPU(ctx vfsapi.Ctx) {
-	ctx.T.Exec(ctx.P, cpu.User, c.params.ClientOpCost)
+	ctx.T.Chain(ctx.P, c.opStep())
 }
 
 // lockedMeta runs fn holding client_lock with the standard hold charge,
 // attributing any lock wait to the tenant of the traced request in
 // flight (no-op attribution otherwise).
 func (c *Client) lockedMeta(ctx vfsapi.Ctx, fn func()) {
-	ctx.T.LockedChain(ctx.P, c.clientLock, ctx.Span, "client_lock", cpu.Charge(cpu.User, c.params.ClientLockHold))
+	ctx.T.LockedChain(ctx.P, c.clientLock, ctx.Span, "client_lock", c.holdStep())
 	fn()
 	c.clientLock.Unlock(ctx.P)
 }
@@ -322,19 +348,10 @@ func (c *Client) wire(ctx vfsapi.Ctx, n int64) {
 }
 
 // copyData charges a data copy of n bytes, a fraction of it while
-// holding client_lock. The read path holds the lock for most of the
-// copy (buffer-head lookup and read completion run under it — the
-// concurrency cap of §6.3.2), while buffered writes release it early.
+// holding client_lock (see copySteps).
 func (c *Client) copyData(ctx vfsapi.Ctx, n int64, write bool) {
-	total := c.params.CopyTime(n)
-	fraction := c.params.ClientLockCopyFraction
-	if write {
-		fraction *= 0.25
-	}
-	under := time.Duration(float64(total) * fraction)
-	ctx.T.LockedChain(ctx.P, c.clientLock, ctx.Span, "client_lock",
-		cpu.Charge(cpu.User, c.params.ClientLockHold+under),
-		cpu.Step{Kind: cpu.User, D: total - under, Unlock: c.clientLock})
+	locked, unlocked := c.copySteps(n, write)
+	ctx.T.LockedChain(ctx.P, c.clientLock, ctx.Span, "client_lock", locked, unlocked)
 }
 
 // cacheInsert adds residency and evicts cold clean data over the limit.
@@ -350,27 +367,49 @@ func (c *Client) cacheInsert(ctx vfsapi.Ctx, f *cfile, off, n int64) {
 // the dirty limit. It reports false, recording nothing, when RevokeCaps
 // dropped f first: the writer must recap and retry on a current cfile.
 func (c *Client) markDirty(ctx vfsapi.Ctx, f *cfile, off, n int64) bool {
-	revoked := false
-	c.lockedMeta(ctx, func() {
-		if revoked = f.X.revoked; !revoked {
-			c.cache.MarkDirty(f, off, n, c.eng.Now())
-		}
-	})
-	if revoked {
+	marked := false
+	c.lockedMeta(ctx, func() { marked = c.mark(f, off, n) })
+	if !marked {
 		return false
 	}
+	c.wakeFlushers()
+	c.throttle(ctx)
+	return true
+}
+
+// mark records [off, off+n) of f dirty, unless RevokeCaps dropped f
+// first, and reports whether it did. The caller holds client_lock.
+func (c *Client) mark(f *cfile, off, n int64) bool {
+	if f.X.revoked {
+		return false
+	}
+	c.cache.MarkDirty(f, off, n, c.eng.Now())
+	return true
+}
+
+// wakeFlushers starts writeback once dirty data passes half the dirty
+// limit.
+func (c *Client) wakeFlushers() {
 	if c.cache.DirtyBytes >= c.cfg.MaxDirty/2 {
 		c.flushQ.Broadcast()
 	}
-	// The stopped check makes teardown safe: once the client's flusher
-	// threads have been stopped nobody can lower the dirty level, so a
-	// straggling writer must not spin on the threshold.
-	for c.cache.DirtyBytes >= c.cfg.MaxDirty && !c.stopped {
+}
+
+// overDirty reports whether a writer must wait for writeback. The
+// stopped check makes teardown safe: once the client's flusher threads
+// have been stopped nobody can lower the dirty level, so a straggling
+// writer must not spin on the threshold.
+func (c *Client) overDirty() bool {
+	return c.cache.DirtyBytes >= c.cfg.MaxDirty && !c.stopped
+}
+
+// throttle holds the writer while the dirty data is over the limit.
+func (c *Client) throttle(ctx vfsapi.Ctx) {
+	for c.overDirty() {
 		start := c.eng.Now()
 		c.throttleQ.WaitTimeout(ctx.P, c.params.DirtyThrottleCheck)
 		ctx.T.Account().AddIOWait(c.eng.Now() - start)
 	}
-	return true
 }
 
 // flusherLoop is a user-level writeback thread pinned to the pool's

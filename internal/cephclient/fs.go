@@ -226,7 +226,7 @@ func (h *chandle) Size() int64 { return h.f.Size }
 // them (its cfile map is cold), so they keep failing with ErrCrashed
 // until the application reopens — the replayable-remount contract.
 func (h *chandle) failIfStale(ctx vfsapi.Ctx) error {
-	if h.c.crashed || h.gen != h.c.cache.Gen {
+	if h.stale() {
 		// Failing is not free: charge one operation's CPU so loops
 		// erroring on a stale handle advance simulated time.
 		h.c.opCPU(ctx)
@@ -234,6 +234,14 @@ func (h *chandle) failIfStale(ctx vfsapi.Ctx) error {
 	}
 	return nil
 }
+
+// stale reports whether the service is down or the handle predates a
+// crash.
+func (h *chandle) stale() bool { return h.c.crashed || h.gen != h.c.cache.Gen }
+
+// mustRecap reports whether a write must recap first: the handle's
+// cfile was revoked and the handle is live.
+func (h *chandle) mustRecap() bool { return h.f.X.revoked && !h.stale() }
 
 // recap re-acquires write caps while the handle's cfile was revoked
 // by another client's conflicting open (RevokeCaps flushed and dropped
@@ -245,7 +253,7 @@ func (h *chandle) failIfStale(ctx vfsapi.Ctx) error {
 // and an open file stays writable either way.
 func (h *chandle) recap(ctx vfsapi.Ctx) {
 	c := h.c
-	for h.f.X.revoked && !c.crashed && h.gen == c.cache.Gen {
+	for h.mustRecap() {
 		ino, size := h.f.Ino, h.f.Size
 		c.clus.AcquireCaps(ctx, ino, cluster.CapWrite, c)
 		c.lockedMeta(ctx, func() { delete(c.attrs, h.path) })
@@ -259,6 +267,9 @@ func (h *chandle) recap(ctx vfsapi.Ctx) {
 }
 
 // Read serves from the object cache, fetching misses from the OSDs.
+// The cache-hit part runs as one request run (see request), which
+// hands control back at EOF, at a stale handle, and at a claim that
+// must wait for or fetch a range; the fetch loop then goes on here.
 func (h *chandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	defer ctx.Span.Enter(obs.LayerClient).Exit()
 	if err := h.failIfStale(ctx); err != nil {
@@ -268,27 +279,37 @@ func (h *chandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 		return 0, vfsapi.ErrClosed
 	}
 	c := h.c
-	c.opCPU(ctx)
-	if off >= h.f.Size {
+	r := c.getRequest(ctx, h, off, n)
+	r.read()
+	ctx.P.Park()
+	at, n, fetchLen, g := r.at, r.n, r.fetchLen, r.g
+	c.putRequest(r)
+	switch at {
+	case handEOF:
 		return 0, nil
+	case handDone:
+		return n, nil
+	case handWait:
+		c.fetchQ.WaitTimeout(ctx.P, c.params.DirtyThrottleCheck)
+	case handMiss:
+		if err := h.fill(ctx, g); err != nil {
+			return 0, err
+		}
 	}
-	if off+n > h.f.Size {
-		n = h.f.Size - off
-	}
-	if n <= 0 {
-		return 0, nil
-	}
-	c.lockedMeta(ctx, func() { c.cache.Touch(h.f) })
-	// Readahead (libcephfs prefetches on sequential streams): grow the
-	// fetch window while the stream stays sequential.
-	fetchLen := h.ra.Extend(off, n, h.f.Size, cache.MaxReadahead)
-	// Fetch misses with single-fetcher semantics: a range already being
-	// fetched by another reader is awaited, not re-fetched (the page
-	// in-flight locking of a real client).
+	return h.fetchAndCopy(ctx, off, n, fetchLen)
+}
+
+// fetchAndCopy fetches the misses of [off, off+fetchLen) and copies
+// [off, off+n) out of the object cache. Misses are fetched with
+// single-fetcher semantics: a range already being fetched by another
+// reader is awaited, not re-fetched (the page in-flight locking of a
+// real client).
+func (h *chandle) fetchAndCopy(ctx vfsapi.Ctx, off, n, fetchLen int64) (int64, error) {
+	c := h.c
 	for {
 		// The client can crash while this reader is parked on the fetch
-		// queue or inside the backend read below; resume as a failure,
-		// not as a cache insert against the restarted incarnation.
+		// queue or inside the backend read; resume as a failure, not as
+		// a cache insert against the restarted incarnation.
 		if err := h.failIfStale(ctx); err != nil {
 			return 0, err
 		}
@@ -302,24 +323,9 @@ func (h *chandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 		if g.Len == 0 {
 			break
 		}
-		c.wire(ctx, g.Len)
-		rerr := c.readBackend(ctx, h.f.Ino, g.Off, g.Len)
-		if rerr != nil {
-			// Release the in-flight claim before failing, or readers
-			// waiting on this range would park forever.
-			c.lockedMeta(ctx, func() { h.f.Fetching.Remove(g.Off, g.Len) })
-			c.fetchQ.Broadcast()
-			return 0, rerr
-		}
-		if err := h.failIfStale(ctx); err != nil {
-			c.lockedMeta(ctx, func() { h.f.Fetching.Remove(g.Off, g.Len) })
-			c.fetchQ.Broadcast()
+		if err := h.fill(ctx, g); err != nil {
 			return 0, err
 		}
-		c.stats.MissBytes += g.Len
-		c.cacheInsert(ctx, h.f, g.Off, g.Len)
-		c.lockedMeta(ctx, func() { h.f.Fetching.Remove(g.Off, g.Len) })
-		c.fetchQ.Broadcast()
 	}
 	// Copy out of the object cache (partially under client_lock).
 	c.stats.ReadBytes += n
@@ -327,8 +333,30 @@ func (h *chandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	return n, nil
 }
 
+// fill fetches g, a range this reader claimed, from the backend into
+// the object cache. It releases the in-flight claim whether or not the
+// fetch succeeds, or readers waiting on the range would park forever.
+func (h *chandle) fill(ctx vfsapi.Ctx, g extent.Extent) error {
+	c := h.c
+	c.wire(ctx, g.Len)
+	err := c.readBackend(ctx, h.f.Ino, g.Off, g.Len)
+	if err == nil {
+		err = h.failIfStale(ctx)
+	}
+	if err == nil {
+		c.stats.MissBytes += g.Len
+		c.cacheInsert(ctx, h.f, g.Off, g.Len)
+	}
+	c.lockedMeta(ctx, func() { h.f.Fetching.Remove(g.Off, g.Len) })
+	c.fetchQ.Broadcast()
+	return err
+}
+
 // Write copies into the object cache and marks dirty, throttling at the
-// client's dirty limit.
+// client's dirty limit. The cache-hit part runs as one request run (see
+// request), which hands control back where the write must recap, at a
+// stale handle, at a revoked mark and at the dirty throttle; the
+// blocking code then goes on here.
 func (h *chandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	defer ctx.Span.Enter(obs.LayerClient).Exit()
 	if err := h.failIfStale(ctx); err != nil {
@@ -344,13 +372,44 @@ func (h *chandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 		return 0, nil
 	}
 	c := h.c
-	c.opCPU(ctx)
-	h.recap(ctx)
+	r := c.getRequest(ctx, h, off, n)
+	r.write()
+	ctx.P.Park()
+	at := r.at
+	c.putRequest(r)
+	switch at {
+	case handDone:
+		return n, nil
+	case handThrottle:
+		c.throttle(ctx)
+		return n, nil
+	case handRecap:
+		h.recap(ctx)
+		h.accept(n)
+		c.copyData(ctx, n, true)
+	}
+	return h.dirty(ctx, off, n)
+}
+
+// accept counts n bytes the handle takes into the cache.
+func (h *chandle) accept(n int64) {
 	h.wrote = true
-	c.stats.WriteBytes += n
-	c.copyData(ctx, n, true)
+	h.c.stats.WriteBytes += n
+}
+
+// grow extends the client's size view to end.
+func (h *chandle) grow(end int64) {
+	if end > h.f.Size {
+		h.f.Size = end
+	}
+}
+
+// dirty inserts the copied [off, off+n) into the object cache and marks
+// it dirty, recapping first while the handle's cfile was revoked.
+func (h *chandle) dirty(ctx vfsapi.Ctx, off, n int64) (int64, error) {
+	c := h.c
 	for {
-		// copyData, recap and cacheInsert wait on client_lock; the
+		// The copy, recap and cacheInsert wait on client_lock; the
 		// writer may resume on the far side of a crash and must fail
 		// rather than dirty the restarted incarnation's cache through a
 		// dead cfile, or after a revocation, which it recaps for.
@@ -359,9 +418,7 @@ func (h *chandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 		}
 		h.recap(ctx)
 		c.cacheInsert(ctx, h.f, off, n)
-		if end := off + n; end > h.f.Size {
-			h.f.Size = end
-		}
+		h.grow(off + n)
 		if c.markDirty(ctx, h.f, off, n) {
 			return n, nil
 		}
