@@ -42,6 +42,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -67,6 +68,7 @@ type options struct {
 	fuzzDir, fuzzSpec         string
 	replay, config, traceDiff string
 	admission                 bool
+	cpuProfile                string
 	set                       map[string]bool // flags given explicitly
 }
 
@@ -177,6 +179,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&o.config, "config", "D", "client configuration for -replay: D K F FP K/K F/K F/F FP/FP")
 	fs.BoolVar(&o.admission, "admission", false, "enable the overload-admission policy for -replay")
 	fs.StringVar(&o.traceDiff, "tracediff", "", "compare two recorded op traces given as a.trace,b.trace and exit")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole run to this file (read it with go tool pprof)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -245,6 +248,7 @@ func checkFlags(o *options) error {
 		{"crashcsv", o.crashCSV},
 		{"diffcsv", o.diffCSV},
 		{"monitor", o.monitor},
+		{"cpuprofile", o.cpuProfile},
 	} {
 		if out.path == "" {
 			continue
@@ -278,11 +282,45 @@ func writeList(w io.Writer, table []experiments.Experiment) {
 	}
 }
 
+// stopProfile ends the -cpuprofile capture, if one is running.
+var stopProfile = func() {}
+
+// startProfile starts writing a CPU profile of the whole run to path.
+func startProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	stopProfile = func() {
+		pprof.StopCPUProfile()
+		f.Close()
+		stopProfile = func() {}
+	}
+	return nil
+}
+
+// exit ends the process with code, after the CPU profile.
+func exit(code int) {
+	stopProfile()
+	os.Exit(code)
+}
+
 func main() {
 	o, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	if o.cpuProfile != "" {
+		if err := startProfile(o.cpuProfile); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		defer stopProfile()
 	}
 
 	if o.traceDiff != "" {
@@ -294,16 +332,16 @@ func main() {
 		f, err := os.Open(o.fuzzSpec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			exit(2)
 		}
 		sc, err := fuzz.ParseSpec(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			exit(2)
 		}
 		if len(fuzz.RunSpec(os.Stdout, sc)) > 0 {
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
@@ -313,10 +351,10 @@ func main() {
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		if sum.Violations > 0 {
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
@@ -324,7 +362,7 @@ func main() {
 	h, err := newHarness(o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		exit(2)
 	}
 
 	table := sortedTable()
@@ -348,7 +386,7 @@ func main() {
 	}
 	if len(selected) == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", o.exp)
-		os.Exit(2)
+		exit(2)
 	}
 	for _, e := range selected {
 		h.runOne(e)
@@ -379,7 +417,7 @@ func (h *harness) replayFile(cfg core.Configuration) {
 	tr, err := trace.ReadFile(h.replay)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		exit(2)
 	}
 	c := experiments.TraceCase{Label: cfg.String(), Config: cfg, Admission: h.admission}
 	if h.admission {
@@ -402,17 +440,17 @@ func runTraceDiff(spec, csvPath string) {
 	parts := strings.Split(spec, ",")
 	if len(parts) != 2 {
 		fmt.Fprintln(os.Stderr, "-tracediff wants two comma-separated trace files")
-		os.Exit(2)
+		exit(2)
 	}
 	a, err := trace.ReadFile(parts[0])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		exit(2)
 	}
 	b, err := trace.ReadFile(parts[1])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		exit(2)
 	}
 	d := trace.Compare(a, b)
 	d.Render(os.Stdout)
@@ -432,7 +470,7 @@ func writeDiffCSV(path string, d *trace.Diff) {
 func (h *harness) exitOnViolations() {
 	if h.failures > 0 {
 		fmt.Fprintf(os.Stderr, "%d invariant violation(s)\n", h.failures)
-		os.Exit(1)
+		exit(1)
 	}
 }
 
@@ -477,14 +515,14 @@ func (h *harness) exportObs() {
 	if h.trace != "" {
 		if err := obs.WriteTraceFile(h.trace, h.obsRuns); err != nil {
 			fmt.Fprintf(os.Stderr, "trace export: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Printf("trace: %d run(s) -> %s\n", len(h.obsRuns), h.trace)
 	}
 	if h.metrics != "" {
 		if err := obs.WriteMetricsFile(h.metrics, h.obsRuns); err != nil {
 			fmt.Fprintf(os.Stderr, "metrics export: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Printf("metrics: %d run(s) -> %s\n", len(h.obsRuns), h.metrics)
 	}
@@ -607,7 +645,7 @@ func (h *harness) exportMonitorCase(row experiments.MonitorRow) {
 func writeTrace(path string, tr *trace.Trace) {
 	if err := tr.WriteFile(path); err != nil {
 		fmt.Fprintf(os.Stderr, "trace record: %v\n", err)
-		os.Exit(1)
+		exit(1)
 	}
 	fmt.Printf("record: %d op(s) -> %s\n", len(tr.Ops), path)
 }
@@ -624,6 +662,6 @@ func writeFile(path, what string, emit func(w io.Writer) error) {
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
-		os.Exit(1)
+		exit(1)
 	}
 }

@@ -135,6 +135,10 @@ func TestCheckFlags(t *testing.T) {
 		{"-exp fig9r -trace " + file + "/x.json", "-trace"},
 		{"-exp faultsweep -trace " + dir + "/t.json -metrics " + dir + "/m.csv -blame " + dir + "/b.json", ""},
 		{"-exp monitorsweep -monitor " + dir + "/m", ""},
+		{"-exp fig6c -cpuprofile " + missing + "/cpu.pprof", "-cpuprofile"},
+		{"-fuzz 5 -cpuprofile " + file + "/cpu.pprof", "-cpuprofile"},
+		{"-exp fig6c -cpuprofile " + dir + "/cpu.pprof", ""},
+		{"-fuzz 5 -cpuprofile " + dir + "/cpu.pprof", ""},
 	}
 	for _, c := range cases {
 		var args []string

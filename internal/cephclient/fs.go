@@ -235,6 +235,17 @@ func (h *chandle) failIfStale(ctx vfsapi.Ctx) error {
 	return nil
 }
 
+// usable fails a Read or Write on a stale or closed handle.
+func (h *chandle) usable(ctx vfsapi.Ctx) error {
+	if err := h.failIfStale(ctx); err != nil {
+		return err
+	}
+	if h.closed {
+		return vfsapi.ErrClosed
+	}
+	return nil
+}
+
 // stale reports whether the service is down or the handle predates a
 // crash.
 func (h *chandle) stale() bool { return h.c.crashed || h.gen != h.c.cache.Gen }
@@ -271,24 +282,34 @@ func (h *chandle) recap(ctx vfsapi.Ctx) {
 // hands control back at EOF, at a stale handle, and at a claim that
 // must wait for or fetch a range; the fetch loop then goes on here.
 func (h *chandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
-	defer ctx.Span.Enter(obs.LayerClient).Exit()
-	if err := h.failIfStale(ctx); err != nil {
+	return h.ReadReply(ctx, off, n, nil)
+}
+
+// ReadReply is Read for a FUSE daemon serving a request: a read its
+// request run serves from the cache starts the crossing's reply with
+// reply where it would have resumed the process, so the process parks
+// once for the request and the reply; the process resumes at the
+// reply's end. Any other read returns with the reply not started. A nil
+// reply is Read.
+func (h *chandle) ReadReply(ctx vfsapi.Ctx, off, n int64, reply func()) (int64, error) {
+	sc := ctx.Span.Enter(obs.LayerClient)
+	if err := h.usable(ctx); err != nil {
+		sc.Exit()
 		return 0, err
 	}
-	if h.closed {
-		return 0, vfsapi.ErrClosed
-	}
 	c := h.c
-	r := c.getRequest(ctx, h, off, n)
+	r := c.getRequest(ctx, h, sc, reply, off, n)
 	r.read()
 	ctx.P.Park()
 	at, n, fetchLen, g := r.at, r.n, r.fetchLen, r.g
 	c.putRequest(r)
+	if at == handDone {
+		return n, nil // the run exited the client layer
+	}
+	defer sc.Exit()
 	switch at {
 	case handEOF:
 		return 0, nil
-	case handDone:
-		return n, nil
 	case handWait:
 		c.fetchQ.WaitTimeout(ctx.P, c.params.DirtyThrottleCheck)
 	case handMiss:
@@ -358,28 +379,31 @@ func (h *chandle) fill(ctx vfsapi.Ctx, g extent.Extent) error {
 // stale handle, at a revoked mark and at the dirty throttle; the
 // blocking code then goes on here.
 func (h *chandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
-	defer ctx.Span.Enter(obs.LayerClient).Exit()
-	if err := h.failIfStale(ctx); err != nil {
+	return h.WriteReply(ctx, off, n, nil)
+}
+
+// WriteReply is Write as ReadReply is Read.
+func (h *chandle) WriteReply(ctx vfsapi.Ctx, off, n int64, reply func()) (int64, error) {
+	sc := ctx.Span.Enter(obs.LayerClient)
+	err := h.usable(ctx)
+	if err == nil && !h.flags.Writable() && !h.flags.Has(vfsapi.CREATE) {
+		err = vfsapi.ErrReadOnly
+	}
+	if err != nil || n <= 0 {
+		sc.Exit()
 		return 0, err
 	}
-	if h.closed {
-		return 0, vfsapi.ErrClosed
-	}
-	if !h.flags.Writable() && !h.flags.Has(vfsapi.CREATE) {
-		return 0, vfsapi.ErrReadOnly
-	}
-	if n <= 0 {
-		return 0, nil
-	}
 	c := h.c
-	r := c.getRequest(ctx, h, off, n)
+	r := c.getRequest(ctx, h, sc, reply, off, n)
 	r.write()
 	ctx.P.Park()
 	at := r.at
 	c.putRequest(r)
+	if at == handDone {
+		return n, nil // the run exited the client layer
+	}
+	defer sc.Exit()
 	switch at {
-	case handDone:
-		return n, nil
 	case handThrottle:
 		c.throttle(ctx)
 		return n, nil

@@ -51,13 +51,16 @@ type request struct {
 	g        extent.Extent // the range a read claimed to fetch (handMiss)
 	at       hand
 
+	sc    obs.Scope // the operation's client-layer crossing, exited by done
+	reply func()    // a FUSE crossing's reply, started by done; nil resumes the process
+
 	// Reusable continuations, bound once per pooled request.
 	readOp, touched, claimed  func()
 	writeOp, copied, inserted func()
 	evicted, marked, served   func()
 }
 
-func (c *Client) getRequest(ctx vfsapi.Ctx, h *chandle, off, n int64) *request {
+func (c *Client) getRequest(ctx vfsapi.Ctx, h *chandle, sc obs.Scope, reply func(), off, n int64) *request {
 	var r *request
 	if k := len(c.requests); k > 0 {
 		r = c.requests[k-1]
@@ -68,13 +71,13 @@ func (c *Client) getRequest(ctx vfsapi.Ctx, h *chandle, off, n int64) *request {
 		r.writeOp, r.copied, r.inserted = r.afterWriteOp, r.insert, r.afterInsert
 		r.evicted, r.marked, r.served = r.evict, r.afterMark, r.done
 	}
-	r.h, r.p, r.t, r.span = h, ctx.P, ctx.T, ctx.Span
+	r.h, r.p, r.t, r.span, r.sc, r.reply = h, ctx.P, ctx.T, ctx.Span, sc, reply
 	r.off, r.n, r.fetchLen, r.g = off, n, 0, extent.Extent{}
 	return r
 }
 
 func (c *Client) putRequest(r *request) {
-	r.h, r.p, r.t, r.span = nil, nil, nil, nil
+	r.h, r.p, r.t, r.span, r.sc, r.reply = nil, nil, nil, nil, obs.Scope{}, nil
 	c.requests = append(c.requests, r)
 }
 
@@ -84,8 +87,19 @@ func (r *request) handBack(at hand) {
 	r.p.ResumeHere()
 }
 
-// done ends a request served from the cache.
-func (r *request) done() { r.handBack(handDone) }
+// done ends a request served from the cache: it exits the client layer
+// and, under a FUSE crossing that passed its reply, starts the reply
+// chain, whose end resumes the process; otherwise it resumes the
+// process at once.
+func (r *request) done() {
+	r.sc.Exit()
+	if r.reply != nil {
+		r.at = handDone
+		r.reply()
+		return
+	}
+	r.handBack(handDone)
+}
 
 // locked chains step holding client_lock, then calls then.
 func (r *request) locked(then func(), step cpu.Step) {

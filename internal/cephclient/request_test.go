@@ -13,6 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/cpu"
 	"repro/internal/extent"
+	"repro/internal/fusefs"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -197,6 +198,67 @@ func (o *straightLine) write(h *chandle, ctx vfsapi.Ctx, off, n int64) (int64, e
 	}
 }
 
+// straightHandle serves a FUSE crossing through the straight-line
+// oracle. It has no ReadReply or WriteReply, so the crossing runs its
+// blocking reply chain after each Read and Write, as it did before the
+// request run took the reply.
+type straightHandle struct {
+	h *chandle
+	o *straightLine
+}
+
+func (h straightHandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
+	h.o.cover["FUSE read"]++
+	return h.o.read(h.h, ctx, off, n)
+}
+
+func (h straightHandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
+	h.o.cover["FUSE write"]++
+	return h.o.write(h.h, ctx, off, n)
+}
+
+func (h straightHandle) Append(ctx vfsapi.Ctx, n int64) (int64, error) { return h.h.Append(ctx, n) }
+func (h straightHandle) Fsync(ctx vfsapi.Ctx) error                    { return h.h.Fsync(ctx) }
+func (h straightHandle) Close(ctx vfsapi.Ctx) error                    { return h.h.Close(ctx) }
+func (h straightHandle) Size() int64                                   { return h.h.Size() }
+func (h straightHandle) Path() string                                  { return h.h.Path() }
+
+// daemonFS is the filesystem a FUSE daemon of the test serves: the
+// client, with each handle Open returns recorded for the application
+// process that opened it, and served by the oracle when o is set.
+type daemonFS struct {
+	*Client
+	o      *straightLine
+	opened map[int]*chandle
+}
+
+func (fs *daemonFS) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfsapi.Handle, error) {
+	h, err := fs.Client.Open(ctx, path, flags)
+	if err != nil {
+		return nil, err
+	}
+	fs.opened[ctx.P.ID()] = h.(*chandle)
+	if fs.o != nil {
+		return straightHandle{h.(*chandle), fs.o}, nil
+	}
+	return h, nil
+}
+
+// passFS stands in for a union daemon stacked on a second FUSE mount
+// (F/F): its handles pass every call on to the inner mount's, without
+// a ReadReply or WriteReply of their own.
+type passFS struct{ vfsapi.FileSystem }
+
+type passHandle struct{ vfsapi.Handle }
+
+func (fs passFS) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfsapi.Handle, error) {
+	h, err := fs.FileSystem.Open(ctx, path, flags)
+	if err != nil {
+		return nil, err
+	}
+	return passHandle{h}, nil
+}
+
 // chOp is one Read or Write of an application: issued after gap, on
 // file file, of n bytes at off.
 type chOp struct {
@@ -221,6 +283,15 @@ type chToggle struct {
 	file   int
 }
 
+// chMount is how the applications reach the client.
+type chMount uint8
+
+const (
+	chDirect chMount = iota // by calls into the client, as Danaus does
+	chFUSE                  // through a FUSE mount of the client (F)
+	chFUSE2                 // through a FUSE mount of a FUSE mount of the client (F/F)
+)
+
 type chScenario struct {
 	cores      int
 	cacheLimit int64
@@ -228,6 +299,7 @@ type chScenario struct {
 	files      []int64 // provisioned sizes; a file of size 0 starts empty
 	apps       []chApp
 	toggles    []chToggle
+	mount      chMount
 }
 
 type chResult struct {
@@ -259,6 +331,7 @@ type chOutcome struct {
 	ticks   []chTick
 	busy    []time.Duration
 	cpu     []time.Duration
+	slices  []obs.SliceEvent
 	lock    sim.LockStats
 	spans   obs.LockAgg // client_lock waits the spans attributed
 	stats   CacheStats
@@ -342,11 +415,12 @@ func randomChScenario(rng *rand.Rand) chScenario {
 func chPath(i int) string { return fmt.Sprintf("/f%d", i) }
 
 // runChScenario runs sc on a fresh engine, each Read and Write through
-// the straight-line oracle or the real handle. Every application opens
-// each file read-write, retries the open while the client is down, and
-// reopens a handle a crash left stale. A callback ticks at a fixed
-// period and reads the client's lock, dirty and cache counters and the
-// pool's CPU time, as a measurement window boundary would.
+// the straight-line oracle or the real handle, called directly or
+// through one or two FUSE mounts. Every application opens each file
+// read-write, retries the open while the client is down, and reopens a
+// handle a crash left stale. A callback ticks at a fixed period and
+// reads the client's lock, dirty and cache counters and the pool's CPU
+// time, as a measurement window boundary would.
 func runChScenario(sc chScenario, straight bool, tick time.Duration) chOutcome {
 	e := sim.NewEngine()
 	params := model.Default()
@@ -358,6 +432,19 @@ func runChScenario(sc chScenario, straight bool, tick time.Duration) chOutcome {
 	rec := obs.New(obs.Config{Clock: e.Now})
 	o := &straightLine{cover: map[string]int{}}
 	out := chOutcome{cover: o.cover}
+	daemon := cpu.NewAccount("daemon")
+	served := &daemonFS{Client: c, opened: map[int]*chandle{}}
+	if straight {
+		served.o = o
+	}
+	var mount vfsapi.FileSystem
+	switch sc.mount {
+	case chFUSE:
+		mount = fusefs.New(e, cpus, params, served, fusefs.Config{Name: "fuse", Acct: daemon, Threads: 2})
+	case chFUSE2:
+		inner := fusefs.New(e, cpus, params, served, fusefs.Config{Name: "fuse-inner", Acct: daemon, Threads: 2})
+		mount = fusefs.New(e, cpus, params, passFS{inner}, fusefs.Config{Name: "fuse-outer", Acct: daemon, Threads: 2})
+	}
 	e.SetTracer(func(ev sim.TraceEvent) {
 		if ev.Kind != sim.TraceFinish {
 			out.events = append(out.events, ev.At)
@@ -404,10 +491,16 @@ func runChScenario(sc chScenario, straight bool, tick time.Duration) chOutcome {
 			}()
 			ctx := vfsapi.Ctx{P: p, T: th}
 			handles := make([]*chandle, len(sc.files))
+			fuseHandles := make([]vfsapi.Handle, len(sc.files))
 			open := func(f int) *chandle {
 				for range 50 {
-					h, err := c.Open(ctx, chPath(f), vfsapi.RDWR|vfsapi.CREATE)
-					if err == nil {
+					if mount != nil {
+						fh, err := mount.Open(ctx, chPath(f), vfsapi.RDWR|vfsapi.CREATE)
+						if err == nil {
+							fuseHandles[f] = fh
+							return served.opened[p.ID()]
+						}
+					} else if h, err := c.Open(ctx, chPath(f), vfsapi.RDWR|vfsapi.CREATE); err == nil {
 						return h.(*chandle)
 					}
 					p.Sleep(100 * time.Microsecond)
@@ -428,6 +521,10 @@ func runChScenario(sc chScenario, straight bool, tick time.Duration) chOutcome {
 				var n int64
 				var err error
 				switch {
+				case mount != nil && op.write:
+					n, err = fuseHandles[op.file].Write(ctx, op.off, op.n)
+				case mount != nil:
+					n, err = fuseHandles[op.file].Read(ctx, op.off, op.n)
 				case straight && op.write:
 					n, err = o.write(h, ctx, op.off, op.n)
 				case straight:
@@ -463,7 +560,12 @@ func runChScenario(sc chScenario, straight bool, tick time.Duration) chOutcome {
 	}()
 	out.unfinished = live
 	out.busy = cpus.UtilSnapshot()
-	out.cpu = []time.Duration{acct.CPUTime(), other.Account().CPUTime()}
+	out.cpu = []time.Duration{acct.CPUTime(), other.Account().CPUTime(), daemon.CPUTime()}
+	if out.panicked == "" {
+		// A panic unwinds the deferred scope exits of the process it
+		// ran in, which differs between the two forms.
+		out.slices = rec.Slices()
+	}
 	out.lock = c.clientLock.Stats()
 	out.spans = *rec.Registry().Tenant("app").Lock("client_lock")
 	out.stats = c.Stats()
@@ -501,6 +603,7 @@ func compareCh(t *testing.T, name string, got, want chOutcome) {
 	}{
 		{"core busy", got.busy, want.busy},
 		{"account CPU", got.cpu, want.cpu},
+		{"obs slices", got.slices, want.slices},
 		{"client_lock stats", got.lock, want.lock},
 		{"span lock waits", got.spans, want.spans},
 		{"cache stats", got.stats, want.stats},
@@ -523,6 +626,10 @@ func compareCh(t *testing.T, name string, got, want chOutcome) {
 // result, the engine must run the same events at the same times, the
 // wait reports must match in order, and the lock, cache, CPU and dirty
 // counters must agree at every window boundary and at the end. The
+// applications reach the client directly, through a FUSE mount, or
+// through a FUSE mount stacked on another (F/F); there the run's handle
+// takes the crossing's reply while the oracle's leaves the crossing its
+// blocking reply chain, and the obs slices must match too. The
 // straight line's path counts show that the scenarios reach every
 // point where the run hands control back.
 func TestChandleRunMatchesStraightLine(t *testing.T) {
@@ -593,14 +700,38 @@ func TestChandleRunMatchesStraightLine(t *testing.T) {
 			fixed[fmt.Sprintf("crash at return %d + %v", i, d)] = contended(chToggle{at: r.at + d, back: 500 * us})
 		}
 	}
+	// The same through FUSE mounts: a served request hands its reply
+	// off, a miss or a throttled write falls back to the crossing's
+	// blocking reply, and under F/F only the inner crossing takes it.
+	for _, name := range []string{"miss and an in-flight fetch", "contended client_lock", "throttled writers", "revoked writers"} {
+		for prefix, mount := range map[string]chMount{"F: ": chFUSE, "F/F: ": chFUSE2} {
+			sc := fixed[name]
+			sc.mount = mount
+			fixed[prefix+name] = sc
+		}
+	}
+	for prefix, mount := range map[string]chMount{"F: ": chFUSE, "F/F: ": chFUSE2} {
+		sc := contended()
+		sc.mount = mount
+		probe := runChScenario(sc, true, 37*us)
+		for i, r := range probe.results[0][1:4] {
+			for _, d := range []time.Duration{0, us} {
+				sc := contended(chToggle{at: r.at + d, back: 500 * us})
+				sc.mount = mount
+				fixed[fmt.Sprintf("%scrash at return %d + %v", prefix, i, d)] = sc
+			}
+		}
+	}
 	for name, sc := range fixed {
 		want := runChScenario(sc, true, 37*us)
 		compareCh(t, name, runChScenario(sc, false, 37*us), want)
 		note(name, want)
 	}
 	rng := rand.New(rand.NewSource(1))
+	mounts := rand.New(rand.NewSource(2))
 	for n := 0; n < 1000; n++ {
 		sc := randomChScenario(rng)
+		sc.mount = chMount(mounts.Intn(4) % 3)
 		tick := time.Duration(20+rng.Intn(300)) * us
 		want := runChScenario(sc, true, tick)
 		name := fmt.Sprint("scenario ", n)
@@ -611,6 +742,7 @@ func TestChandleRunMatchesStraightLine(t *testing.T) {
 		"read hit", "read at EOF", "read clamped at EOF", "read miss", "read waits on fetchQ",
 		"read stale at its claim", "evict", "write throttled", "write stale after its copy",
 		"write recaps before its copy", "write recaps after its copy", "write mark revoked",
+		"FUSE read", "FUSE write",
 	} {
 		if cover[path] == 0 {
 			t.Errorf("no scenario reached %q (paths reached: %v)", path, cover)
@@ -620,8 +752,9 @@ func TestChandleRunMatchesStraightLine(t *testing.T) {
 
 // TestChandleRunParksOnce pins what the request run buys: an
 // uncontended cached Read and Write each park their process once, where
-// the straight line parked four and five times. The warm cached read
-// and write stay allocation-free.
+// the straight line parked four and five times, and twice through a
+// FUSE mount, whose reply the run starts. The warm cached read and
+// write stay allocation-free.
 func TestChandleRunParksOnce(t *testing.T) {
 	r := newRig(t, Config{})
 	r.run(t, func(ctx vfsapi.Ctx) {
@@ -644,6 +777,35 @@ func TestChandleRunParksOnce(t *testing.T) {
 			}
 			if n := ctx.P.Parks() - before; n != 1 {
 				t.Errorf("%s parked %d times, want 1", op.name, n)
+			}
+		}
+	})
+
+	// Through a FUSE mount a cached Read or Write parks twice: once until
+	// the daemon has read the request, once for the request run and the
+	// reply it hands off, where it parked three times before.
+	r = newRig(t, Config{})
+	tr := fusefs.New(r.eng, r.cpus, model.Default(), r.client, fusefs.Config{Name: "fuse"})
+	r.run(t, func(ctx vfsapi.Ctx) {
+		h, err := tr.Open(ctx, "/f", vfsapi.RDWR|vfsapi.CREATE)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(ctx, 0, 64<<10)
+		h.Read(ctx, 0, 4<<10)
+		for _, op := range []struct {
+			name string
+			do   func() (int64, error)
+		}{
+			{"cached FUSE Read", func() (int64, error) { return h.Read(ctx, 4<<10, 4<<10) }},
+			{"cached FUSE Write", func() (int64, error) { return h.Write(ctx, 8<<10, 4<<10) }},
+		} {
+			before := ctx.P.Parks()
+			if n, err := op.do(); n != 4<<10 || err != nil {
+				t.Fatalf("%s returned %d, %v", op.name, n, err)
+			}
+			if n := ctx.P.Parks() - before; n != 2 {
+				t.Errorf("%s parked %d times, want 2", op.name, n)
 			}
 		}
 	})

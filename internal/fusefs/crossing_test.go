@@ -20,8 +20,9 @@ import (
 // the straight-line crossing that the dispatch continuation replaced.
 // The process resumes after the entry chain, parks again while every
 // daemon thread is busy, checks for a crash and picks a daemon thread,
-// and parks once more for the daemon's read chain.
-func historicalCrossing(t *Transport, ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn func(dctx vfsapi.Ctx) error) error {
+// and parks once more for the daemon's read chain. fn is never given
+// the reply: the process runs the reply chain after it returns.
+func historicalCrossing(t *Transport, ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn func(dctx vfsapi.Ctx, reply func()) error) error {
 	defer ctx.Span.Enter(obs.LayerFUSE).Exit()
 	p := t.params
 	if t.crashed {
@@ -41,7 +42,7 @@ func historicalCrossing(t *Transport, ctx vfsapi.Ctx, payloadIn, payloadOut int6
 	t.next++
 	dctx := vfsapi.Ctx{P: ctx.P, T: dth, Span: ctx.Span}
 	dth.Chain(ctx.P, dth.ModeSwitchStep(), cpu.Charge(cpu.Kernel, p.CopyTime(payloadIn)))
-	err := fn(dctx)
+	err := fn(dctx, nil)
 	dth.Chain(ctx.P, cpu.Charge(cpu.Kernel, p.CopyTime(payloadOut)), dth.ModeSwitchStep(),
 		ctx.T.ContextSwitchStep(),
 		cpu.Step{Kind: cpu.Kernel, D: p.CopyTime(payloadOut), Thread: ctx.T},
@@ -51,7 +52,7 @@ func historicalCrossing(t *Transport, ctx vfsapi.Ctx, payloadIn, payloadOut int6
 
 // crossRequest is one FUSE request: issued after gap, carrying in and
 // out bytes, served by fn as work of daemon CPU then a sleep (an I/O
-// wait), failing if fail is set.
+// wait) then tail, failing if fail is set.
 type crossRequest struct {
 	gap      time.Duration
 	in, out  int64
@@ -59,6 +60,18 @@ type crossRequest struct {
 	sleep    time.Duration
 	fail     bool
 	takeTime bool // fn reads the daemon thread's last core, so a wrong pick shows
+
+	// tail is daemon CPU charged as a continuation chain, as a handle's
+	// request run does, when fn is given the reply: its end starts the
+	// reply, or, with fallBack, resumes the process, which then runs the
+	// blocking reply chain. Without the reply fn charges tail with Exec.
+	tail     time.Duration
+	fallBack bool
+	// nested serves the request through a second FUSE mount, as
+	// unionfs-fuse over ceph-fuse (F/F) does: fn crosses the inner mount
+	// from its daemon thread, and the inner crossing's fn does the
+	// request's work.
+	nested bool
 }
 
 type crossApp struct {
@@ -78,6 +91,7 @@ type crossScenario struct {
 	daemonMask     cpu.Mask
 	apps           []crossApp
 	toggles        []crashToggle
+	innerDaemons   int // daemon threads of the nested mount; 0 means daemons
 }
 
 var errServe = errors.New("daemon-side failure")
@@ -102,6 +116,9 @@ type crossOutcome struct {
 	counts  []uint64        // per window tick, each account's mode and context switches
 	waits   []crossWait
 	events  int
+	replies int // requests whose fn took the reply, fell back from it, or was nested
+	fell    int
+	nests   int
 }
 
 func randomMaskOf(rng *rand.Rand, cores int) cpu.Mask {
@@ -117,7 +134,7 @@ func randomMaskOf(rng *rand.Rand, cores int) cpu.Mask {
 
 func randomCrossScenario(rng *rand.Rand) crossScenario {
 	q := model.Default().Quantum
-	sc := crossScenario{cores: 1 + rng.Intn(4), daemons: 1 + rng.Intn(4)}
+	sc := crossScenario{cores: 1 + rng.Intn(4), daemons: 1 + rng.Intn(4), innerDaemons: rng.Intn(3)}
 	sc.daemonMask = randomMaskOf(rng, sc.cores)
 	for i, n := 0, 1+rng.Intn(8); i < n; i++ {
 		app := crossApp{acct: rng.Intn(2), mask: randomMaskOf(rng, sc.cores)}
@@ -151,6 +168,15 @@ func randomCrossScenario(rng *rand.Rand) crossScenario {
 			}
 			r.fail = rng.Intn(5) == 0
 			r.takeTime = rng.Intn(2) == 0
+			switch rng.Intn(4) {
+			case 0:
+			case 1:
+				r.tail = time.Duration(rng.Int63n(int64(2 * q)))
+			default:
+				r.tail = time.Duration(1+rng.Intn(20)) * time.Microsecond
+			}
+			r.fallBack = rng.Intn(4) == 0
+			r.nested = rng.Intn(4) == 0
 			app.reqs = append(app.reqs, r)
 		}
 		sc.apps = append(sc.apps, app)
@@ -207,12 +233,25 @@ func runCrossScenario(sc crossScenario, historical bool, tick time.Duration) cro
 	})
 	accts := []*cpu.Account{cpu.NewAccount("a"), cpu.NewAccount("b"), cpu.NewAccount("daemon")}
 	tr := New(e, c, params, nil, Config{Name: "fuse", Acct: accts[2], Mask: sc.daemonMask, Threads: sc.daemons})
+	inner := sc.innerDaemons
+	if inner == 0 {
+		inner = sc.daemons
+	}
+	nested := New(e, c, params, nil, Config{Name: "fuse2", Acct: accts[2], Mask: sc.daemonMask, Threads: inner})
+	cross := func(tr *Transport, ctx vfsapi.Ctx, in, out int64, fn func(vfsapi.Ctx, func()) error) error {
+		if historical {
+			return historicalCrossing(tr, ctx, in, out, fn)
+		}
+		return tr.crossing(ctx, in, out, fn)
+	}
 	for _, tg := range sc.toggles {
 		e.After(tg.at, func() {
 			if tg.restart {
 				tr.Restart()
+				nested.Restart()
 			} else {
 				tr.Crash()
+				nested.Crash()
 			}
 		})
 	}
@@ -223,7 +262,7 @@ func runCrossScenario(sc crossScenario, historical bool, tick time.Duration) cro
 			ctx := vfsapi.Ctx{P: p, T: th}
 			for _, r := range app.reqs {
 				p.Sleep(r.gap)
-				fn := func(dctx vfsapi.Ctx) error {
+				fn := func(dctx vfsapi.Ctx, reply func()) error {
 					if r.takeTime {
 						// A daemon thread's last core depends on which
 						// thread was picked.
@@ -231,16 +270,33 @@ func runCrossScenario(sc crossScenario, historical bool, tick time.Duration) cro
 					}
 					dctx.T.Exec(dctx.P, cpu.User, r.work)
 					dctx.P.Sleep(r.sleep)
+					switch {
+					case reply == nil:
+						dctx.T.Exec(dctx.P, cpu.User, r.tail)
+					case r.fallBack:
+						out.fell++
+						dctx.T.LockedChainThen(dctx.P, nil, nil, "", dctx.P.ResumeHere, cpu.Charge(cpu.User, r.tail))
+						dctx.P.Park()
+					default:
+						out.replies++
+						dctx.T.LockedChainThen(dctx.P, nil, nil, "", reply, cpu.Charge(cpu.User, r.tail))
+						dctx.P.Park()
+					}
 					if r.fail {
 						return errServe
 					}
 					return nil
 				}
 				var err error
-				if historical {
-					err = historicalCrossing(tr, ctx, r.in, r.out, fn)
+				if r.nested {
+					out.nests++
+					// Only the inner crossing serves fn directly: the
+					// outer one runs its blocking reply chain.
+					err = cross(tr, ctx, r.in, r.out, func(dctx vfsapi.Ctx, _ func()) error {
+						return cross(nested, dctx, r.in, r.out, fn)
+					})
 				} else {
-					err = tr.crossing(ctx, r.in, r.out, fn)
+					err = cross(tr, ctx, r.in, r.out, fn)
 				}
 				out.results[i] = append(out.results[i], crossResult{p.Now(), err})
 			}
@@ -301,7 +357,11 @@ func compareCross(t *testing.T, name string, got, want crossOutcome) {
 // engine must process the same number of events. The fixed cases pin a
 // crash while requests wait for the one daemon thread, a crash at the
 // grant instant, and a crash plus restart before a queued request's
-// grant.
+// grant. Requests whose fn takes the reply — as the client's request
+// run does for a cached Read or Write — must match the historical
+// crossing's blocking reply, as must those whose fn falls back from
+// the reply and those nested under a second mount (F/F), where only
+// the inner crossing's fn is given the reply.
 func TestCrossingMatchesHistorical(t *testing.T) {
 	us := time.Microsecond
 	queued := func(toggles ...crashToggle) crossScenario {
@@ -337,12 +397,18 @@ func TestCrossingMatchesHistorical(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(1))
+	var replies, fell, nests int
 	for n := 0; n < 300; n++ {
 		sc := randomCrossScenario(rng)
 		tick := time.Duration(20+rng.Intn(300)) * us
 		addToggles(rng, &sc, runCrossScenario(sc, true, tick))
 		want := runCrossScenario(sc, true, tick)
-		compareCross(t, fmt.Sprint("scenario ", n), runCrossScenario(sc, false, tick), want)
+		got := runCrossScenario(sc, false, tick)
+		compareCross(t, fmt.Sprint("scenario ", n), got, want)
+		replies, fell, nests = replies+got.replies, fell+got.fell, nests+got.nests
+	}
+	if replies == 0 || fell == 0 || nests == 0 {
+		t.Errorf("fn took the reply %d times, fell back %d times, nested %d times; want each at least once", replies, fell, nests)
 	}
 }
 
@@ -357,7 +423,7 @@ func TestCrossingParksOncePerSide(t *testing.T) {
 	c := cpu.New(e, params, 2)
 	acct := cpu.NewAccount("app")
 	tr := New(e, c, params, nil, Config{Name: "fuse", Threads: 1})
-	serve := func(vfsapi.Ctx) error { return nil }
+	serve := func(vfsapi.Ctx, func()) error { return nil }
 	for i := range 3 {
 		th := c.NewThread(acct, 0)
 		e.Go("app", func(p *sim.Proc) {
@@ -379,7 +445,7 @@ func TestCrossingParksOncePerSide(t *testing.T) {
 	e = sim.NewEngine()
 	c = cpu.New(e, params, 2)
 	tr = New(e, c, params, nil, Config{Name: "fuse", Threads: 1})
-	crash := func(vfsapi.Ctx) error { tr.Crash(); return nil }
+	crash := func(vfsapi.Ctx, func()) error { tr.Crash(); return nil }
 	for i := range 2 {
 		th := c.NewThread(acct, 0)
 		e.Go("app", func(p *sim.Proc) {
@@ -421,7 +487,7 @@ func crossingContended(n int) func() {
 		th := c.NewThread(acct, 0)
 		e.Go("app", func(p *sim.Proc) {
 			ctx := vfsapi.Ctx{P: p, T: th}
-			serve := func(dctx vfsapi.Ctx) error {
+			serve := func(dctx vfsapi.Ctx, _ func()) error {
 				dctx.T.Exec(dctx.P, cpu.User, time.Microsecond)
 				return nil
 			}

@@ -101,8 +101,12 @@ func (t *Transport) Crashed() bool { return t.crashed }
 // daemon has read the request: the entry chain, the wait for a daemon
 // thread and the daemon's read chain run as one continuation (see
 // dispatch), which hands control back when fn is to run or the daemon
-// is found dead.
-func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn func(dctx vfsapi.Ctx) error) error {
+// is found dead. fn may start the reply itself with reply, from an
+// engine callback acting for the process parked inside fn, once the
+// daemon-side work is done (see replyHandle); the reply chain's end
+// then resumes the process, and fn must return without further work.
+// Otherwise the process runs the reply chain after fn returns.
+func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn func(dctx vfsapi.Ctx, reply func()) error) error {
 	defer ctx.Span.Enter(obs.LayerFUSE).Exit()
 	p := t.params
 	if t.crashed {
@@ -116,28 +120,24 @@ func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn fun
 	// Application enters the kernel and hands the request to FUSE: a
 	// zero-length copy step only skips. The daemon side follows as
 	// continuations of the chain.
-	d := t.getDispatch(ctx.P, payloadIn)
+	d := t.getDispatch(ctx, payloadIn, payloadOut)
 	ctx.T.LockedChainThen(ctx.P, nil, nil, "", d.entered,
 		ctx.T.ModeSwitchStep(),
 		cpu.Charge(cpu.Kernel, p.FUSERequestOverhead),
 		cpu.Charge(cpu.Kernel, p.CopyTime(payloadIn)),
 		ctx.T.ContextSwitchStep())
 	ctx.P.Park()
-	dth := d.dth
-	t.putDispatch(d)
+	defer t.putDispatch(d)
 	defer t.slots.Release()
-	if dth == nil {
+	if d.dth == nil {
 		// The daemon died while the request sat in the FUSE queue.
 		return vfsapi.ErrCrashed
 	}
-	err := fn(vfsapi.Ctx{P: ctx.P, T: dth, Span: ctx.Span})
-	// The daemon copies the reply out and writes it, and the
-	// application switches back in, copies the reply and returns: one
-	// chain across both threads.
-	dth.Chain(ctx.P, cpu.Charge(cpu.Kernel, p.CopyTime(payloadOut)), dth.ModeSwitchStep(),
-		ctx.T.ContextSwitchStep(),
-		cpu.Step{Kind: cpu.Kernel, D: p.CopyTime(payloadOut), Thread: ctx.T},
-		ctx.T.ModeSwitchStep())
+	err := fn(vfsapi.Ctx{P: ctx.P, T: d.dth, Span: ctx.Span}, d.replyFn)
+	if !d.replied {
+		steps := d.replySteps()
+		d.dth.Chain(ctx.P, steps[:]...)
+	}
 	return err
 }
 
@@ -152,14 +152,17 @@ func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn fun
 // every simulated result. TestCrossingMatchesHistorical checks this
 // against the straight-line code.
 type dispatch struct {
-	t   *Transport
-	p   *sim.Proc
-	in  int64       // request payload copied into the daemon
-	dth *cpu.Thread // the daemon thread serving it; nil if the daemon died first
+	t       *Transport
+	p       *sim.Proc
+	app     *cpu.Thread // the application's thread
+	in, out int64       // request and reply payloads copied through the kernel
+	dth     *cpu.Thread // the daemon thread serving it; nil if the daemon died first
+	replied bool        // fn started the reply chain
 
 	entered func() // reusable entry-chain continuation (enter)
 	granted func() // reusable slot-grant callback (grant)
-	read    func() // reusable read-chain continuation (resume)
+	read    func() // reusable read- and reply-chain continuation (resume)
+	replyFn func() // reusable reply starter (reply)
 }
 
 // enter queues the request for a daemon thread, taking a free one at
@@ -187,34 +190,56 @@ func (d *dispatch) grant() {
 }
 
 // resume hands control back to the process: the daemon holds the
-// request.
+// request, or the reply has reached the application.
 func (d *dispatch) resume() { d.p.ResumeHere() }
+
+// replySteps is the reply: the daemon copies the reply out and writes
+// it, and the application switches back in, copies the reply and
+// returns — one chain across both threads.
+func (d *dispatch) replySteps() [5]cpu.Step {
+	copyOut := d.t.params.CopyTime(d.out)
+	return [5]cpu.Step{
+		cpu.Charge(cpu.Kernel, copyOut), d.dth.ModeSwitchStep(),
+		d.app.ContextSwitchStep(),
+		{Kind: cpu.Kernel, D: copyOut, Thread: d.app},
+		d.app.ModeSwitchStep(),
+	}
+}
+
+// reply starts the reply chain on behalf of fn, whose handle finished
+// the daemon-side work in an engine callback; the chain's end resumes
+// the process.
+func (d *dispatch) reply() {
+	d.replied = true
+	steps := d.replySteps()
+	d.dth.LockedChainThen(d.p, nil, nil, "", d.read, steps[:]...)
+}
 
 // getDispatch takes a dispatch state from the transport's pool. Safe
 // without locking: exactly one goroutine runs at any instant in the
 // simulation.
-func (t *Transport) getDispatch(p *sim.Proc, in int64) *dispatch {
+func (t *Transport) getDispatch(ctx vfsapi.Ctx, in, out int64) *dispatch {
 	var d *dispatch
 	if n := len(t.pool); n > 0 {
 		d = t.pool[n-1]
 		t.pool = t.pool[:n-1]
 	} else {
 		d = &dispatch{t: t}
-		d.entered, d.granted, d.read = d.enter, d.grant, d.resume
+		d.entered, d.granted, d.read, d.replyFn = d.enter, d.grant, d.resume, d.reply
 	}
-	d.p, d.in, d.dth = p, in, nil
+	d.p, d.app, d.in, d.out, d.dth, d.replied = ctx.P, ctx.T, in, out, nil, false
 	return d
 }
 
 func (t *Transport) putDispatch(d *dispatch) {
-	d.p, d.dth = nil, nil
+	d.p, d.app, d.dth = nil, nil, nil
 	t.pool = append(t.pool, d)
 }
 
 // Open crosses to the daemon and wraps the returned handle.
 func (t *Transport) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfsapi.Handle, error) {
 	var h vfsapi.Handle
-	err := t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx) error {
+	err := t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx, _ func()) error {
 		var err error
 		h, err = t.inner.Open(dctx, path, flags)
 		return err
@@ -228,7 +253,7 @@ func (t *Transport) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vf
 // Stat crosses to the daemon.
 func (t *Transport) Stat(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, error) {
 	var info vfsapi.FileInfo
-	err := t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx) error {
+	err := t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx, _ func()) error {
 		var err error
 		info, err = t.inner.Stat(dctx, path)
 		return err
@@ -238,7 +263,7 @@ func (t *Transport) Stat(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, error) {
 
 // Mkdir crosses to the daemon.
 func (t *Transport) Mkdir(ctx vfsapi.Ctx, path string) error {
-	return t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx) error {
+	return t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx, _ func()) error {
 		return t.inner.Mkdir(dctx, path)
 	})
 }
@@ -246,7 +271,7 @@ func (t *Transport) Mkdir(ctx vfsapi.Ctx, path string) error {
 // Readdir crosses to the daemon.
 func (t *Transport) Readdir(ctx vfsapi.Ctx, path string) ([]vfsapi.DirEntry, error) {
 	var ents []vfsapi.DirEntry
-	err := t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx) error {
+	err := t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx, _ func()) error {
 		var err error
 		ents, err = t.inner.Readdir(dctx, path)
 		return err
@@ -256,23 +281,35 @@ func (t *Transport) Readdir(ctx vfsapi.Ctx, path string) ([]vfsapi.DirEntry, err
 
 // Unlink crosses to the daemon.
 func (t *Transport) Unlink(ctx vfsapi.Ctx, path string) error {
-	return t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx) error {
+	return t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx, _ func()) error {
 		return t.inner.Unlink(dctx, path)
 	})
 }
 
 // Rmdir crosses to the daemon.
 func (t *Transport) Rmdir(ctx vfsapi.Ctx, path string) error {
-	return t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx) error {
+	return t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx, _ func()) error {
 		return t.inner.Rmdir(dctx, path)
 	})
 }
 
 // Rename crosses to the daemon.
 func (t *Transport) Rename(ctx vfsapi.Ctx, oldPath, newPath string) error {
-	return t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx) error {
+	return t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx, _ func()) error {
 		return t.inner.Rename(dctx, oldPath, newPath)
 	})
+}
+
+// replyHandle is implemented by an inner handle whose Read and Write can
+// start a FUSE crossing's reply (see Transport.crossing): ReadReply and
+// WriteReply are Read and Write that, when they serve the request from
+// an engine callback, call reply there instead of resuming the process.
+// Only the handle a crossing serves directly is given the reply; a
+// handle below another layer (a union over a nested FUSE mount) runs
+// under its own crossing.
+type replyHandle interface {
+	ReadReply(ctx vfsapi.Ctx, off, n int64, reply func()) (int64, error)
+	WriteReply(ctx vfsapi.Ctx, off, n int64, reply func()) (int64, error)
 }
 
 type fuseHandle struct {
@@ -293,9 +330,13 @@ func (h *fuseHandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 			chunk = n
 		}
 		var got int64
-		err := h.t.crossing(ctx, 0, chunk, func(dctx vfsapi.Ctx) error {
+		err := h.t.crossing(ctx, 0, chunk, func(dctx vfsapi.Ctx, reply func()) error {
 			var err error
-			got, err = h.inner.Read(dctx, off, chunk)
+			if rh, ok := h.inner.(replyHandle); ok {
+				got, err = rh.ReadReply(dctx, off, chunk, reply)
+			} else {
+				got, err = h.inner.Read(dctx, off, chunk)
+			}
 			return err
 		})
 		if err != nil {
@@ -320,9 +361,13 @@ func (h *fuseHandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 			chunk = n
 		}
 		var got int64
-		err := h.t.crossing(ctx, chunk, 0, func(dctx vfsapi.Ctx) error {
+		err := h.t.crossing(ctx, chunk, 0, func(dctx vfsapi.Ctx, reply func()) error {
 			var err error
-			got, err = h.inner.Write(dctx, off, chunk)
+			if rh, ok := h.inner.(replyHandle); ok {
+				got, err = rh.WriteReply(dctx, off, chunk, reply)
+			} else {
+				got, err = h.inner.Write(dctx, off, chunk)
+			}
 			return err
 		})
 		if err != nil {
@@ -344,14 +389,14 @@ func (h *fuseHandle) Append(ctx vfsapi.Ctx, n int64) (int64, error) {
 
 // Fsync crosses to the daemon.
 func (h *fuseHandle) Fsync(ctx vfsapi.Ctx) error {
-	return h.t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx) error {
+	return h.t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx, _ func()) error {
 		return h.inner.Fsync(dctx)
 	})
 }
 
 // Close crosses to the daemon.
 func (h *fuseHandle) Close(ctx vfsapi.Ctx) error {
-	return h.t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx) error {
+	return h.t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx, _ func()) error {
 		return h.inner.Close(dctx)
 	})
 }

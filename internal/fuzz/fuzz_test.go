@@ -2,7 +2,9 @@ package fuzz
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/sim"
 )
 
 // The generator must emit only scenarios the runner accepts: parseable
@@ -354,5 +357,57 @@ func TestGenerateSeedVariesByIndex(t *testing.T) {
 			t.Fatalf("scenario %d has ID %d", i, sc.ID)
 		}
 		_ = strconv.Itoa(i)
+	}
+}
+
+// A model panic inside a scenario is that scenario's panic violation:
+// the sweep reports it, shrinks it and goes on with the next scenario,
+// whose lines match those of a sweep where nothing panicked.
+func TestSweepRecoversPanic(t *testing.T) {
+	target := Generate(1, 1).Seed
+	eval := func(sc Scenario) *Outcome {
+		if sc.Seed == target {
+			// Panic where the model does: inside a simulated process.
+			e := sim.NewEngine()
+			e.Go("model", func(*sim.Proc) { panic("memacct: underflow on injected") })
+			e.Run()
+		}
+		return Evaluate(sc)
+	}
+	var clean, buf bytes.Buffer
+	if _, err := Sweep(Options{N: 3, Seed: 1, Out: &clean}); err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	sum, err := Sweep(Options{N: 3, Seed: 1, Out: &buf, evaluate: eval})
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	if sum.Violations != 1 || sum.ByChecker[PanicChecker] != 1 {
+		t.Fatalf("sweep counted %d violations (%v), want one %q violation:\n%s", sum.Violations, sum.ByChecker, PanicChecker, buf.String())
+	}
+	lines := func(b *bytes.Buffer, prefix string) []string {
+		var out []string
+		for _, l := range strings.Split(b.String(), "\n") {
+			if strings.HasPrefix(l, prefix) {
+				out = append(out, l)
+			}
+		}
+		return out
+	}
+	want := fmt.Sprintf("fuzz 0001 %s VIOLATION panic: memacct: underflow on injected", Generate(1, 1))
+	if got := lines(&buf, "fuzz 0001 "); len(got) != 2 || got[0] != want || !strings.HasPrefix(got[1], "fuzz 0001 shrunk to: ") {
+		t.Errorf("panicking scenario reported %q, want %q and its shrunk form", got, want)
+	}
+	for _, prefix := range []string{"fuzz 0000 ", "fuzz 0002 "} {
+		if got, want := lines(&buf, prefix), lines(&clean, prefix); !slices.Equal(got, want) {
+			t.Errorf("scenario lines %q, want %q as without the panic", got, want)
+		}
+	}
+	if got := DefaultOracle(Generate(1, 0)); len(got) != 0 {
+		t.Errorf("DefaultOracle on a clean scenario: %v", got)
+	}
+	panicking := func(Scenario) *Outcome { panic("boom") }
+	if got := oracleOf(panicking)(Generate(1, 0)); len(got) != 1 || got[0] != (Violation{PanicChecker, "boom"}) {
+		t.Errorf("oracle over a panicking scenario returned %v", got)
 	}
 }

@@ -12,8 +12,33 @@ import (
 type Oracle func(Scenario) []Violation
 
 // DefaultOracle runs the scenario through Evaluate and the full
-// checker registry.
-func DefaultOracle(sc Scenario) []Violation { return CheckAll(Evaluate(sc)) }
+// checker registry; a panic in the model is its PanicChecker violation.
+func DefaultOracle(sc Scenario) []Violation { return oracleOf(Evaluate)(sc) }
+
+// PanicChecker names the violation of a scenario in which the model
+// panicked; its detail is the panic value.
+const PanicChecker = "panic"
+
+// evaluate runs eval on sc and checks every invariant on the outcome.
+// A panic inside the scenario yields a nil outcome and the panic
+// violation instead.
+func evaluate(eval func(Scenario) *Outcome, sc Scenario) (out *Outcome, vs []Violation) {
+	defer func() {
+		if r := recover(); r != nil {
+			out, vs = nil, []Violation{{Checker: PanicChecker, Detail: fmt.Sprint(r)}}
+		}
+	}()
+	out = eval(sc)
+	return out, CheckAll(out)
+}
+
+// oracleOf is the Oracle that evaluates scenarios with eval.
+func oracleOf(eval func(Scenario) *Outcome) Oracle {
+	return func(sc Scenario) []Violation {
+		_, vs := evaluate(eval, sc)
+		return vs
+	}
+}
 
 // minDuration is the shortest measurement window the shrinker tries.
 const minDuration = 30 * time.Millisecond

@@ -22,6 +22,9 @@ type Options struct {
 	// ReproDir, when set, receives one shrunk reproducer spec file per
 	// failing scenario (created on demand).
 	ReproDir string
+
+	// evaluate replaces Evaluate, for tests that inject a failure.
+	evaluate func(Scenario) *Outcome
 }
 
 const (
@@ -47,11 +50,15 @@ type Summary struct {
 
 // Sweep generates and evaluates N seeded scenarios, checks every
 // invariant on each, shrinks failures to minimal reproducers, and
-// returns the aggregate. All output on Out is a pure function of
-// (N, Seed): no wall-clock times, no map iteration.
+// returns the aggregate. A scenario in which the model panics reports a
+// PanicChecker violation and the sweep goes on. All output on Out is a
+// pure function of (N, Seed): no wall-clock times, no map iteration.
 func Sweep(o Options) (Summary, error) {
 	if o.Out == nil {
 		o.Out = io.Discard
+	}
+	if o.evaluate == nil {
+		o.evaluate = Evaluate
 	}
 	sum := Summary{Scenarios: o.N, ByChecker: map[string]int{}}
 	agg := sha256.New()
@@ -59,9 +66,10 @@ func Sweep(o Options) (Summary, error) {
 
 	for i := 0; i < o.N; i++ {
 		sc := Generate(o.Seed, i)
-		out := Evaluate(sc)
-		vs := CheckAll(out)
-		fmt.Fprintf(agg, "%04d %s %s\n", i, out.Full.ArtifactHash, out.Full.Summary)
+		out, vs := evaluate(o.evaluate, sc)
+		if out != nil {
+			fmt.Fprintf(agg, "%04d %s %s\n", i, out.Full.ArtifactHash, out.Full.Summary)
+		}
 
 		if len(vs) == 0 {
 			fmt.Fprintf(o.Out, "fuzz %04d %s ok %s\n", i, sc, out.Full.Summary)
@@ -78,7 +86,7 @@ func Sweep(o Options) (Summary, error) {
 			continue
 		}
 		shrunk++
-		min := Shrink(sc, vs[0].Checker, DefaultOracle, shrinkBudget)
+		min := Shrink(sc, vs[0].Checker, oracleOf(o.evaluate), shrinkBudget)
 		fmt.Fprintf(o.Out, "fuzz %04d shrunk to: %s\n", i, min)
 		if o.ReproDir != "" {
 			if err := os.MkdirAll(o.ReproDir, 0o755); err != nil {

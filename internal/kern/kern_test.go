@@ -23,6 +23,7 @@ type fakeStore struct {
 	reads      []extentRec
 	writes     []extentRec
 	writeDelay time.Duration
+	readDelay  time.Duration
 }
 
 type extentRec struct {
@@ -88,6 +89,9 @@ func (s *fakeStore) SetSize(ctx vfsapi.Ctx, ino uint64, size int64) error {
 
 func (s *fakeStore) ReadData(ctx vfsapi.Ctx, ino uint64, off, n int64) {
 	s.reads = append(s.reads, extentRec{ino, off, n})
+	if s.readDelay > 0 {
+		ctx.P.Sleep(s.readDelay)
+	}
 }
 
 func (s *fakeStore) WriteData(ctx vfsapi.Ctx, ino uint64, off, n int64) {

@@ -73,6 +73,8 @@ type Mount struct {
 	// replayable, applications reopen.
 	crashed bool
 	crashes uint64
+
+	requests []*request // recycled syscall request runs
 }
 
 // fileState is a file's page-cache state; X is its inode mutex.
@@ -184,14 +186,20 @@ func (m *Mount) cacheInsert(ctx vfsapi.Ctx, f *fileState, off, n int64) {
 		k.lruLock.Unlock(ctx.P)
 		return // stale fileState from before a crash: not accounted
 	}
-	added := m.cache.Insert(f, off, n)
-	if hold := time.Duration(k.params.Pages(added)) * k.params.LRULockHoldPerPage; hold > 0 {
+	if hold := m.insert(f, off, n); hold > 0 {
 		ctx.T.Exec(ctx.P, cpu.Kernel, hold)
 	}
 	k.lruLock.Unlock(ctx.P)
 	if m.cache.Over() {
 		m.evict(ctx)
 	}
+}
+
+// insert adds [off,off+n) to f's resident set, under lru_lock, and
+// returns the lock hold to charge for the pages it added.
+func (m *Mount) insert(f *fileState, off, n int64) time.Duration {
+	added := m.cache.Insert(f, off, n)
+	return time.Duration(m.kern.params.Pages(added)) * m.kern.params.LRULockHoldPerPage
 }
 
 // evict reclaims clean pages from the coldest files until the mount is
@@ -213,43 +221,72 @@ func (m *Mount) markDirty(ctx vfsapi.Ctx, f *fileState, off, n int64) {
 	k := m.kern
 	k.lockSpan(ctx, k.writebackLock, "wb_lock")
 	ctx.T.Exec(ctx.P, cpu.Kernel, k.params.WritebackLockHold)
+	if m.mark(ctx.P, f, off, n) {
+		m.throttle(ctx, n)
+	}
+}
+
+// mark records [off,off+n) of f dirty under wb_lock, which it releases,
+// and wakes the flushers past the background threshold. A stale
+// fileState from before a crash is not accounted: mark reports false.
+func (m *Mount) mark(p *sim.Proc, f *fileState, off, n int64) bool {
+	k := m.kern
 	if m.cache.Stale(f) {
-		k.writebackLock.Unlock(ctx.P)
-		return // stale fileState from before a crash: not accounted
+		k.writebackLock.Unlock(p)
+		return false
 	}
 	m.cache.MarkDirty(f, off, n, k.eng.Now())
-	k.writebackLock.Unlock(ctx.P)
-
+	k.writebackLock.Unlock(p)
 	if m.cache.DirtyBytes >= m.bgThreshold() {
 		k.wakeFlushers()
 	}
-	// balance_dirty_pages: between the background and hard thresholds a
-	// writer is paced to the mount's achieved flush rate, with the pause
-	// ramping up quadratically as dirty data approaches the limit. A
-	// collapsing flush rate (flushers starved of cores by a noisy
-	// neighbour) therefore translates directly into writer slowdown.
-	if over := m.cache.DirtyBytes - m.bgThreshold(); over > 0 && m.flushRate > 0 {
-		span := m.maxDirty() - m.bgThreshold()
-		if span < 1 {
-			span = 1
-		}
-		ramp := float64(over) / float64(span)
-		if ramp > 1 {
-			ramp = 1
-		}
-		pause := time.Duration(float64(n) / m.flushRate * ramp * ramp * float64(time.Second))
-		if pause > 200*time.Millisecond {
-			pause = 200 * time.Millisecond
-		}
-		if pause > 0 {
-			start := k.eng.Now()
-			m.throttleQ.WaitTimeout(ctx.P, pause)
-			ctx.T.Account().AddIOWait(k.eng.Now() - start)
-		}
+	return true
+}
+
+// dirtyPause is balance_dirty_pages' pause for a writer of n bytes:
+// between the background and hard thresholds a writer is paced to the
+// mount's achieved flush rate, with the pause ramping up quadratically
+// as dirty data approaches the limit. A collapsing flush rate (flushers
+// starved of cores by a noisy neighbour) therefore translates directly
+// into writer slowdown.
+func (m *Mount) dirtyPause(n int64) time.Duration {
+	over := m.cache.DirtyBytes - m.bgThreshold()
+	if !(over > 0 && m.flushRate > 0) {
+		return 0
 	}
-	// Teardown safety: with the flushers stopped nobody can lower the
-	// dirty level, so writers must not spin on the threshold.
-	for m.cache.DirtyBytes >= m.maxDirty() && !k.stopped && !m.crashed {
+	span := m.maxDirty() - m.bgThreshold()
+	if span < 1 {
+		span = 1
+	}
+	ramp := float64(over) / float64(span)
+	if ramp > 1 {
+		ramp = 1
+	}
+	pause := time.Duration(float64(n) / m.flushRate * ramp * ramp * float64(time.Second))
+	return min(pause, 200*time.Millisecond)
+}
+
+// overDirty reports whether a writer must wait at the hard dirty limit.
+// Teardown safety: with the flushers stopped nobody can lower the dirty
+// level, so writers must not spin on the threshold.
+func (m *Mount) overDirty() bool {
+	return m.cache.DirtyBytes >= m.maxDirty() && !m.kern.stopped && !m.crashed
+}
+
+// mustThrottle reports whether throttle would block a writer of n bytes.
+func (m *Mount) mustThrottle(n int64) bool { return m.dirtyPause(n) > 0 || m.overDirty() }
+
+// throttle blocks a writer of n bytes (as I/O wait) for its
+// balance_dirty_pages pause, then while the mount is over its hard
+// dirty limit, until the flushers bring it back down.
+func (m *Mount) throttle(ctx vfsapi.Ctx, n int64) {
+	k := m.kern
+	if pause := m.dirtyPause(n); pause > 0 {
+		start := k.eng.Now()
+		m.throttleQ.WaitTimeout(ctx.P, pause)
+		ctx.T.Account().AddIOWait(k.eng.Now() - start)
+	}
+	for m.overDirty() {
 		start := k.eng.Now()
 		m.throttleQ.WaitTimeout(ctx.P, k.params.DirtyThrottleCheck)
 		ctx.T.Account().AddIOWait(k.eng.Now() - start)

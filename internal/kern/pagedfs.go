@@ -3,6 +3,7 @@ package kern
 import (
 	"repro/internal/cache"
 	"repro/internal/cpu"
+	"repro/internal/extent"
 	"repro/internal/vfsapi"
 )
 
@@ -160,6 +161,20 @@ func (h *pagedHandle) failIfStale(ctx vfsapi.Ctx) error {
 	return nil
 }
 
+// stale reports whether failIfStale fails.
+func (h *pagedHandle) stale() bool {
+	return h.closed || h.m.crashed || h.gen != h.m.cache.Gen
+}
+
+// readLen clamps a read of n bytes at off to the end of file; 0 or less
+// means there is nothing to read.
+func (h *pagedHandle) readLen(off, n int64) int64 {
+	if off >= h.f.Size {
+		return 0
+	}
+	return min(n, h.f.Size-off)
+}
+
 // Path returns the open path.
 func (h *pagedHandle) Path() string { return h.path }
 
@@ -172,21 +187,14 @@ func (h *pagedHandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	if err := h.failIfStale(ctx); err != nil {
 		return 0, err
 	}
-	if off >= h.f.Size {
-		return 0, nil
-	}
-	if off+n > h.f.Size {
-		n = h.f.Size - off
-	}
-	if n <= 0 {
+	if n = h.readLen(off, n); n <= 0 {
 		return 0, nil
 	}
 	m := h.m
-	params := m.kern.params
 
 	if h.flags.Has(vfsapi.DIRECT) {
 		m.store.ReadData(ctx, h.f.Ino, off, n)
-		ctx.T.Exec(ctx.P, cpu.Kernel, params.CopyTime(n))
+		ctx.T.Exec(ctx.P, cpu.Kernel, m.kern.params.CopyTime(n))
 		return n, nil
 	}
 
@@ -194,42 +202,51 @@ func (h *pagedHandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	// Brownout zeroes the effective window, deferring speculative
 	// fetches while the backend or admission queues are overloaded.
 	fetchLen := h.ra.Extend(off, n, h.f.Size, m.raWindow())
+	g, wait := h.f.Claim(off, fetchLen)
+	return h.fetchAndCopy(ctx, off, n, fetchLen, g, wait)
+}
 
-	// Fetch misses with page-lock semantics: ranges being read in by
-	// another thread are awaited rather than re-fetched.
+// fetchAndCopy goes on from a claim of [off,off+fetchLen) — g to fetch,
+// or wait while another thread reads part of it in — claim by claim
+// until the range is resident, then touches the file and copies
+// [off,off+n) out. Misses are fetched with page-lock semantics: ranges
+// being read in by another thread are awaited rather than re-fetched.
+func (h *pagedHandle) fetchAndCopy(ctx vfsapi.Ctx, off, n, fetchLen int64, g extent.Extent, wait bool) (int64, error) {
+	m := h.m
+	params := m.kern.params
 	for {
-		if err := h.failIfStale(ctx); err != nil {
-			// The client died while we waited on a fetch (or mid-loop):
-			// the page cache was discarded, fail rather than re-fetch
-			// from the dead store.
-			return 0, err
-		}
-		g, wait := h.f.Claim(off, fetchLen)
-		if wait {
+		switch {
+		case wait:
 			m.fetchQ.WaitTimeout(ctx.P, params.DirtyThrottleCheck)
-			continue
-		}
-		if g.Len == 0 {
-			break
-		}
-		m.store.ReadData(ctx, h.f.Ino, g.Off, g.Len)
-		if err := h.failIfStale(ctx); err != nil {
-			// Crashed during the store read: release the claim so other
-			// stale waiters cycle out, and fail instead of inserting
-			// into the restarted incarnation's cache.
+		case g.Len == 0:
+			// LRU touch for the access (page flags only — cached reads
+			// do not pay per-page lock holds) plus the user-visible
+			// copy out.
+			m.withLRU(ctx, func() { m.cache.Touch(h.f) })
+			ctx.T.Exec(ctx.P, cpu.Kernel, params.CopyTime(n))
+			return n, nil
+		default:
+			m.store.ReadData(ctx, h.f.Ino, g.Off, g.Len)
+			if err := h.failIfStale(ctx); err != nil {
+				// Crashed during the store read: release the claim so
+				// other stale waiters cycle out, and fail instead of
+				// inserting into the restarted incarnation's cache.
+				h.f.Fetching.Remove(g.Off, g.Len)
+				m.fetchQ.Broadcast()
+				return 0, err
+			}
+			m.cacheInsert(ctx, h.f, g.Off, g.Len)
 			h.f.Fetching.Remove(g.Off, g.Len)
 			m.fetchQ.Broadcast()
+		}
+		if err := h.failIfStale(ctx); err != nil {
+			// The client died while we waited on a fetch: the page
+			// cache was discarded, fail rather than re-fetch from the
+			// dead store.
 			return 0, err
 		}
-		m.cacheInsert(ctx, h.f, g.Off, g.Len)
-		h.f.Fetching.Remove(g.Off, g.Len)
-		m.fetchQ.Broadcast()
+		g, wait = h.f.Claim(off, fetchLen)
 	}
-	// LRU touch for the access (page flags only — cached reads do not
-	// pay per-page lock holds) plus the user-visible copy out.
-	m.withLRU(ctx, func() { m.cache.Touch(h.f) })
-	ctx.T.Exec(ctx.P, cpu.Kernel, params.CopyTime(n))
-	return n, nil
 }
 
 // Write copies [off,off+n) into the page cache and marks it dirty,
@@ -261,11 +278,28 @@ func (h *pagedHandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	h.f.X.Lock(ctx.P)
 	ctx.T.Chain(ctx.P, cpu.Charge(cpu.Kernel, params.IMutexHold), cpu.Charge(cpu.Kernel, params.CopyTime(n)))
 	m.cacheInsert(ctx, h.f, off, n)
-	if end := off + n; end > h.f.Size {
+	return h.commit(ctx, off, n)
+}
+
+// commit ends a buffered write whose pages are in the cache, with the
+// inode mutex held: it grows the size, releases the mutex and marks the
+// range dirty.
+func (h *pagedHandle) commit(ctx vfsapi.Ctx, off, n int64) (int64, error) {
+	h.grow(off + n)
+	h.f.X.Unlock(ctx.P)
+	h.m.markDirty(ctx, h.f, off, n)
+	return h.written(ctx, n)
+}
+
+// grow extends the kernel's size view to end.
+func (h *pagedHandle) grow(end int64) {
+	if end > h.f.Size {
 		h.f.Size = end
 	}
-	h.f.X.Unlock(ctx.P)
-	m.markDirty(ctx, h.f, off, n)
+}
+
+// written returns the result of a buffered write of n bytes.
+func (h *pagedHandle) written(ctx vfsapi.Ctx, n int64) (int64, error) {
 	if err := h.failIfStale(ctx); err != nil {
 		// The client died while the writer was throttled: the pages it
 		// buffered are gone, so the write must not report success.

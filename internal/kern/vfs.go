@@ -95,6 +95,9 @@ func (s *Syscalls) Rename(ctx vfsapi.Ctx, oldPath, newPath string) error {
 	return err
 }
 
+// syscallHandle is an open file behind Syscalls. On a kernel mount's
+// page-cache handle, Read, Write and Close run their cache-hit part as
+// one request run (see request).
 type syscallHandle struct {
 	s     *Syscalls
 	inner vfsapi.Handle
@@ -104,6 +107,12 @@ func (h *syscallHandle) Path() string { return h.inner.Path() }
 func (h *syscallHandle) Size() int64  { return h.inner.Size() }
 
 func (h *syscallHandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
+	if ph, ok := h.inner.(*pagedHandle); ok {
+		sc := ctx.Span.Enter(obs.LayerSyscall)
+		got, err := ph.syscallRead(ctx, h.s.kern.params.VFSOpCost, off, n)
+		sc.Exit()
+		return got, err
+	}
 	sc := h.s.enter(ctx)
 	got, err := h.inner.Read(ctx, off, n)
 	h.s.exit(ctx, sc)
@@ -111,6 +120,12 @@ func (h *syscallHandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 }
 
 func (h *syscallHandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
+	if ph, ok := h.inner.(*pagedHandle); ok {
+		sc := ctx.Span.Enter(obs.LayerSyscall)
+		got, err := ph.syscallWrite(ctx, h.s.kern.params.VFSOpCost, off, n)
+		sc.Exit()
+		return got, err
+	}
 	sc := h.s.enter(ctx)
 	got, err := h.inner.Write(ctx, off, n)
 	h.s.exit(ctx, sc)
@@ -132,6 +147,12 @@ func (h *syscallHandle) Fsync(ctx vfsapi.Ctx) error {
 }
 
 func (h *syscallHandle) Close(ctx vfsapi.Ctx) error {
+	if ph, ok := h.inner.(*pagedHandle); ok {
+		sc := ctx.Span.Enter(obs.LayerSyscall)
+		err := ph.syscallClose(ctx, h.s.kern.params.VFSOpCost)
+		sc.Exit()
+		return err
+	}
 	sc := h.s.enter(ctx)
 	err := h.inner.Close(ctx)
 	h.s.exit(ctx, sc)
