@@ -10,7 +10,9 @@
 // so each client keeps them: the kernel takes lru_lock, wb_lock and
 // i_mutex around its ledger calls and writes back from roaming
 // kthreads; the user-level client takes client_lock around every call
-// and writes back from threads pinned to its pool.
+// and writes back from threads pinned to its pool. Fetch, the one
+// read-miss loop, is as pure: each client passes its wait, fill, crash
+// check and claim.
 package cache
 
 import (
@@ -64,6 +66,29 @@ func (f *File[X]) Claim(off, n int64) (g extent.Extent, wait bool) {
 	}
 	f.Fetching.Insert(g.Off, g.Len)
 	return g, false
+}
+
+// Fetch is the read-miss protocol both clients share. From a claim
+// (g, wait) of a read's window it waits for another reader's fetch or
+// fills g, checks for a crash (stale) and claims again, until a claim
+// finds the window resident (nil) or fill or stale fails. Each client
+// passes what the paper compares: its fetchQ wait; its fill (backend
+// read, crash check, insert, then the claim's release and the wake
+// even on failure); and its claim, lock-free in the kernel and under
+// client_lock in the user-level client.
+func Fetch(g extent.Extent, wait bool, waitFetch func(), fill func(extent.Extent) error, stale func() error, claim func() (extent.Extent, bool)) error {
+	for wait || g.Len > 0 {
+		if wait {
+			waitFetch()
+		} else if err := fill(g); err != nil {
+			return err
+		}
+		if err := stale(); err != nil {
+			return err
+		}
+		g, wait = claim()
+	}
+	return nil
 }
 
 // Cache is one client's ledger: its file table, LRU and dirty list.

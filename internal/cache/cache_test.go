@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/extent"
@@ -189,5 +192,65 @@ func TestReadaheadWindow(t *testing.T) {
 	var user Readahead // Next 0: a first read at 0 is sequential
 	if got := user.Extend(0, 4*kb, size, maxRA); got != 4*kb+128*kb {
 		t.Fatalf("first read at 0 with Next 0: fetch %d, want %d", got, 4*kb+128*kb)
+	}
+}
+
+// TestFetchOrder drives Fetch with scripted closures and checks the
+// order it calls them in: wait or fill, then the crash check, then the
+// next claim, until a claim finds the window resident or a fill or
+// crash check fails.
+func TestFetchOrder(t *testing.T) {
+	type claim struct {
+		g    extent.Extent
+		wait bool
+	}
+	errFill, errStale := errors.New("fill"), errors.New("stale")
+	g := extent.Extent{Off: 4096, Len: 8192}
+	for _, tc := range []struct {
+		name      string
+		first     claim
+		claims    []claim // what each claim returns, in turn; then resident
+		fillErr   error
+		staleErrs int // the crash check fails on this call (1-based); 0 never
+		want      string
+		wantErr   error
+	}{
+		{name: "hit", want: ""},
+		{name: "wait", first: claim{wait: true}, claims: []claim{{}}, want: "wait stale claim"},
+		{name: "fill", first: claim{g: g}, claims: []claim{{}}, want: "fill(4096+8192) stale claim"},
+		{name: "fill error", first: claim{g: g}, fillErr: errFill, want: "fill(4096+8192)", wantErr: errFill},
+		{name: "stale error", first: claim{wait: true}, staleErrs: 1, want: "wait stale", wantErr: errStale},
+		{name: "wait, fill, wait", first: claim{wait: true}, claims: []claim{{g: g}, {wait: true}, {}},
+			want: "wait stale claim fill(4096+8192) stale claim wait stale claim"},
+		{name: "stale after a fill", first: claim{wait: true}, claims: []claim{{g: g}}, staleErrs: 2,
+			want: "wait stale claim fill(4096+8192) stale", wantErr: errStale},
+	} {
+		var calls []string
+		stales := 0
+		err := Fetch(tc.first.g, tc.first.wait,
+			func() { calls = append(calls, "wait") },
+			func(g extent.Extent) error {
+				calls = append(calls, fmt.Sprintf("fill(%d+%d)", g.Off, g.Len))
+				return tc.fillErr
+			},
+			func() error {
+				calls = append(calls, "stale")
+				if stales++; stales == tc.staleErrs {
+					return errStale
+				}
+				return nil
+			},
+			func() (extent.Extent, bool) {
+				calls = append(calls, "claim")
+				if len(tc.claims) == 0 {
+					return extent.Extent{}, false // off the script: resident
+				}
+				c := tc.claims[0]
+				tc.claims = tc.claims[1:]
+				return c.g, c.wait
+			})
+		if got := strings.Join(calls, " "); got != tc.want || err != tc.wantErr {
+			t.Errorf("%s: calls %q, error %v; want %q, %v", tc.name, got, err, tc.want, tc.wantErr)
+		}
 	}
 }

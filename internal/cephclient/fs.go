@@ -301,7 +301,7 @@ func (h *chandle) ReadReply(ctx vfsapi.Ctx, off, n int64, reply func()) (int64, 
 	r := c.getRequest(ctx, h, sc, reply, off, n)
 	r.read()
 	ctx.P.Park()
-	at, n, fetchLen, g := r.at, r.n, r.fetchLen, r.g
+	at, n, fetchLen, g, wait := r.at, r.n, r.fetchLen, r.g, r.wait
 	c.putRequest(r)
 	if at == handDone {
 		return n, nil // the run exited the client layer
@@ -310,43 +310,47 @@ func (h *chandle) ReadReply(ctx vfsapi.Ctx, off, n int64, reply func()) (int64, 
 	switch at {
 	case handEOF:
 		return 0, nil
-	case handWait:
-		c.fetchQ.WaitTimeout(ctx.P, c.params.DirtyThrottleCheck)
-	case handMiss:
-		if err := h.fill(ctx, g); err != nil {
-			return 0, err
-		}
-	}
-	return h.fetchAndCopy(ctx, off, n, fetchLen)
-}
-
-// fetchAndCopy fetches the misses of [off, off+fetchLen) and copies
-// [off, off+n) out of the object cache. Misses are fetched with
-// single-fetcher semantics: a range already being fetched by another
-// reader is awaited, not re-fetched (the page in-flight locking of a
-// real client).
-func (h *chandle) fetchAndCopy(ctx vfsapi.Ctx, off, n, fetchLen int64) (int64, error) {
-	c := h.c
-	for {
-		// The client can crash while this reader is parked on the fetch
-		// queue or inside the backend read; resume as a failure, not as
-		// a cache insert against the restarted incarnation.
+	case handLoop:
+		// The handle went stale before the run's claim: the crash check
+		// and the claim, as the fetch loop makes them after each wait.
 		if err := h.failIfStale(ctx); err != nil {
 			return 0, err
 		}
-		var g extent.Extent
-		wait := false
-		c.lockedMeta(ctx, func() { g, wait = h.f.Claim(off, fetchLen) })
-		if wait {
-			c.fetchQ.WaitTimeout(ctx.P, c.params.DirtyThrottleCheck)
-			continue
-		}
-		if g.Len == 0 {
-			break
-		}
-		if err := h.fill(ctx, g); err != nil {
-			return 0, err
-		}
+		g, wait = h.claim(ctx, off, fetchLen)
+	}
+	return h.fetchAndCopy(ctx, off, n, fetchLen, g, wait)
+}
+
+// fetchAndCopy goes on from a claim of [off, off+fetchLen) — g to fetch,
+// or wait while another reader fetches part of it — claim by claim
+// until the range is resident, then copies [off, off+n) out of the
+// object cache. A range another reader is fetching is awaited, not
+// re-fetched (the page in-flight locking of a real client). A reader
+// the client's crash caught parked fails rather than insert into the
+// restarted incarnation's cache.
+func (h *chandle) fetchAndCopy(ctx vfsapi.Ctx, off, n, fetchLen int64, g extent.Extent, wait bool) (int64, error) {
+	c := h.c
+	err := cache.Fetch(g, wait,
+		func() { c.fetchQ.WaitTimeout(ctx.P, c.params.DirtyThrottleCheck) },
+		func(g extent.Extent) error {
+			c.wire(ctx, g.Len)
+			err := c.readBackend(ctx, h.f.Ino, g.Off, g.Len)
+			if err == nil {
+				err = h.failIfStale(ctx)
+			}
+			if err == nil {
+				c.stats.MissBytes += g.Len
+				c.cacheInsert(ctx, h.f, g.Off, g.Len)
+			}
+			// Released even on failure, or its waiters would park forever.
+			c.lockedMeta(ctx, func() { h.f.Fetching.Remove(g.Off, g.Len) })
+			c.fetchQ.Broadcast()
+			return err
+		},
+		func() error { return h.failIfStale(ctx) },
+		func() (extent.Extent, bool) { return h.claim(ctx, off, fetchLen) })
+	if err != nil {
+		return 0, err
 	}
 	// Copy out of the object cache (partially under client_lock).
 	c.stats.ReadBytes += n
@@ -354,23 +358,11 @@ func (h *chandle) fetchAndCopy(ctx vfsapi.Ctx, off, n, fetchLen int64) (int64, e
 	return n, nil
 }
 
-// fill fetches g, a range this reader claimed, from the backend into
-// the object cache. It releases the in-flight claim whether or not the
-// fetch succeeds, or readers waiting on the range would park forever.
-func (h *chandle) fill(ctx vfsapi.Ctx, g extent.Extent) error {
-	c := h.c
-	c.wire(ctx, g.Len)
-	err := c.readBackend(ctx, h.f.Ino, g.Off, g.Len)
-	if err == nil {
-		err = h.failIfStale(ctx)
-	}
-	if err == nil {
-		c.stats.MissBytes += g.Len
-		c.cacheInsert(ctx, h.f, g.Off, g.Len)
-	}
-	c.lockedMeta(ctx, func() { h.f.Fetching.Remove(g.Off, g.Len) })
-	c.fetchQ.Broadcast()
-	return err
+// claim claims the first missing range of [off, off+fetchLen) under
+// client_lock.
+func (h *chandle) claim(ctx vfsapi.Ctx, off, fetchLen int64) (g extent.Extent, wait bool) {
+	h.c.lockedMeta(ctx, func() { g, wait = h.f.Claim(off, fetchLen) })
+	return g, wait
 }
 
 // Write copies into the object cache and marks dirty, throttling at the

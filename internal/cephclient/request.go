@@ -17,8 +17,7 @@ const (
 	handDone     hand = iota // served from the cache: return n
 	handEOF                  // a read at or past the end of file: return 0
 	handLoop                 // a stale handle, a recap or a revoked mark: the blocking loop from its top
-	handWait                 // a read's claim must wait on fetchQ
-	handMiss                 // a read claimed g to fetch
+	handFetch                // a read's claim waits or misses: the fetch loop from that claim
 	handRecap                // a write must recap before its copy
 	handThrottle             // a write is over the dirty limit
 )
@@ -48,7 +47,8 @@ type request struct {
 
 	off, n   int64
 	fetchLen int64         // a read's readahead window
-	g        extent.Extent // the range a read claimed to fetch (handMiss)
+	g        extent.Extent // a read's claim (handFetch)
+	wait     bool          // the claim waits on fetchQ (handFetch)
 	at       hand
 
 	sc    obs.Scope // the operation's client-layer crossing, exited by done
@@ -72,7 +72,7 @@ func (c *Client) getRequest(ctx vfsapi.Ctx, h *chandle, sc obs.Scope, reply func
 		r.evicted, r.marked, r.served = r.evict, r.afterMark, r.done
 	}
 	r.h, r.p, r.t, r.span, r.sc, r.reply = h, ctx.P, ctx.T, ctx.Span, sc, reply
-	r.off, r.n, r.fetchLen, r.g = off, n, 0, extent.Extent{}
+	r.off, r.n, r.fetchLen, r.g, r.wait = off, n, 0, extent.Extent{}, false
 	return r
 }
 
@@ -151,19 +151,15 @@ func (r *request) touch() {
 // goes back to the process.
 func (r *request) claim() {
 	c := r.h.c
-	g, wait := r.h.f.Claim(r.off, r.fetchLen)
+	r.g, r.wait = r.h.f.Claim(r.off, r.fetchLen)
 	r.unlock()
-	switch {
-	case wait:
-		r.handBack(handWait)
-	case g.Len > 0:
-		r.g = g
-		r.handBack(handMiss)
-	default:
-		c.stats.ReadBytes += r.n
-		locked, unlocked := c.copySteps(r.n, false)
-		r.t.LockedChainThen(r.p, c.clientLock, r.span, "client_lock", r.served, locked, unlocked)
+	if r.wait || r.g.Len > 0 {
+		r.handBack(handFetch)
+		return
 	}
+	c.stats.ReadBytes += r.n
+	locked, unlocked := c.copySteps(r.n, false)
+	r.t.LockedChainThen(r.p, c.clientLock, r.span, "client_lock", r.served, locked, unlocked)
 }
 
 // write starts a Write's run with the operation's CPU charge.

@@ -136,6 +136,7 @@ func (o *straightLine) read(h *chandle, ctx vfsapi.Ctx, off, n int64) (int64, er
 			return 0, rerr
 		}
 		if err := h.failIfStale(ctx); err != nil {
+			o.cover["read stale after its fetch"]++
 			o.lockedMeta(c, ctx, func() { h.f.Fetching.Remove(g.Off, g.Len) })
 			c.fetchQ.Broadcast()
 			return 0, err
@@ -740,7 +741,7 @@ func TestChandleRunMatchesStraightLine(t *testing.T) {
 	}
 	for _, path := range []string{
 		"read hit", "read at EOF", "read clamped at EOF", "read miss", "read waits on fetchQ",
-		"read stale at its claim", "evict", "write throttled", "write stale after its copy",
+		"read stale at its claim", "read stale after its fetch", "evict", "write throttled", "write stale after its copy",
 		"write recaps before its copy", "write recaps after its copy", "write mark revoked",
 		"FUSE read", "FUSE write",
 	} {

@@ -18,8 +18,9 @@ func BenchmarkExecCoalescedUncontended(b *testing.B) {
 
 func execCoalescedUncontended(n int) func() { return execIdle(n, 10*time.Millisecond) }
 
-// BenchmarkExecSubQuantum measures the short-Exec fast path (the IPC
-// and syscall cost charges, far below one quantum).
+// BenchmarkExecSubQuantum measures a short Exec on an idle core (the
+// IPC and syscall cost charges, far below one quantum): one pooled run
+// whose only event is the wake that ends its slice.
 func BenchmarkExecSubQuantum(b *testing.B) { allocgate.Bench(b, execSubQuantum) }
 
 func execSubQuantum(n int) func() { return execIdle(n, time.Microsecond) }

@@ -196,7 +196,7 @@ func (t *Thread) Account() *Account { return t.acct }
 // affinity mask, waiting FIFO for a core when all are busy and yielding
 // the core every scheduler quantum. It is a one-step Chain.
 func (t *Thread) Exec(p *sim.Proc, k TimeKind, d time.Duration) {
-	if d > 0 && !t.oneSlice(p, nil, nil, "", Charge(k, d)) {
+	if d > 0 {
 		t.Chain(p, Charge(k, d))
 	}
 }
@@ -232,14 +232,14 @@ func (t *Thread) ModeSwitchStep() Step {
 	return Step{Kind: Kernel, D: t.cpu.params.ModeSwitchCost, Count: CountModeSwitch, Thread: t}
 }
 
-// ContextSwitchStep returns the step ContextSwitch runs on t.
+// ContextSwitchStep returns one thread switch charged to t's account.
 func (t *Thread) ContextSwitchStep() Step {
 	return Step{Kind: Kernel, D: t.cpu.params.ContextSwitchCost, Count: CountContextSwitch, Thread: t}
 }
 
 // Chain runs steps back to back, each on its own thread. It is
 // equivalent, event for event, to issuing the same steps as consecutive
-// Exec, ModeSwitch and ContextSwitch calls on their threads, with each
+// one-step chains (Exec, ModeSwitch) on their threads, with each
 // step's Unlock called just before it, so it fits any run of charges and
 // lock releases between which the process does nothing else — a FUSE
 // daemon thread's reply charges and the application thread's return
@@ -267,9 +267,6 @@ func (t *Thread) Chain(p *sim.Proc, steps ...Step) {
 // queued for through a callback waiter, so the process still parks once
 // for lock wait and chain together. A nil m runs Chain.
 func (t *Thread) LockedChain(p *sim.Proc, m *sim.Mutex, span *obs.Span, lock string, steps ...Step) {
-	if len(steps) == 1 && t.oneSlice(p, m, span, lock, steps[0]) {
-		return
-	}
 	if r := t.start(p, m, span, lock, nil, steps); r != nil {
 		p.Park()
 		// The wake that ended the last slice: charge it, enter the
@@ -277,37 +274,6 @@ func (t *Thread) LockedChain(p *sim.Proc, m *sim.Mutex, span *obs.Span, lock str
 		// continuation form's callback does.
 		r.fire()
 	}
-}
-
-// oneSlice runs s, the only step of a blocking chain taking m, if m is
-// free (or nil) and s's work fits one slice, and reports whether it
-// did. On an idle core the slice is a plain Sleep, which needs no run
-// state; otherwise the run queues for a core, as start would have
-// queued it. tryAcquire is called once either way: its scan start
-// advances with each call.
-func (t *Thread) oneSlice(p *sim.Proc, m *sim.Mutex, span *obs.Span, lock string, s Step) bool {
-	c := t.cpu
-	if s.D <= 0 || s.D > c.params.Quantum || m != nil && m.Locked() {
-		return false
-	}
-	if m != nil {
-		m.Lock(p) // free: taken at once
-		span.LockWait(lock, 0)
-	}
-	th := t.enterStep(p, &s)
-	core, ok := c.tryAcquire(th)
-	if ok {
-		p.Sleep(s.D)
-		c.endSlice(p, th, s.Kind, core, s.D)
-		return true
-	}
-	r := c.getRun(p, t)
-	r.rest, r.i, r.work = append(r.rest[:0], s), 1, 1
-	r.t, r.kind, r.d = th, s.Kind, s.D
-	c.enqueue(r)
-	p.Park()
-	r.fire()
-	return true
 }
 
 // LockedChainThen is the continuation form of LockedChain: it never
@@ -366,17 +332,6 @@ func (t *Thread) enterStep(p *sim.Proc, s *Step) *Thread {
 	}
 	t.acct.count(s.Count)
 	return t
-}
-
-// endSlice charges the slice of length d that t ran on core, ending now,
-// and releases the core.
-func (c *CPU) endSlice(p *sim.Proc, t *Thread, k TimeKind, core int, d time.Duration) {
-	c.cores[core].busyTime += d
-	t.acct.addTime(k, d)
-	t.lastCore = core
-	c.recordSlice(core, d, t.acct, k)
-	p.ReportWait("run", "cpu", "", 0, d)
-	c.release(core)
 }
 
 // execRun drives one Chain. The owning process parks once; everything
@@ -475,7 +430,13 @@ func (r *execRun) acquire() {
 // the step, or proceed to the next step, at once or by queueing for a
 // core, exactly as the historical loop did between two slices.
 func (r *execRun) fire() {
-	r.c.endSlice(r.p, r.t, r.kind, r.core, r.slice)
+	c, t := r.c, r.t
+	c.cores[r.core].busyTime += r.slice
+	t.acct.addTime(r.kind, r.slice)
+	t.lastCore = r.core
+	c.recordSlice(r.core, r.slice, t.acct, r.kind)
+	r.p.ReportWait("run", "cpu", "", 0, r.slice)
+	c.release(r.core)
 	r.d -= r.slice
 	if r.d > 0 {
 		r.acquire()
@@ -547,9 +508,6 @@ func (t *Thread) ExecBytes(p *sim.Proc, k TimeKind, n, bytesPerSec int64) {
 
 // ModeSwitch charges one user/kernel crossing to the thread.
 func (t *Thread) ModeSwitch(p *sim.Proc) { t.Chain(p, t.ModeSwitchStep()) }
-
-// ContextSwitch charges one thread switch to the thread's account.
-func (t *Thread) ContextSwitch(p *sim.Proc) { t.Chain(p, t.ContextSwitchStep()) }
 
 // enqueue queues r for a core in its thread's mask, for a run that
 // found none idle: it stamps r with the next admission number and

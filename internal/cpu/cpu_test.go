@@ -197,7 +197,7 @@ func TestModeAndContextSwitchAccounting(t *testing.T) {
 		th := c.NewThread(acct, 0)
 		th.ModeSwitch(p)
 		th.ModeSwitch(p)
-		th.ContextSwitch(p)
+		th.Chain(p, th.ContextSwitchStep())
 	})
 	e.Run()
 	if acct.ModeSwitches() != 2 {
@@ -572,7 +572,7 @@ type execMode int
 
 const (
 	viaHistoricalLoop execMode = iota // Lock; per step: Unlock, bump the counter, historicalCPU.exec
-	viaCalls                          // Lock; per step: Unlock, one Exec, ModeSwitch or ContextSwitch
+	viaCalls                          // Lock; per step: Unlock, one Exec, ModeSwitch or context-switch Chain
 	viaChain                          // one LockedChain (a Chain without a lock) per chain
 	viaChainThen                      // one LockedChainThen per chain, whose continuation hands control back
 )
@@ -785,7 +785,7 @@ func runExecScenario(sc execScenario, mode execMode, tick time.Duration) execOut
 						case s.Count == CountModeSwitch:
 							sth.ModeSwitch(p)
 						case s.Count == CountContextSwitch:
-							sth.ContextSwitch(p)
+							sth.Chain(p, sth.ContextSwitchStep())
 						default:
 							sth.Exec(p, s.Kind, s.D)
 						}
@@ -826,9 +826,10 @@ func runExecScenario(sc execScenario, mode execMode, tick time.Duration) execOut
 // charges and mode and context switches, with steps on other threads
 // and chains that start by taking a mutex and release it as a step is
 // entered (zero-length steps on either side) or after the chain, each
-// chain issued as Lock plus consecutive Unlock/Exec/ModeSwitch/
-// ContextSwitch calls and as one LockedChain must return at the same
-// time as under the loop, charge every core and account the same, show
+// chain issued as Lock plus consecutive Unlock/Exec/ModeSwitch calls
+// and one-step context-switch Chains, and as one LockedChain, must
+// return at the same time as under the loop, charge every core and
+// account the same, show
 // the same switch counters and span lock waits at every window
 // boundary, report the same runqueue, run and lock waits in the same
 // order, and process the same number of events; and so must each chain

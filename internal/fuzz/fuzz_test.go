@@ -218,6 +218,29 @@ func TestParseSpecRejectsGarbage(t *testing.T) {
 	}
 }
 
+// A value the scenario would silently take as unset or run oversized
+// is rejected with an error naming its key.
+func TestParseSpecRejectsBadValues(t *testing.T) {
+	for _, tc := range []struct{ key, val string }{
+		{"factor", "NaN"},
+		{"factor", "+Inf"},
+		{"factor", "-Inf"},
+		{"cachefrac", "-1"},
+		{"offeredload", "-5"},
+		{"admitq", "-2"},
+	} {
+		_, err := ParseSpec(strings.NewReader("duration=60ms\n" + tc.key + "=" + tc.val))
+		if err == nil || !strings.Contains(err.Error(), "bad "+tc.key+":") {
+			t.Errorf("%s=%s: got error %v, want one naming %s", tc.key, tc.val, err, tc.key)
+		}
+	}
+	for _, ok := range []string{"factor=0.5", "cachefrac=0", "offeredload=0", "admitq=0"} {
+		if _, err := ParseSpec(strings.NewReader("duration=60ms\n" + ok)); err != nil {
+			t.Errorf("%s: %v", ok, err)
+		}
+	}
+}
+
 // Regression reproducers from the first fuzz sweeps, shrunk by the
 // shrinker. Each pinned a real bug; all must stay green.
 var reproSpecs = []struct {

@@ -2,8 +2,10 @@ package fuzz
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -300,9 +302,11 @@ func ParseSpec(r io.Reader) (Scenario, error) {
 		case "sharedmount":
 			sc.SharedMount, err = strconv.ParseBool(val)
 		case "factor":
-			sc.Factor, err = strconv.ParseFloat(val, 64)
+			if sc.Factor, err = strconv.ParseFloat(val, 64); err == nil && (math.IsNaN(sc.Factor) || math.IsInf(sc.Factor, 0)) {
+				err = errors.New("must be finite")
+			}
 		case "cachefrac":
-			sc.CacheFrac, err = strconv.Atoi(val)
+			sc.CacheFrac, err = nonNegative(val)
 		case "warmup":
 			sc.Warmup, err = time.ParseDuration(val)
 		case "duration":
@@ -310,9 +314,9 @@ func ParseSpec(r io.Reader) (Scenario, error) {
 		case "schedule":
 			sc.Schedule = val
 		case "offeredload":
-			sc.OfferedLoad, err = strconv.Atoi(val)
+			sc.OfferedLoad, err = nonNegative(val)
 		case "admitq":
-			sc.AdmitQueue, err = strconv.Atoi(val)
+			sc.AdmitQueue, err = nonNegative(val)
 		case "crash":
 			sc.Crash = val
 		case "tracereplay":
@@ -361,4 +365,13 @@ func ParseSpec(r io.Reader) (Scenario, error) {
 		sc.Warmup = 10 * time.Millisecond
 	}
 	return sc, nil
+}
+
+// nonNegative parses a count whose zero means unset.
+func nonNegative(val string) (int, error) {
+	n, err := strconv.Atoi(val)
+	if err == nil && n < 0 {
+		err = errors.New("must not be negative")
+	}
+	return n, err
 }

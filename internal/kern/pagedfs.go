@@ -211,42 +211,37 @@ func (h *pagedHandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 // until the range is resident, then touches the file and copies
 // [off,off+n) out. Misses are fetched with page-lock semantics: ranges
 // being read in by another thread are awaited rather than re-fetched.
+// The claims take no lock: the page lock is per page.
 func (h *pagedHandle) fetchAndCopy(ctx vfsapi.Ctx, off, n, fetchLen int64, g extent.Extent, wait bool) (int64, error) {
 	m := h.m
 	params := m.kern.params
-	for {
-		switch {
-		case wait:
-			m.fetchQ.WaitTimeout(ctx.P, params.DirtyThrottleCheck)
-		case g.Len == 0:
-			// LRU touch for the access (page flags only — cached reads
-			// do not pay per-page lock holds) plus the user-visible
-			// copy out.
-			m.withLRU(ctx, func() { m.cache.Touch(h.f) })
-			ctx.T.Exec(ctx.P, cpu.Kernel, params.CopyTime(n))
-			return n, nil
-		default:
+	err := cache.Fetch(g, wait,
+		func() { m.fetchQ.WaitTimeout(ctx.P, params.DirtyThrottleCheck) },
+		func(g extent.Extent) error {
 			m.store.ReadData(ctx, h.f.Ino, g.Off, g.Len)
-			if err := h.failIfStale(ctx); err != nil {
-				// Crashed during the store read: release the claim so
-				// other stale waiters cycle out, and fail instead of
-				// inserting into the restarted incarnation's cache.
-				h.f.Fetching.Remove(g.Off, g.Len)
-				m.fetchQ.Broadcast()
-				return 0, err
+			// Crashed during the store read: release the claim so other
+			// stale waiters cycle out, and fail instead of inserting into
+			// the restarted incarnation's cache.
+			err := h.failIfStale(ctx)
+			if err == nil {
+				m.cacheInsert(ctx, h.f, g.Off, g.Len)
 			}
-			m.cacheInsert(ctx, h.f, g.Off, g.Len)
 			h.f.Fetching.Remove(g.Off, g.Len)
 			m.fetchQ.Broadcast()
-		}
-		if err := h.failIfStale(ctx); err != nil {
-			// The client died while we waited on a fetch: the page
-			// cache was discarded, fail rather than re-fetch from the
-			// dead store.
-			return 0, err
-		}
-		g, wait = h.f.Claim(off, fetchLen)
+			return err
+		},
+		// The client died while we waited on a fetch: the page cache was
+		// discarded, fail rather than re-fetch from the dead store.
+		func() error { return h.failIfStale(ctx) },
+		func() (extent.Extent, bool) { return h.f.Claim(off, fetchLen) })
+	if err != nil {
+		return 0, err
 	}
+	// LRU touch for the access (page flags only — cached reads do not
+	// pay per-page lock holds) plus the user-visible copy out.
+	m.withLRU(ctx, func() { m.cache.Touch(h.f) })
+	ctx.T.Exec(ctx.P, cpu.Kernel, params.CopyTime(n))
+	return n, nil
 }
 
 // Write copies [off,off+n) into the page cache and marks it dirty,

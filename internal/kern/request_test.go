@@ -152,6 +152,7 @@ func (o *straightLine) read(h *pagedHandle, ctx vfsapi.Ctx, off, n int64) (int64
 		missed = true
 		m.store.ReadData(ctx, h.f.Ino, g.Off, g.Len)
 		if err := h.failIfStale(ctx); err != nil {
+			o.cover["read stale after its fetch"]++
 			h.f.Fetching.Remove(g.Off, g.Len)
 			m.fetchQ.Broadcast()
 			return 0, err
@@ -738,7 +739,7 @@ func TestKernRunMatchesStraightLine(t *testing.T) {
 	}
 	for _, path := range []string{
 		"read hit", "read at EOF", "read clamped at EOF", "read DIRECT", "read miss", "read waits on fetchQ",
-		"read in brownout", "read on a closed or stale handle", "evict", "insert into a stale ledger entry",
+		"read in brownout", "read on a closed or stale handle", "read stale after its fetch", "evict", "insert into a stale ledger entry",
 		"mark a stale ledger entry", "write", "write DIRECT", "write on a read-only handle",
 		"write on a closed or stale handle", "write paced", "write at the hard dirty limit", "write stale after its mark",
 		"close", "close pushes the size", "close a closed handle", "close a stale handle",
