@@ -12,7 +12,11 @@
 // kthreads; the user-level client takes client_lock around every call
 // and writes back from threads pinned to its pool. Fetch, the one
 // read-miss loop, is as pure: each client passes its wait, fill, crash
-// check and claim.
+// check and claim. Write-back shares Due, the one write-back-due test,
+// and Written, which takes a stored batch off the dirty total. Each
+// client stores a popped batch in one step (kern Mount.storeBatch,
+// cephclient writeBatch) that makes the client's one crash check,
+// "crashed or Stale(f)", before Written.
 package cache
 
 import (
@@ -102,7 +106,7 @@ type Cache[X any] struct {
 	// dead incarnation: Touch, Insert and MarkDirty ignore them.
 	Gen uint64
 	// DirtyBytes is the dirty total. MarkDirty and Drop keep it;
-	// writeback subtracts each batch once the backend has it.
+	// Written subtracts each batch once the backend has it.
 	DirtyBytes int64
 	// OldestDirty is when the file at the head of the dirty list was
 	// first dirtied: the age the expire check reads.
@@ -240,6 +244,22 @@ func (c *Cache[X]) NextDirty() *File[X] {
 		}
 	}
 	return nil
+}
+
+// Due reports whether write-back is due: the dirty total is at least
+// bg, or the longest-dirty file has waited expire by now.
+func (c *Cache[X]) Due(bg int64, now, expire time.Duration) bool {
+	return c.DirtyBytes >= bg || (c.DirtyBytes > 0 && now-c.OldestDirty >= expire)
+}
+
+// Written subtracts a batch of n bytes the backend now holds from the
+// dirty total and takes f off the dirty list once it has no dirty bytes
+// left. The caller has checked that f is not stale.
+func (c *Cache[X]) Written(f *File[X], n int64) {
+	c.DirtyBytes -= n
+	if f.Dirty.Len() == 0 {
+		c.Unlist(f)
+	}
 }
 
 // Unlist takes f off the dirty list, if it is on it.

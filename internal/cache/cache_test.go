@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/extent"
 	"repro/internal/memacct"
@@ -72,6 +73,56 @@ func TestDirtyListIsFIFOWithOldestDirty(t *testing.T) {
 	}
 }
 
+func TestDue(t *testing.T) {
+	const bg, expire = 100, 5
+	for _, tc := range []struct {
+		name   string
+		dirty  int64
+		oldest time.Duration
+		now    time.Duration
+		want   bool
+	}{
+		{"clean", 0, 0, 50, false},
+		{"just below bg, young", bg - 1, 10, 14, false},
+		{"at bg", bg, 10, 10, true},
+		{"just below bg, one tick before expiry", bg - 1, 10, 10 + expire - 1, false},
+		{"just below bg, at expiry", bg - 1, 10, 10 + expire, true},
+		{"clean past expiry", 0, 10, 10 + expire, false},
+	} {
+		c := newLedger(1 << 30)
+		c.DirtyBytes, c.OldestDirty = tc.dirty, tc.oldest
+		if got := c.Due(bg, tc.now, expire); got != tc.want {
+			t.Errorf("%s: Due = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+func TestWritten(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		pop        int64 // bytes of a's 100 dirty bytes the batch took
+		wantDirty  int64 // a's 100 plus b's 50, less the batch
+		wantListed int
+		wantOldest time.Duration
+	}{
+		{"partial batch keeps a listed", 60, 90, 2, 10},
+		{"last batch unlists a", 100, 50, 1, 20},
+	} {
+		c := newLedger(1 << 30)
+		a, _ := c.File(1, 0)
+		b, _ := c.File(2, 0)
+		c.MarkDirty(a, 0, 100, 10)
+		c.MarkDirty(b, 0, 50, 20)
+		_, n := a.Dirty.PopFirst(tc.pop)
+		c.Written(a, n)
+		sum, listed, counter := c.DirtyAudit()
+		if counter != tc.wantDirty || sum != counter || listed != tc.wantListed || c.OldestDirty != tc.wantOldest {
+			t.Errorf("%s: dirty %d (files %d), %d listed, OldestDirty %v; want %d, %d, %v",
+				tc.name, counter, sum, listed, c.OldestDirty, tc.wantDirty, tc.wantListed, tc.wantOldest)
+		}
+	}
+}
+
 func TestNextDirtySkipsFlushingAndUnlistsClean(t *testing.T) {
 	c := newLedger(1 << 30)
 	a, _ := c.File(1, 0)
@@ -81,7 +132,9 @@ func TestNextDirtySkipsFlushingAndUnlistsClean(t *testing.T) {
 		c.MarkDirty(f, 0, 100, 0)
 	}
 	a.Flushing = true
-	a.Dirty.PopFirst(100) // a flusher took all of a's batch
+	if _, n := a.Dirty.PopFirst(100); n != 100 { // a flusher took all of a's batch
+		t.Fatalf("popped %d of a's 100 dirty bytes", n)
+	}
 	b.Dirty.PopFirst(100) // b was written back
 	if f := c.NextDirty(); f != d {
 		t.Fatalf("NextDirty picked ino %d, want 3", f.Ino)

@@ -428,7 +428,6 @@ func (c *Client) flusherLoop(p *sim.Proc) {
 }
 
 func (c *Client) flushPass(ctx vfsapi.Ctx) {
-	const batch = 1 << 20
 	// The writeback span is opened lazily on the first dirty file;
 	// unlike the kernel flusher (which serves every mount on the host),
 	// the user-level flusher only ever works for its own pool — the
@@ -440,13 +439,7 @@ func (c *Client) flushPass(ctx vfsapi.Ctx) {
 		sc.Exit()
 		sp.End(passTotal, nil)
 	}()
-	for {
-		now := c.eng.Now()
-		needed := c.cache.DirtyBytes >= c.cfg.MaxDirty/2 ||
-			(c.cache.DirtyBytes > 0 && now-c.cache.OldestDirty >= c.params.DirtyExpire)
-		if !needed {
-			return
-		}
+	for c.cache.Due(c.cfg.MaxDirty/2, c.eng.Now(), c.params.DirtyExpire) {
 		f := c.cache.NextDirty()
 		if f == nil {
 			return
@@ -456,32 +449,48 @@ func (c *Client) flushPass(ctx vfsapi.Ctx) {
 			sc = sp.Enter(obs.LayerWriteback)
 			ctx.Span = sp
 		}
-		var exts []extent.Extent
-		c.lockedMeta(ctx, func() { exts = f.Dirty.PopFirst(batch) })
-		var total int64
-		for _, e := range exts {
-			total += e.Len
-			if !f.Unlinked {
-				c.wire(ctx, e.Len)
-				c.writePersist(ctx, f.Ino, e.Off, e.Len)
-				c.stats.FlushedBytes += e.Len
-			}
-		}
-		if c.crashed {
-			// Crashed mid-flush: the crash reset the dirty accounting
-			// wholesale, so this pass must not decrement it again.
+		total, sent, err := c.writeBatch(ctx, f, 1<<20)
+		c.stats.FlushedBytes += sent
+		if err == ErrCrashed {
 			return
 		}
 		passTotal += total
-		c.cache.DirtyBytes -= total
-		if f.Dirty.Len() == 0 {
-			c.cache.Unlist(f)
-			if !f.Unlinked {
-				c.pushSize(ctx, f)
-			}
+		if f.Dirty.Len() == 0 && !f.Unlinked {
+			c.pushSize(ctx, f)
 		}
 		c.throttleQ.Broadcast()
 	}
+}
+
+// writeBatch is the client's one write-back step. It pops up to max
+// bytes of f's dirty data under client_lock and persists them extent by
+// extent, stopping at the first failure; an unlinked file's data is
+// dropped. Unless the client crashed meanwhile, it takes the whole
+// batch off the dirty total: a failed extent is lost, as a crash loses
+// it. It returns the bytes popped and sent, and ErrCrashed after a
+// crash or else the persist error.
+func (c *Client) writeBatch(ctx vfsapi.Ctx, f *cfile, max int64) (total, sent int64, err error) {
+	var exts []extent.Extent
+	c.lockedMeta(ctx, func() { exts, total = f.Dirty.PopFirst(max) })
+	for _, e := range exts {
+		if f.Unlinked {
+			continue
+		}
+		c.wire(ctx, e.Len)
+		err = c.writePersist(ctx, f.Ino, e.Off, e.Len)
+		sent += e.Len
+		if err != nil {
+			break
+		}
+	}
+	// The crash already reset the dirty accounting of the incarnation
+	// this batch came from; subtracting it again, or from a restarted
+	// one, would drive the total negative.
+	if c.crashed || c.cache.Stale(f) {
+		return total, sent, ErrCrashed
+	}
+	c.cache.Written(f, total)
+	return total, sent, err
 }
 
 // pushSize propagates the client's size view to the MDS.
@@ -512,7 +521,9 @@ func (c *Client) RevokeCaps(ctx vfsapi.Ctx, ino uint64) {
 		}
 		return
 	}
-	if !c.drain(ctx, f) {
+	// A failed persist (a stopped client) still revokes: the drop below
+	// discards what the drain left.
+	if c.drain(ctx, f) == ErrCrashed {
 		return
 	}
 	c.lockedMeta(ctx, func() {
@@ -532,35 +543,29 @@ func (c *Client) RevokeCaps(ctx vfsapi.Ctx, ino uint64) {
 // filesystem from any other client.
 func (c *Client) SyncAll(ctx vfsapi.Ctx) {
 	for f := c.cache.NextDirty(); f != nil; f = c.cache.NextDirty() {
-		if !c.drain(ctx, f) {
+		if c.drain(ctx, f) != nil {
 			return
 		}
 	}
 }
 
-// drain writes all of f's dirty data back, 4 MiB per client_lock hold,
-// then takes f off the dirty list, pushes its size and wakes throttled
-// writers. It reports false, stopping at once, if the client crashed
-// meanwhile: the crash already reset the dirty accounting.
-func (c *Client) drain(ctx vfsapi.Ctx, f *cfile) bool {
+// drain writes f's dirty data back, 4 MiB per client_lock hold, waking
+// throttled writers after each batch, then pushes f's size. It stops at
+// the first error: ErrCrashed once the client crashed, else a failed
+// persist.
+func (c *Client) drain(ctx vfsapi.Ctx, f *cfile) error {
 	for f.Dirty.Len() > 0 {
-		var exts []extent.Extent
-		c.lockedMeta(ctx, func() { exts = f.Dirty.PopFirst(4 << 20) })
-		var total int64
-		for _, e := range exts {
-			c.wire(ctx, e.Len)
-			c.writePersist(ctx, f.Ino, e.Off, e.Len)
-			total += e.Len
+		_, _, err := c.writeBatch(ctx, f, 4<<20)
+		if err == ErrCrashed {
+			return err
 		}
-		if c.crashed {
-			return false
+		c.throttleQ.Broadcast()
+		if err != nil {
+			return err
 		}
-		c.cache.DirtyBytes -= total
 	}
-	c.cache.Unlist(f)
 	c.pushSize(ctx, f)
-	c.throttleQ.Broadcast()
-	return true
+	return nil
 }
 
 // dropCache discards f's cached and dirty data. Caller holds

@@ -565,6 +565,42 @@ func TestDirtyAuditAcrossLifecycle(t *testing.T) {
 	})
 }
 
+// TestSyncAllStopsAtCrash: a SyncAll parked in a backend write when the
+// client crashes and restarts must not subtract its dead batch, or drain
+// anything, from the restarted incarnation's dirty total.
+func TestSyncAllStopsAtCrash(t *testing.T) {
+	r := newRig(t, Config{})
+	syncing, synced := false, false
+	r.eng.Go("crasher", func(p *sim.Proc) {
+		for !syncing {
+			p.Sleep(100 * time.Microsecond)
+		}
+		p.Sleep(time.Millisecond)
+		ctx := vfsapi.Ctx{P: p, T: r.cpus.NewThread(r.acct, 0)}
+		if synced || r.client.DirtyBytes() != 8<<20 {
+			t.Errorf("SyncAll not parked in its first batch: returned %v, dirty %d", synced, r.client.DirtyBytes())
+		}
+		r.client.Crash()
+		if err := r.client.Restart(ctx); err != nil {
+			t.Error(err)
+		}
+		h, err := r.client.Open(ctx, "/b", vfsapi.CREATE|vfsapi.WRONLY)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		h.Write(ctx, 0, 4096)
+	})
+	r.run(t, func(ctx vfsapi.Ctx) {
+		h, _ := r.client.Open(ctx, "/a", vfsapi.CREATE|vfsapi.WRONLY)
+		h.Write(ctx, 0, 8<<20)
+		syncing = true
+		r.client.SyncAll(ctx)
+		synced = true
+		auditDirty(t, r.client, "after restart", 4096)
+	})
+}
+
 // TestWriteAfterRevocationRecaps: a write through a handle whose file
 // another client's open revoked re-acquires caps and lands on a current
 // cfile — also when the revocation arrives while the write is parked,

@@ -459,39 +459,12 @@ func (h *chandle) Fsync(ctx vfsapi.Ctx) error {
 	if h.closed {
 		return vfsapi.ErrClosed
 	}
-	c := h.c
-	for h.f.Dirty.Len() > 0 {
-		var exts []extent.Extent
-		c.lockedMeta(ctx, func() { exts = h.f.Dirty.PopFirst(4 << 20) })
-		var popped int64
-		for _, e := range exts {
-			popped += e.Len
-		}
-		var werr error
-		for _, e := range exts {
-			c.wire(ctx, e.Len)
-			if werr = c.writePersist(ctx, h.f.Ino, e.Off, e.Len); werr != nil {
-				break
-			}
-		}
-		if err := h.failIfStale(ctx); err != nil {
-			// Crashed mid-persist: the crash already zeroed the dirty
-			// accounting with the rest of the cache, so decrementing the
-			// popped extents here would double-count the loss.
-			return err
-		}
-		// The popped extents left the dirty set either way; keep the
-		// accounting consistent even on a failed persist (the client is
-		// stopped — the data is lost, as a crash loses it).
-		c.cache.DirtyBytes -= popped
-		c.throttleQ.Broadcast()
-		if werr != nil {
-			return werr
-		}
+	if err := h.c.drain(ctx, h.f); err != ErrCrashed {
+		return err
 	}
-	c.cache.Unlist(h.f)
-	c.pushSize(ctx, h.f)
-	return nil
+	// Crashed mid-persist: the un-acknowledged batch must not count as
+	// synced.
+	return h.failIfStale(ctx)
 }
 
 // Close releases the handle, pushing the size for written files.

@@ -135,10 +135,9 @@ func (s *Set) Gaps(off, n int64) []Extent {
 }
 
 // PopFirst removes and returns up to max bytes from the lowest-offset
-// extents (used by flushers draining dirty sets in file order).
-func (s *Set) PopFirst(max int64) []Extent {
-	var out []Extent
-	var taken int64
+// extents, and their total (used by write-back draining dirty sets in
+// file order).
+func (s *Set) PopFirst(max int64) (out []Extent, taken int64) {
 	for taken < max && len(s.ext) > 0 {
 		e := s.ext[0]
 		want := max - taken
@@ -152,7 +151,7 @@ func (s *Set) PopFirst(max int64) []Extent {
 			taken += want
 		}
 	}
-	return out
+	return out, taken
 }
 
 // Clear empties the set.

@@ -78,9 +78,9 @@ func TestPopFirst(t *testing.T) {
 	var s Set
 	s.Insert(0, 10)
 	s.Insert(20, 10)
-	got := s.PopFirst(15)
-	if len(got) != 2 || got[0] != (Extent{0, 10}) || got[1] != (Extent{20, 5}) {
-		t.Fatalf("PopFirst = %v", got)
+	got, n := s.PopFirst(15)
+	if len(got) != 2 || got[0] != (Extent{0, 10}) || got[1] != (Extent{20, 5}) || n != 15 {
+		t.Fatalf("PopFirst = %v, %d", got, n)
 	}
 	if s.Len() != 5 || !s.Contains(25, 5) {
 		t.Fatalf("remainder wrong: %v", s.Extents())
@@ -220,16 +220,16 @@ func TestZeroAndNegativeSizes(t *testing.T) {
 
 func TestPopFirstEdgeCases(t *testing.T) {
 	var s Set
-	if got := s.PopFirst(100); got != nil {
-		t.Fatalf("pop from empty = %v", got)
+	if got, n := s.PopFirst(100); got != nil || n != 0 {
+		t.Fatalf("pop from empty = %v, %d", got, n)
 	}
 	s.Insert(10, 5)
-	if got := s.PopFirst(0); got != nil {
-		t.Fatalf("pop zero = %v", got)
+	if got, n := s.PopFirst(0); got != nil || n != 0 {
+		t.Fatalf("pop zero = %v, %d", got, n)
 	}
-	got := s.PopFirst(100)
-	if len(got) != 1 || got[0] != (Extent{10, 5}) {
-		t.Fatalf("pop all = %v", got)
+	got, n := s.PopFirst(100)
+	if len(got) != 1 || got[0] != (Extent{10, 5}) || n != 5 {
+		t.Fatalf("pop all = %v, %d", got, n)
 	}
 	if s.Len() != 0 || s.Count() != 0 {
 		t.Fatalf("set not drained: %v", s.Extents())

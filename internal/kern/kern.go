@@ -287,10 +287,7 @@ func (k *Kernel) pickDirtyMount() *Mount {
 	n := len(k.mounts)
 	for i := 0; i < n; i++ {
 		m := k.mounts[(k.mountRR+i)%n]
-		if m.cache.DirtyBytes == 0 || m.flushing >= k.params.NumFlushers {
-			continue
-		}
-		if m.cache.DirtyBytes >= m.bgThreshold() || now-m.cache.OldestDirty >= k.params.DirtyExpire {
+		if m.flushing < k.params.NumFlushers && m.cache.Due(m.bgThreshold(), now, k.params.DirtyExpire) {
 			m.flushing++
 			k.mountRR = (k.mountRR + i + 1) % n
 			return m

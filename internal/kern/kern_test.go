@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/cpu"
 	"repro/internal/disk"
+	"repro/internal/memfs"
 	"repro/internal/model"
 	"repro/internal/nstree"
 	"repro/internal/sim"
@@ -537,6 +538,90 @@ func TestSyncAllDrainsEverything(t *testing.T) {
 			t.Fatalf("store received %d", got)
 		}
 	})
+}
+
+// TestSyncAllStopsAtCrash: a SyncAll parked in a store write when the
+// mount crashes and restarts must not subtract its dead batch, or drain
+// anything, from the restarted incarnation's dirty total.
+func TestSyncAllStopsAtCrash(t *testing.T) {
+	r := newRig(t, MountConfig{})
+	r.store.writeDelay = 50 * time.Millisecond
+	syncing, synced := false, false
+	r.eng.Go("crasher", func(p *sim.Proc) {
+		for !syncing {
+			p.Sleep(100 * time.Microsecond)
+		}
+		p.Sleep(5 * time.Millisecond)
+		ctx := r.ctx(p)
+		if len(r.store.writes) != 1 || synced {
+			t.Errorf("SyncAll not parked in its store write: %d writes, returned %v", len(r.store.writes), synced)
+		}
+		r.mount.Crash()
+		if err := r.mount.Restart(ctx); err != nil {
+			t.Error(err)
+		}
+		h, err := r.mount.Open(ctx, "/b", vfsapi.CREATE|vfsapi.WRONLY)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		h.Write(ctx, 0, 4096)
+	})
+	r.run(t, func(ctx vfsapi.Ctx) {
+		h, _ := r.mount.Open(ctx, "/a", vfsapi.CREATE|vfsapi.WRONLY)
+		h.Write(ctx, 0, 1<<20)
+		syncing = true
+		r.mount.SyncAll(ctx)
+		synced = true
+		sum, listed, counter := r.mount.cache.DirtyAudit()
+		if counter != 4096 || sum != counter || listed != 1 {
+			t.Errorf("after restart: per-file dirty sum %d, %d files listed, counter %d; want 4096, 1, 4096", sum, listed, counter)
+		}
+	})
+}
+
+// TestFsyncUnlinkedOpenFile: a file unlinked while open still takes
+// writes; its fsync drops them, as a flusher would, and pushes neither
+// a size nor a sync to the inode the store has dropped.
+func TestFsyncUnlinkedOpenFile(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		store func(*sim.Engine, *model.Params) Store
+	}{
+		{"local", func(eng *sim.Engine, params *model.Params) Store {
+			return NewLocalStore(eng, disk.NewArray(eng, "raid0", 4, params.DiskSeqBytesPerSec, params.DiskSeekTime, params.DiskStripeUnit))
+		}},
+		{"fsstore", func(*sim.Engine, *model.Params) Store { return NewFSStore(memfs.New()) }},
+	} {
+		eng := sim.NewEngine()
+		params := model.Default()
+		cpus := cpu.New(eng, params, 2)
+		k := New(eng, cpus, params)
+		m := k.Mount(tc.store(eng, params), MountConfig{Name: tc.name})
+		acct := cpu.NewAccount("a")
+		eng.Go("t", func(p *sim.Proc) {
+			defer k.Stop()
+			ctx := vfsapi.Ctx{P: p, T: cpus.NewThread(acct, 0)}
+			h, err := m.Open(ctx, "/f", vfsapi.CREATE|vfsapi.WRONLY)
+			if err != nil {
+				t.Errorf("%s: open: %v", tc.name, err)
+				return
+			}
+			h.Write(ctx, 0, 64<<10)
+			if err := m.Unlink(ctx, "/f"); err != nil {
+				t.Errorf("%s: unlink: %v", tc.name, err)
+				return
+			}
+			h.Write(ctx, 0, 64<<10)
+			if err := h.Fsync(ctx); err != nil {
+				t.Errorf("%s: fsync of an unlinked open file: %v", tc.name, err)
+			}
+			if sum, listed, counter := m.cache.DirtyAudit(); sum != 0 || listed != 0 || counter != 0 {
+				t.Errorf("%s: after fsync: per-file dirty sum %d, %d files listed, counter %d", tc.name, sum, listed, counter)
+			}
+		})
+		eng.Run()
+	}
 }
 
 // TestDirtyAuditAcrossLifecycle recomputes the page cache's dirty

@@ -316,25 +316,16 @@ func (h *pagedHandle) Fsync(ctx vfsapi.Ctx) error {
 		return err
 	}
 	m := h.m
-	for h.f.Dirty.Len() > 0 {
-		m.kern.writebackLock.Lock(ctx.P)
-		ctx.T.Exec(ctx.P, cpu.Kernel, m.kern.params.WritebackLockHold)
-		exts := h.f.Dirty.PopFirst(4 << 20)
-		m.kern.writebackLock.Unlock(ctx.P)
-		var total int64
-		for _, e := range exts {
-			m.store.WriteData(ctx, h.f.Ino, e.Off, e.Len)
-			total += e.Len
-		}
-		if err := h.failIfStale(ctx); err != nil {
-			// Crash mid-fsync: the dirty accounting was already zeroed,
-			// and the un-acknowledged batch must not count as synced.
-			return err
-		}
-		m.cache.DirtyBytes -= total
-		m.throttleQ.Broadcast()
+	if !m.drain(ctx, h.f) {
+		// Crash mid-fsync: the un-acknowledged batch must not count as
+		// synced.
+		return h.failIfStale(ctx)
 	}
-	m.cache.Unlist(h.f)
+	// An unlinked file's inode is gone from the store: its size, like
+	// its pages, goes nowhere, and no layer below holds its data.
+	if h.f.Unlinked {
+		return nil
+	}
 	if err := m.store.SetSize(ctx, h.f.Ino, h.f.Size); err != nil {
 		return err
 	}
