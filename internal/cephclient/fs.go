@@ -278,48 +278,61 @@ func (h *chandle) recap(ctx vfsapi.Ctx) {
 }
 
 // Read serves from the object cache, fetching misses from the OSDs.
-// The cache-hit part runs as one request run (see request), which
-// hands control back at EOF, at a stale handle, and at a claim that
-// must wait for or fetch a range; the fetch loop then goes on here.
+// The cache-hit part runs as one request run (see Start), which hands
+// control back at EOF, at a stale handle, and at a claim that must wait
+// for or fetch a range; the fetch loop then goes on in Finish.
 func (h *chandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
-	return h.ReadReply(ctx, off, n, nil)
+	return h.do(ctx, false, off, n)
 }
 
-// ReadReply is Read for a FUSE daemon serving a request: a read its
-// request run serves from the cache starts the crossing's reply with
-// reply where it would have resumed the process, so the process parks
-// once for the request and the reply; the process resumes at the
-// reply's end. Any other read returns with the reply not started. A nil
-// reply is Read.
-func (h *chandle) ReadReply(ctx vfsapi.Ctx, off, n int64, reply func()) (int64, error) {
-	sc := ctx.Span.Enter(obs.LayerClient)
-	if err := h.usable(ctx); err != nil {
-		sc.Exit()
-		return 0, err
-	}
-	c := h.c
-	r := c.getRequest(ctx, h, sc, reply, off, n)
-	r.read()
-	ctx.P.Park()
-	at, n, fetchLen, g, wait := r.at, r.n, r.fetchLen, r.g, r.wait
-	c.putRequest(r)
-	if at == handDone {
-		return n, nil // the run exited the client layer
-	}
-	defer sc.Exit()
-	switch at {
-	case handEOF:
-		return 0, nil
-	case handLoop:
-		// The handle went stale before the run's claim: the crash check
-		// and the claim, as the fetch loop makes them after each wait.
-		if err := h.failIfStale(ctx); err != nil {
-			return 0, err
-		}
-		g, wait = h.claim(ctx, off, fetchLen)
-	}
-	return h.fetchAndCopy(ctx, off, n, fetchLen, g, wait)
+// Write copies into the object cache and marks dirty, throttling at the
+// client's dirty limit. The cache-hit part runs as one request run (see
+// Start), which hands control back where the write must recap, at a
+// stale handle, at a revoked mark and at the dirty throttle; the
+// blocking code then goes on in Finish.
+func (h *chandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
+	return h.do(ctx, true, off, n)
 }
+
+// do is a Read or Write in its process: the request run, then Finish.
+func (h *chandle) do(ctx vfsapi.Ctx, write bool, off, n int64) (int64, error) {
+	r := h.Start(ctx, write, off, n, nil)
+	if r == nil {
+		return 0, h.refuse(ctx, write)
+	}
+	ctx.P.Park()
+	return r.Finish(ctx)
+}
+
+// Start begins a Read or Write as a request run (see vfsapi.Starter).
+// A transport's dispatch calls it with the reply a served request
+// starts in place of resuming the process. A stale or closed handle, a
+// write on a read-only handle and an empty write start no run.
+func (h *chandle) Start(ctx vfsapi.Ctx, write bool, off, n int64, reply func()) vfsapi.Run {
+	if h.stale() || h.closed || write && (!h.writable() || n <= 0) {
+		return nil
+	}
+	r := h.c.getRequest(ctx, h, ctx.Span.Enter(obs.LayerClient), reply, write, off, n)
+	r.start()
+	return r
+}
+
+// refuse is a Read or Write that Start declined: the error of a stale
+// or closed handle, whose crash check charges CPU, or of a write on a
+// read-only handle; nil for an empty write.
+func (h *chandle) refuse(ctx vfsapi.Ctx, write bool) error {
+	defer ctx.Span.Enter(obs.LayerClient).Exit()
+	if err := h.usable(ctx); err != nil {
+		return err
+	}
+	if write && !h.writable() {
+		return vfsapi.ErrReadOnly
+	}
+	return nil
+}
+
+// writable reports whether the handle was opened for writing.
+func (h *chandle) writable() bool { return h.flags.Writable() || h.flags.Has(vfsapi.CREATE) }
 
 // fetchAndCopy goes on from a claim of [off, off+fetchLen) — g to fetch,
 // or wait while another reader fetches part of it — claim by claim
@@ -363,48 +376,6 @@ func (h *chandle) fetchAndCopy(ctx vfsapi.Ctx, off, n, fetchLen int64, g extent.
 func (h *chandle) claim(ctx vfsapi.Ctx, off, fetchLen int64) (g extent.Extent, wait bool) {
 	h.c.lockedMeta(ctx, func() { g, wait = h.f.Claim(off, fetchLen) })
 	return g, wait
-}
-
-// Write copies into the object cache and marks dirty, throttling at the
-// client's dirty limit. The cache-hit part runs as one request run (see
-// request), which hands control back where the write must recap, at a
-// stale handle, at a revoked mark and at the dirty throttle; the
-// blocking code then goes on here.
-func (h *chandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
-	return h.WriteReply(ctx, off, n, nil)
-}
-
-// WriteReply is Write as ReadReply is Read.
-func (h *chandle) WriteReply(ctx vfsapi.Ctx, off, n int64, reply func()) (int64, error) {
-	sc := ctx.Span.Enter(obs.LayerClient)
-	err := h.usable(ctx)
-	if err == nil && !h.flags.Writable() && !h.flags.Has(vfsapi.CREATE) {
-		err = vfsapi.ErrReadOnly
-	}
-	if err != nil || n <= 0 {
-		sc.Exit()
-		return 0, err
-	}
-	c := h.c
-	r := c.getRequest(ctx, h, sc, reply, off, n)
-	r.write()
-	ctx.P.Park()
-	at := r.at
-	c.putRequest(r)
-	if at == handDone {
-		return n, nil // the run exited the client layer
-	}
-	defer sc.Exit()
-	switch at {
-	case handThrottle:
-		c.throttle(ctx)
-		return n, nil
-	case handRecap:
-		h.recap(ctx)
-		h.accept(n)
-		c.copyData(ctx, n, true)
-	}
-	return h.dirty(ctx, off, n)
 }
 
 // accept counts n bytes the handle takes into the cache.

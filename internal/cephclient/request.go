@@ -45,6 +45,7 @@ type request struct {
 	t    *cpu.Thread
 	span *obs.Span
 
+	write    bool
 	off, n   int64
 	fetchLen int64         // a read's readahead window
 	g        extent.Extent // a read's claim (handFetch)
@@ -52,7 +53,7 @@ type request struct {
 	at       hand
 
 	sc    obs.Scope // the operation's client-layer crossing, exited by done
-	reply func()    // a FUSE crossing's reply, started by done; nil resumes the process
+	reply func()    // a transport's reply, started by done; nil resumes the process
 
 	// Reusable continuations, bound once per pooled request.
 	readOp, touched, claimed  func()
@@ -60,7 +61,7 @@ type request struct {
 	evicted, marked, served   func()
 }
 
-func (c *Client) getRequest(ctx vfsapi.Ctx, h *chandle, sc obs.Scope, reply func(), off, n int64) *request {
+func (c *Client) getRequest(ctx vfsapi.Ctx, h *chandle, sc obs.Scope, reply func(), write bool, off, n int64) *request {
 	var r *request
 	if k := len(c.requests); k > 0 {
 		r = c.requests[k-1]
@@ -72,7 +73,7 @@ func (c *Client) getRequest(ctx vfsapi.Ctx, h *chandle, sc obs.Scope, reply func
 		r.evicted, r.marked, r.served = r.evict, r.afterMark, r.done
 	}
 	r.h, r.p, r.t, r.span, r.sc, r.reply = h, ctx.P, ctx.T, ctx.Span, sc, reply
-	r.off, r.n, r.fetchLen, r.g, r.wait = off, n, 0, extent.Extent{}, false
+	r.write, r.off, r.n, r.fetchLen, r.g, r.wait = write, off, n, 0, extent.Extent{}, false
 	return r
 }
 
@@ -88,9 +89,9 @@ func (r *request) handBack(at hand) {
 }
 
 // done ends a request served from the cache: it exits the client layer
-// and, under a FUSE crossing that passed its reply, starts the reply
-// chain, whose end resumes the process; otherwise it resumes the
-// process at once.
+// and, under a transport that passed its reply, starts the reply chain,
+// whose end resumes the process; otherwise it resumes the process at
+// once.
 func (r *request) done() {
 	r.sc.Exit()
 	if r.reply != nil {
@@ -101,6 +102,44 @@ func (r *request) done() {
 	r.handBack(handDone)
 }
 
+// Finish goes on in the process from where the run handed control back
+// (see vfsapi.Run): the fetch loop of a read, the write loop, a recap
+// or the dirty throttle.
+func (r *request) Finish(ctx vfsapi.Ctx) (int64, error) {
+	h, c := r.h, r.h.c
+	at, write, off, n, fetchLen, g, wait, sc := r.at, r.write, r.off, r.n, r.fetchLen, r.g, r.wait, r.sc
+	c.putRequest(r)
+	if at == handDone {
+		return n, nil // the run exited the client layer
+	}
+	defer sc.Exit()
+	switch at {
+	case handEOF:
+		return 0, nil
+	case handThrottle:
+		c.throttle(ctx)
+		return n, nil
+	case handRecap:
+		h.recap(ctx)
+		h.accept(n)
+		c.copyData(ctx, n, true)
+	case handLoop:
+		if !write {
+			// The handle went stale before the run's claim: the crash
+			// check and the claim, as the fetch loop makes them after
+			// each wait.
+			if err := h.failIfStale(ctx); err != nil {
+				return 0, err
+			}
+			g, wait = h.claim(ctx, off, fetchLen)
+		}
+	}
+	if write {
+		return h.dirty(ctx, off, n)
+	}
+	return h.fetchAndCopy(ctx, off, n, fetchLen, g, wait)
+}
+
 // locked chains step holding client_lock, then calls then.
 func (r *request) locked(then func(), step cpu.Step) {
 	r.t.LockedChainThen(r.p, r.h.c.clientLock, r.span, "client_lock", then, step)
@@ -109,9 +148,13 @@ func (r *request) locked(then func(), step cpu.Step) {
 // unlock releases client_lock, held for the step that just ended.
 func (r *request) unlock() { r.h.c.clientLock.Unlock(r.p) }
 
-// read starts a Read's run with the operation's CPU charge.
-func (r *request) read() {
-	r.t.LockedChainThen(r.p, nil, nil, "", r.readOp, r.h.c.opStep())
+// start begins the run with the operation's CPU charge.
+func (r *request) start() {
+	then := r.readOp
+	if r.write {
+		then = r.writeOp
+	}
+	r.t.LockedChainThen(r.p, nil, nil, "", then, r.h.c.opStep())
 }
 
 // afterReadOp clamps the read at the end of file and touches the file.
@@ -160,11 +203,6 @@ func (r *request) claim() {
 	c.stats.ReadBytes += r.n
 	locked, unlocked := c.copySteps(r.n, false)
 	r.t.LockedChainThen(r.p, c.clientLock, r.span, "client_lock", r.served, locked, unlocked)
-}
-
-// write starts a Write's run with the operation's CPU charge.
-func (r *request) write() {
-	r.t.LockedChainThen(r.p, nil, nil, "", r.writeOp, r.h.c.opStep())
 }
 
 // afterWriteOp copies the data into the cache, unless the handle must

@@ -14,6 +14,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/extent"
 	"repro/internal/fusefs"
+	"repro/internal/ipc"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -199,22 +200,24 @@ func (o *straightLine) write(h *chandle, ctx vfsapi.Ctx, off, n int64) (int64, e
 	}
 }
 
-// straightHandle serves a FUSE crossing through the straight-line
-// oracle. It has no ReadReply or WriteReply, so the crossing runs its
-// blocking reply chain after each Read and Write, as it did before the
-// request run took the reply.
+// straightHandle serves a transport through the straight-line oracle.
+// It is no vfsapi.Starter, so the transport hands control back to the
+// process, which calls Read or Write after its dispatch and, under a
+// FUSE crossing, runs the blocking reply chain after them, as before
+// the request run started at the dispatch.
 type straightHandle struct {
-	h *chandle
-	o *straightLine
+	h   *chandle
+	o   *straightLine
+	via string
 }
 
 func (h straightHandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
-	h.o.cover["FUSE read"]++
+	h.o.cover[h.via+" read"]++
 	return h.o.read(h.h, ctx, off, n)
 }
 
 func (h straightHandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
-	h.o.cover["FUSE write"]++
+	h.o.cover[h.via+" write"]++
 	return h.o.write(h.h, ctx, off, n)
 }
 
@@ -224,12 +227,13 @@ func (h straightHandle) Close(ctx vfsapi.Ctx) error                    { return 
 func (h straightHandle) Size() int64                                   { return h.h.Size() }
 func (h straightHandle) Path() string                                  { return h.h.Path() }
 
-// daemonFS is the filesystem a FUSE daemon of the test serves: the
+// daemonFS is the filesystem a transport of the test serves: the
 // client, with each handle Open returns recorded for the application
 // process that opened it, and served by the oracle when o is set.
 type daemonFS struct {
 	*Client
 	o      *straightLine
+	via    string // the transport, for the oracle's path counts
 	opened map[int]*chandle
 }
 
@@ -240,14 +244,14 @@ func (fs *daemonFS) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vf
 	}
 	fs.opened[ctx.P.ID()] = h.(*chandle)
 	if fs.o != nil {
-		return straightHandle{h.(*chandle), fs.o}, nil
+		return straightHandle{h.(*chandle), fs.o, fs.via}, nil
 	}
 	return h, nil
 }
 
 // passFS stands in for a union daemon stacked on a second FUSE mount
-// (F/F): its handles pass every call on to the inner mount's, without
-// a ReadReply or WriteReply of their own.
+// (F/F): its handles pass every call on to the inner mount's, and start
+// no run of their own.
 type passFS struct{ vfsapi.FileSystem }
 
 type passHandle struct{ vfsapi.Handle }
@@ -291,6 +295,7 @@ const (
 	chDirect chMount = iota // by calls into the client, as Danaus does
 	chFUSE                  // through a FUSE mount of the client (F)
 	chFUSE2                 // through a FUSE mount of a FUSE mount of the client (F/F)
+	chIPC                   // through the shared-memory queues of a Danaus service (D)
 )
 
 type chScenario struct {
@@ -416,8 +421,8 @@ func randomChScenario(rng *rand.Rand) chScenario {
 func chPath(i int) string { return fmt.Sprintf("/f%d", i) }
 
 // runChScenario runs sc on a fresh engine, each Read and Write through
-// the straight-line oracle or the real handle, called directly or
-// through one or two FUSE mounts. Every application opens each file
+// the straight-line oracle or the real handle, called directly, through
+// one or two FUSE mounts or through an IPC transport. Every application opens each file
 // read-write, retries the open while the client is down, and reopens a
 // handle a crash left stale. A callback ticks at a fixed period and
 // reads the client's lock, dirty and cache counters and the pool's CPU
@@ -434,12 +439,15 @@ func runChScenario(sc chScenario, straight bool, tick time.Duration) chOutcome {
 	o := &straightLine{cover: map[string]int{}}
 	out := chOutcome{cover: o.cover}
 	daemon := cpu.NewAccount("daemon")
-	served := &daemonFS{Client: c, opened: map[int]*chandle{}}
+	served := &daemonFS{Client: c, via: "FUSE", opened: map[int]*chandle{}}
 	if straight {
 		served.o = o
 	}
 	var mount vfsapi.FileSystem
 	switch sc.mount {
+	case chIPC:
+		served.via = "IPC"
+		mount = ipc.New(e, cpus, params, served, ipc.Config{Name: "svc", Acct: daemon})
 	case chFUSE:
 		mount = fusefs.New(e, cpus, params, served, fusefs.Config{Name: "fuse", Acct: daemon, Threads: 2})
 	case chFUSE2:
@@ -627,12 +635,14 @@ func compareCh(t *testing.T, name string, got, want chOutcome) {
 // result, the engine must run the same events at the same times, the
 // wait reports must match in order, and the lock, cache, CPU and dirty
 // counters must agree at every window boundary and at the end. The
-// applications reach the client directly, through a FUSE mount, or
-// through a FUSE mount stacked on another (F/F); there the run's handle
-// takes the crossing's reply while the oracle's leaves the crossing its
-// blocking reply chain, and the obs slices must match too. The
-// straight line's path counts show that the scenarios reach every
-// point where the run hands control back.
+// applications reach the client directly, through a FUSE mount,
+// through a FUSE mount stacked on another (F/F), or through an IPC
+// transport (D); there the transport starts the run's request at its
+// dispatch and the run takes the crossing's reply, while the oracle's
+// handle starts no run, so its process calls Read or Write after the
+// dispatch and the crossing runs its blocking reply chain; the obs
+// slices must match too. The straight line's path counts show that the
+// scenarios reach every point where the run hands control back.
 func TestChandleRunMatchesStraightLine(t *testing.T) {
 	us := time.Microsecond
 	const page = 4 << 10
@@ -701,17 +711,18 @@ func TestChandleRunMatchesStraightLine(t *testing.T) {
 			fixed[fmt.Sprintf("crash at return %d + %v", i, d)] = contended(chToggle{at: r.at + d, back: 500 * us})
 		}
 	}
-	// The same through FUSE mounts: a served request hands its reply
+	// The same through the transports: a served request hands its reply
 	// off, a miss or a throttled write falls back to the crossing's
 	// blocking reply, and under F/F only the inner crossing takes it.
+	mounts := map[string]chMount{"F: ": chFUSE, "F/F: ": chFUSE2, "D: ": chIPC}
 	for _, name := range []string{"miss and an in-flight fetch", "contended client_lock", "throttled writers", "revoked writers"} {
-		for prefix, mount := range map[string]chMount{"F: ": chFUSE, "F/F: ": chFUSE2} {
+		for prefix, mount := range mounts {
 			sc := fixed[name]
 			sc.mount = mount
 			fixed[prefix+name] = sc
 		}
 	}
-	for prefix, mount := range map[string]chMount{"F: ": chFUSE, "F/F: ": chFUSE2} {
+	for prefix, mount := range mounts {
 		sc := contended()
 		sc.mount = mount
 		probe := runChScenario(sc, true, 37*us)
@@ -729,10 +740,10 @@ func TestChandleRunMatchesStraightLine(t *testing.T) {
 		note(name, want)
 	}
 	rng := rand.New(rand.NewSource(1))
-	mounts := rand.New(rand.NewSource(2))
+	via := rand.New(rand.NewSource(2))
 	for n := 0; n < 1000; n++ {
 		sc := randomChScenario(rng)
-		sc.mount = chMount(mounts.Intn(4) % 3)
+		sc.mount = chMount(via.Intn(4))
 		tick := time.Duration(20+rng.Intn(300)) * us
 		want := runChScenario(sc, true, tick)
 		name := fmt.Sprint("scenario ", n)
@@ -743,7 +754,7 @@ func TestChandleRunMatchesStraightLine(t *testing.T) {
 		"read hit", "read at EOF", "read clamped at EOF", "read miss", "read waits on fetchQ",
 		"read stale at its claim", "read stale after its fetch", "evict", "write throttled", "write stale after its copy",
 		"write recaps before its copy", "write recaps after its copy", "write mark revoked",
-		"FUSE read", "FUSE write",
+		"FUSE read", "FUSE write", "IPC read", "IPC write",
 	} {
 		if cover[path] == 0 {
 			t.Errorf("no scenario reached %q (paths reached: %v)", path, cover)
@@ -753,9 +764,12 @@ func TestChandleRunMatchesStraightLine(t *testing.T) {
 
 // TestChandleRunParksOnce pins what the request run buys: an
 // uncontended cached Read and Write each park their process once, where
-// the straight line parked four and five times, and twice through a
-// FUSE mount, whose reply the run starts. The warm cached read and
-// write stay allocation-free.
+// the straight line parked four and five times, and once too through a
+// FUSE mount or an IPC transport, whose dispatch starts the run and
+// whose reply the run starts. A stale or closed handle starts no run:
+// its error comes from the blocking path, and the FUSE reply chain
+// still runs. The warm cached read and write stay allocation-free,
+// called directly and through either transport.
 func TestChandleRunParksOnce(t *testing.T) {
 	r := newRig(t, Config{})
 	r.run(t, func(ctx vfsapi.Ctx) {
@@ -782,38 +796,85 @@ func TestChandleRunParksOnce(t *testing.T) {
 		}
 	})
 
-	// Through a FUSE mount a cached Read or Write parks twice: once until
-	// the daemon has read the request, once for the request run and the
-	// reply it hands off, where it parked three times before.
-	r = newRig(t, Config{})
-	tr := fusefs.New(r.eng, r.cpus, model.Default(), r.client, fusefs.Config{Name: "fuse"})
-	r.run(t, func(ctx vfsapi.Ctx) {
-		h, err := tr.Open(ctx, "/f", vfsapi.RDWR|vfsapi.CREATE)
-		if err != nil {
-			t.Fatal(err)
+	// Through a transport a cached Read or Write parks once, where it
+	// parked twice when the process called the client after the
+	// dispatch: the dispatch's continuation starts the request run,
+	// and the run starts the FUSE reply or, under IPC, resumes the
+	// process. On a stale or closed handle the process serves the
+	// request itself: a stale handle's crash check charges CPU, so it
+	// parks three times through FUSE (dispatch, charge, reply), and a
+	// closed handle twice.
+	for _, via := range []string{"FUSE", "IPC"} {
+		r = newRig(t, Config{})
+		fs := vfsapi.FileSystem(fusefs.New(r.eng, r.cpus, model.Default(), r.client, fusefs.Config{Name: "fuse"}))
+		if via == "IPC" {
+			fs = ipc.New(r.eng, r.cpus, model.Default(), r.client, ipc.Config{Name: "svc"})
 		}
-		h.Write(ctx, 0, 64<<10)
-		h.Read(ctx, 0, 4<<10)
-		for _, op := range []struct {
-			name string
-			do   func() (int64, error)
-		}{
-			{"cached FUSE Read", func() (int64, error) { return h.Read(ctx, 4<<10, 4<<10) }},
-			{"cached FUSE Write", func() (int64, error) { return h.Write(ctx, 8<<10, 4<<10) }},
-		} {
-			before := ctx.P.Parks()
-			if n, err := op.do(); n != 4<<10 || err != nil {
-				t.Fatalf("%s returned %d, %v", op.name, n, err)
+		r.run(t, func(ctx vfsapi.Ctx) {
+			app := cpu.NewAccount("app")
+			ctx.T = r.cpus.NewThread(app, 0)
+			h, err := fs.Open(ctx, "/f", vfsapi.RDWR|vfsapi.CREATE)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if n := ctx.P.Parks() - before; n != 2 {
-				t.Errorf("%s parked %d times, want 2", op.name, n)
+			h.Write(ctx, 0, 64<<10)
+			h.Read(ctx, 0, 4<<10)
+			read := func() (int64, error) { return h.Read(ctx, 4<<10, 4<<10) }
+			write := func() (int64, error) { return h.Write(ctx, 8<<10, 4<<10) }
+			for _, op := range []struct {
+				name  string
+				prep  func()
+				do    func() (int64, error)
+				n     int64
+				err   error
+				parks int
+				fuse  int // parks through FUSE, if not parks
+			}{
+				{name: "cached Read", do: read, n: 4 << 10, parks: 1},
+				{name: "cached Write", do: write, n: 4 << 10, parks: 1},
+				{name: "Read of a stale handle", prep: r.client.Crash, do: read, err: ErrCrashed, parks: 2, fuse: 3},
+				{name: "Write of a closed handle", prep: func() {
+					r.client.Restart(ctx)
+					if h, err = fs.Open(ctx, "/f", vfsapi.RDWR); err != nil {
+						t.Fatal(err)
+					}
+					h.Close(ctx)
+				}, do: write, err: vfsapi.ErrClosed, parks: 1, fuse: 2},
+			} {
+				if op.prep != nil {
+					op.prep()
+				}
+				before, modes, switches := ctx.P.Parks(), app.ModeSwitches(), app.ContextSwitches()
+				var n int64
+				n, err = op.do()
+				if n != op.n || err != op.err {
+					t.Fatalf("%s %s returned %d, %v; want %d, %v", via, op.name, n, err, op.n, op.err)
+				}
+				want := op.parks
+				if via == "FUSE" && op.fuse > 0 {
+					want = op.fuse
+				}
+				if got := ctx.P.Parks() - before; got != want {
+					t.Errorf("%s %s parked %d times, want %d", via, op.name, got, want)
+				}
+				if via == "FUSE" && op.err != nil {
+					// The entry and the reply chain each switch mode and
+					// context once on the application's thread.
+					if m, c := app.ModeSwitches()-modes, app.ContextSwitches()-switches; m != 2 || c != 2 {
+						t.Errorf("FUSE %s: %d mode and %d context switches on the application thread, want 2 and 2", op.name, m, c)
+					}
+				}
 			}
-		}
-	})
+		})
+	}
 
 	allocgate.Check(t, []allocgate.Case{
 		{Name: "CachedRead", Body: cachedRead, N: 5000},
 		{Name: "CachedWrite", Body: cachedWrite, N: 5000},
+		{Name: "CachedFUSERead", Body: cachedFUSERead, N: 5000},
+		{Name: "CachedFUSEWrite", Body: cachedFUSEWrite, N: 5000},
+		{Name: "CachedIPCRead", Body: cachedIPCRead, N: 5000},
+		{Name: "CachedIPCWrite", Body: cachedIPCWrite, N: 5000},
 	})
 }
 
@@ -825,11 +886,37 @@ func BenchmarkCachedRead(b *testing.B) { allocgate.Bench(b, cachedRead) }
 // 1 MiB file of the user-level client; one op is one Write.
 func BenchmarkCachedWrite(b *testing.B) { allocgate.Bench(b, cachedWrite) }
 
-func cachedRead(n int) func() { return cachedOps(n, false) }
+// BenchmarkCachedFUSERead is BenchmarkCachedRead through a FUSE mount
+// of the client (F): one op is one crossing.
+func BenchmarkCachedFUSERead(b *testing.B) { allocgate.Bench(b, cachedFUSERead) }
 
-func cachedWrite(n int) func() { return cachedOps(n, true) }
+// BenchmarkCachedFUSEWrite is BenchmarkCachedWrite through a FUSE mount
+// of the client.
+func BenchmarkCachedFUSEWrite(b *testing.B) { allocgate.Bench(b, cachedFUSEWrite) }
 
-func cachedOps(n int, write bool) func() {
+// BenchmarkCachedIPCRead is BenchmarkCachedRead through an IPC
+// transport to the client (D): one op is one call.
+func BenchmarkCachedIPCRead(b *testing.B) { allocgate.Bench(b, cachedIPCRead) }
+
+// BenchmarkCachedIPCWrite is BenchmarkCachedWrite through an IPC
+// transport to the client.
+func BenchmarkCachedIPCWrite(b *testing.B) { allocgate.Bench(b, cachedIPCWrite) }
+
+func cachedRead(n int) func() { return cachedOps(n, false, "") }
+
+func cachedWrite(n int) func() { return cachedOps(n, true, "") }
+
+func cachedFUSERead(n int) func() { return cachedOps(n, false, "FUSE") }
+
+func cachedFUSEWrite(n int) func() { return cachedOps(n, true, "FUSE") }
+
+func cachedIPCRead(n int) func() { return cachedOps(n, false, "IPC") }
+
+func cachedIPCWrite(n int) func() { return cachedOps(n, true, "IPC") }
+
+// cachedOps has one thread read or overwrite a warm 1 MiB file 4 KiB at
+// a time, calling the client directly or through a transport via.
+func cachedOps(n int, write bool, via string) func() {
 	const size, op = 1 << 20, 4 << 10
 	e := sim.NewEngine()
 	params := model.Default()
@@ -837,10 +924,17 @@ func cachedOps(n int, write bool) func() {
 	clus := cluster.New(e, params, 6)
 	acct := cpu.NewAccount("pool")
 	c := New(e, cpus, params, clus, Config{Name: "client", Acct: acct})
+	var fs vfsapi.FileSystem = c
+	switch via {
+	case "FUSE":
+		fs = fusefs.New(e, cpus, params, c, fusefs.Config{Name: "fuse", Acct: acct})
+	case "IPC":
+		fs = ipc.New(e, cpus, params, c, ipc.Config{Name: "svc", Acct: acct})
+	}
 	th := cpus.NewThread(acct, 0)
 	e.Go("app", func(p *sim.Proc) {
 		ctx := vfsapi.Ctx{P: p, T: th}
-		h, err := c.Open(ctx, "/f", vfsapi.RDWR|vfsapi.CREATE)
+		h, err := fs.Open(ctx, "/f", vfsapi.RDWR|vfsapi.CREATE)
 		if err != nil {
 			panic(err)
 		}

@@ -863,3 +863,46 @@ func TestWorkloadsTable2Complete(t *testing.T) {
 		}
 	}
 }
+
+// TestCachedReadParks pins how often one cached 1 MiB Read parks its
+// process in each stack, built as the experiments build it: once under
+// D, where the IPC dispatch starts the client's request run; once per
+// 128 KiB FUSE chunk under F, where the crossing's dispatch starts it
+// and the run starts the reply; three times per chunk under F/F, where
+// only the inner ceph-fuse crossing hands off and the outer unionfs-fuse
+// crossing parks for its dispatch and its reply; and once under K. A
+// layer slipped between a transport and the client that drops the
+// hand-off shows here as more parks.
+func TestCachedReadParks(t *testing.T) {
+	const size = 1 << 20
+	for _, c := range []struct {
+		cfg   Configuration
+		parks int
+	}{
+		{ConfigD, 1}, {ConfigF, 8}, {ConfigFF, 24}, {ConfigK, 1},
+	} {
+		tb := newTB(t, 4)
+		tb.Cluster.ProvisionDir("/containers/c0")
+		pool := tb.NewPool("pool0", cpu.MaskOf(0, 1), 8<<30)
+		ct, err := pool.NewContainer("c0", MountSpec{Config: c.cfg, UpperDir: "/containers/c0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runOn(t, tb, ct, func(ctx vfsapi.Ctx) {
+			h, err := ct.Mount.Default.Open(ctx, "/f", vfsapi.CREATE|vfsapi.RDWR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(ctx, 0, size)
+			h.Read(ctx, 0, size)
+			before := ctx.P.Parks()
+			if n, err := h.Read(ctx, 0, size); n != size || err != nil {
+				t.Fatalf("%v: cached Read returned %d, %v", c.cfg, n, err)
+			}
+			if got := ctx.P.Parks() - before; got != c.parks {
+				t.Errorf("%v: a cached 1 MiB Read parked %d times, want %d", c.cfg, got, c.parks)
+			}
+			h.Close(ctx)
+		})
+	}
+}

@@ -20,9 +20,9 @@ import (
 // the straight-line crossing that the dispatch continuation replaced.
 // The process resumes after the entry chain, parks again while every
 // daemon thread is busy, checks for a crash and picks a daemon thread,
-// and parks once more for the daemon's read chain. fn is never given
-// the reply: the process runs the reply chain after it returns.
-func historicalCrossing(t *Transport, ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn func(dctx vfsapi.Ctx, reply func()) error) error {
+// parks once more for the daemon's read chain, runs fn and then the
+// reply chain.
+func historicalCrossing(t *Transport, ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn func(dctx vfsapi.Ctx) error) error {
 	defer ctx.Span.Enter(obs.LayerFUSE).Exit()
 	p := t.params
 	if t.crashed {
@@ -42,7 +42,7 @@ func historicalCrossing(t *Transport, ctx vfsapi.Ctx, payloadIn, payloadOut int6
 	t.next++
 	dctx := vfsapi.Ctx{P: ctx.P, T: dth, Span: ctx.Span}
 	dth.Chain(ctx.P, dth.ModeSwitchStep(), cpu.Charge(cpu.Kernel, p.CopyTime(payloadIn)))
-	err := fn(dctx, nil)
+	err := fn(dctx)
 	dth.Chain(ctx.P, cpu.Charge(cpu.Kernel, p.CopyTime(payloadOut)), dth.ModeSwitchStep(),
 		ctx.T.ContextSwitchStep(),
 		cpu.Step{Kind: cpu.Kernel, D: p.CopyTime(payloadOut), Thread: ctx.T},
@@ -50,28 +50,105 @@ func historicalCrossing(t *Transport, ctx vfsapi.Ctx, payloadIn, payloadOut int6
 	return err
 }
 
+// crossServe is how the daemon serves a request.
+type crossServe uint8
+
+const (
+	serveFn       crossServe = iota // by fn, as a metadata operation
+	serveRun                        // by a handle's run, which takes the reply
+	serveHandBack                   // by a handle's run, which hands control back before its tail
+	serveRefuse                     // by a handle that starts no run: its blocking Read
+)
+
 // crossRequest is one FUSE request: issued after gap, carrying in and
-// out bytes, served by fn as work of daemon CPU then a sleep (an I/O
-// wait) then tail, failing if fail is set.
+// out bytes, served as work of daemon CPU then a sleep (an I/O wait)
+// then tail, failing if fail is set.
 type crossRequest struct {
 	gap      time.Duration
 	in, out  int64
 	work     time.Duration
 	sleep    time.Duration
-	fail     bool
-	takeTime bool // fn reads the daemon thread's last core, so a wrong pick shows
-
-	// tail is daemon CPU charged as a continuation chain, as a handle's
-	// request run does, when fn is given the reply: its end starts the
-	// reply, or, with fallBack, resumes the process, which then runs the
-	// blocking reply chain. Without the reply fn charges tail with Exec.
 	tail     time.Duration
-	fallBack bool
+	fail     bool
+	takeTime bool // the work reads the daemon thread's last core, so a wrong pick shows
+	serve    crossServe
 	// nested serves the request through a second FUSE mount, as
 	// unionfs-fuse over ceph-fuse (F/F) does: fn crosses the inner mount
-	// from its daemon thread, and the inner crossing's fn does the
-	// request's work.
+	// from its daemon thread, whose daemon serves the request.
 	nested bool
+}
+
+// body is the request's service as blocking code, as the historical
+// crossing's fn and a handle's Read run it.
+func (r *crossRequest) body(ctx vfsapi.Ctx) error {
+	if r.takeTime {
+		// A daemon thread's last core depends on which thread was picked.
+		ctx.T.Exec(ctx.P, cpu.User, time.Duration(2+ctx.T.LastCore())*time.Microsecond)
+	}
+	ctx.T.Exec(ctx.P, cpu.User, r.work)
+	ctx.P.Sleep(r.sleep)
+	ctx.T.Exec(ctx.P, cpu.User, r.tail)
+	return r.err()
+}
+
+func (r *crossRequest) err() error {
+	if r.fail {
+		return errServe
+	}
+	return nil
+}
+
+// crossHandle serves a request as a handle: its Read is the request's
+// body, and its Start begins the same service as a run, unless the
+// request refuses.
+type crossHandle struct {
+	vfsapi.Handle
+	e   *sim.Engine
+	r   *crossRequest
+	out *crossOutcome
+}
+
+func (h *crossHandle) Read(ctx vfsapi.Ctx, _, _ int64) (int64, error) { return 0, h.r.body(ctx) }
+
+func (h *crossHandle) Start(ctx vfsapi.Ctx, _ bool, _, _ int64, reply func()) vfsapi.Run {
+	if h.r.serve == serveRefuse {
+		h.out.refused++
+		return nil
+	}
+	run := &crossRun{h: h, ctx: ctx, reply: reply}
+	var steps []cpu.Step
+	if h.r.takeTime {
+		steps = append(steps, cpu.Charge(cpu.User, time.Duration(2+ctx.T.LastCore())*time.Microsecond))
+	}
+	steps = append(steps, cpu.Charge(cpu.User, h.r.work))
+	ctx.T.LockedChainThen(ctx.P, nil, nil, "", run.worked, steps...)
+	return run
+}
+
+// crossRun is a crossHandle's run: the body's steps as continuations.
+type crossRun struct {
+	h     *crossHandle
+	ctx   vfsapi.Ctx
+	reply func()
+}
+
+func (run *crossRun) worked() { run.h.e.After(run.h.r.sleep, run.slept) }
+
+func (run *crossRun) slept() {
+	if run.h.r.serve == serveHandBack {
+		run.h.out.handBacks++
+		run.ctx.P.ResumeHere()
+		return
+	}
+	run.h.out.runs++
+	run.ctx.T.LockedChainThen(run.ctx.P, nil, nil, "", run.reply, cpu.Charge(cpu.User, run.h.r.tail))
+}
+
+func (run *crossRun) Finish(ctx vfsapi.Ctx) (int64, error) {
+	if run.h.r.serve == serveHandBack {
+		ctx.T.Exec(ctx.P, cpu.User, run.h.r.tail)
+	}
+	return 0, run.h.r.err()
 }
 
 type crossApp struct {
@@ -116,9 +193,9 @@ type crossOutcome struct {
 	counts  []uint64        // per window tick, each account's mode and context switches
 	waits   []crossWait
 	events  int
-	replies int // requests whose fn took the reply, fell back from it, or was nested
-	fell    int
-	nests   int
+
+	// How the real crossing's requests were served.
+	runs, handBacks, refused, nests int
 }
 
 func randomMaskOf(rng *rand.Rand, cores int) cpu.Mask {
@@ -175,7 +252,7 @@ func randomCrossScenario(rng *rand.Rand) crossScenario {
 			default:
 				r.tail = time.Duration(1+rng.Intn(20)) * time.Microsecond
 			}
-			r.fallBack = rng.Intn(4) == 0
+			r.serve = crossServe(rng.Intn(4))
 			r.nested = rng.Intn(4) == 0
 			app.reqs = append(app.reqs, r)
 		}
@@ -238,11 +315,15 @@ func runCrossScenario(sc crossScenario, historical bool, tick time.Duration) cro
 		inner = sc.daemons
 	}
 	nested := New(e, c, params, nil, Config{Name: "fuse2", Acct: accts[2], Mask: sc.daemonMask, Threads: inner})
-	cross := func(tr *Transport, ctx vfsapi.Ctx, in, out int64, fn func(vfsapi.Ctx, func()) error) error {
+	cross := func(tr *Transport, ctx vfsapi.Ctx, in, out int64, io vfsapi.IO, fn func(vfsapi.Ctx) error) error {
 		if historical {
+			if io.H != nil {
+				fn = func(dctx vfsapi.Ctx) error { _, err := io.Do(dctx); return err }
+			}
 			return historicalCrossing(tr, ctx, in, out, fn)
 		}
-		return tr.crossing(ctx, in, out, fn)
+		_, err := tr.crossing(ctx, in, out, io, fn)
+		return err
 	}
 	for _, tg := range sc.toggles {
 		e.After(tg.at, func() {
@@ -262,41 +343,20 @@ func runCrossScenario(sc crossScenario, historical bool, tick time.Duration) cro
 			ctx := vfsapi.Ctx{P: p, T: th}
 			for _, r := range app.reqs {
 				p.Sleep(r.gap)
-				fn := func(dctx vfsapi.Ctx, reply func()) error {
-					if r.takeTime {
-						// A daemon thread's last core depends on which
-						// thread was picked.
-						dctx.T.Exec(dctx.P, cpu.User, time.Duration(2+dctx.T.LastCore())*time.Microsecond)
-					}
-					dctx.T.Exec(dctx.P, cpu.User, r.work)
-					dctx.P.Sleep(r.sleep)
-					switch {
-					case reply == nil:
-						dctx.T.Exec(dctx.P, cpu.User, r.tail)
-					case r.fallBack:
-						out.fell++
-						dctx.T.LockedChainThen(dctx.P, nil, nil, "", dctx.P.ResumeHere, cpu.Charge(cpu.User, r.tail))
-						dctx.P.Park()
-					default:
-						out.replies++
-						dctx.T.LockedChainThen(dctx.P, nil, nil, "", reply, cpu.Charge(cpu.User, r.tail))
-						dctx.P.Park()
-					}
-					if r.fail {
-						return errServe
-					}
-					return nil
+				var io vfsapi.IO
+				if r.serve != serveFn {
+					io = vfsapi.IO{H: &crossHandle{e: e, r: &r, out: &out}, N: r.out}
 				}
 				var err error
 				if r.nested {
 					out.nests++
-					// Only the inner crossing serves fn directly: the
-					// outer one runs its blocking reply chain.
-					err = cross(tr, ctx, r.in, r.out, func(dctx vfsapi.Ctx, _ func()) error {
-						return cross(nested, dctx, r.in, r.out, fn)
+					// Only the inner crossing serves the request: the
+					// outer one runs fn and its blocking reply chain.
+					err = cross(tr, ctx, r.in, r.out, vfsapi.IO{}, func(dctx vfsapi.Ctx) error {
+						return cross(nested, dctx, r.in, r.out, io, r.body)
 					})
 				} else {
-					err = cross(tr, ctx, r.in, r.out, fn)
+					err = cross(tr, ctx, r.in, r.out, io, r.body)
 				}
 				out.results[i] = append(out.results[i], crossResult{p.Now(), err})
 			}
@@ -397,7 +457,7 @@ func TestCrossingMatchesHistorical(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(1))
-	var replies, fell, nests int
+	var runs, handBacks, refused, nests int
 	for n := 0; n < 300; n++ {
 		sc := randomCrossScenario(rng)
 		tick := time.Duration(20+rng.Intn(300)) * us
@@ -405,31 +465,33 @@ func TestCrossingMatchesHistorical(t *testing.T) {
 		want := runCrossScenario(sc, true, tick)
 		got := runCrossScenario(sc, false, tick)
 		compareCross(t, fmt.Sprint("scenario ", n), got, want)
-		replies, fell, nests = replies+got.replies, fell+got.fell, nests+got.nests
+		runs, handBacks, refused, nests = runs+got.runs, handBacks+got.handBacks, refused+got.refused, nests+got.nests
 	}
-	if replies == 0 || fell == 0 || nests == 0 {
-		t.Errorf("fn took the reply %d times, fell back %d times, nested %d times; want each at least once", replies, fell, nests)
+	t.Logf("runs started and replied %d, handed back %d, refused %d; nested crossings %d", runs, handBacks, refused, nests)
+	if runs == 0 || handBacks == 0 || refused == 0 || nests == 0 {
+		t.Errorf("runs replied %d times, handed back %d times, were refused %d times, nested %d times; want each at least once", runs, handBacks, refused, nests)
 	}
 }
 
 // TestCrossingParksOncePerSide pins what the dispatch continuation
-// buys: a crossing that waits for the one daemon thread parks its
-// process twice — once until the daemon has read the request, once for
-// the reply — and a request the daemon's crash fails at the grant parks
-// it once. The contended crossing stays allocation-free.
+// buys for a crossing whose fn cannot start a run: a crossing that
+// waits for the one daemon thread parks its process twice — once until
+// the daemon has read the request, once for the reply — and a request
+// the daemon's crash fails at the grant parks it once. The contended
+// crossing stays allocation-free.
 func TestCrossingParksOncePerSide(t *testing.T) {
 	e := sim.NewEngine()
 	params := model.Default()
 	c := cpu.New(e, params, 2)
 	acct := cpu.NewAccount("app")
 	tr := New(e, c, params, nil, Config{Name: "fuse", Threads: 1})
-	serve := func(vfsapi.Ctx, func()) error { return nil }
+	serve := func(vfsapi.Ctx) error { return nil }
 	for i := range 3 {
 		th := c.NewThread(acct, 0)
 		e.Go("app", func(p *sim.Proc) {
 			ctx := vfsapi.Ctx{P: p, T: th}
 			before := p.Parks()
-			if err := tr.crossing(ctx, 4096, 4096, serve); err != nil {
+			if _, err := tr.crossing(ctx, 4096, 4096, vfsapi.IO{}, serve); err != nil {
 				t.Errorf("app %d: %v", i, err)
 			}
 			if n := p.Parks() - before; n != 2 {
@@ -445,13 +507,13 @@ func TestCrossingParksOncePerSide(t *testing.T) {
 	e = sim.NewEngine()
 	c = cpu.New(e, params, 2)
 	tr = New(e, c, params, nil, Config{Name: "fuse", Threads: 1})
-	crash := func(vfsapi.Ctx, func()) error { tr.Crash(); return nil }
+	crash := func(vfsapi.Ctx) error { tr.Crash(); return nil }
 	for i := range 2 {
 		th := c.NewThread(acct, 0)
 		e.Go("app", func(p *sim.Proc) {
 			ctx := vfsapi.Ctx{P: p, T: th}
 			before := p.Parks()
-			err := tr.crossing(ctx, 0, 0, crash)
+			err := tr.op(ctx, crash)
 			if i == 1 {
 				if !errors.Is(err, vfsapi.ErrCrashed) {
 					t.Errorf("queued request returned %v, want ErrCrashed", err)
@@ -487,12 +549,12 @@ func crossingContended(n int) func() {
 		th := c.NewThread(acct, 0)
 		e.Go("app", func(p *sim.Proc) {
 			ctx := vfsapi.Ctx{P: p, T: th}
-			serve := func(dctx vfsapi.Ctx, _ func()) error {
+			serve := func(dctx vfsapi.Ctx) error {
 				dctx.T.Exec(dctx.P, cpu.User, time.Microsecond)
 				return nil
 			}
 			for range per {
-				tr.crossing(ctx, 0, 4096, serve)
+				tr.crossing(ctx, 0, 4096, vfsapi.IO{}, serve)
 			}
 		})
 	}

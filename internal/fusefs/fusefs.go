@@ -93,20 +93,23 @@ func (t *Transport) Restart() { t.crashed = false }
 func (t *Transport) Crashed() bool { return t.crashed }
 
 // crossing performs one FUSE round trip: syscall entry, request
-// queueing, switch to the daemon, daemon-side execution of fn, switch
-// back, and syscall exit. payloadIn/payloadOut are the extra data
-// copies through the kernel in each direction.
+// queueing, switch to the daemon, daemon-side service, switch back, and
+// syscall exit. payloadIn/payloadOut are the extra data copies through
+// the kernel in each direction. The daemon serves io, a Read or Write,
+// when io.H is set, and runs fn otherwise.
 //
 // The process parks once from the syscall entry to the moment the
 // daemon has read the request: the entry chain, the wait for a daemon
 // thread and the daemon's read chain run as one continuation (see
-// dispatch), which hands control back when fn is to run or the daemon
-// is found dead. fn may start the reply itself with reply, from an
-// engine callback acting for the process parked inside fn, once the
-// daemon-side work is done (see replyHandle); the reply chain's end
-// then resumes the process, and fn must return without further work.
-// Otherwise the process runs the reply chain after fn returns.
-func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn func(dctx vfsapi.Ctx, reply func()) error) error {
+// dispatch). Where the read chain ends, the continuation starts io's
+// run on the daemon thread when io.H can start one (vfsapi.Starter) and
+// passes it the reply: a request the run serves starts the reply chain
+// from an engine callback, and the process parks once in all, resuming
+// at the reply's end. Otherwise — fn, a handle that starts no run, a
+// daemon found dead — it hands control back to the process, which
+// serves the request itself, or finishes a run that handed control
+// back, and runs the reply chain.
+func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, io vfsapi.IO, fn func(dctx vfsapi.Ctx) error) (int64, error) {
 	defer ctx.Span.Enter(obs.LayerFUSE).Exit()
 	p := t.params
 	if t.crashed {
@@ -115,12 +118,12 @@ func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn fun
 		// trip, but the aborted syscall still costs its kernel entry,
 		// which keeps erroring loops moving in simulated time.
 		ctx.T.Chain(ctx.P, ctx.T.ModeSwitchStep(), cpu.Charge(cpu.Kernel, p.FUSERequestOverhead), ctx.T.ModeSwitchStep())
-		return vfsapi.ErrCrashed
+		return 0, vfsapi.ErrCrashed
 	}
 	// Application enters the kernel and hands the request to FUSE: a
 	// zero-length copy step only skips. The daemon side follows as
 	// continuations of the chain.
-	d := t.getDispatch(ctx, payloadIn, payloadOut)
+	d := t.getDispatch(ctx, payloadIn, payloadOut, io)
 	ctx.T.LockedChainThen(ctx.P, nil, nil, "", d.entered,
 		ctx.T.ModeSwitchStep(),
 		cpu.Charge(cpu.Kernel, p.FUSERequestOverhead),
@@ -131,13 +134,29 @@ func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn fun
 	defer t.slots.Release()
 	if d.dth == nil {
 		// The daemon died while the request sat in the FUSE queue.
-		return vfsapi.ErrCrashed
+		return 0, vfsapi.ErrCrashed
 	}
-	err := fn(vfsapi.Ctx{P: ctx.P, T: d.dth, Span: ctx.Span}, d.replyFn)
+	dctx := vfsapi.Ctx{P: ctx.P, T: d.dth, Span: ctx.Span}
+	var n int64
+	var err error
+	switch {
+	case d.run != nil:
+		n, err = d.run.Finish(dctx)
+	case io.H != nil:
+		n, err = io.Do(dctx)
+	default:
+		err = fn(dctx)
+	}
 	if !d.replied {
 		steps := d.replySteps()
 		d.dth.Chain(ctx.P, steps[:]...)
 	}
+	return n, err
+}
+
+// op crosses to the daemon for fn, with no payload.
+func (t *Transport) op(ctx vfsapi.Ctx, fn func(dctx vfsapi.Ctx) error) error {
+	_, err := t.crossing(ctx, 0, 0, vfsapi.IO{}, fn)
 	return err
 }
 
@@ -146,22 +165,27 @@ func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn fun
 // runs where the entry chain ends and queues for a daemon thread; grant
 // runs when one is free (at once, or at the event where a release hands
 // over its slot), checks the daemon is alive, picks its thread and
-// starts its read chain, whose end hands control back to the process.
-// Each step runs at the event where the process used to resume between
-// these steps, and pushes what the process pushed, so a crossing keeps
-// every simulated result. TestCrossingMatchesHistorical checks this
-// against the straight-line code.
+// starts its read chain, whose end starts the request's run or hands
+// control back to the process. Each step runs at the event where the
+// process used to resume between these steps, and pushes what the
+// process pushed, so a crossing keeps every simulated result.
+// TestCrossingMatchesHistorical checks this against the straight-line
+// code.
 type dispatch struct {
 	t       *Transport
 	p       *sim.Proc
 	app     *cpu.Thread // the application's thread
+	span    *obs.Span   // the request's span, passed to io's run
 	in, out int64       // request and reply payloads copied through the kernel
+	io      vfsapi.IO   // the Read or Write to serve, if any
 	dth     *cpu.Thread // the daemon thread serving it; nil if the daemon died first
-	replied bool        // fn started the reply chain
+	run     vfsapi.Run  // io's run, started by the daemon
+	replied bool        // the run started the reply chain
 
 	entered func() // reusable entry-chain continuation (enter)
 	granted func() // reusable slot-grant callback (grant)
-	read    func() // reusable read- and reply-chain continuation (resume)
+	read    func() // reusable read-chain continuation (serve)
+	resumed func() // reusable reply-chain continuation (resume)
 	replyFn func() // reusable reply starter (reply)
 }
 
@@ -189,8 +213,17 @@ func (d *dispatch) grant() {
 	dth.LockedChainThen(d.p, nil, nil, "", d.read, dth.ModeSwitchStep(), cpu.Charge(cpu.Kernel, t.params.CopyTime(d.in)))
 }
 
-// resume hands control back to the process: the daemon holds the
-// request, or the reply has reached the application.
+// serve starts io's run on the daemon thread, which holds the request;
+// without one it hands control back to the process.
+func (d *dispatch) serve() {
+	d.run = d.io.Start(vfsapi.Ctx{P: d.p, T: d.dth, Span: d.span}, d.replyFn)
+	if d.run == nil {
+		d.p.ResumeHere()
+	}
+}
+
+// resume hands control back to the process: the reply has reached the
+// application.
 func (d *dispatch) resume() { d.p.ResumeHere() }
 
 // replySteps is the reply: the daemon copies the reply out and writes
@@ -206,40 +239,39 @@ func (d *dispatch) replySteps() [5]cpu.Step {
 	}
 }
 
-// reply starts the reply chain on behalf of fn, whose handle finished
-// the daemon-side work in an engine callback; the chain's end resumes
-// the process.
+// reply starts the reply chain on behalf of io's run, which served the
+// request in an engine callback; the chain's end resumes the process.
 func (d *dispatch) reply() {
 	d.replied = true
 	steps := d.replySteps()
-	d.dth.LockedChainThen(d.p, nil, nil, "", d.read, steps[:]...)
+	d.dth.LockedChainThen(d.p, nil, nil, "", d.resumed, steps[:]...)
 }
 
 // getDispatch takes a dispatch state from the transport's pool. Safe
 // without locking: exactly one goroutine runs at any instant in the
 // simulation.
-func (t *Transport) getDispatch(ctx vfsapi.Ctx, in, out int64) *dispatch {
+func (t *Transport) getDispatch(ctx vfsapi.Ctx, in, out int64, io vfsapi.IO) *dispatch {
 	var d *dispatch
 	if n := len(t.pool); n > 0 {
 		d = t.pool[n-1]
 		t.pool = t.pool[:n-1]
 	} else {
 		d = &dispatch{t: t}
-		d.entered, d.granted, d.read, d.replyFn = d.enter, d.grant, d.resume, d.reply
+		d.entered, d.granted, d.read, d.resumed, d.replyFn = d.enter, d.grant, d.serve, d.resume, d.reply
 	}
-	d.p, d.app, d.in, d.out, d.dth, d.replied = ctx.P, ctx.T, in, out, nil, false
+	d.p, d.app, d.span, d.in, d.out, d.io, d.dth, d.run, d.replied = ctx.P, ctx.T, ctx.Span, in, out, io, nil, nil, false
 	return d
 }
 
 func (t *Transport) putDispatch(d *dispatch) {
-	d.p, d.app, d.dth = nil, nil, nil
+	d.p, d.app, d.span, d.io, d.dth, d.run = nil, nil, nil, vfsapi.IO{}, nil, nil
 	t.pool = append(t.pool, d)
 }
 
 // Open crosses to the daemon and wraps the returned handle.
 func (t *Transport) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfsapi.Handle, error) {
 	var h vfsapi.Handle
-	err := t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx, _ func()) error {
+	err := t.op(ctx, func(dctx vfsapi.Ctx) error {
 		var err error
 		h, err = t.inner.Open(dctx, path, flags)
 		return err
@@ -253,7 +285,7 @@ func (t *Transport) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vf
 // Stat crosses to the daemon.
 func (t *Transport) Stat(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, error) {
 	var info vfsapi.FileInfo
-	err := t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx, _ func()) error {
+	err := t.op(ctx, func(dctx vfsapi.Ctx) error {
 		var err error
 		info, err = t.inner.Stat(dctx, path)
 		return err
@@ -263,7 +295,7 @@ func (t *Transport) Stat(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, error) {
 
 // Mkdir crosses to the daemon.
 func (t *Transport) Mkdir(ctx vfsapi.Ctx, path string) error {
-	return t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx, _ func()) error {
+	return t.op(ctx, func(dctx vfsapi.Ctx) error {
 		return t.inner.Mkdir(dctx, path)
 	})
 }
@@ -271,7 +303,7 @@ func (t *Transport) Mkdir(ctx vfsapi.Ctx, path string) error {
 // Readdir crosses to the daemon.
 func (t *Transport) Readdir(ctx vfsapi.Ctx, path string) ([]vfsapi.DirEntry, error) {
 	var ents []vfsapi.DirEntry
-	err := t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx, _ func()) error {
+	err := t.op(ctx, func(dctx vfsapi.Ctx) error {
 		var err error
 		ents, err = t.inner.Readdir(dctx, path)
 		return err
@@ -281,35 +313,23 @@ func (t *Transport) Readdir(ctx vfsapi.Ctx, path string) ([]vfsapi.DirEntry, err
 
 // Unlink crosses to the daemon.
 func (t *Transport) Unlink(ctx vfsapi.Ctx, path string) error {
-	return t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx, _ func()) error {
+	return t.op(ctx, func(dctx vfsapi.Ctx) error {
 		return t.inner.Unlink(dctx, path)
 	})
 }
 
 // Rmdir crosses to the daemon.
 func (t *Transport) Rmdir(ctx vfsapi.Ctx, path string) error {
-	return t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx, _ func()) error {
+	return t.op(ctx, func(dctx vfsapi.Ctx) error {
 		return t.inner.Rmdir(dctx, path)
 	})
 }
 
 // Rename crosses to the daemon.
 func (t *Transport) Rename(ctx vfsapi.Ctx, oldPath, newPath string) error {
-	return t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx, _ func()) error {
+	return t.op(ctx, func(dctx vfsapi.Ctx) error {
 		return t.inner.Rename(dctx, oldPath, newPath)
 	})
-}
-
-// replyHandle is implemented by an inner handle whose Read and Write can
-// start a FUSE crossing's reply (see Transport.crossing): ReadReply and
-// WriteReply are Read and Write that, when they serve the request from
-// an engine callback, call reply there instead of resuming the process.
-// Only the handle a crossing serves directly is given the reply; a
-// handle below another layer (a union over a nested FUSE mount) runs
-// under its own crossing.
-type replyHandle interface {
-	ReadReply(ctx vfsapi.Ctx, off, n int64, reply func()) (int64, error)
-	WriteReply(ctx vfsapi.Ctx, off, n int64, reply func()) (int64, error)
 }
 
 type fuseHandle struct {
@@ -329,16 +349,7 @@ func (h *fuseHandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 		if n < chunk {
 			chunk = n
 		}
-		var got int64
-		err := h.t.crossing(ctx, 0, chunk, func(dctx vfsapi.Ctx, reply func()) error {
-			var err error
-			if rh, ok := h.inner.(replyHandle); ok {
-				got, err = rh.ReadReply(dctx, off, chunk, reply)
-			} else {
-				got, err = h.inner.Read(dctx, off, chunk)
-			}
-			return err
-		})
+		got, err := h.t.crossing(ctx, 0, chunk, vfsapi.IO{H: h.inner, Off: off, N: chunk}, nil)
 		if err != nil {
 			return total, err
 		}
@@ -360,16 +371,7 @@ func (h *fuseHandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 		if n < chunk {
 			chunk = n
 		}
-		var got int64
-		err := h.t.crossing(ctx, chunk, 0, func(dctx vfsapi.Ctx, reply func()) error {
-			var err error
-			if rh, ok := h.inner.(replyHandle); ok {
-				got, err = rh.WriteReply(dctx, off, chunk, reply)
-			} else {
-				got, err = h.inner.Write(dctx, off, chunk)
-			}
-			return err
-		})
+		got, err := h.t.crossing(ctx, chunk, 0, vfsapi.IO{H: h.inner, Write: true, Off: off, N: chunk}, nil)
 		if err != nil {
 			return total, err
 		}
@@ -389,14 +391,14 @@ func (h *fuseHandle) Append(ctx vfsapi.Ctx, n int64) (int64, error) {
 
 // Fsync crosses to the daemon.
 func (h *fuseHandle) Fsync(ctx vfsapi.Ctx) error {
-	return h.t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx, _ func()) error {
+	return h.t.op(ctx, func(dctx vfsapi.Ctx) error {
 		return h.inner.Fsync(dctx)
 	})
 }
 
 // Close crosses to the daemon.
 func (h *fuseHandle) Close(ctx vfsapi.Ctx) error {
-	return h.t.crossing(ctx, 0, 0, func(dctx vfsapi.Ctx, _ func()) error {
+	return h.t.op(ctx, func(dctx vfsapi.Ctx) error {
 		return h.inner.Close(dctx)
 	})
 }

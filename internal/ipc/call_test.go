@@ -49,14 +49,102 @@ func historicalCall(t *Transport, ctx vfsapi.Ctx, fn func(dctx vfsapi.Ctx) error
 	return err
 }
 
-// callRequest is one request: issued after gap, served by fn as work
-// on the service thread then a sleep (an I/O wait), failing if fail is
-// set.
+// callServe is how the service serves a request.
+type callServe uint8
+
+const (
+	serveFn       callServe = iota // by fn, as a metadata operation
+	serveRun                       // by a handle's run, which resumes the process when done
+	serveHandBack                  // by a handle's run, which hands control back before its sleep
+	serveRefuse                    // by a handle that starts no run: its blocking Read
+)
+
+// callRequest is one request: issued after gap, served as work on the
+// service thread then a sleep (an I/O wait), failing if fail is set.
 type callRequest struct {
 	gap   time.Duration
 	work  time.Duration
 	sleep time.Duration
 	fail  bool
+	serve callServe
+	// nested serves the request through a second transport, called from
+	// the first one's service thread, whose service serves it.
+	nested bool
+}
+
+// workSteps is the request's service CPU on th: a charge that depends
+// on th's last core, so a wrong service thread pick shows, then work.
+func (r *callRequest) workSteps(th *cpu.Thread) [2]cpu.Step {
+	return [2]cpu.Step{
+		cpu.Charge(cpu.User, time.Duration(2+th.LastCore())*time.Microsecond),
+		cpu.Charge(cpu.User, r.work),
+	}
+}
+
+// body is the request's service as blocking code, as the historical
+// call's fn and a handle's Read run it.
+func (r *callRequest) body(ctx vfsapi.Ctx) error {
+	steps := r.workSteps(ctx.T)
+	ctx.T.Exec(ctx.P, steps[0].Kind, steps[0].D)
+	ctx.T.Exec(ctx.P, steps[1].Kind, steps[1].D)
+	ctx.P.Sleep(r.sleep)
+	return r.err()
+}
+
+func (r *callRequest) err() error {
+	if r.fail {
+		return errServe
+	}
+	return nil
+}
+
+// callHandle serves a request as a handle: its Read is the request's
+// body, and its Start begins the same service as a run, unless the
+// request refuses.
+type callHandle struct {
+	vfsapi.Handle
+	e   *sim.Engine
+	r   *callRequest
+	out *callOutcome
+}
+
+func (h *callHandle) Read(ctx vfsapi.Ctx, _, _ int64) (int64, error) { return 0, h.r.body(ctx) }
+
+func (h *callHandle) Start(ctx vfsapi.Ctx, _ bool, _, _ int64, reply func()) vfsapi.Run {
+	if reply != nil {
+		panic("ipc: a call passed a reply")
+	}
+	if h.r.serve == serveRefuse {
+		h.out.refused++
+		return nil
+	}
+	run := &callRun{h: h, p: ctx.P}
+	steps := h.r.workSteps(ctx.T)
+	ctx.T.LockedChainThen(ctx.P, nil, nil, "", run.worked, steps[:]...)
+	return run
+}
+
+// callRun is a callHandle's run: the body's steps as continuations.
+type callRun struct {
+	h *callHandle
+	p *sim.Proc
+}
+
+func (run *callRun) worked() {
+	if run.h.r.serve == serveHandBack {
+		run.h.out.handBacks++
+		run.p.ResumeHere()
+		return
+	}
+	run.h.out.runs++
+	run.h.e.After(run.h.r.sleep, run.p.ResumeHere)
+}
+
+func (run *callRun) Finish(ctx vfsapi.Ctx) (int64, error) {
+	if run.h.r.serve == serveHandBack {
+		ctx.P.Sleep(run.h.r.sleep)
+	}
+	return 0, run.h.r.err()
 }
 
 type callApp struct {
@@ -98,6 +186,9 @@ type callOutcome struct {
 	waits                      []callWait
 	events                     int
 	calls, wakeups, scale, svc int
+
+	// How the real call's requests were served.
+	runs, handBacks, refused, nests int
 }
 
 func randomCallScenario(rng *rand.Rand) callScenario {
@@ -170,8 +261,19 @@ func runCallScenario(sc callScenario, historical bool, tick time.Duration) callO
 	})
 	app, svc := cpu.NewAccount("app"), cpu.NewAccount("svc")
 	tr := New(e, c, params, nil, Config{Name: "svc", Mask: sc.pool, Acct: svc, NoPinning: sc.noPinning})
+	nested := New(e, c, params, nil, Config{Name: "svc2", Mask: sc.pool, Acct: svc, NoPinning: sc.noPinning})
 	if sc.repinAt > 0 {
 		e.After(sc.repinAt, func() { tr.Repin(sc.repin) })
+	}
+	call := func(tr *Transport, ctx vfsapi.Ctx, io vfsapi.IO, fn func(vfsapi.Ctx) error) error {
+		if historical {
+			if io.H != nil {
+				fn = func(dctx vfsapi.Ctx) error { _, err := io.Do(dctx); return err }
+			}
+			return historicalCall(tr, ctx, fn)
+		}
+		_, err := tr.call(ctx, io, fn)
+		return err
 	}
 	out.results = make([][]callResult, len(sc.apps))
 	for i, a := range sc.apps {
@@ -180,22 +282,19 @@ func runCallScenario(sc callScenario, historical bool, tick time.Duration) callO
 			ctx := vfsapi.Ctx{P: p, T: th}
 			for _, r := range a.reqs {
 				p.Sleep(r.gap)
-				fn := func(dctx vfsapi.Ctx) error {
-					// The service thread's last core shows which one was
-					// picked.
-					dctx.T.Exec(dctx.P, cpu.User, time.Duration(2+dctx.T.LastCore())*time.Microsecond)
-					dctx.T.Exec(dctx.P, cpu.User, r.work)
-					dctx.P.Sleep(r.sleep)
-					if r.fail {
-						return errServe
-					}
-					return nil
+				var io vfsapi.IO
+				if r.serve != serveFn {
+					io = vfsapi.IO{H: &callHandle{e: e, r: &r, out: &out}}
 				}
 				var err error
-				if historical {
-					err = historicalCall(tr, ctx, fn)
+				if r.nested {
+					out.nests++
+					// Only the inner call serves the request.
+					err = call(tr, ctx, vfsapi.IO{}, func(dctx vfsapi.Ctx) error {
+						return call(nested, dctx, io, r.body)
+					})
 				} else {
-					err = tr.call(ctx, fn)
+					err = call(tr, ctx, io, r.body)
 				}
 				out.results[i] = append(out.results[i], callResult{p.Now(), err})
 			}
@@ -213,8 +312,8 @@ func runCallScenario(sc callScenario, historical bool, tick time.Duration) callO
 	e.Run()
 	out.busy = c.UtilSnapshot()
 	out.cpu = []time.Duration{app.CPUTime(), svc.CPUTime()}
-	out.calls, out.wakeups, out.scale = int(tr.Calls()), int(tr.Wakeups()), tr.ScaleEvents()
-	for _, q := range tr.queues {
+	out.calls, out.wakeups, out.scale = int(tr.Calls()+nested.Calls()), int(tr.Wakeups()+nested.Wakeups()), tr.ScaleEvents()+nested.ScaleEvents()
+	for _, q := range append(tr.queues, nested.queues...) {
 		out.svc += len(q.svcThreads)
 	}
 	return out
@@ -230,12 +329,29 @@ func runCallScenario(sc callScenario, historical bool, tick time.Duration) callO
 // the same error, every core and account must be charged the same, the
 // switch, wakeup and scale-event counters must agree at every window
 // boundary and at the end, the wait reports must match in order, and
-// the engine must process the same number of events.
+// the engine must process the same number of events. Requests served
+// by fn, by a handle's run — as the client's request run serves a
+// cached Read or Write — by a run that hands control back before its
+// sleep, and by a handle that starts no run must all match the
+// historical call's fn, as must requests nested under a second
+// transport, where only the inner call serves the request.
 func TestCallMatchesHistorical(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var wakeups, scale int
+	var wakeups, scale, runs, handBacks, refused, nests int
+	// How each request is served comes from a second source, so the
+	// scenarios are those of the fn-only test.
+	kinds := rand.New(rand.NewSource(2))
+	serves := func(sc callScenario) {
+		for _, app := range sc.apps {
+			for j := range app.reqs {
+				app.reqs[j].serve = callServe(kinds.Intn(4))
+				app.reqs[j].nested = kinds.Intn(5) == 0
+			}
+		}
+	}
 	for n := 0; n < 300; n++ {
 		sc := randomCallScenario(rng)
+		serves(sc)
 		tick := time.Duration(20+rng.Intn(300)) * time.Microsecond
 		want := runCallScenario(sc, true, tick)
 		got := runCallScenario(sc, false, tick)
@@ -262,9 +378,14 @@ func TestCallMatchesHistorical(t *testing.T) {
 		}
 		wakeups += want.wakeups
 		scale += want.scale
+		runs, handBacks, refused, nests = runs+got.runs, handBacks+got.handBacks, refused+got.refused, nests+got.nests
 	}
 	if wakeups == 0 || scale == 0 {
 		t.Fatalf("scenarios made %d wakeups and %d scale events, want both exercised", wakeups, scale)
+	}
+	t.Logf("runs started and done %d, handed back %d, refused %d; nested calls %d", runs, handBacks, refused, nests)
+	if runs == 0 || handBacks == 0 || refused == 0 || nests == 0 {
+		t.Errorf("runs were done %d times, handed back %d times, were refused %d times, nested %d times; want each at least once", runs, handBacks, refused, nests)
 	}
 }
 
@@ -284,7 +405,7 @@ func TestCallParksOnce(t *testing.T) {
 		e.Go("app", func(p *sim.Proc) {
 			for range 3 {
 				before := p.Parks()
-				tr.call(vfsapi.Ctx{P: p, T: th}, func(dctx vfsapi.Ctx) error {
+				tr.op(vfsapi.Ctx{P: p, T: th}, func(dctx vfsapi.Ctx) error {
 					if n := p.Parks() - before; n != 1 {
 						t.Errorf("proc %d parked %d times before fn, want 1", p.ID(), n)
 					}
@@ -328,7 +449,7 @@ func callLapsedPollWindow(n int) func() {
 				return nil
 			}
 			for range per {
-				tr.call(ctx, serve)
+				tr.op(ctx, serve)
 			}
 		})
 	}

@@ -143,28 +143,49 @@ func (t *Transport) queueFor(th *cpu.Thread) *queueState {
 }
 
 // call performs one request/response over the queue: descriptor
-// enqueue by the app thread, service-side dispatch and execution on the
-// pinned service thread, all at user level.
+// enqueue by the app thread, service-side dispatch and service on the
+// pinned service thread, all at user level. The service serves io, a
+// Read or Write, when io.H is set, and runs fn otherwise.
 //
 // The process parks once until the service thread has dispatched the
 // request: the enqueue, the wakeup of an idle service thread and the
-// dispatch run as one continuation (see callState), which hands control
-// back when fn is to run.
-func (t *Transport) call(ctx vfsapi.Ctx, fn func(dctx vfsapi.Ctx) error) error {
+// dispatch run as one continuation (see callState). Where the dispatch
+// ends, the continuation starts io's run on the service thread when
+// io.H can start one (vfsapi.Starter); the run resumes the process when
+// it has served the request, so a request served from the cache parks
+// its process once in all. Otherwise it hands control back to the
+// process, which serves the request itself, or finishes a run that
+// handed control back.
+func (t *Transport) call(ctx vfsapi.Ctx, io vfsapi.IO, fn func(dctx vfsapi.Ctx) error) (int64, error) {
 	defer ctx.Span.Enter(obs.LayerIPC).Exit()
 	t.calls++
 	q := t.queueFor(ctx.T)
 
 	// Front driver: fill the request descriptor in shared memory.
-	c := t.getCall(ctx, q)
+	c := t.getCall(ctx, q, io)
 	ctx.T.LockedChainThen(ctx.P, nil, nil, "", c.enqueued, cpu.Charge(cpu.User, t.params.IPCEnqueueCost))
 	ctx.P.Park()
-	svc := c.svc
+	dctx, run := vfsapi.Ctx{P: ctx.P, T: c.svc, Span: ctx.Span}, c.run
 	t.putCall(c)
-	err := fn(vfsapi.Ctx{P: ctx.P, T: svc, Span: ctx.Span})
+	var n int64
+	var err error
+	switch {
+	case run != nil:
+		n, err = run.Finish(dctx)
+	case io.H != nil:
+		n, err = io.Do(dctx)
+	default:
+		err = fn(dctx)
+	}
 	q.inflight--
 	q.lastServed = t.eng.Now()
 	q.everServed = true
+	return n, err
+}
+
+// op forwards fn through the queue.
+func (t *Transport) op(ctx vfsapi.Ctx, fn func(dctx vfsapi.Ctx) error) error {
+	_, err := t.call(ctx, vfsapi.IO{}, fn)
 	return err
 }
 
@@ -172,21 +193,25 @@ func (t *Transport) call(ctx vfsapi.Ctx, fn func(dctx vfsapi.Ctx) error) error {
 // service thread's dispatch while the calling process stays parked:
 // enqueued runs where the enqueue charge ends and wakes the service
 // thread if its poll window has lapsed; wake then picks the service
-// thread and starts the dispatch under the queue lock, whose end hands
-// control back to the process. Each step runs at the event where the
-// process used to resume between these steps, and pushes what the
-// process pushed, so a call keeps every simulated result.
-// TestCallMatchesHistorical checks this against the straight-line code.
+// thread and starts the dispatch under the queue lock, whose end starts
+// the request's run or hands control back to the process. Each step
+// runs at the event where the process used to resume between these
+// steps, and pushes what the process pushed, so a call keeps every
+// simulated result. TestCallMatchesHistorical checks this against the
+// straight-line code.
 type callState struct {
-	t   *Transport
-	p   *sim.Proc
-	th  *cpu.Thread // the calling thread
-	q   *queueState
-	svc *cpu.Thread // the service thread picked for the request
+	t    *Transport
+	p    *sim.Proc
+	th   *cpu.Thread // the calling thread
+	span *obs.Span   // the request's span, passed to io's run
+	q    *queueState
+	io   vfsapi.IO   // the Read or Write to serve, if any
+	svc  *cpu.Thread // the service thread picked for the request
+	run  vfsapi.Run  // io's run, started by the service thread
 
 	enqueued   func() // reusable enqueue-chain continuation (poll)
 	woken      func() // reusable wakeup-chain continuation (dispatch)
-	dispatched func() // reusable dispatch-chain continuation (resume)
+	dispatched func() // reusable dispatch-chain continuation (serve)
 }
 
 // poll wakes the service thread if its poll window has lapsed, then
@@ -219,27 +244,32 @@ func (c *callState) dispatch() {
 		cpu.Charge(cpu.User, p.IPCEnqueueCost), cpu.Step{Unlock: q.dispatch})
 }
 
-// resume hands control back to the process: the service thread holds
-// the request.
-func (c *callState) resume() { c.p.ResumeHere() }
+// serve starts io's run on the service thread, which holds the request;
+// without one it hands control back to the process.
+func (c *callState) serve() {
+	c.run = c.io.Start(vfsapi.Ctx{P: c.p, T: c.svc, Span: c.span}, nil)
+	if c.run == nil {
+		c.p.ResumeHere()
+	}
+}
 
 // getCall takes a call state from the transport's pool. Safe without
 // locking: exactly one goroutine runs at any instant in the simulation.
-func (t *Transport) getCall(ctx vfsapi.Ctx, q *queueState) *callState {
+func (t *Transport) getCall(ctx vfsapi.Ctx, q *queueState, io vfsapi.IO) *callState {
 	var c *callState
 	if n := len(t.pool); n > 0 {
 		c = t.pool[n-1]
 		t.pool = t.pool[:n-1]
 	} else {
 		c = &callState{t: t}
-		c.enqueued, c.woken, c.dispatched = c.poll, c.dispatch, c.resume
+		c.enqueued, c.woken, c.dispatched = c.poll, c.dispatch, c.serve
 	}
-	c.p, c.th, c.q = ctx.P, ctx.T, q
+	c.p, c.th, c.span, c.q, c.io, c.run = ctx.P, ctx.T, ctx.Span, q, io, nil
 	return c
 }
 
 func (t *Transport) putCall(c *callState) {
-	c.p, c.th, c.q, c.svc = nil, nil, nil, nil
+	c.p, c.th, c.span, c.q, c.io, c.svc, c.run = nil, nil, nil, nil, vfsapi.IO{}, nil, nil
 	t.pool = append(t.pool, c)
 }
 
@@ -274,7 +304,7 @@ func (t *Transport) Repin(mask cpu.Mask) {
 // Open forwards through the queue and wraps the handle.
 func (t *Transport) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfsapi.Handle, error) {
 	var h vfsapi.Handle
-	err := t.call(ctx, func(dctx vfsapi.Ctx) error {
+	err := t.op(ctx, func(dctx vfsapi.Ctx) error {
 		var err error
 		h, err = t.inner.Open(dctx, path, flags)
 		return err
@@ -288,7 +318,7 @@ func (t *Transport) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vf
 // Stat forwards through the queue.
 func (t *Transport) Stat(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, error) {
 	var info vfsapi.FileInfo
-	err := t.call(ctx, func(dctx vfsapi.Ctx) error {
+	err := t.op(ctx, func(dctx vfsapi.Ctx) error {
 		var err error
 		info, err = t.inner.Stat(dctx, path)
 		return err
@@ -298,13 +328,13 @@ func (t *Transport) Stat(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, error) {
 
 // Mkdir forwards through the queue.
 func (t *Transport) Mkdir(ctx vfsapi.Ctx, path string) error {
-	return t.call(ctx, func(dctx vfsapi.Ctx) error { return t.inner.Mkdir(dctx, path) })
+	return t.op(ctx, func(dctx vfsapi.Ctx) error { return t.inner.Mkdir(dctx, path) })
 }
 
 // Readdir forwards through the queue.
 func (t *Transport) Readdir(ctx vfsapi.Ctx, path string) ([]vfsapi.DirEntry, error) {
 	var ents []vfsapi.DirEntry
-	err := t.call(ctx, func(dctx vfsapi.Ctx) error {
+	err := t.op(ctx, func(dctx vfsapi.Ctx) error {
 		var err error
 		ents, err = t.inner.Readdir(dctx, path)
 		return err
@@ -314,17 +344,17 @@ func (t *Transport) Readdir(ctx vfsapi.Ctx, path string) ([]vfsapi.DirEntry, err
 
 // Unlink forwards through the queue.
 func (t *Transport) Unlink(ctx vfsapi.Ctx, path string) error {
-	return t.call(ctx, func(dctx vfsapi.Ctx) error { return t.inner.Unlink(dctx, path) })
+	return t.op(ctx, func(dctx vfsapi.Ctx) error { return t.inner.Unlink(dctx, path) })
 }
 
 // Rmdir forwards through the queue.
 func (t *Transport) Rmdir(ctx vfsapi.Ctx, path string) error {
-	return t.call(ctx, func(dctx vfsapi.Ctx) error { return t.inner.Rmdir(dctx, path) })
+	return t.op(ctx, func(dctx vfsapi.Ctx) error { return t.inner.Rmdir(dctx, path) })
 }
 
 // Rename forwards through the queue.
 func (t *Transport) Rename(ctx vfsapi.Ctx, oldPath, newPath string) error {
-	return t.call(ctx, func(dctx vfsapi.Ctx) error { return t.inner.Rename(dctx, oldPath, newPath) })
+	return t.op(ctx, func(dctx vfsapi.Ctx) error { return t.inner.Rename(dctx, oldPath, newPath) })
 }
 
 type ipcHandle struct {
@@ -338,30 +368,18 @@ func (h *ipcHandle) Size() int64  { return h.inner.Size() }
 // Read forwards through the queue; data returns via the caller's
 // request buffer in shared memory (no kernel copies).
 func (h *ipcHandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
-	var got int64
-	err := h.t.call(ctx, func(dctx vfsapi.Ctx) error {
-		var err error
-		got, err = h.inner.Read(dctx, off, n)
-		return err
-	})
-	return got, err
+	return h.t.call(ctx, vfsapi.IO{H: h.inner, Off: off, N: n}, nil)
 }
 
 // Write forwards through the queue.
 func (h *ipcHandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
-	var got int64
-	err := h.t.call(ctx, func(dctx vfsapi.Ctx) error {
-		var err error
-		got, err = h.inner.Write(dctx, off, n)
-		return err
-	})
-	return got, err
+	return h.t.call(ctx, vfsapi.IO{H: h.inner, Write: true, Off: off, N: n}, nil)
 }
 
 // Append forwards through the queue.
 func (h *ipcHandle) Append(ctx vfsapi.Ctx, n int64) (int64, error) {
 	var off int64
-	err := h.t.call(ctx, func(dctx vfsapi.Ctx) error {
+	err := h.t.op(ctx, func(dctx vfsapi.Ctx) error {
 		var err error
 		off, err = h.inner.Append(dctx, n)
 		return err
@@ -371,10 +389,10 @@ func (h *ipcHandle) Append(ctx vfsapi.Ctx, n int64) (int64, error) {
 
 // Fsync forwards through the queue.
 func (h *ipcHandle) Fsync(ctx vfsapi.Ctx) error {
-	return h.t.call(ctx, func(dctx vfsapi.Ctx) error { return h.inner.Fsync(dctx) })
+	return h.t.op(ctx, func(dctx vfsapi.Ctx) error { return h.inner.Fsync(dctx) })
 }
 
 // Close forwards through the queue.
 func (h *ipcHandle) Close(ctx vfsapi.Ctx) error {
-	return h.t.call(ctx, func(dctx vfsapi.Ctx) error { return h.inner.Close(dctx) })
+	return h.t.op(ctx, func(dctx vfsapi.Ctx) error { return h.inner.Close(dctx) })
 }

@@ -106,6 +106,57 @@ type Handle interface {
 	Path() string
 }
 
+// Starter is implemented by a handle whose Read and Write can begin in
+// an engine callback acting for a parked process: a transport's
+// dispatch continuation starts the request at the event where the
+// process would have resumed to call Read or Write, so a request served
+// from a cache parks its process once from the syscall or enqueue to
+// the end of the reply.
+type Starter interface {
+	// Start begins a Read (with write, a Write) of n bytes at off for
+	// ctx.P, which is parked with no pending wake or about to park. It
+	// returns nil, having done nothing, when the process must call Read
+	// or Write itself, as on a stale or closed handle whose error path
+	// charges CPU. Otherwise the run goes on as engine callbacks: once it
+	// has served the request it calls reply, whose end must resume ctx.P,
+	// or, with a nil reply, resumes ctx.P itself; at any point where the
+	// process must act it resumes ctx.P with sim.(*Proc).ResumeHere
+	// without calling reply. Either way the resumed process calls Finish.
+	Start(ctx Ctx, write bool, off, n int64, reply func()) Run
+}
+
+// Run is a Read or Write a Starter began.
+type Run interface {
+	// Finish goes on from where the run handed control back, in the
+	// process, and returns what Read or Write returns.
+	Finish(ctx Ctx) (int64, error)
+}
+
+// IO is one Read or Write of H that a transport carries to its server
+// side.
+type IO struct {
+	H      Handle
+	Write  bool
+	Off, N int64
+}
+
+// Start begins io as a run when H is a Starter that accepts it (see
+// Starter.Start); otherwise it returns nil.
+func (io IO) Start(ctx Ctx, reply func()) Run {
+	if st, ok := io.H.(Starter); ok {
+		return st.Start(ctx, io.Write, io.Off, io.N, reply)
+	}
+	return nil
+}
+
+// Do is io as a blocking Read or Write.
+func (io IO) Do(ctx Ctx) (int64, error) {
+	if io.Write {
+		return io.H.Write(ctx, io.Off, io.N)
+	}
+	return io.H.Read(ctx, io.Off, io.N)
+}
+
 // Errors returned by FileSystem implementations.
 var (
 	ErrNotExist = errors.New("file does not exist")
