@@ -54,7 +54,7 @@ func historicalCrossing(t *Transport, ctx vfsapi.Ctx, payloadIn, payloadOut int6
 type crossServe uint8
 
 const (
-	serveFn       crossServe = iota // by fn, as a metadata operation
+	serveFn       crossServe = iota // by fnFS, as a metadata operation
 	serveRun                        // by a handle's run, which takes the reply
 	serveHandBack                   // by a handle's run, which hands control back before its tail
 	serveRefuse                     // by a handle that starts no run: its blocking Read
@@ -73,13 +73,14 @@ type crossRequest struct {
 	takeTime bool // the work reads the daemon thread's last core, so a wrong pick shows
 	serve    crossServe
 	// nested serves the request through a second FUSE mount, as
-	// unionfs-fuse over ceph-fuse (F/F) does: fn crosses the inner mount
-	// from its daemon thread, whose daemon serves the request.
+	// unionfs-fuse over ceph-fuse (F/F) does: the outer daemon's
+	// metadata operation crosses the inner mount from its daemon thread,
+	// whose daemon serves the request.
 	nested bool
 }
 
 // body is the request's service as blocking code, as the historical
-// crossing's fn and a handle's Read run it.
+// crossing's fn, fnFS and a handle's Read run it.
 func (r *crossRequest) body(ctx vfsapi.Ctx) error {
 	if r.takeTime {
 		// A daemon thread's last core depends on which thread was picked.
@@ -89,6 +90,20 @@ func (r *crossRequest) body(ctx vfsapi.Ctx) error {
 	ctx.P.Sleep(r.sleep)
 	ctx.T.Exec(ctx.P, cpu.User, r.tail)
 	return r.err()
+}
+
+// fnFS serves Mkdir by running fn on the serving thread's context: a
+// metadata operation of a filesystem behind the transport.
+type fnFS struct {
+	vfsapi.FileSystem
+	fn func(vfsapi.Ctx) error
+}
+
+func (f *fnFS) Mkdir(ctx vfsapi.Ctx, _ string) error { return f.fn(ctx) }
+
+// fnCall is a metadata Call that fn serves.
+func fnCall(fn func(vfsapi.Ctx) error) vfsapi.Call {
+	return vfsapi.Call{Kind: vfsapi.OpMkdir, FS: &fnFS{fn: fn}}
 }
 
 func (r *crossRequest) err() error {
@@ -315,14 +330,11 @@ func runCrossScenario(sc crossScenario, historical bool, tick time.Duration) cro
 		inner = sc.daemons
 	}
 	nested := New(e, c, params, nil, Config{Name: "fuse2", Acct: accts[2], Mask: sc.daemonMask, Threads: inner})
-	cross := func(tr *Transport, ctx vfsapi.Ctx, in, out int64, io vfsapi.IO, fn func(vfsapi.Ctx) error) error {
+	cross := func(tr *Transport, ctx vfsapi.Ctx, in, out int64, c vfsapi.Call) error {
 		if historical {
-			if io.H != nil {
-				fn = func(dctx vfsapi.Ctx) error { _, err := io.Do(dctx); return err }
-			}
-			return historicalCrossing(tr, ctx, in, out, fn)
+			return historicalCrossing(tr, ctx, in, out, func(dctx vfsapi.Ctx) error { _, err := c.Do(dctx); return err })
 		}
-		_, err := tr.crossing(ctx, in, out, io, fn)
+		_, err := tr.crossing(ctx, in, out, &c)
 		return err
 	}
 	for _, tg := range sc.toggles {
@@ -343,20 +355,21 @@ func runCrossScenario(sc crossScenario, historical bool, tick time.Duration) cro
 			ctx := vfsapi.Ctx{P: p, T: th}
 			for _, r := range app.reqs {
 				p.Sleep(r.gap)
-				var io vfsapi.IO
+				c := fnCall(r.body)
 				if r.serve != serveFn {
-					io = vfsapi.IO{H: &crossHandle{e: e, r: &r, out: &out}, N: r.out}
+					c = vfsapi.Call{Kind: vfsapi.OpRead, H: &crossHandle{e: e, r: &r, out: &out}, N: r.out}
 				}
 				var err error
 				if r.nested {
 					out.nests++
 					// Only the inner crossing serves the request: the
-					// outer one runs fn and its blocking reply chain.
-					err = cross(tr, ctx, r.in, r.out, vfsapi.IO{}, func(dctx vfsapi.Ctx) error {
-						return cross(nested, dctx, r.in, r.out, io, r.body)
-					})
+					// outer one serves a metadata operation and runs its
+					// blocking reply chain.
+					err = cross(tr, ctx, r.in, r.out, fnCall(func(dctx vfsapi.Ctx) error {
+						return cross(nested, dctx, r.in, r.out, c)
+					}))
 				} else {
-					err = cross(tr, ctx, r.in, r.out, io, r.body)
+					err = cross(tr, ctx, r.in, r.out, c)
 				}
 				out.results[i] = append(out.results[i], crossResult{p.Now(), err})
 			}
@@ -417,11 +430,11 @@ func compareCross(t *testing.T, name string, got, want crossOutcome) {
 // engine must process the same number of events. The fixed cases pin a
 // crash while requests wait for the one daemon thread, a crash at the
 // grant instant, and a crash plus restart before a queued request's
-// grant. Requests whose fn takes the reply — as the client's request
-// run does for a cached Read or Write — must match the historical
-// crossing's blocking reply, as must those whose fn falls back from
-// the reply and those nested under a second mount (F/F), where only
-// the inner crossing's fn is given the reply.
+// grant. Requests whose handle's run takes the reply — as the client's
+// request run does for a cached Read or Write — must match the
+// historical crossing's blocking reply, as must those whose run falls
+// back from the reply and those nested under a second mount (F/F),
+// where only the inner crossing's run is given the reply.
 func TestCrossingMatchesHistorical(t *testing.T) {
 	us := time.Microsecond
 	queued := func(toggles ...crashToggle) crossScenario {
@@ -474,7 +487,7 @@ func TestCrossingMatchesHistorical(t *testing.T) {
 }
 
 // TestCrossingParksOncePerSide pins what the dispatch continuation
-// buys for a crossing whose fn cannot start a run: a crossing that
+// buys for a crossing whose operation cannot start a run: a crossing that
 // waits for the one daemon thread parks its process twice — once until
 // the daemon has read the request, once for the reply — and a request
 // the daemon's crash fails at the grant parks it once. The contended
@@ -485,13 +498,13 @@ func TestCrossingParksOncePerSide(t *testing.T) {
 	c := cpu.New(e, params, 2)
 	acct := cpu.NewAccount("app")
 	tr := New(e, c, params, nil, Config{Name: "fuse", Threads: 1})
-	serve := func(vfsapi.Ctx) error { return nil }
+	serve := fnCall(func(vfsapi.Ctx) error { return nil })
 	for i := range 3 {
 		th := c.NewThread(acct, 0)
 		e.Go("app", func(p *sim.Proc) {
 			ctx := vfsapi.Ctx{P: p, T: th}
 			before := p.Parks()
-			if _, err := tr.crossing(ctx, 4096, 4096, vfsapi.IO{}, serve); err != nil {
+			if _, err := tr.crossing(ctx, 4096, 4096, &serve); err != nil {
 				t.Errorf("app %d: %v", i, err)
 			}
 			if n := p.Parks() - before; n != 2 {
@@ -507,13 +520,13 @@ func TestCrossingParksOncePerSide(t *testing.T) {
 	e = sim.NewEngine()
 	c = cpu.New(e, params, 2)
 	tr = New(e, c, params, nil, Config{Name: "fuse", Threads: 1})
-	crash := func(vfsapi.Ctx) error { tr.Crash(); return nil }
+	crash := fnCall(func(vfsapi.Ctx) error { tr.Crash(); return nil })
 	for i := range 2 {
 		th := c.NewThread(acct, 0)
 		e.Go("app", func(p *sim.Proc) {
 			ctx := vfsapi.Ctx{P: p, T: th}
 			before := p.Parks()
-			err := tr.op(ctx, crash)
+			_, err := tr.crossing(ctx, 0, 0, &crash)
 			if i == 1 {
 				if !errors.Is(err, vfsapi.ErrCrashed) {
 					t.Errorf("queued request returned %v, want ErrCrashed", err)
@@ -549,12 +562,12 @@ func crossingContended(n int) func() {
 		th := c.NewThread(acct, 0)
 		e.Go("app", func(p *sim.Proc) {
 			ctx := vfsapi.Ctx{P: p, T: th}
-			serve := func(dctx vfsapi.Ctx) error {
+			serve := fnCall(func(dctx vfsapi.Ctx) error {
 				dctx.T.Exec(dctx.P, cpu.User, time.Microsecond)
 				return nil
-			}
+			})
 			for range per {
-				tr.crossing(ctx, 0, 4096, vfsapi.IO{}, serve)
+				tr.crossing(ctx, 0, 4096, &serve)
 			}
 		})
 	}

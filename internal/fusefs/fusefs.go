@@ -21,10 +21,11 @@ import (
 // Transport is a FUSE mount: a user-level daemon serving a filesystem
 // through the kernel FUSE channel. It implements vfsapi.FileSystem.
 type Transport struct {
+	vfsapi.FileSystem // the served filesystem, every operation through Do
+
 	eng    *sim.Engine
 	cpus   *cpu.CPU
 	params *model.Params
-	inner  vfsapi.FileSystem
 
 	// daemonThreads is a pool of CPU threads the daemon side runs on
 	// (pinned to the pool's cores like any process of the tenant).
@@ -65,17 +66,15 @@ func New(eng *sim.Engine, cpus *cpu.CPU, params *model.Params, inner vfsapi.File
 		cfg.Acct = cpu.NewAccount(cfg.Name + ".fused")
 	}
 	t := &Transport{
-		eng: eng, cpus: cpus, params: params, inner: inner,
+		eng: eng, cpus: cpus, params: params,
 		slots: sim.NewResource(eng, cfg.Name+".daemon", cfg.Threads),
 	}
+	t.FileSystem = vfsapi.Wrap[struct{}](inner, t, nil)
 	for i := 0; i < cfg.Threads; i++ {
 		t.daemonThreads = append(t.daemonThreads, cpus.NewThread(cfg.Acct, cfg.Mask))
 	}
 	return t
 }
-
-// Inner returns the filesystem served by the daemon.
-func (t *Transport) Inner() vfsapi.FileSystem { return t.inner }
 
 // Crash kills the daemon process: every request on the FUSE channel —
 // in flight past the syscall entry or issued later — fails with
@@ -89,27 +88,60 @@ func (t *Transport) Crash() { t.crashed = true }
 // which recovers separately), so restart is immediate.
 func (t *Transport) Restart() { t.crashed = false }
 
-// Crashed reports whether the daemon is dead.
-func (t *Transport) Crashed() bool { return t.crashed }
+// Do carries c over the FUSE channel. Read and Write split at the FUSE
+// request size, one round trip per chunk: a write's chunk travels in the
+// request, a read's in the reply, and a short read chunk ends the read
+// (EOF). Append is chunked writes at the current end of file, and
+// returns that offset. Every other operation is one round trip with no
+// payload.
+func (t *Transport) Do(ctx vfsapi.Ctx, c vfsapi.Call, _ struct{}) (vfsapi.Result, error) {
+	appending := c.Kind == vfsapi.OpAppend
+	switch {
+	case appending:
+		c.Kind, c.Off = vfsapi.OpWrite, c.H.Size()
+	case c.Kind != vfsapi.OpRead && c.Kind != vfsapi.OpWrite:
+		return t.crossing(ctx, 0, 0, &c)
+	}
+	at := c.Off
+	var err error
+	for n := c.N; n > 0; n -= c.N {
+		c.N = min(n, t.params.FUSEMaxWrite)
+		in, out := c.N, int64(0)
+		if c.Kind == vfsapi.OpRead {
+			in, out = 0, c.N
+		}
+		var r vfsapi.Result
+		if r, err = t.crossing(ctx, in, out, &c); err != nil {
+			break
+		}
+		c.Off += r.N
+		if c.Kind == vfsapi.OpRead && r.N < c.N {
+			break
+		}
+	}
+	if appending {
+		return vfsapi.Result{N: at}, err
+	}
+	return vfsapi.Result{N: c.Off - at}, err
+}
 
 // crossing performs one FUSE round trip: syscall entry, request
 // queueing, switch to the daemon, daemon-side service, switch back, and
 // syscall exit. payloadIn/payloadOut are the extra data copies through
-// the kernel in each direction. The daemon serves io, a Read or Write,
-// when io.H is set, and runs fn otherwise.
+// the kernel in each direction. The daemon serves op.
 //
 // The process parks once from the syscall entry to the moment the
 // daemon has read the request: the entry chain, the wait for a daemon
 // thread and the daemon's read chain run as one continuation (see
-// dispatch). Where the read chain ends, the continuation starts io's
-// run on the daemon thread when io.H can start one (vfsapi.Starter) and
+// dispatch). Where the read chain ends, the continuation starts op's
+// run on the daemon thread when op can start one (vfsapi.Call.Start) and
 // passes it the reply: a request the run serves starts the reply chain
 // from an engine callback, and the process parks once in all, resuming
-// at the reply's end. Otherwise — fn, a handle that starts no run, a
-// daemon found dead — it hands control back to the process, which
-// serves the request itself, or finishes a run that handed control
-// back, and runs the reply chain.
-func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, io vfsapi.IO, fn func(dctx vfsapi.Ctx) error) (int64, error) {
+// at the reply's end. Otherwise — a namespace operation, a handle that
+// starts no run, a daemon found dead — it hands control back to the
+// process, which serves the request itself, or finishes a run that
+// handed control back, and runs the reply chain.
+func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, op *vfsapi.Call) (vfsapi.Result, error) {
 	defer ctx.Span.Enter(obs.LayerFUSE).Exit()
 	p := t.params
 	if t.crashed {
@@ -118,12 +150,12 @@ func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, io vfs
 		// trip, but the aborted syscall still costs its kernel entry,
 		// which keeps erroring loops moving in simulated time.
 		ctx.T.Chain(ctx.P, ctx.T.ModeSwitchStep(), cpu.Charge(cpu.Kernel, p.FUSERequestOverhead), ctx.T.ModeSwitchStep())
-		return 0, vfsapi.ErrCrashed
+		return vfsapi.Result{}, vfsapi.ErrCrashed
 	}
 	// Application enters the kernel and hands the request to FUSE: a
 	// zero-length copy step only skips. The daemon side follows as
 	// continuations of the chain.
-	d := t.getDispatch(ctx, payloadIn, payloadOut, io)
+	d := t.getDispatch(ctx, payloadIn, payloadOut, op)
 	ctx.T.LockedChainThen(ctx.P, nil, nil, "", d.entered,
 		ctx.T.ModeSwitchStep(),
 		cpu.Charge(cpu.Kernel, p.FUSERequestOverhead),
@@ -134,30 +166,21 @@ func (t *Transport) crossing(ctx vfsapi.Ctx, payloadIn, payloadOut int64, io vfs
 	defer t.slots.Release()
 	if d.dth == nil {
 		// The daemon died while the request sat in the FUSE queue.
-		return 0, vfsapi.ErrCrashed
+		return vfsapi.Result{}, vfsapi.ErrCrashed
 	}
 	dctx := vfsapi.Ctx{P: ctx.P, T: d.dth, Span: ctx.Span}
-	var n int64
+	var r vfsapi.Result
 	var err error
-	switch {
-	case d.run != nil:
-		n, err = d.run.Finish(dctx)
-	case io.H != nil:
-		n, err = io.Do(dctx)
-	default:
-		err = fn(dctx)
+	if d.run != nil {
+		r.N, err = d.run.Finish(dctx)
+	} else {
+		r, err = op.Do(dctx)
 	}
 	if !d.replied {
 		steps := d.replySteps()
 		d.dth.Chain(ctx.P, steps[:]...)
 	}
-	return n, err
-}
-
-// op crosses to the daemon for fn, with no payload.
-func (t *Transport) op(ctx vfsapi.Ctx, fn func(dctx vfsapi.Ctx) error) error {
-	_, err := t.crossing(ctx, 0, 0, vfsapi.IO{}, fn)
-	return err
+	return r, err
 }
 
 // dispatch carries one request from the application's syscall entry to
@@ -175,11 +198,11 @@ type dispatch struct {
 	t       *Transport
 	p       *sim.Proc
 	app     *cpu.Thread // the application's thread
-	span    *obs.Span   // the request's span, passed to io's run
+	span    *obs.Span   // the request's span, passed to op's run
 	in, out int64       // request and reply payloads copied through the kernel
-	io      vfsapi.IO   // the Read or Write to serve, if any
+	op      vfsapi.Call // the operation to serve
 	dth     *cpu.Thread // the daemon thread serving it; nil if the daemon died first
-	run     vfsapi.Run  // io's run, started by the daemon
+	run     vfsapi.Run  // op's run, started by the daemon
 	replied bool        // the run started the reply chain
 
 	entered func() // reusable entry-chain continuation (enter)
@@ -213,10 +236,10 @@ func (d *dispatch) grant() {
 	dth.LockedChainThen(d.p, nil, nil, "", d.read, dth.ModeSwitchStep(), cpu.Charge(cpu.Kernel, t.params.CopyTime(d.in)))
 }
 
-// serve starts io's run on the daemon thread, which holds the request;
+// serve starts op's run on the daemon thread, which holds the request;
 // without one it hands control back to the process.
 func (d *dispatch) serve() {
-	d.run = d.io.Start(vfsapi.Ctx{P: d.p, T: d.dth, Span: d.span}, d.replyFn)
+	d.run = d.op.Start(vfsapi.Ctx{P: d.p, T: d.dth, Span: d.span}, d.replyFn)
 	if d.run == nil {
 		d.p.ResumeHere()
 	}
@@ -239,7 +262,7 @@ func (d *dispatch) replySteps() [5]cpu.Step {
 	}
 }
 
-// reply starts the reply chain on behalf of io's run, which served the
+// reply starts the reply chain on behalf of op's run, which served the
 // request in an engine callback; the chain's end resumes the process.
 func (d *dispatch) reply() {
 	d.replied = true
@@ -250,7 +273,7 @@ func (d *dispatch) reply() {
 // getDispatch takes a dispatch state from the transport's pool. Safe
 // without locking: exactly one goroutine runs at any instant in the
 // simulation.
-func (t *Transport) getDispatch(ctx vfsapi.Ctx, in, out int64, io vfsapi.IO) *dispatch {
+func (t *Transport) getDispatch(ctx vfsapi.Ctx, in, out int64, op *vfsapi.Call) *dispatch {
 	var d *dispatch
 	if n := len(t.pool); n > 0 {
 		d = t.pool[n-1]
@@ -259,146 +282,11 @@ func (t *Transport) getDispatch(ctx vfsapi.Ctx, in, out int64, io vfsapi.IO) *di
 		d = &dispatch{t: t}
 		d.entered, d.granted, d.read, d.resumed, d.replyFn = d.enter, d.grant, d.serve, d.resume, d.reply
 	}
-	d.p, d.app, d.span, d.in, d.out, d.io, d.dth, d.run, d.replied = ctx.P, ctx.T, ctx.Span, in, out, io, nil, nil, false
+	d.p, d.app, d.span, d.in, d.out, d.op, d.dth, d.run, d.replied = ctx.P, ctx.T, ctx.Span, in, out, *op, nil, nil, false
 	return d
 }
 
 func (t *Transport) putDispatch(d *dispatch) {
-	d.p, d.app, d.span, d.io, d.dth, d.run = nil, nil, nil, vfsapi.IO{}, nil, nil
+	d.p, d.app, d.span, d.op, d.dth, d.run = nil, nil, nil, vfsapi.Call{}, nil, nil
 	t.pool = append(t.pool, d)
-}
-
-// Open crosses to the daemon and wraps the returned handle.
-func (t *Transport) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfsapi.Handle, error) {
-	var h vfsapi.Handle
-	err := t.op(ctx, func(dctx vfsapi.Ctx) error {
-		var err error
-		h, err = t.inner.Open(dctx, path, flags)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &fuseHandle{t: t, inner: h}, nil
-}
-
-// Stat crosses to the daemon.
-func (t *Transport) Stat(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, error) {
-	var info vfsapi.FileInfo
-	err := t.op(ctx, func(dctx vfsapi.Ctx) error {
-		var err error
-		info, err = t.inner.Stat(dctx, path)
-		return err
-	})
-	return info, err
-}
-
-// Mkdir crosses to the daemon.
-func (t *Transport) Mkdir(ctx vfsapi.Ctx, path string) error {
-	return t.op(ctx, func(dctx vfsapi.Ctx) error {
-		return t.inner.Mkdir(dctx, path)
-	})
-}
-
-// Readdir crosses to the daemon.
-func (t *Transport) Readdir(ctx vfsapi.Ctx, path string) ([]vfsapi.DirEntry, error) {
-	var ents []vfsapi.DirEntry
-	err := t.op(ctx, func(dctx vfsapi.Ctx) error {
-		var err error
-		ents, err = t.inner.Readdir(dctx, path)
-		return err
-	})
-	return ents, err
-}
-
-// Unlink crosses to the daemon.
-func (t *Transport) Unlink(ctx vfsapi.Ctx, path string) error {
-	return t.op(ctx, func(dctx vfsapi.Ctx) error {
-		return t.inner.Unlink(dctx, path)
-	})
-}
-
-// Rmdir crosses to the daemon.
-func (t *Transport) Rmdir(ctx vfsapi.Ctx, path string) error {
-	return t.op(ctx, func(dctx vfsapi.Ctx) error {
-		return t.inner.Rmdir(dctx, path)
-	})
-}
-
-// Rename crosses to the daemon.
-func (t *Transport) Rename(ctx vfsapi.Ctx, oldPath, newPath string) error {
-	return t.op(ctx, func(dctx vfsapi.Ctx) error {
-		return t.inner.Rename(dctx, oldPath, newPath)
-	})
-}
-
-type fuseHandle struct {
-	t     *Transport
-	inner vfsapi.Handle
-}
-
-func (h *fuseHandle) Path() string { return h.inner.Path() }
-func (h *fuseHandle) Size() int64  { return h.inner.Size() }
-
-// Read splits the request at the FUSE request size, one round trip per
-// chunk, each paying the reply copy through the kernel.
-func (h *fuseHandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
-	var total int64
-	for n > 0 {
-		chunk := h.t.params.FUSEMaxWrite
-		if n < chunk {
-			chunk = n
-		}
-		got, err := h.t.crossing(ctx, 0, chunk, vfsapi.IO{H: h.inner, Off: off, N: chunk}, nil)
-		if err != nil {
-			return total, err
-		}
-		total += got
-		off += got
-		n -= chunk
-		if got < chunk {
-			break // EOF
-		}
-	}
-	return total, nil
-}
-
-// Write splits at the FUSE request size, one round trip per chunk.
-func (h *fuseHandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
-	var total int64
-	for n > 0 {
-		chunk := h.t.params.FUSEMaxWrite
-		if n < chunk {
-			chunk = n
-		}
-		got, err := h.t.crossing(ctx, chunk, 0, vfsapi.IO{H: h.inner, Write: true, Off: off, N: chunk}, nil)
-		if err != nil {
-			return total, err
-		}
-		total += got
-		off += got
-		n -= chunk
-	}
-	return total, nil
-}
-
-// Append forwards to chunked writes at the current end of file.
-func (h *fuseHandle) Append(ctx vfsapi.Ctx, n int64) (int64, error) {
-	off := h.inner.Size()
-	_, err := h.Write(ctx, off, n)
-	return off, err
-}
-
-// Fsync crosses to the daemon.
-func (h *fuseHandle) Fsync(ctx vfsapi.Ctx) error {
-	return h.t.op(ctx, func(dctx vfsapi.Ctx) error {
-		return h.inner.Fsync(dctx)
-	})
-}
-
-// Close crosses to the daemon.
-func (h *fuseHandle) Close(ctx vfsapi.Ctx) error {
-	return h.t.op(ctx, func(dctx vfsapi.Ctx) error {
-		return h.inner.Close(dctx)
-	})
 }

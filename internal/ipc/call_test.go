@@ -53,7 +53,7 @@ func historicalCall(t *Transport, ctx vfsapi.Ctx, fn func(dctx vfsapi.Ctx) error
 type callServe uint8
 
 const (
-	serveFn       callServe = iota // by fn, as a metadata operation
+	serveFn       callServe = iota // by fnFS, as a metadata operation
 	serveRun                       // by a handle's run, which resumes the process when done
 	serveHandBack                  // by a handle's run, which hands control back before its sleep
 	serveRefuse                    // by a handle that starts no run: its blocking Read
@@ -82,13 +82,27 @@ func (r *callRequest) workSteps(th *cpu.Thread) [2]cpu.Step {
 }
 
 // body is the request's service as blocking code, as the historical
-// call's fn and a handle's Read run it.
+// call's fn, fnFS and a handle's Read run it.
 func (r *callRequest) body(ctx vfsapi.Ctx) error {
 	steps := r.workSteps(ctx.T)
 	ctx.T.Exec(ctx.P, steps[0].Kind, steps[0].D)
 	ctx.T.Exec(ctx.P, steps[1].Kind, steps[1].D)
 	ctx.P.Sleep(r.sleep)
 	return r.err()
+}
+
+// fnFS serves Mkdir by running fn on the service thread's context: a
+// metadata operation of the filesystem behind the service.
+type fnFS struct {
+	vfsapi.FileSystem
+	fn func(vfsapi.Ctx) error
+}
+
+func (f *fnFS) Mkdir(ctx vfsapi.Ctx, _ string) error { return f.fn(ctx) }
+
+// fnCall is a metadata Call that fn serves.
+func fnCall(fn func(vfsapi.Ctx) error) vfsapi.Call {
+	return vfsapi.Call{Kind: vfsapi.OpMkdir, FS: &fnFS{fn: fn}}
 }
 
 func (r *callRequest) err() error {
@@ -265,14 +279,11 @@ func runCallScenario(sc callScenario, historical bool, tick time.Duration) callO
 	if sc.repinAt > 0 {
 		e.After(sc.repinAt, func() { tr.Repin(sc.repin) })
 	}
-	call := func(tr *Transport, ctx vfsapi.Ctx, io vfsapi.IO, fn func(vfsapi.Ctx) error) error {
+	call := func(tr *Transport, ctx vfsapi.Ctx, c vfsapi.Call) error {
 		if historical {
-			if io.H != nil {
-				fn = func(dctx vfsapi.Ctx) error { _, err := io.Do(dctx); return err }
-			}
-			return historicalCall(tr, ctx, fn)
+			return historicalCall(tr, ctx, func(dctx vfsapi.Ctx) error { _, err := c.Do(dctx); return err })
 		}
-		_, err := tr.call(ctx, io, fn)
+		_, err := tr.Do(ctx, c, struct{}{})
 		return err
 	}
 	out.results = make([][]callResult, len(sc.apps))
@@ -282,19 +293,19 @@ func runCallScenario(sc callScenario, historical bool, tick time.Duration) callO
 			ctx := vfsapi.Ctx{P: p, T: th}
 			for _, r := range a.reqs {
 				p.Sleep(r.gap)
-				var io vfsapi.IO
+				c := fnCall(r.body)
 				if r.serve != serveFn {
-					io = vfsapi.IO{H: &callHandle{e: e, r: &r, out: &out}}
+					c = vfsapi.Call{Kind: vfsapi.OpRead, H: &callHandle{e: e, r: &r, out: &out}}
 				}
 				var err error
 				if r.nested {
 					out.nests++
 					// Only the inner call serves the request.
-					err = call(tr, ctx, vfsapi.IO{}, func(dctx vfsapi.Ctx) error {
-						return call(nested, dctx, io, r.body)
-					})
+					err = call(tr, ctx, fnCall(func(dctx vfsapi.Ctx) error {
+						return call(nested, dctx, c)
+					}))
 				} else {
-					err = call(tr, ctx, io, r.body)
+					err = call(tr, ctx, c)
 				}
 				out.results[i] = append(out.results[i], callResult{p.Now(), err})
 			}
@@ -330,7 +341,7 @@ func runCallScenario(sc callScenario, historical bool, tick time.Duration) callO
 // switch, wakeup and scale-event counters must agree at every window
 // boundary and at the end, the wait reports must match in order, and
 // the engine must process the same number of events. Requests served
-// by fn, by a handle's run — as the client's request run serves a
+// as a metadata operation (fnFS), by a handle's run — as the client's request run serves a
 // cached Read or Write — by a run that hands control back before its
 // sleep, and by a handle that starts no run must all match the
 // historical call's fn, as must requests nested under a second
@@ -391,8 +402,8 @@ func TestCallMatchesHistorical(t *testing.T) {
 
 // TestCallParksOnce pins what the call continuation buys: a call whose
 // service thread has gone idle (a lapsed poll window) and whose
-// dispatch lock is contended parks its process once before fn runs,
-// and stays allocation-free.
+// dispatch lock is contended parks its process once before its
+// operation is served, and stays allocation-free.
 func TestCallParksOnce(t *testing.T) {
 	e := sim.NewEngine()
 	params := model.Default()
@@ -405,12 +416,13 @@ func TestCallParksOnce(t *testing.T) {
 		e.Go("app", func(p *sim.Proc) {
 			for range 3 {
 				before := p.Parks()
-				tr.op(vfsapi.Ctx{P: p, T: th}, func(dctx vfsapi.Ctx) error {
+				op := fnCall(func(dctx vfsapi.Ctx) error {
 					if n := p.Parks() - before; n != 1 {
-						t.Errorf("proc %d parked %d times before fn, want 1", p.ID(), n)
+						t.Errorf("proc %d parked %d times before its operation was served, want 1", p.ID(), n)
 					}
 					return nil
 				})
+				tr.Do(vfsapi.Ctx{P: p, T: th}, op, struct{}{})
 				p.Sleep(time.Microsecond)
 			}
 		})
@@ -444,12 +456,12 @@ func callLapsedPollWindow(n int) func() {
 		th := c.NewThread(acct, 0)
 		e.Go("app", func(p *sim.Proc) {
 			ctx := vfsapi.Ctx{P: p, T: th}
-			serve := func(dctx vfsapi.Ctx) error {
+			serve := fnCall(func(dctx vfsapi.Ctx) error {
 				dctx.T.Exec(dctx.P, cpu.User, time.Microsecond)
 				return nil
-			}
+			})
 			for range per {
-				tr.op(ctx, serve)
+				tr.Do(ctx, serve, struct{}{})
 			}
 		})
 	}

@@ -42,6 +42,8 @@ type Config struct {
 // shared-memory queues. It implements vfsapi.FileSystem by forwarding
 // every operation to the inner filesystem instance on a service thread.
 type Transport struct {
+	vfsapi.FileSystem // the service's filesystem, every operation through Do
+
 	eng    *sim.Engine
 	cpus   *cpu.CPU
 	params *model.Params
@@ -86,6 +88,7 @@ func New(eng *sim.Engine, cpus *cpu.CPU, params *model.Params, inner vfsapi.File
 		cfg:    cfg,
 		pinned: map[*cpu.Thread]*queueState{},
 	}
+	t.FileSystem = vfsapi.Wrap[struct{}](inner, t, nil)
 	for g := 0; g < cpus.NumGroups(); g++ {
 		gm := cpus.GroupMask(g) & cfg.Mask
 		if gm == 0 {
@@ -142,51 +145,53 @@ func (t *Transport) queueFor(th *cpu.Thread) *queueState {
 	return q
 }
 
-// call performs one request/response over the queue: descriptor
-// enqueue by the app thread, service-side dispatch and service on the
-// pinned service thread, all at user level. The service serves io, a
-// Read or Write, when io.H is set, and runs fn otherwise.
+// Do is the call: it forwards op through the queue as one
+// request/response, descriptor enqueue by the app thread, service-side
+// dispatch and service of op on the pinned service thread, all at user
+// level. A read's data returns via the caller's request buffer in
+// shared memory (no kernel copies).
 //
 // The process parks once until the service thread has dispatched the
 // request: the enqueue, the wakeup of an idle service thread and the
 // dispatch run as one continuation (see callState). Where the dispatch
-// ends, the continuation starts io's run on the service thread when
-// io.H can start one (vfsapi.Starter); the run resumes the process when
+// ends, the continuation starts op's run on the service thread when op
+// can start one (vfsapi.Call.Start); the run resumes the process when
 // it has served the request, so a request served from the cache parks
 // its process once in all. Otherwise it hands control back to the
 // process, which serves the request itself, or finishes a run that
 // handed control back.
-func (t *Transport) call(ctx vfsapi.Ctx, io vfsapi.IO, fn func(dctx vfsapi.Ctx) error) (int64, error) {
-	defer ctx.Span.Enter(obs.LayerIPC).Exit()
-	t.calls++
-	q := t.queueFor(ctx.T)
-
-	// Front driver: fill the request descriptor in shared memory.
-	c := t.getCall(ctx, q, io)
-	ctx.T.LockedChainThen(ctx.P, nil, nil, "", c.enqueued, cpu.Charge(cpu.User, t.params.IPCEnqueueCost))
-	ctx.P.Park()
-	dctx, run := vfsapi.Ctx{P: ctx.P, T: c.svc, Span: ctx.Span}, c.run
-	t.putCall(c)
-	var n int64
+func (t *Transport) Do(ctx vfsapi.Ctx, op vfsapi.Call, _ struct{}) (vfsapi.Result, error) {
+	sc := ctx.Span.Enter(obs.LayerIPC)
+	q, svc, run := t.enqueue(ctx, &op)
+	dctx := vfsapi.Ctx{P: ctx.P, T: svc, Span: ctx.Span}
+	var r vfsapi.Result
 	var err error
-	switch {
-	case run != nil:
-		n, err = run.Finish(dctx)
-	case io.H != nil:
-		n, err = io.Do(dctx)
-	default:
-		err = fn(dctx)
+	if run != nil {
+		r.N, err = run.Finish(dctx)
+	} else {
+		r, err = op.Do(dctx)
 	}
 	q.inflight--
 	q.lastServed = t.eng.Now()
 	q.everServed = true
-	return n, err
+	sc.Exit()
+	return r, err
 }
 
-// op forwards fn through the queue.
-func (t *Transport) op(ctx vfsapi.Ctx, fn func(dctx vfsapi.Ctx) error) error {
-	_, err := t.call(ctx, vfsapi.IO{}, fn)
-	return err
+// enqueue is the front driver: it fills the request descriptor for op in
+// shared memory and parks the process until the service thread has
+// dispatched it. It returns the queue, the service thread and op's run,
+// if the service thread started one. It keeps its temporaries out of the
+// frame that serves op.
+func (t *Transport) enqueue(ctx vfsapi.Ctx, op *vfsapi.Call) (*queueState, *cpu.Thread, vfsapi.Run) {
+	t.calls++
+	q := t.queueFor(ctx.T)
+	c := t.getCall(ctx, q, op)
+	ctx.T.LockedChainThen(ctx.P, nil, nil, "", c.enqueued, cpu.Charge(cpu.User, t.params.IPCEnqueueCost))
+	ctx.P.Park()
+	svc, run := c.svc, c.run
+	t.putCall(c)
+	return q, svc, run
 }
 
 // callState carries one request from the front driver's enqueue to the
@@ -203,11 +208,11 @@ type callState struct {
 	t    *Transport
 	p    *sim.Proc
 	th   *cpu.Thread // the calling thread
-	span *obs.Span   // the request's span, passed to io's run
+	span *obs.Span   // the request's span, passed to op's run
 	q    *queueState
-	io   vfsapi.IO   // the Read or Write to serve, if any
+	op   vfsapi.Call // the operation to serve
 	svc  *cpu.Thread // the service thread picked for the request
-	run  vfsapi.Run  // io's run, started by the service thread
+	run  vfsapi.Run  // op's run, started by the service thread
 
 	enqueued   func() // reusable enqueue-chain continuation (poll)
 	woken      func() // reusable wakeup-chain continuation (dispatch)
@@ -244,10 +249,10 @@ func (c *callState) dispatch() {
 		cpu.Charge(cpu.User, p.IPCEnqueueCost), cpu.Step{Unlock: q.dispatch})
 }
 
-// serve starts io's run on the service thread, which holds the request;
+// serve starts op's run on the service thread, which holds the request;
 // without one it hands control back to the process.
 func (c *callState) serve() {
-	c.run = c.io.Start(vfsapi.Ctx{P: c.p, T: c.svc, Span: c.span}, nil)
+	c.run = c.op.Start(vfsapi.Ctx{P: c.p, T: c.svc, Span: c.span}, nil)
 	if c.run == nil {
 		c.p.ResumeHere()
 	}
@@ -255,7 +260,7 @@ func (c *callState) serve() {
 
 // getCall takes a call state from the transport's pool. Safe without
 // locking: exactly one goroutine runs at any instant in the simulation.
-func (t *Transport) getCall(ctx vfsapi.Ctx, q *queueState, io vfsapi.IO) *callState {
+func (t *Transport) getCall(ctx vfsapi.Ctx, q *queueState, op *vfsapi.Call) *callState {
 	var c *callState
 	if n := len(t.pool); n > 0 {
 		c = t.pool[n-1]
@@ -264,12 +269,12 @@ func (t *Transport) getCall(ctx vfsapi.Ctx, q *queueState, io vfsapi.IO) *callSt
 		c = &callState{t: t}
 		c.enqueued, c.woken, c.dispatched = c.poll, c.dispatch, c.serve
 	}
-	c.p, c.th, c.span, c.q, c.io, c.run = ctx.P, ctx.T, ctx.Span, q, io, nil
+	c.p, c.th, c.span, c.q, c.op, c.run = ctx.P, ctx.T, ctx.Span, q, *op, nil
 	return c
 }
 
 func (t *Transport) putCall(c *callState) {
-	c.p, c.th, c.span, c.q, c.io, c.svc, c.run = nil, nil, nil, nil, vfsapi.IO{}, nil, nil
+	c.p, c.th, c.span, c.q, c.op, c.svc, c.run = nil, nil, nil, nil, vfsapi.Call{}, nil, nil
 	t.pool = append(t.pool, c)
 }
 
@@ -299,100 +304,4 @@ func (t *Transport) Repin(mask cpu.Mask) {
 	for th, q := range t.pinned {
 		th.SetAffinity(q.mask)
 	}
-}
-
-// Open forwards through the queue and wraps the handle.
-func (t *Transport) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfsapi.Handle, error) {
-	var h vfsapi.Handle
-	err := t.op(ctx, func(dctx vfsapi.Ctx) error {
-		var err error
-		h, err = t.inner.Open(dctx, path, flags)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &ipcHandle{t: t, inner: h}, nil
-}
-
-// Stat forwards through the queue.
-func (t *Transport) Stat(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, error) {
-	var info vfsapi.FileInfo
-	err := t.op(ctx, func(dctx vfsapi.Ctx) error {
-		var err error
-		info, err = t.inner.Stat(dctx, path)
-		return err
-	})
-	return info, err
-}
-
-// Mkdir forwards through the queue.
-func (t *Transport) Mkdir(ctx vfsapi.Ctx, path string) error {
-	return t.op(ctx, func(dctx vfsapi.Ctx) error { return t.inner.Mkdir(dctx, path) })
-}
-
-// Readdir forwards through the queue.
-func (t *Transport) Readdir(ctx vfsapi.Ctx, path string) ([]vfsapi.DirEntry, error) {
-	var ents []vfsapi.DirEntry
-	err := t.op(ctx, func(dctx vfsapi.Ctx) error {
-		var err error
-		ents, err = t.inner.Readdir(dctx, path)
-		return err
-	})
-	return ents, err
-}
-
-// Unlink forwards through the queue.
-func (t *Transport) Unlink(ctx vfsapi.Ctx, path string) error {
-	return t.op(ctx, func(dctx vfsapi.Ctx) error { return t.inner.Unlink(dctx, path) })
-}
-
-// Rmdir forwards through the queue.
-func (t *Transport) Rmdir(ctx vfsapi.Ctx, path string) error {
-	return t.op(ctx, func(dctx vfsapi.Ctx) error { return t.inner.Rmdir(dctx, path) })
-}
-
-// Rename forwards through the queue.
-func (t *Transport) Rename(ctx vfsapi.Ctx, oldPath, newPath string) error {
-	return t.op(ctx, func(dctx vfsapi.Ctx) error { return t.inner.Rename(dctx, oldPath, newPath) })
-}
-
-type ipcHandle struct {
-	t     *Transport
-	inner vfsapi.Handle
-}
-
-func (h *ipcHandle) Path() string { return h.inner.Path() }
-func (h *ipcHandle) Size() int64  { return h.inner.Size() }
-
-// Read forwards through the queue; data returns via the caller's
-// request buffer in shared memory (no kernel copies).
-func (h *ipcHandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
-	return h.t.call(ctx, vfsapi.IO{H: h.inner, Off: off, N: n}, nil)
-}
-
-// Write forwards through the queue.
-func (h *ipcHandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
-	return h.t.call(ctx, vfsapi.IO{H: h.inner, Write: true, Off: off, N: n}, nil)
-}
-
-// Append forwards through the queue.
-func (h *ipcHandle) Append(ctx vfsapi.Ctx, n int64) (int64, error) {
-	var off int64
-	err := h.t.op(ctx, func(dctx vfsapi.Ctx) error {
-		var err error
-		off, err = h.inner.Append(dctx, n)
-		return err
-	})
-	return off, err
-}
-
-// Fsync forwards through the queue.
-func (h *ipcHandle) Fsync(ctx vfsapi.Ctx) error {
-	return h.t.op(ctx, func(dctx vfsapi.Ctx) error { return h.inner.Fsync(dctx) })
-}
-
-// Close forwards through the queue.
-func (h *ipcHandle) Close(ctx vfsapi.Ctx) error {
-	return h.t.op(ctx, func(dctx vfsapi.Ctx) error { return h.inner.Close(dctx) })
 }

@@ -456,9 +456,6 @@ func (m *Mount) Restart(ctx vfsapi.Ctx) error {
 	return nil
 }
 
-// Crashed reports whether the mount is down.
-func (m *Mount) Crashed() bool { return m.crashed }
-
 // Crashes counts Crash calls on this mount.
 func (m *Mount) Crashes() uint64 { return m.crashes }
 

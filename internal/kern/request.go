@@ -213,6 +213,24 @@ func (r *request) afterCloseEntry() {
 	r.exit()
 }
 
+// syscall is Syscalls' Read, Write or Close c on h: the syscall scope
+// around syscallRead, syscallWrite or syscallClose.
+func (h *pagedHandle) syscall(ctx vfsapi.Ctx, vfsOp time.Duration, c *vfsapi.Call) (vfsapi.Result, error) {
+	sc := ctx.Span.Enter(obs.LayerSyscall)
+	var r vfsapi.Result
+	var err error
+	switch c.Kind {
+	case vfsapi.OpRead:
+		r.N, err = h.syscallRead(ctx, vfsOp, c.Off, c.N)
+	case vfsapi.OpWrite:
+		r.N, err = h.syscallWrite(ctx, vfsOp, c.Off, c.N)
+	default:
+		err = h.syscallClose(ctx, vfsOp)
+	}
+	sc.Exit()
+	return r, err
+}
+
 // syscallRead is Syscalls' Read on h between the scope's entry and exit:
 // the entry chain, the read and the exit mode switch. The cache-hit part
 // runs as one request run; at a hand-back the blocking code goes on.

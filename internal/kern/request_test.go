@@ -406,6 +406,29 @@ func randomKScenario(rng *rand.Rand) kScenario {
 
 func kPath(i int) string { return fmt.Sprintf("/f%d", i) }
 
+// pagedOpens is a mount as Syscalls' inner filesystem that keeps, per
+// process, the page-cache handle its last successful Open returned, so a
+// scenario reaches the handle under the one Syscalls wraps.
+type pagedOpens struct {
+	*Mount
+	last map[*sim.Proc]*pagedHandle
+}
+
+func (o *pagedOpens) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfsapi.Handle, error) {
+	h, err := o.Mount.Open(ctx, path, flags)
+	if err == nil {
+		o.last[ctx.P] = h.(*pagedHandle)
+	}
+	return h, err
+}
+
+// kHandle is an open file of a scenario: the handle Syscalls returned
+// and the page-cache handle under it.
+type kHandle struct {
+	h  vfsapi.Handle
+	ph *pagedHandle
+}
+
 // runKScenario runs sc on a fresh kernel, each Read, Write and Close
 // through the straight-line oracle or the real system call. Every
 // application opens each file through Syscalls, retries the open while
@@ -424,7 +447,8 @@ func runKScenario(sc kScenario, straight bool, tick time.Duration) kOutcome {
 	store := newFakeStore(e)
 	store.readDelay, store.writeDelay = sc.readDelay, sc.writeDelay
 	m := k.Mount(store, MountConfig{Name: "m", MemLimit: sc.memLimit, MaxDirty: sc.maxDirty})
-	s := NewSyscalls(k, m)
+	opens := &pagedOpens{Mount: m, last: map[*sim.Proc]*pagedHandle{}}
+	s := NewSyscalls(k, opens)
 	acct := cpu.NewAccount("pool")
 	o := &straightLine{cover: map[string]int{}}
 	out := kOutcome{cover: o.cover}
@@ -460,7 +484,7 @@ func runKScenario(sc kScenario, straight bool, tick time.Duration) kOutcome {
 		})
 	}
 	out.results = make([][]kResult, len(sc.apps))
-	shared := make([]*syscallHandle, len(sc.files))
+	shared := make([]*kHandle, len(sc.files))
 	for i, app := range sc.apps {
 		th := cpus.NewThread(acct, app.mask)
 		e.Go("app", func(p *sim.Proc) {
@@ -479,7 +503,7 @@ func runKScenario(sc kScenario, straight bool, tick time.Duration) kOutcome {
 			}
 			handles := shared
 			if !sc.shared {
-				handles = make([]*syscallHandle, len(sc.files))
+				handles = make([]*kHandle, len(sc.files))
 			}
 			for _, op := range app.ops {
 				p.Sleep(op.gap)
@@ -489,12 +513,12 @@ func runKScenario(sc kScenario, straight bool, tick time.Duration) kOutcome {
 					continue
 				}
 				h := handles[op.file]
-				if h == nil || m.crashed || h.inner.(*pagedHandle).gen != m.cache.Gen {
+				if h == nil || m.crashed || h.ph.gen != m.cache.Gen {
 					h = nil
 					for range 50 {
 						fh, err := s.Open(ctx, kPath(op.file), flags)
 						if err == nil {
-							h = fh.(*syscallHandle)
+							h = &kHandle{fh, opens.last[p]}
 							break
 						}
 						p.Sleep(100 * time.Microsecond)
@@ -505,7 +529,7 @@ func runKScenario(sc kScenario, straight bool, tick time.Duration) kOutcome {
 					}
 					handles[op.file] = h
 				}
-				ph := h.inner.(*pagedHandle)
+				ph := h.ph
 				ctx.Span = rec.StartSpan(p.ID(), "app", "op")
 				var n int64
 				var err error
@@ -513,15 +537,15 @@ func runKScenario(sc kScenario, straight bool, tick time.Duration) kOutcome {
 				case op.kind == kRead && straight:
 					n, err = o.syscall(s, ctx, func() (int64, error) { return o.read(ph, ctx, op.off, op.n) })
 				case op.kind == kRead:
-					n, err = h.Read(ctx, op.off, op.n)
+					n, err = h.h.Read(ctx, op.off, op.n)
 				case op.kind == kWrite && straight:
 					n, err = o.syscall(s, ctx, func() (int64, error) { return o.write(ph, ctx, op.off, op.n) })
 				case op.kind == kWrite:
-					n, err = h.Write(ctx, op.off, op.n)
+					n, err = h.h.Write(ctx, op.off, op.n)
 				case straight:
 					_, err = o.syscall(s, ctx, func() (int64, error) { return 0, o.close(ph, ctx) })
 				default:
-					err = h.Close(ctx)
+					err = h.h.Close(ctx)
 				}
 				ctx.Span.End(n, err)
 				ctx.Span = nil

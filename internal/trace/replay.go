@@ -128,76 +128,39 @@ func replayStream(sp *sim.Proc, eng *sim.Engine, epoch time.Duration, t *Trace, 
 }
 
 // reissue executes one recorded op against fs, maintaining the
-// stream's handle table.
+// stream's handle table: a handle op on a path with no live handle
+// opens one, and close releases it.
 func reissue(ctx vfsapi.Ctx, fs vfsapi.FileSystem, op *Op, handles map[string]vfsapi.Handle) error {
-	ensure := func(flags vfsapi.OpenFlag) (vfsapi.Handle, error) {
-		if h, ok := handles[op.Path]; ok {
-			return h, nil
-		}
-		h, err := fs.Open(ctx, op.Path, flags)
-		if err != nil {
-			return nil, err
-		}
-		handles[op.Path] = h
-		return h, nil
-	}
-	switch op.Kind {
-	case "open":
-		h, err := fs.Open(ctx, op.Path, vfsapi.OpenFlag(op.Flags))
-		if err != nil {
-			return err
-		}
-		handles[op.Path] = h
-		return nil
-	case "stat":
-		_, err := fs.Stat(ctx, op.Path)
-		return err
-	case "mkdir":
-		return fs.Mkdir(ctx, op.Path)
-	case "readdir":
-		_, err := fs.Readdir(ctx, op.Path)
-		return err
-	case "unlink":
-		return fs.Unlink(ctx, op.Path)
-	case "rmdir":
-		return fs.Rmdir(ctx, op.Path)
-	case "rename":
-		return fs.Rename(ctx, op.Path, op.Path2)
-	case "read":
-		h, err := ensure(vfsapi.RDONLY)
-		if err != nil {
-			return err
-		}
-		_, err = h.Read(ctx, op.Offset, op.Len)
-		return err
-	case "write":
-		h, err := ensure(vfsapi.WRONLY | vfsapi.CREATE)
-		if err != nil {
-			return err
-		}
-		_, err = h.Write(ctx, op.Offset, op.Len)
-		return err
-	case "append":
-		h, err := ensure(vfsapi.WRONLY | vfsapi.CREATE)
-		if err != nil {
-			return err
-		}
-		_, err = h.Append(ctx, op.Len)
-		return err
-	case "fsync":
-		h, err := ensure(vfsapi.WRONLY | vfsapi.CREATE)
-		if err != nil {
-			return err
-		}
-		return h.Fsync(ctx)
-	case "close":
-		h, ok := handles[op.Path]
-		if !ok {
-			return nil
-		}
-		delete(handles, op.Path)
-		return h.Close(ctx)
-	default:
+	kind, ok := vfsapi.ParseKind(op.Kind)
+	if !ok {
 		return fmt.Errorf("trace: unknown op kind %q", op.Kind)
 	}
+	c := vfsapi.Call{Kind: kind, FS: fs, Path: op.Path, Path2: op.Path2,
+		Flags: vfsapi.OpenFlag(op.Flags), Off: op.Offset, N: op.Len}
+	if kind.OnHandle() {
+		h, ok := handles[op.Path]
+		switch {
+		case kind == vfsapi.OpClose:
+			if !ok {
+				return nil
+			}
+			delete(handles, op.Path)
+		case !ok:
+			flags := vfsapi.WRONLY | vfsapi.CREATE
+			if kind == vfsapi.OpRead {
+				flags = vfsapi.RDONLY
+			}
+			var err error
+			if h, err = fs.Open(ctx, op.Path, flags); err != nil {
+				return err
+			}
+			handles[op.Path] = h
+		}
+		c.H = h
+	}
+	r, err := c.Do(ctx)
+	if kind == vfsapi.OpOpen && err == nil {
+		handles[op.Path] = r.H
+	}
+	return err
 }

@@ -37,6 +37,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/vfsapi"
 )
 
 // Version is the trace file format version this package reads and
@@ -182,8 +184,9 @@ func (t *Trace) WriteFile(path string) error {
 	return f.Close()
 }
 
-// Read parses a trace, validating the header version, every op line,
-// and that the op count and seq numbering match the header. Truncated
+// Read parses a trace, validating the header version, every op line —
+// a known op kind, no negative offset or length — and that the op count
+// and seq numbering match the header. Truncated
 // or corrupt files fail with a line-numbered error.
 func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
@@ -211,6 +214,12 @@ func Read(r io.Reader) (*Trace, error) {
 		}
 		if op.Seq != len(t.Ops) {
 			return nil, fmt.Errorf("trace: line %d: seq %d out of order (want %d)", line, op.Seq, len(t.Ops))
+		}
+		if _, ok := vfsapi.ParseKind(op.Kind); !ok {
+			return nil, fmt.Errorf("trace: line %d: unknown op kind %q", line, op.Kind)
+		}
+		if op.Offset < 0 || op.Len < 0 {
+			return nil, fmt.Errorf("trace: line %d: negative offset %d or length %d", line, op.Offset, op.Len)
 		}
 		t.Ops = append(t.Ops, op)
 	}

@@ -100,6 +100,12 @@ func TestReadErrorPaths(t *testing.T) {
 		{"truncated", strings.Join(lines[:len(lines)-1], "\n") + "\n", "truncated"},
 		{"corrupt op line", lines[0] + "\n{broken\n", "line 2"},
 		{"seq out of order", lines[0] + "\n" + lines[2] + "\n" + lines[1] + "\n" + lines[3] + "\n" + lines[4] + "\n", "out of order"},
+		{"unknown op kind", lines[0] + "\n" + strings.Replace(lines[1], `"op":"open"`, `"op":"frobnicate"`, 1) + "\n",
+			`line 2: unknown op kind "frobnicate"`},
+		{"negative offset", strings.Join(lines[:3], "\n") + "\n" + strings.Replace(lines[3], `"off":4096`, `"off":-5`, 1) + "\n",
+			"line 4: negative offset -5"},
+		{"negative length", strings.Join(lines[:3], "\n") + "\n" + strings.Replace(lines[3], `"len":512`, `"len":-7`, 1) + "\n",
+			"line 4: negative offset 4096 or length -7"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -224,130 +224,23 @@ func Admitted(fs FileSystem, ctl *Admission) FileSystem {
 	if ctl == nil || fs == nil {
 		return fs
 	}
-	return &admittedFS{inner: fs, ctl: ctl}
+	return Wrap[struct{}](fs, ctl, nil)
 }
 
-type admittedFS struct {
-	inner FileSystem
-	ctl   *Admission
-}
-
-func (a *admittedFS) Open(ctx Ctx, path string, flags OpenFlag) (Handle, error) {
-	if err := a.ctl.Admit(ctx); err != nil {
-		return nil, err
+// Do runs c in an execution slot: Admit, c.Do, Release. Close always
+// runs: shedding it would leak the inner handle, and a tenant that
+// cannot close files cannot shed load either. It is counted as offered
+// and admitted but takes no slot, so it never queues or sheds.
+func (a *Admission) Do(ctx Ctx, c Call, _ struct{}) (Result, error) {
+	if c.Kind == OpClose {
+		a.offered++
+		a.admitted++
+		return c.Do(ctx)
 	}
-	h, err := a.inner.Open(ctx, path, flags)
-	a.ctl.Release()
-	if err != nil {
-		return nil, err
+	if err := a.Admit(ctx); err != nil {
+		return Result{}, err
 	}
-	return &admittedHandle{inner: h, ctl: a.ctl}, nil
+	r, err := c.Do(ctx)
+	a.Release()
+	return r, err
 }
-
-func (a *admittedFS) Stat(ctx Ctx, path string) (FileInfo, error) {
-	if err := a.ctl.Admit(ctx); err != nil {
-		return FileInfo{}, err
-	}
-	fi, err := a.inner.Stat(ctx, path)
-	a.ctl.Release()
-	return fi, err
-}
-
-func (a *admittedFS) Mkdir(ctx Ctx, path string) error {
-	if err := a.ctl.Admit(ctx); err != nil {
-		return err
-	}
-	err := a.inner.Mkdir(ctx, path)
-	a.ctl.Release()
-	return err
-}
-
-func (a *admittedFS) Readdir(ctx Ctx, path string) ([]DirEntry, error) {
-	if err := a.ctl.Admit(ctx); err != nil {
-		return nil, err
-	}
-	ents, err := a.inner.Readdir(ctx, path)
-	a.ctl.Release()
-	return ents, err
-}
-
-func (a *admittedFS) Unlink(ctx Ctx, path string) error {
-	if err := a.ctl.Admit(ctx); err != nil {
-		return err
-	}
-	err := a.inner.Unlink(ctx, path)
-	a.ctl.Release()
-	return err
-}
-
-func (a *admittedFS) Rmdir(ctx Ctx, path string) error {
-	if err := a.ctl.Admit(ctx); err != nil {
-		return err
-	}
-	err := a.inner.Rmdir(ctx, path)
-	a.ctl.Release()
-	return err
-}
-
-func (a *admittedFS) Rename(ctx Ctx, oldPath, newPath string) error {
-	if err := a.ctl.Admit(ctx); err != nil {
-		return err
-	}
-	err := a.inner.Rename(ctx, oldPath, newPath)
-	a.ctl.Release()
-	return err
-}
-
-type admittedHandle struct {
-	inner Handle
-	ctl   *Admission
-}
-
-func (h *admittedHandle) Read(ctx Ctx, off, n int64) (int64, error) {
-	if err := h.ctl.Admit(ctx); err != nil {
-		return 0, err
-	}
-	got, err := h.inner.Read(ctx, off, n)
-	h.ctl.Release()
-	return got, err
-}
-
-func (h *admittedHandle) Write(ctx Ctx, off, n int64) (int64, error) {
-	if err := h.ctl.Admit(ctx); err != nil {
-		return 0, err
-	}
-	got, err := h.inner.Write(ctx, off, n)
-	h.ctl.Release()
-	return got, err
-}
-
-func (h *admittedHandle) Append(ctx Ctx, n int64) (int64, error) {
-	if err := h.ctl.Admit(ctx); err != nil {
-		return 0, err
-	}
-	off, err := h.inner.Append(ctx, n)
-	h.ctl.Release()
-	return off, err
-}
-
-func (h *admittedHandle) Fsync(ctx Ctx) error {
-	if err := h.ctl.Admit(ctx); err != nil {
-		return err
-	}
-	err := h.inner.Fsync(ctx)
-	h.ctl.Release()
-	return err
-}
-
-func (h *admittedHandle) Close(ctx Ctx) error {
-	// Close always runs: shedding it would leak the inner handle, and a
-	// tenant that cannot close files cannot shed load either. It still
-	// counts a slot when one is free, but never queues or sheds.
-	h.ctl.offered++
-	h.ctl.admitted++
-	err := h.inner.Close(ctx)
-	return err
-}
-
-func (h *admittedHandle) Size() int64  { return h.inner.Size() }
-func (h *admittedHandle) Path() string { return h.inner.Path() }

@@ -233,7 +233,8 @@ func TestAdmissionCrashAfterHandoffLeaksNoSlot(t *testing.T) {
 }
 
 // The decorator wraps every data operation in admit/release; a nil
-// controller must leave the filesystem untouched.
+// controller must leave the filesystem untouched, and Close bypasses
+// admission even when every slot and queue seat is taken.
 func TestAdmittedDecorator(t *testing.T) {
 	fs := memfs.New()
 	if got := vfsapi.Admitted(fs, nil); got != vfsapi.FileSystem(fs) {
@@ -271,5 +272,58 @@ func TestAdmittedDecorator(t *testing.T) {
 	}
 	if s.InFlight != 0 || s.Queued != 0 {
 		t.Fatalf("residual in-flight/queued: %+v", s)
+	}
+
+	// A Close issued while every slot is busy and the queue is full
+	// returns at once: it is counted as offered and admitted but takes
+	// no slot, so it neither queues nor sheds.
+	r = newAdmRig()
+	a = vfsapi.NewAdmission(r.eng, "p", vfsapi.AdmissionConfig{QueueCap: 1})
+	wrapped = vfsapi.Admitted(fs, a)
+	closed := false
+	r.eng.Go("closer", func(p *sim.Proc) {
+		ctx := r.ctx(p)
+		h, err := wrapped.Open(ctx, "/f", vfsapi.RDONLY)
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		p.Sleep(2 * time.Millisecond)
+		before := a.Stats()
+		if before.InFlight != vfsapi.AdmissionSlots || before.Queued != 1 {
+			t.Errorf("before the close: %+v, want every slot busy and the queue full", before)
+		}
+		if err := h.Close(ctx); err != nil {
+			t.Errorf("close: %v", err)
+		}
+		if now := r.eng.Now(); now != 2*time.Millisecond {
+			t.Errorf("close returned at %v, want at once (2ms)", now)
+		}
+		after := a.Stats()
+		if after.InFlight != before.InFlight || after.Queued != before.Queued || after.Shed != before.Shed ||
+			after.Offered != before.Offered+1 || after.Admitted != before.Admitted+1 {
+			t.Errorf("close moved the controller from %+v to %+v, want one more offered and admitted only", before, after)
+		}
+		closed = true
+	})
+	r.holdSlots(t, a, 10*time.Millisecond, nil)
+	r.eng.Go("queued", func(p *sim.Proc) {
+		p.Sleep(time.Millisecond)
+		if err := a.Admit(r.ctx(p)); err != nil {
+			t.Errorf("queued op shed: %v", err)
+			return
+		}
+		a.Release()
+	})
+	r.eng.Run()
+	if !closed {
+		t.Fatal("the close under full load did not run")
+	}
+	s = a.Stats()
+	if s.InFlight != 0 || s.Queued != 0 || s.Shed != 0 {
+		t.Fatalf("after the run: %+v, want nothing in flight, queued or shed", s)
+	}
+	if err := s.CheckLedger(); err != nil {
+		t.Fatalf("drained ledger: %v", err)
 	}
 }

@@ -132,31 +132,6 @@ type Run interface {
 	Finish(ctx Ctx) (int64, error)
 }
 
-// IO is one Read or Write of H that a transport carries to its server
-// side.
-type IO struct {
-	H      Handle
-	Write  bool
-	Off, N int64
-}
-
-// Start begins io as a run when H is a Starter that accepts it (see
-// Starter.Start); otherwise it returns nil.
-func (io IO) Start(ctx Ctx, reply func()) Run {
-	if st, ok := io.H.(Starter); ok {
-		return st.Start(ctx, io.Write, io.Off, io.N, reply)
-	}
-	return nil
-}
-
-// Do is io as a blocking Read or Write.
-func (io IO) Do(ctx Ctx) (int64, error) {
-	if io.Write {
-		return io.H.Write(ctx, io.Off, io.N)
-	}
-	return io.H.Read(ctx, io.Off, io.N)
-}
-
 // Errors returned by FileSystem implementations.
 var (
 	ErrNotExist = errors.New("file does not exist")
