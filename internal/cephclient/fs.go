@@ -150,18 +150,25 @@ func (c *Client) Unlink(ctx vfsapi.Ctx, path string) error {
 	if err := c.clus.MetaUnlink(ctx, path); err != nil {
 		return err
 	}
-	c.lockedMeta(ctx, func() {
-		if e, ok := c.attrs[path]; ok {
-			if f, ok := c.cache.Lookup(e.ino); ok {
-				f.Unlinked = true
-				c.dropCache(f)
-				c.cache.Forget(e.ino)
-			}
-			delete(c.paths, e.ino)
-			delete(c.attrs, path)
-		}
-	})
+	c.lockedMeta(ctx, func() { c.unlinked(path) })
 	return nil
+}
+
+// unlinked drops the state of the file cached under path, which the MDS
+// no longer has under that name: its pages, dirty ones too, go nowhere,
+// and open handles neither flush nor push its size.
+func (c *Client) unlinked(path string) {
+	e, ok := c.attrs[path]
+	if !ok {
+		return
+	}
+	if f, ok := c.cache.Lookup(e.ino); ok {
+		f.Unlinked = true
+		c.dropCache(f)
+		c.cache.Forget(e.ino)
+	}
+	delete(c.paths, e.ino)
+	delete(c.attrs, path)
 }
 
 // Rmdir removes an empty directory at the MDS.
@@ -175,7 +182,8 @@ func (c *Client) Rmdir(ctx vfsapi.Ctx, path string) error {
 	return c.clus.MetaRmdir(ctx, path)
 }
 
-// Rename moves a file at the MDS and rewrites cached entries.
+// Rename moves a file at the MDS and rewrites cached entries. A file
+// newPath replaced is unlinked, as Unlink drops it.
 func (c *Client) Rename(ctx vfsapi.Ctx, oldPath, newPath string) error {
 	defer ctx.Span.Enter(obs.LayerClient).Exit()
 	if err := c.failIfCrashed(ctx); err != nil {
@@ -187,6 +195,9 @@ func (c *Client) Rename(ctx vfsapi.Ctx, oldPath, newPath string) error {
 		return err
 	}
 	c.lockedMeta(ctx, func() {
+		if newPath != oldPath {
+			c.unlinked(newPath)
+		}
 		if e, ok := c.attrs[oldPath]; ok {
 			delete(c.attrs, oldPath)
 			c.attrs[newPath] = e

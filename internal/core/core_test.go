@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cpu"
 	"repro/internal/kern"
@@ -870,16 +871,18 @@ func TestWorkloadsTable2Complete(t *testing.T) {
 // 128 KiB FUSE chunk under F, where the crossing's dispatch starts it
 // and the run starts the reply; three times per chunk under F/F, where
 // only the inner ceph-fuse crossing hands off and the outer unionfs-fuse
-// crossing parks for its dispatch and its reply; and once under K. A
-// layer slipped between a transport and the client that drops the
-// hand-off shows here as more parks.
+// crossing parks for its dispatch and its reply; and once under K, K/K
+// and FP, whose Syscalls runs the kernel request on the page-cache
+// handle itself (AUFS opens return the branch's handle). A layer
+// slipped between a transport and the client that drops the hand-off
+// shows here as more parks.
 func TestCachedReadParks(t *testing.T) {
 	const size = 1 << 20
 	for _, c := range []struct {
 		cfg   Configuration
 		parks int
 	}{
-		{ConfigD, 1}, {ConfigF, 8}, {ConfigFF, 24}, {ConfigK, 1},
+		{ConfigD, 1}, {ConfigF, 8}, {ConfigFF, 24}, {ConfigK, 1}, {ConfigKK, 1}, {ConfigFP, 1},
 	} {
 		tb := newTB(t, 4)
 		tb.Cluster.ProvisionDir("/containers/c0")
@@ -903,6 +906,60 @@ func TestCachedReadParks(t *testing.T) {
 				t.Errorf("%v: a cached 1 MiB Read parked %d times, want %d", c.cfg, got, c.parks)
 			}
 			h.Close(ctx)
+		})
+	}
+}
+
+// TestRenameOverExistingFile renames a synced file over a file whose
+// data is still dirty and closes the replaced file's handle: the moved
+// file keeps its own size, in the client's view and at the MDS, once
+// write-back has run. The replaced file's flush and size push must not
+// reach the file that now holds its name.
+func TestRenameOverExistingFile(t *testing.T) {
+	for _, cfg := range []Configuration{ConfigD, ConfigF, ConfigK, ConfigFP} {
+		tb := newTB(t, 4)
+		tb.Cluster.ProvisionDir("/containers/c0")
+		pool := tb.NewPool("pool0", cpu.MaskOf(0, 1), 8<<30)
+		ct, err := pool.NewContainer("c0", MountSpec{Config: cfg, UpperDir: "/containers/c0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := ct.Mount.Default
+		runOn(t, tb, ct, func(ctx vfsapi.Ctx) {
+			a, err := fs.Open(ctx, "/a", vfsapi.CREATE|vfsapi.RDWR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.Write(ctx, 0, 1<<20); err != nil {
+				t.Fatal(err)
+			}
+			b, err := fs.Open(ctx, "/b", vfsapi.CREATE|vfsapi.RDWR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Write(ctx, 0, 4<<10); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Fsync(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Rename(ctx, "/b", "/a"); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			ctx.P.Sleep(10 * time.Second)
+			info, err := fs.Stat(ctx, "/a")
+			if err != nil || info.Size != 4<<10 {
+				t.Errorf("%v: Stat(/a) = %d, %v; want the moved file's %d bytes", cfg, info.Size, err, 4<<10)
+			}
+			if n, err := tb.Cluster.Tree().Lookup("/containers/c0/a"); err != nil {
+				t.Errorf("%v: the MDS has no /a: %v", cfg, err)
+			} else if n.Size != 4<<10 {
+				t.Errorf("%v: the MDS holds /a at %d bytes, want %d", cfg, n.Size, 4<<10)
+			}
+			b.Close(ctx)
 		})
 	}
 }

@@ -3,6 +3,7 @@ package fuzz
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"reflect"
 	"slices"
 	"strconv"
@@ -432,5 +433,58 @@ func TestSweepRecoversPanic(t *testing.T) {
 	panicking := func(Scenario) *Outcome { panic("boom") }
 	if got := oracleOf(panicking)(Generate(1, 0)); len(got) != 1 || got[0] != (Violation{PanicChecker, "boom"}) {
 		t.Errorf("oracle over a panicking scenario returned %v", got)
+	}
+}
+
+// TestRunSpecReplaysSmokeSpec replays the committed smoke spec, the
+// input of CI's danausbench -fuzzspec step, after a WriteSpec/ParseSpec
+// round trip: it is the sweep's first scenario, and it holds every
+// invariant.
+func TestRunSpecReplaysSmokeSpec(t *testing.T) {
+	f, err := os.Open("testdata/smoke.spec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := ParseSpec(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sc, Generate(1, 0)) {
+		t.Fatalf("smoke spec is %s, want the sweep's first scenario %s", sc, Generate(1, 0))
+	}
+	var buf bytes.Buffer
+	if err := WriteSpec(&buf, sc); err != nil {
+		t.Fatal(err)
+	}
+	again, err := ParseSpec(&buf)
+	if err != nil || !reflect.DeepEqual(again, sc) {
+		t.Fatalf("round trip gave %s, %v; want %s", again, err, sc)
+	}
+	var out bytes.Buffer
+	if vs := RunSpec(&out, again); len(vs) != 0 || !strings.HasSuffix(out.String(), "  ok: all invariants hold\n") {
+		t.Errorf("RunSpec reported %v:\n%s", vs, out.String())
+	}
+}
+
+// TestRunSpecReportsPanic: a model panic inside a spec's scenario is its
+// panic violation, reported as Sweep reports it, not a crash of the
+// replay.
+func TestRunSpecReportsPanic(t *testing.T) {
+	sc := Generate(1, 0)
+	eval := func(Scenario) *Outcome {
+		e := sim.NewEngine()
+		e.Go("model", func(*sim.Proc) { panic("memacct: underflow on injected") })
+		e.Run()
+		return nil
+	}
+	var out bytes.Buffer
+	vs := runSpec(&out, sc, eval)
+	if len(vs) != 1 || vs[0] != (Violation{PanicChecker, "memacct: underflow on injected"}) {
+		t.Errorf("runSpec returned %v, want one panic violation", vs)
+	}
+	want := fmt.Sprintf("spec %s\n  VIOLATION panic: memacct: underflow on injected\n", sc)
+	if out.String() != want {
+		t.Errorf("runSpec printed %q, want %q", out.String(), want)
 	}
 }

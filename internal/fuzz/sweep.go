@@ -125,18 +125,23 @@ func Sweep(o Options) (Summary, error) {
 }
 
 // RunSpec evaluates one scenario loaded from a spec file and reports
-// its violations (the reproducer replay path).
-func RunSpec(out io.Writer, sc Scenario) []Violation {
+// its violations (the reproducer replay path). A scenario in which the
+// model panics reports a PanicChecker violation, as in Sweep.
+func RunSpec(out io.Writer, sc Scenario) []Violation { return runSpec(out, sc, Evaluate) }
+
+// runSpec is RunSpec with eval in place of Evaluate.
+func runSpec(out io.Writer, sc Scenario, eval func(Scenario) *Outcome) []Violation {
 	if out == nil {
 		out = io.Discard
 	}
-	res := Evaluate(sc)
-	vs := CheckAll(res)
+	res, vs := evaluate(eval, sc)
 	fmt.Fprintf(out, "spec %s\n", sc)
-	fmt.Fprintf(out, "  full:   %s\n", res.Full.Summary)
-	fmt.Fprintf(out, "  replay: %s\n", res.Replay.Summary)
-	if res.Solo != nil {
-		fmt.Fprintf(out, "  solo:   %s\n", res.Solo.Summary)
+	if res != nil {
+		fmt.Fprintf(out, "  full:   %s\n", res.Full.Summary)
+		fmt.Fprintf(out, "  replay: %s\n", res.Replay.Summary)
+		if res.Solo != nil {
+			fmt.Fprintf(out, "  solo:   %s\n", res.Solo.Summary)
+		}
 	}
 	if len(vs) == 0 {
 		fmt.Fprintln(out, "  ok: all invariants hold")

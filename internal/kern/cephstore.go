@@ -172,22 +172,29 @@ func (s *CephStore) Rmdir(ctx vfsapi.Ctx, path string) error {
 	return s.clus.MetaRmdir(ctx, path)
 }
 
-// Rename moves a file at the MDS, rewriting the cached entries.
-func (s *CephStore) Rename(ctx vfsapi.Ctx, oldPath, newPath string) error {
+// Rename moves a file at the MDS, rewriting the cached entries; the
+// entry of a file newPath replaced is invalidated, as Unlink does.
+func (s *CephStore) Rename(ctx vfsapi.Ctx, oldPath, newPath string) (uint64, error) {
 	if s.crashed {
-		return vfsapi.ErrCrashed
+		return 0, vfsapi.ErrCrashed
 	}
 	s.opCPU(ctx)
 	s.wireCPU(ctx, 256)
 	if err := s.clus.MetaRename(ctx, oldPath, newPath); err != nil {
-		return err
+		return 0, err
+	}
+	var replaced uint64
+	if e, ok := s.attrs[newPath]; ok && newPath != oldPath {
+		replaced = e.ino
+		delete(s.attrs, newPath)
+		delete(s.paths, e.ino)
 	}
 	if e, ok := s.attrs[oldPath]; ok {
 		delete(s.attrs, oldPath)
 		s.attrs[newPath] = e
 		s.paths[e.ino] = newPath
 	}
-	return nil
+	return replaced, nil
 }
 
 // SetSize pushes the file size to the MDS.

@@ -134,17 +134,28 @@ func (s *FSStore) Unlink(ctx vfsapi.Ctx, path string) (uint64, error) {
 // Rmdir forwards to the inner filesystem.
 func (s *FSStore) Rmdir(ctx vfsapi.Ctx, path string) error { return s.inner.Rmdir(ctx, path) }
 
-// Rename forwards and rewrites the ino maps.
-func (s *FSStore) Rename(ctx vfsapi.Ctx, oldPath, newPath string) error {
+// Rename forwards and rewrites the ino maps; a file newPath replaced is
+// closed and forgotten, as Unlink does.
+func (s *FSStore) Rename(ctx vfsapi.Ctx, oldPath, newPath string) (uint64, error) {
+	var replaced uint64 // inos start at 1
+	if newPath != oldPath {
+		replaced = s.inoOf[newPath]
+	}
+	if h, ok := s.handles[replaced]; ok {
+		h.Close(ctx)
+	}
 	if err := s.inner.Rename(ctx, oldPath, newPath); err != nil {
-		return err
+		return 0, err
+	}
+	if replaced != 0 {
+		s.forget(newPath)
 	}
 	if ino, ok := s.inoOf[oldPath]; ok {
 		delete(s.inoOf, oldPath)
 		s.inoOf[newPath] = ino
 		s.pathOf[ino] = newPath
 	}
-	return nil
+	return replaced, nil
 }
 
 // SetSize truncates through the inner filesystem when shrinking to

@@ -73,8 +73,12 @@ func (s *fakeStore) Unlink(ctx vfsapi.Ctx, path string) (uint64, error) {
 
 func (s *fakeStore) Rmdir(ctx vfsapi.Ctx, path string) error { return s.tree.Rmdir(path) }
 
-func (s *fakeStore) Rename(ctx vfsapi.Ctx, o, n string) error {
-	return s.tree.Rename(o, n, 0)
+func (s *fakeStore) Rename(ctx vfsapi.Ctx, o, n string) (uint64, error) {
+	target, _ := s.tree.Lookup(n)
+	if err := s.tree.Rename(o, n, 0); err != nil || target == nil || o == n {
+		return 0, err
+	}
+	return target.Ino, nil
 }
 
 func (s *fakeStore) SetSize(ctx vfsapi.Ctx, ino uint64, size int64) error {

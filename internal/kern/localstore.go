@@ -146,14 +146,20 @@ func (s *LocalStore) Rmdir(ctx vfsapi.Ctx, path string) error {
 	return nil
 }
 
-// Rename moves a path (journaled).
-func (s *LocalStore) Rename(ctx vfsapi.Ctx, oldPath, newPath string) error {
+// Rename moves a path (journaled); a file newPath replaced is removed,
+// as Unlink removes it.
+func (s *LocalStore) Rename(ctx vfsapi.Ctx, oldPath, newPath string) (uint64, error) {
 	s.metaCPU(ctx, oldPath)
+	target, _ := s.tree.Lookup(newPath)
 	if err := s.tree.Rename(oldPath, newPath, s.eng.Now()); err != nil {
-		return err
+		return 0, err
 	}
 	s.journalWrite(ctx)
-	return nil
+	if target == nil || target.Dir || newPath == oldPath {
+		return 0, nil
+	}
+	delete(s.nodes, target.Ino)
+	return target.Ino, nil
 }
 
 // SetSize updates a file's size (journaled metadata update).

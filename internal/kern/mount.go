@@ -14,7 +14,9 @@ import (
 
 // Store is the backing of a kernel mount: the local disk filesystem or
 // the kernel Ceph client's network path. Data calls block for the
-// device or network time they imply.
+// device or network time they imply. Unlink returns the ino of the
+// removed file and Rename that of the file the new path replaced, 0
+// when it replaced none.
 type Store interface {
 	Lookup(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, uint64, error)
 	Create(ctx vfsapi.Ctx, path string) (uint64, error)
@@ -22,7 +24,7 @@ type Store interface {
 	Readdir(ctx vfsapi.Ctx, path string) ([]vfsapi.DirEntry, error)
 	Unlink(ctx vfsapi.Ctx, path string) (uint64, error)
 	Rmdir(ctx vfsapi.Ctx, path string) error
-	Rename(ctx vfsapi.Ctx, oldPath, newPath string) error
+	Rename(ctx vfsapi.Ctx, oldPath, newPath string) (uint64, error)
 	SetSize(ctx vfsapi.Ctx, ino uint64, size int64) error
 	ReadData(ctx vfsapi.Ctx, ino uint64, off, n int64)
 	WriteData(ctx vfsapi.Ctx, ino uint64, off, n int64)
@@ -187,44 +189,22 @@ func (m *Mount) cacheInsert(ctx vfsapi.Ctx, f *fileState, off, n int64) {
 		k.lruLock.Unlock(ctx.P)
 		return // stale fileState from before a crash: not accounted
 	}
-	if hold := m.insert(f, off, n); hold > 0 {
-		ctx.T.Exec(ctx.P, cpu.Kernel, hold)
-	}
+	ctx.T.Exec(ctx.P, cpu.Kernel, m.pageHold(m.cache.Insert(f, off, n)))
 	k.lruLock.Unlock(ctx.P)
 	if m.cache.Over() {
-		m.evict(ctx)
-	}
-}
-
-// insert adds [off,off+n) to f's resident set, under lru_lock, and
-// returns the lock hold to charge for the pages it added.
-func (m *Mount) insert(f *fileState, off, n int64) time.Duration {
-	added := m.cache.Insert(f, off, n)
-	return time.Duration(m.kern.params.Pages(added)) * m.kern.params.LRULockHoldPerPage
-}
-
-// evict reclaims clean pages from the coldest files until the mount is
-// below its limit watermark.
-func (m *Mount) evict(ctx vfsapi.Ctx) {
-	var freed int64
-	m.withLRU(ctx, func() { freed = m.cache.Evict() })
-	if freed > 0 {
-		// Page-structure work for the reclaimed pages.
-		hold := time.Duration(m.kern.params.Pages(freed)) * m.kern.params.LRULockHoldPerPage
+		// Reclaim clean pages from the coldest files until the mount is
+		// below its limit watermark, then charge their page-structure
+		// work.
+		var hold time.Duration
+		m.withLRU(ctx, func() { hold = m.pageHold(m.cache.Evict()) })
 		ctx.T.Exec(ctx.P, cpu.Kernel, hold)
 	}
 }
 
-// markDirty records freshly written bytes and applies dirty throttling:
-// a writer that pushes the mount past MaxDirty blocks (as I/O wait)
-// until the flushers bring it back down.
-func (m *Mount) markDirty(ctx vfsapi.Ctx, f *fileState, off, n int64) {
-	k := m.kern
-	k.lockSpan(ctx, k.writebackLock, "wb_lock")
-	ctx.T.Exec(ctx.P, cpu.Kernel, k.params.WritebackLockHold)
-	if m.mark(ctx.P, f, off, n) {
-		m.throttle(ctx, n)
-	}
+// pageHold is the lru_lock hold of inserting or reclaiming n bytes of
+// pages.
+func (m *Mount) pageHold(n int64) time.Duration {
+	return time.Duration(m.kern.params.Pages(n)) * m.kern.params.LRULockHoldPerPage
 }
 
 // mark records [off,off+n) of f dirty under wb_lock, which it releases,

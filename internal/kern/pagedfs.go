@@ -109,12 +109,19 @@ func (m *Mount) Unlink(ctx vfsapi.Ctx, path string) error {
 	if err != nil {
 		return err
 	}
+	m.unlinked(ctx, ino)
+	return nil
+}
+
+// unlinked drops the cached state of the file of ino, which the store no
+// longer has under any name: its pages, dirty ones too, go nowhere, and
+// open handles neither flush nor push its size.
+func (m *Mount) unlinked(ctx vfsapi.Ctx, ino uint64) {
 	if f, ok := m.cache.Lookup(ino); ok {
 		f.Unlinked = true
 		m.dropCache(ctx, f)
 		m.cache.Forget(ino)
 	}
-	return nil
 }
 
 // Rmdir removes an empty directory.
@@ -125,12 +132,18 @@ func (m *Mount) Rmdir(ctx vfsapi.Ctx, path string) error {
 	return m.store.Rmdir(ctx, path)
 }
 
-// Rename moves a file.
+// Rename moves a file. A file the new path replaced is unlinked, as
+// Unlink drops it.
 func (m *Mount) Rename(ctx vfsapi.Ctx, oldPath, newPath string) error {
 	if err := m.failIfCrashed(ctx); err != nil {
 		return err
 	}
-	return m.store.Rename(ctx, oldPath, newPath)
+	ino, err := m.store.Rename(ctx, oldPath, newPath)
+	if err != nil {
+		return err
+	}
+	m.unlinked(ctx, ino)
+	return nil
 }
 
 // pagedHandle is an open file on a kernel mount.
@@ -166,15 +179,6 @@ func (h *pagedHandle) stale() bool {
 	return h.closed || h.m.crashed || h.gen != h.m.cache.Gen
 }
 
-// readLen clamps a read of n bytes at off to the end of file; 0 or less
-// means there is nothing to read.
-func (h *pagedHandle) readLen(off, n int64) int64 {
-	if off >= h.f.Size {
-		return 0
-	}
-	return min(n, h.f.Size-off)
-}
-
 // Path returns the open path.
 func (h *pagedHandle) Path() string { return h.path }
 
@@ -182,28 +186,29 @@ func (h *pagedHandle) Path() string { return h.path }
 func (h *pagedHandle) Size() int64 { return h.f.Size }
 
 // Read serves [off,off+n) from the page cache, fetching misses from the
-// store with readahead on sequential streams.
+// store with readahead on sequential streams. The cache-hit part runs as
+// one request run, which hands control back at a closed or stale handle,
+// DIRECT and a claim that waits or misses (see do).
 func (h *pagedHandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
-	if err := h.failIfStale(ctx); err != nil {
-		return 0, err
-	}
-	if n = h.readLen(off, n); n <= 0 {
-		return 0, nil
-	}
+	return h.do(ctx, nil, vfsapi.OpRead, off, n)
+}
+
+// direct serves a DIRECT read or write of [off,off+n) from or to the
+// store, past the page cache.
+func (h *pagedHandle) direct(ctx vfsapi.Ctx, kind vfsapi.Kind, off, n int64) {
 	m := h.m
-
-	if h.flags.Has(vfsapi.DIRECT) {
+	copyTime := m.kern.params.CopyTime(n)
+	if kind == vfsapi.OpRead {
 		m.store.ReadData(ctx, h.f.Ino, off, n)
-		ctx.T.Exec(ctx.P, cpu.Kernel, m.kern.params.CopyTime(n))
-		return n, nil
+		ctx.T.Exec(ctx.P, cpu.Kernel, copyTime)
+		return
 	}
-
-	// Readahead: grow the window on sequential access, reset on seek.
-	// Brownout zeroes the effective window, deferring speculative
-	// fetches while the backend or admission queues are overloaded.
-	fetchLen := h.ra.Extend(off, n, h.f.Size, m.raWindow())
-	g, wait := h.f.Claim(off, fetchLen)
-	return h.fetchAndCopy(ctx, off, n, fetchLen, g, wait)
+	ctx.T.Exec(ctx.P, cpu.Kernel, copyTime)
+	m.store.WriteData(ctx, h.f.Ino, off, n)
+	if end := off + n; end > h.f.Size {
+		h.f.Size = end
+		m.store.SetSize(ctx, h.f.Ino, end)
+	}
 }
 
 // fetchAndCopy goes on from a claim of [off,off+fetchLen) — g to fetch,
@@ -245,62 +250,11 @@ func (h *pagedHandle) fetchAndCopy(ctx vfsapi.Ctx, off, n, fetchLen int64, g ext
 }
 
 // Write copies [off,off+n) into the page cache and marks it dirty,
-// throttling when the mount exceeds its dirty limit.
+// throttling when the mount exceeds its dirty limit. The run hands
+// control back at a closed or stale handle, DIRECT and the dirty
+// throttle.
 func (h *pagedHandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
-	if err := h.failIfStale(ctx); err != nil {
-		return 0, err
-	}
-	if !h.flags.Writable() && !h.flags.Has(vfsapi.CREATE) {
-		return 0, vfsapi.ErrReadOnly
-	}
-	if n <= 0 {
-		return 0, nil
-	}
-	m := h.m
-	params := m.kern.params
-	h.wrote = true
-
-	if h.flags.Has(vfsapi.DIRECT) {
-		ctx.T.Exec(ctx.P, cpu.Kernel, params.CopyTime(n))
-		m.store.WriteData(ctx, h.f.Ino, off, n)
-		if end := off + n; end > h.f.Size {
-			h.f.Size = end
-			m.store.SetSize(ctx, h.f.Ino, end)
-		}
-		return n, nil
-	}
-
-	h.f.X.Lock(ctx.P)
-	ctx.T.Chain(ctx.P, cpu.Charge(cpu.Kernel, params.IMutexHold), cpu.Charge(cpu.Kernel, params.CopyTime(n)))
-	m.cacheInsert(ctx, h.f, off, n)
-	return h.commit(ctx, off, n)
-}
-
-// commit ends a buffered write whose pages are in the cache, with the
-// inode mutex held: it grows the size, releases the mutex and marks the
-// range dirty.
-func (h *pagedHandle) commit(ctx vfsapi.Ctx, off, n int64) (int64, error) {
-	h.grow(off + n)
-	h.f.X.Unlock(ctx.P)
-	h.m.markDirty(ctx, h.f, off, n)
-	return h.written(ctx, n)
-}
-
-// grow extends the kernel's size view to end.
-func (h *pagedHandle) grow(end int64) {
-	if end > h.f.Size {
-		h.f.Size = end
-	}
-}
-
-// written returns the result of a buffered write of n bytes.
-func (h *pagedHandle) written(ctx vfsapi.Ctx, n int64) (int64, error) {
-	if err := h.failIfStale(ctx); err != nil {
-		// The client died while the writer was throttled: the pages it
-		// buffered are gone, so the write must not report success.
-		return 0, err
-	}
-	return n, nil
+	return h.do(ctx, nil, vfsapi.OpWrite, off, n)
 }
 
 // Append writes at end of file under the inode mutex.
@@ -348,19 +302,8 @@ type storeFsyncer interface {
 }
 
 // Close releases the handle, propagating the size for written files.
+// The run hands control back at a stale handle and to push the size.
 func (h *pagedHandle) Close(ctx vfsapi.Ctx) error {
-	if h.closed {
-		return vfsapi.ErrClosed
-	}
-	if err := h.failIfStale(ctx); err != nil {
-		// Closing a stale handle releases it but cannot push the size —
-		// the kernel state that tracked it is gone.
-		h.closed = true
-		return err
-	}
-	h.closed = true
-	if h.wrote && !h.f.Unlinked {
-		return h.m.store.SetSize(ctx, h.f.Ino, h.f.Size)
-	}
-	return nil
+	_, err := h.do(ctx, nil, vfsapi.OpClose, 0, 0)
+	return err
 }

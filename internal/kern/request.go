@@ -11,59 +11,66 @@ import (
 )
 
 // hand names the point where a request run handed control back to its
-// process, and so where the blocking code goes on.
+// process, and so where do goes on.
 type hand uint8
 
 const (
-	handDone     hand = iota // the run served the system call: return its result
-	handTop                  // the blocking operation from its top
+	handDone     hand = iota // the run served the call: return its result
+	handStale                // a closed or stale handle: its error
+	handDirect               // a DIRECT read or write: the store I/O
 	handFetch                // a read's first claim waits or misses: the fetch loop from that claim
-	handEvict                // a write's insert left the cache over its limit: evict, then commit
-	handCommit               // a write's insert found a stale ledger entry: commit
 	handThrottle             // a write must throttle, then return its result
-	handWritten              // a write's mark found a stale ledger entry, or its handle went stale
+	handPush                 // a close pushes the size of a written file
 )
 
-// request carries the cache-hit part of one Read, Write or Close system
-// call on a page-cache handle while its process stays parked. Each step
-// is a chain on the caller's thread whose continuation runs at the event
-// where the straight-line code (Syscalls' entry, the pagedHandle method,
-// Syscalls' exit) resumed the process, does what the process did there,
-// and starts the next chain:
+// request carries one Read, Write or Close of a page-cache handle while
+// its process stays parked. Each step is a chain on the caller's thread
+// whose continuation runs at the event where the straight-line code
+// resumed the process, does what the process did there, and starts the
+// next chain:
 //
-//	Read:  entry → claim → lru_lock + Touch → copy + exit
-//	Write: entry → i_mutex + hold + copy → lru_lock + Insert (+ hold) →
-//	       size, unlock i_mutex → wb_lock + hold + MarkDirty → flusher
-//	       wake → exit
-//	Close: entry → closed → exit
+//	Read:  [entry] → claim → lru_lock + Touch → copy [+ exit]
+//	Write: [entry] → i_mutex + hold + copy → lru_lock + Insert (+ hold)
+//	       (→ lru_lock + Evict (+ hold) when over the limit) → size,
+//	       unlock i_mutex → wb_lock + hold + MarkDirty → flusher wake
+//	       [→ exit]
+//	Close: [entry] → closed [→ exit]
 //
-// At the first decision that needs the process — a closed or stale
-// handle, DIRECT, EOF, a read claim that waits or fetches, eviction, a
-// stale ledger entry, the dirty throttle, a close that pushes the size —
-// or at the end, it records where in at and hands control back with
-// sim.(*Proc).ResumeHere. Each step pushes what the process pushed, so a
-// request keeps every simulated result; TestKernRunMatchesStraightLine
-// checks this against the straight-line code.
+// Under Syscalls the run begins with the system call's entry chain (the
+// mode switch and the VFS dispatch) and ends with its exit mode switch;
+// a bare call — a union's copy-up, an Append, a test — is the same run
+// without them. At the first decision that needs the process — a closed
+// or stale handle, DIRECT, a read claim that waits or fetches, the dirty
+// throttle, a close that pushes the size — or at the end, it records
+// where in at and hands control back with sim.(*Proc).ResumeHere; a
+// decision made before any chain, as a bare run's first one is, hands
+// back before the process parks, and the park returns at once. Each step
+// pushes what the process pushed, so a request keeps every simulated
+// result; TestKernRunMatchesStraightLine checks this against the
+// straight-line code.
 type request struct {
-	h     *pagedHandle
-	p     *sim.Proc
-	t     *cpu.Thread
-	span  *obs.Span
-	vfsOp time.Duration // the syscall layer's dispatch cost
+	h    *pagedHandle
+	sys  *Syscalls // the system call the run serves; nil for a bare call
+	p    *sim.Proc
+	t    *cpu.Thread
+	span *obs.Span
 
+	kind     vfsapi.Kind
 	off, n   int64
+	err      error         // a served call's error
 	fetchLen int64         // a read's readahead window
 	g        extent.Extent // a read's first claim (handFetch)
 	wait     bool          // the claim waits on fetchQ (handFetch)
 	at       hand
 
 	// Reusable continuations, bound once per pooled request.
-	readIn, touched, served                  func()
-	writeIn, copied, inserted, held, dirtied func()
-	closeIn                                  func()
+	readIn, touched, served                    func()
+	writeIn, copied, inserted, held, committed func()
+	evicted, dirtied                           func()
+	closeIn                                    func()
 }
 
-func (m *Mount) getRequest(ctx vfsapi.Ctx, h *pagedHandle, vfsOp time.Duration, off, n int64) *request {
+func (m *Mount) getRequest(ctx vfsapi.Ctx, h *pagedHandle, sys *Syscalls, kind vfsapi.Kind, off, n int64) *request {
 	var r *request
 	if k := len(m.requests); k > 0 {
 		r = m.requests[k-1]
@@ -71,17 +78,97 @@ func (m *Mount) getRequest(ctx vfsapi.Ctx, h *pagedHandle, vfsOp time.Duration, 
 	} else {
 		r = &request{}
 		r.readIn, r.touched, r.served = r.afterReadEntry, r.touch, r.done
-		r.writeIn, r.copied, r.inserted, r.held, r.dirtied = r.afterWriteEntry, r.insert, r.afterInsert, r.afterHold, r.marked
+		r.writeIn, r.copied, r.inserted, r.held, r.committed = r.afterWriteEntry, r.insert, r.afterInsert, r.afterHold, r.commit
+		r.evicted, r.dirtied = r.evict, r.marked
 		r.closeIn = r.afterCloseEntry
 	}
-	r.h, r.p, r.t, r.span, r.vfsOp = h, ctx.P, ctx.T, ctx.Span, vfsOp
-	r.off, r.n, r.fetchLen, r.g, r.wait = off, n, 0, extent.Extent{}, false
+	r.h, r.sys, r.p, r.t, r.span = h, sys, ctx.P, ctx.T, ctx.Span
+	r.kind, r.off, r.n, r.err, r.fetchLen, r.g, r.wait = kind, off, n, nil, 0, extent.Extent{}, false
 	return r
 }
 
 func (m *Mount) putRequest(r *request) {
-	r.h, r.p, r.t, r.span = nil, nil, nil, nil
+	r.h, r.sys, r.p, r.t, r.span, r.err = nil, nil, nil, nil, nil, nil
 	m.requests = append(m.requests, r)
+}
+
+// do is a Read, Write or Close of h in its process: the request run,
+// then, from where the run handed control back, the part that needs the
+// process — a stale handle's error, the DIRECT I/O, the fetch loop of a
+// read, the dirty throttle of a write or the size push of a close — and,
+// under Syscalls, the exit mode switch. Under Syscalls sys is the
+// wrapper whose entry and exit the run charges; a bare call passes nil.
+func (h *pagedHandle) do(ctx vfsapi.Ctx, sys *Syscalls, kind vfsapi.Kind, off, n int64) (int64, error) {
+	m := h.m
+	r := m.getRequest(ctx, h, sys, kind, off, n)
+	r.start()
+	ctx.P.Park()
+	at, n, err, fetchLen, g, wait := r.at, r.n, r.err, r.fetchLen, r.g, r.wait
+	m.putRequest(r)
+	switch at {
+	case handDone:
+		return n, err
+	case handStale:
+		// Closing a stale handle releases it but cannot push the size:
+		// the kernel state that tracked it is gone.
+		n, err = 0, h.failIfStale(ctx)
+		if kind == vfsapi.OpClose {
+			h.closed = true
+		}
+	case handDirect:
+		h.direct(ctx, kind, off, n)
+	case handFetch:
+		n, err = h.fetchAndCopy(ctx, off, n, fetchLen, g, wait)
+	case handThrottle:
+		m.throttle(ctx, n)
+		if err = h.failIfStale(ctx); err != nil {
+			// The client died while the writer was throttled: the pages
+			// it buffered are gone, so the write must not report success.
+			n = 0
+		}
+	case handPush:
+		err = m.store.SetSize(ctx, h.f.Ino, h.f.Size)
+	}
+	if sys != nil {
+		ctx.T.ModeSwitch(ctx.P)
+	}
+	return n, err
+}
+
+// syscall is Syscalls' Read, Write or Close c on h: the run inside the
+// syscall scope.
+func (h *pagedHandle) syscall(ctx vfsapi.Ctx, s *Syscalls, c *vfsapi.Call) (vfsapi.Result, error) {
+	sc := ctx.Span.Enter(obs.LayerSyscall)
+	n, err := h.do(ctx, s, c.Kind, c.Off, c.N)
+	sc.Exit()
+	return vfsapi.Result{N: n}, err
+}
+
+// start begins the run: under Syscalls with the entry chain, the mode
+// switch and the VFS dispatch; a bare call at its first decision.
+func (r *request) start() {
+	then := r.closeIn
+	switch r.kind {
+	case vfsapi.OpRead:
+		then = r.readIn
+	case vfsapi.OpWrite:
+		then = r.writeIn
+	}
+	if r.sys == nil {
+		then()
+		return
+	}
+	r.t.LockedChainThen(r.p, nil, nil, "", then, r.t.ModeSwitchStep(), cpu.Charge(cpu.Kernel, r.sys.kern.params.VFSOpCost))
+}
+
+// exit ends a served run after a charge of d: under Syscalls with the
+// exit mode switch.
+func (r *request) exit(d time.Duration) {
+	out := cpu.Step{}
+	if r.sys != nil {
+		out = r.t.ModeSwitchStep()
+	}
+	r.t.LockedChainThen(r.p, nil, nil, "", r.served, cpu.Charge(cpu.Kernel, d), out)
 }
 
 // handBack records where the run stopped and resumes the process.
@@ -93,33 +180,28 @@ func (r *request) handBack(at hand) {
 // done ends a request the run served.
 func (r *request) done() { r.handBack(handDone) }
 
-// enter starts the run with the system call's entry chain: the mode
-// switch and the VFS dispatch.
-func (r *request) enter(then func()) {
-	r.t.LockedChainThen(r.p, nil, nil, "", then, r.t.ModeSwitchStep(), cpu.Charge(cpu.Kernel, r.vfsOp))
-}
-
-// exit ends the run with the system call's exit mode switch.
-func (r *request) exit() {
-	r.t.LockedChainThen(r.p, nil, nil, "", r.served, r.t.ModeSwitchStep())
-}
-
-// afterReadEntry grows the readahead window and claims the range; a
-// fully cached range goes on under lru_lock, anything else goes back to
-// the process.
+// afterReadEntry clamps the read at the end of file, grows the readahead
+// window and claims the range; a fully cached range goes on under
+// lru_lock.
 func (r *request) afterReadEntry() {
 	h := r.h
-	if h.stale() || h.flags.Has(vfsapi.DIRECT) {
-		r.handBack(handTop)
+	if h.stale() {
+		r.handBack(handStale)
 		return
 	}
-	n := h.readLen(r.off, r.n)
-	if n <= 0 {
-		r.handBack(handTop)
+	if r.n = min(r.n, h.f.Size-r.off); r.n <= 0 {
+		r.n = 0
+		r.exit(0)
 		return
 	}
-	r.n = n
-	r.fetchLen = h.ra.Extend(r.off, n, h.f.Size, h.m.raWindow())
+	if h.flags.Has(vfsapi.DIRECT) {
+		r.handBack(handDirect)
+		return
+	}
+	// Readahead: grow the window on sequential access, reset on seek.
+	// Brownout zeroes the effective window, deferring speculative
+	// fetches while the backend or admission queues are overloaded.
+	r.fetchLen = h.ra.Extend(r.off, r.n, h.f.Size, h.m.raWindow())
 	if r.g, r.wait = h.f.Claim(r.off, r.fetchLen); r.wait || r.g.Len > 0 {
 		r.handBack(handFetch)
 		return
@@ -127,22 +209,36 @@ func (r *request) afterReadEntry() {
 	r.t.LockedChainThen(r.p, h.m.kern.lruLock, r.span, "lru_lock", r.touched)
 }
 
-// touch marks the file recently used and copies the data out.
+// touch marks the file recently used (page flags only: cached reads pay
+// no per-page lock hold) and copies the data out.
 func (r *request) touch() {
 	m := r.h.m
 	m.cache.Touch(r.h.f)
 	m.kern.lruLock.Unlock(r.p)
-	r.t.LockedChainThen(r.p, nil, nil, "", r.served, cpu.Charge(cpu.Kernel, m.kern.params.CopyTime(r.n)), r.t.ModeSwitchStep())
+	r.exit(m.kern.params.CopyTime(r.n))
 }
 
 // afterWriteEntry copies the data into the cache under the inode mutex.
 func (r *request) afterWriteEntry() {
 	h := r.h
-	if h.stale() || !h.flags.Writable() && !h.flags.Has(vfsapi.CREATE) || r.n <= 0 || h.flags.Has(vfsapi.DIRECT) {
-		r.handBack(handTop)
+	switch {
+	case h.stale():
+		r.handBack(handStale)
+		return
+	case !h.flags.Writable() && !h.flags.Has(vfsapi.CREATE):
+		r.n, r.err = 0, vfsapi.ErrReadOnly
+		r.exit(0)
+		return
+	case r.n <= 0:
+		r.n = 0
+		r.exit(0)
 		return
 	}
 	h.wrote = true
+	if h.flags.Has(vfsapi.DIRECT) {
+		r.handBack(handDirect)
+		return
+	}
 	params := h.m.kern.params
 	r.t.LockedChainThen(r.p, h.f.X, nil, "", r.copied,
 		cpu.Charge(cpu.Kernel, params.IMutexHold), cpu.Charge(cpu.Kernel, params.CopyTime(r.n)))
@@ -153,149 +249,77 @@ func (r *request) insert() {
 	r.t.LockedChainThen(r.p, r.h.m.kern.lruLock, r.span, "lru_lock", r.inserted)
 }
 
-// afterInsert charges the lock hold of the pages the insert added; a
-// stale ledger entry goes back to the process.
+// afterInsert records the range resident and charges the lock hold of
+// the pages it added; a stale ledger entry from before a crash is not
+// accounted.
 func (r *request) afterInsert() {
 	m := r.h.m
 	if m.cache.Stale(r.h.f) {
 		m.kern.lruLock.Unlock(r.p)
-		r.handBack(handCommit)
+		r.commit()
 		return
 	}
-	if hold := m.insert(r.h.f, r.off, r.n); hold > 0 {
-		r.t.LockedChainThen(r.p, nil, nil, "", r.held, cpu.Charge(cpu.Kernel, hold))
-		return
-	}
-	r.afterHold()
+	r.t.LockedChainThen(r.p, nil, nil, "", r.held, cpu.Charge(cpu.Kernel, m.pageHold(m.cache.Insert(r.h.f, r.off, r.n))))
 }
 
-// afterHold releases lru_lock, grows the size, releases the inode mutex
-// and takes wb_lock to mark the range dirty; an eviction goes back to
-// the process.
+// afterHold releases lru_lock and, over the memory limit, takes it again
+// to evict cold clean pages.
 func (r *request) afterHold() {
-	h := r.h
-	k := h.m.kern
+	k := r.h.m.kern
 	k.lruLock.Unlock(r.p)
-	if h.m.cache.Over() {
-		r.handBack(handEvict)
+	if r.h.m.cache.Over() {
+		r.t.LockedChainThen(r.p, k.lruLock, r.span, "lru_lock", r.evicted)
 		return
 	}
-	h.grow(r.off + r.n)
+	r.commit()
+}
+
+// evict reclaims clean pages and charges the page-structure work for
+// them once lru_lock is released.
+func (r *request) evict() {
+	m := r.h.m
+	hold := m.pageHold(m.cache.Evict())
+	m.kern.lruLock.Unlock(r.p)
+	r.t.LockedChainThen(r.p, nil, nil, "", r.committed, cpu.Charge(cpu.Kernel, hold))
+}
+
+// commit grows the size, releases the inode mutex and takes wb_lock to
+// mark the range dirty.
+func (r *request) commit() {
+	h := r.h
+	k := h.m.kern
+	h.f.Size = max(h.f.Size, r.off+r.n)
 	h.f.X.Unlock(r.p)
 	r.t.LockedChainThen(r.p, k.writebackLock, r.span, "wb_lock", r.dirtied, cpu.Charge(cpu.Kernel, k.params.WritebackLockHold))
 }
 
-// marked records the range dirty and returns from the system call; a
-// stale ledger entry or handle and the dirty throttle go back to the
-// process.
+// marked records the range dirty and returns from the call: a writer
+// that pushes the mount past its dirty thresholds goes back to the
+// process to throttle, and a write whose handle went stale fails.
 func (r *request) marked() {
 	h := r.h
 	switch {
-	case !h.m.mark(r.p, h.f, r.off, r.n):
-		r.handBack(handWritten)
-	case h.m.mustThrottle(r.n):
+	case h.m.mark(r.p, h.f, r.off, r.n) && h.m.mustThrottle(r.n):
 		r.handBack(handThrottle)
 	case h.stale():
-		r.handBack(handWritten)
+		r.handBack(handStale)
 	default:
-		r.exit()
+		r.exit(0)
 	}
 }
 
-// afterCloseEntry closes a handle that has no size to push.
+// afterCloseEntry closes the handle; a written file's size push goes
+// back to the process.
 func (r *request) afterCloseEntry() {
 	h := r.h
-	if h.stale() || h.wrote && !h.f.Unlinked {
-		r.handBack(handTop)
+	if h.stale() {
+		r.handBack(handStale)
 		return
 	}
 	h.closed = true
-	r.exit()
-}
-
-// syscall is Syscalls' Read, Write or Close c on h: the syscall scope
-// around syscallRead, syscallWrite or syscallClose.
-func (h *pagedHandle) syscall(ctx vfsapi.Ctx, vfsOp time.Duration, c *vfsapi.Call) (vfsapi.Result, error) {
-	sc := ctx.Span.Enter(obs.LayerSyscall)
-	var r vfsapi.Result
-	var err error
-	switch c.Kind {
-	case vfsapi.OpRead:
-		r.N, err = h.syscallRead(ctx, vfsOp, c.Off, c.N)
-	case vfsapi.OpWrite:
-		r.N, err = h.syscallWrite(ctx, vfsOp, c.Off, c.N)
-	default:
-		err = h.syscallClose(ctx, vfsOp)
+	if h.wrote && !h.f.Unlinked {
+		r.handBack(handPush)
+		return
 	}
-	sc.Exit()
-	return r, err
-}
-
-// syscallRead is Syscalls' Read on h between the scope's entry and exit:
-// the entry chain, the read and the exit mode switch. The cache-hit part
-// runs as one request run; at a hand-back the blocking code goes on.
-func (h *pagedHandle) syscallRead(ctx vfsapi.Ctx, vfsOp time.Duration, off, n int64) (int64, error) {
-	m := h.m
-	r := m.getRequest(ctx, h, vfsOp, off, n)
-	r.enter(r.readIn)
-	ctx.P.Park()
-	at, got, fetchLen, g, wait := r.at, r.n, r.fetchLen, r.g, r.wait
-	m.putRequest(r)
-	var err error
-	switch at {
-	case handDone:
-		return got, nil
-	case handTop:
-		got, err = h.Read(ctx, off, n)
-	case handFetch:
-		got, err = h.fetchAndCopy(ctx, off, got, fetchLen, g, wait)
-	}
-	ctx.T.ModeSwitch(ctx.P)
-	return got, err
-}
-
-// syscallWrite is syscallRead's counterpart for Write.
-func (h *pagedHandle) syscallWrite(ctx vfsapi.Ctx, vfsOp time.Duration, off, n int64) (int64, error) {
-	m := h.m
-	r := m.getRequest(ctx, h, vfsOp, off, n)
-	r.enter(r.writeIn)
-	ctx.P.Park()
-	at := r.at
-	m.putRequest(r)
-	var got int64
-	var err error
-	switch at {
-	case handDone:
-		return n, nil
-	case handTop:
-		got, err = h.Write(ctx, off, n)
-	case handEvict:
-		m.evict(ctx)
-		got, err = h.commit(ctx, off, n)
-	case handCommit:
-		got, err = h.commit(ctx, off, n)
-	case handThrottle:
-		m.throttle(ctx, n)
-		got, err = h.written(ctx, n)
-	case handWritten:
-		got, err = h.written(ctx, n)
-	}
-	ctx.T.ModeSwitch(ctx.P)
-	return got, err
-}
-
-// syscallClose is syscallRead's counterpart for Close.
-func (h *pagedHandle) syscallClose(ctx vfsapi.Ctx, vfsOp time.Duration) error {
-	m := h.m
-	r := m.getRequest(ctx, h, vfsOp, 0, 0)
-	r.enter(r.closeIn)
-	ctx.P.Park()
-	at := r.at
-	m.putRequest(r)
-	if at == handDone {
-		return nil
-	}
-	err := h.Close(ctx)
-	ctx.T.ModeSwitch(ctx.P)
-	return err
+	r.exit(0)
 }

@@ -17,12 +17,12 @@ import (
 )
 
 // straightLine is the oracle for TestKernRunMatchesStraightLine: Read,
-// Write and Close on a page-cache handle through Syscalls as they were
-// before the request run — the entry chain, the blocking pagedHandle
-// method with the page-cache helpers as they were, and the exit mode
-// switch. The process resumes after every charge and every lock. cover
-// counts the paths the oracle took, so a test can check its scenarios
-// reached each hand-back of the run.
+// Write and Close on a page-cache handle as they were before the request
+// run — the blocking pagedHandle method with the page-cache helpers as
+// they were, and, through Syscalls, the entry chain before it and the
+// exit mode switch after it. The process resumes after every charge and
+// every lock. cover counts the paths the oracle took, so a test can
+// check its scenarios reached each hand-back of the run.
 type straightLine struct {
 	cover map[string]int
 }
@@ -254,6 +254,8 @@ type kApp struct {
 	mask     cpu.Mask
 	readOnly bool
 	direct   bool
+	bare     bool // Read, Write and Close go straight to the page-cache handle, not through Syscalls
+	keep     bool // a handle a crash left stale is kept, not reopened
 	ops      []kOp
 }
 
@@ -313,6 +315,7 @@ type kOutcome struct {
 	writes    []extentRec
 	sizes     []int64 // the store's file sizes
 	cover     map[string]int
+	bareCover map[string]int // the paths of the bare applications' calls
 
 	panicked   string // the model's panic, if it panicked
 	unfinished int    // applications still running at kDeadline
@@ -450,8 +453,8 @@ func runKScenario(sc kScenario, straight bool, tick time.Duration) kOutcome {
 	opens := &pagedOpens{Mount: m, last: map[*sim.Proc]*pagedHandle{}}
 	s := NewSyscalls(k, opens)
 	acct := cpu.NewAccount("pool")
-	o := &straightLine{cover: map[string]int{}}
-	out := kOutcome{cover: o.cover}
+	o, bare := &straightLine{cover: map[string]int{}}, &straightLine{cover: map[string]int{}}
+	out := kOutcome{cover: o.cover, bareCover: bare.cover}
 	e.SetTracer(func(ev sim.TraceEvent) {
 		if ev.Kind != sim.TraceFinish {
 			out.events = append(out.events, ev.At)
@@ -494,6 +497,10 @@ func runKScenario(sc kScenario, straight bool, tick time.Duration) kOutcome {
 				}
 			}()
 			ctx := vfsapi.Ctx{P: p, T: th}
+			o := o
+			if app.bare {
+				o = bare
+			}
 			flags := vfsapi.RDWR | vfsapi.CREATE
 			if app.readOnly {
 				flags = vfsapi.RDONLY
@@ -513,7 +520,7 @@ func runKScenario(sc kScenario, straight bool, tick time.Duration) kOutcome {
 					continue
 				}
 				h := handles[op.file]
-				if h == nil || m.crashed || h.ph.gen != m.cache.Gen {
+				if h == nil || !app.keep && (m.crashed || h.ph.gen != m.cache.Gen) {
 					h = nil
 					for range 50 {
 						fh, err := s.Open(ctx, kPath(op.file), flags)
@@ -534,18 +541,34 @@ func runKScenario(sc kScenario, straight bool, tick time.Duration) kOutcome {
 				var n int64
 				var err error
 				switch {
-				case op.kind == kRead && straight:
-					n, err = o.syscall(s, ctx, func() (int64, error) { return o.read(ph, ctx, op.off, op.n) })
-				case op.kind == kRead:
-					n, err = h.h.Read(ctx, op.off, op.n)
-				case op.kind == kWrite && straight:
-					n, err = o.syscall(s, ctx, func() (int64, error) { return o.write(ph, ctx, op.off, op.n) })
-				case op.kind == kWrite:
-					n, err = h.h.Write(ctx, op.off, op.n)
 				case straight:
-					_, err = o.syscall(s, ctx, func() (int64, error) { return 0, o.close(ph, ctx) })
+					call := func() (int64, error) {
+						switch op.kind {
+						case kRead:
+							return o.read(ph, ctx, op.off, op.n)
+						case kWrite:
+							return o.write(ph, ctx, op.off, op.n)
+						}
+						return 0, o.close(ph, ctx)
+					}
+					if app.bare {
+						n, err = call()
+					} else {
+						n, err = o.syscall(s, ctx, call)
+					}
 				default:
-					err = h.h.Close(ctx)
+					var fh vfsapi.Handle = h.h
+					if app.bare {
+						fh = ph
+					}
+					switch op.kind {
+					case kRead:
+						n, err = fh.Read(ctx, op.off, op.n)
+					case kWrite:
+						n, err = fh.Write(ctx, op.off, op.n)
+					default:
+						err = fh.Close(ctx)
+					}
 				}
 				ctx.Span.End(n, err)
 				ctx.Span = nil
@@ -701,6 +724,10 @@ func TestKernRunMatchesStraightLine(t *testing.T) {
 			{ops: []kOp{{kind: kWrite, n: page}, {kind: kWrite, off: page, n: 64 * page}, {kind: kWrite, off: 65 * page, n: 64 * page}}},
 			{ops: []kOp{{gap: 10 * us, kind: kClosed}, {gap: 30 * us, kind: kClose}}},
 		}},
+		"handles kept across a crash": {cores: 1, files: []int64{4 * page}, toggles: []kToggle{{at: 100 * us, back: 300 * us}}, apps: []kApp{
+			{keep: true, ops: []kOp{{kind: kWrite, n: page}, {gap: 200 * us, kind: kRead, n: page}, {kind: kWrite, n: page}, {kind: kClose}}},
+			{keep: true, ops: []kOp{{kind: kRead, n: page}, {gap: 500 * us, kind: kClosed}, {kind: kClose}}},
+		}},
 		"close after a write": {cores: 1, files: []int64{4 * page, 4 * page}, apps: []kApp{
 			{ops: []kOp{{kind: kWrite, n: page}, {kind: kClose}, {kind: kRead, n: page}, {kind: kClosed}, {kind: kRead, n: page},
 				{kind: kWrite, file: 1, n: page}, {kind: kUnlink, file: 1}, {kind: kClose, file: 1}}},
@@ -710,13 +737,33 @@ func TestKernRunMatchesStraightLine(t *testing.T) {
 	// A known model defect that both implementations share is logged,
 	// not failed: a cache smaller than a fetch window livelocks the
 	// reader.
-	cover := map[string]int{}
-	note := func(name string, o kOutcome) {
-		for k, v := range o.cover {
-			cover[k] += v
+	cover, bareCover := map[string]int{}, map[string]int{}
+	note := func(name string, o kOutcome, into map[string]int, from map[string]int) {
+		for k, v := range from {
+			into[k] += v
 		}
 		if o.panicked != "" || o.unfinished > 0 {
 			t.Logf("%s: panic %q, %d apps unfinished at %v", name, o.panicked, o.unfinished, kDeadline)
+		}
+	}
+	// Each scenario runs three times: every call through Syscalls, then
+	// with the even and then the odd applications' calls made straight
+	// on the page-cache handle, as an Append makes them, interleaved
+	// with the others' system calls.
+	check := func(name string, sc kScenario, tick time.Duration) {
+		want := runKScenario(sc, true, tick)
+		compareK(t, name, runKScenario(sc, false, tick), want)
+		note(name, want, cover, want.cover)
+		for parity := range 2 {
+			bare := sc
+			bare.apps = slices.Clone(sc.apps)
+			for i := range bare.apps {
+				bare.apps[i].bare = i%2 == parity
+			}
+			name := fmt.Sprintf("%s (bare %d)", name, parity)
+			want := runKScenario(bare, true, tick)
+			compareK(t, name, runKScenario(bare, false, tick), want)
+			note(name, want, bareCover, want.bareCover)
 		}
 	}
 	// Readers and writers of a warm file contend for the kernel locks;
@@ -748,19 +795,16 @@ func TestKernRunMatchesStraightLine(t *testing.T) {
 		}
 	}
 	for name, sc := range fixed {
-		want := runKScenario(sc, true, 37*us)
-		compareK(t, name, runKScenario(sc, false, 37*us), want)
-		note(name, want)
+		check(name, sc, 37*us)
 	}
 	rng := rand.New(rand.NewSource(1))
 	for n := 0; n < 1000; n++ {
 		sc := randomKScenario(rng)
 		tick := time.Duration(20+rng.Intn(300)) * us
-		want := runKScenario(sc, true, tick)
-		name := fmt.Sprint("scenario ", n)
-		compareK(t, name, runKScenario(sc, false, tick), want)
-		note(name, want)
+		check(fmt.Sprint("scenario ", n), sc, tick)
 	}
+	t.Logf("paths through Syscalls: %v", cover)
+	t.Logf("bare paths: %v", bareCover)
 	for _, path := range []string{
 		"read hit", "read at EOF", "read clamped at EOF", "read DIRECT", "read miss", "read waits on fetchQ",
 		"read in brownout", "read on a closed or stale handle", "read stale after its fetch", "evict", "insert into a stale ledger entry",
@@ -771,13 +815,18 @@ func TestKernRunMatchesStraightLine(t *testing.T) {
 		if cover[path] == 0 {
 			t.Errorf("no scenario reached %q (paths reached: %v)", path, cover)
 		}
+		if bareCover[path] == 0 {
+			t.Errorf("no scenario reached %q bare (paths reached: %v)", path, bareCover)
+		}
 	}
 }
 
 // TestKernRunParksOnce pins what the request run buys: an uncontended
 // cached Read, Write and Close through Syscalls each park their process
-// once, where the straight line parked three, five and two times. The
-// warm cached read and write stay allocation-free.
+// once, where the straight line parked three, five and two times, and so
+// do the same calls made bare on the page-cache handle (the bare Close
+// hands back before it parks, so its park returns at once). The warm
+// cached read and write stay allocation-free.
 func TestKernRunParksOnce(t *testing.T) {
 	r := newRig(t, MountConfig{})
 	s := NewSyscalls(r.kern, r.mount)
@@ -792,6 +841,14 @@ func TestKernRunParksOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		bare, err := r.mount.Open(ctx, "/f", vfsapi.RDONLY)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bareW, err := r.mount.Open(ctx, "/f", vfsapi.RDWR)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, op := range []struct {
 			name string
 			do   func() (int64, error)
@@ -799,6 +856,9 @@ func TestKernRunParksOnce(t *testing.T) {
 			{"cached Read", func() (int64, error) { return h.Read(ctx, 4<<10, 4<<10) }},
 			{"cached Write", func() (int64, error) { return h.Write(ctx, 8<<10, 4<<10) }},
 			{"Close", func() (int64, error) { return 4 << 10, ro.Close(ctx) }},
+			{"bare cached Read", func() (int64, error) { return bare.Read(ctx, 4<<10, 4<<10) }},
+			{"bare cached Write", func() (int64, error) { return bareW.Write(ctx, 8<<10, 4<<10) }},
+			{"bare Close", func() (int64, error) { return 4 << 10, bare.Close(ctx) }},
 		} {
 			before := ctx.P.Parks()
 			if n, err := op.do(); n != 4<<10 || err != nil {

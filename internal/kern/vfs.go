@@ -24,12 +24,12 @@ func NewSyscalls(k *Kernel, inner vfsapi.FileSystem) *Syscalls {
 	return s
 }
 
-// Do enters the kernel, dispatches c and exits. On a kernel mount's
-// page-cache handle, Read, Write and Close run their cache-hit part as
-// one request run (see request).
+// Do enters the kernel, dispatches c and exits. A Read, Write or Close
+// of a kernel mount's page-cache handle is the handle's request run
+// with the entry and exit as its first and last steps (see request).
 func (s *Syscalls) Do(ctx vfsapi.Ctx, c vfsapi.Call, _ struct{}) (vfsapi.Result, error) {
 	if ph, ok := c.H.(*pagedHandle); ok && (c.Kind == vfsapi.OpRead || c.Kind == vfsapi.OpWrite || c.Kind == vfsapi.OpClose) {
-		return ph.syscall(ctx, s.kern.params.VFSOpCost, &c)
+		return ph.syscall(ctx, s, &c)
 	}
 	sc := s.enter(ctx)
 	r, err := c.Do(ctx)
