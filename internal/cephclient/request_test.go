@@ -203,8 +203,8 @@ func (o *straightLine) write(h *chandle, ctx vfsapi.Ctx, off, n int64) (int64, e
 // straightHandle serves a transport through the straight-line oracle.
 // It is no vfsapi.Starter, so the transport hands control back to the
 // process, which calls Read or Write after its dispatch and, under a
-// FUSE crossing, runs the blocking reply chain after them, as before
-// the request run started at the dispatch.
+// FUSE crossing, starts the reply chain after them, as before the
+// request run started at the dispatch.
 type straightHandle struct {
 	h   *chandle
 	o   *straightLine
@@ -247,21 +247,6 @@ func (fs *daemonFS) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vf
 		return straightHandle{h.(*chandle), fs.o, fs.via}, nil
 	}
 	return h, nil
-}
-
-// passFS stands in for a union daemon stacked on a second FUSE mount
-// (F/F): its handles pass every call on to the inner mount's, and start
-// no run of their own.
-type passFS struct{ vfsapi.FileSystem }
-
-type passHandle struct{ vfsapi.Handle }
-
-func (fs passFS) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfsapi.Handle, error) {
-	h, err := fs.FileSystem.Open(ctx, path, flags)
-	if err != nil {
-		return nil, err
-	}
-	return passHandle{h}, nil
 }
 
 // chOp is one Read or Write of an application: issued after gap, on
@@ -452,7 +437,10 @@ func runChScenario(sc chScenario, straight bool, tick time.Duration) chOutcome {
 		mount = fusefs.New(e, cpus, params, served, fusefs.Config{Name: "fuse", Acct: daemon, Threads: 2})
 	case chFUSE2:
 		inner := fusefs.New(e, cpus, params, served, fusefs.Config{Name: "fuse-inner", Acct: daemon, Threads: 2})
-		mount = fusefs.New(e, cpus, params, passFS{inner}, fusefs.Config{Name: "fuse-outer", Acct: daemon, Threads: 2})
+		// The outer daemon serves the inner mount's handles, as a union's
+		// Open returns its branch's handle, and starts their requests as
+		// runs.
+		mount = fusefs.New(e, cpus, params, inner, fusefs.Config{Name: "fuse-outer", Acct: daemon, Threads: 2})
 	}
 	e.SetTracer(func(ev sim.TraceEvent) {
 		if ev.Kind != sim.TraceFinish {
@@ -640,9 +628,12 @@ func compareCh(t *testing.T, name string, got, want chOutcome) {
 // transport (D); there the transport starts the run's request at its
 // dispatch and the run takes the crossing's reply, while the oracle's
 // handle starts no run, so its process calls Read or Write after the
-// dispatch and the crossing runs its blocking reply chain; the obs
-// slices must match too. The straight line's path counts show that the
-// scenarios reach every point where the run hands control back.
+// dispatch and the crossing runs its reply chain; the obs slices must
+// match too. Requests of up to 4 MiB cross in several FUSE chunks, whose
+// replies start the next chunk's crossing, and under F/F the outer
+// daemon starts the inner mount's request as a run. The straight line's
+// path counts show that the scenarios reach every point where the run
+// hands control back.
 func TestChandleRunMatchesStraightLine(t *testing.T) {
 	us := time.Microsecond
 	const page = 4 << 10
@@ -677,6 +668,13 @@ func TestChandleRunMatchesStraightLine(t *testing.T) {
 		}},
 		"revoked during a copy": {cores: 2, files: []int64{0}, toggles: []chToggle{{at: 100 * us, revoke: true}, {at: 700 * us, revoke: true}, {at: 1500 * us, revoke: true}}, apps: []chApp{
 			{ops: []chOp{{write: true, n: 4 << 20}, {write: true, off: 4 << 20, n: 4 << 20}, {write: true, off: 8 << 20, n: 4 << 20}}},
+		}},
+		// Requests of several FUSE chunks: misses, hits, a read that ends
+		// on a short chunk and writes past the end of file.
+		"large requests": {cores: 2, files: []int64{2<<20 + 100, 0}, apps: []chApp{
+			{ops: []chOp{{n: 1 << 20}, {n: 1 << 20}, {off: 3 << 19, n: 1 << 20}, {off: 1 << 20, n: 600 << 10}}},
+			{ops: []chOp{{write: true, file: 1, n: 512 << 10}, {write: true, file: 1, off: 512 << 10, n: 300 << 10}, {file: 1, n: 1 << 20}}},
+			{ops: []chOp{{gap: 50 * us, off: 1 << 20, n: 1 << 20}, {off: 0, n: 300 << 10}}},
 		}},
 	}
 	// The known model defects that both implementations share are
@@ -715,7 +713,7 @@ func TestChandleRunMatchesStraightLine(t *testing.T) {
 	// off, a miss or a throttled write falls back to the crossing's
 	// blocking reply, and under F/F only the inner crossing takes it.
 	mounts := map[string]chMount{"F: ": chFUSE, "F/F: ": chFUSE2, "D: ": chIPC}
-	for _, name := range []string{"miss and an in-flight fetch", "contended client_lock", "throttled writers", "revoked writers"} {
+	for _, name := range []string{"miss and an in-flight fetch", "contended client_lock", "throttled writers", "revoked writers", "revoked during a copy", "large requests"} {
 		for prefix, mount := range mounts {
 			sc := fixed[name]
 			sc.mount = mount
@@ -769,7 +767,9 @@ func TestChandleRunMatchesStraightLine(t *testing.T) {
 // whose reply the run starts. A stale or closed handle starts no run:
 // its error comes from the blocking path, and the FUSE reply chain
 // still runs. The warm cached read and write stay allocation-free,
-// called directly and through either transport.
+// called directly and through either transport, and so do 1 MiB reads
+// and writes of eight FUSE chunks and 1 MiB reads through two stacked
+// FUSE mounts.
 func TestChandleRunParksOnce(t *testing.T) {
 	r := newRig(t, Config{})
 	r.run(t, func(ctx vfsapi.Ctx) {
@@ -875,6 +875,9 @@ func TestChandleRunParksOnce(t *testing.T) {
 		{Name: "CachedFUSEWrite", Body: cachedFUSEWrite, N: 5000},
 		{Name: "CachedIPCRead", Body: cachedIPCRead, N: 5000},
 		{Name: "CachedIPCWrite", Body: cachedIPCWrite, N: 5000},
+		{Name: "CachedFUSERead1M", Body: cachedFUSERead1M, N: 1000},
+		{Name: "CachedFUSEWrite1M", Body: cachedFUSEWrite1M, N: 1000},
+		{Name: "CachedFUSE2Read1M", Body: cachedFUSE2Read1M, N: 1000},
 	})
 }
 
@@ -902,22 +905,41 @@ func BenchmarkCachedIPCRead(b *testing.B) { allocgate.Bench(b, cachedIPCRead) }
 // transport to the client.
 func BenchmarkCachedIPCWrite(b *testing.B) { allocgate.Bench(b, cachedIPCWrite) }
 
-func cachedRead(n int) func() { return cachedOps(n, false, "") }
+// BenchmarkCachedFUSERead1M reads a warm 1 MiB file whole through a
+// FUSE mount of the client: one op is one Read of eight 128 KiB chunks.
+func BenchmarkCachedFUSERead1M(b *testing.B) { allocgate.Bench(b, cachedFUSERead1M) }
 
-func cachedWrite(n int) func() { return cachedOps(n, true, "") }
+// BenchmarkCachedFUSEWrite1M is BenchmarkCachedFUSERead1M for
+// overwrites.
+func BenchmarkCachedFUSEWrite1M(b *testing.B) { allocgate.Bench(b, cachedFUSEWrite1M) }
 
-func cachedFUSERead(n int) func() { return cachedOps(n, false, "FUSE") }
+// BenchmarkCachedFUSE2Read1M is BenchmarkCachedFUSERead1M through a
+// FUSE mount stacked on another (F/F), whose daemon starts each chunk's
+// inner crossing as a run.
+func BenchmarkCachedFUSE2Read1M(b *testing.B) { allocgate.Bench(b, cachedFUSE2Read1M) }
 
-func cachedFUSEWrite(n int) func() { return cachedOps(n, true, "FUSE") }
+func cachedRead(n int) func() { return cachedOps(n, false, "", 4<<10) }
 
-func cachedIPCRead(n int) func() { return cachedOps(n, false, "IPC") }
+func cachedWrite(n int) func() { return cachedOps(n, true, "", 4<<10) }
 
-func cachedIPCWrite(n int) func() { return cachedOps(n, true, "IPC") }
+func cachedFUSERead(n int) func() { return cachedOps(n, false, "FUSE", 4<<10) }
 
-// cachedOps has one thread read or overwrite a warm 1 MiB file 4 KiB at
-// a time, calling the client directly or through a transport via.
-func cachedOps(n int, write bool, via string) func() {
-	const size, op = 1 << 20, 4 << 10
+func cachedFUSEWrite(n int) func() { return cachedOps(n, true, "FUSE", 4<<10) }
+
+func cachedIPCRead(n int) func() { return cachedOps(n, false, "IPC", 4<<10) }
+
+func cachedIPCWrite(n int) func() { return cachedOps(n, true, "IPC", 4<<10) }
+
+func cachedFUSERead1M(n int) func() { return cachedOps(n, false, "FUSE", 1<<20) }
+
+func cachedFUSEWrite1M(n int) func() { return cachedOps(n, true, "FUSE", 1<<20) }
+
+func cachedFUSE2Read1M(n int) func() { return cachedOps(n, false, "FUSE/FUSE", 1<<20) }
+
+// cachedOps has one thread read or overwrite a warm 1 MiB file op bytes
+// at a time, calling the client directly or through a transport via.
+func cachedOps(n int, write bool, via string, op int64) func() {
+	const size = 1 << 20
 	e := sim.NewEngine()
 	params := model.Default()
 	cpus := cpu.New(e, params, 2)
@@ -928,6 +950,9 @@ func cachedOps(n int, write bool, via string) func() {
 	switch via {
 	case "FUSE":
 		fs = fusefs.New(e, cpus, params, c, fusefs.Config{Name: "fuse", Acct: acct})
+	case "FUSE/FUSE":
+		inner := fusefs.New(e, cpus, params, c, fusefs.Config{Name: "fuse-inner", Acct: acct})
+		fs = fusefs.New(e, cpus, params, inner, fusefs.Config{Name: "fuse-outer", Acct: acct})
 	case "IPC":
 		fs = ipc.New(e, cpus, params, c, ipc.Config{Name: "svc", Acct: acct})
 	}

@@ -865,24 +865,35 @@ func TestWorkloadsTable2Complete(t *testing.T) {
 	}
 }
 
-// TestCachedReadParks pins how often one cached 1 MiB Read parks its
-// process in each stack, built as the experiments build it: once under
-// D, where the IPC dispatch starts the client's request run; once per
-// 128 KiB FUSE chunk under F, where the crossing's dispatch starts it
-// and the run starts the reply; three times per chunk under F/F, where
-// only the inner ceph-fuse crossing hands off and the outer unionfs-fuse
-// crossing parks for its dispatch and its reply; and once under K, K/K
-// and FP, whose Syscalls runs the kernel request on the page-cache
-// handle itself (AUFS opens return the branch's handle). A layer
-// slipped between a transport and the client that drops the hand-off
-// shows here as more parks.
+// TestCachedReadParks pins how often one cached 1 MiB Read, and one
+// 1 MiB Write into the cache, park their process in each stack of
+// Table 1, built as the experiments build it:
+//   - once under D, where the IPC dispatch starts the client's request
+//     run;
+//   - once under F, where each 128 KiB chunk's dispatch starts the run,
+//     the run starts the reply and the reply's end starts the next
+//     chunk's crossing;
+//   - once under F/F, where unionfs-fuse's dispatch starts the ceph-fuse
+//     crossing of each chunk as a run on its daemon thread, and the end
+//     of the inner reply starts the outer reply;
+//   - under F/K, twice per chunk and once more: unionfs-fuse serves a
+//     kernel page-cache handle, which starts no run, so the process
+//     serves each chunk (the kernel request parks once) and parks again
+//     from the reply to the next chunk's dispatch;
+//   - once under K, K/K, FP and FP/FP, whose Syscalls runs the kernel
+//     request on the top page-cache handle itself (AUFS opens return
+//     the branch's handle).
+//
+// A layer slipped between a transport and the client that drops the
+// hand-off shows here as more parks.
 func TestCachedReadParks(t *testing.T) {
 	const size = 1 << 20
 	for _, c := range []struct {
-		cfg   Configuration
-		parks int
+		cfg         Configuration
+		read, write int
 	}{
-		{ConfigD, 1}, {ConfigF, 8}, {ConfigFF, 24}, {ConfigK, 1}, {ConfigKK, 1}, {ConfigFP, 1},
+		{ConfigD, 1, 1}, {ConfigF, 1, 1}, {ConfigFF, 1, 1}, {ConfigK, 1, 1},
+		{ConfigKK, 1, 1}, {ConfigFK, 17, 17}, {ConfigFP, 1, 1}, {ConfigFPFP, 1, 1},
 	} {
 		tb := newTB(t, 4)
 		tb.Cluster.ProvisionDir("/containers/c0")
@@ -902,8 +913,15 @@ func TestCachedReadParks(t *testing.T) {
 			if n, err := h.Read(ctx, 0, size); n != size || err != nil {
 				t.Fatalf("%v: cached Read returned %d, %v", c.cfg, n, err)
 			}
-			if got := ctx.P.Parks() - before; got != c.parks {
-				t.Errorf("%v: a cached 1 MiB Read parked %d times, want %d", c.cfg, got, c.parks)
+			if got := ctx.P.Parks() - before; got != c.read {
+				t.Errorf("%v: a cached 1 MiB Read parked %d times, want %d", c.cfg, got, c.read)
+			}
+			before = ctx.P.Parks()
+			if n, err := h.Write(ctx, 0, size); n != size || err != nil {
+				t.Fatalf("%v: cached Write returned %d, %v", c.cfg, n, err)
+			}
+			if got := ctx.P.Parks() - before; got != c.write {
+				t.Errorf("%v: a cached 1 MiB Write parked %d times, want %d", c.cfg, got, c.write)
 			}
 			h.Close(ctx)
 		})

@@ -21,8 +21,9 @@ import (
 // The process resumes after the entry chain, parks again while every
 // daemon thread is busy, checks for a crash and picks a daemon thread,
 // parks once more for the daemon's read chain, runs fn and then the
-// reply chain.
-func historicalCrossing(t *Transport, ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn func(dctx vfsapi.Ctx) error) error {
+// reply chain. A non-nil queued counts the crossings that waited for a
+// daemon thread.
+func historicalCrossing(t *Transport, ctx vfsapi.Ctx, payloadIn, payloadOut int64, fn func(dctx vfsapi.Ctx) error, queued *int) error {
 	defer ctx.Span.Enter(obs.LayerFUSE).Exit()
 	p := t.params
 	if t.crashed {
@@ -33,8 +34,12 @@ func historicalCrossing(t *Transport, ctx vfsapi.Ctx, payloadIn, payloadOut int6
 		cpu.Charge(cpu.Kernel, p.FUSERequestOverhead),
 		cpu.Charge(cpu.Kernel, p.CopyTime(payloadIn)),
 		ctx.T.ContextSwitchStep())
+	at := ctx.P.Now()
 	t.slots.Acquire(ctx.P)
 	defer t.slots.Release()
+	if queued != nil && ctx.P.Now() > at {
+		*queued++
+	}
 	if t.crashed {
 		return vfsapi.ErrCrashed
 	}
@@ -190,6 +195,7 @@ var errServe = errors.New("daemon-side failure")
 
 type crossResult struct {
 	at  time.Duration
+	n   int64
 	err error
 }
 
@@ -332,7 +338,7 @@ func runCrossScenario(sc crossScenario, historical bool, tick time.Duration) cro
 	nested := New(e, c, params, nil, Config{Name: "fuse2", Acct: accts[2], Mask: sc.daemonMask, Threads: inner})
 	cross := func(tr *Transport, ctx vfsapi.Ctx, in, out int64, c vfsapi.Call) error {
 		if historical {
-			return historicalCrossing(tr, ctx, in, out, func(dctx vfsapi.Ctx) error { _, err := c.Do(dctx); return err })
+			return historicalCrossing(tr, ctx, in, out, func(dctx vfsapi.Ctx) error { _, err := c.Do(dctx); return err }, nil)
 		}
 		_, err := tr.crossing(ctx, in, out, &c)
 		return err
@@ -371,7 +377,7 @@ func runCrossScenario(sc crossScenario, historical bool, tick time.Duration) cro
 				} else {
 					err = cross(tr, ctx, r.in, r.out, c)
 				}
-				out.results[i] = append(out.results[i], crossResult{p.Now(), err})
+				out.results[i] = append(out.results[i], crossResult{at: p.Now(), err: err})
 			}
 		})
 	}

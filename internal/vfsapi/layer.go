@@ -143,19 +143,29 @@ type Layer[S any] interface {
 	Do(ctx Ctx, c Call, s S) (Result, error)
 }
 
+// StartLayer is a Layer that can also begin a Read or Write c as a run
+// (see Starter.Start): the handles Wrap opens over it are Starters that
+// forward to Start.
+type StartLayer[S any] interface {
+	Start(ctx Ctx, c Call, s S, reply func()) Run
+}
+
 // Wrap returns fs with l interposed on every operation on fs and on the
 // handles it opens. keep gives the state of a handle from the path it is
-// opened with; a nil keep leaves it zero.
+// opened with; a nil keep leaves it zero. The handles are Starters; their
+// Start returns nil unless l is a StartLayer.
 //
 // Every operation through a stack of layers runs under the wrapper's
 // methods, and a process's stack grows by doubling when it runs out, so
 // each method calls the layer directly, with no helper frame between.
 func Wrap[S any](fs FileSystem, l Layer[S], keep func(path string) S) FileSystem {
-	return &wrapFS[S]{l: l, inner: fs, keep: keep}
+	st, _ := l.(StartLayer[S])
+	return &wrapFS[S]{l: l, st: st, inner: fs, keep: keep}
 }
 
 type wrapFS[S any] struct {
 	l     Layer[S]
+	st    StartLayer[S] // l, when it can start a run; else nil
 	inner FileSystem
 	keep  func(path string) S
 }
@@ -237,6 +247,19 @@ func (h *wrapHandle[S]) Fsync(ctx Ctx) error {
 func (h *wrapHandle[S]) Close(ctx Ctx) error {
 	_, err := h.fs.l.Do(ctx, Call{Kind: OpClose, H: h.inner}, h.s)
 	return err
+}
+
+// Start begins a Read or Write as a run of the layer, when it can start
+// one (see Starter).
+func (h *wrapHandle[S]) Start(ctx Ctx, write bool, off, n int64, reply func()) Run {
+	if h.fs.st == nil {
+		return nil
+	}
+	c := Call{Kind: OpRead, H: h.inner, Off: off, N: n}
+	if write {
+		c.Kind = OpWrite
+	}
+	return h.fs.st.Start(ctx, c, h.s, reply)
 }
 
 func (h *wrapHandle[S]) Size() int64  { return h.inner.Size() }

@@ -128,7 +128,9 @@ type Starter interface {
 // Run is a Read or Write a Starter began.
 type Run interface {
 	// Finish goes on from where the run handed control back, in the
-	// process, and returns what Read or Write returns.
+	// process, and returns what Read or Write returns. After the run
+	// called reply, Finish only returns the result, so the end of the
+	// reply may call it in an engine callback.
 	Finish(ctx Ctx) (int64, error)
 }
 
