@@ -23,17 +23,23 @@
 // and reports predicted-vs-measured per-tenant mean latency; with
 // -blame the comparison also lands in <base>-whatif.json.
 //
+// -out DIR writes the selected experiments' files under DIR, each with
+// a fixed name: crashsweep-recovery.csv, tracesweep-baseline.trace,
+// tracesweep-diff.csv, and monitorsweep-<case>-windows.csv and
+// -alerts.csv per monitorsweep case (testdata/golden pins all but the
+// baseline trace).
+//
 // Op-trace record/replay (see TRACES.md):
 //
-//	danausbench -exp tracesweep -record base.trace -diffcsv diff.csv
-//	danausbench -replay base.trace -config K -diffcsv k.csv
-//	danausbench -tracediff base.trace,k.trace
+//	danausbench -exp tracesweep -out out
+//	danausbench -replay out/tracesweep-baseline.trace -config K -record k.trace -out out
+//	danausbench -tracediff out/tracesweep-baseline.trace,k.trace -out out
 //
-// -record captures the VFS op stream: with -exp tracesweep it writes
-// the production-shaped baseline recording; with any other experiment
-// it writes one trace per observed run. -replay reissues a recorded
-// trace against the chosen client configuration and diffs the result
-// against the recording; -tracediff compares two trace files offline.
+// -record captures the VFS op stream of every observed run, one trace
+// per testbed, or with -replay the replayed trace. -replay reissues a
+// recorded trace against the chosen client configuration and diffs the
+// result against the recording, -tracediff two trace files offline;
+// -out DIR writes the diff as DIR/replay-diff.csv or DIR/tracediff.csv.
 package main
 
 import (
@@ -60,9 +66,7 @@ type options struct {
 	exp, scale                string
 	list                      bool
 	trace, metrics, blame     string
-	whatIf                    string
-	crashCSV, monitor         string
-	record, diffCSV           string
+	whatIf, out, record       string
 	fuzzN                     int
 	fuzzSeed                  int64
 	fuzzDir, fuzzSpec         string
@@ -80,11 +84,6 @@ type harness struct {
 	run experiments.Run
 	// parsedWhatIf is the parsed -whatif, nil when unset.
 	parsedWhatIf *blame.WhatIf
-	// sweepArtifacts routes -record and -diffcsv into
-	// writeSweepArtifacts when tracesweep was selected directly (under
-	// -exp all the generic capture path owns -record instead);
-	// captureOps turns that generic per-run op capture on.
-	sweepArtifacts, captureOps bool
 
 	// failures counts the invariant violations experiment rows report
 	// (Row.Violations). Outside -fuzz mode they turn the exit status
@@ -99,15 +98,11 @@ type harness struct {
 	// blamesweep runs (which manage their own recorders) for -blame.
 	blameReports  []blame.Report
 	whatIfReports []blame.WhatIfReport
-	// crashRows and traceRows hold the rows of the running crashsweep
-	// and tracesweep until writeSweepArtifacts exports them.
-	crashRows []experiments.CrashSweepRow
-	traceRows []experiments.TraceRow
 }
 
 // newHarness builds the state of an experiment or replay invocation.
 // Experiments are observed through h.attach when -trace, -metrics,
-// -blame or the generic -record capture asks for recorders.
+// -blame or -record asks for recorders.
 func newHarness(o *options) (*harness, error) {
 	h := &harness{options: o, run: experiments.Run{Scale: scales[o.scale]}}
 	if o.whatIf != "" {
@@ -117,11 +112,7 @@ func newHarness(o *options) (*harness, error) {
 		}
 		h.parsedWhatIf = &w
 	}
-	// tracesweep writes its own -record/-diffcsv artifacts when selected
-	// directly; any other experiment gets a generic per-run op capture.
-	h.sweepArtifacts = o.exp == "tracesweep"
-	h.captureOps = o.exp != "" && o.record != "" && !h.sweepArtifacts
-	if o.exp != "" && (o.trace != "" || o.metrics != "" || o.blame != "" || h.captureOps) {
+	if o.exp != "" && (o.trace != "" || o.metrics != "" || o.blame != "" || o.record != "") {
 		h.run.Attach = h.attach
 	}
 	return h, nil
@@ -139,8 +130,7 @@ func (h *harness) noteViolations(vs []string) {
 // attach is the Run.Attach hook of observed experiments: each testbed
 // gets its own recorder (runs stay separable in the exported
 // artifacts) sampling utilization every 10 ms of virtual time. With
-// the generic -record capture, each recorder additionally feeds a
-// per-run op capture.
+// -record, each recorder additionally feeds a per-run op capture.
 func (h *harness) attach(tb *core.Testbed) {
 	rec := obs.New(obs.Config{
 		Clock:          tb.Eng.Now,
@@ -148,7 +138,7 @@ func (h *harness) attach(tb *core.Testbed) {
 	})
 	tb.AttachObserver(rec)
 	label := fmt.Sprintf("run%d", len(h.obsRuns))
-	if h.captureOps {
+	if h.record != "" {
 		capRec := trace.NewRecorder(label, 0)
 		capRec.Attach(rec)
 		h.opCaptures = append(h.opCaptures, capRec)
@@ -171,10 +161,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.Int64Var(&o.fuzzSeed, "seed", 1, "scenario generator seed for -fuzz")
 	fs.StringVar(&o.fuzzDir, "fuzzdir", "fuzz-repros", "directory for shrunk reproducer specs of failing fuzz scenarios ('' disables)")
 	fs.StringVar(&o.fuzzSpec, "fuzzspec", "", "replay one fuzz reproducer spec file and check its invariants")
-	fs.StringVar(&o.crashCSV, "crashcsv", "", "write crashsweep rows (recovery time, blast radius) as CSV to this file")
-	fs.StringVar(&o.monitor, "monitor", "", "write monitorsweep telemetry artifacts (windowed CSV + alert ledger per case) using this base path")
+	fs.StringVar(&o.out, "out", "", "write the artifact files of the selected experiments, -replay or -tracediff under this directory")
 	fs.StringVar(&o.record, "record", "", "write the recorded op trace to this file (see TRACES.md)")
-	fs.StringVar(&o.diffCSV, "diffcsv", "", "write trace-diff rows as CSV (with -exp tracesweep, -replay or -tracediff)")
 	fs.StringVar(&o.replay, "replay", "", "replay a recorded op trace against -config and exit")
 	fs.StringVar(&o.config, "config", "D", "client configuration for -replay: D K F FP K/K F/K F/F FP/FP")
 	fs.BoolVar(&o.admission, "admission", false, "enable the overload-admission policy for -replay")
@@ -196,19 +184,25 @@ var scales = map[string]experiments.Scale{
 }
 
 // checkFlags rejects flag values and combinations the harness cannot
-// run, naming the offending flag: among them every flag given
-// explicitly whose mode or experiment was not selected, which would
-// otherwise be silently ignored, and every output path whose directory
-// does not exist.
+// run, naming the offending flag: among them a second mode, every flag
+// given explicitly whose mode or experiment was not selected, which
+// would otherwise be silently ignored, and every output path whose
+// directory does not exist.
 func checkFlags(o *options) error {
 	if _, ok := scales[o.scale]; !ok {
 		return fmt.Errorf("-scale: unknown scale %q (want quick, default or paper)", o.scale)
 	}
-	switch {
-	case o.fuzzN < 0:
+	if o.fuzzN < 0 {
 		return fmt.Errorf("-fuzz wants a scenario count >= 0, got %d", o.fuzzN)
-	case o.replay != "" && o.exp != "":
-		return fmt.Errorf("-replay conflicts with -exp %s", o.exp)
+	}
+	var modes []string
+	for _, f := range []string{"exp", "list", "fuzz", "fuzzspec", "replay", "tracediff"} {
+		if o.set[f] && (f != "fuzz" || o.fuzzN > 0) {
+			modes = append(modes, "-"+f)
+		}
+	}
+	if len(modes) > 1 {
+		return fmt.Errorf("%s conflicts with %s: give one mode", modes[0], modes[1])
 	}
 	if o.replay != "" {
 		if _, err := core.ParseConfiguration(o.config); err != nil {
@@ -225,14 +219,12 @@ func checkFlags(o *options) error {
 		{"metrics", o.exp != "", "-exp"},
 		{"blame", o.exp != "", "-exp"},
 		{"record", o.exp != "" || o.replay != "", "-exp or -replay"},
+		{"out", o.exp != "" || o.replay != "" || o.traceDiff != "", "-exp, -replay or -tracediff"},
 		{"whatif", runs("blamesweep"), "-exp blamesweep (or all)"},
-		{"crashcsv", runs("crashsweep"), "-exp crashsweep (or all)"},
-		{"monitor", runs("monitorsweep"), "-exp monitorsweep (or all)"},
 		{"config", o.replay != "", "-replay"},
 		{"admission", o.replay != "", "-replay"},
 		{"seed", o.fuzzN > 0, "-fuzz N"},
 		{"fuzzdir", o.fuzzN > 0, "-fuzz N"},
-		{"diffcsv", o.exp == "tracesweep" || o.replay != "" || o.traceDiff != "", "-exp tracesweep, -replay or -tracediff"},
 	} {
 		if o.set[r.flag] && !r.valid {
 			return fmt.Errorf("-%s requires %s", r.flag, r.needs)
@@ -240,14 +232,14 @@ func checkFlags(o *options) error {
 	}
 	// Output files are written after the runs: a missing directory must
 	// fail now, not once the experiment is done.
+	if o.out != "" && !isDir(o.out) {
+		return fmt.Errorf("-out: output directory %s does not exist", o.out)
+	}
 	for _, out := range []struct{ flag, path string }{
 		{"trace", o.trace},
 		{"metrics", o.metrics},
 		{"blame", o.blame},
 		{"record", o.record},
-		{"crashcsv", o.crashCSV},
-		{"diffcsv", o.diffCSV},
-		{"monitor", o.monitor},
 		{"cpuprofile", o.cpuProfile},
 	} {
 		if out.path == "" {
@@ -324,7 +316,7 @@ func main() {
 	}
 
 	if o.traceDiff != "" {
-		runTraceDiff(o.traceDiff, o.diffCSV)
+		runTraceDiff(o.traceDiff, o.out)
 		return
 	}
 
@@ -430,13 +422,14 @@ func (h *harness) replayFile(cfg core.Configuration) {
 	if h.record != "" {
 		writeTrace(h.record, row.Trace)
 	}
-	if h.diffCSV != "" {
-		writeDiffCSV(h.diffCSV, trace.Compare(tr, row.Trace))
+	if h.out != "" {
+		writeOut(h.out, experiments.File{Name: "replay-diff.csv", Write: trace.Compare(tr, row.Trace).WriteCSV})
 	}
 }
 
-// runTraceDiff compares two trace files given as "a.trace,b.trace".
-func runTraceDiff(spec, csvPath string) {
+// runTraceDiff compares two trace files given as "a.trace,b.trace",
+// writing the diff as tracediff.csv under out when out is set.
+func runTraceDiff(spec, out string) {
 	parts := strings.Split(spec, ",")
 	if len(parts) != 2 {
 		fmt.Fprintln(os.Stderr, "-tracediff wants two comma-separated trace files")
@@ -454,15 +447,9 @@ func runTraceDiff(spec, csvPath string) {
 	}
 	d := trace.Compare(a, b)
 	d.Render(os.Stdout)
-	if csvPath != "" {
-		writeDiffCSV(csvPath, d)
+	if out != "" {
+		writeOut(out, experiments.File{Name: "tracediff.csv", Write: d.WriteCSV})
 	}
-}
-
-// writeDiffCSV writes one diff's rows to a CSV file.
-func writeDiffCSV(path string, d *trace.Diff) {
-	writeFile(path, "diff csv", d.WriteCSV)
-	fmt.Printf("diff: %d row(s) -> %s\n", len(d.Rows), path)
 }
 
 // exitOnViolations terminates with a nonzero status if any experiment
@@ -529,22 +516,32 @@ func (h *harness) exportObs() {
 }
 
 // runOne runs one experiment of the table, checking every row and
-// collecting what the artifact flags export.
+// collecting what the artifact flags export; with -out it then writes
+// the experiment's files.
 func (h *harness) runOne(e experiments.Experiment) {
 	fmt.Printf("=== %s (factor %.2f, window %v) ===\n", e.Name, h.run.Factor, h.run.Duration)
 	start := time.Now()
-	e.Render(os.Stdout, h.run, h.collect)
-	h.writeSweepArtifacts()
+	// Rows are kept only for -out: a monitorsweep row holds a testbed.
+	keep := h.out != "" && e.Files != nil
+	var rows []experiments.Row
+	e.Render(os.Stdout, h.run, func(r experiments.Row) {
+		h.collect(r)
+		if keep {
+			rows = append(rows, r)
+		}
+	})
+	if keep {
+		writeOut(h.out, e.Files(rows)...)
+	}
 	fmt.Printf("--- %s done in %v\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 }
 
 // collect checks one printed row for invariant violations and gathers
-// what the artifact flags export. Under -whatif a blame row is followed
-// by its what-if comparison.
+// the blame reports -blame exports. Under -whatif a blame row is
+// followed by its what-if comparison.
 func (h *harness) collect(r experiments.Row) {
 	h.noteViolations(r.Violations())
-	switch r := r.(type) {
-	case experiments.BlameRow:
+	if r, ok := r.(experiments.BlameRow); ok {
 		h.blameReports = append(h.blameReports, r.Report)
 		if h.parsedWhatIf != nil {
 			measured, _ := experiments.RunBlameSweep(r.Case, h.run.Scale, h.parsedWhatIf)
@@ -553,91 +550,15 @@ func (h *harness) collect(r experiments.Row) {
 			blame.RenderWhatIf(os.Stdout, cmp)
 			fmt.Println()
 		}
-	case experiments.CrashSweepRow:
-		h.crashRows = append(h.crashRows, r)
-	case experiments.TraceRow:
-		h.traceRows = append(h.traceRows, r)
-	case experiments.MonitorRow:
-		h.exportMonitorCase(r)
 	}
 }
 
-// writeSweepArtifacts exports what the experiment just run left in
-// crashRows and traceRows: the -crashcsv file and, for a directly
-// selected tracesweep, the -record baseline and the -diffcsv file.
-func (h *harness) writeSweepArtifacts() {
-	if h.crashCSV != "" && len(h.crashRows) > 0 {
-		writeFile(h.crashCSV, "crashsweep csv", func(w io.Writer) error {
-			fmt.Fprintln(w, "label,config,replication,victim_mbps,victim_errors,bystander_mbps,bystander_errors,affected_tenants,queue_shed,recovery_ns,victim_repair_ns,durability_loss_bytes")
-			for _, r := range h.crashRows {
-				fmt.Fprintf(w, "%s,%s,%d,%.2f,%d,%.2f,%d,%d,%d,%d,%d,%d\n",
-					r.Label, r.Config, r.Replication,
-					r.VictimWriteMBps, r.VictimErrors,
-					r.BystanderMBps, r.BystanderErrors,
-					r.AffectedTenants, r.QueueShed,
-					r.RecoveryTime.Nanoseconds(), r.VictimRepair.Nanoseconds(),
-					r.DurabilityViolation)
-			}
-			return nil
-		})
-		fmt.Printf("crashsweep: %d row(s) -> %s\n", len(h.crashRows), h.crashCSV)
-	}
-	if h.sweepArtifacts && len(h.traceRows) > 0 {
-		if h.record != "" {
-			writeTrace(h.record, h.traceRows[0].Trace)
-		}
-		if h.diffCSV != "" {
-			writeSweepDiffCSV(h.diffCSV, h.traceRows)
-		}
-	}
-	h.crashRows, h.traceRows = nil, nil
-}
-
-// writeSweepDiffCSV folds every replay's diff against the baseline (the
-// first row) into one CSV, with a leading column naming the replay case.
-func writeSweepDiffCSV(path string, rows []experiments.TraceRow) {
-	n := 0
-	writeFile(path, "diff csv", func(w io.Writer) error {
-		if _, err := fmt.Fprintln(w, "replay,"+trace.DiffCSVHeader); err != nil {
-			return err
-		}
-		for _, row := range rows[1:] {
-			d := trace.Compare(rows[0].Trace, row.Trace)
-			if err := d.WriteCSVRows(w, row.Trace.Label); err != nil {
-				return err
-			}
-			n += len(d.Rows)
-		}
-		return nil
-	})
-	fmt.Printf("diff: %d row(s) -> %s\n", n, path)
-}
-
-// exportMonitorCase writes one monitorsweep case's live-telemetry
-// artifacts under the -monitor base path: <base>-<case>-windows.csv
-// (the windowed per-tenant aggregates) and <base>-<case>-alerts.csv
-// (the SLO burn-rate alert ledger). Both are deterministic: repeated
-// runs of the same scale produce byte-identical files.
-func (h *harness) exportMonitorCase(row experiments.MonitorRow) {
-	if h.monitor == "" {
-		return
-	}
-	slug := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '-':
-			return r
-		}
-		return '_'
-	}, strings.ToLower(row.Label+"-"+row.Fault))
-	base := strings.TrimSuffix(h.monitor, filepath.Ext(h.monitor))
-	for _, kind := range []string{"windows", "alerts"} {
-		path := fmt.Sprintf("%s-%s-%s.csv", base, slug, kind)
-		emit := row.Monitor.WriteWindowsCSV
-		if kind == "alerts" {
-			emit = row.Monitor.WriteAlertsCSV
-		}
-		writeFile(path, "monitorsweep "+kind, emit)
-		fmt.Printf("monitorsweep: %s\n", path)
+// writeOut writes each file under dir and reports where it landed.
+func writeOut(dir string, files ...experiments.File) {
+	for _, f := range files {
+		path := filepath.Join(dir, f.Name)
+		writeFile(path, f.Name, f.Write)
+		fmt.Println("out ->", path)
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"io"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/vfsapi"
 )
@@ -80,13 +82,25 @@ func TestCheckFlags(t *testing.T) {
 		{"-exp fig6a -whatif nic=2x", "-whatif"},
 		{"-exp fig6a -replay b.trace", "-replay"},
 
+		// More than one mode.
+		{"-fuzz 1 -exp table1", "-exp conflicts with -fuzz"},
+		{"-fuzzspec r.spec -fuzz 2", "-fuzz conflicts with -fuzzspec"},
+		{"-replay x.trace -fuzz 1", "-fuzz conflicts with -replay"},
+		{"-exp table1 -list", "-exp conflicts with -list"},
+		{"-replay x.trace -tracediff a.trace,b.trace", "-replay conflicts with -tracediff"},
+		{"-fuzz 0 -exp table1", ""},
+
 		// Flags whose mode or experiment was not selected.
-		{"-exp crashsweep -crashcsv c.csv", ""},
-		{"-exp all -crashcsv c.csv -monitor m.csv", ""},
-		{"-exp table1 -crashcsv c.csv", "-crashcsv"},
-		{"-exp monitorsweep -monitor m.csv", ""},
-		{"-exp table1 -monitor m.csv", "-monitor"},
-		{"-exp crashsweep -monitor m.csv", "-monitor"},
+		{"-exp crashsweep -out " + dir, ""},
+		{"-exp all -out " + dir, ""},
+		{"-exp table1 -out " + dir, ""},
+		{"-exp tracesweep -out " + dir, ""},
+		{"-replay b.trace -out " + dir, ""},
+		{"-tracediff a.trace,b.trace -out " + dir, ""},
+		{"-out " + dir, "-out"},
+		{"-list -out " + dir, "-out"},
+		{"-fuzz 1 -out " + dir, "-out"},
+		{"-fuzzspec r.spec -out " + dir, "-out"},
 		{"-replay b.trace -config K -admission", ""},
 		{"-replay b.trace -config k", ""},
 		{"-replay b.trace -config F/K", ""},
@@ -99,12 +113,7 @@ func TestCheckFlags(t *testing.T) {
 		{"-fuzz 0 -seed 7", "-seed"},
 		{"-exp table1 -fuzzdir out", "-fuzzdir"},
 		{"-fuzzspec r.spec -seed 7", "-seed"},
-		{"-exp tracesweep -diffcsv d.csv", ""},
-		{"-replay b.trace -diffcsv d.csv", ""},
-		{"-tracediff a.trace,b.trace -diffcsv d.csv", ""},
-		{"-exp table1 -diffcsv d.csv", "-diffcsv"},
-		{"-exp all -diffcsv d.csv", "-diffcsv"},
-		{"-exp table1 -crashcsv c.csv -monitor m.csv -config bogus -admission -seed 7 -diffcsv d.csv", "-crashcsv"},
+		{"-exp table1 -whatif nic=2x -config bogus -admission -seed 7", "-whatif"},
 		{"-exp faultsweep -trace t.json -metrics m.json -blame b.json -record r.trace", ""},
 		{"-replay b.trace -record k.trace", ""},
 		{"-fuzz 1 -trace t.json -metrics m.json -record r.trace", "-trace"},
@@ -128,13 +137,11 @@ func TestCheckFlags(t *testing.T) {
 		{"-exp fig9r -blame " + missing + "/b.json", "-blame"},
 		{"-exp fig9r -record " + missing + "/r.trace", "-record"},
 		{"-replay b.trace -record " + missing + "/k.trace", "-record"},
-		{"-exp crashsweep -crashcsv " + missing + "/c.csv", "-crashcsv"},
-		{"-exp tracesweep -diffcsv " + missing + "/d.csv", "-diffcsv"},
-		{"-tracediff a.trace,b.trace -diffcsv " + missing + "/d.csv", "-diffcsv"},
-		{"-exp monitorsweep -monitor " + missing + "/m", "-monitor"},
+		{"-exp crashsweep -out " + missing, "-out"},
+		{"-exp tracesweep -out " + file, "-out"},
+		{"-tracediff a.trace,b.trace -out " + missing, "-out"},
 		{"-exp fig9r -trace " + file + "/x.json", "-trace"},
 		{"-exp faultsweep -trace " + dir + "/t.json -metrics " + dir + "/m.csv -blame " + dir + "/b.json", ""},
-		{"-exp monitorsweep -monitor " + dir + "/m", ""},
 		{"-exp fig6c -cpuprofile " + missing + "/cpu.pprof", "-cpuprofile"},
 		{"-fuzz 5 -cpuprofile " + file + "/cpu.pprof", "-cpuprofile"},
 		{"-exp fig6c -cpuprofile " + dir + "/cpu.pprof", ""},
@@ -153,6 +160,47 @@ func TestCheckFlags(t *testing.T) {
 			t.Errorf("%q: rejected: %v", c.args, err)
 		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
 			t.Errorf("%q: error %v does not name %s", c.args, err, c.want)
+		}
+	}
+}
+
+// TestOutMatchesGolden: -out writes the quick crashsweep's and
+// tracesweep's files and the K replay's diff of the tracesweep baseline
+// byte-equal to their copies in testdata/golden (the tracesweep
+// baseline trace itself is not pinned there).
+func TestOutMatchesGolden(t *testing.T) {
+	dir := t.TempDir()
+	o, err := parseFlags(flag.NewFlagSet("danausbench", flag.ContinueOnError),
+		[]string{"-exp", "crashsweep", "-out", dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := newHarness(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range experiments.Table() {
+		if e.Name == "crashsweep" || e.Name == "tracesweep" {
+			h.runOne(e)
+		}
+	}
+	h.replay = filepath.Join(dir, "tracesweep-baseline.trace")
+	h.replayFile(core.ConfigK)
+	if h.failures != 0 {
+		t.Fatalf("%d invariant violation(s)", h.failures)
+	}
+
+	for _, name := range []string{"crashsweep-recovery.csv", "tracesweep-diff.csv", "replay-diff.csv"} {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from testdata/golden/%s:\n%s", name, name, got)
 		}
 	}
 }

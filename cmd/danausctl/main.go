@@ -10,9 +10,9 @@
 //	danausctl -config F/F -pools 1 -workload kvput -clones 8
 //
 // The monitor subcommand pretty-prints the live-telemetry artifacts
-// written by `danausbench -exp monitorsweep -monitor <base>`:
+// written by `danausbench -exp monitorsweep -out DIR`:
 //
-//	danausctl monitor -windows m-k-overload-windows.csv -alerts m-k-overload-alerts.csv
+//	danausctl monitor -windows DIR/monitorsweep-k-overload-windows.csv -alerts DIR/monitorsweep-k-overload-alerts.csv
 package main
 
 import (

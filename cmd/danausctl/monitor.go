@@ -12,7 +12,7 @@ import (
 )
 
 // runMonitorCmd pretty-prints the live-telemetry artifacts written by
-// `danausbench -exp monitorsweep -monitor <base>`: the per-tenant
+// `danausbench -exp monitorsweep -out DIR`: the per-tenant
 // windowed aggregates as a latency timeline with inline p99 bars, and
 // the SLO burn-rate alert ledger as a fire/clear timeline.
 func runMonitorCmd(args []string) {

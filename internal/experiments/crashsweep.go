@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/core"
@@ -201,4 +202,25 @@ func (r CrashSweepRow) String() string {
 		r.BystanderMBps, r.BystanderErrors,
 		r.AffectedTenants, r.QueueShed,
 		r.RecoveryTime, r.VictimRepair, r.DurabilityViolation)
+}
+
+// crashSweepFiles exports the sweep as crashsweep-recovery.csv, one
+// line per row (durations in nanoseconds).
+func crashSweepFiles(rows []Row) []File {
+	return []File{{Name: "crashsweep-recovery.csv", Write: func(w io.Writer) error {
+		fmt.Fprintln(w, "label,config,replication,victim_mbps,victim_errors,bystander_mbps,bystander_errors,affected_tenants,queue_shed,recovery_ns,victim_repair_ns,durability_loss_bytes")
+		for _, r := range rows {
+			r := r.(CrashSweepRow)
+			if _, err := fmt.Fprintf(w, "%s,%s,%d,%.2f,%d,%.2f,%d,%d,%d,%d,%d,%d\n",
+				r.Label, r.Config, r.Replication,
+				r.VictimWriteMBps, r.VictimErrors,
+				r.BystanderMBps, r.BystanderErrors,
+				r.AffectedTenants, r.QueueShed,
+				r.RecoveryTime.Nanoseconds(), r.VictimRepair.Nanoseconds(),
+				r.DurabilityViolation); err != nil {
+				return err
+			}
+		}
+		return nil
+	}}}
 }

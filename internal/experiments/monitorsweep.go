@@ -62,7 +62,7 @@ type MonitorRow struct {
 
 	Windows int // window rows emitted for all tenants
 
-	// Monitor is the run's telemetry monitor, finalized; danausbench
+	// Monitor is the run's telemetry monitor, finalized; monitorFiles
 	// exports its windows CSV and alert ledger.
 	Monitor *telemetry.Monitor
 	// Alerts is the full ledger (Monitor.Alerts, kept for convenience).
@@ -388,4 +388,26 @@ func (r MonitorRow) String() string {
 		b.WriteString("\n   " + mark + " " + e.String())
 	}
 	return b.String()
+}
+
+// monitorFiles exports each case's live telemetry as two CSVs named by
+// the case: monitorsweep-<case>-windows.csv (the windowed per-tenant
+// aggregates) and monitorsweep-<case>-alerts.csv (the SLO burn-rate
+// alert ledger), e.g. monitorsweep-d_adm-crash-alerts.csv.
+func monitorFiles(rows []Row) []File {
+	var files []File
+	for _, r := range rows {
+		r := r.(MonitorRow)
+		slug := strings.Map(func(c rune) rune {
+			switch {
+			case c >= 'a' && c <= 'z', c >= '0' && c <= '9', c == '-':
+				return c
+			}
+			return '_'
+		}, strings.ToLower(r.Label+"-"+r.Fault))
+		files = append(files,
+			File{Name: "monitorsweep-" + slug + "-windows.csv", Write: r.Monitor.WriteWindowsCSV},
+			File{Name: "monitorsweep-" + slug + "-alerts.csv", Write: r.Monitor.WriteAlertsCSV})
+	}
+	return files
 }

@@ -32,6 +32,17 @@ type Experiment struct {
 	// Raw rows are free-form reports, printed without the row indent.
 	Raw bool
 	Run func(run Run, emit func(Row))
+	// Files, when set, turns the rows Run emitted into the artifact
+	// files the experiment exports (danausbench -out DIR writes each
+	// under DIR).
+	Files func(rows []Row) []File
+}
+
+// File is one exported artifact: a fixed file name and the writer of
+// its content.
+type File struct {
+	Name  string
+	Write func(io.Writer) error
 }
 
 // Render runs the experiment under run and writes its title and rows
@@ -121,13 +132,13 @@ func Table() []Experiment {
 		{Name: "overloadsweep", Title: "Overload sweep: victim tail latency and load shedding under open-loop overload",
 			Run: all(RunOverloadSweep)},
 		{Name: "crashsweep", Title: "Crash sweep: recovery time and blast radius of client-side crashes (D vs F vs K)",
-			Run: each(CrashSweepCases(), RunCrashSweep)},
+			Run: each(CrashSweepCases(), RunCrashSweep), Files: crashSweepFiles},
 		{Name: "tracesweep", Title: "Trace sweep: record a production-shaped run under D, replay it byte-identically under other configs",
-			Run: all(RunTraceSweep)},
+			Run: all(RunTraceSweep), Files: traceSweepFiles},
 		{Name: "monitorsweep", Title: "Monitor sweep: live SLO burn-rate alert timelines under overload and crash (D+adm vs K)",
 			Run: each(MonitorCases(), func(c MonitorCase, run Run) MonitorRow {
 				return RunMonitorCase(c, run.Scale)
-			})},
+			}), Files: monitorFiles},
 		{Name: "fuzzsweep", Raw: true, Run: fuzzSweep},
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"os"
 	"strings"
 	"sync"
@@ -26,6 +27,9 @@ func TestHarnessQuickSections(t *testing.T) {
 
 // checkQuickSection renders one experiment at QuickScale, reports every
 // row's Violations and requires the section's harness_quick.txt bytes.
+// Each file the experiment exports (Experiment.Files) that
+// testdata/golden pins must equal its copy there; the tracesweep
+// baseline trace is not pinned.
 func checkQuickSection(t *testing.T, name string) {
 	t.Helper()
 	golden, err := os.ReadFile("../../harness_quick.txt")
@@ -40,13 +44,38 @@ func checkQuickSection(t *testing.T, name string) {
 	}
 	want := harnessSection(t, string(golden), name)
 	var got strings.Builder
+	var rows []Row
 	exp.Render(&got, Run{Scale: QuickScale}, func(r Row) {
 		for _, v := range r.Violations() {
 			t.Errorf("%s: %s", name, v)
 		}
+		rows = append(rows, r)
 	})
 	if got.String() != want {
 		t.Errorf("%s: rendered section differs from harness_quick.txt\n--- got\n%s--- want\n%s", name, got.String(), want)
+	}
+	if exp.Files == nil {
+		return
+	}
+	compared := 0
+	for _, f := range exp.Files(rows) {
+		pinned, err := os.ReadFile("../../testdata/golden/" + f.Name)
+		if os.IsNotExist(err) {
+			continue
+		}
+		compared++
+		var b bytes.Buffer
+		if err == nil {
+			err = f.Write(&b)
+		}
+		if err != nil {
+			t.Errorf("%s: %s: %v", name, f.Name, err)
+		} else if !bytes.Equal(b.Bytes(), pinned) {
+			t.Errorf("%s: %s differs from testdata/golden\n--- got\n%s--- want\n%s", name, f.Name, b.Bytes(), pinned)
+		}
+	}
+	if compared == 0 {
+		t.Errorf("%s: testdata/golden pins none of its files", name)
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -385,4 +386,26 @@ func (r TraceRow) String() string {
 		fmt.Fprintf(&b, " | shift %s %+v/req", r.ShiftBucket, r.ShiftPerReq.Round(time.Microsecond))
 	}
 	return b.String()
+}
+
+// traceSweepFiles exports the sweep's baseline recording (the first
+// row) as tracesweep-baseline.trace and every replay's diff against it
+// as tracesweep-diff.csv, whose leading column names the replay case.
+func traceSweepFiles(rows []Row) []File {
+	base := rows[0].(TraceRow).Trace
+	return []File{
+		{Name: "tracesweep-baseline.trace", Write: base.Write},
+		{Name: "tracesweep-diff.csv", Write: func(w io.Writer) error {
+			if _, err := fmt.Fprintln(w, "replay,"+trace.DiffCSVHeader); err != nil {
+				return err
+			}
+			for _, row := range rows[1:] {
+				replay := row.(TraceRow).Trace
+				if err := trace.Compare(base, replay).WriteCSVRows(w, replay.Label); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	}
 }

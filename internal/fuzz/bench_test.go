@@ -21,8 +21,8 @@ func TestScenarioRunAllocs(t *testing.T) {
 
 // BenchmarkFuzzScenarioRun measures one fuzz pipeline run (testbed
 // build, victim probe, invariant evidence collection): a sweep is N of
-// these, so a hot-path regression here multiplies directly into
-// fuzz-smoke wall time.
+// these, so a hot-path regression here multiplies directly into the
+// wall time of CI's fixed-seed sweep.
 func BenchmarkFuzzScenarioRun(b *testing.B) { allocgate.Bench(b, fuzzScenarioRun) }
 
 func fuzzScenarioRun(n int) func() {

@@ -523,6 +523,80 @@ func TestCephStoreAttrCache(t *testing.T) {
 	eng.Run()
 }
 
+// TestStoreMetadataPaths drives both backends' namespace operations:
+// Readdir lists what Mkdir and Create made, Rmdir of a non-empty
+// directory fails, and a rename over an existing file returns the
+// replaced ino and drops the store's record of it. A crashed CephStore
+// fails them all with ErrCrashed.
+func TestStoreMetadataPaths(t *testing.T) {
+	eng := sim.NewEngine()
+	params := model.Default()
+	cpus := cpu.New(eng, params, 2)
+	k := New(eng, cpus, params)
+	ls := NewLocalStore(eng, disk.NewArray(eng, "raid0", 4, params.DiskSeqBytesPerSec, params.DiskSeekTime, params.DiskStripeUnit))
+	cs := NewCephStore(k, cluster.New(eng, params, 6))
+	acct := cpu.NewAccount("a")
+	eng.Go("t", func(p *sim.Proc) {
+		defer k.Stop()
+		ctx := vfsapi.Ctx{P: p, T: cpus.NewThread(acct, 0)}
+		for _, tc := range []struct {
+			name    string
+			store   Store
+			dropped func(ino uint64) bool // the store holds no record of ino
+		}{
+			{"local", ls, func(ino uint64) bool { return ls.nodes[ino] == nil }},
+			{"ceph", cs, func(ino uint64) bool { _, ok := cs.paths[ino]; return !ok }},
+		} {
+			s := tc.store
+			errD, errSub := s.Mkdir(ctx, "/d"), s.Mkdir(ctx, "/d/sub")
+			inoA, errA := s.Create(ctx, "/d/a")
+			inoB, errB := s.Create(ctx, "/d/b")
+			if err := errors.Join(errD, errSub, errA, errB); err != nil {
+				t.Errorf("%s: mkdir and create: %v", tc.name, err)
+				return
+			}
+			ents, err := s.Readdir(ctx, "/d")
+			if want := "[{a false} {b false} {sub true}]"; err != nil || fmt.Sprint(ents) != want {
+				t.Errorf("%s: readdir = %v %v, want %s", tc.name, ents, err, want)
+			}
+			if err := s.Rmdir(ctx, "/d"); !errors.Is(err, vfsapi.ErrNotEmpty) {
+				t.Errorf("%s: rmdir of a non-empty directory: %v, want ErrNotEmpty", tc.name, err)
+			}
+			replaced, err := s.Rename(ctx, "/d/a", "/d/b")
+			if err != nil || replaced != inoB {
+				t.Errorf("%s: rename over /d/b = %d %v, want its ino %d", tc.name, replaced, err, inoB)
+			}
+			if !tc.dropped(inoB) || tc.dropped(inoA) {
+				t.Errorf("%s: after rename: replaced ino dropped %v, moved ino dropped %v", tc.name, tc.dropped(inoB), tc.dropped(inoA))
+			}
+			if _, ino, err := s.Lookup(ctx, "/d/b"); err != nil || ino != inoA {
+				t.Errorf("%s: /d/b after rename = ino %d %v, want %d", tc.name, ino, err, inoA)
+			}
+			if err := s.Rmdir(ctx, "/d/sub"); err != nil {
+				t.Errorf("%s: rmdir of an empty directory: %v", tc.name, err)
+			}
+			if ents, err := s.Readdir(ctx, "/d"); err != nil || fmt.Sprint(ents) != "[{b false}]" {
+				t.Errorf("%s: readdir after rename and rmdir = %v %v", tc.name, ents, err)
+			}
+		}
+
+		cs.CrashStore()
+		if _, err := cs.Readdir(ctx, "/d"); !errors.Is(err, vfsapi.ErrCrashed) {
+			t.Errorf("crashed readdir: %v", err)
+		}
+		if err := cs.Rmdir(ctx, "/d"); !errors.Is(err, vfsapi.ErrCrashed) {
+			t.Errorf("crashed rmdir: %v", err)
+		}
+		if err := cs.Mkdir(ctx, "/e"); !errors.Is(err, vfsapi.ErrCrashed) {
+			t.Errorf("crashed mkdir: %v", err)
+		}
+		if _, err := cs.Rename(ctx, "/d/b", "/d/c"); !errors.Is(err, vfsapi.ErrCrashed) {
+			t.Errorf("crashed rename: %v", err)
+		}
+	})
+	eng.Run()
+}
+
 func TestSyncAllDrainsEverything(t *testing.T) {
 	r := newRig(t, MountConfig{})
 	r.run(t, func(ctx vfsapi.Ctx) {
