@@ -171,6 +171,11 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	// Parsing stops at the first argument that is not a flag, so every
+	// flag after it would be ignored too.
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q: give flags only", fs.Arg(0))
+	}
 	o.set = map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
 	return o, checkFlags(o)

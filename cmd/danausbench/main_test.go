@@ -146,6 +146,12 @@ func TestCheckFlags(t *testing.T) {
 		{"-fuzz 5 -cpuprofile " + file + "/cpu.pprof", "-cpuprofile"},
 		{"-exp fig6c -cpuprofile " + dir + "/cpu.pprof", ""},
 		{"-fuzz 5 -cpuprofile " + dir + "/cpu.pprof", ""},
+
+		// Positional arguments, before or after the flags.
+		{"bogus -exp table1 -scale quick", `unexpected argument "bogus"`},
+		{"-exp table1 -scale quick extra", `unexpected argument "extra"`},
+		{"-list extra", `unexpected argument "extra"`},
+		{"-exp table1 -- -scale", `unexpected argument "-scale"`},
 	}
 	for _, c := range cases {
 		var args []string

@@ -35,34 +35,67 @@ func main() {
 		runMonitorCmd(os.Args[2:])
 		return
 	}
-	configName := flag.String("config", "D", "client configuration: D K F FP K/K F/K F/F FP/FP")
-	pools := flag.Int("pools", 1, "container pools (2 cores each)")
-	workload := flag.String("workload", "fileserver", "fileserver | seqwrite | seqread | kvput")
-	duration := flag.Duration("duration", 2*time.Second, "measured window for timed workloads")
-	neighbor := flag.Bool("neighbor", false, "run a RandomIO noisy neighbour pool")
-	factor := flag.Float64("factor", 0.02, "dataset scale factor (1.0 = paper)")
-	flag.Parse()
-
-	config, err := checkFlags(*configName, *workload, *pools, *duration, *factor)
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	scale := experiments.Scale{Factor: *factor, Duration: *duration, Warmup: *duration / 4}
+	scale := experiments.Scale{Factor: o.factor, Duration: o.duration, Warmup: o.duration / 4}
 	run := experiments.Run{Scale: scale}
 
-	switch *workload {
+	switch o.workload {
 	case "fileserver":
-		runInterferenceScenario(config, *pools, *neighbor, run)
+		runInterferenceScenario(o.config, o.pools, o.neighbor, run)
 	case "seqwrite":
-		row := experiments.RunSeqIOScaleout(config, *pools, true, run)
+		row := experiments.RunSeqIOScaleout(o.config, o.pools, true, run)
 		fmt.Println(row)
 	case "seqread":
-		row := experiments.RunSeqIOScaleout(config, *pools, false, run)
+		row := experiments.RunSeqIOScaleout(o.config, o.pools, false, run)
 		fmt.Println(row)
 	case "kvput":
-		runKVScenario(config, *pools, scale)
+		runKVScenario(o.config, o.pools, scale)
 	}
+}
+
+// options is the parsed scenario command line.
+type options struct {
+	config   core.Configuration
+	workload string
+	pools    int
+	duration time.Duration
+	neighbor bool
+	factor   float64
+}
+
+// parseFlags defines the scenario flags on fs, parses args and checks
+// the result.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	configName := fs.String("config", "D", "client configuration: D K F FP K/K F/K F/F FP/FP")
+	fs.IntVar(&o.pools, "pools", 1, "container pools (2 cores each)")
+	fs.StringVar(&o.workload, "workload", "fileserver", "fileserver | seqwrite | seqread | kvput")
+	fs.DurationVar(&o.duration, "duration", 2*time.Second, "measured window for timed workloads")
+	fs.BoolVar(&o.neighbor, "neighbor", false, "run a RandomIO noisy neighbour pool")
+	fs.Float64Var(&o.factor, "factor", 0.02, "dataset scale factor (1.0 = paper)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if err := noArgs(fs); err != nil {
+		return nil, err
+	}
+	var err error
+	o.config, err = checkFlags(*configName, o.workload, o.pools, o.duration, o.factor)
+	return o, err
+}
+
+// noArgs rejects an argument left after the flags. Parsing stops at the
+// first argument that is not a flag, so every flag after it would be
+// ignored too.
+func noArgs(fs *flag.FlagSet) error {
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q: give flags only", fs.Arg(0))
+	}
+	return nil
 }
 
 // maxPools is, per workload, the most pools the 64-core CPU model

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -51,6 +53,41 @@ func TestCheckFlags(t *testing.T) {
 			t.Errorf("config=%s workload=%s pools=%d duration=%v factor=%v: rejected: %v", c.config, c.workload, c.pools, c.duration, c.factor, err)
 		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
 			t.Errorf("config=%s workload=%s pools=%d duration=%v factor=%v: error %v does not name %s", c.config, c.workload, c.pools, c.duration, c.factor, err, c.want)
+		}
+	}
+}
+
+// TestStrayArguments: an argument left after the flags, of the scenario
+// command or of monitor, is rejected by name instead of ending the flags
+// and being ignored with every flag after it.
+func TestStrayArguments(t *testing.T) {
+	cases := []struct {
+		monitor bool
+		args    string
+		want    string // "" = accepted
+	}{
+		{false, "-config K -workload seqread", ""},
+		{false, "bogus -config K -workload seqread", `unexpected argument "bogus"`},
+		{false, "-config K -workload seqread extra", `unexpected argument "extra"`},
+		{false, "-pools 2 -- -neighbor", `unexpected argument "-neighbor"`},
+		{true, "-windows w.csv -alerts a.csv", ""},
+		{true, "-windows F extra", `unexpected argument "extra"`},
+		{true, "bogus -windows F", `unexpected argument "bogus"`},
+	}
+	for _, c := range cases {
+		fs := flag.NewFlagSet("danausctl", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		var err error
+		if c.monitor {
+			_, err = parseMonitorFlags(fs, strings.Fields(c.args))
+		} else {
+			_, err = parseFlags(fs, strings.Fields(c.args))
+		}
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("monitor=%v %q: rejected: %v", c.monitor, c.args, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("monitor=%v %q: error %v does not name %s", c.monitor, c.args, err, c.want)
 		}
 	}
 }

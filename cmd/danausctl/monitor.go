@@ -17,30 +17,46 @@ import (
 // the SLO burn-rate alert ledger as a fire/clear timeline.
 func runMonitorCmd(args []string) {
 	fs := flag.NewFlagSet("monitor", flag.ExitOnError)
-	windowsPath := fs.String("windows", "", "windows CSV (…-windows.csv) to render")
-	alertsPath := fs.String("alerts", "", "alert ledger CSV (…-alerts.csv) to render")
-	tenant := fs.String("tenant", "", "restrict the window timeline to one tenant")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: danausctl monitor -windows FILE [-alerts FILE] [-tenant NAME]")
 		fs.PrintDefaults()
 	}
-	fs.Parse(args)
-	if *windowsPath == "" && *alertsPath == "" {
+	o, err := parseMonitorFlags(fs, args)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "monitor: %v\n", err)
+		os.Exit(2)
+	}
+	if o.windows == "" && o.alerts == "" {
 		fs.Usage()
 		os.Exit(2)
 	}
-	if *windowsPath != "" {
-		if err := renderWindows(*windowsPath, *tenant); err != nil {
+	if o.windows != "" {
+		if err := renderWindows(o.windows, o.tenant); err != nil {
 			fmt.Fprintf(os.Stderr, "monitor: %v\n", err)
 			os.Exit(1)
 		}
 	}
-	if *alertsPath != "" {
-		if err := renderAlerts(*alertsPath); err != nil {
+	if o.alerts != "" {
+		if err := renderAlerts(o.alerts); err != nil {
 			fmt.Fprintf(os.Stderr, "monitor: %v\n", err)
 			os.Exit(1)
 		}
 	}
+}
+
+// monitorOptions is the parsed monitor command line.
+type monitorOptions struct{ windows, alerts, tenant string }
+
+// parseMonitorFlags defines the monitor flags on fs and parses args.
+func parseMonitorFlags(fs *flag.FlagSet, args []string) (monitorOptions, error) {
+	var o monitorOptions
+	fs.StringVar(&o.windows, "windows", "", "windows CSV (…-windows.csv) to render")
+	fs.StringVar(&o.alerts, "alerts", "", "alert ledger CSV (…-alerts.csv) to render")
+	fs.StringVar(&o.tenant, "tenant", "", "restrict the window timeline to one tenant")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	return o, noArgs(fs)
 }
 
 // monWindow is one parsed windows-CSV row.

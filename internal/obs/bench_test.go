@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -8,13 +9,30 @@ import (
 )
 
 // TestHotPathAllocs holds the per-event recording paths allocation-free
-// apart from log chunks, one every 4096 events.
+// apart from log chunks, one per 64 KiB of records, and the first read
+// of the three views to their three slices: a decoded record must not
+// escape.
 func TestHotPathAllocs(t *testing.T) {
 	allocgate.Check(t, []allocgate.Case{
 		{Name: "RecordWait", Body: recordWait, N: 10000},
 		{Name: "RecordCore", Body: recordCore, N: 10000},
 		{Name: "SpanEnterExit", Body: spanEnterExit, N: 10000},
+		{Name: "ReadViews", Body: readViews, N: 10000},
 	})
+	// The count includes other goroutines' allocations, so the least
+	// of a few tries is the views'.
+	best := ^uint64(0)
+	for try := 0; try < 5; try++ {
+		run := readViews(10000)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	if best > 3 {
+		t.Errorf("reading the three views of 10000 records each: %d allocs, want at most 3", best)
+	}
 }
 
 // benchRecorder returns an uncapped recorder over a settable clock with
@@ -66,6 +84,25 @@ func spanEnterExit(n int) func() {
 		for i := 0; i < n; i++ {
 			*clock++
 			sp.Enter(LayerClient).Exit()
+		}
+	}
+}
+
+// BenchmarkReadViews times building the wide views of n waits, core
+// slices and layer crossings each.
+func BenchmarkReadViews(b *testing.B) { allocgate.Bench(b, readViews) }
+
+func readViews(n int) func() {
+	rec, sp, clock := benchRecorder()
+	for i := 0; i < n; i++ {
+		*clock++
+		rec.Wait(3, "lock", "i_mutex", "kflushd", 5, *clock-1, 1)
+		rec.Core(i&3, *clock, 1, "pool0", "user")
+		sp.Enter(LayerClient).Exit()
+	}
+	return func() {
+		if len(rec.Waits())+len(rec.CoreEvents())+len(rec.Slices()) != 3*n {
+			panic("views lost records")
 		}
 	}
 }

@@ -2,13 +2,13 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
-	"unsafe"
 )
 
 // refRecorder is the reference the chunked recorder is checked against:
@@ -69,8 +69,8 @@ const (
 // interleaving of StartSpan, Span.End, Scope.Exit, Mark, Wait and Core,
 // drawn with the given weights, comparing the accessors at random
 // points (read, append more, read again) and at the end. It returns the
-// reference.
-func logOps(t *testing.T, seed int64, maxEvents, ops int, weights [numOps]int) *refRecorder {
+// reference and the recorder.
+func logOps(t *testing.T, seed int64, maxEvents, ops int, weights [numOps]int) (*refRecorder, *Recorder) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var now time.Duration
@@ -203,27 +203,31 @@ func logOps(t *testing.T, seed int64, maxEvents, ops int, weights [numOps]int) *
 			t.Fatalf("sym %d = %q, want %q", id, rec.Str(id), s)
 		}
 	}
-	return ref
+	return ref, rec
 }
 
-// TestEventLogMatchesSliceOracle checks the views built from the
-// compact logs, and the MaxEvents cap below, at and above a chunk
-// multiple, against plain appends of the wide events. The views are
-// read at random points, when the logs reach the cap exactly and after
-// the first drop. Each capped run skews the mix towards one log, so
-// that this log, not just the total, reaches the cap near its chunk
-// boundary.
+// TestEventLogMatchesSliceOracle checks the views built from the packed
+// logs, and the MaxEvents cap, against plain appends of the wide
+// events. The views are read at random points, when the logs reach the
+// cap exactly and after the first drop. Each capped run skews the mix
+// towards one log, and the caps put that log's last records past its
+// first chunk.
 func TestEventLogMatchesSliceOracle(t *testing.T) {
 	balanced := [numOps]int{opStart: 2, opEnd: 2, opCross: 3, opMark: 1, opWait: 6, opCore: 6}
+	const ops = 80_000
 	seed := int64(0)
 	for _, heavy := range []int{opCross, opWait, opCore} {
 		weights := balanced
 		weights[heavy] *= 40
-		for _, max := range []int{2*chunkLen - 1, 2 * chunkLen, 2*chunkLen + 1} {
+		for _, max := range []int{17_000, 25_000, 33_001} {
 			seed++
-			ref := logOps(t, seed, max, 6*chunkLen, weights)
+			ref, rec := logOps(t, seed, max, ops, weights)
 			if ref.dropped == 0 {
 				t.Fatalf("max %d: nothing dropped", max)
+			}
+			if chunks := map[int]int{opCross: len(rec.slices.chunks), opWait: len(rec.waits.chunks),
+				opCore: len(rec.cores.chunks)}[heavy]; chunks < 2 {
+				t.Fatalf("max %d: the heavy log holds %d chunk", max, chunks)
 			}
 			if ref.heldBySpan == 0 || ref.heldByNone == 0 || ref.emptyHolder == 0 {
 				t.Fatalf("max %d: waits held by a span %d, by none %d, by \"\" %d; want each",
@@ -231,7 +235,7 @@ func TestEventLogMatchesSliceOracle(t *testing.T) {
 			}
 		}
 	}
-	if ref := logOps(t, seed+1, 1<<22, 8*chunkLen, balanced); ref.dropped != 0 || len(ref.waits) <= chunkLen {
+	if ref, _ := logOps(t, seed+1, 1<<22, ops, balanced); ref.dropped != 0 || len(ref.waits) < 10_000 {
 		t.Fatalf("uncapped run: %d waits, %d dropped", len(ref.waits), ref.dropped)
 	}
 	// A read, then more appends, then another read shows the new
@@ -240,7 +244,7 @@ func TestEventLogMatchesSliceOracle(t *testing.T) {
 	rec, clock := newTestRecorder()
 	sp := rec.StartSpan(1, "a", "read")
 	var first []WaitEvent
-	for i := 0; i < chunkLen+2; i++ {
+	for i := 0; len(rec.cores.chunks) < 2 || len(rec.waits.chunks) < 2 || len(rec.slices.chunks) < 2; i++ {
 		*clock = time.Duration(i)
 		rec.Core(i, 0, 1, "a", "user")
 		rec.Wait(1, "lock", "m", "", 0, *clock, 1)
@@ -259,15 +263,128 @@ func TestEventLogMatchesSliceOracle(t *testing.T) {
 	}
 }
 
-// TestCapBoundsTables checks what a recorder at its cap keeps: record
-// bytes within MaxEvents × 32 B plus one partly filled chunk per log,
-// and span and site tables within MaxEvents rows, which 10k more spans,
-// waits, crossings, marks and core slices over new names do not grow.
-func TestCapBoundsTables(t *testing.T) {
-	if s := [3]uintptr{unsafe.Sizeof(waitRec{}), unsafe.Sizeof(sliceRec{}), unsafe.Sizeof(coreRec{})}; s != [3]uintptr{32, 24, 24} {
-		t.Fatalf("wait, slice, core records take %v bytes, want 32, 24, 24", s)
+// recOfSize returns a record that l encodes, after its last append, in
+// exactly n bytes (5 to maxRecBytes with c, 4 to maxRecBytes-5
+// without): each field gets the value whose varint takes the bytes it
+// is dealt, the first field and the end as deltas.
+func recOfSize[E any](l *eventLog[E], n int) rec {
+	lens := []int{1, 1, 1, 1, 1} // a, b, c, end, dur
+	caps := []int{5, 5, 5, 10, 10}
+	if !l.three {
+		lens[2], caps[2] = 0, 0
 	}
-	const max = 3*chunkLen + 5
+	for left, f := n-sum(lens), 0; left > 0; f = (f + 1) % 5 {
+		if lens[f] < caps[f] {
+			lens[f]++
+			left--
+		}
+	}
+	val := func(n int) uint64 {
+		if n == 1 {
+			return 0
+		}
+		return 1 << (7 * (n - 1))
+	}
+	r := rec{a: l.enc.a + uint32(unzigzag(val(lens[0]))), b: uint32(val(lens[1]))}
+	if l.three {
+		r.c = uint32(val(lens[2]))
+	}
+	r.dur = time.Duration(val(lens[4]))
+	r.start = l.enc.end + time.Duration(unzigzag(val(lens[3]))) - r.dur
+	return r
+}
+
+func sum(xs []int) int {
+	n := 0
+	for _, x := range xs {
+		n += x
+	}
+	return n
+}
+
+// TestPackedRoundTrip appends adversarial records to a packed log and
+// reads them back between appends against the plain records: zero and
+// negative durations, ends off any clock, times near ±MaxInt64, fields
+// near 2^32 alternating so that deltas are large, and records that
+// exactly fill a chunk. Every chunk but the last is filled to within
+// one record.
+func TestPackedRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	times := []time.Duration{0, 1, -1, 7, -7, 1 << 40, -(1 << 40), math.MaxInt64, math.MinInt64,
+		math.MaxInt64 - 1, math.MinInt64 + 1, time.Millisecond}
+	fields := []uint32{0, 1, 2, 1<<31 - 1, 1 << 31, math.MaxUint32, math.MaxUint32 - 1, 1 << 28}
+	for _, three := range []bool{false, true} {
+		l := &eventLog[rec]{three: three}
+		var want []rec
+		check := func(when string) {
+			t.Helper()
+			if got := l.all(func(r rec) rec { return r }); !slices.Equal(got, want) {
+				t.Fatalf("three=%v %s: %d records read back differ from %d appended", three, when, len(got), len(want))
+			}
+		}
+		push := func(r rec) {
+			if !three {
+				r.c = 0
+			}
+			l.push(r)
+			want = append(want, r)
+		}
+		exact := 0
+		for i := 0; len(l.chunks) < 6; i++ {
+			switch {
+			case i%3 == 0:
+				// Alternate extremes so every delta is large.
+				push(rec{a: fields[i%len(fields)] ^ uint32(i&1)*math.MaxUint32, b: fields[rng.Intn(len(fields))],
+					c: fields[rng.Intn(len(fields))], start: times[rng.Intn(len(times))], dur: times[rng.Intn(len(times))]})
+			case i%7 == 0:
+				// At the clock: a short wait or slice that ends now.
+				dur := time.Duration(rng.Intn(1000))
+				push(rec{a: uint32(rng.Intn(4)), b: uint32(rng.Intn(40)), c: uint32(rng.Intn(9)),
+					start: l.enc.end - dur, dur: dur})
+			default:
+				// Fill each chunk exactly once its room fits one record.
+				min, max := 4, maxRecBytes-5
+				if three {
+					min, max = 5, maxRecBytes
+				}
+				room := chunkBytes
+				if len(l.chunks) > 0 {
+					room -= len(l.chunks[len(l.chunks)-1])
+				}
+				switch {
+				case room > max:
+					push(recOfSize(l, min+rng.Intn(max-min+1)))
+				case room < min:
+					push(recOfSize(l, min)) // starts the next chunk
+				default:
+					push(recOfSize(l, room))
+					if got := len(l.chunks[len(l.chunks)-1]); got != chunkBytes {
+						t.Fatalf("three=%v: a %d-byte record left the chunk at %d bytes", three, room, got)
+					}
+					exact++
+				}
+			}
+			if rng.Intn(500) == 0 {
+				check(fmt.Sprintf("after %d records", len(want)))
+			}
+		}
+		check("at the end")
+		if exact < 3 {
+			t.Fatalf("three=%v: %d chunks filled exactly, want at least 3", three, exact)
+		}
+		for i, c := range l.chunks[:len(l.chunks)-1] {
+			if len(c) > chunkBytes || len(c) <= chunkBytes-maxRecBytes || cap(c) != chunkBytes {
+				t.Fatalf("three=%v: chunk %d holds %d of %d bytes", three, i, len(c), cap(c))
+			}
+		}
+	}
+}
+
+// TestCapBoundsTables checks what a recorder at its cap keeps: span and
+// site tables within MaxEvents rows, which 10k more spans, waits,
+// crossings, marks and core slices over new names do not grow.
+func TestCapBoundsTables(t *testing.T) {
+	const max = 3*spanChunkLen + 5
 	clock := new(time.Duration)
 	rec := New(Config{Clock: func() time.Duration { return *clock }, MaxEvents: max})
 	record := func(i int) {
@@ -298,13 +415,6 @@ func TestCapBoundsTables(t *testing.T) {
 	}
 	if rec.kept != max || len(rec.Slices())+len(rec.Waits())+len(rec.CoreEvents()) != max {
 		t.Fatalf("kept %d records, want %d", rec.kept, max)
-	}
-	held := chunkLen * (len(rec.waits.chunks)*int(unsafe.Sizeof(waitRec{})) +
-		len(rec.slices.chunks)*int(unsafe.Sizeof(sliceRec{})) +
-		len(rec.cores.chunks)*int(unsafe.Sizeof(coreRec{})))
-	bound := max*32 + chunkLen*int(unsafe.Sizeof(waitRec{})+unsafe.Sizeof(sliceRec{})+unsafe.Sizeof(coreRec{}))
-	if held > bound {
-		t.Fatalf("record chunks hold %d bytes, want <= %d", held, bound)
 	}
 }
 
@@ -341,9 +451,9 @@ func TestInternCache(t *testing.T) {
 
 // TestRecordingAllocs pins the per-event path: recording waits, core
 // slices and layer crossings over names already seen allocates nothing
-// but log chunks, and no more bytes than the compact records take.
+// but log chunks and the chunk index.
 func TestRecordingAllocs(t *testing.T) {
-	const n = 4 * chunkLen
+	const n = 50_000
 	rec, clock := newTestRecorder()
 	sp := rec.StartSpan(3, "pool0", "read")
 	rec.StartSpan(5, "pool1", "write")
@@ -355,20 +465,22 @@ func TestRecordingAllocs(t *testing.T) {
 			sp.Enter(LayerClient).Exit()
 		}
 	}
-	const runs = 3
-	allocs := testing.AllocsPerRun(runs, record) // one warm-up run, then runs
-	// Per run: n/chunkLen chunks per log; the chunk index of each log
-	// grows twice over the runs.
-	if limit := 3 * (n/chunkLen + 1); allocs > float64(limit) {
-		t.Errorf("%v allocs per %d events of each kind, want <= %d", allocs, n, limit)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	chunks := func() int { return len(rec.waits.chunks) + len(rec.cores.chunks) + len(rec.slices.chunks) }
 	record()
-	runtime.ReadMemStats(&after)
-	kept := n * int(unsafe.Sizeof(waitRec{})+unsafe.Sizeof(coreRec{})+unsafe.Sizeof(sliceRec{}))
-	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(kept+kept/8) {
-		t.Errorf("recording %d bytes of events allocated %d bytes", kept, got)
+	for run := 0; run < 3; run++ {
+		var before, after runtime.MemStats
+		c := chunks()
+		runtime.ReadMemStats(&before)
+		record()
+		runtime.ReadMemStats(&after)
+		added := chunks() - c
+		// Each log's chunk index grows at most once per run.
+		if allocs := after.Mallocs - before.Mallocs; allocs > uint64(added+3) {
+			t.Errorf("%d allocs per %d events of each kind adding %d chunks", allocs, n, added)
+		}
+		if got, held := after.TotalAlloc-before.TotalAlloc, uint64(added*chunkBytes); got > held+held/8 {
+			t.Errorf("adding %d bytes of chunks allocated %d bytes", held, got)
+		}
 	}
 	if rec.Waits()[len(rec.Waits())-1].HolderTenant != rec.intern("pool1") {
 		t.Error("holder tenant not resolved from the holder's span")

@@ -99,15 +99,15 @@ type Config struct {
 type Recorder struct {
 	cfg      Config
 	nextSpan uint64
-	// The three logs keep compact, pointer-free records and build the
+	// The three logs keep packed, pointer-free records and build the
 	// wide events only when read (Slices, Waits, CoreEvents). A record
 	// names its span by a row of spans and its names by a row of sites
 	// or accts; a row is made only when a kept record first needs it,
 	// so no table outgrows MaxEvents rows.
-	slices  eventLog[sliceRec, SliceEvent]
-	cores   eventLog[coreRec, CoreEvent]
-	waits   eventLog[waitRec, WaitEvent]
-	spans   chunked[spanRow]
+	slices  eventLog[SliceEvent]
+	cores   eventLog[CoreEvent]
+	waits   eventLog[WaitEvent]
+	spans   spanTable
 	sites   tupleTable // wait (kind, resource, holder)
 	accts   tupleTable // core slice (account, kind)
 	kept    int        // records in the three logs
@@ -280,6 +280,7 @@ func New(cfg Config) *Recorder {
 	return &Recorder{
 		cfg: cfg, reg: NewRegistry(), symIdx: map[string]Sym{},
 		open:  map[uint64]*Span{},
+		waits: eventLog[WaitEvent]{three: true},
 		sites: tupleTable{width: 3, idx: map[[3]Sym]uint32{}},
 		accts: tupleTable{width: 2, idx: map[[3]Sym]uint32{}},
 	}
@@ -297,49 +298,33 @@ type spanRow struct {
 // errBit marks, in a slice record's layer, a request that failed.
 const errBit Sym = 1 << 31
 
-// sliceRec is the 24-byte record of a SliceEvent.
-type sliceRec struct {
-	span       uint32 // span-table row
-	layer      Sym    // with errBit set when Err
-	start, dur time.Duration
-}
-
-// waitRec is the 32-byte record of a WaitEvent.
-type waitRec struct {
-	span         uint32 // span-table row
-	site         uint32 // sites row: kind, resource, holder
-	holderTenant Sym
-	start, dur   time.Duration
-}
-
-// coreRec is the 24-byte record of a CoreEvent.
-type coreRec struct {
-	core       int32
-	acct       uint32 // accts row: account, kind
-	start, dur time.Duration
-}
-
-func (r *Recorder) sliceEvent(s *sliceRec) SliceEvent {
-	sp := r.spans.at(int(s.span))
+// A slice record is its span-table row (a), its layer with errBit set
+// when Err (b) and its interval.
+func (r *Recorder) sliceEvent(s rec) SliceEvent {
+	sp := r.spans.at(int(s.a))
+	layer := Sym(s.b)
 	return SliceEvent{
 		Span: sp.id, Proc: sp.proc, Tenant: sp.tenant, Op: sp.op,
-		Layer: s.layer &^ errBit, Start: s.start, Dur: s.dur, Err: s.layer&errBit != 0,
+		Layer: layer &^ errBit, Start: s.start, Dur: s.dur, Err: layer&errBit != 0,
 	}
 }
 
-func (r *Recorder) waitEvent(w *waitRec) WaitEvent {
-	sp := r.spans.at(int(w.span))
-	site := &r.sites.rows[w.site]
+// A wait record is its span-table row (a), its sites row (b), its
+// holder tenant (c) and its interval.
+func (r *Recorder) waitEvent(w rec) WaitEvent {
+	sp := r.spans.at(int(w.a))
+	site := &r.sites.rows[w.b]
 	return WaitEvent{
 		Span: sp.id, Proc: sp.proc, Tenant: sp.tenant, Op: sp.op,
-		Kind: site[0], Resource: site[1], Holder: site[2], HolderTenant: w.holderTenant,
+		Kind: site[0], Resource: site[1], Holder: site[2], HolderTenant: Sym(w.c),
 		Start: w.start, Dur: w.dur,
 	}
 }
 
-func (r *Recorder) coreEvent(c *coreRec) CoreEvent {
-	a := &r.accts.rows[c.acct]
-	return CoreEvent{Core: c.core, Start: c.start, Dur: c.dur, Account: a[0], Kind: a[1]}
+// A core record is its core (a), its accts row (b) and its interval.
+func (r *Recorder) coreEvent(c rec) CoreEvent {
+	a := &r.accts.rows[c.b]
+	return CoreEvent{Core: int32(c.a), Start: c.start, Dur: c.dur, Account: a[0], Kind: a[1]}
 }
 
 // rowOf returns s's span-table row, making it on the first call.
@@ -357,7 +342,7 @@ func (r *Recorder) pushSlice(row uint32, l Layer, start, dur time.Duration, err 
 	if err {
 		layer |= errBit
 	}
-	r.slices.push(sliceRec{span: row, layer: layer, start: start, dur: dur})
+	r.slices.push(rec{a: row, b: uint32(layer), start: start, dur: dur})
 }
 
 // Recorder.symCache has symCacheLen slots. The per-event names of a
@@ -629,19 +614,19 @@ func (r *Recorder) Wait(proc int, kind, resource, holder string, holderID int, s
 	if !r.room() {
 		return
 	}
-	w := waitRec{
-		span: r.rowOf(s), site: r.tuple(&r.sites, [3]string{kind, resource, holder}),
+	w := rec{
+		a: r.rowOf(s), b: r.tuple(&r.sites, [3]string{kind, resource, holder}),
 		start: start, dur: dur,
 	}
 	// The holder span's tenant was interned when the span started; ""
 	// is interned here, after the names above, to keep first-use order.
 	if hs != nil {
-		w.holderTenant = hs.tenantSym
+		w.c = uint32(hs.tenantSym)
 	} else {
 		if !r.haveEmpty {
 			r.emptySym, r.haveEmpty = r.intern(""), true
 		}
-		w.holderTenant = r.emptySym
+		w.c = uint32(r.emptySym)
 	}
 	r.waits.push(w)
 }
@@ -673,8 +658,8 @@ func (r *Recorder) Core(core int, start, dur time.Duration, account, kind string
 	if r == nil || !r.room() {
 		return
 	}
-	r.cores.push(coreRec{
-		core: int32(core), acct: r.tuple(&r.accts, [3]string{account, kind}),
+	r.cores.push(rec{
+		a: uint32(core), b: r.tuple(&r.accts, [3]string{account, kind}),
 		start: start, dur: dur,
 	})
 }
@@ -714,17 +699,29 @@ func (r *Recorder) Finalize() {
 // through the stack. A nil *Span is the disabled state: every method
 // no-ops, so instrumentation points never test for enablement.
 type Span struct {
-	rec       *Recorder
-	id        uint64
-	proc      int32
+	rec  *Recorder
+	id   uint64
+	proc int32
+	// row is the span's span-table row, -1 until a kept record first
+	// names the span.
+	row       int32
 	tenant    string
 	op        string
 	tenantSym Sym
 	opSym     Sym
 	start     time.Duration
-	// row is the span's span-table row, -1 until a kept record first
-	// names the span.
-	row int32
+	// tm is the tenant's metrics, nil until the span's first lock wait
+	// or its end looks them up.
+	tm *TenantMetrics
+}
+
+// metrics returns the span's tenant metrics, creating them on first use
+// as Registry.Tenant does.
+func (s *Span) metrics() *TenantMetrics {
+	if s.tm == nil {
+		s.tm = s.rec.reg.Tenant(s.tenant)
+	}
+	return s.tm
 }
 
 // Tenant returns the originating tenant tag ("" on a nil span).
@@ -760,7 +757,7 @@ func (s *Span) End(bytes int64, err error) {
 		s.rec.procSpan[s.proc] = nil
 	}
 	delete(s.rec.open, s.id)
-	s.rec.reg.Tenant(s.tenant).Op(s.op).record(now-s.start, bytes, err)
+	s.metrics().Op(s.op).record(now-s.start, bytes, err)
 }
 
 // LockWait attributes a lock-acquisition wait observed while serving
@@ -770,7 +767,7 @@ func (s *Span) LockWait(lock string, wait time.Duration) {
 	if s == nil {
 		return
 	}
-	s.rec.reg.Tenant(s.tenant).Lock(lock).addWait(wait)
+	s.metrics().Lock(lock).addWait(wait)
 }
 
 // Scope is an open layer crossing of a span.
