@@ -94,7 +94,8 @@ type Client struct {
 
 	crashes uint64
 
-	// requests pools the run states of cache-hit Reads and Writes.
+	// requests pools the run states of cache-hit Opens, Reads, Writes
+	// and Closes.
 	requests []*request
 }
 
@@ -340,11 +341,17 @@ func (c *Client) lockedMeta(ctx vfsapi.Ctx, fn func()) {
 // socket syscalls (kernel mode on the caller's cores), protocol CPU,
 // and the user-level message checksum.
 func (c *Client) wire(ctx vfsapi.Ctx, n int64) {
-	ctx.T.Chain(ctx.P, ctx.T.ModeSwitchStep(),
+	steps := c.wireSteps(ctx.T, n)
+	ctx.T.Chain(ctx.P, steps[:]...)
+}
+
+// wireSteps returns the charges of wire on thread t.
+func (c *Client) wireSteps(t *cpu.Thread, n int64) [5]cpu.Step {
+	return [5]cpu.Step{t.ModeSwitchStep(),
 		cpu.Charge(cpu.Kernel, c.params.NetOpCost),
 		cpu.Charge(cpu.Kernel, model.RateTime(n, c.params.NetCPUBytesPerSec)),
-		ctx.T.ModeSwitchStep(),
-		cpu.Charge(cpu.User, model.RateTime(n, c.params.ChecksumBytesPerSec)))
+		t.ModeSwitchStep(),
+		cpu.Charge(cpu.User, model.RateTime(n, c.params.ChecksumBytesPerSec))}
 }
 
 // copyData charges a data copy of n bytes, a fraction of it while
@@ -501,11 +508,15 @@ func (c *Client) pushSize(ctx vfsapi.Ctx, f *cfile) {
 	}
 	c.wire(ctx, 256)
 	c.clus.MetaSetSize(ctx, path, f.Size)
-	if e, ok := c.attrs[path]; ok {
-		if f.Size > e.info.Size {
-			e.info.Size = f.Size
-			c.attrs[path] = e
-		}
+	c.sizePushed(path, f)
+}
+
+// sizePushed grows the cached attribute of path to f's size, once the
+// MDS has it.
+func (c *Client) sizePushed(path string, f *cfile) {
+	if e, ok := c.attrs[path]; ok && f.Size > e.info.Size {
+		e.info.Size = f.Size
+		c.attrs[path] = e
 	}
 }
 

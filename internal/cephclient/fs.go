@@ -26,6 +26,11 @@ func (c *Client) lookupAttr(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, uint6
 	if hit {
 		return e.info, e.ino, nil
 	}
+	return c.lookupMiss(ctx, path)
+}
+
+// lookupMiss looks path up at the MDS and caches its attributes.
+func (c *Client) lookupMiss(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, uint64, error) {
 	c.wire(ctx, 256)
 	info, ino, err := c.clus.MetaLookup(ctx, path)
 	if err != nil {
@@ -38,14 +43,36 @@ func (c *Client) lookupAttr(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, uint6
 	return info, ino, nil
 }
 
-// Open opens or creates a file.
+// Open opens or creates a file. It runs as a request run (see Start),
+// which serves an open whose attributes are cached and hands control
+// back at a miss, a caps conflict and a truncation; the blocking code
+// then goes on in Finish.
 func (c *Client) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfsapi.Handle, error) {
-	defer ctx.Span.Enter(obs.LayerClient).Exit()
-	if err := c.failIfCrashed(ctx); err != nil {
-		return nil, err
+	r := c.Start(ctx, vfsapi.Call{Kind: vfsapi.OpOpen, Path: path, Flags: flags}, nil)
+	if r == nil {
+		defer ctx.Span.Enter(obs.LayerClient).Exit()
+		return nil, c.failIfCrashed(ctx)
 	}
-	c.opCPU(ctx)
-	info, ino, err := c.lookupAttr(ctx, path)
+	ctx.P.Park()
+	res, err := r.Finish(ctx)
+	return res.H, err
+}
+
+// Start begins an Open as a request run (see vfsapi.Starter). A crashed
+// client, whose error path charges CPU, starts no run.
+func (c *Client) Start(ctx vfsapi.Ctx, op vfsapi.Call, reply func()) vfsapi.Run {
+	if op.Kind != vfsapi.OpOpen || c.crashed {
+		return nil
+	}
+	r := c.getRequest(ctx, nil, reply, op.Kind, 0, 0)
+	r.path, r.flags = op.Path, op.Flags
+	r.start()
+	return r
+}
+
+// opened goes on with an Open from the lookup of path: it creates a
+// missing file, takes caps and makes the handle.
+func (c *Client) opened(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag, info vfsapi.FileInfo, ino uint64, err error) (vfsapi.Handle, error) {
 	switch {
 	case err == nil:
 		if info.IsDir {
@@ -65,15 +92,15 @@ func (c *Client) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfsap
 	default:
 		return nil, err
 	}
-	// Acquire capabilities matching the open intent; a conflicting
-	// holder elsewhere is flushed and invalidated first (§3.4). When a
-	// revocation happened, the size we looked up may predate the other
-	// client's flush — refetch it.
-	kind := cluster.CapRead
-	if flags.Writable() {
-		kind = cluster.CapWrite
-	}
-	if c.clus.AcquireCaps(ctx, ino, kind, c) {
+	return c.capped(ctx, path, flags, info, ino)
+}
+
+// capped acquires capabilities matching the open intent and makes the
+// handle; a conflicting holder elsewhere is flushed and invalidated
+// first (§3.4). When a revocation happened, the size we looked up may
+// predate the other client's flush — refetch it.
+func (c *Client) capped(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag, info vfsapi.FileInfo, ino uint64) (vfsapi.Handle, error) {
+	if c.clus.AcquireCaps(ctx, ino, capKind(flags), c) {
 		c.lockedMeta(ctx, func() { delete(c.attrs, path) })
 		var err error
 		info, ino, err = c.lookupAttr(ctx, path)
@@ -81,8 +108,14 @@ func (c *Client) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfsap
 			return nil, err
 		}
 	}
+	return c.newHandle(ctx, path, flags, info, ino)
+}
+
+// newHandle makes the handle of an open file, truncating it first when
+// flags ask to.
+func (c *Client) newHandle(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag, info vfsapi.FileInfo, ino uint64) (vfsapi.Handle, error) {
 	f, _ := c.cache.File(ino, info.Size)
-	if flags.Has(vfsapi.TRUNC) && flags.Writable() {
+	if truncates(flags) {
 		c.lockedMeta(ctx, func() { c.dropCache(f) })
 		f.Size = 0
 		c.wire(ctx, 256)
@@ -97,8 +130,24 @@ func (c *Client) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfsap
 			}
 		})
 	}
-	return &chandle{c: c, f: f, path: path, flags: flags, gen: c.cache.Gen}, nil
+	return c.handle(path, flags, f), nil
 }
+
+// handle returns a new handle on f.
+func (c *Client) handle(path string, flags vfsapi.OpenFlag, f *cfile) *chandle {
+	return &chandle{c: c, f: f, path: path, flags: flags, gen: c.cache.Gen}
+}
+
+// capKind is the capability an open with flags needs.
+func capKind(flags vfsapi.OpenFlag) cluster.CapKind {
+	if flags.Writable() {
+		return cluster.CapWrite
+	}
+	return cluster.CapRead
+}
+
+// truncates reports whether an open with flags truncates the file.
+func truncates(flags vfsapi.OpenFlag) bool { return flags.Has(vfsapi.TRUNC) && flags.Writable() }
 
 // Stat returns metadata, preferring the client's newer size view.
 func (c *Client) Stat(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, error) {
@@ -293,7 +342,7 @@ func (h *chandle) recap(ctx vfsapi.Ctx) {
 // control back at EOF, at a stale handle, and at a claim that must wait
 // for or fetch a range; the fetch loop then goes on in Finish.
 func (h *chandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
-	return h.do(ctx, false, off, n)
+	return h.do(ctx, vfsapi.OpRead, off, n)
 }
 
 // Write copies into the object cache and marks dirty, throttling at the
@@ -302,41 +351,67 @@ func (h *chandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 // stale handle, at a revoked mark and at the dirty throttle; the
 // blocking code then goes on in Finish.
 func (h *chandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
-	return h.do(ctx, true, off, n)
+	return h.do(ctx, vfsapi.OpWrite, off, n)
 }
 
-// do is a Read or Write in its process: the request run, then Finish.
-func (h *chandle) do(ctx vfsapi.Ctx, write bool, off, n int64) (int64, error) {
-	r := h.Start(ctx, write, off, n, nil)
+// do is a Read, Write or Close in its process: the request run, then
+// Finish.
+func (h *chandle) do(ctx vfsapi.Ctx, kind vfsapi.Kind, off, n int64) (int64, error) {
+	r := h.begin(ctx, kind, off, n, nil)
 	if r == nil {
-		return 0, h.refuse(ctx, write)
+		return 0, h.refuse(ctx, kind)
 	}
 	ctx.P.Park()
-	return r.Finish(ctx)
+	return r.finish(ctx)
 }
 
-// Start begins a Read or Write as a request run (see vfsapi.Starter).
-// A transport's dispatch calls it with the reply a served request
-// starts in place of resuming the process. A stale or closed handle, a
-// write on a read-only handle and an empty write start no run.
-func (h *chandle) Start(ctx vfsapi.Ctx, write bool, off, n int64, reply func()) vfsapi.Run {
-	if h.stale() || h.closed || write && (!h.writable() || n <= 0) {
+// Start begins a Read, Write or Close as a request run (see
+// vfsapi.Starter). A transport's dispatch calls it with the reply a
+// served request starts in place of resuming the process. A stale or
+// closed handle, a write on a read-only handle and an empty write start
+// no run.
+func (h *chandle) Start(ctx vfsapi.Ctx, op vfsapi.Call, reply func()) vfsapi.Run {
+	if r := h.begin(ctx, op.Kind, op.Off, op.N, reply); r != nil {
+		return r
+	}
+	return nil
+}
+
+// begin starts the request run of Start, or returns nil.
+func (h *chandle) begin(ctx vfsapi.Ctx, kind vfsapi.Kind, off, n int64, reply func()) *request {
+	if h.stale() || h.closed || kind == vfsapi.OpWrite && (!h.writable() || n <= 0) {
 		return nil
 	}
-	r := h.c.getRequest(ctx, h, ctx.Span.Enter(obs.LayerClient), reply, write, off, n)
+	switch kind {
+	case vfsapi.OpClose:
+		h.closed = true
+	case vfsapi.OpRead, vfsapi.OpWrite:
+	default:
+		return nil
+	}
+	r := h.c.getRequest(ctx, h, reply, kind, off, n)
 	r.start()
 	return r
 }
 
-// refuse is a Read or Write that Start declined: the error of a stale
-// or closed handle, whose crash check charges CPU, or of a write on a
-// read-only handle; nil for an empty write.
-func (h *chandle) refuse(ctx vfsapi.Ctx, write bool) error {
+// refuse is a Read, Write or Close that Start declined: the error of a
+// stale or closed handle, whose crash check charges CPU, or of a write
+// on a read-only handle; nil for an empty write. Closing a stale handle
+// closes it: the handle is dead either way, but no size from a
+// pre-crash incarnation reaches the fresh cache.
+func (h *chandle) refuse(ctx vfsapi.Ctx, kind vfsapi.Kind) error {
 	defer ctx.Span.Enter(obs.LayerClient).Exit()
+	if kind == vfsapi.OpClose {
+		if h.closed {
+			return vfsapi.ErrClosed
+		}
+		h.closed = true
+		return h.failIfStale(ctx)
+	}
 	if err := h.usable(ctx); err != nil {
 		return err
 	}
-	if write && !h.writable() {
+	if kind == vfsapi.OpWrite && !h.writable() {
 		return vfsapi.ErrReadOnly
 	}
 	return nil
@@ -449,22 +524,10 @@ func (h *chandle) Fsync(ctx vfsapi.Ctx) error {
 	return h.failIfStale(ctx)
 }
 
-// Close releases the handle, pushing the size for written files.
+// Close releases the handle, pushing the size of a written file. It
+// runs as a request run (see Start), which hands control back only where
+// the size push does in the MDS run.
 func (h *chandle) Close(ctx vfsapi.Ctx) error {
-	defer ctx.Span.Enter(obs.LayerClient).Exit()
-	if h.closed {
-		return vfsapi.ErrClosed
-	}
-	if err := h.failIfStale(ctx); err != nil {
-		// The handle is dead either way; report the crash but do not
-		// push sizes from a pre-crash incarnation into the fresh cache.
-		h.closed = true
-		return err
-	}
-	h.closed = true
-	h.c.opCPU(ctx)
-	if h.wrote && !h.f.Unlinked {
-		h.c.pushSize(ctx, h.f)
-	}
-	return nil
+	_, err := h.do(ctx, vfsapi.OpClose, 0, 0)
+	return err
 }

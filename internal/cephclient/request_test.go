@@ -237,6 +237,10 @@ type daemonFS struct {
 	opened map[int]*chandle
 }
 
+// Start starts no Open run, so that every open through a transport
+// reaches Open and its handle is recorded.
+func (fs *daemonFS) Start(vfsapi.Ctx, vfsapi.Call, func()) vfsapi.Run { return nil }
+
 func (fs *daemonFS) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfsapi.Handle, error) {
 	h, err := fs.Client.Open(ctx, path, flags)
 	if err != nil {
@@ -878,6 +882,9 @@ func TestChandleRunParksOnce(t *testing.T) {
 		{Name: "CachedFUSERead1M", Body: cachedFUSERead1M, N: 1000},
 		{Name: "CachedFUSEWrite1M", Body: cachedFUSEWrite1M, N: 1000},
 		{Name: "CachedFUSE2Read1M", Body: cachedFUSE2Read1M, N: 1000},
+		{Name: "CachedOpenClose", Body: cachedOpenClose, N: 5000, Max: 1},
+		{Name: "CachedFUSEOpenClose", Body: cachedFUSEOpenClose, N: 5000, Max: 2},
+		{Name: "CachedIPCOpenClose", Body: cachedIPCOpenClose, N: 5000, Max: 2},
 	})
 }
 
@@ -918,6 +925,21 @@ func BenchmarkCachedFUSEWrite1M(b *testing.B) { allocgate.Bench(b, cachedFUSEWri
 // inner crossing as a run.
 func BenchmarkCachedFUSE2Read1M(b *testing.B) { allocgate.Bench(b, cachedFUSE2Read1M) }
 
+// BenchmarkCachedOpenClose opens a file whose attributes the user-level
+// client caches and closes it again; one op is one Open and one Close.
+// Only the handle allocates.
+func BenchmarkCachedOpenClose(b *testing.B) { allocgate.Bench(b, cachedOpenClose) }
+
+// BenchmarkCachedFUSEOpenClose is BenchmarkCachedOpenClose through a
+// FUSE mount of the client, whose handle wraps the client's: two
+// handles allocate.
+func BenchmarkCachedFUSEOpenClose(b *testing.B) { allocgate.Bench(b, cachedFUSEOpenClose) }
+
+// BenchmarkCachedIPCOpenClose is BenchmarkCachedOpenClose through an
+// IPC transport to the client, whose handle wraps the client's: two
+// handles allocate.
+func BenchmarkCachedIPCOpenClose(b *testing.B) { allocgate.Bench(b, cachedIPCOpenClose) }
+
 func cachedRead(n int) func() { return cachedOps(n, false, "", 4<<10) }
 
 func cachedWrite(n int) func() { return cachedOps(n, true, "", 4<<10) }
@@ -936,8 +958,15 @@ func cachedFUSEWrite1M(n int) func() { return cachedOps(n, true, "FUSE", 1<<20) 
 
 func cachedFUSE2Read1M(n int) func() { return cachedOps(n, false, "FUSE/FUSE", 1<<20) }
 
+func cachedOpenClose(n int) func() { return cachedOps(n, false, "", 0) }
+
+func cachedFUSEOpenClose(n int) func() { return cachedOps(n, false, "FUSE", 0) }
+
+func cachedIPCOpenClose(n int) func() { return cachedOps(n, false, "IPC", 0) }
+
 // cachedOps has one thread read or overwrite a warm 1 MiB file op bytes
-// at a time, calling the client directly or through a transport via.
+// at a time, or with a zero op open and close it, calling the client
+// directly or through a transport via.
 func cachedOps(n int, write bool, via string, op int64) func() {
 	const size = 1 << 20
 	e := sim.NewEngine()
@@ -965,11 +994,18 @@ func cachedOps(n int, write bool, via string, op int64) func() {
 		}
 		h.Write(ctx, 0, size)
 		h.Read(ctx, 0, size)
+		h.Close(ctx)
+		if h, err = fs.Open(ctx, "/f", vfsapi.RDWR); err != nil {
+			panic(err)
+		}
 		for i := range n {
-			off := int64(i) * op % size
-			if write {
+			switch off := int64(i) * max(op, 1) % size; {
+			case op == 0:
+				h.Close(ctx)
+				h, _ = fs.Open(ctx, "/f", vfsapi.RDWR)
+			case write:
 				h.Write(ctx, off, op)
-			} else {
+			default:
 				h.Read(ctx, off, op)
 			}
 		}

@@ -10,10 +10,13 @@ import (
 )
 
 // TestHotPathAllocs holds a first-try-success retrier run
-// allocation-free: the attempt closure stays on the caller's stack.
+// allocation-free, the attempt closure staying on the caller's stack,
+// and so a contended MDS round trip once the fabric's routes and the
+// cluster's metadata runs are pooled.
 func TestHotPathAllocs(t *testing.T) {
 	allocgate.Check(t, []allocgate.Case{
 		{Name: "RetrierDo", Body: retrierDo, N: 10000},
+		{Name: "MetaRPC", Body: metaRPC, N: 2000},
 	})
 }
 

@@ -56,7 +56,7 @@ func (c *Cluster) AcquireCaps(ctx vfsapi.Ctx, ino uint64, kind CapKind, holder C
 		if conflict {
 			// One metadata round trip to deliver the revoke, then the
 			// holder's writeback.
-			c.mdsRPC(ctx, 0, func() error { return nil })
+			c.meta(ctx, MetaQuery{})
 			e.holder.RevokeCaps(ctx, ino)
 			revoked = true
 			continue
@@ -65,6 +65,19 @@ func (c *Cluster) AcquireCaps(ctx vfsapi.Ctx, ino uint64, kind CapKind, holder C
 	}
 	c.caps[ino] = append(kept, capEntry{holder: holder, kind: kind})
 	return revoked
+}
+
+// TryAcquireCaps grants the holder a capability on ino, as AcquireCaps
+// does, when no other holder's capability conflicts with it, and
+// reports whether it did; on a conflict it changes nothing.
+func (c *Cluster) TryAcquireCaps(ino uint64, kind CapKind, holder CapHolder) bool {
+	for _, e := range c.caps[ino] {
+		if e.holder != holder && (kind == CapWrite || e.kind == CapWrite) {
+			return false
+		}
+	}
+	c.AcquireCaps(vfsapi.Ctx{}, ino, kind, holder) // no conflict: no round trip
+	return true
 }
 
 // ReleaseCaps drops every capability the holder has on ino.

@@ -32,6 +32,7 @@ type Cluster struct {
 	mds      *MDS
 	caps     map[uint64][]capEntry
 	sessions map[string]*mdsSession
+	metaRuns []*MetaRun // recycled metadata runs
 
 	// replication is the number of OSD copies per object (Ceph pool
 	// "size"). The default of 1 matches the paper's ramdisk evaluation
@@ -234,127 +235,293 @@ const (
 
 // --- Metadata operations (request/response with the MDS) ---
 
-func (c *Cluster) mdsRPC(ctx vfsapi.Ctx, extraReply int64, op func() error) error {
-	defer ctx.Span.Enter(obs.LayerMDS).Exit()
-	nsc := ctx.Span.Enter(obs.LayerNet)
-	err := c.fabric.Request(ctx.P, c.mdsServer(), metaReqBytes)
-	nsc.Exit()
+// MetaOp names the operation a metadata request carries.
+type MetaOp uint8
+
+// The metadata operations. MetaPing carries none: the round trip that
+// delivers a capability revoke or reclaims a session.
+const (
+	MetaPing MetaOp = iota
+	MetaLookup
+	MetaCreate
+	MetaMkdir
+	MetaReaddir
+	MetaUnlink
+	MetaRmdir
+	MetaRename
+	MetaSetSize
+)
+
+// MetaQuery is one metadata request: its operation and arguments.
+type MetaQuery struct {
+	Op    MetaOp
+	Path  string
+	Path2 string // MetaRename's destination
+	Size  int64  // MetaSetSize's size
+}
+
+// MetaReply is what the MDS returns for a served request: the node's
+// snapshot and ino of a lookup, the ino of a create, the entries of a
+// readdir.
+type MetaReply struct {
+	Info vfsapi.FileInfo
+	Ino  uint64
+	Ents []vfsapi.DirEntry
+}
+
+// metaAt names where a metadata run stands when its process resumes.
+type metaAt uint8
+
+const (
+	metaServed  metaAt = iota // over: Finish returns the reply and error
+	metaStalled               // the request reached a stalled MDS: wait out the stall, then serve it
+)
+
+// MetaRun carries one metadata request to the MDS and back while its
+// process stays parked. Its steps run at the events where the
+// straight-line round trip resumed the process:
+//
+//	request hops (net) → stall check, mds.cpu → MDSOpCost → the
+//	operation, unlock → reply hops (net)
+//
+// entering and exiting the mds and net scopes at the same instants. A
+// stalled MDS and a hop error hand control back with
+// sim.(*Proc).ResumeHere, as does the end of a run with no
+// continuation; otherwise the end calls then, which reads the reply
+// with Finish. Each step pushes what the process pushed, so a run keeps
+// every simulated result; TestMDSRPCMatchesHistoricalLoop checks this
+// against the straight-line round trip.
+type MetaRun struct {
+	c    *Cluster
+	p    *sim.Proc
+	span *obs.Span
+	q    MetaQuery
+	rep  MetaReply
+	err  error
+	at   metaAt
+	then func() // the run's continuation; nil resumes the process
+
+	mds, net obs.Scope // the request's mds and net crossings
+
+	// Reusable continuations, bound once per pooled run.
+	sent, replied func(error)
+	granted       func()
+	served        func()
+}
+
+// StartMeta begins q at the MDS as a run for ctx.P, which is parked
+// with no pending wake or about to park (see MetaRun). Once the reply
+// has landed the run calls then, in a callback, or with a nil then
+// resumes ctx.P; a stall or a hop error resumes ctx.P without calling
+// then. Either way Finish returns the reply.
+func (c *Cluster) StartMeta(ctx vfsapi.Ctx, q MetaQuery, then func()) *MetaRun {
+	var r *MetaRun
+	if n := len(c.metaRuns); n > 0 {
+		r = c.metaRuns[n-1]
+		c.metaRuns = c.metaRuns[:n-1]
+	} else {
+		r = &MetaRun{c: c}
+		r.sent, r.granted, r.served, r.replied = r.afterRequest, r.serve, r.afterOp, r.afterReply
+	}
+	r.p, r.span, r.q, r.then, r.at = ctx.P, ctx.Span, q, then, metaServed
+	r.mds = r.span.Enter(obs.LayerMDS)
+	r.net = r.span.Enter(obs.LayerNet)
+	c.fabric.RequestThen(r.p, c.mdsServer(), metaReqBytes, r.sent)
+	return r
+}
+
+// Finish returns the request's reply and error, and recycles the run.
+// In a process the run handed control back to, it first waits out a
+// stall and serves the request, parking again.
+func (r *MetaRun) Finish() (MetaReply, error) {
+	c := r.c
+	r.then = nil // from here the process waits for the request's end
+	if r.at == metaStalled {
+		for c.mds.stalled {
+			c.mds.stallQ.Wait(r.p)
+		}
+		r.lock()
+		r.p.Park()
+	}
+	rep, err := r.rep, r.err
+	r.p, r.span, r.q, r.rep, r.err = nil, nil, MetaQuery{}, MetaReply{}, nil
+	c.metaRuns = append(c.metaRuns, r)
+	return rep, err
+}
+
+// handBack ends the run at at with err and resumes the process.
+func (r *MetaRun) handBack(at metaAt, err error) {
+	r.at, r.err = at, err
+	r.p.ResumeHere()
+}
+
+// afterRequest runs where the request lands at the MDS.
+func (r *MetaRun) afterRequest(err error) {
+	r.net.Exit()
 	if err != nil {
-		return err
+		r.mds.Exit()
+		r.handBack(metaServed, err)
+		return
 	}
-	for c.mds.stalled {
-		c.mds.stallQ.Wait(ctx.P)
+	if r.c.mds.stalled {
+		r.handBack(metaStalled, nil)
+		return
 	}
-	c.mds.cpu.Lock(ctx.P)
-	ctx.P.Sleep(c.params.MDSOpCost)
-	ctx.P.ReportWait("mds", "mds.cpu", "", 0, c.params.MDSOpCost)
+	r.lock()
+}
+
+// lock queues for the MDS's processing.
+func (r *MetaRun) lock() {
+	if r.c.mds.cpu.LockOrQueue(r.p, r.granted) {
+		r.serve()
+	}
+}
+
+// serve charges the MDS's processing time once it holds mds.cpu.
+func (r *MetaRun) serve() { r.c.eng.After(r.c.params.MDSOpCost, r.served) }
+
+// afterOp applies the operation to the namespace, releases mds.cpu and
+// sends the reply.
+func (r *MetaRun) afterOp() {
+	c := r.c
+	r.p.ReportWait("mds", "mds.cpu", "", 0, c.params.MDSOpCost)
 	c.mds.ops++
-	err = op()
-	c.mds.cpu.Unlock(ctx.P)
-	nsc = ctx.Span.Enter(obs.LayerNet)
-	rerr := c.fabric.Reply(ctx.P, c.mdsServer(), metaRepBytes+extraReply)
-	nsc.Exit()
-	if rerr != nil && err == nil {
-		err = rerr
+	r.err = c.apply(&r.q, &r.rep)
+	c.mds.cpu.Unlock(r.p)
+	r.net = r.span.Enter(obs.LayerNet)
+	c.fabric.ReplyThen(r.p, c.mdsServer(), metaRepBytes, r.replied)
+}
+
+// afterReply ends the run where the reply lands at the client.
+func (r *MetaRun) afterReply(err error) {
+	r.net.Exit()
+	r.mds.Exit()
+	if err != nil {
+		if r.err == nil {
+			r.err = err
+		}
+		r.handBack(metaServed, r.err)
+		return
 	}
-	return err
+	r.at = metaServed
+	if then := r.then; then != nil {
+		then()
+		return
+	}
+	r.p.ResumeHere()
+}
+
+// apply runs q against the namespace, filling rep.
+func (c *Cluster) apply(q *MetaQuery, rep *MetaReply) error {
+	t := c.mds.tree
+	switch q.Op {
+	case MetaLookup:
+		n, err := t.Lookup(q.Path)
+		if err != nil {
+			return err
+		}
+		rep.Info, rep.Ino = n.Info(), n.Ino
+	case MetaCreate:
+		n, err := t.Create(q.Path, c.eng.Now())
+		if err != nil {
+			return err
+		}
+		rep.Ino = n.Ino
+	case MetaMkdir:
+		_, err := t.Mkdir(q.Path, c.eng.Now())
+		return err
+	case MetaReaddir:
+		ents, err := t.Readdir(q.Path)
+		rep.Ents = ents
+		return err
+	case MetaUnlink:
+		_, err := t.Unlink(q.Path)
+		return err
+	case MetaRmdir:
+		return t.Rmdir(q.Path)
+	case MetaRename:
+		return t.Rename(q.Path, q.Path2, c.eng.Now())
+	case MetaSetSize:
+		n, err := t.Lookup(q.Path)
+		if err != nil {
+			return err
+		}
+		if q.Size > n.Size {
+			n.Size = q.Size
+		}
+		n.MTime = c.eng.Now()
+	}
+	return nil
+}
+
+// meta is one metadata round trip in its process: the run, then its
+// reply.
+func (c *Cluster) meta(ctx vfsapi.Ctx, q MetaQuery) (MetaReply, error) {
+	r := c.StartMeta(ctx, q, nil)
+	ctx.P.Park()
+	return r.Finish()
 }
 
 // MetaLookup resolves path at the MDS, returning a snapshot of the node.
 func (c *Cluster) MetaLookup(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, uint64, error) {
-	var info vfsapi.FileInfo
-	var ino uint64
-	err := c.mdsRPC(ctx, 0, func() error {
-		n, err := c.mds.tree.Lookup(path)
-		if err != nil {
-			return err
-		}
-		info = n.Info()
-		ino = n.Ino
-		return nil
-	})
-	return info, ino, err
+	rep, err := c.meta(ctx, MetaQuery{Op: MetaLookup, Path: path})
+	return rep.Info, rep.Ino, err
 }
 
 // MetaCreate creates a file at the MDS.
 func (c *Cluster) MetaCreate(ctx vfsapi.Ctx, path string) (uint64, error) {
-	var ino uint64
-	err := c.mdsRPC(ctx, 0, func() error {
-		n, err := c.mds.tree.Create(path, c.eng.Now())
-		if err != nil {
-			return err
-		}
-		ino = n.Ino
-		return nil
-	})
-	return ino, err
+	rep, err := c.meta(ctx, MetaQuery{Op: MetaCreate, Path: path})
+	return rep.Ino, err
 }
 
 // MetaMkdir creates a directory at the MDS.
 func (c *Cluster) MetaMkdir(ctx vfsapi.Ctx, path string) error {
-	return c.mdsRPC(ctx, 0, func() error {
-		_, err := c.mds.tree.Mkdir(path, c.eng.Now())
-		return err
-	})
+	_, err := c.meta(ctx, MetaQuery{Op: MetaMkdir, Path: path})
+	return err
 }
 
-// MetaReaddir lists a directory at the MDS.
+// MetaReaddir lists a directory at the MDS. Listing cost scales with
+// the directory size: the entries follow the reply in a transfer of
+// their own, sized once the MDS has fetched them.
 func (c *Cluster) MetaReaddir(ctx vfsapi.Ctx, path string) ([]vfsapi.DirEntry, error) {
-	var ents []vfsapi.DirEntry
-	// Listing cost scales with the directory size; fetch the entries
-	// first so the reply transfer can be sized.
-	err := c.mdsRPC(ctx, 0, func() error {
-		var err error
-		ents, err = c.mds.tree.Readdir(path)
-		return err
-	})
+	rep, err := c.meta(ctx, MetaQuery{Op: MetaReaddir, Path: path})
 	if err != nil {
 		return nil, err
 	}
-	if n := int64(len(ents)) * dirEntryBytes; n > 0 {
-		if err := c.fabric.Reply(ctx.P, c.mdsServer(), n); err != nil {
+	if n := int64(len(rep.Ents)) * dirEntryBytes; n > 0 {
+		nsc := ctx.Span.Enter(obs.LayerNet)
+		err = c.fabric.Reply(ctx.P, c.mdsServer(), n)
+		nsc.Exit()
+		if err != nil {
 			return nil, err
 		}
 	}
-	return ents, nil
+	return rep.Ents, nil
 }
 
 // MetaUnlink removes a file at the MDS.
 func (c *Cluster) MetaUnlink(ctx vfsapi.Ctx, path string) error {
-	return c.mdsRPC(ctx, 0, func() error {
-		_, err := c.mds.tree.Unlink(path)
-		return err
-	})
+	_, err := c.meta(ctx, MetaQuery{Op: MetaUnlink, Path: path})
+	return err
 }
 
 // MetaRmdir removes a directory at the MDS.
 func (c *Cluster) MetaRmdir(ctx vfsapi.Ctx, path string) error {
-	return c.mdsRPC(ctx, 0, func() error {
-		return c.mds.tree.Rmdir(path)
-	})
+	_, err := c.meta(ctx, MetaQuery{Op: MetaRmdir, Path: path})
+	return err
 }
 
 // MetaRename renames at the MDS.
 func (c *Cluster) MetaRename(ctx vfsapi.Ctx, oldPath, newPath string) error {
-	return c.mdsRPC(ctx, 0, func() error {
-		return c.mds.tree.Rename(oldPath, newPath, c.eng.Now())
-	})
+	_, err := c.meta(ctx, MetaQuery{Op: MetaRename, Path: oldPath, Path2: newPath})
+	return err
 }
 
 // MetaSetSize updates the authoritative size of path (sent by clients
 // when flushing dirty data or closing a written file).
 func (c *Cluster) MetaSetSize(ctx vfsapi.Ctx, path string, size int64) error {
-	return c.mdsRPC(ctx, 0, func() error {
-		n, err := c.mds.tree.Lookup(path)
-		if err != nil {
-			return err
-		}
-		if size > n.Size {
-			n.Size = size
-		}
-		n.MTime = c.eng.Now()
-		return nil
-	})
+	_, err := c.meta(ctx, MetaQuery{Op: MetaSetSize, Path: path, Size: size})
+	return err
 }
 
 // --- Data operations (request/response with an OSD) ---

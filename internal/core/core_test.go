@@ -884,8 +884,9 @@ func TestWorkloadsTable2Complete(t *testing.T) {
 //     request on the top page-cache handle itself (AUFS opens return
 //     the branch's handle).
 //
-// A layer slipped between a transport and the client that drops the
-// hand-off shows here as more parks.
+// The Open and Close around them are runs too, pinned separately by
+// TestCachedMetadataParks. A layer slipped between a transport and the
+// client that drops the hand-off shows here as more parks.
 func TestCachedReadParks(t *testing.T) {
 	const size = 1 << 20
 	for _, c := range []struct {
@@ -923,6 +924,75 @@ func TestCachedReadParks(t *testing.T) {
 			if got := ctx.P.Parks() - before; got != c.write {
 				t.Errorf("%v: a cached 1 MiB Write parked %d times, want %d", c.cfg, got, c.write)
 			}
+			h.Close(ctx)
+		})
+	}
+}
+
+// TestCachedMetadataParks pins how often an Open and a Close park their
+// process in each stack of Table 1, built as the experiments build it:
+// a cached Open (the path's attributes are cached and its caps granted),
+// an Open that misses to the MDS, and the Close of a written file, which
+// pushes its size to the MDS. A cached Open and the size-pushing Close
+// park once under D, F and K: the IPC dispatch, the FUSE dispatch and
+// the system call start the client's Open and Close runs, and the MDS
+// round trip runs inside them; so does the kernel client's MDS lookup
+// of a miss, and the size push of K/K's branch handle. The residuals:
+//   - a miss on the user-level client goes back to the process, which
+//     parks for the wire charge, the MDS round trip and the attribute
+//     insert (4 under D, 5 under F with the FUSE reply);
+//   - F/F, K/K and F/K open through a union, which starts no run, and
+//     unionfs-fuse serves its branch's Close in the process (3 under
+//     F/F and F/K);
+//   - FP and FP/FP open and close through the page cache of a FUSE
+//     mount, whose store's opens and size pushes stay blocking.
+//
+// A layer slipped between a transport and the client that drops the
+// hand-off shows here as more parks.
+func TestCachedMetadataParks(t *testing.T) {
+	for _, c := range []struct {
+		cfg                 Configuration
+		open, miss, pushing int
+	}{
+		{ConfigD, 1, 4, 1}, {ConfigF, 1, 5, 1}, {ConfigFF, 8, 11, 3}, {ConfigK, 1, 1, 1},
+		{ConfigKK, 5, 7, 1}, {ConfigFK, 7, 9, 3}, {ConfigFP, 8, 9, 2}, {ConfigFPFP, 31, 14, 2},
+	} {
+		tb := newTB(t, 4)
+		tb.Cluster.ProvisionDir("/containers/c0")
+		tb.Cluster.Provision("/containers/c0/g", 4<<10)
+		pool := tb.NewPool("pool0", cpu.MaskOf(0, 1), 8<<30)
+		ct, err := pool.NewContainer("c0", MountSpec{Config: c.cfg, UpperDir: "/containers/c0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := ct.Mount.Default
+		runOn(t, tb, ct, func(ctx vfsapi.Ctx) {
+			h, err := fs.Open(ctx, "/f", vfsapi.CREATE|vfsapi.WRONLY)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Close(ctx)
+			parks := func(what string, want int, op func() error) {
+				before := ctx.P.Parks()
+				if err := op(); err != nil {
+					t.Fatalf("%v: %s: %v", c.cfg, what, err)
+				}
+				if got := ctx.P.Parks() - before; got != want {
+					t.Errorf("%v: %s parked %d times, want %d", c.cfg, what, got, want)
+				}
+			}
+			parks("a cached Open", c.open, func() (err error) {
+				h, err = fs.Open(ctx, "/f", vfsapi.CREATE|vfsapi.WRONLY)
+				return err
+			})
+			if _, err := h.Write(ctx, 0, 64<<10); err != nil {
+				t.Fatal(err)
+			}
+			parks("the Close of a written file", c.pushing, func() error { return h.Close(ctx) })
+			parks("an Open that misses to the MDS", c.miss, func() (err error) {
+				h, err = fs.Open(ctx, "/g", vfsapi.RDONLY)
+				return err
+			})
 			h.Close(ctx)
 		})
 	}

@@ -380,6 +380,13 @@ func (f *prefixFS) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfs
 	return f.inner.Open(ctx, f.full(path), flags)
 }
 
+// Start begins an Open of the full path as a run of the inner
+// filesystem, when it can start one (see vfsapi.Starter).
+func (f *prefixFS) Start(ctx vfsapi.Ctx, c vfsapi.Call, reply func()) vfsapi.Run {
+	c.FS, c.Path = f.inner, f.full(c.Path)
+	return c.Start(ctx, reply)
+}
+
 func (f *prefixFS) Stat(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, error) {
 	return f.inner.Stat(ctx, f.full(path))
 }

@@ -136,7 +136,11 @@ func (h *chunkHandle) body(ctx vfsapi.Ctx, write bool, off, n int64) (int64, err
 	return n, r.err()
 }
 
-func (h *chunkHandle) Start(ctx vfsapi.Ctx, write bool, off, n int64, reply func()) vfsapi.Run {
+func (h *chunkHandle) Start(ctx vfsapi.Ctx, op vfsapi.Call, reply func()) vfsapi.Run {
+	if op.Kind != vfsapi.OpRead && op.Kind != vfsapi.OpWrite {
+		return nil
+	}
+	write, off, n := op.Kind == vfsapi.OpWrite, op.Off, op.N
 	r := h.req(ctx.P)
 	mode := r.modes[r.served%len(r.modes)]
 	if h.fs.down || mode == serveRefuse {
@@ -178,11 +182,11 @@ func (run *chunkRun) slept() {
 	run.ctx.T.LockedChainThen(run.ctx.P, nil, nil, "", run.reply, cpu.Charge(cpu.User, run.r.tail))
 }
 
-func (run *chunkRun) Finish(ctx vfsapi.Ctx) (int64, error) {
+func (run *chunkRun) Finish(ctx vfsapi.Ctx) (vfsapi.Result, error) {
 	if run.mode == serveHandBack {
 		ctx.T.Exec(ctx.P, cpu.User, run.r.tail)
 	}
-	return run.n, run.r.err()
+	return vfsapi.Result{N: run.n}, run.r.err()
 }
 
 // chunkRequest is one Read, Write or Append of an application, issued

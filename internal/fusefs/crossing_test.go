@@ -130,7 +130,10 @@ type crossHandle struct {
 
 func (h *crossHandle) Read(ctx vfsapi.Ctx, _, _ int64) (int64, error) { return 0, h.r.body(ctx) }
 
-func (h *crossHandle) Start(ctx vfsapi.Ctx, _ bool, _, _ int64, reply func()) vfsapi.Run {
+func (h *crossHandle) Start(ctx vfsapi.Ctx, op vfsapi.Call, reply func()) vfsapi.Run {
+	if op.Kind != vfsapi.OpRead {
+		return nil
+	}
 	if h.r.serve == serveRefuse {
 		h.out.refused++
 		return nil
@@ -164,11 +167,11 @@ func (run *crossRun) slept() {
 	run.ctx.T.LockedChainThen(run.ctx.P, nil, nil, "", run.reply, cpu.Charge(cpu.User, run.h.r.tail))
 }
 
-func (run *crossRun) Finish(ctx vfsapi.Ctx) (int64, error) {
+func (run *crossRun) Finish(ctx vfsapi.Ctx) (vfsapi.Result, error) {
 	if run.h.r.serve == serveHandBack {
 		ctx.T.Exec(ctx.P, cpu.User, run.h.r.tail)
 	}
-	return 0, run.h.r.err()
+	return vfsapi.Result{}, run.h.r.err()
 }
 
 type crossApp struct {

@@ -130,10 +130,10 @@ func (t *Transport) Do(ctx vfsapi.Ctx, c vfsapi.Call, _ struct{}) (vfsapi.Result
 // this mount's handle, such as the daemon of a FUSE mount stacked on this
 // one, on its thread ctx.T (see vfsapi.Starter): the chunks cross as Do's
 // do, and the end of the request starts reply, the reply of the crossing
-// above. An empty request and a dead daemon, whose aborted syscall
-// charges CPU, start no run.
+// above. Any other operation, an empty request and a dead daemon, whose
+// aborted syscall charges CPU, start no run.
 func (t *Transport) Start(ctx vfsapi.Ctx, c vfsapi.Call, _ struct{}, reply func()) vfsapi.Run {
-	if c.N <= 0 || t.crashed {
+	if c.Kind != vfsapi.OpRead && c.Kind != vfsapi.OpWrite || c.N <= 0 || t.crashed {
 		return nil
 	}
 	d := t.getDispatch(ctx, &c, true, 0, 0, reply)
@@ -227,10 +227,7 @@ func (d *dispatch) wait() (vfsapi.Result, error) {
 }
 
 // Finish finishes the request in the process (see vfsapi.Run).
-func (d *dispatch) Finish(vfsapi.Ctx) (int64, error) {
-	r, err := d.finish()
-	return r.N, err
-}
+func (d *dispatch) Finish(vfsapi.Ctx) (vfsapi.Result, error) { return d.finish() }
 
 // finish goes on with the request in the process from where the
 // dispatch handed control back, parking again while a round trip's
@@ -250,7 +247,7 @@ func (d *dispatch) finish() (vfsapi.Result, error) {
 		case handServe:
 			d.served, d.err = d.op.Do(dctx)
 		case handRun:
-			d.served.N, d.err = d.run.Finish(dctx)
+			d.served, d.err = d.run.Finish(dctx)
 			d.run = nil
 		}
 		d.reply()
@@ -358,7 +355,7 @@ func (d *dispatch) reply() {
 func (d *dispatch) resume() {
 	r, err := d.served, d.err
 	if d.run != nil {
-		r.N, err = d.run.Finish(vfsapi.Ctx{P: d.p, T: d.dth, Span: d.span})
+		r, err = d.run.Finish(vfsapi.Ctx{P: d.p, T: d.dth, Span: d.span})
 	}
 	d.t.slots.Release()
 	switch {

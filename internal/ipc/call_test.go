@@ -124,7 +124,10 @@ type callHandle struct {
 
 func (h *callHandle) Read(ctx vfsapi.Ctx, _, _ int64) (int64, error) { return 0, h.r.body(ctx) }
 
-func (h *callHandle) Start(ctx vfsapi.Ctx, _ bool, _, _ int64, reply func()) vfsapi.Run {
+func (h *callHandle) Start(ctx vfsapi.Ctx, op vfsapi.Call, reply func()) vfsapi.Run {
+	if op.Kind != vfsapi.OpRead {
+		return nil
+	}
 	if reply != nil {
 		panic("ipc: a call passed a reply")
 	}
@@ -154,11 +157,11 @@ func (run *callRun) worked() {
 	run.h.e.After(run.h.r.sleep, run.p.ResumeHere)
 }
 
-func (run *callRun) Finish(ctx vfsapi.Ctx) (int64, error) {
+func (run *callRun) Finish(ctx vfsapi.Ctx) (vfsapi.Result, error) {
 	if run.h.r.serve == serveHandBack {
 		ctx.P.Sleep(run.h.r.sleep)
 	}
-	return 0, run.h.r.err()
+	return vfsapi.Result{}, run.h.r.err()
 }
 
 type callApp struct {

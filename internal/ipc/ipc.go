@@ -167,7 +167,7 @@ func (t *Transport) Do(ctx vfsapi.Ctx, op vfsapi.Call, _ struct{}) (vfsapi.Resul
 	var r vfsapi.Result
 	var err error
 	if run != nil {
-		r.N, err = run.Finish(dctx)
+		r, err = run.Finish(dctx)
 	} else {
 		r, err = op.Do(dctx)
 	}

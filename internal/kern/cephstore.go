@@ -79,12 +79,23 @@ func (s *CephStore) opCPU(ctx vfsapi.Ctx) {
 	ctx.T.Exec(ctx.P, cpu.Kernel, s.kern.params.KernelClientOpCost)
 }
 
+// opStep is the charge of opCPU.
+func (s *CephStore) opStep() cpu.Step {
+	return cpu.Charge(cpu.Kernel, s.kern.params.KernelClientOpCost)
+}
+
 // wireCPU charges protocol + checksum processing for n wire bytes.
 func (s *CephStore) wireCPU(ctx vfsapi.Ctx, n int64) {
+	steps := s.wireSteps(n)
+	ctx.T.Chain(ctx.P, steps[:]...)
+}
+
+// wireSteps returns the charges of wireCPU.
+func (s *CephStore) wireSteps(n int64) [3]cpu.Step {
 	p := s.kern.params
-	ctx.T.Chain(ctx.P, cpu.Charge(cpu.Kernel, p.NetOpCost),
+	return [3]cpu.Step{cpu.Charge(cpu.Kernel, p.NetOpCost),
 		cpu.Charge(cpu.Kernel, model.RateTime(n, p.NetCPUBytesPerSec)),
-		cpu.Charge(cpu.Kernel, model.RateTime(n, p.ChecksumBytesPerSec)))
+		cpu.Charge(cpu.Kernel, model.RateTime(n, p.ChecksumBytesPerSec))}
 }
 
 // Lookup resolves a path, serving repeated lookups from the attribute
@@ -99,6 +110,11 @@ func (s *CephStore) Lookup(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, uint64
 	}
 	s.wireCPU(ctx, 256)
 	info, ino, err := s.clus.MetaLookup(ctx, path)
+	return s.looked(path, info, ino, err)
+}
+
+// looked caches the attributes the MDS returned for path.
+func (s *CephStore) looked(path string, info vfsapi.FileInfo, ino uint64, err error) (vfsapi.FileInfo, uint64, error) {
 	if err != nil {
 		return vfsapi.FileInfo{}, 0, err
 	}
@@ -208,16 +224,20 @@ func (s *CephStore) SetSize(ctx vfsapi.Ctx, ino uint64, size int64) error {
 	}
 	s.opCPU(ctx)
 	s.wireCPU(ctx, 256)
-	if err := s.clus.MetaSetSize(ctx, path, size); err != nil {
-		return err
-	}
-	if e, ok := s.attrs[path]; ok {
+	err := s.clus.MetaSetSize(ctx, path, size)
+	s.sizeSet(path, size, err)
+	return err
+}
+
+// sizeSet updates the cached attribute of path once the MDS took size
+// without error.
+func (s *CephStore) sizeSet(path string, size int64, err error) {
+	if e, ok := s.attrs[path]; ok && err == nil {
 		if size > e.info.Size || size == 0 {
 			e.info.Size = size
 		}
 		s.attrs[path] = e
 	}
-	return nil
 }
 
 // FaultStats returns a snapshot of the store's fault-handling

@@ -33,8 +33,16 @@ func (m *Mount) failIfCrashed(ctx vfsapi.Ctx) error {
 	return nil
 }
 
-// Open opens or creates a file.
+// Open opens or creates a file. On a kernel Ceph client it runs as a
+// request run (see Start), which hands control back where the file must
+// be created or truncated, and where the MDS lookup of a path missing
+// from the attribute cache does in its own run.
 func (m *Mount) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfsapi.Handle, error) {
+	if r := m.Start(ctx, vfsapi.Call{Kind: vfsapi.OpOpen, Path: path, Flags: flags}, nil); r != nil {
+		ctx.P.Park()
+		res, err := r.Finish(ctx)
+		return res.H, err
+	}
 	if err := m.failIfCrashed(ctx); err != nil {
 		return nil, err
 	}
@@ -44,6 +52,26 @@ func (m *Mount) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfsapi
 		}
 	}
 	info, ino, err := m.store.Lookup(ctx, path)
+	return m.opened(ctx, path, flags, info, ino, err)
+}
+
+// Start begins an Open as a request run (see vfsapi.Starter, and
+// request). Only a mount of a live kernel Ceph client starts one: a
+// crashed mount's error path charges CPU, and the other stores' opens
+// stay blocking.
+func (m *Mount) Start(ctx vfsapi.Ctx, c vfsapi.Call, reply func()) vfsapi.Run {
+	if cs, ok := m.store.(*CephStore); !ok || cs.crashed || m.crashed || c.Kind != vfsapi.OpOpen {
+		return nil
+	}
+	r := m.getRequest(ctx, nil, nil, vfsapi.OpOpen, 0, 0)
+	r.path, r.flags, r.reply = c.Path, c.Flags, reply
+	r.start()
+	return r
+}
+
+// opened goes on with an Open from the store's lookup of path: it
+// creates a missing file and makes the handle.
+func (m *Mount) opened(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag, info vfsapi.FileInfo, ino uint64, err error) (vfsapi.Handle, error) {
 	switch {
 	case err == nil:
 		if info.IsDir {
@@ -58,16 +86,30 @@ func (m *Mount) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfsapi
 	default:
 		return nil, err
 	}
+	return m.newHandle(ctx, path, flags, info, ino)
+}
+
+// newHandle makes the handle of an open file, truncating it first when
+// flags ask to.
+func (m *Mount) newHandle(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag, info vfsapi.FileInfo, ino uint64) (vfsapi.Handle, error) {
 	f := m.file(ino, info.Size)
-	if flags.Has(vfsapi.TRUNC) && flags.Writable() {
+	if truncates(flags) {
 		m.dropCache(ctx, f)
 		f.Size = 0
 		if err := m.store.SetSize(ctx, ino, 0); err != nil {
 			return nil, err
 		}
 	}
-	return &pagedHandle{m: m, f: f, path: path, flags: flags, gen: m.cache.Gen, ra: cache.Readahead{Next: -1}}, nil
+	return m.handle(path, flags, f), nil
 }
+
+// handle returns a new handle on f.
+func (m *Mount) handle(path string, flags vfsapi.OpenFlag, f *fileState) *pagedHandle {
+	return &pagedHandle{m: m, f: f, path: path, flags: flags, gen: m.cache.Gen, ra: cache.Readahead{Next: -1}}
+}
+
+// truncates reports whether an open with flags truncates the file.
+func truncates(flags vfsapi.OpenFlag) bool { return flags.Has(vfsapi.TRUNC) && flags.Writable() }
 
 // Stat returns metadata, preferring the in-kernel (possibly dirty) size.
 func (m *Mount) Stat(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, error) {

@@ -3,6 +3,7 @@ package kern
 import (
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/cpu"
 	"repro/internal/extent"
 	"repro/internal/obs"
@@ -21,27 +22,37 @@ const (
 	handFetch                // a read's first claim waits or misses: the fetch loop from that claim
 	handThrottle             // a write must throttle, then return its result
 	handPush                 // a close pushes the size of a written file
+	handMeta                 // an MDS run handed back: finish it, then the close's push or the open
+	handCreate               // an open creates the file
+	handTrunc                // an open truncates the file
 )
 
-// request carries one Read, Write or Close of a page-cache handle while
-// its process stays parked. Each step is a chain on the caller's thread
-// whose continuation runs at the event where the straight-line code
-// resumed the process, does what the process did there, and starts the
-// next chain:
+// request carries one Open of a kernel Ceph client's mount, or one Read,
+// Write or Close of a page-cache handle, while its process stays parked.
+// Each step is a chain on the caller's thread whose continuation runs at
+// the event where the straight-line code resumed the process, does what
+// the process did there, and starts the next chain:
 //
+//	Open:  op CPU → attribute lookup (→ wire → the MDS lookup
+//	       (cluster.MetaRun) → attribute insert, on a miss) → handle
 //	Read:  [entry] → claim → lru_lock + Touch → copy [+ exit]
 //	Write: [entry] → i_mutex + hold + copy → lru_lock + Insert (+ hold)
 //	       (→ lru_lock + Evict (+ hold) when over the limit) → size,
 //	       unlock i_mutex → wb_lock + hold + MarkDirty → flusher wake
 //	       [→ exit]
-//	Close: [entry] → closed [→ exit]
+//	Close: [entry] → closed (→ op CPU + wire → the MDS size push →
+//	       attribute update, for a written file of a kernel Ceph
+//	       client) [→ exit]
 //
-// Under Syscalls the run begins with the system call's entry chain (the
-// mode switch and the VFS dispatch) and ends with its exit mode switch;
-// a bare call — a union's copy-up, an Append, a test — is the same run
-// without them. At the first decision that needs the process — a closed
+// Under Syscalls a Read, Write or Close begins with the system call's
+// entry chain (the mode switch and the VFS dispatch) and ends with its
+// exit mode switch; a bare call — a union's copy-up, an Append, a test —
+// is the same run without them. An Open is a vfsapi.Run that Syscalls
+// starts where its entry chain ends, with the exit chain as the reply
+// (see sysRun). At the first decision that needs the process — a closed
 // or stale handle, DIRECT, a read claim that waits or fetches, the dirty
-// throttle, a close that pushes the size — or at the end, it records
+// throttle, a size push the run does not make, a file to create or
+// truncate, a stalled MDS or a hop error — or at the end, it records
 // where in at and hands control back with sim.(*Proc).ResumeHere; a
 // decision made before any chain, as a bare run's first one is, hands
 // back before the process parks, and the park returns at once. Each step
@@ -49,8 +60,9 @@ const (
 // result; TestKernRunMatchesStraightLine checks this against the
 // straight-line code.
 type request struct {
-	h    *pagedHandle
-	sys  *Syscalls // the system call the run serves; nil for a bare call
+	m    *Mount
+	h    *pagedHandle // the handle of a Read, Write or Close; an Open's new handle
+	sys  *Syscalls    // the system call the run serves; nil for a bare call
 	p    *sim.Proc
 	t    *cpu.Thread
 	span *obs.Span
@@ -63,11 +75,20 @@ type request struct {
 	wait     bool          // the claim waits on fetchQ (handFetch)
 	at       hand
 
+	path  string           // an Open's path; a Close's pushed path
+	flags vfsapi.OpenFlag  // an Open's flags
+	info  vfsapi.FileInfo  // an Open's attributes
+	ino   uint64           // and ino
+	size  int64            // a Close's pushed size
+	meta  *cluster.MetaRun // the MDS run of a lookup or size push
+	reply func()           // an Open's reply, started at its end; nil resumes the process
+
 	// Reusable continuations, bound once per pooled request.
 	readIn, touched, served                    func()
 	writeIn, copied, inserted, held, committed func()
 	evicted, dirtied                           func()
-	closeIn                                    func()
+	closeIn, pushWired, pushed                 func()
+	looked, lookupWired, metaLooked            func()
 }
 
 func (m *Mount) getRequest(ctx vfsapi.Ctx, h *pagedHandle, sys *Syscalls, kind vfsapi.Kind, off, n int64) *request {
@@ -76,11 +97,12 @@ func (m *Mount) getRequest(ctx vfsapi.Ctx, h *pagedHandle, sys *Syscalls, kind v
 		r = m.requests[k-1]
 		m.requests = m.requests[:k-1]
 	} else {
-		r = &request{}
+		r = &request{m: m}
 		r.readIn, r.touched, r.served = r.afterReadEntry, r.touch, r.done
 		r.writeIn, r.copied, r.inserted, r.held, r.committed = r.afterWriteEntry, r.insert, r.afterInsert, r.afterHold, r.commit
 		r.evicted, r.dirtied = r.evict, r.marked
-		r.closeIn = r.afterCloseEntry
+		r.closeIn, r.pushWired, r.pushed = r.afterCloseEntry, r.push, r.afterPush
+		r.looked, r.lookupWired, r.metaLooked = r.lookup, r.lookupMiss, r.afterLookup
 	}
 	r.h, r.sys, r.p, r.t, r.span = h, sys, ctx.P, ctx.T, ctx.Span
 	r.kind, r.off, r.n, r.err, r.fetchLen, r.g, r.wait = kind, off, n, nil, 0, extent.Extent{}, false
@@ -89,6 +111,7 @@ func (m *Mount) getRequest(ctx vfsapi.Ctx, h *pagedHandle, sys *Syscalls, kind v
 
 func (m *Mount) putRequest(r *request) {
 	r.h, r.sys, r.p, r.t, r.span, r.err = nil, nil, nil, nil, nil, nil
+	r.path, r.meta, r.reply = "", nil, nil
 	m.requests = append(m.requests, r)
 }
 
@@ -104,6 +127,7 @@ func (h *pagedHandle) do(ctx vfsapi.Ctx, sys *Syscalls, kind vfsapi.Kind, off, n
 	r.start()
 	ctx.P.Park()
 	at, n, err, fetchLen, g, wait := r.at, r.n, r.err, r.fetchLen, r.g, r.wait
+	path, size, meta := r.path, r.size, r.meta
 	m.putRequest(r)
 	switch at {
 	case handDone:
@@ -128,11 +152,41 @@ func (h *pagedHandle) do(ctx vfsapi.Ctx, sys *Syscalls, kind vfsapi.Kind, off, n
 		}
 	case handPush:
 		err = m.store.SetSize(ctx, h.f.Ino, h.f.Size)
+	case handMeta:
+		_, err = meta.Finish()
+		m.store.(*CephStore).sizeSet(path, size, err)
 	}
 	if sys != nil {
 		ctx.T.ModeSwitch(ctx.P)
 	}
 	return n, err
+}
+
+// Finish goes on with an Open in the process from where its run handed
+// control back (see vfsapi.Run): the MDS lookup's end, the create or the
+// truncation, then the handle.
+func (r *request) Finish(ctx vfsapi.Ctx) (vfsapi.Result, error) {
+	m := r.m
+	at, h, path, flags, info, ino, meta, err := r.at, r.h, r.path, r.flags, r.info, r.ino, r.meta, r.err
+	m.putRequest(r)
+	var nh vfsapi.Handle
+	switch at {
+	case handDone:
+		if err != nil {
+			return vfsapi.Result{}, err
+		}
+		return vfsapi.Result{H: h}, nil
+	case handMeta:
+		rep, err := meta.Finish()
+		info, ino, err = m.store.(*CephStore).looked(path, rep.Info, rep.Ino, err)
+		nh, err = m.opened(ctx, path, flags, info, ino, err)
+		return vfsapi.Result{H: nh}, err
+	case handCreate:
+		nh, err = m.opened(ctx, path, flags, info, ino, vfsapi.ErrNotExist)
+	case handTrunc:
+		nh, err = m.newHandle(ctx, path, flags, info, ino)
+	}
+	return vfsapi.Result{H: nh}, err
 }
 
 // syscall is Syscalls' Read, Write or Close c on h: the run inside the
@@ -145,10 +199,14 @@ func (h *pagedHandle) syscall(ctx vfsapi.Ctx, s *Syscalls, c *vfsapi.Call) (vfsa
 }
 
 // start begins the run: under Syscalls with the entry chain, the mode
-// switch and the VFS dispatch; a bare call at its first decision.
+// switch and the VFS dispatch; a bare call at its first decision; an
+// Open with the store's op CPU.
 func (r *request) start() {
 	then := r.closeIn
 	switch r.kind {
+	case vfsapi.OpOpen:
+		r.t.LockedChainThen(r.p, nil, nil, "", r.looked, r.m.store.(*CephStore).opStep())
+		return
 	case vfsapi.OpRead:
 		then = r.readIn
 	case vfsapi.OpWrite:
@@ -308,8 +366,9 @@ func (r *request) marked() {
 	}
 }
 
-// afterCloseEntry closes the handle; a written file's size push goes
-// back to the process.
+// afterCloseEntry closes the handle and pushes a written file's size:
+// a kernel Ceph client's push charges the op and the message's wire
+// costs first; the other stores' go back to the process.
 func (r *request) afterCloseEntry() {
 	h := r.h
 	if h.stale() {
@@ -317,9 +376,91 @@ func (r *request) afterCloseEntry() {
 		return
 	}
 	h.closed = true
-	if h.wrote && !h.f.Unlinked {
+	if !h.wrote || h.f.Unlinked {
+		r.exit(0)
+		return
+	}
+	cs, ok := h.m.store.(*CephStore)
+	if ok && !cs.crashed {
+		r.path, ok = cs.paths[h.f.Ino]
+	} else {
+		ok = false
+	}
+	if !ok {
 		r.handBack(handPush)
 		return
 	}
+	r.size = h.f.Size
+	wire := cs.wireSteps(256)
+	r.t.LockedChainThen(r.p, nil, nil, "", r.pushWired, cs.opStep(), wire[0], wire[1], wire[2])
+}
+
+// push sends the size to the MDS; a stalled MDS or a hop error hands
+// back in the MDS run, which the process finishes.
+func (r *request) push() {
+	cs := r.m.store.(*CephStore)
+	r.at = handMeta
+	r.meta = cs.clus.StartMeta(r.ctx(), cluster.MetaQuery{Op: cluster.MetaSetSize, Path: r.path, Size: r.size}, r.pushed)
+}
+
+// afterPush updates the cached attribute once the MDS has the size, and
+// returns from the call with the MDS's error.
+func (r *request) afterPush() {
+	_, r.err = r.meta.Finish()
+	r.m.store.(*CephStore).sizeSet(r.path, r.size, r.err)
 	r.exit(0)
+}
+
+// ctx is the context of the run's process.
+func (r *request) ctx() vfsapi.Ctx { return vfsapi.Ctx{P: r.p, T: r.t, Span: r.span} }
+
+// lookup opens a file whose attributes are cached; a miss charges the
+// wire costs of the MDS lookup.
+func (r *request) lookup() {
+	cs := r.m.store.(*CephStore)
+	if e, ok := cs.attrs[r.path]; ok {
+		r.found(e.info, e.ino, nil)
+		return
+	}
+	wire := cs.wireSteps(256)
+	r.t.LockedChainThen(r.p, nil, nil, "", r.lookupWired, wire[:]...)
+}
+
+// lookupMiss looks the path up at the MDS; a stalled MDS or a hop error
+// hands back in the MDS run, which the process finishes.
+func (r *request) lookupMiss() {
+	r.at = handMeta
+	r.meta = r.m.store.(*CephStore).clus.StartMeta(r.ctx(), cluster.MetaQuery{Op: cluster.MetaLookup, Path: r.path}, r.metaLooked)
+}
+
+// afterLookup caches the attributes the MDS returned.
+func (r *request) afterLookup() {
+	rep, err := r.meta.Finish()
+	r.found(r.m.store.(*CephStore).looked(r.path, rep.Info, rep.Ino, err))
+}
+
+// found makes the handle of the path the lookup found; a file to create
+// or truncate goes back to the process.
+func (r *request) found(info vfsapi.FileInfo, ino uint64, err error) {
+	r.info, r.ino = info, ino
+	switch {
+	case err == vfsapi.ErrNotExist && r.flags.Has(vfsapi.CREATE):
+		r.handBack(handCreate)
+		return
+	case err != nil:
+		r.err = err
+	case info.IsDir:
+		r.err = vfsapi.ErrIsDir
+	case truncates(r.flags):
+		r.handBack(handTrunc)
+		return
+	default:
+		r.h = r.m.handle(r.path, r.flags, r.m.file(ino, info.Size))
+	}
+	r.at = handDone
+	if r.reply != nil {
+		r.reply()
+		return
+	}
+	r.p.ResumeHere()
 }

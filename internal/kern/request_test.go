@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/allocgate"
+	"repro/internal/cluster"
 	"repro/internal/cpu"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -416,6 +417,10 @@ type pagedOpens struct {
 	*Mount
 	last map[*sim.Proc]*pagedHandle
 }
+
+// Start starts no Open run, so that every open reaches Open and its
+// handle is kept.
+func (o *pagedOpens) Start(vfsapi.Ctx, vfsapi.Call, func()) vfsapi.Run { return nil }
 
 func (o *pagedOpens) Open(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag) (vfsapi.Handle, error) {
 	h, err := o.Mount.Open(ctx, path, flags)
@@ -873,7 +878,37 @@ func TestKernRunParksOnce(t *testing.T) {
 	allocgate.Check(t, []allocgate.Case{
 		{Name: "KernCachedRead", Body: kernCachedRead, N: 5000},
 		{Name: "KernCachedWrite", Body: kernCachedWrite, N: 5000},
+		{Name: "KernCachedOpenClose", Body: kernCachedOpenClose, N: 5000, Max: 2},
 	})
+}
+
+// BenchmarkKernCachedOpenClose opens, through Syscalls, a file whose
+// attributes a kernel Ceph client caches and closes it again; one op is
+// one Open and one Close. Only the handles allocate: the mount's and
+// the one Syscalls wraps it in.
+func BenchmarkKernCachedOpenClose(b *testing.B) { allocgate.Bench(b, kernCachedOpenClose) }
+
+func kernCachedOpenClose(n int) func() {
+	e := sim.NewEngine()
+	params := model.Default()
+	cpus := cpu.New(e, params, 2)
+	k := New(e, cpus, params)
+	clus := cluster.New(e, params, 6)
+	clus.Provision("/f", 1<<20)
+	s := NewSyscalls(k, k.Mount(NewCephStore(k, clus), MountConfig{Name: "m"}))
+	th := cpus.NewThread(cpu.NewAccount("pool"), 0)
+	e.Go("app", func(p *sim.Proc) {
+		ctx := vfsapi.Ctx{P: p, T: th}
+		for range n + 1 {
+			h, err := s.Open(ctx, "/f", vfsapi.RDONLY)
+			if err != nil {
+				panic(err)
+			}
+			h.Close(ctx)
+		}
+		k.Stop()
+	})
+	return e.Run
 }
 
 // BenchmarkKernCachedRead reads 4 KiB at a time through a warm 1 MiB

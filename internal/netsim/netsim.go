@@ -303,38 +303,67 @@ func (f *Fabric) Reply(p *sim.Proc, s int, n int64) error {
 	return f.twoHops(p, f.Servers[s].TX, f.Client.RX, n)
 }
 
+// RequestThen is the continuation form of Request: it never parks p, so
+// an engine callback acting for a parked p may call it. then runs with
+// the message's error in the callback where Request would have resumed
+// p: where the second hop's message lands, or where a first hop's error
+// ends the route.
+func (f *Fabric) RequestThen(p *sim.Proc, s int, n int64, then func(error)) {
+	f.route(p, f.Client.TX, f.Servers[s].RX, n, then)
+}
+
+// ReplyThen is the continuation form of Reply (see RequestThen).
+func (f *Fabric) ReplyThen(p *sim.Proc, s int, n int64, then func(error)) {
+	f.route(p, f.Servers[s].TX, f.Client.RX, n, then)
+}
+
 // twoHops moves n bytes across first and then second, parking p once:
 // the second hop starts in the callback where the first one's
 // propagation ends, and a drop or partition there resumes p with its
 // error at that event, as the process resuming between two Transfers
 // did.
 func (f *Fabric) twoHops(p *sim.Proc, first, second *Link, n int64) error {
-	r := f.getRoute()
-	r.p, r.second, r.n = p, second, n
-	first.begin(p, n, r.hop)
+	r := f.route(p, first, second, n, nil)
 	p.Park()
 	err := r.err
 	f.putRoute(r)
 	return err
 }
 
+// route starts n bytes across first and then second for p, which stays
+// parked. The route ends by calling then or, when then is nil, by
+// resuming p, which reads the route's error and recycles it.
+func (f *Fabric) route(p *sim.Proc, first, second *Link, n int64, then func(error)) *route {
+	r := f.getRoute()
+	r.p, r.second, r.n, r.then = p, second, n, then
+	first.begin(p, n, r.hop)
+	return r
+}
+
 // route carries one message across two links while its process stays
 // parked.
 type route struct {
+	f      *Fabric
 	p      *sim.Proc
 	second *Link // the link of the second hop; nil once on it
 	n      int64
 	err    error
+	then   func(error) // the route's continuation; nil resumes the process
 
 	hop func(error) // reusable hop-end continuation (landed)
 }
 
 // landed runs where a hop's message lands: after the first, send on the
-// second; after the second, or on the first's error, resume the process.
+// second; after the second, or on the first's error, end the route.
 func (r *route) landed(err error) {
 	if l := r.second; err == nil && l != nil {
 		r.second = nil
 		l.begin(r.p, r.n, r.hop)
+		return
+	}
+	if then := r.then; then != nil {
+		r.f.putRoute(r)
+		then(err)
 		return
 	}
 	r.err = err
@@ -349,12 +378,12 @@ func (f *Fabric) getRoute() *route {
 		f.pool = f.pool[:n-1]
 		return r
 	}
-	r := &route{}
+	r := &route{f: f}
 	r.hop = r.landed
 	return r
 }
 
 func (f *Fabric) putRoute(r *route) {
-	r.p, r.second, r.err = nil, nil, nil
+	r.p, r.second, r.err, r.then = nil, nil, nil, nil
 	f.pool = append(f.pool, r)
 }

@@ -61,7 +61,14 @@ func Depth(path string) int { return len(Split(path)) }
 // Lookup resolves path to a node.
 func (t *Tree) Lookup(path string) (*Node, error) {
 	n := t.root
-	for _, part := range Split(path) {
+	// Walk the components as Split yields them, without its slice: every
+	// metadata request looks its path up.
+	for rest := path; rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, "/")
+		if part == "" || part == "." {
+			continue
+		}
 		if !n.Dir {
 			return nil, vfsapi.ErrNotDir
 		}

@@ -121,16 +121,21 @@ func boxInfo(info FileInfo) *FileInfo {
 	return p
 }
 
-// Start begins c as a run when it is a Read or Write and H is a Starter
-// that accepts it (see Starter.Start); otherwise it returns nil.
+// Start begins c as a run when it is an Open of a filesystem, or a
+// Read, Write or Close of a handle, that is a Starter and accepts it
+// (see Starter.Start); otherwise it returns nil.
 func (c *Call) Start(ctx Ctx, reply func()) Run {
-	if c.Kind != OpRead && c.Kind != OpWrite {
+	var st Starter
+	switch c.Kind {
+	case OpOpen:
+		st, _ = c.FS.(Starter)
+	case OpRead, OpWrite, OpClose:
+		st, _ = c.H.(Starter)
+	}
+	if st == nil {
 		return nil
 	}
-	if st, ok := c.H.(Starter); ok {
-		return st.Start(ctx, c.Kind == OpWrite, c.Off, c.N, reply)
-	}
-	return nil
+	return st.Start(ctx, *c, reply)
 }
 
 // Layer is one step an operation crosses between the application and
@@ -143,9 +148,9 @@ type Layer[S any] interface {
 	Do(ctx Ctx, c Call, s S) (Result, error)
 }
 
-// StartLayer is a Layer that can also begin a Read or Write c as a run
-// (see Starter.Start): the handles Wrap opens over it are Starters that
-// forward to Start.
+// StartLayer is a Layer that can also begin a handle operation c as a
+// run (see Starter.Start): the handles Wrap opens over it are Starters
+// that forward to Start.
 type StartLayer[S any] interface {
 	Start(ctx Ctx, c Call, s S, reply func()) Run
 }
@@ -249,16 +254,13 @@ func (h *wrapHandle[S]) Close(ctx Ctx) error {
 	return err
 }
 
-// Start begins a Read or Write as a run of the layer, when it can start
-// one (see Starter).
-func (h *wrapHandle[S]) Start(ctx Ctx, write bool, off, n int64, reply func()) Run {
+// Start begins a handle operation as a run of the layer, when it can
+// start one (see Starter).
+func (h *wrapHandle[S]) Start(ctx Ctx, c Call, reply func()) Run {
 	if h.fs.st == nil {
 		return nil
 	}
-	c := Call{Kind: OpRead, H: h.inner, Off: off, N: n}
-	if write {
-		c.Kind = OpWrite
-	}
+	c.H = h.inner
 	return h.fs.st.Start(ctx, c, h.s, reply)
 }
 

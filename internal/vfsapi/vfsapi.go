@@ -106,32 +106,33 @@ type Handle interface {
 	Path() string
 }
 
-// Starter is implemented by a handle whose Read and Write can begin in
-// an engine callback acting for a parked process: a transport's
-// dispatch continuation starts the request at the event where the
-// process would have resumed to call Read or Write, so a request served
-// from a cache parks its process once from the syscall or enqueue to
-// the end of the reply.
+// Starter is implemented by a filesystem whose Open, and by a handle
+// whose Read, Write or Close, can begin in an engine callback acting for
+// a parked process: a transport's dispatch continuation starts the
+// operation at the event where the process would have resumed to call
+// it, so an operation served from a cache parks its process once from
+// the syscall or enqueue to the end of the reply.
 type Starter interface {
-	// Start begins a Read (with write, a Write) of n bytes at off for
-	// ctx.P, which is parked with no pending wake or about to park. It
-	// returns nil, having done nothing, when the process must call Read
-	// or Write itself, as on a stale or closed handle whose error path
-	// charges CPU. Otherwise the run goes on as engine callbacks: once it
-	// has served the request it calls reply, whose end must resume ctx.P,
-	// or, with a nil reply, resumes ctx.P itself; at any point where the
-	// process must act it resumes ctx.P with sim.(*Proc).ResumeHere
-	// without calling reply. Either way the resumed process calls Finish.
-	Start(ctx Ctx, write bool, off, n int64, reply func()) Run
+	// Start begins c, whose target is the Starter, for ctx.P, which is
+	// parked with no pending wake or about to park. It returns nil,
+	// having done nothing, when the process must run c itself, as on a
+	// stale or closed handle whose error path charges CPU, or for an
+	// operation the Starter runs no other way. Otherwise the run goes
+	// on as engine callbacks: once it has served c it calls reply, whose
+	// end must resume ctx.P, or, with a nil reply, resumes ctx.P itself;
+	// at any point where the process must act it resumes ctx.P with
+	// sim.(*Proc).ResumeHere without calling reply. Either way the
+	// resumed process calls Finish.
+	Start(ctx Ctx, c Call, reply func()) Run
 }
 
-// Run is a Read or Write a Starter began.
+// Run is an operation a Starter began.
 type Run interface {
 	// Finish goes on from where the run handed control back, in the
-	// process, and returns what Read or Write returns. After the run
+	// process, and returns what the operation returns. After the run
 	// called reply, Finish only returns the result, so the end of the
 	// reply may call it in an engine callback.
-	Finish(ctx Ctx) (int64, error)
+	Finish(ctx Ctx) (Result, error)
 }
 
 // Errors returned by FileSystem implementations.
