@@ -10,11 +10,13 @@
 //	danausbench -exp blamesweep -blame blame.json -whatif lockcs=0.5,flusher=pinned
 //
 // Each experiment prints the same rows/series the paper reports; see
-// EXPERIMENTS.md for the paper-vs-measured record. With -trace and/or
-// -metrics, every testbed built by the selected experiments records
-// cross-layer spans and per-tenant metrics (see OBSERVABILITY.md);
-// the trace loads in the Perfetto UI and -metrics accepts a .csv
-// suffix for the time-series alone.
+// EXPERIMENTS.md for the paper-vs-measured record. Stdout holds
+// simulated results only, the same bytes observed, profiled or not;
+// wall-clock times and notes of written files go to stderr. With
+// -trace and/or -metrics, every testbed built by the selected
+// experiments records cross-layer spans and per-tenant metrics (see
+// OBSERVABILITY.md); the trace loads in the Perfetto UI and -metrics
+// accepts a .csv suffix for the time-series alone.
 //
 // -blame writes the latency blame analysis (critical-path buckets per
 // tenant plus the interference matrix) of every recorded run to the
@@ -86,9 +88,9 @@ type harness struct {
 	parsedWhatIf *blame.WhatIf
 
 	// failures counts the invariant violations experiment rows report
-	// (Row.Violations). Outside -fuzz mode they turn the exit status
-	// nonzero so CI catches a run whose rows printed fine but broke a
-	// correctness property.
+	// (experiments.Violations). Outside -fuzz mode they turn the exit
+	// status nonzero so CI catches a run whose rows printed fine but
+	// broke a correctness property.
 	failures int
 	// obsRuns holds one recorder per observed testbed, in construction
 	// order; opCaptures the per-run op captures, parallel to obsRuns.
@@ -386,7 +388,7 @@ func main() {
 		exit(2)
 	}
 	for _, e := range selected {
-		h.runOne(e)
+		h.runOne(e, os.Stdout, os.Stderr)
 	}
 	h.exportObs()
 	h.exportBlame()
@@ -485,7 +487,7 @@ func (h *harness) exportBlame() {
 		}
 		return blame.WriteJSON(w, reports)
 	})
-	fmt.Printf("blame: %d run(s) -> %s\n", len(reports), path)
+	fmt.Fprintf(os.Stderr, "blame: %d run(s) -> %s\n", len(reports), path)
 
 	if len(h.whatIfReports) > 0 {
 		wiPath := strings.TrimSuffix(path, filepath.Ext(path)) + "-whatif.json"
@@ -497,40 +499,41 @@ func (h *harness) exportBlame() {
 			}
 			return nil
 		})
-		fmt.Printf("what-if: %d comparison(s) -> %s\n", len(h.whatIfReports), wiPath)
+		fmt.Fprintf(os.Stderr, "what-if: %d comparison(s) -> %s\n", len(h.whatIfReports), wiPath)
 	}
 }
 
 // exportObs writes the collected recorders to the -trace and -metrics
-// files and reports where they landed.
+// files (the metrics as CSV time series when the path ends in .csv) and
+// reports where they landed.
 func (h *harness) exportObs() {
 	if h.trace != "" {
-		if err := obs.WriteTraceFile(h.trace, h.obsRuns); err != nil {
-			fmt.Fprintf(os.Stderr, "trace export: %v\n", err)
-			exit(1)
-		}
-		fmt.Printf("trace: %d run(s) -> %s\n", len(h.obsRuns), h.trace)
+		writeFile(h.trace, "trace export", func(w io.Writer) error { return obs.WriteTrace(w, h.obsRuns) })
+		fmt.Fprintf(os.Stderr, "trace: %d run(s) -> %s\n", len(h.obsRuns), h.trace)
 	}
 	if h.metrics != "" {
-		if err := obs.WriteMetricsFile(h.metrics, h.obsRuns); err != nil {
-			fmt.Fprintf(os.Stderr, "metrics export: %v\n", err)
-			exit(1)
-		}
-		fmt.Printf("metrics: %d run(s) -> %s\n", len(h.obsRuns), h.metrics)
+		writeFile(h.metrics, "metrics export", func(w io.Writer) error {
+			if strings.HasSuffix(h.metrics, ".csv") {
+				return obs.WriteMetricsCSV(w, h.obsRuns)
+			}
+			return obs.WriteMetrics(w, h.obsRuns)
+		})
+		fmt.Fprintf(os.Stderr, "metrics: %d run(s) -> %s\n", len(h.obsRuns), h.metrics)
 	}
 }
 
 // runOne runs one experiment of the table, checking every row and
 // collecting what the artifact flags export; with -out it then writes
-// the experiment's files.
-func (h *harness) runOne(e experiments.Experiment) {
-	fmt.Printf("=== %s (factor %.2f, window %v) ===\n", e.Name, h.run.Factor, h.run.Duration)
+// the experiment's files. Its rows go to w, its wall-clock time to
+// timing.
+func (h *harness) runOne(e experiments.Experiment, w, timing io.Writer) {
+	fmt.Fprintf(w, "=== %s (factor %.2f, window %v) ===\n", e.Name, h.run.Factor, h.run.Duration)
 	start := time.Now()
 	// Rows are kept only for -out: a monitorsweep row holds a testbed.
 	keep := h.out != "" && e.Files != nil
 	var rows []experiments.Row
-	e.Render(os.Stdout, h.run, func(r experiments.Row) {
-		h.collect(r)
+	e.Render(w, h.run, func(r experiments.Row) {
+		h.collect(r, w)
 		if keep {
 			rows = append(rows, r)
 		}
@@ -538,42 +541,43 @@ func (h *harness) runOne(e experiments.Experiment) {
 	if keep {
 		writeOut(h.out, e.Files(rows)...)
 	}
-	fmt.Printf("--- %s done in %v\n\n", e.Name, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "--- %s\n\n", e.Name)
+	fmt.Fprintf(timing, "--- %s done in %v\n", e.Name, time.Since(start).Round(time.Millisecond))
 }
 
 // collect checks one printed row for invariant violations and gathers
 // the blame reports -blame exports. Under -whatif a blame row is
-// followed by its what-if comparison.
-func (h *harness) collect(r experiments.Row) {
-	h.noteViolations(r.Violations())
+// followed on w by its what-if comparison.
+func (h *harness) collect(r experiments.Row, w io.Writer) {
+	h.noteViolations(experiments.Violations(r))
 	if r, ok := r.(experiments.BlameRow); ok {
 		h.blameReports = append(h.blameReports, r.Report)
 		if h.parsedWhatIf != nil {
 			measured, _ := experiments.RunBlameSweep(r.Case, h.run.Scale, h.parsedWhatIf)
 			cmp := blame.CompareWhatIf(*h.parsedWhatIf, r.Report, measured)
 			h.whatIfReports = append(h.whatIfReports, cmp)
-			blame.RenderWhatIf(os.Stdout, cmp)
-			fmt.Println()
+			blame.RenderWhatIf(w, cmp)
+			fmt.Fprintln(w)
 		}
 	}
 }
 
-// writeOut writes each file under dir and reports where it landed.
+// writeOut writes each file under dir and notes where it landed.
 func writeOut(dir string, files ...experiments.File) {
 	for _, f := range files {
 		path := filepath.Join(dir, f.Name)
 		writeFile(path, f.Name, f.Write)
-		fmt.Println("out ->", path)
+		fmt.Fprintln(os.Stderr, "out ->", path)
 	}
 }
 
-// writeTrace writes one recorded op trace and reports where it landed.
+// writeTrace writes one recorded op trace and notes where it landed.
 func writeTrace(path string, tr *trace.Trace) {
 	if err := tr.WriteFile(path); err != nil {
 		fmt.Fprintf(os.Stderr, "trace record: %v\n", err)
 		exit(1)
 	}
-	fmt.Printf("record: %d op(s) -> %s\n", len(tr.Ops), path)
+	fmt.Fprintf(os.Stderr, "record: %d op(s) -> %s\n", len(tr.Ops), path)
 }
 
 // writeFile creates path and fills it with emit, exiting 1 with a

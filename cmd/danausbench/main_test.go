@@ -187,7 +187,7 @@ func TestOutMatchesGolden(t *testing.T) {
 	}
 	for _, e := range experiments.Table() {
 		if e.Name == "crashsweep" || e.Name == "tracesweep" {
-			h.runOne(e)
+			h.runOne(e, io.Discard, io.Discard)
 		}
 	}
 	h.replay = filepath.Join(dir, "tracesweep-baseline.trace")
@@ -207,6 +207,67 @@ func TestOutMatchesGolden(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s differs from testdata/golden/%s:\n%s", name, name, got)
+		}
+	}
+}
+
+// TestStdoutIsSimulatedOnly: an experiment's stdout holds simulated
+// results only. A plain run and one under the CLI's own attach hook
+// (-metrics set) print the bytes testdata/golden/harness-quick.txt
+// holds for table1 and table2, and for fig6c, whose four testbeds the
+// hook records; each experiment's wall-clock "done in" line goes to
+// the timing writer instead.
+func TestStdoutIsSimulatedOnly(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "harness-quick.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"fig6c", "table1", "table2"} // -exp all order
+	var want strings.Builder
+	for _, name := range names {
+		_, rest, ok := strings.Cut(string(golden), "=== "+name+" (")
+		section, _, ok2 := strings.Cut(rest, "--- "+name+"\n\n")
+		if !ok || !ok2 {
+			t.Fatalf("harness-quick.txt has no closed %s section", name)
+		}
+		want.WriteString("=== " + name + " (" + section + "--- " + name + "\n\n")
+	}
+	metrics := filepath.Join(t.TempDir(), "m.json")
+	for _, args := range [][]string{{"-exp", "all"}, {"-exp", "all", "-metrics", metrics}} {
+		o, err := parseFlags(flag.NewFlagSet("danausbench", flag.ContinueOnError), args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := newHarness(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stdout, timing strings.Builder
+		for _, name := range names {
+			for _, e := range experiments.Table() {
+				if e.Name == name {
+					h.runOne(e, &stdout, &timing)
+				}
+			}
+		}
+		if stdout.String() != want.String() {
+			t.Errorf("%q: stdout differs from harness-quick.txt\n--- got\n%s--- want\n%s", args, stdout.String(), want.String())
+		}
+		lines := strings.Split(strings.TrimSuffix(timing.String(), "\n"), "\n")
+		if len(lines) != len(names) {
+			t.Fatalf("%q: timing writer got %q, want one line per experiment", args, timing.String())
+		}
+		for i, l := range lines {
+			if !strings.HasPrefix(l, "--- "+names[i]+" done in ") {
+				t.Errorf("%q: timing line %q, want --- %s done in <t>", args, l, names[i])
+			}
+		}
+		wantRuns := 0
+		if o.metrics != "" {
+			wantRuns = 4
+		}
+		if len(h.obsRuns) != wantRuns {
+			t.Errorf("%q: the attach hook recorded %d testbed(s), want %d", args, len(h.obsRuns), wantRuns)
 		}
 	}
 }

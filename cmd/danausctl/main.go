@@ -32,8 +32,7 @@ import (
 
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "monitor" {
-		runMonitorCmd(os.Args[2:])
-		return
+		os.Exit(runMonitorCmd(os.Args[2:], os.Stdout, os.Stderr))
 	}
 	o, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {
@@ -171,8 +170,6 @@ func runKVScenario(config core.Configuration, pools int, scale experiments.Scale
 		defer tb.Stop()
 		g := workloads.NewGroup(tb.Eng)
 		for i, in := range insts {
-			in := in
-			i := i
 			g.Go("kv", func(pp *sim.Proc) {
 				ctx := vfsapi.Ctx{P: pp, T: in.cont.NewThread()}
 				db, err := kvstore.Open(ctx, kvstore.Config{

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -88,6 +90,60 @@ func TestStrayArguments(t *testing.T) {
 			t.Errorf("monitor=%v %q: rejected: %v", c.monitor, c.args, err)
 		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
 			t.Errorf("monitor=%v %q: error %v does not name %s", c.monitor, c.args, err, c.want)
+		}
+	}
+}
+
+// TestMonitorReadsOnlyItsFormat: monitor renders every monitorsweep CSV
+// pair testdata/golden pins and exits 0, and exits 1 with a FILE:LINE:
+// message on a file in the other flag's format, a truncated row, a
+// field that is not a number or an unknown alert state, instead of
+// rendering zeros.
+func TestMonitorReadsOnlyItsFormat(t *testing.T) {
+	golden := filepath.Join("..", "..", "testdata", "golden")
+	windows, err := filepath.Glob(filepath.Join(golden, "monitorsweep-*-windows.csv"))
+	if err != nil || len(windows) != 4 {
+		t.Fatalf("want the 4 pinned windows CSVs, got %v (%v)", windows, err)
+	}
+	monitor := func(args ...string) (int, string, string) {
+		var stdout, stderr strings.Builder
+		code := runMonitorCmd(args, &stdout, &stderr)
+		return code, stdout.String(), stderr.String()
+	}
+	for _, w := range windows {
+		a := strings.TrimSuffix(w, "-windows.csv") + "-alerts.csv"
+		code, out, errOut := monitor("-windows", w, "-alerts", a)
+		if code != 0 || errOut != "" || !strings.Contains(out, "FIRING") || strings.Contains(out, "(0 row(s))") {
+			t.Errorf("%s: exit %d, stderr %q, stdout:\n%s", w, code, errOut, out)
+		}
+		if code, _, errOut := monitor("-windows", a); code != 1 || !strings.Contains(errOut, a+":1: header") {
+			t.Errorf("alerts CSV as -windows: exit %d, stderr %q", code, errOut)
+		}
+		if code, _, errOut := monitor("-alerts", w); code != 1 || !strings.Contains(errOut, w+":1: header") {
+			t.Errorf("windows CSV as -alerts: exit %d, stderr %q", code, errOut)
+		}
+	}
+
+	src, err := os.ReadFile(windows[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(src), "\n")
+	dir := t.TempDir()
+	for _, c := range []struct {
+		flag, name, content, want string
+	}{
+		{"-windows", "truncated.csv", strings.Join(lines[:2], "") + strings.Join(strings.Split(lines[2], ",")[:9], ","), "truncated.csv:3: 9 field(s), want 15"},
+		{"-windows", "nan.csv", strings.Join(lines[:2], "") + strings.Replace(lines[2], ",0,", ",zero,", 1), `nan.csv:3: start_us: bad value "zero"`},
+		{"-windows", "empty.csv", "", "empty.csv:1: empty file"},
+		{"-alerts", "state.csv", "t_us,tenant,slo,state,fast_burn,slow_burn\n1,A,p99,burning,1,1\n", `state.csv:2: state: bad value "burning"`},
+	} {
+		path := filepath.Join(dir, c.name)
+		if err := os.WriteFile(path, []byte(c.content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code, _, errOut := monitor(c.flag, path); code != 1 || !strings.Contains(errOut, c.want) {
+			t.Errorf("%s: exit %d, stderr %q, want %q", c.name, code, errOut, c.want)
 		}
 	}
 }

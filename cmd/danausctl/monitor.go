@@ -1,47 +1,51 @@
 package main
 
 import (
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // runMonitorCmd pretty-prints the live-telemetry artifacts written by
 // `danausbench -exp monitorsweep -out DIR`: the per-tenant
 // windowed aggregates as a latency timeline with inline p99 bars, and
-// the SLO burn-rate alert ledger as a fire/clear timeline.
-func runMonitorCmd(args []string) {
+// the SLO burn-rate alert ledger as a fire/clear timeline. It returns
+// the exit status: 2 for a bad command line, 1 for a file it cannot
+// read or that is not in the format its flag names.
+func runMonitorCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("monitor", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: danausctl monitor -windows FILE [-alerts FILE] [-tenant NAME]")
+		fmt.Fprintln(stderr, "usage: danausctl monitor -windows FILE [-alerts FILE] [-tenant NAME]")
 		fs.PrintDefaults()
 	}
 	o, err := parseMonitorFlags(fs, args)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "monitor: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "monitor: %v\n", err)
+		return 2
 	}
 	if o.windows == "" && o.alerts == "" {
 		fs.Usage()
-		os.Exit(2)
+		return 2
 	}
 	if o.windows != "" {
-		if err := renderWindows(o.windows, o.tenant); err != nil {
-			fmt.Fprintf(os.Stderr, "monitor: %v\n", err)
-			os.Exit(1)
+		if err := renderWindows(stdout, o.windows, o.tenant); err != nil {
+			fmt.Fprintf(stderr, "monitor: %v\n", err)
+			return 1
 		}
 	}
 	if o.alerts != "" {
-		if err := renderAlerts(o.alerts); err != nil {
-			fmt.Fprintf(os.Stderr, "monitor: %v\n", err)
-			os.Exit(1)
+		if err := renderAlerts(stdout, o.alerts); err != nil {
+			fmt.Fprintf(stderr, "monitor: %v\n", err)
+			return 1
 		}
 	}
+	return 0
 }
 
 // monitorOptions is the parsed monitor command line.
@@ -59,114 +63,70 @@ func parseMonitorFlags(fs *flag.FlagSet, args []string) (monitorOptions, error) 
 	return o, noArgs(fs)
 }
 
-// monWindow is one parsed windows-CSV row.
-type monWindow struct {
-	start, end       time.Duration
-	tenant           string
-	ops, errors      uint64
-	p50, p99, mean   time.Duration
-	queued           int
-	shed             uint64
-	topAggressor     string
-	topAggressorWait time.Duration
-}
-
-func readCSV(path string) ([][]string, error) {
+// readFile parses the file at path with read, which names path in its
+// errors.
+func readFile[T any](path string, read func(io.Reader, string) ([]T, error)) ([]T, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	r := csv.NewReader(f)
-	r.FieldsPerRecord = -1
-	recs, err := r.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 {
-		return nil, io.ErrUnexpectedEOF
-	}
-	return recs[1:], nil // drop header
+	return read(f, path)
 }
 
-func usDur(field string) time.Duration {
-	n, _ := strconv.ParseInt(field, 10, 64)
-	return time.Duration(n) * time.Microsecond
-}
-
-func uintField(field string) uint64 {
-	n, _ := strconv.ParseUint(field, 10, 64)
-	return n
-}
-
-func renderWindows(path, only string) error {
-	recs, err := readCSV(path)
+func renderWindows(w io.Writer, path, only string) error {
+	all, err := readFile(path, telemetry.ReadWindowsCSV)
 	if err != nil {
 		return err
 	}
-	var rows []monWindow
+	var rows []telemetry.WindowRow
 	var maxP99 time.Duration
-	for _, f := range recs {
-		if len(f) < 15 {
+	for _, r := range all {
+		if only != "" && r.Tenant != only {
 			continue
 		}
-		w := monWindow{
-			start: usDur(f[1]), end: usDur(f[2]), tenant: f[3],
-			ops: uintField(f[4]), errors: uintField(f[5]),
-			p50: usDur(f[7]), p99: usDur(f[8]), mean: usDur(f[10]),
-			queued: int(uintField(f[11])), shed: uintField(f[12]),
-			topAggressor: f[13], topAggressorWait: usDur(f[14]),
-		}
-		if only != "" && w.tenant != only {
-			continue
-		}
-		rows = append(rows, w)
-		if w.p99 > maxP99 {
-			maxP99 = w.p99
-		}
+		rows = append(rows, r)
+		maxP99 = max(maxP99, r.P99)
 	}
-	fmt.Printf("windows: %s (%d row(s))\n", path, len(rows))
+	fmt.Fprintf(w, "windows: %s (%d row(s))\n", path, len(rows))
 	if len(rows) == 0 {
 		return nil
 	}
-	fmt.Printf("  %-16s %-8s %6s %5s %9s %9s %6s %5s  %-22s %s\n",
+	fmt.Fprintf(w, "  %-16s %-8s %6s %5s %9s %9s %6s %5s  %-22s %s\n",
 		"window", "tenant", "ops", "err", "p50", "p99", "shed", "queue", "p99 bar", "interference")
 	const barWidth = 20
-	for _, w := range rows {
+	for _, r := range rows {
 		bar := 0
 		if maxP99 > 0 {
-			bar = int(int64(barWidth) * int64(w.p99) / int64(maxP99))
+			bar = int(int64(barWidth) * int64(r.P99) / int64(maxP99))
 		}
 		interference := ""
-		if w.topAggressor != "" {
-			interference = fmt.Sprintf("%s waits on %s %v", w.tenant, w.topAggressor, w.topAggressorWait.Round(time.Microsecond))
+		if r.TopAggressor != "" {
+			interference = fmt.Sprintf("%s waits on %s %v", r.Tenant, r.TopAggressor, r.TopAggressorWait.Round(time.Microsecond))
 		}
-		fmt.Printf("  [%5.1fs-%5.1fs] %-8s %6d %5d %9v %9v %6d %5d  %-22s %s\n",
-			w.start.Seconds(), w.end.Seconds(), w.tenant, w.ops, w.errors,
-			w.p50.Round(time.Microsecond), w.p99.Round(time.Microsecond),
-			w.shed, w.queued,
+		fmt.Fprintf(w, "  [%5.1fs-%5.1fs] %-8s %6d %5d %9v %9v %6d %5d  %-22s %s\n",
+			r.Start.Seconds(), r.End.Seconds(), r.Tenant, r.Ops, r.Errors,
+			r.P50.Round(time.Microsecond), r.P99.Round(time.Microsecond),
+			r.Shed, r.Queued,
 			"["+strings.Repeat("#", bar)+strings.Repeat(".", barWidth-bar)+"]",
 			interference)
 	}
 	return nil
 }
 
-func renderAlerts(path string) error {
-	recs, err := readCSV(path)
+func renderAlerts(w io.Writer, path string) error {
+	events, err := readFile(path, telemetry.ReadAlertsCSV)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("alerts: %s (%d transition(s))\n", path, len(recs))
-	for _, f := range recs {
-		if len(f) < 6 {
-			continue
-		}
+	fmt.Fprintf(w, "alerts: %s (%d transition(s))\n", path, len(events))
+	for _, e := range events {
 		mark := "CLEAR "
-		if f[3] == "firing" {
+		if e.State == telemetry.AlertFiring {
 			mark = "FIRING"
 		}
-		fmt.Printf("  %10v %s %s/%s fast=%s slow=%s\n",
-			usDur(f[0]).Round(time.Millisecond), mark, f[1], f[2], f[4], f[5])
+		fmt.Fprintf(w, "  %10v %s %s/%s fast=%.4f slow=%.4f\n",
+			e.T.Round(time.Millisecond), mark, e.Tenant, e.SLO, e.FastBurn, e.SlowBurn)
 	}
 	return nil
 }

@@ -171,7 +171,6 @@ func prepFor(newThread func() *cpu.Thread, w preparer) func(pp *sim.Proc) {
 func prepare(p *sim.Proc, eng *sim.Engine, fns ...func(pp *sim.Proc)) {
 	g := workloads.NewGroup(eng)
 	for i, fn := range fns {
-		fn := fn
 		g.Go(fmt.Sprintf("prep%d", i), fn)
 	}
 	g.Wait(p)

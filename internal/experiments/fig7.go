@@ -111,7 +111,6 @@ func runKV(r *rig, insts []*kvInstance, phase KVPhase, scale Scale, row *KVRow) 
 		// Open (and for gets, populate) each store concurrently.
 		preps := make([]func(pp *sim.Proc), len(insts))
 		for i, in := range insts {
-			in := in
 			preps[i] = func(pp *sim.Proc) {
 				ctx := vfsapi.Ctx{P: pp, T: in.cont.NewThread()}
 				db, err := openKV(ctx, r, in.cont, scale)

@@ -53,8 +53,8 @@ func TestMonitorSweepDeterministic(t *testing.T) {
 // admission-protected Danaus client fires AND clears its victim alert
 // around the disturbance, while the unprotected kernel client is still
 // in violation when the measurement window closes. The section must
-// also match harness_quick.txt byte for byte, which pins every fired
-// and cleared count and every end state.
+// also match testdata/golden/harness-quick.txt byte for byte, which
+// pins every fired and cleared count and every end state.
 func TestMonitorSweepAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")

@@ -11,14 +11,21 @@ import (
 	"repro/internal/workloads"
 )
 
-// Row is one printed result of a harness experiment.
+// Row is one printed result of a harness experiment: String renders
+// it as the harness prints it, minus the two-space row indent.
 type Row interface {
-	// String renders the row as the harness prints it, minus the
-	// two-space row indent.
 	String() string
-	// Violations describes every invariant the row breaks; nil when
-	// clean. The harness turns any into a nonzero exit status.
-	Violations() []string
+}
+
+// Violations describes every invariant r breaks; nil when clean or
+// when r checks none. A row that checks invariants (the crash, fault,
+// overload, trace, monitor and fuzz sweeps') has a Violations method;
+// the harness turns any violation into a nonzero exit status.
+func Violations(r Row) []string {
+	if c, ok := r.(interface{ Violations() []string }); ok {
+		return c.Violations()
+	}
+	return nil
 }
 
 // Experiment is one entry of the harness table: `danausbench -exp
@@ -231,8 +238,7 @@ func table1(_ Run, emit func(Row)) {
 // Line is a preformatted row with no invariants.
 type Line string
 
-func (l Line) String() string     { return string(l) }
-func (Line) Violations() []string { return nil }
+func (l Line) String() string { return string(l) }
 
 // BlameRow is one blame-sweep case: its blame report, rendered in full
 // and followed by a blank line.
@@ -247,8 +253,6 @@ func (r BlameRow) String() string {
 	return b.String()
 }
 
-func (BlameRow) Violations() []string { return nil }
-
 func (r InterferenceRow) String() string {
 	return fmt.Sprintf("%-14s %9.1f MB/s   neighbor-cores %6.1f%%   lock wait/req %-12v hold/req %v",
 		r.Label, r.FLSThroughputMBps, r.NeighborCoreUtilPct, r.LockWaitPerReq, r.LockHoldPerReq)
@@ -258,13 +262,3 @@ func (r SysbenchRow) String() string {
 	return fmt.Sprintf("%-14s ssb-p99 %-12v fls-avg %-12v ssb-cores %6.1f%%",
 		r.Label, r.SSBLatencyP99, r.FLSLatencyAvg, r.SSBCoreUtilPct)
 }
-
-// The figure rows reproduce the paper's plots and carry no invariants.
-
-func (InterferenceRow) Violations() []string { return nil }
-func (SysbenchRow) Violations() []string     { return nil }
-func (KVRow) Violations() []string           { return nil }
-func (StartupRow) Violations() []string      { return nil }
-func (ScaleoutRow) Violations() []string     { return nil }
-func (FileIORow) Violations() []string       { return nil }
-func (AblationRow) Violations() []string     { return nil }

@@ -13,9 +13,9 @@ import (
 )
 
 // TestHarnessQuickSections renders the fast harness experiments through
-// the experiment table at QuickScale and requires the exact bytes the
-// committed harness_quick.txt holds between each "=== <name>" header and
-// its "--- <name> done in" line. A probe or table change that shifts a
+// the experiment table at QuickScale and requires the exact bytes
+// testdata/golden/harness-quick.txt holds between each "=== <name>"
+// header and its "--- <name>" line. A probe or table change that shifts a
 // single simulated op fails here rather than only in a manual harness
 // diff. The rows' Violations are checked too. monitorsweep has its own
 // test, TestMonitorSweepAcceptance, which runs the same check.
@@ -26,13 +26,13 @@ func TestHarnessQuickSections(t *testing.T) {
 }
 
 // checkQuickSection renders one experiment at QuickScale, reports every
-// row's Violations and requires the section's harness_quick.txt bytes.
+// row's Violations and requires the section's harness-quick.txt bytes.
 // Each file the experiment exports (Experiment.Files) that
 // testdata/golden pins must equal its copy there; the tracesweep
 // baseline trace is not pinned.
 func checkQuickSection(t *testing.T, name string) {
 	t.Helper()
-	golden, err := os.ReadFile("../../harness_quick.txt")
+	golden, err := os.ReadFile(harnessQuick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,13 +46,13 @@ func checkQuickSection(t *testing.T, name string) {
 	var got strings.Builder
 	var rows []Row
 	exp.Render(&got, Run{Scale: QuickScale}, func(r Row) {
-		for _, v := range r.Violations() {
+		for _, v := range Violations(r) {
 			t.Errorf("%s: %s", name, v)
 		}
 		rows = append(rows, r)
 	})
 	if got.String() != want {
-		t.Errorf("%s: rendered section differs from harness_quick.txt\n--- got\n%s--- want\n%s", name, got.String(), want)
+		t.Errorf("%s: rendered section differs from harness-quick.txt\n--- got\n%s--- want\n%s", name, got.String(), want)
 	}
 	if exp.Files == nil {
 		return
@@ -82,13 +82,13 @@ func checkQuickSection(t *testing.T, name string) {
 // TestConcurrentObservedSections renders nine harness sections at
 // once, one goroutine each, every section under its own Run.Attach:
 // a recorder sampling every 10 ms, as danausbench -trace attaches, plus
-// a testbed count. Each section must print its harness_quick.txt bytes
+// a testbed count. Each section must print its harness-quick.txt bytes
 // and its hook must see every testbed the section builds (the run
 // counts danausbench -trace reports), so a runner that drops the hook
 // fails here, and under -race the test checks that concurrent runs
 // share no state.
 func TestConcurrentObservedSections(t *testing.T) {
-	golden, err := os.ReadFile("../../harness_quick.txt")
+	golden, err := os.ReadFile(harnessQuick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestConcurrentObservedSections(t *testing.T) {
 			var got strings.Builder
 			table[name].Render(&got, Run{Scale: QuickScale, Attach: attach}, nil)
 			if got.String() != want {
-				t.Errorf("%s: observed section differs from harness_quick.txt\n--- got\n%s--- want\n%s", name, got.String(), want)
+				t.Errorf("%s: observed section differs from harness-quick.txt\n--- got\n%s--- want\n%s", name, got.String(), want)
 			}
 			if runs != wantN {
 				t.Errorf("%s: Attach saw %d testbeds, want %d", name, runs, wantN)
@@ -124,8 +124,11 @@ func TestConcurrentObservedSections(t *testing.T) {
 	wg.Wait()
 }
 
+// harnessQuick is the pinned stdout of danausbench -exp all -scale quick.
+const harnessQuick = "../../testdata/golden/harness-quick.txt"
+
 // harnessSection returns the lines between an experiment's header and
-// its timing line in harness output.
+// its closing "--- <name>" line in harness output.
 func harnessSection(t *testing.T, out, name string) string {
 	t.Helper()
 	_, rest, ok := strings.Cut(out, "=== "+name+" (")
@@ -133,9 +136,9 @@ func harnessSection(t *testing.T, out, name string) string {
 		t.Fatalf("harness output has no %s section", name)
 	}
 	_, rest, _ = strings.Cut(rest, "\n")
-	section, _, ok := strings.Cut(rest, "--- "+name+" done in")
+	section, _, ok := strings.Cut(rest, "--- "+name+"\n")
 	if !ok {
-		t.Fatalf("harness %s section has no timing line", name)
+		t.Fatalf("harness %s section has no closing line", name)
 	}
 	return section
 }

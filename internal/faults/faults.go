@@ -254,7 +254,6 @@ func Install(eng *sim.Engine, clus *cluster.Cluster, targets CrashTargets, plan 
 	in := &Injector{clus: clus}
 	now := eng.Now()
 	for i, w := range plan.Windows {
-		w := w
 		if w.Kind.ClientCrash() {
 			if targets == nil {
 				return nil, fmt.Errorf("faults: window %d (%v): client crash needs crash targets", i, w)

@@ -126,21 +126,9 @@ func (k *Kernel) Stop() {
 // the global lru and writeback locks plus all per-file inode mutexes.
 // This is the quantity plotted in Fig 1b (per-request wait and hold).
 func (k *Kernel) LockStats() sim.LockStats {
-	var agg sim.LockStats
-	add := func(s sim.LockStats) {
-		agg.Acquisitions += s.Acquisitions
-		agg.Contended += s.Contended
-		agg.TotalWait += s.TotalWait
-		agg.TotalHold += s.TotalHold
-		if s.MaxWait > agg.MaxWait {
-			agg.MaxWait = s.MaxWait
-		}
-	}
-	add(k.lruLock.Stats())
-	add(k.writebackLock.Stats())
-	for _, m := range k.inodeLocks {
-		add(m.Stats())
-	}
+	agg := k.inodeLockStats()
+	agg.Add(k.lruLock.Stats())
+	agg.Add(k.writebackLock.Stats())
 	return agg
 }
 
@@ -148,22 +136,20 @@ func (k *Kernel) LockStats() sim.LockStats {
 // locks individually plus all inode mutexes aggregated — for the
 // observability harvest (host-level rows of the metrics registry).
 func (k *Kernel) LockBreakdown() map[string]sim.LockStats {
-	var imutex sim.LockStats
-	for _, m := range k.inodeLocks {
-		s := m.Stats()
-		imutex.Acquisitions += s.Acquisitions
-		imutex.Contended += s.Contended
-		imutex.TotalWait += s.TotalWait
-		imutex.TotalHold += s.TotalHold
-		if s.MaxWait > imutex.MaxWait {
-			imutex.MaxWait = s.MaxWait
-		}
-	}
 	return map[string]sim.LockStats{
 		"lru_lock": k.lruLock.Stats(),
 		"wb_lock":  k.writebackLock.Stats(),
-		"i_mutex":  imutex,
+		"i_mutex":  k.inodeLockStats(),
 	}
+}
+
+// inodeLockStats aggregates the statistics of every inode mutex.
+func (k *Kernel) inodeLockStats() sim.LockStats {
+	var agg sim.LockStats
+	for _, m := range k.inodeLocks {
+		agg.Add(m.Stats())
+	}
+	return agg
 }
 
 // ResetLockStats zeroes all kernel lock statistics (measurement window

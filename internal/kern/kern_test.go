@@ -459,6 +459,14 @@ func TestLockStatsAggregation(t *testing.T) {
 	if s.Acquisitions == 0 {
 		t.Fatal("no kernel lock acquisitions recorded")
 	}
+	// The aggregate is the sum of the three classes the harvest reports.
+	var sum sim.LockStats
+	for _, c := range r.kern.LockBreakdown() {
+		sum.Add(c)
+	}
+	if sum != s {
+		t.Fatalf("LockStats %+v, breakdown sums to %+v", s, sum)
+	}
 	r.kern.ResetLockStats()
 	if r.kern.LockStats().Acquisitions != 0 {
 		t.Fatal("reset did not clear lock stats")

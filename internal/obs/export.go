@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,26 +48,21 @@ func appendUsec(b []byte, ns int64) []byte {
 
 // WriteTrace writes the merged Chrome/Perfetto trace of runs to w.
 // Output is deterministic: events are emitted in recording order and
-// process ids in sorted tenant order.
+// process ids in sorted tenant order. A write error is checked once, at
+// the flush: a bufio.Writer keeps its first error.
 func WriteTrace(w io.Writer, runs []Run) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("{\"traceEvents\":[\n"); err != nil {
-		return err
-	}
+	bw.WriteString("{\"traceEvents\":[\n")
 	first := true
 	buf := make([]byte, 0, 256)
-	emit := func() error {
-		var err error
+	emit := func() {
 		if !first {
-			_, err = bw.WriteString(",\n")
+			bw.WriteString(",\n")
 		}
 		first = false
-		if err == nil {
-			_, err = bw.Write(buf)
-		}
-		return err
+		bw.Write(buf)
 	}
-	meta := func(kind string, pid, tid int, name string) error {
+	meta := func(kind string, pid, tid int, name string) {
 		buf = buf[:0]
 		buf = append(buf, `{"name":"`...)
 		buf = append(buf, kind...)
@@ -79,7 +73,7 @@ func WriteTrace(w io.Writer, runs []Run) error {
 		buf = append(buf, `,"args":{"name":`...)
 		buf = appendJSONString(buf, name)
 		buf = append(buf, `}}`...)
-		return emit()
+		emit()
 	}
 	for i, run := range runs {
 		rec := run.Rec
@@ -89,9 +83,7 @@ func WriteTrace(w io.Writer, runs []Run) error {
 		rec.Finalize()
 		base := i * 100
 		corePid := base + 1
-		if err := meta("process_name", corePid, 0, run.Label+" cores"); err != nil {
-			return err
-		}
+		meta("process_name", corePid, 0, run.Label+" cores")
 		maxCore := int32(-1)
 		for _, c := range rec.CoreEvents() {
 			if c.Core > maxCore {
@@ -99,9 +91,7 @@ func WriteTrace(w io.Writer, runs []Run) error {
 			}
 		}
 		for c := 0; c <= int(maxCore); c++ {
-			if err := meta("thread_name", corePid, c, fmt.Sprintf("core%d", c)); err != nil {
-				return err
-			}
+			meta("thread_name", corePid, c, fmt.Sprintf("core%d", c))
 		}
 		// One process per tenant, in sorted tenant order.
 		tenantPid := map[Sym]int{}
@@ -123,9 +113,7 @@ func WriteTrace(w io.Writer, runs []Run) error {
 			tenantPid[t] = byName[bySym[t]]
 		}
 		for _, t := range names {
-			if err := meta("process_name", byName[t], 0, run.Label+" "+t); err != nil {
-				return err
-			}
+			meta("process_name", byName[t], 0, run.Label+" "+t)
 		}
 		for _, c := range rec.CoreEvents() {
 			buf = buf[:0]
@@ -142,9 +130,7 @@ func WriteTrace(w io.Writer, runs []Run) error {
 			buf = append(buf, `,"args":{"kind":`...)
 			buf = appendJSONString(buf, rec.Str(c.Kind))
 			buf = append(buf, `}}`...)
-			if err := emit(); err != nil {
-				return err
-			}
+			emit()
 		}
 		for _, s := range rec.Slices() {
 			buf = buf[:0]
@@ -168,28 +154,11 @@ func WriteTrace(w io.Writer, runs []Run) error {
 				buf = append(buf, `,"err":true`...)
 			}
 			buf = append(buf, `}}`...)
-			if err := emit(); err != nil {
-				return err
-			}
+			emit()
 		}
 	}
-	if _, err := bw.WriteString("\n],\"displayTimeUnit\":\"ms\"}\n"); err != nil {
-		return err
-	}
+	bw.WriteString("\n],\"displayTimeUnit\":\"ms\"}\n")
 	return bw.Flush()
-}
-
-// WriteTraceFile writes the merged trace to path.
-func WriteTraceFile(path string, runs []Run) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteTrace(f, runs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // The metrics JSON document. Durations are nanoseconds; map keys are
@@ -327,12 +296,11 @@ func CSVField(s string) string {
 }
 
 // WriteMetricsCSV writes every time series of runs as CSV rows
-// (run,tenant,series,t_ns,value) in sorted run/tenant/series order.
+// (run,tenant,series,t_ns,value) in sorted run/tenant/series order,
+// checking for a write error once, at the flush.
 func WriteMetricsCSV(w io.Writer, runs []Run) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("run,tenant,series,t_ns,value\n"); err != nil {
-		return err
-	}
+	bw.WriteString("run,tenant,series,t_ns,value\n")
 	for _, run := range runs {
 		rec := run.Rec
 		if rec == nil {
@@ -354,34 +322,12 @@ func WriteMetricsCSV(w io.Writer, runs []Run) error {
 			sort.Strings(names)
 			for _, sn := range names {
 				for _, p := range t.series[sn].Points {
-					if _, err := fmt.Fprintf(bw, "%s,%s,%s,%d,%s\n",
+					fmt.Fprintf(bw, "%s,%s,%s,%d,%s\n",
 						CSVField(run.Label), CSVField(tn), CSVField(sn), int64(p.T),
-						strconv.FormatFloat(p.V, 'g', -1, 64)); err != nil {
-						return err
-					}
+						strconv.FormatFloat(p.V, 'g', -1, 64))
 				}
 			}
 		}
 	}
 	return bw.Flush()
-}
-
-// WriteMetricsFile writes metrics to path: CSV time series when the
-// path ends in .csv, the full JSON document otherwise.
-func WriteMetricsFile(path string, runs []Run) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	var werr error
-	if strings.HasSuffix(path, ".csv") {
-		werr = WriteMetricsCSV(f, runs)
-	} else {
-		werr = WriteMetrics(f, runs)
-	}
-	if werr != nil {
-		f.Close()
-		return werr
-	}
-	return f.Close()
 }

@@ -11,6 +11,16 @@ type LockStats struct {
 	Contended    uint64 // acquisitions that had to wait
 }
 
+// Add folds o into s, as if both locks' requests had been one lock's:
+// counts and totals sum, and MaxWait is the larger of the two.
+func (s *LockStats) Add(o LockStats) {
+	s.Acquisitions += o.Acquisitions
+	s.Contended += o.Contended
+	s.TotalWait += o.TotalWait
+	s.TotalHold += o.TotalHold
+	s.MaxWait = max(s.MaxWait, o.MaxWait)
+}
+
 // AvgWait returns the mean wait time per lock request.
 func (s LockStats) AvgWait() time.Duration {
 	if s.Acquisitions == 0 {

@@ -535,6 +535,15 @@ func TestTraceToWritesLines(t *testing.T) {
 	}
 }
 
+func TestLockStatsAdd(t *testing.T) {
+	s := LockStats{Acquisitions: 3, TotalWait: 5, TotalHold: 7, MaxWait: 4, Contended: 1}
+	s.Add(LockStats{Acquisitions: 2, TotalWait: 6, TotalHold: 1, MaxWait: 6, Contended: 2})
+	s.Add(LockStats{Acquisitions: 1, TotalWait: 1, TotalHold: 1, MaxWait: 1})
+	if want := (LockStats{Acquisitions: 6, TotalWait: 12, TotalHold: 9, MaxWait: 6, Contended: 3}); s != want {
+		t.Fatalf("Add = %+v, want %+v", s, want)
+	}
+}
+
 func TestLockStatsAverages(t *testing.T) {
 	e := NewEngine()
 	m := NewMutex(e, "avg")

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -378,6 +380,65 @@ func TestExportDeterminism(t *testing.T) {
 	}
 	if len(a2) <= len("t_us,tenant,slo,state,fast_burn,slow_burn\n") {
 		t.Fatal("alert ledger empty — scenario should fire")
+	}
+}
+
+// TestCSVRoundTrip: the readers return what the writers wrote, at the
+// files' microsecond and 4-decimal resolution, quoted tenant names
+// included.
+func TestCSVRoundTrip(t *testing.T) {
+	m := New(Config{FastWindow: time.Second, SlowWindow: 3 * time.Second, SLOs: []SLO{alertSLO()}})
+	for w := int64(0); w < 6; w++ {
+		base := time.Duration(w) * time.Second
+		lat := 1234567 * time.Nanosecond
+		if w >= 2 && w <= 3 {
+			lat *= 40
+		}
+		for i := 0; i < 8; i++ {
+			m.RecordOp(base+time.Duration(i+1)*100*time.Millisecond, `A,"1"`, "read", lat, 512, false)
+			m.RecordOp(base+time.Duration(i+1)*100*time.Millisecond, "B", "write", lat/2, 256, i == 0)
+		}
+		m.RecordWait(base+500*time.Millisecond, 2*time.Millisecond, `A,"1"`, "B")
+	}
+	m.Finalize(6 * time.Second)
+	var wb, ab bytes.Buffer
+	if err := m.WriteWindowsCSV(&wb); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteAlertsCSV(&ab); err != nil {
+		t.Fatal(err)
+	}
+
+	windows, err := ReadWindowsCSV(&wb, "w.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	us := func(d *time.Duration) { *d = d.Truncate(time.Microsecond) }
+	want := m.Windows()
+	for i := range want {
+		r := &want[i]
+		for _, d := range []*time.Duration{&r.Start, &r.End, &r.P50, &r.P99, &r.P999, &r.Mean, &r.TopAggressorWait} {
+			us(d)
+		}
+	}
+	if len(want) == 0 || !reflect.DeepEqual(windows, want) {
+		t.Errorf("windows read back as\n%+v\nwant\n%+v", windows, want)
+	}
+
+	alerts, err := ReadAlertsCSV(&ab, "a.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAlerts := m.Alerts()
+	if len(alerts) != len(wantAlerts) || len(alerts) == 0 {
+		t.Fatalf("read %d alert(s), want %d (> 0)", len(alerts), len(wantAlerts))
+	}
+	for i, a := range alerts {
+		w := wantAlerts[i]
+		if a.T != w.T.Truncate(time.Microsecond) || a.Tenant != w.Tenant || a.SLO != w.SLO || a.State != w.State ||
+			math.Abs(a.FastBurn-w.FastBurn) > 5e-5 || math.Abs(a.SlowBurn-w.SlowBurn) > 5e-5 {
+			t.Errorf("alert %d read back as %+v, want %+v", i, a, w)
+		}
 	}
 }
 

@@ -101,7 +101,6 @@ func (w *Fileserver) Prepare(ctx vfsapi.Ctx) error {
 // Run spawns the worker threads into g; they loop until clock.Done().
 func (w *Fileserver) Run(g *Group, clock Clock) {
 	for t := 0; t < w.Threads; t++ {
-		t := t
 		g.Go("fileserver", func(p *sim.Proc) {
 			w.worker(p, t, clock)
 		})

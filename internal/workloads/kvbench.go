@@ -47,7 +47,6 @@ func (w *KVPut) Defaults(scale float64) {
 func (w *KVPut) Run(g *Group, clock Clock) {
 	per := w.TotalBytes / int64(w.Threads)
 	for t := 0; t < w.Threads; t++ {
-		t := t
 		g.Go("kvput", func(p *sim.Proc) {
 			th := w.NewThread()
 			ctx := ctxFor(p, th)
@@ -121,7 +120,6 @@ func (w *KVGet) Run(g *Group, clock Clock) {
 	}
 	per := w.TotalBytes / int64(w.Threads) / w.ValueSize
 	for t := 0; t < w.Threads; t++ {
-		t := t
 		g.Go("kvget", func(p *sim.Proc) {
 			th := w.NewThread()
 			ctx := ctxFor(p, th)

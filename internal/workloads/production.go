@@ -216,7 +216,6 @@ func (w *Production) Run(g *Group, clock Clock) {
 				return
 			}
 			w.Offered++
-			a := a
 			g.Go("production-req", func(rp *sim.Proc) {
 				w.request(rp, clock, a)
 			})

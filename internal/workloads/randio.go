@@ -89,7 +89,6 @@ func (w *RandomIO) pathFor(tid int) string {
 // Run spawns the stressor threads.
 func (w *RandomIO) Run(g *Group, clock Clock) {
 	for t := 0; t < w.Threads; t++ {
-		t := t
 		g.Go("randio", func(p *sim.Proc) { w.worker(p, t, clock) })
 	}
 }

@@ -89,7 +89,6 @@ func (w *SeqIO) Prepare(ctx vfsapi.Ctx) error {
 // Run spawns the streaming threads.
 func (w *SeqIO) Run(g *Group, clock Clock) {
 	for t := 0; t < w.Threads; t++ {
-		t := t
 		g.Go("seqio", func(p *sim.Proc) { w.worker(p, t, clock) })
 	}
 }

@@ -73,7 +73,6 @@ func (w *Webserver) Prepare(ctx vfsapi.Ctx) error {
 // Run spawns the webserver threads.
 func (w *Webserver) Run(g *Group, clock Clock) {
 	for t := 0; t < w.Threads; t++ {
-		t := t
 		g.Go("webserver", func(p *sim.Proc) { w.worker(p, t, clock) })
 	}
 }

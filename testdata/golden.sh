@@ -11,15 +11,19 @@
 #
 # and the change's diff shows which rows moved.
 #
-# OUTDIR gets the faultsweep metrics and the sha256 of its Perfetto
+# OUTDIR gets the harness's stdout (harness-quick.txt for -exp all
+# -scale quick, harness-default.txt for fig6c then fig11b at -scale
+# default), the faultsweep metrics and the sha256 of its Perfetto
 # trace, the blamesweep blame and what-if JSON, the crashsweep,
 # tracesweep, K-replay and monitorsweep CSVs, the 50-scenario fuzz
 # sweep summary (ending in its sweep-hash) and the stdout of every
-# example program. The crash, trace, monitor and fuzz runs are under
-# the race detector. What is not pinned goes to SIDEDIR (a temporary
-# directory by default): the binaries, each run's printed rows, the
-# Perfetto trace itself (about 400 MB), the series and blame CSVs, the
-# tracesweep baseline trace and any shrunk fuzz reproducers.
+# example program. danausbench's stdout carries simulated results only;
+# each experiment's wall-clock time goes to stderr. The crash, trace,
+# monitor and fuzz runs are under the race detector. What is not pinned
+# goes to SIDEDIR (a temporary directory by default): the binaries, each
+# run's printed rows, the Perfetto trace itself (about 400 MB), the
+# series and blame CSVs, the tracesweep baseline trace and any shrunk
+# fuzz reproducers.
 set -euo pipefail
 
 [ $# -ge 1 ] || { echo "usage: $0 OUTDIR [SIDEDIR]" >&2; exit 2; }
@@ -38,6 +42,13 @@ cd "$(dirname "$0")/.."
 bin=$side/bin
 go build -o "$bin/danausbench" ./cmd/danausbench
 go build -race -o "$bin/danausbench-race" ./cmd/danausbench
+
+# Every figure and table.
+"$bin/danausbench" -exp all -scale quick > "$out/harness-quick.txt"
+{
+	"$bin/danausbench" -exp fig6c -scale default
+	"$bin/danausbench" -exp fig11b -scale default
+} > "$out/harness-default.txt"
 
 # Observability exports.
 "$bin/danausbench" -exp faultsweep -scale quick \
