@@ -16,11 +16,12 @@
 // -trace and/or -metrics, every testbed built by the selected
 // experiments records cross-layer spans and per-tenant metrics (see
 // OBSERVABILITY.md); the trace loads in the Perfetto UI and -metrics
-// accepts a .csv suffix for the time-series alone.
+// writes JSON to a .json file or the time series alone to a .csv file.
 //
 // -blame writes the latency blame analysis (critical-path buckets per
 // tenant plus the interference matrix) of every recorded run to the
-// given .json or .csv file. -whatif re-runs each blamesweep case under
+// given .json or .csv file. Both flags pick the format by the extension
+// in any case, and refuse any other. -whatif re-runs each blamesweep case under
 // a modified cost model ("nic=2x,osd=2x,lockcs=0.5,flusher=pinned")
 // and reports predicted-vs-measured per-tenant mean latency; with
 // -blame the comparison also lands in <base>-whatif.json.
@@ -237,6 +238,11 @@ func checkFlags(o *options) error {
 			return fmt.Errorf("-%s requires %s", r.flag, r.needs)
 		}
 	}
+	for _, out := range []struct{ flag, path string }{{"metrics", o.metrics}, {"blame", o.blame}} {
+		if out.path != "" && format(out.path) == "" {
+			return fmt.Errorf("-%s: %s must end in .json or .csv", out.flag, out.path)
+		}
+	}
 	// Output files are written after the runs: a missing directory must
 	// fail now, not once the experiment is done.
 	if o.out != "" && !isDir(o.out) {
@@ -257,6 +263,16 @@ func checkFlags(o *options) error {
 		}
 	}
 	return nil
+}
+
+// format returns the format that the extension of an -metrics or -blame
+// path asks for, in any case: "json" or "csv", or "" for any other.
+func format(path string) string {
+	switch ext := strings.ToLower(filepath.Ext(path)); ext {
+	case ".json", ".csv":
+		return ext[1:]
+	}
+	return ""
 }
 
 // isDir reports whether path names an existing directory.
@@ -482,7 +498,7 @@ func (h *harness) exportBlame() {
 		reports = append(reports, blame.Analyze(run.Label, run.Rec))
 	}
 	writeFile(path, "blame export", func(w io.Writer) error {
-		if strings.EqualFold(filepath.Ext(path), ".csv") {
+		if format(path) == "csv" {
 			return blame.WriteCSV(w, reports)
 		}
 		return blame.WriteJSON(w, reports)
@@ -504,7 +520,7 @@ func (h *harness) exportBlame() {
 }
 
 // exportObs writes the collected recorders to the -trace and -metrics
-// files (the metrics as CSV time series when the path ends in .csv) and
+// files (the metrics as CSV time series for a .csv path) and
 // reports where they landed.
 func (h *harness) exportObs() {
 	if h.trace != "" {
@@ -513,7 +529,7 @@ func (h *harness) exportObs() {
 	}
 	if h.metrics != "" {
 		writeFile(h.metrics, "metrics export", func(w io.Writer) error {
-			if strings.HasSuffix(h.metrics, ".csv") {
+			if format(h.metrics) == "csv" {
 				return obs.WriteMetricsCSV(w, h.obsRuns)
 			}
 			return obs.WriteMetrics(w, h.obsRuns)

@@ -142,6 +142,12 @@ func TestCheckFlags(t *testing.T) {
 		{"-tracediff a.trace,b.trace -out " + missing, "-out"},
 		{"-exp fig9r -trace " + file + "/x.json", "-trace"},
 		{"-exp faultsweep -trace " + dir + "/t.json -metrics " + dir + "/m.csv -blame " + dir + "/b.json", ""},
+		// -metrics and -blame write JSON or CSV, by the extension in any
+		// case; any other extension is refused before anything runs.
+		{"-exp table1 -metrics m.CSV -blame b.Json", ""},
+		{"-exp table1 -metrics m.txt", "-metrics: m.txt must end in .json or .csv"},
+		{"-exp table1 -blame b", "-blame: b must end in .json or .csv"},
+		{"-exp table1 -metrics m.json -blame b.csv.gz", "-blame"},
 		{"-exp fig6c -cpuprofile " + missing + "/cpu.pprof", "-cpuprofile"},
 		{"-fuzz 5 -cpuprofile " + file + "/cpu.pprof", "-cpuprofile"},
 		{"-exp fig6c -cpuprofile " + dir + "/cpu.pprof", ""},

@@ -12,7 +12,7 @@
 // kthreads; the user-level client takes client_lock around every call
 // and writes back from threads pinned to its pool. Fetch, the one
 // read-miss loop, is as pure: each client passes its wait, fill, crash
-// check and claim. Write-back shares Due, the one write-back-due test,
+// check and claim as the steps of its request run. Write-back shares Due, the one write-back-due test,
 // and Written, which takes a stored batch off the dirty total. Each
 // client stores a popped batch in one step (kern Mount.storeBatch,
 // cephclient writeBatch) that makes the client's one crash check,
@@ -60,11 +60,10 @@ type File[X any] struct {
 // wait and the caller waits for that fetch. A zero range with wait
 // false means [off, off+n) is resident.
 func (f *File[X]) Claim(off, n int64) (g extent.Extent, wait bool) {
-	gaps := f.Cached.Gaps(off, n)
-	if len(gaps) == 0 {
+	g, ok := f.Cached.FirstGap(off, n)
+	if !ok {
 		return extent.Extent{}, false
 	}
-	g = gaps[0]
 	if f.Fetching.Covered(g.Off, g.Len) > 0 {
 		return extent.Extent{}, true
 	}
@@ -72,27 +71,56 @@ func (f *File[X]) Claim(off, n int64) (g extent.Extent, wait bool) {
 	return g, false
 }
 
-// Fetch is the read-miss protocol both clients share. From a claim
-// (g, wait) of a read's window it waits for another reader's fetch or
-// fills g, checks for a crash (stale) and claims again, until a claim
-// finds the window resident (nil) or fill or stale fails. Each client
-// passes what the paper compares: its fetchQ wait; its fill (backend
-// read, crash check, insert, then the claim's release and the wake
-// even on failure); and its claim, lock-free in the kernel and under
-// client_lock in the user-level client.
-func Fetch(g extent.Extent, wait bool, waitFetch func(), fill func(extent.Extent) error, stale func() error, claim func() (extent.Extent, bool)) error {
-	for wait || g.Len > 0 {
-		if wait {
-			waitFetch()
-		} else if err := fill(g); err != nil {
-			return err
-		}
-		if err := stale(); err != nil {
-			return err
-		}
-		g, wait = claim()
+// Fetch is the read-miss protocol both clients share, run as a chain of
+// continuations while the reader's process stays parked. From a claim
+// (G, Wait) of a read's window it waits for another reader's fetch or
+// fills G, checks for a crash and claims again, until a claim finds the
+// window resident or a fill or the check fails. Each client passes what
+// the paper compares as its FetchSteps: its fetchQ wait; its fill
+// (backend read, crash check, insert, then the claim's release and the
+// wake even on failure); and its crash check and claim, lock-free in
+// the kernel and under client_lock in the user-level client.
+type Fetch struct {
+	G     extent.Extent // the current claim's range to fill
+	Wait  bool          // or the claim waits for another reader's fetch
+	Steps FetchSteps
+}
+
+// FetchSteps are one client's steps of a Fetch. Each runs where the loop
+// reaches it — in an engine callback acting for the parked reader, or in
+// the reader's process after a hand-back — and ends by calling the Fetch
+// method named: WaitFetch and Fill end in Filled, Reclaim ends in
+// Claimed or, at a crash, in Fetched with its error. Fetched ends the
+// loop: nil once the window is resident.
+type FetchSteps interface {
+	WaitFetch()
+	Fill(g extent.Extent)
+	Reclaim()
+	Fetched(err error)
+}
+
+// Claimed goes on from the claim (g, wait): a wait, a fill, or, with
+// the window resident, the loop's end.
+func (f *Fetch) Claimed(g extent.Extent, wait bool) {
+	f.G, f.Wait = g, wait
+	switch {
+	case wait:
+		f.Steps.WaitFetch()
+	case g.Len > 0:
+		f.Steps.Fill(g)
+	default:
+		f.Steps.Fetched(nil)
 	}
-	return nil
+}
+
+// Filled goes on after a wait, or a fill that ended with err: a failed
+// fill ends the loop, anything else checks for a crash and claims again.
+func (f *Fetch) Filled(err error) {
+	if err != nil {
+		f.Steps.Fetched(err)
+		return
+	}
+	f.Steps.Reclaim()
 }
 
 // Cache is one client's ledger: its file table, LRU and dirty list.

@@ -113,7 +113,7 @@ func TestWritten(t *testing.T) {
 		b, _ := c.File(2, 0)
 		c.MarkDirty(a, 0, 100, 10)
 		c.MarkDirty(b, 0, 50, 20)
-		_, n := a.Dirty.PopFirst(tc.pop)
+		_, n := a.Dirty.PopFirst(tc.pop, nil)
 		c.Written(a, n)
 		sum, listed, counter := c.DirtyAudit()
 		if counter != tc.wantDirty || sum != counter || listed != tc.wantListed || c.OldestDirty != tc.wantOldest {
@@ -132,10 +132,10 @@ func TestNextDirtySkipsFlushingAndUnlistsClean(t *testing.T) {
 		c.MarkDirty(f, 0, 100, 0)
 	}
 	a.Flushing = true
-	if _, n := a.Dirty.PopFirst(100); n != 100 { // a flusher took all of a's batch
+	if _, n := a.Dirty.PopFirst(100, nil); n != 100 { // a flusher took all of a's batch
 		t.Fatalf("popped %d of a's 100 dirty bytes", n)
 	}
-	b.Dirty.PopFirst(100) // b was written back
+	b.Dirty.PopFirst(100, nil) // b was written back
 	if f := c.NextDirty(); f != d {
 		t.Fatalf("NextDirty picked ino %d, want 3", f.Ino)
 	}
@@ -248,16 +248,60 @@ func TestReadaheadWindow(t *testing.T) {
 	}
 }
 
-// TestFetchOrder drives Fetch with scripted closures and checks the
-// order it calls them in: wait or fill, then the crash check, then the
-// next claim, until a claim finds the window resident or a fill or
-// crash check fails.
+// fetchScript is a scripted client of TestFetchOrder: each step logs
+// its call and goes on as the script says.
+type fetchScript struct {
+	f         Fetch
+	calls     []string
+	claims    []extent.Extent // what each claim returns, in turn; then resident
+	waits     []bool
+	fillErr   error
+	staleErrs int // the crash check fails on this call (1-based); 0 never
+	stales    int
+	done      bool
+	err       error
+}
+
+func (s *fetchScript) WaitFetch() {
+	s.calls = append(s.calls, "wait")
+	s.f.Filled(nil)
+}
+
+func (s *fetchScript) Fill(g extent.Extent) {
+	s.calls = append(s.calls, fmt.Sprintf("fill(%d+%d)", g.Off, g.Len))
+	s.f.Filled(s.fillErr)
+}
+
+func (s *fetchScript) Reclaim() {
+	s.calls = append(s.calls, "stale")
+	if s.stales++; s.stales == s.staleErrs {
+		s.Fetched(errStale)
+		return
+	}
+	s.calls = append(s.calls, "claim")
+	if len(s.claims) == 0 {
+		s.f.Claimed(extent.Extent{}, false) // off the script: resident
+		return
+	}
+	g, wait := s.claims[0], s.waits[0]
+	s.claims, s.waits = s.claims[1:], s.waits[1:]
+	s.f.Claimed(g, wait)
+}
+
+func (s *fetchScript) Fetched(err error) { s.done, s.err = true, err }
+
+var errStale = errors.New("stale")
+
+// TestFetchOrder drives Fetch with scripted steps and checks the order
+// it calls them in: wait or fill, then the crash check and the next
+// claim, until a claim finds the window resident or a fill or crash
+// check fails, which ends the loop once.
 func TestFetchOrder(t *testing.T) {
 	type claim struct {
 		g    extent.Extent
 		wait bool
 	}
-	errFill, errStale := errors.New("fill"), errors.New("stale")
+	errFill := errors.New("fill")
 	g := extent.Extent{Off: 4096, Len: 8192}
 	for _, tc := range []struct {
 		name      string
@@ -278,32 +322,14 @@ func TestFetchOrder(t *testing.T) {
 		{name: "stale after a fill", first: claim{wait: true}, claims: []claim{{g: g}}, staleErrs: 2,
 			want: "wait stale claim fill(4096+8192) stale", wantErr: errStale},
 	} {
-		var calls []string
-		stales := 0
-		err := Fetch(tc.first.g, tc.first.wait,
-			func() { calls = append(calls, "wait") },
-			func(g extent.Extent) error {
-				calls = append(calls, fmt.Sprintf("fill(%d+%d)", g.Off, g.Len))
-				return tc.fillErr
-			},
-			func() error {
-				calls = append(calls, "stale")
-				if stales++; stales == tc.staleErrs {
-					return errStale
-				}
-				return nil
-			},
-			func() (extent.Extent, bool) {
-				calls = append(calls, "claim")
-				if len(tc.claims) == 0 {
-					return extent.Extent{}, false // off the script: resident
-				}
-				c := tc.claims[0]
-				tc.claims = tc.claims[1:]
-				return c.g, c.wait
-			})
-		if got := strings.Join(calls, " "); got != tc.want || err != tc.wantErr {
-			t.Errorf("%s: calls %q, error %v; want %q, %v", tc.name, got, err, tc.want, tc.wantErr)
+		s := &fetchScript{fillErr: tc.fillErr, staleErrs: tc.staleErrs}
+		s.f.Steps = s
+		for _, c := range tc.claims {
+			s.claims, s.waits = append(s.claims, c.g), append(s.waits, c.wait)
+		}
+		s.f.Claimed(tc.first.g, tc.first.wait)
+		if got := strings.Join(s.calls, " "); got != tc.want || !s.done || s.err != tc.wantErr {
+			t.Errorf("%s: calls %q, ended %v with error %v; want %q, %v", tc.name, got, s.done, s.err, tc.want, tc.wantErr)
 		}
 	}
 }

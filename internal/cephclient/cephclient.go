@@ -275,20 +275,6 @@ func (c *Client) FaultStats() metrics.FaultCounters { return c.retry.Faults }
 // breaker is disabled).
 func (c *Client) BreakerStats() cluster.BreakerStats { return c.retry.BreakerStats() }
 
-// readBackend fetches [off, off+n) of ino with the client's bounded
-// retry policy: the first attempt follows the cluster's degraded-aware
-// routing; retries cycle through the replication group until the
-// per-op deadline or the retry budget runs out, at which point the op
-// fails with vfsapi.ErrIO (see cluster.Retrier.Do).
-func (c *Client) readBackend(ctx vfsapi.Ctx, ino uint64, off, n int64) error {
-	return c.retry.Do(ctx, true, func(try, member int) error {
-		if try == 0 {
-			return c.clus.Read(ctx, ino, off, n)
-		}
-		return c.clus.ReadReplica(ctx, ino, off, n, member)
-	})
-}
-
 // writePersist stores [off, off+n) of ino durably, retrying until it
 // lands: writeback must not drop data the application already handed
 // over, so unlike reads it blocks — each attempt advances the acting
@@ -370,18 +356,16 @@ func (c *Client) cacheInsert(ctx vfsapi.Ctx, f *cfile, off, n int64) {
 	}
 }
 
-// markDirty records a buffered write and throttles the writer above
-// the dirty limit. It reports false, recording nothing, when RevokeCaps
-// dropped f first: the writer must recap and retry on a current cfile.
+// markDirty records a buffered write and wakes the flushers. It reports
+// false, recording nothing, when RevokeCaps dropped f first: the writer
+// must recap and retry on a current cfile.
 func (c *Client) markDirty(ctx vfsapi.Ctx, f *cfile, off, n int64) bool {
 	marked := false
 	c.lockedMeta(ctx, func() { marked = c.mark(f, off, n) })
-	if !marked {
-		return false
+	if marked {
+		c.wakeFlushers()
 	}
-	c.wakeFlushers()
-	c.throttle(ctx)
-	return true
+	return marked
 }
 
 // mark records [off, off+n) of f dirty, unless RevokeCaps dropped f
@@ -408,15 +392,6 @@ func (c *Client) wakeFlushers() {
 // writer must not spin on the threshold.
 func (c *Client) overDirty() bool {
 	return c.cache.DirtyBytes >= c.cfg.MaxDirty && !c.stopped
-}
-
-// throttle holds the writer while the dirty data is over the limit.
-func (c *Client) throttle(ctx vfsapi.Ctx) {
-	for c.overDirty() {
-		start := c.eng.Now()
-		c.throttleQ.WaitTimeout(ctx.P, c.params.DirtyThrottleCheck)
-		ctx.T.Account().AddIOWait(c.eng.Now() - start)
-	}
 }
 
 // flusherLoop is a user-level writeback thread pinned to the pool's
@@ -477,8 +452,9 @@ func (c *Client) flushPass(ctx vfsapi.Ctx) {
 // it. It returns the bytes popped and sent, and ErrCrashed after a
 // crash or else the persist error.
 func (c *Client) writeBatch(ctx vfsapi.Ctx, f *cfile, max int64) (total, sent int64, err error) {
+	var buf [4]extent.Extent
 	var exts []extent.Extent
-	c.lockedMeta(ctx, func() { exts, total = f.Dirty.PopFirst(max) })
+	c.lockedMeta(ctx, func() { exts, total = f.Dirty.PopFirst(max, buf[:0]) })
 	for _, e := range exts {
 		if f.Unlinked {
 			continue

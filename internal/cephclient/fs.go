@@ -3,7 +3,6 @@ package cephclient
 import (
 	"repro/internal/cache"
 	"repro/internal/cluster"
-	"repro/internal/extent"
 	"repro/internal/obs"
 	"repro/internal/vfsapi"
 )
@@ -337,19 +336,21 @@ func (h *chandle) recap(ctx vfsapi.Ctx) {
 	}
 }
 
-// Read serves from the object cache, fetching misses from the OSDs.
-// The cache-hit part runs as one request run (see Start), which hands
-// control back at EOF, at a stale handle, and at a claim that must wait
-// for or fetch a range; the fetch loop then goes on in Finish.
+// Read serves from the object cache, fetching misses from the OSDs. It
+// runs as one request run (see Start), misses and waits for other
+// readers' fetches included; only a backend read that fails or finds
+// the client crashed hands control back, and the Retrier goes on in
+// Finish. A range another reader is fetching is awaited, not re-fetched
+// (the page in-flight locking of a real client).
 func (h *chandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	return h.do(ctx, vfsapi.OpRead, off, n)
 }
 
 // Write copies into the object cache and marks dirty, throttling at the
-// client's dirty limit. The cache-hit part runs as one request run (see
-// Start), which hands control back where the write must recap, at a
-// stale handle, at a revoked mark and at the dirty throttle; the
-// blocking code then goes on in Finish.
+// client's dirty limit. It runs as one request run (see Start), the
+// throttle included, which hands control back where the write must
+// recap, at a stale handle and at a revoked mark; the blocking code then
+// goes on in Finish.
 func (h *chandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	return h.do(ctx, vfsapi.OpWrite, off, n)
 }
@@ -419,50 +420,6 @@ func (h *chandle) refuse(ctx vfsapi.Ctx, kind vfsapi.Kind) error {
 
 // writable reports whether the handle was opened for writing.
 func (h *chandle) writable() bool { return h.flags.Writable() || h.flags.Has(vfsapi.CREATE) }
-
-// fetchAndCopy goes on from a claim of [off, off+fetchLen) — g to fetch,
-// or wait while another reader fetches part of it — claim by claim
-// until the range is resident, then copies [off, off+n) out of the
-// object cache. A range another reader is fetching is awaited, not
-// re-fetched (the page in-flight locking of a real client). A reader
-// the client's crash caught parked fails rather than insert into the
-// restarted incarnation's cache.
-func (h *chandle) fetchAndCopy(ctx vfsapi.Ctx, off, n, fetchLen int64, g extent.Extent, wait bool) (int64, error) {
-	c := h.c
-	err := cache.Fetch(g, wait,
-		func() { c.fetchQ.WaitTimeout(ctx.P, c.params.DirtyThrottleCheck) },
-		func(g extent.Extent) error {
-			c.wire(ctx, g.Len)
-			err := c.readBackend(ctx, h.f.Ino, g.Off, g.Len)
-			if err == nil {
-				err = h.failIfStale(ctx)
-			}
-			if err == nil {
-				c.stats.MissBytes += g.Len
-				c.cacheInsert(ctx, h.f, g.Off, g.Len)
-			}
-			// Released even on failure, or its waiters would park forever.
-			c.lockedMeta(ctx, func() { h.f.Fetching.Remove(g.Off, g.Len) })
-			c.fetchQ.Broadcast()
-			return err
-		},
-		func() error { return h.failIfStale(ctx) },
-		func() (extent.Extent, bool) { return h.claim(ctx, off, fetchLen) })
-	if err != nil {
-		return 0, err
-	}
-	// Copy out of the object cache (partially under client_lock).
-	c.stats.ReadBytes += n
-	c.copyData(ctx, n, false)
-	return n, nil
-}
-
-// claim claims the first missing range of [off, off+fetchLen) under
-// client_lock.
-func (h *chandle) claim(ctx vfsapi.Ctx, off, fetchLen int64) (g extent.Extent, wait bool) {
-	h.c.lockedMeta(ctx, func() { g, wait = h.f.Claim(off, fetchLen) })
-	return g, wait
-}
 
 // accept counts n bytes the handle takes into the cache.
 func (h *chandle) accept(n int64) {

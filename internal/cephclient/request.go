@@ -1,6 +1,8 @@
 package cephclient
 
 import (
+	"time"
+
 	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/cpu"
@@ -15,39 +17,42 @@ import (
 type hand uint8
 
 const (
-	handDone     hand = iota // served from the cache: return the result
-	handEOF                  // a read at or past the end of file: return 0
-	handLoop                 // a stale handle, a recap or a revoked mark: the blocking loop from its top
-	handFetch                // a read's claim waits or misses: the fetch loop from that claim
-	handRecap                // a write must recap before its copy
-	handThrottle             // a write is over the dirty limit
-	handLookup               // an open's path is not in the attribute cache: the MDS lookup
-	handCaps                 // an open's caps conflict with another holder's: acquire them, revoking
-	handTrunc                // an open truncates: make the handle, truncating
-	handMeta                 // a close's size push handed back in the MDS run: finish it
+	handDone   hand = iota // over: return the result
+	handLoop               // a stale handle, a recap or a revoked mark after a write's copy: the blocking write loop
+	handRetry              // a fill's backend read failed or cannot start: the Retrier goes on with it
+	handRecap              // a write must recap before its copy
+	handLookup             // an open's path is not in the attribute cache: the MDS lookup
+	handCaps               // an open's caps conflict with another holder's: acquire them, revoking
+	handTrunc              // an open truncates: make the handle, truncating
+	handMeta               // a close's size push handed back in the MDS run: finish it
 )
 
-// request carries the cache-hit part of one Open, Read, Write or Close
-// while its process stays parked. Each step is a chain on the caller's
-// thread whose continuation runs at the event where the straight-line
-// code resumed the process, does what the process did there, and starts
-// the next chain:
+// request carries one Open, Read, Write or Close while its process
+// stays parked. Each step is a chain on the caller's thread whose
+// continuation runs at the event where the straight-line code resumed
+// the process, does what the process did there, and starts the next
+// chain:
 //
 //	Open:  op CPU → client_lock + attribute lookup → caps → handle
-//	Read:  op CPU → client_lock + Touch → client_lock + Claim → locked copy
+//	Read:  op CPU → client_lock + Touch → client_lock + Claim → the
+//	       read-miss loop (cache.Fetch: fetchQ wait, or wire → the
+//	       backend read (cluster.ReadRun) → client_lock + Insert (+
+//	       client_lock + Evict when Over) → client_lock + release, then
+//	       client_lock + Claim) → locked copy
 //	Write: op CPU → locked copy → client_lock + Insert (+ client_lock +
-//	       Evict when Over) → size → client_lock + MarkDirty → flusher wake
+//	       Evict when Over) → size → client_lock + MarkDirty → flusher
+//	       wake → the dirty throttle (throttleQ waits while over the limit)
 //	Close: op CPU (→ wire → the MDS size push (cluster.MetaRun) →
 //	       attribute update, for a written file)
 //
-// At the first decision that needs the process — EOF, a stale handle, a
-// recap, a claim that waits or fetches, a revoked mark, the dirty
-// throttle, an attribute miss, a caps conflict, a truncation, a stalled
-// MDS or a hop error — or at the end, it records where in at and hands
-// control back with sim.(*Proc).ResumeHere. Each step pushes what the
-// process pushed, so a request keeps every simulated result;
-// TestChandleRunMatchesStraightLine checks this against the
-// straight-line code.
+// At the first decision that needs the process — a stale handle or a
+// recap after a write's copy, a revoked mark, a backend read that fails
+// or finds the client crashed, an attribute miss, a caps conflict, a
+// truncation, a stalled MDS or a hop error — or at the end, it records
+// where in at and hands control back with sim.(*Proc).ResumeHere. Each
+// step pushes what the process pushed, so a request keeps every
+// simulated result; TestChandleRunMatchesStraightLine checks this
+// against the straight-line code.
 type request struct {
 	c    *Client
 	h    *chandle // the handle of a Read, Write or Close; an Open's new handle
@@ -57,27 +62,35 @@ type request struct {
 
 	kind     vfsapi.Kind
 	off, n   int64
-	fetchLen int64         // a read's readahead window
-	g        extent.Extent // a read's claim (handFetch)
-	wait     bool          // the claim waits on fetchQ (handFetch)
+	err      error       // the result's error; a fill's error while it runs
+	fetchLen int64       // a read's readahead window
+	fetch    cache.Fetch // a read's miss loop
+	op       cluster.Op  // a fill's backend read (handRetry)
 	at       hand
+
+	ins     extent.Extent // the range an insert step records resident
+	insThen func()        // and the step after it
+	since   time.Duration // when a throttle wait began
 
 	path  string          // an Open's path; a Close's pushed path
 	flags vfsapi.OpenFlag // an Open's flags
 	info  vfsapi.FileInfo // an Open's attributes
 	ino   uint64          // and ino
-	err   error           // an Open's error
 	meta  *cluster.MetaRun
 
 	sc    obs.Scope // the operation's client-layer crossing, exited by done
 	reply func()    // a transport's reply, started by done; nil resumes the process
 
 	// Reusable continuations, bound once per pooled request.
-	readOp, touched, claimed  func()
-	writeOp, copied, inserted func()
-	evicted, marked, served   func()
-	openOp, looked            func()
-	closeOp, wired, pushed    func()
+	readOp, touched, claimed, copied func()
+	writeOp, inserted, evicted       func()
+	markNext, marked, served         func()
+	waited, fillWired, removed       func()
+	released, failed, throttled      func()
+	read                             func(error)
+	attempt                          func(try, member int) error
+	openOp, looked                   func()
+	closeOp, wired, pushed           func()
 }
 
 func (c *Client) getRequest(ctx vfsapi.Ctx, h *chandle, reply func(), kind vfsapi.Kind, off, n int64) *request {
@@ -87,22 +100,29 @@ func (c *Client) getRequest(ctx vfsapi.Ctx, h *chandle, reply func(), kind vfsap
 		c.requests = c.requests[:k-1]
 	} else {
 		r = &request{c: c}
-		r.readOp, r.touched, r.claimed = r.afterReadOp, r.touch, r.claim
-		r.writeOp, r.copied, r.inserted = r.afterWriteOp, r.insert, r.afterInsert
-		r.evicted, r.marked, r.served = r.evict, r.afterMark, r.done
+		r.fetch.Steps = r
+		r.readOp, r.touched, r.claimed, r.copied = r.afterReadOp, r.touch, r.claim, r.insert
+		r.writeOp, r.inserted, r.evicted = r.afterWriteOp, r.afterInsert, r.evict
+		r.markNext, r.marked, r.served = r.markLocked, r.afterMark, r.done
+		r.waited, r.fillWired, r.removed = r.afterWait, r.readBackend, r.afterRemove
+		r.released, r.failed, r.throttled = r.release, r.fail, r.afterThrottle
+		r.read, r.attempt = r.afterRead, r.readAttempt
 		r.openOp, r.looked = r.afterOpenOp, r.lookup
 		r.closeOp, r.wired, r.pushed = r.afterCloseOp, r.push, r.afterPush
 	}
 	r.h, r.p, r.t, r.span, r.sc, r.reply = h, ctx.P, ctx.T, ctx.Span, ctx.Span.Enter(obs.LayerClient), reply
-	r.kind, r.off, r.n, r.fetchLen, r.g, r.wait = kind, off, n, 0, extent.Extent{}, false
+	r.kind, r.off, r.n, r.err, r.fetchLen = kind, off, n, nil, 0
 	return r
 }
 
 func (c *Client) putRequest(r *request) {
 	r.h, r.p, r.t, r.span, r.sc, r.reply = nil, nil, nil, nil, obs.Scope{}, nil
-	r.path, r.info, r.err, r.meta = "", vfsapi.FileInfo{}, nil, nil
+	r.path, r.info, r.err, r.meta, r.insThen = "", vfsapi.FileInfo{}, nil, nil, nil
 	c.requests = append(c.requests, r)
 }
+
+// ctx is the context of the run's process.
+func (r *request) ctx() vfsapi.Ctx { return vfsapi.Ctx{P: r.p, T: r.t, Span: r.span} }
 
 // handBack records where the run stopped and resumes the process.
 func (r *request) handBack(at hand) {
@@ -110,10 +130,10 @@ func (r *request) handBack(at hand) {
 	r.p.ResumeHere()
 }
 
-// done ends a request served from the cache: it exits the client layer
-// and, under a transport that passed its reply, starts the reply chain,
-// whose end resumes the process; otherwise it resumes the process at
-// once.
+// done ends a request with its result in n and err: it exits the client
+// layer and, under a transport that passed its reply, starts the reply
+// chain, whose end resumes the process; otherwise it resumes the
+// process at once.
 func (r *request) done() {
 	r.sc.Exit()
 	if r.reply != nil {
@@ -124,9 +144,16 @@ func (r *request) done() {
 	r.handBack(handDone)
 }
 
+// end ends the request in its process with n and err.
+func (r *request) end(n int64, err error) {
+	r.n, r.err = n, err
+	r.sc.Exit()
+	r.at = handDone
+}
+
 // Finish goes on in the process from where the run handed control back
-// (see vfsapi.Run): the fetch loop of a read, the write loop, a recap,
-// the dirty throttle, the rest of an open or a close's size push.
+// (see vfsapi.Run): the Retrier of a fill, the write loop, a recap, the
+// rest of an open or a close's size push.
 func (r *request) Finish(ctx vfsapi.Ctx) (vfsapi.Result, error) {
 	if r.kind == vfsapi.OpOpen {
 		return r.finishOpen(ctx)
@@ -135,44 +162,46 @@ func (r *request) Finish(ctx vfsapi.Ctx) (vfsapi.Result, error) {
 	return vfsapi.Result{N: n}, err
 }
 
-// finish is Finish of a Read, Write or Close.
+// finish is Finish of a Read, Write or Close. Where the blocking code
+// ends in a step of the run — the rest of a fill, the dirty throttle —
+// it starts that step and parks again, until the request is over.
 func (r *request) finish(ctx vfsapi.Ctx) (int64, error) {
 	h, c := r.h, r.c
-	at, kind, off, n, fetchLen, g, wait, path, meta, sc := r.at, r.kind, r.off, r.n, r.fetchLen, r.g, r.wait, r.path, r.meta, r.sc
-	c.putRequest(r)
-	if at == handDone {
-		return n, nil // the run exited the client layer
-	}
-	defer sc.Exit()
-	switch at {
-	case handEOF:
-		return 0, nil
-	case handThrottle:
-		c.throttle(ctx)
-		return n, nil
-	case handMeta:
-		meta.Finish()
-		c.sizePushed(path, h.f)
-		return 0, nil
-	case handRecap:
-		h.recap(ctx)
-		h.accept(n)
-		c.copyData(ctx, n, true)
-	case handLoop:
-		if kind == vfsapi.OpRead {
-			// The handle went stale before the run's claim: the crash
-			// check and the claim, as the fetch loop makes them after
-			// each wait.
-			if err := h.failIfStale(ctx); err != nil {
-				return 0, err
-			}
-			g, wait = h.claim(ctx, off, fetchLen)
+	r.reply = nil // from here the process waits for the request's end
+	for {
+		switch r.at {
+		case handDone:
+			n, err := r.n, r.err
+			c.putRequest(r)
+			return n, err
+		case handRetry:
+			r.backendRead(c.retry.Retry(ctx, &r.op, r.err, r.attempt))
+			ctx.P.Park()
+		case handMeta:
+			r.meta.Finish()
+			c.sizePushed(r.path, h.f)
+			r.end(0, nil)
+		case handRecap:
+			h.recap(ctx)
+			h.accept(r.n)
+			c.copyData(ctx, r.n, true)
+			r.dirty(ctx)
+		case handLoop:
+			r.dirty(ctx)
 		}
 	}
-	if kind == vfsapi.OpWrite {
-		return h.dirty(ctx, off, n)
+}
+
+// dirty is the write loop in the process: it inserts the copied range
+// and marks it dirty (see chandle.dirty), then throttles the writer as
+// the run does.
+func (r *request) dirty(ctx vfsapi.Ctx) {
+	if _, err := r.h.dirty(ctx, r.off, r.n); err != nil {
+		r.end(0, err)
+		return
 	}
-	return h.fetchAndCopy(ctx, off, n, fetchLen, g, wait)
+	r.throttle()
+	ctx.P.Park()
 }
 
 // finishOpen is Finish of an Open: its handle, or the blocking rest of
@@ -228,15 +257,12 @@ func (r *request) start() {
 // afterReadOp clamps the read at the end of file and touches the file.
 func (r *request) afterReadOp() {
 	f := r.h.f
-	if r.off >= f.Size {
-		r.handBack(handEOF)
-		return
-	}
 	if r.off+r.n > f.Size {
 		r.n = f.Size - r.off
 	}
 	if r.n <= 0 {
-		r.handBack(handEOF)
+		r.n = 0
+		r.done()
 		return
 	}
 	r.locked(r.touched, r.c.holdStep())
@@ -251,23 +277,130 @@ func (r *request) touch() {
 	// Readahead (libcephfs prefetches on sequential streams): grow the
 	// fetch window while the stream stays sequential.
 	r.fetchLen = h.ra.Extend(r.off, r.n, h.f.Size, cache.MaxReadahead)
-	if h.stale() {
-		r.handBack(handLoop)
-		return
-	}
-	r.locked(r.claimed, h.c.holdStep())
+	r.Reclaim()
 }
 
-// claim copies out a fully cached range; a miss or an in-flight fetch
-// goes back to the process.
-func (r *request) claim() {
-	c := r.c
-	r.g, r.wait = r.h.f.Claim(r.off, r.fetchLen)
-	r.unlock()
-	if r.wait || r.g.Len > 0 {
-		r.handBack(handFetch)
+// Reclaim fails a read whose handle went stale, after the crash check's
+// charge, or claims the first missing range of its window under
+// client_lock (cache.FetchSteps).
+func (r *request) Reclaim() {
+	if r.h.stale() {
+		r.err = ErrCrashed
+		r.t.LockedChainThen(r.p, nil, nil, "", r.failed, r.c.opStep())
 		return
 	}
+	r.locked(r.claimed, r.c.holdStep())
+}
+
+// fail ends the read-miss loop with the error of a crash check.
+func (r *request) fail() { r.Fetched(r.err) }
+
+// claim goes on from the claim: a resident window is copied out, a miss
+// or an in-flight fetch goes on in the read-miss loop.
+func (r *request) claim() {
+	g, wait := r.h.f.Claim(r.off, r.fetchLen)
+	r.unlock()
+	r.fetch.Claimed(g, wait)
+}
+
+// WaitFetch waits on fetchQ for another reader's fetch of part of the
+// window (cache.FetchSteps).
+func (r *request) WaitFetch() {
+	r.c.fetchQ.WaitTimeoutThen(r.p, r.c.params.DirtyThrottleCheck, r.waited)
+}
+
+func (r *request) afterWait() { r.fetch.Filled(nil) }
+
+// Fill fetches g from the backend, charging the message's wire costs
+// first (cache.FetchSteps).
+func (r *request) Fill(g extent.Extent) {
+	steps := r.c.wireSteps(r.t, g.Len)
+	r.t.LockedChainThen(r.p, nil, nil, "", r.fillWired, steps[:]...)
+}
+
+// readBackend makes the first attempt of the fill's bounded backend
+// read (see cluster.Retrier.Do): a breaker denial fails the fill at
+// once; a crashed client and a failed attempt hand back, and the
+// Retrier goes on in the process.
+func (r *request) readBackend() {
+	c := r.c
+	op, err := c.retry.Begin(true)
+	if err != nil {
+		r.backendRead(err)
+		return
+	}
+	r.op = op
+	if !c.retry.Ready(&r.op) {
+		r.err = nil
+		r.handBack(handRetry)
+		return
+	}
+	c.clus.ReadThen(r.ctx(), r.h.f.Ino, r.fetch.G.Off, r.fetch.G.Len, r.read)
+}
+
+// afterRead ends the first attempt of the backend read.
+func (r *request) afterRead(err error) {
+	if err != nil {
+		r.err = err
+		r.handBack(handRetry)
+		return
+	}
+	r.c.retry.Succeeded(&r.op)
+	r.backendRead(nil)
+}
+
+// readAttempt is the Retrier's attempt of a fill's read: routed to the
+// least-degraded member first, then cycling through the group.
+func (r *request) readAttempt(try, member int) error {
+	ctx, g := r.ctx(), r.fetch.G
+	if try == 0 {
+		return r.c.clus.Read(ctx, r.h.f.Ino, g.Off, g.Len)
+	}
+	return r.c.clus.ReadReplica(ctx, r.h.f.Ino, g.Off, g.Len, member)
+}
+
+// backendRead goes on with a fill whose backend read ended with err. A
+// reader the client's crash caught parked fails, after the crash check's
+// charge, rather than insert into the restarted incarnation's cache; a
+// good read is inserted. The claim is released either way, or its
+// waiters would park forever.
+func (r *request) backendRead(err error) {
+	c := r.c
+	r.err = err
+	switch {
+	case err == nil && r.h.stale():
+		r.err = ErrCrashed
+		r.t.LockedChainThen(r.p, nil, nil, "", r.released, c.opStep())
+	case err == nil:
+		c.stats.MissBytes += r.fetch.G.Len
+		r.insertThen(r.fetch.G, r.released)
+	default:
+		r.release()
+	}
+}
+
+// release takes client_lock to release the fill's claim.
+func (r *request) release() { r.locked(r.removed, r.c.holdStep()) }
+
+// afterRemove releases the claim and wakes the readers waiting on it.
+func (r *request) afterRemove() {
+	g := r.fetch.G
+	r.h.f.Fetching.Remove(g.Off, g.Len)
+	r.unlock()
+	r.c.fetchQ.Broadcast()
+	r.fetch.Filled(r.err)
+}
+
+// Fetched ends the read-miss loop: with the window resident, the copy
+// out of the object cache, partially under client_lock; with an error,
+// the read (cache.FetchSteps).
+func (r *request) Fetched(err error) {
+	if err != nil {
+		r.n, r.err = 0, err
+		r.done()
+		return
+	}
+	c := r.c
 	c.stats.ReadBytes += r.n
 	locked, unlocked := c.copySteps(r.n, false)
 	r.t.LockedChainThen(r.p, c.clientLock, r.span, "client_lock", r.served, locked, unlocked)
@@ -294,25 +427,31 @@ func (r *request) insert() {
 		r.handBack(handLoop)
 		return
 	}
-	r.locked(r.inserted, h.c.holdStep())
+	r.insertThen(extent.Extent{Off: r.off, Len: r.n}, r.markNext)
+}
+
+// insertThen takes client_lock to record ext resident, then calls then.
+func (r *request) insertThen(ext extent.Extent, then func()) {
+	r.ins, r.insThen = ext, then
+	r.locked(r.inserted, r.c.holdStep())
 }
 
 // afterInsert evicts cold clean data when the cache is over its limit.
 func (r *request) afterInsert() {
 	c := r.c
-	c.cache.Insert(r.h.f, r.off, r.n)
+	c.cache.Insert(r.h.f, r.ins.Off, r.ins.Len)
 	r.unlock()
 	if c.cache.Over() {
 		r.locked(r.evicted, c.holdStep())
 		return
 	}
-	r.markLocked()
+	r.insThen()
 }
 
 func (r *request) evict() {
-	r.h.c.cache.Evict()
+	r.c.cache.Evict()
 	r.unlock()
-	r.markLocked()
+	r.insThen()
 }
 
 // markLocked grows the size view and takes client_lock to mark the
@@ -322,8 +461,8 @@ func (r *request) markLocked() {
 	r.locked(r.marked, r.c.holdStep())
 }
 
-// afterMark wakes the flushers; a revoked mark and the dirty throttle go
-// back to the process.
+// afterMark wakes the flushers and throttles the writer; a revoked mark
+// goes back to the process.
 func (r *request) afterMark() {
 	c := r.c
 	marked := c.mark(r.h.f, r.off, r.n)
@@ -333,11 +472,24 @@ func (r *request) afterMark() {
 		return
 	}
 	c.wakeFlushers()
-	if c.overDirty() {
-		r.handBack(handThrottle)
+	r.throttle()
+}
+
+// throttle holds the writer on throttleQ, as I/O wait, while the dirty
+// data is over the limit, then ends the write.
+func (r *request) throttle() {
+	c := r.c
+	if !c.overDirty() {
+		r.done()
 		return
 	}
-	r.done()
+	r.since = c.eng.Now()
+	c.throttleQ.WaitTimeoutThen(r.p, c.params.DirtyThrottleCheck, r.throttled)
+}
+
+func (r *request) afterThrottle() {
+	r.t.Account().AddIOWait(r.c.eng.Now() - r.since)
+	r.throttle()
 }
 
 // afterOpenOp takes client_lock to look the path up in the attribute
@@ -390,7 +542,7 @@ func (r *request) afterCloseOp() {
 // back in the MDS run, which the process finishes.
 func (r *request) push() {
 	r.at = handMeta
-	r.meta = r.c.clus.StartMeta(vfsapi.Ctx{P: r.p, T: r.t, Span: r.span}, cluster.MetaQuery{Op: cluster.MetaSetSize, Path: r.path, Size: r.h.f.Size}, r.pushed)
+	r.meta = r.c.clus.StartMeta(r.ctx(), cluster.MetaQuery{Op: cluster.MetaSetSize, Path: r.path, Size: r.h.f.Size}, r.pushed)
 }
 
 // afterPush updates the cached attribute once the MDS has the size.

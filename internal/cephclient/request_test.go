@@ -85,6 +85,18 @@ func (o *straightLine) markDirty(c *Client, ctx vfsapi.Ctx, f *cfile, off, n int
 	return true
 }
 
+// readBackend is the bounded backend read of a fill, through the
+// client's Retrier.
+func (o *straightLine) readBackend(c *Client, ctx vfsapi.Ctx, ino uint64, off, n int64) error {
+	return c.retry.Do(ctx, true, func(try, member int) error {
+		if try > 0 {
+			o.cover["read retried"]++
+			return c.clus.ReadReplica(ctx, ino, off, n, member)
+		}
+		return c.clus.Read(ctx, ino, off, n)
+	})
+}
+
 func (o *straightLine) read(h *chandle, ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	defer ctx.Span.Enter(obs.LayerClient).Exit()
 	if err := h.failIfStale(ctx); err != nil {
@@ -130,7 +142,7 @@ func (o *straightLine) read(h *chandle, ctx vfsapi.Ctx, off, n int64) (int64, er
 		o.cover["read miss"]++
 		missed = true
 		c.wire(ctx, g.Len)
-		rerr := c.readBackend(ctx, h.f.Ino, g.Off, g.Len)
+		rerr := o.readBackend(c, ctx, h.f.Ino, g.Off, g.Len)
 		if rerr != nil {
 			o.lockedMeta(c, ctx, func() { h.f.Fetching.Remove(g.Off, g.Len) })
 			c.fetchQ.Broadcast()
@@ -269,12 +281,16 @@ type chApp struct {
 
 // chToggle crashes the client at at and restarts it after back, or,
 // with revoke, has a second client open file at at, which revokes the
-// first client's caps.
+// first client's caps. With osd it crashes the OSD serving file's first
+// object for back instead, and with partition it cuts that OSD's
+// network, or with client too the client's, for back.
 type chToggle struct {
-	at     time.Duration
-	back   time.Duration
-	revoke bool
-	file   int
+	at             time.Duration
+	back           time.Duration
+	revoke         bool
+	osd, partition bool
+	client         bool
+	file           int
 }
 
 // chMount is how the applications reach the client.
@@ -295,6 +311,8 @@ type chScenario struct {
 	apps       []chApp
 	toggles    []chToggle
 	mount      chMount
+	breaker    bool // the client's Retrier has a circuit breaker
+	replicated bool // the cluster keeps two copies of each object
 }
 
 type chResult struct {
@@ -331,6 +349,7 @@ type chOutcome struct {
 	spans   obs.LockAgg // client_lock waits the spans attributed
 	stats   CacheStats
 	faults  metrics.FaultCounters
+	breaker cluster.BreakerStats
 	cover   map[string]int
 
 	panicked   string // the model's panic, if it panicked
@@ -422,7 +441,11 @@ func runChScenario(sc chScenario, straight bool, tick time.Duration) chOutcome {
 	cpus := cpu.New(e, params, sc.cores)
 	clus := cluster.New(e, params, 6)
 	acct := cpu.NewAccount("pool")
-	c := New(e, cpus, params, clus, Config{Name: "client", Acct: acct, CacheLimit: sc.cacheLimit, MaxDirty: sc.maxDirty})
+	cfg := Config{Name: "client", Acct: acct, CacheLimit: sc.cacheLimit, MaxDirty: sc.maxDirty}
+	if sc.breaker {
+		cfg.Breaker = func(from, to cluster.BreakerState) {}
+	}
+	c := New(e, cpus, params, clus, cfg)
 	other := New(e, cpus, params, clus, Config{Name: "other"})
 	rec := obs.New(obs.Config{Clock: e.Now})
 	o := &straightLine{cover: map[string]int{}}
@@ -454,6 +477,9 @@ func runChScenario(sc chScenario, straight bool, tick time.Duration) chOutcome {
 	e.SetWaitObserver(func(p *sim.Proc, kind, resource, holder string, _ int, start, dur time.Duration) {
 		out.waits = append(out.waits, chWait{p.ID(), kind, resource, holder, start, dur})
 	})
+	if sc.replicated {
+		clus.SetReplication(2)
+	}
 	for i, size := range sc.files {
 		if size > 0 {
 			clus.Provision(chPath(i), size)
@@ -471,6 +497,29 @@ func runChScenario(sc chScenario, straight bool, tick time.Duration) chOutcome {
 				if h, err := other.Open(ctx, chPath(tg.file), vfsapi.RDONLY); err == nil {
 					h.Close(ctx)
 				}
+				return
+			}
+			if tg.osd || tg.partition {
+				// Files provisioned empty have no ino yet: aim at the
+				// placement of ino 0 then.
+				var ino uint64
+				if n, err := clus.Tree().Lookup(chPath(tg.file)); err == nil {
+					ino = n.Ino
+				}
+				osd := clus.PlacementOf(ino, 0)
+				nic := clus.Fabric().Servers[osd]
+				if tg.client {
+					nic = clus.Fabric().Client
+				}
+				if tg.osd {
+					clus.OSDs()[osd].Crash()
+					p.Sleep(tg.back)
+					clus.OSDs()[osd].Restart()
+					return
+				}
+				nic.SetPartitioned(true)
+				p.Sleep(tg.back)
+				nic.SetPartitioned(false)
 				return
 			}
 			c.Crash()
@@ -571,6 +620,8 @@ func runChScenario(sc chScenario, straight bool, tick time.Duration) chOutcome {
 	out.spans = *rec.Registry().Tenant("app").Lock("client_lock")
 	out.stats = c.Stats()
 	out.faults = c.FaultStats()
+	out.breaker = c.BreakerStats()
+	o.cover["read denied by the breaker"] += int(out.breaker.ShortCircuits)
 	return out
 }
 
@@ -609,6 +660,7 @@ func compareCh(t *testing.T, name string, got, want chOutcome) {
 		{"span lock waits", got.spans, want.spans},
 		{"cache stats", got.stats, want.stats},
 		{"fault stats", got.faults, want.faults},
+		{"breaker stats", got.breaker, want.breaker},
 	} {
 		if !reflect.DeepEqual(c.got, c.want) {
 			t.Fatalf("%s: %s %v, straight line %v", name, c.what, c.got, c.want)
@@ -675,6 +727,27 @@ func TestChandleRunMatchesStraightLine(t *testing.T) {
 		}},
 		// Requests of several FUSE chunks: misses, hits, a read that ends
 		// on a short chunk and writes past the end of file.
+		// Misses over one and two objects, and a down OSD and a
+		// partitioned one under a fetch, which hand the backend read
+		// back to the Retrier.
+		"miss over two objects": {cores: 2, files: []int64{6 << 20}, apps: []chApp{
+			{ops: []chOp{{off: 4<<20 - 32*page, n: 16 * page}, {off: 4<<20 + 64*page, n: page}}},
+		}},
+		"down OSD": {cores: 2, replicated: true, files: []int64{256 * page}, toggles: []chToggle{{at: 10 * us, back: 300 * us, osd: true}}, apps: []chApp{
+			{ops: seq(0, false, 0, 64*page, 128*page)}, {ops: seq(0, false, 8*page, 160*page)},
+		}},
+		"partitioned OSD": {cores: 2, replicated: true, files: []int64{256 * page}, toggles: []chToggle{{at: 10 * us, back: 300 * us, partition: true}}, apps: []chApp{
+			{ops: seq(0, false, 0, 64*page, 128*page)}, {ops: seq(0, false, 8*page, 160*page)},
+		}},
+		// A client cut off from the cluster opens its breaker, which then
+		// denies reads until it half-opens.
+		"partitioned client": {cores: 2, breaker: true, replicated: true, files: []int64{256 * page}, toggles: []chToggle{{at: time.Millisecond, back: 20 * time.Millisecond, partition: true, client: true}}, apps: []chApp{
+			{ops: seq(0, false, 0, 64*page, 128*page, 192*page)}, {ops: seq(0, false, 8*page, 160*page, 200*page, 240*page)},
+			{ops: []chOp{{gap: 2 * time.Millisecond, off: 16 * page, n: page}, {gap: time.Millisecond, off: 32 * page, n: page},
+				{gap: time.Millisecond, off: 48 * page, n: page}, {gap: time.Millisecond, off: 80 * page, n: page}}},
+			{ops: []chOp{{gap: 8 * time.Millisecond, off: 128 * page, n: page}, {gap: 2 * time.Millisecond, off: 160 * page, n: page},
+				{gap: 2 * time.Millisecond, off: 192 * page, n: page}, {gap: 2 * time.Millisecond, off: 224 * page, n: page}}},
+		}},
 		"large requests": {cores: 2, files: []int64{2<<20 + 100, 0}, apps: []chApp{
 			{ops: []chOp{{n: 1 << 20}, {n: 1 << 20}, {off: 3 << 19, n: 1 << 20}, {off: 1 << 20, n: 600 << 10}}},
 			{ops: []chOp{{write: true, file: 1, n: 512 << 10}, {write: true, file: 1, off: 512 << 10, n: 300 << 10}, {file: 1, n: 1 << 20}}},
@@ -717,7 +790,7 @@ func TestChandleRunMatchesStraightLine(t *testing.T) {
 	// off, a miss or a throttled write falls back to the crossing's
 	// blocking reply, and under F/F only the inner crossing takes it.
 	mounts := map[string]chMount{"F: ": chFUSE, "F/F: ": chFUSE2, "D: ": chIPC}
-	for _, name := range []string{"miss and an in-flight fetch", "contended client_lock", "throttled writers", "revoked writers", "revoked during a copy", "large requests"} {
+	for _, name := range []string{"miss and an in-flight fetch", "contended client_lock", "throttled writers", "revoked writers", "revoked during a copy", "large requests", "down OSD", "partitioned OSD", "partitioned client"} {
 		for prefix, mount := range mounts {
 			sc := fixed[name]
 			sc.mount = mount
@@ -752,8 +825,33 @@ func TestChandleRunMatchesStraightLine(t *testing.T) {
 		compareCh(t, name, runChScenario(sc, false, tick), want)
 		note(name, want)
 	}
+	// Random scenarios again over a cluster that keeps two copies, with
+	// OSD crashes and partitions among the toggles and a breaker on half
+	// the clients, so reads fail over and fail fast.
+	faults := rand.New(rand.NewSource(3))
+	for n := 0; n < 300; n++ {
+		sc := randomChScenario(rng)
+		sc.mount = chMount(via.Intn(4))
+		sc.replicated, sc.breaker = true, faults.Intn(2) == 0
+		for i := range sc.toggles {
+			switch faults.Intn(3) {
+			case 0:
+				sc.toggles[i].osd, sc.toggles[i].revoke = true, false
+			case 1:
+				sc.toggles[i].partition, sc.toggles[i].revoke = true, false
+			}
+			if sc.toggles[i].osd || sc.toggles[i].partition {
+				sc.toggles[i].back = time.Duration(faults.Intn(2000)) * us
+			}
+		}
+		tick := time.Duration(20+rng.Intn(300)) * us
+		want := runChScenario(sc, true, tick)
+		name := fmt.Sprint("fault scenario ", n)
+		compareCh(t, name, runChScenario(sc, false, tick), want)
+		note(name, want)
+	}
 	for _, path := range []string{
-		"read hit", "read at EOF", "read clamped at EOF", "read miss", "read waits on fetchQ",
+		"read hit", "read at EOF", "read clamped at EOF", "read miss", "read waits on fetchQ", "read retried", "read denied by the breaker",
 		"read stale at its claim", "read stale after its fetch", "evict", "write throttled", "write stale after its copy",
 		"write recaps before its copy", "write recaps after its copy", "write mark revoked",
 		"FUSE read", "FUSE write", "IPC read", "IPC write",
@@ -886,6 +984,64 @@ func TestChandleRunParksOnce(t *testing.T) {
 		{Name: "CachedFUSEOpenClose", Body: cachedFUSEOpenClose, N: 5000, Max: 2},
 		{Name: "CachedIPCOpenClose", Body: cachedIPCOpenClose, N: 5000, Max: 2},
 	})
+}
+
+// TestHotPathAllocs holds a Read that misses one object and a Write the
+// dirty throttle holds allocation-free on a user-level client: their
+// request runs, object reads and throttle waits are pooled.
+func TestHotPathAllocs(t *testing.T) {
+	allocgate.Check(t, []allocgate.Case{
+		{Name: "ReadMiss", Body: readMiss, N: 2000},
+		{Name: "ThrottledWrite", Body: throttledWrite, N: 2000},
+	})
+}
+
+// BenchmarkReadMiss reads 64 KiB at a time, 1 MiB apart, from a file of
+// the user-level client that nothing has read yet: every Read misses
+// one object, and its request run fetches it.
+func BenchmarkReadMiss(b *testing.B) { allocgate.Bench(b, readMiss) }
+
+// BenchmarkThrottledWrite writes 64 KiB at a time through a client whose
+// dirty limit is 256 KiB, so most Writes wait in the dirty throttle
+// while the flushers write back.
+func BenchmarkThrottledWrite(b *testing.B) { allocgate.Bench(b, throttledWrite) }
+
+func readMiss(n int) func() {
+	return clientOps(n, Config{CacheLimit: 1 << 40}, func(ctx vfsapi.Ctx, h vfsapi.Handle, i int) {
+		h.Read(ctx, int64(i)<<20, 64<<10)
+	})
+}
+
+func throttledWrite(n int) func() {
+	return clientOps(n, Config{MaxDirty: 256 << 10}, func(ctx vfsapi.Ctx, h vfsapi.Handle, i int) {
+		h.Write(ctx, int64(i%64)*64<<10, 64<<10)
+	})
+}
+
+// clientOps has one thread call op n times on a handle of an 8 GiB file
+// of a user-level client configured as cfg.
+func clientOps(n int, cfg Config, op func(ctx vfsapi.Ctx, h vfsapi.Handle, i int)) func() {
+	e := sim.NewEngine()
+	params := model.Default()
+	cpus := cpu.New(e, params, 2)
+	clus := cluster.New(e, params, 6)
+	clus.Provision("/f", 8<<30)
+	acct := cpu.NewAccount("pool")
+	cfg.Name, cfg.Acct = "client", acct
+	c := New(e, cpus, params, clus, cfg)
+	th := cpus.NewThread(acct, 0)
+	e.Go("app", func(p *sim.Proc) {
+		ctx := vfsapi.Ctx{P: p, T: th}
+		h, err := c.Open(ctx, "/f", vfsapi.RDWR)
+		if err != nil {
+			panic(err)
+		}
+		for i := range n {
+			op(ctx, h, i)
+		}
+		c.Stop()
+	})
+	return e.Run
 }
 
 // BenchmarkCachedRead reads 4 KiB at a time through a warm 1 MiB file

@@ -11,12 +11,14 @@ import (
 
 // TestHotPathAllocs holds a first-try-success retrier run
 // allocation-free, the attempt closure staying on the caller's stack,
-// and so a contended MDS round trip once the fabric's routes and the
-// cluster's metadata runs are pooled.
+// and so a contended MDS round trip and a contended two-object read
+// once the fabric's routes and the cluster's metadata and read runs are
+// pooled.
 func TestHotPathAllocs(t *testing.T) {
 	allocgate.Check(t, []allocgate.Case{
 		{Name: "RetrierDo", Body: retrierDo, N: 10000},
 		{Name: "MetaRPC", Body: metaRPC, N: 2000},
+		{Name: "ObjectRead", Body: objectRead, N: 2000},
 	})
 }
 

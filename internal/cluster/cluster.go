@@ -33,6 +33,7 @@ type Cluster struct {
 	caps     map[uint64][]capEntry
 	sessions map[string]*mdsSession
 	metaRuns []*MetaRun // recycled metadata runs
+	readRuns []*ReadRun // recycled object-read runs
 
 	// replication is the number of OSD copies per object (Ceph pool
 	// "size"). The default of 1 matches the paper's ramdisk evaluation
@@ -599,55 +600,206 @@ func (c *Cluster) WriteReplica(ctx vfsapi.Ctx, ino uint64, off, n int64, acting 
 // primary), so a slow recovering OSD does not throttle reads that have
 // a healthy copy elsewhere.
 func (c *Cluster) Read(ctx vfsapi.Ctx, ino uint64, off, n int64) error {
-	return c.eachObject(off, n, func(objIdx, objOff, seg int64) error {
-		return c.readObject(ctx, ino, objIdx, objOff, seg, -1)
-	})
+	return c.read(ctx, ino, off, n, -1)
 }
 
 // ReadReplica is Read with the serving OSD pinned to replication-group
 // member `replica` (0 = primary). Clients cycle through members here
 // when the routed read fails.
 func (c *Cluster) ReadReplica(ctx vfsapi.Ctx, ino uint64, off, n int64, replica int) error {
-	return c.eachObject(off, n, func(objIdx, objOff, seg int64) error {
-		return c.readObject(ctx, ino, objIdx, objOff, seg, replica%c.replication)
-	})
+	return c.read(ctx, ino, off, n, replica%c.replication)
 }
 
-// readObject serves one object read from group member pin, or from the
-// least-degraded member when pin is negative. Down members are not
-// excluded from routing — liveness is discovered the hard way, via
-// ErrOSDDown, as with a real OSD map lagging a crash.
-func (c *Cluster) readObject(ctx vfsapi.Ctx, ino uint64, objIdx, objOff, seg int64, pin int) error {
-	s := c.placement(ino, objIdx)
-	m := pin
+// ReadThen is the continuation form of Read: it never parks ctx.P, so
+// an engine callback acting for a parked process may call it. then runs
+// with the read's error in the callback where Read would have resumed
+// the process: where the last object's reply lands, or where an error
+// ends the read.
+func (c *Cluster) ReadThen(ctx vfsapi.Ctx, ino uint64, off, n int64, then func(error)) {
+	if n <= 0 {
+		then(nil)
+		return
+	}
+	c.startRead(ctx, ino, off, n, -1, then)
+}
+
+// read is Read or ReadReplica in its process: the run, then its error.
+func (c *Cluster) read(ctx vfsapi.Ctx, ino uint64, off, n int64, pin int) error {
+	if n <= 0 {
+		return nil
+	}
+	r := c.startRead(ctx, ino, off, n, pin, nil)
+	ctx.P.Park()
+	err := r.err
+	c.putRead(r)
+	return err
+}
+
+// ReadRun carries an object read — [off, off+n) of a file, object by
+// object — while its process stays parked. Its steps run at the events
+// where the straight-line read resumed the process:
+//
+//	per object: request hops (net) → osd.media → OSDOpCost → media
+//	time, unlock → reply hops (net)
+//
+// entering and exiting the net and osd scopes at the same instants. A
+// down OSD and a hop error end the run with their error. Each object is
+// read from group member pin, or, with pin negative, from the
+// least-degraded member, chosen as the object's request starts. Down
+// members are not excluded from routing — liveness is discovered the
+// hard way, via ErrOSDDown, as with a real OSD map lagging a crash.
+// Each step pushes what the process pushed, so a run keeps every
+// simulated result; TestReadRunMatchesStraightLine checks this against
+// the straight-line read.
+type ReadRun struct {
+	c    *Cluster
+	p    *sim.Proc
+	span *obs.Span
+	ino  uint64
+	off  int64 // the current object's first byte
+	n    int64 // the bytes from off to the end of the read
+	pin  int
+	seg  int64         // the current object's bytes
+	osd  int           // the current object's serving OSD
+	mt   time.Duration // its media time
+	err  error
+	then func(error) // the run's continuation; nil resumes the process
+
+	sc obs.Scope // the current net or osd crossing
+
+	// Reusable continuations, bound once per pooled run.
+	sent, replied   func(error)
+	granted, opDone func()
+	mediaDone       func()
+}
+
+// startRead begins a read of [off, off+n), n > 0, for ctx.P, which is
+// parked with no pending wake or about to park. The run ends by calling
+// then, or with a nil then by resuming ctx.P.
+func (c *Cluster) startRead(ctx vfsapi.Ctx, ino uint64, off, n int64, pin int, then func(error)) *ReadRun {
+	var r *ReadRun
+	if k := len(c.readRuns); k > 0 {
+		r = c.readRuns[k-1]
+		c.readRuns = c.readRuns[:k-1]
+	} else {
+		r = &ReadRun{c: c}
+		r.sent, r.granted, r.opDone, r.mediaDone, r.replied = r.afterRequest, r.serve, r.afterOp, r.afterMedia, r.afterReply
+	}
+	r.p, r.span, r.ino, r.off, r.n, r.pin, r.then = ctx.P, ctx.Span, ino, off, n, pin, then
+	r.object()
+	return r
+}
+
+func (c *Cluster) putRead(r *ReadRun) {
+	r.p, r.span, r.err, r.then = nil, nil, nil, nil
+	c.readRuns = append(c.readRuns, r)
+}
+
+// object sends the request of the next object's part of the read.
+func (r *ReadRun) object() {
+	c := r.c
+	size := c.params.ObjectSize
+	objIdx := r.off / size
+	r.seg = min(size-r.off%size, r.n)
+	s := c.placement(r.ino, objIdx)
+	m := r.pin
 	if m < 0 {
 		m = 0
 		if c.replication > 1 {
 			best := c.osds[s].Degraded()
-			for r := 1; r < c.replication; r++ {
-				if d := c.osds[(s+r)%len(c.osds)].Degraded(); d < best {
-					best, m = d, r
+			for i := 1; i < c.replication; i++ {
+				if d := c.osds[(s+i)%len(c.osds)].Degraded(); d < best {
+					best, m = d, i
 				}
 			}
 		}
 	}
-	ms := (s + m) % len(c.osds)
-	nsc := ctx.Span.Enter(obs.LayerNet)
-	err := c.fabric.Request(ctx.P, ms, dataHdrBytes)
-	nsc.Exit()
+	r.osd = (s + m) % len(c.osds)
+	r.sc = r.span.Enter(obs.LayerNet)
+	c.fabric.RequestThen(r.p, r.osd, dataHdrBytes, r.sent)
+}
+
+// afterRequest queues for the OSD's media where the request lands.
+func (r *ReadRun) afterRequest(err error) {
+	r.sc.Exit()
 	if err != nil {
-		return err
+		r.end(err)
+		return
 	}
-	osc := ctx.Span.Enter(obs.LayerOSD)
-	err = c.osds[ms].read(ctx.P, objectID{ino, objIdx}, objOff, seg)
-	osc.Exit()
-	if err != nil {
-		return err
+	r.sc = r.span.Enter(obs.LayerOSD)
+	o := r.c.osds[r.osd]
+	if o.down {
+		r.osdFailed()
+		return
 	}
-	nsc = ctx.Span.Enter(obs.LayerNet)
-	err = c.fabric.Reply(ctx.P, ms, dataRepBytes+seg)
-	nsc.Exit()
-	return err
+	if o.media.LockOrQueue(r.p, r.granted) {
+		r.serve()
+	}
+}
+
+// serve charges the operation's fixed cost once the read holds the
+// media; an OSD that crashed while the request queued fails it.
+func (r *ReadRun) serve() {
+	o := r.c.osds[r.osd]
+	if o.down {
+		o.media.Unlock(r.p)
+		r.osdFailed()
+		return
+	}
+	r.c.eng.After(o.params.OSDOpCost, r.opDone)
+}
+
+// afterOp charges the media time, read as the fixed cost ends.
+func (r *ReadRun) afterOp() {
+	r.mt = r.c.osds[r.osd].mediaTime(r.seg)
+	r.c.eng.After(r.mt, r.mediaDone)
+}
+
+// afterMedia releases the media and sends the reply; an OSD that
+// crashed mid-service never sends it.
+func (r *ReadRun) afterMedia() {
+	o := r.c.osds[r.osd]
+	r.p.ReportWait("osd", "osd.media", "", 0, o.params.OSDOpCost+r.mt)
+	if o.down {
+		o.media.Unlock(r.p)
+		r.osdFailed()
+		return
+	}
+	o.bytesRead += uint64(r.seg)
+	o.ops++
+	o.media.Unlock(r.p)
+	r.sc.Exit()
+	r.sc = r.span.Enter(obs.LayerNet)
+	r.c.fabric.ReplyThen(r.p, r.osd, dataRepBytes+r.seg, r.replied)
+}
+
+// afterReply goes on to the next object where the reply lands, or ends
+// the read.
+func (r *ReadRun) afterReply(err error) {
+	r.sc.Exit()
+	if r.n -= r.seg; err != nil || r.n == 0 {
+		r.end(err)
+		return
+	}
+	r.off += r.seg
+	r.object()
+}
+
+// osdFailed ends the read at a down OSD.
+func (r *ReadRun) osdFailed() {
+	r.sc.Exit()
+	r.end(ErrOSDDown)
+}
+
+// end ends the read with err: it calls then or resumes the process.
+func (r *ReadRun) end(err error) {
+	if then := r.then; then != nil {
+		r.c.putRead(r)
+		then(err)
+		return
+	}
+	r.err = err
+	r.p.ResumeHere()
 }
 
 func (c *Cluster) eachObject(off, n int64, fn func(objIdx, objOff, seg int64) error) error {
@@ -693,30 +845,6 @@ func (o *OSD) write(p *sim.Proc, id objectID, off, n int64) error {
 		o.objects[id] = end
 	}
 	o.bytesWritten += uint64(n)
-	o.ops++
-	o.media.Unlock(p)
-	return nil
-}
-
-func (o *OSD) read(p *sim.Proc, id objectID, off, n int64) error {
-	if o.down {
-		return ErrOSDDown
-	}
-	o.media.Lock(p)
-	if o.down {
-		o.media.Unlock(p)
-		return ErrOSDDown
-	}
-	p.Sleep(o.params.OSDOpCost)
-	mt := o.mediaTime(n)
-	p.Sleep(mt)
-	p.ReportWait("osd", "osd.media", "", 0, o.params.OSDOpCost+mt)
-	if o.down {
-		// Crashed mid-service: the reply was never sent.
-		o.media.Unlock(p)
-		return ErrOSDDown
-	}
-	o.bytesRead += uint64(n)
 	o.ops++
 	o.media.Unlock(p)
 	return nil

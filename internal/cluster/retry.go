@@ -75,69 +75,130 @@ func (r *Retrier) BreakerStats() BreakerStats {
 // passed. Either kind returns vfsapi.ErrCrashed once the owner crashed,
 // and a non-transient error, or any error after the owner stopped, at
 // once.
+//
+// Do is Begin, then Retry from the first attempt. A run that makes the
+// first attempt itself — a read miss in a request run — calls Begin,
+// checks Ready, and on success Succeeded; at a failure it hands the
+// attempt's error to Retry in its process.
 func (r *Retrier) Do(ctx vfsapi.Ctx, bounded bool, attempt func(try, member int) error) error {
+	op, err := r.Begin(bounded)
+	if err != nil {
+		return err
+	}
+	return r.Retry(ctx, &op, nil, attempt)
+}
+
+// Op is one operation's way through Do: its kind, deadline and next
+// backoff, the replication factor at its start and its current try.
+type Op struct {
+	bounded  bool
+	deadline time.Duration
+	backoff  time.Duration
+	repl     int
+	try      int
+	missed   bool // a blocking operation counted its deadline miss
+}
+
+// Member is the replication group member op's current try goes to.
+func (op *Op) Member() int { return op.try % op.repl }
+
+// Begin starts a Do of a bounded or blocking operation at the current
+// time. It fails a bounded operation the breaker denies with
+// vfsapi.ErrIO.
+func (r *Retrier) Begin(bounded bool) (Op, error) {
 	c := r.clus
-	p := c.params
 	if bounded && r.brk != nil && !r.brk.allow(c.eng.Now()) {
 		// Fail fast: the breaker learned the backend is down, so the op
 		// sheds immediately instead of burning its full retry budget.
-		return vfsapi.ErrIO
+		return Op{}, vfsapi.ErrIO
 	}
-	deadline := c.eng.Now() + p.ClientOpDeadline
-	backoff := p.ClientRetryBase
-	repl := c.replication
-	missed := false
-	for try := 0; ; try++ {
+	p := c.params
+	return Op{bounded: bounded, deadline: c.eng.Now() + p.ClientOpDeadline, backoff: p.ClientRetryBase, repl: c.replication}, nil
+}
+
+// Ready reports whether op's current try may be attempted at once: the
+// owner has not crashed and no open breaker holds a blocking operation
+// off. Otherwise Retry, given no error, makes the checks that block.
+func (r *Retrier) Ready(op *Op) bool {
+	if *r.crashed {
+		return false
+	}
+	return op.bounded || r.brk == nil || *r.stopped || r.brk.holdoff(r.clus.eng.Now()) == 0
+}
+
+// Succeeded counts the success of op's current try.
+func (r *Retrier) Succeeded(op *Op) {
+	if op.Member() != 0 {
+		r.Faults.Failovers++
+	}
+	if r.brk != nil {
+		r.brk.onSuccess()
+	}
+}
+
+// Retry goes on with op in its process until an attempt succeeds (see
+// Do): from the failure err of its current try, or, with a nil err,
+// from the checks before that try.
+func (r *Retrier) Retry(ctx vfsapi.Ctx, op *Op, err error, attempt func(try, member int) error) error {
+	for {
+		if err != nil {
+			if err = r.failed(ctx, op, err); err != nil {
+				return err
+			}
+		}
 		if *r.crashed {
 			// A crash mid-backoff must not let the next attempt slip
 			// through: dead services issue no more requests.
 			return vfsapi.ErrCrashed
 		}
-		if !bounded && r.brk != nil {
-			if hold := r.brk.holdoff(c.eng.Now()); hold > 0 && !*r.stopped {
+		if !op.bounded && r.brk != nil {
+			if hold := r.brk.holdoff(r.clus.eng.Now()); hold > 0 && !*r.stopped {
 				r.sleep(ctx, hold)
 			}
 			if *r.crashed {
 				return vfsapi.ErrCrashed
 			}
 		}
-		member := try % repl
-		err := attempt(try, member)
-		if err == nil {
-			if member != 0 {
-				r.Faults.Failovers++
-			}
-			if r.brk != nil {
-				r.brk.onSuccess()
-			}
+		if err = attempt(op.try, op.Member()); err == nil {
+			r.Succeeded(op)
 			return nil
 		}
-		if *r.crashed {
-			return vfsapi.ErrCrashed
-		}
-		if !Transient(err) || *r.stopped {
-			return err
-		}
-		if r.brk != nil {
-			r.brk.onFailure(c.eng.Now())
-		}
-		if bounded {
-			if try+1 >= p.ClientMaxRetries || c.eng.Now()+backoff > deadline {
-				r.Faults.DeadlineMisses++
-				return vfsapi.ErrIO
-			}
-		} else if !missed && c.eng.Now() > deadline {
-			missed = true
-			r.Faults.DeadlineMisses++
-		}
-		r.Faults.Retries++
-		delay := backoff
-		if half := delay / 2; r.jitter && half > 0 {
-			delay = half + time.Duration(splitmix(&r.rng)%uint64(half+1))
-		}
-		r.sleep(ctx, delay)
-		backoff = min(backoff*2, p.ClientRetryCap)
 	}
+}
+
+// failed handles the failure err of op's current try: it returns the
+// error that ends op, or nil once the backoff is over and op stands at
+// its next try.
+func (r *Retrier) failed(ctx vfsapi.Ctx, op *Op, err error) error {
+	c := r.clus
+	p := c.params
+	if *r.crashed {
+		return vfsapi.ErrCrashed
+	}
+	if !Transient(err) || *r.stopped {
+		return err
+	}
+	if r.brk != nil {
+		r.brk.onFailure(c.eng.Now())
+	}
+	if op.bounded {
+		if op.try+1 >= p.ClientMaxRetries || c.eng.Now()+op.backoff > op.deadline {
+			r.Faults.DeadlineMisses++
+			return vfsapi.ErrIO
+		}
+	} else if !op.missed && c.eng.Now() > op.deadline {
+		op.missed = true
+		r.Faults.DeadlineMisses++
+	}
+	r.Faults.Retries++
+	delay := op.backoff
+	if half := delay / 2; r.jitter && half > 0 {
+		delay = half + time.Duration(splitmix(&r.rng)%uint64(half+1))
+	}
+	r.sleep(ctx, delay)
+	op.backoff = min(op.backoff*2, p.ClientRetryCap)
+	op.try++
+	return nil
 }
 
 // sleep waits d, charging it as I/O wait and degraded time.

@@ -998,6 +998,81 @@ func TestCachedMetadataParks(t *testing.T) {
 	}
 }
 
+// TestMissAndThrottleParks pins how often a 64 KiB Read that misses one
+// object and a 1 MiB Write the dirty throttle holds park their process
+// in each stack of Table 1, built as the experiments build it. Both
+// park once under D, F, F/F, K and K/K: the client's request run goes
+// on through the read-miss loop — the fetchQ wait, the wire charges,
+// the object read (cluster.ReadRun), the insert and the claim — and
+// through the dirty throttle's throttleQ waits, where it used to hand
+// back. The parent parked 10, 11, 12, 10, 10, 12, 16 and 37 times for
+// the miss and 2, 3, 4, 3, 3, 19, 3 and 3 times for the throttled write
+// under D, F, F/F, K, K/K, F/K, FP and FP/FP. The residuals: F/K's
+// unionfs-fuse serves a kernel handle, which starts no run, so each
+// chunk parks for the kernel request and for its reply; FP and FP/FP
+// read through the page cache of a FUSE mount, whose store reads in
+// the process.
+func TestMissAndThrottleParks(t *testing.T) {
+	for _, c := range []struct {
+		cfg             Configuration
+		miss, throttled int
+	}{
+		{ConfigD, 1, 1}, {ConfigF, 1, 1}, {ConfigFF, 1, 1}, {ConfigK, 1, 1},
+		{ConfigKK, 1, 1}, {ConfigFK, 3, 17}, {ConfigFP, 4, 1}, {ConfigFPFP, 23, 1},
+	} {
+		tb := newTB(t, 4)
+		tb.Cluster.ProvisionDir("/containers/c0")
+		tb.Cluster.Provision("/containers/c0/m", 4<<20)
+		// A small pool, so that its dirty limit is soon reached.
+		pool := tb.NewPool("pool0", cpu.MaskOf(0, 1), 64<<20)
+		ct, err := pool.NewContainer("c0", MountSpec{Config: c.cfg, UpperDir: "/containers/c0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := ct.Mount.Default
+		throttled := map[int]bool{}
+		tb.Eng.SetWaitObserver(func(p *sim.Proc, kind, resource, _ string, _ int, _, _ time.Duration) {
+			if kind == "waitq" && strings.HasSuffix(resource, ".throttle") {
+				throttled[p.ID()] = true
+			}
+		})
+		runOn(t, tb, ct, func(ctx vfsapi.Ctx) {
+			h, err := fs.Open(ctx, "/m", vfsapi.RDONLY)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := ctx.P.Parks()
+			if n, err := h.Read(ctx, 0, 64<<10); n != 64<<10 || err != nil {
+				t.Fatalf("%v: Read returned %d, %v", c.cfg, n, err)
+			}
+			if got := ctx.P.Parks() - before; got != c.miss {
+				t.Errorf("%v: a 64 KiB Read that misses one object parked %d times, want %d", c.cfg, got, c.miss)
+			}
+			h.Close(ctx)
+			if h, err = fs.Open(ctx, "/w", vfsapi.CREATE|vfsapi.WRONLY); err != nil {
+				t.Fatal(err)
+			}
+			for off := int64(0); ; off += 1 << 20 {
+				if off == 256<<20 {
+					t.Fatalf("%v: no Write of 256 MiB was throttled", c.cfg)
+				}
+				before := ctx.P.Parks()
+				throttled[ctx.P.ID()] = false
+				if n, err := h.Write(ctx, off, 1<<20); n != 1<<20 || err != nil {
+					t.Fatalf("%v: Write returned %d, %v", c.cfg, n, err)
+				}
+				if throttled[ctx.P.ID()] {
+					if got := ctx.P.Parks() - before; got != c.throttled {
+						t.Errorf("%v: a Write the dirty throttle holds parked %d times, want %d", c.cfg, got, c.throttled)
+					}
+					break
+				}
+			}
+			h.Close(ctx)
+		})
+	}
+}
+
 // TestRenameOverExistingFile renames a synced file over a file whose
 // data is still dirty and closes the replaced file's handle: the moved
 // file keeps its own size, in the client's view and at the MDS, once

@@ -4,7 +4,10 @@
 // each file are resident (and which are dirty) as extent sets.
 package extent
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Extent is the half-open byte range [Off, Off+Len).
 type Extent struct {
@@ -61,8 +64,8 @@ func (s *Set) Insert(off, n int64) int64 {
 			mergedEnd = e.End()
 		}
 	}
-	merged := Extent{Off: mergedOff, Len: mergedEnd - mergedOff}
-	s.ext = append(s.ext[:lo], append([]Extent{merged}, s.ext[hi:]...)...)
+	// Replace s.ext[lo:hi] by the merged extent in place.
+	s.ext = slices.Replace(s.ext, lo, hi, Extent{Off: mergedOff, Len: mergedEnd - mergedOff})
 	return added
 }
 
@@ -73,22 +76,28 @@ func (s *Set) Remove(off, n int64) int64 {
 		return 0
 	}
 	end := off + n
-	var out []Extent
-	var removed int64
-	for _, e := range s.ext {
-		if e.End() <= off || e.Off >= end {
-			out = append(out, e)
-			continue
-		}
-		removed += overlap(e, Extent{Off: off, Len: n})
-		if e.Off < off {
-			out = append(out, Extent{Off: e.Off, Len: off - e.Off})
-		}
-		if e.End() > end {
-			out = append(out, Extent{Off: end, Len: e.End() - end})
-		}
+	// s.ext[lo:hi] are the extents overlapping [off, end); the first and
+	// the last may keep a part outside it.
+	lo := sort.Search(len(s.ext), func(i int) bool { return s.ext[i].End() > off })
+	hi := sort.Search(len(s.ext), func(i int) bool { return s.ext[i].Off >= end })
+	if lo >= hi {
+		return 0
 	}
-	s.ext = out
+	var removed int64
+	for _, e := range s.ext[lo:hi] {
+		removed += overlap(e, Extent{Off: off, Len: n})
+	}
+	var keep [2]Extent
+	k := 0
+	if first := s.ext[lo]; first.Off < off {
+		keep[k] = Extent{Off: first.Off, Len: off - first.Off}
+		k++
+	}
+	if last := s.ext[hi-1]; last.End() > end {
+		keep[k] = Extent{Off: end, Len: last.End() - end}
+		k++
+	}
+	s.ext = slices.Replace(s.ext, lo, hi, keep[:k]...)
 	return removed
 }
 
@@ -108,10 +117,9 @@ func (s *Set) Covered(off, n int64) int64 {
 // Contains reports whether [off, off+n) is fully covered.
 func (s *Set) Contains(off, n int64) bool { return s.Covered(off, n) == n }
 
-// Gaps returns the subranges of [off, off+n) NOT covered by the set —
-// the cache misses a read must fetch.
-func (s *Set) Gaps(off, n int64) []Extent {
-	var gaps []Extent
+// FirstGap returns the first subrange of [off, off+n) NOT covered by
+// the set, and false when the set covers all of it.
+func (s *Set) FirstGap(off, n int64) (Extent, bool) {
 	end := off + n
 	cur := off
 	for _, e := range s.ext {
@@ -122,35 +130,38 @@ func (s *Set) Gaps(off, n int64) []Extent {
 			break
 		}
 		if e.Off > cur {
-			gaps = append(gaps, Extent{Off: cur, Len: e.Off - cur})
+			return Extent{Off: cur, Len: e.Off - cur}, true
 		}
-		if e.End() > cur {
-			cur = e.End()
-		}
+		cur = e.End()
 	}
 	if cur < end {
-		gaps = append(gaps, Extent{Off: cur, Len: end - cur})
+		return Extent{Off: cur, Len: end - cur}, true
 	}
-	return gaps
+	return Extent{}, false
 }
 
-// PopFirst removes and returns up to max bytes from the lowest-offset
-// extents, and their total (used by write-back draining dirty sets in
-// file order).
-func (s *Set) PopFirst(max int64) (out []Extent, taken int64) {
-	for taken < max && len(s.ext) > 0 {
-		e := s.ext[0]
+// PopFirst removes up to max bytes from the lowest-offset extents,
+// appends them to out and returns it with their total (used by
+// write-back draining dirty sets in file order). The set keeps its
+// storage, and a caller that passes a buffer of its own allocates
+// nothing.
+func (s *Set) PopFirst(max int64, out []Extent) ([]Extent, int64) {
+	var taken int64
+	k := 0 // whole extents taken
+	for taken < max && k < len(s.ext) {
+		e := s.ext[k]
 		want := max - taken
 		if e.Len <= want {
 			out = append(out, e)
 			taken += e.Len
-			s.ext = s.ext[1:]
+			k++
 		} else {
 			out = append(out, Extent{Off: e.Off, Len: want})
-			s.ext[0] = Extent{Off: e.Off + want, Len: e.Len - want}
+			s.ext[k] = Extent{Off: e.Off + want, Len: e.Len - want}
 			taken += want
 		}
 	}
+	s.ext = slices.Delete(s.ext, 0, k)
 	return out, taken
 }
 

@@ -254,26 +254,6 @@ func (m *Mount) overDirty() bool {
 	return m.cache.DirtyBytes >= m.maxDirty() && !m.kern.stopped && !m.crashed
 }
 
-// mustThrottle reports whether throttle would block a writer of n bytes.
-func (m *Mount) mustThrottle(n int64) bool { return m.dirtyPause(n) > 0 || m.overDirty() }
-
-// throttle blocks a writer of n bytes (as I/O wait) for its
-// balance_dirty_pages pause, then while the mount is over its hard
-// dirty limit, until the flushers bring it back down.
-func (m *Mount) throttle(ctx vfsapi.Ctx, n int64) {
-	k := m.kern
-	if pause := m.dirtyPause(n); pause > 0 {
-		start := k.eng.Now()
-		m.throttleQ.WaitTimeout(ctx.P, pause)
-		ctx.T.Account().AddIOWait(k.eng.Now() - start)
-	}
-	for m.overDirty() {
-		start := k.eng.Now()
-		m.throttleQ.WaitTimeout(ctx.P, k.params.DirtyThrottleCheck)
-		ctx.T.Account().AddIOWait(k.eng.Now() - start)
-	}
-}
-
 // flushPass drains the mount toward its background threshold (and past
 // the expire age), running on a flusher's roaming thread. It reports
 // whether it flushed anything, so idle flushers back off instead of
@@ -302,7 +282,8 @@ func (m *Mount) flushPass(ctx vfsapi.Ctx) bool {
 		f.Flushing = true
 		k.lockSpan(ctx, k.writebackLock, "wb_lock")
 		ctx.T.Exec(ctx.P, cpu.Kernel, k.params.WritebackLockHold)
-		exts, total := f.Dirty.PopFirst(1 << 20)
+		var buf [4]extent.Extent
+		exts, total := f.Dirty.PopFirst(1<<20, buf[:0])
 		k.writebackLock.Unlock(ctx.P)
 		// The inode mutex is held while the flusher prepares the batch
 		// (page scanning and submission CPU), serializing the
@@ -359,7 +340,8 @@ func (m *Mount) drain(ctx vfsapi.Ctx, f *fileState) bool {
 		// Untraced, unlike the flusher's: OBSERVABILITY.md records the gap.
 		k.writebackLock.Lock(ctx.P)
 		ctx.T.Exec(ctx.P, cpu.Kernel, k.params.WritebackLockHold)
-		exts, total := f.Dirty.PopFirst(4 << 20)
+		var buf [4]extent.Extent
+		exts, total := f.Dirty.PopFirst(4<<20, buf[:0])
 		k.writebackLock.Unlock(ctx.P)
 		if !m.storeBatch(ctx, f, exts, total) {
 			return false

@@ -3,7 +3,6 @@ package kern
 import (
 	"repro/internal/cache"
 	"repro/internal/cpu"
-	"repro/internal/extent"
 	"repro/internal/vfsapi"
 )
 
@@ -228,9 +227,12 @@ func (h *pagedHandle) Path() string { return h.path }
 func (h *pagedHandle) Size() int64 { return h.f.Size }
 
 // Read serves [off,off+n) from the page cache, fetching misses from the
-// store with readahead on sequential streams. The cache-hit part runs as
-// one request run, which hands control back at a closed or stale handle,
-// DIRECT and a claim that waits or misses (see do).
+// store with readahead on sequential streams, with page-lock semantics:
+// ranges being read in by another thread are awaited rather than
+// re-fetched. It runs as one request run, misses included, which hands
+// control back at a closed or stale handle, DIRECT, a fill from a store
+// other than a kernel Ceph client's and an object read that fails or
+// finds the client crashed (see do).
 func (h *pagedHandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	return h.do(ctx, nil, vfsapi.OpRead, off, n)
 }
@@ -253,48 +255,10 @@ func (h *pagedHandle) direct(ctx vfsapi.Ctx, kind vfsapi.Kind, off, n int64) {
 	}
 }
 
-// fetchAndCopy goes on from a claim of [off,off+fetchLen) — g to fetch,
-// or wait while another thread reads part of it in — claim by claim
-// until the range is resident, then touches the file and copies
-// [off,off+n) out. Misses are fetched with page-lock semantics: ranges
-// being read in by another thread are awaited rather than re-fetched.
-// The claims take no lock: the page lock is per page.
-func (h *pagedHandle) fetchAndCopy(ctx vfsapi.Ctx, off, n, fetchLen int64, g extent.Extent, wait bool) (int64, error) {
-	m := h.m
-	params := m.kern.params
-	err := cache.Fetch(g, wait,
-		func() { m.fetchQ.WaitTimeout(ctx.P, params.DirtyThrottleCheck) },
-		func(g extent.Extent) error {
-			m.store.ReadData(ctx, h.f.Ino, g.Off, g.Len)
-			// Crashed during the store read: release the claim so other
-			// stale waiters cycle out, and fail instead of inserting into
-			// the restarted incarnation's cache.
-			err := h.failIfStale(ctx)
-			if err == nil {
-				m.cacheInsert(ctx, h.f, g.Off, g.Len)
-			}
-			h.f.Fetching.Remove(g.Off, g.Len)
-			m.fetchQ.Broadcast()
-			return err
-		},
-		// The client died while we waited on a fetch: the page cache was
-		// discarded, fail rather than re-fetch from the dead store.
-		func() error { return h.failIfStale(ctx) },
-		func() (extent.Extent, bool) { return h.f.Claim(off, fetchLen) })
-	if err != nil {
-		return 0, err
-	}
-	// LRU touch for the access (page flags only — cached reads do not
-	// pay per-page lock holds) plus the user-visible copy out.
-	m.withLRU(ctx, func() { m.cache.Touch(h.f) })
-	ctx.T.Exec(ctx.P, cpu.Kernel, params.CopyTime(n))
-	return n, nil
-}
-
 // Write copies [off,off+n) into the page cache and marks it dirty,
-// throttling when the mount exceeds its dirty limit. The run hands
-// control back at a closed or stale handle, DIRECT and the dirty
-// throttle.
+// throttling when the mount exceeds its dirty limit. The run, the
+// throttle included, hands control back at a closed or stale handle and
+// DIRECT.
 func (h *pagedHandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	return h.do(ctx, nil, vfsapi.OpWrite, off, n)
 }

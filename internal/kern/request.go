@@ -3,6 +3,7 @@ package kern
 import (
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/cpu"
 	"repro/internal/extent"
@@ -16,15 +17,15 @@ import (
 type hand uint8
 
 const (
-	handDone     hand = iota // the run served the call: return its result
-	handStale                // a closed or stale handle: its error
-	handDirect               // a DIRECT read or write: the store I/O
-	handFetch                // a read's first claim waits or misses: the fetch loop from that claim
-	handThrottle             // a write must throttle, then return its result
-	handPush                 // a close pushes the size of a written file
-	handMeta                 // an MDS run handed back: finish it, then the close's push or the open
-	handCreate               // an open creates the file
-	handTrunc                // an open truncates the file
+	handDone   hand = iota // the run served the call: return its result
+	handStale              // a closed or stale handle: its error
+	handDirect             // a DIRECT read or write: the store I/O
+	handStore              // a fill from a store other than a kernel Ceph client's: its read
+	handRetry              // a kernel Ceph client's fill failed or cannot start: the Retrier goes on with it
+	handPush               // a close pushes the size of a written file
+	handMeta               // an MDS run handed back: finish it, then the close's push or the open
+	handCreate             // an open creates the file
+	handTrunc              // an open truncates the file
 )
 
 // request carries one Open of a kernel Ceph client's mount, or one Read,
@@ -35,11 +36,15 @@ const (
 //
 //	Open:  op CPU → attribute lookup (→ wire → the MDS lookup
 //	       (cluster.MetaRun) → attribute insert, on a miss) → handle
-//	Read:  [entry] → claim → lru_lock + Touch → copy [+ exit]
+//	Read:  [entry] → claim → the read-miss loop (cache.Fetch: fetchQ
+//	       wait, or op CPU + wire → the object read (cluster.ReadRun) →
+//	       lru_lock + Insert (+ hold) (→ lru_lock + Evict (+ hold) when
+//	       over the limit) → release, then claim) → lru_lock + Touch →
+//	       copy [+ exit]
 //	Write: [entry] → i_mutex + hold + copy → lru_lock + Insert (+ hold)
 //	       (→ lru_lock + Evict (+ hold) when over the limit) → size,
 //	       unlock i_mutex → wb_lock + hold + MarkDirty → flusher wake
-//	       [→ exit]
+//	       → the dirty pause and hard limit (throttleQ waits) [→ exit]
 //	Close: [entry] → closed (→ op CPU + wire → the MDS size push →
 //	       attribute update, for a written file of a kernel Ceph
 //	       client) [→ exit]
@@ -50,9 +55,10 @@ const (
 // is the same run without them. An Open is a vfsapi.Run that Syscalls
 // starts where its entry chain ends, with the exit chain as the reply
 // (see sysRun). At the first decision that needs the process — a closed
-// or stale handle, DIRECT, a read claim that waits or fetches, the dirty
-// throttle, a size push the run does not make, a file to create or
-// truncate, a stalled MDS or a hop error — or at the end, it records
+// or stale handle, DIRECT, a fill from a store other than a kernel Ceph
+// client's, an object read that fails or finds the client crashed, a
+// size push the run does not make, a file to create or truncate, a
+// stalled MDS or a hop error — or at the end, it records
 // where in at and hands control back with sim.(*Proc).ResumeHere; a
 // decision made before any chain, as a bare run's first one is, hands
 // back before the process parks, and the park returns at once. Each step
@@ -69,11 +75,15 @@ type request struct {
 
 	kind     vfsapi.Kind
 	off, n   int64
-	err      error         // a served call's error
-	fetchLen int64         // a read's readahead window
-	g        extent.Extent // a read's first claim (handFetch)
-	wait     bool          // the claim waits on fetchQ (handFetch)
+	err      error       // a served call's error; a fill's error while it runs
+	fetchLen int64       // a read's readahead window
+	fetch    cache.Fetch // a read's miss loop
+	op       cluster.Op  // a fill's object read (handRetry)
 	at       hand
+
+	ins     extent.Extent // the range an insert step records resident
+	insThen func()        // and the step after it
+	since   time.Duration // when a throttle wait began
 
 	path  string           // an Open's path; a Close's pushed path
 	flags vfsapi.OpenFlag  // an Open's flags
@@ -86,7 +96,10 @@ type request struct {
 	// Reusable continuations, bound once per pooled request.
 	readIn, touched, served                    func()
 	writeIn, copied, inserted, held, committed func()
-	evicted, dirtied                           func()
+	evicted, dirtied, throttled                func()
+	waited, fillWired, released, failed        func()
+	read                                       func(error)
+	attempt                                    func(try, member int) error
 	closeIn, pushWired, pushed                 func()
 	looked, lookupWired, metaLooked            func()
 }
@@ -98,27 +111,30 @@ func (m *Mount) getRequest(ctx vfsapi.Ctx, h *pagedHandle, sys *Syscalls, kind v
 		m.requests = m.requests[:k-1]
 	} else {
 		r = &request{m: m}
+		r.fetch.Steps = r
 		r.readIn, r.touched, r.served = r.afterReadEntry, r.touch, r.done
 		r.writeIn, r.copied, r.inserted, r.held, r.committed = r.afterWriteEntry, r.insert, r.afterInsert, r.afterHold, r.commit
-		r.evicted, r.dirtied = r.evict, r.marked
+		r.evicted, r.dirtied, r.throttled = r.evict, r.marked, r.afterThrottle
+		r.waited, r.fillWired, r.released, r.failed = r.afterWait, r.readBackend, r.release, r.fail
+		r.read, r.attempt = r.afterRead, r.readAttempt
 		r.closeIn, r.pushWired, r.pushed = r.afterCloseEntry, r.push, r.afterPush
 		r.looked, r.lookupWired, r.metaLooked = r.lookup, r.lookupMiss, r.afterLookup
 	}
 	r.h, r.sys, r.p, r.t, r.span = h, sys, ctx.P, ctx.T, ctx.Span
-	r.kind, r.off, r.n, r.err, r.fetchLen, r.g, r.wait = kind, off, n, nil, 0, extent.Extent{}, false
+	r.kind, r.off, r.n, r.err, r.fetchLen = kind, off, n, nil, 0
 	return r
 }
 
 func (m *Mount) putRequest(r *request) {
 	r.h, r.sys, r.p, r.t, r.span, r.err = nil, nil, nil, nil, nil, nil
-	r.path, r.meta, r.reply = "", nil, nil
+	r.path, r.meta, r.reply, r.insThen = "", nil, nil, nil
 	m.requests = append(m.requests, r)
 }
 
 // do is a Read, Write or Close of h in its process: the request run,
 // then, from where the run handed control back, the part that needs the
-// process — a stale handle's error, the DIRECT I/O, the fetch loop of a
-// read, the dirty throttle of a write or the size push of a close — and,
+// process — a store read of a fill, after which the run goes on, a stale
+// handle's error, the DIRECT I/O or the size push of a close — and,
 // under Syscalls, the exit mode switch. Under Syscalls sys is the
 // wrapper whose entry and exit the run charges; a bare call passes nil.
 func (h *pagedHandle) do(ctx vfsapi.Ctx, sys *Syscalls, kind vfsapi.Kind, off, n int64) (int64, error) {
@@ -126,7 +142,18 @@ func (h *pagedHandle) do(ctx vfsapi.Ctx, sys *Syscalls, kind vfsapi.Kind, off, n
 	r := m.getRequest(ctx, h, sys, kind, off, n)
 	r.start()
 	ctx.P.Park()
-	at, n, err, fetchLen, g, wait := r.at, r.n, r.err, r.fetchLen, r.g, r.wait
+	for r.at == handStore || r.at == handRetry {
+		if g := r.fetch.G; r.at == handStore {
+			m.store.ReadData(ctx, h.f.Ino, g.Off, g.Len)
+		} else {
+			// CephStore.ReadData blocks until the read lands, and
+			// ignores the error of one cut short by a crash.
+			m.store.(*CephStore).retry.Retry(ctx, &r.op, r.err, r.attempt)
+		}
+		r.storeRead()
+		ctx.P.Park()
+	}
+	at, n, err := r.at, r.n, r.err
 	path, size, meta := r.path, r.size, r.meta
 	m.putRequest(r)
 	switch at {
@@ -141,15 +168,6 @@ func (h *pagedHandle) do(ctx vfsapi.Ctx, sys *Syscalls, kind vfsapi.Kind, off, n
 		}
 	case handDirect:
 		h.direct(ctx, kind, off, n)
-	case handFetch:
-		n, err = h.fetchAndCopy(ctx, off, n, fetchLen, g, wait)
-	case handThrottle:
-		m.throttle(ctx, n)
-		if err = h.failIfStale(ctx); err != nil {
-			// The client died while the writer was throttled: the pages
-			// it buffered are gone, so the write must not report success.
-			n = 0
-		}
 	case handPush:
 		err = m.store.SetSize(ctx, h.f.Ino, h.f.Size)
 	case handMeta:
@@ -260,11 +278,127 @@ func (r *request) afterReadEntry() {
 	// Brownout zeroes the effective window, deferring speculative
 	// fetches while the backend or admission queues are overloaded.
 	r.fetchLen = h.ra.Extend(r.off, r.n, h.f.Size, h.m.raWindow())
-	if r.g, r.wait = h.f.Claim(r.off, r.fetchLen); r.wait || r.g.Len > 0 {
-		r.handBack(handFetch)
+	r.fetch.Claimed(h.f.Claim(r.off, r.fetchLen))
+}
+
+// WaitFetch waits on fetchQ for another thread's read of part of the
+// window (cache.FetchSteps).
+func (r *request) WaitFetch() {
+	r.m.fetchQ.WaitTimeoutThen(r.p, r.m.kern.params.DirtyThrottleCheck, r.waited)
+}
+
+func (r *request) afterWait() { r.fetch.Filled(nil) }
+
+// Fill reads g in from the store (cache.FetchSteps): a kernel Ceph
+// client charges its op and the message's wire costs, then reads the
+// objects; a crashed one reads nothing; another store's read goes back
+// to the process.
+func (r *request) Fill(g extent.Extent) {
+	cs, ok := r.m.store.(*CephStore)
+	switch {
+	case !ok:
+		r.handBack(handStore)
+	case cs.crashed:
+		r.storeRead()
+	default:
+		wire := cs.wireSteps(g.Len)
+		r.t.LockedChainThen(r.p, nil, nil, "", r.fillWired, cs.opStep(), wire[0], wire[1], wire[2])
+	}
+}
+
+// readBackend makes the first attempt of the fill's blocking object read
+// (see cluster.Retrier.Do); a crashed client and a failed attempt hand
+// back, and the Retrier goes on in the process.
+func (r *request) readBackend() {
+	cs := r.m.store.(*CephStore)
+	r.op, _ = cs.retry.Begin(false) // a blocking read is never denied
+	if !cs.retry.Ready(&r.op) {
+		r.err = nil
+		r.handBack(handRetry)
 		return
 	}
-	r.t.LockedChainThen(r.p, h.m.kern.lruLock, r.span, "lru_lock", r.touched)
+	cs.clus.ReadThen(r.ctx(), r.h.f.Ino, r.fetch.G.Off, r.fetch.G.Len, r.read)
+}
+
+// afterRead ends the first attempt of the object read.
+func (r *request) afterRead(err error) {
+	if err != nil {
+		r.err = err
+		r.handBack(handRetry)
+		return
+	}
+	r.m.store.(*CephStore).retry.Succeeded(&r.op)
+	r.storeRead()
+}
+
+// readAttempt is the Retrier's attempt of a fill's read: routed to the
+// least-degraded member first, then failing over to ring replicas.
+func (r *request) readAttempt(_, member int) error {
+	cs, ctx, g := r.m.store.(*CephStore), r.ctx(), r.fetch.G
+	if member == 0 {
+		return cs.clus.Read(ctx, r.h.f.Ino, g.Off, g.Len)
+	}
+	return cs.clus.ReadReplica(ctx, r.h.f.Ino, g.Off, g.Len, member)
+}
+
+// storeRead goes on with a fill once the store read is over. A handle
+// closed or a mount crashed meanwhile fails it, after the crash check's
+// charge, rather than insert into the restarted incarnation's cache; a
+// good read is inserted. The claim is released either way, so other
+// stale waiters cycle out.
+func (r *request) storeRead() {
+	h := r.h
+	switch {
+	case h.closed:
+		r.err = vfsapi.ErrClosed
+		r.release()
+	case h.stale():
+		r.err = vfsapi.ErrCrashed
+		r.t.LockedChainThen(r.p, nil, nil, "", r.released, cpu.Charge(cpu.Kernel, r.m.kern.params.VFSOpCost))
+	default:
+		r.err = nil
+		r.insertThen(r.fetch.G, r.released)
+	}
+}
+
+// release releases the fill's claim and wakes the threads waiting on it.
+func (r *request) release() {
+	g := r.fetch.G
+	r.h.f.Fetching.Remove(g.Off, g.Len)
+	r.m.fetchQ.Broadcast()
+	r.fetch.Filled(r.err)
+}
+
+// Reclaim fails a read whose handle was closed or went stale, after the
+// crash check's charge, or claims the first missing range of its window;
+// the claims take no lock, as the page lock is per page
+// (cache.FetchSteps).
+func (r *request) Reclaim() {
+	h := r.h
+	switch {
+	case h.closed:
+		r.Fetched(vfsapi.ErrClosed)
+	case h.stale():
+		r.err = vfsapi.ErrCrashed
+		r.t.LockedChainThen(r.p, nil, nil, "", r.failed, cpu.Charge(cpu.Kernel, r.m.kern.params.VFSOpCost))
+	default:
+		r.fetch.Claimed(h.f.Claim(r.off, r.fetchLen))
+	}
+}
+
+// fail ends the read-miss loop with the error of a crash check.
+func (r *request) fail() { r.Fetched(r.err) }
+
+// Fetched ends the read-miss loop: with the window resident, the LRU
+// touch under lru_lock and the copy; with an error, the read
+// (cache.FetchSteps).
+func (r *request) Fetched(err error) {
+	if err != nil {
+		r.n, r.err = 0, err
+		r.exit(0)
+		return
+	}
+	r.t.LockedChainThen(r.p, r.m.kern.lruLock, r.span, "lru_lock", r.touched)
 }
 
 // touch marks the file recently used (page flags only: cached reads pay
@@ -302,43 +436,47 @@ func (r *request) afterWriteEntry() {
 		cpu.Charge(cpu.Kernel, params.IMutexHold), cpu.Charge(cpu.Kernel, params.CopyTime(r.n)))
 }
 
-// insert takes lru_lock to record the copied range resident.
-func (r *request) insert() {
-	r.t.LockedChainThen(r.p, r.h.m.kern.lruLock, r.span, "lru_lock", r.inserted)
+// insert records the copied range resident, then commits the write.
+func (r *request) insert() { r.insertThen(extent.Extent{Off: r.off, Len: r.n}, r.committed) }
+
+// insertThen takes lru_lock to record ext resident, then calls then.
+func (r *request) insertThen(ext extent.Extent, then func()) {
+	r.ins, r.insThen = ext, then
+	r.t.LockedChainThen(r.p, r.m.kern.lruLock, r.span, "lru_lock", r.inserted)
 }
 
 // afterInsert records the range resident and charges the lock hold of
 // the pages it added; a stale ledger entry from before a crash is not
 // accounted.
 func (r *request) afterInsert() {
-	m := r.h.m
+	m := r.m
 	if m.cache.Stale(r.h.f) {
 		m.kern.lruLock.Unlock(r.p)
-		r.commit()
+		r.insThen()
 		return
 	}
-	r.t.LockedChainThen(r.p, nil, nil, "", r.held, cpu.Charge(cpu.Kernel, m.pageHold(m.cache.Insert(r.h.f, r.off, r.n))))
+	r.t.LockedChainThen(r.p, nil, nil, "", r.held, cpu.Charge(cpu.Kernel, m.pageHold(m.cache.Insert(r.h.f, r.ins.Off, r.ins.Len))))
 }
 
 // afterHold releases lru_lock and, over the memory limit, takes it again
 // to evict cold clean pages.
 func (r *request) afterHold() {
-	k := r.h.m.kern
+	k := r.m.kern
 	k.lruLock.Unlock(r.p)
-	if r.h.m.cache.Over() {
+	if r.m.cache.Over() {
 		r.t.LockedChainThen(r.p, k.lruLock, r.span, "lru_lock", r.evicted)
 		return
 	}
-	r.commit()
+	r.insThen()
 }
 
 // evict reclaims clean pages and charges the page-structure work for
 // them once lru_lock is released.
 func (r *request) evict() {
-	m := r.h.m
+	m := r.m
 	hold := m.pageHold(m.cache.Evict())
 	m.kern.lruLock.Unlock(r.p)
-	r.t.LockedChainThen(r.p, nil, nil, "", r.committed, cpu.Charge(cpu.Kernel, hold))
+	r.t.LockedChainThen(r.p, nil, nil, "", r.insThen, cpu.Charge(cpu.Kernel, hold))
 }
 
 // commit grows the size, releases the inode mutex and takes wb_lock to
@@ -351,19 +489,55 @@ func (r *request) commit() {
 	r.t.LockedChainThen(r.p, k.writebackLock, r.span, "wb_lock", r.dirtied, cpu.Charge(cpu.Kernel, k.params.WritebackLockHold))
 }
 
-// marked records the range dirty and returns from the call: a writer
-// that pushes the mount past its dirty thresholds goes back to the
-// process to throttle, and a write whose handle went stale fails.
+// marked records the range dirty and throttles the writer; a stale
+// ledger entry is not accounted, and the write returns at once.
 func (r *request) marked() {
-	h := r.h
-	switch {
-	case h.m.mark(r.p, h.f, r.off, r.n) && h.m.mustThrottle(r.n):
-		r.handBack(handThrottle)
-	case h.stale():
-		r.handBack(handStale)
-	default:
-		r.exit(0)
+	if r.m.mark(r.p, r.h.f, r.off, r.n) {
+		r.throttle()
+		return
 	}
+	r.written()
+}
+
+// throttle holds the writer of n bytes on throttleQ, as I/O wait, for
+// its balance_dirty_pages pause (see Mount.dirtyPause), then returns
+// from the call.
+func (r *request) throttle() {
+	m := r.m
+	if pause := m.dirtyPause(r.n); pause > 0 {
+		r.since = m.kern.eng.Now()
+		m.throttleQ.WaitTimeoutThen(r.p, pause, r.throttled)
+		return
+	}
+	r.hardLimit()
+}
+
+// hardLimit holds the writer while the mount is over its hard dirty
+// limit, until the flushers bring it back down.
+func (r *request) hardLimit() {
+	m := r.m
+	if !m.overDirty() {
+		r.written()
+		return
+	}
+	r.since = m.kern.eng.Now()
+	m.throttleQ.WaitTimeoutThen(r.p, m.kern.params.DirtyThrottleCheck, r.throttled)
+}
+
+func (r *request) afterThrottle() {
+	r.t.Account().AddIOWait(r.m.kern.eng.Now() - r.since)
+	r.hardLimit()
+}
+
+// written returns from a write; one whose handle went stale fails: the
+// client died while the writer was throttled, so the pages it buffered
+// are gone and the write must not report success.
+func (r *request) written() {
+	if r.h.stale() {
+		r.handBack(handStale)
+		return
+	}
+	r.exit(0)
 }
 
 // afterCloseEntry closes the handle and pushes a written file's size:

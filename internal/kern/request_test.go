@@ -11,6 +11,7 @@ import (
 	"repro/internal/allocgate"
 	"repro/internal/cluster"
 	"repro/internal/cpu"
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -261,10 +262,13 @@ type kApp struct {
 }
 
 // kToggle crashes the mount at at and restarts it after back, or, with
-// brownout, holds the kernel in brownout from at for back.
+// brownout, holds the kernel in brownout from at for back. Over a
+// CephStore, osd crashes the OSD serving file 0's first object for back
+// instead, and partition cuts that OSD's network for back.
 type kToggle struct {
-	at, back time.Duration
-	brownout bool
+	at, back       time.Duration
+	brownout       bool
+	osd, partition bool
 }
 
 type kScenario struct {
@@ -275,6 +279,7 @@ type kScenario struct {
 	apps                  []kApp
 	toggles               []kToggle
 	shared                bool // the applications share their handles, as threads of one process do
+	ceph                  bool // the mount's store is a kernel Ceph client of a six-OSD cluster
 }
 
 type kResult struct {
@@ -314,7 +319,8 @@ type kOutcome struct {
 	obsWaits  []obs.WaitEvent
 	reads     []extentRec
 	writes    []extentRec
-	sizes     []int64 // the store's file sizes
+	sizes     []int64               // the store's file sizes
+	faults    metrics.FaultCounters // a CephStore's retries and failovers
 	cover     map[string]int
 	bareCover map[string]int // the paths of the bare applications' calls
 
@@ -454,7 +460,14 @@ func runKScenario(sc kScenario, straight bool, tick time.Duration) kOutcome {
 	cpus.SetRecorder(rec)
 	store := newFakeStore(e)
 	store.readDelay, store.writeDelay = sc.readDelay, sc.writeDelay
-	m := k.Mount(store, MountConfig{Name: "m", MemLimit: sc.memLimit, MaxDirty: sc.maxDirty})
+	var clus *cluster.Cluster
+	var mstore Store = store
+	if sc.ceph {
+		clus = cluster.New(e, params, 6)
+		clus.SetReplication(2)
+		mstore = NewCephStore(k, clus)
+	}
+	m := k.Mount(mstore, MountConfig{Name: "m", MemLimit: sc.memLimit, MaxDirty: sc.maxDirty})
 	opens := &pagedOpens{Mount: m, last: map[*sim.Proc]*pagedHandle{}}
 	s := NewSyscalls(k, opens)
 	acct := cpu.NewAccount("pool")
@@ -469,7 +482,16 @@ func runKScenario(sc kScenario, straight bool, tick time.Duration) kOutcome {
 		out.waits = append(out.waits, kWait{p.ID(), kind, resource, holder, start, dur})
 		rec.Wait(p.ID(), kind, resource, holder, holderID, start, dur)
 	})
+	var ino0 uint64 // file 0's ino, which the OSD toggles aim at
 	for i, size := range sc.files {
+		if clus != nil {
+			clus.Provision(kPath(i), size)
+			if i == 0 {
+				n, _ := clus.Tree().Lookup(kPath(0))
+				ino0 = n.Ino
+			}
+			continue
+		}
 		ino, _ := store.Create(vfsapi.Ctx{}, kPath(i))
 		store.nodes[ino].Size = size
 	}
@@ -478,6 +500,19 @@ func runKScenario(sc kScenario, straight bool, tick time.Duration) kOutcome {
 		e.Go("toggle", func(p *sim.Proc) {
 			p.Sleep(tg.at)
 			if live == 0 {
+				return
+			}
+			if clus != nil && (tg.osd || tg.partition) {
+				osd := clus.PlacementOf(ino0, 0)
+				if tg.osd {
+					clus.OSDs()[osd].Crash()
+					p.Sleep(tg.back)
+					clus.OSDs()[osd].Restart()
+					return
+				}
+				clus.Fabric().Servers[osd].SetPartitioned(true)
+				p.Sleep(tg.back)
+				clus.Fabric().Servers[osd].SetPartitioned(false)
 				return
 			}
 			if tg.brownout {
@@ -614,8 +649,13 @@ func runKScenario(sc kScenario, straight bool, tick time.Duration) kOutcome {
 	}
 	out.slices, out.cores, out.obsWaits = rec.Slices(), rec.CoreEvents(), rec.Waits()
 	out.reads, out.writes = store.reads, store.writes
+	tree := store.tree
+	if clus != nil {
+		tree = clus.Tree()
+		out.faults = mstore.(*CephStore).FaultStats()
+	}
 	for i := range sc.files {
-		if n, err := store.tree.Lookup(kPath(i)); err == nil {
+		if n, err := tree.Lookup(kPath(i)); err == nil {
 			out.sizes = append(out.sizes, n.Size)
 		}
 	}
@@ -660,6 +700,7 @@ func compareK(t *testing.T, name string, got, want kOutcome) {
 		{"store reads", got.reads, want.reads},
 		{"store writes", got.writes, want.writes},
 		{"store sizes", got.sizes, want.sizes},
+		{"CephStore faults", got.faults, want.faults},
 	} {
 		if !reflect.DeepEqual(c.got, c.want) {
 			t.Fatalf("%s: %s %v, straight line %v", name, c.what, c.got, c.want)
@@ -755,10 +796,16 @@ func TestKernRunMatchesStraightLine(t *testing.T) {
 	// with the even and then the odd applications' calls made straight
 	// on the page-cache handle, as an Append makes them, interleaved
 	// with the others' system calls.
+	cephCover := map[string]int{}
 	check := func(name string, sc kScenario, tick time.Duration) {
 		want := runKScenario(sc, true, tick)
 		compareK(t, name, runKScenario(sc, false, tick), want)
 		note(name, want, cover, want.cover)
+		if sc.ceph {
+			note(name, want, cephCover, want.cover)
+			cephCover["read retried"] += int(want.faults.Retries)
+			cephCover["read failed over"] += int(want.faults.Failovers)
+		}
 		for parity := range 2 {
 			bare := sc
 			bare.apps = slices.Clone(sc.apps)
@@ -799,6 +846,30 @@ func TestKernRunMatchesStraightLine(t *testing.T) {
 			fixed[fmt.Sprintf("crash at write return %d + %v", i, d)] = contended(kToggle{at: r.at + d, back: 500 * us})
 		}
 	}
+	// Over a kernel Ceph client the read-miss loop reads the objects in
+	// the run: misses over one and two objects, a fetch another reader
+	// waits on, the dirty pause and hard limit, and a down OSD, a
+	// partitioned one and a crash under a fetch, which hand the object
+	// read back to the Retrier or fail the fill.
+	cephFixed := map[string]kScenario{
+		"miss over one object": {cores: 2, files: []int64{256 * page}, apps: []kApp{
+			{ops: big(seq(0, kRead, 0, 64*page))}}},
+		"miss over two objects": {cores: 2, files: []int64{6 << 20}, apps: []kApp{
+			{ops: []kOp{{kind: kRead, off: 4<<20 - 64*page, n: 128 * page}}}}},
+		"miss and an in-flight fetch": fixed["miss and an in-flight fetch"],
+		"throttled writers":           fixed["throttled writers"],
+		"memory over its limit":       fixed["memory over its limit"],
+		"down OSD": {cores: 2, files: []int64{256 * page}, toggles: []kToggle{{at: 10 * us, back: 300 * us, osd: true}}, apps: []kApp{
+			{ops: seq(0, kRead, 0, 64*page, 128*page)}, {ops: seq(0, kRead, 8*page, 160*page)}}},
+		"partitioned OSD": {cores: 2, files: []int64{256 * page}, toggles: []kToggle{{at: 10 * us, back: 300 * us, partition: true}}, apps: []kApp{
+			{ops: seq(0, kRead, 0, 64*page, 128*page)}, {ops: seq(0, kRead, 8*page, 160*page)}}},
+		"crash mid-fetch": {cores: 2, files: []int64{256 * page}, toggles: []kToggle{{at: 40 * us, back: 300 * us}}, apps: []kApp{
+			{ops: big(seq(0, kRead, 0, 64*page, 128*page))}, {ops: seq(0, kRead, 0, 8*page)}}},
+	}
+	for name, sc := range cephFixed {
+		sc.ceph, sc.readDelay, sc.writeDelay = true, 0, 0
+		fixed["CephStore: "+name] = sc
+	}
 	for name, sc := range fixed {
 		check(name, sc, 37*us)
 	}
@@ -807,6 +878,31 @@ func TestKernRunMatchesStraightLine(t *testing.T) {
 		sc := randomKScenario(rng)
 		tick := time.Duration(20+rng.Intn(300)) * us
 		check(fmt.Sprint("scenario ", n), sc, tick)
+	}
+	// Random scenarios again over a kernel Ceph client, with OSD crashes
+	// and partitions among the toggles.
+	for n := 0; n < 300; n++ {
+		sc := randomKScenario(rng)
+		sc.ceph, sc.readDelay, sc.writeDelay = true, 0, 0
+		for i := range sc.toggles {
+			switch rng.Intn(3) {
+			case 0:
+				sc.toggles[i].osd, sc.toggles[i].brownout = true, false
+			case 1:
+				sc.toggles[i].partition, sc.toggles[i].brownout = true, false
+			}
+		}
+		tick := time.Duration(20+rng.Intn(300)) * us
+		check(fmt.Sprint("CephStore scenario ", n), sc, tick)
+	}
+	t.Logf("paths over a CephStore: %v", cephCover)
+	for _, path := range []string{
+		"read miss", "read waits on fetchQ", "read stale after its fetch", "read retried", "read failed over",
+		"write paced", "write at the hard dirty limit",
+	} {
+		if cephCover[path] == 0 {
+			t.Errorf("no CephStore scenario reached %q (paths reached: %v)", path, cephCover)
+		}
 	}
 	t.Logf("paths through Syscalls: %v", cover)
 	t.Logf("bare paths: %v", bareCover)
@@ -880,6 +976,64 @@ func TestKernRunParksOnce(t *testing.T) {
 		{Name: "KernCachedWrite", Body: kernCachedWrite, N: 5000},
 		{Name: "KernCachedOpenClose", Body: kernCachedOpenClose, N: 5000, Max: 2},
 	})
+}
+
+// TestHotPathAllocs holds a Read that misses one object and a Write the
+// dirty throttle holds allocation-free on a kernel Ceph client's mount: their
+// request runs, object reads and throttle waits are pooled.
+func TestHotPathAllocs(t *testing.T) {
+	allocgate.Check(t, []allocgate.Case{
+		{Name: "KernReadMiss", Body: kernReadMiss, N: 2000},
+		{Name: "KernThrottledWrite", Body: kernThrottledWrite, N: 2000},
+	})
+}
+
+// BenchmarkKernReadMiss reads 64 KiB at a time, 1 MiB apart, through
+// Syscalls from a file of a kernel Ceph client that nothing has read
+// yet: every Read misses one object, and its request run fetches it.
+func BenchmarkKernReadMiss(b *testing.B) { allocgate.Bench(b, kernReadMiss) }
+
+// BenchmarkKernThrottledWrite writes 64 KiB at a time through Syscalls
+// to a kernel Ceph client's mount whose dirty limit is 512 KiB, so most
+// Writes pause or wait at the hard limit while the flushers write back.
+func BenchmarkKernThrottledWrite(b *testing.B) { allocgate.Bench(b, kernThrottledWrite) }
+
+func kernReadMiss(n int) func() {
+	return kernCephOps(n, MountConfig{Name: "m"}, func(ctx vfsapi.Ctx, h vfsapi.Handle, i int) {
+		h.Read(ctx, int64(i)<<20, 64<<10)
+	})
+}
+
+func kernThrottledWrite(n int) func() {
+	return kernCephOps(n, MountConfig{Name: "m", MaxDirty: 512 << 10}, func(ctx vfsapi.Ctx, h vfsapi.Handle, i int) {
+		h.Write(ctx, int64(i%64)*64<<10, 64<<10)
+	})
+}
+
+// kernCephOps has one thread call op n times, through Syscalls, on a
+// handle of an 8 GiB file of a kernel Ceph client's mount configured as
+// cfg.
+func kernCephOps(n int, cfg MountConfig, op func(ctx vfsapi.Ctx, h vfsapi.Handle, i int)) func() {
+	e := sim.NewEngine()
+	params := model.Default()
+	cpus := cpu.New(e, params, 2)
+	k := New(e, cpus, params)
+	clus := cluster.New(e, params, 6)
+	clus.Provision("/f", 8<<30)
+	s := NewSyscalls(k, k.Mount(NewCephStore(k, clus), cfg))
+	th := cpus.NewThread(cpu.NewAccount("pool"), 0)
+	e.Go("app", func(p *sim.Proc) {
+		ctx := vfsapi.Ctx{P: p, T: th}
+		h, err := s.Open(ctx, "/f", vfsapi.RDWR)
+		if err != nil {
+			panic(err)
+		}
+		for i := range n {
+			op(ctx, h, i)
+		}
+		k.Stop()
+	})
+	return e.Run
 }
 
 // BenchmarkKernCachedOpenClose opens, through Syscalls, a file whose

@@ -343,10 +343,16 @@ func (db *DB) writeTable(ctx vfsapi.Ctx, entries map[uint64]int64) (*sstable, er
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return db.writeSorted(ctx, keys, func(k uint64) int64 { return entries[k] })
+	sizes := make([]int64, len(keys))
+	for i, k := range keys {
+		sizes[i] = entries[k]
+	}
+	return db.writeSorted(ctx, keys, sizes)
 }
 
-func (db *DB) writeSorted(ctx vfsapi.Ctx, keys []uint64, sizeOf func(uint64) int64) (*sstable, error) {
+// writeSorted writes a run of the sorted keys, key i's value of sizes[i]
+// bytes (or a tombstone).
+func (db *DB) writeSorted(ctx vfsapi.Ctx, keys []uint64, sizes []int64) (*sstable, error) {
 	db.nextID++
 	t := &sstable{
 		id:   db.nextID,
@@ -356,12 +362,12 @@ func (db *DB) writeSorted(ctx vfsapi.Ctx, keys []uint64, sizeOf func(uint64) int
 	if err != nil {
 		return nil, err
 	}
+	t.keys = append(make([]uint64, 0, len(keys)), keys...)
+	t.sizes = append(make([]int64, 0, len(keys)), sizes...)
+	t.offs = make([]int64, len(keys))
 	var off int64 = 4096 // index block
-	for _, k := range keys {
-		size := sizeOf(k)
-		t.keys = append(t.keys, k)
-		t.sizes = append(t.sizes, size)
-		t.offs = append(t.offs, off)
+	for i, size := range sizes {
+		t.offs[i] = off
 		if size == tombstone {
 			off += entryOverhead // tombstones carry no value bytes
 		} else {
@@ -446,10 +452,10 @@ func (db *DB) compactOnce(ctx vfsapi.Ctx) {
 	}
 	db.mu.Unlock(ctx.P)
 
-	// Read every input run; oldest first so newer runs overwrite.
+	// Read every input run, oldest first. inputs is newest first: L0
+	// newest first, then the bottom level's disjoint runs.
 	inputs := append(append([]*sstable{}, l0In...), overlap...)
 	var totalBytes int64
-	merged := map[uint64]int64{}
 	for i := len(inputs) - 1; i >= 0; i-- {
 		t := inputs[i]
 		h, err := db.cfg.FS.Open(ctx, t.path, vfsapi.RDONLY)
@@ -459,9 +465,6 @@ func (db *DB) compactOnce(ctx vfsapi.Ctx) {
 			}
 			h.Close(ctx)
 		}
-		for j, k := range t.keys {
-			merged[k] = t.sizes[j]
-		}
 		totalBytes += t.bytes
 	}
 	// Merge CPU at copy rate.
@@ -470,23 +473,16 @@ func (db *DB) compactOnce(ctx vfsapi.Ctx) {
 	// Write merged runs split at the target table size. This merge
 	// covers every older occurrence of its key range (all L0 plus the
 	// overlapping bottom level), so tombstones can be dropped here.
-	keys := make([]uint64, 0, len(merged))
-	for k := range merged {
-		if merged[k] == tombstone {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	keys, sizes := merge(inputs)
 	var outs []*sstable
 	for start := 0; start < len(keys); {
 		var bytes int64
 		end := start
 		for end < len(keys) && bytes < targetTableBytes {
-			bytes += merged[keys[end]] + entryOverhead
+			bytes += sizes[end] + entryOverhead
 			end++
 		}
-		t, err := db.writeSorted(ctx, keys[start:end], func(k uint64) int64 { return merged[k] })
+		t, err := db.writeSorted(ctx, keys[start:end], sizes[start:end])
 		if err == nil {
 			outs = append(outs, t)
 		}
@@ -520,6 +516,39 @@ func (db *DB) compactOnce(ctx vfsapi.Ctx) {
 	// Remove the input files.
 	for _, t := range inputs {
 		db.cfg.FS.Unlink(ctx, t.path)
+	}
+}
+
+// merge merges the sorted runs ts, newest first, into one sorted run:
+// of the entries of one key the newest wins, and a winning tombstone
+// drops the key.
+func merge(ts []*sstable) (keys []uint64, sizes []int64) {
+	n := 0
+	for _, t := range ts {
+		n += len(t.keys)
+	}
+	keys, sizes = make([]uint64, 0, n), make([]int64, 0, n)
+	next := make([]int, len(ts)) // each run's first unmerged entry
+	for {
+		// The smallest unmerged key, and the newest run that holds it.
+		win := -1
+		for i, t := range ts {
+			if next[i] < len(t.keys) && (win < 0 || t.keys[next[i]] < ts[win].keys[next[win]]) {
+				win = i
+			}
+		}
+		if win < 0 {
+			return keys, sizes
+		}
+		k, size := ts[win].keys[next[win]], ts[win].sizes[next[win]]
+		for i, t := range ts {
+			if next[i] < len(t.keys) && t.keys[next[i]] == k {
+				next[i]++
+			}
+		}
+		if size != tombstone {
+			keys, sizes = append(keys, k), append(sizes, size)
+		}
 	}
 }
 

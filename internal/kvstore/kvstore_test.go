@@ -3,6 +3,7 @@ package kvstore
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -311,4 +312,55 @@ func TestScanMergesLevelsAndSkipsTombstones(t *testing.T) {
 			t.Fatalf("subrange scan = %d, want 7", count)
 		}
 	})
+}
+
+// TestMergeMatchesMapMerge holds merge to the map merge it replaced:
+// over random runs, newest first, with shared keys and tombstones, it
+// must produce the keys and sizes that applying the runs oldest first
+// to a map, dropping tombstones and sorting the keys, did.
+func TestMergeMatchesMapMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 500; n++ {
+		var ts []*sstable
+		for range rng.Intn(6) {
+			entries := map[uint64]int64{}
+			for range rng.Intn(40) {
+				size := int64(1 + rng.Intn(4096))
+				if rng.Intn(4) == 0 {
+					size = tombstone
+				}
+				entries[uint64(rng.Intn(64))] = size
+			}
+			t := &sstable{}
+			for k := range entries {
+				t.keys = append(t.keys, k)
+			}
+			slices.Sort(t.keys)
+			for _, k := range t.keys {
+				t.sizes = append(t.sizes, entries[k])
+			}
+			ts = append(ts, t)
+		}
+		merged := map[uint64]int64{}
+		for i := len(ts) - 1; i >= 0; i-- {
+			for j, k := range ts[i].keys {
+				merged[k] = ts[i].sizes[j]
+			}
+		}
+		var wantKeys []uint64
+		for k, size := range merged {
+			if size != tombstone {
+				wantKeys = append(wantKeys, k)
+			}
+		}
+		slices.Sort(wantKeys)
+		wantSizes := []int64{}
+		for _, k := range wantKeys {
+			wantSizes = append(wantSizes, merged[k])
+		}
+		keys, sizes := merge(ts)
+		if !slices.Equal(keys, wantKeys) || !slices.Equal(sizes, wantSizes) {
+			t.Fatalf("case %d: merge gives %v %v, map merge %v %v", n, keys, sizes, wantKeys, wantSizes)
+		}
+	}
 }

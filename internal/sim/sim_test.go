@@ -934,3 +934,76 @@ func TestWaitQueueMatchesHistoricalQueue(t *testing.T) {
 		}
 	}
 }
+
+// TestWaitQueueMixesCallbackWaiters holds a queue whose odd-numbered
+// processes wait as callback waiters (WaitThen, WaitTimeoutThen, each
+// continuation handing control back with ResumeHere) to the same queue
+// with process waiters only, event for event: the same engine events at
+// the same times in the same order, the same wait reports, the same
+// resume times and the same Signal results, under Signal, Broadcast and
+// timeouts. Only an event's kind may differ: a callback waiter's wake is
+// a callback where a parked waiter's is a resume. The first scenario
+// signals p1's timed wait, whose timeout then fires dead while p1
+// sleeps.
+func TestWaitQueueMixesCallbackWaiters(t *testing.T) {
+	parked := func(e *Engine) waitQueueUnderTest {
+		q := NewWaitQueue(e, "q")
+		return waitQueueUnderTest{q.Wait, q.WaitTimeout, q.Signal, q.Broadcast}
+	}
+	mixed := func(e *Engine) waitQueueUnderTest {
+		q := NewWaitQueue(e, "q")
+		odd := func(p *Proc) bool { return p.ID()%2 == 0 } // p1, p3, ... (ids start at 1)
+		return waitQueueUnderTest{
+			wait: func(p *Proc) {
+				if !odd(p) {
+					q.Wait(p)
+					return
+				}
+				q.WaitThen(p, p.ResumeHere)
+				p.Park()
+			},
+			waitTimeout: func(p *Proc, d time.Duration) {
+				if !odd(p) {
+					q.WaitTimeout(p, d)
+					return
+				}
+				q.WaitTimeoutThen(p, d, p.ResumeHere)
+				p.Park()
+			},
+			signal:    q.Signal,
+			broadcast: q.Broadcast,
+		}
+	}
+	scenarios := []waitScenario{{procs: [][]waitOp{
+		{{kind: opSignalLater, d: 500 * time.Microsecond}},
+		{{kind: opWaitTimeout, d: 2 * time.Millisecond}, {kind: opSleep, d: 3 * time.Millisecond}},
+	}}}
+	rng := rand.New(rand.NewSource(2))
+	for range 400 {
+		scenarios = append(scenarios, randomWaitScenario(rng))
+	}
+	became := 0
+	for i, sc := range scenarios {
+		want := runWaitScenario(sc, parked)
+		got := runWaitScenario(sc, mixed)
+		for j := 0; j < max(len(got), len(want)); j++ {
+			if j < len(got) && j < len(want) && got[j] != want[j] {
+				// A callback waiter's wake: the same event, run as a
+				// callback.
+				at, _, ok := strings.Cut(strings.TrimPrefix(want[j], "trace "), " resume ")
+				if ok && strings.HasPrefix(want[j], "trace ") && got[j] == "trace "+at+" callback #0" {
+					became++
+					continue
+				}
+			}
+			if j >= len(got) || j >= len(want) || got[j] != want[j] {
+				t.Fatalf("scenario %d %+v diverges at line %d:\n got: %s\nwant: %s",
+					i, sc, j, strings.Join(got[max(0, j-3):min(len(got), j+1)], "\n      "),
+					strings.Join(want[max(0, j-3):min(len(want), j+1)], "\n      "))
+			}
+		}
+	}
+	if became == 0 {
+		t.Fatal("no wake ran as a callback")
+	}
+}
