@@ -408,14 +408,22 @@ func main() {
 	}
 	h.exportObs()
 	h.exportBlame()
-	h.exportTraces()
+	if err := h.exportTraces(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		exit(1)
+	}
 	h.exitOnViolations()
 }
 
 // exportTraces writes the generic per-run op captures collected by
 // h.attach to -record: to that path directly for a single run, or to
-// <base>-runN<ext> each when several testbeds recorded.
-func (h *harness) exportTraces() {
+// <base>-runN<ext> each when several testbeds recorded. It fails when
+// -record is set and no run recorded an op stream: an empty trace would
+// not replay.
+func (h *harness) exportTraces() error {
+	if h.record != "" && len(h.opCaptures) == 0 {
+		return fmt.Errorf("record: no run recorded an op stream; %s not written", h.record)
+	}
 	ext := filepath.Ext(h.record)
 	for i, capRec := range h.opCaptures {
 		out := h.record
@@ -424,6 +432,7 @@ func (h *harness) exportTraces() {
 		}
 		writeTrace(out, capRec.Snapshot())
 	}
+	return nil
 }
 
 // replayFile replays the -replay trace file against one client

@@ -325,3 +325,34 @@ func TestCleanOverloadRowPasses(t *testing.T) {
 		t.Fatalf("clean row flagged: %v", vs)
 	}
 }
+
+// TestRecordWithoutCaptureFails: -record on an experiment that observes
+// no run through the CLI's attach hook (table1 computes its rows;
+// blamesweep uses its own recorders) writes no trace and fails with a
+// message naming the path, rather than exiting 0 having done nothing.
+func TestRecordWithoutCaptureFails(t *testing.T) {
+	for _, name := range []string{"table1", "blamesweep"} {
+		path := filepath.Join(t.TempDir(), "r.trace")
+		o, err := parseFlags(flag.NewFlagSet("danausbench", flag.ContinueOnError),
+			[]string{"-exp", name, "-record", path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := newHarness(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range experiments.Table() {
+			if e.Name == name {
+				h.runOne(e, io.Discard, io.Discard)
+			}
+		}
+		want := "record: no run recorded an op stream; " + path + " not written"
+		if err := h.exportTraces(); err == nil || err.Error() != want {
+			t.Errorf("-exp %s -record: exportTraces = %v, want %q", name, err, want)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("-exp %s -record: %s exists (stat: %v)", name, path, err)
+		}
+	}
+}

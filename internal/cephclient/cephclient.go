@@ -340,52 +340,6 @@ func (c *Client) wireSteps(t *cpu.Thread, n int64) [5]cpu.Step {
 		cpu.Charge(cpu.User, model.RateTime(n, c.params.ChecksumBytesPerSec))}
 }
 
-// copyData charges a data copy of n bytes, a fraction of it while
-// holding client_lock (see copySteps).
-func (c *Client) copyData(ctx vfsapi.Ctx, n int64, write bool) {
-	locked, unlocked := c.copySteps(n, write)
-	ctx.T.LockedChain(ctx.P, c.clientLock, ctx.Span, "client_lock", locked, unlocked)
-}
-
-// cacheInsert adds residency and evicts cold clean data over the limit.
-// Caller must NOT hold client_lock.
-func (c *Client) cacheInsert(ctx vfsapi.Ctx, f *cfile, off, n int64) {
-	c.lockedMeta(ctx, func() { c.cache.Insert(f, off, n) })
-	if c.cache.Over() {
-		c.lockedMeta(ctx, func() { c.cache.Evict() })
-	}
-}
-
-// markDirty records a buffered write and wakes the flushers. It reports
-// false, recording nothing, when RevokeCaps dropped f first: the writer
-// must recap and retry on a current cfile.
-func (c *Client) markDirty(ctx vfsapi.Ctx, f *cfile, off, n int64) bool {
-	marked := false
-	c.lockedMeta(ctx, func() { marked = c.mark(f, off, n) })
-	if marked {
-		c.wakeFlushers()
-	}
-	return marked
-}
-
-// mark records [off, off+n) of f dirty, unless RevokeCaps dropped f
-// first, and reports whether it did. The caller holds client_lock.
-func (c *Client) mark(f *cfile, off, n int64) bool {
-	if f.X.revoked {
-		return false
-	}
-	c.cache.MarkDirty(f, off, n, c.eng.Now())
-	return true
-}
-
-// wakeFlushers starts writeback once dirty data passes half the dirty
-// limit.
-func (c *Client) wakeFlushers() {
-	if c.cache.DirtyBytes >= c.cfg.MaxDirty/2 {
-		c.flushQ.Broadcast()
-	}
-}
-
 // overDirty reports whether a writer must wait for writeback. The
 // stopped check makes teardown safe: once the client's flusher threads
 // have been stopped nobody can lower the dirty level, so a straggling

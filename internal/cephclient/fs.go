@@ -348,9 +348,10 @@ func (h *chandle) Read(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 
 // Write copies into the object cache and marks dirty, throttling at the
 // client's dirty limit. It runs as one request run (see Start), the
-// throttle included, which hands control back where the write must
-// recap, at a stale handle and at a revoked mark; the blocking code then
-// goes on in Finish.
+// throttle included. The run hands control back only where the write
+// must recap (before its copy, after it, or at a revoked mark) or finds
+// its handle stale at the insert: Finish fails a stale write, or recaps
+// and re-enters the run at that step.
 func (h *chandle) Write(ctx vfsapi.Ctx, off, n int64) (int64, error) {
 	return h.do(ctx, vfsapi.OpWrite, off, n)
 }
@@ -420,40 +421,6 @@ func (h *chandle) refuse(ctx vfsapi.Ctx, kind vfsapi.Kind) error {
 
 // writable reports whether the handle was opened for writing.
 func (h *chandle) writable() bool { return h.flags.Writable() || h.flags.Has(vfsapi.CREATE) }
-
-// accept counts n bytes the handle takes into the cache.
-func (h *chandle) accept(n int64) {
-	h.wrote = true
-	h.c.stats.WriteBytes += n
-}
-
-// grow extends the client's size view to end.
-func (h *chandle) grow(end int64) {
-	if end > h.f.Size {
-		h.f.Size = end
-	}
-}
-
-// dirty inserts the copied [off, off+n) into the object cache and marks
-// it dirty, recapping first while the handle's cfile was revoked.
-func (h *chandle) dirty(ctx vfsapi.Ctx, off, n int64) (int64, error) {
-	c := h.c
-	for {
-		// The copy, recap and cacheInsert wait on client_lock; the
-		// writer may resume on the far side of a crash and must fail
-		// rather than dirty the restarted incarnation's cache through a
-		// dead cfile, or after a revocation, which it recaps for.
-		if err := h.failIfStale(ctx); err != nil {
-			return 0, err
-		}
-		h.recap(ctx)
-		c.cacheInsert(ctx, h.f, off, n)
-		h.grow(off + n)
-		if c.markDirty(ctx, h.f, off, n) {
-			return n, nil
-		}
-	}
-}
 
 // Append writes at the end of file.
 func (h *chandle) Append(ctx vfsapi.Ctx, n int64) (int64, error) {

@@ -18,9 +18,8 @@ type hand uint8
 
 const (
 	handDone   hand = iota // over: return the result
-	handLoop               // a stale handle, a recap or a revoked mark after a write's copy: the blocking write loop
 	handRetry              // a fill's backend read failed or cannot start: the Retrier goes on with it
-	handRecap              // a write must recap before its copy
+	handRecap              // a write must recap, or its handle went stale: fail a stale one, else recap and re-enter the run at recapped
 	handLookup             // an open's path is not in the attribute cache: the MDS lookup
 	handCaps               // an open's caps conflict with another holder's: acquire them, revoking
 	handTrunc              // an open truncates: make the handle, truncating
@@ -45,14 +44,16 @@ const (
 //	Close: op CPU (→ wire → the MDS size push (cluster.MetaRun) →
 //	       attribute update, for a written file)
 //
-// At the first decision that needs the process — a stale handle or a
-// recap after a write's copy, a revoked mark, a backend read that fails
-// or finds the client crashed, an attribute miss, a caps conflict, a
-// truncation, a stalled MDS or a hop error — or at the end, it records
-// where in at and hands control back with sim.(*Proc).ResumeHere. Each
-// step pushes what the process pushed, so a request keeps every
-// simulated result; TestChandleRunMatchesStraightLine checks this
-// against the straight-line code.
+// At the first decision that needs the process — a write's recap, a
+// stale handle at a write's insert, a backend read that fails or finds
+// the client crashed, an attribute miss, a caps conflict, a truncation,
+// a stalled MDS or a hop error — or at the end, it records where in at
+// and hands control back with sim.(*Proc).ResumeHere. A write the
+// process has recapped re-enters the run at the step it stopped at, so
+// a write has no other form. Each step pushes what the process pushed,
+// so a request keeps every simulated result;
+// TestChandleRunMatchesStraightLine checks this against the
+// straight-line code.
 type request struct {
 	c    *Client
 	h    *chandle // the handle of a Read, Write or Close; an Open's new handle
@@ -68,9 +69,10 @@ type request struct {
 	op       cluster.Op  // a fill's backend read (handRetry)
 	at       hand
 
-	ins     extent.Extent // the range an insert step records resident
-	insThen func()        // and the step after it
-	since   time.Duration // when a throttle wait began
+	ins      extent.Extent // the range an insert step records resident
+	insThen  func()        // and the step after it
+	since    time.Duration // when a throttle wait began
+	recapped func()        // the step a write re-enters after its recap (handRecap)
 
 	path  string          // an Open's path; a Close's pushed path
 	flags vfsapi.OpenFlag // an Open's flags
@@ -82,15 +84,15 @@ type request struct {
 	reply func()    // a transport's reply, started by done; nil resumes the process
 
 	// Reusable continuations, bound once per pooled request.
-	readOp, touched, claimed, copied func()
-	writeOp, inserted, evicted       func()
-	markNext, marked, served         func()
-	waited, fillWired, removed       func()
-	released, failed, throttled      func()
-	read                             func(error)
-	attempt                          func(try, member int) error
-	openOp, looked                   func()
-	closeOp, wired, pushed           func()
+	readOp, touched, claimed, copied       func()
+	writeOp, reinserted, inserted, evicted func()
+	markNext, marked, served               func()
+	waited, fillWired, removed             func()
+	released, failed, throttled            func()
+	read                                   func(error)
+	attempt                                func(try, member int) error
+	openOp, looked                         func()
+	closeOp, wired, pushed                 func()
 }
 
 func (c *Client) getRequest(ctx vfsapi.Ctx, h *chandle, reply func(), kind vfsapi.Kind, off, n int64) *request {
@@ -102,7 +104,7 @@ func (c *Client) getRequest(ctx vfsapi.Ctx, h *chandle, reply func(), kind vfsap
 		r = &request{c: c}
 		r.fetch.Steps = r
 		r.readOp, r.touched, r.claimed, r.copied = r.afterReadOp, r.touch, r.claim, r.insert
-		r.writeOp, r.inserted, r.evicted = r.afterWriteOp, r.afterInsert, r.evict
+		r.writeOp, r.reinserted, r.inserted, r.evicted = r.afterWriteOp, r.reinsert, r.afterInsert, r.evict
 		r.markNext, r.marked, r.served = r.markLocked, r.afterMark, r.done
 		r.waited, r.fillWired, r.removed = r.afterWait, r.readBackend, r.afterRemove
 		r.released, r.failed, r.throttled = r.release, r.fail, r.afterThrottle
@@ -117,7 +119,7 @@ func (c *Client) getRequest(ctx vfsapi.Ctx, h *chandle, reply func(), kind vfsap
 
 func (c *Client) putRequest(r *request) {
 	r.h, r.p, r.t, r.span, r.sc, r.reply = nil, nil, nil, nil, obs.Scope{}, nil
-	r.path, r.info, r.err, r.meta, r.insThen = "", vfsapi.FileInfo{}, nil, nil, nil
+	r.path, r.info, r.err, r.meta, r.insThen, r.recapped = "", vfsapi.FileInfo{}, nil, nil, nil, nil
 	c.requests = append(c.requests, r)
 }
 
@@ -152,8 +154,8 @@ func (r *request) end(n int64, err error) {
 }
 
 // Finish goes on in the process from where the run handed control back
-// (see vfsapi.Run): the Retrier of a fill, the write loop, a recap, the
-// rest of an open or a close's size push.
+// (see vfsapi.Run): the Retrier of a fill, a write's recap, the rest of
+// an open or a close's size push.
 func (r *request) Finish(ctx vfsapi.Ctx) (vfsapi.Result, error) {
 	if r.kind == vfsapi.OpOpen {
 		return r.finishOpen(ctx)
@@ -163,8 +165,9 @@ func (r *request) Finish(ctx vfsapi.Ctx) (vfsapi.Result, error) {
 }
 
 // finish is Finish of a Read, Write or Close. Where the blocking code
-// ends in a step of the run — the rest of a fill, the dirty throttle —
-// it starts that step and parks again, until the request is over.
+// ends in a step of the run — the rest of a fill, a recapped write — it
+// starts that step and parks again, until the request is over. A write
+// whose handle went stale fails here, after the crash check's charge.
 func (r *request) finish(ctx vfsapi.Ctx) (int64, error) {
 	h, c := r.h, r.c
 	r.reply = nil // from here the process waits for the request's end
@@ -182,26 +185,15 @@ func (r *request) finish(ctx vfsapi.Ctx) (int64, error) {
 			c.sizePushed(r.path, h.f)
 			r.end(0, nil)
 		case handRecap:
+			if err := h.failIfStale(ctx); err != nil {
+				r.end(0, err)
+				continue
+			}
 			h.recap(ctx)
-			h.accept(r.n)
-			c.copyData(ctx, r.n, true)
-			r.dirty(ctx)
-		case handLoop:
-			r.dirty(ctx)
+			r.recapped()
+			ctx.P.Park()
 		}
 	}
-}
-
-// dirty is the write loop in the process: it inserts the copied range
-// and marks it dirty (see chandle.dirty), then throttles the writer as
-// the run does.
-func (r *request) dirty(ctx vfsapi.Ctx) {
-	if _, err := r.h.dirty(ctx, r.off, r.n); err != nil {
-		r.end(0, err)
-		return
-	}
-	r.throttle()
-	ctx.P.Park()
 }
 
 // finishOpen is Finish of an Open: its handle, or the blocking rest of
@@ -411,10 +403,12 @@ func (r *request) Fetched(err error) {
 func (r *request) afterWriteOp() {
 	h := r.h
 	if h.mustRecap() {
+		r.recapped = r.writeOp
 		r.handBack(handRecap)
 		return
 	}
-	h.accept(r.n)
+	h.wrote = true
+	h.c.stats.WriteBytes += r.n
 	locked, unlocked := h.c.copySteps(r.n, true)
 	r.t.LockedChainThen(r.p, h.c.clientLock, r.span, "client_lock", r.copied, locked, unlocked)
 }
@@ -424,11 +418,19 @@ func (r *request) afterWriteOp() {
 func (r *request) insert() {
 	h := r.h
 	if h.stale() || h.mustRecap() {
-		r.handBack(handLoop)
+		r.recapped = r.reinserted
+		r.handBack(handRecap)
 		return
 	}
-	r.insertThen(extent.Extent{Off: r.off, Len: r.n}, r.markNext)
+	r.reinsert()
 }
+
+// reinsert records the copied range resident, then marks it dirty. A
+// write recapped after its copy re-enters here, past insert's checks: it
+// inserts on the cfile its recap ended on, even where its client crashed
+// during the recap, as the straight-line write does
+// (TestChandleRunMatchesStraightLine).
+func (r *request) reinsert() { r.insertThen(extent.Extent{Off: r.off, Len: r.n}, r.markNext) }
 
 // insertThen takes client_lock to record ext resident, then calls then.
 func (r *request) insertThen(ext extent.Extent, then func()) {
@@ -457,21 +459,31 @@ func (r *request) evict() {
 // markLocked grows the size view and takes client_lock to mark the
 // range dirty.
 func (r *request) markLocked() {
-	r.h.grow(r.off + r.n)
+	if f, end := r.h.f, r.off+r.n; end > f.Size {
+		f.Size = end
+	}
 	r.locked(r.marked, r.c.holdStep())
 }
 
-// afterMark wakes the flushers and throttles the writer; a revoked mark
-// goes back to the process.
+// afterMark marks the range dirty, unless RevokeCaps dropped the cfile
+// first: the writer then recaps and inserts again on a current one. A
+// marked write wakes the flushers once dirty data passes half the dirty
+// limit, and throttles the writer.
 func (r *request) afterMark() {
-	c := r.c
-	marked := c.mark(r.h.f, r.off, r.n)
+	c, f := r.c, r.h.f
+	revoked := f.X.revoked
+	if !revoked {
+		c.cache.MarkDirty(f, r.off, r.n, c.eng.Now())
+	}
 	r.unlock()
-	if !marked {
-		r.handBack(handLoop)
+	if revoked {
+		r.recapped = r.reinserted
+		r.handBack(handRecap)
 		return
 	}
-	c.wakeFlushers()
+	if c.cache.DirtyBytes >= c.cfg.MaxDirty/2 {
+		c.flushQ.Broadcast()
+	}
 	r.throttle()
 }
 

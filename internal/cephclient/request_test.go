@@ -183,7 +183,8 @@ func (o *straightLine) write(h *chandle, ctx vfsapi.Ctx, off, n int64) (int64, e
 	}
 	c := h.c
 	o.opCPU(c, ctx)
-	if h.f.X.revoked && !c.crashed && h.gen == c.cache.Gen {
+	recapped := h.f.X.revoked && !c.crashed && h.gen == c.cache.Gen
+	if recapped {
 		o.cover["write recaps before its copy"]++
 	}
 	h.recap(ctx)
@@ -195,12 +196,19 @@ func (o *straightLine) write(h *chandle, ctx vfsapi.Ctx, off, n int64) (int64, e
 			if first {
 				o.cover["write stale after its copy"]++
 			}
+			if first && recapped {
+				o.cover["write recaps, then finds its handle stale"]++
+			}
 			return 0, err
 		}
-		if first && h.f.X.revoked {
+		revoked := h.f.X.revoked
+		if first && revoked {
 			o.cover["write recaps after its copy"]++
 		}
 		h.recap(ctx)
+		if revoked && (c.crashed || h.gen != c.cache.Gen) {
+			o.cover["write goes stale in a recap after its copy"]++
+		}
 		o.cacheInsert(c, ctx, h.f, off, n)
 		if end := off + n; end > h.f.Size {
 			h.f.Size = end
@@ -345,6 +353,7 @@ type chOutcome struct {
 	busy    []time.Duration
 	cpu     []time.Duration
 	slices  []obs.SliceEvent
+	mds     [][2]time.Duration // the start and end of each MDS round trip the slices hold
 	lock    sim.LockStats
 	spans   obs.LockAgg // client_lock waits the spans attributed
 	stats   CacheStats
@@ -615,6 +624,11 @@ func runChScenario(sc chScenario, straight bool, tick time.Duration) chOutcome {
 		// A panic unwinds the deferred scope exits of the process it
 		// ran in, which differs between the two forms.
 		out.slices = rec.Slices()
+		for _, s := range out.slices {
+			if rec.Str(s.Layer) == string(obs.LayerMDS) {
+				out.mds = append(out.mds, [2]time.Duration{s.Start, s.Start + s.Dur})
+			}
+		}
 	}
 	out.lock = c.clientLock.Stats()
 	out.spans = *rec.Registry().Tenant("app").Lock("client_lock")
@@ -674,11 +688,12 @@ func compareCh(t *testing.T, name string, got, want chOutcome) {
 // limits, file sizes and op mixes — hits, misses, reads at and across
 // the end of file, overlapping fetches, contended client_lock, writes
 // over the cache limit and over the dirty limit — with the client
-// crashing and restarting and a second client revoking its caps at
-// random times, every op must return at the same time with the same
-// result, the engine must run the same events at the same times, the
-// wait reports must match in order, and the lock, cache, CPU and dirty
-// counters must agree at every window boundary and at the end. The
+// crashing and restarting (also inside a write's recap) and a second
+// client revoking its caps at random times, every op must return at the
+// same time with the same result, the engine must run the same events
+// at the same times, the wait reports must match in order, and the
+// lock, cache, CPU and dirty counters must agree at every window
+// boundary and at the end. The
 // applications reach the client directly, through a FUSE mount,
 // through a FUSE mount stacked on another (F/F), or through an IPC
 // transport (D); there the transport starts the run's request at its
@@ -797,6 +812,42 @@ func TestChandleRunMatchesStraightLine(t *testing.T) {
 			fixed[prefix+name] = sc
 		}
 	}
+	// The client crashes inside the MDS lookup of a write's recap, the
+	// last MDS round trip before the write returns: a recap before the
+	// copy (the run re-enters at the copy and finds its handle stale at
+	// the insert) and one after it (the run re-enters at the insert, past
+	// its checks, as the straight line inserts). The first is run directly
+	// and through each transport, the second directly and through IPC,
+	// where a revocation lands inside a 4 MiB copy.
+	inLookup := func(name string, sc chScenario, op int) {
+		probe := runChScenario(sc, true, 37*us)
+		end := probe.results[0][op].at
+		var last [2]time.Duration
+		for _, m := range probe.mds {
+			if m[1] <= end && m[1] > last[1] {
+				last = m
+			}
+		}
+		if last[1] == 0 {
+			t.Fatalf("%s: no MDS round trip before write %d returns", name, op)
+		}
+		for k := range time.Duration(3) {
+			crash := sc
+			crash.toggles = append([]chToggle{{at: last[0] + (last[1]-last[0])*(k+1)/4, back: 500 * us}}, sc.toggles...)
+			fixed[fmt.Sprintf("%s: crash in the recap's lookup %d/4", name, k+1)] = crash
+		}
+	}
+	for prefix, mount := range map[string]chMount{"": chDirect, "F: ": chFUSE, "F/F: ": chFUSE2, "D: ": chIPC} {
+		before := chScenario{cores: 2, files: []int64{8 * page}, mount: mount, toggles: []chToggle{{at: 20 * us, revoke: true}}, apps: []chApp{
+			{ops: []chOp{{write: true, n: page}, {gap: 5 * time.Millisecond, write: true, off: page, n: page}}},
+		}}
+		inLookup(prefix+"recap before the copy", before, 1)
+		if mount == chDirect || mount == chIPC {
+			after := fixed["revoked during a copy"]
+			after.mount = mount
+			inLookup(prefix+"recap after the copy", after, 1)
+		}
+	}
 	for prefix, mount := range mounts {
 		sc := contended()
 		sc.mount = mount
@@ -854,6 +905,7 @@ func TestChandleRunMatchesStraightLine(t *testing.T) {
 		"read hit", "read at EOF", "read clamped at EOF", "read miss", "read waits on fetchQ", "read retried", "read denied by the breaker",
 		"read stale at its claim", "read stale after its fetch", "evict", "write throttled", "write stale after its copy",
 		"write recaps before its copy", "write recaps after its copy", "write mark revoked",
+		"write recaps, then finds its handle stale", "write goes stale in a recap after its copy",
 		"FUSE read", "FUSE write", "IPC read", "IPC write",
 	} {
 		if cover[path] == 0 {
@@ -866,9 +918,10 @@ func TestChandleRunMatchesStraightLine(t *testing.T) {
 // uncontended cached Read and Write each park their process once, where
 // the straight line parked four and five times, and once too through a
 // FUSE mount or an IPC transport, whose dispatch starts the run and
-// whose reply the run starts. A stale or closed handle starts no run:
-// its error comes from the blocking path, and the FUSE reply chain
-// still runs. The warm cached read and write stay allocation-free,
+// whose reply the run starts. A write whose caps were revoked parks only
+// in its recap's blocking steps and once more for the rest of its run.
+// A stale or closed handle starts no run: its error comes from the
+// blocking path, and the FUSE reply chain still runs. The warm cached read and write stay allocation-free,
 // called directly and through either transport, and so do 1 MiB reads
 // and writes of eight FUSE chunks and 1 MiB reads through two stacked
 // FUSE mounts.
@@ -881,19 +934,31 @@ func TestChandleRunParksOnce(t *testing.T) {
 		}
 		h.Write(ctx, 0, 64<<10)
 		h.Read(ctx, 0, 4<<10)
+		write := func() (int64, error) { return h.Write(ctx, 8<<10, 4<<10) }
 		for _, op := range []struct {
-			name string
-			do   func() (int64, error)
+			name  string
+			prep  func()
+			do    func() (int64, error)
+			parks int
 		}{
-			{"cached Read", func() (int64, error) { return h.Read(ctx, 4<<10, 4<<10) }},
-			{"cached Write", func() (int64, error) { return h.Write(ctx, 8<<10, 4<<10) }},
+			{"cached Read", nil, func() (int64, error) { return h.Read(ctx, 4<<10, 4<<10) }, 1},
+			{"cached Write", nil, write, 1},
+			// Revoked by its own client, the writer has no other holder to
+			// revoke, so its recap is only the attribute refetch: client_lock
+			// holds and an MDS lookup. The blocking write loop that went on
+			// after the recap parked 10 times here.
+			{"recapping Write", func() { r.client.RevokeCaps(ctx, h.(*chandle).f.Ino) }, write, 7},
+			{"Write after the recap", nil, write, 1},
 		} {
+			if op.prep != nil {
+				op.prep()
+			}
 			before := ctx.P.Parks()
 			if n, err := op.do(); n != 4<<10 || err != nil {
 				t.Fatalf("%s returned %d, %v", op.name, n, err)
 			}
-			if n := ctx.P.Parks() - before; n != 1 {
-				t.Errorf("%s parked %d times, want 1", op.name, n)
+			if n := ctx.P.Parks() - before; n != op.parks {
+				t.Errorf("%s parked %d times, want %d", op.name, n, op.parks)
 			}
 		}
 	})

@@ -178,29 +178,6 @@ func (m *Mount) withLRU(ctx vfsapi.Ctx, fn func()) {
 	k.lruLock.Unlock(ctx.P)
 }
 
-// cacheInsert adds [off,off+n) to f's resident set, evicting cold clean
-// pages if the mount exceeds its memory limit. The per-page lock hold
-// is charged only for pages actually added: rewriting already-resident
-// pages does not touch the LRU lists.
-func (m *Mount) cacheInsert(ctx vfsapi.Ctx, f *fileState, off, n int64) {
-	k := m.kern
-	k.lockSpan(ctx, k.lruLock, "lru_lock")
-	if m.cache.Stale(f) {
-		k.lruLock.Unlock(ctx.P)
-		return // stale fileState from before a crash: not accounted
-	}
-	ctx.T.Exec(ctx.P, cpu.Kernel, m.pageHold(m.cache.Insert(f, off, n)))
-	k.lruLock.Unlock(ctx.P)
-	if m.cache.Over() {
-		// Reclaim clean pages from the coldest files until the mount is
-		// below its limit watermark, then charge their page-structure
-		// work.
-		var hold time.Duration
-		m.withLRU(ctx, func() { hold = m.pageHold(m.cache.Evict()) })
-		ctx.T.Exec(ctx.P, cpu.Kernel, hold)
-	}
-}
-
 // pageHold is the lru_lock hold of inserting or reclaiming n bytes of
 // pages.
 func (m *Mount) pageHold(n int64) time.Duration {
