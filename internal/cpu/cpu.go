@@ -68,9 +68,14 @@ func kindName(k TimeKind) string {
 // recorder. Called only at the points that charge busyTime, so the
 // trace's per-core tracks reconstruct exactly the scheduler's view.
 func (c *CPU) recordSlice(core int, d time.Duration, acct *Account, k TimeKind) {
-	if c.rec == nil {
-		return
+	if c.rec != nil {
+		c.record(core, d, acct, k)
 	}
+}
+
+// record is recordSlice's report to the recorder, kept out of line so
+// that the unobserved check inlines into every slice's end.
+func (c *CPU) record(core int, d time.Duration, acct *Account, k TimeKind) {
 	name := ""
 	if acct != nil {
 		name = acct.Name

@@ -9,7 +9,8 @@
 // run in the order of their time and, at equal times, of their
 // scheduling. The queue is a monotone radix heap: the clock never runs
 // backwards, so no event is ever scheduled before the last one run, and
-// a push is O(1) with no comparison.
+// a push is O(1) with no comparison beyond the earliest pending time. The
+// earliest pending event often waits in a front slot ahead of the heap.
 //
 // Simulated processes (Proc) are coroutines (iter.Pull) that the engine
 // loop resumes and that yield back to it whenever they block on a

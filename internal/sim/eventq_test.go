@@ -3,6 +3,7 @@ package sim
 import (
 	"cmp"
 	"container/heap"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strings"
@@ -31,16 +32,68 @@ type oracle struct {
 	budget int // callbacks schedule may still push
 	pushed []eventKey
 	popped []eventKey
-	atLast int // pushes due exactly at the queue's last time
+	edges  *edges // shared by the oracles of one test
+}
+
+// edges counts the queue states the order tests are for, as pushes and
+// RunUntil stops reach them.
+type edges struct {
+	atLast     int // pushes due exactly at the radix reference last
+	takeFront  int // pushes that take the front slot
+	ontoTies   int // pushes earlier than the front, whose bucket already holds events at the front's time
+	atFront    int // pushes due at the front's time
+	heldFront  int // RunUntil stops at a deadline short of the front
+	heldBucket int // RunUntil stops short of the lowest bucket, front slot and bucket 0 empty
+}
+
+// push counts the edges a push due at at reaches in q.
+func (c *edges) push(q *eventQueue, at time.Duration) {
+	if at == q.last {
+		c.atLast++
+	}
+	switch {
+	case !q.hasFront:
+		if q.mask == 0 || at < q.bmin[bits.TrailingZeros64(q.mask)] {
+			c.takeFront++
+		}
+	case at == q.front.at:
+		c.atFront++
+	case at < q.front.at:
+		c.takeFront++
+		b := bits.Len64(uint64(q.front.at ^ q.last))
+		for i := q.head[b]; q.mask&(1<<b) != 0 && i != 0; i = q.nodes[i].next {
+			if q.nodes[i].ev.at == q.front.at {
+				c.ontoTies++
+				break
+			}
+		}
+	}
+}
+
+// stop counts the edge a RunUntil that left q non-empty stopped at.
+func (c *edges) stop(q *eventQueue) {
+	switch {
+	case q.hasFront:
+		c.heldFront++
+	case q.mask&1 == 0:
+		c.heldBucket++
+	}
+}
+
+// require fails t unless every edge was reached at least once.
+func (c edges) require(t *testing.T) {
+	t.Helper()
+	if c.atLast == 0 || c.takeFront == 0 || c.ontoTies == 0 || c.atFront == 0 || c.heldFront == 0 || c.heldBucket == 0 {
+		t.Fatalf("edges not covered: %+v", c)
+	}
+	t.Logf("edges: %+v", c)
 }
 
 // key records the key of the event the engine is about to push d from
 // now.
 func (o *oracle) key(d time.Duration) eventKey {
 	k := eventKey{o.e.Now() + d, o.e.seq + 1}
-	if k.at == o.e.events.last {
-		o.atLast++
-	}
+	o.edges.push(&o.e.events, k.at)
 	o.pushed = append(o.pushed, k)
 	return k
 }
@@ -80,21 +133,18 @@ func (o *oracle) parkFor(p *Proc) {
 }
 
 // drain runs the engine in RunUntil steps of deadline(now) until the
-// queue is empty, scheduling a callback between some runs. It returns
-// how many runs stopped short of an event due past their deadline with
-// bucket 0 empty, the path where peek leaves the queue as it is.
-func (o *oracle) drain(deadline func(now time.Duration) time.Duration) int {
-	held := 0
+// queue is empty, scheduling a callback between some runs, and counts
+// the runs that stopped short of an event due past their deadline.
+func (o *oracle) drain(deadline func(now time.Duration) time.Duration) {
 	for !o.e.events.empty() {
 		o.e.RunUntil(deadline(o.e.Now()))
-		if !o.e.events.empty() && o.e.events.mask&1 == 0 {
-			held++
+		if !o.e.events.empty() {
+			o.edges.stop(&o.e.events)
 		}
 		if o.rng.Intn(2) == 0 {
 			o.schedule() // pushed between runs, possibly due now
 		}
 	}
-	return held
 }
 
 // check fails the test unless every recorded event ran exactly once, in
@@ -121,10 +171,15 @@ func (o *oracle) check() {
 // from between RunUntil calls, and deadlines both on and between
 // timestamps, the engine must run every event exactly once, at its own
 // timestamp, in the order of a sort of all pushed events by (at, seq).
+// The schedules must reach the front slot's edges: a push that takes
+// it, one earlier than the front onto a bucket already holding events
+// at the front's time (the old front must go to that bucket's head),
+// one due at the front's time, and a deadline short of the front.
 func TestEventQueueMatchesSortedOrder(t *testing.T) {
+	var seen edges
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		o := &oracle{t: t, seed: seed, e: NewEngine(), rng: rng, budget: 2000}
+		o := &oracle{t: t, seed: seed, e: NewEngine(), rng: rng, budget: 2000, edges: &seen}
 		// Few distinct timestamps: most events tie with others.
 		o.delay = func() time.Duration {
 			if rng.Intn(3) == 0 {
@@ -158,6 +213,7 @@ func TestEventQueueMatchesSortedOrder(t *testing.T) {
 		})
 		o.check()
 	}
+	seen.require(t)
 }
 
 // TestEventQueueWideSpreadMatchesSortedOrder is the same oracle over the
@@ -166,13 +222,16 @@ func TestEventQueueMatchesSortedOrder(t *testing.T) {
 // timestamps just below, on and just above multiples of powers of two
 // (where an event's bucket changes), pushes due exactly at the queue's
 // last time, RunUntil deadlines short of the earliest pending event
-// (peek must leave its bucket in place) followed by pushes between runs,
-// and wait queue timeouts left dead by an earlier signal.
+// (peek must leave its bucket in place) or of the front slot, followed
+// by pushes between runs, the front slot's edges as in
+// TestEventQueueMatchesSortedOrder, and wait queue timeouts left dead
+// by an earlier signal.
 func TestEventQueueWideSpreadMatchesSortedOrder(t *testing.T) {
-	var atLast, held, signalled, timedOut int
+	var seen edges
+	var signalled, timedOut int
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		o := &oracle{t: t, seed: seed, e: NewEngine(), rng: rng, budget: 1500}
+		o := &oracle{t: t, seed: seed, e: NewEngine(), rng: rng, budget: 1500, edges: &seen}
 		e := o.e
 		o.delay = func() time.Duration {
 			switch rng.Intn(7) {
@@ -233,42 +292,64 @@ func TestEventQueueWideSpreadMatchesSortedOrder(t *testing.T) {
 				}
 			})
 		}
-		held += o.drain(func(now time.Duration) time.Duration {
+		o.drain(func(now time.Duration) time.Duration {
 			if rng.Intn(2) == 0 {
 				return now + time.Duration(rng.Intn(100)) // short of most
 			}
 			return now + o.delay()
 		})
 		o.check()
-		atLast += o.atLast
 	}
 	// The edges the test is for must have been reached.
-	if atLast == 0 || held == 0 || signalled == 0 || timedOut == 0 {
-		t.Fatalf("edges not covered: %d pushes at last, %d held runs, %d signalled and %d timed-out waits",
-			atLast, held, signalled, timedOut)
+	seen.require(t)
+	if signalled == 0 || timedOut == 0 {
+		t.Fatalf("waits not covered: %d signalled and %d timed out", signalled, timedOut)
 	}
 }
 
 // TestEventQueuePushIntoThePastPanics pins the queue's invariant: an
-// event due before the last one peek returned would run out of order, so
-// push rejects it loudly, naming both times.
+// event due before the latest one served would run out of order, so
+// push rejects it loudly, naming both times. An event served from the
+// front slot leaves the radix reference last behind, so the guard holds
+// there too; so it does for a bucket's event peek returned and no pop
+// has taken yet.
 func TestEventQueuePushIntoThePastPanics(t *testing.T) {
 	q := newEventQueue(4)
 	q.push(event{at: 10, seq: 1})
+	if !q.hasFront {
+		t.Fatal("a push into an empty queue did not take the front slot")
+	}
 	q.peek(-1)
 	q.pop()
+	pushIntoThePast(t, &q, 9, 10)
+
+	q = newEventQueue(4)
+	q.push(event{at: 10, seq: 1})
+	q.push(event{at: 12, seq: 2})
+	q.peek(-1)
+	q.pop()
+	if ev := q.peek(-1); q.hasFront || ev == nil || ev.at != 12 {
+		t.Fatal("the second event is not served from a bucket")
+	}
+	pushIntoThePast(t, &q, 11, 12)
+}
+
+// pushIntoThePast requires a push due at at to panic, naming at and
+// reached.
+func pushIntoThePast(t *testing.T, q *eventQueue, at, reached time.Duration) {
+	t.Helper()
 	defer func() {
 		msg, _ := recover().(string)
-		if !strings.Contains(msg, "9ns") || !strings.Contains(msg, "10ns") {
-			t.Fatalf("panic %q does not name both times", msg)
+		if !strings.Contains(msg, at.String()) || !strings.Contains(msg, reached.String()) {
+			t.Fatalf("panic %q does not name both %v and %v", msg, at, reached)
 		}
 	}()
-	q.push(event{at: 9, seq: 2})
-	t.Fatal("a push into the past did not panic")
+	q.push(event{at: at, seq: 99})
+	t.Fatalf("a push due at %v after the queue served %v did not panic", at, reached)
 }
 
 // keyHeap is a binary heap of event keys, the reference queue of
-// TestEventQueueSlabBoundedByPeak.
+// TestEventQueueSlabBoundedByPeak and FuzzEventQueue.
 type keyHeap []eventKey
 
 func (h keyHeap) Len() int           { return len(h) }
@@ -285,16 +366,18 @@ func (h *keyHeap) Pop() any {
 // TestEventQueueSlabBoundedByPeak drives the queue alone through a long
 // churn whose pending count rises and falls, with keys spread from 1 ns
 // to 8 s so that bucket moves cascade through many buckets. Every pop
-// must be the (at, seq) minimum of a reference heap, and the slab must
-// hold exactly one slot per event at the peak pending count (plus the
-// unused slot 0), in a backing array at most twice that size: its size
-// does not depend on how many buckets a move passes through.
+// must be the (at, seq) minimum of a reference heap. The front slot
+// holds one pending event outside the slab, so the slab must hold
+// exactly one slot per event at the peak count of events linked in the
+// buckets, the pending ones less the front (plus the unused slot 0), in
+// a backing array at most twice the peak pending count: its size does
+// not depend on how many buckets a move passes through.
 func TestEventQueueSlabBoundedByPeak(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	q := newEventQueue(0)
 	var ref keyHeap
 	var seq uint64
-	peak := 0
+	peak, peakLinked := 0, 0
 	pop := func() {
 		ev := q.peek(-1)
 		if ev == nil {
@@ -311,9 +394,14 @@ func TestEventQueueSlabBoundedByPeak(t *testing.T) {
 		for ref.Len() < target {
 			d := time.Duration(rng.Int63n(1 << rng.Intn(34)))
 			seq++
-			q.push(event{at: q.last + d, seq: seq})
-			heap.Push(&ref, eventKey{q.last + d, seq})
+			q.push(event{at: q.floor + d, seq: seq})
+			heap.Push(&ref, eventKey{q.floor + d, seq})
 			peak = max(peak, ref.Len())
+			linked := ref.Len()
+			if q.hasFront {
+				linked--
+			}
+			peakLinked = max(peakLinked, linked)
 		}
 		for ref.Len() > target/2 {
 			pop()
@@ -325,10 +413,92 @@ func TestEventQueueSlabBoundedByPeak(t *testing.T) {
 	if !q.empty() || q.peek(-1) != nil {
 		t.Fatal("queue not empty after its last pop")
 	}
-	if got := len(q.nodes) - 1; got != peak {
-		t.Errorf("slab holds %d slots for a peak of %d pending events", got, peak)
+	if got := len(q.nodes) - 1; got != peakLinked {
+		t.Errorf("slab holds %d slots for a peak of %d linked events (%d pending)", got, peakLinked, peak)
 	}
 	if cap(q.nodes) > 2*peak {
 		t.Errorf("slab capacity %d exceeds twice the peak of %d pending events", cap(q.nodes), peak)
 	}
+}
+
+// FuzzEventQueue drives the queue alone through pushes, RunUntil-style
+// deadlines and pops decoded from the input, two bytes an operation,
+// and checks every peek and pop against a reference heap: a deadline
+// must return the (at, seq) minimum exactly when it is due by then, and
+// leave it pending. Delays are tie-prone (0 to 3 ns) or spread up to
+// 2^47 ns, so pushes land in the front slot, ahead of it, at its time
+// and across the radix buckets. The seed corpus, which runs with the
+// tests, holds random inputs of each mix.
+func FuzzEventQueue(f *testing.F) {
+	f.Add([]byte{0, 2, 0, 1, 0, 2, 3, 0, 0, 1, 3, 0, 3, 0, 3, 0})
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]byte, 4096)
+		for i := range ops {
+			ops[i] = byte(rng.Intn(256))
+		}
+		if seed%2 == 0 {
+			for i := 0; i < len(ops); i += 2 {
+				ops[i] &^= 0xc0 // tie-prone delays only
+			}
+		}
+		f.Add(ops)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		q := newEventQueue(0)
+		var ref keyHeap
+		var seq uint64
+		// delay decodes the delay of an operation byte op and a value x.
+		delay := func(op, x byte) time.Duration {
+			if scale := int(op >> 2); scale >= 16 {
+				return time.Duration(x) << (scale - 16)
+			}
+			return time.Duration(x % 4)
+		}
+		pop := func() {
+			ev := q.peek(-1)
+			if ev == nil {
+				if ref.Len() != 0 {
+					t.Fatalf("peek found no event with %d pending", ref.Len())
+				}
+				return
+			}
+			got := q.pop()
+			want := heap.Pop(&ref).(eventKey)
+			if k := (eventKey{got.at, got.seq}); k != want {
+				t.Fatalf("popped %v, want %v", k, want)
+			}
+		}
+		for ; len(ops) >= 2; ops = ops[2:] {
+			op, x := ops[0], ops[1]
+			switch op % 4 {
+			case 0, 1:
+				seq++
+				at := q.floor + delay(op, x)
+				q.push(event{at: at, seq: seq})
+				heap.Push(&ref, eventKey{at, seq})
+			case 2:
+				limit := q.floor + delay(op, x)
+				ev := q.peek(limit)
+				switch {
+				case ref.Len() == 0 || ref[0].at > limit:
+					if ev != nil {
+						t.Fatalf("peek(%v) returned %v, due after it", limit, eventKey{ev.at, ev.seq})
+					}
+				case ev == nil:
+					t.Fatalf("peek(%v) returned nothing, %v is due", limit, ref[0])
+				case (eventKey{ev.at, ev.seq}) != ref[0]:
+					t.Fatalf("peek(%v) returned %v, want %v", limit, eventKey{ev.at, ev.seq}, ref[0])
+				}
+			default:
+				pop()
+			}
+		}
+		for ref.Len() > 0 {
+			pop()
+		}
+		if !q.empty() {
+			t.Fatal("queue not empty after its last pop")
+		}
+	})
 }

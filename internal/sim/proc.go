@@ -127,9 +127,16 @@ func (p *Proc) ResumeHere() {
 // knows how long it waited — so reporting never interacts with the
 // park/wake machinery.
 func (p *Proc) ReportWait(kind, resource, holder string, holderID int, dur time.Duration) {
-	if p.eng.waitObs == nil || dur <= 0 {
-		return
+	if p.eng.waitObs != nil && dur > 0 {
+		p.reportWait(kind, resource, holder, holderID, dur)
 	}
+}
+
+// reportWait is ReportWait's call of the observer, kept out of line so
+// that the unobserved check inlines into every primitive.
+//
+//go:noinline
+func (p *Proc) reportWait(kind, resource, holder string, holderID int, dur time.Duration) {
 	p.eng.waitObs(p, kind, resource, holder, holderID, p.eng.now-dur, dur)
 }
 
