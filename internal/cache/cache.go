@@ -10,13 +10,16 @@
 // so each client keeps them: the kernel takes lru_lock, wb_lock and
 // i_mutex around its ledger calls and writes back from roaming
 // kthreads; the user-level client takes client_lock around every call
-// and writes back from threads pinned to its pool. Fetch, the one
-// read-miss loop, is as pure: each client passes its wait, fill, crash
-// check and claim as the steps of its request run. Write-back shares Due, the one write-back-due test,
-// and Written, which takes a stored batch off the dirty total. Each
-// client stores a popped batch in one step (kern Mount.storeBatch,
-// cephclient writeBatch) that makes the client's one crash check,
-// "crashed or Stale(f)", before Written.
+// and writes back from threads pinned to its pool. The request run both
+// clients share over the ledger, the read-miss loop included, is
+// package cacherun, which takes each client's locks and charges from
+// its step table.
+//
+// Write-back shares Due, the one write-back-due test, and Written,
+// which takes a stored batch off the dirty total. Each client stores a
+// popped batch in one step (kern Mount.storeBatch, cephclient
+// writeBatch) that makes the client's one crash check, "crashed or
+// Stale(f)", before Written.
 package cache
 
 import (
@@ -69,58 +72,6 @@ func (f *File[X]) Claim(off, n int64) (g extent.Extent, wait bool) {
 	}
 	f.Fetching.Insert(g.Off, g.Len)
 	return g, false
-}
-
-// Fetch is the read-miss protocol both clients share, run as a chain of
-// continuations while the reader's process stays parked. From a claim
-// (G, Wait) of a read's window it waits for another reader's fetch or
-// fills G, checks for a crash and claims again, until a claim finds the
-// window resident or a fill or the check fails. Each client passes what
-// the paper compares as its FetchSteps: its fetchQ wait; its fill
-// (backend read, crash check, insert, then the claim's release and the
-// wake even on failure); and its crash check and claim, lock-free in
-// the kernel and under client_lock in the user-level client.
-type Fetch struct {
-	G     extent.Extent // the current claim's range to fill
-	Wait  bool          // or the claim waits for another reader's fetch
-	Steps FetchSteps
-}
-
-// FetchSteps are one client's steps of a Fetch. Each runs where the loop
-// reaches it — in an engine callback acting for the parked reader, or in
-// the reader's process after a hand-back — and ends by calling the Fetch
-// method named: WaitFetch and Fill end in Filled, Reclaim ends in
-// Claimed or, at a crash, in Fetched with its error. Fetched ends the
-// loop: nil once the window is resident.
-type FetchSteps interface {
-	WaitFetch()
-	Fill(g extent.Extent)
-	Reclaim()
-	Fetched(err error)
-}
-
-// Claimed goes on from the claim (g, wait): a wait, a fill, or, with
-// the window resident, the loop's end.
-func (f *Fetch) Claimed(g extent.Extent, wait bool) {
-	f.G, f.Wait = g, wait
-	switch {
-	case wait:
-		f.Steps.WaitFetch()
-	case g.Len > 0:
-		f.Steps.Fill(g)
-	default:
-		f.Steps.Fetched(nil)
-	}
-}
-
-// Filled goes on after a wait, or a fill that ended with err: a failed
-// fill ends the loop, anything else checks for a crash and claims again.
-func (f *Fetch) Filled(err error) {
-	if err != nil {
-		f.Steps.Fetched(err)
-		return
-	}
-	f.Steps.Reclaim()
 }
 
 // Cache is one client's ledger: its file table, LRU and dirty list.

@@ -1,9 +1,6 @@
 package cache
 
 import (
-	"errors"
-	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -245,91 +242,5 @@ func TestReadaheadWindow(t *testing.T) {
 	var user Readahead // Next 0: a first read at 0 is sequential
 	if got := user.Extend(0, 4*kb, size, maxRA); got != 4*kb+128*kb {
 		t.Fatalf("first read at 0 with Next 0: fetch %d, want %d", got, 4*kb+128*kb)
-	}
-}
-
-// fetchScript is a scripted client of TestFetchOrder: each step logs
-// its call and goes on as the script says.
-type fetchScript struct {
-	f         Fetch
-	calls     []string
-	claims    []extent.Extent // what each claim returns, in turn; then resident
-	waits     []bool
-	fillErr   error
-	staleErrs int // the crash check fails on this call (1-based); 0 never
-	stales    int
-	done      bool
-	err       error
-}
-
-func (s *fetchScript) WaitFetch() {
-	s.calls = append(s.calls, "wait")
-	s.f.Filled(nil)
-}
-
-func (s *fetchScript) Fill(g extent.Extent) {
-	s.calls = append(s.calls, fmt.Sprintf("fill(%d+%d)", g.Off, g.Len))
-	s.f.Filled(s.fillErr)
-}
-
-func (s *fetchScript) Reclaim() {
-	s.calls = append(s.calls, "stale")
-	if s.stales++; s.stales == s.staleErrs {
-		s.Fetched(errStale)
-		return
-	}
-	s.calls = append(s.calls, "claim")
-	if len(s.claims) == 0 {
-		s.f.Claimed(extent.Extent{}, false) // off the script: resident
-		return
-	}
-	g, wait := s.claims[0], s.waits[0]
-	s.claims, s.waits = s.claims[1:], s.waits[1:]
-	s.f.Claimed(g, wait)
-}
-
-func (s *fetchScript) Fetched(err error) { s.done, s.err = true, err }
-
-var errStale = errors.New("stale")
-
-// TestFetchOrder drives Fetch with scripted steps and checks the order
-// it calls them in: wait or fill, then the crash check and the next
-// claim, until a claim finds the window resident or a fill or crash
-// check fails, which ends the loop once.
-func TestFetchOrder(t *testing.T) {
-	type claim struct {
-		g    extent.Extent
-		wait bool
-	}
-	errFill := errors.New("fill")
-	g := extent.Extent{Off: 4096, Len: 8192}
-	for _, tc := range []struct {
-		name      string
-		first     claim
-		claims    []claim // what each claim returns, in turn; then resident
-		fillErr   error
-		staleErrs int // the crash check fails on this call (1-based); 0 never
-		want      string
-		wantErr   error
-	}{
-		{name: "hit", want: ""},
-		{name: "wait", first: claim{wait: true}, claims: []claim{{}}, want: "wait stale claim"},
-		{name: "fill", first: claim{g: g}, claims: []claim{{}}, want: "fill(4096+8192) stale claim"},
-		{name: "fill error", first: claim{g: g}, fillErr: errFill, want: "fill(4096+8192)", wantErr: errFill},
-		{name: "stale error", first: claim{wait: true}, staleErrs: 1, want: "wait stale", wantErr: errStale},
-		{name: "wait, fill, wait", first: claim{wait: true}, claims: []claim{{g: g}, {wait: true}, {}},
-			want: "wait stale claim fill(4096+8192) stale claim wait stale claim"},
-		{name: "stale after a fill", first: claim{wait: true}, claims: []claim{{g: g}}, staleErrs: 2,
-			want: "wait stale claim fill(4096+8192) stale", wantErr: errStale},
-	} {
-		s := &fetchScript{fillErr: tc.fillErr, staleErrs: tc.staleErrs}
-		s.f.Steps = s
-		for _, c := range tc.claims {
-			s.claims, s.waits = append(s.claims, c.g), append(s.waits, c.wait)
-		}
-		s.f.Claimed(tc.first.g, tc.first.wait)
-		if got := strings.Join(s.calls, " "); got != tc.want || !s.done || s.err != tc.wantErr {
-			t.Errorf("%s: calls %q, ended %v with error %v; want %q, %v", tc.name, got, s.done, s.err, tc.want, tc.wantErr)
-		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/cacherun"
 	"repro/internal/cluster"
 	"repro/internal/cpu"
 	"repro/internal/extent"
@@ -94,8 +95,9 @@ type Client struct {
 
 	crashes uint64
 
-	// requests pools the run states of cache-hit Opens, Reads, Writes
-	// and Closes.
+	// steps is the request runs' step table; requests pools the run
+	// states of Opens, Reads, Writes and Closes.
+	steps    cacherun.Steps[revocation]
 	requests []*request
 }
 
@@ -152,6 +154,17 @@ func New(eng *sim.Engine, cpus *cpu.CPU, params *model.Params, clus *cluster.Clu
 		seed = 0x6a09e667f3bcc909 // fixed default: replayable without configuration
 	}
 	c.retry = clus.NewRetrier(&c.crashed, &c.stopped, seed, cfg.Breaker)
+	// The user-level client's request runs: every ledger step holds
+	// client_lock for one hold charge; a crash check costs an
+	// operation's CPU; object reads are bounded and retry pinned
+	// members.
+	locked := cacherun.Lock{M: c.clientLock, Name: "client_lock", Hold: c.holdStep()}
+	c.steps = cacherun.Steps[revocation]{
+		Cache: c.cache, Params: params, FetchQ: c.fetchQ, ThrottleQ: c.throttleQ,
+		Claim: locked, Release: locked, Insert: locked, Evict: locked, Crash: c.opStep(),
+		Retry: c.retry, Clus: clus, Bounded: true, Wire: c.message, Missed: &c.stats.MissBytes,
+		OverDirty: c.overDirty, SizePushed: c.sizePushed,
+	}
 	clus.OpenSession(cfg.Name, c)
 	for i := 0; i < cfg.Flushers; i++ {
 		eng.Go(cfg.Name+".flusher", func(p *sim.Proc) { c.flusherLoop(p) })
@@ -327,17 +340,20 @@ func (c *Client) lockedMeta(ctx vfsapi.Ctx, fn func()) {
 // socket syscalls (kernel mode on the caller's cores), protocol CPU,
 // and the user-level message checksum.
 func (c *Client) wire(ctx vfsapi.Ctx, n int64) {
-	steps := c.wireSteps(ctx.T, n)
-	ctx.T.Chain(ctx.P, steps[:]...)
+	var w [5]cpu.Step
+	ctx.T.Chain(ctx.P, w[:c.message(ctx.T, n, &w)]...)
 }
 
-// wireSteps returns the charges of wire on thread t.
-func (c *Client) wireSteps(t *cpu.Thread, n int64) [5]cpu.Step {
-	return [5]cpu.Step{t.ModeSwitchStep(),
-		cpu.Charge(cpu.Kernel, c.params.NetOpCost),
-		cpu.Charge(cpu.Kernel, model.RateTime(n, c.params.NetCPUBytesPerSec)),
-		t.ModeSwitchStep(),
-		cpu.Charge(cpu.User, model.RateTime(n, c.params.ChecksumBytesPerSec))}
+// message writes to w the charges of wire on thread t, element by
+// element so that no caller's frame holds a copy, and returns how many
+// it wrote (the request runs' wire steps).
+func (c *Client) message(t *cpu.Thread, n int64, w *[5]cpu.Step) int {
+	w[0] = t.ModeSwitchStep()
+	w[1] = cpu.Charge(cpu.Kernel, c.params.NetOpCost)
+	w[2] = cpu.Charge(cpu.Kernel, model.RateTime(n, c.params.NetCPUBytesPerSec))
+	w[3] = t.ModeSwitchStep()
+	w[4] = cpu.Charge(cpu.User, model.RateTime(n, c.params.ChecksumBytesPerSec))
+	return len(w)
 }
 
 // overDirty reports whether a writer must wait for writeback. The
@@ -437,17 +453,19 @@ func (c *Client) pushSize(ctx vfsapi.Ctx, f *cfile) {
 		return
 	}
 	c.wire(ctx, 256)
-	c.clus.MetaSetSize(ctx, path, f.Size)
-	c.sizePushed(path, f)
+	err := c.clus.MetaSetSize(ctx, path, f.Size)
+	c.sizePushed(path, f.Size, err)
 }
 
-// sizePushed grows the cached attribute of path to f's size, once the
-// MDS has it.
-func (c *Client) sizePushed(path string, f *cfile) {
-	if e, ok := c.attrs[path]; ok && f.Size > e.info.Size {
-		e.info.Size = f.Size
+// sizePushed grows the cached attribute of path to size once the MDS's
+// push ended, whatever its error, and returns nil: a close reports no
+// push error.
+func (c *Client) sizePushed(path string, size int64, _ error) error {
+	if e, ok := c.attrs[path]; ok && size > e.info.Size {
+		e.info.Size = size
 		c.attrs[path] = e
 	}
+	return nil
 }
 
 // RevokeCaps implements cluster.CapHolder: another client wants

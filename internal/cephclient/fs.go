@@ -64,7 +64,7 @@ func (c *Client) Start(ctx vfsapi.Ctx, op vfsapi.Call, reply func()) vfsapi.Run 
 		return nil
 	}
 	r := c.getRequest(ctx, nil, reply, op.Kind, 0, 0)
-	r.path, r.flags = op.Path, op.Flags
+	r.Path, r.Flags = op.Path, op.Flags
 	r.start()
 	return r
 }
@@ -114,7 +114,7 @@ func (c *Client) capped(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag, info
 // flags ask to.
 func (c *Client) newHandle(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag, info vfsapi.FileInfo, ino uint64) (vfsapi.Handle, error) {
 	f, _ := c.cache.File(ino, info.Size)
-	if truncates(flags) {
+	if flags.Truncates() {
 		c.lockedMeta(ctx, func() { c.dropCache(f) })
 		f.Size = 0
 		c.wire(ctx, 256)
@@ -144,9 +144,6 @@ func capKind(flags vfsapi.OpenFlag) cluster.CapKind {
 	}
 	return cluster.CapRead
 }
-
-// truncates reports whether an open with flags truncates the file.
-func truncates(flags vfsapi.OpenFlag) bool { return flags.Has(vfsapi.TRUNC) && flags.Writable() }
 
 // Stat returns metadata, preferring the client's newer size view.
 func (c *Client) Stat(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, error) {

@@ -84,18 +84,28 @@ func (s *CephStore) opStep() cpu.Step {
 	return cpu.Charge(cpu.Kernel, s.kern.params.KernelClientOpCost)
 }
 
-// wireCPU charges protocol + checksum processing for n wire bytes.
-func (s *CephStore) wireCPU(ctx vfsapi.Ctx, n int64) {
-	steps := s.wireSteps(n)
-	ctx.T.Chain(ctx.P, steps[:]...)
+// message writes to w the charges of opCPU and wireCPU for a message of
+// n bytes (the request runs' wire steps).
+func (s *CephStore) message(_ *cpu.Thread, n int64, w *[5]cpu.Step) int {
+	w[0] = s.opStep()
+	s.wireSteps(n, w[1:4])
+	return 4
 }
 
-// wireSteps returns the charges of wireCPU.
-func (s *CephStore) wireSteps(n int64) [3]cpu.Step {
+// wireCPU charges protocol + checksum processing for n wire bytes.
+func (s *CephStore) wireCPU(ctx vfsapi.Ctx, n int64) {
+	var w [3]cpu.Step
+	ctx.T.Chain(ctx.P, s.wireSteps(n, w[:])...)
+}
+
+// wireSteps writes the charges of wireCPU to w[:3] and returns them,
+// element by element so that no caller's frame holds a copy.
+func (s *CephStore) wireSteps(n int64, w []cpu.Step) []cpu.Step {
 	p := s.kern.params
-	return [3]cpu.Step{cpu.Charge(cpu.Kernel, p.NetOpCost),
-		cpu.Charge(cpu.Kernel, model.RateTime(n, p.NetCPUBytesPerSec)),
-		cpu.Charge(cpu.Kernel, model.RateTime(n, p.ChecksumBytesPerSec))}
+	w[0] = cpu.Charge(cpu.Kernel, p.NetOpCost)
+	w[1] = cpu.Charge(cpu.Kernel, model.RateTime(n, p.NetCPUBytesPerSec))
+	w[2] = cpu.Charge(cpu.Kernel, model.RateTime(n, p.ChecksumBytesPerSec))
+	return w[:3]
 }
 
 // Lookup resolves a path, serving repeated lookups from the attribute
@@ -224,20 +234,19 @@ func (s *CephStore) SetSize(ctx vfsapi.Ctx, ino uint64, size int64) error {
 	}
 	s.opCPU(ctx)
 	s.wireCPU(ctx, 256)
-	err := s.clus.MetaSetSize(ctx, path, size)
-	s.sizeSet(path, size, err)
-	return err
+	return s.sizeSet(path, size, s.clus.MetaSetSize(ctx, path, size))
 }
 
 // sizeSet updates the cached attribute of path once the MDS took size
-// without error.
-func (s *CephStore) sizeSet(path string, size int64, err error) {
+// without error, and returns the push's error.
+func (s *CephStore) sizeSet(path string, size int64, err error) error {
 	if e, ok := s.attrs[path]; ok && err == nil {
 		if size > e.info.Size || size == 0 {
 			e.info.Size = size
 		}
 		s.attrs[path] = e
 	}
+	return err
 }
 
 // FaultStats returns a snapshot of the store's fault-handling

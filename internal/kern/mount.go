@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/cacherun"
 	"repro/internal/cpu"
 	"repro/internal/extent"
 	"repro/internal/memacct"
@@ -77,7 +78,8 @@ type Mount struct {
 	crashed bool
 	crashes uint64
 
-	requests []*request // recycled syscall request runs
+	steps    cacherun.Steps[*sim.Mutex] // the request runs' step table
+	requests []*request                 // recycled syscall request runs
 }
 
 // fileState is a file's page-cache state; X is its inode mutex.
@@ -110,6 +112,20 @@ func (k *Kernel) Mount(store Store, cfg MountConfig) *Mount {
 	}
 	if m.bgThresh == 0 {
 		m.bgThresh = 1
+	}
+	// The kernel's request runs: the page lock is per page, so claims
+	// and releases take no lock; inserts and evictions take lru_lock
+	// and hold it per page; a crash check costs a system call's VFS
+	// work; a kernel Ceph client's object reads block, retrying the
+	// primary through the least-degraded routing.
+	lru := cacherun.Lock{M: k.lruLock, Name: "lru_lock"}
+	m.steps = cacherun.Steps[*sim.Mutex]{
+		Cache: m.cache, Params: k.params, FetchQ: m.fetchQ, ThrottleQ: m.throttleQ,
+		Insert: lru, Evict: lru, PageHold: cpu.Charge(cpu.Kernel, k.params.LRULockHoldPerPage), StaleEnds: true,
+		Crash: cpu.Charge(cpu.Kernel, k.params.VFSOpCost), PrimaryRetries: true, OverDirty: m.overDirty,
+	}
+	if cs, ok := store.(*CephStore); ok {
+		m.steps.Retry, m.steps.Clus, m.steps.Wire, m.steps.SizePushed = cs.retry, cs.clus, cs.message, cs.sizeSet
 	}
 	k.mounts = append(k.mounts, m)
 	return m
@@ -176,12 +192,6 @@ func (m *Mount) withLRU(ctx vfsapi.Ctx, fn func()) {
 	k.lockSpan(ctx, k.lruLock, "lru_lock")
 	fn()
 	k.lruLock.Unlock(ctx.P)
-}
-
-// pageHold is the lru_lock hold of inserting or reclaiming n bytes of
-// pages.
-func (m *Mount) pageHold(n int64) time.Duration {
-	return time.Duration(m.kern.params.Pages(n)) * m.kern.params.LRULockHoldPerPage
 }
 
 // mark records [off,off+n) of f dirty under wb_lock, which it releases,

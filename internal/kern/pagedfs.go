@@ -63,7 +63,7 @@ func (m *Mount) Start(ctx vfsapi.Ctx, c vfsapi.Call, reply func()) vfsapi.Run {
 		return nil
 	}
 	r := m.getRequest(ctx, nil, nil, vfsapi.OpOpen, 0, 0)
-	r.path, r.flags, r.reply = c.Path, c.Flags, reply
+	r.Path, r.Flags, r.Reply = c.Path, c.Flags, reply
 	r.start()
 	return r
 }
@@ -92,7 +92,7 @@ func (m *Mount) opened(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag, info 
 // flags ask to.
 func (m *Mount) newHandle(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag, info vfsapi.FileInfo, ino uint64) (vfsapi.Handle, error) {
 	f := m.file(ino, info.Size)
-	if truncates(flags) {
+	if flags.Truncates() {
 		m.dropCache(ctx, f)
 		f.Size = 0
 		if err := m.store.SetSize(ctx, ino, 0); err != nil {
@@ -106,9 +106,6 @@ func (m *Mount) newHandle(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag, in
 func (m *Mount) handle(path string, flags vfsapi.OpenFlag, f *fileState) *pagedHandle {
 	return &pagedHandle{m: m, f: f, path: path, flags: flags, gen: m.cache.Gen, ra: cache.Readahead{Next: -1}}
 }
-
-// truncates reports whether an open with flags truncates the file.
-func truncates(flags vfsapi.OpenFlag) bool { return flags.Has(vfsapi.TRUNC) && flags.Writable() }
 
 // Stat returns metadata, preferring the in-kernel (possibly dirty) size.
 func (m *Mount) Stat(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, error) {

@@ -184,10 +184,14 @@ func (t *Trace) WriteFile(path string) error {
 	return f.Close()
 }
 
-// Read parses a trace, validating the header version, every op line —
-// a known op kind, no negative offset or length — and that the op count
-// and seq numbering match the header. Truncated
-// or corrupt files fail with a line-numbered error.
+// maxPrealloc bounds the ops Read allocates room for from the header's
+// count, which it cannot trust before the ops are there.
+const maxPrealloc = 1 << 10
+
+// Read parses a trace, validating the header version and op count,
+// every op line — a known op kind, no negative offset or length — and
+// that the op count and seq numbering match the header. Truncated or
+// corrupt files fail with a line-numbered error.
 func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
@@ -204,7 +208,10 @@ func Read(r io.Reader) (*Trace, error) {
 	if h.Version != Version {
 		return nil, fmt.Errorf("trace: unsupported version %d (have %d)", h.Version, Version)
 	}
-	t := &Trace{Label: h.Label, Ops: make([]Op, 0, h.Ops)}
+	if h.Ops < 0 {
+		return nil, fmt.Errorf("trace: line 1: negative \"ops\" count %d", h.Ops)
+	}
+	t := &Trace{Label: h.Label, Ops: make([]Op, 0, min(h.Ops, maxPrealloc))}
 	line := 1
 	for sc.Scan() {
 		line++

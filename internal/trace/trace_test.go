@@ -98,6 +98,9 @@ func TestReadErrorPaths(t *testing.T) {
 		{"wrong version", `{"danaus_op_trace":99,"label":"x","ops":0}` + "\n", "unsupported version"},
 		{"not a trace", `{"hello":"world"}` + "\n", "unsupported version"},
 		{"truncated", strings.Join(lines[:len(lines)-1], "\n") + "\n", "truncated"},
+		{"negative op count", `{"danaus_op_trace":1,"ops":-1}` + "\n", `line 1: negative "ops" count -1`},
+		{"op count past any allocation", `{"danaus_op_trace":1,"ops":4000000000000}` + "\n",
+			"header declares 4000000000000 ops, found 0"},
 		{"corrupt op line", lines[0] + "\n{broken\n", "line 2"},
 		{"seq out of order", lines[0] + "\n" + lines[2] + "\n" + lines[1] + "\n" + lines[3] + "\n" + lines[4] + "\n", "out of order"},
 		{"unknown op kind", lines[0] + "\n" + strings.Replace(lines[1], `"op":"open"`, `"op":"frobnicate"`, 1) + "\n",
@@ -334,4 +337,37 @@ func TestWriteReadFile(t *testing.T) {
 	if _, err := ReadFile(path + ".missing"); err == nil {
 		t.Error("reading a missing file must fail")
 	}
+}
+
+// FuzzTraceRead feeds Read arbitrary bytes: it must return an error or
+// a trace, never panic, and a trace it accepts must round-trip, Write
+// then Read then Write, to identical bytes. The seed corpus holds a
+// canonical trace and, under testdata/fuzz, headers whose op count once
+// made Read panic.
+func FuzzTraceRead(f *testing.F) {
+	var buf bytes.Buffer
+	if err := sampleTrace().Write(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, again bytes.Buffer
+		if err := tr.Write(&first); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("an accepted trace does not read back: %v\n%s", err, first.Bytes())
+		}
+		if err := back.Write(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), again.Bytes()) {
+			t.Fatalf("Write→Read→Write changed the bytes:\n%s\n%s", first.Bytes(), again.Bytes())
+		}
+	})
 }

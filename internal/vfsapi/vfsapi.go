@@ -53,6 +53,9 @@ func (f OpenFlag) Writable() bool { return f&(WRONLY|RDWR|APPEND) != 0 }
 // Has reports whether flag o is set.
 func (f OpenFlag) Has(o OpenFlag) bool { return f&o != 0 }
 
+// Truncates reports whether an open with f truncates the file.
+func (f OpenFlag) Truncates() bool { return f.Has(TRUNC) && f.Writable() }
+
 // FileInfo describes a file or directory.
 type FileInfo struct {
 	Name  string
