@@ -15,11 +15,8 @@
 // package cacherun, which takes each client's locks and charges from
 // its step table.
 //
-// Write-back shares Due, the one write-back-due test, and Written,
-// which takes a stored batch off the dirty total. Each client stores a
-// popped batch in one step (kern Mount.storeBatch, cephclient
-// writeBatch) that makes the client's one crash check, "crashed or
-// Stale(f)", before Written.
+// Write-back (cacherun.Writeback) shares Due, the one write-back-due
+// test, and Written, which takes a stored batch off the dirty total.
 package cache
 
 import (

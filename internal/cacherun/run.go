@@ -6,6 +6,7 @@
 // fill, or fill: wire CPU, the object read's first attempt, crash
 // check, insert, release and wake; claim again), the insert and
 // eviction, the dirty throttle and a Close's size push to the MDS.
+// Writeback is the write-back both share over the same table.
 //
 // What the paper compares differs between the clients, and each passes
 // it as values in its Steps table: each step's lock and CPU charge, the

@@ -95,9 +95,10 @@ type Client struct {
 
 	crashes uint64
 
-	// steps is the request runs' step table; requests pools the run
-	// states of Opens, Reads, Writes and Closes.
+	// steps is the request runs' step table and wb the write-back's;
+	// requests pools the run states of Opens, Reads, Writes and Closes.
 	steps    cacherun.Steps[revocation]
+	wb       cacherun.Writeback[revocation]
 	requests []*request
 }
 
@@ -165,6 +166,10 @@ func New(eng *sim.Engine, cpus *cpu.CPU, params *model.Params, clus *cluster.Clu
 		Retry: c.retry, Clus: clus, Bounded: true, Wire: c.message, Missed: &c.stats.MissBytes,
 		OverDirty: c.overDirty, SizePushed: c.sizePushed,
 	}
+	// Its write-back pops under client_lock, traced, and marks no file
+	// Flushing.
+	c.wb = cacherun.Writeback[revocation]{Steps: &c.steps, Store: (*writeback)(c), Crashed: &c.crashed,
+		Background: func() int64 { return c.cfg.MaxDirty / 2 }, Rec: &c.cfg.Obs, Tenant: cfg.Tenant, FlushPop: locked, DrainPop: locked}
 	clus.OpenSession(cfg.Name, c)
 	for i := 0; i < cfg.Flushers; i++ {
 		eng.Go(cfg.Name+".flusher", func(p *sim.Proc) { c.flusherLoop(p) })
@@ -288,17 +293,6 @@ func (c *Client) FaultStats() metrics.FaultCounters { return c.retry.Faults }
 // breaker is disabled).
 func (c *Client) BreakerStats() cluster.BreakerStats { return c.retry.BreakerStats() }
 
-// writePersist stores [off, off+n) of ino durably, retrying until it
-// lands: writeback must not drop data the application already handed
-// over, so unlike reads it blocks — each attempt advances the acting
-// primary through the replication group. It aborts only when the
-// client is stopped or crashed or the error is not a transient fault.
-func (c *Client) writePersist(ctx vfsapi.Ctx, ino uint64, off, n int64) error {
-	return c.retry.Do(ctx, false, func(_, member int) error {
-		return c.clus.WriteReplica(ctx, ino, off, n, member)
-	})
-}
-
 // opStep is the fixed user-level charge of one client operation.
 func (c *Client) opStep() cpu.Step { return cpu.Charge(cpu.User, c.params.ClientOpCost) }
 
@@ -375,86 +369,39 @@ func (c *Client) flusherLoop(p *sim.Proc) {
 		if c.stopped {
 			return
 		}
-		c.flushPass(ctx)
+		c.wb.Flush(ctx)
 	}
 }
 
-func (c *Client) flushPass(ctx vfsapi.Ctx) {
-	// The writeback span is opened lazily on the first dirty file;
-	// unlike the kernel flusher (which serves every mount on the host),
-	// the user-level flusher only ever works for its own pool — the
-	// tenant tag makes that containment visible in the trace.
-	var sp *obs.Span
-	var sc obs.Scope
-	var passTotal int64
-	defer func() {
-		sc.Exit()
-		sp.End(passTotal, nil)
-	}()
-	for c.cache.Due(c.cfg.MaxDirty/2, c.eng.Now(), c.params.DirtyExpire) {
-		f := c.cache.NextDirty()
-		if f == nil {
-			return
-		}
-		if sp == nil && c.cfg.Obs != nil {
-			sp = c.cfg.Obs.StartSpan(ctx.P.ID(), c.cfg.Tenant, "writeback")
-			sc = sp.Enter(obs.LayerWriteback)
-			ctx.Span = sp
-		}
-		total, sent, err := c.writeBatch(ctx, f, 1<<20)
-		c.stats.FlushedBytes += sent
-		if err == ErrCrashed {
-			return
-		}
-		passTotal += total
-		if f.Dirty.Len() == 0 && !f.Unlinked {
-			c.pushSize(ctx, f)
-		}
-		c.throttleQ.Broadcast()
-	}
+// writeback is a Client as its write-back's cacherun.Store.
+type writeback Client
+
+func (*writeback) Prepare(vfsapi.Ctx, *cfile, int64) {}
+
+// StoreExtent persists e of f: the wire CPU, then a write that retries
+// until it lands, each attempt advancing the acting primary through the
+// replication group. Write-back must not drop data the application
+// handed over, so unlike a read it blocks, and fails only when the
+// client is stopped or crashed or the error is not a transient fault.
+func (w *writeback) StoreExtent(ctx vfsapi.Ctx, f *cfile, e extent.Extent) error {
+	c := (*Client)(w)
+	c.wire(ctx, e.Len)
+	return c.retry.Do(ctx, false, func(_, member int) error {
+		return c.clus.WriteReplica(ctx, f.Ino, e.Off, e.Len, member)
+	})
 }
 
-// writeBatch is the client's one write-back step. It pops up to max
-// bytes of f's dirty data under client_lock and persists them extent by
-// extent, stopping at the first failure; an unlinked file's data is
-// dropped. Unless the client crashed meanwhile, it takes the whole
-// batch off the dirty total: a failed extent is lost, as a crash loses
-// it. It returns the bytes popped and sent, and ErrCrashed after a
-// crash or else the persist error.
-func (c *Client) writeBatch(ctx vfsapi.Ctx, f *cfile, max int64) (total, sent int64, err error) {
-	var buf [4]extent.Extent
-	var exts []extent.Extent
-	c.lockedMeta(ctx, func() { exts, total = f.Dirty.PopFirst(max, buf[:0]) })
-	for _, e := range exts {
-		if f.Unlinked {
-			continue
-		}
-		c.wire(ctx, e.Len)
-		err = c.writePersist(ctx, f.Ino, e.Off, e.Len)
-		sent += e.Len
-		if err != nil {
-			break
-		}
-	}
-	// The crash already reset the dirty accounting of the incarnation
-	// this batch came from; subtracting it again, or from a restarted
-	// one, would drive the total negative.
-	if c.crashed || c.cache.Stale(f) {
-		return total, sent, ErrCrashed
-	}
-	c.cache.Written(f, total)
-	return total, sent, err
-}
+// Flushed counts the bytes a flusher sent, the failed extent's too.
+func (w *writeback) Flushed(_, sent int64, _ error) { w.stats.FlushedBytes += sent }
 
-// pushSize propagates the client's size view to the MDS.
-func (c *Client) pushSize(ctx vfsapi.Ctx, f *cfile) {
-	path, ok := c.paths[f.Ino]
-	if !ok {
-		return
+// PushSize propagates the client's size view to the MDS.
+func (w *writeback) PushSize(ctx vfsapi.Ctx, f *cfile) {
+	c := (*Client)(w)
+	if path, ok := c.paths[f.Ino]; ok {
+		c.wire(ctx, 256)
+		err := c.clus.MetaSetSize(ctx, path, f.Size)
+		c.sizePushed(path, f.Size, err)
 	}
-	c.wire(ctx, 256)
-	err := c.clus.MetaSetSize(ctx, path, f.Size)
-	c.sizePushed(path, f.Size, err)
 }
 
 // sizePushed grows the cached attribute of path to size once the MDS's
@@ -482,7 +429,7 @@ func (c *Client) RevokeCaps(ctx vfsapi.Ctx, ino uint64) {
 	}
 	// A failed persist (a stopped client) still revokes: the drop below
 	// discards what the drain left.
-	if c.drain(ctx, f) == ErrCrashed {
+	if c.wb.Sync(ctx, f) == ErrCrashed {
 		return
 	}
 	c.lockedMeta(ctx, func() {
@@ -500,32 +447,7 @@ func (c *Client) RevokeCaps(ctx vfsapi.Ctx, ino uint64) {
 // to the MDS — the quiesce step of container migration (§9): after
 // SyncAll the container state is fully visible through the shared
 // filesystem from any other client.
-func (c *Client) SyncAll(ctx vfsapi.Ctx) {
-	for f := c.cache.NextDirty(); f != nil; f = c.cache.NextDirty() {
-		if c.drain(ctx, f) != nil {
-			return
-		}
-	}
-}
-
-// drain writes f's dirty data back, 4 MiB per client_lock hold, waking
-// throttled writers after each batch, then pushes f's size. It stops at
-// the first error: ErrCrashed once the client crashed, else a failed
-// persist.
-func (c *Client) drain(ctx vfsapi.Ctx, f *cfile) error {
-	for f.Dirty.Len() > 0 {
-		_, _, err := c.writeBatch(ctx, f, 4<<20)
-		if err == ErrCrashed {
-			return err
-		}
-		c.throttleQ.Broadcast()
-		if err != nil {
-			return err
-		}
-	}
-	c.pushSize(ctx, f)
-	return nil
-}
+func (c *Client) SyncAll(ctx vfsapi.Ctx) { c.wb.SyncAll(ctx) }
 
 // dropCache discards f's cached and dirty data. Caller holds
 // client_lock.

@@ -437,7 +437,7 @@ func (h *chandle) Fsync(ctx vfsapi.Ctx) error {
 	if h.closed {
 		return vfsapi.ErrClosed
 	}
-	if err := h.c.drain(ctx, h.f); err != ErrCrashed {
+	if err := h.c.wb.Sync(ctx, h.f); err != ErrCrashed {
 		return err
 	}
 	// Crashed mid-persist: the un-acknowledged batch must not count as

@@ -32,6 +32,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -404,7 +405,7 @@ func parseWindow(entry string) (Window, error) {
 	switch w.Kind {
 	case OSDDegrade:
 		f, err := strconv.ParseFloat(strings.TrimSuffix(fields[arg], "x"), 64)
-		if err != nil {
+		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 			return bad("bad degrade factor")
 		}
 		w.Factor = f

@@ -22,6 +22,8 @@ func TestParseErrorMessages(t *testing.T) {
 		{"osd-crash:-2:1s-2s", "bad osd index"},
 		{"osd-degrade:1:2x:1s-2s:x", "want 4 fields, got 5"},
 		{"osd-degrade:1:zzz:1s-2s", "bad degrade factor"},
+		{"osd-degrade:1:NaNx:1s-2s", "bad degrade factor"}, // NaN passes every comparison
+		{"osd-degrade:1:+Infx:1s-2s", "bad degrade factor"},
 		{"net-spike:1:never:1s-2s", "bad latency"},
 		{"net-drop:1:0x7:1s-2s", "bad drop period"},
 		{"osd-crash:1:1s2s", "bad window, want start-end"},

@@ -219,6 +219,80 @@ func TestParseSpecRejectsGarbage(t *testing.T) {
 	}
 }
 
+// unrunnable are specs the model cannot run, each a copy of the smoke
+// spec with one change: more co-tenants than the 64-core host holds
+// (which once ended in a core-count panic), and a degrade factor that
+// passes every comparison (which once ran as if it held).
+func unrunnable(t testing.TB) map[string]string {
+	smoke, err := os.ReadFile("testdata/smoke.spec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := string(smoke)
+	nan := strings.Replace(spec, "schedule=net-spike:client:1ms:4.2ms-14.4ms", "schedule=osd-degrade:@wal:NaNx:4ms-14ms", 1)
+	if nan == spec {
+		t.Fatal("smoke spec has no schedule line to replace")
+	}
+	return map[string]string{
+		"line 48: bad tenant: at most 31 tenants": spec + strings.Repeat("tenant=fileserver:1\n", 32),
+		"line 13: bad schedule: ":                 nan,
+	}
+}
+
+// ParseSpec rejects a spec the model cannot run with an error naming
+// the line and the field: too many co-tenants or workers, and a
+// schedule or crash entry faults.Parse rejects.
+func TestParseSpecRejectsUnrunnable(t *testing.T) {
+	cases := unrunnable(t)
+	cases["line 2: bad tenant: want <workload>:<threads> with 1..64 threads"] = "duration=60ms\ntenant=kvput:65"
+	cases["line 2: bad crash: "] = "duration=60ms\ncrash=danaus-crash:victim:8ms"
+	for want, spec := range cases {
+		_, err := ParseSpec(strings.NewReader(spec))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("got error %v, want one containing %q", err, want)
+		}
+	}
+	at := "duration=60ms\n" + strings.Repeat("tenant=fileserver:1\n", MaxTenants-1) + "tenant=kvput:64\nschedule=osd-crash:@wal:1ms-2ms"
+	if _, err := ParseSpec(strings.NewReader(at)); err != nil {
+		t.Errorf("a spec at the caps: %v", err)
+	}
+}
+
+// FuzzParseSpec feeds ParseSpec arbitrary bytes: it must return an error
+// or a scenario, never panic, and a scenario it accepts must round-trip,
+// WriteSpec then ParseSpec then WriteSpec, to identical bytes. The seed
+// corpus holds the smoke spec and the unrunnable specs.
+func FuzzParseSpec(f *testing.F) {
+	smoke, err := os.ReadFile("testdata/smoke.spec")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(smoke)
+	for _, spec := range unrunnable(f) {
+		f.Add([]byte(spec))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := ParseSpec(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, again bytes.Buffer
+		if err := WriteSpec(&first, sc); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseSpec(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("an accepted spec does not read back: %v\n%s", err, first.Bytes())
+		}
+		if err := WriteSpec(&again, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), again.Bytes()) {
+			t.Fatalf("WriteSpec→ParseSpec→WriteSpec changed the bytes:\n%s\n%s", first.Bytes(), again.Bytes())
+		}
+	})
+}
+
 // A value the scenario would silently take as unset or run oversized
 // is rejected with an error naming its key.
 func TestParseSpecRejectsBadValues(t *testing.T) {

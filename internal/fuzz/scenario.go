@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/cpu"
+	"repro/internal/faults"
 )
 
 // Tenant is one co-located workload instance sharing the testbed with
@@ -312,34 +315,27 @@ func ParseSpec(r io.Reader) (Scenario, error) {
 		case "duration":
 			sc.Duration, err = time.ParseDuration(val)
 		case "schedule":
-			sc.Schedule = val
+			sc.Schedule, err = val, checkFaults(val)
 		case "offeredload":
 			sc.OfferedLoad, err = nonNegative(val)
 		case "admitq":
 			sc.AdmitQueue, err = nonNegative(val)
 		case "crash":
-			sc.Crash = val
+			sc.Crash, err = val, checkFaults(val)
 		case "tracereplay":
 			sc.TraceReplay, err = strconv.ParseBool(val)
 		case "telemetry":
 			sc.Telemetry, err = strconv.ParseBool(val)
 		case "tenant":
-			name, threads, ok := strings.Cut(val, ":")
-			if !ok {
-				return sc, fmt.Errorf("fuzz: spec line %d: want tenant=<workload>:<threads>", line)
-			}
+			name, threads, _ := strings.Cut(val, ":")
 			n, terr := strconv.Atoi(threads)
-			if terr != nil || n <= 0 {
-				return sc, fmt.Errorf("fuzz: spec line %d: bad thread count %q", line, threads)
-			}
-			valid := false
-			for _, w := range tenantWorkloads {
-				if w == name {
-					valid = true
-				}
-			}
-			if !valid {
-				return sc, fmt.Errorf("fuzz: spec line %d: unknown workload %q", line, name)
+			switch {
+			case terr != nil || n <= 0 || n > MaxThreads:
+				err = fmt.Errorf("want <workload>:<threads> with 1..%d threads, got %q", MaxThreads, val)
+			case !slices.Contains(tenantWorkloads, name):
+				err = fmt.Errorf("unknown workload %q", name)
+			case len(sc.Tenants) == MaxTenants:
+				err = fmt.Errorf("at most %d tenants fit the %d-core host", MaxTenants, cpu.MaxCores)
 			}
 			sc.Tenants = append(sc.Tenants, Tenant{Workload: name, Threads: n})
 		default:
@@ -365,6 +361,17 @@ func ParseSpec(r io.Reader) (Scenario, error) {
 		sc.Warmup = 10 * time.Millisecond
 	}
 	return sc, nil
+}
+
+// MaxTenants bounds a scenario's co-tenants, each in a 2-core pool
+// beside the victim's on a host of cpu.MaxCores; MaxThreads bounds the
+// workers of one.
+const MaxTenants, MaxThreads = cpu.MaxCores/2 - 1, 64
+
+// checkFaults parses a schedule or crash entry as a run does, @wal as OSD 0.
+func checkFaults(val string) error {
+	_, err := faults.Parse(strings.ReplaceAll(val, "@wal", "0"))
+	return err
 }
 
 // nonNegative parses a count whose zero means unset.

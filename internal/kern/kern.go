@@ -68,20 +68,6 @@ type Kernel struct {
 // the shared kernel locks. Nil detaches.
 func (k *Kernel) SetRecorder(rec *obs.Recorder) { k.rec = rec }
 
-// lockSpan acquires mu, attributing any wait to the tenant of the
-// request being served (ctx.Span) under the given lock name. Without
-// an active span it is exactly mu.Lock: the extra clock reads are
-// engine-passive, so traced and untraced runs schedule identically.
-func (k *Kernel) lockSpan(ctx vfsapi.Ctx, mu *sim.Mutex, name string) {
-	if ctx.Span == nil {
-		mu.Lock(ctx.P)
-		return
-	}
-	start := k.eng.Now()
-	mu.Lock(ctx.P)
-	ctx.Span.LockWait(name, k.eng.Now()-start)
-}
-
 // New creates the host kernel and starts its writeback flusher threads.
 func New(eng *sim.Engine, cpus *cpu.CPU, params *model.Params) *Kernel {
 	k := &Kernel{
@@ -174,11 +160,10 @@ func (k *Kernel) newInodeLock() *sim.Mutex {
 // 512-byte requests) use it so the lock pressure the stream exerts on
 // other tenants is preserved (the Fig 1b mechanism).
 func (k *Kernel) SmallOpLockStress(ctx vfsapi.Ctx, ops int) {
-	k.lockSpan(ctx, k.lruLock, "lru_lock")
-	ctx.T.Exec(ctx.P, cpu.Kernel, time.Duration(ops)*k.params.LRULockHoldPerPage)
+	n := time.Duration(ops)
+	ctx.T.LockedChain(ctx.P, k.lruLock, ctx.Span, "lru_lock", cpu.Charge(cpu.Kernel, n*k.params.LRULockHoldPerPage))
 	k.lruLock.Unlock(ctx.P)
-	k.lockSpan(ctx, k.writebackLock, "wb_lock")
-	ctx.T.Exec(ctx.P, cpu.Kernel, time.Duration(ops)*k.params.WritebackLockHold)
+	ctx.T.LockedChain(ctx.P, k.writebackLock, ctx.Span, "wb_lock", cpu.Charge(cpu.Kernel, n*k.params.WritebackLockHold))
 	k.writebackLock.Unlock(ctx.P)
 }
 
@@ -216,6 +201,16 @@ func (k *Kernel) BrownoutExit() {
 			m.throttleQ.Broadcast()
 		}
 	}
+}
+
+// tightened is a dirty threshold v, or in brownout a quarter of it (at
+// least one byte): an overloaded backend accumulates a quarter of the
+// buffered state, and the flushers start draining early.
+func (k *Kernel) tightened(v int64) int64 {
+	if k.brownout > 0 {
+		return max(v/4, 1)
+	}
+	return v
 }
 
 // BrownoutFlips returns how many times brownout engaged.
@@ -256,7 +251,9 @@ func (k *Kernel) flusherLoop(p *sim.Proc) {
 			if m == nil {
 				break
 			}
-			if !m.flushPass(ctx) {
+			progressed := m.wb.Flush(ctx)
+			m.flushing--
+			if !progressed {
 				break
 			}
 		}

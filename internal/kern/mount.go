@@ -8,7 +8,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/extent"
 	"repro/internal/memacct"
-	"repro/internal/obs"
+	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/vfsapi"
 )
@@ -78,8 +78,9 @@ type Mount struct {
 	crashed bool
 	crashes uint64
 
-	steps    cacherun.Steps[*sim.Mutex] // the request runs' step table
-	requests []*request                 // recycled syscall request runs
+	steps    cacherun.Steps[*sim.Mutex]     // the request runs' step table
+	wb       cacherun.Writeback[*sim.Mutex] // and the write-back's
+	requests []*request                     // recycled syscall request runs
 }
 
 // fileState is a file's page-cache state; X is its inode mutex.
@@ -106,12 +107,9 @@ func (k *Kernel) Mount(store Store, cfg MountConfig) *Mount {
 		store:     store,
 		cfg:       cfg,
 		cache:     cache.New[*sim.Mutex](meter, cfg.MemLimit),
-		bgThresh:  cfg.MaxDirty / 2,
+		bgThresh:  max(cfg.MaxDirty/2, 1),
 		throttleQ: sim.NewWaitQueue(k.eng, cfg.Name+".throttle"),
 		fetchQ:    sim.NewWaitQueue(k.eng, cfg.Name+".fetch"),
-	}
-	if m.bgThresh == 0 {
-		m.bgThresh = 1
 	}
 	// The kernel's request runs: the page lock is per page, so claims
 	// and releases take no lock; inserts and evictions take lru_lock
@@ -127,34 +125,20 @@ func (k *Kernel) Mount(store Store, cfg MountConfig) *Mount {
 	if cs, ok := store.(*CephStore); ok {
 		m.steps.Retry, m.steps.Clus, m.steps.Wire, m.steps.SizePushed = cs.retry, cs.clus, cs.message, cs.sizeSet
 	}
+	// Its write-back: a flusher marks its file Flushing and pops under
+	// wb_lock traced, a drain untraced (OBSERVABILITY.md records the gap).
+	pop := cacherun.Lock{M: k.writebackLock, Name: "wb_lock", Hold: cpu.Charge(cpu.Kernel, k.params.WritebackLockHold)}
+	m.wb = cacherun.Writeback[*sim.Mutex]{Steps: &m.steps, Store: (*writeback)(m), Crashed: &m.crashed,
+		Background: m.bgThreshold, Rec: &k.rec, Tenant: cfg.Tenant, MarkFlushing: true, FlushPop: pop, DrainPop: pop}
+	m.wb.DrainPop.Name = ""
 	k.mounts = append(k.mounts, m)
 	return m
 }
 
-// maxDirty is the effective hard dirty threshold: the configured limit
-// normally, a quarter of it (at least one byte) in brownout, so an
-// overloaded backend accumulates a quarter of the buffered state.
-func (m *Mount) maxDirty() int64 {
-	if m.kern.brownout > 0 {
-		if v := m.cfg.MaxDirty / 4; v > 1 {
-			return v
-		}
-		return 1
-	}
-	return m.cfg.MaxDirty
-}
-
-// bgThreshold is the effective background writeback threshold,
-// tightened like maxDirty in brownout so flushers start draining early.
-func (m *Mount) bgThreshold() int64 {
-	if m.kern.brownout > 0 {
-		if v := m.bgThresh / 4; v > 1 {
-			return v
-		}
-		return 1
-	}
-	return m.bgThresh
-}
+// maxDirty and bgThreshold are the effective hard and background dirty
+// thresholds (see Kernel.tightened).
+func (m *Mount) maxDirty() int64    { return m.kern.tightened(m.cfg.MaxDirty) }
+func (m *Mount) bgThreshold() int64 { return m.kern.tightened(m.bgThresh) }
 
 // raWindow is the effective readahead window: zero in brownout —
 // speculative fetches are the first work to defer when the backend or
@@ -183,15 +167,6 @@ func (m *Mount) file(ino uint64, size int64) *fileState {
 		f.X = m.kern.newInodeLock()
 	}
 	return f
-}
-
-// withLRU runs fn under the global lru_lock. Flag and list updates
-// charge no per-page hold; page insertion and reclaim charge their own.
-func (m *Mount) withLRU(ctx vfsapi.Ctx, fn func()) {
-	k := m.kern
-	k.lockSpan(ctx, k.lruLock, "lru_lock")
-	fn()
-	k.lruLock.Unlock(ctx.P)
 }
 
 // mark records [off,off+n) of f dirty under wb_lock, which it releases,
@@ -241,130 +216,49 @@ func (m *Mount) overDirty() bool {
 	return m.cache.DirtyBytes >= m.maxDirty() && !m.kern.stopped && !m.crashed
 }
 
-// flushPass drains the mount toward its background threshold (and past
-// the expire age), running on a flusher's roaming thread. It reports
-// whether it flushed anything, so idle flushers back off instead of
-// re-picking a mount whose dirty files are all claimed.
-func (m *Mount) flushPass(ctx vfsapi.Ctx) bool {
-	k := m.kern
-	progressed := false
-	// The writeback span is opened lazily on the first dirty file and
-	// tagged with the mount's tenant: the flusher runs on the kernel's
-	// account, but the work — and the cores and locks it consumes — is
-	// attributed to the pool whose dirty data recruited it.
-	var sp *obs.Span
-	var sc obs.Scope
-	var passTotal int64
-	for m.cache.Due(m.bgThreshold(), k.eng.Now(), k.params.DirtyExpire) {
-		f := m.cache.NextDirty()
-		if f == nil {
-			break
-		}
-		if sp == nil && k.rec != nil {
-			sp = k.rec.StartSpan(ctx.P.ID(), m.cfg.Tenant, "writeback")
-			sc = sp.Enter(obs.LayerWriteback)
-			ctx.Span = sp
-		}
-		progressed = true
-		f.Flushing = true
-		k.lockSpan(ctx, k.writebackLock, "wb_lock")
-		ctx.T.Exec(ctx.P, cpu.Kernel, k.params.WritebackLockHold)
-		var buf [4]extent.Extent
-		exts, total := f.Dirty.PopFirst(1<<20, buf[:0])
-		k.writebackLock.Unlock(ctx.P)
-		// The inode mutex is held while the flusher prepares the batch
-		// (page scanning and submission CPU), serializing the
-		// application's writes to this file against flusher progress —
-		// the i_mutex delays the paper's kernel profiling identified.
-		// The store transfer itself proceeds under page locks only.
-		k.lockSpan(ctx, f.X, "i_mutex")
-		ctx.T.ExecBytes(ctx.P, cpu.Kernel, total, k.params.FlusherBytesPerSec)
-		f.X.Unlock(ctx.P)
-		ok := m.storeBatch(ctx, f, exts, total)
-		f.Flushing = false
-		if !ok {
-			break
-		}
-		passTotal += total
-		m.updateFlushRate(total)
-		if f.Dirty.Len() == 0 && !f.Unlinked {
-			m.store.SetSize(ctx, f.Ino, f.Size)
-		}
-		m.throttleQ.Broadcast()
-	}
-	sc.Exit()
-	sp.End(passTotal, nil)
-	m.flushing--
-	return progressed
+// writeback is a Mount as its write-back's cacherun.Store.
+type writeback Mount
+
+// Prepare holds the inode mutex while the flusher prepares the batch
+// (page scanning and submission CPU): the i_mutex delays of the
+// paper's kernel profiling. The store transfer runs under page locks.
+func (w *writeback) Prepare(ctx vfsapi.Ctx, f *fileState, n int64) {
+	ctx.T.LockedChain(ctx.P, f.X, ctx.Span, "i_mutex", cpu.Charge(cpu.Kernel, model.RateTime(n, w.kern.params.FlusherBytesPerSec)))
+	f.X.Unlock(ctx.P)
 }
 
-// storeBatch is the mount's one write-back step after a pop: it stores
-// a batch of f's dirty pages (an unlinked file's pages are dropped)
-// and, unless the mount crashed meanwhile, takes the batch's total off
-// the dirty total. It reports false after a crash.
-func (m *Mount) storeBatch(ctx vfsapi.Ctx, f *fileState, exts []extent.Extent, total int64) bool {
-	for _, e := range exts {
-		if !f.Unlinked {
-			m.store.WriteData(ctx, f.Ino, e.Off, e.Len)
-		}
-	}
-	// The crash already zeroed the dirty accounting of the incarnation
-	// this batch came from; subtracting it again, or from a restarted
-	// one, would drive the total negative.
-	if m.crashed || m.cache.Stale(f) {
-		return false
-	}
-	m.cache.Written(f, total)
-	return true
+func (w *writeback) StoreExtent(ctx vfsapi.Ctx, f *fileState, e extent.Extent) error {
+	w.store.WriteData(ctx, f.Ino, e.Off, e.Len)
+	return nil
 }
 
-// drain writes f's dirty pages back, 4 MiB per wb_lock hold, until f is
-// clean, waking throttled writers after each batch. It reports false,
-// stopping at once, if the mount crashed meanwhile.
-func (m *Mount) drain(ctx vfsapi.Ctx, f *fileState) bool {
-	k := m.kern
-	for f.Dirty.Len() > 0 {
-		// Untraced, unlike the flusher's: OBSERVABILITY.md records the gap.
-		k.writebackLock.Lock(ctx.P)
-		ctx.T.Exec(ctx.P, cpu.Kernel, k.params.WritebackLockHold)
-		var buf [4]extent.Extent
-		exts, total := f.Dirty.PopFirst(4<<20, buf[:0])
-		k.writebackLock.Unlock(ctx.P)
-		if !m.storeBatch(ctx, f, exts, total) {
-			return false
-		}
-		m.throttleQ.Broadcast()
+// Flushed folds a stored batch into the EWMA of the flush rate.
+func (w *writeback) Flushed(total, _ int64, err error) {
+	if err != nil {
+		return
 	}
-	return true
-}
-
-// updateFlushRate folds a completed batch into the pacing EWMA.
-func (m *Mount) updateFlushRate(total int64) {
-	now := m.kern.eng.Now()
-	if m.lastFlushDone > 0 && now > m.lastFlushDone {
-		inst := float64(total) / (now - m.lastFlushDone).Seconds()
-		if m.flushRate == 0 {
-			m.flushRate = inst
+	now := w.kern.eng.Now()
+	if w.lastFlushDone > 0 && now > w.lastFlushDone {
+		inst := float64(total) / (now - w.lastFlushDone).Seconds()
+		if w.flushRate == 0 {
+			w.flushRate = inst
 		} else {
-			m.flushRate = 0.8*m.flushRate + 0.2*inst
+			w.flushRate = 0.8*w.flushRate + 0.2*inst
 		}
 	}
-	m.lastFlushDone = now
+	w.lastFlushDone = now
 }
 
-// SyncAll synchronously flushes every dirty file to the store and
-// propagates sizes (used when quiescing a mount, e.g. for container
-// migration).
-func (m *Mount) SyncAll(ctx vfsapi.Ctx) {
-	for f := m.cache.NextDirty(); f != nil; f = m.cache.NextDirty() {
-		if !m.drain(ctx, f) {
-			return
-		}
-		if !f.Unlinked {
-			m.store.SetSize(ctx, f.Ino, f.Size)
-		}
+// PushSize sets f's size in the store; an unlinked file's goes nowhere.
+func (w *writeback) PushSize(ctx vfsapi.Ctx, f *fileState) {
+	if !f.Unlinked {
+		w.store.SetSize(ctx, f.Ino, f.Size)
 	}
 }
+
+// SyncAll flushes every dirty file and its size to the store, the
+// quiesce step of container migration.
+func (m *Mount) SyncAll(ctx vfsapi.Ctx) { m.wb.SyncAll(ctx) }
 
 // Crash models the kernel client dying (for the kernel Ceph mount this
 // is effectively a host crash: there is no way to kill the in-kernel
@@ -417,10 +311,13 @@ type storeCrasher interface {
 }
 
 // dropCache removes all residency and dirty state of f (unlink,
-// truncate), waking throttled writers if it discarded dirty pages.
+// truncate) under lru_lock, with no per-page hold, and wakes throttled
+// writers if it discarded dirty pages.
 func (m *Mount) dropCache(ctx vfsapi.Ctx, f *fileState) {
-	var dirty int64
-	m.withLRU(ctx, func() { dirty = m.cache.Drop(f) })
+	lru := m.kern.lruLock
+	ctx.T.LockedChain(ctx.P, lru, ctx.Span, "lru_lock")
+	dirty := m.cache.Drop(f)
+	lru.Unlock(ctx.P)
 	if dirty > 0 {
 		m.throttleQ.Broadcast()
 	}

@@ -273,7 +273,7 @@ func (h *pagedHandle) Fsync(ctx vfsapi.Ctx) error {
 		return err
 	}
 	m := h.m
-	if !m.drain(ctx, h.f) {
+	if m.wb.Drain(ctx, h.f) != nil {
 		// Crash mid-fsync: the un-acknowledged batch must not count as
 		// synced.
 		return h.failIfStale(ctx)

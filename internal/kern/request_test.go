@@ -38,9 +38,23 @@ func (o *straightLine) syscall(s *Syscalls, ctx vfsapi.Ctx, op func() (int64, er
 	return n, err
 }
 
+// lockSpan acquires mu, attributing any wait to the tenant of the
+// request being served (ctx.Span) under the given lock name: the
+// historical form of a LockedChain with nothing to chain. Without an
+// active span it is exactly mu.Lock.
+func lockSpan(ctx vfsapi.Ctx, mu *sim.Mutex, name string) {
+	if ctx.Span == nil {
+		mu.Lock(ctx.P)
+		return
+	}
+	start := ctx.P.Now()
+	mu.Lock(ctx.P)
+	ctx.Span.LockWait(name, ctx.P.Now()-start)
+}
+
 func (o *straightLine) cacheInsert(m *Mount, ctx vfsapi.Ctx, f *fileState, off, n int64) {
 	k := m.kern
-	k.lockSpan(ctx, k.lruLock, "lru_lock")
+	lockSpan(ctx, k.lruLock, "lru_lock")
 	if m.cache.Stale(f) {
 		o.cover["insert into a stale ledger entry"]++
 		k.lruLock.Unlock(ctx.P)
@@ -54,7 +68,7 @@ func (o *straightLine) cacheInsert(m *Mount, ctx vfsapi.Ctx, f *fileState, off, 
 	if m.cache.Over() {
 		o.cover["evict"]++
 		var freed int64
-		k.lockSpan(ctx, k.lruLock, "lru_lock")
+		lockSpan(ctx, k.lruLock, "lru_lock")
 		freed = m.cache.Evict()
 		k.lruLock.Unlock(ctx.P)
 		if freed > 0 {
@@ -65,7 +79,7 @@ func (o *straightLine) cacheInsert(m *Mount, ctx vfsapi.Ctx, f *fileState, off, 
 
 func (o *straightLine) markDirty(m *Mount, ctx vfsapi.Ctx, f *fileState, off, n int64) {
 	k := m.kern
-	k.lockSpan(ctx, k.writebackLock, "wb_lock")
+	lockSpan(ctx, k.writebackLock, "wb_lock")
 	ctx.T.Exec(ctx.P, cpu.Kernel, k.params.WritebackLockHold)
 	if m.cache.Stale(f) {
 		o.cover["mark a stale ledger entry"]++
@@ -166,7 +180,7 @@ func (o *straightLine) read(h *pagedHandle, ctx vfsapi.Ctx, off, n int64) (int64
 	if !missed {
 		o.cover["read hit"]++
 	}
-	m.kern.lockSpan(ctx, m.kern.lruLock, "lru_lock")
+	lockSpan(ctx, m.kern.lruLock, "lru_lock")
 	m.cache.Touch(h.f)
 	m.kern.lruLock.Unlock(ctx.P)
 	ctx.T.Exec(ctx.P, cpu.Kernel, params.CopyTime(n))

@@ -62,8 +62,8 @@ const (
 	LayerClient Layer = "client"
 	// LayerSyscall is the kernel VFS entry (kern.Syscalls).
 	LayerSyscall Layer = "syscall"
-	// LayerWriteback is flusher writeback work (kern.Mount.flushPass,
-	// cephclient flushPass); its span carries the originating tenant.
+	// LayerWriteback is a flusher pass (cacherun.Writeback.Flush); its
+	// span carries the originating tenant.
 	LayerWriteback Layer = "writeback"
 	// LayerMDS is a metadata round trip to the MDS.
 	LayerMDS Layer = "mds"

@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -184,12 +185,17 @@ func (t *Trace) WriteFile(path string) error {
 	return f.Close()
 }
 
+// MaxOpLen is the most bytes one traced op may read or write (1 GiB).
+const MaxOpLen = 1 << 30
+
 // maxPrealloc bounds the ops Read allocates room for from the header's
 // count, which it cannot trust before the ops are there.
 const maxPrealloc = 1 << 10
 
 // Read parses a trace, validating the header version and op count,
-// every op line — a known op kind, no negative offset or length — and
+// every op line — a known op kind, no negative offset or length, a
+// length of at most MaxOpLen whose end does not overflow, a stream id
+// that is dense (one seen before, or one more than the largest) — and
 // that the op count and seq numbering match the header. Truncated or
 // corrupt files fail with a line-numbered error.
 func Read(r io.Reader) (*Trace, error) {
@@ -212,7 +218,7 @@ func Read(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: line 1: negative \"ops\" count %d", h.Ops)
 	}
 	t := &Trace{Label: h.Label, Ops: make([]Op, 0, min(h.Ops, maxPrealloc))}
-	line := 1
+	line, streams := 1, 0 // streams: the ids seen so far are 0..streams-1
 	for sc.Scan() {
 		line++
 		var op Op
@@ -225,8 +231,17 @@ func Read(r io.Reader) (*Trace, error) {
 		if _, ok := vfsapi.ParseKind(op.Kind); !ok {
 			return nil, fmt.Errorf("trace: line %d: unknown op kind %q", line, op.Kind)
 		}
-		if op.Offset < 0 || op.Len < 0 {
+		switch {
+		case op.Offset < 0 || op.Len < 0:
 			return nil, fmt.Errorf("trace: line %d: negative offset %d or length %d", line, op.Offset, op.Len)
+		case op.Len > MaxOpLen:
+			return nil, fmt.Errorf("trace: line %d: \"len\" %d above the per-op maximum %d", line, op.Len, int64(MaxOpLen))
+		case op.Offset > math.MaxInt64-op.Len:
+			return nil, fmt.Errorf("trace: line %d: \"off\" %d + \"len\" %d overflows", line, op.Offset, op.Len)
+		case op.Stream < 0 || op.Stream > streams:
+			return nil, fmt.Errorf("trace: line %d: \"stream\" %d not dense (want at most %d)", line, op.Stream, streams)
+		case op.Stream == streams:
+			streams++
 		}
 		t.Ops = append(t.Ops, op)
 	}

@@ -109,6 +109,14 @@ func TestReadErrorPaths(t *testing.T) {
 			"line 4: negative offset -5"},
 		{"negative length", strings.Join(lines[:3], "\n") + "\n" + strings.Replace(lines[3], `"len":512`, `"len":-7`, 1) + "\n",
 			"line 4: negative offset 4096 or length -7"},
+		{"length past the per-op maximum", strings.Join(lines[:3], "\n") + "\n" + strings.Replace(lines[3], `"len":512`, `"len":9223372036854775000`, 1) + "\n",
+			`line 4: "len" 9223372036854775000 above the per-op maximum 1073741824`},
+		{"end past int64", strings.Join(lines[:3], "\n") + "\n" + strings.Replace(lines[3], `"off":4096`, `"off":9223372036854775800`, 1) + "\n",
+			`line 4: "off" 9223372036854775800 + "len" 512 overflows`},
+		{"stream id not dense", lines[0] + "\n" + strings.Replace(lines[1], `"stream":0`, `"stream":99999999`, 1) + "\n",
+			`line 2: "stream" 99999999 not dense (want at most 0)`},
+		{"negative stream id", lines[0] + "\n" + strings.Replace(lines[1], `"stream":0`, `"stream":-1`, 1) + "\n",
+			`line 2: "stream" -1 not dense`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -343,7 +351,8 @@ func TestWriteReadFile(t *testing.T) {
 // a trace, never panic, and a trace it accepts must round-trip, Write
 // then Read then Write, to identical bytes. The seed corpus holds a
 // canonical trace and, under testdata/fuzz, headers whose op count once
-// made Read panic.
+// made Read panic, an op whose length once hung a replay and one whose
+// stream id once made a replay reorder the op sequence.
 func FuzzTraceRead(f *testing.F) {
 	var buf bytes.Buffer
 	if err := sampleTrace().Write(&buf); err != nil {
