@@ -3,6 +3,7 @@ package blame
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,9 +33,13 @@ type WhatIf struct {
 
 // ParseWhatIf parses a spec like "nic=2x,osd=2x,lockcs=0.5,flusher=pinned".
 // Any subset of knobs may appear; unknown keys or malformed values are
-// errors.
+// errors. A scale must be finite, and applied to the default cost
+// model it must leave every rate it multiplies a positive int64 and
+// every hold a positive int64 too, or 0 under lockcs=0. An error names
+// the knob.
 func ParseWhatIf(spec string) (WhatIf, error) {
 	w := WhatIf{Spec: spec, NICScale: 1, OSDScale: 1, LockCSScale: 1}
+	def := model.Default()
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -47,23 +52,35 @@ func ParseWhatIf(spec string) (WhatIf, error) {
 		switch key {
 		case "nic", "osd":
 			f, err := strconv.ParseFloat(strings.TrimSuffix(val, "x"), 64)
-			if err != nil || f <= 0 {
-				return w, fmt.Errorf("what-if: bad scale %q (want e.g. %s=2x)", part, key)
+			if err != nil || !(f > 0) || math.IsInf(f, 0) {
+				return w, fmt.Errorf("what-if: %s: bad scale %q (want a finite positive scale, e.g. %s=2x)", key, part, key)
 			}
+			vals := []int64{def.OSDRamdiskBytesPerSec}
 			if key == "nic" {
 				w.NICScale = f
+				vals = []int64{def.ClientNICBytesPerSec, def.ServerNICBytesPerSec}
 			} else {
 				w.OSDScale = f
 			}
+			if err := scalable(key, f, vals, "bandwidth"); err != nil {
+				return w, err
+			}
 		case "lockcs":
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 {
-				return w, fmt.Errorf("what-if: bad fraction %q (want e.g. lockcs=0.5)", part)
+			if err != nil || !(f >= 0) || math.IsInf(f, 0) {
+				return w, fmt.Errorf("what-if: lockcs: bad fraction %q (want a finite fraction, e.g. lockcs=0.5)", part)
 			}
 			w.LockCSScale = f
+			if f > 0 {
+				holds := []int64{int64(def.LRULockHoldPerPage), int64(def.IMutexHold),
+					int64(def.WritebackLockHold), int64(def.ClientLockHold)}
+				if err := scalable(key, f, holds, "hold"); err != nil {
+					return w, err
+				}
+			}
 		case "flusher":
 			if val != "pinned" {
-				return w, fmt.Errorf("what-if: unknown flusher mode %q (want flusher=pinned)", val)
+				return w, fmt.Errorf("what-if: flusher: unknown mode %q (want flusher=pinned)", val)
 			}
 			w.FlusherPinned = true
 		default:
@@ -71,6 +88,17 @@ func ParseWhatIf(spec string) (WhatIf, error) {
 		}
 	}
 	return w, nil
+}
+
+// scalable reports, naming knob, a scale f that takes one of vals out
+// of the positive int64s.
+func scalable(knob string, f float64, vals []int64, what string) error {
+	for _, v := range vals {
+		if x := float64(v) * f; !(x >= 1 && x < 1<<63) {
+			return fmt.Errorf("what-if: %s: scale %g takes a %s of %d to %g, not a positive int64", knob, f, what, v, x)
+		}
+	}
+	return nil
 }
 
 // Apply rewrites the cost model in place for the re-run. Pinning is

@@ -11,10 +11,12 @@ import (
 )
 
 // AttachObserver wires an observability recorder into the testbed:
-// request spans open at every pool mount facade, the CPU scheduler and
-// kernel report their activity, a virtual-time ticker samples per-pool
-// core utilization and cache occupancy, and a finalizer harvests the
-// end-of-run counters of every layer into the recorder's registry.
+// request spans open at every pool mount facade, the recorder becomes
+// the engine's observer (each CPU slice and each wait reaches it once,
+// from the process that reports it), the kernel opens its flusher
+// spans on it, a virtual-time ticker samples per-pool core utilization
+// and cache occupancy, and a finalizer harvests the end-of-run counters
+// of every layer into the recorder's registry.
 //
 // Call it right after NewTestbed, before creating pools, so the pool
 // mounts pick up the recorder. A nil recorder is a no-op.
@@ -23,15 +25,10 @@ func (tb *Testbed) AttachObserver(rec *obs.Recorder) {
 		return
 	}
 	tb.Obs = rec
-	tb.CPU.SetRecorder(rec)
 	tb.Kernel.SetRecorder(rec)
-	// Bridge the engine's passive wait observer to the recorder: each
-	// completed wait is attributed to the span bound to the waiting
-	// process. Observation reads only the clock — the engine schedule is
+	// Observation reads only the clock — the engine schedule is
 	// unchanged (the zero-overhead contract).
-	tb.Eng.SetWaitObserver(func(p *sim.Proc, kind, resource, holder string, holderID int, start, dur time.Duration) {
-		rec.Wait(p.ID(), kind, resource, holder, holderID, start, dur)
-	})
+	tb.Eng.SetObserver(rec)
 	if iv := rec.SampleInterval(); iv > 0 {
 		tb.startSampler(rec, iv)
 	}

@@ -62,6 +62,14 @@ func (a *Account) count(c Counter) {
 	}
 }
 
+// name is the account's name, "" for none.
+func (a *Account) name() string {
+	if a == nil {
+		return ""
+	}
+	return a.Name
+}
+
 func (a *Account) addTime(k TimeKind, d time.Duration) {
 	if a == nil {
 		return

@@ -48,13 +48,7 @@ type CPU struct {
 	// allocations. Safe without locking: exactly one goroutine runs at
 	// any instant in the simulation.
 	runPool []*execRun
-
-	rec *obs.Recorder
 }
-
-// SetRecorder attaches an observability recorder; every executed core
-// slice is then mirrored to it as a per-core trace event. Nil detaches.
-func (c *CPU) SetRecorder(rec *obs.Recorder) { c.rec = rec }
 
 // kindName renders a TimeKind for trace tags.
 func kindName(k TimeKind) string {
@@ -62,25 +56,6 @@ func kindName(k TimeKind) string {
 		return "kernel"
 	}
 	return "user"
-}
-
-// recordSlice mirrors one just-charged core slice (ending now) to the
-// recorder. Called only at the points that charge busyTime, so the
-// trace's per-core tracks reconstruct exactly the scheduler's view.
-func (c *CPU) recordSlice(core int, d time.Duration, acct *Account, k TimeKind) {
-	if c.rec != nil {
-		c.record(core, d, acct, k)
-	}
-}
-
-// record is recordSlice's report to the recorder, kept out of line so
-// that the unobserved check inlines into every slice's end.
-func (c *CPU) record(core int, d time.Duration, acct *Account, k TimeKind) {
-	name := ""
-	if acct != nil {
-		name = acct.Name
-	}
-	c.rec.Core(core, c.eng.Now()-d, d, name, kindName(k))
 }
 
 type coreState struct {
@@ -431,16 +406,17 @@ func (r *execRun) acquire() {
 
 // fire ends a slice, as the boundary callback or, for the last slice of
 // a blocking chain, in its process after the wake: charge the completed
-// slice and release the core, then re-acquire a core for the rest of
-// the step, or proceed to the next step, at once or by queueing for a
-// core, exactly as the historical loop did between two slices.
+// slice, report it once (the observer takes it as a core slice and as
+// the process's run wait) and release the core, then re-acquire a core
+// for the rest of the step, or proceed to the next step, at once or by
+// queueing for a core, exactly as the historical loop did between two
+// slices.
 func (r *execRun) fire() {
 	c, t := r.c, r.t
 	c.cores[r.core].busyTime += r.slice
 	t.acct.addTime(r.kind, r.slice)
 	t.lastCore = r.core
-	c.recordSlice(r.core, r.slice, t.acct, r.kind)
-	r.p.ReportWait("run", "cpu", "", 0, r.slice)
+	r.p.ReportSlice(r.core, t.acct.name(), kindName(r.kind), r.slice)
 	c.release(r.core)
 	r.d -= r.slice
 	if r.d > 0 {

@@ -311,6 +311,23 @@ type kWait struct {
 	start, dur             time.Duration
 }
 
+// kObserver logs every wait a run reports, each slice's run wait
+// included, and passes the waits and slices on to rec.
+type kObserver struct {
+	rec *obs.Recorder
+	out *kOutcome
+}
+
+func (o kObserver) Wait(proc int, kind, resource, holder string, holderID int, start, dur time.Duration) {
+	o.out.waits = append(o.out.waits, kWait{proc, kind, resource, holder, start, dur})
+	o.rec.Wait(proc, kind, resource, holder, holderID, start, dur)
+}
+
+func (o kObserver) Slice(proc, core int, account, kind string, start, dur time.Duration) {
+	o.out.waits = append(o.out.waits, kWait{proc, "run", "cpu", "", start, dur})
+	o.rec.Slice(proc, core, account, kind, start, dur)
+}
+
 // kTick is what a measurement window boundary reads.
 type kTick struct {
 	lock                 sim.LockStats
@@ -474,7 +491,6 @@ func runKScenario(sc kScenario, straight bool, tick time.Duration) kOutcome {
 	k := New(e, cpus, params)
 	rec := obs.New(obs.Config{Clock: e.Now})
 	k.SetRecorder(rec)
-	cpus.SetRecorder(rec)
 	store := newFakeStore(e)
 	store.readDelay, store.writeDelay = sc.readDelay, sc.writeDelay
 	var clus *cluster.Cluster
@@ -495,10 +511,7 @@ func runKScenario(sc kScenario, straight bool, tick time.Duration) kOutcome {
 			out.events = append(out.events, ev.At)
 		}
 	})
-	e.SetWaitObserver(func(p *sim.Proc, kind, resource, holder string, holderID int, start, dur time.Duration) {
-		out.waits = append(out.waits, kWait{p.ID(), kind, resource, holder, start, dur})
-		rec.Wait(p.ID(), kind, resource, holder, holderID, start, dur)
-	})
+	e.SetObserver(kObserver{rec, &out})
 	var ino0 uint64 // file 0's ino, which the OSD toggles aim at
 	for i, size := range sc.files {
 		if clus != nil {

@@ -16,6 +16,7 @@ func TestHotPathAllocs(t *testing.T) {
 	allocgate.Check(t, []allocgate.Case{
 		{Name: "RecordWait", Body: recordWait, N: 10000},
 		{Name: "RecordCore", Body: recordCore, N: 10000},
+		{Name: "RecordSlice", Body: recordSlice, N: 10000},
 		{Name: "SpanEnterExit", Body: spanEnterExit, N: 10000},
 		{Name: "ReadViews", Body: readViews, N: 10000},
 	})
@@ -71,6 +72,20 @@ func recordCore(n int) func() {
 		for i := 0; i < n; i++ {
 			*clock++
 			rec.Core(i&3, *clock, 1, "pool0", "user")
+		}
+	}
+}
+
+// BenchmarkRecordSlice times the one observation of a CPU slice: its
+// core record and the run wait of the span bound to its process.
+func BenchmarkRecordSlice(b *testing.B) { allocgate.Bench(b, recordSlice) }
+
+func recordSlice(n int) func() {
+	rec, _, clock := benchRecorder()
+	return func() {
+		for i := 0; i < n; i++ {
+			*clock++
+			rec.Slice(3, i&3, "pool0", "user", *clock-1, 1)
 		}
 	}
 }

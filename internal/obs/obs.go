@@ -139,6 +139,10 @@ type Recorder struct {
 	// holder serves no span, once haveEmpty is set.
 	emptySym  Sym
 	haveEmpty bool
+	// runSite is the sites row of a slice's run wait ("run", "cpu",
+	// ""), once haveRunSite is set.
+	runSite     uint32
+	haveRunSite bool
 
 	reg        *Registry
 	finalizers []func(*Registry)
@@ -148,9 +152,9 @@ type Recorder struct {
 	// OpDone), in subscription order: the trace recorder
 	// (internal/trace) and the live telemetry monitor (internal/telemetry
 	// via core.AttachMonitor) each add one. waitHook, when set, receives
-	// the monitor's cross-tenant wait attributions. Both are pure
-	// observations: no engine events, no clock reads beyond what OpDone
-	// and Wait already do.
+	// the cross-tenant wait attributions, the only ones the monitor
+	// keeps. Both are pure observations: no engine events, no clock
+	// reads beyond what OpDone and Wait already do.
 	opSubs   []func(OpEvent)
 	waitHook func(victim, aggressor string, start, dur time.Duration)
 }
@@ -239,9 +243,11 @@ func (r *Recorder) SubscribeOps(fn func(OpEvent)) {
 	r.opSubs = append(r.opSubs, fn)
 }
 
-// SetWaitHook installs the live telemetry wait feed: fn receives
-// cross-tenant wait attributions (victim charged, aggressor blamed) as
-// they are observed. Nil-safe.
+// SetWaitHook installs the live telemetry wait feed: fn receives each
+// cross-tenant wait attribution (victim charged, aggressor blamed) as it
+// is observed — a wait whose victim and holder serve spans of two
+// different, non-empty tenants. A wait with no holder span, or one of
+// the victim's own tenant, never reaches fn. Nil-safe.
 func (r *Recorder) SetWaitHook(fn func(victim, aggressor string, start, dur time.Duration)) {
 	if r == nil {
 		return
@@ -588,7 +594,9 @@ func (r *Recorder) Mark(tenant, name string) {
 // counted, not stored. When holderID names a process that is itself
 // serving a span, the holder is additionally resolved to that span's
 // tenant — so a kernel flusher holding i_mutex mid-writeback blames
-// the tenant whose dirty data it was flushing. Nil-safe.
+// the tenant whose dirty data it was flushing. The recorder is the
+// engine's observer (sim.Observer), so the engine calls it directly.
+// Nil-safe.
 func (r *Recorder) Wait(proc int, kind, resource, holder string, holderID int, start, dur time.Duration) {
 	if r == nil {
 		return
@@ -602,14 +610,11 @@ func (r *Recorder) Wait(proc int, kind, resource, holder string, holderID int, s
 	if holderID != 0 {
 		hs = r.spanOf(holderID)
 	}
-	// Telemetry sees every attributed wait, even once the bounded event
-	// buffer is full — the monitor aggregates online and stores O(1).
-	if r.waitHook != nil {
-		holderTenant := ""
-		if hs != nil {
-			holderTenant = hs.tenant
-		}
-		r.waitHook(s.tenant, holderTenant, start, dur)
+	// Telemetry sees every cross-tenant wait, even once the bounded
+	// event buffer is full — the monitor aggregates online and stores
+	// O(1).
+	if hs != nil && r.waitHook != nil && s.tenant != "" && hs.tenant != "" && hs.tenant != s.tenant {
+		r.waitHook(s.tenant, hs.tenant, start, dur)
 	}
 	if !r.room() {
 		return
@@ -623,12 +628,46 @@ func (r *Recorder) Wait(proc int, kind, resource, holder string, holderID int, s
 	if hs != nil {
 		w.c = uint32(hs.tenantSym)
 	} else {
-		if !r.haveEmpty {
-			r.emptySym, r.haveEmpty = r.intern(""), true
-		}
-		w.c = uint32(r.emptySym)
+		w.c = uint32(r.empty())
 	}
 	r.waits.push(w)
+}
+
+// empty returns the id of "", interning it on the first call.
+func (r *Recorder) empty() Sym {
+	if !r.haveEmpty {
+		r.emptySym, r.haveEmpty = r.intern(""), true
+	}
+	return r.emptySym
+}
+
+// Slice records one CPU slice that process proc ran on core, charged
+// to account as kind: the core record Core keeps and, when proc serves
+// a span, the "run" wait on "cpu" that Wait would keep for it, in that
+// order, with the same room checks and first-use symbol order. A run
+// wait has no holder, so the wait hook never sees it. The engine
+// reports each slice once, here (sim.Observer). Nil-safe.
+func (r *Recorder) Slice(proc, core int, account, kind string, start, dur time.Duration) {
+	if r == nil {
+		return
+	}
+	r.Core(core, start, dur, account, kind)
+	if dur <= 0 {
+		return
+	}
+	s := r.spanOf(proc)
+	if s == nil {
+		r.unattributed++
+		return
+	}
+	if !r.room() {
+		return
+	}
+	row := r.rowOf(s)
+	if !r.haveRunSite {
+		r.runSite, r.haveRunSite = r.tuple(&r.sites, [3]string{"run", "cpu", ""}), true
+	}
+	r.waits.push(rec{a: row, b: r.runSite, c: uint32(r.empty()), start: start, dur: dur})
 }
 
 // LeakedSpans describes every span opened but never ended, sorted by

@@ -53,37 +53,83 @@ type Engine struct {
 
 	liveProcs  int // processes started and not yet finished
 	nextProcID int
+	// procs holds each unfinished process at its id (index 0 is
+	// unused), for waitFunc, the observer that hands a WaitFn the
+	// process itself.
+	procs []*Proc
 
-	tracer  func(TraceEvent) // optional observer, see SetTracer
-	waitObs WaitFn           // optional wait observer, see SetWaitObserver
+	tracer func(TraceEvent) // optional observer, see SetTracer
+	obs    Observer         // optional observer, see SetObserver
 }
 
-// WaitFn observes one completed wait interval of a process: kind names
-// the primitive ("lock", "runq", "run", "net", "osd", "mds", "disk",
-// "waitq"), resource the contended object, and holder the party that
-// occupied it ("" when not applicable). holderID is the process id of
-// the holder when the holder is a process (0 otherwise — e.g. a
+// Observer receives what processes report as they run: each completed
+// wait interval and each CPU slice. proc is the reporting process's id.
+//
+// Wait: kind names the primitive ("lock", "runq", "net", "osd", "mds",
+// "disk", "waitq"), resource the contended object, and holder the party
+// that occupied it ("" when not applicable). holderID is the process id
+// of the holder when the holder is a process (0 otherwise — e.g. a
 // runqueue aggressor is an account, not a process); observers use it to
-// resolve the holder to the request it was serving. start is when the
-// wait began; start+dur is always the current virtual time.
-type WaitFn func(p *Proc, kind, resource, holder string, holderID int, start, dur time.Duration)
+// resolve the holder to the request it was serving.
+//
+// Slice: proc ran on core, charged to account as kind ("user" or
+// "kernel"). A slice is also the process's "run" wait on "cpu", with no
+// holder: an observer that tracks waits counts it as one.
+//
+// Both intervals are [start, start+dur), and start+dur is always the
+// current virtual time.
+type Observer interface {
+	Wait(proc int, kind, resource, holder string, holderID int, start, dur time.Duration)
+	Slice(proc, core int, account, kind string, start, dur time.Duration)
+}
 
-// SetWaitObserver installs fn as the engine's wait observer. Waits are
+// SetObserver installs o as the engine's observer. Waits and slices are
 // reported passively — observation schedules no events and reads only
 // the virtual clock — so an installed observer never perturbs the
-// simulation schedule. A nil fn removes the observer.
-func (e *Engine) SetWaitObserver(fn WaitFn) { e.waitObs = fn }
+// simulation schedule. A nil o removes the observer.
+func (e *Engine) SetObserver(o Observer) { e.obs = o }
 
-// HasWaitObserver reports whether a wait observer is installed. Callers
+// HasWaitObserver reports whether an observer is installed. Callers
 // use it to skip attribution work (e.g. scanning for the aggressor of a
 // runqueue wait) that only matters when someone is listening.
-func (e *Engine) HasWaitObserver() bool { return e.waitObs != nil }
+func (e *Engine) HasWaitObserver() bool { return e.obs != nil }
+
+// WaitFn observes one completed wait interval of process p, with the
+// arguments of Observer.Wait. A slice reaches it as its "run" wait.
+type WaitFn func(p *Proc, kind, resource, holder string, holderID int, start, dur time.Duration)
+
+// SetWaitObserver installs fn as the engine's observer: it sees every
+// wait, each slice as its "run" wait on "cpu" included. A nil fn
+// removes the observer.
+func (e *Engine) SetWaitObserver(fn WaitFn) {
+	if fn == nil {
+		e.obs = nil
+		return
+	}
+	e.obs = waitFunc{e, fn}
+}
+
+// waitFunc is the Observer of a WaitFn.
+type waitFunc struct {
+	e  *Engine
+	fn WaitFn
+}
+
+func (w waitFunc) Wait(proc int, kind, resource, holder string, holderID int, start, dur time.Duration) {
+	w.fn(w.e.procs[proc], kind, resource, holder, holderID, start, dur)
+}
+
+func (w waitFunc) Slice(proc, _ int, _, _ string, start, dur time.Duration) {
+	if dur > 0 {
+		w.fn(w.e.procs[proc], "run", "cpu", "", 0, start, dur)
+	}
+}
 
 // NewEngine returns an empty engine at virtual time zero.
 func NewEngine() *Engine {
 	// Pre-size the queue's slab for 256 pending events, the depth of an
 	// 8-pool run, so steady-state event churn never grows it.
-	return &Engine{deadline: -1, events: newEventQueue(256)}
+	return &Engine{deadline: -1, events: newEventQueue(256), procs: []*Proc{nil}}
 }
 
 // Now returns the current virtual time since the start of the simulation.
@@ -117,6 +163,7 @@ func (e *Engine) After(d time.Duration, fn func()) {
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	e.nextProcID++
 	p := &Proc{eng: e, name: name, id: e.nextProcID}
+	e.procs = append(e.procs, p)
 	e.liveProcs++
 	// No stop: a process still parked when the queue drains stays parked
 	// (see Run).
@@ -124,6 +171,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		p.yield = yield
 		defer func() {
 			p.done = true
+			e.procs[p.id] = nil
 			e.liveProcs--
 			e.trace(TraceEvent{At: e.now, Kind: TraceFinish, Proc: p.name, ProcID: p.id})
 		}()

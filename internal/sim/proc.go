@@ -122,12 +122,12 @@ func (p *Proc) ResumeHere() {
 }
 
 // ReportWait reports a wait interval that ended at the current virtual
-// time to the engine's wait observer, if one is installed. Primitives
-// call it after the fact — once the blocked process has resumed and
-// knows how long it waited — so reporting never interacts with the
-// park/wake machinery.
+// time to the engine's observer, if one is installed. Primitives call it
+// after the fact — once the blocked process has resumed and knows how
+// long it waited — so reporting never interacts with the park/wake
+// machinery.
 func (p *Proc) ReportWait(kind, resource, holder string, holderID int, dur time.Duration) {
-	if p.eng.waitObs != nil && dur > 0 {
+	if p.eng.obs != nil && dur > 0 {
 		p.reportWait(kind, resource, holder, holderID, dur)
 	}
 }
@@ -137,7 +137,25 @@ func (p *Proc) ReportWait(kind, resource, holder string, holderID int, dur time.
 //
 //go:noinline
 func (p *Proc) reportWait(kind, resource, holder string, holderID int, dur time.Duration) {
-	p.eng.waitObs(p, kind, resource, holder, holderID, p.eng.now-dur, dur)
+	p.eng.obs.Wait(p.id, kind, resource, holder, holderID, p.eng.now-dur, dur)
+}
+
+// ReportSlice reports a CPU slice of p that ended at the current virtual
+// time to the engine's observer, if one is installed: p ran on core for
+// dur, charged to account as kind. It is the slice's one report; the
+// observer counts it as p's "run" wait too.
+func (p *Proc) ReportSlice(core int, account, kind string, dur time.Duration) {
+	if p.eng.obs != nil {
+		p.reportSlice(core, account, kind, dur)
+	}
+}
+
+// reportSlice is ReportSlice's call of the observer, out of line like
+// reportWait.
+//
+//go:noinline
+func (p *Proc) reportSlice(core int, account, kind string, dur time.Duration) {
+	p.eng.obs.Slice(p.id, core, account, kind, p.eng.now-dur, dur)
 }
 
 // Sleep advances this process's virtual time by d without consuming any
