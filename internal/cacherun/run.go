@@ -6,7 +6,9 @@
 // fill, or fill: wire CPU, the object read's first attempt, crash
 // check, insert, release and wake; claim again), the insert and
 // eviction, the dirty throttle and a Close's size push to the MDS.
-// Writeback is the write-back both share over the same table.
+// Writeback is the write-back both share over the same table, and
+// Names the namespace path: the attribute/dentry cache and the MDS
+// round trips.
 //
 // What the paper compares differs between the clients, and each passes
 // it as values in its Steps table: each step's lock and CPU charge, the
@@ -71,23 +73,22 @@ type Steps[X any] struct {
 	StaleEnds bool
 	Crash     cpu.Step // the charge of a crash check that fails a read
 
+	// The namespace path: its cluster serves the object reads and a
+	// Close's size push, whose size its cache takes.
+	Names *Names
 	// A fill's object read: Bounded or blocking (cluster.Retrier.Do),
-	// its first try through Clus.Read (the least-degraded member), a
-	// retry pinned to the Retrier's member, or through Clus.Read when
-	// that is the primary and PrimaryRetries is set.
+	// its first try through Names.Clus.Read (the least-degraded member),
+	// a retry pinned to the Retrier's member, or through Read when that
+	// is the primary and PrimaryRetries is set.
 	Retry          *cluster.Retrier
-	Clus           *cluster.Cluster
 	Bounded        bool
 	PrimaryRetries bool
 	// Wire writes to w the CPU charges on t of a message of n bytes to
 	// the cluster, and returns how many it wrote.
-	Wire   func(t *cpu.Thread, n int64, w *[5]cpu.Step) int
+	Wire   func(t *cpu.Thread, n int64, w []cpu.Step) int
 	Missed *int64 // if set, counts the bytes fills read in
 
 	OverDirty func() bool // a writer must wait at the hard dirty limit
-	// SizePushed updates the cached attribute of path once the MDS's
-	// push of size ended with err, and returns the Close's error.
-	SizePushed func(path string, size int64, err error) error
 
 	wire [5]cpu.Step // Wire's steps, until the chain that charges them copies them
 }
@@ -251,8 +252,7 @@ func (r *Run[X]) Fetch() { r.send(r.G.Len, r.wired) }
 // send charges the wire CPU of a message of n bytes, then calls then.
 func (r *Run[X]) send(n int64, then func()) {
 	s := r.s
-	k := s.Wire(r.T, n, &s.wire)
-	r.T.LockedChainThen(r.P, nil, nil, "", then, s.wire[:k]...)
+	r.T.LockedChainThen(r.P, nil, nil, "", then, s.wire[:s.Wire(r.T, n, s.wire[:])]...)
 }
 
 func (r *Run[X]) readObjects() {
@@ -268,7 +268,7 @@ func (r *Run[X]) readObjects() {
 		r.HandBack(HandRetry)
 		return
 	}
-	s.Clus.ReadThen(r.Ctx(), r.c.File().Ino, r.G.Off, r.G.Len, r.read)
+	s.Names.Clus.ReadThen(r.Ctx(), r.c.File().Ino, r.G.Off, r.G.Len, r.read)
 }
 
 func (r *Run[X]) afterRead(err error) {
@@ -284,9 +284,9 @@ func (r *Run[X]) afterRead(err error) {
 func (r *Run[X]) readAttempt(try, member int) error {
 	ctx, g, ino := r.Ctx(), r.G, r.c.File().Ino
 	if try == 0 || member == 0 && r.s.PrimaryRetries {
-		return r.s.Clus.Read(ctx, ino, g.Off, g.Len)
+		return r.s.Names.Clus.Read(ctx, ino, g.Off, g.Len)
 	}
-	return r.s.Clus.ReadReplica(ctx, ino, g.Off, g.Len, member)
+	return r.s.Names.Clus.ReadReplica(ctx, ino, g.Off, g.Len, member)
 }
 
 // Retry goes on in the process with the object read the run handed
@@ -407,7 +407,7 @@ func (r *Run[X]) Push(path string) {
 
 func (r *Run[X]) push() {
 	r.At = HandMeta
-	r.Meta = r.s.Clus.StartMeta(r.Ctx(), cluster.MetaQuery{Op: cluster.MetaSetSize, Path: r.Path, Size: r.c.PushSize()}, r.pushed)
+	r.Meta = r.s.Names.Clus.StartMeta(r.Ctx(), cluster.MetaQuery{Op: cluster.MetaSetSize, Path: r.Path, Size: r.c.PushSize()}, r.pushed)
 }
 
 func (r *Run[X]) afterPush() {
@@ -419,5 +419,5 @@ func (r *Run[X]) afterPush() {
 // and returns the Close's error.
 func (r *Run[X]) PushEnd() error {
 	_, err := r.Meta.Finish()
-	return r.s.SizePushed(r.Path, r.c.PushSize(), err)
+	return r.s.Names.SizePushed(r.Path, r.c.PushSize(), err)
 }

@@ -76,10 +76,10 @@ type Client struct {
 	// metadata manipulation and for part of each data copy.
 	clientLock *sim.Mutex
 
-	// cache is the object cache's ledger, guarded by clientLock.
+	// cache is the object cache's ledger, guarded by clientLock, and
+	// names the namespace path with its attribute/dentry cache.
 	cache *cache.Cache[revocation]
-	attrs map[string]attrEntry
-	paths map[uint64]string
+	names cacherun.Names
 
 	// CacheStats counts data-path cache behaviour.
 	stats CacheStats
@@ -100,11 +100,6 @@ type Client struct {
 	steps    cacherun.Steps[revocation]
 	wb       cacherun.Writeback[revocation]
 	requests []*request
-}
-
-type attrEntry struct {
-	info vfsapi.FileInfo
-	ino  uint64
 }
 
 // cfile is a file's object-cache state.
@@ -144,8 +139,6 @@ func New(eng *sim.Engine, cpus *cpu.CPU, params *model.Params, clus *cluster.Clu
 		cfg:        cfg,
 		clientLock: sim.NewMutex(eng, cfg.Name+".client_lock"),
 		cache:      cache.New[revocation](meter, cfg.CacheLimit),
-		attrs:      map[string]attrEntry{},
-		paths:      map[uint64]string{},
 		throttleQ:  sim.NewWaitQueue(eng, cfg.Name+".throttle"),
 		flushQ:     sim.NewWaitQueue(eng, cfg.Name+".flush"),
 		fetchQ:     sim.NewWaitQueue(eng, cfg.Name+".fetch"),
@@ -163,9 +156,17 @@ func New(eng *sim.Engine, cpus *cpu.CPU, params *model.Params, clus *cluster.Clu
 	c.steps = cacherun.Steps[revocation]{
 		Cache: c.cache, Params: params, FetchQ: c.fetchQ, ThrottleQ: c.throttleQ,
 		Claim: locked, Release: locked, Insert: locked, Evict: locked, Crash: c.opStep(),
-		Retry: c.retry, Clus: clus, Bounded: true, Wire: c.message, Missed: &c.stats.MissBytes,
-		OverDirty: c.overDirty, SizePushed: c.sizePushed,
+		Retry: c.retry, Bounded: true, Wire: c.message, Missed: &c.stats.MissBytes,
+		OverDirty: c.overDirty, Names: &c.names,
 	}
+	// Its namespace path: every dentry access holds client_lock; a
+	// crash check charges an operation's CPU; an unlinked path's ino is
+	// read after the MDS call, under the lock that drops the file; a
+	// size push only grows the cached size, whatever its error, and a
+	// close reports no push error.
+	c.names = cacherun.Names{Clus: clus, Crashed: &c.crashed, Crash: c.opStep(), Op: c.opStep(), Wire: c.message,
+		Dentry: locked, PushedAnyway: true, Unlinked: c.unlinked}
+	c.names.Reset()
 	// Its write-back pops under client_lock, traced, and marks no file
 	// Flushing.
 	c.wb = cacherun.Writeback[revocation]{Steps: &c.steps, Store: (*writeback)(c), Crashed: &c.crashed,
@@ -206,8 +207,7 @@ func (c *Client) Crash() {
 	c.crashed = true
 	c.crashes++
 	c.cache.Crash(false)
-	c.attrs = map[string]attrEntry{}
-	c.paths = map[uint64]string{}
+	c.names.Reset()
 	c.Stop()
 }
 
@@ -330,18 +330,12 @@ func (c *Client) lockedMeta(ctx vfsapi.Ctx, fn func()) {
 	c.clientLock.Unlock(ctx.P)
 }
 
-// wire charges the client-side costs of moving n bytes on the network:
-// socket syscalls (kernel mode on the caller's cores), protocol CPU,
-// and the user-level message checksum.
-func (c *Client) wire(ctx vfsapi.Ctx, n int64) {
-	var w [5]cpu.Step
-	ctx.T.Chain(ctx.P, w[:c.message(ctx.T, n, &w)]...)
-}
-
-// message writes to w the charges of wire on thread t, element by
+// message writes to w the client-side charges on thread t of moving n
+// bytes on the network — socket syscalls (kernel mode on the caller's
+// cores), protocol CPU and the user-level message checksum — element by
 // element so that no caller's frame holds a copy, and returns how many
-// it wrote (the request runs' wire steps).
-func (c *Client) message(t *cpu.Thread, n int64, w *[5]cpu.Step) int {
+// it wrote (the request runs' and the namespace path's wire steps).
+func (c *Client) message(t *cpu.Thread, n int64, w []cpu.Step) int {
 	w[0] = t.ModeSwitchStep()
 	w[1] = cpu.Charge(cpu.Kernel, c.params.NetOpCost)
 	w[2] = cpu.Charge(cpu.Kernel, model.RateTime(n, c.params.NetCPUBytesPerSec))
@@ -385,7 +379,7 @@ func (*writeback) Prepare(vfsapi.Ctx, *cfile, int64) {}
 // client is stopped or crashed or the error is not a transient fault.
 func (w *writeback) StoreExtent(ctx vfsapi.Ctx, f *cfile, e extent.Extent) error {
 	c := (*Client)(w)
-	c.wire(ctx, e.Len)
+	c.names.Send(ctx, e.Len)
 	return c.retry.Do(ctx, false, func(_, member int) error {
 		return c.clus.WriteReplica(ctx, f.Ino, e.Off, e.Len, member)
 	})
@@ -396,23 +390,9 @@ func (w *writeback) Flushed(_, sent int64, _ error) { w.stats.FlushedBytes += se
 
 // PushSize propagates the client's size view to the MDS.
 func (w *writeback) PushSize(ctx vfsapi.Ctx, f *cfile) {
-	c := (*Client)(w)
-	if path, ok := c.paths[f.Ino]; ok {
-		c.wire(ctx, 256)
-		err := c.clus.MetaSetSize(ctx, path, f.Size)
-		c.sizePushed(path, f.Size, err)
+	if path, ok := w.names.Path(f.Ino); ok {
+		w.names.Push(ctx, path, f.Size)
 	}
-}
-
-// sizePushed grows the cached attribute of path to size once the MDS's
-// push ended, whatever its error, and returns nil: a close reports no
-// push error.
-func (c *Client) sizePushed(path string, size int64, _ error) error {
-	if e, ok := c.attrs[path]; ok && size > e.info.Size {
-		e.info.Size = size
-		c.attrs[path] = e
-	}
-	return nil
 }
 
 // RevokeCaps implements cluster.CapHolder: another client wants
@@ -422,9 +402,7 @@ func (c *Client) sizePushed(path string, size int64, _ error) error {
 func (c *Client) RevokeCaps(ctx vfsapi.Ctx, ino uint64) {
 	f, ok := c.cache.Lookup(ino)
 	if !ok {
-		if path, ok2 := c.paths[ino]; ok2 {
-			delete(c.attrs, path)
-		}
+		c.names.Forget(ino)
 		return
 	}
 	// A failed persist (a stopped client) still revokes: the drop below
@@ -436,9 +414,7 @@ func (c *Client) RevokeCaps(ctx vfsapi.Ctx, ino uint64) {
 		c.dropCache(f)
 		f.X.revoked = true
 	})
-	if path, ok := c.paths[ino]; ok {
-		delete(c.attrs, path)
-	}
+	c.names.Forget(ino)
 	c.cache.Forget(ino)
 	c.clus.ReleaseCaps(ino, c)
 }

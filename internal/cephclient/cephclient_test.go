@@ -81,9 +81,9 @@ func TestCreateWriteFlushToCluster(t *testing.T) {
 		}
 		h.Close(ctx)
 		// Size visible at the MDS after flush.
-		info, _, err := r.clus.MetaLookup(ctx, "/f")
-		if err != nil || info.Size != 2<<20 {
-			t.Fatalf("MDS size = %d err=%v", info.Size, err)
+		rep, err := r.clus.Meta(ctx, cluster.MetaQuery{Op: cluster.MetaLookup, Path: "/f"})
+		if err != nil || rep.Info.Size != 2<<20 {
+			t.Fatalf("MDS size = %d err=%v", rep.Info.Size, err)
 		}
 	})
 }

@@ -16,32 +16,6 @@ var ErrCrashed = vfsapi.ErrCrashed
 
 // The vfsapi.FileSystem implementation of the user-level client.
 
-// lookupAttr resolves a path via the attribute cache, falling back to
-// an MDS round trip.
-func (c *Client) lookupAttr(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, uint64, error) {
-	var hit bool
-	var e attrEntry
-	c.lockedMeta(ctx, func() { e, hit = c.attrs[path] })
-	if hit {
-		return e.info, e.ino, nil
-	}
-	return c.lookupMiss(ctx, path)
-}
-
-// lookupMiss looks path up at the MDS and caches its attributes.
-func (c *Client) lookupMiss(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, uint64, error) {
-	c.wire(ctx, 256)
-	info, ino, err := c.clus.MetaLookup(ctx, path)
-	if err != nil {
-		return vfsapi.FileInfo{}, 0, err
-	}
-	c.lockedMeta(ctx, func() {
-		c.attrs[path] = attrEntry{info: info, ino: ino}
-		c.paths[ino] = path
-	})
-	return info, ino, nil
-}
-
 // Open opens or creates a file. It runs as a request run (see Start),
 // which serves an open whose attributes are cached and hands control
 // back at a miss, a caps conflict and a truncation; the blocking code
@@ -78,16 +52,11 @@ func (c *Client) opened(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag, info
 			return nil, vfsapi.ErrIsDir
 		}
 	case err == vfsapi.ErrNotExist && flags.Has(vfsapi.CREATE):
-		c.wire(ctx, 256)
-		ino, err = c.clus.MetaCreate(ctx, path)
+		ino, err = c.names.Make(ctx, path)
 		if err != nil {
 			return nil, err
 		}
 		info = vfsapi.FileInfo{Name: path}
-		c.lockedMeta(ctx, func() {
-			c.attrs[path] = attrEntry{info: info, ino: ino}
-			c.paths[ino] = path
-		})
 	default:
 		return nil, err
 	}
@@ -100,9 +69,8 @@ func (c *Client) opened(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag, info
 // predate the other client's flush — refetch it.
 func (c *Client) capped(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag, info vfsapi.FileInfo, ino uint64) (vfsapi.Handle, error) {
 	if c.clus.AcquireCaps(ctx, ino, capKind(flags), c) {
-		c.lockedMeta(ctx, func() { delete(c.attrs, path) })
 		var err error
-		info, ino, err = c.lookupAttr(ctx, path)
+		info, ino, err = c.names.Refresh(ctx, path)
 		if err != nil {
 			return nil, err
 		}
@@ -117,17 +85,9 @@ func (c *Client) newHandle(ctx vfsapi.Ctx, path string, flags vfsapi.OpenFlag, i
 	if flags.Truncates() {
 		c.lockedMeta(ctx, func() { c.dropCache(f) })
 		f.Size = 0
-		c.wire(ctx, 256)
-		if err := c.clus.MetaSetSize(ctx, path, 0); err != nil {
+		if err := c.names.Truncate(ctx, path, ino); err != nil {
 			return nil, err
 		}
-		c.clus.TruncateObjects(ino, 0)
-		c.lockedMeta(ctx, func() {
-			if e, ok := c.attrs[path]; ok {
-				e.info.Size = 0
-				c.attrs[path] = e
-			}
-		})
 	}
 	return c.handle(path, flags, f), nil
 }
@@ -148,11 +108,7 @@ func capKind(flags vfsapi.OpenFlag) cluster.CapKind {
 // Stat returns metadata, preferring the client's newer size view.
 func (c *Client) Stat(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, error) {
 	defer ctx.Span.Enter(obs.LayerClient).Exit()
-	if err := c.failIfCrashed(ctx); err != nil {
-		return vfsapi.FileInfo{}, err
-	}
-	c.opCPU(ctx)
-	info, ino, err := c.lookupAttr(ctx, path)
+	info, ino, err := c.names.Lookup(ctx, path)
 	if err != nil {
 		return vfsapi.FileInfo{}, err
 	}
@@ -165,91 +121,46 @@ func (c *Client) Stat(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, error) {
 // Mkdir creates a directory at the MDS.
 func (c *Client) Mkdir(ctx vfsapi.Ctx, path string) error {
 	defer ctx.Span.Enter(obs.LayerClient).Exit()
-	if err := c.failIfCrashed(ctx); err != nil {
-		return err
-	}
-	c.opCPU(ctx)
-	c.wire(ctx, 256)
-	return c.clus.MetaMkdir(ctx, path)
+	return c.names.Mkdir(ctx, path)
 }
 
 // Readdir lists a directory at the MDS.
 func (c *Client) Readdir(ctx vfsapi.Ctx, path string) ([]vfsapi.DirEntry, error) {
 	defer ctx.Span.Enter(obs.LayerClient).Exit()
-	if err := c.failIfCrashed(ctx); err != nil {
-		return nil, err
-	}
-	c.opCPU(ctx)
-	c.wire(ctx, 512)
-	return c.clus.MetaReaddir(ctx, path)
+	return c.names.Readdir(ctx, path)
 }
 
-// Unlink removes a file, dropping local cache state.
+// Unlink removes a file, dropping local cache state (see unlinked).
 func (c *Client) Unlink(ctx vfsapi.Ctx, path string) error {
 	defer ctx.Span.Enter(obs.LayerClient).Exit()
-	if err := c.failIfCrashed(ctx); err != nil {
-		return err
-	}
-	c.opCPU(ctx)
-	c.wire(ctx, 256)
-	if err := c.clus.MetaUnlink(ctx, path); err != nil {
-		return err
-	}
-	c.lockedMeta(ctx, func() { c.unlinked(path) })
-	return nil
+	_, err := c.names.Unlink(ctx, path)
+	return err
 }
 
-// unlinked drops the state of the file cached under path, which the MDS
-// no longer has under that name: its pages, dirty ones too, go nowhere,
-// and open handles neither flush nor push its size.
-func (c *Client) unlinked(path string) {
-	e, ok := c.attrs[path]
-	if !ok {
-		return
-	}
-	if f, ok := c.cache.Lookup(e.ino); ok {
+// unlinked drops the state of the file of ino, which the MDS no longer
+// has under the name it was cached at: its pages, dirty ones too, go
+// nowhere, and open handles neither flush nor push its size. Caller
+// holds client_lock.
+func (c *Client) unlinked(ino uint64) {
+	if f, ok := c.cache.Lookup(ino); ok {
 		f.Unlinked = true
 		c.dropCache(f)
-		c.cache.Forget(e.ino)
+		c.cache.Forget(ino)
 	}
-	delete(c.paths, e.ino)
-	delete(c.attrs, path)
 }
 
 // Rmdir removes an empty directory at the MDS.
 func (c *Client) Rmdir(ctx vfsapi.Ctx, path string) error {
 	defer ctx.Span.Enter(obs.LayerClient).Exit()
-	if err := c.failIfCrashed(ctx); err != nil {
-		return err
-	}
-	c.opCPU(ctx)
-	c.wire(ctx, 256)
-	return c.clus.MetaRmdir(ctx, path)
+	return c.names.Rmdir(ctx, path)
 }
 
 // Rename moves a file at the MDS and rewrites cached entries. A file
 // newPath replaced is unlinked, as Unlink drops it.
 func (c *Client) Rename(ctx vfsapi.Ctx, oldPath, newPath string) error {
 	defer ctx.Span.Enter(obs.LayerClient).Exit()
-	if err := c.failIfCrashed(ctx); err != nil {
-		return err
-	}
-	c.opCPU(ctx)
-	c.wire(ctx, 256)
-	if err := c.clus.MetaRename(ctx, oldPath, newPath); err != nil {
-		return err
-	}
-	c.lockedMeta(ctx, func() {
-		if newPath != oldPath {
-			c.unlinked(newPath)
-		}
-		if e, ok := c.attrs[oldPath]; ok {
-			delete(c.attrs, oldPath)
-			c.attrs[newPath] = e
-			c.paths[e.ino] = newPath
-		}
-	})
-	return nil
+	_, err := c.names.Rename(ctx, oldPath, newPath)
+	return err
 }
 
 // chandle is an open file on the user-level client.
@@ -323,11 +234,10 @@ func (h *chandle) recap(ctx vfsapi.Ctx) {
 	for h.mustRecap() {
 		ino, size := h.f.Ino, h.f.Size
 		c.clus.AcquireCaps(ctx, ino, cluster.CapWrite, c)
-		c.lockedMeta(ctx, func() { delete(c.attrs, h.path) })
-		if info, got, err := c.lookupAttr(ctx, h.path); err == nil && got == ino {
+		if info, got, err := c.names.Refresh(ctx, h.path); err == nil && got == ino {
 			size = info.Size
-		} else if c.paths[ino] == h.path {
-			delete(c.paths, ino) // gone from the namespace: push no size by path
+		} else {
+			c.names.Unmap(ino, h.path)
 		}
 		h.f, _ = c.cache.File(ino, size)
 	}

@@ -144,7 +144,7 @@ func (r *request) finishOpen(ctx vfsapi.Ctx) (vfsapi.Result, error) {
 	var nh vfsapi.Handle
 	switch at {
 	case handLookup:
-		info, ino, err = c.lookupMiss(ctx, path)
+		info, ino, err = c.names.Fetch(ctx, path)
 		nh, err = c.opened(ctx, path, flags, info, ino, err)
 	case handCaps:
 		nh, err = c.capped(ctx, path, flags, info, ino)
@@ -302,24 +302,24 @@ func (r *request) afterOpenOp() { r.locked(r.looked, r.c.holdStep()) }
 // back to the process.
 func (r *request) lookup() {
 	c := r.c
-	e, hit := c.attrs[r.Path]
+	info, ino, hit := c.names.Cached(r.Path)
 	r.unlock()
 	if !hit {
 		r.HandBack(handLookup)
 		return
 	}
-	r.Info, r.Ino = e.info, e.ino
+	r.Info, r.Ino = info, ino
 	switch {
-	case e.info.IsDir:
+	case info.IsDir:
 		r.Err = vfsapi.ErrIsDir
-	case !c.clus.TryAcquireCaps(e.ino, capKind(r.Flags), c):
+	case !c.clus.TryAcquireCaps(ino, capKind(r.Flags), c):
 		r.HandBack(handCaps)
 		return
 	case r.Flags.Truncates():
 		r.HandBack(handTrunc)
 		return
 	default:
-		f, _ := c.cache.File(e.ino, e.info.Size)
+		f, _ := c.cache.File(ino, info.Size)
 		r.h = c.handle(r.Path, r.Flags, f)
 	}
 	r.End()
@@ -328,7 +328,7 @@ func (r *request) lookup() {
 // afterCloseOp pushes a written file's size to the MDS.
 func (r *request) afterCloseOp() {
 	c, f := r.c, r.h.f
-	path, ok := c.paths[f.Ino]
+	path, ok := c.names.Path(f.Ino)
 	if !r.h.wrote || f.Unlinked || !ok {
 		r.End()
 		return

@@ -144,7 +144,7 @@ func (o *straightLine) read(h *chandle, ctx vfsapi.Ctx, off, n int64) (int64, er
 		}
 		o.cover["read miss"]++
 		missed = true
-		c.wire(ctx, g.Len)
+		c.names.Send(ctx, g.Len)
 		rerr := o.readBackend(c, ctx, h.f.Ino, g.Off, g.Len)
 		if rerr != nil {
 			o.lockedMeta(c, ctx, func() { h.f.Fetching.Remove(g.Off, g.Len) })
@@ -487,8 +487,8 @@ func runChScenario(sc chScenario, straight bool, tick time.Duration) chOutcome {
 			out.events = append(out.events, ev.At)
 		}
 	})
-	e.SetWaitObserver(func(p *sim.Proc, kind, resource, holder string, _ int, start, dur time.Duration) {
-		out.waits = append(out.waits, chWait{p.ID(), kind, resource, holder, start, dur})
+	e.SetWaitObserver(func(proc int, kind, resource, holder string, _ int, start, dur time.Duration) {
+		out.waits = append(out.waits, chWait{proc, kind, resource, holder, start, dur})
 	})
 	if sc.replicated {
 		clus.SetReplication(2)

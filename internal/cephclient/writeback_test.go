@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/vfsapi"
@@ -94,8 +95,8 @@ func TestFlusherFailedPersist(t *testing.T) {
 		if osd != 256<<10 {
 			t.Fatalf("OSDs hold %d bytes, want only the first extent's 256 KiB", osd)
 		}
-		if info, _, err := r.clus.MetaLookup(ctx, "/f"); err != nil || info.Size != 0 {
-			t.Fatalf("MDS size = %d (%v), want no push", info.Size, err)
+		if rep, err := r.clus.Meta(ctx, cluster.MetaQuery{Op: cluster.MetaLookup, Path: "/f"}); err != nil || rep.Info.Size != 0 {
+			t.Fatalf("MDS size = %d (%v), want no push", rep.Info.Size, err)
 		}
 	})
 }

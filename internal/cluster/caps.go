@@ -56,7 +56,7 @@ func (c *Cluster) AcquireCaps(ctx vfsapi.Ctx, ino uint64, kind CapKind, holder C
 		if conflict {
 			// One metadata round trip to deliver the revoke, then the
 			// holder's writeback.
-			c.meta(ctx, MetaQuery{})
+			c.Meta(ctx, MetaQuery{})
 			e.holder.RevokeCaps(ctx, ino)
 			revoked = true
 			continue

@@ -192,7 +192,7 @@ func (c *Cluster) Fabric() *netsim.Fabric { return c.fabric }
 func (c *Cluster) OSDs() []*OSD { return c.osds }
 
 // Tree returns the authoritative namespace (for zero-cost test setup
-// and image preparation; simulated clients use the Meta* calls).
+// and image preparation; simulated clients use Meta).
 func (c *Cluster) Tree() *nstree.Tree { return c.mds.tree }
 
 // mdsServer is the fabric index of the MDS.
@@ -455,74 +455,23 @@ func (c *Cluster) apply(q *MetaQuery, rep *MetaReply) error {
 	return nil
 }
 
-// meta is one metadata round trip in its process: the run, then its
-// reply.
-func (c *Cluster) meta(ctx vfsapi.Ctx, q MetaQuery) (MetaReply, error) {
+// Meta is one metadata round trip in its process: the run, then its
+// reply. A readdir's listing cost scales with the directory size: the
+// entries follow the reply in a transfer of their own, sized once the
+// MDS has fetched them. A failed request returns no reply.
+func (c *Cluster) Meta(ctx vfsapi.Ctx, q MetaQuery) (MetaReply, error) {
 	r := c.StartMeta(ctx, q, nil)
 	ctx.P.Park()
-	return r.Finish()
-}
-
-// MetaLookup resolves path at the MDS, returning a snapshot of the node.
-func (c *Cluster) MetaLookup(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, uint64, error) {
-	rep, err := c.meta(ctx, MetaQuery{Op: MetaLookup, Path: path})
-	return rep.Info, rep.Ino, err
-}
-
-// MetaCreate creates a file at the MDS.
-func (c *Cluster) MetaCreate(ctx vfsapi.Ctx, path string) (uint64, error) {
-	rep, err := c.meta(ctx, MetaQuery{Op: MetaCreate, Path: path})
-	return rep.Ino, err
-}
-
-// MetaMkdir creates a directory at the MDS.
-func (c *Cluster) MetaMkdir(ctx vfsapi.Ctx, path string) error {
-	_, err := c.meta(ctx, MetaQuery{Op: MetaMkdir, Path: path})
-	return err
-}
-
-// MetaReaddir lists a directory at the MDS. Listing cost scales with
-// the directory size: the entries follow the reply in a transfer of
-// their own, sized once the MDS has fetched them.
-func (c *Cluster) MetaReaddir(ctx vfsapi.Ctx, path string) ([]vfsapi.DirEntry, error) {
-	rep, err := c.meta(ctx, MetaQuery{Op: MetaReaddir, Path: path})
-	if err != nil {
-		return nil, err
-	}
-	if n := int64(len(rep.Ents)) * dirEntryBytes; n > 0 {
+	rep, err := r.Finish()
+	if n := int64(len(rep.Ents)) * dirEntryBytes; err == nil && n > 0 {
 		nsc := ctx.Span.Enter(obs.LayerNet)
 		err = c.fabric.Reply(ctx.P, c.mdsServer(), n)
 		nsc.Exit()
-		if err != nil {
-			return nil, err
-		}
 	}
-	return rep.Ents, nil
-}
-
-// MetaUnlink removes a file at the MDS.
-func (c *Cluster) MetaUnlink(ctx vfsapi.Ctx, path string) error {
-	_, err := c.meta(ctx, MetaQuery{Op: MetaUnlink, Path: path})
-	return err
-}
-
-// MetaRmdir removes a directory at the MDS.
-func (c *Cluster) MetaRmdir(ctx vfsapi.Ctx, path string) error {
-	_, err := c.meta(ctx, MetaQuery{Op: MetaRmdir, Path: path})
-	return err
-}
-
-// MetaRename renames at the MDS.
-func (c *Cluster) MetaRename(ctx vfsapi.Ctx, oldPath, newPath string) error {
-	_, err := c.meta(ctx, MetaQuery{Op: MetaRename, Path: oldPath, Path2: newPath})
-	return err
-}
-
-// MetaSetSize updates the authoritative size of path (sent by clients
-// when flushing dirty data or closing a written file).
-func (c *Cluster) MetaSetSize(ctx vfsapi.Ctx, path string, size int64) error {
-	_, err := c.meta(ctx, MetaQuery{Op: MetaSetSize, Path: path, Size: size})
-	return err
+	if err != nil {
+		return MetaReply{}, err
+	}
+	return rep, nil
 }
 
 // --- Data operations (request/response with an OSD) ---

@@ -17,7 +17,7 @@ func TestReplicaFanoutIdentical(t *testing.T) {
 	e.Go("writer", func(p *sim.Proc) {
 		ctx := mkCtx(p)
 		var err error
-		ino, err = c.MetaCreate(ctx, "/f")
+		ino, err = create(ctx, c, "/f")
 		if err != nil {
 			t.Errorf("create: %v", err)
 			return
@@ -79,7 +79,7 @@ func TestReadRoutesToLeastDegradedMember(t *testing.T) {
 	c.SetReplication(2)
 	e.Go("client", func(p *sim.Proc) {
 		ctx := mkCtx(p)
-		ino, err := c.MetaCreate(ctx, "/f")
+		ino, err := create(ctx, c, "/f")
 		if err != nil {
 			t.Errorf("create: %v", err)
 			return
@@ -124,7 +124,7 @@ func TestCrashRestartBackfillRecovery(t *testing.T) {
 	c.SetReplication(2)
 	e.Go("client", func(p *sim.Proc) {
 		ctx := mkCtx(p)
-		ino, err := c.MetaCreate(ctx, "/f")
+		ino, err := create(ctx, c, "/f")
 		if err != nil {
 			t.Errorf("create: %v", err)
 			return

@@ -25,38 +25,44 @@ func newTestCluster(t *testing.T) (*sim.Engine, *Cluster, func(p *sim.Proc) vfsa
 	return e, c, mkCtx
 }
 
+// create makes a file at the MDS and returns its ino.
+func create(ctx vfsapi.Ctx, c *Cluster, path string) (uint64, error) {
+	rep, err := c.Meta(ctx, MetaQuery{Op: MetaCreate, Path: path})
+	return rep.Ino, err
+}
+
 func TestMetadataLifecycle(t *testing.T) {
 	e, c, mkCtx := newTestCluster(t)
 	e.Go("client", func(p *sim.Proc) {
 		ctx := mkCtx(p)
-		if err := c.MetaMkdir(ctx, "/data"); err != nil {
+		if _, err := c.Meta(ctx, MetaQuery{Op: MetaMkdir, Path: "/data"}); err != nil {
 			t.Errorf("mkdir: %v", err)
 		}
-		ino, err := c.MetaCreate(ctx, "/data/f")
+		ino, err := create(ctx, c, "/data/f")
 		if err != nil || ino == 0 {
 			t.Errorf("create: ino=%d err=%v", ino, err)
 		}
-		if err := c.MetaSetSize(ctx, "/data/f", 4096); err != nil {
+		if _, err := c.Meta(ctx, MetaQuery{Op: MetaSetSize, Path: "/data/f", Size: 4096}); err != nil {
 			t.Errorf("setsize: %v", err)
 		}
-		info, gotIno, err := c.MetaLookup(ctx, "/data/f")
-		if err != nil || info.Size != 4096 || gotIno != ino {
-			t.Errorf("lookup: %+v ino=%d err=%v", info, gotIno, err)
+		rep, err := c.Meta(ctx, MetaQuery{Op: MetaLookup, Path: "/data/f"})
+		if err != nil || rep.Info.Size != 4096 || rep.Ino != ino {
+			t.Errorf("lookup: %+v ino=%d err=%v", rep.Info, rep.Ino, err)
 		}
-		ents, err := c.MetaReaddir(ctx, "/data")
-		if err != nil || len(ents) != 1 || ents[0].Name != "f" {
+		rep, err = c.Meta(ctx, MetaQuery{Op: MetaReaddir, Path: "/data"})
+		if ents := rep.Ents; err != nil || len(ents) != 1 || ents[0].Name != "f" {
 			t.Errorf("readdir: %v err=%v", ents, err)
 		}
-		if err := c.MetaRename(ctx, "/data/f", "/data/g"); err != nil {
+		if _, err := c.Meta(ctx, MetaQuery{Op: MetaRename, Path: "/data/f", Path2: "/data/g"}); err != nil {
 			t.Errorf("rename: %v", err)
 		}
-		if err := c.MetaUnlink(ctx, "/data/g"); err != nil {
+		if _, err := c.Meta(ctx, MetaQuery{Op: MetaUnlink, Path: "/data/g"}); err != nil {
 			t.Errorf("unlink: %v", err)
 		}
-		if err := c.MetaRmdir(ctx, "/data"); err != nil {
+		if _, err := c.Meta(ctx, MetaQuery{Op: MetaRmdir, Path: "/data"}); err != nil {
 			t.Errorf("rmdir: %v", err)
 		}
-		if _, _, err := c.MetaLookup(ctx, "/data"); !errors.Is(err, vfsapi.ErrNotExist) {
+		if _, err := c.Meta(ctx, MetaQuery{Op: MetaLookup, Path: "/data"}); !errors.Is(err, vfsapi.ErrNotExist) {
 			t.Errorf("lookup removed dir: %v", err)
 		}
 	})
@@ -72,7 +78,7 @@ func TestMetadataOpsTakeTime(t *testing.T) {
 	e.Go("client", func(p *sim.Proc) {
 		ctx := mkCtx(p)
 		start := p.Now()
-		c.MetaMkdir(ctx, "/d")
+		c.Meta(ctx, MetaQuery{Op: MetaMkdir, Path: "/d"})
 		elapsed = p.Now() - start
 	})
 	e.Run()
@@ -85,7 +91,7 @@ func TestWriteStripesAcrossOSDs(t *testing.T) {
 	e, c, mkCtx := newTestCluster(t)
 	e.Go("client", func(p *sim.Proc) {
 		ctx := mkCtx(p)
-		ino, err := c.MetaCreate(ctx, "/big")
+		ino, err := create(ctx, c, "/big")
 		if err != nil {
 			t.Errorf("create: %v", err)
 			return
@@ -113,7 +119,7 @@ func TestReadAfterWriteSameBytes(t *testing.T) {
 	e, c, mkCtx := newTestCluster(t)
 	e.Go("client", func(p *sim.Proc) {
 		ctx := mkCtx(p)
-		ino, _ := c.MetaCreate(ctx, "/f")
+		ino, _ := create(ctx, c, "/f")
 		c.Write(ctx, ino, 0, 10<<20)
 		c.Read(ctx, ino, 0, 10<<20)
 	})
@@ -134,7 +140,7 @@ func TestOSDMediaSerializes(t *testing.T) {
 	var sameDone time.Duration
 	e.Go("w1", func(p *sim.Proc) {
 		ctx := mkCtx(p)
-		ino, _ := c.MetaCreate(ctx, "/f1")
+		ino, _ := create(ctx, c, "/f1")
 		c.Write(ctx, ino, 0, 4<<20)
 		c.Write(ctx, ino, 0, 4<<20)
 		sameDone = p.Now()
@@ -157,9 +163,9 @@ func TestProvisionPopulatesNamespaceWithoutTime(t *testing.T) {
 	}
 	e.Go("client", func(p *sim.Proc) {
 		ctx := mkCtx(p)
-		info, _, err := c.MetaLookup(ctx, "/images/base/bin/sh")
-		if err != nil || info.Size != 1<<20 {
-			t.Errorf("lookup provisioned: %+v err=%v", info, err)
+		rep, err := c.Meta(ctx, MetaQuery{Op: MetaLookup, Path: "/images/base/bin/sh"})
+		if err != nil || rep.Info.Size != 1<<20 {
+			t.Errorf("lookup provisioned: %+v err=%v", rep.Info, err)
 		}
 	})
 	e.Run()
@@ -171,7 +177,7 @@ func TestMDSSaturationShowsQueueing(t *testing.T) {
 		e.Go("client", func(p *sim.Proc) {
 			ctx := mkCtx(p)
 			for j := 0; j < 50; j++ {
-				c.MetaLookup(ctx, "/")
+				c.Meta(ctx, MetaQuery{Op: MetaLookup, Path: "/"})
 			}
 		})
 	}
@@ -188,7 +194,7 @@ func TestPlacementSpreadsProperty(t *testing.T) {
 	e.Go("w", func(p *sim.Proc) {
 		ctx := mkCtx(p)
 		for i := 0; i < 60; i++ {
-			ino, err := c.MetaCreate(ctx, fmt.Sprintf("/f%03d", i))
+			ino, err := create(ctx, c, fmt.Sprintf("/f%03d", i))
 			if err != nil {
 				t.Errorf("create: %v", err)
 				return
@@ -219,7 +225,7 @@ func TestLargeFileObjectCount(t *testing.T) {
 	e, c, mkCtx := newTestCluster(t)
 	e.Go("w", func(p *sim.Proc) {
 		ctx := mkCtx(p)
-		ino, _ := c.MetaCreate(ctx, "/big")
+		ino, _ := create(ctx, c, "/big")
 		c.Write(ctx, ino, 0, 64<<20)
 	})
 	e.Run()
@@ -242,7 +248,7 @@ func TestDegradedOSDSlowsButStaysCorrect(t *testing.T) {
 		}
 		e.Go("w", func(p *sim.Proc) {
 			ctx := mkCtx(p)
-			ino, _ := c.MetaCreate(ctx, "/f")
+			ino, _ := create(ctx, c, "/f")
 			c.Write(ctx, ino, 0, 16<<20)
 			c.Read(ctx, ino, 0, 16<<20)
 		})
@@ -271,7 +277,7 @@ func TestReplicationFansOutWrites(t *testing.T) {
 	}
 	e.Go("w", func(p *sim.Proc) {
 		ctx := mkCtx(p)
-		ino, _ := c.MetaCreate(ctx, "/f")
+		ino, _ := create(ctx, c, "/f")
 		c.Write(ctx, ino, 0, 4<<20) // one object
 	})
 	e.Run()

@@ -140,8 +140,8 @@ func runMetaScenario(sc metaScenario, historical bool) metaOutcome {
 			out.events = append(out.events, ev.At)
 		}
 	})
-	e.SetWaitObserver(func(p *sim.Proc, kind, resource, holder string, holderID int, start, dur time.Duration) {
-		out.waits = append(out.waits, metaWait{proc: p.ID(), kind: kind, resource: resource, start: start, dur: dur, holder: holder, holderID: holderID})
+	e.SetWaitObserver(func(proc int, kind, resource, holder string, holderID int, start, dur time.Duration) {
+		out.waits = append(out.waits, metaWait{proc: proc, kind: kind, resource: resource, start: start, dur: dur, holder: holder, holderID: holderID})
 	})
 	f := c.fabric
 	for _, ft := range sc.faults {
@@ -178,7 +178,9 @@ func runMetaScenario(sc metaScenario, historical bool) metaOutcome {
 					q := call.q
 					err = historicalMDSRPC(c, ctx, func() error { return c.apply(&q, &rep) })
 				} else {
-					rep, err = c.meta(ctx, call.q)
+					r := c.StartMeta(ctx, call.q, nil)
+					p.Park()
+					rep, err = r.Finish()
 				}
 				ctx.Span.End(0, err)
 				out.results[i] = append(out.results[i], metaResult{at: e.Now(), rep: rep, err: err})
@@ -272,7 +274,7 @@ func TestMetaRunParksOnce(t *testing.T) {
 					c.fabric.Client.TX.SetDropEvery(1)
 				}
 				before := p.Parks()
-				_, _, err := c.MetaLookup(vfsapi.Ctx{P: p}, "/d")
+				_, err := c.Meta(vfsapi.Ctx{P: p}, MetaQuery{Op: MetaLookup, Path: "/d"})
 				if n := p.Parks() - before; n != 1 {
 					t.Errorf("proc %d parked %d times during one lookup (err %v), want 1", p.ID(), n, err)
 				}
@@ -301,11 +303,11 @@ func TestReaddirReplyIsNet(t *testing.T) {
 		sp := rec.StartSpan(p.ID(), "app", "readdir")
 		ctx := vfsapi.Ctx{P: p, Span: sp}
 		sc := sp.Enter(obs.LayerClient)
-		ents, err := c.MetaReaddir(ctx, "/d")
+		rep, err := c.Meta(ctx, MetaQuery{Op: MetaReaddir, Path: "/d"})
 		sc.Exit()
 		sp.End(0, err)
-		if len(ents) != 3 || err != nil {
-			t.Errorf("readdir: %v, %v", ents, err)
+		if len(rep.Ents) != 3 || err != nil {
+			t.Errorf("readdir: %v, %v", rep.Ents, err)
 		}
 	})
 	e.Run()
@@ -345,7 +347,7 @@ func metaRPC(n int) func() {
 		per := allocgate.Share(n, clients, i)
 		e.Go("client", func(p *sim.Proc) {
 			for j := 0; j < per; j++ {
-				c.MetaLookup(vfsapi.Ctx{P: p}, "/d")
+				c.Meta(vfsapi.Ctx{P: p}, MetaQuery{Op: MetaLookup, Path: "/d"})
 			}
 		})
 	}

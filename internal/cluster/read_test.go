@@ -182,8 +182,8 @@ func runReadScenario(sc readScenario, historical bool) readOutcome {
 			out.events = append(out.events, ev.At)
 		}
 	})
-	e.SetWaitObserver(func(p *sim.Proc, kind, resource, holder string, holderID int, start, dur time.Duration) {
-		out.waits = append(out.waits, metaWait{proc: p.ID(), kind: kind, resource: resource, start: start, dur: dur, holder: holder, holderID: holderID})
+	e.SetWaitObserver(func(proc int, kind, resource, holder string, holderID int, start, dur time.Duration) {
+		out.waits = append(out.waits, metaWait{proc: proc, kind: kind, resource: resource, start: start, dur: dur, holder: holder, holderID: holderID})
 	})
 	for _, ft := range sc.faults {
 		o := c.osds[ft.osd]

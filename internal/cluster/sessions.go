@@ -50,7 +50,7 @@ func (c *Cluster) ReclaimSession(ctx vfsapi.Ctx, name string) (uint64, error) {
 	if s == nil {
 		return 0, fmt.Errorf("cluster: reclaim of unknown session %q", name)
 	}
-	if _, err := c.meta(ctx, MetaQuery{}); err != nil {
+	if _, err := c.Meta(ctx, MetaQuery{}); err != nil {
 		return 0, err
 	}
 	if s.holder != nil {

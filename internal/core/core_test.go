@@ -1031,9 +1031,9 @@ func TestMissAndThrottleParks(t *testing.T) {
 		}
 		fs := ct.Mount.Default
 		throttled := map[int]bool{}
-		tb.Eng.SetWaitObserver(func(p *sim.Proc, kind, resource, _ string, _ int, _, _ time.Duration) {
+		tb.Eng.SetWaitObserver(func(proc int, kind, resource, _ string, _ int, _, _ time.Duration) {
 			if kind == "waitq" && strings.HasSuffix(resource, ".throttle") {
-				throttled[p.ID()] = true
+				throttled[proc] = true
 			}
 		})
 		runOn(t, tb, ct, func(ctx vfsapi.Ctx) {

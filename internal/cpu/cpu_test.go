@@ -720,8 +720,8 @@ func runExecScenario(sc execScenario, mode execMode, tick time.Duration) execOut
 			out.events++
 		}
 	})
-	e.SetWaitObserver(func(p *sim.Proc, kind, _, holder string, _ int, start, dur time.Duration) {
-		out.waits = append(out.waits, waitReport{kind, holder, p.ID(), start, dur})
+	e.SetWaitObserver(func(proc int, kind, _, holder string, _ int, start, dur time.Duration) {
+		out.waits = append(out.waits, waitReport{kind, holder, proc, start, dur})
 	})
 	accts := make([]*Account, sc.accounts)
 	for i := range accts {

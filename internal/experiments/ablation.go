@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ipc"
 	"repro/internal/model"
@@ -191,11 +192,11 @@ func RunAblationImagePull(run Run) AblationRow {
 			if err := r.tb.Cluster.Provision(fmt.Sprintf("/registry/layer%02d", i), imageBytes); err != nil {
 				panic(err)
 			}
-			info, ino, err := r.tb.Cluster.MetaLookup(ctx, fmt.Sprintf("/registry/layer%02d", i))
+			rep, err := r.tb.Cluster.Meta(ctx, cluster.MetaQuery{Op: cluster.MetaLookup, Path: fmt.Sprintf("/registry/layer%02d", i)})
 			if err != nil {
 				panic(err)
 			}
-			r.tb.Cluster.Read(ctx, ino, 0, info.Size)
+			r.tb.Cluster.Read(ctx, rep.Ino, 0, rep.Info.Size)
 			// Expand onto the local disks.
 			if err := r.tb.LocalStore.Provision(fmt.Sprintf("/var/lib/images/%02d", i), 0); err != nil {
 				panic(err)

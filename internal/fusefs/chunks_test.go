@@ -258,8 +258,8 @@ func runChunkScenario(sc chunkScenario, oracle bool, tick time.Duration) chunkOu
 			out.events++
 		}
 	})
-	e.SetWaitObserver(func(p *sim.Proc, kind, _, holder string, _ int, start, dur time.Duration) {
-		out.waits = append(out.waits, crossWait{p.ID(), kind, holder, start, dur})
+	e.SetWaitObserver(func(proc int, kind, _, holder string, _ int, start, dur time.Duration) {
+		out.waits = append(out.waits, crossWait{proc, kind, holder, start, dur})
 	})
 	accts := []*cpu.Account{cpu.NewAccount("a"), cpu.NewAccount("b"), cpu.NewAccount("daemon")}
 	fs := &chunkFS{e: e, files: append([]int64(nil), sc.files...), reqs: map[int]*chunkRequest{}, out: &out}

@@ -329,8 +329,8 @@ func runCrossScenario(sc crossScenario, historical bool, tick time.Duration) cro
 			out.events++
 		}
 	})
-	e.SetWaitObserver(func(p *sim.Proc, kind, _, holder string, _ int, start, dur time.Duration) {
-		out.waits = append(out.waits, crossWait{p.ID(), kind, holder, start, dur})
+	e.SetWaitObserver(func(proc int, kind, _, holder string, _ int, start, dur time.Duration) {
+		out.waits = append(out.waits, crossWait{proc, kind, holder, start, dur})
 	})
 	accts := []*cpu.Account{cpu.NewAccount("a"), cpu.NewAccount("b"), cpu.NewAccount("daemon")}
 	tr := New(e, c, params, nil, Config{Name: "fuse", Acct: accts[2], Mask: sc.daemonMask, Threads: sc.daemons})

@@ -273,8 +273,8 @@ func runCallScenario(sc callScenario, historical bool, tick time.Duration) callO
 			out.events++
 		}
 	})
-	e.SetWaitObserver(func(p *sim.Proc, kind, _, holder string, _ int, start, dur time.Duration) {
-		out.waits = append(out.waits, callWait{p.ID(), kind, holder, start, dur})
+	e.SetWaitObserver(func(proc int, kind, _, holder string, _ int, start, dur time.Duration) {
+		out.waits = append(out.waits, callWait{proc, kind, holder, start, dur})
 	})
 	app, svc := cpu.NewAccount("app"), cpu.NewAccount("svc")
 	tr := New(e, c, params, nil, Config{Name: "svc", Mask: sc.pool, Acct: svc, NoPinning: sc.noPinning})

@@ -3,6 +3,7 @@ package kern
 import (
 	"fmt"
 
+	"repro/internal/cacherun"
 	"repro/internal/cluster"
 	"repro/internal/cpu"
 	"repro/internal/metrics"
@@ -16,12 +17,15 @@ import (
 // transfers pay checksum and protocol CPU in kernel mode on the calling
 // thread (or the roaming flusher thread during writeback — the
 // mechanism that lets the kernel client consume foreign pool cores).
+//
+// Its Store namespace calls are the shared cacherun.Names: the dentry
+// cache takes no lock, a crash check charges nothing (the mount's
+// charged the system call), an unlinked path's ino is read before the
+// MDS call, and a size push updates the cached size only once the MDS
+// took it.
 type CephStore struct {
+	cacherun.Names
 	kern *Kernel
-	clus *cluster.Cluster
-
-	attrs map[string]attrEntry // dentry/attribute cache
-	paths map[uint64]string    // ino -> authoritative path
 
 	// retry runs data operations through replica failover and
 	// unjittered backoff, counting faults.
@@ -34,20 +38,13 @@ type CephStore struct {
 	crashed bool
 }
 
-type attrEntry struct {
-	info vfsapi.FileInfo
-	ino  uint64
-}
-
 // NewCephStore creates a kernel Ceph client store against the cluster
 // and registers its MDS session.
 func NewCephStore(k *Kernel, clus *cluster.Cluster) *CephStore {
-	s := &CephStore{
-		kern:  k,
-		clus:  clus,
-		attrs: map[string]attrEntry{},
-		paths: map[uint64]string{},
-	}
+	s := &CephStore{kern: k}
+	s.Names = cacherun.Names{Clus: clus, Crashed: &s.crashed, Op: cpu.Charge(cpu.Kernel, k.params.KernelClientOpCost),
+		Wire: s.wire, InoFirst: true}
+	s.Reset()
 	s.retry = clus.NewRetrier(&s.crashed, &k.stopped, 0, nil)
 	s.session = fmt.Sprintf("kclient%d", clus.SessionCount())
 	clus.OpenSession(s.session, nil)
@@ -59,8 +56,7 @@ func NewCephStore(k *Kernel, clus *cluster.Cluster) *CephStore {
 // vfsapi.ErrCrashed until RestartStore reclaims the MDS session.
 func (s *CephStore) CrashStore() {
 	s.crashed = true
-	s.attrs = map[string]attrEntry{}
-	s.paths = map[uint64]string{}
+	s.Reset()
 }
 
 // RestartStore runs the recovery protocol of a restarted kernel client:
@@ -68,185 +64,29 @@ func (s *CephStore) CrashStore() {
 // and issuing a fresh epoch, after which the store serves traffic with
 // cold caches.
 func (s *CephStore) RestartStore(ctx vfsapi.Ctx) error {
-	if _, err := s.clus.ReclaimSession(ctx, s.session); err != nil {
+	if _, err := s.Clus.ReclaimSession(ctx, s.session); err != nil {
 		return err
 	}
 	s.crashed = false
 	return nil
 }
 
-func (s *CephStore) opCPU(ctx vfsapi.Ctx) {
-	ctx.T.Exec(ctx.P, cpu.Kernel, s.kern.params.KernelClientOpCost)
+// message writes to w an operation's charge and wire's for a message
+// of n bytes (the request runs' wire steps), and returns how many.
+func (s *CephStore) message(t *cpu.Thread, n int64, w []cpu.Step) int {
+	w[0] = s.Op
+	return 1 + s.wire(t, n, w[1:])
 }
 
-// opStep is the charge of opCPU.
-func (s *CephStore) opStep() cpu.Step {
-	return cpu.Charge(cpu.Kernel, s.kern.params.KernelClientOpCost)
-}
-
-// message writes to w the charges of opCPU and wireCPU for a message of
-// n bytes (the request runs' wire steps).
-func (s *CephStore) message(_ *cpu.Thread, n int64, w *[5]cpu.Step) int {
-	w[0] = s.opStep()
-	s.wireSteps(n, w[1:4])
-	return 4
-}
-
-// wireCPU charges protocol + checksum processing for n wire bytes.
-func (s *CephStore) wireCPU(ctx vfsapi.Ctx, n int64) {
-	var w [3]cpu.Step
-	ctx.T.Chain(ctx.P, s.wireSteps(n, w[:])...)
-}
-
-// wireSteps writes the charges of wireCPU to w[:3] and returns them,
-// element by element so that no caller's frame holds a copy.
-func (s *CephStore) wireSteps(n int64, w []cpu.Step) []cpu.Step {
+// wire writes to w the kernel-mode protocol and checksum charges of n
+// wire bytes, element by element so that no caller's frame holds a
+// copy, and returns how many (the namespace calls' wire steps).
+func (s *CephStore) wire(_ *cpu.Thread, n int64, w []cpu.Step) int {
 	p := s.kern.params
 	w[0] = cpu.Charge(cpu.Kernel, p.NetOpCost)
 	w[1] = cpu.Charge(cpu.Kernel, model.RateTime(n, p.NetCPUBytesPerSec))
 	w[2] = cpu.Charge(cpu.Kernel, model.RateTime(n, p.ChecksumBytesPerSec))
-	return w[:3]
-}
-
-// Lookup resolves a path, serving repeated lookups from the attribute
-// cache.
-func (s *CephStore) Lookup(ctx vfsapi.Ctx, path string) (vfsapi.FileInfo, uint64, error) {
-	if s.crashed {
-		return vfsapi.FileInfo{}, 0, vfsapi.ErrCrashed
-	}
-	s.opCPU(ctx)
-	if e, ok := s.attrs[path]; ok {
-		return e.info, e.ino, nil
-	}
-	s.wireCPU(ctx, 256)
-	info, ino, err := s.clus.MetaLookup(ctx, path)
-	return s.looked(path, info, ino, err)
-}
-
-// looked caches the attributes the MDS returned for path.
-func (s *CephStore) looked(path string, info vfsapi.FileInfo, ino uint64, err error) (vfsapi.FileInfo, uint64, error) {
-	if err != nil {
-		return vfsapi.FileInfo{}, 0, err
-	}
-	s.attrs[path] = attrEntry{info: info, ino: ino}
-	s.paths[ino] = path
-	return info, ino, nil
-}
-
-// Create makes a file at the MDS.
-func (s *CephStore) Create(ctx vfsapi.Ctx, path string) (uint64, error) {
-	if s.crashed {
-		return 0, vfsapi.ErrCrashed
-	}
-	s.opCPU(ctx)
-	s.wireCPU(ctx, 256)
-	ino, err := s.clus.MetaCreate(ctx, path)
-	if err != nil {
-		return 0, err
-	}
-	s.attrs[path] = attrEntry{info: vfsapi.FileInfo{Name: path}, ino: ino}
-	s.paths[ino] = path
-	return ino, nil
-}
-
-// Mkdir creates a directory at the MDS.
-func (s *CephStore) Mkdir(ctx vfsapi.Ctx, path string) error {
-	if s.crashed {
-		return vfsapi.ErrCrashed
-	}
-	s.opCPU(ctx)
-	s.wireCPU(ctx, 256)
-	return s.clus.MetaMkdir(ctx, path)
-}
-
-// Readdir lists a directory at the MDS.
-func (s *CephStore) Readdir(ctx vfsapi.Ctx, path string) ([]vfsapi.DirEntry, error) {
-	if s.crashed {
-		return nil, vfsapi.ErrCrashed
-	}
-	s.opCPU(ctx)
-	s.wireCPU(ctx, 512)
-	return s.clus.MetaReaddir(ctx, path)
-}
-
-// Unlink removes a file at the MDS and invalidates the cached entry.
-func (s *CephStore) Unlink(ctx vfsapi.Ctx, path string) (uint64, error) {
-	if s.crashed {
-		return 0, vfsapi.ErrCrashed
-	}
-	s.opCPU(ctx)
-	var ino uint64
-	if e, ok := s.attrs[path]; ok {
-		ino = e.ino
-	}
-	s.wireCPU(ctx, 256)
-	if err := s.clus.MetaUnlink(ctx, path); err != nil {
-		return 0, err
-	}
-	delete(s.attrs, path)
-	delete(s.paths, ino)
-	return ino, nil
-}
-
-// Rmdir removes a directory at the MDS.
-func (s *CephStore) Rmdir(ctx vfsapi.Ctx, path string) error {
-	if s.crashed {
-		return vfsapi.ErrCrashed
-	}
-	s.opCPU(ctx)
-	s.wireCPU(ctx, 256)
-	return s.clus.MetaRmdir(ctx, path)
-}
-
-// Rename moves a file at the MDS, rewriting the cached entries; the
-// entry of a file newPath replaced is invalidated, as Unlink does.
-func (s *CephStore) Rename(ctx vfsapi.Ctx, oldPath, newPath string) (uint64, error) {
-	if s.crashed {
-		return 0, vfsapi.ErrCrashed
-	}
-	s.opCPU(ctx)
-	s.wireCPU(ctx, 256)
-	if err := s.clus.MetaRename(ctx, oldPath, newPath); err != nil {
-		return 0, err
-	}
-	var replaced uint64
-	if e, ok := s.attrs[newPath]; ok && newPath != oldPath {
-		replaced = e.ino
-		delete(s.attrs, newPath)
-		delete(s.paths, e.ino)
-	}
-	if e, ok := s.attrs[oldPath]; ok {
-		delete(s.attrs, oldPath)
-		s.attrs[newPath] = e
-		s.paths[e.ino] = newPath
-	}
-	return replaced, nil
-}
-
-// SetSize pushes the file size to the MDS.
-func (s *CephStore) SetSize(ctx vfsapi.Ctx, ino uint64, size int64) error {
-	if s.crashed {
-		return vfsapi.ErrCrashed
-	}
-	path, ok := s.paths[ino]
-	if !ok {
-		return vfsapi.ErrNotExist
-	}
-	s.opCPU(ctx)
-	s.wireCPU(ctx, 256)
-	return s.sizeSet(path, size, s.clus.MetaSetSize(ctx, path, size))
-}
-
-// sizeSet updates the cached attribute of path once the MDS took size
-// without error, and returns the push's error.
-func (s *CephStore) sizeSet(path string, size int64, err error) error {
-	if e, ok := s.attrs[path]; ok && err == nil {
-		if size > e.info.Size || size == 0 {
-			e.info.Size = size
-		}
-		s.attrs[path] = e
-	}
-	return err
+	return 3
 }
 
 // FaultStats returns a snapshot of the store's fault-handling
@@ -263,13 +103,13 @@ func (s *CephStore) ReadData(ctx vfsapi.Ctx, ino uint64, off, n int64) {
 	if s.crashed {
 		return
 	}
-	s.opCPU(ctx)
-	s.wireCPU(ctx, n)
+	ctx.T.Chain(ctx.P, s.Op)
+	s.Send(ctx, n)
 	s.retry.Do(ctx, false, func(_, member int) error {
 		if member == 0 {
-			return s.clus.Read(ctx, ino, off, n)
+			return s.Clus.Read(ctx, ino, off, n)
 		}
-		return s.clus.ReadReplica(ctx, ino, off, n, member)
+		return s.Clus.ReadReplica(ctx, ino, off, n, member)
 	})
 }
 
@@ -279,9 +119,9 @@ func (s *CephStore) WriteData(ctx vfsapi.Ctx, ino uint64, off, n int64) {
 	if s.crashed {
 		return
 	}
-	s.opCPU(ctx)
-	s.wireCPU(ctx, n)
+	ctx.T.Chain(ctx.P, s.Op)
+	s.Send(ctx, n)
 	s.retry.Do(ctx, false, func(_, member int) error {
-		return s.clus.WriteReplica(ctx, ino, off, n, member)
+		return s.Clus.WriteReplica(ctx, ino, off, n, member)
 	})
 }

@@ -553,7 +553,7 @@ func TestStoreMetadataPaths(t *testing.T) {
 			dropped func(ino uint64) bool // the store holds no record of ino
 		}{
 			{"local", ls, func(ino uint64) bool { return ls.nodes[ino] == nil }},
-			{"ceph", cs, func(ino uint64) bool { _, ok := cs.paths[ino]; return !ok }},
+			{"ceph", cs, func(ino uint64) bool { _, ok := cs.Path(ino); return !ok }},
 		} {
 			s := tc.store
 			errD, errSub := s.Mkdir(ctx, "/d"), s.Mkdir(ctx, "/d/sub")

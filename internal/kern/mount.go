@@ -123,7 +123,7 @@ func (k *Kernel) Mount(store Store, cfg MountConfig) *Mount {
 		Crash: cpu.Charge(cpu.Kernel, k.params.VFSOpCost), PrimaryRetries: true, OverDirty: m.overDirty,
 	}
 	if cs, ok := store.(*CephStore); ok {
-		m.steps.Retry, m.steps.Clus, m.steps.Wire, m.steps.SizePushed = cs.retry, cs.clus, cs.message, cs.sizeSet
+		m.steps.Retry, m.steps.Wire, m.steps.Names = cs.retry, cs.message, &cs.Names
 	}
 	// Its write-back: a flusher marks its file Flushing and pops under
 	// wb_lock traced, a drain untraced (OBSERVABILITY.md records the gap).

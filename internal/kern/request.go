@@ -150,7 +150,7 @@ func (r *request) Finish(ctx vfsapi.Ctx) (vfsapi.Result, error) {
 		return vfsapi.Result{H: h}, nil
 	case cacherun.HandMeta:
 		rep, err := meta.Finish()
-		info, ino, err = m.store.(*CephStore).looked(path, rep.Info, rep.Ino, err)
+		info, ino, err = m.store.(*CephStore).Looked(path, rep, err)
 		nh, err = m.opened(ctx, path, flags, info, ino, err)
 		return vfsapi.Result{H: nh}, err
 	case handCreate:
@@ -177,7 +177,7 @@ func (r *request) start() {
 	then := r.closeIn
 	switch r.Kind {
 	case vfsapi.OpOpen:
-		r.T.LockedChainThen(r.P, nil, nil, "", r.looked, r.m.store.(*CephStore).opStep())
+		r.T.LockedChainThen(r.P, nil, nil, "", r.looked, r.m.store.(*CephStore).Op)
 		return
 	case vfsapi.OpRead:
 		then = r.readIn
@@ -347,44 +347,39 @@ func (r *request) afterCloseEntry() {
 		r.exit(0)
 		return
 	}
-	cs, ok := h.m.store.(*CephStore)
-	path := ""
-	if ok && !cs.crashed {
-		path, ok = cs.paths[h.f.Ino]
-	} else {
-		ok = false
+	if cs, ok := h.m.store.(*CephStore); ok && !cs.crashed {
+		if path, ok := cs.Path(h.f.Ino); ok {
+			r.size = h.f.Size
+			r.Push(path)
+			return
+		}
 	}
-	if !ok {
-		r.HandBack(handPush)
-		return
-	}
-	r.size = h.f.Size
-	r.Push(path)
+	r.HandBack(handPush)
 }
 
 // lookup opens a file whose attributes are cached; a miss charges the
 // wire costs of the MDS lookup.
 func (r *request) lookup() {
 	cs := r.m.store.(*CephStore)
-	if e, ok := cs.attrs[r.Path]; ok {
-		r.found(e.info, e.ino, nil)
+	if info, ino, ok := cs.Cached(r.Path); ok {
+		r.found(info, ino, nil)
 		return
 	}
 	var w [3]cpu.Step
-	r.T.LockedChainThen(r.P, nil, nil, "", r.lookupWired, cs.wireSteps(256, w[:])...)
+	r.T.LockedChainThen(r.P, nil, nil, "", r.lookupWired, w[:cs.wire(r.T, 256, w[:])]...)
 }
 
 // lookupMiss looks the path up at the MDS; a stalled MDS or a hop error
 // hands back in the MDS run, which the process finishes.
 func (r *request) lookupMiss() {
 	r.At = cacherun.HandMeta
-	r.Meta = r.m.store.(*CephStore).clus.StartMeta(r.Ctx(), cluster.MetaQuery{Op: cluster.MetaLookup, Path: r.Path}, r.metaLooked)
+	r.Meta = r.m.store.(*CephStore).Clus.StartMeta(r.Ctx(), cluster.MetaQuery{Op: cluster.MetaLookup, Path: r.Path}, r.metaLooked)
 }
 
 // afterLookup caches the attributes the MDS returned.
 func (r *request) afterLookup() {
 	rep, err := r.Meta.Finish()
-	r.found(r.m.store.(*CephStore).looked(r.Path, rep.Info, rep.Ino, err))
+	r.found(r.m.store.(*CephStore).Looked(r.Path, rep, err))
 }
 
 // found makes the handle of the path the lookup found; a file to create

@@ -134,7 +134,7 @@ func TestSpikeArmedMidTransferReportsActualWait(t *testing.T) {
 	e := sim.NewEngine()
 	l := NewLink(e, "l", 1<<20, time.Millisecond, 64<<10)
 	var reported, actual time.Duration
-	e.SetWaitObserver(func(p *sim.Proc, kind, resource, holder string, holderID int, start, dur time.Duration) {
+	e.SetWaitObserver(func(proc int, kind, resource, holder string, holderID int, start, dur time.Duration) {
 		if kind == "net" {
 			reported += dur
 		}

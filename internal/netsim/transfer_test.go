@@ -188,8 +188,8 @@ func runTransferScenario(sc transferScenario, historical bool) transferOutcome {
 			out.events++
 		}
 	})
-	e.SetWaitObserver(func(p *sim.Proc, kind, resource, holder string, holderID int, start, dur time.Duration) {
-		out.waits = append(out.waits, transferWait{p.ID(), kind, resource, holder, holderID, start, dur})
+	e.SetWaitObserver(func(proc int, kind, resource, holder string, holderID int, start, dur time.Duration) {
+		out.waits = append(out.waits, transferWait{proc, kind, resource, holder, holderID, start, dur})
 	})
 	links := make([]*Link, len(sc.links))
 	for i, ls := range sc.links {

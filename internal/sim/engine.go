@@ -53,10 +53,6 @@ type Engine struct {
 
 	liveProcs  int // processes started and not yet finished
 	nextProcID int
-	// procs holds each unfinished process at its id (index 0 is
-	// unused), for waitFunc, the observer that hands a WaitFn the
-	// process itself.
-	procs []*Proc
 
 	tracer func(TraceEvent) // optional observer, see SetTracer
 	obs    Observer         // optional observer, see SetObserver
@@ -94,9 +90,21 @@ func (e *Engine) SetObserver(o Observer) { e.obs = o }
 // runqueue wait) that only matters when someone is listening.
 func (e *Engine) HasWaitObserver() bool { return e.obs != nil }
 
-// WaitFn observes one completed wait interval of process p, with the
-// arguments of Observer.Wait. A slice reaches it as its "run" wait.
-type WaitFn func(p *Proc, kind, resource, holder string, holderID int, start, dur time.Duration)
+// WaitFn observes one completed wait interval, as Observer.Wait does.
+// As an Observer, it sees each slice as its "run" wait on "cpu".
+type WaitFn func(proc int, kind, resource, holder string, holderID int, start, dur time.Duration)
+
+// Wait calls fn.
+func (fn WaitFn) Wait(proc int, kind, resource, holder string, holderID int, start, dur time.Duration) {
+	fn(proc, kind, resource, holder, holderID, start, dur)
+}
+
+// Slice calls fn with the slice as the process's "run" wait.
+func (fn WaitFn) Slice(proc, _ int, _, _ string, start, dur time.Duration) {
+	if dur > 0 {
+		fn(proc, "run", "cpu", "", 0, start, dur)
+	}
+}
 
 // SetWaitObserver installs fn as the engine's observer: it sees every
 // wait, each slice as its "run" wait on "cpu" included. A nil fn
@@ -106,30 +114,14 @@ func (e *Engine) SetWaitObserver(fn WaitFn) {
 		e.obs = nil
 		return
 	}
-	e.obs = waitFunc{e, fn}
-}
-
-// waitFunc is the Observer of a WaitFn.
-type waitFunc struct {
-	e  *Engine
-	fn WaitFn
-}
-
-func (w waitFunc) Wait(proc int, kind, resource, holder string, holderID int, start, dur time.Duration) {
-	w.fn(w.e.procs[proc], kind, resource, holder, holderID, start, dur)
-}
-
-func (w waitFunc) Slice(proc, _ int, _, _ string, start, dur time.Duration) {
-	if dur > 0 {
-		w.fn(w.e.procs[proc], "run", "cpu", "", 0, start, dur)
-	}
+	e.obs = fn
 }
 
 // NewEngine returns an empty engine at virtual time zero.
 func NewEngine() *Engine {
 	// Pre-size the queue's slab for 256 pending events, the depth of an
 	// 8-pool run, so steady-state event churn never grows it.
-	return &Engine{deadline: -1, events: newEventQueue(256), procs: []*Proc{nil}}
+	return &Engine{deadline: -1, events: newEventQueue(256)}
 }
 
 // Now returns the current virtual time since the start of the simulation.
@@ -163,7 +155,6 @@ func (e *Engine) After(d time.Duration, fn func()) {
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	e.nextProcID++
 	p := &Proc{eng: e, name: name, id: e.nextProcID}
-	e.procs = append(e.procs, p)
 	e.liveProcs++
 	// No stop: a process still parked when the queue drains stays parked
 	// (see Run).
@@ -171,7 +162,6 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		p.yield = yield
 		defer func() {
 			p.done = true
-			e.procs[p.id] = nil
 			e.liveProcs--
 			e.trace(TraceEvent{At: e.now, Kind: TraceFinish, Proc: p.name, ProcID: p.id})
 		}()

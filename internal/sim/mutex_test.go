@@ -16,9 +16,7 @@ import (
 func TestMutexCallbackWaiters(t *testing.T) {
 	e := NewEngine()
 	var waits []waitRec
-	e.SetWaitObserver(func(p *Proc, kind, resource, holder string, _ int, start, dur time.Duration) {
-		waits = append(waits, waitRec{p.Name(), kind, resource, holder, start, dur})
-	})
+	start := recordWaits(e, &waits)
 	m := NewMutex(e, "m")
 	ms := time.Millisecond
 	var order []string
@@ -31,19 +29,19 @@ func TestMutexCallbackWaiters(t *testing.T) {
 		m.Unlock(p)
 	}
 
-	e.Go("A", func(p *Proc) {
+	start("A", func(p *Proc) {
 		m.Lock(p)
 		p.Sleep(10 * ms)
 		unlockAfterReset(p)
 	})
-	e.Go("B", func(p *Proc) {
+	start("B", func(p *Proc) {
 		p.Sleep(ms)
 		m.Lock(p)
 		grant(p)
 		p.Sleep(2 * ms)
 		unlockAfterReset(p)
 	})
-	e.Go("C", func(p *Proc) {
+	start("C", func(p *Proc) {
 		p.Sleep(2 * ms)
 		if m.LockOrQueue(p, func() {
 			grant(p)
@@ -57,14 +55,14 @@ func TestMutexCallbackWaiters(t *testing.T) {
 		}
 		p.Park()
 	})
-	e.Go("D", func(p *Proc) {
+	start("D", func(p *Proc) {
 		p.Sleep(3 * ms)
 		m.Lock(p)
 		grant(p)
 		p.Sleep(ms)
 		m.Unlock(p)
 	})
-	e.Go("E", func(p *Proc) {
+	start("E", func(p *Proc) {
 		// Queued by a callback while B holds the lock.
 		e.After(11*ms, func() {
 			m.LockOrQueue(p, func() {

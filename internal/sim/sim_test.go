@@ -523,18 +523,6 @@ func TestTracerObservesEventsWithoutChangingTime(t *testing.T) {
 	}
 }
 
-func TestTraceToWritesLines(t *testing.T) {
-	e := NewEngine()
-	var buf strings.Builder
-	e.TraceTo(&buf)
-	e.Go("p", func(p *Proc) { p.Sleep(time.Millisecond) })
-	e.Run()
-	out := buf.String()
-	if !strings.Contains(out, "resume") || !strings.Contains(out, "p#1") {
-		t.Fatalf("trace output missing fields:\n%s", out)
-	}
-}
-
 func TestLockStatsAdd(t *testing.T) {
 	s := LockStats{Acquisitions: 3, TotalWait: 5, TotalHold: 7, MaxWait: 4, Contended: 1}
 	s.Add(LockStats{Acquisitions: 2, TotalWait: 6, TotalHold: 1, MaxWait: 6, Contended: 2})
@@ -813,8 +801,9 @@ func runWaitScenario(sc waitScenario, newQueue func(*Engine) waitQueueUnderTest)
 	e.SetTracer(func(ev TraceEvent) {
 		log = append(log, fmt.Sprintf("trace %v %v %s#%d", ev.At, ev.Kind, ev.Proc, ev.ProcID))
 	})
-	e.SetWaitObserver(func(p *Proc, kind, resource, holder string, holderID int, start, dur time.Duration) {
-		log = append(log, fmt.Sprintf("report %s %s %s %v %v", p.Name(), kind, resource, start, dur))
+	names := map[int]string{}
+	e.SetWaitObserver(func(proc int, kind, resource, holder string, holderID int, start, dur time.Duration) {
+		log = append(log, fmt.Sprintf("report %s %s %s %v %v", names[proc], kind, resource, start, dur))
 	})
 	signal := func(by string) {
 		log = append(log, fmt.Sprintf("signal by %s at %v: %v", by, e.Now(), q.signal()))
@@ -830,7 +819,8 @@ func runWaitScenario(sc waitScenario, newQueue func(*Engine) waitQueueUnderTest)
 		})
 	}
 	for i, ops := range sc.procs {
-		e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
+		name := fmt.Sprintf("p%d", i)
+		names[e.Go(name, func(p *Proc) {
 			for j, op := range ops {
 				switch op.kind {
 				case opWait:
@@ -853,7 +843,7 @@ func runWaitScenario(sc waitScenario, newQueue func(*Engine) waitQueueUnderTest)
 				}
 				log = append(log, fmt.Sprintf("resume %s op %d at %v", p.Name(), j, p.Now()))
 			}
-		})
+		}).ID()] = name
 	}
 	e.Run()
 	return append(log, fmt.Sprintf("end at %v with %d live", e.Now(), e.LiveProcs()))

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"io"
-	"time"
-)
+import "time"
 
 // TraceEvent describes one occurrence the engine processed: a callback
 // firing or a process resuming.
@@ -48,17 +44,6 @@ func (k TraceKind) String() string {
 // Passing nil disables tracing. Tracing has no effect on virtual time,
 // so a traced run is identical to an untraced one.
 func (e *Engine) SetTracer(fn func(TraceEvent)) { e.tracer = fn }
-
-// TraceTo installs a tracer that writes one line per event to w.
-func (e *Engine) TraceTo(w io.Writer) {
-	e.SetTracer(func(ev TraceEvent) {
-		if ev.Kind == TraceCallback {
-			fmt.Fprintf(w, "%12v callback\n", ev.At)
-			return
-		}
-		fmt.Fprintf(w, "%12v %-7s %s#%d\n", ev.At, ev.Kind, ev.Proc, ev.ProcID)
-	})
-}
 
 func (e *Engine) trace(ev TraceEvent) {
 	if e.tracer != nil {

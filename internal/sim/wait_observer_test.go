@@ -10,6 +10,17 @@ type waitRec struct {
 	start, dur                   time.Duration
 }
 
+// recordWaits installs a wait observer on eng that appends each wait to
+// *waits under its process's name, and returns the Go that names the
+// processes it starts.
+func recordWaits(eng *Engine, waits *[]waitRec) func(name string, fn func(*Proc)) {
+	names := map[int]string{}
+	eng.SetWaitObserver(func(proc int, kind, resource, holder string, _ int, start, dur time.Duration) {
+		*waits = append(*waits, waitRec{names[proc], kind, resource, holder, start, dur})
+	})
+	return func(name string, fn func(*Proc)) { names[eng.Go(name, fn).ID()] = name }
+}
+
 // TestMutexHolderAttributionUnderHandoff pins the lock-wait attribution
 // contract: the reported holder is whoever held the lock when the
 // waiter *enqueued*, not whoever handed it over. Under FIFO handoff a
@@ -18,23 +29,21 @@ type waitRec struct {
 func TestMutexHolderAttributionUnderHandoff(t *testing.T) {
 	eng := NewEngine()
 	var waits []waitRec
-	eng.SetWaitObserver(func(p *Proc, kind, resource, holder string, holderID int, start, dur time.Duration) {
-		waits = append(waits, waitRec{p.Name(), kind, resource, holder, start, dur})
-	})
+	start := recordWaits(eng, &waits)
 	m := NewMutex(eng, "i_mutex")
 
-	eng.Go("aggressor", func(p *Proc) {
+	start("aggressor", func(p *Proc) {
 		m.Lock(p)
 		p.Sleep(10 * time.Millisecond) // long critical section
 		m.Unlock(p)
 	})
-	eng.Go("victim-b", func(p *Proc) {
+	start("victim-b", func(p *Proc) {
 		p.Sleep(time.Millisecond) // queue while aggressor holds the lock
 		m.Lock(p)
 		p.Sleep(2 * time.Millisecond)
 		m.Unlock(p)
 	})
-	eng.Go("victim-c", func(p *Proc) {
+	start("victim-c", func(p *Proc) {
 		p.Sleep(2 * time.Millisecond) // queue behind victim-b
 		m.Lock(p)
 		m.Unlock(p)
@@ -71,11 +80,9 @@ func TestMutexHolderAttributionUnderHandoff(t *testing.T) {
 func TestWaitObserverUncontendedSilent(t *testing.T) {
 	eng := NewEngine()
 	var waits []waitRec
-	eng.SetWaitObserver(func(p *Proc, kind, resource, holder string, holderID int, start, dur time.Duration) {
-		waits = append(waits, waitRec{p.Name(), kind, resource, holder, start, dur})
-	})
+	start := recordWaits(eng, &waits)
 	m := NewMutex(eng, "free")
-	eng.Go("solo", func(p *Proc) {
+	start("solo", func(p *Proc) {
 		m.Lock(p)
 		m.Unlock(p)
 		p.ReportWait("lock", "free", "", 0, 0) // explicit zero must be dropped
@@ -91,18 +98,16 @@ func TestWaitObserverUncontendedSilent(t *testing.T) {
 func TestWaitQueueReportsWaits(t *testing.T) {
 	eng := NewEngine()
 	var waits []waitRec
-	eng.SetWaitObserver(func(p *Proc, kind, resource, holder string, holderID int, start, dur time.Duration) {
-		waits = append(waits, waitRec{p.Name(), kind, resource, holder, start, dur})
-	})
+	start := recordWaits(eng, &waits)
 	q := NewWaitQueue(eng, "throttle")
-	eng.Go("sleeper", func(p *Proc) {
+	start("sleeper", func(p *Proc) {
 		q.Wait(p)
 		q.WaitTimeout(p, 3*time.Millisecond)
 		if p.Now() != 8*time.Millisecond {
 			t.Errorf("timed wait ended at %v, want its timeout at 8ms", p.Now())
 		}
 	})
-	eng.Go("waker", func(p *Proc) {
+	start("waker", func(p *Proc) {
 		p.Sleep(5 * time.Millisecond)
 		q.Signal()
 	})

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -66,8 +67,9 @@ func (m *Monitor) WriteTotalsCSV(w io.Writer) error {
 
 // ReadWindowsCSV parses a windows CSV as WriteWindowsCSV writes it, at
 // microsecond resolution. A header other than the writer's, a row with
-// the wrong field count or a field that is not a number is an error
-// starting with "name:LINE:".
+// the wrong field count, a field that is not a number and a duration
+// past time.Duration's range are errors starting with "name:LINE:" and
+// naming the field.
 func ReadWindowsCSV(r io.Reader, name string) (rows []WindowRow, err error) {
 	err = readCSV(r, name, windowsHeader, func(f *csvRow) {
 		rows = append(rows, WindowRow{Index: f.int(), Start: f.us(), End: f.us(), Tenant: f.str(),
@@ -78,12 +80,13 @@ func ReadWindowsCSV(r io.Reader, name string) (rows []WindowRow, err error) {
 }
 
 // ReadAlertsCSV parses an alert ledger as WriteAlertsCSV writes it,
-// rejecting what ReadWindowsCSV rejects and a state other than "firing"
-// or "clear".
+// rejecting what ReadWindowsCSV rejects, a state other than "firing"
+// or "clear" and a burn rate that is not a finite number with four
+// decimals.
 func ReadAlertsCSV(r io.Reader, name string) (events []AlertEvent, err error) {
 	err = readCSV(r, name, alertsHeader, func(f *csvRow) {
 		events = append(events, AlertEvent{T: f.us(), Tenant: f.str(), SLO: f.str(),
-			State: field(f, parseState), FastBurn: f.float(), SlowBurn: f.float()})
+			State: field(f, parseState), FastBurn: f.burn(), SlowBurn: f.burn()})
 	})
 	return events, err
 }
@@ -145,12 +148,30 @@ func (f *csvRow) int() int64 {
 func (f *csvRow) uint() uint64 {
 	return field(f, func(s string) (uint64, error) { return strconv.ParseUint(s, 10, 64) })
 }
-func (f *csvRow) float() float64 {
-	return field(f, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
+
+// burn reads a burn rate as WriteAlertsCSV writes it: finite, with four
+// decimals.
+func (f *csvRow) burn() float64 {
+	return field(f, func(s string) (float64, error) {
+		v, err := strconv.ParseFloat(s, 64)
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0) || strconv.FormatFloat(v, 'f', 4, 64) != s) {
+			err = strconv.ErrSyntax
+		}
+		return v, err
+	})
 }
 
-// us reads a duration in integer microseconds.
-func (f *csvRow) us() time.Duration { return time.Duration(f.int()) * time.Microsecond }
+// us reads a duration in integer microseconds, rejecting one that
+// overflows time.Duration.
+func (f *csvRow) us() time.Duration {
+	return field(f, func(s string) (time.Duration, error) {
+		v, err := strconv.ParseInt(s, 10, 64)
+		if v > math.MaxInt64/int64(time.Microsecond) || v < math.MinInt64/int64(time.Microsecond) {
+			err = strconv.ErrRange
+		}
+		return time.Duration(v) * time.Microsecond, err
+	})
+}
 
 // parseState reads an alert state as AlertState.String writes it.
 func parseState(s string) (AlertState, error) {
