@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"time"
 
 	"repro/internal/model"
@@ -112,7 +113,12 @@ func (o *OSD) noteBackfill(id objectID, end int64) {
 func (o *OSD) mediaTime(n int64) time.Duration {
 	d := model.RateTime(n, o.params.OSDRamdiskBytesPerSec)
 	if o.degraded > 1 {
-		d = time.Duration(float64(d) * o.degraded)
+		// Saturate: a product past int64 would wrap negative.
+		if f := float64(d) * o.degraded; f < math.MaxInt64 {
+			d = time.Duration(f)
+		} else {
+			d = math.MaxInt64
+		}
 	}
 	return d
 }

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/sim"
 )
 
@@ -169,4 +171,23 @@ func TestCrashRestartBackfillRecovery(t *testing.T) {
 		}
 	})
 	e.Run()
+}
+
+// TestDegradedMediaTimeSaturates checks that a slowdown whose product
+// leaves int64 gives the longest media time, not a wrapped one: a
+// larger factor must never make the OSD faster.
+func TestDegradedMediaTimeSaturates(t *testing.T) {
+	o := New(sim.NewEngine(), model.Default(), 1).osds[0]
+	prev := o.mediaTime(1 << 20)
+	for _, f := range []float64{2, 1e6, 1e12, 1e18, 1e300, math.MaxFloat64} {
+		o.SetDegraded(f)
+		got := o.mediaTime(1 << 20)
+		if got < prev {
+			t.Fatalf("factor %g: media time %v, below %v at a smaller factor", f, got, prev)
+		}
+		prev = got
+	}
+	if prev != math.MaxInt64 {
+		t.Fatalf("media time %v at the largest factor, want the int64 maximum", prev)
+	}
 }

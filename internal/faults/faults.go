@@ -101,6 +101,15 @@ func (k Kind) String() string {
 // (valid for NetLatency windows only).
 const ClientNIC = -1
 
+// MaxDegradeFactor is the largest media slowdown Parse accepts: an OSD
+// a million times slower than its ramdisk still serves a 1 MiB write
+// within simulated minutes, and the product stays within int64.
+const MaxDegradeFactor = 1e6
+
+// MaxSpikeLatency is the largest extra one-way latency Parse accepts
+// for a net-spike window.
+const MaxSpikeLatency = time.Minute
+
 // Window is one fault armed at Start and disarmed at End (both
 // relative to the offset given to Install).
 type Window struct {
@@ -408,12 +417,18 @@ func parseWindow(entry string) (Window, error) {
 		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 			return bad("bad degrade factor")
 		}
+		if f > MaxDegradeFactor {
+			return bad(fmt.Sprintf("bad degrade factor: %g above the maximum %g", f, float64(MaxDegradeFactor)))
+		}
 		w.Factor = f
 		arg++
 	case NetLatency:
 		d, err := time.ParseDuration(fields[arg])
 		if err != nil {
 			return bad("bad latency")
+		}
+		if d < 0 || d > MaxSpikeLatency {
+			return bad(fmt.Sprintf("bad latency: %v outside 0 to %v", d, MaxSpikeLatency))
 		}
 		w.Extra = d
 		arg++

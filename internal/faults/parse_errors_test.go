@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -25,6 +26,11 @@ func TestParseErrorMessages(t *testing.T) {
 		{"osd-degrade:1:NaNx:1s-2s", "bad degrade factor"}, // NaN passes every comparison
 		{"osd-degrade:1:+Infx:1s-2s", "bad degrade factor"},
 		{"net-spike:1:never:1s-2s", "bad latency"},
+		{"osd-degrade:0:1e300x:4.2ms-14.4ms", "bad degrade factor"}, // wrapped the media time negative
+		{"osd-degrade:0:1000001x:4.2ms-14.4ms", "bad degrade factor"},
+		{"net-spike:0:9223372036s:4.2ms-14.4ms", "bad latency"}, // ran without end
+		{"net-spike:0:-50us:0ms-50ms", "bad latency"},           // ran as no fault
+		{"net-spike:client:1m0.000000001s:1s-2s", "bad latency"},
 		{"net-drop:1:0x7:1s-2s", "bad drop period"},
 		{"osd-crash:1:1s2s", "bad window, want start-end"},
 		{"osd-crash:1:soon-2s", "bad window start"},
@@ -53,6 +59,52 @@ func TestParseErrorMessages(t *testing.T) {
 			t.Errorf("Parse(%q) error %q does not name the offending entry", c.spec, err)
 		}
 	}
+}
+
+// hostileSchedules are schedules Parse once accepted though they ran
+// wrongly: a degrade factor whose media time wrapped negative, a spike
+// latency that kept a run going without end and a negative one that
+// ran as no fault.
+var hostileSchedules = []string{
+	"osd-degrade:0:1e300x:4.2ms-14.4ms",
+	"net-spike:0:9223372036s:4.2ms-14.4ms",
+	"net-spike:0:-50us:0ms-50ms",
+}
+
+// The stated maxima themselves, and a zero latency, are accepted.
+func TestParseBounds(t *testing.T) {
+	for _, s := range []string{
+		"osd-degrade:0:1e6x:1s-2s", "osd-degrade:0:1x:1s-2s",
+		"net-spike:client:1m0s:1s-2s", "net-spike:0:0s:1s-2s",
+	} {
+		if _, err := Parse(s); err != nil {
+			t.Errorf("Parse(%q): %v", s, err)
+		}
+	}
+}
+
+// FuzzParse checks that Parse never panics, and that a plan it accepts
+// round-trips Parse→String→Parse to an equal plan. The hostile
+// schedules and one entry of each kind are the seed corpus.
+func FuzzParse(f *testing.F) {
+	for _, s := range hostileSchedules {
+		f.Add(s)
+	}
+	f.Add("osd-crash:1:1s-2s;osd-degrade:@wal:2x:3ms-4ms;net-spike:client:1ms:4.2ms-14.4ms;net-drop:0:3:1ms-2ms")
+	f.Add("net-partition:2:1s-2s; mds-stall:1ms-2ms;danaus-crash:fls0:1s-2s;fuse-crash:fls1:1s-2s;host-crash:1s-2s")
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := Parse(s)
+		if err != nil {
+			return
+		}
+		again, err := Parse(p.String())
+		if err != nil {
+			t.Fatalf("%q: its plan %q does not parse: %v", s, p.String(), err)
+		}
+		if !reflect.DeepEqual(again, p) {
+			t.Fatalf("%q: plan %+v parses back as %+v", s, p, again)
+		}
+	})
 }
 
 // Empty schedules and surrounding whitespace are fine; a good entry

@@ -221,21 +221,29 @@ func TestParseSpecRejectsGarbage(t *testing.T) {
 
 // unrunnable are specs the model cannot run, each a copy of the smoke
 // spec with one change: more co-tenants than the 64-core host holds
-// (which once ended in a core-count panic), and a degrade factor that
-// passes every comparison (which once ran as if it held).
+// (which once ended in a core-count panic), a degrade factor that
+// passes every comparison (which once ran as if it held), one whose
+// media time wrapped negative, a spike latency that kept the run going
+// without end and a negative one (which ran as no fault).
 func unrunnable(t testing.TB) map[string]string {
 	smoke, err := os.ReadFile("testdata/smoke.spec")
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := string(smoke)
-	nan := strings.Replace(spec, "schedule=net-spike:client:1ms:4.2ms-14.4ms", "schedule=osd-degrade:@wal:NaNx:4ms-14ms", 1)
-	if nan == spec {
-		t.Fatal("smoke spec has no schedule line to replace")
+	schedule := func(entry string) string {
+		s := strings.Replace(spec, "schedule=net-spike:client:1ms:4.2ms-14.4ms", "schedule="+entry, 1)
+		if s == spec {
+			t.Fatal("smoke spec has no schedule line to replace")
+		}
+		return s
 	}
 	return map[string]string{
-		"line 48: bad tenant: at most 31 tenants": spec + strings.Repeat("tenant=fileserver:1\n", 32),
-		"line 13: bad schedule: ":                 nan,
+		"line 48: bad tenant: at most 31 tenants":                                                                                    spec + strings.Repeat("tenant=fileserver:1\n", 32),
+		`line 13: bad schedule: faults: bad entry "osd-degrade:0:NaNx:4ms-14ms": bad degrade factor`:                                 schedule("osd-degrade:@wal:NaNx:4ms-14ms"),
+		`line 13: bad schedule: faults: bad entry "osd-degrade:0:1e300x:4.2ms-14.4ms": bad degrade factor: 1e+300 above the maximum`: schedule("osd-degrade:0:1e300x:4.2ms-14.4ms"),
+		`line 13: bad schedule: faults: bad entry "net-spike:0:9223372036s:4.2ms-14.4ms": bad latency`:                               schedule("net-spike:0:9223372036s:4.2ms-14.4ms"),
+		`line 13: bad schedule: faults: bad entry "net-spike:0:-50us:0ms-50ms": bad latency: -50µs outside 0 to 1m0s`:                schedule("net-spike:0:-50us:0ms-50ms"),
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 	"repro/internal/allocgate"
 )
 
-// TestHotPathAllocs holds the per-event recording paths allocation-free
-// apart from log chunks, one per 64 KiB of records, and the first read
+// TestHotPathAllocs holds the per-event recording paths and a span's
+// life, whose span is the last one ended, allocation-free apart from
+// log chunks, one per 64 KiB of records, and the first read
 // of the three views to their three slices: a decoded record must not
 // escape.
 func TestHotPathAllocs(t *testing.T) {
@@ -18,6 +19,7 @@ func TestHotPathAllocs(t *testing.T) {
 		{Name: "RecordCore", Body: recordCore, N: 10000},
 		{Name: "RecordSlice", Body: recordSlice, N: 10000},
 		{Name: "SpanEnterExit", Body: spanEnterExit, N: 10000},
+		{Name: "SpanStartEnd", Body: spanStartEnd, N: 10000},
 		{Name: "ReadViews", Body: readViews, N: 10000},
 	})
 	// The count includes other goroutines' allocations, so the least
@@ -99,6 +101,20 @@ func spanEnterExit(n int) func() {
 		for i := 0; i < n; i++ {
 			*clock++
 			sp.Enter(LayerClient).Exit()
+		}
+	}
+}
+
+// BenchmarkSpanStartEnd times one request span's life: started, its
+// root slice recorded and its op folded into the registry at End.
+func BenchmarkSpanStartEnd(b *testing.B) { allocgate.Bench(b, spanStartEnd) }
+
+func spanStartEnd(n int) func() {
+	rec, _, clock := benchRecorder()
+	return func() {
+		for i := 0; i < n; i++ {
+			*clock++
+			rec.StartSpan(7, "pool0", "read").End(4096, nil)
 		}
 	}
 }

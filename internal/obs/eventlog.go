@@ -5,48 +5,65 @@ import "time"
 // chunkBytes is the size of one chunk of an eventLog.
 const chunkBytes = 64 << 10
 
-// maxRecBytes bounds one encoded record: three 32-bit fields of at most
-// five varint bytes each and two 64-bit values of at most ten.
+// maxRecBytes bounds one encoded record: a head and two 32-bit fields
+// of at most five varint bytes each and two 64-bit values of at most
+// ten.
 const maxRecBytes = 3*5 + 2*10
 
-// rec is one record of an eventLog, decoded: up to three small fields
-// (a span-table row or a core, then a site, account or layer, then a
-// holder tenant) and the interval [start, start+dur).
+// The kinds of record, in the low two bits of a record's head.
+const (
+	// kindWait is a wait: its span row, site and holder tenant.
+	kindWait = iota
+	// kindCore is a core slice alone: its core and accts row.
+	kindCore
+	// kindSlice is a CPU slice and the "run" wait of the span its
+	// process served: its core, accts row and span row. It is two
+	// events, a CoreEvent and a WaitEvent, and two kept records.
+	kindSlice
+	// kindCross is a span slice: its span row and layer.
+	kindCross
+	numKinds
+)
+
+// rec is one record of an eventLog, decoded: its kind, the name row its
+// kind gives it (a site, an accts row or a layer), the span row, core
+// and holder tenant its kind has, and the interval [start, start+dur).
 type rec struct {
-	a, b, c    uint32
+	kind       uint8
+	name       uint32
+	row        uint32
+	core       uint32
+	holder     uint32
 	start, dur time.Duration
 }
 
-// codec is the delta state of one pass over a log: the previous
-// record's first field and end.
+// The fields each kind of record carries besides its head and interval.
+func hasRow(kind uint8) bool    { return kind != kindCore }
+func hasCore(kind uint8) bool   { return kind == kindCore || kind == kindSlice }
+func hasHolder(kind uint8) bool { return kind == kindWait }
+
+// codec is the delta state of one pass over a log: the last span row
+// and core a record carried, and the previous record's end.
 type codec struct {
-	a   uint32
-	end time.Duration
+	row, core uint32
+	end       time.Duration
 }
 
 // eventLog is an append-only log of records packed as varints into
-// fixed-size byte chunks, read as wide events E. A record is its first
-// field as a zigzag delta against the previous record's, the other
-// fields (b, and c when three is set), its end (start+dur) as a zigzag
-// delta against the previous record's end, and its duration. Every
-// caller records at the clock, so the end delta is small and often 0,
-// and most durations are short. The arithmetic wraps, so any field
-// values round-trip exactly. A record never straddles two chunks: one
-// that does not fit starts the next chunk, so a full chunk is never
-// copied or grown and the log holds at most one partly filled chunk.
-type eventLog[E any] struct {
-	three  bool // records carry c
+// fixed-size byte chunks. A record is its head (its name shifted past
+// its kind), then the fields its kind carries: its core and its span
+// row each as a zigzag delta against the last record's that carried
+// one, its holder tenant; then its end (start+dur) as a zigzag delta
+// against the previous record's end, and its duration. Every caller
+// records at the clock, so the end delta is small and often 0, and
+// most durations are short. The arithmetic wraps, so any field values
+// round-trip exactly. A record never straddles two chunks: one that
+// does not fit starts the next chunk, so a full chunk is never copied
+// or grown and the log holds at most one partly filled chunk.
+type eventLog struct {
 	chunks [][]byte
-	n      int   // records appended
-	enc    codec // state after the last append
-	// The read cursor: the next record to decode starts at
-	// chunks[ci][off], and dec is the state before it.
-	ci, off int
-	dec     codec
-	// view holds the wide events built by all, one per record, in
-	// order. The log only grows and a record never changes, so the
-	// view is current up to its length and all extends it from there.
-	view []E
+	n      [numKinds]int // records appended, by kind
+	enc    codec         // state after the last append
 }
 
 // zigzag maps a signed delta to an unsigned varint value, small for
@@ -81,21 +98,28 @@ func uvarint(b []byte, i int) (uint64, int) {
 
 // encode packs r into b after the last appended record and returns its
 // length.
-func (l *eventLog[E]) encode(r rec, b *[maxRecBytes]byte) int {
+func (l *eventLog) encode(r rec, b *[maxRecBytes]byte) int {
 	end := r.start + r.dur
-	i := putUvarint(b, 0, zigzag(int64(int32(r.a-l.enc.a))))
-	i = putUvarint(b, i, uint64(r.b))
-	if l.three {
-		i = putUvarint(b, i, uint64(r.c))
+	i := putUvarint(b, 0, uint64(r.name)<<2|uint64(r.kind))
+	if hasCore(r.kind) {
+		i = putUvarint(b, i, zigzag(int64(int32(r.core-l.enc.core))))
+		l.enc.core = r.core
+	}
+	if hasRow(r.kind) {
+		i = putUvarint(b, i, zigzag(int64(int32(r.row-l.enc.row))))
+		l.enc.row = r.row
+	}
+	if hasHolder(r.kind) {
+		i = putUvarint(b, i, uint64(r.holder))
 	}
 	i = putUvarint(b, i, zigzag(int64(end-l.enc.end)))
 	i = putUvarint(b, i, uint64(r.dur))
-	l.enc = codec{a: r.a, end: end}
+	l.enc.end = end
 	return i
 }
 
-func (l *eventLog[E]) push(r rec) {
-	l.n++
+func (l *eventLog) push(r rec) {
+	l.n[r.kind]++
 	last := len(l.chunks) - 1
 	if last >= 0 {
 		if c := l.chunks[last]; chunkBytes-len(c) >= maxRecBytes {
@@ -116,45 +140,72 @@ func (l *eventLog[E]) push(r rec) {
 	l.chunks[last] = append(l.chunks[last], b[:n]...)
 }
 
-// next decodes the record at the read cursor and advances it. A record
-// must be there.
-func (l *eventLog[E]) next() rec {
-	if l.off == len(l.chunks[l.ci]) {
-		l.ci, l.off = l.ci+1, 0
+// cursor is a read position in a log: the next record to decode starts
+// at chunks[ci][off], and dec is the state before it.
+type cursor struct {
+	ci, off int
+	dec     codec
+}
+
+// next decodes the record at c and advances c past it. A record must
+// be there.
+func (l *eventLog) next(c *cursor) rec {
+	if c.off == len(l.chunks[c.ci]) {
+		c.ci, c.off = c.ci+1, 0
 	}
-	b, i := l.chunks[l.ci], l.off
+	b, i := l.chunks[c.ci], c.off
 	var r rec
 	var u uint64
 	u, i = uvarint(b, i)
-	r.a = l.dec.a + uint32(unzigzag(u))
-	u, i = uvarint(b, i)
-	r.b = uint32(u)
-	if l.three {
+	r.kind, r.name = uint8(u&3), uint32(u>>2)
+	if hasCore(r.kind) {
 		u, i = uvarint(b, i)
-		r.c = uint32(u)
+		c.dec.core += uint32(unzigzag(u))
+		r.core = c.dec.core
+	}
+	if hasRow(r.kind) {
+		u, i = uvarint(b, i)
+		c.dec.row += uint32(unzigzag(u))
+		r.row = c.dec.row
+	}
+	if hasHolder(r.kind) {
+		u, i = uvarint(b, i)
+		r.holder = uint32(u)
 	}
 	u, i = uvarint(b, i)
-	end := l.dec.end + time.Duration(unzigzag(u))
+	c.dec.end += time.Duration(unzigzag(u))
 	u, i = uvarint(b, i)
 	r.dur = time.Duration(u)
-	r.start = end - r.dur
-	l.dec, l.off = codec{a: r.a, end: end}, i
+	r.start = c.dec.end - r.dur
+	c.off = i
 	return r
 }
 
-// all returns the events in append order, each built from its record
-// by wide, nil when the log is empty. The first read builds the view in
-// one exactly sized slice; a read after further appends decodes and
-// builds only the events appended since. Its capacity equals its
-// length, so a caller's append never writes into the view.
-func (l *eventLog[E]) all(wide func(rec) E) []E {
-	if l.view == nil && l.n > 0 {
-		l.view = make([]E, 0, l.n)
+// view is the wide events E one reader builds from a log, one per
+// record of the kinds it reads, in order. The log only grows and a
+// record never changes, so the view is current up to its length, and
+// all extends it from its own cursor.
+type view[E any] struct {
+	at     cursor
+	events []E
+}
+
+// all returns the n events that wide builds from l's records, in
+// append order, nil when n is 0; wide reports false for a record of a
+// kind the view does not read. The first read builds the view in one
+// exactly sized slice; a read after further appends decodes and builds
+// only the events appended since. Its capacity equals its length, so a
+// caller's append never writes into the view.
+func (v *view[E]) all(l *eventLog, n int, wide func(rec) (E, bool)) []E {
+	if v.events == nil && n > 0 {
+		v.events = make([]E, 0, n)
 	}
-	for len(l.view) < l.n {
-		l.view = append(l.view, wide(l.next()))
+	for len(v.events) < n {
+		if e, ok := wide(l.next(&v.at)); ok {
+			v.events = append(v.events, e)
+		}
 	}
-	return l.view[:l.n:l.n]
+	return v.events[:n:n]
 }
 
 // spanChunkLen is the number of rows one chunk of a spanTable holds.

@@ -62,12 +62,14 @@ const (
 	opMark
 	opWait
 	opCore
+	opSlice
 	numOps
 )
 
 // logOps drives a Recorder and a refRecorder through the same random
-// interleaving of StartSpan, Span.End, Scope.Exit, Mark, Wait and Core,
-// drawn with the given weights, comparing the accessors at random
+// interleaving of StartSpan, Span.End, Scope.Exit, Mark, Wait, Core and
+// Slice (a core slice, then the run wait of a bound process), drawn
+// with the given weights, comparing the accessors at random
 // points (read, append more, read again) and at the end. It returns the
 // reference and the recorder.
 func logOps(t *testing.T, seed int64, maxEvents, ops int, weights [numOps]int) (*refRecorder, *Recorder) {
@@ -178,13 +180,31 @@ func logOps(t *testing.T, seed int64, maxEvents, ops int, weights [numOps]int) (
 				ref.emptyHolder++
 			}
 			ref.waits = append(ref.waits, e)
-		case opCore:
+		case opCore, opSlice:
 			account, kind := name(), name()
 			core := rng.Intn(4)
-			rec.Core(core, now, 7, account, kind)
+			start, dur := now, time.Duration(7)
+			if op == opCore {
+				rec.Core(core, start, dur, account, kind)
+			} else {
+				dur = time.Duration(rng.Intn(3))
+				start = now - dur
+				rec.Slice(proc, core, account, kind, start, dur)
+			}
 			if ref.room() {
-				ref.cores = append(ref.cores, CoreEvent{Core: int32(core), Start: now, Dur: 7,
+				ref.cores = append(ref.cores, CoreEvent{Core: int32(core), Start: start, Dur: dur,
 					Account: ref.intern(account), Kind: ref.intern(kind)})
+			}
+			if op == opCore || dur == 0 {
+				break
+			}
+			rs := ref.bound[proc]
+			if rs == nil {
+				ref.unattrib++
+			} else if ref.room() {
+				ref.waits = append(ref.waits, WaitEvent{Span: rs.id, Proc: int32(proc), Tenant: rs.tenant, Op: rs.op,
+					Kind: ref.intern("run"), Resource: ref.intern("cpu"), Holder: ref.intern(""),
+					HolderTenant: ref.intern(""), Start: start, Dur: dur})
 			}
 		}
 		// Read at random points, and where the logs reach the cap and
@@ -213,21 +233,29 @@ func logOps(t *testing.T, seed int64, maxEvents, ops int, weights [numOps]int) (
 // towards one log, and the caps put that log's last records past its
 // first chunk.
 func TestEventLogMatchesSliceOracle(t *testing.T) {
-	balanced := [numOps]int{opStart: 2, opEnd: 2, opCross: 3, opMark: 1, opWait: 6, opCore: 6}
+	balanced := [numOps]int{opStart: 2, opEnd: 2, opCross: 3, opMark: 1, opWait: 6, opCore: 6, opSlice: 6}
 	const ops = 80_000
 	seed := int64(0)
-	for _, heavy := range []int{opCross, opWait, opCore} {
+	for _, heavy := range []int{opCross, opWait, opCore, opSlice} {
 		weights := balanced
 		weights[heavy] *= 40
-		for _, max := range []int{17_000, 25_000, 33_001} {
+		for _, max := range []int{21_000, 27_000, 33_001} {
+			if heavy == opCore || heavy == opSlice {
+				// Core records are short, and a CPU slice's record
+				// holds two events.
+				max *= 2
+			}
 			seed++
 			ref, rec := logOps(t, seed, max, ops, weights)
 			if ref.dropped == 0 {
 				t.Fatalf("max %d: nothing dropped", max)
 			}
-			if chunks := map[int]int{opCross: len(rec.slices.chunks), opWait: len(rec.waits.chunks),
-				opCore: len(rec.cores.chunks)}[heavy]; chunks < 2 {
-				t.Fatalf("max %d: the heavy log holds %d chunk", max, chunks)
+			chunks := len(rec.waits.chunks)
+			if heavy == opCross {
+				chunks = len(rec.slices.chunks)
+			}
+			if chunks < 2 {
+				t.Fatalf("max %d: the heavy log (op %d) holds %d chunk", max, heavy, chunks)
 			}
 			if ref.heldBySpan == 0 || ref.heldByNone == 0 || ref.emptyHolder == 0 {
 				t.Fatalf("max %d: waits held by a span %d, by none %d, by \"\" %d; want each",
@@ -244,7 +272,7 @@ func TestEventLogMatchesSliceOracle(t *testing.T) {
 	rec, clock := newTestRecorder()
 	sp := rec.StartSpan(1, "a", "read")
 	var first []WaitEvent
-	for i := 0; len(rec.cores.chunks) < 2 || len(rec.waits.chunks) < 2 || len(rec.slices.chunks) < 2; i++ {
+	for i := 0; len(rec.waits.chunks) < 2 || len(rec.slices.chunks) < 2; i++ {
 		*clock = time.Duration(i)
 		rec.Core(i, 0, 1, "a", "user")
 		rec.Wait(1, "lock", "m", "", 0, *clock, 1)
@@ -263,18 +291,41 @@ func TestEventLogMatchesSliceOracle(t *testing.T) {
 	}
 }
 
-// recOfSize returns a record that l encodes, after its last append, in
-// exactly n bytes (5 to maxRecBytes with c, 4 to maxRecBytes-5
-// without): each field gets the value whose varint takes the bytes it
-// is dealt, the first field and the end as deltas.
-func recOfSize[E any](l *eventLog[E], n int) rec {
-	lens := []int{1, 1, 1, 1, 1} // a, b, c, end, dur
-	caps := []int{5, 5, 5, 10, 10}
-	if !l.three {
-		lens[2], caps[2] = 0, 0
+// recFieldCaps are the most bytes each varint field of a record can
+// take, in encoding order: head, core, span row, holder, end and
+// duration.
+var recFieldCaps = [6]int{5, 5, 5, 5, 10, 10}
+
+// recFieldsOf reports which fields a record of kind carries.
+func recFieldsOf(kind uint8) [6]bool {
+	return [6]bool{true, hasCore(kind), hasRow(kind), hasHolder(kind), true, true}
+}
+
+// recSizes returns the fewest and most bytes a record of kind takes.
+func recSizes(kind uint8) (min, max int) {
+	for f, has := range recFieldsOf(kind) {
+		if has {
+			min, max = min+1, max+recFieldCaps[f]
+		}
 	}
-	for left, f := n-sum(lens), 0; left > 0; f = (f + 1) % 5 {
-		if lens[f] < caps[f] {
+	return min, max
+}
+
+// recOfSize returns a record of kind that l encodes, after its last
+// append, in exactly n bytes (recSizes' range): each field gets the
+// value whose varint takes the bytes it is dealt, the core, the span
+// row and the end as deltas.
+func recOfSize(l *eventLog, kind uint8, n int) rec {
+	has := recFieldsOf(kind)
+	var lens [6]int
+	left := n
+	for f := range lens {
+		if has[f] {
+			lens[f], left = 1, left-1
+		}
+	}
+	for f := 0; left > 0; f = (f + 1) % len(lens) {
+		if has[f] && lens[f] < recFieldCaps[f] {
 			lens[f]++
 			left--
 		}
@@ -285,97 +336,113 @@ func recOfSize[E any](l *eventLog[E], n int) rec {
 		}
 		return 1 << (7 * (n - 1))
 	}
-	r := rec{a: l.enc.a + uint32(unzigzag(val(lens[0]))), b: uint32(val(lens[1]))}
-	if l.three {
-		r.c = uint32(val(lens[2]))
+	r := rec{kind: kind, name: uint32((val(lens[0]) | uint64(kind)) >> 2)}
+	if has[1] {
+		r.core = l.enc.core + uint32(unzigzag(val(lens[1])))
 	}
-	r.dur = time.Duration(val(lens[4]))
-	r.start = l.enc.end + time.Duration(unzigzag(val(lens[3]))) - r.dur
+	if has[2] {
+		r.row = l.enc.row + uint32(unzigzag(val(lens[2])))
+	}
+	if has[3] {
+		r.holder = uint32(val(lens[3]))
+	}
+	r.dur = time.Duration(val(lens[5]))
+	r.start = l.enc.end + time.Duration(unzigzag(val(lens[4]))) - r.dur
 	return r
 }
 
-func sum(xs []int) int {
-	n := 0
-	for _, x := range xs {
-		n += x
-	}
-	return n
-}
-
-// TestPackedRoundTrip appends adversarial records to a packed log and
-// reads them back between appends against the plain records: zero and
-// negative durations, ends off any clock, times near ±MaxInt64, fields
-// near 2^32 alternating so that deltas are large, and records that
-// exactly fill a chunk. Every chunk but the last is filled to within
-// one record.
+// TestPackedRoundTrip appends adversarial records of every kind to a
+// packed log and reads them back between appends against the plain
+// records, through a view that reads every kind and one that reads one
+// kind: zero and negative durations, ends off any clock, times near
+// ±MaxInt64, fields near 2^32 alternating so that deltas are large,
+// and records that exactly fill a chunk. Every chunk but the last is
+// filled to within one record.
 func TestPackedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	times := []time.Duration{0, 1, -1, 7, -7, 1 << 40, -(1 << 40), math.MaxInt64, math.MinInt64,
 		math.MaxInt64 - 1, math.MinInt64 + 1, time.Millisecond}
 	fields := []uint32{0, 1, 2, 1<<31 - 1, 1 << 31, math.MaxUint32, math.MaxUint32 - 1, 1 << 28}
-	for _, three := range []bool{false, true} {
-		l := &eventLog[rec]{three: three}
-		var want []rec
-		check := func(when string) {
-			t.Helper()
-			if got := l.all(func(r rec) rec { return r }); !slices.Equal(got, want) {
-				t.Fatalf("three=%v %s: %d records read back differ from %d appended", three, when, len(got), len(want))
+	l := &eventLog{}
+	var want []rec
+	var every view[rec]
+	var ofKind [numKinds]view[rec]
+	check := func(when string) {
+		t.Helper()
+		if got := every.all(l, len(want), func(r rec) (rec, bool) { return r, true }); !slices.Equal(got, want) {
+			t.Fatalf("%s: %d records read back differ from %d appended", when, len(got), len(want))
+		}
+		kind := uint8(rng.Intn(numKinds))
+		var wantKind []rec
+		for _, r := range want {
+			if r.kind == kind {
+				wantKind = append(wantKind, r)
 			}
 		}
-		push := func(r rec) {
-			if !three {
-				r.c = 0
-			}
-			l.push(r)
-			want = append(want, r)
+		got := ofKind[kind].all(l, l.n[kind], func(r rec) (rec, bool) { return r, r.kind == kind })
+		if !slices.Equal(got, wantKind) {
+			t.Fatalf("%s: %d records of kind %d read back differ from %d appended", when, len(got), kind, len(wantKind))
 		}
-		exact := 0
-		for i := 0; len(l.chunks) < 6; i++ {
+	}
+	push := func(r rec) {
+		has := recFieldsOf(r.kind)
+		if !has[1] {
+			r.core = 0
+		}
+		if !has[2] {
+			r.row = 0
+		}
+		if !has[3] {
+			r.holder = 0
+		}
+		l.push(r)
+		want = append(want, r)
+	}
+	exact := 0
+	for i := 0; len(l.chunks) < 6; i++ {
+		kind := uint8(rng.Intn(numKinds))
+		switch {
+		case i%3 == 0:
+			// Alternate extremes so every delta is large.
+			f := fields[i%len(fields)] ^ uint32(i&1)*math.MaxUint32
+			push(rec{kind: kind, name: fields[rng.Intn(len(fields))], core: f, row: ^f,
+				holder: fields[rng.Intn(len(fields))], start: times[rng.Intn(len(times))], dur: times[rng.Intn(len(times))]})
+		case i%7 == 0:
+			// At the clock: a short wait or slice that ends now.
+			dur := time.Duration(rng.Intn(1000))
+			push(rec{kind: kind, name: uint32(rng.Intn(40)), core: uint32(rng.Intn(4)), row: uint32(rng.Intn(4)),
+				holder: uint32(rng.Intn(9)), start: l.enc.end - dur, dur: dur})
+		default:
+			// Fill each chunk exactly once its room fits one record.
+			min, max := recSizes(kind)
+			room := chunkBytes
+			if len(l.chunks) > 0 {
+				room -= len(l.chunks[len(l.chunks)-1])
+			}
 			switch {
-			case i%3 == 0:
-				// Alternate extremes so every delta is large.
-				push(rec{a: fields[i%len(fields)] ^ uint32(i&1)*math.MaxUint32, b: fields[rng.Intn(len(fields))],
-					c: fields[rng.Intn(len(fields))], start: times[rng.Intn(len(times))], dur: times[rng.Intn(len(times))]})
-			case i%7 == 0:
-				// At the clock: a short wait or slice that ends now.
-				dur := time.Duration(rng.Intn(1000))
-				push(rec{a: uint32(rng.Intn(4)), b: uint32(rng.Intn(40)), c: uint32(rng.Intn(9)),
-					start: l.enc.end - dur, dur: dur})
+			case room > max:
+				push(recOfSize(l, kind, min+rng.Intn(max-min+1)))
+			case room < min:
+				push(recOfSize(l, kind, min)) // starts the next chunk
 			default:
-				// Fill each chunk exactly once its room fits one record.
-				min, max := 4, maxRecBytes-5
-				if three {
-					min, max = 5, maxRecBytes
+				push(recOfSize(l, kind, room))
+				if got := len(l.chunks[len(l.chunks)-1]); got != chunkBytes {
+					t.Fatalf("kind %d: a %d-byte record left the chunk at %d bytes", kind, room, got)
 				}
-				room := chunkBytes
-				if len(l.chunks) > 0 {
-					room -= len(l.chunks[len(l.chunks)-1])
-				}
-				switch {
-				case room > max:
-					push(recOfSize(l, min+rng.Intn(max-min+1)))
-				case room < min:
-					push(recOfSize(l, min)) // starts the next chunk
-				default:
-					push(recOfSize(l, room))
-					if got := len(l.chunks[len(l.chunks)-1]); got != chunkBytes {
-						t.Fatalf("three=%v: a %d-byte record left the chunk at %d bytes", three, room, got)
-					}
-					exact++
-				}
-			}
-			if rng.Intn(500) == 0 {
-				check(fmt.Sprintf("after %d records", len(want)))
+				exact++
 			}
 		}
-		check("at the end")
-		if exact < 3 {
-			t.Fatalf("three=%v: %d chunks filled exactly, want at least 3", three, exact)
+		if rng.Intn(500) == 0 {
+			check(fmt.Sprintf("after %d records", len(want)))
 		}
-		for i, c := range l.chunks[:len(l.chunks)-1] {
-			if len(c) > chunkBytes || len(c) <= chunkBytes-maxRecBytes || cap(c) != chunkBytes {
-				t.Fatalf("three=%v: chunk %d holds %d of %d bytes", three, i, len(c), cap(c))
-			}
+	}
+	check("at the end")
+	if exact < 3 {
+		t.Fatalf("%d chunks filled exactly, want at least 3", exact)
+	}
+	for i, c := range l.chunks[:len(l.chunks)-1] {
+		if len(c) > chunkBytes || len(c) <= chunkBytes-maxRecBytes || cap(c) != chunkBytes {
+			t.Fatalf("chunk %d holds %d of %d bytes", i, len(c), cap(c))
 		}
 	}
 }
@@ -465,7 +532,7 @@ func TestRecordingAllocs(t *testing.T) {
 			sp.Enter(LayerClient).Exit()
 		}
 	}
-	chunks := func() int { return len(rec.waits.chunks) + len(rec.cores.chunks) + len(rec.slices.chunks) }
+	chunks := func() int { return len(rec.waits.chunks) + len(rec.slices.chunks) }
 	record()
 	for run := 0; run < 3; run++ {
 		var before, after runtime.MemStats

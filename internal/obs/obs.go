@@ -99,19 +99,23 @@ type Config struct {
 type Recorder struct {
 	cfg      Config
 	nextSpan uint64
-	// The three logs keep packed, pointer-free records and build the
-	// wide events only when read (Slices, Waits, CoreEvents). A record
-	// names its span by a row of spans and its names by a row of sites
-	// or accts; a row is made only when a kept record first needs it,
-	// so no table outgrows MaxEvents rows.
-	slices  eventLog[SliceEvent]
-	cores   eventLog[CoreEvent]
-	waits   eventLog[WaitEvent]
-	spans   spanTable
-	sites   tupleTable // wait (kind, resource, holder)
-	accts   tupleTable // core slice (account, kind)
-	kept    int        // records in the three logs
-	dropped uint64
+	// The two logs keep packed, pointer-free records and build the
+	// wide events only when read (Slices from slices; Waits and
+	// CoreEvents from waits, which holds the waits, the core slices and
+	// the CPU slices that are both). A record names its span by a row
+	// of spans and its names by a row of sites or accts; a row is made
+	// only when a kept record first needs it, so no table outgrows
+	// MaxEvents rows.
+	slices    eventLog
+	waits     eventLog
+	sliceView view[SliceEvent]
+	waitView  view[WaitEvent]
+	coreView  view[CoreEvent]
+	spans     spanTable
+	sites     tupleTable // wait (kind, resource, holder)
+	accts     tupleTable // core slice (account, kind)
+	kept      int        // events kept: a CPU slice with its run wait is two
+	dropped   uint64
 
 	// procSpan binds each simulated process to the span it is currently
 	// serving, indexed by process id (engine ids are small and dense), so
@@ -126,6 +130,8 @@ type Recorder struct {
 	// open tracks spans started and not yet ended — the span-leak
 	// checker's ledger.
 	open map[uint64]*Span
+	// free holds ended spans for StartSpan to reuse.
+	free []*Span
 
 	// Tenant/op/layer/account names are interned to small ids so the
 	// (potentially millions of) retained events carry no pointers: the
@@ -286,7 +292,6 @@ func New(cfg Config) *Recorder {
 	return &Recorder{
 		cfg: cfg, reg: NewRegistry(), symIdx: map[string]Sym{},
 		open:  map[uint64]*Span{},
-		waits: eventLog[WaitEvent]{three: true},
 		sites: tupleTable{width: 3, idx: map[[3]Sym]uint32{}},
 		accts: tupleTable{width: 2, idx: map[[3]Sym]uint32{}},
 	}
@@ -304,33 +309,43 @@ type spanRow struct {
 // errBit marks, in a slice record's layer, a request that failed.
 const errBit Sym = 1 << 31
 
-// A slice record is its span-table row (a), its layer with errBit set
-// when Err (b) and its interval.
-func (r *Recorder) sliceEvent(s rec) SliceEvent {
-	sp := r.spans.at(int(s.a))
-	layer := Sym(s.b)
+// A span slice's name is its layer, with errBit set when Err.
+func (r *Recorder) sliceEvent(s rec) (SliceEvent, bool) {
+	sp := r.spans.at(int(s.row))
+	layer := Sym(s.name)
 	return SliceEvent{
 		Span: sp.id, Proc: sp.proc, Tenant: sp.tenant, Op: sp.op,
 		Layer: layer &^ errBit, Start: s.start, Dur: s.dur, Err: layer&errBit != 0,
-	}
+	}, true
 }
 
-// A wait record is its span-table row (a), its sites row (b), its
-// holder tenant (c) and its interval.
-func (r *Recorder) waitEvent(w rec) WaitEvent {
-	sp := r.spans.at(int(w.a))
-	site := &r.sites.rows[w.b]
+// A wait's name is its sites row. A CPU slice is also the run wait of
+// its span, whose site is runSite and whose holder tenant is "".
+func (r *Recorder) waitEvent(w rec) (WaitEvent, bool) {
+	site, holder := w.name, Sym(w.holder)
+	switch w.kind {
+	case kindWait:
+	case kindSlice:
+		site, holder = r.runSite, r.emptySym
+	default:
+		return WaitEvent{}, false
+	}
+	sp := r.spans.at(int(w.row))
+	names := &r.sites.rows[site]
 	return WaitEvent{
 		Span: sp.id, Proc: sp.proc, Tenant: sp.tenant, Op: sp.op,
-		Kind: site[0], Resource: site[1], Holder: site[2], HolderTenant: Sym(w.c),
+		Kind: names[0], Resource: names[1], Holder: names[2], HolderTenant: holder,
 		Start: w.start, Dur: w.dur,
-	}
+	}, true
 }
 
-// A core record is its core (a), its accts row (b) and its interval.
-func (r *Recorder) coreEvent(c rec) CoreEvent {
-	a := &r.accts.rows[c.b]
-	return CoreEvent{Core: int32(c.a), Start: c.start, Dur: c.dur, Account: a[0], Kind: a[1]}
+// A core slice's name is its accts row; a CPU slice is also one.
+func (r *Recorder) coreEvent(c rec) (CoreEvent, bool) {
+	if c.kind == kindWait {
+		return CoreEvent{}, false
+	}
+	a := &r.accts.rows[c.name]
+	return CoreEvent{Core: int32(c.core), Start: c.start, Dur: c.dur, Account: a[0], Kind: a[1]}, true
 }
 
 // rowOf returns s's span-table row, making it on the first call.
@@ -348,7 +363,7 @@ func (r *Recorder) pushSlice(row uint32, l Layer, start, dur time.Duration, err 
 	if err {
 		layer |= errBit
 	}
-	r.slices.push(rec{a: row, b: uint32(layer), start: start, dur: dur})
+	r.slices.push(rec{kind: kindCross, row: row, name: uint32(layer), start: start, dur: dur})
 }
 
 // Recorder.symCache has symCacheLen slots. The per-event names of a
@@ -503,7 +518,7 @@ func (r *Recorder) Slices() []SliceEvent {
 	if r == nil {
 		return nil
 	}
-	return r.slices.all(r.sliceEvent)
+	return r.sliceView.all(&r.slices, r.slices.n[kindCross], r.sliceEvent)
 }
 
 // CoreEvents returns the recorded per-core slices in recording order
@@ -512,7 +527,7 @@ func (r *Recorder) CoreEvents() []CoreEvent {
 	if r == nil {
 		return nil
 	}
-	return r.cores.all(r.coreEvent)
+	return r.coreView.all(&r.waits, r.waits.n[kindCore]+r.waits.n[kindSlice], r.coreEvent)
 }
 
 // Waits returns the recorded wait events in recording order
@@ -521,7 +536,7 @@ func (r *Recorder) Waits() []WaitEvent {
 	if r == nil {
 		return nil
 	}
-	return r.waits.all(r.waitEvent)
+	return r.waitView.all(&r.waits, r.waits.n[kindWait]+r.waits.n[kindSlice], r.waitEvent)
 }
 
 // UnattributedWaits returns how many observed waits had no bound span.
@@ -553,13 +568,20 @@ func (r *Recorder) room() bool {
 
 // StartSpan opens a request-scoped span for tenant performing op on
 // simulated process proc, an engine process id (0 for none; never
-// negative). Returns nil (a no-op span) when the recorder is disabled.
+// negative). It reuses a span that has ended, with every field set
+// afresh. Returns nil (a no-op span) when the recorder is disabled.
 func (r *Recorder) StartSpan(proc int, tenant, op string) *Span {
 	if r == nil {
 		return nil
 	}
+	var s *Span
+	if n := len(r.free); n > 0 {
+		s, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		s = new(Span)
+	}
 	r.nextSpan++
-	s := &Span{
+	*s = Span{
 		rec: r, id: r.nextSpan, proc: int32(proc),
 		tenant: tenant, op: op,
 		tenantSym: r.intern(tenant), opSym: r.intern(op),
@@ -620,15 +642,15 @@ func (r *Recorder) Wait(proc int, kind, resource, holder string, holderID int, s
 		return
 	}
 	w := rec{
-		a: r.rowOf(s), b: r.tuple(&r.sites, [3]string{kind, resource, holder}),
+		kind: kindWait, row: r.rowOf(s), name: r.tuple(&r.sites, [3]string{kind, resource, holder}),
 		start: start, dur: dur,
 	}
 	// The holder span's tenant was interned when the span started; ""
 	// is interned here, after the names above, to keep first-use order.
 	if hs != nil {
-		w.c = uint32(hs.tenantSym)
+		w.holder = uint32(hs.tenantSym)
 	} else {
-		w.c = uint32(r.empty())
+		w.holder = uint32(r.empty())
 	}
 	r.waits.push(w)
 }
@@ -642,32 +664,38 @@ func (r *Recorder) empty() Sym {
 }
 
 // Slice records one CPU slice that process proc ran on core, charged
-// to account as kind: the core record Core keeps and, when proc serves
+// to account as kind: the core event Core keeps and, when proc serves
 // a span, the "run" wait on "cpu" that Wait would keep for it, in that
-// order, with the same room checks and first-use symbol order. A run
-// wait has no holder, so the wait hook never sees it. The engine
-// reports each slice once, here (sim.Observer). Nil-safe.
+// order, with the same room checks and first-use symbol order. Both go
+// in one record, which counts as two kept events; a slice whose run
+// wait is not kept is a core record. A run wait has no holder, so the
+// wait hook never sees it. The engine reports each slice once, here
+// (sim.Observer). Nil-safe.
 func (r *Recorder) Slice(proc, core int, account, kind string, start, dur time.Duration) {
 	if r == nil {
 		return
 	}
-	r.Core(core, start, dur, account, kind)
-	if dur <= 0 {
+	keep := r.room()
+	var s *Span
+	if dur > 0 {
+		if s = r.spanOf(proc); s == nil {
+			r.unattributed++
+		} else if !r.room() {
+			s = nil
+		}
+	}
+	if !keep {
 		return
 	}
-	s := r.spanOf(proc)
-	if s == nil {
-		r.unattributed++
-		return
+	c := rec{kind: kindCore, core: uint32(core), name: r.tuple(&r.accts, [3]string{account, kind}), start: start, dur: dur}
+	if s != nil {
+		c.kind, c.row = kindSlice, r.rowOf(s)
+		if !r.haveRunSite {
+			r.runSite, r.haveRunSite = r.tuple(&r.sites, [3]string{"run", "cpu", ""}), true
+			r.empty()
+		}
 	}
-	if !r.room() {
-		return
-	}
-	row := r.rowOf(s)
-	if !r.haveRunSite {
-		r.runSite, r.haveRunSite = r.tuple(&r.sites, [3]string{"run", "cpu", ""}), true
-	}
-	r.waits.push(rec{a: row, b: r.runSite, c: uint32(r.empty()), start: start, dur: dur})
+	r.waits.push(c)
 }
 
 // LeakedSpans describes every span opened but never ended, sorted by
@@ -697,8 +725,8 @@ func (r *Recorder) Core(core int, start, dur time.Duration, account, kind string
 	if r == nil || !r.room() {
 		return
 	}
-	r.cores.push(rec{
-		a: uint32(core), b: r.tuple(&r.accts, [3]string{account, kind}),
+	r.waits.push(rec{
+		kind: kindCore, core: uint32(core), name: r.tuple(&r.accts, [3]string{account, kind}),
 		start: start, dur: dur,
 	})
 }
@@ -783,20 +811,25 @@ func (s *Span) Enter(l Layer) Scope {
 
 // End completes the span: it emits the root LayerRequest slice and
 // folds the operation into the per-tenant registry (latency
-// histogram, op/byte/error counters). Nil-safe.
+// histogram, op/byte/error counters). The span then goes back to its
+// recorder for StartSpan to reuse, so nothing may use it after End:
+// not a Scope it entered, not a copy of the pointer. Nil-safe.
 func (s *Span) End(bytes int64, err error) {
 	if s == nil {
 		return
 	}
-	now := s.rec.cfg.Clock()
-	if s.rec.room() {
-		s.rec.pushSlice(s.rec.rowOf(s), LayerRequest, s.start, now-s.start, err != nil)
+	r := s.rec
+	now := r.cfg.Clock()
+	if r.room() {
+		r.pushSlice(r.rowOf(s), LayerRequest, s.start, now-s.start, err != nil)
 	}
-	if s.rec.spanOf(int(s.proc)) == s {
-		s.rec.procSpan[s.proc] = nil
+	if r.spanOf(int(s.proc)) == s {
+		r.procSpan[s.proc] = nil
 	}
-	delete(s.rec.open, s.id)
+	delete(r.open, s.id)
 	s.metrics().Op(s.op).record(now-s.start, bytes, err)
+	*s = Span{}
+	r.free = append(r.free, s)
 }
 
 // LockWait attributes a lock-acquisition wait observed while serving

@@ -106,6 +106,71 @@ func TestSpanError(t *testing.T) {
 	}
 }
 
+// TestEndedSpanIsReused checks span recycling: a span started after
+// another ended reuses its memory with a fresh id, a fresh table row,
+// fresh metrics and no process binding left from its last use.
+func TestEndedSpanIsReused(t *testing.T) {
+	rec, clock := newTestRecorder()
+	first := rec.StartSpan(1, "a", "read")
+	first.LockWait("client_lock", 5)
+	first.Enter(LayerClient).Exit()
+	*clock = 10
+	first.End(1, nil)
+	rec.Wait(1, "lock", "m", "", 0, 10, 1) // proc 1 serves nothing now
+	if rec.UnattributedWaits() != 1 {
+		t.Fatalf("a wait after End was attributed")
+	}
+	second := rec.StartSpan(2, "b", "write")
+	if second != first {
+		t.Fatal("the ended span was not reused")
+	}
+	if second.id != 2 || second.row != -1 || second.tm != nil || second.Tenant() != "b" || second.start != 10 {
+		t.Fatalf("reused span not reset: id %d row %d tm %v tenant %q start %v",
+			second.id, second.row, second.tm, second.Tenant(), second.start)
+	}
+	second.LockWait("i_mutex", 3)
+	*clock = 20
+	second.Enter(LayerClient).Exit()
+	rec.Wait(2, "lock", "m", "", 0, 19, 1)
+	second.End(2, nil)
+	third := rec.StartSpan(3, "a", "read")
+	if third != first || third.id != 3 {
+		t.Fatalf("span ids not sequential: %d", third.id)
+	}
+	third.End(0, nil)
+
+	type row struct {
+		span       uint64
+		tenant, op string
+		layer      string
+	}
+	var got []row
+	for _, e := range rec.Slices() {
+		got = append(got, row{e.Span, rec.Str(e.Tenant), rec.Str(e.Op), rec.Str(e.Layer)})
+	}
+	want := []row{{1, "a", "read", "client"}, {1, "a", "read", "request"},
+		{2, "b", "write", "client"}, {2, "b", "write", "request"}, {3, "a", "read", "request"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("slices %+v, want %+v", got, want)
+	}
+	if w := rec.Waits(); len(w) != 1 || w[0].Span != 2 || rec.Str(w[0].Tenant) != "b" {
+		t.Fatalf("waits %+v, want one of span 2", w)
+	}
+	if rows := rec.spans.n; rows != 3 {
+		t.Fatalf("%d span rows, want 3", rows)
+	}
+	a, b := rec.Registry().Tenant("a"), rec.Registry().Tenant("b")
+	if a.Ops()["read"].Ops != 2 || a.Ops()["write"] != nil || b.Ops()["write"].Ops != 1 || b.Ops()["read"] != nil {
+		t.Fatal("ops recorded against the wrong tenant")
+	}
+	if a.Locks()["i_mutex"] != nil || b.Locks()["client_lock"] != nil || b.Locks()["i_mutex"].Wait != 3 {
+		t.Fatal("lock waits recorded against the wrong tenant")
+	}
+	if leaks := rec.LeakedSpans(); len(leaks) != 0 {
+		t.Fatalf("leaked %v", leaks)
+	}
+}
+
 func TestMaxEventsDrop(t *testing.T) {
 	clock := new(time.Duration)
 	rec := New(Config{Clock: func() time.Duration { return *clock }, MaxEvents: 2})

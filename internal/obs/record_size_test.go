@@ -10,9 +10,11 @@ import (
 )
 
 // TestBytesPerRecord bounds what the event logs of a real observed run
-// retain per record, chunks included: at most 10 B on average over a
-// quick 7-pool K Fileserver run with a RandomIO neighbour. Fixed records
-// of 24 to 32 B fail it.
+// retain per event, chunks included: at most 7 B on average over a
+// quick 7-pool K Fileserver run with a RandomIO neighbour, where a CPU
+// slice's one record holds two events. A core record and a run wait
+// apiece (about 7.5 B per event) fail it, and so do fixed records of
+// 24 to 32 B.
 func TestBytesPerRecord(t *testing.T) {
 	var recs []*obs.Recorder
 	attach := func(tb *core.Testbed) {
@@ -22,14 +24,14 @@ func TestBytesPerRecord(t *testing.T) {
 	}
 	experiments.RunInterference(experiments.InterferenceCase{Config: core.ConfigK, FLSCount: 7, Neighbor: "RND"},
 		experiments.Run{Scale: experiments.QuickScale, Attach: attach})
-	records, bytes := 0, 0
+	events, bytes := 0, 0
 	for _, rec := range recs {
 		n, b := obs.LogBytes(rec)
-		records, bytes = records+n, bytes+b
+		events, bytes = events+n, bytes+b
 	}
-	per := float64(bytes) / float64(records)
-	t.Logf("%d records in %d bytes: %.2f B per record", records, bytes, per)
-	if records < 100_000 || per > 10 {
-		t.Errorf("%d records in %d bytes: %.2f B per record, want at least 100000 records at most 10 B each", records, bytes, per)
+	per := float64(bytes) / float64(events)
+	t.Logf("%d events in %d bytes: %.2f B per event", events, bytes, per)
+	if events < 100_000 || per > 7 {
+		t.Errorf("%d events in %d bytes: %.2f B per event, want at least 100000 events at most 7 B each", events, bytes, per)
 	}
 }
